@@ -16,7 +16,7 @@
 // mining, PMI) and writes it as one snapshot, ready for pgserve -snapshot
 // or pgsearch -loadsnap — the offline step of the paper's offline/online
 // split, done once at generation time. -format picks the snapshot
-// encoding: text (the default, v3) or binary (v4, which pgserve opens via
+// encoding: text (the default, v5) or binary (v4, which pgserve opens via
 // mmap for parse-free startup). The write is atomic (temp file + rename),
 // so a crash mid-save never truncates an existing snapshot.
 //
@@ -64,7 +64,7 @@ func run(args []string, stderr io.Writer) (code int) {
 	independent := fs.Bool("independent", false, "independent-edge model (IND) instead of correlated (COR)")
 	seed := fs.Int64("seed", 1, "random seed")
 	saveSnap := fs.String("savesnap", "", "also build the full index and write a snapshot to this file")
-	format := fs.String("format", "text", "snapshot format for -savesnap: text (v3) or binary (v4, mmap-able)")
+	format := fs.String("format", "text", "snapshot format for -savesnap: text (v5) or binary (v4, mmap-able)")
 	queryMode := fs.Bool("query", false, "write a query graph instead of a database")
 	from := fs.String("from", "", "query mode: extract from this database file (default: generate)")
 	qsize := fs.Int("qsize", 6, "query mode: query size (edges)")

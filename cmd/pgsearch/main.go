@@ -18,10 +18,10 @@
 // as written by pggen -query).
 //
 // -savesnap persists the indexed database as one snapshot file (-format
-// text writes the v3 line format, -format binary the mmap-able v4 layout);
-// -loadsnap restores either without re-mining features or recomputing PMI
-// bounds, so repeated sessions (and cmd/pgserve) skip the offline index
-// build. Binary snapshots are opened via mmap: no full parse at startup.
+// text writes the pgsnap v5 line format, -format binary the mmap-able v4
+// layout); -loadsnap restores either without re-mining features or
+// recomputing PMI bounds, so repeated sessions (and cmd/pgserve) skip the
+// offline index build. Binary snapshots are opened via mmap: no full parse at startup.
 // -json prints machine-readable results to stdout instead of tables.
 // -savesnap with -partition N instead writes N contiguous range-shard
 // snapshots (<savesnap>.shard<i>), one per cmd/pgproxy fleet member.
@@ -98,7 +98,7 @@ func main() {
 	dbPath := flag.String("db", "", "database file from pggen")
 	loadSnap := flag.String("loadsnap", "", "snapshot file to load instead of -db (skips indexing)")
 	saveSnap := flag.String("savesnap", "", "write the indexed database snapshot to this file")
-	format := flag.String("format", "text", "snapshot format for -savesnap: text (v3) or binary (v4, mmap-able)")
+	format := flag.String("format", "text", "snapshot format for -savesnap: text (v5) or binary (v4, mmap-able)")
 	epsilon := flag.Float64("epsilon", 0.5, "probability threshold ε")
 	delta := flag.Int("delta", 2, "subgraph distance threshold δ")
 	qsize := flag.Int("qsize", 6, "query size (edges)")
@@ -109,8 +109,6 @@ func main() {
 	plain := flag.Bool("plain", false, "use plain SSPBound instead of OPT-SSPBound")
 	workers := flag.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
 	batch := flag.Bool("batch", false, "run all queries through one QueryBatch call")
-	saveIndex := flag.String("saveindex", "", "write the built PMI index to this file")
-	loadIndex := flag.String("loadindex", "", "load a previously saved PMI index instead of rebuilding")
 	seed := flag.Int64("seed", 1, "random seed")
 	verbose := flag.Bool("v", false, "print per-answer SSP estimates")
 	jsonOut := flag.Bool("json", false, "print results as JSON to stdout (suppresses tables)")
@@ -130,7 +128,6 @@ func main() {
 		}
 		for flagName, set := range map[string]bool{
 			"-db": *dbPath != "", "-loadsnap": *loadSnap != "", "-savesnap": *saveSnap != "",
-			"-saveindex": *saveIndex != "", "-loadindex": *loadIndex != "",
 			"-partition": *partition != 0, "-trace": *trace,
 		} {
 			if set {
@@ -208,26 +205,9 @@ func main() {
 			log.Fatal(err)
 		}
 		say("loaded %d probabilistic graphs\n", len(raw.Graphs))
-		buildOpt := probgraph.DefaultBuildOptions()
-		buildOpt.SkipPMI = *loadIndex != ""
-		db, err = probgraph.NewDatabase(raw.Graphs, buildOpt)
+		db, err = probgraph.NewDatabase(raw.Graphs, probgraph.DefaultBuildOptions())
 		if err != nil {
 			log.Fatal(err)
-		}
-		if *loadIndex != "" {
-			idxFile, err := os.Open(*loadIndex)
-			if err != nil {
-				log.Fatal(err)
-			}
-			idx, err := probgraph.LoadPMI(idxFile)
-			idxFile.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := db.AttachPMI(idx); err != nil {
-				log.Fatal(err)
-			}
-			say("loaded PMI index from %s (%d features)\n", *loadIndex, idx.NumFeatures())
 		}
 		say("indexed in %v: %d PMI features, %.1f KB index\n\n",
 			time.Since(start), db.PMI().NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
@@ -260,20 +240,6 @@ func main() {
 			}
 			say("saved %s snapshot to %s\n", *format, *saveSnap)
 		}
-	}
-	if *saveIndex != "" {
-		if db.PMI() == nil {
-			log.Fatal("pgsearch: no PMI to save")
-		}
-		idxFile, err := os.Create(*saveIndex)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := db.PMI().Save(idxFile); err != nil {
-			log.Fatal(err)
-		}
-		idxFile.Close()
-		say("saved PMI index to %s\n", *saveIndex)
 	}
 
 	var vk probgraph.VerifierKind

@@ -12,7 +12,7 @@
 //	pgserve -db db.pgraph ...   (build the index at startup instead)
 //
 // With -snapshot (written by pgsearch -savesnap, pggen -savesnap, or
-// probgraph.Database.Save/SaveFile) there is no feature mining and no PMI
+// probgraph.Database.SaveAs/SaveFile) there is no feature mining and no PMI
 // bound computation at startup. Binary (v4) snapshots are memory-mapped:
 // startup does no full-corpus parse, pages fault in on demand, and
 // multiple pgserve processes serving the same file share the page cache.

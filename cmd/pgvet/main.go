@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: pgvet [-json] [packages]")
 		fmt.Fprintln(stderr, "Runs the probgraph invariant analyzers (detrange, spanclose, ctxflow, noalloc,")
-		fmt.Fprintln(stderr, "atomicmix, lockorder, leakcheck, snapfields).")
+		fmt.Fprintln(stderr, "atomicmix, lockorder, leakcheck).")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

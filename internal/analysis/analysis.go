@@ -1,6 +1,6 @@
 // Package analysis is pgvet's analyzer suite: a stdlib-only (go/ast,
 // go/parser, go/types, go/importer — no x/tools) static-analysis driver
-// plus eight project-specific passes that mechanically enforce invariants
+// plus seven project-specific passes that mechanically enforce invariants
 // every PR so far has relied on but only runtime tests guarded:
 //
 //   - detrange:  determinism — no map iteration in query/render-path
@@ -23,8 +23,6 @@
 //   - leakcheck: every `go` launch site shows a provable termination
 //     path — a watched context, a WaitGroup.Done with a package-side
 //     Wait, or a receive from a channel the package closes.
-//   - snapfields: every exported field of a snapshot-serialized struct
-//     round-trips through all four codec paths (text/binary × save/load).
 //
 // Runtime tests (AllocsPerRun, the serial≡parallel identity properties,
 // the cancel-closes-spans sweep, -race under churn) catch violations late
@@ -76,7 +74,6 @@ var Analyzers = []*Analyzer{
 	AtomicMix,
 	LockOrder,
 	LeakCheck,
-	SnapFields,
 }
 
 // RunAnalyzers runs every analyzer over pkgs and returns the findings

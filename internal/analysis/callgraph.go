@@ -8,7 +8,7 @@ import (
 )
 
 // The whole-program layer shared by the interprocedural passes (lockorder,
-// leakcheck, snapfields): a class-hierarchy-analysis (CHA) call graph over
+// leakcheck): a class-hierarchy-analysis (CHA) call graph over
 // every loaded package.
 //
 // Cross-package identity is the central design constraint. The same
@@ -155,38 +155,4 @@ func (cg *callGraph) sortedKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// closure walks the graph from the given roots and returns every reachable
-// node key, honoring a per-node cut predicate: when cut(key) reports true
-// for a non-root node, traversal stops at (and excludes) it. snapfields
-// uses the cut to keep, say, a text-load traversal from bleeding into the
-// binary loader that LoadDatabase dispatches to after sniffing the magic.
-func (cg *callGraph) closure(roots []string, cut func(key string) bool) map[string]bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), roots...)
-	for _, r := range roots {
-		seen[r] = true
-	}
-	for len(stack) > 0 {
-		key := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		node := cg.nodes[key]
-		if node == nil {
-			continue
-		}
-		for _, c := range node.calls {
-			for _, callee := range c.callees {
-				if seen[callee] || cg.nodes[callee] == nil {
-					continue
-				}
-				if cut != nil && cut(callee) {
-					continue
-				}
-				seen[callee] = true
-				stack = append(stack, callee)
-			}
-		}
-	}
-	return seen
 }

@@ -20,7 +20,7 @@ func TestRunCleanOnRepo(t *testing.T) {
 	}
 }
 
-// brokenFixture violates all eight contracts at once. It lives in a
+// brokenFixture violates all seven contracts at once. It lives in a
 // throwaway module so `go list` resolves it like any real target.
 const brokenFixture = `// Package core deliberately violates every pgvet contract.
 package core
@@ -102,27 +102,6 @@ func SpawnLeak() {
 		}
 	}()
 }
-
-type Sink struct{ n int64 }
-
-func (s *Sink) put(v int64) { s.n += v }
-
-type Rec struct {
-	A int64
-	B int64
-}
-
-func (r *Rec) Save() string { return fmt.Sprintf("%d %d", r.A, r.B) }
-
-func LoadRec(s string) *Rec {
-	r := &Rec{}
-	fmt.Sscanf(s, "%d %d", &r.A, &r.B)
-	return r
-}
-
-func (r *Rec) EncodeBinary(s *Sink) { s.put(r.A) }
-
-func DecodeRecBinary(v int64) *Rec { return &Rec{A: v, B: v} }
 `
 
 // brokenServerFixture holds a server-side lock across a call into the

@@ -124,14 +124,13 @@ func matchWant(wants []*expectation, d Diagnostic) *expectation {
 // that the matching analyzer stays silent about.
 func TestGoldenSuppressionsPresent(t *testing.T) {
 	annotations := map[string]string{
-		"detrange":   "//pgvet:sorted ",
-		"spanclose":  "//pgvet:spanok ",
-		"ctxflow":    "//pgvet:ctxbg ",
-		"noalloc":    "//pgvet:allocok ",
-		"atomicmix":  "//pgvet:nonatomic ",
-		"lockorder":  "//pgvet:lockok ",
-		"leakcheck":  "//pgvet:leakok ",
-		"snapfields": "//pgvet:nosnap ",
+		"detrange":  "//pgvet:sorted ",
+		"spanclose": "//pgvet:spanok ",
+		"ctxflow":   "//pgvet:ctxbg ",
+		"noalloc":   "//pgvet:allocok ",
+		"atomicmix": "//pgvet:nonatomic ",
+		"lockorder": "//pgvet:lockok ",
+		"leakcheck": "//pgvet:leakok ",
 	}
 	for _, a := range Analyzers {
 		src, err := os.ReadFile(filepath.Join("testdata", "src", a.Name, a.Name+".go"))

@@ -79,9 +79,10 @@ type View struct {
 	Generation uint64
 
 	Graphs []*prob.PGraph
-	//pgvet:nosnap engines are rebuilt lazily after a load (junction-tree construction is deterministic)
+	// Engines are not persisted: after a snapshot load they are rebuilt
+	// lazily (junction-tree construction is deterministic).
 	Engines []*prob.Engine
-	//pgvet:nosnap each entry aliases Graphs[i].G; loaders re-derive the slice
+	// Certain[i] aliases Graphs[i].G; the snapshot loader re-derives it.
 	Certain []*graph.Graph
 
 	// engLazy backs nil Engines slots from snapshot loads, resolved on
@@ -93,7 +94,8 @@ type View struct {
 	PMI      *pmi.Index
 	Struct   *simsearch.Index
 
-	//pgvet:nosnap build-time metrics, not state; loaders repopulate the fields queries read
+	// Build holds build-time metrics, not state; a snapshot load refills
+	// only the fields queries read.
 	Build BuildStats
 	opt   BuildOptions
 
@@ -599,51 +601,10 @@ func (v *View) checkLive(id int, verb string) error {
 	return nil
 }
 
-// tombstoneIDs lists the view's tombstoned slots, ascending.
-func (v *View) tombstoneIDs() []int {
-	if v.live == nil {
-		return nil
-	}
-	var out []int
-	for gi, ok := range v.live {
-		if !ok {
-			out = append(out, gi)
-		}
-	}
-	return out
-}
-
 // cloneWith returns a copy of xs with xs[i] = x.
 func cloneWith[T any](xs []T, i int, x T) []T {
 	out := make([]T, len(xs))
 	copy(out, xs)
 	out[i] = x
 	return out
-}
-
-// AttachPMI installs a previously persisted index (see pmi.Index.Save /
-// pmi.Load) as a new generation, replacing whatever the build produced.
-// The index must have been built from exactly this database: the column
-// count is validated here, entry semantics cannot be (garbage in, garbage
-// out). The view's tombstones are re-applied as the column mask, so a
-// later Compact keeps the columns aligned with the renumbered slots.
-func (db *Database) AttachPMI(idx *pmi.Index) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkMutable(); err != nil {
-		return err
-	}
-	v := db.cur.Load()
-	for fi := range idx.Entries {
-		if len(idx.Entries[fi]) != len(v.Graphs) {
-			return fmt.Errorf("core: index row %d covers %d graphs, database has %d",
-				fi, len(idx.Entries[fi]), len(v.Graphs))
-		}
-	}
-	nv := *v
-	nv.PMI = idx.WithMaskedColumns(v.tombstoneIDs())
-	nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
-	nv.Generation = v.Generation + 1
-	db.cur.Store(&nv)
-	return nil
 }

@@ -5,20 +5,44 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // The checked-in snapshot fixtures under testdata/snapshots pin the
-// on-disk formats: every version the loader claims to accept has a file
-// there that must keep loading and answering. v1_tiny/v2_tiny (with
-// recorded answers) cover the legacy text formats in
-// snapshot_compat_test.go; the v3/v4 pairs below pin the current text and
-// binary formats against each other. All of them seed FuzzLoadDatabase.
+// on-disk formats. v1_tiny/v2_tiny.pgsnapb are databases first written by
+// the pre-postings and pre-generation releases, converted to v4 by the
+// last release that read the old text formats; their recorded answers are
+// replayed in snapshot_compat_test.go. The v5/v4 pairs below pin the
+// current text and binary formats against each other. All of them seed
+// FuzzLoadDatabase.
 
 func fixturePath(name string) string { return filepath.Join(fixtureDir, name) }
 
 func currentFixtureNames() []string {
-	return []string{"v3_tiny.pgsnap", "v4_tiny.pgsnapb", "v3_tiny_tombs.pgsnap", "v4_tiny_tombs.pgsnapb"}
+	return []string{"v5_tiny.pgsnap", "v4_tiny.pgsnapb", "v5_tiny_tombs.pgsnap", "v4_tiny_tombs.pgsnapb"}
+}
+
+// fixtureFormat is the format a fixture file was written in.
+func fixtureFormat(name string) SnapshotFormat {
+	if strings.HasSuffix(name, ".pgsnapb") {
+		return SnapshotBinary
+	}
+	return SnapshotText
+}
+
+// loadFixture reads and loads one fixture file.
+func loadFixture(t *testing.T, name string) (*Database, []byte) {
+	t.Helper()
+	b, err := os.ReadFile(fixturePath(name))
+	if err != nil {
+		t.Fatalf("missing fixture %s (regenerate with PGSNAP_REGEN=1): %v", name, err)
+	}
+	db, err := LoadDatabase(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("fixture %s: %v", name, err)
+	}
+	return db, b
 }
 
 // TestRegenSnapshotFixtures is the maintenance entry point, not a test:
@@ -27,7 +51,8 @@ func currentFixtureNames() []string {
 //
 // rewrites the current-format fixtures after a deliberate format change;
 // commit the result. Without the variable it only verifies the files
-// exist. The v1/v2 fixtures are never regenerated — old writers are gone.
+// exist. The converted v1/v2 fixtures are never regenerated — the writers
+// of the databases they hold are gone.
 func TestRegenSnapshotFixtures(t *testing.T) {
 	if os.Getenv("PGSNAP_REGEN") == "" {
 		for _, name := range currentFixtureNames() {
@@ -37,62 +62,37 @@ func TestRegenSnapshotFixtures(t *testing.T) {
 		}
 		return
 	}
-	write := func(name string, b []byte) {
-		if err := os.WriteFile(fixturePath(name), b, 0o644); err != nil {
-			t.Fatal(err)
+	db, _ := snapDB(t, 8)
+	write := func(names ...string) {
+		for _, name := range names {
+			if err := os.WriteFile(fixturePath(name), saveBytes(t, db.View(), fixtureFormat(name)), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	db, _ := snapDB(t, 8)
-	var v3, v4 bytes.Buffer
-	if err := db.Save(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveBinary(&v4); err != nil {
-		t.Fatal(err)
-	}
-	write("v3_tiny.pgsnap", v3.Bytes())
-	write("v4_tiny.pgsnapb", v4.Bytes())
-
+	write("v5_tiny.pgsnap", "v4_tiny.pgsnapb")
 	if _, err := db.RemoveGraph(2); err != nil {
 		t.Fatal(err)
 	}
-	var v3t, v4t bytes.Buffer
-	if err := db.Save(&v3t); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveBinary(&v4t); err != nil {
-		t.Fatal(err)
-	}
-	write("v3_tiny_tombs.pgsnap", v3t.Bytes())
-	write("v4_tiny_tombs.pgsnapb", v4t.Bytes())
+	write("v5_tiny_tombs.pgsnap", "v4_tiny_tombs.pgsnapb")
 }
 
-// TestSnapshotFixtureReplay is the cross-format contract on disk: the v3
+// TestSnapshotFixtureReplay is the cross-format contract on disk: the v5
 // text and v4 binary fixtures of the same corpus must answer recorded
-// queries identically (with and without tombstones), and the binary
-// fixtures must survive load→save byte-identically. A failure here means
-// a codec change altered the meaning of existing files.
+// queries identically (with and without tombstones), and every fixture
+// must survive load→save byte-identically. A failure here means a codec
+// change altered the meaning of existing files.
 func TestSnapshotFixtureReplay(t *testing.T) {
 	_, raw := snapDB(t, 8)
 	qs := snapQueries(t, raw, 3)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 9}
 
-	load := func(name string) *Database {
-		b, err := os.ReadFile(fixturePath(name))
-		if err != nil {
-			t.Fatalf("missing fixture %s (regenerate with PGSNAP_REGEN=1): %v", name, err)
-		}
-		db, err := LoadDatabase(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("fixture %s: %v", name, err)
-		}
-		return db
-	}
 	type recorded struct {
 		Answers []int
 		SSP     map[int]float64
 	}
-	answers := func(db *Database) []recorded {
+	answers := func(name string) []recorded {
+		db, _ := loadFixture(t, name)
 		out := make([]recorded, len(qs))
 		for i, q := range qs {
 			r, err := db.Query(q, opt)
@@ -104,24 +104,17 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 		return out
 	}
 
-	if got, want := answers(load("v4_tiny.pgsnapb")), answers(load("v3_tiny.pgsnap")); !reflect.DeepEqual(got, want) {
-		t.Errorf("v4_tiny.pgsnapb answers diverge from v3_tiny.pgsnap")
+	if got, want := answers("v4_tiny.pgsnapb"), answers("v5_tiny.pgsnap"); !reflect.DeepEqual(got, want) {
+		t.Errorf("v4_tiny.pgsnapb answers diverge from v5_tiny.pgsnap")
 	}
-	if got, want := answers(load("v4_tiny_tombs.pgsnapb")), answers(load("v3_tiny_tombs.pgsnap")); !reflect.DeepEqual(got, want) {
-		t.Errorf("v4_tiny_tombs.pgsnapb answers diverge from v3_tiny_tombs.pgsnap")
+	if got, want := answers("v4_tiny_tombs.pgsnapb"), answers("v5_tiny_tombs.pgsnap"); !reflect.DeepEqual(got, want) {
+		t.Errorf("v4_tiny_tombs.pgsnapb answers diverge from v5_tiny_tombs.pgsnap")
 	}
 
-	for _, name := range []string{"v4_tiny.pgsnapb", "v4_tiny_tombs.pgsnapb"} {
-		b, err := os.ReadFile(fixturePath(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := load(name).SaveBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), b) {
-			t.Errorf("%s: load→save not byte-identical (%d vs %d bytes)", name, buf.Len(), len(b))
+	for _, name := range currentFixtureNames() {
+		db, b := loadFixture(t, name)
+		if again := saveBytes(t, db.View(), fixtureFormat(name)); !bytes.Equal(again, b) {
+			t.Errorf("%s: load→save not byte-identical (%d vs %d bytes)", name, len(again), len(b))
 		}
 	}
 }

@@ -6,36 +6,49 @@ import (
 	"testing"
 )
 
-// FuzzLoadDatabase drives the snapshot loaders — text sniffing, the v1/v3
-// scanners, and the v4 binary cursor — with arbitrary bytes. The contract
-// under fuzzing is purely defensive: a corrupt snapshot must produce an
-// error, never a panic, an index out of range, or an attempt to allocate
-// slabs the input cannot back. The corpus seeds every checked-in fixture
-// plus truncations and bit flips of the binary one, which walk the cursor
-// through its bounds checks.
+// FuzzLoadDatabase drives the snapshot loader — format sniffing, the v5
+// text decoder and the v4 binary cursor, and the one section decoder
+// behind both — with arbitrary bytes. The contract under fuzzing is purely
+// defensive: a corrupt snapshot must produce an error, never a panic, an
+// index out of range, or an attempt to allocate slabs the input cannot
+// back. The corpus seeds every checked-in fixture plus truncations and bit
+// flips of one fixture per encoding, which walk the cursor through its
+// bounds checks and the text decoder through its tag, count and framing
+// checks.
 func FuzzLoadDatabase(f *testing.F) {
-	for _, name := range []string{"v1_tiny.pgsnap", "v2_tiny.pgsnap", "v3_tiny.pgsnap",
-		"v3_tiny_tombs.pgsnap", "v4_tiny.pgsnapb", "v4_tiny_tombs.pgsnapb"} {
+	for _, name := range []string{"v1_tiny.pgsnapb", "v2_tiny.pgsnapb", "v5_tiny.pgsnap",
+		"v5_tiny_tombs.pgsnap", "v4_tiny.pgsnapb", "v4_tiny_tombs.pgsnapb"} {
 		if b, err := os.ReadFile(fixturePath(name)); err == nil {
 			f.Add(b)
 		}
 	}
-	if v4, err := os.ReadFile(fixturePath("v4_tiny.pgsnapb")); err == nil {
-		for _, cut := range []int{1, 7, 8, 9, 24, len(v4) / 2, len(v4) - 1} {
-			if cut > 0 && cut < len(v4) {
-				f.Add(v4[:cut])
+	damaged := func(name string, cuts, flips []int) {
+		b, err := os.ReadFile(fixturePath(name))
+		if err != nil {
+			return
+		}
+		for _, cut := range append(cuts, len(b)/2, len(b)-1) {
+			if cut > 0 && cut < len(b) {
+				f.Add(b[:cut])
 			}
 		}
-		for _, pos := range []int{0, 8, 12, 16, 24, 40, 64, len(v4) / 3, len(v4) - 2} {
-			if pos >= 0 && pos < len(v4) {
-				c := bytes.Clone(v4)
+		for _, pos := range append(flips, len(b)/3, len(b)-2) {
+			if pos >= 0 && pos < len(b) {
+				c := bytes.Clone(b)
 				c[pos] ^= 0x40
 				f.Add(c)
 			}
 		}
 	}
-	f.Add([]byte("pgsnap v3\noptions {}\n"))
-	f.Add([]byte("pgsnap v1\noptions {}\ngraphs 2\n"))
+	// v4: inside the magic, the section count, the section table.
+	damaged("v4_tiny.pgsnapb", []int{1, 7, 8, 9, 24}, []int{0, 8, 12, 16, 24, 40, 64})
+	// v5: inside the header, a section marker, the options literal, and
+	// (from the tombstone fixture) the generation section's slab line.
+	damaged("v5_tiny.pgsnap", []int{5, 10, 18, 26, 40}, []int{7, 12, 20, 27, 60})
+	damaged("v5_tiny_tombs.pgsnap", nil, []int{370, 376, 380})
+	f.Add([]byte("pgsnap v5\nsection options\nbytes \"{}\"\n"))
+	f.Add([]byte("pgsnap v5\nsection options\nbytes \"{}\"\nsection generation\nu64 1\ni32s 9999999999 1\n"))
+	f.Add([]byte("pgsnap v6\nsection options\n"))
 	f.Add([]byte("PGSNAPB4"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadDatabase(bytes.NewReader(data))

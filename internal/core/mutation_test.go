@@ -13,7 +13,6 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
-	"probgraph/internal/pmi"
 	"probgraph/internal/prob"
 	"probgraph/internal/verify"
 )
@@ -237,7 +236,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
+	if err := db.SaveAs(&snap, SnapshotText); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDatabase(bytes.NewReader(snap.Bytes()))
@@ -572,61 +571,6 @@ func TestChurnMutationsDuringQueries(t *testing.T) {
 	writerWG.Wait()
 }
 
-// TestAttachPMIKeepsTombstoneMask: attaching a persisted PMI to a
-// database that already has tombstones must re-apply the column mask —
-// otherwise a later Compact would drop graph slots but keep every PMI
-// column, leaving queries pruning against other graphs' bounds.
-func TestAttachPMIKeepsTombstoneMask(t *testing.T) {
-	db, raw := smallDatabase(t, 2601, 6, true)
-	const victim = 2
-	if _, err := db.RemoveGraph(victim); err != nil {
-		t.Fatal(err)
-	}
-
-	// Round-trip the PMI the way pgsearch -saveindex/-loadindex does.
-	var buf bytes.Buffer
-	if err := db.PMI().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := pmi.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AttachPMI(idx); err != nil {
-		t.Fatal(err)
-	}
-	if !db.PMI().Masked(victim) || db.PMI().MaskedColumns() != 1 {
-		t.Fatalf("attached PMI lost the tombstone mask (masked=%t count=%d)",
-			db.PMI().Masked(victim), db.PMI().MaskedColumns())
-	}
-
-	if _, err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for fi := range db.PMI().Entries {
-		if len(db.PMI().Entries[fi]) != db.Len() {
-			t.Fatalf("post-compact PMI row %d has %d columns, database has %d slots",
-				fi, len(db.PMI().Entries[fi]), db.Len())
-		}
-	}
-
-	// And the compacted database still answers exactly like a pipeline
-	// with sound per-slot bounds: exact verifier vs naive enumeration.
-	rng := rand.New(rand.NewSource(2602))
-	q := dataset.ExtractQuery(raw.Graphs[0].G, 4, rng)
-	res, err := db.Query(q, QueryOptions{
-		Epsilon: 0.35, Delta: 1, OptBounds: true,
-		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22}, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := naiveAnswers(t, db, q, 0.35, 1)
-	if !sameIntSet(res.Answers, want) {
-		t.Fatalf("post-compact answers %v != naive %v", res.Answers, want)
-	}
-}
-
 // TestMutationsOnZeroFeatureVocabulary: a database whose mining yields no
 // features (PMI with zero rows) must still support the whole mutation
 // surface — the PMI's column count cannot be derived from a row when
@@ -660,7 +604,7 @@ func TestMutationsOnZeroFeatureVocabulary(t *testing.T) {
 	}
 	// Save→load→mutate→compact round trip keeps working too.
 	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
+	if err := db.SaveAs(&snap, SnapshotText); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDatabase(bytes.NewReader(snap.Bytes()))

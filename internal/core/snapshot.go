@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
+	"slices"
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/feature"
@@ -16,152 +16,160 @@ import (
 	"probgraph/internal/snapbin"
 )
 
-// The snapshot is the full indexed database in one versioned file, so a
-// process can start answering queries without re-mining features or
-// rebuilding the PMI. It composes the existing line-oriented codecs:
+// The snapshot is the full indexed database in one file, so a process can
+// start answering queries without re-mining features or rebuilding the
+// PMI. It is a sequence of sections, each a run of snapbin tokens written
+// by the one encode function of the struct it holds:
 //
-//	pgsnap v3
-//	options <one-line JSON of BuildOptions>
-//	generation <gen> <numTombstones>
-//	  tombs <slot ids ascending>      (only when numTombstones > 0)
-//	graphs <n>
-//	  ... n dataset pgraph blocks (certain graph + JPTs) ...
-//	features <nf>
-//	  feat <i> <supportLen> <support ints...>
-//	  ... graph codec block ...
-//	struct <0|1>
-//	  ... simsearch section when present ...
-//	pmi <0|1>
-//	  ... pmi.Save section when present ...
-//	endpgsnap
+//	options     one JSON blob of BuildOptions
+//	generation  u64 generation; i32 slab of tombstoned slots, ascending
+//	graphs      u32 n; n dataset pgraph records (certain graph + JPTs)
+//	features    u32 nf; per feature an i32 support slab + graph record
+//	struct      simsearch section (absent when Struct is nil)
+//	pmi         pmi section (absent when PMI is nil)
+//	gids        i32 slab of slot→global-id map (range partitions only)
 //
-// The v3 generation section carries the view's generation number and its
-// tombstoned slots; the graphs section still writes every slot (dead ones
-// included) so graph indices — and therefore per-candidate query seeding —
-// survive the round trip, while the PMI section writes masked columns as
-// uncontained and the loader re-applies the mask from the tombstone list.
-// Snapshots written before generations existed (header "pgsnap v1", with
-// either a v1 or v2 simsearch section) still load: they restore at
-// generation 1 with no tombstones.
+// The order is fixed, so save→load→save is byte-identical. The graphs
+// section writes every slot (dead ones included) so graph indices — and
+// therefore per-candidate query seeding — survive the round trip, while
+// the PMI section writes masked columns as uncontained and the loader
+// re-applies the mask from the tombstone list.
 //
-// Every numeric payload round-trips bitwise (JPT probabilities via %g
-// shortest-representation, PMI bounds via %.17g), so a query against the
-// reloaded database returns exactly what the original would. Only the
-// per-graph inference engines are rebuilt after a load — lazily, on first
-// use per slot (see View.Engine); junction-tree construction is
-// deterministic, so deferral changes no answer.
-//
-// pgsnap v4 is the binary counterpart of this format — same sections,
-// mmap-friendly layout; see snapshot_binary.go. LoadDatabase sniffs the
-// format from the leading magic, Save keeps writing text, SaveBinary and
-// SaveFile write v4.
+// There are two encodings of that one token stream (see snapbin): pgsnap
+// v4 binary — a section table over 8-byte-aligned payloads, which a server
+// mmaps so the count matrix and posting slabs are used straight from the
+// page cache — and pgsnap v5 text, one typed token per line, for reading
+// and diffing. encode and decodeView below are the only code that knows
+// the section contents; a format only supplies the Encoder or Decoder for
+// each section, so the two cannot carry different fields. Floats are raw
+// IEEE-754 bits in v4 and shortest-round-trip decimals in v5: both
+// round-trip bitwise, so a query against the reloaded database returns
+// exactly what the original would. Only the per-graph inference engines
+// are rebuilt after a load — lazily, on first use per slot (see
+// View.Engine); junction-tree construction is deterministic, so deferral
+// changes no answer.
 
-// SnapshotVersion identifies the snapshot format written by Save. The v3
-// format added the generation section; v1 files still load.
-const SnapshotVersion = "pgsnap v3"
-
-// snapshotVersionV1 is the pre-generation header, accepted by
-// LoadDatabase for back compatibility.
-const snapshotVersionV1 = "pgsnap v1"
-
-// Save writes the database — graphs, JPTs, mined features, structural
-// filter, PMI, generation, and tombstones — as one snapshot. The view is
-// pinned once at entry, so a snapshot taken under concurrent mutation is
-// one consistent generation. LoadDatabase restores it without any feature
-// mining or bound recomputation.
-func (db *Database) Save(w io.Writer) error {
-	return db.View().Save(w)
+// section names one snapshot section in both encodings.
+type section struct {
+	kind uint64 // v4 section table id
+	name string // v5 section marker
 }
 
-// Save writes this exact generation as a snapshot; see Database.Save.
-func (v *View) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, SnapshotVersion)
+var (
+	secOptions    = section{1, "options"}
+	secGeneration = section{2, "generation"}
+	secGraphs     = section{3, "graphs"}
+	secFeatures   = section{4, "features"}
+	secStruct     = section{5, "struct"}
+	secPMI        = section{6, "pmi"}
+	secGIDs       = section{7, "gids"}
+)
 
+// SaveAs writes this exact generation — graphs, JPTs, mined features,
+// structural filter, PMI, generation, tombstones and (for a range
+// partition) global ids — as one snapshot in the given format. The output
+// is deterministic: same view, same bytes. LoadDatabase and OpenSnapshot
+// restore it without any feature mining or bound recomputation.
+func (v *View) SaveAs(w io.Writer, format SnapshotFormat) error {
+	switch format {
+	case SnapshotBinary:
+		bw := snapbin.NewWriter()
+		if err := v.encode(func(s section) snapbin.Encoder { return bw.Section(s.kind) }); err != nil {
+			return err
+		}
+		_, err := bw.WriteTo(w)
+		return err
+	case SnapshotText, "": // the zero SnapshotFormat means text
+		tw := snapbin.NewTextEncoder(w)
+		if err := v.encode(func(s section) snapbin.Encoder { return tw.Section(s.name) }); err != nil {
+			return err
+		}
+		return tw.Close()
+	}
+	return fmt.Errorf("core: unknown snapshot format %q", format)
+}
+
+// SaveAs writes the current view in the given format. The view is pinned
+// once at entry, so a snapshot taken under concurrent mutation is one
+// consistent generation.
+func (db *Database) SaveAs(w io.Writer, format SnapshotFormat) error {
+	return db.View().SaveAs(w, format)
+}
+
+// encode writes the view's sections in file order; open starts a section
+// and returns the encoder for its payload.
+func (v *View) encode(open func(section) snapbin.Encoder) error {
 	optJSON, err := json.Marshal(v.opt)
 	if err != nil {
 		return fmt.Errorf("core: snapshot options: %w", err)
 	}
-	fmt.Fprintf(bw, "options %s\n", optJSON)
+	open(secOptions).Bytes(optJSON)
 
-	fmt.Fprintf(bw, "generation %d %d\n", v.Generation, v.Tombstones())
-	if v.Tombstones() > 0 {
-		fmt.Fprint(bw, "tombs")
-		for gi := range v.Graphs {
-			if !v.Live(gi) {
-				fmt.Fprintf(bw, " %d", gi)
-			}
+	gen := open(secGeneration)
+	gen.U64(v.Generation)
+	var tombs []int32
+	for gi := range v.Graphs {
+		if !v.Live(gi) {
+			tombs = append(tombs, int32(gi))
 		}
-		fmt.Fprintln(bw)
 	}
+	gen.I32s(tombs)
 
-	// Range partitions (SaveRange) persist their slot→global-id map; the
-	// line is absent for ordinary snapshots, keeping them byte-identical
-	// to what earlier writers produced.
-	if v.gids != nil {
-		fmt.Fprintf(bw, "gids %d", len(v.gids))
-		for _, g := range v.gids {
-			fmt.Fprintf(bw, " %d", g)
-		}
-		fmt.Fprintln(bw)
-	}
-
-	fmt.Fprintf(bw, "graphs %d\n", len(v.Graphs))
+	gs := open(secGraphs)
+	gs.U32(uint32(len(v.Graphs)))
 	for _, pg := range v.Graphs {
-		if err := dataset.EncodePGraph(bw, pg, 0); err != nil {
-			return err
-		}
+		dataset.EncodePGraphSnap(gs, pg, 0)
 	}
 
-	fmt.Fprintf(bw, "features %d\n", len(v.Features))
-	for i, f := range v.Features {
-		fmt.Fprintf(bw, "feat %d %d", i, len(f.Support))
-		for _, gi := range f.Support {
-			fmt.Fprintf(bw, " %d", gi)
-		}
-		fmt.Fprintln(bw)
-		if err := graph.Encode(bw, f.G); err != nil {
-			return err
-		}
+	fs := open(secFeatures)
+	fs.U32(uint32(len(v.Features)))
+	for _, f := range v.Features {
+		fs.I32s(int32s(f.Support))
+		graph.EncodeSnap(fs, f.G)
 	}
 
 	if v.Struct != nil {
-		fmt.Fprintln(bw, "struct 1")
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if err := v.Struct.Save(w); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(bw, "struct 0")
+		v.Struct.EncodeSnap(open(secStruct))
 	}
-
 	if v.PMI != nil {
-		fmt.Fprintln(bw, "pmi 1")
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if err := v.PMI.Save(w); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(bw, "pmi 0")
+		v.PMI.EncodeSnap(open(secPMI))
 	}
-
-	fmt.Fprintln(bw, "endpgsnap")
-	return bw.Flush()
+	if v.gids != nil {
+		open(secGIDs).I32s(int32s(v.gids))
+	}
+	return nil
 }
 
-// LoadDatabase reads a snapshot written by Save or SaveBinary and returns
-// a Database equivalent to the one that wrote it: identical graphs,
-// features, structural counts, PMI bounds, generation, and tombstones.
+func int32s(xs []int) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
+}
+
+// ascendingIDs converts a decoded id slab, requiring ids in [0, limit)
+// and strictly ascending — the form encode writes, so a list with
+// duplicates or out of order is a corrupt file, not a set to normalise.
+func ascendingIDs(ids []int32, limit int, what string) ([]int, error) {
+	out := make([]int, len(ids))
+	for k, id := range ids {
+		if id < 0 || int(id) >= limit || (k > 0 && int(id) <= out[k-1]) {
+			return nil, fmt.Errorf("core: snapshot: bad %s %d (ids must be in [0,%d) and strictly ascending)", what, id, limit)
+		}
+		out[k] = int(id)
+	}
+	return out, nil
+}
+
+// LoadDatabase reads a snapshot written by SaveAs and returns a Database
+// equivalent to the one that wrote it: identical graphs, features,
+// structural counts and postings, PMI bounds, generation, and tombstones.
 // The format is sniffed from the first bytes, so callers never need to
 // know which one they were handed. No feature mining or bound computation
 // runs, and inference engines are built lazily on first use (see
-// View.Engine). Pre-generation text snapshots (header "pgsnap v1") load
-// at generation 1 with no tombstones. To map a binary snapshot instead of
-// reading it into memory, use OpenSnapshot.
+// View.Engine). To map a binary snapshot instead of reading it into
+// memory, use OpenSnapshot.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(snapbin.Magic)); err == nil && snapbin.IsBinary(magic) {
@@ -171,141 +179,116 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		}
 		return loadBinarySnapshot(data)
 	}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-
-	header, err := snapLine(sc)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot header: %w", err)
-	}
-	v3 := header == SnapshotVersion
-	if !v3 && header != snapshotVersionV1 {
-		return nil, fmt.Errorf("core: not a snapshot (header %q, want %q or %q)",
-			header, SnapshotVersion, snapshotVersionV1)
-	}
-
-	v := &View{Generation: 1}
-	line, err := snapLine(sc)
+	td := snapbin.NewTextDecoder(br)
+	v, err := decodeView(func(s section) (snapbin.Decoder, bool) { return td, td.Section(s.name) })
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasPrefix(line, "options ") {
-		return nil, fmt.Errorf("core: snapshot: want options line, got %q", line)
+	if err := td.Close(); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	if err := json.Unmarshal([]byte(line[len("options "):]), &v.opt); err != nil {
+	return newFromView(v), nil
+}
+
+// loadBinarySnapshot restores a database from pgsnap v4 bytes — typically
+// an mmap'd file (OpenSnapshot) or a fully read stream (LoadDatabase).
+// The returned database may alias data: slabs are pointed at it zero-copy
+// where the host allows, so the caller must keep it valid (and unmodified)
+// for the database's lifetime.
+func loadBinarySnapshot(data []byte) (*Database, error) {
+	snap, err := snapbin.Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	v, err := decodeView(func(s section) (snapbin.Decoder, bool) {
+		sec, ok := snap.Section(s.kind)
+		return snapbin.NewCursor(sec), ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newFromView(v), nil
+}
+
+// decodeView rebuilds a view from its sections. open is asked for each
+// section in file order; it returns the decoder for the section's payload
+// and whether the snapshot has that section.
+func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
+	need := func(s section) (snapbin.Decoder, error) {
+		c, ok := open(s)
+		if !ok {
+			// A sequential decoder that failed to read the section marker
+			// holds the cause (truncation, I/O error, not a snapshot).
+			if err := c.Err(); err != nil {
+				return nil, fmt.Errorf("core: snapshot: %w", err)
+			}
+			return nil, fmt.Errorf("core: snapshot: missing %s section", s.name)
+		}
+		return c, nil
+	}
+	v := &View{}
+
+	c, err := need(secOptions)
+	if err != nil {
+		return nil, err
+	}
+	optJSON := c.Bytes()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: snapshot options: %w", c.Err())
+	}
+	if err := json.Unmarshal(optJSON, &v.opt); err != nil {
 		return nil, fmt.Errorf("core: snapshot options: %w", err)
 	}
 
-	var tombs []int
-	if v3 {
-		line, err = snapLine(sc)
-		if err != nil {
-			return nil, err
-		}
-		var ntomb int
-		if _, err := fmt.Sscanf(line, "generation %d %d", &v.Generation, &ntomb); err != nil {
-			return nil, fmt.Errorf("core: snapshot: bad generation line %q", line)
-		}
-		if ntomb > 0 {
-			line, err = snapLine(sc)
-			if err != nil {
-				return nil, err
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 1+ntomb || fields[0] != "tombs" {
-				return nil, fmt.Errorf("core: snapshot: bad tombs line %q (want %d ids)", line, ntomb)
-			}
-			for _, tok := range fields[1:] {
-				gi, err := strconv.Atoi(tok)
-				if err != nil || gi < 0 {
-					return nil, fmt.Errorf("core: snapshot: bad tombstone id %q", tok)
-				}
-				tombs = append(tombs, gi)
-			}
-		}
-	}
-
-	line, err = snapLine(sc)
-	if err != nil {
+	if c, err = need(secGeneration); err != nil {
 		return nil, err
 	}
-	if strings.HasPrefix(line, "gids ") {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("core: snapshot: bad gids line %q", line)
-		}
-		ng, convErr := strconv.Atoi(fields[1])
-		if convErr != nil || len(fields) != 2+ng {
-			return nil, fmt.Errorf("core: snapshot: bad gids line %q", line)
-		}
-		gids := make([]int, ng)
-		for k, tok := range fields[2:] {
-			g, err := strconv.Atoi(tok)
-			if err != nil || g < 0 || (k > 0 && g <= gids[k-1]) {
-				return nil, fmt.Errorf("core: snapshot: bad global id %q (ids must be non-negative and strictly ascending)", tok)
-			}
-			gids[k] = g
-		}
-		v.gids = gids
-		line, err = snapLine(sc)
-		if err != nil {
-			return nil, err
-		}
+	v.Generation = c.U64()
+	tombs32 := c.I32s()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: snapshot generation: %w", c.Err())
 	}
-	var n int
-	if _, err := fmt.Sscanf(line, "graphs %d", &n); err != nil {
-		return nil, fmt.Errorf("core: snapshot: bad graphs header %q", line)
+
+	if c, err = need(secGraphs); err != nil {
+		return nil, err
 	}
-	if v.gids != nil && len(v.gids) != n {
-		return nil, fmt.Errorf("core: snapshot: gids count %d != graphs %d", len(v.gids), n)
+	n := c.Int()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: snapshot graphs: %w", c.Err())
 	}
-	dec := dataset.NewPGraphDecoderFromScanner(sc)
 	for gi := 0; gi < n; gi++ {
-		pg, _, err := dec.Decode()
+		pg, _, err := dataset.DecodePGraphSnap(c)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot graph %d: %w", gi, err)
 		}
 		v.Graphs = append(v.Graphs, pg)
 		v.Certain = append(v.Certain, pg.G)
 	}
-	for _, gi := range tombs {
-		if gi >= n {
-			return nil, fmt.Errorf("core: snapshot: tombstone %d out of range [0,%d)", gi, n)
-		}
-	}
-
-	line, err = snapLine(sc)
+	tombs, err := ascendingIDs(tombs32, n, "tombstone")
 	if err != nil {
 		return nil, err
 	}
-	var nf int
-	if _, err := fmt.Sscanf(line, "features %d", &nf); err != nil {
-		return nil, fmt.Errorf("core: snapshot: bad features header %q", line)
+
+	if c, err = need(secFeatures); err != nil {
+		return nil, err
 	}
-	gdec := graph.NewDecoderFromScanner(sc)
+	nf := c.Int()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("core: snapshot features: %w", c.Err())
+	}
 	for fi := 0; fi < nf; fi++ {
-		line, err = snapLine(sc)
-		if err != nil {
-			return nil, err
+		sup32 := c.I32s()
+		if c.Err() != nil {
+			return nil, fmt.Errorf("core: snapshot feature %d: %w", fi, c.Err())
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 || fields[0] != "feat" {
-			return nil, fmt.Errorf("core: snapshot: bad feat line %q", line)
-		}
-		idx, err1 := strconv.Atoi(fields[1])
-		supLen, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || idx != fi || len(fields) != 3+supLen {
-			return nil, fmt.Errorf("core: snapshot: bad feat line %q for feature %d", line, fi)
-		}
-		support := make([]int, supLen)
-		for k, tok := range fields[3:] {
-			gi, err := strconv.Atoi(tok)
-			if err != nil || gi < 0 || gi >= n {
-				return nil, fmt.Errorf("core: snapshot: bad support %q in %q", tok, line)
+		support := slices.Grow([]int(nil), len(sup32)) // nil when empty, as the miner and Range leave it
+		for _, gi := range sup32 {
+			if gi < 0 || int(gi) >= n {
+				return nil, fmt.Errorf("core: snapshot feature %d: support %d out of range [0,%d)", fi, gi, n)
 			}
-			support[k] = gi
+			support = append(support, int(gi))
 		}
-		fg, err := gdec.Decode()
+		fg, err := graph.DecodeSnap(c)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot feature %d graph: %w", fi, err)
 		}
@@ -315,74 +298,52 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	}
 	v.Build.Features = len(v.Features)
 
-	line, err = snapLine(sc)
-	if err != nil {
-		return nil, err
-	}
-	var hasStruct int
-	if _, err := fmt.Sscanf(line, "struct %d", &hasStruct); err != nil {
-		return nil, fmt.Errorf("core: snapshot: bad struct header %q", line)
-	}
-	if hasStruct == 1 {
-		ix, err := simsearch.LoadFromScanner(sc, v.Certain)
+	if c, ok := open(secStruct); ok {
+		ix, err := simsearch.DecodeSnap(c, v.Certain)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
 		v.Struct = ix.WithTombstones(tombs)
 	}
 
-	line, err = snapLine(sc)
-	if err != nil {
-		return nil, err
-	}
-	var hasPMI int
-	if _, err := fmt.Sscanf(line, "pmi %d", &hasPMI); err != nil {
-		return nil, fmt.Errorf("core: snapshot: bad pmi header %q", line)
-	}
-	if hasPMI == 1 {
-		idx, err := pmi.LoadFromScannerCols(sc, n)
+	if c, ok := open(secPMI); ok {
+		idx, err := pmi.DecodeSnap(c, n)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
-		// pmi.Save does not persist options; restore them from the build
-		// options so incremental mutations behave exactly as before the
-		// round-trip. The tombstone mask is re-applied so dead columns
-		// stay masked (their entries were written as uncontained).
+		// The pmi section does not persist options, and masked columns
+		// were written as uncontained, so the options and the tombstone
+		// mask are restored here — incremental mutations then behave
+		// exactly as before the round trip.
 		idx.Opt = v.opt.PMI
 		v.PMI = idx.WithMaskedColumns(tombs)
 		v.Build.IndexSizeBytes = v.PMI.SizeBytes()
 	}
 
-	line, err = snapLine(sc)
-	if err != nil {
-		return nil, err
-	}
-	if line != "endpgsnap" {
-		return nil, fmt.Errorf("core: snapshot: want endpgsnap, got %q", line)
+	if c, ok := open(secGIDs); ok {
+		gids32 := c.I32s()
+		if c.Err() != nil {
+			return nil, fmt.Errorf("core: snapshot gids: %w", c.Err())
+		}
+		if len(gids32) != n {
+			return nil, fmt.Errorf("core: snapshot: gids count %d != graphs %d", len(gids32), n)
+		}
+		if v.gids, err = ascendingIDs(gids32, math.MaxInt, "global id"); err != nil {
+			return nil, err
+		}
 	}
 
-	v.liveCount = n
+	v.liveCount = n - len(tombs)
 	if len(tombs) > 0 {
 		v.live = make([]bool, n)
 		for gi := range v.live {
 			v.live[gi] = true
 		}
 		for _, gi := range tombs {
-			if v.live[gi] {
-				v.live[gi] = false
-				v.liveCount--
-			}
+			v.live[gi] = false
 		}
 	}
 
-	// Inference engines are rebuilt lazily, on first use per slot —
-	// junction-tree construction is deterministic, so deferring it
-	// changes no answer, and startup stays flat in the corpus size.
 	v.newLazyEngines(n)
-	return newFromView(v), nil
-}
-
-// snapLine reads the next non-blank, non-comment line, trimmed.
-func snapLine(sc *bufio.Scanner) (string, error) {
-	return graph.ScanNonEmpty(sc, "core: snapshot")
+	return v, nil
 }

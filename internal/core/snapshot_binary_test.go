@@ -12,22 +12,13 @@ import (
 	"probgraph/internal/dataset"
 )
 
-// roundTripBinary snapshots db as pgsnap v4 and loads it back through the
-// format-sniffing loader.
+// roundTripBinary snapshots db as pgsnap v4 and loads it back.
 func roundTripBinary(t *testing.T, db *Database) *Database {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.SaveBinary(&buf); err != nil {
-		t.Fatalf("SaveBinary: %v", err)
-	}
-	got, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadDatabase(binary): %v", err)
-	}
-	return got
+	return roundTripAs(t, db, SnapshotBinary)
 }
 
-// TestSnapshotBinaryDifferential: one corpus saved as v3 text and v4
+// TestSnapshotBinaryDifferential: one corpus saved as v5 text and v4
 // binary, loaded side by side, must answer bitwise-identically across
 // every query mode — the two formats are one database.
 func TestSnapshotBinaryDifferential(t *testing.T) {
@@ -122,20 +113,13 @@ func TestSnapshotBinaryByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var first bytes.Buffer
-	if err := db.SaveBinary(&first); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := LoadDatabase(bytes.NewReader(first.Bytes()))
+	first := saveBytes(t, db.View(), SnapshotBinary)
+	reloaded, err := LoadDatabase(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second bytes.Buffer
-	if err := reloaded.SaveBinary(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("binary snapshot not byte-stable: %d vs %d bytes", first.Len(), second.Len())
+	if second := saveBytes(t, reloaded.View(), SnapshotBinary); !bytes.Equal(first, second) {
+		t.Fatalf("binary snapshot not byte-stable: %d vs %d bytes", len(first), len(second))
 	}
 }
 

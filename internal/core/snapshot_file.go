@@ -13,38 +13,22 @@ import (
 type SnapshotFormat string
 
 const (
-	// SnapshotText is the line-oriented pgsnap v3 format: human-readable,
-	// diffable, and the only choice when the snapshot must be inspected or
-	// patched by hand. Loading it parses the whole file.
+	// SnapshotText is the line-oriented pgsnap v5 format: the snapshot's
+	// token stream one typed token per line, for reading and diffing.
+	// Loading it parses the whole file.
 	SnapshotText SnapshotFormat = "text"
 	// SnapshotBinary is the pgsnap v4 binary format: mmap-able, so
 	// OpenSnapshot starts in O(1) and shares pages across processes.
 	SnapshotBinary SnapshotFormat = "binary"
 )
 
-// ParseSnapshotFormat parses a -format flag value.
+// ParseSnapshotFormat parses a -format flag value, "text" or "binary".
 func ParseSnapshotFormat(s string) (SnapshotFormat, error) {
 	switch SnapshotFormat(s) {
 	case SnapshotText, SnapshotBinary:
 		return SnapshotFormat(s), nil
 	}
 	return "", fmt.Errorf("core: unknown snapshot format %q (want %q or %q)", s, SnapshotText, SnapshotBinary)
-}
-
-// SaveAs writes the view in the given format; see Save and SaveBinary.
-func (v *View) SaveAs(w io.Writer, format SnapshotFormat) error {
-	switch format {
-	case SnapshotBinary:
-		return v.SaveBinary(w)
-	case SnapshotText, "":
-		return v.Save(w)
-	}
-	return fmt.Errorf("core: unknown snapshot format %q", format)
-}
-
-// SaveAs writes the current view in the given format.
-func (db *Database) SaveAs(w io.Writer, format SnapshotFormat) error {
-	return db.View().SaveAs(w, format)
 }
 
 // SaveFile atomically writes the view to path in the given format: the

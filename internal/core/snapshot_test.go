@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"probgraph/internal/dataset"
@@ -37,18 +38,31 @@ func snapQueries(t *testing.T, raw *dataset.DB, k int) []*graph.Graph {
 	return qs
 }
 
-// roundTrip snapshots db and loads it back.
-func roundTrip(t *testing.T, db *Database) *Database {
+// saveBytes snapshots a view in the given format.
+func saveBytes(t *testing.T, v *View, format SnapshotFormat) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := v.SaveAs(&buf, format); err != nil {
+		t.Fatalf("SaveAs(%s): %v", format, err)
 	}
-	got, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// roundTripAs snapshots db in the given format and loads it back through
+// the format-sniffing loader.
+func roundTripAs(t *testing.T, db *Database, format SnapshotFormat) *Database {
+	t.Helper()
+	got, err := LoadDatabase(bytes.NewReader(saveBytes(t, db.View(), format)))
 	if err != nil {
-		t.Fatalf("LoadDatabase: %v", err)
+		t.Fatalf("LoadDatabase(%s): %v", format, err)
 	}
 	return got
+}
+
+// roundTrip snapshots db as text and loads it back.
+func roundTrip(t *testing.T, db *Database) *Database {
+	t.Helper()
+	return roundTripAs(t, db, SnapshotText)
 }
 
 // TestSnapshotRoundTripIdentity: the reloaded database must answer queries
@@ -224,12 +238,41 @@ func TestSnapshotNoPMI(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsGarbage: loading a non-snapshot fails cleanly.
+// TestSnapshotRejectsGarbage: loading a non-snapshot, a snapshot of a
+// format no longer read, or a text snapshot with damaged framing fails
+// cleanly.
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := LoadDatabase(bytes.NewReader([]byte("pgraph g0 0\nend\n"))); err == nil {
-		t.Fatal("want error for non-snapshot input")
+	db, _ := snapDB(t, 6)
+	good := string(saveBytes(t, db.View(), SnapshotText))
+	cutSection := func(name string) string { // drops one section, marker and payload
+		a := strings.Index(good, "section "+name+"\n")
+		b := a + 1 + strings.Index(good[a+1:], "\nsection ")
+		return good[:a] + good[b+1:]
 	}
-	if _, err := LoadDatabase(bytes.NewReader(nil)); err == nil {
-		t.Fatal("want error for empty input")
+	for _, tc := range []struct{ name, in, want string }{
+		{"dataset file", "pgraph g0 0\nend\n", "not a text snapshot"},
+		{"empty", "", "end of file"},
+		{"unknown version", "pgsnap v6\nsection options\n", "not a text snapshot"},
+		{"header only", "pgsnap v5\n", "end of file"},
+		{"no sections", "pgsnap v5\nendpgsnap\n", "missing options section"},
+		{"missing graphs section", cutSection("graphs"), "missing graphs section"},
+		{"sections out of order", strings.Replace(cutSection("generation"), "section graphs\n", "section graphs\nsection generation\n", 1), "missing generation section"},
+		{"duplicate section", strings.Replace(good, "section generation\n", "section options\nsection generation\n", 1), "missing generation section"},
+		{"unknown section", strings.Replace(good, "endpgsnap\n", "section extra\nu32 1\nendpgsnap\n", 1), "want a known section"},
+		{"unread payload", strings.Replace(good, "section graphs\n", "u32 7\nsection graphs\n", 1), "missing graphs section"},
+		{"missing trailer", strings.TrimSuffix(good, "endpgsnap\n"), "end of file"},
+		{"content after trailer", good + "section pmi\n", "content after"},
+	} {
+		_, err := LoadDatabase(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// Truncation anywhere is an error: cut at line ends across the file.
+	lines := strings.SplitAfter(good, "\n")
+	for cut := 0; cut < len(lines)-1; cut += 1 + len(lines)/200 {
+		if _, err := LoadDatabase(strings.NewReader(strings.Join(lines[:cut], ""))); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d lines loaded without error", cut, len(lines))
+		}
 	}
 }

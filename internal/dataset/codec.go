@@ -43,8 +43,7 @@ func Save(w io.Writer, db *DB) error {
 }
 
 // EncodePGraph writes one pgraph block (certain graph + JPT factors) in the
-// database file format. The snapshot codec interleaves these blocks with
-// its own sections.
+// database file format.
 func EncodePGraph(w io.Writer, pg *prob.PGraph, organism int) error {
 	if _, err := fmt.Fprintf(w, "pgraph %s %d\n", encTok(pg.G.Name()), organism); err != nil {
 		return err
@@ -83,9 +82,7 @@ func encTok(s string) string { return graph.EncodeToken(s) }
 
 func decTok(s string) string { return graph.DecodeToken(s) }
 
-// PGraphDecoder reads a stream of pgraph blocks. It can share a scanner
-// with other line-oriented readers (the snapshot codec does), consuming
-// exactly the lines of the blocks it decodes.
+// PGraphDecoder reads a stream of pgraph blocks.
 type PGraphDecoder struct {
 	sc   *bufio.Scanner
 	line int
@@ -95,11 +92,6 @@ type PGraphDecoder struct {
 func NewPGraphDecoder(r io.Reader) *PGraphDecoder {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	return &PGraphDecoder{sc: sc}
-}
-
-// NewPGraphDecoderFromScanner returns a decoder sharing sc with the caller.
-func NewPGraphDecoderFromScanner(sc *bufio.Scanner) *PGraphDecoder {
 	return &PGraphDecoder{sc: sc}
 }
 

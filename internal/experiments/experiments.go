@@ -943,7 +943,7 @@ func (e *Env) Perf() (*stats.Table, error) {
 	const loadSamples = 12
 
 	var img bytes.Buffer
-	if err := e.DB.SaveBinary(&img); err != nil {
+	if err := e.DB.SaveAs(&img, core.SnapshotBinary); err != nil {
 		return nil, err
 	}
 

@@ -78,10 +78,9 @@ func (o Options) withDefaults() Options {
 
 // Feature is a mined pattern with its database support.
 type Feature struct {
-	G *graph.Graph
-	//pgvet:nosnap canonical code is re-derived from G at load time
-	Code    string
-	Support []int // indices of graphs whose certain graph contains G
+	G       *graph.Graph
+	Code    string // canonical code of G; snapshots re-derive it
+	Support []int  // indices of graphs whose certain graph contains G
 }
 
 // Mine extracts features from the certain graphs dbc.

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Encode writes g in the line-oriented text format shared by the dataset
-// files and the PMI index:
+// Encode writes g in the line-oriented text format of query files, which
+// the dataset file format extends:
 //
 //	g <name>
 //	v <id> <label>
@@ -114,24 +114,6 @@ func decLabel(s string) Label {
 	return Label(DecodeToken(s))
 }
 
-// ScanNonEmpty reads the next non-blank, non-comment line from sc,
-// trimmed. It is the shared line-reading convention of every codec that
-// composes into the snapshot format (dataset, simsearch, pmi, core); a
-// change to comment or blank handling belongs here so the sections cannot
-// drift apart. errPrefix names the calling codec in the EOF error.
-func ScanNonEmpty(sc *bufio.Scanner, errPrefix string) (string, error) {
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" && !strings.HasPrefix(line, "#") {
-			return line, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%s: unexpected EOF", errPrefix)
-}
-
 // Decoder reads a stream of graphs in the Encode format.
 type Decoder struct {
 	sc   *bufio.Scanner
@@ -142,13 +124,6 @@ type Decoder struct {
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Decoder{sc: sc}
-}
-
-// NewDecoderFromScanner returns a Decoder sharing an existing scanner, so a
-// caller can interleave graph blocks with its own line-oriented records
-// (the PMI index file does this).
-func NewDecoderFromScanner(sc *bufio.Scanner) *Decoder {
 	return &Decoder{sc: sc}
 }
 

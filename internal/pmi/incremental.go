@@ -49,16 +49,8 @@ func (idx *Index) clone() *Index {
 	return &cp
 }
 
-// numGraphs returns the column count of the matrix. Indexes loaded from
-// pre-generation files (or hand-assembled in tests) may not carry cols;
-// they fall back to the first row's length — correct whenever a row
-// exists at all.
-func (idx *Index) numGraphs() int {
-	if idx.cols > 0 || len(idx.Entries) == 0 {
-		return idx.cols
-	}
-	return len(idx.Entries[0])
-}
+// numGraphs returns the column count of the matrix.
+func (idx *Index) numGraphs() int { return idx.cols }
 
 // WithColumn returns a new Index extended by one column: SIP bounds of
 // every indexed feature against the new graph. Row appends reuse the
@@ -86,31 +78,20 @@ func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) 
 
 // WithMaskedColumn returns a new Index with column gi masked: Lookup
 // callers are expected never to ask for a masked (tombstoned) graph, and
-// Save writes the column as uncontained — the paper's ⟨0⟩ — so the dead
-// graph's bounds leave the persisted matrix immediately. O(numGraphs),
-// no row is copied.
+// EncodeSnap writes the column as uncontained — the paper's ⟨0⟩ — so the
+// dead graph's bounds leave the persisted matrix immediately.
+// O(numGraphs), no row is copied.
 func (idx *Index) WithMaskedColumn(gi int) *Index {
 	return idx.WithMaskedColumns([]int{gi})
 }
 
-// WithMaskedColumns is the bulk form of WithMaskedColumn (snapshot
-// loads, AttachPMI re-masking).
+// WithMaskedColumns is the bulk form of WithMaskedColumn (snapshot loads).
 func (idx *Index) WithMaskedColumns(ids []int) *Index {
 	if len(ids) == 0 {
 		return idx
 	}
 	n := idx.clone()
-	// Size the mask to cover every requested slot even when the index
-	// cannot tell its own column count (zero-feature vocabulary loaded
-	// from a pre-generation file): the caller's slot ids are validated
-	// against the database, which is the authority the mask serves.
-	size := idx.numGraphs()
-	for _, gi := range ids {
-		if gi >= size {
-			size = gi + 1
-		}
-	}
-	n.masked = make([]bool, size)
+	n.masked = make([]bool, idx.numGraphs())
 	copy(n.masked, idx.masked)
 	for _, gi := range ids {
 		if !n.masked[gi] {

@@ -114,17 +114,18 @@ type Entry struct {
 // indexes sharing untouched rows with their predecessor.
 type Index struct {
 	Features []*graph.Graph
-	//pgvet:nosnap canonical codes are re-derived from Features at load time
+	// Codes are the canonical codes of Features; snapshots re-derive them.
 	Codes []string
 	// Entries[fi][gi] bounds Pr(Features[fi] ⊆iso db[gi]).
 	Entries [][]Entry
-	//pgvet:nosnap pmi sections do not persist options; the snapshot loaders restore them from BuildOptions
+	// Opt is not persisted with the index; the snapshot loader restores it
+	// from the database's build options.
 	Opt Options
 
 	// masked marks tombstoned columns (nil = none); maskCount counts
 	// them. Masked columns keep their in-memory entries (the row slices
-	// are shared with older index generations) but Save writes them as
-	// uncontained and Lookup is never called for them.
+	// are shared with older index generations) but EncodeSnap writes them
+	// as uncontained and Lookup is never called for them.
 	masked    []bool
 	maskCount int
 

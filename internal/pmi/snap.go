@@ -7,31 +7,33 @@ import (
 	"probgraph/internal/snapbin"
 )
 
-// The binary section is the pgsnap v4 counterpart of Save/LoadFromScanner:
-// feature graphs, a contained-bitmap, and the bounds of the contained
-// entries as two float64 slabs (row-major, bit-order), bitwise-exact by
-// construction. Masked (tombstoned) columns serialize as uncontained —
-// exactly like the text codec — and the snapshot loader re-applies the
-// mask from the tombstone list, which keeps save→load→save byte-stable.
+// The snapshot section is the feature graphs, a contained-bitmap, and the
+// bounds of the contained entries as two float64 slabs (row-major,
+// bit-order). Uncontained entries are implicit (the paper's ⟨0⟩). Masked
+// (tombstoned) columns serialize as uncontained, so a dead graph's bounds
+// leave the persisted matrix, and the snapshot loader re-applies the mask
+// from the tombstone list, which keeps save→load→save byte-stable. Codes
+// and Opt are not written: codes are re-derived from the feature graphs,
+// and the snapshot loader restores Opt from the database's build options.
 //
 // Unlike the structural slabs, the PMI is materialized into row-major
 // Entries at decode time (one memcpy-scale pass): the Entry layout is
 // pointer-free but interleaved, and keeping the public Entries [][]Entry
 // shape is worth more than zero-copy here.
 
-// EncodeBinary appends the index to a snapshot section:
+// EncodeSnap appends the index to a snapshot section:
 //
 //	u32 nf, u32 ng
-//	nf binary graph records (the features)
+//	nf graph records (the features)
 //	contained bitmap, u32 length-prefixed, bit fi*ng+gi LSB-first
 //	f64 slab: lower bounds of the contained entries, row-major
 //	f64 slab: upper bounds, same order
-func (idx *Index) EncodeBinary(s *snapbin.Section) {
+func (idx *Index) EncodeSnap(s snapbin.Encoder) {
 	ng := idx.numGraphs()
 	s.U32(uint32(len(idx.Features)))
 	s.U32(uint32(ng))
 	for _, f := range idx.Features {
-		graph.EncodeBinary(s, f)
+		graph.EncodeSnap(s, f)
 	}
 	bitmap := make([]byte, (len(idx.Features)*ng+7)/8)
 	var lo, hi []float64
@@ -51,22 +53,22 @@ func (idx *Index) EncodeBinary(s *snapbin.Section) {
 	s.F64s(hi)
 }
 
-// DecodeBinary reads an index written by EncodeBinary. wantCols is the
+// DecodeSnap reads an index written by EncodeSnap. wantCols is the
 // graph count the caller knows from the enclosing snapshot; it is
 // validated before any row is allocated, so a corrupt header cannot force
 // a huge allocation.
-func DecodeBinary(c *snapbin.Cursor, wantCols int) (*Index, error) {
+func DecodeSnap(c snapbin.Decoder, wantCols int) (*Index, error) {
 	nf := c.Int()
 	ng := c.Int()
 	if c.Err() != nil {
-		return nil, fmt.Errorf("pmi: binary header: %w", c.Err())
+		return nil, fmt.Errorf("pmi: snapshot header: %w", c.Err())
 	}
 	if ng != wantCols {
 		return nil, fmt.Errorf("pmi: index covers %d graphs, snapshot has %d", ng, wantCols)
 	}
 	idx := &Index{cols: ng}
 	for fi := 0; fi < nf; fi++ {
-		fg, err := graph.DecodeBinary(c)
+		fg, err := graph.DecodeSnap(c)
 		if err != nil {
 			return nil, fmt.Errorf("pmi: feature %d: %w", fi, err)
 		}
@@ -78,7 +80,7 @@ func DecodeBinary(c *snapbin.Cursor, wantCols int) (*Index, error) {
 	lo := c.F64s()
 	hi := c.F64s()
 	if c.Err() != nil {
-		return nil, fmt.Errorf("pmi: binary payload: %w", c.Err())
+		return nil, fmt.Errorf("pmi: snapshot payload: %w", c.Err())
 	}
 	if len(bitmap) != (nf*ng+7)/8 {
 		return nil, fmt.Errorf("pmi: bitmap has %d bytes, want %d", len(bitmap), (nf*ng+7)/8)

@@ -44,8 +44,7 @@ import (
 // lists; WithGraph pays it, queries never do. Tombstoned graphs keep
 // their posting entries and are filtered at emission.
 
-// DefaultShardSize is the postings shard width used by BuildIndex and by
-// snapshot loads of pre-postings (v1) sections.
+// DefaultShardSize is the postings shard width used by BuildIndex.
 const DefaultShardSize = 256
 
 // shard owns the postings of graphs [lo, lo+n) as flat slabs.

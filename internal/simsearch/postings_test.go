@@ -1,24 +1,17 @@
 package simsearch
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/mcs"
+	"probgraph/internal/snapbin"
 )
-
-func sectionScanner(s string) *bufio.Scanner {
-	sc := bufio.NewScanner(strings.NewReader(s))
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	return sc
-}
 
 // edgeGraph builds a graph from "u:lu v:lv" vertex-label pairs per edge,
 // e.g. pairs [][2]string{{"a","b"},{"a","b"}} gives two disjoint a–b edges.
@@ -241,78 +234,95 @@ func TestAddGraphExtendsPostings(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRoundTripsPostings: Save→Load→Save is byte-identical (the v2
-// section), the loaded index preserves the shard width, and its rebuilt
-// postings answer identically.
+// snapCodecs runs an index section through each snapshot encoding.
+var snapCodecs = []struct {
+	name string
+	save func(t *testing.T, ix *Index) []byte
+	load func(data []byte, dbc []*graph.Graph) (*Index, error)
+}{
+	{"binary",
+		func(t *testing.T, ix *Index) []byte {
+			w := snapbin.NewWriter()
+			ix.EncodeSnap(w.Section(1))
+			var buf bytes.Buffer
+			if _, err := w.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		},
+		func(data []byte, dbc []*graph.Graph) (*Index, error) {
+			snap, err := snapbin.Parse(data)
+			if err != nil {
+				return nil, err
+			}
+			sec, _ := snap.Section(1)
+			return DecodeSnap(snapbin.NewCursor(sec), dbc)
+		}},
+	{"text",
+		func(t *testing.T, ix *Index) []byte {
+			var buf bytes.Buffer
+			e := snapbin.NewTextEncoder(&buf)
+			ix.EncodeSnap(e.Section("struct"))
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		},
+		func(data []byte, dbc []*graph.Graph) (*Index, error) {
+			d := snapbin.NewTextDecoder(bytes.NewReader(data))
+			d.Section("struct")
+			ix, err := DecodeSnap(d, dbc)
+			if err != nil {
+				return nil, err
+			}
+			return ix, d.Close()
+		}},
+}
+
+// TestSaveLoadRoundTripsPostings: in either encoding save→load→save is
+// byte-identical, and the loaded index carries the same counts, shard
+// width and posting slabs — by value, so a field the section forgot shows
+// up here — and answers identically.
 func TestSaveLoadRoundTripsPostings(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dbc := randomDB(rng, 9)
 	ix := BuildIndexSharded(dbc, DefaultFeatures(dbc, 48), 4)
-
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-	if !strings.HasPrefix(first, fmt.Sprintf("simsearch v2 %d %d 4\n", len(ix.Features), len(dbc))) {
-		t.Fatalf("unexpected v2 header: %q", strings.SplitN(first, "\n", 2)[0])
-	}
-	loaded, err := LoadFromScanner(sectionScanner(first), dbc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.ShardSize() != 4 {
-		t.Fatalf("shard size %d after round trip, want 4", loaded.ShardSize())
-	}
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
-		t.Fatal("Save→Load→Save not byte-identical")
-	}
 	q := extractSubquery(rng, dbc[0], 3)
-	for delta := 0; delta <= 2; delta++ {
-		a := ix.Candidates(q, delta, 2)
-		b := loaded.Candidates(q, delta, 2)
-		if !slices.Equal(a, b) {
-			t.Fatalf("delta=%d: loaded index answers %v, original %v", delta, b, a)
+
+	for _, codec := range snapCodecs {
+		first := codec.save(t, ix)
+		loaded, err := codec.load(first, dbc)
+		if err != nil {
+			t.Fatalf("%s: %v", codec.name, err)
 		}
-	}
-}
-
-// TestLoadV1SectionWithoutPostings: a pre-postings (v1) section — no shard
-// width in the header — still loads, gets the default shard width, and
-// answers identically to a fresh build.
-func TestLoadV1SectionWithoutPostings(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	dbc := randomDB(rng, 6)
-	ix := BuildIndex(dbc, DefaultFeatures(dbc, 48))
-
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v2 header to the exact v1 form the previous revision wrote.
-	v1 := strings.Replace(buf.String(),
-		fmt.Sprintf("simsearch v2 %d %d %d\n", len(ix.Features), len(dbc), DefaultShardSize),
-		fmt.Sprintf("simsearch v1 %d %d\n", len(ix.Features), len(dbc)), 1)
-	if v1 == buf.String() {
-		t.Fatal("header rewrite did not apply")
-	}
-	loaded, err := LoadFromScanner(sectionScanner(v1), dbc)
-	if err != nil {
-		t.Fatalf("v1 section failed to load: %v", err)
-	}
-	if loaded.ShardSize() != DefaultShardSize {
-		t.Fatalf("v1 load shard size %d, want default %d", loaded.ShardSize(), DefaultShardSize)
-	}
-	q := extractSubquery(rng, dbc[0], 3)
-	for delta := 0; delta <= 2; delta++ {
-		a := ix.Candidates(q, delta, 2)
-		b := loaded.Candidates(q, delta, 2)
-		if !slices.Equal(a, b) {
-			t.Fatalf("delta=%d: v1-loaded index answers %v, fresh build %v", delta, b, a)
+		if !bytes.Equal(codec.save(t, loaded), first) {
+			t.Fatalf("%s: save→load→save not byte-identical", codec.name)
+		}
+		if loaded.ShardSize() != 4 {
+			t.Fatalf("%s: shard size %d after round trip, want 4", codec.name, loaded.ShardSize())
+		}
+		if !slices.Equal(loaded.counts, ix.counts) || loaded.postEntries != ix.postEntries {
+			t.Fatalf("%s: counts or posting-entry total changed", codec.name)
+		}
+		if !reflect.DeepEqual(loaded.Features, ix.Features) {
+			t.Fatalf("%s: counting features changed", codec.name)
+		}
+		if len(loaded.shards) != len(ix.shards) {
+			t.Fatalf("%s: %d shards, want %d", codec.name, len(loaded.shards), len(ix.shards))
+		}
+		for si, want := range ix.shards {
+			got := loaded.shards[si]
+			if got.lo != want.lo || got.n != want.n || !slices.Equal(got.lvlOff, want.lvlOff) ||
+				!slices.Equal(got.entOff, want.entOff) || !slices.Equal(got.slab, want.slab) {
+				t.Fatalf("%s: shard %d changed", codec.name, si)
+			}
+		}
+		for delta := 0; delta <= 2; delta++ {
+			a := ix.Candidates(q, delta, 2)
+			b := loaded.Candidates(q, delta, 2)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s delta=%d: loaded index answers %v, original %v", codec.name, delta, b, a)
+			}
 		}
 	}
 }

@@ -18,19 +18,14 @@
 // The count filter is evaluated over a sharded inverted index — per-feature
 // level postings scanned in parallel, touching only the features q embeds —
 // rather than the dense |D|×|F| matrix scan; see postings.go. The dense
-// matrix is retained as the snapshot payload and the test oracle
-// (CandidatesDense).
+// matrix is retained for incremental updates and as the test oracle
+// (CandidatesDense); snapshots carry both (snap.go).
 package simsearch
 
 import (
-	"bufio"
 	"context"
-	"fmt"
-	"io"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
@@ -283,123 +278,6 @@ func (ix *Index) Tombstones() int { return ix.tombs }
 
 // Live reports whether slot gi holds a live (non-tombstoned) graph.
 func (ix *Index) Live(gi int) bool { return ix.dead == nil || !ix.dead[gi] }
-
-// Save writes the counting features and the per-graph count matrix:
-//
-//	simsearch v2 <numFeatures> <numGraphs> <shardSize>
-//	  ... numFeatures graph codec blocks ...
-//	counts
-//	<numGraphs rows of numFeatures ints>
-//	endsimsearch
-//
-// The certain graphs themselves are not written; Load re-pairs the counts
-// with the database the caller persists separately. The inverted postings
-// are not written either — they are a pure function of the counts and the
-// shard width, and are rebuilt at load time (cheaper than parsing them and
-// immune to drift between the two representations). The v2 section differs
-// from v1 only in carrying shardSize in the header; LoadFromScanner still
-// accepts v1 sections (pre-postings snapshots) and gives them the default
-// shard width.
-func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "simsearch v2 %d %d %d\n", len(ix.Features), len(ix.dbc), ix.shardSize); err != nil {
-		return err
-	}
-	for _, f := range ix.Features {
-		if err := graph.Encode(bw, f); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintln(bw, "counts")
-	for gi := range ix.dbc {
-		for fi, c := range ix.row(gi) {
-			if fi > 0 {
-				bw.WriteByte(' ')
-			}
-			bw.WriteString(strconv.Itoa(int(c)))
-		}
-		bw.WriteByte('\n')
-	}
-	fmt.Fprintln(bw, "endsimsearch")
-	return bw.Flush()
-}
-
-// LoadFromScanner reads an index written by Save from a shared scanner and
-// re-binds it to dbc, which must be the same certain graphs (in the same
-// order) the index was built from.
-func LoadFromScanner(sc *bufio.Scanner, dbc []*graph.Graph) (*Index, error) {
-	header, err := scanNonEmpty(sc)
-	if err != nil {
-		return nil, fmt.Errorf("simsearch: reading header: %w", err)
-	}
-	var nf, ng int
-	shardSize := DefaultShardSize
-	if _, err := fmt.Sscanf(header, "simsearch v2 %d %d %d", &nf, &ng, &shardSize); err != nil {
-		// v1 sections (written before the inverted postings existed) carry
-		// no shard width; they load with the default.
-		shardSize = DefaultShardSize
-		if _, err := fmt.Sscanf(header, "simsearch v1 %d %d", &nf, &ng); err != nil {
-			return nil, fmt.Errorf("simsearch: bad header %q", header)
-		}
-	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("simsearch: bad shard size in header %q", header)
-	}
-	if ng != len(dbc) {
-		return nil, fmt.Errorf("simsearch: index covers %d graphs, database has %d", ng, len(dbc))
-	}
-	ix := &Index{dbc: dbc, shardSize: shardSize}
-	dec := graph.NewDecoderFromScanner(sc)
-	for fi := 0; fi < nf; fi++ {
-		f, err := dec.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("simsearch: feature %d: %w", fi, err)
-		}
-		ix.Features = append(ix.Features, f)
-	}
-	line, err := scanNonEmpty(sc)
-	if err != nil {
-		return nil, err
-	}
-	if line != "counts" {
-		return nil, fmt.Errorf("simsearch: want 'counts', got %q", line)
-	}
-	for gi := 0; gi < ng; gi++ {
-		if nf == 0 {
-			// A zero-feature row serializes as a blank line, which the
-			// scanner skips; there is nothing to append.
-			continue
-		}
-		line, err = scanNonEmpty(sc)
-		if err != nil {
-			return nil, err
-		}
-		fields := strings.Fields(line)
-		if len(fields) != nf {
-			return nil, fmt.Errorf("simsearch: graph %d: %d counts, want %d", gi, len(fields), nf)
-		}
-		for _, tok := range fields {
-			v, err := strconv.ParseInt(tok, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("simsearch: graph %d: bad count %q", gi, tok)
-			}
-			ix.counts = append(ix.counts, int32(v))
-		}
-	}
-	line, err = scanNonEmpty(sc)
-	if err != nil {
-		return nil, err
-	}
-	if line != "endsimsearch" {
-		return nil, fmt.Errorf("simsearch: want 'endsimsearch', got %q", line)
-	}
-	ix.rebuildPostings()
-	return ix, nil
-}
-
-func scanNonEmpty(sc *bufio.Scanner) (string, error) {
-	return graph.ScanNonEmpty(sc, "simsearch")
-}
 
 // queryProfile computes the query side of the filter inequality, shared by
 // the postings scan and the dense oracle so the two paths cannot diverge on

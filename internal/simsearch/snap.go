@@ -7,28 +7,28 @@ import (
 	"probgraph/internal/snapbin"
 )
 
-// The binary section is the pgsnap v4 counterpart of Save/LoadFromScanner.
-// Unlike the text format it persists the postings shards too: the flat
-// slabs land in the file exactly as they sit in memory, so a loader on a
-// little-endian host points the Index straight at the mapping — counts,
-// offset tables and posting slabs all zero-copy. Everything decoded from
-// untrusted bytes is validated (counts within [0, CountCap], shard
-// geometry, slab entries in range) before the Index is returned, so a
-// corrupt file errors out instead of panicking a later scan.
+// The snapshot section persists the postings shards beside the counts: in
+// the binary encoding the flat slabs land in the file exactly as they sit
+// in memory, so a loader on a little-endian host points the Index straight
+// at the mapping — counts, offset tables and posting slabs all zero-copy.
+// Everything decoded from untrusted input is validated (counts within
+// [0, CountCap], shard geometry, slab entries in range) before the Index
+// is returned, so a corrupt file errors out instead of panicking a later
+// scan.
 
-// EncodeBinary appends the index to a snapshot section:
+// EncodeSnap appends the index to a snapshot section:
 //
 //	u32 nf, u32 ng, u32 shardSize, u32 pad
-//	nf binary graph records (the counting features)
+//	nf graph records (the counting features)
 //	i32 slab: flat count matrix (ng*nf)
 //	u32 shard count; per shard: u32 lo, u32 n, i32 slabs lvlOff/entOff/slab
-func (ix *Index) EncodeBinary(s *snapbin.Section) {
+func (ix *Index) EncodeSnap(s snapbin.Encoder) {
 	s.U32(uint32(len(ix.Features)))
 	s.U32(uint32(len(ix.dbc)))
 	s.U32(uint32(ix.shardSize))
 	s.U32(0)
 	for _, f := range ix.Features {
-		graph.EncodeBinary(s, f)
+		graph.EncodeSnap(s, f)
 	}
 	s.Align8()
 	s.I32s(ix.counts)
@@ -42,18 +42,18 @@ func (ix *Index) EncodeBinary(s *snapbin.Section) {
 	}
 }
 
-// DecodeBinary reads an index written by EncodeBinary and re-binds it to
-// dbc, which must be the same certain graphs (in the same order) the
-// index was built from. On little-endian hosts the count and posting
-// slabs alias the input bytes — with an mmap'd snapshot the postings stay
-// on disk until a scan touches them.
-func DecodeBinary(c *snapbin.Cursor, dbc []*graph.Graph) (*Index, error) {
+// DecodeSnap reads an index written by EncodeSnap and re-binds it to dbc,
+// which must be the same certain graphs (in the same order) the index was
+// built from. From a binary snapshot on a little-endian host the count and
+// posting slabs alias the input bytes — with an mmap'd snapshot the
+// postings stay on disk until a scan touches them.
+func DecodeSnap(c snapbin.Decoder, dbc []*graph.Graph) (*Index, error) {
 	nf := c.Int()
 	ng := c.Int()
 	shardSize := c.Int()
 	c.U32() // pad
 	if c.Err() != nil {
-		return nil, fmt.Errorf("simsearch: binary header: %w", c.Err())
+		return nil, fmt.Errorf("simsearch: snapshot header: %w", c.Err())
 	}
 	if ng != len(dbc) {
 		return nil, fmt.Errorf("simsearch: index covers %d graphs, database has %d", ng, len(dbc))
@@ -63,7 +63,7 @@ func DecodeBinary(c *snapbin.Cursor, dbc []*graph.Graph) (*Index, error) {
 	}
 	ix := &Index{dbc: dbc, shardSize: shardSize}
 	for fi := 0; fi < nf; fi++ {
-		f, err := graph.DecodeBinary(c)
+		f, err := graph.DecodeSnap(c)
 		if err != nil {
 			return nil, fmt.Errorf("simsearch: feature %d: %w", fi, err)
 		}

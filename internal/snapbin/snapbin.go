@@ -1,7 +1,13 @@
-// Package snapbin is the binary container underneath pgsnap v4 snapshots:
-// a little-endian, section-aligned layout built so a loader can mmap the
-// file and point long-lived int32/float64 slices directly at the mapping
-// instead of parsing text.
+// Package snapbin is the token stream every snapshot is written through,
+// and its two encodings. A persisted struct has one encode function written
+// against Encoder and one decode function written against Decoder; the
+// binary pair (Section/Cursor, pgsnap v4) and the text pair
+// (TextEncoder/TextDecoder, pgsnap v5, see text.go) render the same calls,
+// so the two formats cannot carry different fields.
+//
+// The binary container is a little-endian, section-aligned layout built so
+// a loader can mmap the file and point long-lived int32/float64 slices
+// directly at the mapping instead of parsing text.
 //
 // File layout:
 //
@@ -35,6 +41,47 @@ import (
 
 // Magic identifies a pgsnap v4 binary snapshot. Exactly 8 bytes.
 const Magic = "PGSNAPB4"
+
+// Encoder is the write half of the token stream: scalars, strings, byte
+// blobs and count-prefixed numeric slabs, in call order. Align8 marks where
+// the binary layout pads so the next slab can be viewed in place; encodings
+// without alignment ignore it.
+type Encoder interface {
+	U32(v uint32)
+	U64(v uint64)
+	F64(v float64)
+	Str(v string)
+	Bytes(v []byte)
+	Align8()
+	I32s(v []int32)
+	F64s(v []float64)
+}
+
+// Decoder is the read half, mirroring Encoder call for call. Errors are
+// sticky: after the first one every read returns a zero value and Err
+// reports it, so decode functions check Err at the points where a wrong
+// value would matter (before a loop bound, before an allocation). Slices
+// returned by Bytes, I32s and F64s may alias the input and are read-only;
+// an empty slab decodes as nil.
+type Decoder interface {
+	U32() uint32
+	Int() int
+	U64() uint64
+	F64() float64
+	Str() string
+	Bytes() []byte
+	Align8()
+	I32s() []int32
+	F64s() []float64
+	Err() error
+}
+
+var (
+	_ Encoder = (*Section)(nil)
+	_ Decoder = (*Cursor)(nil)
+	_ Encoder = (*TextEncoder)(nil)
+	_ Decoder = (*TextDecoder)(nil)
+)
 
 // hostLittle reports whether the host is little-endian; the zero-copy
 // slice views require it (the data is little-endian on disk).

@@ -231,13 +231,9 @@ type TopKItem = core.TopKItem
 // streaming" section for the cancellation and determinism contracts.
 type Match = core.Match
 
-// PMIIndex is the probabilistic matrix index; Database.PMI exposes it and
-// SavePMI/LoadPMI persist it independently of the data.
+// PMIIndex is the probabilistic matrix index; Database.PMI exposes it. It
+// is persisted as part of the database snapshot (Database.SaveAs).
 type PMIIndex = pmi.Index
-
-// LoadPMI reads an index written by (*PMIIndex).Save. Pair it only with
-// the database it was built from.
-func LoadPMI(r io.Reader) (*PMIIndex, error) { return pmi.Load(r) }
 
 // Dataset helpers.
 type (
@@ -281,18 +277,20 @@ func SaveDataset(w io.Writer, db *Dataset) error { return dataset.Save(w, db) }
 // LoadDataset reads a dataset written by SaveDataset.
 func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
 
-// LoadDatabase reads a full-database snapshot written by Database.Save (on
-// the aliased core type): graphs, JPTs, mined features, structural filter,
-// and PMI restore bitwise-identical, only the per-graph inference engines
-// are rebuilt. No feature mining or bound computation runs, which is what
-// lets a serving process (cmd/pgserve) start in parse time and answer
-// queries exactly as the database that wrote the snapshot would.
+// LoadDatabase reads a full-database snapshot written by Database.SaveAs or
+// SaveFile (on the aliased core type), in either format: graphs, JPTs,
+// mined features, structural filter, and PMI restore bitwise-identical,
+// only the per-graph inference engines are rebuilt. No feature mining or
+// bound computation runs, which is what lets a serving process
+// (cmd/pgserve) start in parse time and answer queries exactly as the
+// database that wrote the snapshot would.
 func LoadDatabase(r io.Reader) (*Database, error) { return core.LoadDatabase(r) }
 
 // SnapshotFormat selects the on-disk snapshot encoding for SaveFile and
-// SaveAs (on the aliased core type): SnapshotText is the line-oriented v3
-// format, SnapshotBinary the mmap-friendly v4 one. LoadDatabase and
-// OpenSnapshot sniff the format, so readers never choose.
+// SaveAs (on the aliased core type): SnapshotText is the line-oriented
+// pgsnap v5 format, SnapshotBinary the mmap-friendly v4 one — two
+// renderings of the same sections. LoadDatabase and OpenSnapshot sniff the
+// format, so readers never choose.
 type SnapshotFormat = core.SnapshotFormat
 
 const (
@@ -300,8 +298,7 @@ const (
 	SnapshotBinary = core.SnapshotBinary
 )
 
-// ParseSnapshotFormat reads a -format flag value ("text", "binary", or
-// empty for the default).
+// ParseSnapshotFormat reads a -format flag value, "text" or "binary".
 func ParseSnapshotFormat(s string) (SnapshotFormat, error) { return core.ParseSnapshotFormat(s) }
 
 // OpenSnapshot opens a snapshot file directly: binary (v4) snapshots are
