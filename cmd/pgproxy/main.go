@@ -31,30 +31,27 @@
 //	GET  /healthz       liveness (the coordinator process is up)
 //	GET  /readyz        readiness (every shard's /readyz answers 200)
 //
-// A shard that cannot answer — down, timed out after -retries, or serving
-// a different database generation — fails the whole request with a
-// structured error naming the shard; the coordinator never returns a
-// silently partial answer. Client disconnects and timeout_ms propagate
-// into every shard sub-request.
+// The wire format is pgserve's, by construction: requests are validated,
+// failures written and streams framed by the same internal/server code
+// (docs/ARCHITECTURE.md, "Wire format"). A shard that cannot answer —
+// down, timed out after -retries, serving a different database
+// generation, or answering something that cannot be merged — fails the
+// whole request with a structured error naming the shard; the
+// coordinator never returns a silently partial answer. Client
+// disconnects and timeout_ms propagate into every shard sub-request.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"probgraph/internal/cluster"
 	"probgraph/internal/obs"
+	"probgraph/internal/server"
 )
 
 func main() {
@@ -94,57 +91,10 @@ func main() {
 		logger.Info("shard", "name", sh.Name, "url", sh.URL)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *pprofAddr != "" {
-		// pprof gets its own mux on its own listener so profiling is never
-		// reachable through the public API address.
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		//pgvet:leakok the pprof listener is process-lifetime by design; it dies with the process
-		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-	}
-
-	hs := &http.Server{
-		Addr:    *addr,
-		Handler: coord.Handler(),
-		// Every request context derives from the signal context: SIGTERM
-		// propagates through the coordinator into every in-flight shard
-		// sub-request.
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	errc := make(chan error, 1)
-	//pgvet:leakok lives exactly until ListenAndServe returns; the buffered send can never block
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "shards", len(shards),
-		"shard_timeout", shardTimeout.String(), "retries", *retries)
-
-	select {
-	case err := <-errc:
+	if err := server.Serve(logger, *addr, *pprofAddr, coord.Handler(),
+		"shards", len(shards), "shard_timeout", shardTimeout.String(), "retries", *retries); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		logger.Info("shutting down (in-flight fan-outs cancelled)")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Warn("shutdown", "err", err)
-		}
 	}
 }
 

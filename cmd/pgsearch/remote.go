@@ -1,15 +1,13 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"probgraph"
@@ -55,16 +53,9 @@ func runRemote(cfg remoteConfig, say func(string, ...any)) {
 	}
 	say("loaded %d query graph(s) from %s\n", len(qs), cfg.qfile)
 
-	rc := &remoteClient{
-		base: strings.TrimRight(cfg.url, "/"),
-		// The client itself has no timeout: -timeout travels as timeout_ms
-		// and the server enforces it, answering a structured 504.
-		hc:        &http.Client{},
-		timeoutMS: cfg.timeout.Milliseconds(),
-	}
-
+	c := server.NewClient(cfg.url)
 	if cfg.stream {
-		runRemoteStream(rc, cfg, qs)
+		runRemoteStream(c, cfg, qs)
 		return
 	}
 
@@ -74,24 +65,18 @@ func runRemote(cfg remoteConfig, say func(string, ...any)) {
 		breq := server.BatchRequest{
 			Epsilon: cfg.epsilon, Delta: cfg.delta, Verifier: cfg.verifier,
 			Plain: cfg.plain, Seed: cfg.seed, Workers: cfg.workers,
-			TimeoutMS: rc.timeoutMS,
+			TimeoutMS: cfg.timeout.Milliseconds(),
 		}
 		for _, q := range qs {
 			breq.Queries = append(breq.Queries, *server.GraphToJSON(q))
 		}
 		var bresp server.BatchResponse
-		rc.post("/batch", &breq, &bresp)
+		remotePost(c, "/batch", &breq, &bresp)
 		results = bresp.Results
 	} else {
 		for i, q := range qs {
-			req := server.QueryRequest{
-				Graph:   server.GraphToJSON(q),
-				Epsilon: cfg.epsilon, Delta: cfg.delta, Verifier: cfg.verifier,
-				Plain: cfg.plain, Seed: probgraph.BatchSeed(cfg.seed, i),
-				Workers: cfg.workers, TimeoutMS: rc.timeoutMS,
-			}
 			var resp server.QueryResponse
-			rc.post("/query", &req, &resp)
+			remotePost(c, "/query", cfg.request(q, i), &resp)
 			results = append(results, &resp)
 		}
 	}
@@ -129,149 +114,71 @@ func runRemote(cfg remoteConfig, say func(string, ...any)) {
 		len(qs), elapsed.Round(time.Microsecond), cfg.workers, cfg.batch)
 }
 
-// remoteClient posts JSON bodies against the server's base URL, mapping
-// the structured error statuses onto pgsearch's exit codes (504 → exit 3,
-// matching local -timeout expiry).
-type remoteClient struct {
-	base      string
-	hc        *http.Client
-	timeoutMS int64
-}
-
-func (rc *remoteClient) post(path string, in, out any) {
-	status, data := rc.postRaw(path, in)
-	if status != http.StatusOK {
-		rc.fail(status, data)
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		log.Fatalf("pgsearch: undecodable response from %s%s: %v", rc.base, path, err)
+// request is query i on the wire. The client itself has no timeout:
+// -timeout travels as timeout_ms and the server enforces it, answering a
+// structured 504.
+func (cfg remoteConfig) request(q *probgraph.Graph, i int) *server.QueryRequest {
+	return &server.QueryRequest{
+		Graph:   server.GraphToJSON(q),
+		Epsilon: cfg.epsilon, Delta: cfg.delta, Verifier: cfg.verifier,
+		Plain: cfg.plain, Seed: probgraph.BatchSeed(cfg.seed, i),
+		Workers: cfg.workers, TimeoutMS: cfg.timeout.Milliseconds(),
 	}
 }
 
-func (rc *remoteClient) postRaw(path string, in any) (int, []byte) {
-	body, err := json.Marshal(in)
+func marshal(v any) []byte {
+	body, err := json.Marshal(v)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := rc.hc.Post(rc.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatalf("pgsearch: %v", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		log.Fatalf("pgsearch: reading response from %s%s: %v", rc.base, path, err)
-	}
-	return resp.StatusCode, data
+	return body
 }
 
-// fail reports a non-200 server answer and exits: 504 exits 3 like a
-// local -timeout expiry, everything else exits via log.Fatal (code 1).
-func (rc *remoteClient) fail(status int, data []byte) {
-	msg := strings.TrimSpace(string(data))
-	var eb struct {
-		Error string `json:"error"`
+func remotePost(c *server.Client, path string, in, out any) {
+	if err := c.Post(context.Background(), path, marshal(in), out); err != nil {
+		remoteFatal(err)
 	}
-	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-		msg = eb.Error
+}
+
+// remoteFatal maps a failed exchange onto pgsearch's exit codes: a 504,
+// or a stream's timeout line, exits 3 — matching local -timeout expiry;
+// everything else exits 1.
+func remoteFatal(err error) {
+	var we *server.Error
+	if !errors.As(err, &we) {
+		log.Fatalf("pgsearch: %v", err)
 	}
-	if status == http.StatusGatewayTimeout {
-		fmt.Fprintf(os.Stderr, "pgsearch: %s\n", msg)
+	if we.Status == http.StatusGatewayTimeout {
+		fmt.Fprintf(os.Stderr, "pgsearch: %s\n", we.Message)
 		os.Exit(3)
 	}
-	log.Fatalf("pgsearch: server answered %d: %s", status, msg)
+	log.Fatalf("pgsearch: server answered %d: %s", we.Status, we.Message)
 }
 
 // runRemoteStream mirrors local -stream over /query/stream: the server's
 // match lines re-emit with the query index prepended, and each query ends
 // with the summary shape local mode prints (the server summary's sorted
 // answers are bitwise the local ones).
-func runRemoteStream(rc *remoteClient, cfg remoteConfig, qs []*probgraph.Graph) {
+func runRemoteStream(c *server.Client, cfg remoteConfig, qs []*probgraph.Graph) {
 	enc := json.NewEncoder(os.Stdout)
 	for i, q := range qs {
-		req := server.QueryRequest{
-			Graph:   server.GraphToJSON(q),
-			Epsilon: cfg.epsilon, Delta: cfg.delta, Verifier: cfg.verifier,
-			Plain: cfg.plain, Seed: probgraph.BatchSeed(cfg.seed, i),
-			Workers: cfg.workers, TimeoutMS: rc.timeoutMS,
-		}
 		start := time.Now()
-		body, err := json.Marshal(&req)
+		sum, err := c.Stream(context.Background(), "/query/stream", marshal(cfg.request(q, i)),
+			func(m server.StreamMatchJSON, _ []byte) error {
+				return enc.Encode(streamMatchJSON{Query: i, Graph: m.Graph, Name: m.Name, SSP: m.SSP})
+			})
 		if err != nil {
+			remoteFatal(err)
+		}
+		if sum.Answers == nil {
+			sum.Answers = []int{}
+		}
+		if err := enc.Encode(streamSummaryJSON{
+			Query: i, Done: true, Answers: sum.Answers, Count: sum.Count,
+			TimeMS: float64(time.Since(start).Microseconds()) / 1000,
+		}); err != nil {
 			log.Fatal(err)
 		}
-		resp, err := rc.hc.Post(rc.base+"/query/stream", "application/json", bytes.NewReader(body))
-		if err != nil {
-			log.Fatalf("pgsearch: %v", err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			rc.fail(resp.StatusCode, data)
-		}
-		br := bufio.NewReader(resp.Body)
-		done := false
-		for !done {
-			raw, rerr := br.ReadBytes('\n')
-			if len(bytes.TrimSpace(raw)) > 0 {
-				// Probe the discriminators only: a match line's ssp is a
-				// number while the summary line's is a map, so the shapes
-				// decode separately below.
-				var line struct {
-					Done    bool   `json:"done"`
-					Error   string `json:"error"`
-					Timeout bool   `json:"timeout"`
-				}
-				if err := json.Unmarshal(raw, &line); err != nil {
-					resp.Body.Close()
-					log.Fatalf("pgsearch: undecodable stream line: %v", err)
-				}
-				switch {
-				case line.Error != "":
-					resp.Body.Close()
-					if line.Timeout {
-						fmt.Fprintf(os.Stderr, "pgsearch: %s\n", line.Error)
-						os.Exit(3)
-					}
-					log.Fatalf("pgsearch: %s", line.Error)
-				case line.Done:
-					var sum server.StreamSummaryJSON
-					if err := json.Unmarshal(raw, &sum); err != nil {
-						resp.Body.Close()
-						log.Fatalf("pgsearch: undecodable stream summary: %v", err)
-					}
-					if sum.Answers == nil {
-						sum.Answers = []int{}
-					}
-					if err := enc.Encode(streamSummaryJSON{
-						Query: i, Done: true, Answers: sum.Answers, Count: sum.Count,
-						TimeMS: float64(time.Since(start).Microseconds()) / 1000,
-					}); err != nil {
-						log.Fatal(err)
-					}
-					done = true
-				default:
-					var m server.StreamMatchJSON
-					if err := json.Unmarshal(raw, &m); err != nil {
-						resp.Body.Close()
-						log.Fatalf("pgsearch: undecodable stream line: %v", err)
-					}
-					if err := enc.Encode(streamMatchJSON{
-						Query: i, Graph: m.Graph, Name: m.Name, SSP: m.SSP,
-					}); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-			if rerr != nil {
-				if !done {
-					resp.Body.Close()
-					log.Fatalf("pgsearch: stream from %s ended before summary: %v", rc.base, rerr)
-				}
-				break
-			}
-		}
-		resp.Body.Close()
 	}
 }
 

@@ -20,7 +20,9 @@
 // use either way. With -db the full index is built first (the offline
 // step the snapshot amortizes away).
 //
-// Endpoints (JSON bodies; see internal/server for the wire types):
+// Endpoints (JSON bodies; internal/server owns the wire format — request
+// and response types, the one error body, NDJSON framing — described in
+// docs/ARCHITECTURE.md, "Wire format"):
 //
 //	POST /query         one T-PS query: graph|graph_text, epsilon, delta,
 //	                    verifier, plain, seed, workers, no_cache, timeout_ms
@@ -69,17 +71,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"probgraph"
@@ -188,61 +183,9 @@ func main() {
 		},
 	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *pprofAddr != "" {
-		// pprof gets its own mux on its own listener so profiling is never
-		// reachable through the public API address.
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		//pgvet:leakok the pprof listener is process-lifetime by design; it dies with the process
-		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-	}
-
-	hs := &http.Server{
-		Addr:    *addr,
-		Handler: srv.Handler(),
-		// Every request context derives from the signal context: SIGTERM
-		// propagates into in-flight queries, which cancel at candidate
-		// granularity — graceful shutdown no longer waits for a full
-		// database scan to finish, only for the current candidates.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-		// Handlers never hold database locks across response writes
-		// (/query/stream evaluates under the lock but delivers through a
-		// buffer, so a stalled reader never pins it), so a slow client
-		// costs a connection, not the service; these bound that cost
-		// (header slow-loris, dead keep-alives, stuck writes).
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	errc := make(chan error, 1)
-	//pgvet:leakok lives exactly until ListenAndServe returns; the buffered send can never block
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "cache", *cacheSize, "workers", *workers, "timeout", timeout.String())
-
-	select {
-	case err := <-errc:
+	if err := server.Serve(logger, *addr, *pprofAddr, srv.Handler(),
+		"cache", *cacheSize, "workers", *workers, "timeout", timeout.String()); err != nil {
 		fatal(err)
-	case <-ctx.Done():
-		logger.Info("shutting down (in-flight queries cancelled)")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Warn("shutdown", "err", err)
-		}
 	}
 }
 

@@ -22,8 +22,11 @@
 //     lines and re-derives the sorted summary.
 //
 // Failure semantics: a shard that cannot answer (down, timed out after
-// retries, wrong generation) fails the whole request with a structured
-// error naming the shard — never a silently partial answer. Client
+// retries, wrong generation, an answer that cannot be merged) fails the
+// whole request with a structured error naming the shard — never a
+// silently partial answer. The wire itself — request validation, the
+// error body, NDJSON framing, the HTTP client — is internal/server's;
+// this package only decides what to send where and how to merge. Client
 // cancellation propagates: every shard sub-request derives from the
 // incoming request's context.
 package cluster
@@ -36,6 +39,7 @@ import (
 	"time"
 
 	"probgraph/internal/obs"
+	"probgraph/internal/server"
 )
 
 // Shard names one member of the fleet.
@@ -78,13 +82,13 @@ func (o Options) withDefaults() Options {
 // shards. It holds no graph data itself: every query endpoint validates
 // the request, fans it out over HTTP, and merges deterministically.
 type Coordinator struct {
-	shards []Shard
-	opt    Options
-	hc     *http.Client
-	health *healthTracker
-	mx     *coordMetrics
-	mux    *http.ServeMux
-	start  time.Time
+	shards  []Shard
+	clients []*server.Client // clients[i] speaks to shards[i]
+	opt     Options
+	health  *healthTracker
+	mx      *coordMetrics
+	mux     *http.ServeMux
+	start   time.Time
 }
 
 // New builds a Coordinator over the given fleet.
@@ -113,21 +117,27 @@ func New(opt Options) (*Coordinator, error) {
 	c := &Coordinator{
 		shards: shards,
 		opt:    opt,
-		// The zero-timeout client: per-request contexts carry the
-		// deadlines (ShardTimeout per attempt, the client's own deadline
-		// overall), so a stuck shard never wedges the coordinator.
-		hc:     &http.Client{},
 		health: newHealthTracker(shards),
 		start:  time.Now(),
 		mux:    http.NewServeMux(),
 	}
+	for _, sh := range shards {
+		c.clients = append(c.clients, server.NewClient(sh.URL))
+	}
 	c.mx = newCoordMetrics(c, opt.Metrics)
-	c.mux.HandleFunc("/query", c.instrumented("query", c.handleQuery))
-	c.mux.HandleFunc("/query/stream", c.instrumented("stream", c.handleQueryStream))
-	c.mux.HandleFunc("/topk", c.instrumented("topk", c.handleTopK))
-	c.mux.HandleFunc("/batch", c.instrumented("batch", c.handleBatch))
+	// The single-node middleware, minus what only an evaluating node has
+	// (pipeline bridge, slowlog): shard sub-requests attach child spans
+	// under the endpoint root. Requests are counted by the handlers, once
+	// accepted.
+	instrumented := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+		return server.Instrument(endpoint, c.mx.latency[endpoint], nil, nil, h)
+	}
+	c.mux.HandleFunc("/query", instrumented("query", c.handleQuery))
+	c.mux.HandleFunc("/query/stream", instrumented("stream", c.handleQueryStream))
+	c.mux.HandleFunc("/topk", instrumented("topk", c.handleTopK))
+	c.mux.HandleFunc("/batch", instrumented("batch", c.handleBatch))
 	c.mux.HandleFunc("/stats", c.handleStats)
-	c.mux.HandleFunc("/metrics", c.handleMetrics)
+	c.mux.HandleFunc("/metrics", server.MetricsHandler(opt.Metrics))
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
 	c.mux.HandleFunc("/readyz", c.handleReadyz)
 	return c, nil
@@ -139,26 +149,8 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // Registry returns the metrics registry rendered at /metrics.
 func (c *Coordinator) Registry() *obs.Registry { return c.opt.Metrics }
 
-// instrumented is the coordinator's observability middleware, mirroring
-// the single-node server's: a fresh trace rooted at the endpoint (shard
-// sub-requests attach child spans), the X-PG-Trace-Id header, and the
-// endpoint latency histogram.
-func (c *Coordinator) instrumented(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tr := obs.NewTrace()
-		root := tr.Root(endpoint)
-		ctx := obs.ContextWithSpan(r.Context(), root)
-		w.Header().Set("X-PG-Trace-Id", tr.ID())
-		c.mx.queries[endpoint].Inc()
-		h(w, r.WithContext(ctx))
-		root.End()
-		c.mx.latency[endpoint].Observe(time.Since(start).Seconds())
-	}
-}
-
 // handleHealthz is the liveness probe: the coordinator process is up. It
 // does not touch the shards — /readyz does.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"status": "ok", "shards": len(c.shards)})
+	server.WriteJSON(w, map[string]any{"status": "ok", "shards": len(c.shards)})
 }

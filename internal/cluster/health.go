@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"probgraph/internal/server"
 )
 
 // ShardHealthJSON is one shard's health record as /stats reports it.
@@ -51,7 +53,11 @@ func newHealthTracker(shards []Shard) *healthTracker {
 	return h
 }
 
-func (h *healthTracker) record(name string, ok bool, errMsg string) {
+// record feeds one exchange's outcome (nil, the shard's own structured
+// failure, or a failed exchange) into the shard's record. Only the last
+// counts against it: a non-200 is a served answer (400/422/504...), not
+// an outage — the shard is up and talking.
+func (h *healthTracker) record(name string, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.m[name]
@@ -59,7 +65,7 @@ func (h *healthTracker) record(name string, ok bool, errMsg string) {
 		return
 	}
 	st.requests++
-	if ok {
+	if served(err) {
 		if !st.healthy {
 			st.healthy = true
 			st.lastChange = time.Now()
@@ -69,7 +75,7 @@ func (h *healthTracker) record(name string, ok bool, errMsg string) {
 	}
 	st.failures++
 	st.consec++
-	st.lastError = errMsg
+	st.lastError = err.Error()
 	if st.healthy {
 		st.healthy = false
 		st.lastChange = time.Now()
@@ -120,68 +126,45 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	type probe struct {
-		name string
-		err  error
-	}
-	results := make([]probe, len(c.shards))
+	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
-	for i, sh := range c.shards {
+	for si := range c.shards {
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func() {
 			defer wg.Done()
-			results[i] = probe{name: sh.Name, err: c.probeReady(ctx, sh)}
-		}(i, sh)
+			errs[si] = c.probeReady(ctx, si)
+		}()
 	}
 	wg.Wait()
 
+	out := map[string]any{"ready": true, "shards": len(c.shards)}
 	var failed []string
-	for _, p := range results {
-		if p.err != nil {
-			failed = append(failed, p.name)
+	for si, err := range errs {
+		if err != nil {
+			failed = append(failed, c.shards[si].Name)
 		}
 	}
 	if len(failed) > 0 {
+		out["ready"], out["failed"] = false, failed
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		writeReadyz(w, false, len(c.shards), failed)
-		return
 	}
-	writeReadyz(w, true, len(c.shards), nil)
-}
-
-func writeReadyz(w http.ResponseWriter, ready bool, shards int, failed []string) {
-	out := map[string]any{"ready": ready, "shards": shards}
-	if len(failed) > 0 {
-		out["failed"] = failed
-	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // probeReady GETs one shard's /readyz. The outcome feeds the health
-// tracker like any other exchange.
-func (c *Coordinator) probeReady(ctx context.Context, sh Shard) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.URL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.health.record(sh.Name, false, err.Error())
-		return err
-	}
-	resp.Body.Close()
-	c.health.record(sh.Name, true, "")
-	if resp.StatusCode != http.StatusOK {
-		return errNotReady
-	}
-	return nil
+// tracker like any other exchange: a shard that answers, even "not
+// ready", is up.
+func (c *Coordinator) probeReady(ctx context.Context, si int) error {
+	err := c.clients[si].Get(ctx, "/readyz")
+	c.health.record(c.shards[si].Name, err)
+	return err
 }
 
 // handleStats reports the coordinator's own counters plus every shard's
 // health record.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"shards":    c.health.snapshot(c.shards),
 		"queries":   c.mx.totalQueries(),
 		"uptime_ms": float64(time.Since(c.start).Microseconds()) / 1000,

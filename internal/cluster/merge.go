@@ -1,46 +1,41 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"time"
 
-	"probgraph/internal/obs"
 	"probgraph/internal/server"
 )
 
-// handleQuery is POST /query: validate once, fan the identical body out
-// to every shard, merge. Shards hold disjoint global-id ranges and answer
-// in global ids, so the merge is a disjoint sorted union — bitwise the
+// validQuery vets one shard's /query answer for mergeQuery, which pairs
+// names with answers by position.
+func validQuery(_ int, qr *server.QueryResponse) (uint64, bool) {
+	return qr.Generation, len(qr.Names) == len(qr.Answers)
+}
+
+// handleQuery is POST /query: validate once, fan the request out to every
+// shard, merge. Shards hold disjoint global-id ranges and answer in
+// global ids, so the merge is a disjoint sorted union — bitwise the
 // single-node answer set, with bitwise the single-node SSP values.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if _, _, ok := server.Accept(w, r, &req, req.Check); !ok {
 		return
 	}
-	if _, err := req.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	c.mx.queries["query"].Inc()
 	start := time.Now()
-	body, err := json.Marshal(&req)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	resps, ce := c.queryShards(r.Context(), "/query", body)
-	if ce != nil {
-		ce.write(w)
+	resps, e := fanout(r.Context(), c, "/query", &req, validQuery)
+	if e != nil {
+		e.Write(w)
 		return
 	}
 	merged := mergeQuery(resps)
 	merged.TimeMS = float64(time.Since(start).Microseconds()) / 1000
-	if traceWanted(r, req.Trace) {
-		merged.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		merged.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, merged)
+	server.WriteJSON(w, merged)
 }
 
 // handleBatch is POST /batch: one fan-out carrying the whole batch (each
@@ -48,79 +43,41 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // member-wise.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if !decodeBody(w, r, &req) {
+	qs, _, ok := server.Accept(w, r, &req, req.Check)
+	if !ok {
 		return
 	}
-	qs, err := req.Check()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	c.mx.queries["batch"].Add(int64(len(qs)))
 	start := time.Now()
-	body, err := json.Marshal(&req)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	results := c.fanout(r.Context(), "/batch", body)
-	if ce := shardFailure(results); ce != nil {
-		ce.write(w)
-		return
-	}
-	batches := make([]*server.BatchResponse, len(results))
-	gens := make([]uint64, len(results))
-	for i, res := range results {
-		var br server.BatchResponse
-		if err := json.Unmarshal(res.body, &br); err != nil || len(br.Results) != len(qs) {
-			badShardResponse(w, res.shard)
-			return
+	batches, e := fanout(r.Context(), c, "/batch", &req, func(_ int, br *server.BatchResponse) (uint64, bool) {
+		if len(br.Results) != len(qs) {
+			return 0, false
 		}
-		batches[i] = &br
-		gens[i] = br.Results[0].Generation
-	}
-	if ce := generationMismatch(results, gens); ce != nil {
-		ce.write(w)
+		// A shard pins one view per batch, so its members share a
+		// generation; anything else is not a pgserve answer.
+		for _, m := range br.Results {
+			if m == nil || len(m.Names) != len(m.Answers) || m.Generation != br.Results[0].Generation {
+				return 0, false
+			}
+		}
+		return br.Results[0].Generation, true
+	})
+	if e != nil {
+		e.Write(w)
 		return
 	}
 	out := server.BatchResponse{TimeMS: float64(time.Since(start).Microseconds()) / 1000}
-	member := make([]*server.QueryResponse, len(results))
+	member := make([]*server.QueryResponse, len(batches))
 	for qi := range qs {
 		for si := range batches {
 			member[si] = batches[si].Results[qi]
 		}
 		out.Results = append(out.Results, mergeQuery(member))
 	}
-	if traceWanted(r, req.Trace) {
-		out.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		out.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, out)
-}
-
-// queryShards fans body out to path on every shard, decodes the
-// QueryResponse answers, and enforces the all-or-nothing and same-
-// generation rules.
-func (c *Coordinator) queryShards(ctx context.Context, path string, body []byte) ([]*server.QueryResponse, *coordError) {
-	results := c.fanout(ctx, path, body)
-	if ce := shardFailure(results); ce != nil {
-		return nil, ce
-	}
-	resps := make([]*server.QueryResponse, len(results))
-	gens := make([]uint64, len(results))
-	for i, res := range results {
-		var qr server.QueryResponse
-		if err := json.Unmarshal(res.body, &qr); err != nil {
-			return nil, &coordError{
-				status: http.StatusBadGateway, shard: res.shard.Name,
-				msg: "shard " + res.shard.Name + ": undecodable response",
-			}
-		}
-		resps[i] = &qr
-		gens[i] = qr.Generation
-	}
-	if ce := generationMismatch(results, gens); ce != nil {
-		return nil, ce
-	}
-	return resps, nil
+	server.WriteJSON(w, out)
 }
 
 // mergeQuery folds per-shard /query responses into the single-node
@@ -172,26 +129,4 @@ func mergeQuery(resps []*server.QueryResponse) *server.QueryResponse {
 		out.Names = append(out.Names, p.name)
 	}
 	return out
-}
-
-func badShardResponse(w http.ResponseWriter, sh Shard) {
-	(&coordError{
-		status: http.StatusBadGateway, shard: sh.Name,
-		msg: "shard " + sh.Name + ": undecodable response",
-	}).write(w)
-}
-
-// traceWanted mirrors the single-node knob: the body's trace field or
-// trace=1 in the URL.
-func traceWanted(r *http.Request, bodyFlag bool) bool {
-	return bodyFlag || r.URL.Query().Get("trace") == "1"
-}
-
-// traceTree snapshots the request's coordinator-side span tree (the
-// fan-out children live under the endpoint root).
-func traceTree(r *http.Request) *obs.SpanNode {
-	if tr := obs.TraceFrom(r.Context()); tr != nil {
-		return tr.Tree()
-	}
-	return nil
 }

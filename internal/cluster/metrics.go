@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"errors"
-	"net/http"
-
-	"probgraph/internal/obs"
-)
-
-var errNotReady = errors.New("shard not ready")
+import "probgraph/internal/obs"
 
 // coordEndpoints are the coordinator's instrumented query endpoints, in
 // registration (= exposition) order.
@@ -17,7 +10,6 @@ var coordEndpoints = []string{"query", "topk", "batch", "stream"}
 // counters/latency mirroring the single-node server's families, plus the
 // per-shard fan-out families the fleet view needs.
 type coordMetrics struct {
-	reg     *obs.Registry
 	queries map[string]*obs.Counter   // endpoint -> accepted requests
 	latency map[string]*obs.Histogram // endpoint -> wall-clock seconds
 
@@ -29,7 +21,6 @@ var shardOutcomes = []string{"ok", "http_error", "error"}
 
 func newCoordMetrics(c *Coordinator, reg *obs.Registry) *coordMetrics {
 	m := &coordMetrics{
-		reg:           reg,
 		queries:       make(map[string]*obs.Counter, len(coordEndpoints)),
 		latency:       make(map[string]*obs.Histogram, len(coordEndpoints)),
 		shardRequests: make(map[string]map[string]*obs.Counter, len(c.shards)),
@@ -37,7 +28,8 @@ func newCoordMetrics(c *Coordinator, reg *obs.Registry) *coordMetrics {
 	}
 	for _, ep := range coordEndpoints {
 		m.queries[ep] = reg.Counter("pg_queries_total",
-			"Queries accepted per endpoint.", "endpoint", ep)
+			"Queries accepted per endpoint (batch counts members; rejected requests are not counted).",
+			"endpoint", ep)
 		m.latency[ep] = reg.Histogram("pg_request_duration_seconds",
 			"End-to-end request latency per endpoint.", nil, "endpoint", ep)
 	}
@@ -77,10 +69,4 @@ func (m *coordMetrics) totalQueries() int64 {
 		n += c.Value()
 	}
 	return n
-}
-
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.mx.reg.WritePrometheus(w)
 }

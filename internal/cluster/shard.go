@@ -1,220 +1,169 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"probgraph/internal/obs"
+	"probgraph/internal/server"
 )
 
-// shardResult is one shard's answer to a fan-out sub-request: the HTTP
-// status and body on a completed exchange, or the transport error that
-// survived the retries.
-type shardResult struct {
-	shard  Shard
-	status int
-	body   []byte
-	err    error
+// served reports whether a sub-request error (or nil) is the shard's own
+// answer — a 200 or a structured failure — rather than a failed exchange.
+func served(err error) bool {
+	var we *server.Error
+	return err == nil || errors.As(err, &we)
 }
 
-// call performs one shard sub-request: POST body to sh.URL+path under the
-// caller's context (client cancellation propagates into the shard),
-// bounded per attempt by ShardTimeout, retried on transport errors only —
-// an HTTP error status is the shard's answer, not a flaky network, and
-// retrying a non-idempotent evaluation would change nothing anyway
-// (responses are deterministic). Outcomes feed the shard's health record
-// and metrics.
-func (c *Coordinator) call(ctx context.Context, sh Shard, path string, body []byte) shardResult {
-	sp := obs.SpanFrom(ctx).Child("shard:" + sh.Name + path)
+// call performs one shard sub-request: POST body to path on shard si
+// under the caller's context (client cancellation propagates into the
+// shard), bounded per attempt by ShardTimeout, decoding a 200 into out.
+// It is retried on transport errors only — an HTTP error status is the
+// shard's answer, not a flaky network, and retrying a non-idempotent
+// evaluation would change nothing anyway (responses are deterministic).
+// Outcomes feed the shard's health record and metrics.
+func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, out any) error {
+	sp := obs.SpanFrom(ctx).Child("shard:" + c.shards[si].Name + path)
+	defer sp.End()
 	start := time.Now()
-	res := shardResult{shard: sh}
+	var err error
 	for attempt := 0; ; attempt++ {
-		res.status, res.body, res.err = c.attempt(ctx, sh, path, body)
-		if res.err == nil || attempt >= c.opt.Retries || ctx.Err() != nil {
+		err = c.attempt(ctx, si, path, body, out)
+		if served(err) || attempt >= c.opt.Retries || ctx.Err() != nil {
 			break
 		}
 	}
-	c.mx.shardLatency[sh.Name].Observe(time.Since(start).Seconds())
-	switch {
-	case res.err != nil:
-		c.mx.shardRequests[sh.Name]["error"].Inc()
-		c.health.record(sh.Name, false, res.err.Error())
-	case res.status != http.StatusOK:
-		c.mx.shardRequests[sh.Name]["http_error"].Inc()
-		// A non-200 is a served answer (400/422/504...), not a shard
-		// outage: the shard is up and talking, so health stays good.
-		c.health.record(sh.Name, true, "")
-	default:
-		c.mx.shardRequests[sh.Name]["ok"].Inc()
-		c.health.record(sh.Name, true, "")
-	}
-	sp.End()
-	return res
+	c.record(c.shards[si], start, err)
+	return err
 }
 
 // attempt is one HTTP exchange with a shard.
-func (c *Coordinator) attempt(ctx context.Context, sh Shard, path string, body []byte) (int, []byte, error) {
-	actx := ctx
+func (c *Coordinator) attempt(ctx context.Context, si int, path string, body []byte, out any) error {
 	if c.opt.ShardTimeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.opt.ShardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, c.opt.ShardTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, sh.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, data, nil
+	return c.clients[si].Post(ctx, path, body, out)
 }
 
-// fanout POSTs body to path on every shard concurrently and waits for all
-// of them (each bounded by ShardTimeout and the request context, so the
-// wait is bounded too). Results are in shard order.
-func (c *Coordinator) fanout(ctx context.Context, path string, body []byte) []shardResult {
-	out := make([]shardResult, len(c.shards))
+// record feeds one finished sub-request into the shard's latency
+// histogram, outcome counter, and health record.
+func (c *Coordinator) record(sh Shard, start time.Time, err error) {
+	c.mx.shardLatency[sh.Name].Observe(time.Since(start).Seconds())
+	outcome := "error"
+	if err == nil {
+		outcome = "ok"
+	} else if served(err) {
+		outcome = "http_error"
+	}
+	c.mx.shardRequests[sh.Name][outcome].Inc()
+	c.health.record(sh.Name, err)
+}
+
+// shardError turns a failed sub-request into the answer the coordinator
+// must give — never a silently partial result. A transport failure
+// (after retries) is a 503 naming the shard, the structured "one shard
+// down" answer. A shard's own structured error propagates with its
+// status (504 deadline, 503 cancelled, 422 evaluation, 502 undecodable)
+// and flags, prefixed with the shard name so operators see where it
+// happened.
+func shardError(sh Shard, err error) *server.Error {
+	var we *server.Error
+	switch {
+	case errors.As(err, &we):
+		e := *we
+		e.Shard, e.Message = sh.Name, "shard "+sh.Name+": "+we.Message
+		return &e
+	case errors.Is(err, server.ErrStreamTruncated):
+		return &server.Error{Status: http.StatusServiceUnavailable, Shard: sh.Name,
+			Message: "shard " + sh.Name + ": " + err.Error()}
+	}
+	return &server.Error{Status: http.StatusServiceUnavailable, Shard: sh.Name,
+		Message: fmt.Sprintf("shard %s (%s) unreachable: %v", sh.Name, sh.URL, err)}
+}
+
+// malformed is the 502 for a shard answer that decodes but cannot be
+// merged: a missing member, names out of step with answers, a requested
+// id left out.
+func malformed(sh Shard) *server.Error {
+	return &server.Error{Status: http.StatusBadGateway, Shard: sh.Name,
+		Message: "shard " + sh.Name + ": undecodable response"}
+}
+
+// generationMismatch is the 503 for answers computed under different
+// database generations — merging them would silently mix two database
+// states. The fleet operator re-partitions all shards from one source
+// snapshot, so a mismatch means a half-rolled-out fleet: retry when the
+// rollout settles. Both parties are named.
+func generationMismatch(a string, genA uint64, b string, genB uint64) *server.Error {
+	return &server.Error{Status: http.StatusServiceUnavailable, Shard: b,
+		Message: fmt.Sprintf("shard generation mismatch: %s at %d, %s at %d", a, genA, b, genB)}
+}
+
+// subRequest addresses one body to one shard (an index into c.shards).
+type subRequest struct {
+	shard int
+	body  []byte
+}
+
+// gather is the fan-out every merged endpoint shares: POST each
+// sub-request concurrently and wait for all of them (each bounded by
+// ShardTimeout and the request context, so the wait is bounded too),
+// decode each 200 into a T, let valid vet its shape — it reports the
+// generation the answer was computed under, and false for an answer the
+// merge could not safely index — and require one generation throughout.
+// Answers come back in request order. Failed exchanges are reported
+// before malformed or mismatched answers, and within each kind the first
+// in request order, which keeps the choice deterministic when several
+// shards fail at once.
+func gather[T any](ctx context.Context, c *Coordinator, path string, reqs []subRequest, valid func(i int, v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
+	outs := make([]*T, len(reqs))
+	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
-	for i, sh := range c.shards {
+	for i, rq := range reqs {
+		outs[i] = new(T)
 		wg.Add(1)
-		go func(i int, sh Shard) {
+		go func() {
 			defer wg.Done()
-			out[i] = c.call(ctx, sh, path, body)
-		}(i, sh)
+			errs[i] = c.call(ctx, rq.shard, path, rq.body, outs[i])
+		}()
 	}
 	wg.Wait()
-	return out
-}
-
-// shardErrorBody is the structured error payload shards answer non-200
-// with (the single-node server's httpError / evalError shapes).
-type shardErrorBody struct {
-	Error     string `json:"error"`
-	Timeout   bool   `json:"timeout"`
-	Cancelled bool   `json:"cancelled"`
-}
-
-// shardFailure scans fan-out results in shard order and reports the first
-// one that prevents a complete merge, as the HTTP answer the coordinator
-// must give. Shard order makes the choice deterministic when several
-// shards fail at once. nil means every shard answered 200.
-//
-// Mapping: a transport failure (after retries) is a 503 naming the shard
-// — the structured "one shard down" answer, never a silently partial
-// result. A shard's own structured error propagates with its status
-// (504 deadline, 503 cancelled, 422 evaluation), prefixed with the shard
-// name so operators see where it happened.
-func shardFailure(results []shardResult) *coordError {
-	for _, res := range results {
-		if res.err != nil {
-			return &coordError{
-				status: http.StatusServiceUnavailable,
-				shard:  res.shard.Name,
-				msg:    fmt.Sprintf("shard %s (%s) unreachable: %v", res.shard.Name, res.shard.URL, res.err),
-			}
-		}
-		if res.status != http.StatusOK {
-			var body shardErrorBody
-			msg := fmt.Sprintf("shard %s answered %d", res.shard.Name, res.status)
-			if json.Unmarshal(res.body, &body) == nil && body.Error != "" {
-				msg = fmt.Sprintf("shard %s: %s", res.shard.Name, body.Error)
-			}
-			return &coordError{
-				status: res.status, shard: res.shard.Name, msg: msg,
-				timeout: body.Timeout, cancelled: body.Cancelled,
-			}
+	for i, rq := range reqs {
+		if errs[i] != nil {
+			return nil, shardError(c.shards[rq.shard], errs[i])
 		}
 	}
-	return nil
-}
-
-// generationMismatch checks that every shard answered from the same
-// database generation — merging across generations would silently mix
-// two database states. The fleet operator re-partitions all shards from
-// one source snapshot, so a mismatch means a half-rolled-out fleet:
-// answered 503 (retry when the rollout settles), naming both shards.
-func generationMismatch(results []shardResult, gens []uint64) *coordError {
-	for i := 1; i < len(gens); i++ {
-		if gens[i] != gens[0] {
-			return &coordError{
-				status: http.StatusServiceUnavailable,
-				shard:  results[i].shard.Name,
-				msg: fmt.Sprintf("shard generation mismatch: %s at %d, %s at %d",
-					results[0].shard.Name, gens[0], results[i].shard.Name, gens[i]),
-			}
+	var first uint64
+	for i, rq := range reqs {
+		gen, ok := valid(i, outs[i])
+		if !ok {
+			return nil, malformed(c.shards[rq.shard])
+		}
+		if i == 0 {
+			first = gen
+		} else if gen != first {
+			return nil, generationMismatch(c.shards[reqs[0].shard].Name, first, c.shards[rq.shard].Name, gen)
 		}
 	}
-	return nil
+	return outs, nil
 }
 
-// coordError is a structured coordinator-level failure.
-type coordError struct {
-	status    int
-	shard     string
-	msg       string
-	timeout   bool
-	cancelled bool
-}
-
-func (e *coordError) Error() string { return e.msg }
-
-func (e *coordError) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	out := map[string]any{"error": e.msg}
-	if e.shard != "" {
-		out["shard"] = e.shard
+// fanout gathers the same request from every shard, in fleet order.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, valid func(i int, v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, server.Errorf(http.StatusInternalServerError, "%v", err)
 	}
-	if e.timeout {
-		out["timeout"] = true
+	reqs := make([]subRequest, len(c.shards))
+	for si := range reqs {
+		reqs[si] = subRequest{si, body}
 	}
-	if e.cancelled {
-		out["cancelled"] = true
-	}
-	json.NewEncoder(w).Encode(out)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// decodeBody parses a JSON request body (POST only), mirroring the
-// single-node server so clients see identical 400/405 behavior.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	// Drain to EOF: net/http arms its client-disconnect detection (which
-	// cancels r.Context()) only once the body is fully consumed, and
-	// Decode stops after the first JSON value.
-	io.Copy(io.Discard, r.Body)
-	return true
+	return gather(ctx, c, path, reqs, valid)
 }

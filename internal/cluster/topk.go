@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"probgraph/internal/server"
@@ -33,41 +32,15 @@ type schedEntry struct {
 // answer. The result is bitwise-identical to single-node QueryTopK.
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if _, _, ok := server.Accept(w, r, &req, req.CheckTopK); !ok {
 		return
 	}
-	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	if _, err := req.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	c.mx.queries["topk"].Inc()
 	start := time.Now()
-	body, err := json.Marshal(&req)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	results := c.fanout(r.Context(), "/topk/bounds", body)
-	if ce := shardFailure(results); ce != nil {
-		ce.write(w)
-		return
-	}
-	bounds := make([]*server.TopKBoundsResponse, len(results))
-	gens := make([]uint64, len(results))
-	for i, res := range results {
-		var br server.TopKBoundsResponse
-		if err := json.Unmarshal(res.body, &br); err != nil {
-			badShardResponse(w, res.shard)
-			return
-		}
-		bounds[i] = &br
-		gens[i] = br.Generation
-	}
-	if ce := generationMismatch(results, gens); ce != nil {
-		ce.write(w)
+	bounds, e := fanout(r.Context(), c, "/topk/bounds", &req,
+		func(_ int, br *server.TopKBoundsResponse) (uint64, bool) { return br.Generation, true })
+	if e != nil {
+		e.Write(w)
 		return
 	}
 	for i := 1; i < len(bounds); i++ {
@@ -75,7 +48,7 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// every shard received identically; disagreement means the fleet
 		// is not running the same code.
 		if bounds[i].Degenerate != bounds[0].Degenerate {
-			badShardResponse(w, results[i].shard)
+			malformed(c.shards[i]).Write(w)
 			return
 		}
 	}
@@ -83,27 +56,19 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var items []server.TopKItemJSON
 	if bounds[0].Degenerate {
 		items = mergeDegenerate(bounds, req.K)
-	} else {
-		sched := mergeSchedules(bounds)
-		items, err = c.replayTopK(r.Context(), &req, sched)
-		if err != nil {
-			if ce, ok := err.(*coordError); ok {
-				ce.write(w)
-			} else {
-				httpError(w, http.StatusBadGateway, "%v", err)
-			}
-			return
-		}
+	} else if items, e = c.replayTopK(r.Context(), &req, mergeSchedules(bounds), bounds[0].Generation); e != nil {
+		e.Write(w)
+		return
 	}
 	resp := &server.TopKResponse{
 		Items:      items,
-		Generation: gens[0],
+		Generation: bounds[0].Generation,
 		TimeMS:     float64(time.Since(start).Microseconds()) / 1000,
 	}
-	if traceWanted(r, req.Trace) {
-		resp.Trace = traceTree(r)
+	if server.TraceWanted(r, req.Trace) {
+		resp.Trace = server.TraceTree(r)
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // mergeDegenerate handles δ ≥ |E(q)|: every live graph matches with SSP 1
@@ -154,7 +119,8 @@ func mergeSchedules(bounds []*server.TopKBoundsResponse) []schedEntry {
 // insert when positive, ranked SSP descending / global id ascending,
 // truncated to k. SSPs are fetched in look-ahead batches grouped by
 // owning shard; entries past the serial stop point are simply discarded.
-func (c *Coordinator) replayTopK(ctx context.Context, req *server.QueryRequest, sched []schedEntry) ([]server.TopKItemJSON, error) {
+// gen is the generation the schedule was computed under.
+func (c *Coordinator) replayTopK(ctx context.Context, req *server.QueryRequest, sched []schedEntry, gen uint64) ([]server.TopKItemJSON, *server.Error) {
 	k := req.K
 	batch := k
 	if batch < 8 {
@@ -168,18 +134,17 @@ func (c *Coordinator) replayTopK(ctx context.Context, req *server.QueryRequest, 
 		return top[len(top)-1].SSP
 	}
 	ssps := make(map[int]float64, len(sched))
-	fetched := make(map[int]bool, len(sched))
 	for i := 0; i < len(sched); i++ {
 		e := sched[i]
 		if len(top) >= k && e.upper <= kthBest() {
 			break
 		}
-		if !fetched[e.gid] {
+		if _, fetched := ssps[e.gid]; !fetched {
 			hi := i + batch
 			if hi > len(sched) {
 				hi = len(sched)
 			}
-			if err := c.fetchSSPs(ctx, req, sched[i:hi], ssps, fetched); err != nil {
+			if err := c.fetchSSPs(ctx, req, sched[i:hi], gen, ssps); err != nil {
 				return nil, err
 			}
 		}
@@ -209,57 +174,51 @@ func insertTop(top []server.TopKItemJSON, item server.TopKItemJSON, k int) []ser
 
 // fetchSSPs verifies one look-ahead window of schedule entries: global
 // ids are grouped by owning shard and each shard verifies its group in
-// one /topk/verify call, concurrently. Results land in ssps; fetched
-// marks every id attempted so the replay loop never re-requests a
-// candidate whose SSP verified to 0 (absent from the response map).
-func (c *Coordinator) fetchSSPs(ctx context.Context, req *server.QueryRequest, window []schedEntry, ssps map[int]float64, fetched map[int]bool) error {
+// one /topk/verify call, concurrently. Results land in ssps — an entry
+// for every id asked about, zeros included (a shard answers every id it
+// is given; one left out is a malformed answer, never an SSP of 0) —
+// and must have been computed under gen, the schedule's generation: a
+// shard that moved on between the two phases would otherwise be merged
+// into a ranking of two database states.
+func (c *Coordinator) fetchSSPs(ctx context.Context, req *server.QueryRequest, window []schedEntry, gen uint64, ssps map[int]float64) *server.Error {
 	byShard := make(map[int][]int)
 	for _, e := range window {
-		if fetched[e.gid] {
-			continue
+		if _, fetched := ssps[e.gid]; !fetched {
+			byShard[e.shard] = append(byShard[e.shard], e.gid)
 		}
-		fetched[e.gid] = true
-		byShard[e.shard] = append(byShard[e.shard], e.gid)
-	}
-	if len(byShard) == 0 {
-		return nil
 	}
 	// Deterministic sub-request order: fleet order, ids ascending.
-	shardIdx := make([]int, 0, len(byShard))
-	for si := range byShard {
-		sort.Ints(byShard[si])
-		shardIdx = append(shardIdx, si)
-	}
-	sort.Ints(shardIdx)
-
-	results := make([]shardResult, len(shardIdx))
-	var wg sync.WaitGroup
-	for oi, si := range shardIdx {
-		vreq := server.TopKVerifyRequest{QueryRequest: *req, Graphs: byShard[si]}
-		body, err := json.Marshal(&vreq)
-		if err != nil {
-			return err
+	var reqs []subRequest
+	var ids [][]int
+	for si := range c.shards {
+		if len(byShard[si]) == 0 {
+			continue
 		}
-		wg.Add(1)
-		go func(oi, si int, body []byte) {
-			defer wg.Done()
-			results[oi] = c.call(ctx, c.shards[si], "/topk/verify", body)
-		}(oi, si, body)
+		sort.Ints(byShard[si])
+		body, err := json.Marshal(&server.TopKVerifyRequest{QueryRequest: *req, Graphs: byShard[si]})
+		if err != nil {
+			return server.Errorf(http.StatusInternalServerError, "%v", err)
+		}
+		reqs = append(reqs, subRequest{si, body})
+		ids = append(ids, byShard[si])
 	}
-	wg.Wait()
-	if ce := shardFailure(results); ce != nil {
-		return ce
-	}
-	for _, res := range results {
-		var vr server.TopKVerifyResponse
-		if err := json.Unmarshal(res.body, &vr); err != nil {
-			return &coordError{
-				status: http.StatusBadGateway, shard: res.shard.Name,
-				msg: "shard " + res.shard.Name + ": undecodable response",
+	resps, e := gather(ctx, c, "/topk/verify", reqs, func(i int, vr *server.TopKVerifyResponse) (uint64, bool) {
+		for _, gid := range ids[i] {
+			if _, ok := vr.SSP[gid]; !ok {
+				return 0, false
 			}
 		}
-		for gid, ssp := range vr.SSP {
-			ssps[gid] = ssp
+		return vr.Generation, true
+	})
+	if e != nil {
+		return e
+	}
+	if got := resps[0].Generation; got != gen {
+		return generationMismatch("/topk/bounds", gen, c.shards[reqs[0].shard].Name, got)
+	}
+	for i, vr := range resps {
+		for _, gid := range ids[i] {
+			ssps[gid] = vr.SSP[gid]
 		}
 	}
 	return nil

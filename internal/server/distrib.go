@@ -1,90 +1,18 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"probgraph/internal/core"
-	"probgraph/internal/graph"
 	"probgraph/internal/obs"
 )
 
-var (
-	errBatchBothPayloads = errors.New("give either queries or query_texts, not both")
-	errBatchEmpty        = errors.New("empty batch")
-)
-
 // This file is the shard side of distributed serving (see
-// internal/cluster): request validation the coordinator reuses before
-// fanning out, and the two shard-internal endpoints the distributed
+// internal/cluster): the two shard-internal endpoints the distributed
 // top-k replay needs — /topk/bounds (the verification schedule, no
 // verification) and /topk/verify (SSPs for an explicit global-id list).
 // Both speak global graph ids on the wire, like every other endpoint on
 // a partition.
-
-// Check validates every result-affecting knob of the request — the query
-// graph parses, the verifier is known, ε/δ are in range, timeout_ms is
-// non-negative — and returns the parsed query. The coordinator calls it
-// before fanning a request out, so a malformed request is rejected with
-// one 400 instead of N shard round-trips; the semantics are exactly the
-// single-node handlers' bad-request path.
-func (req *QueryRequest) Check() (*graph.Graph, error) {
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := verifierKind(req.Verifier); err != nil {
-		return nil, err
-	}
-	opt := core.QueryOptions{Epsilon: req.Epsilon, Delta: req.Delta}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// Check validates a batch request the way /batch does (either queries or
-// query_texts, at least one member, every member parses, options in
-// range) and returns the parsed members in request order.
-func (req *BatchRequest) Check() ([]*graph.Graph, error) {
-	if len(req.Queries) > 0 && len(req.QueryTexts) > 0 {
-		return nil, errBatchBothPayloads
-	}
-	var qs []*graph.Graph
-	for i := range req.Queries {
-		q, err := GraphFromJSON(&req.Queries[i])
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %v", i, err)
-		}
-		qs = append(qs, q)
-	}
-	for i, text := range req.QueryTexts {
-		q, err := parseGraphPayload(nil, text)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %v", i, err)
-		}
-		qs = append(qs, q)
-	}
-	if len(qs) == 0 {
-		return nil, errBatchEmpty
-	}
-	if _, err := verifierKind(req.Verifier); err != nil {
-		return nil, err
-	}
-	opt := core.QueryOptions{Epsilon: req.Epsilon, Delta: req.Delta}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		return nil, err
-	}
-	return qs, nil
-}
 
 // TopKBoundJSON is one /topk/bounds schedule entry: a candidate's global
 // graph id, its name, and its clamped SSP upper bound.
@@ -132,21 +60,8 @@ type TopKVerifyResponse struct {
 // merged result.
 func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	q, err := req.Check()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := accept(s, w, r, &req, req.CheckTopK)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -159,7 +74,7 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 	bounds, degenerate, err := v.QueryTopKBounds(ctx, q, req.K, opt)
 	release()
 	if err != nil {
-		evalError(w, "topk bounds failed", err)
+		ErrorFrom("topk bounds failed", err).Write(w)
 		return
 	}
 	resp := TopKBoundsResponse{
@@ -173,10 +88,10 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 			Graph: v.GID(b.Graph), Name: v.Graphs[b.Graph].G.Name(), Upper: b.Upper,
 		})
 	}
-	if traceWanted(r, req.Trace) {
-		resp.Trace = traceTree(r)
+	if TraceWanted(r, req.Trace) {
+		resp.Trace = TraceTree(r)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleTopKVerify is POST /topk/verify: SSP estimates for an explicit
@@ -186,21 +101,8 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 // commit loop unchanged.
 func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	var req TopKVerifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Graphs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty graphs list")
-		return
-	}
-	q, err := req.Check()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := accept(s, w, r, &req, req.Check)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -222,7 +124,7 @@ func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	ssps, err := v.VerifySSPBatch(ctx, q, locals, opt)
 	release()
 	if err != nil {
-		evalError(w, "topk verify failed", err)
+		ErrorFrom("topk verify failed", err).Write(w)
 		return
 	}
 	resp := TopKVerifyResponse{
@@ -233,5 +135,5 @@ func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	for i, p := range ssps {
 		resp.SSP[req.Graphs[i]] = p
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }

@@ -2,6 +2,13 @@
 // long-running HTTP/JSON query service: load (or receive) a database once,
 // answer many T-PS queries concurrently on the engine's deterministic
 // worker pool, and serve repeated queries from an LRU result cache.
+//
+// It is also the single owner of the service's wire format, which the
+// coordinator (internal/cluster), pgsearch -server and both server mains
+// call rather than restate: the request and response types, the one
+// failure body (Error), the request prologue (Accept and the Check
+// methods), the NDJSON reader and writer (ReadStream, StreamWriter), the
+// HTTP client (Client), and the process loop (Serve).
 package server
 
 import (

@@ -144,28 +144,30 @@ func (m *serverMetrics) totalQueries() int64 {
 	return n
 }
 
-// instrumented wraps a query-endpoint handler with the observability
-// middleware: a fresh trace whose root span covers the handler (stage
-// spans attach under it inside the engine), the pipeline bridge, the
-// X-PG-Trace-Id response header, the endpoint latency histogram, and
-// slowlog admission. The trace itself is cheap (one small allocation and
-// mutex-guarded span appends at stage granularity); per-candidate hot
-// paths never see it.
-func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// Instrument wraps a query-endpoint handler with the observability
+// middleware pgserve and pgproxy share: a fresh trace whose root span
+// covers the handler (stage spans — or a coordinator's shard sub-requests
+// — attach under it), the pipeline bridge, the X-PG-Trace-Id response
+// header, the endpoint latency histogram, and slowlog admission. The
+// trace itself is cheap (one small allocation and mutex-guarded span
+// appends at stage granularity); per-candidate hot paths never see it.
+// pipeline and slowlog may be nil (a coordinator evaluates nothing and
+// keeps no slowlog).
+func Instrument(endpoint string, latency *obs.Histogram, pipeline *obs.Pipeline, slowlog *obs.Slowlog, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tr := obs.NewTrace()
 		root := tr.Root(endpoint)
 		ctx := obs.ContextWithSpan(r.Context(), root)
-		ctx = obs.ContextWithPipeline(ctx, s.metrics.pipeline)
+		ctx = obs.ContextWithPipeline(ctx, pipeline)
 		w.Header().Set("X-PG-Trace-Id", tr.ID())
 		h(w, r.WithContext(ctx))
 		root.End()
 		elapsed := time.Since(start)
-		s.metrics.latency[endpoint].Observe(elapsed.Seconds())
+		latency.Observe(elapsed.Seconds())
 		durMS := float64(elapsed.Microseconds()) / 1000
-		if sl := s.metrics.slowlog; sl.Admits(durMS) {
-			sl.Offer(obs.SlowEntry{
+		if slowlog.Admits(durMS) {
+			slowlog.Offer(obs.SlowEntry{
 				TraceID:    tr.ID(),
 				Endpoint:   endpoint,
 				Time:       start,
@@ -176,31 +178,33 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-// traceWanted reports whether the request opted into an inline span tree
+// TraceWanted reports whether the request opted into an inline span tree
 // (trace=1 URL knob or the request body's trace field).
-func traceWanted(r *http.Request, bodyFlag bool) bool {
+func TraceWanted(r *http.Request, bodyFlag bool) bool {
 	return bodyFlag || r.URL.Query().Get("trace") == "1"
 }
 
-// traceTree snapshots the request's span tree for inline delivery. The
+// TraceTree snapshots the request's span tree for inline delivery. The
 // root span is still open (the middleware ends it after the response is
 // written), so its duration reads as-of-now — evaluation is complete at
 // every call site, only response encoding is excluded.
-func traceTree(r *http.Request) *obs.SpanNode {
+func TraceTree(r *http.Request) *obs.SpanNode {
 	if tr := obs.TraceFrom(r.Context()); tr != nil {
 		return tr.Tree()
 	}
 	return nil
 }
 
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.reg.WritePrometheus(w)
+// MetricsHandler serves reg in Prometheus text exposition format.
+func MetricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	}
 }
 
 // handleSlowlog serves the N slowest queries (with span trees), slowest
 // first.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"slowest": s.metrics.slowlog.Snapshot()})
+	WriteJSON(w, map[string]any{"slowest": s.metrics.slowlog.Snapshot()})
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -117,17 +115,20 @@ func New(db *core.Database, opt Options) *Server {
 		s.sem = make(chan struct{}, opt.MaxInflight)
 	}
 	s.metrics = newServerMetrics(s, opt.Metrics, opt.SlowlogSize)
-	s.mux.HandleFunc("/query", s.instrumented("query", s.handleQuery))
-	s.mux.HandleFunc("/query/stream", s.instrumented("stream", s.handleQueryStream))
-	s.mux.HandleFunc("/topk", s.instrumented("topk", s.handleTopK))
-	s.mux.HandleFunc("/topk/bounds", s.instrumented("topk_bounds", s.handleTopKBounds))
-	s.mux.HandleFunc("/topk/verify", s.instrumented("topk_verify", s.handleTopKVerify))
-	s.mux.HandleFunc("/batch", s.instrumented("batch", s.handleBatch))
+	instrumented := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+		return Instrument(endpoint, s.metrics.latency[endpoint], s.metrics.pipeline, s.metrics.slowlog, h)
+	}
+	s.mux.HandleFunc("/query", instrumented("query", s.handleQuery))
+	s.mux.HandleFunc("/query/stream", instrumented("stream", s.handleQueryStream))
+	s.mux.HandleFunc("/topk", instrumented("topk", s.handleTopK))
+	s.mux.HandleFunc("/topk/bounds", instrumented("topk_bounds", s.handleTopKBounds))
+	s.mux.HandleFunc("/topk/verify", instrumented("topk_verify", s.handleTopKVerify))
+	s.mux.HandleFunc("/batch", instrumented("batch", s.handleBatch))
 	s.mux.HandleFunc("POST /graphs", s.handleAddGraph)
 	s.mux.HandleFunc("DELETE /graphs/{id}", s.handleRemoveGraph)
 	s.mux.HandleFunc("PUT /graphs/{id}", s.handleReplaceGraph)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", MetricsHandler(s.metrics.reg))
 	s.mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -386,28 +387,12 @@ func (g *genCounters) snapshotSorted() []genCacheEntry {
 	return out
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// checkTimeoutMS validates the timeout_ms request knob: negative values
-// are malformed (rejected 400 by the caller, matching the CLI flags and
-// the ε/δ validation convention), 0 means "use the server default".
-func checkTimeoutMS(timeoutMS int64) error {
-	if timeoutMS < 0 {
-		return fmt.Errorf("timeout_ms must be >= 0, got %d", timeoutMS)
-	}
-	return nil
-}
-
 // requestContext derives the evaluation context for one request: the
 // request's own context (cancelled when the client disconnects, and — when
 // pgserve wires http.Server.BaseContext to its shutdown context — when the
 // process is told to stop) bounded by the effective deadline: timeoutMS
 // when positive, else the server default. timeoutMS has been validated by
-// checkTimeoutMS.
+// the request's Check.
 func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.opt.Timeout
 	if timeoutMS > 0 {
@@ -419,102 +404,14 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return r.Context(), func() {}
 }
 
-// evalError maps an evaluation failure to the response. Deadline expiry is
-// a structured 504 with "timeout": true — the client gets a parseable
-// verdict, not a hung or reset connection. Plain cancellation means the
-// request context died: either the client disconnected (the 503 write
-// below lands nowhere, harmlessly) or the server is shutting down with
-// the client still attached — then the 503 tells it to retry elsewhere.
-// Everything else is an evaluation failure (422).
-func evalError(w http.ResponseWriter, what string, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusGatewayTimeout)
-		json.NewEncoder(w).Encode(map[string]any{
-			"error":   fmt.Sprintf("%s: deadline exceeded", what),
-			"timeout": true,
-		})
-	case errors.Is(err, context.Canceled):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{
-			"error":     fmt.Sprintf("%s: cancelled", what),
-			"cancelled": true,
-		})
-	default:
-		httpError(w, http.StatusUnprocessableEntity, "%s: %v", what, err)
+// accept is the shared prologue (Accept) plus the one default only an
+// evaluating node injects: its worker count, for requests that set none.
+func accept[Q any](s *Server, w http.ResponseWriter, r *http.Request, req any, check func() (Q, core.QueryOptions, error)) (Q, core.QueryOptions, bool) {
+	q, opt, ok := Accept(w, r, req, check)
+	if opt.Concurrency == 0 {
+		opt.Concurrency = s.opt.Workers
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody parses a JSON request body, enforcing the expected method
-// for mux patterns that are not method-qualified.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	return decodeJSONBody(w, r, v)
-}
-
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	// Drain to EOF: net/http arms its client-disconnect detection (which
-	// cancels r.Context()) only once the body is fully consumed, and
-	// Decode stops after the first JSON value.
-	io.Copy(io.Discard, r.Body)
-	return true
-}
-
-func verifierKind(name string) (core.VerifierKind, error) {
-	switch name {
-	case "", "smp":
-		return core.VerifierSMP, nil
-	case "exact":
-		return core.VerifierExact, nil
-	case "none":
-		return core.VerifierNone, nil
-	default:
-		return 0, fmt.Errorf("unknown verifier %q (want smp, exact, or none)", name)
-	}
-}
-
-// queryOptions translates request knobs to engine options. Workers is the
-// only server-side default injected; everything result-affecting comes
-// from the request. Out-of-range ε/δ are rejected here — the error joins
-// the handlers' bad-request path (HTTP 400), distinguishing malformed
-// requests from evaluation failures (422) on every query endpoint,
-// /query/stream included.
-func (s *Server) queryOptions(epsilon float64, delta int, verifier string, plain bool, seed int64, workers int) (core.QueryOptions, error) {
-	vk, err := verifierKind(verifier)
-	if err != nil {
-		return core.QueryOptions{}, err
-	}
-	if workers == 0 {
-		workers = s.opt.Workers
-	}
-	opt := core.QueryOptions{
-		Epsilon:     epsilon,
-		Delta:       delta,
-		OptBounds:   !plain,
-		Verifier:    vk,
-		Seed:        seed,
-		Concurrency: workers,
-	}
-	if err := opt.Validate(); err != nil {
-		return core.QueryOptions{}, err
-	}
-	return opt, nil
+	return q, opt, ok
 }
 
 // cacheKey identifies one deterministic query outcome: the generation it
@@ -602,21 +499,8 @@ func queryResponse(v *core.View, res *core.Result, cached bool, elapsed time.Dur
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := accept(s, w, r, &req, req.Check)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -629,14 +513,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
 	s.metrics.queries["query"].Inc()
 	key := cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
-	wantTrace := traceWanted(r, req.Trace)
+	wantTrace := TraceWanted(r, req.Trace)
 	if !req.NoCache {
 		if cached, ok := s.cacheGet(v.Generation, key); ok {
 			resp := queryResponse(v, cached.(*core.Result), true, time.Since(start))
 			if wantTrace {
-				resp.Trace = traceTree(r)
+				resp.Trace = TraceTree(r)
 			}
-			writeJSON(w, resp)
+			WriteJSON(w, resp)
 			return
 		}
 	}
@@ -647,7 +531,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Cancelled and timed-out evaluations return an error, so they can
 		// never reach the cache Put below — a dead query never poisons the
 		// result cache.
-		evalError(w, "query failed", err)
+		ErrorFrom("query failed", err).Write(w)
 		return
 	}
 	if !req.NoCache {
@@ -655,32 +539,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := queryResponse(v, res, false, time.Since(start))
 	if wantTrace {
-		resp.Trace = traceTree(r)
+		resp.Trace = TraceTree(r)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := accept(s, w, r, &req, req.CheckTopK)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -690,7 +557,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
 	s.metrics.queries["topk"].Inc()
 	key := cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
-	wantTrace := traceWanted(r, req.Trace)
+	wantTrace := TraceWanted(r, req.Trace)
 
 	build := func(items []core.TopKItem, cached bool) TopKResponse {
 		out := TopKResponse{Items: []TopKItemJSON{}, Generation: v.Generation, Cached: cached,
@@ -701,13 +568,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		if wantTrace {
-			out.Trace = traceTree(r)
+			out.Trace = TraceTree(r)
 		}
 		return out
 	}
 	if !req.NoCache {
 		if cached, ok := s.cacheGet(v.Generation, key); ok {
-			writeJSON(w, build(cached.([]core.TopKItem), true))
+			WriteJSON(w, build(cached.([]core.TopKItem), true))
 			return
 		}
 	}
@@ -715,52 +582,19 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	items, err := v.QueryTopKCtx(ctx, q, req.K, opt)
 	release()
 	if err != nil {
-		evalError(w, "topk failed", err)
+		ErrorFrom("topk failed", err).Write(w)
 		return
 	}
 	if !req.NoCache {
 		s.cache.Put(key, items)
 	}
-	writeJSON(w, build(items, false))
+	WriteJSON(w, build(items, false))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Queries) > 0 && len(req.QueryTexts) > 0 {
-		httpError(w, http.StatusBadRequest, "give either queries or query_texts, not both")
-		return
-	}
-	var qs []*graph.Graph
-	for i := range req.Queries {
-		q, err := GraphFromJSON(&req.Queries[i])
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
-			return
-		}
-		qs = append(qs, q)
-	}
-	for i, text := range req.QueryTexts {
-		q, err := parseGraphPayload(nil, text)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
-			return
-		}
-		qs = append(qs, q)
-	}
-	if len(qs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	qs, opt, ok := accept(s, w, r, &req, req.Check)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -810,10 +644,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				for _, res := range cached {
 					out.Results = append(out.Results, queryResponse(v, res, true, 0))
 				}
-				if traceWanted(r, req.Trace) {
-					out.Trace = traceTree(r)
+				if TraceWanted(r, req.Trace) {
+					out.Trace = TraceTree(r)
 				}
-				writeJSON(w, out)
+				WriteJSON(w, out)
 				return
 			}
 		}
@@ -822,7 +656,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results, err := v.QueryBatchCtx(ctx, qs, opt)
 	release()
 	if err != nil {
-		evalError(w, "batch failed", err)
+		ErrorFrom("batch failed", err).Write(w)
 		return
 	}
 	out := BatchResponse{TimeMS: float64(time.Since(start).Microseconds()) / 1000}
@@ -832,10 +666,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Results = append(out.Results, queryResponse(v, res, false, 0))
 	}
-	if traceWanted(r, req.Trace) {
-		out.Trace = traceTree(r)
+	if TraceWanted(r, req.Trace) {
+		out.Trace = TraceTree(r)
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // mutationResponse assembles the reply from core's mutation record —
@@ -884,7 +718,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "adding graph: %v", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("add", m))
+	WriteJSON(w, s.mutationResponse("add", m))
 }
 
 // graphID parses the {id} path segment of /graphs/{id}.
@@ -918,7 +752,7 @@ func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, "removing graph", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("remove", m))
+	WriteJSON(w, s.mutationResponse("remove", m))
 }
 
 func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
@@ -940,7 +774,7 @@ func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, "replacing graph", err)
 		return
 	}
-	writeJSON(w, s.mutationResponse("replace", m))
+	WriteJSON(w, s.mutationResponse("replace", m))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -970,7 +804,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v.Struct != nil {
 		resp.StructShards, resp.StructPostings = v.Struct.PostingsStats()
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleHealthz is the liveness probe: the process is up and serving
@@ -979,7 +813,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // traffic on /readyz failures, independently.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v := s.db.View()
-	writeJSON(w, map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation})
+	WriteJSON(w, map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation})
 }
 
 // handleReadyz is the readiness probe: 200 once the database is loaded
@@ -994,7 +828,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"ready": false, "error": "no live graphs"})
 		return
 	}
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"ready": true, "graphs": v.NumLive(), "generation": v.Generation,
 		"partitioned": v.Partitioned(),
 	})

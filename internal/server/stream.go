@@ -1,9 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -49,6 +48,95 @@ type StreamErrorJSON struct {
 	Error     string `json:"error"`
 	Timeout   bool   `json:"timeout,omitempty"`
 	Cancelled bool   `json:"cancelled,omitempty"`
+}
+
+// StreamWriter writes one /query/stream response: NDJSON lines, each
+// flushed as it is written, and the bookkeeping for the summary line that
+// ends a complete stream. It is not safe for concurrent use; the
+// coordinator, which forwards from one goroutine per shard, guards it.
+type StreamWriter struct {
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	failed  bool // a client write failed; everything further is dropped
+	answers []int
+	ssp     map[int]float64
+}
+
+// NewStreamWriter commits w to an NDJSON response.
+func NewStreamWriter(w http.ResponseWriter) *StreamWriter {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
+	return &StreamWriter{w: w, rc: http.NewResponseController(w), answers: []int{}, ssp: make(map[int]float64)}
+}
+
+// line writes one line and flushes it. false means the client is gone.
+func (sw *StreamWriter) line(data []byte) bool {
+	if sw.failed {
+		return false
+	}
+	// A stream may legitimately outlive the http.Server's blanket
+	// WriteTimeout (sized for one-shot responses), so each write gets
+	// its own fresh deadline instead: generous enough for any live
+	// client, finite so a stuck connection is still reclaimed. Not
+	// every ResponseWriter supports per-request deadlines (
+	// ErrNotSupported); then the server-wide timeout keeps applying.
+	sw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+	_, err := sw.w.Write(data)
+	if err == nil {
+		_, err = io.WriteString(sw.w, "\n")
+	}
+	if err != nil {
+		sw.failed = true
+		return false
+	}
+	// A flush failure means the client is gone; r.Context() is
+	// cancelled on disconnect, which ends the evaluation (and every
+	// shard stream), so the error itself needs no handling here.
+	sw.rc.Flush()
+	return true
+}
+
+// emit writes v as one line.
+func (sw *StreamWriter) emit(v any) bool {
+	data, err := json.Marshal(v)
+	return err == nil && sw.line(data)
+}
+
+// Match writes one match line and records it for the summary. raw, when
+// non-nil, is m as another server already encoded it (no newline) and is
+// forwarded verbatim. false means the client is gone.
+func (sw *StreamWriter) Match(m StreamMatchJSON, raw []byte) bool {
+	written := false
+	if raw != nil {
+		written = sw.line(raw)
+	} else {
+		written = sw.emit(m)
+	}
+	if !written {
+		return false
+	}
+	sw.answers = append(sw.answers, m.Graph)
+	sw.ssp[m.Graph] = m.SSP
+	return true
+}
+
+// Fail ends the stream with an in-band error line — the status line is
+// long gone — carrying e's message and its timeout/cancelled flags.
+func (sw *StreamWriter) Fail(e *Error) {
+	sw.emit(StreamErrorJSON{Error: e.Message, Timeout: e.Timeout, Cancelled: e.Cancelled})
+}
+
+// Done ends a complete stream with its summary line: every match written,
+// re-sorted ascending.
+func (sw *StreamWriter) Done(start time.Time) {
+	sort.Ints(sw.answers)
+	sw.emit(StreamSummaryJSON{
+		Done:    true,
+		Answers: sw.answers,
+		SSP:     sw.ssp,
+		Count:   len(sw.answers),
+		TimeMS:  float64(time.Since(start).Microseconds()) / 1000,
+	})
 }
 
 // streamItem is one element of the evaluation→delivery hand-off queue:
@@ -144,25 +232,8 @@ func (sq *streamQueue) pop() (it streamItem, ok bool) {
 //     live no matter what a stream's client does.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.K != 0 {
-		httpError(w, http.StatusBadRequest, "k is not supported on /query/stream")
-		return
-	}
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opt, err := s.queryOptions(req.Epsilon, req.Delta, req.Verifier, req.Plain, req.Seed, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	q, opt, ok := accept(s, w, r, &req, req.CheckStream)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -195,30 +266,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	emit := func(v any) bool {
-		// A stream may legitimately outlive the http.Server's blanket
-		// WriteTimeout (sized for one-shot responses), so each write gets
-		// its own fresh deadline instead: generous enough for any live
-		// client, finite so a stuck connection is still reclaimed. Not
-		// every ResponseWriter supports per-request deadlines (
-		// ErrNotSupported); then the server-wide timeout keeps applying.
-		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		// A flush failure means the client is gone; r.Context() is
-		// cancelled on disconnect, which ends the evaluation goroutine,
-		// so the error itself needs no handling here.
-		rc.Flush()
-		return true
-	}
-
-	answers := []int{}
-	ssp := make(map[int]float64)
+	sw := NewStreamWriter(w)
 	for {
 		it, ok := queue.pop()
 		if !ok {
@@ -228,26 +276,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			// On plain cancellation the client is either gone (the line
 			// lands nowhere) or watching a graceful shutdown — then the
 			// in-band cancelled marker is its cue to retry elsewhere,
-			// mirroring the non-stream endpoints' 503.
-			emit(StreamErrorJSON{
-				Error:     "stream failed: " + it.err.Error(),
-				Timeout:   errors.Is(it.err, context.DeadlineExceeded),
-				Cancelled: errors.Is(it.err, context.Canceled),
-			})
+			// mirroring the non-stream endpoints' 503. The line quotes the
+			// engine's error as is, unlike the 504/503 bodies.
+			e := ErrorFrom("stream failed", it.err)
+			e.Message = "stream failed: " + it.err.Error()
+			sw.Fail(e)
 			return
 		}
-		if !emit(it.m) {
+		if !sw.Match(it.m, nil) {
 			return // evaluation goroutine finishes on its own; pushes never block
 		}
-		answers = append(answers, it.m.Graph)
-		ssp[it.m.Graph] = it.m.SSP
 	}
-	sort.Ints(answers)
-	emit(StreamSummaryJSON{
-		Done:    true,
-		Answers: answers,
-		SSP:     ssp,
-		Count:   len(answers),
-		TimeMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
+	sw.Done(start)
 }
