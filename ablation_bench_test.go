@@ -6,6 +6,7 @@
 package probgraph_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func BenchmarkAblationQueryBounds(b *testing.B) {
 	}{{"OPT-SSPBound", true}, {"SSPBound-random", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q, probgraph.QueryOptions{
+				if _, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 					Epsilon: 0.5, Delta: 1, OptBounds: cfg.opt,
 					Verifier: probgraph.VerifierNone, Seed: int64(i),
 				}); err != nil {
@@ -65,7 +66,7 @@ func BenchmarkAblationSMPSamples(b *testing.B) {
 	for _, n := range []int{200, 800, 3200} {
 		b.Run(byteCount(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q, probgraph.QueryOptions{
+				if _, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 					Epsilon: 0.5, Delta: 1, OptBounds: true,
 					Verify: verify.Options{N: n}, Seed: int64(i),
 				}); err != nil {

@@ -10,6 +10,7 @@
 package probgraph_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -156,7 +157,7 @@ func BenchmarkQuerySMP(b *testing.B) {
 	q := probgraph.ExtractQuery(raw.Graphs[0].G, 5, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q, probgraph.QueryOptions{
+		if _, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 			Epsilon: 0.5, Delta: 1, OptBounds: true, Seed: int64(i),
 		}); err != nil {
 			b.Fatal(err)
@@ -170,7 +171,7 @@ func BenchmarkQueryPruneOnly(b *testing.B) {
 	q := probgraph.ExtractQuery(raw.Graphs[1].G, 5, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q, probgraph.QueryOptions{
+		if _, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 			Epsilon: 0.5, Delta: 1, OptBounds: true,
 			Verifier: probgraph.VerifierNone, Seed: int64(i),
 		}); err != nil {
@@ -239,7 +240,7 @@ func BenchmarkQueryWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for qi, q := range qs {
-					if _, err := db.Query(q, parallelQO(int64(qi), workers)); err != nil {
+					if _, err := db.View().QueryCtx(context.Background(), q, parallelQO(int64(qi), workers)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -256,7 +257,7 @@ func BenchmarkQueryBatchWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryBatch(qs, parallelQO(int64(i), workers)); err != nil {
+				if _, err := db.View().QueryBatchCtx(context.Background(), qs, parallelQO(int64(i), workers)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -150,8 +150,8 @@ func run(args []string, stderr io.Writer) (code int) {
 			return 1
 		}
 		feats := 0
-		if idxDB.PMI() != nil {
-			feats = idxDB.PMI().NumFeatures()
+		if pmi := idxDB.View().PMI; pmi != nil {
+			feats = pmi.NumFeatures()
 		}
 		fmt.Fprintf(stderr, "pggen: wrote snapshot (%d PMI features) to %s\n", feats, *saveSnap)
 	}

@@ -33,7 +33,7 @@
 //
 // -workers N evaluates candidate graphs on a pool of N goroutines (N < 0
 // selects GOMAXPROCS). -batch additionally runs all queries through one
-// QueryBatch call, spreading the same pool across the queries. Both knobs
+// QueryBatchCtx call, spreading the same pool across the queries. Both knobs
 // change scheduling only: for a fixed -seed, every combination of
 // -workers and -batch reports identical answers.
 //
@@ -41,7 +41,7 @@
 // pgsearch prints a one-line error to stderr and exits 3 (distinct from
 // exit 2 for bad flags and exit 1 for evaluation failures).
 //
-// -stream answers with Database.QueryStream instead: one NDJSON line per
+// -stream answers with View.QueryStream instead: one NDJSON line per
 // verified match, written as verification admits it (arrival order), then
 // one summary line per query with the sorted answer set — which is
 // bitwise-identical to the answers the non-streaming run reports, at any
@@ -108,7 +108,7 @@ func main() {
 	verifier := flag.String("verifier", "smp", "verifier: smp, exact, none")
 	plain := flag.Bool("plain", false, "use plain SSPBound instead of OPT-SSPBound")
 	workers := flag.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
-	batch := flag.Bool("batch", false, "run all queries through one QueryBatch call")
+	batch := flag.Bool("batch", false, "run all queries through one QueryBatchCtx call")
 	seed := flag.Int64("seed", 1, "random seed")
 	verbose := flag.Bool("v", false, "print per-answer SSP estimates")
 	jsonOut := flag.Bool("json", false, "print results as JSON to stdout (suppresses tables)")
@@ -210,7 +210,7 @@ func main() {
 			log.Fatal(err)
 		}
 		say("indexed in %v: %d PMI features, %.1f KB index\n\n",
-			time.Since(start), db.PMI().NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
+			time.Since(start), db.View().PMI.NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
 	}
 	if *saveSnap != "" {
 		sf, err := probgraph.ParseSnapshotFormat(*format)
@@ -241,6 +241,9 @@ func main() {
 			say("saved %s snapshot to %s\n", *format, *saveSnap)
 		}
 	}
+
+	// pgsearch never mutates: every query below reads this one view.
+	view := db.View()
 
 	var vk probgraph.VerifierKind
 	switch *verifier {
@@ -273,7 +276,7 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		qs = make([]*probgraph.Graph, *queries)
 		for i := range qs {
-			src := db.Graphs()[(*qfrom+i)%db.Len()].G
+			src := view.Graphs[(*qfrom+i)%view.Len()].G
 			qs[i] = probgraph.ExtractQuery(src, *qsize, rng)
 		}
 	}
@@ -293,12 +296,13 @@ func main() {
 		}
 	}
 
+	qo := probgraph.QueryOptions{
+		Epsilon: *epsilon, Delta: *delta,
+		OptBounds: !*plain, Verifier: vk,
+		Seed: *seed, Concurrency: *workers,
+	}
 	if *stream {
-		runStream(ctx, db, qs, probgraph.QueryOptions{
-			Epsilon: *epsilon, Delta: *delta,
-			OptBounds: !*plain, Verifier: vk,
-			Seed: *seed, Concurrency: *workers,
-		}, *trace, exitOnDeadline)
+		runStream(ctx, view, qs, qo, *trace, exitOnDeadline)
 		return
 	}
 
@@ -306,11 +310,7 @@ func main() {
 	results := make([]*probgraph.Result, len(qs))
 	if *batch {
 		bctx, done := tracedCtx(ctx, *trace, "batch")
-		rs, err := db.QueryBatchCtx(bctx, qs, probgraph.QueryOptions{
-			Epsilon: *epsilon, Delta: *delta,
-			OptBounds: !*plain, Verifier: vk,
-			Seed: *seed, Concurrency: *workers,
-		})
+		rs, err := view.QueryBatchCtx(bctx, qs, qo)
 		done()
 		if err != nil {
 			exitOnDeadline(err)
@@ -319,14 +319,11 @@ func main() {
 		results = rs
 	} else {
 		for i, q := range qs {
-			// Same per-query seed derivation as QueryBatch, so -batch
+			// Same per-query seed derivation as QueryBatchCtx, so -batch
 			// changes scheduling only, never answers.
+			qo.Seed = probgraph.BatchSeed(*seed, i)
 			qctx, done := tracedCtx(ctx, *trace, fmt.Sprintf("q%d", i))
-			res, err := db.QueryCtx(qctx, q, probgraph.QueryOptions{
-				Epsilon: *epsilon, Delta: *delta,
-				OptBounds: !*plain, Verifier: vk,
-				Seed: probgraph.BatchSeed(*seed, i), Concurrency: *workers,
-			})
+			res, err := view.QueryCtx(qctx, q, qo)
 			done()
 			if err != nil {
 				exitOnDeadline(err)
@@ -338,7 +335,7 @@ func main() {
 	elapsed := time.Since(qStart)
 
 	if *jsonOut {
-		printJSON(qs, results, db, elapsed)
+		printJSON(qs, results, view, elapsed)
 		return
 	}
 
@@ -361,7 +358,7 @@ func main() {
 				if ssp == -1 {
 					tag = "accepted by lower bound"
 				}
-				fmt.Printf("  q%d → %s (%s)\n", i, db.Graphs()[gi].G.Name(), tag)
+				fmt.Printf("  q%d → %s (%s)\n", i, view.Graphs[gi].G.Name(), tag)
 			}
 		}
 	}
@@ -389,11 +386,11 @@ type streamSummaryJSON struct {
 	TimeMS  float64 `json:"time_ms"`
 }
 
-// runStream answers every query through Database.QueryStream, printing
+// runStream answers every query through View.QueryStream, printing
 // matches the moment verification admits them. Per-query seeds derive
 // exactly as in the non-streaming path (BatchSeed), so the summary line's
 // sorted answers match a plain run with the same flags.
-func runStream(ctx context.Context, db *probgraph.Database, qs []*probgraph.Graph,
+func runStream(ctx context.Context, view *probgraph.DatabaseView, qs []*probgraph.Graph,
 	opt probgraph.QueryOptions, trace bool, exitOnDeadline func(error)) {
 	enc := json.NewEncoder(os.Stdout)
 	for i, q := range qs {
@@ -402,13 +399,13 @@ func runStream(ctx context.Context, db *probgraph.Database, qs []*probgraph.Grap
 		start := time.Now()
 		var answers []int
 		qctx, done := tracedCtx(ctx, trace, fmt.Sprintf("q%d", i))
-		for m, err := range db.QueryStream(qctx, q, qo) {
+		for m, err := range view.QueryStream(qctx, q, qo) {
 			if err != nil {
 				exitOnDeadline(err)
 				log.Fatal(err)
 			}
 			if err := enc.Encode(streamMatchJSON{
-				Query: i, Graph: m.Graph, Name: db.Graphs()[m.Graph].G.Name(), SSP: m.SSP,
+				Query: i, Graph: m.Graph, Name: view.Graphs[m.Graph].G.Name(), SSP: m.SSP,
 			}); err != nil {
 				log.Fatal(err)
 			}
@@ -442,7 +439,7 @@ type queryJSON struct {
 	TimeMS   float64         `json:"time_ms"`
 }
 
-func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, db *probgraph.Database, elapsed time.Duration) {
+func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, view *probgraph.DatabaseView, elapsed time.Duration) {
 	out := struct {
 		Results []queryJSON `json:"results"`
 		TimeMS  float64     `json:"time_ms"`
@@ -454,7 +451,7 @@ func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, db *probgraph
 		}
 		names := make([]string, len(answers))
 		for k, gi := range answers {
-			names[k] = db.Graphs()[gi].G.Name()
+			names[k] = view.Graphs[gi].G.Name()
 		}
 		out.Results = append(out.Results, queryJSON{
 			Query: i, Edges: qs[i].NumEdges(),

@@ -190,8 +190,9 @@ func main() {
 }
 
 func pmiFeatures(db *core.Database) int {
-	if db.PMI() == nil {
+	pmi := db.View().PMI
+	if pmi == nil {
 		return 0
 	}
-	return db.PMI().NumFeatures()
+	return pmi.NumFeatures()
 }

@@ -1,6 +1,7 @@
 package probgraph_test
 
 import (
+	"context"
 	"fmt"
 
 	"probgraph"
@@ -20,7 +21,7 @@ func ExampleNewDatabase() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := db.Query(q, probgraph.QueryOptions{
+	res, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 		Epsilon:  0.35,
 		Delta:    1,
 		Verifier: probgraph.VerifierExact,
@@ -29,7 +30,7 @@ func ExampleNewDatabase() {
 		panic(err)
 	}
 	for _, gi := range res.Answers {
-		fmt.Println(db.Graphs()[gi].G.Name())
+		fmt.Println(db.View().Graphs[gi].G.Name())
 	}
 	// Output: 002
 }
@@ -66,8 +67,8 @@ func ExampleNewPGraph() {
 	// Output: Pr(e1) = 0.5
 }
 
-// ExampleDatabase_QueryTopK ranks graphs by similarity probability.
-func ExampleDatabase_QueryTopK() {
+// ExampleDatabaseView_QueryTopKCtx ranks graphs by similarity probability.
+func ExampleDatabaseView_QueryTopKCtx() {
 	raw, err := probgraph.GeneratePPI(probgraph.DatasetOptions{
 		NumGraphs: 8, MinVertices: 6, MaxVertices: 8, Organisms: 2,
 		MeanProb: 0.7, Correlated: true, Seed: 42,
@@ -83,8 +84,9 @@ func ExampleDatabase_QueryTopK() {
 		panic(err)
 	}
 	// The first graph's certain structure, as a query against the database.
-	q := db.Certain()[0]
-	top, err := db.QueryTopK(q, 1, probgraph.QueryOptions{
+	view := db.View()
+	q := view.Certain[0]
+	top, err := view.QueryTopKCtx(context.Background(), q, 1, probgraph.QueryOptions{
 		Delta: 1, Verifier: probgraph.VerifierSMP,
 		Verify: probgraph.VerifyOptions{N: 2000}, Seed: 1,
 	})

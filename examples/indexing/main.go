@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,14 +47,15 @@ func main() {
 	// graphs: ⟨LowerB, UpperB⟩ for contained features, ⟨0⟩ otherwise.
 	table := stats.NewTable("PMI matrix excerpt (rows = features, cols = graphs 0-5)",
 		"feature", "g0", "g1", "g2", "g3", "g4", "g5")
-	maxRows := optDB.PMI().NumFeatures()
+	optPMI := optDB.View().PMI
+	maxRows := optPMI.NumFeatures()
 	if maxRows > 8 {
 		maxRows = 8
 	}
 	for fi := 0; fi < maxRows; fi++ {
-		cells := []interface{}{fmt.Sprintf("f%d(%de)", fi, optDB.PMI().Features[fi].NumEdges())}
+		cells := []interface{}{fmt.Sprintf("f%d(%de)", fi, optPMI.Features[fi].NumEdges())}
 		for gi := 0; gi < 6 && gi < len(raw.Graphs); gi++ {
-			e := optDB.PMI().Entries[fi][gi]
+			e := optPMI.Entries[fi][gi]
 			if !e.Contained {
 				cells = append(cells, "<0>")
 			} else {
@@ -68,9 +70,8 @@ func main() {
 	// Bound tightness: average width of contained entries per variant.
 	width := func(db *probgraph.Database) (float64, int) {
 		total, n := 0.0, 0
-		for fi := range db.PMI().Entries {
-			for gi := range db.PMI().Entries[fi] {
-				e := db.PMI().Entries[fi][gi]
+		for _, row := range db.View().PMI.Entries {
+			for _, e := range row {
 				if e.Contained {
 					total += e.Upper - e.Lower
 					n++
@@ -93,7 +94,7 @@ func main() {
 		resolved, total := 0, 0
 		for trial := 0; trial < 5; trial++ {
 			q := probgraph.ExtractQuery(raw.Graphs[trial%len(raw.Graphs)].G, 4, rng)
-			res, err := db.Query(q, probgraph.QueryOptions{
+			res, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 				Epsilon: 0.4, Delta: 1, OptBounds: true,
 				Verifier: probgraph.VerifierNone, Seed: seed + int64(trial),
 			})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -57,10 +58,11 @@ func main() {
 	fmt.Printf("Indexed: %d PMI features (COR), %d (IND)\n\n", corDB.Build().Features, indDB.Build().Features)
 
 	// Part 1: one threshold query in detail on the correlated model.
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	q := probgraph.ExtractQuery(raw.Seeds[0], 5, rng)
 	fmt.Println("Query (pathway fragment from organism 0):", q)
-	res, err := corDB.Query(q, probgraph.QueryOptions{
+	res, err := corDB.View().QueryCtx(ctx, q, probgraph.QueryOptions{
 		Epsilon: epsilon, Delta: delta, OptBounds: true, Seed: 1,
 	})
 	if err != nil {
@@ -95,7 +97,7 @@ func main() {
 				rs  *[]float64
 				tag string
 			}{{corDB, &corP, &corR, "cor"}, {indDB, &indP, &indR, "ind"}} {
-				r, err := cfg.db.Query(q, probgraph.QueryOptions{
+				r, err := cfg.db.View().QueryCtx(ctx, q, probgraph.QueryOptions{
 					Epsilon: eps, Delta: delta, OptBounds: true, Seed: int64(trial),
 				})
 				if err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,12 +38,16 @@ func main() {
 	fmt.Printf("Indexed: %d PMI features, %d bytes of index\n\n",
 		db.Build().Features, db.Build().IndexSizeBytes)
 
+	// Queries run against a pinned, immutable view of the database.
+	view := db.View()
+	ctx := context.Background()
+
 	// The subgraph similarity probability of q against each graph, by
 	// exhaustive possible-world enumeration (the naive Section 1.1
 	// algorithm — feasible only because these graphs are tiny).
 	const delta = 1
-	for gi, pg := range db.Graphs() {
-		ssp, err := db.ExactSSPByEnumeration(q, gi, delta)
+	for gi, pg := range view.Graphs {
+		ssp, err := view.ExactSSPByEnumeration(q, gi, delta)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +60,7 @@ func main() {
 	// so the exact SSP is 0.387 instead of the paper's 0.45 — the behavior
 	// matches: graph 002 clears the threshold, graph 001 does not).
 	const epsilon = 0.35
-	res, err := db.Query(q, probgraph.QueryOptions{
+	res, err := view.QueryCtx(ctx, q, probgraph.QueryOptions{
 		Epsilon:   epsilon,
 		Delta:     delta,
 		OptBounds: true,
@@ -66,7 +71,7 @@ func main() {
 	}
 	fmt.Printf("T-PS query ε=%.2f δ=%d answers: ", epsilon, delta)
 	for _, gi := range res.Answers {
-		fmt.Printf("%s ", db.Graphs()[gi].G.Name())
+		fmt.Printf("%s ", view.Graphs[gi].G.Name())
 	}
 	fmt.Println()
 	fmt.Printf("pipeline: %d structural candidates, %d pruned by Usim, %d accepted by Lsim, %d verified\n",

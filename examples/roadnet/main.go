@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,7 @@ func main() {
 		"epsilon", "delta", "matching districts")
 	for _, eps := range []float64{0.3, 0.5, 0.7, 0.9} {
 		for _, delta := range []int{0, 1} {
-			res, err := db.Query(q, probgraph.QueryOptions{
+			res, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 				Epsilon: eps, Delta: delta, OptBounds: true, Seed: 5,
 			})
 			if err != nil {

@@ -1,12 +1,13 @@
 // Command topk ranks database graphs by subgraph similarity probability
 // instead of thresholding: "which five interaction networks most reliably
-// contain this pathway?" It exercises QueryTopK, which verifies candidates
+// contain this pathway?" It exercises QueryTopKCtx, which verifies candidates
 // in decreasing Usim order and stops as soon as no remaining upper bound
 // can beat the current k-th best — the natural top-k extension of the
 // paper's bound machinery.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,7 +41,7 @@ func main() {
 	fmt.Println("pathway query:", q)
 
 	const k = 5
-	top, err := db.QueryTopK(q, k, probgraph.QueryOptions{
+	top, err := db.View().QueryTopKCtx(context.Background(), q, k, probgraph.QueryOptions{
 		Delta: 1, OptBounds: true, Seed: 4,
 	})
 	if err != nil {

@@ -18,8 +18,9 @@ import (
 //     a thin wrapper over its Ctx sibling, so calling the wrapper from a
 //     ctx-bearing function silently drops cancellation and tracing.
 //
-// Wrapper shims themselves (the one-line Query → QueryCtx forwarders in
-// the public API) do not receive a ctx, so they are out of scope by
+// Wrapper shims themselves (simsearch's one-line SCq → SCqCtx and
+// Candidates → CandidatesCtx forwarders; core's query methods exist in the
+// ctx-taking form only) do not receive a ctx, so they are out of scope by
 // construction. Deliberate detachment (e.g. a background flusher that
 // must outlive the request) is annotated //pgvet:ctxbg <why>.
 var CtxFlow = &Analyzer{

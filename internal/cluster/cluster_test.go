@@ -117,7 +117,7 @@ func extractQueries(db *core.Database, seed int64, n int) []*graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]*graph.Graph, n)
 	for i := range qs {
-		qs[i] = dataset.ExtractQuery(db.Graphs()[i%db.Len()].G, 4, rng)
+		qs[i] = dataset.ExtractQuery(db.View().Graphs[i%db.Len()].G, 4, rng)
 	}
 	return qs
 }

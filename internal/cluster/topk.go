@@ -29,7 +29,7 @@ type schedEntry struct {
 // candidate's owning shard via /topk/verify. SSP fetches are batched a
 // window ahead as prefetch; per-candidate SSPs are deterministic, so
 // overfetch past the serial cutoff wastes work but never changes the
-// answer. The result is bitwise-identical to single-node QueryTopK.
+// answer. The result is bitwise-identical to single-node QueryTopKCtx.
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
 	if _, _, ok := server.Accept(w, r, &req, req.CheckTopK); !ok {

@@ -9,19 +9,18 @@ import (
 	"testing"
 
 	"probgraph/internal/dataset"
-	"probgraph/internal/graph"
 	"probgraph/internal/obs"
-	"probgraph/internal/relax"
+	"probgraph/internal/pool"
 )
 
-// allocFixture builds a corpus plus one query and returns the structural
-// candidates that the PMI bounds alone decide (judgePrune) — the
+// allocFixture builds a corpus plus one query's plan and returns the
+// structural candidates that the PMI bounds alone decide (judgePrune) — the
 // steady-state hot path whose allocation budget the tests below pin.
 // Epsilon is set high so Pruning 1 fires for most candidates; with
 // OptBounds the surviving accept path runs qp.Solve, which is outside the
 // zero-alloc contract (it only runs for candidates headed to verification
 // anyway), so the fixture restricts itself to the pruned set.
-func allocFixture(t *testing.T, optBounds bool) (v *View, q *graph.Graph, u []*graph.Graph, pr *pruner, pruned []int, opt QueryOptions) {
+func allocFixture(t *testing.T, optBounds bool) (v *View, p *plan, pruned []int) {
 	t.Helper()
 	db, raw := snapDB(t, 12)
 	v = db.View()
@@ -35,22 +34,16 @@ func allocFixture(t *testing.T, optBounds bool) (v *View, q *graph.Graph, u []*g
 	}
 	for _, cand := range cands {
 		for _, eps := range []float64{0.99, 0.7, 0.4, 0.1} {
-			q = cand
-			opt = QueryOptions{Epsilon: eps, Delta: 1, OptBounds: optBounds, Seed: 7}.withDefaults()
-			u = relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
+			opt := QueryOptions{Epsilon: eps, Delta: 1, OptBounds: optBounds, Seed: 7}
 			var err error
-			pr, err = v.newPruner(context.Background(), u, opt, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scq, _, err := v.Struct.SCqCtx(context.Background(), q, opt.Delta, 1)
+			p, err = v.newPlan(bg, cand, opt, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pruned = pruned[:0]
-			for _, gi := range scq {
-				sc := getScratch(candSeed(opt.Seed^pruneSalt, gi))
-				verdict := pr.judge(gi, sc)
+			for _, gi := range p.scq {
+				sc := getScratch(candSeed(p.opt.Seed^pruneSalt, gi))
+				verdict := p.pr.judge(gi, sc)
 				putScratch(sc)
 				// With plain bounds every bounds-decided candidate is on the
 				// zero-alloc path; with OPT bounds only Pruning 1 rejects are.
@@ -79,13 +72,13 @@ func TestEvalCandidateSteadyStateAllocs(t *testing.T) {
 	}
 	for _, optBounds := range []bool{false, true} {
 		t.Run(fmt.Sprintf("optBounds=%v", optBounds), func(t *testing.T) {
-			v, q, u, pr, pruned, opt := allocFixture(t, optBounds)
+			v, p, pruned := allocFixture(t, optBounds)
 			for _, gi := range pruned {
-				_ = v.evalCandidate(q, u, pr, gi, opt)
+				_ = v.evalCandidate(p, gi)
 			}
 			avg := testing.AllocsPerRun(100, func() {
 				for _, gi := range pruned {
-					_ = v.evalCandidate(q, u, pr, gi, opt)
+					_ = v.evalCandidate(p, gi)
 				}
 			})
 			// avg counts a whole sweep over len(pruned) candidates, so a
@@ -110,14 +103,14 @@ func TestEvalCandidateParallelAllocs(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, optBounds := range []bool{false, true} {
 		t.Run(fmt.Sprintf("optBounds=%v", optBounds), func(t *testing.T) {
-			v, q, u, pr, pruned, opt := allocFixture(t, optBounds)
+			v, p, pruned := allocFixture(t, optBounds)
 			reps := make([]int, 0, 4096+len(pruned))
 			for len(reps) < 4096 {
 				reps = append(reps, pruned...)
 			}
 			run := func() error {
-				return forEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
-					_ = v.evalCandidate(q, u, pr, reps[i], opt)
+				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
+					_ = v.evalCandidate(p, reps[i])
 				})
 			}
 			if err := run(); err != nil { // warm one scratch per worker

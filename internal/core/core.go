@@ -4,11 +4,12 @@
 // Monte-Carlo or exact verification (paper §1.2).
 //
 // The database is a first-class mutable store built from immutable,
-// generation-numbered views: every query entry point pins the current View
-// and runs against it untouched while AddGraph / RemoveGraph /
+// generation-numbered views: queries are methods of a View pinned with
+// Database.View and run against it untouched while AddGraph / RemoveGraph /
 // ReplaceGraph build the next view copy-on-write under a writer lock —
 // mutations never block readers and readers never block mutations. See
-// the View type for the full contract.
+// the View type for the full contract, and plan.go for the front half
+// every query method shares.
 package core
 
 import (
@@ -54,9 +55,9 @@ type BuildStats struct {
 	IndexSizeBytes int
 }
 
-// View is one immutable, generation-numbered state of a Database. Every
-// query entry point pins the current view at its start and runs against it
-// untouched, so a query observes one consistent database no matter how
+// View is one immutable, generation-numbered state of a Database, and the
+// one place queries live: every query method is a method of View taking a
+// context, so a query observes one consistent database no matter how
 // many mutations commit while it runs — and its results are
 // bitwise-identical to running the same query before the mutation.
 //
@@ -243,40 +244,13 @@ func newFromView(v *View) *Database {
 
 // View pins the current view: an immutable snapshot of the database the
 // caller can query for as long as it likes, unaffected by concurrent
-// mutations. Every query method on Database is shorthand for pinning a
-// view and calling the same method on it.
+// mutations. Queries live on the View — db.View().QueryCtx(ctx, q, opt) —
+// so every call states which generation it reads.
 func (db *Database) View() *View { return db.cur.Load() }
 
 // Len returns the current number of slots (tombstoned ones included); see
 // View.Len.
 func (db *Database) Len() int { return db.View().Len() }
-
-// NumLive returns the current number of live graphs.
-func (db *Database) NumLive() int { return db.View().NumLive() }
-
-// Tombstones returns the current number of tombstoned slots.
-func (db *Database) Tombstones() int { return db.View().Tombstones() }
-
-// Generation returns the current generation number.
-func (db *Database) Generation() uint64 { return db.View().Generation }
-
-// Graphs returns the current view's graph slots. Tombstoned slots keep
-// their graph; check View.Live before dereferencing semantics that
-// require liveness.
-func (db *Database) Graphs() []*prob.PGraph { return db.View().Graphs }
-
-// Certain returns the current view's certain graphs, by slot.
-func (db *Database) Certain() []*graph.Graph { return db.View().Certain }
-
-// PMI returns the current view's probabilistic matrix index (nil when the
-// database was built with SkipPMI).
-func (db *Database) PMI() *pmi.Index { return db.View().PMI }
-
-// Struct returns the current view's structural filter.
-func (db *Database) Struct() *simsearch.Index { return db.View().Struct }
-
-// Features returns the current view's mined feature vocabulary.
-func (db *Database) Features() []*feature.Feature { return db.View().Features }
 
 // Build returns the current view's construction statistics.
 func (db *Database) Build() BuildStats { return db.View().Build }
@@ -292,16 +266,11 @@ func (db *Database) SetCompactThreshold(frac float64) {
 	db.compactThreshold = frac
 }
 
-// CompactThreshold returns the configured auto-compaction threshold.
-func (db *Database) CompactThreshold() float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.compactThreshold
-}
-
-// ErrNoSuchGraph marks mutations addressing a slot that does not exist
-// or was already removed. Callers (the HTTP layer) use errors.Is to map
-// it to a not-found response, distinct from evaluation failures.
+// ErrNoSuchGraph marks mutations and per-slot verification calls
+// (VerifySSP, VerifySSPBatch, ExactSSPByEnumeration) addressing a slot that
+// does not exist or was already removed. Callers (the HTTP layer) use
+// errors.Is to map it to a not-found response, distinct from evaluation
+// failures.
 var ErrNoSuchGraph = errors.New("no such graph")
 
 // ErrPartitioned marks mutations attempted on a partitioned database (one
@@ -589,7 +558,7 @@ func compactView(v *View) *View {
 	return nv
 }
 
-// checkLive validates a mutation target slot. Both failure modes wrap
+// checkLive validates a caller-supplied slot. Both failure modes wrap
 // ErrNoSuchGraph.
 func (v *View) checkLive(id int, verb string) error {
 	if id < 0 || id >= len(v.Graphs) {

@@ -40,8 +40,8 @@ func naiveAnswers(t *testing.T, db *Database, q *graph.Graph, eps float64, delta
 	t.Helper()
 	var out []int
 	ssp := make(map[int]float64)
-	for gi := range db.Graphs() {
-		p, err := db.ExactSSPByEnumeration(q, gi, delta)
+	for gi := range db.View().Graphs {
+		p, err := db.View().ExactSSPByEnumeration(q, gi, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +77,10 @@ func TestPipelineWithoutBoundsIsExact(t *testing.T) {
 		db, _ := smallDatabase(t, 101, 8, correlated)
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 4; trial++ {
-			q := dataset.ExtractQuery(db.Certain()[trial%len(db.Certain())], 4, rng)
+			q := dataset.ExtractQuery(db.View().Certain[trial%len(db.View().Certain)], 4, rng)
 			for _, delta := range []int{0, 1} {
 				eps := 0.4
-				res, err := db.Query(q, QueryOptions{
+				res, err := db.View().QueryCtx(bg, q, QueryOptions{
 					Epsilon: eps, Delta: delta,
 					SkipProbPruning: true,
 					Verifier:        VerifierExact,
@@ -108,9 +108,9 @@ func TestFullPipelineSoundness(t *testing.T) {
 		db, _ := smallDatabase(t, 202, 8, true)
 		rng := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 3; trial++ {
-			q := dataset.ExtractQuery(db.Certain()[trial], 4, rng)
+			q := dataset.ExtractQuery(db.View().Certain[trial], 4, rng)
 			eps := 0.35
-			res, err := db.Query(q, QueryOptions{
+			res, err := db.View().QueryCtx(bg, q, QueryOptions{
 				Epsilon: eps, Delta: 1,
 				OptBounds: optBounds,
 				Verifier:  VerifierExact,
@@ -135,9 +135,9 @@ func TestFullPipelineSoundness(t *testing.T) {
 func TestSMPPipelineCloseToExact(t *testing.T) {
 	db, _ := smallDatabase(t, 303, 8, true)
 	rng := rand.New(rand.NewSource(11))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	eps := 0.45
-	res, err := db.Query(q, QueryOptions{
+	res, err := db.View().QueryCtx(bg, q, QueryOptions{
 		Epsilon: eps, Delta: 1,
 		OptBounds: true,
 		Verifier:  VerifierSMP,
@@ -167,8 +167,8 @@ func TestSMPPipelineCloseToExact(t *testing.T) {
 func TestQueryStatsPopulated(t *testing.T) {
 	db, _ := smallDatabase(t, 404, 6, true)
 	rng := rand.New(rand.NewSource(13))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
-	res, err := db.Query(q, QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 1})
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
+	res, err := db.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +187,6 @@ func TestQueryStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestQueryValidation(t *testing.T) {
-	db, _ := smallDatabase(t, 505, 4, false)
-	q := db.Certain()[0]
-	if _, err := db.Query(q, QueryOptions{Epsilon: 1.5, Delta: 1}); err == nil {
-		t.Fatal("epsilon > 1 must be rejected")
-	}
-	if _, err := db.Query(q, QueryOptions{Epsilon: 0.5, Delta: -1}); err == nil {
-		t.Fatal("negative delta must be rejected")
-	}
-}
-
 func TestDeltaBeyondQuerySize(t *testing.T) {
 	db, _ := smallDatabase(t, 606, 4, true)
 	b := graph.NewBuilder("tiny")
@@ -205,7 +194,7 @@ func TestDeltaBeyondQuerySize(t *testing.T) {
 	v := b.AddVertex("C1")
 	b.MustAddEdge(u, v, "")
 	q := b.Build()
-	res, err := db.Query(q, QueryOptions{Epsilon: 0.9, Delta: 5})
+	res, err := db.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.9, Delta: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +209,9 @@ func TestDirectAcceptsAreTrueAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	found := false
 	for trial := 0; trial < 6 && !found; trial++ {
-		q := dataset.ExtractQuery(db.Certain()[trial%len(db.Certain())], 3, rng)
+		q := dataset.ExtractQuery(db.View().Certain[trial%len(db.View().Certain)], 3, rng)
 		eps := 0.3
-		res, err := db.Query(q, QueryOptions{
+		res, err := db.View().QueryCtx(bg, q, QueryOptions{
 			Epsilon: eps, Delta: 1, OptBounds: true,
 			Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 			Seed: int64(trial),
@@ -238,7 +227,7 @@ func TestDirectAcceptsAreTrueAnswers(t *testing.T) {
 			if ssp != -1 {
 				continue // verified, not direct-accepted
 			}
-			p, err := db.ExactSSPByEnumeration(q, gi, 1)
+			p, err := db.View().ExactSSPByEnumeration(q, gi, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,8 +244,8 @@ func TestDirectAcceptsAreTrueAnswers(t *testing.T) {
 func TestVerifierNoneCountsCandidates(t *testing.T) {
 	db, _ := smallDatabase(t, 808, 6, true)
 	rng := rand.New(rand.NewSource(19))
-	q := dataset.ExtractQuery(db.Certain()[1], 4, rng)
-	res, err := db.Query(q, QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Verifier: VerifierNone, Seed: 3})
+	q := dataset.ExtractQuery(db.View().Certain[1], 4, rng)
+	res, err := db.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Verifier: VerifierNone, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +281,11 @@ func TestPaperExample1EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssp0, err := db.ExactSSPByEnumeration(q, 1, 0)
+	ssp0, err := db.View().ExactSSPByEnumeration(q, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssp1, err := db.ExactSSPByEnumeration(q, 1, 1)
+	ssp1, err := db.View().ExactSSPByEnumeration(q, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +296,7 @@ func TestPaperExample1EndToEnd(t *testing.T) {
 	if eps <= 0 {
 		t.Fatalf("degenerate SSP %v", ssp1)
 	}
-	res, err := db.Query(q, QueryOptions{
+	res, err := db.View().QueryCtx(bg, q, QueryOptions{
 		Epsilon: eps, Delta: 1, OptBounds: true,
 		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 	})

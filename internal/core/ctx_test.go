@@ -21,7 +21,7 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 	t.Helper()
 	db, _ := smallDatabase(t, 2001, 16, true)
 	rng := rand.New(rand.NewSource(61))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	opt := QueryOptions{
 		Epsilon: 0.4, Delta: 1, SkipProbPruning: true,
 		Verifier: VerifierSMP, Verify: verify.Options{N: 60000},
@@ -51,18 +51,18 @@ func checkGoroutineBaseline(t *testing.T, label string, baseline int) {
 func TestQueryCtxPreCancelled(t *testing.T) {
 	db, _ := smallDatabase(t, 2002, 6, true)
 	rng := rand.New(rand.NewSource(67))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, Seed: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if res, err := db.QueryCtx(ctx, q, opt); !errors.Is(err, context.Canceled) || res != nil {
+	if res, err := db.View().QueryCtx(ctx, q, opt); !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("QueryCtx: (%v, %v), want (nil, Canceled)", res, err)
 	}
-	if items, err := db.QueryTopKCtx(ctx, q, 3, opt); !errors.Is(err, context.Canceled) || items != nil {
+	if items, err := db.View().QueryTopKCtx(ctx, q, 3, opt); !errors.Is(err, context.Canceled) || items != nil {
 		t.Fatalf("QueryTopKCtx: (%v, %v), want (nil, Canceled)", items, err)
 	}
-	if rs, err := db.QueryBatchCtx(ctx, []*graph.Graph{q, q}, opt); !errors.Is(err, context.Canceled) || rs != nil {
+	if rs, err := db.View().QueryBatchCtx(ctx, []*graph.Graph{q, q}, opt); !errors.Is(err, context.Canceled) || rs != nil {
 		t.Fatalf("QueryBatchCtx: (%v, %v), want (nil, Canceled)", rs, err)
 	}
 }
@@ -78,7 +78,7 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 	// Control: the uncancelled query must be slow enough that a mid-scan
 	// cancel actually lands mid-scan.
 	start := time.Now()
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		res, err := db.QueryCtx(ctx, q, po)
+		res, err := db.View().QueryCtx(ctx, q, po)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -125,7 +125,7 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 func TestQueryTopKCtxCancelMidScan(t *testing.T) {
 	db, q, opt := slowQueryEnv(t)
 	start := time.Now()
-	if _, err := db.QueryTopK(q, 3, opt); err != nil {
+	if _, err := db.View().QueryTopKCtx(bg, q, 3, opt); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -141,7 +141,7 @@ func TestQueryTopKCtxCancelMidScan(t *testing.T) {
 			time.Sleep(full / 8)
 			cancel()
 		}()
-		items, err := db.QueryTopKCtx(ctx, q, 3, po)
+		items, err := db.View().QueryTopKCtx(ctx, q, 3, po)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -159,7 +159,7 @@ func TestQueryBatchCtxCancelStopsWholeBatch(t *testing.T) {
 	db, q, opt := slowQueryEnv(t)
 	qs := []*graph.Graph{q, q, q, q}
 	start := time.Now()
-	if _, err := db.QueryBatch(qs[:1], opt); err != nil {
+	if _, err := db.View().QueryBatchCtx(bg, qs[:1], opt); err != nil {
 		t.Fatal(err)
 	}
 	perQuery := time.Since(start)
@@ -174,7 +174,7 @@ func TestQueryBatchCtxCancelStopsWholeBatch(t *testing.T) {
 		time.Sleep(perQuery / 4)
 		cancel()
 	}()
-	rs, err := db.QueryBatchCtx(ctx, qs, po)
+	rs, err := db.View().QueryBatchCtx(ctx, qs, po)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -192,7 +192,7 @@ func TestQueryCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // let the deadline pass
-	if _, err := db.QueryCtx(ctx, q, opt); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.View().QueryCtx(ctx, q, opt); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -202,13 +202,13 @@ func TestQueryCtxDeadline(t *testing.T) {
 func TestQueryCtxUncancelledIdentical(t *testing.T) {
 	db, _ := smallDatabase(t, 2003, 8, true)
 	rng := rand.New(rand.NewSource(71))
-	q := dataset.ExtractQuery(db.Certain()[1], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[1], 4, rng)
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 13, Concurrency: 4}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.QueryCtx(context.Background(), q, opt)
+	got, err := db.View().QueryCtx(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

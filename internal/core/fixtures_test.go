@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,7 +96,7 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 		db, _ := loadFixture(t, name)
 		out := make([]recorded, len(qs))
 		for i, q := range qs {
-			r, err := db.Query(q, opt)
+			r, err := db.View().QueryCtx(bg, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,3 +119,6 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 		}
 	}
 }
+
+// bg is the context of every test query that exercises no cancellation.
+var bg = context.Background()

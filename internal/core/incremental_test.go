@@ -21,7 +21,7 @@ func TestAddGraphMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genBefore := db.Generation()
+	genBefore := db.View().Generation
 	for i, pg := range extra.Graphs {
 		gi, gen, err := db.AddGraph(pg)
 		if err != nil {
@@ -38,19 +38,19 @@ func TestAddGraphMatchesNaive(t *testing.T) {
 		t.Fatalf("database has %d graphs, want %d", db.Len(), len(raw.Graphs)+2)
 	}
 	// PMI columns must cover the new graphs.
-	for fi := range db.PMI().Entries {
-		if len(db.PMI().Entries[fi]) != db.Len() {
-			t.Fatalf("PMI row %d has %d columns, want %d", fi, len(db.PMI().Entries[fi]), db.Len())
+	for fi := range db.View().PMI.Entries {
+		if len(db.View().PMI.Entries[fi]) != db.Len() {
+			t.Fatalf("PMI row %d has %d columns, want %d", fi, len(db.View().PMI.Entries[fi]), db.Len())
 		}
 	}
 
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 3; trial++ {
 		// Mix queries from the original and the inserted graphs.
-		src := db.Certain()[(trial*3+db.Len()-1)%db.Len()]
+		src := db.View().Certain[(trial*3+db.Len()-1)%db.Len()]
 		q := dataset.ExtractQuery(src, 4, rng)
 		eps := 0.35
-		res, err := db.Query(q, QueryOptions{
+		res, err := db.View().QueryCtx(bg, q, QueryOptions{
 			Epsilon: eps, Delta: 1, OptBounds: true,
 			Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 			Seed: int64(trial),
@@ -79,14 +79,14 @@ func TestAddGraphBookkeepingAfterCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, postingsBefore := db.Struct().PostingsStats()
+	_, postingsBefore := db.View().Struct.PostingsStats()
 	if _, _, err := db.AddGraph(extra.Graphs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if want := db.PMI().SizeBytes(); db.Build().IndexSizeBytes != want {
+	if want := db.View().PMI.SizeBytes(); db.Build().IndexSizeBytes != want {
 		t.Fatalf("IndexSizeBytes = %d, want PMI.SizeBytes() = %d", db.Build().IndexSizeBytes, want)
 	}
-	if _, after := db.Struct().PostingsStats(); after <= postingsBefore {
+	if _, after := db.View().Struct.PostingsStats(); after <= postingsBefore {
 		t.Fatalf("structural postings did not grow: %d -> %d", postingsBefore, after)
 	}
 	if v := db.View(); len(v.Graphs) != len(v.Engines) || len(v.Graphs) != len(v.Certain) {
@@ -133,14 +133,14 @@ func TestAddGraphBoundsStaySound(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for fi, fg := range db.PMI().Features {
-		e := db.PMI().Entries[fi][gi]
+	for fi, fg := range db.View().PMI.Features {
+		e := db.View().PMI.Entries[fi][gi]
 		if !e.Contained {
 			continue
 		}
 		// Exact SIP by world enumeration.
 		q := fg
-		sip, err := db.ExactSSPByEnumeration(q, gi, 0)
+		sip, err := db.View().ExactSSPByEnumeration(q, gi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

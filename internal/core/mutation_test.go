@@ -48,7 +48,7 @@ func runAtWorkers(t *testing.T, v *View, q *graph.Graph, opt QueryOptions) *Resu
 	for _, w := range workerSweep() {
 		o := opt
 		o.Concurrency = w
-		res, err := v.Query(q, o)
+		res, err := v.QueryCtx(bg, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 			Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 		}
 		mutated := runAtWorkers(t, db.View(), q, bypass)
-		freshRes, err := fresh.Query(q, bypass)
+		freshRes, err := fresh.View().QueryCtx(bg, q, bypass)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 			Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 		}
 		mutatedFull := runAtWorkers(t, db.View(), q, full)
-		freshFull, err := fresh.Query(q, full)
+		freshFull, err := fresh.View().QueryCtx(bg, q, full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 	// Save/load round-trip of the tombstoned database: same query, bitwise.
 	q := dataset.ExtractQuery(firstLive(current).G, 4, rng)
 	fullOpts := QueryOptions{Epsilon: 0.35, Delta: 1, OptBounds: true, Seed: 99}
-	before, err := db.Query(q, fullOpts)
+	before, err := db.View().QueryCtx(bg, q, fullOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.Generation() != db.Generation() || reloaded.NumLive() != db.NumLive() {
+	if reloaded.View().Generation != db.View().Generation || reloaded.View().NumLive() != db.View().NumLive() {
 		t.Fatalf("round-trip: gen/live (%d,%d) != (%d,%d)",
-			reloaded.Generation(), reloaded.NumLive(), db.Generation(), db.NumLive())
+			reloaded.View().Generation, reloaded.View().NumLive(), db.View().Generation, db.View().NumLive())
 	}
-	after, err := reloaded.Query(q, fullOpts)
+	after, err := reloaded.View().QueryCtx(bg, q, fullOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 	if _, err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Tombstones() != 0 {
-		t.Fatalf("tombstones survived Compact: %d", db.Tombstones())
+	if db.View().Tombstones() != 0 {
+		t.Fatalf("tombstones survived Compact: %d", db.View().Tombstones())
 	}
 	var survivors []*prob.PGraph
 	for _, pg := range current {
@@ -279,7 +279,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 	bypass := QueryOptions{Epsilon: 0.35, Delta: 1, SkipProbPruning: true, Seed: 7,
 		Verify: verify.Options{N: 200}}
 	a := runAtWorkers(t, db.View(), q, bypass)
-	b, err := fresh.Query(q, bypass)
+	b, err := fresh.View().QueryCtx(bg, q, bypass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPinnedViewSurvivesMutations(t *testing.T) {
 	opt := QueryOptions{Epsilon: 0.35, Delta: 1, OptBounds: true, Seed: 17}
 
 	pinned := db.View()
-	want, err := pinned.Query(q, opt)
+	want, err := pinned.QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +327,14 @@ func TestPinnedViewSurvivesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := pinned.Query(q, opt)
+	got, err := pinned.QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Answers, want.Answers) || !reflect.DeepEqual(got.SSP, want.SSP) {
 		t.Fatalf("pinned view drifted: %v %v != %v %v", got.Answers, got.SSP, want.Answers, want.SSP)
 	}
-	if pinned.Generation == db.Generation() {
+	if pinned.Generation == db.View().Generation {
 		t.Fatal("mutations did not advance the generation")
 	}
 }
@@ -349,7 +349,7 @@ func TestRemoveGraphSemantics(t *testing.T) {
 	q := dataset.ExtractQuery(raw.Graphs[0].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 23}
 
-	before, err := db.Query(q, opt)
+	before, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +365,11 @@ func TestRemoveGraphSemantics(t *testing.T) {
 	if gen != 2 {
 		t.Fatalf("generation after first mutation = %d, want 2", gen)
 	}
-	if db.Len() != 8 || db.NumLive() != 7 || db.Tombstones() != 1 {
-		t.Fatalf("shape after remove: len=%d live=%d tombs=%d", db.Len(), db.NumLive(), db.Tombstones())
+	if db.Len() != 8 || db.View().NumLive() != 7 || db.View().Tombstones() != 1 {
+		t.Fatalf("shape after remove: len=%d live=%d tombs=%d", db.Len(), db.View().NumLive(), db.View().Tombstones())
 	}
 
-	after, err := db.Query(q, opt)
+	after, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestRemoveGraphSemantics(t *testing.T) {
 	}
 
 	// The degenerate δ ≥ |q| path must skip tombstones too.
-	deg, err := db.Query(q, QueryOptions{Epsilon: 0.5, Delta: q.NumEdges(), Seed: 1})
+	deg, err := db.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.5, Delta: q.NumEdges(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +425,8 @@ func TestAutoCompactThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1/6 ≤ 0.25: tombstone stays.
-	if gen != 2 || db.Tombstones() != 1 || db.Len() != 6 {
-		t.Fatalf("after first remove: gen=%d tombs=%d len=%d", gen, db.Tombstones(), db.Len())
+	if gen != 2 || db.View().Tombstones() != 1 || db.Len() != 6 {
+		t.Fatalf("after first remove: gen=%d tombs=%d len=%d", gen, db.View().Tombstones(), db.Len())
 	}
 	gen, err = db.RemoveGraph(3)
 	if err != nil {
@@ -436,13 +436,13 @@ func TestAutoCompactThreshold(t *testing.T) {
 	if gen != 4 {
 		t.Fatalf("auto-compacting remove returned generation %d, want 4 (remove + compact)", gen)
 	}
-	if db.Tombstones() != 0 || db.Len() != 4 || db.NumLive() != 4 {
-		t.Fatalf("after auto-compact: tombs=%d len=%d live=%d", db.Tombstones(), db.Len(), db.NumLive())
+	if db.View().Tombstones() != 0 || db.Len() != 4 || db.View().NumLive() != 4 {
+		t.Fatalf("after auto-compact: tombs=%d len=%d live=%d", db.View().Tombstones(), db.Len(), db.View().NumLive())
 	}
-	if db.PMI() != nil {
-		for fi := range db.PMI().Entries {
-			if len(db.PMI().Entries[fi]) != 4 {
-				t.Fatalf("PMI row %d has %d columns after compaction, want 4", fi, len(db.PMI().Entries[fi]))
+	if db.View().PMI != nil {
+		for fi := range db.View().PMI.Entries {
+			if len(db.View().PMI.Entries[fi]) != 4 {
+				t.Fatalf("PMI row %d has %d columns after compaction, want 4", fi, len(db.View().PMI.Entries[fi]))
 			}
 		}
 	}
@@ -536,7 +536,7 @@ func TestChurnMutationsDuringQueries(t *testing.T) {
 						got = append(got, m.Graph)
 					}
 					sort.Ints(got)
-					res, err := v.Query(q, opt)
+					res, err := v.QueryCtx(bg, q, opt)
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
@@ -553,12 +553,12 @@ func TestChurnMutationsDuringQueries(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := v.QueryTopK(q, 3, opt); err != nil {
+					if _, err := v.QueryTopKCtx(bg, q, 3, opt); err != nil {
 						t.Errorf("reader %d: topk: %v", r, err)
 						return
 					}
 				case 2:
-					if _, err := v.QueryBatch(qs[:2], opt); err != nil {
+					if _, err := v.QueryBatchCtx(bg, qs[:2], opt); err != nil {
 						t.Errorf("reader %d: batch: %v", r, err)
 						return
 					}
@@ -589,8 +589,8 @@ func TestMutationsOnZeroFeatureVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.PMI() == nil || db.PMI().NumFeatures() != 0 {
-		t.Fatalf("setup: want a PMI with zero feature rows, got %v", db.PMI())
+	if db.View().PMI == nil || db.View().PMI.NumFeatures() != 0 {
+		t.Fatalf("setup: want a PMI with zero feature rows, got %v", db.View().PMI)
 	}
 
 	if _, err := db.RemoveGraph(1); err != nil {
@@ -617,12 +617,12 @@ func TestMutationsOnZeroFeatureVocabulary(t *testing.T) {
 	if _, err := reloaded.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.NumLive() != 4 || reloaded.Tombstones() != 0 {
-		t.Fatalf("post-compact shape: live=%d tombs=%d", reloaded.NumLive(), reloaded.Tombstones())
+	if reloaded.View().NumLive() != 4 || reloaded.View().Tombstones() != 0 {
+		t.Fatalf("post-compact shape: live=%d tombs=%d", reloaded.View().NumLive(), reloaded.View().Tombstones())
 	}
 	rng := rand.New(rand.NewSource(2702))
 	q := dataset.ExtractQuery(raw.Graphs[2].G, 4, rng)
-	if _, err := reloaded.Query(q, QueryOptions{Epsilon: 0.4, Delta: 1, Seed: 3}); err != nil {
+	if _, err := reloaded.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.4, Delta: 1, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,25 +1,11 @@
 package core
 
 import (
-	"context"
 	"sync"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
-	"probgraph/internal/pool"
 )
-
-// normalizeWorkers and forEachIndexCtx are the package-local names of the
-// shared deterministic worker pool (internal/pool), which the structural
-// filter's shard scan also runs on — one Concurrency knob, one pool
-// semantics everywhere. Cancellation is checked per work item (one
-// candidate evaluation); the returned error is ctx.Err() when the loop
-// stopped early.
-func normalizeWorkers(concurrency, n int) int { return pool.Normalize(concurrency, n) }
-
-func forEachIndexCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return pool.ForEachIndexCtx(ctx, n, workers, fn)
-}
 
 // Salts separating the independent per-candidate random streams derived
 // from one QueryOptions.Seed.
@@ -41,8 +27,8 @@ func candSeed(seed int64, gi int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// BatchSeed is the per-query seed QueryBatch derives from its base seed:
-// query i of a batch runs exactly as db.Query would with this seed, which
+// BatchSeed is the per-query seed QueryBatchCtx derives from its base seed:
+// query i of a batch runs exactly as QueryCtx would with this seed, which
 // lets callers reproduce any batch member individually.
 func BatchSeed(seed int64, i int) int64 {
 	return seed + int64(i)*1000003
@@ -56,7 +42,7 @@ type relEntry struct {
 }
 
 // relCache memoizes feature relations keyed by the relaxed query's
-// canonical code. QueryBatch shares one cache across its queries: relaxed
+// canonical code. QueryBatchCtx shares one cache across its queries: relaxed
 // query sets of similar queries overlap heavily, so the subgraph
 // isomorphism tests against the feature vocabulary — the dominant cost of
 // pruner construction — are paid once per distinct relaxed query instead

@@ -7,6 +7,7 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/pool"
 	"probgraph/internal/verify"
 )
 
@@ -51,7 +52,7 @@ func TestSerialParallelIdenticalResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var qs []*graph.Graph
 	for i := 0; i < 3; i++ {
-		qs = append(qs, dataset.ExtractQuery(db.Certain()[i*3%len(db.Certain())], 4, rng))
+		qs = append(qs, dataset.ExtractQuery(db.View().Certain[i*3%len(db.View().Certain)], 4, rng))
 	}
 	for _, optBounds := range []bool{false, true} {
 		for _, vk := range []VerifierKind{VerifierSMP, VerifierExact, VerifierNone} {
@@ -61,14 +62,14 @@ func TestSerialParallelIdenticalResults(t *testing.T) {
 					Verifier: vk, Verify: verify.Options{N: 2000, MaxClauses: 22},
 					Seed: int64(100 + qi), Concurrency: 1,
 				}
-				serial, err := db.Query(q, opt)
+				serial, err := db.View().QueryCtx(bg, q, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{0, 2, 4, 8, -1} {
 					po := opt
 					po.Concurrency = workers
-					par, err := db.Query(q, po)
+					par, err := db.View().QueryCtx(bg, q, po)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -88,21 +89,21 @@ func TestSerialParallelIdenticalResults(t *testing.T) {
 func TestQueryTopKParallelMatchesSerial(t *testing.T) {
 	db, _ := smallDatabase(t, 1002, 10, true)
 	rng := rand.New(rand.NewSource(43))
-	q := dataset.ExtractQuery(db.Certain()[2], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[2], 4, rng)
 	opt := QueryOptions{
 		Delta: 1, OptBounds: true,
 		Verifier: VerifierSMP, Verify: verify.Options{N: 1500},
 		Seed: 9, Concurrency: 1,
 	}
 	const k = 3
-	serial, err := db.QueryTopK(q, k, opt)
+	serial, err := db.View().QueryTopKCtx(bg, q, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		po := opt
 		po.Concurrency = workers
-		par, err := db.QueryTopK(q, k, po)
+		par, err := db.View().QueryTopKCtx(bg, q, k, po)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +125,15 @@ func TestQueryBatchInnerConcurrency(t *testing.T) {
 	db, _ := smallDatabase(t, 1003, 8, true)
 	rng := rand.New(rand.NewSource(47))
 	qs := []*graph.Graph{
-		dataset.ExtractQuery(db.Certain()[0], 4, rng),
-		dataset.ExtractQuery(db.Certain()[1], 4, rng),
+		dataset.ExtractQuery(db.View().Certain[0], 4, rng),
+		dataset.ExtractQuery(db.View().Certain[1], 4, rng),
 	}
 	opt := QueryOptions{
 		Epsilon: 0.4, Delta: 1, OptBounds: true,
 		Verifier: VerifierSMP, Verify: verify.Options{N: 1500},
 		Seed: 17, Concurrency: 8,
 	}
-	batch, err := db.QueryBatch(qs, opt)
+	batch, err := db.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestQueryBatchInnerConcurrency(t *testing.T) {
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = 1
-		seq, err := db.Query(q, qo)
+		seq, err := db.View().QueryCtx(bg, q, qo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +155,14 @@ func TestQueryBatchInnerConcurrency(t *testing.T) {
 func TestQueryBatchRepeatedQueriesHitCache(t *testing.T) {
 	db, _ := smallDatabase(t, 1004, 8, true)
 	rng := rand.New(rand.NewSource(53))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	qs := []*graph.Graph{q, q, q, q}
 	opt := QueryOptions{
 		Epsilon: 0.4, Delta: 1, OptBounds: true,
 		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 		Seed: 23, Concurrency: 4,
 	}
-	batch, err := db.QueryBatch(qs, opt)
+	batch, err := db.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestQueryBatchRepeatedQueriesHitCache(t *testing.T) {
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = 1
-		seq, err := db.Query(qs[i], qo)
+		seq, err := db.View().QueryCtx(bg, qs[i], qo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,9 +190,9 @@ func TestNormalizeWorkers(t *testing.T) {
 		{-1, 100, 1, 1 << 20}, // GOMAXPROCS-dependent, just bounded
 	}
 	for _, c := range cases {
-		got := normalizeWorkers(c.concurrency, c.n)
+		got := pool.Normalize(c.concurrency, c.n)
 		if got < c.wantMin || got > c.wantMax {
-			t.Fatalf("normalizeWorkers(%d, %d) = %d, want in [%d, %d]",
+			t.Fatalf("pool.Normalize(%d, %d) = %d, want in [%d, %d]",
 				c.concurrency, c.n, got, c.wantMin, c.wantMax)
 		}
 	}

@@ -10,8 +10,10 @@ import (
 	"probgraph/internal/cover"
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
+	"probgraph/internal/mcs"
 	"probgraph/internal/obs"
 	"probgraph/internal/pmi"
+	"probgraph/internal/pool"
 	"probgraph/internal/prob"
 	"probgraph/internal/qp"
 	"probgraph/internal/relax"
@@ -47,8 +49,10 @@ type QueryOptions struct {
 	Verifier VerifierKind
 	// Verify tunes the SMP estimator / caps Exact's clause count.
 	Verify verify.Options
-	// MaxRelaxed caps |U| and MaxClausesPerRQ caps embeddings collected per
-	// relaxed query during verification.
+	// MaxRelaxed caps the relaxed queries pruning and verification read
+	// (0 = all of U; structural confirmation always tests all of it) and
+	// MaxClausesPerRQ caps embeddings collected per relaxed query during
+	// verification.
 	MaxRelaxed      int
 	MaxClausesPerRQ int
 	// Seed drives the randomized pieces (QP rounding, SSPBound pair
@@ -59,7 +63,7 @@ type QueryOptions struct {
 	// negative value selects GOMAXPROCS. The result set, SSP estimates,
 	// and counters are identical for every setting — all per-candidate
 	// randomness is seeded purely from Seed and the candidate's graph
-	// index, never from scheduling order. In QueryBatch the same knob
+	// index, never from scheduling order. In QueryBatchCtx the same knob
 	// bounds the pool spread across the batch's queries.
 	Concurrency int
 }
@@ -79,11 +83,11 @@ func (o QueryOptions) withDefaults() QueryOptions {
 
 // Validate reports whether the result-affecting knobs are in range:
 // ε ∈ (0, 1] (0 is accepted as "unset", defaulting to 0.5) and δ ≥ 0.
-// Query applies the same checks internally (QueryTopK only the δ one — it
-// ignores ε); callers that want to reject bad requests up front — before
-// any work, and distinguishable from evaluation failures (the server maps
-// Validate errors to HTTP 400 on all three endpoints, everything
-// downstream to 422) — call this on the untouched options.
+// Every query method applies it inside its plan, the ranked ones
+// included although ε does not affect a ranking; callers that want to
+// reject bad requests before any work, distinguishable from evaluation
+// failures (the server maps Validate errors to HTTP 400, everything
+// downstream to 422), call it on the untouched options.
 func (o QueryOptions) Validate() error {
 	if o.Epsilon < 0 || o.Epsilon > 1 {
 		return fmt.Errorf("core: epsilon %v outside (0,1]", o.Epsilon)
@@ -149,33 +153,15 @@ type Result struct {
 	Stats Stats
 }
 
-// Query runs the full T-PS pipeline for query graph q against the
-// current view, pinned at entry — concurrent mutations neither block nor
-// disturb it. Candidates are evaluated on a pool of opt.Concurrency
-// workers; see QueryOptions for the determinism guarantee. Query never
-// cancels; it is QueryCtx with context.Background().
-func (db *Database) Query(q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return db.View().Query(q, opt)
-}
-
-// Query on a pinned View is Query against exactly that generation.
-func (v *View) Query(q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return v.query(context.Background(), q, opt, nil)
-}
-
-// QueryCtx is Query under a context: cancellation (or a deadline) is
-// checked at every pipeline stage — before the structural scan, per
+// QueryCtx runs the full T-PS pipeline for query graph q against this
+// view. Candidates are evaluated on a pool of opt.Concurrency workers; see
+// QueryOptions for the determinism guarantee. Cancellation (or a deadline)
+// is checked at every pipeline stage — before the structural scan, per
 // postings shard, per exact confirmation, per relaxed query during pruner
 // construction, and per candidate in the fused prune+verify loop. A
 // cancelled query returns (nil, ctx.Err()) promptly — one in-flight
 // candidate evaluation per worker at most — leaks no goroutines, and
-// never returns a partial Result. An uncancelled QueryCtx call returns
-// exactly what Query would.
-func (db *Database) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return db.View().QueryCtx(ctx, q, opt)
-}
-
-// QueryCtx on a pinned View is QueryCtx against exactly that generation.
+// never returns a partial Result.
 func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
 	return v.query(ctx, q, opt, nil)
 }
@@ -191,27 +177,27 @@ type candOutcome struct {
 }
 
 // evalCandidate runs the fused probabilistic-pruning + verification stage
-// for one candidate graph gi. pr == nil skips the pruning phase (PMI
-// disabled or bypassed). The outcome is a pure function of
-// (v, q, u, gi, opt): all randomness is seeded from candSeed, so every
-// caller — the materializing query loop, the top-k scheduler, the stream
-// workers — computes the identical outcome regardless of scheduling.
+// for one candidate graph gi of plan p. p.pr == nil skips the pruning
+// phase (PMI disabled or bypassed). The outcome is a pure function of
+// (v, p, gi): all randomness is seeded from candSeed, so every caller —
+// the materializing query loop, the stream workers — computes the
+// identical outcome regardless of scheduling.
 //
 //pgvet:noalloc
-func (v *View) evalCandidate(q *graph.Graph, u []*graph.Graph, pr *pruner, gi int, opt QueryOptions) candOutcome {
+func (v *View) evalCandidate(p *plan, gi int) candOutcome {
 	var o candOutcome
-	if pr != nil {
+	if p.pr != nil {
 		t := time.Now()
-		sc := getScratch(candSeed(opt.Seed^pruneSalt, v.GID(gi)))
-		o.verdict = pr.judge(gi, sc)
+		sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
+		o.verdict = p.pr.judge(gi, sc)
 		putScratch(sc)
 		o.probT = time.Since(t)
 	}
-	if o.verdict != judgeUndecided || opt.Verifier == VerifierNone {
+	if o.verdict != judgeUndecided || p.opt.Verifier == VerifierNone {
 		return o
 	}
 	t := time.Now()
-	o.ssp, o.err = v.VerifySSP(q, u, gi, opt)
+	o.ssp, o.err = v.verifySSP(p.u, gi, p.opt)
 	o.verifyT = time.Since(t)
 	return o
 }
@@ -236,54 +222,30 @@ func outcomeMatch(o candOutcome, opt QueryOptions) (match bool, ssp float64) {
 }
 
 func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cache *relCache) (*Result, error) {
-	opt = opt.withDefaults()
-	if opt.Epsilon <= 0 || opt.Epsilon > 1 {
-		return nil, fmt.Errorf("core: epsilon %v outside (0,1]", opt.Epsilon)
-	}
-	if opt.Delta < 0 {
-		return nil, fmt.Errorf("core: negative delta")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	parent := obs.SpanFrom(ctx)
-	res := &Result{SSP: make(map[int]float64)}
-
-	// Degenerate relaxation: δ ≥ |q| makes every world a match (the empty
-	// relaxed query embeds everywhere), so SSP = 1 ≥ ε for every graph.
-	if opt.Delta >= q.NumEdges() {
-		for gi := range v.Graphs {
-			if !v.Live(gi) {
-				continue
-			}
-			res.Answers = append(res.Answers, gi)
-			res.SSP[gi] = 1
-		}
-		res.Stats.Answers = len(res.Answers)
-		res.Stats.TimeTotal = time.Since(start)
-		res.Stats.observe(ctx)
-		return res, nil
-	}
-
-	// Phase 1: structural pruning (Theorem 1). The inverted-postings scan
-	// and the exact confirmations share the query's worker pool.
-	t0 := time.Now()
-	sp := parent.Child("struct_filter")
-	scq, filterCount, err := v.Struct.SCqCtx(obs.ContextWithSpan(ctx, sp), q, opt.Delta, opt.Concurrency)
-	sp.EndCount(int64(len(scq)))
+	p, err := v.newPlan(ctx, q, opt, false, cache)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.StructFilterCandidates = filterCount
-	res.Stats.StructConfirmed = len(scq)
-	res.Stats.TimeStruct = time.Since(t0)
+	res := &Result{SSP: make(map[int]float64), Stats: p.stats}
+	if p.degenerate {
+		res.Answers = p.scq
+		for _, gi := range p.scq {
+			res.SSP[gi] = 1
+		}
+	} else if err := v.evaluate(ctx, p, res); err != nil {
+		return nil, err
+	}
+	res.Stats.Answers = len(res.Answers)
+	res.Stats.TimeTotal = time.Since(start)
+	res.Stats.observe(ctx)
+	return res, nil
+}
 
-	// Relaxed query set U (Lemma 1).
-	sp = parent.Child("relax")
-	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
-	sp.EndCount(int64(len(u)))
-	res.Stats.RelaxedQueries = len(u)
+// evaluate runs the plan's candidates through the fused prune+verify stage
+// and aggregates their outcomes into res.
+func (v *View) evaluate(ctx context.Context, p *plan, res *Result) error {
+	opt, scq := p.opt, p.scq
 
 	// Phases 2+3, fused per candidate: probabilistic pruning via PMI
 	// bounds, then verification (§5) for the undecided. Each candidate is
@@ -292,40 +254,29 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cach
 	// pipeline fans out over the worker pool. Randomized steps draw from a
 	// per-candidate RNG seeded by candSeed, making the outcome identical
 	// at any concurrency.
-	probActive := !opt.SkipProbPruning && v.PMI != nil
-	var pr *pruner
-	if probActive {
-		t := time.Now()
-		sp = parent.Child("pmi_prune")
-		pr, err = v.newPruner(ctx, u, opt, cache)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.TimeProb += time.Since(t)
-	}
 	outs := make([]candOutcome, len(scq))
 	var abort atomic.Bool // first verification error stops remaining work
-	sp = parent.Child("verify")
-	err = forEachIndexCtx(ctx, len(scq), normalizeWorkers(opt.Concurrency, len(scq)), func(i int) {
+	sp := obs.SpanFrom(ctx).Child("verify")
+	err := pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) {
 		if abort.Load() {
 			return // a pending error makes this candidate's work moot
 		}
-		outs[i] = v.evalCandidate(q, u, pr, scq[i], opt)
+		outs[i] = v.evalCandidate(p, scq[i])
 		if outs[i].err != nil {
 			abort.Store(true)
 		}
 	})
 	sp.EndCount(int64(len(scq)))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	// Deterministic aggregation in database order.
+	// Deterministic aggregation in database order: scq is ascending, so
+	// Answers is too.
 	for i, gi := range scq {
 		o := outs[i]
 		if o.err != nil {
-			return nil, fmt.Errorf("core: verifying graph %d: %w", gi, o.err)
+			return fmt.Errorf("core: verifying graph %d: %w", gi, o.err)
 		}
 		res.Stats.TimeProb += o.probT
 		res.Stats.TimeVerify += o.verifyT
@@ -349,25 +300,25 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cach
 		}
 	}
 
-	sortInts(res.Answers)
-	res.Stats.Answers = len(res.Answers)
-	res.Stats.TimeTotal = time.Since(start)
-	res.Stats.observe(ctx)
-	return res, nil
+	return nil
 }
 
 // VerifySSP computes the subgraph similarity probability of q (with relaxed
-// set u) against graph gi using the configured verifier. The SMP sampler's
-// seed is derived from opt.Seed and gi alone, so the estimate for a graph
-// is reproducible regardless of which other graphs are verified, in what
+// set u) against live slot gi using the configured verifier; a slot that is
+// out of range or tombstoned is ErrNoSuchGraph. The SMP sampler's seed is
+// derived from opt.Seed and gi alone, so the estimate for a graph is
+// reproducible regardless of which other graphs are verified, in what
 // order, or on how many workers.
-func (db *Database) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
-	return db.View().VerifySSP(q, u, gi, opt)
+func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
+	if err := v.checkLive(gi, "verifying"); err != nil {
+		return 0, err
+	}
+	return v.verifySSP(u, gi, opt.withDefaults())
 }
 
-// VerifySSP on a pinned View; see the Database method.
-func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
-	opt = opt.withDefaults()
+// verifySSP is VerifySSP past its checks — the per-candidate form: gi is a
+// live slot and opt is defaulted.
+func (v *View) verifySSP(u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
 	clauses := v.collectClauses(u, gi, opt.MaxClausesPerRQ)
 	if len(clauses) == 0 {
 		return 0, nil
@@ -399,12 +350,10 @@ func (v *View) collectClauses(u []*graph.Graph, gi, capPerRQ int) []graph.EdgeSe
 
 // ExactSSPByEnumeration computes SSP by full possible-world enumeration —
 // the naive Section 1.1 baseline, used by tests and the smallest benches.
-func (db *Database) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, error) {
-	return db.View().ExactSSPByEnumeration(q, gi, delta)
-}
-
-// ExactSSPByEnumeration on a pinned View; see the Database method.
 func (v *View) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, error) {
+	if err := v.checkLive(gi, "enumerating"); err != nil {
+		return 0, err
+	}
 	u := relax.Relaxed(q, delta, 0)
 	eng, err := v.Engine(gi)
 	if err != nil {
@@ -412,11 +361,8 @@ func (v *View) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, er
 	}
 	total := 0.0
 	err = prob.EnumerateWorlds(eng, func(w graph.EdgeSet, p float64) bool {
-		for _, rq := range u {
-			if iso.Exists(rq, v.Certain[gi], &w) {
-				total += p
-				break
-			}
+		if mcs.SimilarVia(u, v.Certain[gi], &w) {
+			total += p
 		}
 		return true
 	})
@@ -668,12 +614,4 @@ func bonferroniMin(entries []pmi.Entry, chosen []int) float64 {
 		v = single
 	}
 	return v
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -65,11 +65,11 @@ func TestRangePartitionBitwise(t *testing.T) {
 		for _, shards := range []int{2, 3} {
 			parts := partitionAll(t, db, shards)
 			for qi := 0; qi < 3; qi++ {
-				q := dataset.ExtractQuery(db.Graphs()[qi%db.Len()].G, 4, rng)
+				q := dataset.ExtractQuery(db.View().Graphs[qi%db.Len()].G, 4, rng)
 				for _, workers := range []int{1, 4} {
 					opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true,
 						Seed: seed + int64(qi), Concurrency: workers}
-					full, err := db.Query(q, opt)
+					full, err := db.View().QueryCtx(bg, q, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,9 +108,9 @@ func TestRangePartitionWithTombstones(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
-	q := dataset.ExtractQuery(db.Graphs()[1].G, 4, rng)
+	q := dataset.ExtractQuery(db.View().Graphs[1].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 7}
-	full, err := db.Query(q, opt)
+	full, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRangePartitionWithTombstones(t *testing.T) {
 func TestRangeSnapshotRoundTrip(t *testing.T) {
 	db, _ := smallDatabase(t, 5, 10, true)
 	rng := rand.New(rand.NewSource(5))
-	q := dataset.ExtractQuery(db.Graphs()[0].G, 4, rng)
+	q := dataset.ExtractQuery(db.View().Graphs[0].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 5}
 	for _, format := range []SnapshotFormat{SnapshotText, SnapshotBinary} {
 		var buf bytes.Buffer
@@ -265,13 +265,13 @@ func TestTopKBoundsDistributedReplay(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
 		db, _ := smallDatabase(t, seed, 12, true)
 		rng := rand.New(rand.NewSource(seed))
-		q := dataset.ExtractQuery(db.Graphs()[2].G, 4, rng)
+		q := dataset.ExtractQuery(db.View().Graphs[2].G, 4, rng)
 		const k = 4
 		opt := QueryOptions{Delta: 1, OptBounds: true, Seed: seed}
 		for _, workers := range []int{1, 4} {
 			wopt := opt
 			wopt.Concurrency = workers
-			full, err := db.QueryTopK(q, k, wopt)
+			full, err := db.View().QueryTopKCtx(bg, q, k, wopt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,12 +26,12 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 	text := roundTrip(t, db)
 	bin := roundTripBinary(t, db)
 
-	if bin.Len() != text.Len() || bin.Generation() != text.Generation() {
+	if bin.Len() != text.Len() || bin.View().Generation != text.View().Generation {
 		t.Fatalf("shape diverged: binary %d/gen %d, text %d/gen %d",
-			bin.Len(), bin.Generation(), text.Len(), text.Generation())
+			bin.Len(), bin.View().Generation, text.Len(), text.View().Generation)
 	}
-	for fi := range text.PMI().Entries {
-		if !reflect.DeepEqual(text.PMI().Entries[fi], bin.PMI().Entries[fi]) {
+	for fi := range text.View().PMI.Entries {
+		if !reflect.DeepEqual(text.View().PMI.Entries[fi], bin.View().PMI.Entries[fi]) {
 			t.Fatalf("PMI row %d diverged between text and binary load", fi)
 		}
 	}
@@ -42,11 +42,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 			{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(7 + i)},
 			{Epsilon: 0.6, Delta: 1, Seed: int64(100 + i)},
 		} {
-			want, err := text.Query(q, opt)
+			want, err := text.View().QueryCtx(bg, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := bin.Query(q, opt)
+			have, err := bin.View().QueryCtx(bg, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +56,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 		}
 	}
 
-	wantTop, err := text.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	wantTop, err := text.View().QueryTopKCtx(bg, qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveTop, err := bin.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	haveTop, err := bin.View().QueryTopKCtx(bg, qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 	}
 
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21, Concurrency: 3}
-	wantBatch, err := text.QueryBatch(qs, opt)
+	wantBatch, err := text.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveBatch, err := bin.QueryBatch(qs, opt)
+	haveBatch, err := bin.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 
 	sopt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 33}
 	var wantStream, haveStream []Match
-	for m, err := range text.QueryStream(context.Background(), qs[0], sopt) {
+	for m, err := range text.View().QueryStream(context.Background(), qs[0], sopt) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantStream = append(wantStream, m)
 	}
-	for m, err := range bin.QueryStream(context.Background(), qs[0], sopt) {
+	for m, err := range bin.View().QueryStream(context.Background(), qs[0], sopt) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,17 +134,17 @@ func TestSnapshotBinaryTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTripBinary(t, db)
-	if got.Generation() != db.Generation() || got.Tombstones() != 2 || got.NumLive() != 6 {
+	if got.View().Generation != db.View().Generation || got.View().Tombstones() != 2 || got.View().NumLive() != 6 {
 		t.Fatalf("tombstone state diverged: gen %d/%d, tombs %d, live %d",
-			got.Generation(), db.Generation(), got.Tombstones(), got.NumLive())
+			got.View().Generation, db.View().Generation, got.View().Tombstones(), got.View().NumLive())
 	}
 	q := snapQueries(t, raw, 1)[0]
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 17}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Query(q, opt)
+	have, err := got.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestOpenSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	q := snapQueries(t, raw, 1)[0]
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 5}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestOpenSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSnapshot(%s): %v", format, err)
 		}
-		have, err := got.Query(q, opt)
+		have, err := got.View().QueryCtx(bg, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,10 +199,10 @@ func TestSnapshotBinaryNoPMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTripBinary(t, db)
-	if got.PMI() != nil {
+	if got.View().PMI != nil {
 		t.Fatal("reloaded database unexpectedly has a PMI")
 	}
-	if got.Struct() == nil {
+	if got.View().Struct == nil {
 		t.Fatal("reloaded database lost its structural filter")
 	}
 }

@@ -23,14 +23,14 @@ const fixtureDir = "../../testdata/snapshots"
 func replayConvertedFixture(t *testing.T, fixture string) *Database {
 	t.Helper()
 	db, raw := loadFixture(t, fixture+".pgsnapb")
-	if db.Generation() != 1 || db.Tombstones() != 0 {
+	if db.View().Generation != 1 || db.View().Tombstones() != 0 {
 		t.Fatalf("%s restored at generation %d with %d tombstones, want 1 and 0",
-			fixture, db.Generation(), db.Tombstones())
+			fixture, db.View().Generation, db.View().Tombstones())
 	}
-	if db.Struct() == nil {
+	if db.View().Struct == nil {
 		t.Fatalf("%s loaded without a structural filter", fixture)
 	}
-	if shards, entries := db.Struct().PostingsStats(); shards < 1 || entries < 1 {
+	if shards, entries := db.View().Struct.PostingsStats(); shards < 1 || entries < 1 {
 		t.Fatalf("%s: no postings: %d shards, %d entries", fixture, shards, entries)
 	}
 
@@ -42,7 +42,7 @@ func replayConvertedFixture(t *testing.T, fixture string) *Database {
 	for _, workers := range []int{1, 4} {
 		o := opt
 		o.Concurrency = workers
-		res, err := db.Query(q, o)
+		res, err := db.View().QueryCtx(bg, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestMutateFixtureSaveTextReplay(t *testing.T) {
 
 		// Mutate: insert a copy of slot 0's graph, tombstone a recorded
 		// answer.
-		if _, _, err := db.AddGraph(db.Graphs()[0]); err != nil {
+		if _, _, err := db.AddGraph(db.View().Graphs[0]); err != nil {
 			t.Fatalf("%s: add: %v", fixture, err)
 		}
 		if _, err := db.RemoveGraph(victim); err != nil {
@@ -104,9 +104,9 @@ func TestMutateFixtureSaveTextReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reloading: %v", fixture, err)
 		}
-		if reloaded.Generation() != 3 || reloaded.Tombstones() != 1 {
+		if reloaded.View().Generation != 3 || reloaded.View().Tombstones() != 1 {
 			t.Fatalf("%s: reloaded gen=%d tombs=%d, want 3 and 1",
-				fixture, reloaded.Generation(), reloaded.Tombstones())
+				fixture, reloaded.View().Generation, reloaded.View().Tombstones())
 		}
 		if !bytes.Equal(saveBytes(t, reloaded.View(), SnapshotText), text) {
 			t.Fatalf("%s: text snapshot with tombstones not byte-stable", fixture)
@@ -116,7 +116,7 @@ func TestMutateFixtureSaveTextReplay(t *testing.T) {
 		// tombstoned one, SSP bitwise for every surviving recorded
 		// candidate. The inserted graph occupies a fresh slot (>= the
 		// original length) with no recorded estimate — it is ignored.
-		res, err := reloaded.Query(q, QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: BatchSeed(5, 0)})
+		res, err := reloaded.View().QueryCtx(bg, q, QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: BatchSeed(5, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

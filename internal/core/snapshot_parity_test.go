@@ -57,7 +57,7 @@ func snapshotCases(t *testing.T) map[string]*View {
 	}
 	opt := DefaultBuildOptions()
 	opt.SkipPMI = true
-	noPMI, err := NewDatabase(full.Graphs()[:5], opt)
+	noPMI, err := NewDatabase(full.View().Graphs[:5], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSnapshotTombstoneOrder(t *testing.T) {
 		}
 		for _, format := range bothFormats {
 			db, err := LoadDatabase(bytes.NewReader(inputs[format]))
-			if tc.ok && (err != nil || db.Tombstones() != 2) {
+			if tc.ok && (err != nil || db.View().Tombstones() != 2) {
 				t.Errorf("%s/%s: well-formed list rejected: %v", tc.name, format, err)
 			}
 			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "tombstone")) {

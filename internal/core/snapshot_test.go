@@ -75,15 +75,15 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 	if got.Len() != db.Len() {
 		t.Fatalf("reloaded %d graphs, want %d", got.Len(), db.Len())
 	}
-	if got.PMI() == nil || got.PMI().NumFeatures() != db.PMI().NumFeatures() {
-		t.Fatalf("PMI features: got %v, want %d", got.PMI(), db.PMI().NumFeatures())
+	if got.View().PMI == nil || got.View().PMI.NumFeatures() != db.View().PMI.NumFeatures() {
+		t.Fatalf("PMI features: got %v, want %d", got.View().PMI, db.View().PMI.NumFeatures())
 	}
-	if len(got.Features()) != len(db.Features()) {
-		t.Fatalf("mined features: got %d, want %d", len(got.Features()), len(db.Features()))
+	if len(got.View().Features) != len(db.View().Features) {
+		t.Fatalf("mined features: got %d, want %d", len(got.View().Features), len(db.View().Features))
 	}
-	for fi := range db.PMI().Entries {
-		for gi := range db.PMI().Entries[fi] {
-			a, b := db.PMI().Entries[fi][gi], got.PMI().Entries[fi][gi]
+	for fi := range db.View().PMI.Entries {
+		for gi := range db.View().PMI.Entries[fi] {
+			a, b := db.View().PMI.Entries[fi][gi], got.View().PMI.Entries[fi][gi]
 			if a != b {
 				t.Fatalf("PMI entry (%d,%d) changed: %+v != %+v", fi, gi, b, a)
 			}
@@ -96,11 +96,11 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 			{Epsilon: 0.6, Delta: 1, Seed: int64(100 + i)}, // plain SSPBound
 			{Epsilon: 0.4, Delta: 1, OptBounds: true, Verifier: VerifierExact, Seed: 3},
 		} {
-			want, err := db.Query(q, opt)
+			want, err := db.View().QueryCtx(bg, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := got.Query(q, opt)
+			have, err := got.View().QueryCtx(bg, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +127,11 @@ func TestSnapshotTopKAndBatch(t *testing.T) {
 	got := roundTrip(t, db)
 	qs := snapQueries(t, raw, 3)
 
-	wantTop, err := db.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	wantTop, err := db.View().QueryTopKCtx(bg, qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveTop, err := got.QueryTopK(qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
+	haveTop, err := got.View().QueryTopKCtx(bg, qs[0], 3, QueryOptions{Delta: 1, OptBounds: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestSnapshotTopKAndBatch(t *testing.T) {
 	}
 
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21, Concurrency: 3}
-	wantBatch, err := db.QueryBatch(qs, opt)
+	wantBatch, err := db.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	haveBatch, err := got.QueryBatch(qs, opt)
+	haveBatch, err := got.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +181,20 @@ func TestSnapshotIncrementalAddGraph(t *testing.T) {
 	if wi != hi {
 		t.Fatalf("AddGraph index %d != %d", hi, wi)
 	}
-	for fi := range db.PMI().Entries {
-		if db.PMI().Entries[fi][wi] != got.PMI().Entries[fi][hi] {
+	for fi := range db.View().PMI.Entries {
+		if db.View().PMI.Entries[fi][wi] != got.View().PMI.Entries[fi][hi] {
 			t.Fatalf("incremental PMI column diverged at feature %d: %+v != %+v",
-				fi, got.PMI().Entries[fi][hi], db.PMI().Entries[fi][wi])
+				fi, got.View().PMI.Entries[fi][hi], db.View().PMI.Entries[fi][wi])
 		}
 	}
 
 	q := snapQueries(t, raw, 1)[0]
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 13}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Query(q, opt)
+	have, err := got.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +220,16 @@ func TestSnapshotNoPMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTrip(t, db)
-	if got.PMI() != nil {
+	if got.View().PMI != nil {
 		t.Fatal("reloaded database unexpectedly has a PMI")
 	}
 	q := snapQueries(t, raw, 1)[0]
 	qo := QueryOptions{Epsilon: 0.4, Delta: 1, Seed: 2}
-	want, err := db.Query(q, qo)
+	want, err := db.View().QueryCtx(bg, q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Query(q, qo)
+	have, err := got.View().QueryCtx(bg, q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}

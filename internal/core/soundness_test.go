@@ -40,13 +40,13 @@ func TestBoundsSandwichExactSSP(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed + 1))
-		q := dataset.ExtractQuery(db.Certain()[int(seed)%len(db.Certain())], 4, rng)
+		q := dataset.ExtractQuery(db.View().Certain[int(seed)%len(db.View().Certain)], 4, rng)
 		if q.NumEdges() < 2 {
 			return true
 		}
 		const delta = 1
 		u := relax.Relaxed(q, delta, 0)
-		scq, _ := db.Struct().SCq(q, delta, 1)
+		scq, _ := db.View().Struct.SCq(q, delta, 1)
 		for _, optBounds := range []bool{false, true} {
 			qo := QueryOptions{Epsilon: 0.5, Delta: delta, OptBounds: optBounds, Seed: seed}
 			pr, err := db.View().newPruner(context.Background(), u, qo.withDefaults(), nil)
@@ -54,12 +54,12 @@ func TestBoundsSandwichExactSSP(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, gi := range scq {
-				exact, err := db.ExactSSPByEnumeration(q, gi, delta)
+				exact, err := db.View().ExactSSPByEnumeration(q, gi, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sc := getScratch(candSeed(qo.Seed^pruneSalt, gi))
-				sc.entries = db.PMI().LookupInto(gi, sc.entries[:0])
+				sc.entries = db.View().PMI.LookupInto(gi, sc.entries[:0])
 				upper := pr.upperBound(sc.entries, sc)
 				lower := pr.lowerBound(sc.entries, sc)
 				putScratch(sc)
@@ -102,18 +102,18 @@ func TestStructuralPruningNeverDropsAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+		q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 		if q.NumEdges() < 2 {
 			return true
 		}
 		const delta = 1
-		scq, _ := db.Struct().SCq(q, delta, 1)
+		scq, _ := db.View().Struct.SCq(q, delta, 1)
 		inSCQ := make(map[int]bool, len(scq))
 		for _, gi := range scq {
 			inSCQ[gi] = true
 		}
-		for gi := range db.Graphs() {
-			exact, err := db.ExactSSPByEnumeration(q, gi, delta)
+		for gi := range db.View().Graphs {
+			exact, err := db.View().ExactSSPByEnumeration(q, gi, delta)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,10 +7,10 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
-	"probgraph/internal/relax"
+	"probgraph/internal/pool"
 )
 
-// Match is one verified answer delivered by Database.QueryStream: a
+// Match is one verified answer delivered by View.QueryStream: a
 // database graph index and the SSP reported for it. SSP mirrors
 // Result.SSP: verified answers carry their estimate, direct lower-bound
 // accepts (and VerifierNone answers) carry -1 — they were admitted without
@@ -30,7 +30,7 @@ type Match struct {
 // Delivery order is arrival order — whichever candidate finishes first —
 // and therefore scheduling-dependent. The *set* is not: every per-match
 // outcome is a pure function of (Seed, graph index), so the collected
-// stream, re-sorted by Match.Graph, is bitwise-identical to Query's
+// stream, re-sorted by Match.Graph, is bitwise-identical to QueryCtx's
 // Answers and SSP estimates at every worker count. Determinism lives in
 // the set, arrival order is the only nondeterminism.
 //
@@ -45,33 +45,19 @@ type Match struct {
 //
 // Matches that were already yielded are never retracted; a consumer that
 // only needs the first few answers can break as soon as it has them.
-func (db *Database) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
-	// The view is pinned here — when the stream is created — not when the
-	// consumer starts ranging; either way no mutation committed later can
-	// reach a started stream.
-	return db.View().QueryStream(ctx, q, opt)
-}
-
-// QueryStream on a pinned View; see the Database method.
 func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		opt = opt.withDefaults()
-		if err := opt.Validate(); err != nil {
+		p, err := v.newPlan(ctx, q, opt, false, nil)
+		if err != nil {
 			yield(Match{}, err)
 			return
 		}
-		if err := ctx.Err(); err != nil {
-			yield(Match{}, err)
-			return
-		}
+		scq := p.scq
 
-		// Degenerate relaxation: δ ≥ |q| admits every graph with SSP 1
-		// (see query); stream them in index order.
-		if opt.Delta >= q.NumEdges() {
-			for gi := range v.Graphs {
-				if !v.Live(gi) {
-					continue
-				}
+		// Degenerate relaxation: every live graph matches with SSP 1;
+		// stream them in index order.
+		if p.degenerate {
+			for _, gi := range scq {
 				if err := ctx.Err(); err != nil {
 					yield(Match{}, err)
 					return
@@ -81,26 +67,6 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 				}
 			}
 			return
-		}
-
-		parent := obs.SpanFrom(ctx)
-		sp := parent.Child("struct_filter")
-		scq, filterCount, err := v.Struct.SCqCtx(obs.ContextWithSpan(ctx, sp), q, opt.Delta, opt.Concurrency)
-		sp.EndCount(int64(len(scq)))
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
-		var pr *pruner
-		if !opt.SkipProbPruning && v.PMI != nil {
-			sp = parent.Child("pmi_prune")
-			pr, err = v.newPruner(ctx, u, opt, nil)
-			sp.End()
-			if err != nil {
-				yield(Match{}, err)
-				return
-			}
 		}
 
 		// Fan the candidates out over the shared worker pool
@@ -128,10 +94,10 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 		var pruned, accepted, verified, answers atomic.Int64
 		go func() {
 			defer close(finished)
-			sp := parent.Child("verify")
-			forEachIndexCtx(inner, len(scq), normalizeWorkers(opt.Concurrency, len(scq)), func(i int) {
+			sp := obs.SpanFrom(ctx).Child("verify")
+			pool.ForEachIndexCtx(inner, len(scq), pool.Normalize(p.opt.Concurrency, len(scq)), func(i int) {
 				gi := scq[i]
-				o := v.evalCandidate(q, u, pr, gi, opt)
+				o := v.evalCandidate(p, gi)
 				if o.err != nil {
 					select {
 					case out <- item{err: o.err}:
@@ -140,7 +106,7 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 					cancel() // stop handing out further candidates
 					return
 				}
-				match, ssp := outcomeMatch(o, opt)
+				match, ssp := outcomeMatch(o, p.opt)
 				if pipe != nil {
 					switch o.verdict {
 					case judgePrune:
@@ -163,13 +129,13 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 			})
 			sp.EndCount(int64(len(scq)))
 			pipe.Observe(obs.PipelineStats{
-				StructFilterCandidates: filterCount,
+				StructFilterCandidates: p.stats.StructFilterCandidates,
 				StructConfirmed:        len(scq),
 				PrunedByUpper:          int(pruned.Load()),
 				AcceptedByLower:        int(accepted.Load()),
 				VerifyCandidates:       int(verified.Load()),
 				Answers:                int(answers.Load()),
-				RelaxedQueries:         len(u),
+				RelaxedQueries:         len(p.u),
 			})
 		}()
 		// Join the workers on every exit path — the iterator must not

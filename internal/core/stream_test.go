@@ -37,13 +37,13 @@ func TestQueryStreamCollectEqualsQuery(t *testing.T) {
 	for _, optBounds := range []bool{false, true} {
 		for _, vk := range []VerifierKind{VerifierSMP, VerifierNone} {
 			for _, qi := range qs {
-				q := dataset.ExtractQuery(db.Certain()[qi], 4, rng)
+				q := dataset.ExtractQuery(db.View().Certain[qi], 4, rng)
 				for seed := int64(1); seed <= 3; seed++ {
 					opt := QueryOptions{
 						Epsilon: 0.4, Delta: 1, OptBounds: optBounds, Verifier: vk,
 						Verify: verify.Options{N: 1200}, Seed: seed,
 					}
-					want, err := db.Query(q, opt)
+					want, err := db.View().QueryCtx(bg, q, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -53,7 +53,7 @@ func TestQueryStreamCollectEqualsQuery(t *testing.T) {
 						label := fmt.Sprintf("optBounds=%v/verifier=%d/q=%d/seed=%d/workers=%d",
 							optBounds, vk, qi, seed, workers)
 						var got []Match
-						for m, err := range db.QueryStream(context.Background(), q, po) {
+						for m, err := range db.View().QueryStream(context.Background(), q, po) {
 							if err != nil {
 								t.Fatalf("%s: stream error: %v", label, err)
 							}
@@ -88,9 +88,9 @@ func TestQueryStreamCollectEqualsQuery(t *testing.T) {
 func TestQueryStreamEarlyBreak(t *testing.T) {
 	db, _ := smallDatabase(t, 3002, 10, true)
 	rng := rand.New(rand.NewSource(91))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: 7}
-	want, err := db.Query(q, opt)
+	want, err := db.View().QueryCtx(bg, q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQueryStreamEarlyBreak(t *testing.T) {
 			po := opt
 			po.Concurrency = workers
 			var got []Match
-			for m, err := range db.QueryStream(context.Background(), q, po) {
+			for m, err := range db.View().QueryStream(context.Background(), q, po) {
 				if err != nil {
 					t.Fatalf("workers=%d cut=%d: stream error: %v", workers, cut, err)
 				}
@@ -153,7 +153,7 @@ func TestQueryStreamCancelMidStream(t *testing.T) {
 			cancel()
 		}()
 		var finalErr error
-		for _, err := range db.QueryStream(ctx, q, po) {
+		for _, err := range db.View().QueryStream(ctx, q, po) {
 			if err != nil {
 				finalErr = err
 			}
@@ -171,11 +171,11 @@ func TestQueryStreamCancelMidStream(t *testing.T) {
 func TestQueryStreamPreCancelled(t *testing.T) {
 	db, _ := smallDatabase(t, 3003, 6, true)
 	rng := rand.New(rand.NewSource(97))
-	q := dataset.ExtractQuery(db.Certain()[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	n, errs := 0, 0
-	for m, err := range db.QueryStream(ctx, q, QueryOptions{Epsilon: 0.4, Delta: 1}) {
+	for m, err := range db.View().QueryStream(ctx, q, QueryOptions{Epsilon: 0.4, Delta: 1}) {
 		n++
 		if err != nil {
 			errs++
@@ -196,10 +196,10 @@ func TestQueryStreamPreCancelled(t *testing.T) {
 func TestQueryStreamDegenerateDelta(t *testing.T) {
 	db, _ := smallDatabase(t, 3004, 6, true)
 	rng := rand.New(rand.NewSource(101))
-	q := dataset.ExtractQuery(db.Certain()[0], 3, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 3, rng)
 	opt := QueryOptions{Epsilon: 0.4, Delta: q.NumEdges()}
 	var got []Match
-	for m, err := range db.QueryStream(context.Background(), q, opt) {
+	for m, err := range db.View().QueryStream(context.Background(), q, opt) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,14 +220,14 @@ func TestQueryStreamDegenerateDelta(t *testing.T) {
 func TestQueryStreamBadOptions(t *testing.T) {
 	db, _ := smallDatabase(t, 3005, 6, true)
 	rng := rand.New(rand.NewSource(103))
-	q := dataset.ExtractQuery(db.Certain()[0], 3, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 3, rng)
 	for _, opt := range []QueryOptions{
 		{Epsilon: 1.5, Delta: 1},
 		{Epsilon: 0.4, Delta: -1},
 	} {
 		n := 0
 		var got error
-		for _, err := range db.QueryStream(context.Background(), q, opt) {
+		for _, err := range db.View().QueryStream(context.Background(), q, opt) {
 			n++
 			got = err
 		}

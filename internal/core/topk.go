@@ -9,6 +9,7 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
+	"probgraph/internal/pool"
 	"probgraph/internal/relax"
 )
 
@@ -18,12 +19,12 @@ type TopKItem struct {
 	SSP   float64 // estimated subgraph similarity probability
 }
 
-// QueryTopK returns the k database graphs with the highest SSP for q at
+// QueryTopKCtx returns the k database graphs with the highest SSP for q at
 // distance δ, ranked descending. It extends the paper's threshold queries
 // the way its bounds machinery invites: candidates are verified in
 // decreasing Usim order, and verification stops as soon as the next
 // candidate's upper bound cannot beat the current k-th best SSP.
-// QueryOptions.Epsilon is ignored.
+// QueryOptions.Epsilon does not affect the ranking (it is still validated).
 //
 // With opt.Concurrency > 1 both the bound computation and the verification
 // schedule fan out over the worker pool. Workers verify candidates
@@ -33,56 +34,28 @@ type TopKItem struct {
 // serial run at any worker count. Speculation past the serial cutoff is
 // bounded and its results are discarded, costing only wasted work, never
 // a changed answer.
-func (db *Database) QueryTopK(q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return db.View().QueryTopKCtx(context.Background(), q, k, opt)
-}
-
-// QueryTopK on a pinned View is QueryTopK against exactly that
-// generation.
-func (v *View) QueryTopK(q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return v.QueryTopKCtx(context.Background(), q, k, opt)
-}
-
-// QueryTopKCtx is QueryTopK under a context. Cancellation is checked at
-// every stage — structural scan (shard granularity), bound computation and
-// verification (candidate granularity) — and wakes workers blocked on the
-// speculation window, so a cancelled call returns (nil, ctx.Err())
-// promptly without leaking goroutines. An uncancelled call returns exactly
-// QueryTopK's ranking.
-func (db *Database) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	return db.View().QueryTopKCtx(ctx, q, k, opt)
-}
-
-// QueryTopKCtx on a pinned View; see the Database method.
+//
+// Cancellation is checked at every stage — structural scan (shard
+// granularity), bound computation and verification (candidate granularity)
+// — and wakes workers blocked on the speculation window, so a cancelled
+// call returns (nil, ctx.Err()) promptly without leaking goroutines.
 func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	opt = opt.withDefaults()
-	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive")
-	}
-	if opt.Delta < 0 {
-		return nil, fmt.Errorf("core: negative delta")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opt.Delta >= q.NumEdges() {
-		out := make([]TopKItem, 0, k)
-		for gi := 0; gi < v.Len() && len(out) < k; gi++ {
-			if !v.Live(gi) {
-				continue
-			}
-			out = append(out, TopKItem{Graph: gi, SSP: 1})
-		}
-		return out, nil
-	}
-	cands, u, err := v.topkSchedule(ctx, q, opt)
+	p, cands, err := v.topkSchedule(ctx, q, k, opt)
 	if err != nil {
 		return nil, err
+	}
+	if p.degenerate {
+		out := make([]TopKItem, len(cands))
+		for i, c := range cands {
+			out[i] = TopKItem{Graph: c.Graph, SSP: 1}
+		}
+		return out, nil
 	}
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(cands))
+	opt = p.opt
+	workers := pool.Normalize(opt.Concurrency, len(cands))
 
 	// Verification with bound-based early termination. Workers verify
 	// candidates speculatively in schedule order; a sequential commit
@@ -180,7 +153,7 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 			next++
 			mu.Unlock()
 
-			ssp, err := v.VerifySSP(q, u, cands[i].Graph, opt)
+			ssp, err := v.verifySSP(p.u, cands[i].Graph, opt)
 
 			mu.Lock()
 			ssps[i], errs[i], done[i] = ssp, err, true
@@ -251,58 +224,55 @@ type TopKBound struct {
 	Upper float64 // SSP upper bound, clamped to 1
 }
 
-// topkSchedule computes the top-k verification schedule for q: the
-// structural candidate set, each candidate's upper bound (seeded from its
-// global id, so partitions agree bitwise with the full database), sorted
-// by the serial verification order. It also returns the relaxed query set
-// the verification phase needs. An empty candidate set returns (nil, u,
-// nil). Spans attach under the context's span as in Query.
-func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOptions) ([]TopKBound, []*graph.Graph, error) {
-	parent := obs.SpanFrom(ctx)
-	sp := parent.Child("struct_filter")
-	scq, _, err := v.Struct.SCqCtx(obs.ContextWithSpan(ctx, sp), q, opt.Delta, opt.Concurrency)
-	sp.EndCount(int64(len(scq)))
+// unitBounds schedules every slot with the trivial upper bound 1.
+func unitBounds(slots []int) []TopKBound {
+	out := make([]TopKBound, len(slots))
+	for i, gi := range slots {
+		out[i] = TopKBound{Graph: gi, Upper: 1}
+	}
+	return out
+}
+
+// topkSchedule is the ranked forms' shared start: the plan, then the
+// verification schedule over its candidates — each candidate's upper bound
+// (seeded from its global id, so partitions agree bitwise with the full
+// database), sorted by the serial verification order. A degenerate plan
+// schedules its first k live slots; their SSP is 1 without verification.
+func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []TopKBound, error) {
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("core: k must be positive")
+	}
+	p, err := v.newPlan(ctx, q, opt, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	sp = parent.Child("relax")
-	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
-	sp.EndCount(int64(len(u)))
-	if len(scq) == 0 {
-		return nil, u, nil
+	if p.degenerate {
+		return p, unitBounds(p.scq[:min(k, len(p.scq))]), nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(scq))
-
-	// Upper bounds order the verification schedule. Each candidate's bound
-	// draws from its own candSeed-derived rng, so the schedule is the same
-	// at any worker count.
-	cands := make([]TopKBound, len(scq))
-	if v.PMI != nil {
-		sp = parent.Child("bounds")
-		pr, err := v.newPruner(ctx, u, opt, nil)
-		if err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		err = forEachIndexCtx(ctx, len(scq), workers, func(i int) {
-			gi := scq[i]
-			sc := getScratch(candSeed(opt.Seed^pruneSalt, v.GID(gi)))
+	if len(p.scq) == 0 {
+		return p, nil, nil
+	}
+	if v.PMI == nil {
+		return p, unitBounds(p.scq), nil
+	}
+	// Each candidate's bound draws from its own candSeed-derived rng, so the
+	// schedule is the same at any worker count.
+	cands := make([]TopKBound, len(p.scq))
+	sp := obs.SpanFrom(ctx).Child("bounds")
+	pr, err := v.newPruner(ctx, p.u, p.opt, nil)
+	if err == nil {
+		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) {
+			gi := p.scq[i]
+			sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
 			sc.entries = v.PMI.LookupInto(gi, sc.entries[:0])
 			ub := pr.upperBound(sc.entries, sc)
 			putScratch(sc)
-			if ub > 1 {
-				ub = 1
-			}
-			cands[i] = TopKBound{Graph: gi, Upper: ub}
+			cands[i] = TopKBound{Graph: gi, Upper: min(ub, 1)}
 		})
-		sp.EndCount(int64(len(scq)))
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for i, gi := range scq {
-			cands[i] = TopKBound{Graph: gi, Upper: 1}
-		}
+	}
+	sp.EndCount(int64(len(p.scq)))
+	if err != nil {
+		return nil, nil, err
 	}
 	// Slot ascending breaks upper-bound ties. On a partition, slots are in
 	// global-id order, so merging shard schedules by (Upper desc, global
@@ -313,7 +283,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOption
 		}
 		return cands[i].Graph < cands[j].Graph
 	})
-	return cands, u, nil
+	return p, cands, nil
 }
 
 // QueryTopKBounds computes the top-k verification schedule without
@@ -322,45 +292,35 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, opt QueryOption
 // A distributed coordinator calls this on every shard, merges the
 // schedules by (Upper, global id), and replays the serial early-
 // termination rule over the union — fetching SSPs via VerifySSPBatch —
-// to reproduce QueryTopK bitwise.
+// to reproduce QueryTopKCtx bitwise.
 //
 // The degenerate return (δ ≥ |E(q)|, where every live graph matches with
 // SSP 1) lists the first k live slots with Upper 1 and degenerate=true;
 // no verification is needed for them.
 func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (bounds []TopKBound, degenerate bool, err error) {
-	opt = opt.withDefaults()
-	if k <= 0 {
-		return nil, false, fmt.Errorf("core: k must be positive")
-	}
-	if opt.Delta < 0 {
-		return nil, false, fmt.Errorf("core: negative delta")
-	}
-	if err := ctx.Err(); err != nil {
+	p, cands, err := v.topkSchedule(ctx, q, k, opt)
+	if err != nil {
 		return nil, false, err
 	}
-	if opt.Delta >= q.NumEdges() {
-		out := make([]TopKBound, 0, k)
-		for gi := 0; gi < v.Len() && len(out) < k; gi++ {
-			if !v.Live(gi) {
-				continue
-			}
-			out = append(out, TopKBound{Graph: gi, Upper: 1})
-		}
-		return out, true, nil
-	}
-	cands, _, err := v.topkSchedule(ctx, q, opt)
-	return cands, false, err
+	return cands, p.degenerate, nil
 }
 
-// VerifySSPBatch verifies the SSP of q against each of the given slots on
-// the worker pool, returning the estimates in input order. The relaxed
-// query set is derived internally (as Query and QueryTopK derive it), and
-// each slot's estimate seeds from its global id alone — the same value
-// VerifySSP returns, independent of batching, order, or worker count.
+// VerifySSPBatch verifies the SSP of q against each of the given live slots
+// on the worker pool, returning the estimates in input order; a slot that
+// is out of range or tombstoned fails the call with ErrNoSuchGraph. The
+// relaxed query set is derived internally (as QueryCtx and QueryTopKCtx
+// derive it), and each slot's estimate seeds from its global id alone — the
+// same value VerifySSP returns, independent of batching, order, or worker
+// count.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {
 	opt = opt.withDefaults()
-	if opt.Delta < 0 {
-		return nil, fmt.Errorf("core: negative delta")
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	for _, gi := range gis {
+		if err := v.checkLive(gi, "verifying"); err != nil {
+			return nil, err
+		}
 	}
 	if len(gis) == 0 {
 		return nil, nil
@@ -368,9 +328,9 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
 	out := make([]float64, len(gis))
 	errs := make([]error, len(gis))
-	workers := normalizeWorkers(opt.Concurrency, len(gis))
-	err := forEachIndexCtx(ctx, len(gis), workers, func(i int) {
-		out[i], errs[i] = v.VerifySSP(q, u, gis[i], opt)
+	workers := pool.Normalize(opt.Concurrency, len(gis))
+	err := pool.ForEachIndexCtx(ctx, len(gis), workers, func(i int) {
+		out[i], errs[i] = v.verifySSP(u, gis[i], opt)
 	})
 	if err != nil {
 		return nil, err
@@ -383,52 +343,38 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	return out, nil
 }
 
-// QueryBatch answers many queries over one bounded worker pool of
+// QueryBatchCtx answers many queries over one bounded worker pool of
 // opt.Concurrency goroutines (0 or 1 serial, negative GOMAXPROCS) and
-// returns their results in input order. Query i runs with the derived seed
-// BatchSeed(opt.Seed, i), so its result is bitwise-identical to calling
-// Query with that seed directly — batching never changes answers.
+// returns their results in input order. Every member runs against this one
+// view — a batch is one consistent read of the database. Query i runs with
+// the derived seed BatchSeed(opt.Seed, i), so its result is
+// bitwise-identical to calling QueryCtx with that seed directly — batching
+// never changes answers.
 //
 // The pool is spread across queries first; leftover capacity (when the
 // pool is larger than the batch) parallelizes candidates inside each
 // query. Queries additionally share one feature-relation cache, amortizing
 // the query-side feature/relaxed-query isomorphism tests that dominate
 // pruner setup when the batch's queries overlap structurally.
-func (db *Database) QueryBatch(qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return db.View().QueryBatchCtx(context.Background(), qs, opt)
-}
-
-// QueryBatch on a pinned View is QueryBatch against exactly that
-// generation.
-func (v *View) QueryBatch(qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return v.QueryBatchCtx(context.Background(), qs, opt)
-}
-
-// QueryBatchCtx is QueryBatch under a context. The context is shared by
-// every member query — cancellation stops the whole batch (member queries
-// check it per pipeline stage and per candidate) and the call returns
-// (nil, ctx.Err()); there are no partial batch results. An uncancelled
-// call returns exactly QueryBatch's results.
-func (db *Database) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	return db.View().QueryBatchCtx(ctx, qs, opt)
-}
-
-// QueryBatchCtx on a pinned View: every member query runs against the
-// same generation — a batch is one consistent read of the database.
+//
+// The context is shared by every member query — cancellation stops the
+// whole batch (member queries check it per pipeline stage and per
+// candidate) and the call returns (nil, ctx.Err()); there are no partial
+// batch results.
 func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	workers := normalizeWorkers(opt.Concurrency, len(qs))
+	workers := pool.Normalize(opt.Concurrency, len(qs))
 	inner := 1
-	if w := normalizeWorkers(opt.Concurrency, len(qs)*v.Len()); w > workers {
+	if w := pool.Normalize(opt.Concurrency, len(qs)*v.Len()); w > workers {
 		inner = w / workers
 	}
 	cache := newRelCache()
 	results := make([]*Result, len(qs))
 	errs := make([]error, len(qs))
 	var abort atomic.Bool // first failed query stops remaining work
-	err := forEachIndexCtx(ctx, len(qs), workers, func(i int) {
+	err := pool.ForEachIndexCtx(ctx, len(qs), workers, func(i int) {
 		if abort.Load() {
 			return
 		}

@@ -13,9 +13,9 @@ import (
 func TestQueryTopKMatchesExactRanking(t *testing.T) {
 	db, _ := smallDatabase(t, 909, 8, true)
 	rng := rand.New(rand.NewSource(21))
-	q := dataset.ExtractQuery(db.Certain()[2], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[2], 4, rng)
 	const k = 3
-	got, err := db.QueryTopK(q, k, QueryOptions{
+	got, err := db.View().QueryTopKCtx(bg, q, k, QueryOptions{
 		Delta: 1, OptBounds: true,
 		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 		Seed: 1,
@@ -29,8 +29,8 @@ func TestQueryTopKMatchesExactRanking(t *testing.T) {
 		ssp float64
 	}
 	var all []item
-	for gi := range db.Graphs() {
-		p, err := db.ExactSSPByEnumeration(q, gi, 1)
+	for gi := range db.View().Graphs {
+		p, err := db.View().ExactSSPByEnumeration(q, gi, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestQueryTopKMatchesExactRanking(t *testing.T) {
 
 func TestQueryTopKValidation(t *testing.T) {
 	db, _ := smallDatabase(t, 910, 4, false)
-	q := db.Certain()[0]
-	if _, err := db.QueryTopK(q, 0, QueryOptions{Delta: 1}); err == nil {
+	q := db.View().Certain[0]
+	if _, err := db.View().QueryTopKCtx(bg, q, 0, QueryOptions{Delta: 1}); err == nil {
 		t.Fatal("k=0 must be rejected")
 	}
-	if _, err := db.QueryTopK(q, 2, QueryOptions{Delta: -1}); err == nil {
+	if _, err := db.View().QueryTopKCtx(bg, q, 2, QueryOptions{Delta: -1}); err == nil {
 		t.Fatal("negative delta must be rejected")
 	}
 }
@@ -76,7 +76,7 @@ func TestQueryTopKDegenerateDelta(t *testing.T) {
 	u := gb.AddVertex("C0")
 	v := gb.AddVertex("C1")
 	gb.MustAddEdge(u, v, "")
-	res, err := db.QueryTopK(gb.Build(), 3, QueryOptions{Delta: 10})
+	res, err := db.View().QueryTopKCtx(bg, gb.Build(), 3, QueryOptions{Delta: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	var qs []*graph.Graph
 	for i := 0; i < 5; i++ {
-		qs = append(qs, dataset.ExtractQuery(db.Certain()[i%len(db.Certain())], 4, rng))
+		qs = append(qs, dataset.ExtractQuery(db.View().Certain[i%len(db.View().Certain)], 4, rng))
 	}
 	opt := QueryOptions{
 		Epsilon: 0.4, Delta: 1, OptBounds: true,
 		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 22},
 		Seed: 7, Concurrency: 4,
 	}
-	batch, err := db.QueryBatch(qs, opt)
+	batch, err := db.View().QueryBatchCtx(bg, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = 1
-		seq, err := db.Query(q, qo)
+		seq, err := db.View().QueryCtx(bg, q, qo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,6 +93,79 @@ func TestQuerySpanTreeMatchesStats(t *testing.T) {
 	}
 }
 
+// TestFrontHalfSpansAgree: every entry point starts from the one query
+// plan, so the span tree of a threshold query, a stream and a top-k run
+// open with the same children — relax (count |U|), struct_filter (with its
+// confirm child), then the form's probabilistic stage: pmi_prune for the
+// threshold forms, bounds for the ranked ones. The stream used to lack its
+// relax span.
+func TestFrontHalfSpansAgree(t *testing.T) {
+	db, raw := snapDB(t, 12)
+	v := db.View()
+	q := snapQueries(t, raw, 1)[0]
+	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 3}
+	runs := []struct {
+		name  string
+		stage string // last front-half span
+		run   func(ctx context.Context) error
+	}{
+		{"QueryCtx", "pmi_prune", func(ctx context.Context) error {
+			_, err := v.QueryCtx(ctx, q, opt)
+			return err
+		}},
+		{"QueryStream", "pmi_prune", func(ctx context.Context) error {
+			for _, err := range v.QueryStream(ctx, q, opt) {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"QueryTopKCtx", "bounds", func(ctx context.Context) error {
+			_, err := v.QueryTopKCtx(ctx, q, 3, opt)
+			return err
+		}},
+		{"QueryTopKBounds", "bounds", func(ctx context.Context) error {
+			_, _, err := v.QueryTopKBounds(ctx, q, 3, opt)
+			return err
+		}},
+	}
+	var relaxed int64
+	for _, r := range runs {
+		ctx, tr, root := tracedQueryCtx()
+		err := r.run(ctx)
+		root.End()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if n := tr.OpenSpans(); n != 0 {
+			t.Fatalf("%s: %d spans still open", r.name, n)
+		}
+		tree := tr.Tree()
+		var front []string
+		for _, c := range tree.Children {
+			if c.Name == "verify" || c.Name == "topk_commit" {
+				break
+			}
+			front = append(front, c.Name)
+		}
+		if want := []string{"relax", "struct_filter", r.stage}; !reflect.DeepEqual(front, want) {
+			t.Errorf("%s: front-half spans %v, want %v", r.name, front, want)
+			continue
+		}
+		if findChild(findChild(tree, "struct_filter"), "confirm") == nil {
+			t.Errorf("%s: struct_filter has no confirm child", r.name)
+		}
+		rx := findChild(tree, "relax")
+		if relaxed == 0 {
+			relaxed = rx.Count
+		}
+		if rx.Count == 0 || rx.Count != relaxed {
+			t.Errorf("%s: relax span counts %d relaxed queries, the first run %d", r.name, rx.Count, relaxed)
+		}
+	}
+}
+
 // TestPipelineBridgeMatchesStats attaches an obs.Pipeline to the query
 // context and checks the process counters absorb exactly the per-query
 // Stats — the bridge /metrics depends on.

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,6 +28,10 @@ import (
 	"probgraph/internal/stats"
 	"probgraph/internal/verify"
 )
+
+// bg is the context of every query the suite issues: the sweeps run to
+// completion and nothing cancels them.
+var bg = context.Background()
 
 // Config scales the experiment suite.
 type Config struct {
@@ -188,7 +193,7 @@ func (e *Env) defaultQO(seed int64) core.QueryOptions {
 func (e *Env) verificationCandidates(q *graph.Graph, seed int64) ([]int, error) {
 	qo := e.defaultQO(seed)
 	qo.Verifier = core.VerifierNone
-	res, err := e.DB.Query(q, qo)
+	res, err := e.DB.View().QueryCtx(bg, q, qo)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +225,7 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 			for _, gi := range cands {
 				qo := e.defaultQO(int64(qi))
 				start := time.Now()
-				if _, err := e.DB.VerifySSP(q, u, gi, qo); err != nil {
+				if _, err := e.DB.View().VerifySSP(q, u, gi, qo); err != nil {
 					return nil, err
 				}
 				smpMS = append(smpMS, ms(time.Since(start)))
@@ -228,7 +233,7 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 				qo.Verifier = core.VerifierExact
 				qo.Verify.MaxClauses = 18
 				start = time.Now()
-				if _, err := e.DB.VerifySSP(q, u, gi, qo); err == nil {
+				if _, err := e.DB.View().VerifySSP(q, u, gi, qo); err == nil {
 					exactMS = append(exactMS, ms(time.Since(start)))
 				} else {
 					capped++ // inclusion–exclusion beyond 2^18 terms
@@ -261,13 +266,13 @@ func (e *Env) Fig9b() (*stats.Table, error) {
 			}
 			for _, gi := range cands {
 				qo := e.defaultQO(int64(qi))
-				smp, err := e.DB.VerifySSP(q, u, gi, qo)
+				smp, err := e.DB.View().VerifySSP(q, u, gi, qo)
 				if err != nil {
 					return nil, err
 				}
 				qo.Verifier = core.VerifierExact
 				qo.Verify.MaxClauses = 18
-				exact, err := e.DB.VerifySSP(q, u, gi, qo)
+				exact, err := e.DB.View().VerifySSP(q, u, gi, qo)
 				if err != nil {
 					continue // exact infeasible for this graph
 				}
@@ -311,7 +316,7 @@ func (e *Env) pruneOnce(db *core.Database, q *graph.Graph, eps float64, delta in
 		Concurrency: e.Cfg.Workers,
 	}
 	start := time.Now()
-	res, err := db.Query(q, qo)
+	res, err := db.View().QueryCtx(bg, q, qo)
 	if err != nil {
 		return pruneProfile{}, err
 	}
@@ -338,7 +343,7 @@ func (e *Env) Fig10() (*stats.Table, *stats.Table, error) {
 			qo := core.QueryOptions{Epsilon: eps, Delta: e.P.defaultDelta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(bg, q, qo)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -385,7 +390,7 @@ func (e *Env) Fig11() (*stats.Table, *stats.Table, error) {
 			qo := core.QueryOptions{Epsilon: e.P.defaultEpsilon, Delta: delta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(bg, q, qo)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -441,7 +446,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		for qi, q := range qs {
 			qo := core.QueryOptions{Epsilon: e.P.defaultEpsilon, Delta: e.P.defaultDelta,
 				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(bg, q, qo)
 			if err != nil {
 				return nil, err
 			}
@@ -527,7 +532,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 			qo := e.defaultQO(int64(qi))
 			qo.Delta = delta
 			start := time.Now()
-			if _, err := db.Query(q, qo); err != nil {
+			if _, err := db.View().QueryCtx(bg, q, qo); err != nil {
 				return nil, err
 			}
 			pmiMS = append(pmiMS, ms(time.Since(start)))
@@ -546,7 +551,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 				for gi := range raw.Graphs {
 					// Exact scans every graph, no pruning at all.
 					totalGraphs++
-					if _, err := db.VerifySSP(q, u, gi, qo); err != nil {
+					if _, err := db.View().VerifySSP(q, u, gi, qo); err != nil {
 						cappedGraphs++ // > 2^20 I-E terms: infeasible
 					}
 				}
@@ -646,7 +651,7 @@ func (e *Env) Fig14() (*stats.Table, error) {
 				ps *[]float64
 				rs *[]float64
 			}{{cor, &cp, &cr}, {indR, &rp, &rr}, {ind, &ip, &ir}} {
-				res, err := cfg.db.Query(s.q, qo)
+				res, err := cfg.db.View().QueryCtx(bg, s.q, qo)
 				if err != nil {
 					return nil, err
 				}
@@ -664,7 +669,7 @@ func (e *Env) Fig14() (*stats.Table, error) {
 
 // Scaling measures the concurrent engine: the default query workload runs
 // at increasing worker counts, per-query (Concurrency inside one Query)
-// and batched (the pool spread across queries by QueryBatch). Answer sets
+// and batched (the pool spread across queries by QueryBatchCtx). Answer sets
 // are asserted identical to the serial run at every setting — the table
 // only reports time. Not a paper figure; it validates the ROADMAP's
 // parallel-engine direction.
@@ -684,7 +689,7 @@ func (e *Env) Scaling(workerCounts []int) (*stats.Table, error) {
 			qo := e.defaultQO(int64(qi))
 			qo.Concurrency = w
 			start := time.Now()
-			res, err := e.DB.Query(q, qo)
+			res, err := e.DB.View().QueryCtx(bg, q, qo)
 			if err != nil {
 				return nil, err
 			}
@@ -696,7 +701,7 @@ func (e *Env) Scaling(workerCounts []int) (*stats.Table, error) {
 		qo := e.defaultQO(0)
 		qo.Concurrency = w
 		start := time.Now()
-		batchRes, err := e.DB.QueryBatch(qs, qo)
+		batchRes, err := e.DB.View().QueryBatchCtx(bg, qs, qo)
 		if err != nil {
 			return nil, err
 		}
@@ -897,7 +902,7 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 			}
 			q := qs[i%len(qs)]
 			start := time.Now()
-			if _, err := db.Query(q, opt); err != nil {
+			if _, err := db.View().QueryCtx(bg, q, opt); err != nil {
 				close(stop)
 				return nil, err
 			}
@@ -910,7 +915,7 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 		}
 		slices.Sort(lat)
 		t.AddRow(rate, percentile(lat, 0.50), percentile(lat, 0.99),
-			len(lat), mutations, db.Generation())
+			len(lat), mutations, db.View().Generation)
 	}
 	return t, nil
 }
@@ -924,8 +929,8 @@ func (e *Env) Churn(rates []float64) (*stats.Table, error) {
 // deterministic for a given scale and seed, so two runs differ only in
 // the latency columns — exactly the cells a baseline comparison checks.
 //
-// Workloads: "query" (Database.Query per query), "topk" (QueryTopK with
-// k=5), "batch" (one QueryBatch call over the whole query set per
+// Workloads: "query" (QueryCtx per query), "topk" (QueryTopKCtx with
+// k=5), "batch" (one QueryBatchCtx call over the whole query set per
 // sample), and "load_binary" (LoadDatabase over an in-memory pgsnap v4
 // image — the pgserve cold-start path minus the page faults).
 //
@@ -955,7 +960,7 @@ func (e *Env) Perf() (*stats.Table, error) {
 		{"query", samplesPerQuery * len(qs), nil},
 		{"topk", samplesPerQuery * len(qs), nil},
 		{"batch", batchSamples, func() error {
-			_, err := e.DB.QueryBatch(qs, opt)
+			_, err := e.DB.View().QueryBatchCtx(bg, qs, opt)
 			return err
 		}},
 		{"load_binary", loadSamples, func() error {
@@ -965,12 +970,12 @@ func (e *Env) Perf() (*stats.Table, error) {
 	}
 	qi := 0
 	workloads[0].run = func() error {
-		_, err := e.DB.Query(qs[qi%len(qs)], opt)
+		_, err := e.DB.View().QueryCtx(bg, qs[qi%len(qs)], opt)
 		qi++
 		return err
 	}
 	workloads[1].run = func() error {
-		_, err := e.DB.QueryTopK(qs[qi%len(qs)], 5, opt)
+		_, err := e.DB.View().QueryTopKCtx(bg, qs[qi%len(qs)], 5, opt)
 		qi++
 		return err
 	}

@@ -3,12 +3,13 @@
 // the largest edge-subgraph of q that is subgraph-isomorphic to t
 // (Definition 7).
 //
-// The search enumerates edge-deletion levels bottom-up (delete 0 edges,
-// then 1, …), exactly mirroring the relaxed-query semantics used by the
-// rest of the pipeline, with canonical-code deduplication at each level and
-// an early exit at the caller's distance budget. This makes Distance(q, t,
-// δ) cost O(Σ_{d≤δ} C(|q|, d)) isomorphism tests — cheap for the small δ
-// that similarity queries use — rather than a full unbounded MCS search.
+// Distance and Similar are the Definition 8 reference: they enumerate
+// edge-deletion levels bottom-up (delete 0 edges, then 1, …), deriving every
+// level's relaxed set on each call — O(Σ_{d≤δ} C(|q|, d)) canonical codes
+// before the first isomorphism test. No query path calls them; the mcs and
+// simsearch tests compare against them. The query path uses SimilarVia,
+// Lemma 1's form of the same test over a relaxed set U the caller derived
+// once: q ⊆sim t iff some rq ∈ U embeds in t.
 package mcs
 
 import (
@@ -41,9 +42,9 @@ func Similar(q, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
 }
 
 // SimilarVia reports whether any of the pre-relaxed graphs embeds in t
-// under mask. Callers that already hold U = Relaxed(q, δ) avoid
-// recomputing it; per Lemma 1 this is equivalent to Similar(q, t, mask, δ)
-// for U built at level δ.
+// under mask. Per Lemma 1 this is equivalent to Similar(q, t, mask, δ) for
+// relaxed = relax.Relaxed(q, δ, 0); the caller derives that set once and
+// reuses it for every t.
 func SimilarVia(relaxed []*graph.Graph, t *graph.Graph, mask *graph.EdgeSet) bool {
 	for _, rq := range relaxed {
 		if iso.Exists(rq, t, mask) {
@@ -51,12 +52,4 @@ func SimilarVia(relaxed []*graph.Graph, t *graph.Graph, mask *graph.EdgeSet) boo
 		}
 	}
 	return false
-}
-
-// MCSEdges returns |mcs(q, t)| computed within the given budget: if the
-// distance exceeds maxDelta the result is |q| − maxDelta − 1 as a lower
-// bound indicator. Use Distance when only the threshold matters.
-func MCSEdges(q, t *graph.Graph, mask *graph.EdgeSet, maxDelta int) int {
-	d := Distance(q, t, mask, maxDelta)
-	return q.NumEdges() - d
 }

@@ -168,12 +168,3 @@ func TestSimilarViaMatchesSimilar(t *testing.T) {
 func similarAtExactly(q, tg *graph.Graph, delta int) bool {
 	return Distance(q, tg, nil, delta) <= delta
 }
-
-func TestMCSEdges(t *testing.T) {
-	// Identical graphs: MCS = all edges.
-	rng := rand.New(rand.NewSource(12))
-	g := randomGraph(rng, 5, 6)
-	if got := MCSEdges(g, g, nil, 2); got != g.NumEdges() {
-		t.Fatalf("MCSEdges(g,g) = %d, want %d", got, g.NumEdges())
-	}
-}

@@ -11,7 +11,7 @@ import (
 )
 
 // Trace records the span tree of one query: a span per pipeline stage
-// (struct filter → PMI prune → relax → verify → top-k commit), with
+// (relax → struct filter → PMI prune | bounds → verify | top-k commit), with
 // per-shard children under the structural stage. It is carried through
 // context.Context (ContextWithSpan) so the engine's layers can attach
 // spans without new parameters, and it is safe for concurrent use —

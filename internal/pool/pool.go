@@ -38,15 +38,10 @@ func Normalize(concurrency, n int) int {
 	return w
 }
 
-// ForEachIndex runs fn(i) for every i in [0, n) on a bounded pool of
+// ForEachIndexCtx runs fn(i) for every i in [0, n) on a bounded pool of
 // `workers` goroutines (serially when workers <= 1). fn must confine its
 // writes to per-index slots; indices are handed out by an atomic counter,
-// so completion order is unspecified.
-func ForEachIndex(n, workers int, fn func(i int)) {
-	ForEachIndexCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachIndexCtx is ForEachIndex with cooperative cancellation: ctx is
+// so completion order is unspecified. Cancellation is cooperative: ctx is
 // checked before each index is handed out, and once it is done no further
 // fn call starts. Indices already dispatched run to completion — fn is
 // never interrupted mid-call — and every worker goroutine has exited by

@@ -34,7 +34,7 @@ func TestForEachIndexCoversAllOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		ForEachIndex(n, workers, func(i int) { counts[i].Add(1) })
+		ForEachIndexCtx(context.Background(), n, workers, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -45,14 +45,14 @@ func TestForEachIndexCoversAllOnce(t *testing.T) {
 
 func TestForEachIndexEmpty(t *testing.T) {
 	called := false
-	ForEachIndex(0, 4, func(i int) { called = true })
+	ForEachIndexCtx(context.Background(), 0, 4, func(i int) { called = true })
 	if called {
 		t.Fatal("fn called for n=0")
 	}
 }
 
-// TestForEachIndexCtxCompletesUncancelled: with a live context the ctx
-// variant behaves exactly like ForEachIndex and returns nil.
+// TestForEachIndexCtxCompletesUncancelled: with a live context every index
+// runs exactly once and the loop returns nil.
 func TestForEachIndexCtxCompletesUncancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 500

@@ -44,7 +44,7 @@ type elimStep struct {
 // baked in. Construction runs one recorded variable-elimination pass; each
 // subsequent SampleWorld is a cheap backward pass. After construction an
 // Engine is immutable, so concurrent queries and sampling are safe provided
-// each goroutine supplies its own rng and scratch buffers (QueryBatch and
+// each goroutine supplies its own rng and scratch buffers (QueryBatchCtx and
 // the PMI builder rely on this).
 type Engine struct {
 	pg       *PGraph

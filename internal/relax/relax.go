@@ -2,8 +2,10 @@
 // (§3.1): the canonically distinct graphs obtained from a query q by
 // deleting exactly δ edges. By Lemma 1, q is subgraph-similar to a world g′
 // (distance ≤ δ) iff some rq ∈ U is subgraph-isomorphic to g′, so U is the
-// bridge between similarity and plain isomorphism everywhere downstream
-// (pruning conditions, verification DNF).
+// one bridge between similarity and plain isomorphism everywhere downstream:
+// structural confirmation ("some rq ∈ U embeds in gc"), the pruning
+// conditions, and the verification DNF all read the same U, which depends
+// on (q, δ) only and is derived once per query (core's query plan).
 //
 // Relabeling operations are subsumed by deletion under the paper's
 // Definition 8 distance (a relabeled edge contributes to the distance
@@ -20,16 +22,22 @@ import (
 const DefaultMaxSize = 4096
 
 // Relaxed returns the canonically distinct graphs obtained by deleting
-// exactly delta edges from q, with isolated vertices dropped. delta == 0
-// yields {q}; delta ≥ |q| yields the empty graph (which embeds everywhere).
-// At most maxSize graphs are returned (maxSize <= 0 selects
-// DefaultMaxSize).
+// exactly delta edges from q, with isolated vertices dropped at every level
+// — Definition 8's distance counts edges only, so an isolated query vertex
+// never constrains a match. delta == 0 yields {q} (q itself when it has no
+// isolated vertex); delta ≥ |q| yields the empty graph (which embeds
+// everywhere). At most maxSize graphs are returned (maxSize <= 0 selects
+// DefaultMaxSize), and the enumeration order does not depend on maxSize:
+// Relaxed(q, δ, m) is a prefix of Relaxed(q, δ, 0).
 func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxSize
 	}
 	ne := q.NumEdges()
 	if delta <= 0 {
+		if rq := q.DropIsolated(); rq.NumVertices() < q.NumVertices() {
+			return []*graph.Graph{rq}
+		}
 		return []*graph.Graph{q}
 	}
 	if delta >= ne {
@@ -60,19 +68,5 @@ func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
 		}
 	}
 	rec(0)
-	return out
-}
-
-// UpTo returns the union of Relaxed(q, d) for d = 0..delta. The paper only
-// needs the exact-δ level (Lemma 1), but UpTo is used by the structural
-// verifier and tests.
-func UpTo(q *graph.Graph, delta, maxSize int) []*graph.Graph {
-	if maxSize <= 0 {
-		maxSize = DefaultMaxSize
-	}
-	var out []*graph.Graph
-	for d := 0; d <= delta && len(out) < maxSize; d++ {
-		out = append(out, Relaxed(q, d, maxSize-len(out))...)
-	}
 	return out
 }

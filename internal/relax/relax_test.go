@@ -113,37 +113,83 @@ func TestRelaxedMaxSize(t *testing.T) {
 	}
 }
 
-func TestUpToLevels(t *testing.T) {
-	q := paperQuery()
-	u := UpTo(q, 1, 0)
-	// Level 0 (q itself) plus level 1.
-	if len(u) < 2 {
-		t.Fatalf("UpTo(1) too small: %d", len(u))
+// TestRelaxedDeltaZeroDropsIsolated: the δ = 0 level is isolated-free like
+// every other level — Definition 8 counts edges only, so a query vertex
+// without an edge must not constrain a match.
+func TestRelaxedDeltaZeroDropsIsolated(t *testing.T) {
+	b := graph.NewBuilder("q")
+	v0 := b.AddVertex("a")
+	v1 := b.AddVertex("b")
+	b.AddVertex("z") // isolated
+	b.MustAddEdge(v0, v1, "x")
+	q := b.Build()
+	u := Relaxed(q, 0, 0)
+	if len(u) != 1 || u[0].NumVertices() != 2 || u[0].NumEdges() != 1 {
+		t.Fatalf("delta=0 must return q without its isolated vertex, got %v", u)
 	}
-	if u[0].NumEdges() != q.NumEdges() {
-		t.Fatal("UpTo must start with the unrelaxed query")
+	if e := u[0].Edge(0); u[0].VertexLabel(e.U) != "a" || u[0].VertexLabel(e.V) != "b" || e.Label != "x" {
+		t.Fatalf("delta=0 changed the surviving edge: %v", u[0])
 	}
+}
+
+// TestRelaxedPrefixProperty: a smaller maxSize only cuts the enumeration
+// short, it never reorders it — Relaxed(q, δ, m) is the first m members of
+// Relaxed(q, δ, 0). The query plan relies on this to serve untruncated
+// confirmation and MaxRelaxed-capped pruning from one derivation.
+func TestRelaxedPrefixProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng)
+		for d := 0; d <= g.NumEdges()+1; d++ {
+			full := Relaxed(g, d, 0)
+			for _, m := range []int{1, 2, len(full) / 2, len(full), len(full) + 1} {
+				if m < 1 {
+					continue
+				}
+				got := Relaxed(g, d, m)
+				if len(got) != min(m, len(full)) {
+					t.Logf("seed %d δ=%d m=%d: %d graphs, full has %d", seed, d, m, len(got), len(full))
+					return false
+				}
+				for i := range got {
+					if graph.CanonicalCode(got[i]) != graph.CanonicalCode(full[i]) {
+						t.Logf("seed %d δ=%d m=%d: member %d differs", seed, d, m, i)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomGraph draws a small two-label graph with nv+2 edge attempts.
+func randomGraph(rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder("r")
+	nv := 3 + rng.Intn(4)
+	for i := 0; i < nv; i++ {
+		b.AddVertex(graph.Label([]string{"a", "b"}[rng.Intn(2)]))
+	}
+	for tries, added := 0, 0; added < nv+2 && tries < 50; tries++ {
+		u := graph.VertexID(rng.Intn(nv))
+		v := graph.VertexID(rng.Intn(nv))
+		if u == v {
+			continue
+		}
+		if _, err := b.AddEdge(u, v, ""); err == nil {
+			added++
+		}
+	}
+	return b.Build()
 }
 
 func TestRelaxedEdgeCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder("r")
-		nv := 3 + rng.Intn(4)
-		for i := 0; i < nv; i++ {
-			b.AddVertex(graph.Label([]string{"a", "b"}[rng.Intn(2)]))
-		}
-		for tries, added := 0, 0; added < nv+2 && tries < 50; tries++ {
-			u := graph.VertexID(rng.Intn(nv))
-			v := graph.VertexID(rng.Intn(nv))
-			if u == v {
-				continue
-			}
-			if _, err := b.AddEdge(u, v, ""); err == nil {
-				added++
-			}
-		}
-		g := b.Build()
+		g := randomGraph(rng)
 		if g.NumEdges() == 0 {
 			return true
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -139,7 +140,7 @@ func TestRemoveAndReplaceEndpoints(t *testing.T) {
 	if _, err := lib.ReplaceGraph(target, pg); err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := lib.Query(env.qs[0], core.QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 3})
+	wantRes, err := lib.View().QueryCtx(context.Background(), env.qs[0], core.QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

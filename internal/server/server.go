@@ -235,7 +235,7 @@ type TopKResponse struct {
 
 // BatchRequest is the /batch payload: many queries sharing one option set.
 // Query i runs with seed BatchSeed(seed, i), exactly like
-// Database.QueryBatch — batching never changes an individual answer.
+// View.QueryBatchCtx — batching never changes an individual answer.
 type BatchRequest struct {
 	Queries    []GraphJSON `json:"queries,omitempty"`
 	QueryTexts []string    `json:"query_texts,omitempty"`
@@ -607,7 +607,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// BatchSeed(seed, i), so a subsequent /query with that derived seed
 	// (and the same generation) hits the same entry. The batch is served
 	// from cache only when every member hits; one miss re-runs the whole
-	// batch (QueryBatch derives seeds by position, so partial evaluation
+	// batch (QueryBatchCtx derives seeds by position, so partial evaluation
 	// would change seeds).
 	v := s.db.View()
 	s.metrics.queries["batch"].Add(int64(len(qs)))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -102,13 +103,13 @@ func (env *testEnv) get(t *testing.T, path string, resp any) {
 }
 
 // TestQueryMatchesLibraryBitwise: a /query response must equal
-// Database.Query on the freshly built database — same answers, same SSP
+// View.QueryCtx on the freshly built database — same answers, same SSP
 // floats bit for bit — and a repeated request must come from the cache.
 func TestQueryMatchesLibraryBitwise(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	for i, q := range env.qs {
 		opt := core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(7 + i)}
-		want, err := env.fresh.Query(q, opt)
+		want, err := env.fresh.View().QueryCtx(context.Background(), q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestQueryJSONGraphAndWorkersShareCache(t *testing.T) {
 func TestTopKEndpoint(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	opt := core.QueryOptions{Delta: 1, OptBounds: true, Seed: 9}
-	want, err := env.fresh.QueryTopK(env.qs[0], 3, opt)
+	want, err := env.fresh.View().QueryTopKCtx(context.Background(), env.qs[0], 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestTopKEndpoint(t *testing.T) {
 func TestBatchEndpoint(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	opt := core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21}
-	want, err := env.fresh.QueryBatch(env.qs, opt)
+	want, err := env.fresh.View().QueryBatchCtx(context.Background(), env.qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +323,8 @@ func TestAddGraphEndpoint(t *testing.T) {
 	if ar.Op != "add" || ar.Index != env.fresh.Len()-1 || ar.Graphs != env.fresh.Len() {
 		t.Fatalf("add response %+v, want index %d", ar, env.fresh.Len()-1)
 	}
-	if ar.Generation != env.srv.db.Generation() {
-		t.Fatalf("add response generation %d, want %d", ar.Generation, env.srv.db.Generation())
+	if ar.Generation != env.srv.db.View().Generation {
+		t.Fatalf("add response generation %d, want %d", ar.Generation, env.srv.db.View().Generation)
 	}
 
 	// The warmed entry is keyed by the pre-insertion generation, so the
@@ -335,7 +336,7 @@ func TestAddGraphEndpoint(t *testing.T) {
 	if rerun.Cached {
 		t.Fatal("cache served a pre-insertion result after AddGraph")
 	}
-	want, err := env.fresh.Query(env.qs[0], core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 3})
+	want, err := env.fresh.View().QueryCtx(context.Background(), env.qs[0], core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package simsearch
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/mcs"
+	"probgraph/internal/relax"
 )
 
 func randomDB(rng *rand.Rand, n int) []*graph.Graph {
@@ -164,5 +166,62 @@ func TestBiggerDeltaNeverShrinksCandidates(t *testing.T) {
 			t.Fatalf("candidates shrank from %d to %d as delta grew to %d", prev, n, delta)
 		}
 		prev = n
+	}
+}
+
+// TestConfirmViaUMatchesSimilar pins the seam the query plan relies on:
+// confirming a candidate as "some rq ∈ U embeds in gc" for one
+// U = relax.Relaxed(q, δ, 0) equals the Definition 8 reference mcs.Similar
+// at every δ from 0 past |E(q)|. The queries are random graphs — usually not
+// subgraphs of any database graph, often disconnected, sometimes with
+// isolated vertices — so relaxations that fall apart, queries with a vertex
+// no graph can host, and the δ ≥ |E(q)| level are all drawn.
+func TestConfirmViaUMatchesSimilar(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dbc := randomDB(rng, 5)
+		ix := BuildIndex(dbc, DefaultFeatures(dbc, 64))
+		b := graph.NewBuilder("q")
+		nv := 3 + rng.Intn(4)
+		for v := 0; v < nv; v++ {
+			// "z" labels no database vertex: a query vertex carrying it
+			// matters only while it has an edge.
+			b.AddVertex(graph.Label([]string{"a", "b", "c", "z"}[rng.Intn(4)]))
+		}
+		ne := 1 + rng.Intn(4)
+		for tries, added := 0, 0; added < ne && tries < 40; tries++ {
+			u, v := graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv))
+			if u == v {
+				continue
+			}
+			if _, err := b.AddEdge(u, v, ""); err == nil {
+				added++
+			}
+		}
+		q := b.Build()
+		for delta := 0; delta <= q.NumEdges()+1; delta++ {
+			u := relax.Relaxed(q, delta, 0)
+			confirmed, _, err := ix.SCqVia(context.Background(), q, u, delta, 1)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			inSCq := make(map[int]bool)
+			for _, gi := range confirmed {
+				inSCq[gi] = true
+			}
+			for gi, g := range dbc {
+				want := mcs.Similar(q, g, nil, delta)
+				if mcs.SimilarVia(u, g, nil) != want || ix.Confirm(q, gi, delta) != want || inSCq[gi] != want {
+					t.Logf("seed %d δ=%d graph %d: via U %v, Confirm %v, SCqVia %v, mcs.Similar %v (q = %v)",
+						seed, delta, gi, mcs.SimilarVia(u, g, nil), ix.Confirm(q, gi, delta), inSCq[gi], want, q)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

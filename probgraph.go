@@ -31,26 +31,27 @@
 //
 //	db, _ := probgraph.NewDatabase([]*probgraph.PGraph{pg},
 //	    probgraph.DefaultBuildOptions())
-//	res, _ := db.QueryCtx(ctx, query,
+//	res, _ := db.View().QueryCtx(ctx, query,
 //	    probgraph.QueryOptions{Epsilon: 0.5, Delta: 1})
 //
-// # Contexts and streaming
+// # Queries, contexts and streaming
 //
-// Every query entry point has a context-first form — QueryCtx,
-// QueryTopKCtx, QueryBatchCtx — that threads ctx through the whole
-// pipeline: cancellation (or a deadline) is checked per postings shard,
-// per exact confirmation, and per candidate evaluation, so a cancelled
-// query returns ctx.Err() promptly, leaks no goroutines, and never
-// returns a partial result. The context-free forms remain thin
-// context.Background() wrappers with unchanged behavior.
+// Queries are methods of a DatabaseView — Database.View pins the current
+// one — and each exists in one form, which takes a context: QueryCtx,
+// QueryTopKCtx, QueryBatchCtx, QueryStream. ctx is threaded through the
+// whole pipeline: cancellation (or a deadline) is checked per postings
+// shard, per exact confirmation, and per candidate evaluation, so a
+// cancelled query returns ctx.Err() promptly, leaks no goroutines, and
+// never returns a partial result. A caller with nothing to cancel passes
+// context.Background().
 //
-// Database.QueryStream delivers answers incrementally: it yields each
-// verified Match the moment the prune+verify stage admits it, in arrival
-// order, as an iter.Seq2[Match, error]. The collected stream, re-sorted
-// by graph index, is bitwise-identical to Query's answer set and SSP
-// estimates at every worker count — arrival order is the only
-// scheduling-dependent aspect. Breaking out of the loop early cancels and
-// joins the internal workers before the iterator returns.
+// QueryStream delivers answers incrementally: it yields each verified
+// Match the moment the prune+verify stage admits it, in arrival order, as
+// an iter.Seq2[Match, error]. The collected stream, re-sorted by graph
+// index, is bitwise-identical to QueryCtx's answer set and SSP estimates
+// at every worker count — arrival order is the only scheduling-dependent
+// aspect. Breaking out of the loop early cancels and joins the internal
+// workers before the iterator returns.
 //
 // # Concurrency
 //
@@ -58,9 +59,8 @@
 // engine exploits that: QueryOptions.Concurrency bounds a worker pool that
 // scans the structural filter's inverted-postings shards, confirms the
 // survivors, and evaluates candidates (bound combination and verification)
-// in parallel, both in Query/QueryTopK and across the queries of
-// Database.QueryBatch.
-// Results are deterministic at every worker count — all per-candidate
+// in parallel, both in QueryCtx/QueryTopKCtx and across the queries of
+// QueryBatchCtx. Results are deterministic at every worker count — all per-candidate
 // randomness is seeded from QueryOptions.Seed and the candidate's graph
 // index, never from scheduling order — so a parallel run returns exactly
 // what the serial run would.
@@ -68,18 +68,18 @@
 // # Generations and mutation
 //
 // A Database is a first-class mutable store built from immutable,
-// generation-numbered views. Every query pins the current View at entry
-// and runs against it untouched, while AddGraph, RemoveGraph, and
-// ReplaceGraph build the next view copy-on-write under a writer lock —
-// mutations never block queries, queries never block mutations, and a
-// query started before a mutation answers bitwise-identically to one run
-// before it. Each mutator returns the new generation number.
+// generation-numbered views. A query runs against the view it was called
+// on, untouched, while AddGraph, RemoveGraph, and ReplaceGraph build the
+// next view copy-on-write under a writer lock — mutations never block
+// queries, queries never block mutations, and a query started before a
+// mutation answers bitwise-identically to one run before it. Each mutator
+// returns the new generation number.
 //
 // Removal is tombstone-based: the slot's postings and PMI column stay in
 // place, masked, and surviving graph indices are stable. Compact rewrites
 // the indexes without the tombstones (renumbering survivors);
-// SetCompactThreshold arms automatic compaction. Pin a View explicitly
-// (Database.View) to run a multi-query analysis against one frozen state.
+// SetCompactThreshold arms automatic compaction. Keep one pinned view to
+// run a multi-query analysis against one frozen state.
 //
 // See the examples directory for complete programs: examples/quickstart
 // walks the paper's own Figure 1 instance, examples/ppi searches a
@@ -134,8 +134,9 @@ type (
 	// Database is an indexed probabilistic graph database.
 	Database = core.Database
 	// DatabaseView is one immutable, generation-numbered state of a
-	// Database: Database.View pins the current one, every query method
-	// exists on it, and no mutation ever changes a pinned view.
+	// Database: Database.View pins the current one, the query methods and
+	// the state they read (Graphs, PMI, ...) live on it, and no mutation
+	// ever changes a pinned view.
 	DatabaseView = core.View
 	// BuildOptions configures indexing (feature mining α/β/γ/maxL, PMI
 	// construction, OPT-SIPBound vs SIPBound).
@@ -204,34 +205,30 @@ func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 // drops accumulated tombstones. All mutations are copy-on-write against
 // immutable views, so none of them ever blocks a running query.
 //
-// Database.QueryBatch (also on the aliased core type) answers many queries
-// over one bounded worker pool of QueryOptions.Concurrency goroutines,
-// sharing a feature-relation cache that amortizes the query-side feature
-// isomorphism tests across structurally overlapping queries. Query i runs
-// with the derived seed BatchSeed(Seed, i), so batching never changes an
-// individual query's result.
+// DatabaseView.QueryBatchCtx answers many queries over one bounded worker
+// pool of QueryOptions.Concurrency goroutines, sharing a feature-relation
+// cache that amortizes the query-side feature isomorphism tests across
+// structurally overlapping queries. Query i runs with the derived seed
+// BatchSeed(Seed, i), so batching never changes an individual query's
+// result.
 
-// BatchSeed is the per-query seed Database.QueryBatch derives for the i-th
-// query of a batch; running Query with it reproduces that batch member.
+// BatchSeed is the per-query seed QueryBatchCtx derives for the i-th query
+// of a batch; running QueryCtx with it reproduces that batch member.
 func BatchSeed(seed int64, i int) int64 { return core.BatchSeed(seed, i) }
 
-// TopKItem is one ranked answer of Database.QueryTopK: the k graphs with
-// the highest subgraph similarity probability, verified in decreasing
+// TopKItem is one ranked answer of DatabaseView.QueryTopKCtx: the k graphs
+// with the highest subgraph similarity probability, verified in decreasing
 // upper-bound order with bound-based early termination.
 type TopKItem = core.TopKItem
 
-// Match is one incremental answer of Database.QueryStream: the matching
+// Match is one incremental answer of DatabaseView.QueryStream: the matching
 // graph's database index and its SSP (-1 when the graph was admitted by a
-// lower bound without re-estimation, mirroring Result.SSP).
-//
-// Database.QueryCtx, QueryTopKCtx, QueryBatchCtx (on the aliased core
-// type) are the context-first forms of the query API; QueryStream(ctx, q,
-// opt) yields Matches in verification-arrival order as an
-// iter.Seq2[Match, error]. See the package comment's "Contexts and
-// streaming" section for the cancellation and determinism contracts.
+// lower bound without re-estimation, mirroring Result.SSP). See the package
+// comment's "Queries, contexts and streaming" section for the cancellation
+// and determinism contracts.
 type Match = core.Match
 
-// PMIIndex is the probabilistic matrix index; Database.PMI exposes it. It
+// PMIIndex is the probabilistic matrix index; DatabaseView.PMI holds it. It
 // is persisted as part of the database snapshot (Database.SaveAs).
 type PMIIndex = pmi.Index
 

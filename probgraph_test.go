@@ -31,7 +31,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	q := probgraph.ExtractQuery(raw.Graphs[0].G, 4, rng)
-	res, err := db.Query(q, probgraph.QueryOptions{
+	res, err := db.View().QueryCtx(context.Background(), q, probgraph.QueryOptions{
 		Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 2,
 	})
 	if err != nil {
@@ -159,11 +159,11 @@ func TestPublicAPIContextAndStream(t *testing.T) {
 	q := probgraph.ExtractQuery(raw.Graphs[0].G, 4, rng)
 	qo := probgraph.QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: 2, Concurrency: 4}
 
-	want, err := db.Query(q, qo)
+	want, err := db.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.QueryCtx(context.Background(), q, qo)
+	got, err := db.View().QueryCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPublicAPIContextAndStream(t *testing.T) {
 	}
 
 	var matches []probgraph.Match
-	for m, err := range db.QueryStream(context.Background(), q, qo) {
+	for m, err := range db.View().QueryStream(context.Background(), q, qo) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,13 +194,13 @@ func TestPublicAPIContextAndStream(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.QueryCtx(ctx, q, qo); !errors.Is(err, context.Canceled) {
+	if _, err := db.View().QueryCtx(ctx, q, qo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context: err = %v, want context.Canceled", err)
 	}
-	if _, err := db.QueryTopKCtx(ctx, q, 3, qo); !errors.Is(err, context.Canceled) {
+	if _, err := db.View().QueryTopKCtx(ctx, q, 3, qo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context topk: err = %v, want context.Canceled", err)
 	}
-	if _, err := db.QueryBatchCtx(ctx, []*probgraph.Graph{q}, qo); !errors.Is(err, context.Canceled) {
+	if _, err := db.View().QueryBatchCtx(ctx, []*probgraph.Graph{q}, qo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead context batch: err = %v, want context.Canceled", err)
 	}
 }
