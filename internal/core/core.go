@@ -406,6 +406,12 @@ func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
 	}
 	nv.live[id] = false
 	nv.liveCount = v.liveCount - 1
+	// Dead slots are never queried and engines never persisted: the successor
+	// lets the engine go (pinned views keep theirs; a lazily loaded slot's
+	// lives in the shared engLazy), or an uncompacted server retains them all.
+	if v.Engines[id] != nil {
+		nv.Engines = cloneWith(v.Engines, id, nil)
+	}
 	if v.Struct != nil {
 		nv.Struct = v.Struct.WithTombstone(id)
 	}

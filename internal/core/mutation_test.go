@@ -413,6 +413,93 @@ func TestRemoveGraphSemantics(t *testing.T) {
 	}
 }
 
+// TestRemoveGraphReleasesEngine: tombstoning a slot drops its inference
+// engine from the successor view — an uncompacted server otherwise retains
+// one per graph ever added — while a view pinned before the removal keeps
+// its engine and its answers, and compaction and range saves, which only
+// carry live slots, go on as before.
+func TestRemoveGraphReleasesEngine(t *testing.T) {
+	db, raw := smallDatabase(t, 2501, 6, true)
+	rng := rand.New(rand.NewSource(2502))
+	q := dataset.ExtractQuery(raw.Graphs[0].G, 4, rng)
+	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 29}
+
+	gi, _, err := db.AddGraph(extraGraphs(t, 2503, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := db.View()
+	want, err := pinned.QueryCtx(bg, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RemoveGraph(gi); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RemoveGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	v := db.View()
+	if v.Engines[gi] != nil || v.Engines[0] != nil {
+		t.Fatal("tombstoned slots still hold their engines")
+	}
+	if pinned.Engines[gi] == nil || pinned.Engines[0] == nil {
+		t.Fatal("the removal reached into a pinned view's engines")
+	}
+	for i := 1; i < gi; i++ {
+		if v.Engines[i] != pinned.Engines[i] {
+			t.Fatalf("live slot %d lost or changed its engine", i)
+		}
+	}
+	got, err := pinned.QueryCtx(bg, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Answers, want.Answers) || !reflect.DeepEqual(got.SSP, want.SSP) {
+		t.Fatalf("pinned view drifted: %v %v != %v %v", got.Answers, got.SSP, want.Answers, want.SSP)
+	}
+
+	// A range over the tombstoned view and the compacted database answer
+	// like a fresh database over the survivors (pruning bypassed: the
+	// vocabulary differs, the structural set does not).
+	fresh, err := NewDatabase(raw.Graphs[1:], db.View().opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := QueryOptions{Epsilon: 0.3, Delta: 1, SkipProbPruning: true, Seed: 29}
+	ref, err := fresh.View().QueryCtx(bg, q, bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := v.SaveRange(&buf, 0, v.Len(), SnapshotBinary); err != nil {
+		t.Fatal(err)
+	}
+	part, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.View().NumLive() != 5 {
+		t.Fatalf("range of the tombstoned view holds %d graphs, want 5", part.View().NumLive())
+	}
+	if _, err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	cv := db.View()
+	for i := range cv.Graphs {
+		if cv.Engines[i] != pinned.Engines[i+1] {
+			t.Fatalf("compaction did not carry survivor %d's engine", i)
+		}
+	}
+	res, err := cv.QueryCtx(bg, q, bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Answers, ref.Answers) || !reflect.DeepEqual(res.SSP, ref.SSP) {
+		t.Fatalf("compacted database: %v %v, fresh build %v %v", res.Answers, res.SSP, ref.Answers, ref.SSP)
+	}
+}
+
 // TestAutoCompactThreshold: once tombstones cross the configured
 // fraction, the triggering removal compacts in the same commit — two
 // generations in one mutation, tombstones gone, survivors renumbered.

@@ -30,6 +30,16 @@ func (s EdgeSet) Len() int { return s.n }
 // Add sets bit id.
 func (s EdgeSet) Add(id EdgeID) { s.words[id>>6] |= 1 << (uint(id) & 63) }
 
+// AddIf sets bit id when on, without branching on it: world samplers decide
+// on by a coin flip, which a branch predictor cannot learn.
+func (s EdgeSet) AddIf(id EdgeID, on bool) {
+	var b uint64
+	if on {
+		b = 1
+	}
+	s.words[id>>6] |= b << (uint(id) & 63)
+}
+
 // Remove clears bit id.
 func (s EdgeSet) Remove(id EdgeID) { s.words[id>>6] &^= 1 << (uint(id) & 63) }
 

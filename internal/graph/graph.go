@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -58,6 +59,60 @@ type Graph struct {
 	vlabel []Label
 	edges  []Edge
 	adj    [][]HalfEdge
+	// vcount and ecount are the label multisets, counted once by Build.
+	vcount, ecount LabelCounts
+}
+
+// LabelCounts is a multiset of labels: one entry per distinct label,
+// ascending. A few dozen bytes where a map costs several hundred, which
+// matters because every graph of a database carries two.
+type LabelCounts []LabelCount
+
+// LabelCount is one entry of a LabelCounts.
+type LabelCount struct {
+	Label Label
+	N     int
+}
+
+// countLabels builds the multiset of labels, which it sorts in place.
+func countLabels(labels []Label) LabelCounts {
+	slices.Sort(labels)
+	distinct := 0
+	for i, l := range labels {
+		if i == 0 || l != labels[i-1] {
+			distinct++
+		}
+	}
+	out := make(LabelCounts, 0, distinct)
+	for i, l := range labels {
+		if i == 0 || l != labels[i-1] {
+			out = append(out, LabelCount{Label: l})
+		}
+		out[len(out)-1].N++
+	}
+	return out
+}
+
+// Of returns how often l occurs.
+func (c LabelCounts) Of(l Label) int {
+	i := sort.Search(len(c), func(i int) bool { return c[i].Label >= l })
+	if i < len(c) && c[i].Label == l {
+		return c[i].N
+	}
+	return 0
+}
+
+// Covers reports whether every label of need occurs in c at least as often.
+func (c LabelCounts) Covers(need LabelCounts) bool {
+	for _, n := range need {
+		for len(c) > 0 && c[0].Label < n.Label {
+			c = c[1:]
+		}
+		if len(c) == 0 || c[0].Label != n.Label || c[0].N < n.N {
+			return false
+		}
+	}
+	return true
 }
 
 // Builder incrementally assembles a Graph. The zero value is ready to use.
@@ -132,12 +187,16 @@ func (b *Builder) Build() *Graph {
 		vlabel: b.vlabel,
 		edges:  b.edges,
 		adj:    make([][]HalfEdge, len(b.vlabel)),
+		vcount: countLabels(slices.Clone(b.vlabel)),
 	}
+	elabel := make([]Label, len(b.edges))
 	deg := make([]int, len(b.vlabel))
-	for _, e := range b.edges {
+	for i, e := range b.edges {
 		deg[e.U]++
 		deg[e.V]++
+		elabel[i] = e.Label
 	}
+	g.ecount = countLabels(elabel)
 	for v := range g.adj {
 		if deg[v] > 0 {
 			g.adj[v] = make([]HalfEdge, 0, deg[v])
@@ -353,19 +412,10 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// LabelCounts returns multiset counts of vertex and edge labels; used by
-// filters and the feature miner.
-func (g *Graph) LabelCounts() (verts map[Label]int, edges map[Label]int) {
-	verts = make(map[Label]int)
-	edges = make(map[Label]int)
-	for _, l := range g.vlabel {
-		verts[l]++
-	}
-	for _, e := range g.edges {
-		edges[e.Label]++
-	}
-	return verts, edges
-}
+// LabelCounts returns the multisets of vertex and edge labels; used by
+// filters and the feature miner. They are the graph's own, shared by every
+// caller: read-only.
+func (g *Graph) LabelCounts() (verts, edges LabelCounts) { return g.vcount, g.ecount }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {

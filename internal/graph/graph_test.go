@@ -320,11 +320,19 @@ func TestCanonicalCodeEmptyAndSingle(t *testing.T) {
 func TestLabelCounts(t *testing.T) {
 	g := triangle(t)
 	vc, ec := g.LabelCounts()
-	if vc["a"] != 1 || vc["b"] != 1 || vc["d"] != 1 {
+	if vc.Of("a") != 1 || vc.Of("b") != 1 || vc.Of("d") != 1 || vc.Of("c") != 0 || len(vc) != 3 {
 		t.Fatalf("vertex counts %v", vc)
 	}
-	if ec[""] != 3 {
+	if ec.Of("") != 3 || len(ec) != 1 {
 		t.Fatalf("edge counts %v", ec)
+	}
+	// Covers is multiset inclusion, label by label.
+	b := NewBuilder("pair")
+	b.AddVertices(2, "a")
+	b.AddVertex("d")
+	pv, pe := b.Build().LabelCounts()
+	if vc.Covers(pv) || !vc.Covers(pv[1:]) || !pv.Covers(nil) || !ec.Covers(pe) || pe.Covers(ec) {
+		t.Fatalf("Covers: %v vs %v, %v vs %v", vc, pv, ec, pe)
 	}
 }
 

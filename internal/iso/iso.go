@@ -52,7 +52,10 @@ func buildOrder(p, t *graph.Graph) (order []graph.VertexID, parent []int) {
 	pos := make([]int, n) // vertex -> index in order
 
 	tLabelCount, _ := t.LabelCounts()
-	rarity := func(v graph.VertexID) int { return tLabelCount[p.VertexLabel(v)] }
+	rarity := make([]int, n) // how often the target carries each pattern vertex's label
+	for v := range rarity {
+		rarity[v] = tLabelCount.Of(p.VertexLabel(graph.VertexID(v)))
+	}
 
 	for len(order) < n {
 		// Pick the best unplaced vertex preferring attachment to the matched
@@ -75,7 +78,7 @@ func buildOrder(p, t *graph.Graph) (order []graph.VertexID, parent []int) {
 			if par >= 0 {
 				attached = 0
 			}
-			key := [3]int{attached, rarity(graph.VertexID(v)), -p.Degree(graph.VertexID(v))}
+			key := [3]int{attached, rarity[v], -p.Degree(graph.VertexID(v))}
 			if key[0] < bestKey[0] || (key[0] == bestKey[0] && (key[1] < bestKey[1] || (key[1] == bestKey[1] && key[2] < bestKey[2]))) {
 				best, bestParent, bestKey = graph.VertexID(v), par, key
 			}
@@ -98,19 +101,7 @@ func feasible(p, t *graph.Graph, mask *graph.EdgeSet) bool {
 	}
 	pv, pe := p.LabelCounts()
 	tv, te := t.LabelCounts()
-	for l, c := range pv {
-		if tv[l] < c {
-			return false
-		}
-	}
-	if mask == nil {
-		for l, c := range pe {
-			if te[l] < c {
-				return false
-			}
-		}
-	}
-	return true
+	return tv.Covers(pv) && (mask != nil || te.Covers(pe))
 }
 
 func (m *matcher) run() {

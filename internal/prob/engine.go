@@ -2,8 +2,9 @@ package prob
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"probgraph/internal/graph"
 )
@@ -14,235 +15,286 @@ import (
 // exhausting memory.
 const MaxFactorWidth = 22
 
-// factor is a table over a sorted list of engine variables. tab[m] is the
-// weight of the assignment where variable vars[i] is true iff bit i of m is
-// set.
-type factor struct {
-	vars []int
-	tab  []float64
+// schedule is variable elimination over one PGraph with the numbers taken
+// out: the min-degree order, which factors each step multiplies, every
+// intermediate table's variables and where the table lives in a slab. None
+// of it depends on evidence (a pinned variable keeps its place, its tables
+// their shapes), so it is compiled once per graph and shared by the base
+// engine and every engine conditioned from it — flat, offsets into shared
+// slabs, because a database holds one per graph.
+//
+// Factor ids: id < len(JPTs) is that JPT, read in place; id-len(JPTs) is the
+// table a step produced. Bit i of a table index is the factor's i-th
+// variable: a JPT's Edges order, a step's outputs ascending.
+type schedule struct {
+	steps    []step        // in elimination order, plus a sentinel holding the ends
+	outVars  []int32       // per step, its output variables ascending
+	inputs   []int32       // per step, factor ids in multiplication order
+	gather   []uint8       // per input, per variable of that factor: the output bit to read, or selfBit
+	template graph.EdgeSet // certain-edges-only world
 }
 
-// eval returns the factor's value under a global assignment.
-func (f *factor) eval(assign []bool) float64 {
-	idx := 0
-	for i, v := range f.vars {
-		if assign[v] {
-			idx |= 1 << i
+// step is one elimination: v is summed out of the product of the inputs,
+// leaving a table of 1<<len(outputs) entries at offset tab of a slab half.
+// outs and ins index the step's first output and input; the next step's mark
+// the ends.
+type step struct{ v, outs, ins, tab int32 }
+
+// selfBit in schedule.gather marks the variable the step sums out.
+const selfBit = 0xFF
+
+// outputs returns the variables of the table step s produces.
+func (sc *schedule) outputs(s int) []int32 {
+	return sc.outVars[sc.steps[s].outs:sc.steps[s+1].outs]
+}
+
+// compile runs min-degree elimination symbolically: at each step the
+// variable whose live factors span the fewest distinct variables goes next
+// (lowest index on ties), the live factors mentioning it are consumed in
+// creation order, and a factor over the remaining variables is created.
+func compile(pg *PGraph) (*schedule, error) {
+	n, nj := len(pg.uncertain), len(pg.JPTs)
+	sc := &schedule{steps: make([]step, 1, n+1), template: pg.NewWorld()}
+	jptVars := make([][]int32, nj)
+	users := make([][]int32, n) // variable → factors mentioning it, in creation order
+	for f, t := range pg.JPTs {
+		jptVars[f] = make([]int32, len(t.Edges))
+		for i, ed := range t.Edges {
+			v := pg.varOf[ed]
+			jptVars[f][i] = v
+			users[v] = append(users[v], int32(f))
 		}
 	}
-	return f.tab[idx]
-}
-
-// elimStep records the factors combined when one variable was summed out;
-// replayed in reverse for exact backward sampling.
-type elimStep struct {
-	v       int
-	factors []*factor
+	scope := func(f int32) []int32 {
+		if int(f) < nj {
+			return jptVars[f]
+		}
+		return sc.outputs(int(f) - nj)
+	}
+	consumed := make([]bool, nj+n)
+	mark := make([]int32, n) // mark[u] == stamp: u already in the union being collected
+	stamp := int32(0)
+	// union appends the distinct variables of the live factors mentioning v
+	// (v among them); its length is v's elimination width.
+	union := func(v int32, into []int32) []int32 {
+		stamp++
+		for _, f := range users[v] {
+			if consumed[f] {
+				continue
+			}
+			for _, u := range scope(f) {
+				if mark[u] != stamp {
+					mark[u] = stamp
+					into = append(into, u)
+				}
+			}
+		}
+		return into
+	}
+	// A width changes only when one of the variable's factors is consumed or
+	// created, i.e. for the outputs of the step just taken.
+	var buf []int32
+	width := make([]int, n)
+	for v := range width {
+		buf = union(int32(v), buf[:0])
+		width[v] = len(buf)
+	}
+	done := make([]bool, n)
+	pos := make([]uint8, n) // output variable → its bit in the step's table index
+	for s := 0; s < n; s++ {
+		best := -1
+		for v, w := range width {
+			if !done[v] && (best < 0 || w < width[best]) {
+				best = v
+			}
+		}
+		if width[best] > MaxFactorWidth {
+			return nil, fmt.Errorf("prob: elimination width %d exceeds limit %d (model too densely coupled)", width[best], MaxFactorWidth)
+		}
+		v := int32(best)
+		buf = union(v, buf[:0])
+		outs := slices.DeleteFunc(buf, func(u int32) bool { return u == v })
+		slices.Sort(outs)
+		for j, u := range outs {
+			pos[u] = uint8(j)
+		}
+		for _, f := range users[v] {
+			if consumed[f] {
+				continue
+			}
+			consumed[f] = true
+			sc.inputs = append(sc.inputs, f)
+			for _, u := range scope(f) {
+				if u == v {
+					sc.gather = append(sc.gather, selfBit)
+				} else {
+					sc.gather = append(sc.gather, pos[u])
+				}
+			}
+		}
+		size := int(sc.steps[s].tab) + 1<<len(outs)
+		if size > math.MaxInt32 {
+			return nil, fmt.Errorf("prob: elimination tables exceed %d entries (model too densely coupled)", math.MaxInt32)
+		}
+		sc.steps[s].v = v
+		sc.outVars = append(sc.outVars, outs...)
+		sc.steps = append(sc.steps, step{outs: int32(len(sc.outVars)), ins: int32(len(sc.inputs)), tab: int32(size)})
+		done[v] = true
+		for _, u := range sc.outputs(s) { // the copy that stays: outs aliases buf
+			users[u] = append(users[u], int32(nj+s))
+			buf = union(u, buf[:0])
+			width[u] = len(buf)
+		}
+	}
+	sc.outVars, sc.inputs, sc.gather = slices.Clone(sc.outVars), slices.Clone(sc.inputs), slices.Clone(sc.gather)
+	return sc, nil
 }
 
 // Engine performs exact inference over a PGraph, optionally with evidence
-// baked in. Construction runs one recorded variable-elimination pass; each
-// subsequent SampleWorld is a cheap backward pass. After construction an
-// Engine is immutable, so concurrent queries and sampling are safe provided
-// each goroutine supplies its own rng and scratch buffers (QueryBatchCtx and
-// the PMI builder rely on this).
+// baked in. NewEngine compiles the graph's elimination schedule once; every
+// probability is then one numeric forward pass over it, and an engine keeps
+// the tables of its own pass — per step and per assignment of the step's
+// output variables, the summed weight and the weight of "variable present" —
+// so SampleWorldInto is one table lookup and one rng draw per variable.
+// After construction an Engine is immutable, so concurrent queries and
+// sampling are safe provided each goroutine supplies its own rng and scratch
+// buffers (QueryBatchCtx and the PMI builder rely on this).
 type Engine struct {
-	pg       *PGraph
-	evidence map[int]bool // variable -> forced value
-	steps    []elimStep
-	z        float64
-	zFull    float64       // partition function of the unconditioned model
-	template graph.EdgeSet // certain-edges-only world, built lazily
+	pg    *PGraph
+	sched *schedule
+	pin   []uint8   // evidence per variable: pinFree, pinAbsent or pinPresent
+	slab  []float64 // summed tables, then the present-weight tables at the same offsets
+	z     float64
+	zFull float64 // partition function of the unconditioned model
 }
+
+const (
+	pinFree uint8 = iota
+	pinAbsent
+	pinPresent
+)
 
 // NewEngine builds an inference engine for pg with no evidence.
 func NewEngine(pg *PGraph) (*Engine, error) {
-	return newEngine(pg, nil, 0)
+	sc, err := compile(pg)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(pg, sc, nil, 0)
+	if err == nil {
+		e.zFull = e.z
+	}
+	return e, err
 }
 
 // NewConditioned builds an engine whose distribution is pg's conditioned on
-// the given literals. SampleWorld then draws worlds consistent with the
-// evidence; Z returns the evidence probability mass times the base Z.
+// the given literals (and only those: evidence e itself carries is not
+// inherited). SampleWorld then draws worlds consistent with the evidence; Z
+// returns the evidence probability mass times the base Z.
 func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
-	ev := make(map[int]bool, len(lits))
-	for _, l := range lits {
-		v, ok := e.pg.varOf[l.Edge]
-		if !ok {
-			if l.Present {
-				continue // certain edge asserted present: vacuous
-			}
-			return nil, fmt.Errorf("prob: evidence asserts certain edge %d absent", l.Edge)
-		}
-		if prev, dup := ev[v]; dup && prev != l.Present {
-			return nil, fmt.Errorf("prob: contradictory evidence on edge %d", l.Edge)
-		}
-		ev[v] = l.Present
-	}
-	return newEngine(e.pg, ev, e.zFull)
+	return newEngine(e.pg, e.sched, lits, e.zFull)
 }
 
-func newEngine(pg *PGraph, evidence map[int]bool, zFull float64) (*Engine, error) {
-	e := &Engine{pg: pg, evidence: evidence}
-	if err := e.eliminate(); err != nil {
+// newEngine pins lits and runs the engine's own forward pass, keeping its
+// tables.
+func newEngine(pg *PGraph, sc *schedule, lits []Literal, zFull float64) (*Engine, error) {
+	e := &Engine{pg: pg, sched: sc, pin: make([]uint8, len(pg.uncertain)), zFull: zFull}
+	if err := pg.pinLits(e.pin, lits); err != nil {
 		return nil, err
 	}
-	if zFull == 0 {
-		zFull = e.z
+	half := int(sc.steps[len(sc.steps)-1].tab)
+	e.slab = make([]float64, 2*half)
+	e.z = e.forward(e.pin, e.slab[:half], e.slab[half:])
+	if e.z < 0 {
+		return nil, fmt.Errorf("prob: negative partition function")
 	}
-	e.zFull = zFull
-	e.template = pg.NewWorld()
 	return e, nil
 }
 
-// eliminate runs recorded variable elimination with a min-degree ordering.
-func (e *Engine) eliminate() error {
-	n := len(e.pg.uncertain)
-	// Build initial factors from JPTs, applying evidence by zeroing
-	// incompatible entries (keeps factor shapes simple and exact).
-	var factors []*factor
-	for _, t := range e.pg.JPTs {
-		f := &factor{vars: make([]int, len(t.Edges)), tab: append([]float64(nil), t.P...)}
-		for i, ed := range t.Edges {
-			f.vars[i] = e.pg.varOf[ed]
-		}
-		factors = append(factors, f)
-	}
-	for v, val := range e.evidence {
-		// A unit factor pinning the variable; also handles variables whose
-		// JPTs would otherwise disagree with evidence.
-		tab := []float64{1, 0}
-		if val {
-			tab = []float64{0, 1}
-		}
-		factors = append(factors, &factor{vars: []int{v}, tab: tab})
-	}
-
-	// Interaction structure: which factors mention each variable.
-	inFactor := make([][]int, n) // var -> factor indices (into factors, -1 = consumed)
-	for fi, f := range factors {
-		for _, v := range f.vars {
-			inFactor[v] = append(inFactor[v], fi)
-		}
-	}
-	alive := make([]bool, 0, len(factors)*2)
-	for range factors {
-		alive = append(alive, true)
-	}
-
-	eliminated := make([]bool, n)
-	for count := 0; count < n; count++ {
-		// Min-degree: pick the variable whose combined factor has the fewest
-		// distinct variables.
-		best, bestW := -1, 1<<30
-		for v := 0; v < n; v++ {
-			if eliminated[v] {
-				continue
+// pinLits records lits in pin. Literals that cannot hold — a certain edge
+// asserted absent, one edge asserted both ways — are an error.
+func (pg *PGraph) pinLits(pin []uint8, lits []Literal) error {
+	for _, l := range lits {
+		v := pg.variable(l.Edge)
+		if v < 0 {
+			if l.Present {
+				continue // certain edge asserted present: vacuous
 			}
-			w := e.widthIfEliminated(v, factors, alive, inFactor)
-			if w < bestW {
-				best, bestW = v, w
-			}
+			return fmt.Errorf("prob: evidence asserts certain edge %d absent", l.Edge)
 		}
-		if bestW > MaxFactorWidth {
-			return fmt.Errorf("prob: elimination width %d exceeds limit %d (model too densely coupled)", bestW, MaxFactorWidth)
+		want := pinAbsent
+		if l.Present {
+			want = pinPresent
 		}
-		v := best
-		var gathered []*factor
-		for _, fi := range inFactor[v] {
-			if alive[fi] {
-				gathered = append(gathered, factors[fi])
-				alive[fi] = false
-			}
+		if pin[v] != pinFree && pin[v] != want {
+			return fmt.Errorf("prob: contradictory evidence on edge %d", l.Edge)
 		}
-		e.steps = append(e.steps, elimStep{v: v, factors: gathered})
-		nf := sumOut(gathered, v)
-		factors = append(factors, nf)
-		alive = append(alive, true)
-		fi := len(factors) - 1
-		for _, nv := range nf.vars {
-			inFactor[nv] = append(inFactor[nv], fi)
-		}
-		eliminated[v] = true
+		pin[v] = want
 	}
-
-	// All remaining live factors are constants; their product is Z.
-	z := 1.0
-	for fi, f := range factors {
-		if alive[fi] {
-			if len(f.vars) != 0 {
-				return fmt.Errorf("prob: internal: live factor with variables after elimination")
-			}
-			z *= f.tab[0]
-		}
-	}
-	if z < 0 {
-		return fmt.Errorf("prob: negative partition function")
-	}
-	e.z = z
 	return nil
 }
 
-// widthIfEliminated returns the number of distinct variables in the union of
-// live factors mentioning v.
-func (e *Engine) widthIfEliminated(v int, factors []*factor, alive []bool, inFactor [][]int) int {
-	seen := map[int]bool{}
-	for _, fi := range inFactor[v] {
-		if !alive[fi] {
-			continue
-		}
-		for _, u := range factors[fi].vars {
-			seen[u] = true
-		}
-	}
-	return len(seen)
-}
-
-// sumOut multiplies the gathered factors and sums out v.
-func sumOut(gathered []*factor, v int) *factor {
-	varSet := map[int]bool{}
-	for _, f := range gathered {
-		for _, u := range f.vars {
-			if u != v {
-				varSet[u] = true
-			}
-		}
-	}
-	outVars := make([]int, 0, len(varSet))
-	for u := range varSet {
-		outVars = append(outVars, u)
-	}
-	sort.Ints(outVars)
-	out := &factor{vars: outVars, tab: make([]float64, 1<<len(outVars))}
-
-	// Enumerate assignments over outVars ∪ {v}.
-	pos := make(map[int]int, len(outVars))
-	for i, u := range outVars {
-		pos[u] = i
-	}
-	total := 1 << len(outVars)
-	assign := make(map[int]bool, len(outVars)+1)
-	for m := 0; m < total; m++ {
-		for i, u := range outVars {
-			assign[u] = m&(1<<i) != 0
-		}
-		sum := 0.0
-		for _, vv := range []bool{false, true} {
-			assign[v] = vv
-			prod := 1.0
-			for _, f := range gathered {
-				idx := 0
-				for i, u := range f.vars {
-					if assign[u] {
-						idx |= 1 << i
+// forward runs the schedule numerically and returns the partition function
+// under pin. For each step and each assignment m of its output variables it
+// multiplies the step's inputs, in schedule order from 1.0, once with the
+// summed variable absent and once present; a pinned variable's other value
+// weighs 0. sums[tab+m] receives 0.0+absent+present and, when present is
+// non-nil, present[tab+m] the present weight; Z is the product of the
+// constant tables in step order. docs/ARCHITECTURE.md has why these orders
+// make every float bit-identical to the reference engine's.
+//
+//pgvet:noalloc
+func (e *Engine) forward(pin []uint8, sums, present []float64) float64 {
+	sc, jpts := e.sched, e.pg.JPTs
+	z, g := 1.0, 0
+	for s, st := range sc.steps[:len(sc.steps)-1] {
+		end := sc.steps[s+1]
+		ins := sc.inputs[st.ins:end.ins]
+		c := g // cursor into gather; every m re-reads the step's run from g
+		for m := 0; m < int(end.tab-st.tab); m++ {
+			w0, w1 := 1.0, 1.0
+			c = g
+			for _, id := range ins {
+				var tab []float64
+				var arity int
+				if int(id) < len(jpts) {
+					tab, arity = jpts[id].P, len(jpts[id].Edges)
+				} else {
+					from := sc.steps[int(id)-len(jpts):]
+					tab, arity = sums[from[0].tab:], int(from[1].outs-from[0].outs)
+				}
+				idx, self := 0, 0
+				for i, b := range sc.gather[c : c+arity] {
+					if b == selfBit {
+						self = 1 << i
+					} else {
+						idx |= (m >> b & 1) << i
 					}
 				}
-				prod *= f.tab[idx]
+				c += arity
+				w0 *= tab[idx]
+				w1 *= tab[idx|self]
 			}
-			sum += prod
+			switch pin[st.v] {
+			case pinAbsent:
+				w1 = 0
+			case pinPresent:
+				w0 = 0
+			}
+			sum := 0.0
+			sum += w0
+			sum += w1
+			sums[int(st.tab)+m] = sum
+			if present != nil {
+				present[int(st.tab)+m] = w1
+			}
 		}
-		out.tab[m] = sum
+		g = c
+		if end.outs == st.outs {
+			z *= sums[st.tab]
+		}
 	}
-	return out
+	return z
 }
 
 // Z returns the (unnormalized) total weight of the engine's distribution.
@@ -269,46 +321,19 @@ func (e *Engine) ProbEvidence() float64 {
 }
 
 // ProbLits returns the probability that all literals hold, conditioned on
-// this engine's evidence.
+// this engine's evidence: one forward pass with the literals pinned on top
+// of the evidence, nothing kept. Literals that cannot hold have probability
+// 0.
 func (e *Engine) ProbLits(lits []Literal) (float64, error) {
 	if e.z == 0 {
 		return 0, fmt.Errorf("prob: conditioning event has zero probability")
 	}
-	merged := make([]Literal, 0, len(lits)+len(e.evidence))
-	merged = append(merged, lits...)
-	for v, val := range e.evidence {
-		merged = append(merged, Literal{Edge: e.pg.uncertain[v], Present: val})
+	pin := slices.Clone(e.pin)
+	if e.pg.pinLits(pin, lits) != nil {
+		return 0, nil
 	}
-	cond, err := e.condProbEngine(merged)
-	if err != nil {
-		return 0, err
-	}
-	return cond.z / e.z, nil
-}
-
-// condProbEngine builds a throwaway engine with the given evidence; it
-// reuses the PGraph so construction cost is one VE pass.
-func (e *Engine) condProbEngine(lits []Literal) (*Engine, error) {
-	ev := make(map[int]bool, len(lits))
-	for _, l := range lits {
-		v, ok := e.pg.varOf[l.Edge]
-		if !ok {
-			if l.Present {
-				continue
-			}
-			// Certain edge asserted absent: impossible.
-			return &Engine{pg: e.pg, z: 0, zFull: e.zFull}, nil
-		}
-		if prev, dup := ev[v]; dup && prev != l.Present {
-			return &Engine{pg: e.pg, z: 0, zFull: e.zFull}, nil
-		}
-		ev[v] = l.Present
-	}
-	eng := &Engine{pg: e.pg, evidence: ev, zFull: e.zFull}
-	if err := eng.eliminate(); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	sums := make([]float64, len(e.slab)/2)
+	return e.forward(pin, sums, nil) / e.z, nil
 }
 
 // ProbAllPresent returns Pr(every edge in es exists | evidence). This is the
@@ -326,82 +351,55 @@ func (e *Engine) ProbAllAbsent(es graph.EdgeSet) (float64, error) {
 // MarginalPresent returns Pr(edge exists | evidence). Certain edges have
 // probability 1.
 func (e *Engine) MarginalPresent(ed graph.EdgeID) (float64, error) {
-	if _, ok := e.pg.varOf[ed]; !ok {
+	if !e.pg.IsUncertain(ed) {
 		return 1, nil
 	}
 	return e.ProbLits([]Literal{{Edge: ed, Present: true}})
 }
 
 // SampleWorld draws one possible world exactly from the engine's
-// distribution: backward sampling over the recorded elimination steps, then
-// certain edges are added. The result is a fresh EdgeSet over all edges of G.
+// distribution; see SampleWorldInto. The result is a fresh EdgeSet over all
+// edges of G.
 func (e *Engine) SampleWorld(rng *rand.Rand) graph.EdgeSet {
-	n := len(e.pg.uncertain)
-	assign := make([]bool, n)
-	for i := len(e.steps) - 1; i >= 0; i-- {
-		st := e.steps[i]
-		var w [2]float64
-		for _, val := range []bool{false, true} {
-			assign[st.v] = val
-			prod := 1.0
-			for _, f := range st.factors {
-				prod *= f.eval(assign)
-			}
-			if val {
-				w[1] = prod
-			} else {
-				w[0] = prod
-			}
-		}
-		total := w[0] + w[1]
-		if total <= 0 {
-			assign[st.v] = false
-			continue
-		}
-		assign[st.v] = rng.Float64()*total < w[1]
-	}
-	world := e.pg.NewWorld()
-	for v, present := range assign {
-		if present {
-			world.Add(e.pg.uncertain[v])
-		}
-	}
+	world := e.sched.template.Clone()
+	e.SampleWorldInto(rng, world, make([]bool, len(e.pg.uncertain)))
 	return world
 }
 
 // SampleWorldInto is SampleWorld writing into a caller-provided world (must
 // have capacity for all edges of G), avoiding allocation in sampling loops.
-// scratch must have capacity for NumUncertain() booleans.
+// scratch must have capacity for NumUncertain() booleans. Starting from the
+// certain edges, it walks the schedule backwards: a step's output variables
+// are all decided by then, so they index the step's stored tables and the
+// variable is present with probability present/sum — one rng draw per step
+// whose sum is positive, pinned variables included.
+//
+//pgvet:noalloc
 func (e *Engine) SampleWorldInto(rng *rand.Rand, world graph.EdgeSet, scratch []bool) {
-	n := len(e.pg.uncertain)
-	assign := scratch[:n]
-	for i := range assign {
-		assign[i] = false
-	}
-	for i := len(e.steps) - 1; i >= 0; i-- {
-		st := e.steps[i]
-		assign[st.v] = false
-		w0 := 1.0
-		for _, f := range st.factors {
-			w0 *= f.eval(assign)
+	sc := e.sched
+	steps, outVars, unc := sc.steps, sc.outVars, e.pg.uncertain
+	assign := scratch[:len(steps)-1]
+	half := len(e.slab) / 2
+	sums, present := e.slab[:half], e.slab[half:]
+	world.CopyFrom(sc.template)
+	hi := steps[len(assign)].outs
+	for s := len(assign) - 1; s >= 0; s-- {
+		st := steps[s]
+		at := int(st.tab)
+		for j, u := range outVars[st.outs:hi] {
+			bit := 0
+			if assign[u] {
+				bit = 1
+			}
+			at += bit << j // no branch on a coin flip
 		}
-		assign[st.v] = true
-		w1 := 1.0
-		for _, f := range st.factors {
-			w1 *= f.eval(assign)
+		hi = st.outs
+		total, on := sums[at], false
+		if total > 0 {
+			on = rng.Float64()*total < present[at]
 		}
-		total := w0 + w1
-		if total <= 0 {
-			assign[st.v] = false
-			continue
-		}
-		assign[st.v] = rng.Float64()*total < w1
-	}
-	world.CopyFrom(e.template)
-	for v := 0; v < n; v++ {
-		if assign[v] {
-			world.Add(e.pg.uncertain[v])
-		}
+		assign[st.v] = on
+		world.AddIf(unc[st.v], on)
 	}
 }
 
@@ -409,13 +407,8 @@ func (e *Engine) SampleWorldInto(rng *rand.Rand, world graph.EdgeSet, scratch []
 // under the unconditioned model. Worlds missing a certain edge have
 // probability zero.
 func (e *Engine) WorldProb(world graph.EdgeSet) float64 {
-	if e.zFull == 0 {
+	if e.zFull == 0 || !world.ContainsAll(e.sched.template) {
 		return 0
-	}
-	for ed := 0; ed < e.pg.G.NumEdges(); ed++ {
-		if !e.pg.IsUncertain(graph.EdgeID(ed)) && !world.Contains(graph.EdgeID(ed)) {
-			return 0
-		}
 	}
 	prod := 1.0
 	for _, t := range e.pg.JPTs {

@@ -2,7 +2,6 @@ package prob
 
 import (
 	"fmt"
-	"sort"
 
 	"probgraph/internal/graph"
 )
@@ -111,13 +110,7 @@ func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, pre
 		if p, ok := memo[key]; ok {
 			return p, nil
 		}
-		var lits []Literal
-		if present {
-			lits = AllPresent(union)
-		} else {
-			lits = AllAbsent(union)
-		}
-		p, err := e.ProbLits(lits)
+		p, err := e.ProbLits(literals(union, present))
 		if err != nil {
 			return 0, err
 		}
@@ -158,31 +151,4 @@ func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, pre
 		total = 1
 	}
 	return total, nil
-}
-
-// SortLiterals orders literals deterministically (by edge, then polarity);
-// used to build stable cache keys for conditioned engines.
-func SortLiterals(lits []Literal) {
-	sort.Slice(lits, func(i, j int) bool {
-		if lits[i].Edge != lits[j].Edge {
-			return lits[i].Edge < lits[j].Edge
-		}
-		return !lits[i].Present && lits[j].Present
-	})
-}
-
-// LiteralsKey renders a canonical string key for a literal set.
-func LiteralsKey(lits []Literal) string {
-	cp := append([]Literal(nil), lits...)
-	SortLiterals(cp)
-	b := make([]byte, 0, len(cp)*5)
-	for _, l := range cp {
-		b = append(b, byte(l.Edge), byte(l.Edge>>8), byte(l.Edge>>16), byte(l.Edge>>24))
-		if l.Present {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return string(b)
 }

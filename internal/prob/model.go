@@ -18,6 +18,7 @@ package prob
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"probgraph/internal/graph"
 )
@@ -93,8 +94,8 @@ type PGraph struct {
 	G    *graph.Graph
 	JPTs []JPT
 
-	uncertain []graph.EdgeID       // covered edges, ascending
-	varOf     map[graph.EdgeID]int // edge -> index into uncertain
+	uncertain []graph.EdgeID // covered edges, ascending
+	varOf     []int32        // edge -> index into uncertain, -1 when certain
 }
 
 // New validates and assembles a probabilistic graph.
@@ -111,12 +112,25 @@ func New(g *graph.Graph, jpts []JPT) (*PGraph, error) {
 			covered.Add(e)
 		}
 	}
-	pg := &PGraph{G: g, JPTs: jpts, varOf: make(map[graph.EdgeID]int)}
-	for _, e := range covered.Slice() {
-		pg.varOf[e] = len(pg.uncertain)
-		pg.uncertain = append(pg.uncertain, e)
+	// JPTs is a right-sized copy: decoders build jpts by append, and a
+	// database keeps every PGraph it was ever given.
+	pg := &PGraph{G: g, JPTs: slices.Clone(jpts), uncertain: covered.Slice(), varOf: make([]int32, g.NumEdges())}
+	for e := range pg.varOf {
+		pg.varOf[e] = -1
+	}
+	for v, e := range pg.uncertain {
+		pg.varOf[e] = int32(v)
 	}
 	return pg, nil
+}
+
+// variable returns e's index among the uncertain edges, or -1 when e is
+// certain or no edge of G.
+func (pg *PGraph) variable(e graph.EdgeID) int {
+	if e < 0 || int(e) >= len(pg.varOf) {
+		return -1
+	}
+	return int(pg.varOf[e])
 }
 
 // MustNew is New for static construction; it panics on error.
@@ -152,16 +166,7 @@ func (pg *PGraph) NumUncertain() int { return len(pg.uncertain) }
 func (pg *PGraph) UncertainEdges() []graph.EdgeID { return pg.uncertain }
 
 // IsUncertain reports whether edge e is covered by some JPT.
-func (pg *PGraph) IsUncertain(e graph.EdgeID) bool {
-	_, ok := pg.varOf[e]
-	return ok
-}
-
-// CertainWorld returns a world containing every edge of G (all uncertain
-// edges present). This is the certain graph gc's edge set.
-func (pg *PGraph) CertainWorld() graph.EdgeSet {
-	return graph.FullEdgeSet(pg.G.NumEdges())
-}
+func (pg *PGraph) IsUncertain(e graph.EdgeID) bool { return pg.variable(e) >= 0 }
 
 // NewWorld returns a world with all certain edges present and all uncertain
 // edges absent.
@@ -215,21 +220,16 @@ type Literal struct {
 }
 
 // AllPresent returns literals asserting every edge in es exists.
-func AllPresent(es graph.EdgeSet) []Literal {
-	edges := es.Slice()
-	lits := make([]Literal, len(edges))
-	for i, e := range edges {
-		lits[i] = Literal{Edge: e, Present: true}
-	}
-	return lits
-}
+func AllPresent(es graph.EdgeSet) []Literal { return literals(es, true) }
 
 // AllAbsent returns literals asserting every edge in es is missing.
-func AllAbsent(es graph.EdgeSet) []Literal {
+func AllAbsent(es graph.EdgeSet) []Literal { return literals(es, false) }
+
+func literals(es graph.EdgeSet, present bool) []Literal {
 	edges := es.Slice()
 	lits := make([]Literal, len(edges))
 	for i, e := range edges {
-		lits[i] = Literal{Edge: e, Present: false}
+		lits[i] = Literal{Edge: e, Present: present}
 	}
 	return lits
 }

@@ -538,18 +538,6 @@ func TestNewIndependent(t *testing.T) {
 	}
 }
 
-func TestLiteralsKey(t *testing.T) {
-	a := []Literal{{Edge: 2, Present: true}, {Edge: 1, Present: false}}
-	b := []Literal{{Edge: 1, Present: false}, {Edge: 2, Present: true}}
-	if LiteralsKey(a) != LiteralsKey(b) {
-		t.Fatal("key must be order-independent")
-	}
-	c := []Literal{{Edge: 1, Present: true}, {Edge: 2, Present: true}}
-	if LiteralsKey(a) == LiteralsKey(c) {
-		t.Fatal("different polarity must change key")
-	}
-}
-
 func TestSharedEdgeJPTsNormalize(t *testing.T) {
 	// Two tables both covering edge 1 (paper Figure 1 structure): the raw
 	// product is unnormalized; the engine must still produce a proper

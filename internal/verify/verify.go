@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/prob"
@@ -64,11 +65,14 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 	if len(clauses) == 0 {
 		return 0, nil
 	}
-	// Clause probabilities Pr(Bfi) via exact inference.
+	// Clause probabilities Pr(Bfi) via exact inference; each clause's literal
+	// list serves its probability here and its conditioned engine below.
+	lits := make([][]prob.Literal, len(clauses))
 	probs := make([]float64, len(clauses))
 	v := 0.0
 	for i, c := range clauses {
-		p, err := eng.ProbAllPresent(c)
+		lits[i] = prob.AllPresent(c)
+		p, err := eng.ProbLits(lits[i])
 		if err != nil {
 			return 0, err
 		}
@@ -81,8 +85,8 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 	if v <= 0 {
 		return 0, nil
 	}
-	if v >= 0 && len(clauses) > opt.MaxClauses {
-		clauses, probs, v = topClauses(clauses, probs, opt.MaxClauses)
+	if len(clauses) > opt.MaxClauses {
+		clauses, lits, probs, v = topClauses(clauses, lits, probs, opt.MaxClauses)
 	}
 	// Cumulative distribution for clause selection.
 	cum := make([]float64, len(clauses))
@@ -95,23 +99,18 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 	cond := make([]*prob.Engine, len(clauses))
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cnt := 0
-	world := graph.NewEdgeSet(engNumEdges(eng))
-	scratchLen := 0
-	var scratch []bool
+	world := graph.NewEdgeSet(eng.NumEdges())
+	scratch := make([]bool, eng.NumUncertain())
 	for s := 0; s < opt.N; s++ {
 		// Pick clause i with probability probs[i]/v.
 		x := rng.Float64() * v
 		i := lowerBound(cum, x)
 		if cond[i] == nil {
-			ce, err := eng.NewConditioned(prob.AllPresent(clauses[i]))
+			ce, err := eng.NewConditioned(lits[i])
 			if err != nil {
 				return 0, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
 			}
 			cond[i] = ce
-		}
-		if n := condScratchLen(cond[i]); n > scratchLen {
-			scratch = make([]bool, n)
-			scratchLen = n
 		}
 		cond[i].SampleWorldInto(rng, world, scratch)
 		// Count when i is the first satisfied clause.
@@ -139,17 +138,12 @@ func Exact(eng *prob.Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 	if maxClauses == 0 {
 		maxClauses = 20
 	}
-	clauses = dedupClauses(clauses)
-	return prob.ProbDNFExact(eng, clauses, maxClauses)
+	return prob.ProbDNFExact(eng, DedupClauses(clauses), maxClauses)
 }
 
 // DedupClauses removes duplicate and superset clauses: a clause that
 // contains another is absorbed by it in a union of conjunctions.
 func DedupClauses(clauses []graph.EdgeSet) []graph.EdgeSet {
-	return dedupClauses(clauses)
-}
-
-func dedupClauses(clauses []graph.EdgeSet) []graph.EdgeSet {
 	var out []graph.EdgeSet
 	seen := make(map[string]bool)
 	for _, c := range clauses {
@@ -180,9 +174,10 @@ func dedupClauses(clauses []graph.EdgeSet) []graph.EdgeSet {
 	return kept
 }
 
-// topClauses keeps the n most probable clauses (truncation makes SMP a
-// lower-bound estimate; callers see MaxClauses only on adversarial inputs).
-func topClauses(clauses []graph.EdgeSet, probs []float64, n int) ([]graph.EdgeSet, []float64, float64) {
+// topClauses keeps the n most probable clauses, with their literal lists
+// (truncation makes SMP a lower-bound estimate; callers see MaxClauses only
+// on adversarial inputs).
+func topClauses(clauses []graph.EdgeSet, lits [][]prob.Literal, probs []float64, n int) ([]graph.EdgeSet, [][]prob.Literal, []float64, float64) {
 	idx := make([]int, len(clauses))
 	for i := range idx {
 		idx[i] = i
@@ -199,32 +194,17 @@ func topClauses(clauses []graph.EdgeSet, probs []float64, n int) ([]graph.EdgeSe
 	}
 	idx = idx[:n]
 	cs := make([]graph.EdgeSet, n)
+	ls := make([][]prob.Literal, n)
 	ps := make([]float64, n)
 	v := 0.0
 	for i, id := range idx {
-		cs[i] = clauses[id]
-		ps[i] = probs[id]
+		cs[i], ls[i], ps[i] = clauses[id], lits[id], probs[id]
 		v += ps[i]
 	}
-	return cs, ps, v
+	return cs, ls, ps, v
 }
 
-// lowerBound returns the first index with cum[i] >= x.
+// lowerBound returns the first index with cum[i] >= x (the last when none).
 func lowerBound(cum []float64, x float64) int {
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return min(sort.SearchFloat64s(cum, x), len(cum)-1)
 }
-
-// engNumEdges and condScratchLen expose the engine capacities SMP needs for
-// its scratch buffers.
-func engNumEdges(e *prob.Engine) int { return e.NumEdges() }
-
-func condScratchLen(e *prob.Engine) int { return e.NumUncertain() }

@@ -229,10 +229,17 @@ func TestTopClauses(t *testing.T) {
 		return s
 	}
 	clauses := []graph.EdgeSet{mk(0), mk(1), mk(2), mk(3)}
+	lits := make([][]prob.Literal, len(clauses))
+	for i, c := range clauses {
+		lits[i] = prob.AllPresent(c)
+	}
 	probs := []float64{0.1, 0.9, 0.5, 0.7}
-	cs, ps, v := topClauses(clauses, probs, 2)
+	cs, ls, ps, v := topClauses(clauses, lits, probs, 2)
 	if len(cs) != 2 || ps[0] != 0.9 || ps[1] != 0.7 {
 		t.Fatalf("topClauses picked %v", ps)
+	}
+	if !cs[0].Contains(1) || ls[0][0].Edge != 1 || !cs[1].Contains(3) || ls[1][0].Edge != 3 {
+		t.Fatalf("clauses %v and literal lists %v do not follow the probabilities", cs, ls)
 	}
 	if math.Abs(v-1.6) > 1e-12 {
 		t.Fatalf("v = %v, want 1.6", v)
@@ -246,5 +253,69 @@ func TestLowerBoundSearch(t *testing.T) {
 		if got := lowerBound(cum, x); got != want {
 			t.Fatalf("lowerBound(%v) = %d, want %d", x, got, want)
 		}
+	}
+}
+
+// TestSMPTruncationKeepsClausesAligned: past MaxClauses, SMP must sample
+// exactly as it would on the kept clauses alone — probabilities, literal
+// lists and edge sets staying in step.
+func TestSMPTruncationKeepsClausesAligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pg, eng := randomModel(t, rng, 6, 8)
+	clauses := DedupClauses(randomClauses(rng, pg.G.NumEdges(), 24))
+	if len(clauses) < 4 {
+		t.Fatalf("fixture has only %d distinct clauses", len(clauses))
+	}
+	lits := make([][]prob.Literal, len(clauses))
+	probs := make([]float64, len(clauses))
+	for i, c := range clauses {
+		lits[i] = prob.AllPresent(c)
+		probs[i], _ = eng.ProbLits(lits[i])
+	}
+	kept, _, _, _ := topClauses(clauses, lits, probs, 3)
+	got, err := SMP(eng, clauses, Options{N: 500, Seed: 4, MaxClauses: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SMP(eng, kept, Options{N: 500, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == 0 {
+		t.Fatalf("truncated SMP %v, SMP over the kept clauses %v", got, want)
+	}
+}
+
+// TestSMPCalibration holds the sampler to the paper's Monte-Carlo guarantee
+// (arXiv:1205.6692 §5): with the default ξ = .05, τ = .1 → N = 1476, the
+// estimate is within τ·Exact of Exact with probability ≥ 1−ξ. Over 240
+// seeded (graph, DNF ≤ 12 clauses) trials the number of misses is at most
+// Binomial(240, ξ): mean 12, σ = √(240·.05·.95) ≈ 3.4; the test allows
+// mean + 3σ = 22. Any change to the sampler or the engine's sampling tables
+// must keep this green.
+func TestSMPCalibration(t *testing.T) {
+	const trials, allowed = 240, 22
+	misses, worst := 0, 0.0
+	for seed := int64(0); seed < trials; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		pg, eng := randomModel(t, rng, 6+rng.Intn(4), 7+rng.Intn(6))
+		clauses := DedupClauses(randomClauses(rng, pg.G.NumEdges(), 2+rng.Intn(11)))
+		exact, err := Exact(eng, clauses, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := SMP(eng, clauses, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := math.Abs(est-exact) / exact
+		worst = math.Max(worst, rel)
+		if rel > 0.1 {
+			misses++
+		}
+	}
+	t.Logf("%d of %d trials outside τ·Exact; worst relative error %.4f", misses, trials, worst)
+	if misses > allowed {
+		t.Fatalf("%d of %d trials miss |SMP − Exact| ≤ τ·Exact, more than ξ·trials + 3σ = %d", misses, trials, allowed)
 	}
 }
