@@ -55,7 +55,7 @@ func main() {
 	for fi := 0; fi < maxRows; fi++ {
 		cells := []interface{}{fmt.Sprintf("f%d(%de)", fi, optPMI.Features[fi].NumEdges())}
 		for gi := 0; gi < 6 && gi < len(raw.Graphs); gi++ {
-			e := optPMI.Entries[fi][gi]
+			e := optPMI.At(fi, gi)
 			if !e.Contained {
 				cells = append(cells, "<0>")
 			} else {
@@ -70,9 +70,10 @@ func main() {
 	// Bound tightness: average width of contained entries per variant.
 	width := func(db *probgraph.Database) (float64, int) {
 		total, n := 0.0, 0
-		for _, row := range db.View().PMI.Entries {
-			for _, e := range row {
-				if e.Contained {
+		idx := db.View().PMI
+		for fi := 0; fi < idx.NumFeatures(); fi++ {
+			for gi := 0; gi < idx.NumGraphs(); gi++ {
+				if e := idx.At(fi, gi); e.Contained {
 					total += e.Upper - e.Lower
 					n++
 				}

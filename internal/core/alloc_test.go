@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/obs"
 	"probgraph/internal/pool"
+	"probgraph/internal/prob"
 )
 
 // allocFixture builds a corpus plus one query's plan and returns the
@@ -219,4 +221,77 @@ func TestInsertTopKNoAlloc(t *testing.T) {
 			t.Fatalf("ranking out of order at %d: %+v before %+v", i, top[i-1], top[i])
 		}
 	}
+}
+
+// TestTombstoneChurnRetainsNoGraphData is the ledger's serve-churn memory
+// row as a unit test: with auto-compaction off, 500 add/remove pairs may
+// grow the live heap only by what a dead slot legitimately keeps — its
+// structural count row and postings, and a few words of bookkeeping per
+// slice (slot pointers, liveness flags, the nil PMI column) — never the
+// graph, its JPTs, its engine or its PMI column.
+func TestTombstoneChurnRetainsNoGraphData(t *testing.T) {
+	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
+		NumGraphs: 40, MinVertices: 12, MaxVertices: 18, Organisms: 8, Correlated: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultBuildOptions()
+	opt.Feature.Beta, opt.Feature.Alpha, opt.Feature.Gamma, opt.Feature.MaxL = 0.2, 0.1, 0.1, 4
+	db, err := NewDatabase(raw.Graphs[:24], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each added graph is a private copy, so that the database is the only
+	// thing that could keep it alive.
+	fresh := func(i int) *prob.PGraph {
+		src := raw.Graphs[24+i%16]
+		jpts := make([]prob.JPT, len(src.JPTs))
+		for k, j := range src.JPTs {
+			jpts[k] = prob.JPT{Edges: slices.Clone(j.Edges), P: slices.Clone(j.P)}
+		}
+		return prob.MustNew(src.G.Clone(), jpts)
+	}
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	const pairs = 500
+	// One graph's live footprint, for scale: what every pair would retain
+	// if a tombstone kept its data.
+	before := heap()
+	if _, _, err := db.AddGraph(fresh(0)); err != nil {
+		t.Fatal(err)
+	}
+	perGraph := heap() - before
+	if _, err := db.RemoveGraph(db.Len() - 1); err != nil {
+		t.Fatal(err)
+	}
+
+	before = heap()
+	for i := 0; i < pairs; i++ {
+		gi, _, err := db.AddGraph(fresh(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RemoveGraph(gi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perPair := (heap() - before) / pairs
+	nf := int64(len(db.View().Struct.Features))
+	// Count row (4 B per structural feature), as much again for postings and
+	// append slack, and 256 B for the per-slot words of a dozen slices.
+	ceiling := 8*nf + 256
+	t.Logf("retained per add/remove pair: %d B (ceiling %d B; a live graph holds %d B)", perPair, ceiling, perGraph)
+	if db.View().Tombstones() != pairs+1 {
+		t.Fatalf("%d tombstones, want %d", db.View().Tombstones(), pairs+1)
+	}
+	if perPair > ceiling {
+		t.Fatalf("an add/remove pair retains %d B, more than the %d B of postings and bookkeeping a dead slot may keep", perPair, ceiling)
+	}
+	runtime.KeepAlive(db)
 }

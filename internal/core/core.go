@@ -63,8 +63,9 @@ type BuildStats struct {
 //
 // Slots and tombstones: graphs occupy slots 0..Len()-1, and a slot's
 // index is the graph index queries report. RemoveGraph tombstones a slot
-// — the postings and PMI keep its entries, every scan filters it — so
-// surviving indices are stable across removals. Compact drops the
+// — its graph, engine and PMI column are released, the postings keep its
+// entries and every scan filters it — so surviving indices are stable
+// across removals. Compact drops the
 // tombstones and renumbers the survivors contiguously (in slot order),
 // realigning per-candidate query seeding with a fresh NewDatabase over
 // the surviving graphs; the mined feature vocabulary is carried over
@@ -374,8 +375,9 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 }
 
 // RemoveGraph tombstones slot id: the graph disappears from every
-// subsequent query (already-pinned views still see it) while its postings
-// and PMI column stay in place, masked, until Compact rewrites them.
+// subsequent query (already-pinned views still see it) and its data is
+// released, while its postings stay in place, masked, until Compact
+// rewrites them.
 // Surviving graph indices are unchanged. The new generation is returned.
 func (db *Database) RemoveGraph(id int) (uint64, error) {
 	m, err := db.RemoveGraphInfo(id)
@@ -406,9 +408,13 @@ func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
 	}
 	nv.live[id] = false
 	nv.liveCount = v.liveCount - 1
-	// Dead slots are never queried and engines never persisted: the successor
-	// lets the engine go (pinned views keep theirs; a lazily loaded slot's
-	// lives in the shared engLazy), or an uncompacted server retains them all.
+	// Dead slots are never queried: the successor is data-free for the slot —
+	// graph, JPTs and engine let go, the PMI column freed (pinned views keep
+	// theirs; a lazily loaded slot's engine lives in the shared engLazy) —
+	// or an uncompacted server retains every graph it ever held. A snapshot
+	// of the successor writes the empty graph in the slot.
+	nv.Graphs = cloneWith(v.Graphs, id, deadGraph)
+	nv.Certain = cloneWith(v.Certain, id, deadGraph.G)
 	if v.Engines[id] != nil {
 		nv.Engines = cloneWith(v.Engines, id, nil)
 	}
@@ -563,6 +569,9 @@ func compactView(v *View) *View {
 	}
 	return nv
 }
+
+// deadGraph occupies every slot RemoveGraph tombstones.
+var deadGraph = prob.MustNew(graph.Empty, nil)
 
 // checkLive validates a caller-supplied slot. Both failure modes wrap
 // ErrNoSuchGraph.

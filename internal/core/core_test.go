@@ -22,17 +22,23 @@ func smallDatabase(t *testing.T, seed int64, n int, correlated bool) (*Database,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return indexSmall(t, raw.Graphs, seed), raw
+}
+
+// indexSmall builds the database of smallDatabase over the given graphs.
+func indexSmall(t *testing.T, graphs []*prob.PGraph, seed int64) *Database {
+	t.Helper()
 	opt := DefaultBuildOptions()
 	opt.Feature.Beta = 0.2
 	opt.Feature.Alpha = 0.05
 	opt.Feature.Gamma = 0.05
 	opt.Feature.MaxL = 3
 	opt.PMI.Seed = seed
-	db, err := NewDatabase(raw.Graphs, opt)
+	db, err := NewDatabase(graphs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, raw
+	return db
 }
 
 // naiveAnswers computes the T-PS answer set by full enumeration.

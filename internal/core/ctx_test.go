@@ -10,22 +10,45 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
-// slowQueryEnv builds a database and query sized so that a full QueryCtx
-// run takes long enough to cancel mid-scan reliably: probabilistic pruning
-// is bypassed, so every structural candidate pays a verification with a
-// large sample count.
+// slowQueryEnv builds a database and query on which a full QueryCtx run is
+// slow by construction, so that a cancel lands mid-scan: probabilistic
+// pruning is bypassed, ε lies below every candidate's bound V so the ladder
+// rejects none unsampled, and several candidates carry a DNF past
+// exactCrossover, each paying the full 300 000 samples. The helper asserts
+// both, so a change to the ladder or the generator cannot quietly make the
+// cancellation tests vacuous.
 func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 	t.Helper()
 	db, _ := smallDatabase(t, 2001, 16, true)
 	rng := rand.New(rand.NewSource(61))
-	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
+	q := dataset.ExtractQuery(db.View().Certain[0], 5, rng)
 	opt := QueryOptions{
-		Epsilon: 0.4, Delta: 1, SkipProbPruning: true,
-		Verifier: VerifierSMP, Verify: verify.Options{N: 60000},
+		Epsilon: 0.01, Delta: 2, SkipProbPruning: true,
+		Verifier: VerifierSMP, Verify: verify.Options{N: 300000},
 		Seed: 5,
+	}
+	v := db.View()
+	u := relax.Relaxed(q, opt.Delta, 0)
+	scq, _ := v.Struct.SCq(q, opt.Delta, 1)
+	sampled := 0
+	for _, gi := range scq {
+		d, err := v.prepareDNF(u, gi, opt.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Bound() < opt.Epsilon {
+			t.Fatalf("graph %d: bound %v below ε %v — rejected without sampling", gi, d.Bound(), opt.Epsilon)
+		}
+		if d.Clauses() > exactCrossover {
+			sampled++
+		}
+	}
+	if sampled < 4 {
+		t.Fatalf("only %d of %d candidates reach the sampler; the fixture is not slow", sampled, len(scq))
 	}
 	return db, q, opt
 }

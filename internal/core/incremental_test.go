@@ -38,10 +38,8 @@ func TestAddGraphMatchesNaive(t *testing.T) {
 		t.Fatalf("database has %d graphs, want %d", db.Len(), len(raw.Graphs)+2)
 	}
 	// PMI columns must cover the new graphs.
-	for fi := range db.View().PMI.Entries {
-		if len(db.View().PMI.Entries[fi]) != db.Len() {
-			t.Fatalf("PMI row %d has %d columns, want %d", fi, len(db.View().PMI.Entries[fi]), db.Len())
-		}
+	if n := db.View().PMI.NumGraphs(); n != db.Len() {
+		t.Fatalf("PMI has %d columns, want %d", n, db.Len())
 	}
 
 	rng := rand.New(rand.NewSource(5))
@@ -134,7 +132,7 @@ func TestAddGraphBoundsStaySound(t *testing.T) {
 	}
 	checked := 0
 	for fi, fg := range db.View().PMI.Features {
-		e := db.View().PMI.Entries[fi][gi]
+		e := db.View().PMI.At(fi, gi)
 		if !e.Contained {
 			continue
 		}

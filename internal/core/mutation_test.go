@@ -527,10 +527,8 @@ func TestAutoCompactThreshold(t *testing.T) {
 		t.Fatalf("after auto-compact: tombs=%d len=%d live=%d", db.View().Tombstones(), db.Len(), db.View().NumLive())
 	}
 	if db.View().PMI != nil {
-		for fi := range db.View().PMI.Entries {
-			if len(db.View().PMI.Entries[fi]) != 4 {
-				t.Fatalf("PMI row %d has %d columns after compaction, want 4", fi, len(db.View().PMI.Entries[fi]))
-			}
+		if n := db.View().PMI.NumGraphs(); n != 4 {
+			t.Fatalf("PMI has %d columns after compaction, want 4", n)
 		}
 	}
 }

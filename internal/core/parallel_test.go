@@ -37,6 +37,9 @@ func sameResults(t *testing.T, label string, a, b *Result) {
 		as.PrunedByUpper != bs.PrunedByUpper ||
 		as.AcceptedByLower != bs.AcceptedByLower ||
 		as.VerifyCandidates != bs.VerifyCandidates ||
+		as.RejectedByBound != bs.RejectedByBound ||
+		as.DecidedExactly != bs.DecidedExactly ||
+		as.SamplesDrawn != bs.SamplesDrawn ||
 		as.Answers != bs.Answers {
 		t.Fatalf("%s: stats diverge: %+v vs %+v", label, as, bs)
 	}

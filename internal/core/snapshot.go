@@ -30,10 +30,12 @@ import (
 //	gids        i32 slab of slot→global-id map (range partitions only)
 //
 // The order is fixed, so save→load→save is byte-identical. The graphs
-// section writes every slot (dead ones included) so graph indices — and
-// therefore per-candidate query seeding — survive the round trip, while
-// the PMI section writes masked columns as uncontained and the loader
-// re-applies the mask from the tombstone list.
+// section writes every slot, dead ones included, so graph indices — and
+// therefore per-candidate query seeding — survive the round trip. A dead
+// slot holds the empty graph when this process removed it and whatever the
+// file held when it was loaded dead. The PMI section writes masked columns
+// as uncontained and the loader re-applies the mask from the tombstone
+// list.
 //
 // There are two encodings of that one token stream (see snapbin): pgsnap
 // v4 binary — a section table over 8-byte-aligned payloads, which a server

@@ -30,9 +30,9 @@ func TestSnapshotBinaryDifferential(t *testing.T) {
 		t.Fatalf("shape diverged: binary %d/gen %d, text %d/gen %d",
 			bin.Len(), bin.View().Generation, text.Len(), text.View().Generation)
 	}
-	for fi := range text.View().PMI.Entries {
-		if !reflect.DeepEqual(text.View().PMI.Entries[fi], bin.View().PMI.Entries[fi]) {
-			t.Fatalf("PMI row %d diverged between text and binary load", fi)
+	for gi := 0; gi < text.Len(); gi++ {
+		if !reflect.DeepEqual(text.View().PMI.Lookup(gi), bin.View().PMI.Lookup(gi)) {
+			t.Fatalf("PMI column %d diverged between text and binary load", gi)
 		}
 	}
 

@@ -146,11 +146,12 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 			t.Errorf("%s: PMI code %d not re-derived from its feature", label, fi)
 		}
 		// Masked columns are saved as uncontained and stay masked.
-		for gi, e := range got.PMI.Entries[fi] {
+		for gi := 0; gi < got.PMI.NumGraphs(); gi++ {
+			e := got.PMI.At(fi, gi)
 			if got.PMI.Masked(gi) != want.PMI.Masked(gi) {
 				t.Fatalf("%s: PMI mask of column %d changed", label, gi)
 			}
-			if w := want.PMI.Entries[fi][gi]; e != w && !(got.PMI.Masked(gi) && e == (pmi.Entry{})) {
+			if w := want.PMI.At(fi, gi); e != w && !(got.PMI.Masked(gi) && e == (pmi.Entry{})) {
 				t.Fatalf("%s: PMI entry (%d,%d) = %+v, want %+v", label, fi, gi, e, w)
 			}
 		}

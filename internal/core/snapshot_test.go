@@ -81,9 +81,9 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 	if len(got.View().Features) != len(db.View().Features) {
 		t.Fatalf("mined features: got %d, want %d", len(got.View().Features), len(db.View().Features))
 	}
-	for fi := range db.View().PMI.Entries {
-		for gi := range db.View().PMI.Entries[fi] {
-			a, b := db.View().PMI.Entries[fi][gi], got.View().PMI.Entries[fi][gi]
+	for fi := range db.View().PMI.Features {
+		for gi := 0; gi < db.Len(); gi++ {
+			a, b := db.View().PMI.At(fi, gi), got.View().PMI.At(fi, gi)
 			if a != b {
 				t.Fatalf("PMI entry (%d,%d) changed: %+v != %+v", fi, gi, b, a)
 			}
@@ -181,10 +181,10 @@ func TestSnapshotIncrementalAddGraph(t *testing.T) {
 	if wi != hi {
 		t.Fatalf("AddGraph index %d != %d", hi, wi)
 	}
-	for fi := range db.View().PMI.Entries {
-		if db.View().PMI.Entries[fi][wi] != got.View().PMI.Entries[fi][hi] {
+	for fi := range db.View().PMI.Features {
+		if db.View().PMI.At(fi, wi) != got.View().PMI.At(fi, hi) {
 			t.Fatalf("incremental PMI column diverged at feature %d: %+v != %+v",
-				fi, got.View().PMI.Entries[fi][hi], db.View().PMI.Entries[fi][wi])
+				fi, got.View().PMI.At(fi, hi), db.View().PMI.At(fi, wi))
 		}
 	}
 

@@ -91,7 +91,7 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 		// workers have exited — before finished closes, so the tally is
 		// complete on every exit path, including early consumer breaks.
 		pipe := obs.PipelineFrom(ctx)
-		var pruned, accepted, verified, answers atomic.Int64
+		var pruned, accepted, verified, answers, byBound, exact, samples atomic.Int64
 		go func() {
 			defer close(finished)
 			sp := obs.SpanFrom(ctx).Child("verify")
@@ -115,6 +115,13 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 						accepted.Add(1)
 					default:
 						verified.Add(1)
+						if o.byBound {
+							byBound.Add(1)
+						}
+						if o.exact {
+							exact.Add(1)
+						}
+						samples.Add(int64(o.samples))
 					}
 					if match {
 						answers.Add(1)
@@ -136,6 +143,9 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 				VerifyCandidates:       int(verified.Load()),
 				Answers:                int(answers.Load()),
 				RelaxedQueries:         len(p.u),
+				RejectedByBound:        int(byBound.Load()),
+				DecidedExactly:         int(exact.Load()),
+				SamplesDrawn:           int(samples.Load()),
 			})
 		}()
 		// Join the workers on every exit path — the iterator must not

@@ -11,6 +11,7 @@ import (
 	"probgraph/internal/obs"
 	"probgraph/internal/pool"
 	"probgraph/internal/relax"
+	"probgraph/internal/verify"
 )
 
 // TopKItem is one ranked answer.
@@ -22,8 +23,11 @@ type TopKItem struct {
 // QueryTopKCtx returns the k database graphs with the highest SSP for q at
 // distance δ, ranked descending. It extends the paper's threshold queries
 // the way its bounds machinery invites: candidates are verified in
-// decreasing Usim order, and verification stops as soon as the next
-// candidate's upper bound cannot beat the current k-th best SSP.
+// decreasing order of their upper bound (TopKBound.Upper), and verification
+// stops as soon as the next candidate's bound cannot beat the current k-th
+// best SSP. Every value comes from the un-thresholded ladder of VerifySSP:
+// exact for a DNF of at most exactCrossover clauses, the full SMP estimate
+// otherwise.
 // QueryOptions.Epsilon does not affect the ranking (it is still validated).
 //
 // With opt.Concurrency > 1 both the bound computation and the verification
@@ -153,10 +157,10 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 			next++
 			mu.Unlock()
 
-			ssp, err := v.verifySSP(p.u, cands[i].Graph, opt)
+			d, err := decide(cands[i].dnf, opt, 0)
 
 			mu.Lock()
-			ssps[i], errs[i], done[i] = ssp, err, true
+			ssps[i], errs[i], done[i] = d.ssp, err, true
 			commit()
 			cond.Broadcast()
 			mu.Unlock()
@@ -216,21 +220,23 @@ func insertTopK(top []TopKItem, item TopKItem, k int) []TopKItem {
 }
 
 // TopKBound is one entry of the top-k verification schedule: a structural
-// candidate slot and its clamped SSP upper bound. The schedule is sorted
-// Upper descending, slot ascending — the order the serial top-k algorithm
-// verifies in.
+// candidate slot and the bound it is scheduled by, min(Usim, V, 1). V is the
+// bound of the candidate's own prepared DNF (Σ Pr(Bfi), see VerifySSP):
+// VerifySSPBatch never returns more, compared bitwise. Usim is the PMI's
+// bound on the true SSP, absent when the view has no PMI. The schedule is
+// sorted Upper descending, slot ascending — the order the serial top-k
+// algorithm verifies in.
 type TopKBound struct {
 	Graph int     // database slot index
-	Upper float64 // SSP upper bound, clamped to 1
+	Upper float64 // min(Usim, V, 1)
 }
 
-// unitBounds schedules every slot with the trivial upper bound 1.
-func unitBounds(slots []int) []TopKBound {
-	out := make([]TopKBound, len(slots))
-	for i, gi := range slots {
-		out[i] = TopKBound{Graph: gi, Upper: 1}
-	}
-	return out
+// scheduled is a schedule entry with the prepared DNF its bound came from,
+// so the in-process top-k verifies without enumerating embeddings again
+// (nil on a degenerate plan, which verifies nothing).
+type scheduled struct {
+	TopKBound
+	dnf *verify.DNF
 }
 
 // topkSchedule is the ranked forms' shared start: the plan, then the
@@ -238,7 +244,7 @@ func unitBounds(slots []int) []TopKBound {
 // (seeded from its global id, so partitions agree bitwise with the full
 // database), sorted by the serial verification order. A degenerate plan
 // schedules its first k live slots; their SSP is 1 without verification.
-func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []TopKBound, error) {
+func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []scheduled, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("core: k must be positive")
 	}
@@ -247,32 +253,52 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		return nil, nil, err
 	}
 	if p.degenerate {
-		return p, unitBounds(p.scq[:min(k, len(p.scq))]), nil
+		cands := make([]scheduled, min(k, len(p.scq)))
+		for i := range cands {
+			cands[i].TopKBound = TopKBound{Graph: p.scq[i], Upper: 1}
+		}
+		return p, cands, nil
 	}
 	if len(p.scq) == 0 {
 		return p, nil, nil
 	}
-	if v.PMI == nil {
-		return p, unitBounds(p.scq), nil
-	}
-	// Each candidate's bound draws from its own candSeed-derived rng, so the
-	// schedule is the same at any worker count.
-	cands := make([]TopKBound, len(p.scq))
+	// Each candidate's bound is the smaller of Usim (when the view has a
+	// PMI; drawn from the candidate's own candSeed-derived rng) and the
+	// bound of its prepared DNF, so the schedule is the same at any worker
+	// count.
+	cands := make([]scheduled, len(p.scq))
+	errs := make([]error, len(p.scq))
 	sp := obs.SpanFrom(ctx).Child("bounds")
-	pr, err := v.newPruner(ctx, p.u, p.opt, nil)
+	var pr *pruner
+	if v.PMI != nil {
+		pr, err = v.newPruner(ctx, p.u, p.opt, nil)
+	}
 	if err == nil {
 		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) {
 			gi := p.scq[i]
-			sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
-			sc.entries = v.PMI.LookupInto(gi, sc.entries[:0])
-			ub := pr.upperBound(sc.entries, sc)
-			putScratch(sc)
-			cands[i] = TopKBound{Graph: gi, Upper: min(ub, 1)}
+			ub := 1.0
+			if pr != nil {
+				sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
+				sc.entries = v.PMI.LookupInto(gi, sc.entries[:0])
+				ub = min(pr.upperBound(sc.entries, sc), 1)
+				putScratch(sc)
+			}
+			d, err := v.prepareDNF(p.u, gi, p.opt)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			cands[i] = scheduled{TopKBound{Graph: gi, Upper: min(ub, d.Bound())}, d}
 		})
 	}
 	sp.EndCount(int64(len(p.scq)))
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, e := range errs {
+		if e != nil {
+			return nil, nil, fmt.Errorf("core: verifying graph %d: %w", p.scq[i], e)
+		}
 	}
 	// Slot ascending breaks upper-bound ties. On a partition, slots are in
 	// global-id order, so merging shard schedules by (Upper desc, global
@@ -302,16 +328,21 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 	if err != nil {
 		return nil, false, err
 	}
-	return cands, p.degenerate, nil
+	for _, c := range cands {
+		bounds = append(bounds, c.TopKBound)
+	}
+	return bounds, p.degenerate, nil
 }
 
-// VerifySSPBatch verifies the SSP of q against each of the given live slots
-// on the worker pool, returning the estimates in input order; a slot that
-// is out of range or tombstoned fails the call with ErrNoSuchGraph. The
-// relaxed query set is derived internally (as QueryCtx and QueryTopKCtx
-// derive it), and each slot's estimate seeds from its global id alone — the
-// same value VerifySSP returns, independent of batching, order, or worker
-// count.
+// VerifySSPBatch is the ranking form of VerifySSP: it values q against each
+// of the given live slots on the worker pool and returns the values in
+// input order; a slot that is out of range or tombstoned fails the call
+// with ErrNoSuchGraph. opt.Epsilon is ignored — no candidate is rejected on
+// a bound and the sampler never stops early, so every slot gets its exact
+// SSP (at most exactCrossover clauses) or its full SMP estimate, which is
+// what QueryTopKCtx ranks by. The relaxed query set is derived internally
+// (as QueryCtx and QueryTopKCtx derive it), and each slot's value seeds from
+// its global id alone, independent of batching, order, or worker count.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -330,7 +361,9 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	errs := make([]error, len(gis))
 	workers := pool.Normalize(opt.Concurrency, len(gis))
 	err := pool.ForEachIndexCtx(ctx, len(gis), workers, func(i int) {
-		out[i], errs[i] = v.verifySSP(u, gis[i], opt)
+		var d decision
+		d, errs[i] = v.verifySSP(u, gis[i], opt, 0)
+		out[i] = d.ssp
 	})
 	if err != nil {
 		return nil, err

@@ -209,6 +209,10 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// Empty is the graph without vertices. A tombstoned database slot points
+// at it once the removed graph's data is released.
+var Empty = NewBuilder("").Build()
+
 // Name returns the graph's name (may be empty).
 func (g *Graph) Name() string { return g.name }
 

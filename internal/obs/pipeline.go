@@ -17,6 +17,11 @@ type PipelineStats struct {
 	Answers                int
 	RelaxedQueries         int
 
+	// The verification ladder's share of VerifyCandidates.
+	RejectedByBound int
+	DecidedExactly  int
+	SamplesDrawn    int
+
 	TimeStruct time.Duration
 	TimeProb   time.Duration
 	TimeVerify time.Duration
@@ -35,6 +40,10 @@ type Pipeline struct {
 	Verified         *Counter
 	Answers          *Counter
 	Relaxed          *Counter
+
+	VerifyRejectedByBound *Counter
+	VerifyDecidedExactly  *Counter
+	VerifySamples         *Counter
 
 	StageStruct *Histogram
 	StageProb   *Histogram
@@ -58,6 +67,12 @@ func NewPipeline(r *Registry) *Pipeline {
 			"Answers returned across all queries."),
 		Relaxed: r.Counter("pg_relaxed_queries_total",
 			"Relaxed queries generated (|U|) across all queries."),
+		VerifyRejectedByBound: r.Counter("pg_verify_decisions_total",
+			"Verification candidates by the ladder rung that decided them without sampling.", "rung", "bound"),
+		VerifyDecidedExactly: r.Counter("pg_verify_decisions_total",
+			"Verification candidates by the ladder rung that decided them without sampling.", "rung", "exact"),
+		VerifySamples: r.Counter("pg_verify_samples_total",
+			"Possible worlds drawn by the SMP sampler."),
 		StageStruct: r.Histogram("pg_stage_duration_seconds",
 			"Per-query compute spent in each pipeline stage.", nil, "stage", "struct"),
 		StageProb: r.Histogram("pg_stage_duration_seconds",
@@ -80,6 +95,9 @@ func (p *Pipeline) Observe(s PipelineStats) {
 	p.Verified.Add(int64(s.VerifyCandidates))
 	p.Answers.Add(int64(s.Answers))
 	p.Relaxed.Add(int64(s.RelaxedQueries))
+	p.VerifyRejectedByBound.Add(int64(s.RejectedByBound))
+	p.VerifyDecidedExactly.Add(int64(s.DecidedExactly))
+	p.VerifySamples.Add(int64(s.SamplesDrawn))
 	p.StageStruct.Observe(s.TimeStruct.Seconds())
 	p.StageProb.Observe(s.TimeProb.Seconds())
 	p.StageVerify.Observe(s.TimeVerify.Seconds())

@@ -2,7 +2,9 @@ package pmi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"probgraph/internal/feature"
 )
@@ -48,18 +50,16 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 	}
 	for li, idx := range chain {
 		wantCols := 3 + li
-		for fi := range idx.Entries {
-			if len(idx.Entries[fi]) != wantCols {
-				t.Fatalf("link %d row %d: %d columns, want %d", li, fi, len(idx.Entries[fi]), wantCols)
-			}
+		if idx.NumGraphs() != wantCols {
+			t.Fatalf("link %d: %d columns, want %d", li, idx.NumGraphs(), wantCols)
 		}
 	}
 	final := chain[len(chain)-1]
-	for fi := range full.Entries {
-		for gi := range full.Entries[fi] {
-			if full.Entries[fi][gi] != final.Entries[fi][gi] {
+	for fi := range full.Features {
+		for gi := 0; gi < full.NumGraphs(); gi++ {
+			if full.At(fi, gi) != final.At(fi, gi) {
 				t.Fatalf("entry (%d,%d): incremental %+v != built %+v",
-					fi, gi, final.Entries[fi][gi], full.Entries[fi][gi])
+					fi, gi, final.At(fi, gi), full.At(fi, gi))
 			}
 		}
 	}
@@ -94,8 +94,8 @@ func TestMaskedColumnSaveAndCompact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for fi := range loaded.Entries {
-			if loaded.Entries[fi][dead].Contained {
+		for fi := range loaded.Features {
+			if loaded.At(fi, dead).Contained {
 				t.Fatalf("%s row %d: masked column survived the save as contained", codec.name, fi)
 			}
 		}
@@ -105,17 +105,16 @@ func TestMaskedColumnSaveAndCompact(t *testing.T) {
 	}
 
 	compacted := masked.CompactedColumns()
-	for fi := range compacted.Entries {
-		if len(compacted.Entries[fi]) != len(graphs)-1 {
-			t.Fatalf("row %d: %d columns after compaction, want %d",
-				fi, len(compacted.Entries[fi]), len(graphs)-1)
-		}
-		for gi := range compacted.Entries[fi] {
+	if compacted.NumGraphs() != len(graphs)-1 {
+		t.Fatalf("%d columns after compaction, want %d", compacted.NumGraphs(), len(graphs)-1)
+	}
+	for fi := range compacted.Features {
+		for gi := 0; gi < compacted.NumGraphs(); gi++ {
 			src := gi
 			if gi >= dead {
 				src = gi + 1
 			}
-			if compacted.Entries[fi][gi] != idx.Entries[fi][src] {
+			if compacted.At(fi, gi) != idx.At(fi, src) {
 				t.Fatalf("compacted entry (%d,%d) != original (%d,%d)", fi, gi, fi, src)
 			}
 		}
@@ -142,9 +141,49 @@ func TestWithReplacedColumn(t *testing.T) {
 	}
 	// Replacing a slot with the graph it already holds reproduces the
 	// built entries bitwise: the column seed depends only on the slot.
-	for fi := range idx.Entries {
-		if repl.Entries[fi][slot] != idx.Entries[fi][slot] {
+	for fi := range idx.Features {
+		if repl.At(fi, slot) != idx.At(fi, slot) {
 			t.Fatalf("row %d: self-replacement changed the entry", fi)
 		}
+	}
+}
+
+// TestCOWReplacedColumnCopiesPointers: replacing one column of a
+// 1 000-column matrix allocates, beyond the column itself, one slice header
+// per column — not a copy of every feature's row.
+func TestCOWReplacedColumnCopiesPointers(t *testing.T) {
+	graphs, engines, feats := buildSmallDB(t, 9, 6, true)
+	small, err := Build(graphs, engines, feats, NewOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 1000
+	wide := small
+	for wide.NumGraphs() < slots {
+		i := wide.NumGraphs() % len(graphs)
+		if wide, err = wide.WithColumn(graphs[i], engines[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocated := func(idx *Index) uint64 {
+		best := ^uint64(0)
+		for trial := 0; trial < 5; trial++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := idx.WithReplacedColumn(1, graphs[1], engines[1]); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return best
+	}
+	narrow, broad := allocated(small), allocated(wide)
+	perSlot := float64(broad-narrow) / float64(slots-small.NumGraphs())
+	header, row := float64(unsafe.Sizeof([]Entry(nil))), float64(len(feats))*float64(unsafe.Sizeof(Entry{}))
+	t.Logf("replace at %d columns: %d B, at %d: %d B — %.1f B per extra column (a slice header is %.0f B, a copied row %.0f B)",
+		small.NumGraphs(), narrow, slots, broad, perSlot, header, row)
+	if perSlot > 2*header || perSlot > row/4 {
+		t.Fatalf("WithReplacedColumn allocates %.1f B per column of the matrix, want about one %.0f B slice header", perSlot, header)
 	}
 }

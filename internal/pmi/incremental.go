@@ -12,7 +12,7 @@ import (
 // This file holds the copy-on-write mutation constructors of the index.
 // An Index is immutable once published: WithColumn, WithMaskedColumn,
 // WithReplacedColumn, and CompactedColumns each return a new Index that
-// shares every untouched row with its predecessor, so queries holding an
+// shares every untouched column with its predecessor, so queries holding an
 // older Index (a pinned generation view, see internal/core) never observe
 // the mutation. The feature vocabulary is never re-mined — the standard
 // trade-off for incremental maintenance of feature-based graph indexes
@@ -49,38 +49,27 @@ func (idx *Index) clone() *Index {
 	return &cp
 }
 
-// numGraphs returns the column count of the matrix.
-func (idx *Index) numGraphs() int { return idx.cols }
-
 // WithColumn returns a new Index extended by one column: SIP bounds of
-// every indexed feature against the new graph. Row appends reuse the
-// receiver's backing arrays when capacity allows, writing only beyond the
+// every indexed feature against the new graph. The append reuses the
+// receiver's backing array when capacity allows, writing only beyond the
 // receiver's length — invisible to readers of the old Index; mutations
 // form a linear chain (serialized by core's writer lock), so a backing
 // slot is written at most once after becoming reachable.
 func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	gi := idx.numGraphs()
-	column, err := idx.column(pg, eng, gi)
+	column, err := idx.column(pg, eng, len(idx.cols))
 	if err != nil {
 		return nil, err
 	}
 	n := idx.clone()
-	n.cols = gi + 1
-	n.Entries = slices.Clone(idx.Entries)
-	for fi := range n.Entries {
-		n.Entries[fi] = append(idx.Entries[fi], column[fi])
-	}
-	if idx.masked != nil {
-		n.masked = append(idx.masked, false)
-	}
+	n.cols = append(idx.cols, column)
 	return n, nil
 }
 
 // WithMaskedColumn returns a new Index with column gi masked: Lookup
 // callers are expected never to ask for a masked (tombstoned) graph, and
 // EncodeSnap writes the column as uncontained — the paper's ⟨0⟩ — so the
-// dead graph's bounds leave the persisted matrix immediately.
-// O(numGraphs), no row is copied.
+// dead graph's bounds leave the matrix, in memory and persisted,
+// immediately. O(numGraphs) pointers, no entry is copied.
 func (idx *Index) WithMaskedColumn(gi int) *Index {
 	return idx.WithMaskedColumns([]int{gi})
 }
@@ -91,11 +80,10 @@ func (idx *Index) WithMaskedColumns(ids []int) *Index {
 		return idx
 	}
 	n := idx.clone()
-	n.masked = make([]bool, idx.numGraphs())
-	copy(n.masked, idx.masked)
+	n.cols = slices.Clone(idx.cols)
 	for _, gi := range ids {
-		if !n.masked[gi] {
-			n.masked[gi] = true
+		if n.cols[gi] != nil {
+			n.cols[gi] = nil
 			n.maskCount++
 		}
 	}
@@ -103,25 +91,19 @@ func (idx *Index) WithMaskedColumns(ids []int) *Index {
 }
 
 // WithReplacedColumn returns a new Index whose column gi holds the bounds
-// of pg instead. Every row is copied (the column cuts across all of
-// them); the replaced slot's mask, if any, is cleared.
+// of pg instead — one column swapped, every other shared; the replaced
+// slot's mask, if any, is cleared.
 func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
 	column, err := idx.column(pg, eng, gi)
 	if err != nil {
 		return nil, err
 	}
 	n := idx.clone()
-	n.Entries = slices.Clone(idx.Entries)
-	for fi := range n.Entries {
-		row := slices.Clone(idx.Entries[fi])
-		row[gi] = column[fi]
-		n.Entries[fi] = row
-	}
-	if idx.masked != nil && idx.masked[gi] {
-		n.masked = slices.Clone(idx.masked)
-		n.masked[gi] = false
+	n.cols = slices.Clone(idx.cols)
+	if n.cols[gi] == nil {
 		n.maskCount--
 	}
+	n.cols[gi] = column
 	return n, nil
 }
 
@@ -134,24 +116,18 @@ func (idx *Index) CompactedColumns() *Index {
 		return idx
 	}
 	n := idx.clone()
-	n.Entries = make([][]Entry, len(idx.Entries))
-	for fi, row := range idx.Entries {
-		nr := make([]Entry, 0, len(row)-idx.maskCount)
-		for gi, e := range row {
-			if idx.masked[gi] {
-				continue
-			}
-			nr = append(nr, e)
+	n.cols = make([][]Entry, 0, len(idx.cols)-idx.maskCount)
+	for _, col := range idx.cols {
+		if col != nil {
+			n.cols = append(n.cols, col)
 		}
-		n.Entries[fi] = nr
 	}
-	n.masked, n.maskCount = nil, 0
-	n.cols = idx.numGraphs() - idx.maskCount
+	n.maskCount = 0
 	return n
 }
 
 // Masked reports whether column gi is masked (tombstoned).
-func (idx *Index) Masked(gi int) bool { return idx.masked != nil && idx.masked[gi] }
+func (idx *Index) Masked(gi int) bool { return idx.cols[gi] == nil }
 
 // MaskedColumns returns the number of masked columns.
 func (idx *Index) MaskedColumns() int { return idx.maskCount }

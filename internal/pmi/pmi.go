@@ -111,30 +111,36 @@ type Entry struct {
 // Index is the probabilistic matrix index. It is immutable once
 // published; the copy-on-write constructors in incremental.go (WithColumn,
 // WithMaskedColumn, WithReplacedColumn, CompactedColumns) return new
-// indexes sharing untouched rows with their predecessor.
+// indexes sharing untouched columns with their predecessor.
 type Index struct {
 	Features []*graph.Graph
 	// Codes are the canonical codes of Features; snapshots re-derive them.
 	Codes []string
-	// Entries[fi][gi] bounds Pr(Features[fi] ⊆iso db[gi]).
-	Entries [][]Entry
 	// Opt is not persisted with the index; the snapshot loader restores it
 	// from the database's build options.
 	Opt Options
 
-	// masked marks tombstoned columns (nil = none); maskCount counts
-	// them. Masked columns keep their in-memory entries (the row slices
-	// are shared with older index generations) but EncodeSnap writes them
-	// as uncontained and Lookup is never called for them.
-	masked    []bool
+	// cols is the matrix, column-major: cols[gi][fi] bounds
+	// Pr(Features[fi] ⊆iso db[gi]) — the row Dg a query reads for one
+	// candidate is one contiguous slice, and a mutation touches one column.
+	// A masked (tombstoned) column is nil: its entries are freed, EncodeSnap
+	// writes it as uncontained and Lookup is never called for it.
+	cols      [][]Entry
 	maskCount int
-
-	// cols is the authoritative column (graph) count. It cannot be
-	// derived from Entries when the mined vocabulary is empty — there is
-	// no row to measure — and the mutation constructors need it even
-	// then.
-	cols int
 }
+
+// At returns the entry of feature fi in graph gi (the paper's ⟨0⟩ for a
+// masked column).
+func (idx *Index) At(fi, gi int) Entry {
+	if idx.cols[gi] == nil {
+		return Entry{}
+	}
+	return idx.cols[gi][fi]
+}
+
+// NumGraphs returns the column count of the matrix, masked columns
+// included.
+func (idx *Index) NumGraphs() int { return len(idx.cols) }
 
 // Build constructs the PMI for the database. engines[i] must be an
 // inference engine over db[i]; feats come from the feature miner. The build
@@ -144,11 +150,10 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 	if len(db) != len(engines) {
 		return nil, fmt.Errorf("pmi: %d graphs but %d engines", len(db), len(engines))
 	}
-	idx := &Index{Opt: opt, cols: len(db)}
+	idx := &Index{Opt: opt, cols: make([][]Entry, len(db))}
 	for _, f := range feats {
 		idx.Features = append(idx.Features, f.G)
 		idx.Codes = append(idx.Codes, f.Code)
-		idx.Entries = append(idx.Entries, make([]Entry, len(db)))
 	}
 
 	// Invert feature support for quick "contained" lookups.
@@ -173,6 +178,8 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 				b := &graphBuilder{
 					opt: opt, pg: db[gi], eng: engines[gi], rng: rng,
 				}
+				col := make([]Entry, len(feats))
+				idx.cols[gi] = col
 				for fi := range feats {
 					if !contained[fi][gi] {
 						continue
@@ -186,7 +193,7 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 						errMu.Unlock()
 						continue
 					}
-					idx.Entries[fi][gi] = entry
+					col[fi] = entry
 				}
 			}
 		}(w)
@@ -479,11 +486,7 @@ func (idx *Index) Lookup(gi int) []Entry {
 // steady state allocates nothing. It allocates only when buf's capacity
 // is short.
 func (idx *Index) LookupInto(gi int, buf []Entry) []Entry {
-	buf = buf[:0]
-	for fi := range idx.Features {
-		buf = append(buf, idx.Entries[fi][gi])
-	}
-	return buf
+	return append(buf[:0], idx.cols[gi]...)
 }
 
 // NumFeatures returns the number of indexed features.
@@ -493,10 +496,7 @@ func (idx *Index) NumFeatures() int { return len(idx.Features) }
 // "index size" metric of Figure 12d): 17 bytes per entry (two float64s and
 // a flag) plus the feature graphs.
 func (idx *Index) SizeBytes() int {
-	total := 0
-	for _, row := range idx.Entries {
-		total += 17 * len(row)
-	}
+	total := 17 * len(idx.Features) * len(idx.cols)
 	for _, f := range idx.Features {
 		total += 16*f.NumVertices() + 24*f.NumEdges()
 	}

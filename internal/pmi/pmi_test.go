@@ -67,7 +67,7 @@ func TestBoundsSandwichExactSIP(t *testing.T) {
 		checked := 0
 		for fi, fg := range idx.Features {
 			for gi := range graphs {
-				e := idx.Entries[fi][gi]
+				e := idx.At(fi, gi)
 				if !e.Contained {
 					continue
 				}
@@ -98,7 +98,7 @@ func TestUncontainedEntriesAreZero(t *testing.T) {
 	}
 	for fi, fg := range idx.Features {
 		for gi := range graphs {
-			e := idx.Entries[fi][gi]
+			e := idx.At(fi, gi)
 			if e.Contained != iso.Exists(fg, graphs[gi].G, nil) {
 				t.Fatalf("containment flag wrong at (%d,%d)", fi, gi)
 			}
@@ -130,7 +130,7 @@ func TestOptimizeTightensBounds(t *testing.T) {
 	const eps = 1e-9
 	for fi := range on.Features {
 		for gi := range graphs {
-			a, b := on.Entries[fi][gi], off.Entries[fi][gi]
+			a, b := on.At(fi, gi), off.At(fi, gi)
 			if !a.Contained {
 				continue
 			}
@@ -162,7 +162,7 @@ func TestSamplingPathAgreesWithExact(t *testing.T) {
 	}
 	for fi := range exact.Features {
 		for gi := range graphs {
-			a, b := exact.Entries[fi][gi], mc.Entries[fi][gi]
+			a, b := exact.At(fi, gi), mc.At(fi, gi)
 			if !a.Contained {
 				continue
 			}

@@ -16,10 +16,10 @@ import (
 // and Opt are not written: codes are re-derived from the feature graphs,
 // and the snapshot loader restores Opt from the database's build options.
 //
-// Unlike the structural slabs, the PMI is materialized into row-major
-// Entries at decode time (one memcpy-scale pass): the Entry layout is
-// pointer-free but interleaved, and keeping the public Entries [][]Entry
-// shape is worth more than zero-copy here.
+// The file is feature-major and the matrix in memory graph-major (one
+// column per graph, see Index), so unlike the structural slabs the PMI is
+// materialized at decode time — one memcpy-scale transposing pass; the
+// Entry layout is interleaved, so the slabs could not be aliased anyway.
 
 // EncodeSnap appends the index to a snapshot section:
 //
@@ -29,7 +29,7 @@ import (
 //	f64 slab: lower bounds of the contained entries, row-major
 //	f64 slab: upper bounds, same order
 func (idx *Index) EncodeSnap(s snapbin.Encoder) {
-	ng := idx.numGraphs()
+	ng := idx.NumGraphs()
 	s.U32(uint32(len(idx.Features)))
 	s.U32(uint32(ng))
 	for _, f := range idx.Features {
@@ -38,8 +38,8 @@ func (idx *Index) EncodeSnap(s snapbin.Encoder) {
 	bitmap := make([]byte, (len(idx.Features)*ng+7)/8)
 	var lo, hi []float64
 	for fi := range idx.Features {
-		for gi, e := range idx.Entries[fi] {
-			if e.Contained && !idx.Masked(gi) {
+		for gi := range idx.cols {
+			if e := idx.At(fi, gi); e.Contained {
 				bit := fi*ng + gi
 				bitmap[bit/8] |= 1 << (bit % 8)
 				lo = append(lo, e.Lower)
@@ -66,7 +66,7 @@ func DecodeSnap(c snapbin.Decoder, wantCols int) (*Index, error) {
 	if ng != wantCols {
 		return nil, fmt.Errorf("pmi: index covers %d graphs, snapshot has %d", ng, wantCols)
 	}
-	idx := &Index{cols: ng}
+	idx := &Index{cols: make([][]Entry, ng)}
 	for fi := 0; fi < nf; fi++ {
 		fg, err := graph.DecodeSnap(c)
 		if err != nil {
@@ -94,17 +94,18 @@ func DecodeSnap(c snapbin.Decoder, wantCols int) (*Index, error) {
 	if len(lo) != contained || len(hi) != contained {
 		return nil, fmt.Errorf("pmi: %d contained bits but %d/%d bounds", contained, len(lo), len(hi))
 	}
+	for gi := range idx.cols {
+		idx.cols[gi] = make([]Entry, nf)
+	}
 	next := 0
 	for fi := 0; fi < nf; fi++ {
-		row := make([]Entry, ng)
 		for gi := 0; gi < ng; gi++ {
 			bit := fi*ng + gi
 			if bitmap[bit/8]&(1<<(bit%8)) != 0 {
-				row[gi] = Entry{Contained: true, Lower: lo[next], Upper: hi[next]}
+				idx.cols[gi][fi] = Entry{Contained: true, Lower: lo[next], Upper: hi[next]}
 				next++
 			}
 		}
-		idx.Entries = append(idx.Entries, row)
 	}
 	return idx, nil
 }

@@ -73,11 +73,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if back.Codes[fi] != idx.Codes[fi] {
 				t.Fatalf("%s: feature %d code mismatch", codec.name, fi)
 			}
-			if len(back.Entries[fi]) != len(idx.Entries[fi]) {
-				t.Fatalf("%s: feature %d row length mismatch", codec.name, fi)
+			if back.NumGraphs() != idx.NumGraphs() {
+				t.Fatalf("%s: %d columns, want %d", codec.name, back.NumGraphs(), idx.NumGraphs())
 			}
-			for gi := range idx.Entries[fi] {
-				if a, b := idx.Entries[fi][gi], back.Entries[fi][gi]; a != b {
+			for gi := 0; gi < idx.NumGraphs(); gi++ {
+				if a, b := idx.At(fi, gi), back.At(fi, gi); a != b {
 					t.Fatalf("%s: entry (%d,%d): %+v vs %+v", codec.name, fi, gi, a, b)
 				}
 			}
@@ -112,8 +112,8 @@ func TestLoadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed section rejected: %v", err)
 	}
-	if e := idx.Entries[0][0]; !e.Contained || e.Lower != 0.1 || e.Upper != 0.2 || idx.Entries[0][1].Contained {
-		t.Fatalf("entries %+v", idx.Entries[0])
+	if e := idx.At(0, 0); !e.Contained || e.Lower != 0.1 || e.Upper != 0.2 || idx.At(0, 1).Contained {
+		t.Fatalf("entries %+v %+v", e, idx.At(0, 1))
 	}
 }
 

@@ -53,9 +53,10 @@ const CountCap = 64
 // never observe a mutation — the generation-view machinery in
 // internal/core relies on exactly that.
 //
-// Removal is tombstone-based: WithTombstone only marks the slot dead, the
-// postings keep the graph's entries, and every scan path (postings, dense
-// oracle, the all-pass shortcut) filters dead slots at emission.
+// Removal is tombstone-based: WithTombstone marks the slot dead and lets
+// its graph go, the postings keep the graph's entries, and every scan path
+// (postings, dense oracle, the all-pass shortcut) filters dead slots at
+// emission.
 // Compacted drops the tombstones and renumbers the survivors.
 type Index struct {
 	Features []*graph.Graph
@@ -216,7 +217,8 @@ func (ix *Index) WithGraph(g *graph.Graph) *Index {
 
 // WithTombstone returns a new Index with slot gi marked dead. The postings
 // and count matrix keep the graph's entries — only candidate emission
-// filters it — so the operation is O(len(dead)) regardless of graph size.
+// filters it — so the operation is O(slots) regardless of graph size; the
+// slot's graph is released (it points at graph.Empty from here on).
 func (ix *Index) WithTombstone(gi int) *Index {
 	return ix.WithTombstones([]int{gi})
 }
@@ -268,10 +270,12 @@ func (ix *Index) WithTombstones(ids []int) *Index {
 	n := ix.clone()
 	n.dead = make([]bool, len(ix.dbc))
 	copy(n.dead, ix.dead)
+	n.dbc = slices.Clone(ix.dbc)
 	for _, gi := range ids {
 		if !n.dead[gi] {
 			n.dead[gi] = true
 			n.tombs++
+			n.dbc[gi] = graph.Empty
 		}
 	}
 	return n

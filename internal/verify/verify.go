@@ -61,12 +61,42 @@ func (o Options) withDefaults() Options {
 // SMP estimates Pr(∨ clauses) where each clause asserts all of its edges
 // exist. Empty input yields 0; a clause with no uncertain edges yields 1.
 func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error) {
-	opt = opt.withDefaults()
-	if len(clauses) == 0 {
-		return 0, nil
+	d, err := Prepare(eng, clauses, opt)
+	if err != nil {
+		return 0, err
 	}
-	// Clause probabilities Pr(Bfi) via exact inference; each clause's literal
-	// list serves its probability here and its conditioned engine below.
+	est, _, err := d.Sample(0)
+	return est, err
+}
+
+// DNF is one candidate's verification problem, prepared once: the clauses
+// kept after MaxClauses truncation with their literal lists and exact
+// probabilities Pr(Bfi), and V = Σ Pr(Bfi). Everything that decides the
+// candidate reads this one value — Bound before any sample is drawn, then
+// Exact or Sample — so clause probabilities are computed once and the
+// three can never disagree on which clauses they describe. A DNF with no
+// clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is decided by preparation
+// alone: it keeps no clauses and Bound is its value.
+type DNF struct {
+	eng     *prob.Engine
+	opt     Options // defaulted
+	clauses []graph.EdgeSet
+	lits    [][]prob.Literal
+	probs   []float64
+	v       float64
+	bound   float64
+}
+
+// Prepare computes the clause probabilities of Pr(∨ clauses) by exact
+// inference and truncates the DNF to opt.MaxClauses. eng is not touched
+// when clauses is empty.
+func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, error) {
+	d := &DNF{eng: eng, opt: opt.withDefaults()}
+	if len(clauses) == 0 {
+		return d, nil
+	}
+	// Each clause's literal list serves its probability here and its
+	// conditioned engine in Sample.
 	lits := make([][]prob.Literal, len(clauses))
 	probs := make([]float64, len(clauses))
 	v := 0.0
@@ -74,41 +104,91 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 		lits[i] = prob.AllPresent(c)
 		p, err := eng.ProbLits(lits[i])
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if p >= 1 {
-			return 1, nil // certain clause: the union is certain
+			d.bound = 1 // certain clause: the union is certain
+			return d, nil
 		}
 		probs[i] = p
 		v += p
 	}
 	if v <= 0 {
-		return 0, nil
+		return d, nil
 	}
-	if len(clauses) > opt.MaxClauses {
-		clauses, lits, probs, v = topClauses(clauses, lits, probs, opt.MaxClauses)
+	if len(clauses) > d.opt.MaxClauses {
+		clauses, lits, probs, v = topClauses(clauses, lits, probs, d.opt.MaxClauses)
 	}
+	d.clauses, d.lits, d.probs, d.v = clauses, lits, probs, v
+	// The estimate at Cnt = N, rounded and clamped as Sample rounds and
+	// clamps it: float multiplication and division are monotone, so no
+	// smaller Cnt can produce a larger value.
+	n := float64(d.opt.N)
+	d.bound = min(v*n/n, 1)
+	return d, nil
+}
+
+// Clauses returns the number of clauses left to evaluate (0 when
+// preparation decided the DNF).
+func (d *DNF) Clauses() int { return len(d.clauses) }
+
+// Bound returns the largest value Exact or Sample can return for this DNF,
+// compared bitwise: a threshold above it rejects the candidate without
+// evaluating anything, and a ranking may schedule the candidate by it.
+func (d *DNF) Bound() float64 { return d.bound }
+
+// Exact computes Pr(∨ clauses) by inclusion–exclusion over the prepared
+// clauses, rejecting DNFs beyond maxClauses (0 selects 20) like the
+// package-level Exact. The value is clamped to Bound: inclusion–exclusion
+// can exceed V by a rounding error, and Bound must hold bitwise.
+func (d *DNF) Exact(maxClauses int) (float64, error) {
+	if len(d.clauses) == 0 {
+		return d.bound, nil
+	}
+	p, err := prob.ProbDNFExact(d.eng, d.clauses, exactCap(maxClauses))
+	return min(p, d.bound), err
+}
+
+// rejectStride is how often Sample tests the sure-reject condition.
+const rejectStride = 32
+
+// Sample runs Algorithm 5 on the prepared clauses and returns the estimate
+// V·Cnt/N with the number of worlds drawn. With eps > 0 it stops as soon
+// as even counting every remaining sample could not lift the estimate to
+// eps — V·(Cnt + N − s)/N < eps — and returns that bound instead: below
+// eps exactly when the full run's estimate is, so a threshold decision
+// never depends on the stop. eps = 0 always draws all N samples.
+func (d *DNF) Sample(eps float64) (est float64, drawn int, err error) {
+	if len(d.clauses) == 0 {
+		return d.bound, 0, nil
+	}
+	clauses, n := d.clauses, d.opt.N
 	// Cumulative distribution for clause selection.
 	cum := make([]float64, len(clauses))
 	acc := 0.0
-	for i, p := range probs {
+	for i, p := range d.probs {
 		acc += p
 		cum[i] = acc
 	}
 	// Conditioned samplers, built lazily per clause.
 	cond := make([]*prob.Engine, len(clauses))
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(d.opt.Seed))
 	cnt := 0
-	world := graph.NewEdgeSet(eng.NumEdges())
-	scratch := make([]bool, eng.NumUncertain())
-	for s := 0; s < opt.N; s++ {
+	world := graph.NewEdgeSet(d.eng.NumEdges())
+	scratch := make([]bool, d.eng.NumUncertain())
+	for s := 0; s < n; s++ {
+		if eps > 0 && s%rejectStride == 0 {
+			if ub := d.v * float64(cnt+n-s) / float64(n); ub < eps {
+				return ub, s, nil
+			}
+		}
 		// Pick clause i with probability probs[i]/v.
-		x := rng.Float64() * v
+		x := rng.Float64() * d.v
 		i := lowerBound(cum, x)
 		if cond[i] == nil {
-			ce, err := eng.NewConditioned(lits[i])
+			ce, err := d.eng.NewConditioned(d.lits[i])
 			if err != nil {
-				return 0, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
+				return 0, s, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
 			}
 			cond[i] = ce
 		}
@@ -125,20 +205,21 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 			cnt++
 		}
 	}
-	est := v * float64(cnt) / float64(opt.N)
-	if est > 1 {
-		est = 1
-	}
-	return est, nil
+	return min(d.v*float64(cnt)/float64(n), 1), n, nil
 }
 
 // Exact computes Pr(∨ clauses) by inclusion–exclusion (Equation 21),
 // rejecting inputs beyond maxClauses (0 selects 20).
 func Exact(eng *prob.Engine, clauses []graph.EdgeSet, maxClauses int) (float64, error) {
+	return prob.ProbDNFExact(eng, DedupClauses(clauses), exactCap(maxClauses))
+}
+
+// exactCap resolves the inclusion–exclusion clause cap (0 selects 20).
+func exactCap(maxClauses int) int {
 	if maxClauses == 0 {
-		maxClauses = 20
+		return 20
 	}
-	return prob.ProbDNFExact(eng, DedupClauses(clauses), maxClauses)
+	return maxClauses
 }
 
 // DedupClauses removes duplicate and superset clauses: a clause that
