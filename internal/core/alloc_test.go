@@ -38,7 +38,7 @@ func allocFixture(t *testing.T, optBounds bool) (v *View, p *plan, pruned []int)
 		for _, eps := range []float64{0.99, 0.7, 0.4, 0.1} {
 			opt := QueryOptions{Epsilon: eps, Delta: 1, OptBounds: optBounds, Seed: 7}
 			var err error
-			p, err = v.newPlan(bg, cand, opt, false, nil)
+			p, err = v.newPlan(bg, cand, opt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 7}.withDefaults()
 
 	run := func(ctx context.Context) {
-		if _, err := v.query(ctx, q, opt, nil); err != nil {
+		if _, err := v.query(ctx, q, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,8 +153,7 @@ func TestQueryBatchInnerConcurrency(t *testing.T) {
 }
 
 // TestQueryBatchRepeatedQueriesHitCache: duplicate queries in one batch
-// must produce identical results per seed and exercise the shared
-// feature-relation cache (same relaxed queries → cache hits).
+// must produce identical results per seed.
 func TestQueryBatchRepeatedQueriesHitCache(t *testing.T) {
 	db, _ := smallDatabase(t, 1004, 8, true)
 	rng := rand.New(rand.NewSource(53))

@@ -24,9 +24,11 @@ type plan struct {
 
 	// scq is the structural candidate set {g : q ⊆sim gc}, slots ascending.
 	scq []int
-	// u is the relaxed set pruning and verification read (Lemma 1): the
-	// first opt.MaxRelaxed members of relax.Relaxed(q, δ), all of them at 0.
-	u []*graph.Graph
+	// u is the relaxed set pruning and verification read (Lemma 1), and
+	// deleted[i] the edges of q that u[i] lacks: relax.Members(q, δ,
+	// opt.MaxRelaxed).
+	u       []*graph.Graph
+	deleted []graph.EdgeSet
 	// pr judges candidates against the PMI bounds; nil when the view has no
 	// PMI, pruning is bypassed, or the plan is a ranked one (topkSchedule
 	// builds its own inside the bounds stage).
@@ -40,12 +42,12 @@ type plan struct {
 // newPlan runs the query-side front half once: defaults and validation,
 // the degenerate answer, then relax → struct_filter → pmi_prune, each under
 // its span of the context's current span. U is derived here and nowhere per
-// candidate: structural confirmation, the pruner and verification all read
-// this one derivation. ranked marks the top-k forms, which never drop a
-// candidate on a bound: they skip pmi_prune and topkSchedule orders them in
-// its own bounds stage. cache (nil outside QueryBatchCtx) shares feature
-// relations across plans.
-func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ranked bool, cache *relCache) (*plan, error) {
+// candidate, as deletion masks over q: the pruner reads the masks,
+// verification the graphs, and structural confirmation neither — it searches
+// q itself with a budget of δ, so it is exact whatever MaxRelaxed caps.
+// ranked marks the top-k forms, which never drop a candidate on a bound:
+// they skip pmi_prune and topkSchedule orders them in its own bounds stage.
+func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ranked bool) (*plan, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -65,16 +67,10 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	}
 	parent := obs.SpanFrom(ctx)
 
-	// Relaxed query set U (Lemma 1). Confirmation tests against all of it;
-	// MaxRelaxed caps only what pruning and verification pay for, and
-	// Relaxed(q, δ, m) is a prefix of Relaxed(q, δ, 0), so one derivation
-	// serves both.
+	// Relaxed query set U (Lemma 1), as far as pruning and verification
+	// read it.
 	sp := parent.Child("relax")
-	full := relax.Relaxed(q, opt.Delta, max(opt.MaxRelaxed, relax.DefaultMaxSize))
-	p.u = full
-	if opt.MaxRelaxed > 0 && opt.MaxRelaxed < len(full) {
-		p.u = full[:opt.MaxRelaxed]
-	}
+	p.u, p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
 	sp.EndCount(int64(len(p.u)))
 	p.stats.RelaxedQueries = len(p.u)
 
@@ -83,7 +79,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	var err error
 	t0 := time.Now()
 	sp = parent.Child("struct_filter")
-	p.scq, p.stats.StructFilterCandidates, err = v.Struct.SCqVia(obs.ContextWithSpan(ctx, sp), q, full, opt.Delta, opt.Concurrency)
+	p.scq, p.stats.StructFilterCandidates, err = v.Struct.SCqCtx(obs.ContextWithSpan(ctx, sp), q, opt.Delta, opt.Concurrency)
 	sp.EndCount(int64(len(p.scq)))
 	if err != nil {
 		return nil, err
@@ -94,7 +90,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	if v.PMI != nil && !opt.SkipProbPruning && !ranked {
 		t := time.Now()
 		sp = parent.Child("pmi_prune")
-		p.pr, err = v.newPruner(ctx, p.u, opt, cache)
+		p.pr, err = v.newPruner(ctx, q, p.u, p.deleted, opt)
 		sp.End()
 		if err != nil {
 			return nil, err

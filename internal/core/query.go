@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"probgraph/internal/cover"
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
-	"probgraph/internal/mcs"
 	"probgraph/internal/obs"
 	"probgraph/internal/pmi"
 	"probgraph/internal/pool"
 	"probgraph/internal/prob"
 	"probgraph/internal/qp"
-	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
@@ -171,13 +170,13 @@ type Result struct {
 // view. Candidates are evaluated on a pool of opt.Concurrency workers; see
 // QueryOptions for the determinism guarantee. Cancellation (or a deadline)
 // is checked at every pipeline stage — before the structural scan, per
-// postings shard, per exact confirmation, per relaxed query during pruner
+// postings shard, per exact confirmation, per feature during pruner
 // construction, and per candidate in the fused prune+verify loop. A
 // cancelled query returns (nil, ctx.Err()) promptly — one in-flight
 // candidate evaluation per worker at most — leaks no goroutines, and
 // never returns a partial Result.
 func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return v.query(ctx, q, opt, nil)
+	return v.query(ctx, q, opt)
 }
 
 // candOutcome is the per-candidate result of the fused pruning +
@@ -235,9 +234,9 @@ func outcomeMatch(o candOutcome, opt QueryOptions) (match bool, ssp float64) {
 	}
 }
 
-func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, cache *relCache) (*Result, error) {
+func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
 	start := time.Now()
-	p, err := v.newPlan(ctx, q, opt, false, cache)
+	p, err := v.newPlan(ctx, q, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -442,14 +441,13 @@ func (v *View) ExactSSPByEnumeration(q *graph.Graph, gi, delta int) (float64, er
 	if err := v.checkLive(gi, "enumerating"); err != nil {
 		return 0, err
 	}
-	u := relax.Relaxed(q, delta, 0)
 	eng, err := v.Engine(gi)
 	if err != nil {
 		return 0, err
 	}
 	total := 0.0
 	err = prob.EnumerateWorlds(eng, func(w graph.EdgeSet, p float64) bool {
-		if mcs.SimilarVia(u, v.Certain[gi], &w) {
+		if iso.ExistsWithin(q, v.Certain[gi], &w, delta) {
 			total += p
 		}
 		return true
@@ -481,28 +479,52 @@ type pruner struct {
 	subOf [][]int
 }
 
-// newPruner builds the query-side feature/relaxed-query relation tables.
-// The dominant cost is the subgraph isomorphism tests of featureRelations,
-// one batch per relaxed query, so ctx is checked at that granularity — a
-// cancelled construction returns (nil, ctx.Err()).
-func (v *View) newPruner(ctx context.Context, u []*graph.Graph, opt QueryOptions, cache *relCache) (*pruner, error) {
+// newPruner builds the query-side feature/relaxed-query relation tables
+// for u = q minus each of the deletion sets deleted (relax.Members). Every
+// rq is a piece of q, so f ⊆iso rq iff some embedding of f in q avoids the
+// edges rq lacks: one enumeration per feature — uncapped, a capped one
+// could miss the embedding that avoids them and silently loosen Usim — and
+// a mask test per member. The reverse relation is tested per member, but
+// only against features large enough to hold one. ctx is checked per
+// feature; a cancelled construction returns (nil, ctx.Err()).
+func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, deleted []graph.EdgeSet, opt QueryOptions) (*pruner, error) {
 	p := &pruner{v: v, u: u, opt: opt}
 	nf := v.PMI.NumFeatures()
 	p.supOf = make([][]int, nf)
 	p.subOf = make([][]int, nf)
-	for i, rq := range u {
+	for j, f := range v.PMI.Features {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rel := v.featureRelations(rq, cache)
-		for _, j := range rel.sup {
-			p.supOf[j] = append(p.supOf[j], i)
+		// An isolated vertex of f needs an image that rq, its own isolated
+		// vertices dropped, may not have: only mined features (connected,
+		// at least one edge) take the mask test.
+		contains := func(i int) bool { return iso.Exists(f, u[i], nil) }
+		if !hasIsolated(f) {
+			embs := iso.EdgeSets(f, q, nil, 0)
+			contains = func(i int) bool {
+				return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
+			}
 		}
-		for _, j := range rel.sub {
-			p.subOf[j] = append(p.subOf[j], i)
+		for i, rq := range u {
+			if contains(i) {
+				p.supOf[j] = append(p.supOf[j], i)
+			}
+			if rq.NumEdges() <= f.NumEdges() && rq.NumVertices() <= f.NumVertices() && iso.Exists(rq, f, nil) {
+				p.subOf[j] = append(p.subOf[j], i)
+			}
 		}
 	}
 	return p, nil
+}
+
+func hasIsolated(g *graph.Graph) bool {
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.Degree(graph.VertexID(v)) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // judge applies Pruning 1 (upper < ε ⇒ prune) then Pruning 2 (lower ≥ ε ⇒

@@ -3,10 +3,15 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"probgraph/internal/dataset"
+	"probgraph/internal/graph"
+	"probgraph/internal/iso"
+	"probgraph/internal/pmi"
 	"probgraph/internal/relax"
 )
 
@@ -45,11 +50,11 @@ func TestBoundsSandwichExactSSP(t *testing.T) {
 			return true
 		}
 		const delta = 1
-		u := relax.Relaxed(q, delta, 0)
+		u, deleted := relax.Members(q, delta, 0)
 		scq, _ := db.View().Struct.SCq(q, delta, 1)
 		for _, optBounds := range []bool{false, true} {
 			qo := QueryOptions{Epsilon: 0.5, Delta: delta, OptBounds: optBounds, Seed: seed}
-			pr, err := db.View().newPruner(context.Background(), u, qo.withDefaults(), nil)
+			pr, err := db.View().newPruner(context.Background(), q, u, deleted, qo.withDefaults())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,5 +131,86 @@ func TestStructuralPruningNeverDropsAnswers(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// relationsPerRQ is the table construction newPruner replaced, kept as its
+// reference: two isomorphism tests per (relaxed query, feature) pair.
+func relationsPerRQ(features, u []*graph.Graph) (supOf, subOf [][]int) {
+	supOf, subOf = make([][]int, len(features)), make([][]int, len(features))
+	for i, rq := range u {
+		for j, f := range features {
+			if iso.Exists(f, rq, nil) {
+				supOf[j] = append(supOf[j], i)
+			}
+			if iso.Exists(rq, f, nil) {
+				subOf[j] = append(subOf[j], i)
+			}
+		}
+	}
+	return supOf, subOf
+}
+
+// TestMaskRelationsMatchPerRQTables: deciding f ⊆iso rq from the embeddings
+// of f in q and rq's deletion mask, and rq ⊆iso f only where sizes allow,
+// builds exactly the tables the per-pair tests built — on mined PPI
+// vocabularies, at δ 0 with an isolated query vertex, under a MaxRelaxed
+// cap, and for a hand-made feature that has an isolated vertex itself.
+func TestMaskRelationsMatchPerRQTables(t *testing.T) {
+	check := func(name string, features []*graph.Graph, q *graph.Graph, delta, maxRelaxed int) {
+		t.Helper()
+		u, deleted := relax.Members(q, delta, maxRelaxed)
+		v := &View{PMI: &pmi.Index{Features: features}}
+		pr, err := v.newPruner(bg, q, u, deleted, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		supOf, subOf := relationsPerRQ(features, u)
+		if !reflect.DeepEqual(pr.supOf, supOf) || !reflect.DeepEqual(pr.subOf, subOf) {
+			t.Errorf("%s δ=%d cap=%d (|U| = %d, q = %v):\n supOf %v\n  want %v\n subOf %v\n  want %v",
+				name, delta, maxRelaxed, len(u), q, pr.supOf, supOf, pr.subOf, subOf)
+		}
+	}
+	withIsolated := func(q *graph.Graph, l graph.Label) *graph.Graph {
+		b := graph.NewBuilder(q.Name() + "+iso")
+		for v := 0; v < q.NumVertices(); v++ {
+			b.AddVertex(q.VertexLabel(graph.VertexID(v)))
+		}
+		b.AddVertex(l)
+		for _, e := range q.Edges() {
+			b.MustAddEdge(e.U, e.V, e.Label)
+		}
+		return b.Build()
+	}
+	related := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		db, raw := smallDatabase(t, 2000+seed, 8, seed%2 == 0)
+		if seed == 6 {
+			db, raw = snapDB(t, 10) // default build options: a larger vocabulary
+		}
+		features := db.View().PMI.Features
+		rng := rand.New(rand.NewSource(seed))
+		for qi := 0; qi < 6; qi++ {
+			q := dataset.ExtractQuery(raw.Graphs[qi%len(raw.Graphs)].G, 2+qi, rng)
+			for delta := 0; delta <= 2 && delta < q.NumEdges(); delta++ {
+				check("extracted", features, q, delta, 0)
+				check("capped", features, q, delta, 2)
+			}
+			check("isolated vertex", features, withIsolated(q, q.VertexLabel(0)), 0, 0)
+			check("isolated vertex", features, withIsolated(q, "nowhere"), 1, 0)
+			// A feature with an isolated vertex is contained only in an rq
+			// that kept a spare vertex of that label.
+			odd := append(slices.Clone(features), withIsolated(features[0], q.VertexLabel(0)), withIsolated(q, q.VertexLabel(0)))
+			check("feature with isolated vertex", odd, q, 1, 0)
+			check("feature with isolated vertex", odd, withIsolated(q, q.VertexLabel(0)), 0, 0)
+		}
+		u, _ := relax.Members(dataset.ExtractQuery(raw.Graphs[0].G, 4, rng), 1, 0)
+		sup, sub := relationsPerRQ(features, u)
+		for j := range sup {
+			related += len(sup[j]) + len(sub[j])
+		}
+	}
+	if related == 0 {
+		t.Fatal("no feature related to any relaxed query: the comparison was vacuous")
 	}
 }

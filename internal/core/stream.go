@@ -47,7 +47,7 @@ type Match struct {
 // only needs the first few answers can break as soon as it has them.
 func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		p, err := v.newPlan(ctx, q, opt, false, nil)
+		p, err := v.newPlan(ctx, q, opt, false)
 		if err != nil {
 			yield(Match{}, err)
 			return

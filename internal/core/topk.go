@@ -248,7 +248,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("core: k must be positive")
 	}
-	p, err := v.newPlan(ctx, q, opt, true, nil)
+	p, err := v.newPlan(ctx, q, opt, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,7 +271,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	sp := obs.SpanFrom(ctx).Child("bounds")
 	var pr *pruner
 	if v.PMI != nil {
-		pr, err = v.newPruner(ctx, p.u, p.opt, nil)
+		pr, err = v.newPruner(ctx, q, p.u, p.deleted, p.opt)
 	}
 	if err == nil {
 		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) {
@@ -386,9 +386,7 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 //
 // The pool is spread across queries first; leftover capacity (when the
 // pool is larger than the batch) parallelizes candidates inside each
-// query. Queries additionally share one feature-relation cache, amortizing
-// the query-side feature/relaxed-query isomorphism tests that dominate
-// pruner setup when the batch's queries overlap structurally.
+// query.
 //
 // The context is shared by every member query — cancellation stops the
 // whole batch (member queries check it per pipeline stage and per
@@ -403,7 +401,6 @@ func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOp
 	if w := pool.Normalize(opt.Concurrency, len(qs)*v.Len()); w > workers {
 		inner = w / workers
 	}
-	cache := newRelCache()
 	results := make([]*Result, len(qs))
 	errs := make([]error, len(qs))
 	var abort atomic.Bool // first failed query stops remaining work
@@ -414,7 +411,7 @@ func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOp
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = inner
-		results[i], errs[i] = v.query(ctx, qs[i], qo, cache)
+		results[i], errs[i] = v.query(ctx, qs[i], qo)
 		if errs[i] != nil {
 			abort.Store(true)
 		}

@@ -10,6 +10,15 @@
 // (non-induced matching). A match restricted to a possible world is obtained
 // by passing the world's edge mask: target edges absent from the mask are
 // treated as nonexistent.
+//
+// The same matcher answers the paper's similarity question (Definition 8,
+// dis(q, t) ≤ δ) when given a budget of δ pattern edges it may leave
+// unmatched: ExistsWithin. Tolerant matching under an edit budget is the
+// shape of arXiv:1512.05256; here the budget replaces one strict search per
+// member of the relaxed query set. With no budget the matcher is the strict
+// search, whose enumeration order is a contract: the order of EdgeSets picks
+// the sampler's clauses and the summation order of inclusion–exclusion
+// (pinned by TestBudgetZeroKeepsEnumerationOrder).
 package iso
 
 import (
@@ -30,93 +39,100 @@ type Embedding struct {
 
 // matcher holds the search state for one (pattern, target) pair.
 type matcher struct {
-	p, t    *graph.Graph
-	mask    *graph.EdgeSet
-	order   []graph.VertexID // pattern vertices in matching order
-	parent  []int            // index into order of an already-matched neighbor, or -1
-	pmap    []graph.VertexID // pattern -> target, -1 when unmatched
-	tused   []bool
+	p, t  *graph.Graph
+	mask  *graph.EdgeSet
+	order []graph.VertexID // pattern vertices in matching order
+	pmap  []graph.VertexID // pattern -> target; unplaced or skipped when negative
+	tused []bool
+	// The tolerant search gives up pattern edges: dead marks the ones given
+	// up one by one, a skipped vertex gives up all of its own, paid counts
+	// per vertex how many are gone either way, slack how many more may go.
+	// The strict search of Exists/ForEach has slack 0 and is not tolerant:
+	// it gives up nothing and places every vertex.
+	dead     []bool
+	paid     []int
+	slack    int
+	tolerant bool
+	// yield receives each embedding; nil stops at the first complete
+	// assignment without building one (stopped then reads "found").
 	yield   func(*Embedding) bool
 	stopped bool
 }
 
-// buildOrder computes a static matching order: a BFS through each pattern
-// component starting from the most constrained vertex (rarest label, then
-// highest degree), so that all but component-initial vertices have a matched
-// parent to anchor candidate generation.
-func buildOrder(p, t *graph.Graph) (order []graph.VertexID, parent []int) {
-	n := p.NumVertices()
-	order = make([]graph.VertexID, 0, n)
-	parent = make([]int, 0, n)
-	placed := make([]bool, n)
-	pos := make([]int, n) // vertex -> index in order
+const (
+	unplaced graph.VertexID = -1 // not decided yet
+	skipped  graph.VertexID = -2 // left unmapped, all its edges given up
+)
 
+// newMatcher prepares a search of p in t. The static matching order is a
+// BFS through each pattern component starting from the most constrained
+// vertex (rarest label in t, then highest degree), so that all but
+// component-initial vertices have a placed neighbor to anchor candidate
+// generation on. The state is allocated once per search, as three slabs.
+func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet) matcher {
+	n, nt := p.NumVertices(), t.NumVertices()
+	ids := make([]graph.VertexID, 2*n)       // order, pmap
+	ints := make([]int, 2*n)                 // rarity, paid
+	flags := make([]bool, nt+n+p.NumEdges()) // tused, placed, dead
+	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:]}
+	placed := flags[nt : nt+n]
+	rarity := ints[:n] // how often t carries each pattern vertex's label
 	tLabelCount, _ := t.LabelCounts()
-	rarity := make([]int, n) // how often the target carries each pattern vertex's label
 	for v := range rarity {
 		rarity[v] = tLabelCount.Of(p.VertexLabel(graph.VertexID(v)))
+		m.pmap[v] = unplaced
 	}
-
-	for len(order) < n {
-		// Pick the best unplaced vertex preferring attachment to the matched
+	for len(m.order) < n {
+		// Pick the best unplaced vertex preferring attachment to the placed
 		// prefix, then rare target label, then high degree.
 		best := graph.VertexID(-1)
-		bestParent := -1
 		bestKey := [3]int{1 << 30, 1 << 30, 1 << 30}
 		for v := 0; v < n; v++ {
 			if placed[v] {
 				continue
 			}
-			par := -1
+			attached := 1
 			for _, h := range p.Neighbors(graph.VertexID(v)) {
 				if placed[h.To] {
-					par = pos[h.To]
+					attached = 0
 					break
 				}
 			}
-			attached := 1
-			if par >= 0 {
-				attached = 0
-			}
 			key := [3]int{attached, rarity[v], -p.Degree(graph.VertexID(v))}
 			if key[0] < bestKey[0] || (key[0] == bestKey[0] && (key[1] < bestKey[1] || (key[1] == bestKey[1] && key[2] < bestKey[2]))) {
-				best, bestParent, bestKey = graph.VertexID(v), par, key
+				best, bestKey = graph.VertexID(v), key
 			}
 		}
 		placed[best] = true
-		pos[best] = len(order)
-		order = append(order, best)
-		parent = append(parent, bestParent)
+		m.order = append(m.order, best)
 	}
-	return order, parent
+	return m
 }
 
-// feasible performs the cheap global pre-checks: every pattern vertex label
-// and edge label must occur at least as often in the target. With a world
-// mask the edge check is skipped (counting masked labels costs as much as
+// feasible performs the cheap global pre-checks: with slack edges to spare,
+// the pattern's edges and edge labels must occur at least as often in the
+// target, and in the strict search so must its vertices and vertex labels
+// (a tolerant search may leave vertices unmapped). With a world mask the
+// edge-label check is skipped (counting masked labels costs as much as
 // matching).
-func feasible(p, t *graph.Graph, mask *graph.EdgeSet) bool {
-	if p.NumVertices() > t.NumVertices() || p.NumEdges() > t.NumEdges() {
+func feasible(p, t *graph.Graph, mask *graph.EdgeSet, slack int, tolerant bool) bool {
+	if p.NumEdges()-slack > t.NumEdges() {
 		return false
 	}
 	pv, pe := p.LabelCounts()
 	tv, te := t.LabelCounts()
-	return tv.Covers(pv) && (mask != nil || te.Covers(pe))
-}
-
-func (m *matcher) run() {
-	n := m.p.NumVertices()
-	if n == 0 {
-		em := Embedding{VMap: nil, Edges: graph.NewEdgeSet(m.t.NumEdges())}
-		m.yield(&em)
-		return
+	if !tolerant && (p.NumVertices() > t.NumVertices() || !tv.Covers(pv)) {
+		return false
 	}
-	m.pmap = make([]graph.VertexID, n)
-	for i := range m.pmap {
-		m.pmap[i] = -1
+	if mask != nil {
+		return true
 	}
-	m.tused = make([]bool, m.t.NumVertices())
-	m.extend(0)
+	for _, c := range pe {
+		if slack -= max(0, c.N-te.Of(c.Label)); slack < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // edgeAlive reports whether target edge id exists under the world mask.
@@ -124,77 +140,143 @@ func (m *matcher) edgeAlive(id graph.EdgeID) bool {
 	return m.mask == nil || m.mask.Contains(id)
 }
 
-// check verifies that mapping pattern vertex pv to target vertex tv is
-// consistent: labels equal, tv unused, and every pattern edge from pv to an
-// already-matched vertex has a live, label-matching target edge.
-func (m *matcher) check(pv, tv graph.VertexID) bool {
+// cost returns how many pattern edges from pv to already-mapped vertices
+// find no live, equally labelled target edge when pv maps to tv, or -1 when
+// tv cannot host pv: taken, differently labelled, or costlier than the
+// slack. At slack 0 this is VF2's consistency check.
+func (m *matcher) cost(pv, tv graph.VertexID) int {
 	if m.tused[tv] || m.p.VertexLabel(pv) != m.t.VertexLabel(tv) {
-		return false
+		return -1
 	}
-	if m.mask == nil && m.p.Degree(pv) > m.t.Degree(tv) {
-		return false
+	if m.mask == nil && m.p.Degree(pv)-m.paid[pv]-m.slack > m.t.Degree(tv) {
+		return -1 // more edges left to match than tv has, beyond the slack
 	}
+	c := 0
 	for _, h := range m.p.Neighbors(pv) {
 		w := m.pmap[h.To]
-		if w < 0 {
+		if w < 0 || m.dead[h.Edge] {
 			continue
 		}
 		id, ok := m.t.EdgeBetween(tv, w)
 		if !ok || !m.edgeAlive(id) || m.t.EdgeLabel(id) != m.p.EdgeLabel(h.Edge) {
-			return false
+			if c++; c > m.slack {
+				return -1
+			}
 		}
 	}
-	return true
+	return c
 }
 
-func (m *matcher) extend(depth int) {
+// next picks the pattern vertex to place: the first undecided one, in
+// matching order, that an edge h not given up joins to a mapped vertex
+// (anchored); failing that the first that needs an image at all — any
+// undecided vertex in the strict search, one that still has an edge in the
+// tolerant one, which drops the rest as isolated. In the strict search
+// that is the matching order itself, with its anchors. ok is false when
+// nothing is left to place.
+func (m *matcher) next() (pv graph.VertexID, h graph.HalfEdge, anchored, ok bool) {
+	for _, v := range m.order {
+		if m.pmap[v] != unplaced {
+			continue
+		}
+		if !ok && (!m.tolerant || m.paid[v] < m.p.Degree(v)) {
+			pv, ok = v, true
+		}
+		for _, h := range m.p.Neighbors(v) {
+			if m.pmap[h.To] >= 0 && !m.dead[h.Edge] {
+				return v, h, true, true
+			}
+		}
+	}
+	return pv, h, false, ok
+}
+
+// giveUp marks the pattern edge e between u and v as unmatched (d = 1) or
+// takes the mark back (d = -1).
+func (m *matcher) giveUp(e graph.EdgeID, u, v graph.VertexID, d int) {
+	m.dead[e] = d > 0
+	m.paid[u] += d
+	m.paid[v] += d
+	m.slack -= d
+}
+
+func (m *matcher) extend() {
 	if m.stopped {
 		return
 	}
-	if depth == len(m.order) {
-		m.emit()
+	pv, h, anchored, ok := m.next()
+	if !ok {
+		if m.yield == nil {
+			m.stopped = true
+		} else {
+			m.emit()
+		}
 		return
 	}
-	pv := m.order[depth]
-	if par := m.parent[depth]; par >= 0 {
-		// Anchored: candidates are live neighbors of the parent's image.
-		anchor := m.pmap[m.order[par]]
-		// Find the pattern edge pv—order[par] to match labels early.
-		var want graph.Label
-		for _, h := range m.p.Neighbors(pv) {
-			if h.To == m.order[par] {
-				want = m.p.EdgeLabel(h.Edge)
-				break
-			}
-		}
-		for _, h := range m.t.Neighbors(anchor) {
-			if !m.edgeAlive(h.Edge) || m.t.EdgeLabel(h.Edge) != want {
+	if anchored {
+		// Either the edge to the mapped neighbor is matched — candidates
+		// are the live neighbors of its image across an equally labelled
+		// edge — or it is given up and pv waits for another anchor: no
+		// candidate ever comes from a scan of t, whatever the slack.
+		want := m.p.EdgeLabel(h.Edge)
+		for _, th := range m.t.Neighbors(m.pmap[h.To]) {
+			if !m.edgeAlive(th.Edge) || m.t.EdgeLabel(th.Edge) != want {
 				continue
 			}
-			m.tryAssign(pv, h.To, depth)
+			m.tryAssign(pv, th.To)
 			if m.stopped {
 				return
 			}
+		}
+		if m.slack > 0 {
+			m.giveUp(h.Edge, pv, h.To, 1)
+			m.extend()
+			m.giveUp(h.Edge, pv, h.To, -1)
 		}
 		return
 	}
 	// Component-initial vertex: try every unused target vertex.
 	for tv := 0; tv < m.t.NumVertices(); tv++ {
-		m.tryAssign(pv, graph.VertexID(tv), depth)
+		m.tryAssign(pv, graph.VertexID(tv))
 		if m.stopped {
 			return
 		}
 	}
+	// Or leave it unmapped, giving up the edges it still has. None of them
+	// leads to a mapped vertex, so only the far ends' counts change.
+	if left := m.p.Degree(pv) - m.paid[pv]; m.tolerant && left <= m.slack {
+		m.skip(pv, left, 1)
+		m.extend()
+		m.skip(pv, left, -1)
+	}
 }
 
-func (m *matcher) tryAssign(pv, tv graph.VertexID, depth int) {
-	if !m.check(pv, tv) {
+// skip leaves pv unmapped (d = 1) or undoes that (d = -1), charging the
+// left edges pv still has to the slack and to their far ends.
+func (m *matcher) skip(pv graph.VertexID, left, d int) {
+	for _, h := range m.p.Neighbors(pv) {
+		if !m.dead[h.Edge] && m.pmap[h.To] != skipped {
+			m.paid[h.To] += d
+		}
+	}
+	m.slack -= d * left
+	m.pmap[pv] = unplaced
+	if d > 0 {
+		m.pmap[pv] = skipped
+	}
+}
+
+func (m *matcher) tryAssign(pv, tv graph.VertexID) {
+	c := m.cost(pv, tv)
+	if c < 0 {
 		return
 	}
 	m.pmap[pv] = tv
 	m.tused[tv] = true
-	m.extend(depth + 1)
-	m.pmap[pv] = -1
+	m.slack -= c
+	m.extend()
+	m.slack += c
+	m.pmap[pv] = unplaced
 	m.tused[tv] = false
 }
 
@@ -215,15 +297,29 @@ func (m *matcher) emit() {
 // Exists reports whether pattern p is subgraph-isomorphic to target t,
 // optionally restricted to the possible world mask (nil = certain graph).
 func Exists(p, t *graph.Graph, mask *graph.EdgeSet) bool {
-	if !feasible(p, t, mask) {
+	if !feasible(p, t, mask, 0, false) {
 		return false
 	}
-	found := false
-	order, parent := buildOrder(p, t)
-	m := &matcher{p: p, t: t, mask: mask, order: order, parent: parent,
-		yield: func(*Embedding) bool { found = true; return false }}
-	m.run()
-	return found
+	m := newMatcher(p, t, mask)
+	m.extend()
+	return m.stopped
+}
+
+// ExistsWithin reports whether p embeds in t (under mask) once at most
+// delta of its edges are deleted and the vertices that leaves isolated are
+// dropped: the paper's q ⊆sim t, dis(q, t) ≤ delta of Definition 8. By
+// Lemma 1 that is "some rq of the relaxed set U(p, delta) embeds in t",
+// answered by one search — VF2 with a budget of delta pattern edges it may
+// give up (see extend) — instead of one per rq.
+func ExistsWithin(p, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
+	delta = max(delta, 0)
+	if !feasible(p, t, mask, delta, true) {
+		return false
+	}
+	m := newMatcher(p, t, mask)
+	m.slack, m.tolerant = delta, true
+	m.extend()
+	return m.stopped
 }
 
 // ForEach enumerates embeddings of p in t (under mask) and calls fn for each;
@@ -231,12 +327,12 @@ func Exists(p, t *graph.Graph, mask *graph.EdgeSet) bool {
 // vertex mapping; callers that only care about edge sets should deduplicate
 // (see EdgeSets).
 func ForEach(p, t *graph.Graph, mask *graph.EdgeSet, fn func(*Embedding) bool) {
-	if !feasible(p, t, mask) {
+	if !feasible(p, t, mask, 0, false) {
 		return
 	}
-	order, parent := buildOrder(p, t)
-	m := &matcher{p: p, t: t, mask: mask, order: order, parent: parent, yield: fn}
-	m.run()
+	m := newMatcher(p, t, mask)
+	m.yield = fn
+	m.extend()
 }
 
 // FindAll returns up to limit embeddings of p in t (limit <= 0 means all).

@@ -5,11 +5,11 @@
 //
 // Distance and Similar are the Definition 8 reference: they enumerate
 // edge-deletion levels bottom-up (delete 0 edges, then 1, …), deriving every
-// level's relaxed set on each call — O(Σ_{d≤δ} C(|q|, d)) canonical codes
-// before the first isomorphism test. No query path calls them; the mcs and
-// simsearch tests compare against them. The query path uses SimilarVia,
-// Lemma 1's form of the same test over a relaxed set U the caller derived
-// once: q ⊆sim t iff some rq ∈ U embeds in t.
+// level's relaxed set on each call — O(Σ_{d≤δ} C(|q|, d)) deletion sets
+// before the first isomorphism test. No query path calls them; the iso,
+// mcs and simsearch tests compare against them. The query path asks the
+// same question of iso.ExistsWithin, one search with a budget of δ
+// unmatched query edges.
 package mcs
 
 import (
@@ -39,17 +39,4 @@ func Distance(q, t *graph.Graph, mask *graph.EdgeSet, maxDelta int) int {
 // Similar reports whether dis(q, t) ≤ delta (the paper's q ⊆sim t).
 func Similar(q, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
 	return Distance(q, t, mask, delta) <= delta
-}
-
-// SimilarVia reports whether any of the pre-relaxed graphs embeds in t
-// under mask. Per Lemma 1 this is equivalent to Similar(q, t, mask, δ) for
-// relaxed = relax.Relaxed(q, δ, 0); the caller derives that set once and
-// reuses it for every t.
-func SimilarVia(relaxed []*graph.Graph, t *graph.Graph, mask *graph.EdgeSet) bool {
-	for _, rq := range relaxed {
-		if iso.Exists(rq, t, mask) {
-			return true
-		}
-	}
-	return false
 }

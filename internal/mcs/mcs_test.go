@@ -7,7 +7,6 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
-	"probgraph/internal/relax"
 )
 
 func randomGraph(rng *rand.Rand, nv, ne int) *graph.Graph {
@@ -132,39 +131,4 @@ func TestDistanceWithMask(t *testing.T) {
 	if d := Distance(tg, tg, &mask, 2); d != 1 {
 		t.Fatalf("masked distance = %d, want 1", d)
 	}
-}
-
-func TestSimilarViaMatchesSimilar(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tg := randomGraph(rng, 5, 6)
-		q := randomGraph(rng, 3, 3)
-		if q.NumEdges() == 0 {
-			return true
-		}
-		delta := 1
-		u := relax.Relaxed(q, delta, 0)
-		return SimilarVia(u, tg, nil) == (Distance(q, tg, nil, delta) == delta || Distance(q, tg, nil, delta) < delta && similarAtExactly(q, tg, delta))
-	}
-	// SimilarVia tests embedding of exactly-δ-relaxed graphs; by Lemma 1
-	// that equals dis ≤ δ.
-	g := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tg := randomGraph(rng, 5, 6)
-		q := randomGraph(rng, 3, 3)
-		if q.NumEdges() == 0 {
-			return true
-		}
-		delta := 1
-		u := relax.Relaxed(q, delta, 0)
-		return SimilarVia(u, tg, nil) == Similar(q, tg, nil, delta)
-	}
-	_ = f
-	if err := quick.Check(g, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func similarAtExactly(q, tg *graph.Graph, delta int) bool {
-	return Distance(q, tg, nil, delta) <= delta
 }

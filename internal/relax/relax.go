@@ -2,10 +2,14 @@
 // (§3.1): the canonically distinct graphs obtained from a query q by
 // deleting exactly δ edges. By Lemma 1, q is subgraph-similar to a world g′
 // (distance ≤ δ) iff some rq ∈ U is subgraph-isomorphic to g′, so U is the
-// one bridge between similarity and plain isomorphism everywhere downstream:
-// structural confirmation ("some rq ∈ U embeds in gc"), the pruning
-// conditions, and the verification DNF all read the same U, which depends
-// on (q, δ) only and is derived once per query (core's query plan).
+// one bridge between similarity and plain isomorphism. Every rq is q minus a
+// deletion set, and the consumers read U through that: Members hands out
+// each rq with the set of q's edges it lacks, the pruner decides f ⊆iso rq
+// by a mask test against the embeddings of f in q, and structural
+// confirmation does not enumerate U at all (iso.ExistsWithin searches q
+// with a budget of δ). Only the verification DNF still matches every rq
+// graph on its own. U depends on (q, δ) only and is derived once per query
+// (core's query plan).
 //
 // Relabeling operations are subsumed by deletion under the paper's
 // Definition 8 distance (a relabeled edge contributes to the distance
@@ -30,34 +34,66 @@ const DefaultMaxSize = 4096
 // DefaultMaxSize), and the enumeration order does not depend on maxSize:
 // Relaxed(q, δ, m) is a prefix of Relaxed(q, δ, 0).
 func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
+	u, _ := Members(q, delta, maxSize)
+	return u
+}
+
+// Members is Relaxed with, beside each rq, the deletion set that produced
+// it as a mask over q's edge ids: u[i] is q.DeleteEdges(deleted[i])
+// .DropIsolated(). Deletion sets are enumerated in lexicographic order and
+// the first of each isomorphism class is kept.
+//
+// Classes are told apart by an isomorphism-invariant fingerprint of
+// (q, deletion set) first; graph.CanonicalCode, which dominates the cost of
+// the enumeration, runs only on deletion sets whose fingerprint repeats.
+func Members(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, deleted []graph.EdgeSet) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxSize
 	}
 	ne := q.NumEdges()
 	if delta <= 0 {
-		if rq := q.DropIsolated(); rq.NumVertices() < q.NumVertices() {
-			return []*graph.Graph{rq}
+		rq := q
+		if d := q.DropIsolated(); d.NumVertices() < q.NumVertices() {
+			rq = d
 		}
-		return []*graph.Graph{q}
+		return []*graph.Graph{rq}, []graph.EdgeSet{graph.NewEdgeSet(ne)}
 	}
 	if delta >= ne {
-		return []*graph.Graph{graph.NewBuilder(q.Name() + "-empty").Build()}
+		return []*graph.Graph{graph.NewBuilder(q.Name() + "-empty").Build()}, []graph.EdgeSet{graph.FullEdgeSet(ne)}
 	}
-	var out []*graph.Graph
+	fingerprint := fingerprints(q)
+	// holder maps a fingerprint to the member that first showed it, or to
+	// -1 once that member's canonical code is in seen — which happens when
+	// the fingerprint shows a second time.
+	holder := make(map[uint64]int)
 	seen := make(map[string]bool)
 	drop := make([]graph.EdgeID, 0, delta)
 	var rec func(start graph.EdgeID)
 	rec = func(start graph.EdgeID) {
-		if len(out) >= maxSize {
+		if len(u) >= maxSize {
 			return
 		}
 		if len(drop) == delta {
 			rq := q.DeleteEdges(drop).DropIsolated()
-			code := graph.CanonicalCode(rq)
-			if !seen[code] {
-				seen[code] = true
-				out = append(out, rq)
+			mask := graph.NewEdgeSet(ne)
+			for _, e := range drop {
+				mask.Add(e)
 			}
+			f := fingerprint(mask)
+			if first, dup := holder[f]; dup {
+				if first >= 0 {
+					seen[graph.CanonicalCode(u[first])] = true
+					holder[f] = -1
+				}
+				code := graph.CanonicalCode(rq)
+				if seen[code] {
+					return
+				}
+				seen[code] = true
+			} else {
+				holder[f] = len(u)
+			}
+			u, deleted = append(u, rq), append(deleted, mask)
 			return
 		}
 		remaining := delta - len(drop)
@@ -68,5 +104,60 @@ func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
 		}
 	}
 	rec(0)
-	return out
+	return u, deleted
+}
+
+// fingerprints returns the function that folds, for q minus a deletion set,
+// the multiset of ⟨label u, degree u, label v, degree v, edge label⟩ over
+// the surviving edges (degrees after the deletion, endpoints unordered)
+// into one integer. Isomorphic graphs have equal multisets, so different
+// fingerprints prove different classes; equal ones prove nothing.
+func fingerprints(q *graph.Graph) func(deleted graph.EdgeSet) uint64 {
+	ids := make(map[graph.Label]uint64) // a small number per label of q
+	id := func(l graph.Label) uint64 {
+		if _, ok := ids[l]; !ok {
+			ids[l] = uint64(len(ids))
+		}
+		return ids[l]
+	}
+	vlabel, elabel := make([]uint64, q.NumVertices()), make([]uint64, q.NumEdges())
+	for v := range vlabel {
+		vlabel[v] = id(q.VertexLabel(graph.VertexID(v)))
+	}
+	for e := range elabel {
+		elabel[e] = id(q.EdgeLabel(graph.EdgeID(e)))
+	}
+	deg := make([]int, q.NumVertices())
+	return func(deleted graph.EdgeSet) uint64 {
+		clear(deg)
+		for id := range elabel {
+			if e := q.Edge(graph.EdgeID(id)); !deleted.Contains(graph.EdgeID(id)) {
+				deg[e.U]++
+				deg[e.V]++
+			}
+		}
+		var sum uint64
+		for id, l := range elabel {
+			if deleted.Contains(graph.EdgeID(id)) {
+				continue
+			}
+			e := q.Edge(graph.EdgeID(id))
+			a := vlabel[e.U]<<16 | uint64(deg[e.U])
+			b := vlabel[e.V]<<16 | uint64(deg[e.V])
+			if a > b {
+				a, b = b, a
+			}
+			// A sum of well-mixed terms is order-free, as a multiset must be.
+			sum += mix(mix(a<<32|b) + l)
+		}
+		return sum
+	}
+}
+
+// mix is the SplitMix64 finalizer.
+func mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

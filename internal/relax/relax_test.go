@@ -2,6 +2,7 @@ package relax
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,5 +213,129 @@ func TestRelaxedEdgeCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// relaxedByCodes is the enumeration Members replaced, kept as its
+// reference: canonical-code every deletion set, keep the first of each code.
+func relaxedByCodes(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, drops [][]graph.EdgeID) {
+	ne := q.NumEdges()
+	seen := make(map[string]bool)
+	drop := make([]graph.EdgeID, 0, delta)
+	var rec func(start graph.EdgeID)
+	rec = func(start graph.EdgeID) {
+		if len(u) >= maxSize {
+			return
+		}
+		if len(drop) == delta {
+			rq := q.DeleteEdges(drop).DropIsolated()
+			if code := graph.CanonicalCode(rq); !seen[code] {
+				seen[code] = true
+				u, drops = append(u, rq), append(drops, append([]graph.EdgeID(nil), drop...))
+			}
+			return
+		}
+		remaining := delta - len(drop)
+		for e := start; int(e) <= ne-remaining; e++ {
+			drop = append(drop, e)
+			rec(e + 1)
+			drop = drop[:len(drop)-1]
+		}
+	}
+	rec(0)
+	return u, drops
+}
+
+// symmetric builds a uniform-label graph on n vertices from (u, v) pairs —
+// the queries where almost every deletion set shares its fingerprint with
+// another, so the canonical-code fallback decides nearly every class.
+func symmetric(n int, edges [][2]int) *graph.Graph {
+	b := graph.NewBuilder("sym")
+	b.AddVertices(n, "a")
+	for _, e := range edges {
+		b.MustAddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]), "")
+	}
+	return b.Build()
+}
+
+// TestRelaxedMatchesCanonicalEnumeration: the fingerprint fast path keeps
+// exactly the members, in exactly the order, of coding every deletion set;
+// each mask reproduces its member; and a size cap cuts a prefix.
+func TestRelaxedMatchesCanonicalEnumeration(t *testing.T) {
+	var queries []*graph.Graph
+	cycle := func(n int) (edges [][2]int) {
+		for i := 0; i < n; i++ {
+			edges = append(edges, [2]int{i, (i + 1) % n})
+		}
+		return edges
+	}
+	var k5, star, k33 [][2]int
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			k5 = append(k5, [2]int{i, j})
+		}
+	}
+	for i := 1; i < 8; i++ {
+		star = append(star, [2]int{0, i})
+	}
+	for i := 0; i < 3; i++ {
+		for j := 3; j < 6; j++ {
+			k33 = append(k33, [2]int{i, j})
+		}
+	}
+	// Two disjoint triangles and a path: classes that differ only in which
+	// component an edge left.
+	twoTriangles := [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {6, 7}, {7, 8}}
+	// The cube, 3-regular and vertex-transitive.
+	cube := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {4, 5}, {5, 6}, {6, 7}, {4, 7}, {0, 4}, {1, 5}, {2, 6}, {3, 7}}
+	queries = append(queries, symmetric(8, cycle(8)), symmetric(5, k5), symmetric(8, star), symmetric(6, k33),
+		symmetric(9, twoTriangles), symmetric(8, cube), paperQuery())
+	for seed := int64(0); seed < 30; seed++ {
+		queries = append(queries, randomGraph(rand.New(rand.NewSource(seed))))
+	}
+	for qi, q := range queries {
+		for delta := 1; delta <= 3 && delta < q.NumEdges(); delta++ {
+			want, drops := relaxedByCodes(q, delta, DefaultMaxSize)
+			got, deleted := Members(q, delta, 0)
+			if len(got) != len(want) || len(deleted) != len(got) {
+				t.Fatalf("query %d δ=%d: %d members and %d masks, reference has %d", qi, delta, len(got), len(deleted), len(want))
+			}
+			for i := range got {
+				if graph.CanonicalCode(got[i]) != graph.CanonicalCode(want[i]) {
+					t.Fatalf("query %d δ=%d: member %d is %v, reference %v", qi, delta, i, got[i], want[i])
+				}
+				if !slices.Equal(deleted[i].Slice(), drops[i]) {
+					t.Fatalf("query %d δ=%d: member %d deletes %v, reference %v", qi, delta, i, deleted[i].Slice(), drops[i])
+				}
+				if rebuilt := q.DeleteEdges(deleted[i].Slice()).DropIsolated(); rebuilt.String() != got[i].String() {
+					t.Fatalf("query %d δ=%d: mask %v rebuilds %v, member is %v", qi, delta, deleted[i].Slice(), rebuilt, got[i])
+				}
+			}
+			for _, m := range []int{1, len(want) / 2, len(want) + 1} {
+				capped, _ := relaxedByCodes(q, delta, max(m, 1))
+				fast := Relaxed(q, delta, max(m, 1))
+				if len(fast) != len(capped) {
+					t.Fatalf("query %d δ=%d cap %d: %d members, reference %d", qi, delta, m, len(fast), len(capped))
+				}
+				for i := range fast {
+					if fast[i].String() != got[i].String() {
+						t.Fatalf("query %d δ=%d cap %d: member %d is not the uncapped one", qi, delta, m, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRelaxedMembersEdgeCases: the two shapes Members answers without enumerating.
+func TestRelaxedMembersEdgeCases(t *testing.T) {
+	q := paperQuery()
+	u, deleted := Members(q, 0, 0)
+	if len(u) != 1 || u[0] != q || deleted[0].Count() != 0 || deleted[0].Len() != q.NumEdges() {
+		t.Fatalf("δ=0: members %v, masks %v", u, deleted)
+	}
+	u, deleted = Members(q, q.NumEdges()+2, 0)
+	if len(u) != 1 || u[0].NumVertices() != 0 || deleted[0].Count() != q.NumEdges() {
+		t.Fatalf("δ>|E|: members %v, masks %v", u, deleted)
 	}
 }

@@ -13,10 +13,10 @@
 // where c_x(f) counts embeddings of f in x (capped symmetrically, which
 // preserves soundness) and w(e) is the number of feature embeddings of q
 // through edge e. Graphs surviving the count filter are confirmed exactly to
-// produce SCq: by Lemma 1, q ⊆sim gc iff some rq in the relaxed set
-// U = relax.Relaxed(q, δ) embeds in gc, so confirmation is one pass of plain
-// isomorphism tests over a U derived once per query (SCqVia), not a
-// subgraph-distance computation per candidate.
+// produce SCq: q ⊆sim gc is Definition 8's dis(q, gc) ≤ δ, decided by one
+// budgeted isomorphism search per candidate (iso.ExistsWithin) — by Lemma 1
+// the same answer as "some rq of the relaxed set U embeds in gc", without
+// deriving U or matching its members one by one.
 //
 // The count filter is evaluated over a sharded inverted index — per-feature
 // level postings scanned in parallel, touching only the features q embeds —
@@ -32,10 +32,8 @@ import (
 
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
-	"probgraph/internal/mcs"
 	"probgraph/internal/obs"
 	"probgraph/internal/pool"
-	"probgraph/internal/relax"
 )
 
 // CountCap bounds per-feature embedding counts; both sides of the filter
@@ -345,11 +343,9 @@ func (ix *Index) CandidatesDense(q *graph.Graph, delta int) []int {
 	return out
 }
 
-// Confirm verifies q ⊆sim gc exactly (subgraph distance ≤ delta). It
-// derives the relaxed set on every call; SCqVia shares one derivation
-// across all candidates of a query.
+// Confirm verifies q ⊆sim gc exactly (subgraph distance ≤ delta).
 func (ix *Index) Confirm(q *graph.Graph, gi, delta int) bool {
-	return mcs.SimilarVia(relax.Relaxed(q, delta, 0), ix.dbc[gi], nil)
+	return iso.ExistsWithin(q, ix.dbc[gi], nil, delta)
 }
 
 // SCq runs filter + exact confirmation: the paper's structural candidate
@@ -367,14 +363,6 @@ func (ix *Index) SCq(q *graph.Graph, delta, workers int) (confirmed []int, filte
 // A cancelled call returns (nil, 0, ctx.Err()) — never a partial candidate
 // set; an uncancelled call returns exactly SCq's answer and a nil error.
 func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int, err error) {
-	return ix.SCqVia(ctx, q, relax.Relaxed(q, delta, 0), delta, workers)
-}
-
-// SCqVia is SCqCtx for a caller that already holds u = relax.Relaxed(q,
-// delta, 0): the count filter runs on (q, delta), and each survivor is
-// confirmed as "some rq ∈ u embeds in gc". The query plan in internal/core
-// derives u once and shares it with pruning and verification.
-func (ix *Index) SCqVia(ctx context.Context, q *graph.Graph, u []*graph.Graph, delta, workers int) (confirmed []int, filterCandidates int, err error) {
 	cand, err := ix.CandidatesCtx(ctx, q, delta, workers)
 	if err != nil {
 		return nil, 0, err
@@ -382,7 +370,7 @@ func (ix *Index) SCqVia(ctx context.Context, q *graph.Graph, u []*graph.Graph, d
 	ok := make([]bool, len(cand))
 	sp := obs.SpanFrom(ctx).Child("confirm")
 	err = pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) {
-		ok[i] = mcs.SimilarVia(u, ix.dbc[cand[i]], nil)
+		ok[i] = ix.Confirm(q, cand[i], delta)
 	})
 	sp.EndCount(int64(len(cand)))
 	if err != nil {

@@ -3,10 +3,12 @@ package simsearch
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"probgraph/internal/graph"
+	"probgraph/internal/iso"
 	"probgraph/internal/mcs"
 	"probgraph/internal/relax"
 )
@@ -169,14 +171,16 @@ func TestBiggerDeltaNeverShrinksCandidates(t *testing.T) {
 	}
 }
 
-// TestConfirmViaUMatchesSimilar pins the seam the query plan relies on:
-// confirming a candidate as "some rq ∈ U embeds in gc" for one
-// U = relax.Relaxed(q, δ, 0) equals the Definition 8 reference mcs.Similar
-// at every δ from 0 past |E(q)|. The queries are random graphs — usually not
+// TestConfirmMatchesSimilar pins the seam the query plan relies on:
+// confirming a candidate with one budgeted search (Confirm, and SCqCtx
+// around it) equals the Definition 8 reference mcs.Similar, and equals
+// Lemma 1's "some rq ∈ U embeds in gc" over U = relax.Relaxed(q, δ, 0) — the
+// set pruning and verification go on to read — at every δ from 0 past
+// |E(q)|. The queries are random graphs — usually not
 // subgraphs of any database graph, often disconnected, sometimes with
 // isolated vertices — so relaxations that fall apart, queries with a vertex
 // no graph can host, and the δ ≥ |E(q)| level are all drawn.
-func TestConfirmViaUMatchesSimilar(t *testing.T) {
+func TestConfirmMatchesSimilar(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dbc := randomDB(rng, 5)
@@ -201,7 +205,7 @@ func TestConfirmViaUMatchesSimilar(t *testing.T) {
 		q := b.Build()
 		for delta := 0; delta <= q.NumEdges()+1; delta++ {
 			u := relax.Relaxed(q, delta, 0)
-			confirmed, _, err := ix.SCqVia(context.Background(), q, u, delta, 1)
+			confirmed, _, err := ix.SCqCtx(context.Background(), q, delta, 1)
 			if err != nil {
 				t.Log(err)
 				return false
@@ -212,9 +216,10 @@ func TestConfirmViaUMatchesSimilar(t *testing.T) {
 			}
 			for gi, g := range dbc {
 				want := mcs.Similar(q, g, nil, delta)
-				if mcs.SimilarVia(u, g, nil) != want || ix.Confirm(q, gi, delta) != want || inSCq[gi] != want {
-					t.Logf("seed %d δ=%d graph %d: via U %v, Confirm %v, SCqVia %v, mcs.Similar %v (q = %v)",
-						seed, delta, gi, mcs.SimilarVia(u, g, nil), ix.Confirm(q, gi, delta), inSCq[gi], want, q)
+				viaU := slices.ContainsFunc(u, func(rq *graph.Graph) bool { return iso.Exists(rq, g, nil) })
+				if viaU != want || ix.Confirm(q, gi, delta) != want || inSCq[gi] != want {
+					t.Logf("seed %d δ=%d graph %d: via U %v, Confirm %v, SCqCtx %v, mcs.Similar %v (q = %v)",
+						seed, delta, gi, viaU, ix.Confirm(q, gi, delta), inSCq[gi], want, q)
 					return false
 				}
 			}

@@ -206,11 +206,9 @@ func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 // immutable views, so none of them ever blocks a running query.
 //
 // DatabaseView.QueryBatchCtx answers many queries over one bounded worker
-// pool of QueryOptions.Concurrency goroutines, sharing a feature-relation
-// cache that amortizes the query-side feature isomorphism tests across
-// structurally overlapping queries. Query i runs with the derived seed
-// BatchSeed(Seed, i), so batching never changes an individual query's
-// result.
+// pool of QueryOptions.Concurrency goroutines. Query i runs with the
+// derived seed BatchSeed(Seed, i), so batching never changes an individual
+// query's result.
 
 // BatchSeed is the per-query seed QueryBatchCtx derives for the i-th query
 // of a batch; running QueryCtx with it reproduces that batch member.
