@@ -2,53 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-func assertProfile(t *testing.T, path string) {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("profile not written: %v", err)
-	}
-	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
-		t.Errorf("%s: not a flushed pprof profile (%d bytes, no gzip magic) — an early-exit path skipped Flush", filepath.Base(path), len(b))
-	}
-}
-
-// TestRunValidationExitFlushesProfiles pins the exit-safety contract:
-// the -baseline-tolerance rejection returns 2 before any figure runs,
-// and the profile files must still be complete pprof outputs.
-func TestRunValidationExitFlushesProfiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-baseline", "whatever.json", "-baseline-tolerance", "-1",
-		"-cpuprofile", cpu, "-memprofile", mem,
-	}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("run = %d, want 2 (validation error); stderr: %s", code, stderr.String())
-	}
-	assertProfile(t, cpu)
-	assertProfile(t, mem)
-}
-
-// TestRunBadChurnRatesExit pins the churn-rate validation: rejected
-// before the (expensive) environment build, exit 2, profiles flushed.
-func TestRunBadChurnRatesExit(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-fig", "churn", "-churn", "-5", "-cpuprofile", cpu}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("run = %d, want 2 for a bad -churn rate; stderr: %s", code, stderr.String())
-	}
-	assertProfile(t, cpu)
-}
 
 // TestRunFlagErrorExit pins exit 2 for unparseable flags.
 func TestRunFlagErrorExit(t *testing.T) {

@@ -15,11 +15,11 @@ import (
 //     (ctx.Done(), ctx.Err(), deriving a child) ties its lifetime to a
 //     cancelable tree;
 //   - it signals a WaitGroup — the body calls Done on a WaitGroup that
-//     some function in the same package Waits on (the pool/topk worker
+//     some function in the same package Waits on (the pool worker
 //     pattern);
 //   - it drains a closable channel — the body ranges over or receives
-//     from a channel that the same package provably closes (the
-//     watcher/stopWatch pattern in core/topk.go).
+//     from a channel that the same package provably closes (a stop
+//     channel closed by the launching function).
 //
 // Channels and WaitGroups are matched the way the other passes match
 // identities: by types.Object for locals (closure captures included) and

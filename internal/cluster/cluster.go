@@ -16,15 +16,17 @@
 //     the graph's global id, so a shard computes the very SSP estimate
 //     the single node computes for the same graph.
 //  3. Deterministic merges (this package): /query and /batch concatenate
-//     disjoint answer sets sorted by global id; /topk replays the serial
-//     early-termination rule over the merged bound schedules, fetching
-//     SSPs from the owning shards; /query/stream forwards shard match
-//     lines and re-derives the sorted summary.
+//     disjoint answer sets sorted by global id; /topk runs the single
+//     node's own early-termination rule, core.ReplayTopK, over the merged
+//     bound schedules, fetching SSPs from the owning shards;
+//     /query/stream forwards shard match lines and re-derives the sorted
+//     summary.
 //
 // Failure semantics: a shard that cannot answer (down, timed out after
-// retries, wrong generation, an answer that cannot be merged) fails the
-// whole request with a structured error naming the shard — never a
-// silently partial answer. The wire itself — request validation, the
+// retries, wrong generation, an answer that cannot be merged — a global id
+// another shard answered too, say) fails the whole request with a
+// structured error naming the shard — never a silently partial answer, or
+// a doubled one. The wire itself — request validation, the
 // error body, NDJSON framing, the HTTP client — is internal/server's;
 // this package only decides what to send where and how to merge. Client
 // cancellation propagates: every shard sub-request derives from the

@@ -30,7 +30,11 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		e.Write(w)
 		return
 	}
-	merged := mergeQuery(resps)
+	merged, e := c.mergeQuery(resps)
+	if e != nil {
+		e.Write(w)
+		return
+	}
 	merged.TimeMS = float64(time.Since(start).Microseconds()) / 1000
 	if server.TraceWanted(r, req.Trace) {
 		merged.Trace = server.TraceTree(r)
@@ -72,7 +76,12 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for si := range batches {
 			member[si] = batches[si].Results[qi]
 		}
-		out.Results = append(out.Results, mergeQuery(member))
+		merged, e := c.mergeQuery(member)
+		if e != nil {
+			e.Write(w)
+			return
+		}
+		out.Results = append(out.Results, merged)
 	}
 	if server.TraceWanted(r, req.Trace) {
 		out.Trace = server.TraceTree(r)
@@ -80,18 +89,21 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, out)
 }
 
-// mergeQuery folds per-shard /query responses into the single-node
-// response. Answer sets are disjoint (each global id lives on exactly one
-// shard) and per-shard sorted, so the union sorted by global id is
-// exactly the single-node answer slice; SSP maps union without conflicts.
-// Pipeline counters sum — except RelaxedQueries, which every shard
-// computes identically from the query alone (a sum would multiply it by
-// the fleet size). Cached is the fleet AND: the merged answer came from
-// caches only if every part did.
-func mergeQuery(resps []*server.QueryResponse) *server.QueryResponse {
+// mergeQuery folds per-shard /query responses (in fleet order) into the
+// single-node response. Answer sets are disjoint (each global id lives on
+// exactly one shard) and per-shard sorted, so the union sorted by global id
+// is exactly the single-node answer slice; SSP maps union without
+// conflicts. A global id answered or valued twice — two shards serving
+// overlapping ranges — is a 502 naming the second shard to hold it, never
+// a duplicated answer. Pipeline counters sum — except RelaxedQueries, which
+// every shard computes identically from the query alone (a sum would
+// multiply it by the fleet size). Cached is the fleet AND: the merged
+// answer came from caches only if every part did.
+func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryResponse, *server.Error) {
 	type pair struct {
-		gid  int
-		name string
+		gid   int
+		name  string
+		shard int
 	}
 	var pairs []pair
 	out := &server.QueryResponse{
@@ -101,11 +113,14 @@ func mergeQuery(resps []*server.QueryResponse) *server.QueryResponse {
 		Generation: resps[0].Generation,
 		Cached:     true,
 	}
-	for _, qr := range resps {
+	for si, qr := range resps {
 		for i, gid := range qr.Answers {
-			pairs = append(pairs, pair{gid, qr.Names[i]})
+			pairs = append(pairs, pair{gid, qr.Names[i], si})
 		}
 		for gid, p := range qr.SSP {
+			if _, dup := out.SSP[gid]; dup {
+				return nil, malformed(c.shards[si])
+			}
 			out.SSP[gid] = p
 		}
 		out.Cached = out.Cached && qr.Cached
@@ -123,10 +138,18 @@ func mergeQuery(resps []*server.QueryResponse) *server.QueryResponse {
 		st.TimeVerifyMS += add.TimeVerifyMS
 		st.TimeTotalMS += add.TimeTotalMS
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].gid < pairs[j].gid })
-	for _, p := range pairs {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].gid != pairs[j].gid {
+			return pairs[i].gid < pairs[j].gid
+		}
+		return pairs[i].shard < pairs[j].shard
+	})
+	for i, p := range pairs {
+		if i > 0 && p.gid == pairs[i-1].gid {
+			return nil, malformed(c.shards[p.shard])
+		}
 		out.Answers = append(out.Answers, p.gid)
 		out.Names = append(out.Names, p.name)
 	}
-	return out
+	return out, nil
 }

@@ -140,11 +140,16 @@ func TestHostileShard(t *testing.T) {
 	const (
 		okQuery  = `{"answers":[],"names":[],"ssp":{},"generation":1}`
 		okBounds = `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":0.9},{"graph":1,"name":"g1","upper":0.8}],"generation":1}`
+		// What the good shard holds: global id 7, which no shard beside it
+		// may answer as well.
+		holds7  = `{"answers":[7],"names":["g7"],"ssp":{"7":0.6},"generation":1}`
+		bounds7 = `{"degenerate":false,"bounds":[{"graph":7,"name":"g7","upper":0.95}],"generation":1}`
 	)
 	good := hostileShard{
-		"/query":       {200, okQuery},
-		"/batch":       {200, `{"results":[` + okQuery + `,` + okQuery + `]}`},
-		"/topk/bounds": {200, `{"degenerate":false,"bounds":[],"generation":1}`},
+		"/query":       {200, holds7},
+		"/batch":       {200, `{"results":[` + holds7 + `,` + holds7 + `]}`},
+		"/topk/bounds": {200, bounds7},
+		"/topk/verify": {200, `{"ssp":{"7":0.7},"generation":1}`},
 	}
 	batchBody := `{"queries":[{"vertices":["a"],"edges":[]},{"vertices":["b"],"edges":[]}]}`
 	cases := []struct {
@@ -179,6 +184,23 @@ func TestHostileShard(t *testing.T) {
 			503, "cancelled", "shard s1: query failed: cancelled"},
 		{"unstructured error body", "/query", hostileQuery,
 			hostileShard{"/query": {500, "boom\n"}}, 500, "", "shard s1: boom"},
+		{"overlapping ranges on /query", "/query", hostileQuery,
+			hostileShard{"/query": {200, holds7}}, 502, "", "undecodable response"},
+		{"overlap in the SSP map only", "/query", hostileQuery,
+			hostileShard{"/query": {200, `{"answers":[],"names":[],"ssp":{"7":0.1},"generation":1}`}}, 502, "", "undecodable response"},
+		{"overlapping ranges on /batch", "/batch", batchBody,
+			hostileShard{"/batch": {200, `{"results":[` + okQuery + `,` + holds7 + `]}`}}, 502, "", "undecodable response"},
+		{"overlapping ranges on /topk", "/topk", hostileTopK,
+			hostileShard{"/topk/bounds": {200, bounds7}}, 502, "", "undecodable response"},
+		{"overlap under two different bounds", "/topk", hostileTopK,
+			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":3,"name":"g3","upper":0.5},{"graph":7,"name":"g7","upper":0.4}],"generation":1}`}},
+			502, "", "undecodable response"},
+		{"upper bound above 1", "/topk", hostileTopK,
+			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":1.5}],"generation":1}`}},
+			502, "", "undecodable response"},
+		{"negative upper bound", "/topk", hostileTopK,
+			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":-0.1}],"generation":1}`}},
+			502, "", "undecodable response"},
 	}
 	for _, c := range cases {
 		rec := postTo(coordOver(t, good, c.shard), c.path, c.body)

@@ -10,6 +10,11 @@
 // mutations never block readers and readers never block mutations. See
 // the View type for the full contract, and plan.go for the front half
 // every query method shares.
+//
+// The ranked query's early-termination rule is written once, in ReplayTopK:
+// View.QueryTopKCtx runs it over its own schedule and internal/cluster's
+// coordinator over the merged schedules of a fleet, which is why the two
+// rankings are bitwise the same.
 package core
 
 import (

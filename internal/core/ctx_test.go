@@ -142,9 +142,8 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestQueryTopKCtxCancelMidScan: same contract for the speculative top-k
-// scheduler, whose workers block on a condition variable rather than the
-// shared pool — cancellation must wake and drain them.
+// TestQueryTopKCtxCancelMidScan: same contract for the ranked form, whose
+// windows of verification run on the shared pool between rule checks.
 func TestQueryTopKCtxCancelMidScan(t *testing.T) {
 	db, q, opt := slowQueryEnv(t)
 	start := time.Now()

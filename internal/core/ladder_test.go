@@ -273,6 +273,30 @@ func TestLadderTopKParity(t *testing.T) {
 	}
 }
 
+// serialTopK is the test tree's one oracle for the top-k rule, written the
+// plain way and sharing nothing with ReplayTopK: one value per entry, a
+// stable re-sort per insertion. It returns the ranking and how many entries
+// it valued.
+func serialTopK(sched []TopKBound, k int, value func(i int) float64) (top []TopKItem, verified int) {
+	for i, e := range sched {
+		if len(top) >= k && e.Upper <= top[len(top)-1].SSP {
+			break
+		}
+		verified++
+		if ssp := value(i); ssp > 0 {
+			top = append(top, TopKItem{Graph: e.Graph, SSP: ssp})
+			sort.SliceStable(top, func(a, b int) bool {
+				if top[a].SSP != top[b].SSP {
+					return top[a].SSP > top[b].SSP
+				}
+				return top[a].Graph < top[b].Graph
+			})
+			top = top[:min(k, len(top))]
+		}
+	}
+	return top, verified
+}
+
 // replayTopK answers a top-k query the way a coordinator does: merge the
 // shards' schedules by (Upper descending, global id ascending), then apply
 // the serial rule, fetching each value from the owning shard. It returns
@@ -280,40 +304,38 @@ func TestLadderTopKParity(t *testing.T) {
 func replayTopK(t *testing.T, shards []*View, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, int) {
 	t.Helper()
 	type entry struct {
-		TopKBound
-		shard *View
-		gid   int
+		TopKBound // in global ids
+		shard     *View
+		local     int
 	}
 	var sched []entry
 	for _, s := range shards {
-		bounds, _, err := s.QueryTopKBounds(bg, q, k, opt)
+		bounds, degenerate, err := s.QueryTopKBounds(bg, q, k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if degenerate {
+			t.Fatal("degenerate schedule: nothing to replay")
+		}
 		for _, b := range bounds {
-			sched = append(sched, entry{b, s, s.GID(b.Graph)})
+			sched = append(sched, entry{TopKBound{Graph: s.GID(b.Graph), Upper: b.Upper}, s, b.Graph})
 		}
 	}
 	sort.SliceStable(sched, func(i, j int) bool {
 		if sched[i].Upper != sched[j].Upper {
 			return sched[i].Upper > sched[j].Upper
 		}
-		return sched[i].gid < sched[j].gid
+		return sched[i].Graph < sched[j].Graph
 	})
-	var top []TopKItem
-	verified := 0
-	for _, e := range sched {
-		if len(top) >= k && e.Upper <= top[len(top)-1].SSP {
-			break
-		}
-		ssps, err := e.shard.VerifySSPBatch(bg, q, []int{e.Graph}, opt)
+	merged := make([]TopKBound, len(sched))
+	for i, e := range sched {
+		merged[i] = e.TopKBound
+	}
+	return serialTopK(merged, k, func(i int) float64 {
+		ssps, err := sched[i].shard.VerifySSPBatch(bg, q, []int{sched[i].local}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		verified++
-		if ssps[0] > 0 {
-			top = insertTopK(top, TopKItem{Graph: e.gid, SSP: ssps[0]}, k)
-		}
-	}
-	return top, verified
+		return ssps[0]
+	})
 }

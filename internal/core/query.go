@@ -189,6 +189,29 @@ type candOutcome struct {
 	verifyT time.Duration
 }
 
+// tally adds the outcome to the stage times, candidate counters and ladder
+// counters of s (an outcome that was not verified carries the zero
+// decision, which counts nothing).
+func (o candOutcome) tally(s *Stats) {
+	s.TimeProb += o.probT
+	s.TimeVerify += o.verifyT
+	switch o.verdict {
+	case judgePrune:
+		s.PrunedByUpper++
+	case judgeAccept:
+		s.AcceptedByLower++
+	default:
+		s.VerifyCandidates++
+		if o.byBound {
+			s.RejectedByBound++
+		}
+		if o.exact {
+			s.DecidedExactly++
+		}
+		s.SamplesDrawn += o.samples
+	}
+}
+
 // evalCandidate runs the fused probabilistic-pruning + verification stage
 // for one candidate graph gi of plan p. p.pr == nil skips the pruning
 // phase (PMI disabled or bypassed). The outcome is a pure function of
@@ -291,22 +314,17 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result) error {
 		if o.err != nil {
 			return fmt.Errorf("core: verifying graph %d: %w", gi, o.err)
 		}
-		res.Stats.TimeProb += o.probT
-		res.Stats.TimeVerify += o.verifyT
+		o.tally(&res.Stats)
 		switch o.verdict {
 		case judgePrune:
-			res.Stats.PrunedByUpper++
 		case judgeAccept:
-			res.Stats.AcceptedByLower++
 			res.Answers = append(res.Answers, gi)
 			res.SSP[gi] = -1
 		default:
-			res.Stats.VerifyCandidates++
 			if opt.Verifier == VerifierNone {
 				res.Answers = append(res.Answers, gi)
 				continue
 			}
-			o.decision.count(&res.Stats)
 			res.SSP[gi] = o.ssp
 			if o.ssp >= opt.Epsilon {
 				res.Answers = append(res.Answers, gi)
@@ -360,17 +378,6 @@ type decision struct {
 	byBound bool // rejected on the bound, nothing evaluated
 	exact   bool // evaluated by inclusion–exclusion
 	samples int  // worlds drawn by the sampler
-}
-
-// count adds the decision to the ladder counters of s.
-func (d decision) count(s *Stats) {
-	if d.byBound {
-		s.RejectedByBound++
-	}
-	if d.exact {
-		s.DecidedExactly++
-	}
-	s.SamplesDrawn += d.samples
 }
 
 // verifySSP is VerifySSP past its checks — the per-candidate form: gi is a

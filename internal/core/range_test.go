@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -275,61 +276,12 @@ func TestTopKBoundsDistributedReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := partitionAll(t, db, 3)
-			type entry struct {
-				gid   int
-				upper float64
-				part  *Database
+			var shards []*View
+			for _, p := range partitionAll(t, db, 3) {
+				shards = append(shards, p.View())
 			}
-			var sched []entry
-			degenerate := false
-			for _, p := range parts {
-				pv := p.View()
-				bounds, dg, err := pv.QueryTopKBounds(context.Background(), q, k, wopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				degenerate = degenerate || dg
-				for _, b := range bounds {
-					sched = append(sched, entry{gid: pv.GID(b.Graph), upper: b.Upper, part: p})
-				}
-			}
-			if degenerate {
-				t.Fatal("unexpected degenerate schedule in test setup")
-			}
-			sort.Slice(sched, func(i, j int) bool {
-				if sched[i].upper != sched[j].upper {
-					return sched[i].upper > sched[j].upper
-				}
-				return sched[i].gid < sched[j].gid
-			})
-			var top []TopKItem
-			kth := func() float64 {
-				if len(top) < k {
-					return 0
-				}
-				return top[len(top)-1].SSP
-			}
-			for _, e := range sched {
-				if len(top) >= k && e.upper <= kth() {
-					break
-				}
-				pv := e.part.View()
-				ssps, err := pv.VerifySSPBatch(context.Background(), q, []int{pv.LocalOf(e.gid)}, wopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ssps[0] > 0 {
-					top = insertTopK(top, TopKItem{Graph: e.gid, SSP: ssps[0]}, k)
-				}
-			}
-			if len(top) != len(full) {
+			if top, _ := replayTopK(t, shards, q, k, wopt); !slices.Equal(top, full) {
 				t.Fatalf("seed=%d workers=%d: replay %v != full %v", seed, workers, top, full)
-			}
-			for i := range full {
-				if top[i] != full[i] {
-					t.Fatalf("seed=%d workers=%d: replay %v != full %v", seed, workers, top, full)
-				}
 			}
 		}
 	}

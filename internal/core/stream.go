@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"iter"
-	"sync/atomic"
+	"sync"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
@@ -86,12 +86,13 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 		}
 		out := make(chan item)
 		finished := make(chan struct{})
-		// When a pipeline is attached, tally outcomes with atomics (the
-		// workers race) and fold them into the process counters once all
-		// workers have exited — before finished closes, so the tally is
+		// When a pipeline is attached, the workers tally their outcomes
+		// into one Stats (under mu: they race) that is observed once all of
+		// them have exited — before finished closes, so the tally is
 		// complete on every exit path, including early consumer breaks.
-		pipe := obs.PipelineFrom(ctx)
-		var pruned, accepted, verified, answers, byBound, exact, samples atomic.Int64
+		observed := obs.PipelineFrom(ctx) != nil
+		var mu sync.Mutex
+		st := p.stats
 		go func() {
 			defer close(finished)
 			sp := obs.SpanFrom(ctx).Child("verify")
@@ -107,25 +108,13 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 					return
 				}
 				match, ssp := outcomeMatch(o, p.opt)
-				if pipe != nil {
-					switch o.verdict {
-					case judgePrune:
-						pruned.Add(1)
-					case judgeAccept:
-						accepted.Add(1)
-					default:
-						verified.Add(1)
-						if o.byBound {
-							byBound.Add(1)
-						}
-						if o.exact {
-							exact.Add(1)
-						}
-						samples.Add(int64(o.samples))
-					}
+				if observed {
+					mu.Lock()
+					o.tally(&st)
 					if match {
-						answers.Add(1)
+						st.Answers++
 					}
+					mu.Unlock()
 				}
 				if match {
 					select {
@@ -135,18 +124,7 @@ func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions
 				}
 			})
 			sp.EndCount(int64(len(scq)))
-			pipe.Observe(obs.PipelineStats{
-				StructFilterCandidates: p.stats.StructFilterCandidates,
-				StructConfirmed:        len(scq),
-				PrunedByUpper:          int(pruned.Load()),
-				AcceptedByLower:        int(accepted.Load()),
-				VerifyCandidates:       int(verified.Load()),
-				Answers:                int(answers.Load()),
-				RelaxedQueries:         len(p.u),
-				RejectedByBound:        int(byBound.Load()),
-				DecidedExactly:         int(exact.Load()),
-				SamplesDrawn:           int(samples.Load()),
-			})
+			st.observe(ctx)
 		}()
 		// Join the workers on every exit path — the iterator must not
 		// return while pool goroutines are still running.

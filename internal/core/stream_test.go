@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"probgraph/internal/dataset"
+	"probgraph/internal/obs"
 	"probgraph/internal/verify"
 )
 
@@ -135,6 +136,78 @@ func TestQueryStreamEarlyBreak(t *testing.T) {
 				}
 			}
 			checkGoroutineBaseline(t, "QueryStream early break", baseline)
+		}
+	}
+}
+
+// pipelineCounters reads every counter of p.
+func pipelineCounters(p *obs.Pipeline) [10]int64 {
+	return [10]int64{
+		p.StructCandidates.Value(), p.StructConfirmed.Value(), p.PrunedUpper.Value(),
+		p.AcceptedLower.Value(), p.Verified.Value(), p.Answers.Value(), p.Relaxed.Value(),
+		p.VerifyRejectedByBound.Value(), p.VerifyDecidedExactly.Value(), p.VerifySamples.Value(),
+	}
+}
+
+// TestQueryStreamObservesLikeQuery: a streamed and a materialised run of one
+// query fold the same counters and one non-zero sample per stage into an
+// attached obs.Pipeline; a consumer that breaks early still gets the stage
+// samples of what was evaluated, never more than the whole query counts.
+func TestQueryStreamObservesLikeQuery(t *testing.T) {
+	db, _ := smallDatabase(t, 3002, 10, true)
+	rng := rand.New(rand.NewSource(91))
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
+	attach := func() (context.Context, *obs.Pipeline) {
+		p := obs.NewPipeline(obs.NewRegistry())
+		return obs.ContextWithPipeline(context.Background(), p), p
+	}
+	stages := func(label string, p *obs.Pipeline) {
+		t.Helper()
+		for _, h := range []*obs.Histogram{p.StageStruct, p.StageProb, p.StageVerify} {
+			if h.Count() != 1 || h.Sum() <= 0 {
+				t.Fatalf("%s: a stage histogram holds %d samples summing to %v, want one above zero", label, h.Count(), h.Sum())
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		opt := QueryOptions{Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: 7, Concurrency: workers}
+		ctx, whole := attach()
+		res, err := db.View().QueryCtx(ctx, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.VerifyCandidates == 0 || res.Stats.SamplesDrawn+res.Stats.DecidedExactly == 0 || len(res.Answers) < 2 {
+			t.Fatalf("vacuous workload: %+v", res.Stats)
+		}
+		stages("materialised", whole)
+
+		ctx, streamed := attach()
+		for _, err := range db.View().QueryStream(ctx, q, opt) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := pipelineCounters(streamed), pipelineCounters(whole); got != want {
+			t.Fatalf("workers=%d: stream observed %v, query %v", workers, got, want)
+		}
+		stages("streamed", streamed)
+
+		ctx, broken := attach()
+		for _, err := range db.View().QueryStream(ctx, q, opt) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		stages("broken off", broken)
+		got, most := pipelineCounters(broken), pipelineCounters(whole)
+		if got[5] < 1 || got[0] != most[0] || got[1] != most[1] || got[6] != most[6] {
+			t.Fatalf("workers=%d: broken-off stream observed %v, query %v", workers, got, most)
+		}
+		for i := range got {
+			if got[i] > most[i] {
+				t.Fatalf("workers=%d: broken-off stream observed %v, more than the whole query's %v", workers, got, most)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"probgraph/internal/graph"
@@ -20,182 +19,114 @@ type TopKItem struct {
 	SSP   float64 // estimated subgraph similarity probability
 }
 
+// ReplayTopK is the serial top-k rule, and the one place it is written:
+// walk sched — sorted Upper descending, Graph ascending — and before every
+// entry stop if the ranking holds k items and the entry's Upper cannot beat
+// the k-th best SSP; otherwise fold the entry's SSP in when it is positive
+// (SSP descending, Graph ascending, at most k kept). It returns the ranking
+// and how many entries it committed, that is, walked past without stopping.
+// k and window are at least 1.
+//
+// Values come from verify, which is asked for the values of sched[lo:hi]
+// when the walk reaches an entry it holds no value for: lo is that entry,
+// hi − lo ≤ window, no index is asked for twice and at most window − 1 past
+// the stop. A value depends on its entry alone, so a window buys batching —
+// pool workers in-process, round trips in a fleet — and values past the
+// stop are dropped: the outcome at any window is the outcome at window 1.
+// Failures included: verify may return the values before its first failing
+// entry together with that entry's error, and the error counts only if the
+// walk reaches the entry. Then, or when ctx is done before a call,
+// ReplayTopK returns (nil, committed, err), err unchanged.
+func ReplayTopK(ctx context.Context, sched []TopKBound, k, window int,
+	verify func(ctx context.Context, lo, hi int) ([]float64, error)) (top []TopKItem, committed int, err error) {
+	// One slot over what is kept, so insertTopK never reallocates.
+	top = make([]TopKItem, 0, min(k, len(sched))+1)
+	var (
+		vals []float64 // vals[j] is the value of sched[lo+j]
+		lo   int
+		verr error // why vals is shorter than the window asked for
+	)
+	for i, c := range sched {
+		if len(top) >= k && c.Upper <= top[k-1].SSP {
+			break
+		}
+		if i == lo+len(vals) {
+			if verr == nil {
+				verr = ctx.Err()
+			}
+			if verr != nil {
+				return nil, i, verr
+			}
+			lo = i
+			if vals, verr = verify(ctx, lo, min(lo+window, len(sched))); verr != nil && len(vals) == 0 {
+				return nil, i, verr
+			}
+		}
+		if ssp := vals[i-lo]; ssp > 0 {
+			top = insertTopK(top, TopKItem{Graph: c.Graph, SSP: ssp}, k)
+		}
+		committed = i + 1
+	}
+	return top, committed, nil
+}
+
 // QueryTopKCtx returns the k database graphs with the highest SSP for q at
 // distance δ, ranked descending. It extends the paper's threshold queries
 // the way its bounds machinery invites: candidates are verified in
 // decreasing order of their upper bound (TopKBound.Upper), and verification
 // stops as soon as the next candidate's bound cannot beat the current k-th
-// best SSP. Every value comes from the un-thresholded ladder of VerifySSP:
-// exact for a DNF of at most exactCrossover clauses, the full SMP estimate
-// otherwise.
+// best SSP (ReplayTopK). Every value comes from the un-thresholded ladder
+// of VerifySSP: exact for a DNF of at most exactCrossover clauses, the full
+// SMP estimate otherwise.
 // QueryOptions.Epsilon does not affect the ranking (it is still validated).
 //
-// With opt.Concurrency > 1 both the bound computation and the verification
-// schedule fan out over the worker pool. Workers verify candidates
-// speculatively in schedule order while a commit loop folds finished
-// results into the top-k sequentially, applying the exact serial
-// termination rule — so the returned ranking is bitwise-identical to a
-// serial run at any worker count. Speculation past the serial cutoff is
-// bounded and its results are discarded, costing only wasted work, never
-// a changed answer.
+// With opt.Concurrency > 1 the bound computation fans out over the worker
+// pool and the rule's window is the worker count: w candidates are valued
+// at once, then committed one by one, so at most w − 1 values are computed
+// past the stop and the ranking is bitwise the serial run's at any worker
+// count. (Every DNF was prepared in the bounds stage; a value costs µs to
+// a fraction of a millisecond, so a wider window would spend more past the
+// stop than it saves before it.)
 //
 // Cancellation is checked at every stage — structural scan (shard
-// granularity), bound computation and verification (candidate granularity)
-// — and wakes workers blocked on the speculation window, so a cancelled
-// call returns (nil, ctx.Err()) promptly without leaking goroutines.
+// granularity), bound computation and verification (candidate granularity):
+// a cancelled call returns (nil, ctx.Err()) with every pool goroutine joined.
 func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
-	p, cands, err := v.topkSchedule(ctx, q, k, opt)
+	p, sched, dnfs, err := v.topkSchedule(ctx, q, k, opt)
 	if err != nil {
 		return nil, err
 	}
 	if p.degenerate {
-		out := make([]TopKItem, len(cands))
-		for i, c := range cands {
+		out := make([]TopKItem, len(sched))
+		for i, c := range sched {
 			out[i] = TopKItem{Graph: c.Graph, SSP: 1}
 		}
 		return out, nil
 	}
-	if len(cands) == 0 {
+	if len(sched) == 0 {
 		return nil, nil
 	}
-	opt = p.opt
-	workers := pool.Normalize(opt.Concurrency, len(cands))
-
-	// Verification with bound-based early termination. Workers verify
-	// candidates speculatively in schedule order; a sequential commit
-	// loop replays the serial algorithm over finished results — stop the
-	// moment the next candidate's upper bound cannot beat the k-th best
-	// SSP, otherwise fold its SSP in. Per-graph SSPs are deterministic
-	// (candSeed), so the committed prefix — and hence the result — is
-	// exactly the serial run's. A lookahead window bounds how far workers
-	// may speculate past the last committed result; results beyond the
-	// serial cutoff are discarded.
-	n := len(cands)
-	window := 2 * workers
-	if window < k {
-		window = k
-	}
-	var (
-		mu        sync.Mutex
-		next      int  // next speculative index to hand out
-		committed int  // results folded into top, in schedule order
-		stopped   bool // serial termination rule fired
-		firstErr  error
-		ctxErr    error // set by the cancellation watcher, ends the run
-		done      = make([]bool, n)
-		ssps      = make([]float64, n)
-		errs      = make([]error, n)
-	)
-	// top is pre-sized to its maximum (k kept + 1 overflow slot before
-	// truncation), so the commit loop never reallocates it.
-	capTop := k
-	if capTop > n {
-		capTop = n
-	}
-	top := make([]TopKItem, 0, capTop+1)
-	cond := sync.NewCond(&mu)
-	// The workers block on cond (speculation window), not on a channel, so
-	// ctx cancellation must be translated into a broadcast: a watcher
-	// goroutine marks ctxErr and wakes everyone. stopWatch reclaims the
-	// watcher on normal completion.
-	if cdone := ctx.Done(); cdone != nil {
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-cdone:
-				mu.Lock()
-				ctxErr = ctx.Err()
-				cond.Broadcast()
-				mu.Unlock()
-			case <-stopWatch:
-			}
-		}()
-	}
-	kthBest := func() float64 {
-		if len(top) < k {
-			return 0
-		}
-		return top[len(top)-1].SSP
-	}
-	// commit advances over finished results exactly as the serial loop
-	// would. The termination rule needs only the committed prefix — not
-	// candidate `committed`'s own verification — so it is checked before
-	// waiting on done[committed]; the cutoff then fires without paying
-	// for the first hopeless candidate. Caller holds mu.
-	commit := func() {
-		for !stopped && firstErr == nil && ctxErr == nil && committed < n {
-			c := cands[committed]
-			if len(top) >= k && c.Upper <= kthBest() {
-				stopped = true
-				break
-			}
-			if !done[committed] {
-				break
-			}
-			if errs[committed] != nil {
-				firstErr = fmt.Errorf("core: verifying graph %d: %w", c.Graph, errs[committed])
-				break
-			}
-			if ssp := ssps[committed]; ssp > 0 {
-				top = insertTopK(top, TopKItem{Graph: c.Graph, SSP: ssp}, k)
-			}
-			committed++
-		}
-	}
-	verifyWorker := func() {
-		for {
-			mu.Lock()
-			for !stopped && firstErr == nil && ctxErr == nil && next < n && next >= committed+window {
-				cond.Wait()
-			}
-			if stopped || firstErr != nil || ctxErr != nil || next >= n {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			mu.Unlock()
-
-			d, err := decide(cands[i].dnf, opt, 0)
-
-			mu.Lock()
-			ssps[i], errs[i], done[i] = d.ssp, err, true
-			commit()
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
+	workers := pool.Normalize(p.opt.Concurrency, len(sched))
+	vals := make([]float64, workers)
+	errs := make([]error, workers)
 	sp := obs.SpanFrom(ctx).Child("topk_commit")
-	if workers <= 1 {
-		verifyWorker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				verifyWorker()
-			}()
+	top, committed, err := ReplayTopK(ctx, sched, k, workers, func(ctx context.Context, lo, hi int) ([]float64, error) {
+		if err := pool.ForEachIndexCtx(ctx, hi-lo, workers, func(j int) {
+			var d decision
+			d, errs[j] = decide(dnfs[lo+j], p.opt, 0)
+			vals[j] = d.ssp
+		}); err != nil {
+			return nil, err
 		}
-		wg.Wait()
-	}
-	// The watcher may still be writing ctxErr; read the terminal state
-	// under the lock. A cancelled run reports ctx.Err() even when the
-	// serial cutoff raced it to completion — "cancelled means cancelled"
-	// keeps the caller-facing contract one-dimensional.
-	mu.Lock()
-	cerr, ferr, ranking := ctxErr, firstErr, top
-	nCommitted := committed
-	mu.Unlock()
-	sp.EndCount(int64(nCommitted))
-	if cerr != nil {
-		return nil, cerr
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return ranking, nil
+		for j, e := range errs[:hi-lo] {
+			if e != nil {
+				return vals[:j], fmt.Errorf("core: verifying graph %d: %w", sched[lo+j].Graph, e)
+			}
+		}
+		return vals[:hi-lo], nil
+	})
+	sp.EndCount(int64(committed))
+	return top, err
 }
 
 // insertTopK folds item into the ranking by sorted insertion (SSP
@@ -231,41 +162,39 @@ type TopKBound struct {
 	Upper float64 // min(Usim, V, 1)
 }
 
-// scheduled is a schedule entry with the prepared DNF its bound came from,
-// so the in-process top-k verifies without enumerating embeddings again
-// (nil on a degenerate plan, which verifies nothing).
-type scheduled struct {
-	TopKBound
-	dnf *verify.DNF
-}
-
 // topkSchedule is the ranked forms' shared start: the plan, then the
 // verification schedule over its candidates — each candidate's upper bound
 // (seeded from its global id, so partitions agree bitwise with the full
-// database), sorted by the serial verification order. A degenerate plan
-// schedules its first k live slots; their SSP is 1 without verification.
-func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []scheduled, error) {
+// database), sorted by the serial verification order — and beside it the
+// prepared DNF each bound came from, so the in-process top-k verifies
+// without enumerating embeddings again. A degenerate plan schedules its
+// first k live slots and no DNFs; their SSP is 1 without verification.
+func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []TopKBound, []*verify.DNF, error) {
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("core: k must be positive")
+		return nil, nil, nil, fmt.Errorf("core: k must be positive")
 	}
 	p, err := v.newPlan(ctx, q, opt, true)
 	if err != nil {
-		return nil, nil, err
-	}
-	if p.degenerate {
-		cands := make([]scheduled, min(k, len(p.scq)))
-		for i := range cands {
-			cands[i].TopKBound = TopKBound{Graph: p.scq[i], Upper: 1}
-		}
-		return p, cands, nil
+		return nil, nil, nil, err
 	}
 	if len(p.scq) == 0 {
-		return p, nil, nil
+		return p, nil, nil, nil
+	}
+	if p.degenerate {
+		sched := make([]TopKBound, min(k, len(p.scq)))
+		for i := range sched {
+			sched[i] = TopKBound{Graph: p.scq[i], Upper: 1}
+		}
+		return p, sched, nil, nil
 	}
 	// Each candidate's bound is the smaller of Usim (when the view has a
 	// PMI; drawn from the candidate's own candSeed-derived rng) and the
 	// bound of its prepared DNF, so the schedule is the same at any worker
 	// count.
+	type scheduled struct {
+		TopKBound
+		dnf *verify.DNF
+	}
 	cands := make([]scheduled, len(p.scq))
 	errs := make([]error, len(p.scq))
 	sp := obs.SpanFrom(ctx).Child("bounds")
@@ -293,11 +222,11 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	}
 	sp.EndCount(int64(len(p.scq)))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for i, e := range errs {
 		if e != nil {
-			return nil, nil, fmt.Errorf("core: verifying graph %d: %w", p.scq[i], e)
+			return nil, nil, nil, fmt.Errorf("core: verifying graph %d: %w", p.scq[i], e)
 		}
 	}
 	// Slot ascending breaks upper-bound ties. On a partition, slots are in
@@ -309,27 +238,28 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		}
 		return cands[i].Graph < cands[j].Graph
 	})
-	return p, cands, nil
+	sched := make([]TopKBound, len(cands))
+	dnfs := make([]*verify.DNF, len(cands))
+	for i, c := range cands {
+		sched[i], dnfs[i] = c.TopKBound, c.dnf
+	}
+	return p, sched, dnfs, nil
 }
 
 // QueryTopKBounds computes the top-k verification schedule without
 // verifying anything: the ranked candidate slots with their upper bounds,
 // sorted in serial verification order (Upper descending, slot ascending).
 // A distributed coordinator calls this on every shard, merges the
-// schedules by (Upper, global id), and replays the serial early-
-// termination rule over the union — fetching SSPs via VerifySSPBatch —
-// to reproduce QueryTopKCtx bitwise.
+// schedules by (Upper, global id), and runs ReplayTopK over the union —
+// fetching SSPs via VerifySSPBatch — to reproduce QueryTopKCtx bitwise.
 //
 // The degenerate return (δ ≥ |E(q)|, where every live graph matches with
 // SSP 1) lists the first k live slots with Upper 1 and degenerate=true;
 // no verification is needed for them.
 func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (bounds []TopKBound, degenerate bool, err error) {
-	p, cands, err := v.topkSchedule(ctx, q, k, opt)
+	p, bounds, _, err := v.topkSchedule(ctx, q, k, opt)
 	if err != nil {
 		return nil, false, err
-	}
-	for _, c := range cands {
-		bounds = append(bounds, c.TopKBound)
 	}
 	return bounds, p.degenerate, nil
 }

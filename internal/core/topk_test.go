@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -116,6 +119,100 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		}
 		if !sameIntSet(batch[i].Answers, seq.Answers) {
 			t.Fatalf("query %d: batch %v vs sequential %v", i, batch[i].Answers, seq.Answers)
+		}
+	}
+}
+
+// randomSchedule draws a schedule in verification order with its values:
+// bounds and values on a coarse grid so both tie, about a third of the
+// values zero, every value at most its bound.
+func randomSchedule(rng *rand.Rand, n int) ([]TopKBound, []float64) {
+	sched := make([]TopKBound, n)
+	for i := range sched {
+		sched[i] = TopKBound{Graph: i, Upper: float64(1+rng.Intn(10)) / 10}
+	}
+	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Upper > sched[j].Upper })
+	vals := make([]float64, n)
+	for i, e := range sched {
+		if rng.Intn(3) > 0 {
+			vals[i] = e.Upper * float64(1+rng.Intn(4)) / 4
+		}
+	}
+	return sched, vals
+}
+
+// TestReplayTopK holds the one rule to the plain serial loop: on random
+// schedules, at every window from 1 to n + 1, ReplayTopK returns serialTopK's
+// ranking and commits what it valued, asks verify for no index twice, for no
+// more than a window at once and for at most window − 1 values past the
+// stop; a failure counts exactly when the walk reaches the failing entry;
+// and a verify error or a dead context comes back unchanged with no ranking.
+func TestReplayTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	boom := errors.New("boom")
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(14) // 0: the empty schedule
+		sched, vals := randomSchedule(rng, n)
+		for _, k := range []int{1, 2, 1 + rng.Intn(n+1), n + 3} {
+			want, stop := serialTopK(sched, k, func(i int) float64 { return vals[i] })
+			for window := 1; window <= n+1; window++ {
+				// failAt == n never fails; the others fail entry failAt.
+				for _, failAt := range []int{n, rng.Intn(n + 1)} {
+					asked := make([]bool, n)
+					verify := func(_ context.Context, lo, hi int) ([]float64, error) {
+						if lo >= hi || hi-lo > window || hi > n {
+							t.Fatalf("n %d k %d window %d: verify(%d, %d)", n, k, window, lo, hi)
+						}
+						if hi > stop+window-1 {
+							t.Fatalf("n %d k %d window %d: verify(%d, %d) with the stop at %d", n, k, window, lo, hi, stop)
+						}
+						for i := lo; i < hi; i++ {
+							if asked[i] {
+								t.Fatalf("n %d k %d window %d: index %d asked for twice", n, k, window, i)
+							}
+							asked[i] = true
+						}
+						if lo <= failAt && failAt < hi {
+							return vals[lo:failAt], boom
+						}
+						return vals[lo:hi], nil
+					}
+					top, committed, err := ReplayTopK(bg, sched, k, window, verify)
+					if failAt < stop {
+						if top != nil || committed != failAt || err != boom {
+							t.Fatalf("n %d k %d window %d failing at %d: (%v, %d, %v), want (nil, %d, boom)",
+								n, k, window, failAt, top, committed, err, failAt)
+						}
+						continue
+					}
+					if err != nil || committed != stop || !slices.Equal(top, want) {
+						t.Fatalf("n %d k %d window %d failing at %d: (%v, %d, %v), serial loop (%v, %d)",
+							n, k, window, failAt, top, committed, err, want, stop)
+					}
+				}
+			}
+		}
+	}
+
+	// A context that dies while the first window is valued ends the walk
+	// where that window ends; one dead from the start asks for nothing.
+	sched, vals := randomSchedule(rng, 12)
+	for _, cancelAfter := range []int{0, 1} {
+		ctx, cancel := context.WithCancel(bg)
+		calls := 0
+		if cancelAfter == 0 {
+			cancel()
+		}
+		top, committed, err := ReplayTopK(ctx, sched, len(sched), 3, func(_ context.Context, lo, hi int) ([]float64, error) {
+			if calls++; calls == cancelAfter {
+				cancel()
+			}
+			return vals[lo:hi], nil
+		})
+		cancel()
+		if top != nil || committed != 3*cancelAfter || calls != cancelAfter || err != context.Canceled {
+			t.Fatalf("cancelled after %d calls: (%v, %d, %v) in %d calls, want (nil, %d, Canceled)",
+				cancelAfter, top, committed, err, calls, 3*cancelAfter)
 		}
 	}
 }

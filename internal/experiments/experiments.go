@@ -11,13 +11,9 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"slices"
 	"time"
 
 	"probgraph/internal/core"
@@ -26,7 +22,6 @@ import (
 	"probgraph/internal/iso"
 	"probgraph/internal/prob"
 	"probgraph/internal/relax"
-	"probgraph/internal/simsearch"
 	"probgraph/internal/stats"
 	"probgraph/internal/verify"
 )
@@ -718,369 +713,4 @@ func (e *Env) Fig14() (*stats.Table, error) {
 	return t, nil
 }
 
-// Scaling measures the concurrent engine: the default query workload runs
-// at increasing worker counts, per-query (Concurrency inside one Query)
-// and batched (the pool spread across queries by QueryBatchCtx). Answer sets
-// are asserted identical to the serial run at every setting — the table
-// only reports time. Not a paper figure; it validates the ROADMAP's
-// parallel-engine direction.
-func (e *Env) Scaling(workerCounts []int) (*stats.Table, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	qs := e.Queries[e.P.defaultQuerySize]
-	t := stats.NewTable("Parallel scaling — default workload",
-		"workers", "ms/query", "speedup", "batch ms", "batch speedup")
-	var baseline, batchBaseline []*core.Result
-	baseQueryMS, baseBatchMS := 0.0, 0.0
-	for _, w := range workerCounts {
-		var queryMS float64
-		var queryRes []*core.Result
-		for qi, q := range qs {
-			qo := e.defaultQO(int64(qi))
-			qo.Concurrency = w
-			start := time.Now()
-			res, err := e.DB.View().QueryCtx(bg, q, qo)
-			if err != nil {
-				return nil, err
-			}
-			queryMS += ms(time.Since(start))
-			queryRes = append(queryRes, res)
-		}
-		queryMS /= float64(len(qs))
-
-		qo := e.defaultQO(0)
-		qo.Concurrency = w
-		start := time.Now()
-		batchRes, err := e.DB.View().QueryBatchCtx(bg, qs, qo)
-		if err != nil {
-			return nil, err
-		}
-		batchMS := ms(time.Since(start))
-
-		if baseline == nil {
-			baseline, batchBaseline = queryRes, batchRes
-			baseQueryMS, baseBatchMS = queryMS, batchMS
-		} else {
-			for qi := range qs {
-				if !slices.Equal(queryRes[qi].Answers, baseline[qi].Answers) {
-					return nil, fmt.Errorf("experiments: workers=%d query %d diverged: %v vs %v",
-						w, qi, queryRes[qi].Answers, baseline[qi].Answers)
-				}
-				if !slices.Equal(batchRes[qi].Answers, batchBaseline[qi].Answers) {
-					return nil, fmt.Errorf("experiments: workers=%d batch query %d diverged: %v vs %v",
-						w, qi, batchRes[qi].Answers, batchBaseline[qi].Answers)
-				}
-			}
-		}
-		t.AddRow(w, queryMS, baseQueryMS/queryMS, batchMS, baseBatchMS/batchMS)
-	}
-	return t, nil
-}
-
-// Filter profiles the structural phase in isolation as the database grows:
-// the inverted-postings scan (at the configured worker count) against the
-// dense count-matrix oracle it replaced. Not a paper figure — it validates
-// the ROADMAP's indexing direction: dense cost is Θ(|D|·|F|) per query,
-// the postings scan touches only the postings of features the query embeds,
-// so its per-query time grows sublinearly in |D| on selective workloads.
-// Candidate lists are asserted identical between the two paths at every
-// size; the table reports time and index shape only.
-func (e *Env) Filter(workerCounts []int) (*stats.Table, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1}
-		if e.Cfg.Workers != 1 && e.Cfg.Workers != 0 {
-			workerCounts = append(workerCounts, e.Cfg.Workers)
-		}
-	}
-	headers := []string{"db size", "dense ms/q"}
-	for _, w := range workerCounts {
-		headers = append(headers, fmt.Sprintf("postings(w=%d) ms/q", w))
-	}
-	headers = append(headers, "speedup", "avg candidates", "posting entries")
-	t := stats.NewTable("Structural filter — postings vs dense scan vs database size", headers...)
-
-	rng := rand.New(rand.NewSource(e.Cfg.Seed + 13))
-	const queriesPerSize, reps = 6, 5
-	for _, size := range e.P.dbSizes {
-		raw, err := dataset.GeneratePPI(dataset.PPIOptions{
-			NumGraphs: size, MinVertices: e.P.minV, MaxVertices: e.P.maxV,
-			Organisms: e.P.organisms, Correlated: true, Seed: e.Cfg.Seed + int64(size),
-		})
-		if err != nil {
-			return nil, err
-		}
-		certain := make([]*graph.Graph, len(raw.Graphs))
-		for i, pg := range raw.Graphs {
-			certain[i] = pg.G
-		}
-		ix := simsearch.BuildIndex(certain, simsearch.DefaultFeatures(certain, 0))
-		var qs []*graph.Graph
-		for i := 0; i < queriesPerSize; i++ {
-			qs = append(qs, dataset.ExtractQuery(certain[rng.Intn(size)], e.P.defaultQuerySize, rng))
-		}
-
-		var denseMS, candSum float64
-		start := time.Now()
-		for rep := 0; rep < reps; rep++ {
-			for _, q := range qs {
-				cand := ix.CandidatesDense(q, e.P.defaultDelta)
-				if rep == 0 {
-					candSum += float64(len(cand))
-				}
-			}
-		}
-		denseMS = ms(time.Since(start)) / float64(reps*len(qs))
-
-		row := []any{size, denseMS}
-		first := -1.0
-		for _, w := range workerCounts {
-			start = time.Now()
-			for rep := 0; rep < reps; rep++ {
-				for _, q := range qs {
-					ix.Candidates(q, e.P.defaultDelta, w)
-				}
-			}
-			postMS := ms(time.Since(start)) / float64(reps*len(qs))
-			if first < 0 {
-				first = postMS
-			}
-			row = append(row, postMS)
-		}
-		// Identity check: the postings path must return the dense answer.
-		for _, q := range qs {
-			a := ix.Candidates(q, e.P.defaultDelta, workerCounts[len(workerCounts)-1])
-			b := ix.CandidatesDense(q, e.P.defaultDelta)
-			if !slices.Equal(a, b) {
-				return nil, fmt.Errorf("experiments: postings candidates diverge from dense at size %d", size)
-			}
-		}
-		_, entries := ix.PostingsStats()
-		row = append(row, denseMS/first, candSum/float64(len(qs)), entries)
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// Churn profiles query latency under a mutating database — the figure
-// behind `pgbench -fig churn`. For each mutation rate (mutations per
-// second; 0 means a static database), a background writer alternates
-// AddGraph and RemoveGraph against a private copy of the environment's
-// database while the measurement loop runs the default query workload,
-// one query at a time. Reported per rate: query p50/p99 latency, the
-// number of mutations the writer committed, and the final generation.
-//
-// Because queries pin generation views, the writer never blocks a query —
-// the interesting signal is how much the copy-on-write churn (index
-// cloning, allocation pressure) moves the tail, not lock contention.
-func (e *Env) Churn(rates []float64) (*stats.Table, error) {
-	if len(rates) == 0 {
-		rates = []float64{0, 20, 100}
-	}
-	// Insert pool: graphs from the same distribution, distinct seed.
-	pool, err := dataset.GeneratePPI(dataset.PPIOptions{
-		NumGraphs: 8, MinVertices: e.P.minV, MaxVertices: e.P.maxV,
-		Organisms: e.P.organisms, Correlated: true, Seed: e.Cfg.Seed + 977,
-	})
-	if err != nil {
-		return nil, err
-	}
-	qs := e.Queries[e.P.defaultQuerySize]
-	// Run at least this many queries AND at least this long (under a hard
-	// cap), so slow writers actually get to interleave mutations with the
-	// measured queries instead of never ticking.
-	const (
-		minQueriesPerRate = 24
-		maxQueriesPerRate = 400
-	)
-	const minMeasure = 600 * time.Millisecond
-
-	t := stats.NewTable("Query latency under churn — background writer at fixed mutation rates",
-		"rate mut/s", "p50 ms", "p99 ms", "queries", "mutations", "generation")
-	for _, rate := range rates {
-		// A private database per rate: churn must not leak into other
-		// figures (or other rates).
-		db, err := core.NewDatabase(e.Raw.Graphs, buildOpt(true, e.Cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-
-		// writerDone is buffered so the writer can always deliver its
-		// count and exit, even when the measurement loop bails on a query
-		// error without draining it.
-		stop := make(chan struct{})
-		writerDone := make(chan int, 1)
-		if rate > 0 {
-			go func() {
-				mutations := 0
-				defer func() { writerDone <- mutations }()
-				tick := time.NewTicker(time.Duration(float64(time.Second) / rate))
-				defer tick.Stop()
-				var added []int
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-					}
-					// Alternate insert and remove so the database size
-					// stays bounded while every mutation path is exercised.
-					if len(added) == 0 || i%2 == 0 {
-						gi, _, err := db.AddGraph(pool.Graphs[i%len(pool.Graphs)])
-						if err == nil {
-							added = append(added, gi)
-							mutations++
-						}
-					} else {
-						gi := added[len(added)-1]
-						added = added[:len(added)-1]
-						if _, err := db.RemoveGraph(gi); err == nil {
-							mutations++
-						}
-					}
-				}
-			}()
-		}
-
-		lat := make([]float64, 0, minQueriesPerRate)
-		opt := e.defaultQO(e.Cfg.Seed)
-		measureStart := time.Now()
-		for i := 0; i < maxQueriesPerRate; i++ {
-			if i >= minQueriesPerRate && (rate == 0 || time.Since(measureStart) >= minMeasure) {
-				break
-			}
-			q := qs[i%len(qs)]
-			start := time.Now()
-			if _, err := db.View().QueryCtx(bg, q, opt); err != nil {
-				close(stop)
-				return nil, err
-			}
-			lat = append(lat, ms(time.Since(start)))
-		}
-		mutations := 0
-		if rate > 0 {
-			close(stop)
-			mutations = <-writerDone
-		}
-		slices.Sort(lat)
-		t.AddRow(rate, percentile(lat, 0.50), percentile(lat, 0.99),
-			len(lat), mutations, db.View().Generation)
-	}
-	return t, nil
-}
-
-// Perf profiles the steady-state hot paths as fixed-size workloads — the
-// figure behind `pgbench -fig perf` and the payload BENCH_baseline.json
-// pins for the CI regression gate. Unlike the paper figures it varies
-// nothing: each row is one workload run a fixed number of times on the
-// default query set with the default options, reporting p50/p99 latency.
-// The row set, sample counts, and every non-latency cell are fully
-// deterministic for a given scale and seed, so two runs differ only in
-// the latency columns — exactly the cells a baseline comparison checks.
-//
-// Workloads: "query" (QueryCtx per query), "topk" (QueryTopKCtx with
-// k=5), "batch" (one QueryBatchCtx call over the whole query set per
-// sample), and "load_binary" (LoadDatabase over an in-memory pgsnap v4
-// image — the pgserve cold-start path minus the page faults).
-//
-// Each workload runs for 5 rounds and the row reports the fastest
-// round's p50/p99: a GC pause or scheduler hiccup in one round cannot
-// fake a regression, while a real slowdown moves every round. The small
-// per-round sample count keeps the p99 honest — by nearest rank it is
-// the round's worst sample, the latency a cold cache or pool miss costs.
-func (e *Env) Perf() (*stats.Table, error) {
-	qs := e.Queries[e.P.defaultQuerySize]
-	opt := e.defaultQO(e.Cfg.Seed)
-	const rounds = 5
-	const samplesPerQuery = 6
-	const batchSamples = 8
-	const loadSamples = 12
-
-	var img bytes.Buffer
-	if err := e.DB.SaveAs(&img, core.SnapshotBinary); err != nil {
-		return nil, err
-	}
-
-	workloads := []struct {
-		name    string
-		samples int
-		run     func() error
-	}{
-		{"query", samplesPerQuery * len(qs), nil},
-		{"topk", samplesPerQuery * len(qs), nil},
-		{"batch", batchSamples, func() error {
-			_, err := e.DB.View().QueryBatchCtx(bg, qs, opt)
-			return err
-		}},
-		{"load_binary", loadSamples, func() error {
-			_, err := core.LoadDatabase(bytes.NewReader(img.Bytes()))
-			return err
-		}},
-	}
-	qi := 0
-	workloads[0].run = func() error {
-		_, err := e.DB.View().QueryCtx(bg, qs[qi%len(qs)], opt)
-		qi++
-		return err
-	}
-	workloads[1].run = func() error {
-		_, err := e.DB.View().QueryTopKCtx(bg, qs[qi%len(qs)], 5, opt)
-		qi++
-		return err
-	}
-
-	t := stats.NewTable("Steady-state hot-path latency — fixed workloads for baseline comparison",
-		"workload", "p50 ms", "p99 ms", "samples")
-	for _, w := range workloads {
-		bestP50, bestP99 := math.Inf(1), math.Inf(1)
-		for round := 0; round < rounds; round++ {
-			qi = 0
-			// One unmeasured run warms the lazy engines and pools, so the
-			// measured samples see the steady state the allocation tests pin.
-			if err := w.run(); err != nil {
-				return nil, err
-			}
-			// Collect garbage between rounds: without this, allocation debt
-			// from a previous round (load_binary rebuilds the whole database
-			// per sample) pays its GC pause inside the measured window.
-			runtime.GC()
-			qi = 0
-			lat := make([]float64, 0, w.samples)
-			for i := 0; i < w.samples; i++ {
-				start := time.Now()
-				if err := w.run(); err != nil {
-					return nil, err
-				}
-				lat = append(lat, ms(time.Since(start)))
-			}
-			slices.Sort(lat)
-			if p50 := percentile(lat, 0.50); p50 < bestP50 {
-				bestP50 = p50
-			}
-			if p99 := percentile(lat, 0.99); p99 < bestP99 {
-				bestP99 = p99
-			}
-		}
-		t.AddRow(w.name, bestP50, bestP99, w.samples)
-	}
-	return t, nil
-}
-
-// percentile reads the p-quantile of ascending xs by the nearest-rank
-// method: the smallest element with at least p·n observations at or
-// below it, so p99 of a small sample includes the true tail maximum.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
-}

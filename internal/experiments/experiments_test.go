@@ -92,31 +92,6 @@ func TestAllFiguresRun(t *testing.T) {
 	}
 }
 
-// TestFilterFigure: the extra structural-filter profile produces one row
-// per database size with the postings/dense identity check passing (the
-// method errors out on any divergence), at more than one worker count.
-func TestFilterFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite is slow")
-	}
-	env, err := NewEnv(Config{Scale: "tiny", Seed: 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := env.Filter(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != len(env.P.dbSizes) {
-		t.Fatalf("filter rows %d, want %d", tbl.NumRows(), len(env.P.dbSizes))
-	}
-	var buf bytes.Buffer
-	tbl.Render(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("rendering produced nothing")
-	}
-}
-
 func TestPresets(t *testing.T) {
 	for _, scale := range []string{"tiny", "small", "full", "bogus"} {
 		p := presetFor(scale)

@@ -319,9 +319,9 @@ func (ix *Index) queryProfile(q *graph.Graph, delta int) (cq []int, budget int) 
 
 // CandidatesDense is the original dense scan over the full count matrix,
 // kept as the reference oracle the postings-based Candidates is tested
-// against (and as the honest baseline of pgbench -fig filter). Both paths
-// share queryProfile, so they answer identically by construction of the
-// hits/misses identity — the property tests assert it anyway.
+// against. Both paths share queryProfile, so they answer identically by
+// construction of the hits/misses identity — the property tests assert it
+// anyway.
 func (ix *Index) CandidatesDense(q *graph.Graph, delta int) []int {
 	cq, budget := ix.queryProfile(q, delta)
 	var out []int
