@@ -17,7 +17,6 @@ var detRangeScope = map[string]bool{
 	"pmi":       true,
 	"relax":     true,
 	"cover":     true,
-	"qp":        true,
 	"obs":       true,
 	"server":    true,
 }

@@ -15,81 +15,107 @@ import (
 	"probgraph/internal/prob"
 )
 
-// allocFixture builds a corpus plus one query's plan and returns the
-// structural candidates that the PMI bounds alone decide (judgePrune) — the
-// steady-state hot path whose allocation budget the tests below pin.
-// Epsilon is set high so Pruning 1 fires for most candidates; with
-// OptBounds the surviving accept path runs qp.Solve, which is outside the
-// zero-alloc contract (it only runs for candidates headed to verification
-// anyway), so the fixture restricts itself to the pruned set.
-func allocFixture(t *testing.T, optBounds bool) (v *View, p *plan, pruned []int) {
+// allocCase is one candidate of one plan with the verdict the bounds give it.
+type allocCase struct {
+	p       *plan
+	gi      int
+	verdict judgement
+}
+
+// allocFixture builds a corpus and sweeps queries and thresholds for
+// candidates on each of the three paths out of the bound stage — pruned by
+// Usim, accepted by Lsim, undecided — the steady-state hot path whose
+// allocation budget the tests below pin. The plans run VerifierNone, so an
+// undecided candidate's evalCandidate ends where the bounds do.
+func allocFixture(t *testing.T, optBounds bool) (v *View, cases []allocCase) {
 	t.Helper()
 	db, raw := snapDB(t, 12)
 	v = db.View()
 	// Sweep both regular 4-edge queries and 2-edge ones: with 1-edge
 	// relaxations the rq ⊆iso f relation is nonempty (features are edges
-	// and wedges), so the plain lower bound can actually decide.
+	// and wedges), so the lower bound can actually decide.
 	cands := snapQueries(t, raw, 8)
 	qrng := rand.New(rand.NewSource(21))
 	for i := 0; i < 8; i++ {
 		cands = append(cands, dataset.ExtractQuery(raw.Graphs[i%len(raw.Graphs)].G, 2, qrng))
 	}
+	var seen [3]int
 	for _, cand := range cands {
 		for _, eps := range []float64{0.99, 0.7, 0.4, 0.1} {
-			opt := QueryOptions{Epsilon: eps, Delta: 1, OptBounds: optBounds, Seed: 7}
-			var err error
-			p, err = v.newPlan(bg, cand, opt, false)
+			opt := QueryOptions{Epsilon: eps, Delta: 1, OptBounds: optBounds, Verifier: VerifierNone, Seed: 7}
+			p, err := v.newPlan(bg, cand, opt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pruned = pruned[:0]
 			for _, gi := range p.scq {
-				sc := getScratch(candSeed(p.opt.Seed^pruneSalt, gi))
-				verdict := p.pr.judge(gi, sc)
-				putScratch(sc)
-				// With plain bounds every bounds-decided candidate is on the
-				// zero-alloc path; with OPT bounds only Pruning 1 rejects are.
-				if verdict == judgePrune || (!optBounds && verdict == judgeAccept) {
-					pruned = append(pruned, gi)
+				if verdict := p.pr.judge(gi); seen[verdict] < 8 {
+					seen[verdict]++
+					cases = append(cases, allocCase{p, gi, verdict})
 				}
-			}
-			if len(pruned) > 0 {
-				return
 			}
 		}
 	}
-	t.Fatal("no query in the fixture sweep produced bounds-decided candidates")
-	return
+	for verdict, n := range seen {
+		if n == 0 {
+			t.Fatalf("no query in the fixture sweep produced a candidate with verdict %d (pruned %d, accepted %d, undecided %d)",
+				verdict, seen[judgePrune], seen[judgeAccept], seen[judgeUndecided])
+		}
+	}
+	return v, cases
 }
 
 // TestEvalCandidateSteadyStateAllocs verifies the hot-path allocation
-// budget at one worker: once the scratch pool is warm, a candidate
-// decided by the bounds allocates nothing — every buffer (PMI row, choice
-// lists, cover scratch, rng) comes from the pooled scratch.
-// AllocsPerRun pins GOMAXPROCS to 1, so this is exactly the workers=1
-// configuration.
+// budget at one worker: once the scratch pool is warm, the bound stage
+// allocates nothing whichever way it decides — pruned, accepted or left to
+// verification — because every buffer (PMI row, choice lists, cover
+// scratch, rng) comes from the pooled scratch. AllocsPerRun pins
+// GOMAXPROCS to 1, so this is exactly the workers=1 configuration.
 func TestEvalCandidateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
 	}
 	for _, optBounds := range []bool{false, true} {
 		t.Run(fmt.Sprintf("optBounds=%v", optBounds), func(t *testing.T) {
-			v, p, pruned := allocFixture(t, optBounds)
-			for _, gi := range pruned {
-				_ = v.evalCandidate(p, gi)
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				for _, gi := range pruned {
-					_ = v.evalCandidate(p, gi)
+			v, cases := allocFixture(t, optBounds)
+			for _, c := range cases {
+				if got := v.evalCandidate(c.p, c.gi).verdict; got != c.verdict {
+					t.Fatalf("graph %d: verdict %d on a second evaluation, %d on the first", c.gi, got, c.verdict)
 				}
-			})
-			// avg counts a whole sweep over len(pruned) candidates, so a
-			// real per-candidate leak shows up as avg >= len(pruned); a
-			// one-off pool eviction stays far below 1.
-			if avg >= 1 {
-				t.Errorf("evalCandidate allocates: %.2f allocs per %d-candidate sweep, want ~0", avg, len(pruned))
+			}
+			for _, c := range cases {
+				if avg := testing.AllocsPerRun(100, func() { _ = v.evalCandidate(c.p, c.gi) }); avg != 0 {
+					t.Errorf("evalCandidate allocates %.2f per run on graph %d (verdict %d), want 0", avg, c.gi, c.verdict)
+				}
 			}
 		})
+	}
+}
+
+// TestOptBoundsSeedNoGenerator: OPT-SSPBound is deterministic — the greedy
+// cover and a maximum — so a candidate judged under it never reseeds the
+// pooled generator, while the plain baseline, which draws one feature per
+// covered rq, seeds it on its first draw.
+func TestOptBoundsSeedNoGenerator(t *testing.T) {
+	for _, optBounds := range []bool{false, true} {
+		v, cases := allocFixture(t, optBounds)
+		seeded := 0
+		for _, c := range cases {
+			_, sc := c.p.pr.usim(c.gi)
+			c.p.pr.lowerBound(sc)
+			if sc.seed != candSeed(c.p.opt.Seed^pruneSalt, v.GID(c.gi)) {
+				t.Fatalf("graph %d: scratch taken for seed %d, not the candidate's", c.gi, sc.seed)
+			}
+			if sc.seeded {
+				seeded++
+			}
+			putScratch(sc)
+		}
+		if optBounds && seeded > 0 {
+			t.Errorf("OPT bounds seeded the generator for %d of %d candidates", seeded, len(cases))
+		}
+		if !optBounds && seeded == 0 {
+			t.Errorf("plain bounds drew nothing on %d candidates: the fixture is vacuous", len(cases))
+		}
 	}
 }
 
@@ -105,14 +131,14 @@ func TestEvalCandidateParallelAllocs(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, optBounds := range []bool{false, true} {
 		t.Run(fmt.Sprintf("optBounds=%v", optBounds), func(t *testing.T) {
-			v, p, pruned := allocFixture(t, optBounds)
-			reps := make([]int, 0, 4096+len(pruned))
+			v, cases := allocFixture(t, optBounds)
+			reps := make([]allocCase, 0, 4096+len(cases))
 			for len(reps) < 4096 {
-				reps = append(reps, pruned...)
+				reps = append(reps, cases...)
 			}
 			run := func() error {
 				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
-					_ = v.evalCandidate(p, reps[i])
+					_ = v.evalCandidate(reps[i].p, reps[i].gi)
 				})
 			}
 			if err := run(); err != nil { // warm one scratch per worker

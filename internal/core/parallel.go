@@ -9,7 +9,7 @@ const (
 
 // candSeed derives the RNG seed for candidate graph gi from the query
 // seed with a SplitMix64-style mix. Every randomized per-candidate step
-// (SSPBound pair choice, QP rounding, SMP sampling) seeds from this and
+// (plain SSPBound's pair choice, SMP sampling) seeds from this and
 // nothing else, so a candidate's draws are a pure function of (Seed, gi) —
 // independent of scheduling order and of which other candidates exist.
 // That is what makes serial and concurrent runs bitwise-identical.

@@ -90,7 +90,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	if v.PMI != nil && !opt.SkipProbPruning && !ranked {
 		t := time.Now()
 		sp = parent.Child("pmi_prune")
-		p.pr, err = v.newPruner(ctx, q, p.u, p.deleted, opt)
+		p.pr, err = v.newPruner(ctx, q, p.u, p.deleted, opt, true)
 		sp.End()
 		if err != nil {
 			return nil, err

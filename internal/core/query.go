@@ -12,10 +12,8 @@ import (
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
 	"probgraph/internal/obs"
-	"probgraph/internal/pmi"
 	"probgraph/internal/pool"
 	"probgraph/internal/prob"
-	"probgraph/internal/qp"
 	"probgraph/internal/verify"
 )
 
@@ -40,9 +38,10 @@ type QueryOptions struct {
 	Delta int
 	// SkipProbPruning bypasses the PMI phase (Structure-only pipeline).
 	SkipProbPruning bool
-	// OptBounds selects OPT-SSPBound (set cover + QP); false selects the
-	// plain SSPBound that picks one arbitrary feature pair per relaxed
-	// query (paper §6's SSPBound baseline).
+	// OptBounds selects OPT-SSPBound (Usim from the greedy set cover, Lsim
+	// the best contained feature); false selects the plain SSPBound that
+	// picks one arbitrary feature pair per relaxed query (paper §6's
+	// SSPBound baseline).
 	OptBounds bool
 	// Verifier selects SMP (default), Exact, or none.
 	Verifier VerifierKind
@@ -54,8 +53,8 @@ type QueryOptions struct {
 	// verification.
 	MaxRelaxed      int
 	MaxClausesPerRQ int
-	// Seed drives the randomized pieces (QP rounding, SSPBound pair
-	// choice, SMP) deterministically.
+	// Seed drives the randomized pieces (plain SSPBound's pair choice,
+	// SMP) deterministically; OPT-SSPBound itself draws nothing.
 	Seed int64
 	// Concurrency bounds the worker pool evaluating candidate graphs
 	// (bound combination and verification): 0 or 1 run serially, a
@@ -73,9 +72,6 @@ func (o QueryOptions) withDefaults() QueryOptions {
 	}
 	if o.MaxClausesPerRQ == 0 {
 		o.MaxClausesPerRQ = 64
-	}
-	if o.Verify.Seed == 0 {
-		o.Verify.Seed = o.Seed + 1
 	}
 	return o
 }
@@ -224,9 +220,7 @@ func (v *View) evalCandidate(p *plan, gi int) candOutcome {
 	var o candOutcome
 	if p.pr != nil {
 		t := time.Now()
-		sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
-		o.verdict = p.pr.judge(gi, sc)
-		putScratch(sc)
+		o.verdict = p.pr.judge(gi)
 		o.probT = time.Since(t)
 	}
 	if o.verdict != judgeUndecided || p.opt.Verifier == VerifierNone {
@@ -472,8 +466,8 @@ const (
 
 // pruner evaluates the Pruning 1 / Pruning 2 conditions of §3.1 for one
 // query against any graph, reusing the query-side feature/rq relations.
-// After construction it is immutable and safe for concurrent judge calls;
-// randomized family selection draws from the caller's per-candidate rng.
+// After construction it is immutable and safe for concurrent calls; the
+// plain baseline's random picks draw from a per-candidate scratch.
 type pruner struct {
 	v   *View
 	u   []*graph.Graph
@@ -481,7 +475,7 @@ type pruner struct {
 
 	// supOf[j] = relaxed queries containing feature j (rq ⊇iso f, for the
 	// upper bound); subOf[j] = relaxed queries contained in feature j
-	// (rq ⊆iso f, for the lower bound).
+	// (rq ⊆iso f, for the lower bound; nil in a pruner built without it).
 	supOf [][]int
 	subOf [][]int
 }
@@ -491,14 +485,18 @@ type pruner struct {
 // rq is a piece of q, so f ⊆iso rq iff some embedding of f in q avoids the
 // edges rq lacks: one enumeration per feature — uncapped, a capped one
 // could miss the embedding that avoids them and silently loosen Usim — and
-// a mask test per member. The reverse relation is tested per member, but
-// only against features large enough to hold one. ctx is checked per
-// feature; a cancelled construction returns (nil, ctx.Err()).
-func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, deleted []graph.EdgeSet, opt QueryOptions) (*pruner, error) {
+// a mask test per member. The reverse relation is built only when lower is
+// set — judge reads it, a ranking, which orders by Usim, does not — and
+// tested per member, but only against features large enough to hold one.
+// ctx is checked per feature; a cancelled construction returns
+// (nil, ctx.Err()).
+func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
 	p := &pruner{v: v, u: u, opt: opt}
 	nf := v.PMI.NumFeatures()
 	p.supOf = make([][]int, nf)
-	p.subOf = make([][]int, nf)
+	if lower {
+		p.subOf = make([][]int, nf)
+	}
 	for j, f := range v.PMI.Features {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -517,7 +515,7 @@ func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, 
 			if contains(i) {
 				p.supOf[j] = append(p.supOf[j], i)
 			}
-			if rq.NumEdges() <= f.NumEdges() && rq.NumVertices() <= f.NumVertices() && iso.Exists(rq, f, nil) {
+			if lower && rq.NumEdges() <= f.NumEdges() && rq.NumVertices() <= f.NumVertices() && iso.Exists(rq, f, nil) {
 				p.subOf[j] = append(p.subOf[j], i)
 			}
 		}
@@ -535,29 +533,40 @@ func hasIsolated(g *graph.Graph) bool {
 }
 
 // judge applies Pruning 1 (upper < ε ⇒ prune) then Pruning 2 (lower ≥ ε ⇒
-// accept) to graph gi, working entirely out of the caller's scratch.
-func (p *pruner) judge(gi int, sc *scratch) judgement {
-	sc.entries = p.v.PMI.LookupInto(gi, sc.entries[:0])
-	usim := p.upperBound(sc.entries, sc)
+// accept) to graph gi, working entirely out of a pooled scratch.
+func (p *pruner) judge(gi int) judgement {
+	usim, sc := p.usim(gi)
+	verdict := judgeUndecided
 	if usim < p.opt.Epsilon {
-		return judgePrune
+		verdict = judgePrune
+	} else if p.lowerBound(sc) >= p.opt.Epsilon {
+		verdict = judgeAccept
 	}
-	lsim := p.lowerBound(sc.entries, sc)
-	if lsim >= p.opt.Epsilon {
-		return judgeAccept
-	}
-	return judgeUndecided
+	putScratch(sc)
+	return verdict
 }
 
-// upperBound computes Usim(q). Soundness: rq ⊇iso f means a world
-// containing rq also contains f, so Pr(∨ Brq) ≤ Σ UpperB over any feature
-// family covering U; relaxed queries no feature covers contribute the
-// trivial bound Pr(Brq) ≤ 1.
+// usim computes Usim(q) for graph gi in a scratch taken for gi's candSeed
+// (its global id, so partitions agree bitwise with the full database). The
+// scratch comes back holding gi's PMI row, and under plain bounds the
+// candidate's stream past the upper bound's draws, for lowerBound to go on
+// from; the caller puts it back.
+func (p *pruner) usim(gi int) (float64, *scratch) {
+	sc := getScratch(candSeed(p.opt.Seed^pruneSalt, p.v.GID(gi)))
+	sc.entries = p.v.PMI.LookupInto(gi, sc.entries[:0])
+	return p.upperBound(sc), sc
+}
+
+// upperBound computes Usim(q) from the PMI row in sc.entries. Soundness:
+// rq ⊇iso f means a world containing rq also contains f, so Pr(∨ Brq) ≤
+// Σ UpperB over any feature family covering U; relaxed queries no feature
+// covers contribute the trivial bound Pr(Brq) ≤ 1.
 //
 // OPT-SSPBound minimizes the covering weight with the greedy set cover
 // (Definition 10, Algorithm 1); plain SSPBound picks one qualifying feature
 // per rq at random (the paper's §6 baseline).
-func (p *pruner) upperBound(entries []pmi.Entry, sc *scratch) float64 {
+func (p *pruner) upperBound(sc *scratch) float64 {
+	entries := sc.entries
 	if p.opt.OptBounds {
 		in := cover.Instance{NumElements: len(p.u)}
 		in.Sets, in.Weights = sc.sets[:0], sc.wu[:0]
@@ -591,14 +600,8 @@ func (p *pruner) upperBound(entries []pmi.Entry, sc *scratch) float64 {
 	for i := range p.u {
 		choices := sc.choicesF[:0]
 		for j, e := range entries {
-			if !e.Contained {
-				continue
-			}
-			for _, ri := range p.supOf[j] {
-				if ri == i {
-					choices = append(choices, e.Upper)
-					break
-				}
+			if e.Contained && slices.Contains(p.supOf[j], i) {
+				choices = append(choices, e.Upper)
 			}
 		}
 		sc.choicesF = choices
@@ -606,129 +609,50 @@ func (p *pruner) upperBound(entries []pmi.Entry, sc *scratch) float64 {
 			total += 1
 			continue
 		}
-		total += choices[sc.rng.Intn(len(choices))]
+		total += choices[sc.intn(len(choices))]
 	}
 	return total
 }
 
-// lowerBound computes Lsim(q). Soundness: rq ⊆iso f with f ⊆iso gc means a
-// world containing f contains rq, so ∨ Bf over any distinct feature family
-// implies ∨ Brq, and a valid lower bound on Pr(∨ Bf) lower-bounds the SSP.
+// lowerBound computes Lsim(q) from the PMI row in sc.entries: the largest
+// LowerB among the features it may use. Soundness: rq ⊆iso f with f ⊆iso gc
+// means a world containing f contains rq, so Pr(Bf) ≥ LowerB_f lower-bounds
+// the SSP. OPT-SSPBound may use every contained feature that holds some rq;
+// plain SSPBound uses one such feature per rq, picked at random (the
+// paper's §6 baseline).
 //
-// Family selection follows the paper — OPT-SSPBound maximizes the
-// Definition 11 objective via the relaxed QP + randomized rounding
-// (Algorithm 2), plain SSPBound picks one qualifying feature per rq at
-// random — but the selected collection is then *evaluated* with the
-// correlation-safe Bonferroni form
-//
-//	Lsim = max( max_j LowerB_j ,  Σ_j LowerB_j − Σ_{i<j} min(U_i, U_j) )
-//
-// which holds for arbitrarily correlated events (Pr(A∧B) ≤ min(Pr A, Pr B)),
-// unlike the paper's Σ L − (Σ U)² whose pairwise product step assumes
-// independence and can over-accept under strong positive correlation.
-func (p *pruner) lowerBound(entries []pmi.Entry, sc *scratch) float64 {
-	chosen := sc.chosen[:0]
-	if p.opt.OptBounds {
-		in := qp.Instance{NumElements: len(p.u)}
-		in.Sets, in.WL, in.WU = sc.sets[:0], sc.wl[:0], sc.wu[:0]
-		featOf := sc.featOf[:0]
-		for j, e := range entries {
-			if !e.Contained || len(p.subOf[j]) == 0 {
-				continue
-			}
-			in.Sets = append(in.Sets, p.subOf[j])
-			in.WL = append(in.WL, e.Lower)
-			in.WU = append(in.WU, e.Upper)
-			featOf = append(featOf, j)
-		}
-		sc.sets, sc.wl, sc.wu, sc.featOf = in.Sets, in.WL, in.WU, featOf
-		if len(in.Sets) == 0 {
-			return 0
-		}
-		for _, s := range qp.Solve(in, sc.rng).Chosen {
-			chosen = append(chosen, featOf[s])
-		}
-	} else {
-		// Dedup by linear scan over the (small) chosen family instead of a
-		// per-candidate map; first-seen order is preserved, so the family —
-		// and the bound — is exactly what the map produced.
-		for i := range p.u {
-			choices := sc.choicesI[:0]
-			for j, e := range entries {
-				if !e.Contained {
-					continue
-				}
-				for _, ri := range p.subOf[j] {
-					if ri == i {
-						choices = append(choices, j)
-						break
-					}
-				}
-			}
-			sc.choicesI = choices
-			if len(choices) > 0 {
-				j := choices[sc.rng.Intn(len(choices))]
-				dup := false
-				for _, c := range chosen {
-					if c == j {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					chosen = append(chosen, j)
-				}
-			}
-		}
-	}
-	sc.chosen = chosen
-	return soundLsim(entries, chosen, sc)
-}
-
-// soundLsim evaluates the correlation-safe lower bound of a feature
-// collection, also trying all sub-collections greedily by dropping the
-// weakest member while it improves the bound (fewer features shrink the
-// pairwise penalty faster than they shrink Σ L).
-func soundLsim(entries []pmi.Entry, chosen []int, sc *scratch) float64 {
+// This is the one deliberate departure from the paper's Pruning 2
+// (Definition 11, Algorithm 2), which selects a family by a relaxed QP and
+// evaluates it as Σ L − (Σ U)². The product step assumes independent
+// events, which the correlated model denies, and it can over-accept under
+// strong positive correlation; the form that holds for arbitrary
+// correlation (Pr(A∧B) ≤ min(Pr A, Pr B)) is Σ_j L_j − Σ_{i<j} min(U_i, U_j),
+// and with U ≥ L no family makes it exceed its own largest member: sorted
+// by L descending, Σ_{i<j} min(L_i, L_j) = Σ_j (j−1)·L_j ≥ Σ_{j≥2} L_j. From
+// marginals alone the best lower bound on a union is its largest term (the
+// Fréchet bound), so there is no family to optimise
+// (TestBonferroniNeverBeatsBestMember pins the argument).
+func (p *pruner) lowerBound(sc *scratch) float64 {
 	best := 0.0
-	cur := append(sc.cur[:0], chosen...)
-	for len(cur) > 0 {
-		if v := bonferroniMin(entries, cur); v > best {
-			best = v
-		}
-		// Drop the member with the smallest L − it contributes least.
-		worst, worstIdx := math.Inf(1), -1
-		for k, j := range cur {
-			if entries[j].Lower < worst {
-				worst, worstIdx = entries[j].Lower, k
+	if p.opt.OptBounds {
+		for j, e := range sc.entries {
+			if e.Contained && len(p.subOf[j]) > 0 {
+				best = max(best, e.Lower)
 			}
 		}
-		cur = append(cur[:worstIdx], cur[worstIdx+1:]...)
+		return best
 	}
-	sc.cur = cur
+	for i := range p.u {
+		choices := sc.choicesI[:0]
+		for j, e := range sc.entries {
+			if e.Contained && slices.Contains(p.subOf[j], i) {
+				choices = append(choices, j)
+			}
+		}
+		sc.choicesI = choices
+		if len(choices) > 0 {
+			best = max(best, sc.entries[choices[sc.intn(len(choices))]].Lower)
+		}
+	}
 	return best
-}
-
-// bonferroniMin is Σ L − Σ_{i<j} min(U_i, U_j), floored by the best single
-// member (a union is at least its largest term).
-func bonferroniMin(entries []pmi.Entry, chosen []int) float64 {
-	sumL, penalty, single := 0.0, 0.0, 0.0
-	for a, j := range chosen {
-		sumL += entries[j].Lower
-		if entries[j].Lower > single {
-			single = entries[j].Lower
-		}
-		for _, k := range chosen[a+1:] {
-			m := entries[j].Upper
-			if entries[k].Upper < m {
-				m = entries[k].Upper
-			}
-			penalty += m
-		}
-	}
-	v := sumL - penalty
-	if single > v {
-		v = single
-	}
-	return v
 }

@@ -9,24 +9,25 @@ import (
 )
 
 // scratch is the pooled per-candidate working state of the pruning hot
-// path. An evaluating goroutine takes one from the pool, reseeds the
-// embedded rng from the candidate's candSeed, runs the judge, and puts it
-// back. In steady state a candidate decided by the bounds allocates
-// nothing: every buffer sticks at its high-water capacity inside the
-// pool, and Seed on a rand.NewSource-backed Rand restores exactly the
-// stream a fresh rand.New(rand.NewSource(seed)) would produce — pooling
-// never changes a drawn value, so the determinism contract is untouched.
+// path. An evaluating goroutine takes one from the pool for the candidate's
+// candSeed, computes the bounds, and puts it back. In steady state a
+// candidate decided by the bounds allocates nothing: every buffer sticks at
+// its high-water capacity inside the pool. The generator is seeded on the
+// candidate's first draw, which only the plain SSPBound baseline makes —
+// OPT-SSPBound draws nothing, so it never pays the 607-word reseed — and
+// Seed on a rand.NewSource-backed Rand restores exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) would produce: pooling never changes a
+// drawn value, so the determinism contract is untouched.
 type scratch struct {
-	rng *rand.Rand
+	rng    *rand.Rand
+	seed   int64 // the candidate's candSeed
+	seeded bool  // rng has been reseeded from seed
 
 	entries  []pmi.Entry // LookupInto buffer (one PMI row)
 	choicesF []float64   // plain upper bound: per-rq qualifying uppers
 	choicesI []int       // plain lower bound: per-rq qualifying features
-	chosen   []int       // lower bound: selected feature family
-	cur      []int       // soundLsim working copy
-	sets     [][]int     // OPT bounds: Instance.Sets backing
-	wl, wu   []float64   // OPT bounds: Instance weight backings
-	featOf   []int       // OPT lower bound: set index → feature index
+	sets     [][]int     // OPT upper bound: Instance.Sets backing
+	wu       []float64   // OPT upper bound: Instance.Weights backing
 	covered  []bool      // OPT upper bound: rq coverage flags
 	singles  []int       // OPT upper bound: singleton-set backing [0,1,...]
 	cov      cover.Scratch
@@ -36,14 +37,23 @@ var scratchPool = sync.Pool{
 	New: func() any { return &scratch{rng: rand.New(rand.NewSource(0))} },
 }
 
-// getScratch takes a pooled scratch reseeded for one candidate.
+// getScratch takes a pooled scratch whose draws will come from seed.
 func getScratch(seed int64) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	sc.rng.Seed(seed)
+	sc.seed, sc.seeded = seed, false
 	return sc
 }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// intn is the candidate's next draw from [0, n).
+func (sc *scratch) intn(n int) int {
+	if !sc.seeded {
+		sc.rng.Seed(sc.seed)
+		sc.seeded = true
+	}
+	return sc.rng.Intn(n)
+}
 
 // clearedBools resizes *buf to n all-false entries, reusing capacity.
 func clearedBools(buf *[]bool, n int) []bool {

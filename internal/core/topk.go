@@ -200,17 +200,16 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	sp := obs.SpanFrom(ctx).Child("bounds")
 	var pr *pruner
 	if v.PMI != nil {
-		pr, err = v.newPruner(ctx, q, p.u, p.deleted, p.opt)
+		pr, err = v.newPruner(ctx, q, p.u, p.deleted, p.opt, false)
 	}
 	if err == nil {
 		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) {
 			gi := p.scq[i]
 			ub := 1.0
 			if pr != nil {
-				sc := getScratch(candSeed(p.opt.Seed^pruneSalt, v.GID(gi)))
-				sc.entries = v.PMI.LookupInto(gi, sc.entries[:0])
-				ub = min(pr.upperBound(sc.entries, sc), 1)
+				usim, sc := pr.usim(gi)
 				putScratch(sc)
+				ub = min(usim, 1)
 			}
 			d, err := v.prepareDNF(p.u, gi, p.opt)
 			if err != nil {

@@ -15,10 +15,7 @@ import (
 // derivation), and no link of the chain mutates its predecessor.
 func TestWithColumnMatchesBuild(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 3, 6, true)
-	full, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := mustBuild(t, graphs, engines, feats, NewOptions())
 
 	// Seed the chain with the first 3 graphs. Build consumes Support
 	// lists, which cover the full database — truncate them to the prefix
@@ -36,10 +33,7 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 		}
 		prefixFeats[i] = &cp
 	}
-	base, err := Build(graphs[:3], engines[:3], prefixFeats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustBuild(t, graphs[:3], engines[:3], prefixFeats, NewOptions())
 	chain := []*Index{base}
 	for gi := 3; gi < len(graphs); gi++ {
 		next, err := chain[len(chain)-1].WithColumn(graphs[gi], engines[gi])
@@ -71,10 +65,7 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 // never contained the column.
 func TestMaskedColumnSaveAndCompact(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 5, 5, false)
-	idx, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	const dead = 2
 	masked := idx.WithMaskedColumn(dead)
 	if idx.MaskedColumns() != 0 || idx.Masked(dead) {
@@ -126,10 +117,7 @@ func TestMaskedColumnSaveAndCompact(t *testing.T) {
 // mask on the slot.
 func TestWithReplacedColumn(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 7, 5, true)
-	idx, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	const slot = 1
 	masked := idx.WithMaskedColumn(slot)
 	repl, err := masked.WithReplacedColumn(slot, graphs[slot], engines[slot])
@@ -153,14 +141,12 @@ func TestWithReplacedColumn(t *testing.T) {
 // per column — not a copy of every feature's row.
 func TestCOWReplacedColumnCopiesPointers(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 9, 6, true)
-	small, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := mustBuild(t, graphs, engines, feats, NewOptions())
 	const slots = 1000
 	wide := small
 	for wide.NumGraphs() < slots {
 		i := wide.NumGraphs() % len(graphs)
+		var err error
 		if wide, err = wide.WithColumn(graphs[i], engines[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -39,6 +39,27 @@ func buildSmallDB(t *testing.T, seed int64, n int, correlated bool) ([]*prob.PGr
 	return db.Graphs, engines, feats
 }
 
+// mustBuild is Build for tests, which also holds every cell it built to the
+// one relation Lower and Upper have to each other: both are exact
+// evaluations — of different event families — bracketing the same SIP, so
+// they may cross by rounding (and on real corpora do, by an ulp, in about a
+// quarter of the contained cells) but by no more.
+func mustBuild(t *testing.T, graphs []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, opt Options) *Index {
+	t.Helper()
+	idx, err := Build(graphs, engines, feats, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range idx.Features {
+		for gi := range graphs {
+			if e := idx.At(fi, gi); e.Lower > e.Upper+1e-12 {
+				t.Errorf("feature %d graph %d: Lower %v above Upper %v", fi, gi, e.Lower, e.Upper)
+			}
+		}
+	}
+	return idx
+}
+
 // exactSIP computes Pr(f ⊆iso g) by world enumeration.
 func exactSIP(t *testing.T, eng *prob.Engine, f, gc *graph.Graph) float64 {
 	t.Helper()
@@ -59,10 +80,7 @@ func TestBoundsSandwichExactSIP(t *testing.T) {
 		graphs, engines, feats := buildSmallDB(t, 21, 8, correlated)
 		opt := NewOptions()
 		opt.Seed = 5
-		idx, err := Build(graphs, engines, feats, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := mustBuild(t, graphs, engines, feats, opt)
 		const slack = 0.02 // bound derivation is exact only under the paper's CI assumption
 		checked := 0
 		for fi, fg := range idx.Features {
@@ -92,10 +110,7 @@ func TestBoundsSandwichExactSIP(t *testing.T) {
 
 func TestUncontainedEntriesAreZero(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 33, 6, true)
-	idx, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	for fi, fg := range idx.Features {
 		for gi := range graphs {
 			e := idx.At(fi, gi)
@@ -113,17 +128,11 @@ func TestOptimizeTightensBounds(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 44, 8, true)
 	optOn := NewOptions()
 	optOn.Seed = 1
-	on, err := Build(graphs, engines, feats, optOn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := mustBuild(t, graphs, engines, feats, optOn)
 	optOff := NewOptions()
 	optOff.Optimize = false
 	optOff.Seed = 1
-	off, err := Build(graphs, engines, feats, optOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mustBuild(t, graphs, engines, feats, optOff)
 	// OPT bounds must never be looser (greedy families are sub-families of
 	// the clique search space); strictly tighter somewhere is expected but
 	// not guaranteed per entry.
@@ -148,18 +157,12 @@ func TestSamplingPathAgreesWithExact(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 55, 5, true)
 	exactOpt := NewOptions()
 	exactOpt.ExactCondLimit = 99 // force exact conditionals
-	exact, err := Build(graphs, engines, feats, exactOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := mustBuild(t, graphs, engines, feats, exactOpt)
 	mcOpt := NewOptions()
 	mcOpt.ExactCondLimit = -1 // force Algorithm 3 sampling everywhere
 	mcOpt.Tau = 0.08          // tighter τ for a sharper comparison
 	mcOpt.Seed = 99
-	mc, err := Build(graphs, engines, feats, mcOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc := mustBuild(t, graphs, engines, feats, mcOpt)
 	for fi := range exact.Features {
 		for gi := range graphs {
 			a, b := exact.At(fi, gi), mc.At(fi, gi)
@@ -193,10 +196,7 @@ func TestSampleN(t *testing.T) {
 
 func TestLookupShape(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 66, 4, false)
-	idx, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	row := idx.Lookup(0)
 	if len(row) != idx.NumFeatures() {
 		t.Fatalf("Lookup length %d, want %d", len(row), idx.NumFeatures())

@@ -57,10 +57,7 @@ func loadTextSection(data []byte, cols int) (*Index, error) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 88, 5, true)
-	idx, err := Build(graphs, engines, feats, NewOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	for _, codec := range snapCodecs {
 		back, err := codec.load(codec.save(t, idx), len(graphs))
 		if err != nil {

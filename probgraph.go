@@ -17,7 +17,8 @@
 // paper's filter-and-verify pipeline: structural pruning on the certain
 // graphs, probabilistic pruning through the PMI index (feature-wise lower
 // and upper bounds on subgraph isomorphism probability, combined per query
-// by greedy set cover and a relaxed quadratic program), and a Karp–Luby
+// by greedy set cover into an upper bound and by the best contained
+// feature into a lower one), and a Karp–Luby
 // Monte-Carlo verifier backed by an exact junction-tree inference engine.
 //
 // # Quick start
