@@ -4,10 +4,9 @@
 // findings for tooling). Paths are shown relative to the working
 // directory when they fall under it. Exit status: 0 clean, 1 when
 // findings exist, 2 when loading or type-checking fails. A timing line
-// on stderr reports packages analyzed and wall time; repeat runs over an
-// unchanged tree reuse cached `go list` metadata (PGVET_NOCACHE=1
-// disables that). See internal/analysis for what each pass enforces and
-// the //pgvet: annotation escape hatches.
+// on stderr reports packages analyzed and wall time. See internal/analysis
+// for what each of the four passes enforces and the //pgvet: annotation
+// escape hatches.
 package main
 
 import (
@@ -42,8 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of file:line:col lines")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: pgvet [-json] [packages]")
-		fmt.Fprintln(stderr, "Runs the probgraph invariant analyzers (detrange, spanclose, ctxflow, noalloc,")
-		fmt.Fprintln(stderr, "atomicmix, lockorder, leakcheck).")
+		fmt.Fprintln(stderr, "Runs the four probgraph invariant analyzers (detrange, spanclose, ctxflow, noalloc).")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	pkgs, stats, err := analysis.LoadWithStats(".", patterns...)
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -90,12 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cached := ""
-	if stats.CacheHit {
-		cached = ", cached metadata"
-	}
-	fmt.Fprintf(stderr, "pgvet: %d package(s), %d analyzer(s) in %s%s\n",
-		stats.Packages, len(analysis.Analyzers), elapsed.Round(time.Millisecond), cached)
+	fmt.Fprintf(stderr, "pgvet: %d package(s), %d analyzer(s) in %s\n",
+		len(pkgs), len(analysis.Analyzers), elapsed.Round(time.Millisecond))
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "pgvet: %d finding(s)\n", len(diags))
 		return 1

@@ -1,7 +1,7 @@
 // Package analysis is pgvet's analyzer suite: a stdlib-only (go/ast,
 // go/parser, go/types, go/importer — no x/tools) static-analysis driver
-// plus seven project-specific passes that mechanically enforce invariants
-// every PR so far has relied on but only runtime tests guarded:
+// plus four project-specific passes that mechanically enforce invariants
+// no runtime test sees on unexercised paths:
 //
 //   - detrange:  determinism — no map iteration in query/render-path
 //     packages without an order-insensitivity justification, and no
@@ -14,21 +14,17 @@
 //   - noalloc:   zero-alloc contract — functions annotated
 //     //pgvet:noalloc contain none of the allocating constructs the
 //     AllocsPerRun pins can miss on unexercised branches.
-//   - atomicmix: a struct field touched through sync/atomic anywhere is
-//     never read or written non-atomically elsewhere.
-//   - lockorder: no two call paths acquire the same mutexes in opposite
-//     orders, no re-acquisition of a held mutex, and no core lock taken
-//     while holding a server/obs lock (interprocedural, over the CHA
-//     call graph in callgraph.go).
-//   - leakcheck: every `go` launch site shows a provable termination
-//     path — a watched context, a WaitGroup.Done with a package-side
-//     Wait, or a receive from a channel the package closes.
+//
+// Concurrency discipline is checked at run time only (see ARCHITECTURE.md,
+// "Static analysis & invariants"): -race over the typed atomics, the
+// race-mode churn and cancellation stress, the goroutine-baseline
+// assertions.
 //
 // Runtime tests (AllocsPerRun, the serial≡parallel identity properties,
-// the cancel-closes-spans sweep, -race under churn) catch violations late
-// and only on exercised paths; these passes catch them at vet time on all
-// paths. Each pass has an explicit, justified escape hatch — an
-// annotation comment of the form
+// the cancel-closes-spans sweep) catch violations late and only on
+// exercised paths; these passes catch them at vet time on all paths.
+// Each pass has an explicit, justified escape hatch — an annotation
+// comment of the form
 //
 //	//pgvet:<name> <one-line why>
 //
@@ -56,9 +52,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
 }
 
-// Analyzer is one pass. Run receives every loaded package (passes that
-// need whole-program facts, like atomicmix, see them all at once) and
-// reports findings through report.
+// Analyzer is one pass. Run receives every loaded package and reports
+// findings through report.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -71,9 +66,6 @@ var Analyzers = []*Analyzer{
 	SpanClose,
 	CtxFlow,
 	NoAlloc,
-	AtomicMix,
-	LockOrder,
-	LeakCheck,
 }
 
 // RunAnalyzers runs every analyzer over pkgs and returns the findings

@@ -15,7 +15,7 @@ import (
 // stdExports lists export data for the stdlib packages the fixtures
 // import (plus their dependency closure), once per test binary.
 var stdExports = sync.OnceValues(func() (map[string]string, error) {
-	_, exports, err := listPackages(".", "context", "errors", "fmt", "math/rand", "sync", "sync/atomic")
+	_, exports, err := listPackages(".", "context", "errors", "fmt", "math/rand")
 	return exports, err
 })
 
@@ -128,9 +128,6 @@ func TestGoldenSuppressionsPresent(t *testing.T) {
 		"spanclose": "//pgvet:spanok ",
 		"ctxflow":   "//pgvet:ctxbg ",
 		"noalloc":   "//pgvet:allocok ",
-		"atomicmix": "//pgvet:nonatomic ",
-		"lockorder": "//pgvet:lockok ",
-		"leakcheck": "//pgvet:leakok ",
 	}
 	for _, a := range Analyzers {
 		src, err := os.ReadFile(filepath.Join("testdata", "src", a.Name, a.Name+".go"))

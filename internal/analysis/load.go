@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -12,13 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -30,8 +24,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-
-	dirCache map[*ast.File]directives // lazily parsed //pgvet: annotations per file
 }
 
 // Load resolves patterns with `go list -json -export -deps` run in dir,
@@ -43,24 +35,10 @@ type Package struct {
 // production-path contracts, and two of them (math/rand global state, map
 // iteration) are deliberately looser in tests.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, _, err := LoadWithStats(dir, patterns...)
-	return pkgs, err
-}
-
-// LoadStats reports how a Load resolved, for the CLI's timing line.
-type LoadStats struct {
-	Packages int  // directly-matched packages type-checked from source
-	CacheHit bool // go list metadata came from the on-disk cache
-}
-
-// LoadWithStats is Load plus resolution metadata.
-func LoadWithStats(dir string, patterns ...string) ([]*Package, LoadStats, error) {
-	var stats LoadStats
-	targets, exports, hit, err := listPackagesCached(dir, patterns...)
+	targets, exports, err := listPackages(dir, patterns...)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	stats.CacheHit = hit
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
 
@@ -71,33 +49,32 @@ func LoadWithStats(dir string, patterns ...string) ([]*Package, LoadStats, error
 		// that does not compile (or a cgo package, which go list exports
 		// only when cgo preprocessing ran) both land here.
 		if len(t.CgoFiles) > 0 {
-			return nil, stats, fmt.Errorf("pgvet: package %s uses cgo, which pgvet does not analyze", t.ImportPath)
+			return nil, fmt.Errorf("pgvet: package %s uses cgo, which pgvet does not analyze", t.ImportPath)
 		}
 		for _, ipath := range t.Imports {
 			if ipath == "unsafe" || ipath == "C" {
 				continue
 			}
 			if _, ok := exports[ipath]; !ok {
-				return nil, stats, fmt.Errorf("pgvet: package %s: no compiled export data for import %q (does it build?)", t.ImportPath, ipath)
+				return nil, fmt.Errorf("pgvet: package %s: no compiled export data for import %q (does it build?)", t.ImportPath, ipath)
 			}
 		}
 		var files []*ast.File
 		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				return nil, stats, fmt.Errorf("pgvet: %w", err)
+				return nil, fmt.Errorf("pgvet: %w", err)
 			}
 			files = append(files, f)
 		}
 		pkg, err := Check(fset, t.ImportPath, files, imp)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		pkg.Dir = t.Dir
 		pkgs = append(pkgs, pkg)
 	}
-	stats.Packages = len(pkgs)
-	return pkgs, stats, nil
+	return pkgs, nil
 }
 
 // listPkg is the subset of `go list -json` output the loader reads.
@@ -117,27 +94,15 @@ type listPkg struct {
 // directly-matched packages plus an import-path → export-data-file map
 // covering everything listed (matches and dependencies alike).
 func listPackages(dir string, patterns ...string) ([]listPkg, map[string]string, error) {
-	raw, err := runGoList(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parseListOutput(raw)
-}
-
-func runGoList(dir string, patterns ...string) ([]byte, error) {
 	cmd := exec.Command("go", append([]string{"list", "-json", "-export", "-deps"}, patterns...)...)
 	cmd.Dir = dir
-	out, err := cmd.Output()
+	raw, err := cmd.Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("pgvet: go list: %s", bytes.TrimSpace(ee.Stderr))
+			return nil, nil, fmt.Errorf("pgvet: go list: %s", bytes.TrimSpace(ee.Stderr))
 		}
-		return nil, fmt.Errorf("pgvet: go list: %w", err)
+		return nil, nil, fmt.Errorf("pgvet: go list: %w", err)
 	}
-	return out, nil
-}
-
-func parseListOutput(raw []byte) ([]listPkg, map[string]string, error) {
 	var targets []listPkg
 	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -154,140 +119,6 @@ func parseListOutput(raw []byte) ([]listPkg, map[string]string, error) {
 		}
 	}
 	return targets, exports, nil
-}
-
-// listPackagesCached wraps listPackages with an on-disk cache of the raw
-// `go list` JSON. The -export listing is the slow half of a pgvet run (it
-// compiles anything stale), so repeat runs over an unchanged tree skip it
-// entirely. The key fingerprints everything that can change the answer:
-// toolchain version, resolved directory, patterns, and the name/size/mtime
-// of every .go, go.mod, and go.sum file under the directory and under the
-// root of every filesystem-path pattern (./..., ../...). A hit is
-// trusted only while every cached export-data file still exists (the build
-// cache may have been trimmed). PGVET_NOCACHE=1 disables the cache.
-func listPackagesCached(dir string, patterns ...string) ([]listPkg, map[string]string, bool, error) {
-	if os.Getenv("PGVET_NOCACHE") != "" {
-		targets, exports, err := listPackages(dir, patterns...)
-		return targets, exports, false, err
-	}
-	fp, err := listFingerprint(dir, patterns)
-	if err != nil {
-		// Fingerprinting failed (permission hole, racing deletes): list
-		// without the cache rather than failing the run.
-		targets, exports, err := listPackages(dir, patterns...)
-		return targets, exports, false, err
-	}
-	path := filepath.Join(os.TempDir(), "pgvet-list-"+fp+".json")
-	if raw, err := os.ReadFile(path); err == nil {
-		if targets, exports, err := parseListOutput(raw); err == nil && exportsExist(exports) {
-			return targets, exports, true, nil
-		}
-	}
-	raw, err := runGoList(dir, patterns...)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	targets, exports, err := parseListOutput(raw)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	// Best-effort write-then-rename; a failed write only costs the next
-	// run a re-list.
-	if tmp, cerr := os.CreateTemp(os.TempDir(), "pgvet-list-*"); cerr == nil {
-		if _, werr := tmp.Write(raw); werr == nil && tmp.Close() == nil {
-			_ = os.Rename(tmp.Name(), path)
-		} else {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}
-	return targets, exports, false, nil
-}
-
-func exportsExist(exports map[string]string) bool {
-	for _, f := range exports {
-		if _, err := os.Stat(f); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// listFingerprint hashes the inputs that determine `go list -export`
-// output for dir+patterns. Hidden, underscore, and testdata directories
-// are skipped — go list ignores them too. Filesystem-path patterns
-// (./..., ../...) resolve packages that may live outside dir, so their
-// roots are walked too: a file added under ../.. must invalidate a cache
-// entry keyed from a subdirectory.
-func listFingerprint(dir string, patterns []string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	roots := []string{abs}
-	for _, p := range patterns {
-		if p != "." && !strings.HasPrefix(p, "./") && !strings.HasPrefix(p, "..") {
-			continue // import-path pattern; resolves inside the module tree
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
-		if base == "" {
-			base = "."
-		}
-		r, err := filepath.Abs(filepath.Join(abs, base))
-		if err != nil {
-			return "", err
-		}
-		roots = append(roots, r)
-	}
-	// Drop roots nested inside another root so no file hashes twice.
-	sort.Strings(roots)
-	walked := roots[:0]
-	for _, r := range roots {
-		nested := false
-		for _, k := range walked {
-			if r == k || strings.HasPrefix(r, k+string(filepath.Separator)) {
-				nested = true
-				break
-			}
-		}
-		if !nested {
-			walked = append(walked, r)
-		}
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00", runtime.Version(), abs, strings.Join(patterns, "\x00"))
-	for _, root := range walked {
-		fmt.Fprintf(h, "root:%s\x00", root)
-		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			name := d.Name()
-			if d.IsDir() {
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return fs.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(name, ".go") && name != "go.mod" && name != "go.sum" {
-				return nil
-			}
-			info, err := d.Info()
-			if err != nil {
-				return err
-			}
-			rel, rerr := filepath.Rel(root, path)
-			if rerr != nil {
-				rel = path
-			}
-			fmt.Fprintf(h, "%s\x00%d\x00%d\x00", rel, info.Size(), info.ModTime().UnixNano())
-			return nil
-		})
-		if err != nil {
-			return "", err
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
 // exportImporter resolves imports from build-cache export data files —

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,82 +23,5 @@ func TestCheckMissingExportData(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sync") {
 		t.Errorf("error does not name the missing package: %v", err)
-	}
-}
-
-// TestLoadCacheHit proves the go-list metadata cache round-trips: an
-// unchanged tree resolves from cache on the second load.
-func TestLoadCacheHit(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module cachefix\n\ngo 1.24\n")
-	writeFile(t, filepath.Join(dir, "a.go"), "package a\n\nfunc A() int { return 1 }\n")
-	t.Setenv("PGVET_NOCACHE", "")
-	if os.Getenv("PGVET_NOCACHE") != "" {
-		t.Fatal("PGVET_NOCACHE leaked into the test environment")
-	}
-
-	if _, _, err := LoadWithStats(dir, "./..."); err != nil {
-		t.Fatalf("first load: %v", err)
-	}
-	pkgs, stats, err := LoadWithStats(dir, "./...")
-	if err != nil {
-		t.Fatalf("second load: %v", err)
-	}
-	if !stats.CacheHit {
-		t.Error("second load over an unchanged tree did not hit the metadata cache")
-	}
-	if stats.Packages != 1 || len(pkgs) != 1 {
-		t.Errorf("loaded %d packages (stats %d), want 1", len(pkgs), stats.Packages)
-	}
-
-	// Touching a source file must invalidate the fingerprint.
-	writeFile(t, filepath.Join(dir, "a.go"), "package a\n\nfunc A() int { return 2 }\n")
-	_, stats, err = LoadWithStats(dir, "./...")
-	if err != nil {
-		t.Fatalf("third load: %v", err)
-	}
-	if stats.CacheHit {
-		t.Error("load after an edit reused stale cached metadata")
-	}
-}
-
-// TestLoadCachePatternOutsideDir pins the fingerprint's coverage of
-// filesystem-path patterns that resolve outside the load directory: a
-// file added at the module root must invalidate a cache entry keyed
-// from a subdirectory with a ../... pattern (the real-world shape is
-// `go test ./cmd/pgvet` running the suite over the whole repo).
-func TestLoadCachePatternOutsideDir(t *testing.T) {
-	root := t.TempDir()
-	sub := filepath.Join(root, "sub")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(root, "go.mod"), "module cachefix\n\ngo 1.24\n")
-	writeFile(t, filepath.Join(root, "a.go"), "package a\n\nfunc A() int { return 1 }\n")
-	writeFile(t, filepath.Join(sub, "sub.go"), "package sub\n\nfunc S() int { return 1 }\n")
-	t.Setenv("PGVET_NOCACHE", "")
-
-	if _, _, err := LoadWithStats(sub, "./...", "../..."); err != nil {
-		t.Fatalf("first load: %v", err)
-	}
-	_, stats, err := LoadWithStats(sub, "./...", "../...")
-	if err != nil {
-		t.Fatalf("second load: %v", err)
-	}
-	if !stats.CacheHit {
-		t.Error("second load over an unchanged tree did not hit the metadata cache")
-	}
-
-	// A brand-new file outside the load directory must miss the cache.
-	writeFile(t, filepath.Join(root, "b.go"), "package a\n\nfunc B() int { return 2 }\n")
-	_, stats, err = LoadWithStats(sub, "./...", "../...")
-	if err != nil {
-		t.Fatalf("third load: %v", err)
-	}
-	if stats.CacheHit {
-		t.Error("load after adding a file outside the load dir reused stale cached metadata")
-	}
-	if stats.Packages != 2 {
-		t.Errorf("loaded %d packages, want 2", stats.Packages)
 	}
 }

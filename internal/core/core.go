@@ -86,16 +86,14 @@ type View struct {
 	Generation uint64
 
 	Graphs []*prob.PGraph
-	// Engines are not persisted: after a snapshot load they are rebuilt
-	// lazily (junction-tree construction is deterministic).
-	Engines []*prob.Engine
 	// Certain[i] aliases Graphs[i].G; the snapshot loader re-derives it.
 	Certain []*graph.Graph
 
-	// engLazy backs nil Engines slots from snapshot loads, resolved on
-	// first use by View.Engine. The slice is shared by COW successor
-	// views; see engine.go for the sharing argument.
-	engLazy []atomic.Pointer[prob.Engine]
+	// engines[i] is slot i's engine cell, read through View.Engine; nil
+	// for a slot RemoveGraph tombstoned. Engines are not persisted: a
+	// snapshot load starts with empty cells (junction-tree construction is
+	// deterministic).
+	engines []*engineCell
 
 	Features []*feature.Feature
 	PMI      *pmi.Index
@@ -207,12 +205,14 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 		return nil, fmt.Errorf("core: empty database")
 	}
 	v := &View{Generation: 1, Graphs: graphs, opt: opt, liveCount: len(graphs)}
+	engines := make([]*prob.Engine, len(graphs))
 	for i, pg := range graphs {
 		eng, err := prob.NewEngine(pg)
 		if err != nil {
 			return nil, fmt.Errorf("core: graph %d: %w", i, err)
 		}
-		v.Engines = append(v.Engines, eng)
+		engines[i] = eng
+		v.engines = append(v.engines, newEngineCell(eng))
 		v.Certain = append(v.Certain, pg.G)
 	}
 
@@ -228,7 +228,7 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 
 	if !opt.SkipPMI {
 		t2 := time.Now()
-		idx, err := pmi.Build(graphs, v.Engines, v.Features, opt.PMI)
+		idx, err := pmi.Build(graphs, engines, v.Features, opt.PMI)
 		if err != nil {
 			return nil, fmt.Errorf("core: building PMI: %w", err)
 		}
@@ -363,7 +363,7 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 	}
 	gi := len(v.Graphs)
 	nv.Graphs = append(v.Graphs, pg)
-	nv.Engines = append(v.Engines, eng)
+	nv.engines = append(v.engines, newEngineCell(eng))
 	nv.Certain = append(v.Certain, pg.G)
 	if v.live != nil {
 		nv.live = append(v.live, true)
@@ -414,15 +414,12 @@ func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
 	nv.live[id] = false
 	nv.liveCount = v.liveCount - 1
 	// Dead slots are never queried: the successor is data-free for the slot —
-	// graph, JPTs and engine let go, the PMI column freed (pinned views keep
-	// theirs; a lazily loaded slot's engine lives in the shared engLazy) —
-	// or an uncompacted server retains every graph it ever held. A snapshot
-	// of the successor writes the empty graph in the slot.
+	// graph, JPTs and engine cell let go, the PMI column freed (pinned views
+	// keep theirs) — or an uncompacted server retains every graph it ever
+	// held. A snapshot of the successor writes the empty graph in the slot.
 	nv.Graphs = cloneWith(v.Graphs, id, deadGraph)
 	nv.Certain = cloneWith(v.Certain, id, deadGraph.G)
-	if v.Engines[id] != nil {
-		nv.Engines = cloneWith(v.Engines, id, nil)
-	}
+	nv.engines = cloneWith(v.engines, id, nil)
 	if v.Struct != nil {
 		nv.Struct = v.Struct.WithTombstone(id)
 	}
@@ -475,7 +472,7 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 		nv.Build.IndexSizeBytes = npmi.SizeBytes()
 	}
 	nv.Graphs = cloneWith(v.Graphs, id, pg)
-	nv.Engines = cloneWith(v.Engines, id, eng)
+	nv.engines = cloneWith(v.engines, id, newEngineCell(eng))
 	nv.Certain = cloneWith(v.Certain, id, pg.G)
 	if v.Struct != nil {
 		nv.Struct = v.Struct.WithReplaced(id, pg.G)
@@ -524,54 +521,8 @@ func (db *Database) maybeCompact(nv *View) *View {
 
 // compactView builds the tombstone-free successor of v.
 func compactView(v *View) *View {
-	nv := &View{
-		Generation: v.Generation + 1,
-		opt:        v.opt,
-		Build:      v.Build,
-	}
-	remap := make([]int, len(v.Graphs)) // old slot → new slot, -1 when dead
-	for gi := range v.Graphs {
-		if !v.Live(gi) {
-			remap[gi] = -1
-			continue
-		}
-		remap[gi] = len(nv.Graphs)
-		nv.Graphs = append(nv.Graphs, v.Graphs[gi])
-		nv.Engines = append(nv.Engines, v.Engines[gi])
-		nv.Certain = append(nv.Certain, v.Certain[gi])
-	}
-	nv.liveCount = len(nv.Graphs)
-	nv.Features = make([]*feature.Feature, len(v.Features))
-	for i, f := range v.Features {
-		cp := *f
-		cp.Support = nil
-		for _, gi := range f.Support {
-			if gi < len(remap) && remap[gi] >= 0 {
-				cp.Support = append(cp.Support, remap[gi])
-			}
-		}
-		nv.Features[i] = &cp
-	}
-	// Lazily loaded engine slots stay lazy across compaction: survivors
-	// keep their (renumbered) cache slot, with already-resolved engines
-	// carried over so no work is repeated.
-	if v.engLazy != nil {
-		nv.engLazy = make([]atomic.Pointer[prob.Engine], len(nv.Graphs))
-		for gi, ni := range remap {
-			if ni >= 0 && nv.Engines[ni] == nil && gi < len(v.engLazy) {
-				if e := v.engLazy[gi].Load(); e != nil {
-					nv.engLazy[ni].Store(e)
-				}
-			}
-		}
-	}
-	if v.Struct != nil {
-		nv.Struct = v.Struct.Compacted()
-	}
-	if v.PMI != nil {
-		nv.PMI = v.PMI.CompactedColumns()
-		nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
-	}
+	nv := v.project(v.Live)
+	nv.Generation = v.Generation + 1
 	return nv
 }
 

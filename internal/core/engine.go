@@ -7,47 +7,42 @@ import (
 	"probgraph/internal/prob"
 )
 
-// Snapshot loads defer inference-engine construction: junction trees are
-// the one genuinely expensive per-graph piece of a load, and a serving
-// process typically queries a small, hot subset of slots long before it
-// touches every graph. A deferred slot has Engines[gi] == nil and resolves
-// through Engine on first use.
+// engineCell holds one slot's inference engine. NewDatabase and the
+// mutations fill a cell when they create it; a snapshot load leaves it
+// empty, because junction trees are the one genuinely expensive per-graph
+// piece of a load and a serving process queries a small, hot subset of
+// slots long before it touches every graph. View.Engine fills an empty
+// cell on first use.
 //
-// The lazy cache is a slice of atomic pointers shared by every view
-// descended from the load (the slice header is copied by the
-// copy-on-write mutations, the slots are shared). That sharing is sound
-// because a slot's engine is a pure function of the graph occupying it at
-// load time: mutations that change a slot's graph (ReplaceGraph) install
-// a non-nil Engines entry in their successor views, which shadows the
-// lazy slot — old views still resolve the old graph's engine through the
-// cache, new views never consult it. Concurrent resolvers may race to
-// build the same engine; construction is deterministic, the CAS keeps one
-// winner, and the loser's work is discarded — results are identical
-// either way.
+// Copy-on-write successors share the cells of the slots they do not
+// change, so an engine is resolved once for all of them; a mutation that
+// changes a slot gives its successor a new cell (ReplaceGraph) or none
+// (RemoveGraph), and the old cell — resolved or not — stays reachable
+// only from the views pinned before it.
+type engineCell = atomic.Pointer[prob.Engine]
+
+func newEngineCell(e *prob.Engine) *engineCell {
+	c := new(engineCell)
+	c.Store(e)
+	return c
+}
 
 // Engine returns slot gi's inference engine, building it on first use for
-// slots loaded lazily from a snapshot. Safe for concurrent use.
+// slots loaded from a snapshot. Safe for concurrent use: resolvers may
+// race to build the same engine; construction is deterministic, the CAS
+// keeps one winner, and the loser's work is discarded.
 func (v *View) Engine(gi int) (*prob.Engine, error) {
-	if e := v.Engines[gi]; e != nil {
-		return e, nil
-	}
-	if v.engLazy == nil || gi >= len(v.engLazy) {
+	cell := v.engines[gi]
+	if cell == nil {
 		return nil, fmt.Errorf("core: graph %d has no engine", gi)
 	}
-	if e := v.engLazy[gi].Load(); e != nil {
+	if e := cell.Load(); e != nil {
 		return e, nil
 	}
 	e, err := prob.NewEngine(v.Graphs[gi])
 	if err != nil {
 		return nil, fmt.Errorf("core: graph %d engine: %w", gi, err)
 	}
-	v.engLazy[gi].CompareAndSwap(nil, e)
-	return v.engLazy[gi].Load(), nil
-}
-
-// newLazyEngines prepares the engine slots of a freshly loaded view: all
-// n slots nil, backed by a lazy cache.
-func (v *View) newLazyEngines(n int) {
-	v.Engines = make([]*prob.Engine, n)
-	v.engLazy = make([]atomic.Pointer[prob.Engine], n)
+	cell.CompareAndSwap(nil, e)
+	return cell.Load(), nil
 }

@@ -87,9 +87,9 @@ func TestAddGraphBookkeepingAfterCommit(t *testing.T) {
 	if _, after := db.View().Struct.PostingsStats(); after <= postingsBefore {
 		t.Fatalf("structural postings did not grow: %d -> %d", postingsBefore, after)
 	}
-	if v := db.View(); len(v.Graphs) != len(v.Engines) || len(v.Graphs) != len(v.Certain) {
+	if v := db.View(); len(v.Graphs) != len(v.engines) || len(v.Graphs) != len(v.Certain) {
 		t.Fatalf("parallel slices diverged: %d graphs, %d engines, %d certain",
-			len(v.Graphs), len(v.Engines), len(v.Certain))
+			len(v.Graphs), len(v.engines), len(v.Certain))
 	}
 
 	// Without a PMI the stat must stay untouched (no stale PMI size).

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
@@ -236,7 +237,7 @@ func TestMutationEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := db.SaveAs(&snap, SnapshotText); err != nil {
+	if err := db.View().SaveAs(&snap, SnapshotText); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDatabase(bytes.NewReader(snap.Bytes()))
@@ -417,9 +418,20 @@ func TestRemoveGraphSemantics(t *testing.T) {
 // engine from the successor view — an uncompacted server otherwise retains
 // one per graph ever added — while a view pinned before the removal keeps
 // its engine and its answers, and compaction and range saves, which only
-// carry live slots, go on as before.
+// carry live slots, go on as before. The same holds on a snapshot-loaded
+// database, whose cells start empty.
 func TestRemoveGraphReleasesEngine(t *testing.T) {
-	db, raw := smallDatabase(t, 2501, 6, true)
+	built, raw := smallDatabase(t, 2501, 6, true)
+	loaded := roundTripAs(t, built, SnapshotBinary)
+	for _, row := range []struct {
+		name string
+		db   *Database
+	}{{"built", built}, {"loaded", loaded}} {
+		t.Run(row.name, func(t *testing.T) { removeGraphReleasesEngine(t, row.db, raw) })
+	}
+}
+
+func removeGraphReleasesEngine(t *testing.T, db *Database, raw *dataset.DB) {
 	rng := rand.New(rand.NewSource(2502))
 	q := dataset.ExtractQuery(raw.Graphs[0].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 29}
@@ -440,14 +452,14 @@ func TestRemoveGraphReleasesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := db.View()
-	if v.Engines[gi] != nil || v.Engines[0] != nil {
+	if v.engines[gi] != nil || v.engines[0] != nil {
 		t.Fatal("tombstoned slots still hold their engines")
 	}
-	if pinned.Engines[gi] == nil || pinned.Engines[0] == nil {
+	if pinned.engines[gi] == nil || pinned.engines[0] == nil {
 		t.Fatal("the removal reached into a pinned view's engines")
 	}
 	for i := 1; i < gi; i++ {
-		if v.Engines[i] != pinned.Engines[i] {
+		if v.engines[i] != pinned.engines[i] {
 			t.Fatalf("live slot %d lost or changed its engine", i)
 		}
 	}
@@ -487,7 +499,7 @@ func TestRemoveGraphReleasesEngine(t *testing.T) {
 	}
 	cv := db.View()
 	for i := range cv.Graphs {
-		if cv.Engines[i] != pinned.Engines[i+1] {
+		if cv.engines[i] != pinned.engines[i+1] {
 			t.Fatalf("compaction did not carry survivor %d's engine", i)
 		}
 	}
@@ -497,6 +509,56 @@ func TestRemoveGraphReleasesEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Answers, ref.Answers) || !reflect.DeepEqual(res.SSP, ref.SSP) {
 		t.Fatalf("compacted database: %v %v, fresh build %v %v", res.Answers, res.SSP, ref.Answers, ref.SSP)
+	}
+}
+
+// TestMutatedSlotReleasesResolvedEngine: once the views pinned before a
+// removal or a replacement are dropped, the slot's old engine is garbage —
+// also on a snapshot-loaded database, where queries resolve engines into
+// cells the successor views share, and with compaction off, as pgserve
+// runs.
+func TestMutatedSlotReleasesResolvedEngine(t *testing.T) {
+	built, raw := smallDatabase(t, 2601, 6, true)
+	loaded := roundTripAs(t, built, SnapshotBinary)
+	q := dataset.ExtractQuery(raw.Graphs[1].G, 4, rand.New(rand.NewSource(2602)))
+	for _, row := range []struct {
+		name string
+		db   *Database
+	}{{"built", built}, {"loaded", loaded}} {
+		t.Run(row.name, func(t *testing.T) {
+			db := row.db
+			pinned := db.View()
+			if _, err := pinned.QueryCtx(bg, q, QueryOptions{Epsilon: 0.3, Delta: 1, SkipProbPruning: true, Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			freed := make(chan int, 2)
+			for _, gi := range []int{1, 3} {
+				e, err := pinned.Engine(gi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.SetFinalizer(e, func(*prob.Engine) { freed <- gi })
+			}
+			pinned = nil
+			if _, err := db.RemoveGraph(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.ReplaceGraph(3, extraGraphs(t, 2603, 1)[0]); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.After(10 * time.Second)
+			for n := 0; n < 2; {
+				runtime.GC()
+				select {
+				case <-freed:
+					n++
+				case <-time.After(10 * time.Millisecond):
+				case <-deadline:
+					t.Fatalf("%d of the 2 old engines are still reachable from the database", 2-n)
+				}
+			}
+			runtime.KeepAlive(db)
+		})
 	}
 }
 
@@ -602,9 +664,9 @@ func TestChurnMutationsDuringQueries(t *testing.T) {
 			workers := []int{1, 4, -1}[r%3]
 			for i := 0; i < 25; i++ {
 				v := db.View()
-				if len(v.Graphs) != len(v.Engines) || len(v.Graphs) != len(v.Certain) {
+				if len(v.Graphs) != len(v.engines) || len(v.Graphs) != len(v.Certain) {
 					t.Errorf("view %d: ragged slot arrays (%d, %d, %d)",
-						v.Generation, len(v.Graphs), len(v.Engines), len(v.Certain))
+						v.Generation, len(v.Graphs), len(v.engines), len(v.Certain))
 					return
 				}
 				q := qs[(r+i)%len(qs)]
@@ -689,7 +751,7 @@ func TestMutationsOnZeroFeatureVocabulary(t *testing.T) {
 	}
 	// Save→load→mutate→compact round trip keeps working too.
 	var snap bytes.Buffer
-	if err := db.SaveAs(&snap, SnapshotText); err != nil {
+	if err := db.View().SaveAs(&snap, SnapshotText); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDatabase(bytes.NewReader(snap.Bytes()))

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"probgraph/internal/feature"
-	"probgraph/internal/prob"
 )
 
 // Range builds the partition of this view holding global ids [lo, hi):
@@ -31,29 +29,42 @@ func (v *View) Range(lo, hi int) (*View, error) {
 	if lo < 0 || hi > v.Len() || lo >= hi {
 		return nil, fmt.Errorf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, v.Len())
 	}
-	nv := &View{
-		Generation: v.Generation,
-		opt:        v.opt,
-		Build:      v.Build,
+	var gids []int
+	for gi := lo; gi < hi; gi++ {
+		if v.Live(gi) {
+			gids = append(gids, gi)
+		}
 	}
-	// remap: old slot → partition slot, -1 when outside the range or
-	// tombstoned. Same shape as compactView, plus the range restriction.
-	remap := make([]int, v.Len())
-	var dead []int
+	if len(gids) == 0 {
+		return nil, fmt.Errorf("core: range [%d,%d) holds no live graphs", lo, hi)
+	}
+	nv := v.project(func(gi int) bool { return lo <= gi && gi < hi && v.Live(gi) })
+	nv.Generation, nv.gids = v.Generation, gids
+	return nv, nil
+}
+
+// project builds the view holding the slots keep selects, renumbered
+// contiguously in slot order with their graphs and engine cells, the full
+// mined feature vocabulary carried over (supports remapped). Masking every
+// other slot and compacting restricts the indices to the kept graphs —
+// postings rows and PMI bound entries for the survivors are carried over
+// bitwise, so pruning decisions on the projection match the source's.
+// Compaction and range partitioning are this one projection; the caller
+// sets Generation and gids.
+func (v *View) project(keep func(gi int) bool) *View {
+	nv := &View{opt: v.opt, Build: v.Build}
+	remap := make([]int, v.Len()) // old slot → new slot, -1 when dropped
+	var dropped []int
 	for gi := range v.Graphs {
-		if gi < lo || gi >= hi || !v.Live(gi) {
+		if !keep(gi) {
 			remap[gi] = -1
-			dead = append(dead, gi)
+			dropped = append(dropped, gi)
 			continue
 		}
 		remap[gi] = len(nv.Graphs)
 		nv.Graphs = append(nv.Graphs, v.Graphs[gi])
-		nv.Engines = append(nv.Engines, v.Engines[gi])
+		nv.engines = append(nv.engines, v.engines[gi])
 		nv.Certain = append(nv.Certain, v.Certain[gi])
-		nv.gids = append(nv.gids, gi)
-	}
-	if len(nv.Graphs) == 0 {
-		return nil, fmt.Errorf("core: range [%d,%d) holds no live graphs", lo, hi)
 	}
 	nv.liveCount = len(nv.Graphs)
 	nv.Features = make([]*feature.Feature, len(v.Features))
@@ -67,29 +78,14 @@ func (v *View) Range(lo, hi int) (*View, error) {
 		}
 		nv.Features[i] = &cp
 	}
-	if v.engLazy != nil {
-		nv.engLazy = make([]atomic.Pointer[prob.Engine], len(nv.Graphs))
-		for gi, ni := range remap {
-			if ni >= 0 && nv.Engines[ni] == nil && gi < len(v.engLazy) {
-				if e := v.engLazy[gi].Load(); e != nil {
-					nv.engLazy[ni].Store(e)
-				}
-			}
-		}
-	}
-	// Masking every out-of-partition slot and compacting restricts the
-	// indices to the partition's graphs while keeping the full feature
-	// vocabulary — postings rows and PMI bound entries for the survivors
-	// are carried over bitwise, so shard-side pruning decisions match the
-	// full database's.
 	if v.Struct != nil {
-		nv.Struct = v.Struct.WithTombstones(dead).Compacted()
+		nv.Struct = v.Struct.WithTombstones(dropped).Compacted()
 	}
 	if v.PMI != nil {
-		nv.PMI = v.PMI.WithMaskedColumns(dead).CompactedColumns()
+		nv.PMI = v.PMI.WithMaskedColumns(dropped).CompactedColumns()
 		nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
 	}
-	return nv, nil
+	return nv
 }
 
 // Partition wraps View.Range in a Database, ready to serve. The database
@@ -113,12 +109,6 @@ func (v *View) SaveRange(w io.Writer, lo, hi int, format SnapshotFormat) error {
 		return err
 	}
 	return pv.SaveAs(w, format)
-}
-
-// SaveRange writes a range partition of the current view; see
-// View.SaveRange.
-func (db *Database) SaveRange(w io.Writer, lo, hi int, format SnapshotFormat) error {
-	return db.View().SaveRange(w, lo, hi, format)
 }
 
 // SaveRangeFile atomically writes a range partition of the current view

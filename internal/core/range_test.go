@@ -141,7 +141,7 @@ func TestRangeSnapshotRoundTrip(t *testing.T) {
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 5}
 	for _, format := range []SnapshotFormat{SnapshotText, SnapshotBinary} {
 		var buf bytes.Buffer
-		if err := db.SaveRange(&buf, 4, 10, format); err != nil {
+		if err := db.View().SaveRange(&buf, 4, 10, format); err != nil {
 			t.Fatal(err)
 		}
 		part, err := LoadDatabase(bytes.NewReader(buf.Bytes()))

@@ -91,13 +91,6 @@ func (v *View) SaveAs(w io.Writer, format SnapshotFormat) error {
 	return fmt.Errorf("core: unknown snapshot format %q", format)
 }
 
-// SaveAs writes the current view in the given format. The view is pinned
-// once at entry, so a snapshot taken under concurrent mutation is one
-// consistent generation.
-func (db *Database) SaveAs(w io.Writer, format SnapshotFormat) error {
-	return db.View().SaveAs(w, format)
-}
-
 // encode writes the view's sections in file order; open starts a section
 // and returns the encoder for its payload.
 func (v *View) encode(open func(section) snapbin.Encoder) error {
@@ -346,6 +339,9 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 		}
 	}
 
-	v.newLazyEngines(n)
+	v.engines = make([]*engineCell, n)
+	for gi := range v.engines {
+		v.engines[gi] = new(engineCell)
+	}
 	return v, nil
 }

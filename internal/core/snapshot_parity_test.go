@@ -21,7 +21,6 @@ import (
 // feature.Feature must come back deep-equal — so a field added to one of
 // those structs and forgotten in its encode/decode pair fails here.
 var notPersisted = map[string]string{
-	"View.Engines": "engines are rebuilt lazily after a load (junction-tree construction is deterministic)",
 	"View.Certain": "each entry aliases Graphs[i].G; the loader re-derives the slice",
 	"View.Build":   "build-time metrics, not state; the loader repopulates the fields queries read",
 	"Index.Codes":  "canonical codes are re-derived from Features at load time",
@@ -101,10 +100,10 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 		t.Errorf("%s: options, live mask or global ids changed across the round trip", label)
 	}
 
-	// View.Engines, View.Certain, View.Build: re-derived.
+	// View.engines, View.Certain, View.Build: re-derived.
 	n := len(got.Graphs)
-	if len(got.Engines) != n || len(got.Certain) != n {
-		t.Fatalf("%s: %d engine slots and %d certain graphs for %d graphs", label, len(got.Engines), len(got.Certain), n)
+	if len(got.engines) != n || len(got.Certain) != n {
+		t.Fatalf("%s: %d engine slots and %d certain graphs for %d graphs", label, len(got.engines), len(got.Certain), n)
 	}
 	for gi := range got.Graphs {
 		if got.Certain[gi] != got.Graphs[gi].G {

@@ -36,7 +36,7 @@ func Serve(logger *slog.Logger, addr, pprofAddr string, h http.Handler, attrs ..
 		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		//pgvet:leakok the pprof listener is process-lifetime by design; it dies with the process
+		// The pprof listener is process-lifetime by design; it dies with the process.
 		go func() {
 			logger.Info("pprof listening", "addr", pprofAddr)
 			if err := http.ListenAndServe(pprofAddr, pm); err != nil {
@@ -61,7 +61,7 @@ func Serve(logger *slog.Logger, addr, pprofAddr string, h http.Handler, attrs ..
 	}
 
 	errc := make(chan error, 1)
-	//pgvet:leakok lives exactly until ListenAndServe returns; the buffered send can never block
+	// Lives exactly until ListenAndServe returns; the buffered send can never block.
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("serving", append([]any{"addr", addr}, attrs...)...)
 

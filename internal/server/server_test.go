@@ -43,7 +43,7 @@ func newTestEnv(t *testing.T, opt Options) *testEnv {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := fresh.SaveAs(&snap, core.SnapshotText); err != nil {
+	if err := fresh.View().SaveAs(&snap, core.SnapshotText); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := core.LoadDatabase(&snap)

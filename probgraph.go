@@ -228,7 +228,7 @@ type TopKItem = core.TopKItem
 type Match = core.Match
 
 // PMIIndex is the probabilistic matrix index; DatabaseView.PMI holds it. It
-// is persisted as part of the database snapshot (Database.SaveAs).
+// is persisted as part of the database snapshot (DatabaseView.SaveAs).
 type PMIIndex = pmi.Index
 
 // Dataset helpers.
@@ -273,8 +273,8 @@ func SaveDataset(w io.Writer, db *Dataset) error { return dataset.Save(w, db) }
 // LoadDataset reads a dataset written by SaveDataset.
 func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
 
-// LoadDatabase reads a full-database snapshot written by Database.SaveAs or
-// SaveFile (on the aliased core type), in either format: graphs, JPTs,
+// LoadDatabase reads a full-database snapshot written by DatabaseView.SaveAs
+// or Database.SaveFile (on the aliased core types), in either format: graphs, JPTs,
 // mined features, structural filter, and PMI restore bitwise-identical,
 // only the per-graph inference engines are rebuilt. No feature mining or
 // bound computation runs, which is what lets a serving process
@@ -283,7 +283,7 @@ func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
 func LoadDatabase(r io.Reader) (*Database, error) { return core.LoadDatabase(r) }
 
 // SnapshotFormat selects the on-disk snapshot encoding for SaveFile and
-// SaveAs (on the aliased core type): SnapshotText is the line-oriented
+// SaveAs (on the aliased core types): SnapshotText is the line-oriented
 // pgsnap v5 format, SnapshotBinary the mmap-friendly v4 one — two
 // renderings of the same sections. LoadDatabase and OpenSnapshot sniff the
 // format, so readers never choose.
@@ -306,8 +306,8 @@ func OpenSnapshot(path string) (*Database, error) { return core.OpenSnapshot(pat
 
 // PartitionRanges splits n database slots into the given number of
 // contiguous [lo, hi) ranges, as evenly as possible — the canonical
-// cluster partition rule behind Database.Partition / SaveRange (also on
-// the aliased core type) and pgproxy's sharded serving: each range is
+// cluster partition rule behind Database.Partition / SaveRangeFile (also
+// on the aliased core type) and pgproxy's sharded serving: each range is
 // saved as a read-only partition snapshot whose queries answer
 // bitwise-identically to the full database for the graphs it holds.
 func PartitionRanges(n, shards int) ([][2]int, error) { return core.PartitionRanges(n, shards) }
