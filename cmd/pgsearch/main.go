@@ -48,7 +48,7 @@
 // -workers. -stream implies NDJSON output and excludes -batch.
 //
 // -trace prints each query's span tree — pipeline stages (struct filter
-// with per-shard scan spans, relax, PMI prune, verify) with durations and
+// with its confirm span, relax, PMI prune, verify) with durations and
 // item counts — to stderr as JSON, leaving stdout untouched. Traced and
 // untraced runs return identical answers.
 package main
@@ -114,7 +114,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print results as JSON to stdout (suppresses tables)")
 	timeout := flag.Duration("timeout", 0, "deadline for the query run (0 = none; expiry exits 3)")
 	stream := flag.Bool("stream", false, "stream matches as NDJSON while verification admits them")
-	trace := flag.Bool("trace", false, "print each query's span tree (pipeline stages, per-shard scans) to stderr as JSON")
+	trace := flag.Bool("trace", false, "print each query's span tree (pipeline stages with durations and item counts) to stderr as JSON")
 	serverURL := flag.String("server", "", "query a running pgserve/pgproxy at this base URL instead of evaluating locally (requires -qfile)")
 	partition := flag.Int("partition", 0, "with -savesnap: split the database into N contiguous range shards, writing <savesnap>.shard<i> files")
 	flag.Parse()
@@ -221,8 +221,8 @@ func main() {
 		if *partition > 0 {
 			// One snapshot per contiguous range shard: <base>.shard<i> files
 			// each carry the full feature vocabulary plus that range's
-			// graphs, postings, and PMI columns — what cmd/pgproxy's fleet
-			// serves (see internal/cluster).
+			// graphs, structural count rows, and PMI columns — what
+			// cmd/pgproxy's fleet serves (see internal/cluster).
 			ranges, err := probgraph.PartitionRanges(db.Len(), *partition)
 			if err != nil {
 				log.Fatal(err)

@@ -18,11 +18,11 @@ import (
 //     a thin wrapper over its Ctx sibling, so calling the wrapper from a
 //     ctx-bearing function silently drops cancellation and tracing.
 //
-// Wrapper shims themselves (simsearch's one-line SCq → SCqCtx and
-// Candidates → CandidatesCtx forwarders; core's query methods exist in the
-// ctx-taking form only) do not receive a ctx, so they are out of scope by
-// construction. Deliberate detachment (e.g. a background flusher that
-// must outlive the request) is annotated //pgvet:ctxbg <why>.
+// Wrapper shims themselves (simsearch's one-line SCq → SCqCtx forwarder;
+// core's query methods exist in the ctx-taking form only) do not receive a
+// ctx, so they are out of scope by construction. Deliberate detachment
+// (e.g. a background flusher that must outlive the request) is annotated
+// //pgvet:ctxbg <why>.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "functions receiving a context must pass it on, not context.Background() or a ctx-less sibling",

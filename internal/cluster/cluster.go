@@ -9,9 +9,9 @@
 //
 //  1. Partition soundness (core.View.Range): the structural filter is
 //     exact, so a shard's candidate set is exactly the global candidate
-//     set intersected with its range, and the carried-over postings/PMI
-//     entries make every per-candidate decision on the shard bitwise
-//     equal to the full database's.
+//     set intersected with its range, and the carried-over count rows
+//     and PMI entries make every per-candidate decision on the shard
+//     bitwise equal to the full database's.
 //  2. Global-id seeding: every randomized per-candidate step seeds from
 //     the graph's global id, so a shard computes the very SSP estimate
 //     the single node computes for the same graph.

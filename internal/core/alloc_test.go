@@ -206,11 +206,10 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 		root.End()
 	})
 	// The traced run may allocate the trace, the root, and one span per
-	// pipeline stage / postings shard — a small constant. Anything that
-	// scales with candidates (the fixture corpus has 12) is a regression
-	// into the per-candidate hot path.
-	shards, _ := v.Struct.PostingsStats()
-	budget := plain + 8*float64(8+shards)
+	// pipeline stage — a small constant. Anything that scales with
+	// candidates (the fixture corpus has 12) is a regression into the
+	// per-candidate hot path.
+	budget := plain + 8*8
 	if traced > budget {
 		t.Errorf("traced query allocates %.1f, untraced %.1f; span overhead exceeds constant budget %.1f",
 			traced, plain, budget)
@@ -252,7 +251,7 @@ func TestInsertTopKNoAlloc(t *testing.T) {
 // TestTombstoneChurnRetainsNoGraphData is the ledger's serve-churn memory
 // row as a unit test: with auto-compaction off, 500 add/remove pairs may
 // grow the live heap only by what a dead slot legitimately keeps — its
-// structural count row and postings, and a few words of bookkeeping per
+// structural count row, and a few words of bookkeeping per
 // slice (slot pointers, liveness flags, the nil PMI column) — never the
 // graph, its JPTs, its engine or its PMI column.
 func TestTombstoneChurnRetainsNoGraphData(t *testing.T) {
@@ -309,15 +308,15 @@ func TestTombstoneChurnRetainsNoGraphData(t *testing.T) {
 	}
 	perPair := (heap() - before) / pairs
 	nf := int64(len(db.View().Struct.Features))
-	// Count row (4 B per structural feature), as much again for postings and
-	// append slack, and 256 B for the per-slot words of a dozen slices.
+	// Count row (4 B per structural feature), as much again for append
+	// slack, and 256 B for the per-slot words of a dozen slices.
 	ceiling := 8*nf + 256
 	t.Logf("retained per add/remove pair: %d B (ceiling %d B; a live graph holds %d B)", perPair, ceiling, perGraph)
 	if db.View().Tombstones() != pairs+1 {
 		t.Fatalf("%d tombstones, want %d", db.View().Tombstones(), pairs+1)
 	}
 	if perPair > ceiling {
-		t.Fatalf("an add/remove pair retains %d B, more than the %d B of postings and bookkeeping a dead slot may keep", perPair, ceiling)
+		t.Fatalf("an add/remove pair retains %d B, more than the %d B of count row and bookkeeping a dead slot may keep", perPair, ceiling)
 	}
 	runtime.KeepAlive(db)
 }

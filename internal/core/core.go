@@ -68,9 +68,9 @@ type BuildStats struct {
 //
 // Slots and tombstones: graphs occupy slots 0..Len()-1, and a slot's
 // index is the graph index queries report. RemoveGraph tombstones a slot
-// — its graph, engine and PMI column are released, the postings keep its
-// entries and every scan filters it — so surviving indices are stable
-// across removals. Compact drops the
+// — its graph, engine and PMI column are released, the structural index
+// keeps its count row and the scan skips it — so surviving indices are
+// stable across removals. Compact drops the
 // tombstones and renumbers the survivors contiguously (in slot order),
 // realigning per-candidate query seeding with a fresh NewDatabase over
 // the surviving graphs; the mined feature vocabulary is carried over
@@ -381,8 +381,8 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 
 // RemoveGraph tombstones slot id: the graph disappears from every
 // subsequent query (already-pinned views still see it) and its data is
-// released, while its postings stay in place, masked, until Compact
-// rewrites them.
+// released, while its structural count row stays in place, masked, until
+// Compact drops it.
 // Surviving graph indices are unchanged. The new generation is returned.
 func (db *Database) RemoveGraph(id int) (uint64, error) {
 	m, err := db.RemoveGraphInfo(id)
@@ -485,8 +485,9 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 }
 
 // Compact rewrites the database without its tombstoned slots: survivors
-// keep their relative order and are renumbered contiguously, the postings
-// and the PMI drop the dead entries, and feature supports are remapped.
+// keep their relative order and are renumbered contiguously, the
+// structural index and the PMI drop the dead entries, and feature supports
+// are remapped.
 // After Compact, per-candidate query seeding aligns with a fresh
 // NewDatabase over the surviving graphs (pruning-bypassed queries answer
 // bitwise-identically to one); the mined vocabulary is carried over, not

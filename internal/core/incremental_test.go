@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"probgraph/internal/dataset"
@@ -77,15 +78,15 @@ func TestAddGraphBookkeepingAfterCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, postingsBefore := db.View().Struct.PostingsStats()
-	if _, _, err := db.AddGraph(extra.Graphs[0]); err != nil {
+	gi, _, err := db.AddGraph(extra.Graphs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if want := db.View().PMI.SizeBytes(); db.Build().IndexSizeBytes != want {
 		t.Fatalf("IndexSizeBytes = %d, want PMI.SizeBytes() = %d", db.Build().IndexSizeBytes, want)
 	}
-	if _, after := db.View().Struct.PostingsStats(); after <= postingsBefore {
-		t.Fatalf("structural postings did not grow: %d -> %d", postingsBefore, after)
+	if cand, err := db.View().Struct.CandidatesCtx(bg, extra.Graphs[0].G, 0, 1); err != nil || !slices.Contains(cand, gi) {
+		t.Fatalf("structural filter keeps %v (err %v) for the added graph itself: slot %d has no count row", cand, err, gi)
 	}
 	if v := db.View(); len(v.Graphs) != len(v.engines) || len(v.Graphs) != len(v.Certain) {
 		t.Fatalf("parallel slices diverged: %d graphs, %d engines, %d certain",

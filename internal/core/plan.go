@@ -74,8 +74,8 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	sp.EndCount(int64(len(p.u)))
 	p.stats.RelaxedQueries = len(p.u)
 
-	// Structural pruning (Theorem 1). The inverted-postings scan and the
-	// exact confirmations share the query's worker pool.
+	// Structural pruning (Theorem 1). The count scan is serial; the exact
+	// confirmations run on the query's worker pool.
 	var err error
 	t0 := time.Now()
 	sp = parent.Child("struct_filter")

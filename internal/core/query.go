@@ -166,7 +166,7 @@ type Result struct {
 // view. Candidates are evaluated on a pool of opt.Concurrency workers; see
 // QueryOptions for the determinism guarantee. Cancellation (or a deadline)
 // is checked at every pipeline stage — before the structural scan, per
-// postings shard, per exact confirmation, per feature during pruner
+// exact confirmation, per feature during pruner
 // construction, and per candidate in the fused prune+verify loop. A
 // cancelled query returns (nil, ctx.Err()) promptly — one in-flight
 // candidate evaluation per worker at most — leaks no goroutines, and

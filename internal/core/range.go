@@ -9,7 +9,7 @@ import (
 
 // Range builds the partition of this view holding global ids [lo, hi):
 // the live graphs of that slot range, renumbered contiguously, with the
-// structural postings and PMI columns restricted to them and the full
+// structural count rows and PMI columns restricted to them and the full
 // mined feature vocabulary carried over (supports remapped). The
 // partition remembers each slot's global id, and all per-candidate query
 // seeding routes through that map — so a query evaluated on the partition
@@ -47,7 +47,7 @@ func (v *View) Range(lo, hi int) (*View, error) {
 // contiguously in slot order with their graphs and engine cells, the full
 // mined feature vocabulary carried over (supports remapped). Masking every
 // other slot and compacting restricts the indices to the kept graphs —
-// postings rows and PMI bound entries for the survivors are carried over
+// count rows and PMI bound entries for the survivors are carried over
 // bitwise, so pruning decisions on the projection match the source's.
 // Compaction and range partitioning are this one projection; the caller
 // sets Generation and gids.

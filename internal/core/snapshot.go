@@ -29,7 +29,10 @@ import (
 //	pmi         pmi section (absent when PMI is nil)
 //	gids        i32 slab of slot→global-id map (range partitions only)
 //
-// The order is fixed, so save→load→save is byte-identical. The graphs
+// The order is fixed, so save→load→save is byte-identical; the one file
+// that re-saves differently is one whose struct section still carries the
+// tables older writers derived from the counts, which the loader reads
+// past and the writer no longer emits (simsearch/snap.go). The graphs
 // section writes every slot, dead ones included, so graph indices — and
 // therefore per-candidate query seeding — survive the round trip. A dead
 // slot holds the empty graph when this process removed it and whatever the
@@ -39,11 +42,11 @@ import (
 //
 // There are two encodings of that one token stream (see snapbin): pgsnap
 // v4 binary — a section table over 8-byte-aligned payloads, which a server
-// mmaps so the count matrix and posting slabs are used straight from the
-// page cache — and pgsnap v5 text, one typed token per line, for reading
-// and diffing. encode and decodeView below are the only code that knows
-// the section contents; a format only supplies the Encoder or Decoder for
-// each section, so the two cannot carry different fields. Floats are raw
+// mmaps so the count matrix is used straight from the page cache — and
+// pgsnap v5 text, one typed token per line, for reading and diffing.
+// encode and decodeView below are the only code that knows the section
+// contents; a format only supplies the Encoder or Decoder for each
+// section, so the two cannot carry different fields. Floats are raw
 // IEEE-754 bits in v4 and shortest-round-trip decimals in v5: both
 // round-trip bitwise, so a query against the reloaded database returns
 // exactly what the original would. Only the per-graph inference engines
@@ -159,7 +162,7 @@ func ascendingIDs(ids []int32, limit int, what string) ([]int, error) {
 
 // LoadDatabase reads a snapshot written by SaveAs and returns a Database
 // equivalent to the one that wrote it: identical graphs, features,
-// structural counts and postings, PMI bounds, generation, and tombstones.
+// structural counts, PMI bounds, generation, and tombstones.
 // The format is sniffed from the first bytes, so callers never need to
 // know which one they were handed. No feature mining or bound computation
 // runs, and inference engines are built lazily on first use (see

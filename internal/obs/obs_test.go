@@ -115,7 +115,7 @@ func TestTraceSpanTree(t *testing.T) {
 	stage := SpanFrom(ctx).Child("struct_filter")
 	sctx := ContextWithSpan(ctx, stage)
 	for i := 0; i < 3; i++ {
-		sh := SpanFrom(sctx).Child("postings_shard")
+		sh := SpanFrom(sctx).Child("part")
 		sh.EndCount(int64(i))
 	}
 	stage.EndCount(9)
@@ -130,7 +130,7 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 	for i := 2; i < 5; i++ {
 		if spans[i].Parent != 1 {
-			t.Fatalf("shard span %d parent = %d, want 1", i, spans[i].Parent)
+			t.Fatalf("part span %d parent = %d, want 1", i, spans[i].Parent)
 		}
 	}
 	if tr.OpenSpans() != 0 {

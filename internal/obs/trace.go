@@ -12,11 +12,12 @@ import (
 
 // Trace records the span tree of one query: a span per pipeline stage
 // (relax → struct filter → PMI prune | bounds → verify | top-k commit), with
-// per-shard children under the structural stage. It is carried through
+// the exact confirmations as a child of the structural stage and, in the
+// coordinator, one child per fleet shard asked. It is carried through
 // context.Context (ContextWithSpan) so the engine's layers can attach
 // spans without new parameters, and it is safe for concurrent use —
-// parallel shard scans and candidate workers append under one mutex at
-// stage/shard granularity, never per candidate.
+// parallel fan-out and candidate workers append under one mutex at
+// stage granularity, never per candidate.
 //
 // Cost model: with no trace attached, SpanFrom returns the zero Span and
 // every Span method is a no-op — the disabled path does zero allocation
@@ -34,7 +35,7 @@ type Trace struct {
 // SpanData is one recorded span. Parent indexes Spans() (-1 for roots);
 // Start is the offset from the trace's creation, Duration is valid once
 // Done is set, and Count carries an optional item count (candidates
-// confirmed, relaxed queries, shard emissions, ...).
+// confirmed, relaxed queries, ...).
 type SpanData struct {
 	Name     string
 	Parent   int

@@ -19,10 +19,12 @@ import (
 // (pruning power for new graphs is bounded by the existing features;
 // rebuild periodically if the data distribution drifts).
 
-// column computes the new graph's SIP-bound column against every indexed
-// feature, in full, before any structural change happens — a failed
-// computation leaves nothing to undo.
-func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int) ([]Entry, error) {
+// column computes graph gi's SIP-bound column against every indexed
+// feature that contained reports as embedded in it — the miner's support
+// lists during a build, a fresh isomorphism test (embeds) for a graph
+// arriving later. It runs in full before any structural change happens, so
+// a failed computation leaves nothing to undo.
+func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
 	opt := idx.Opt.withDefaults()
 	b := &graphBuilder{
 		opt: opt, pg: pg, eng: eng,
@@ -30,7 +32,7 @@ func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int) ([]Entry, er
 	}
 	column := make([]Entry, len(idx.Features))
 	for fi, fg := range idx.Features {
-		if !iso.Exists(fg, pg.G, nil) {
+		if !contained(fi) {
 			continue
 		}
 		entry, err := b.bounds(fg)
@@ -40,6 +42,11 @@ func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int) ([]Entry, er
 		column[fi] = entry
 	}
 	return column, nil
+}
+
+// embeds is column's containment test for a graph the miner never saw.
+func (idx *Index) embeds(pg *prob.PGraph) func(fi int) bool {
+	return func(fi int) bool { return iso.Exists(idx.Features[fi], pg.G, nil) }
 }
 
 // clone returns a shallow struct copy — the starting point of every
@@ -56,7 +63,7 @@ func (idx *Index) clone() *Index {
 // form a linear chain (serialized by core's writer lock), so a backing
 // slot is written at most once after becoming reachable.
 func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(pg, eng, len(idx.cols))
+	column, err := idx.column(pg, eng, len(idx.cols), idx.embeds(pg))
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +101,7 @@ func (idx *Index) WithMaskedColumns(ids []int) *Index {
 // of pg instead — one column swapped, every other shared; the replaced
 // slot's mask, if any, is cleared.
 func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(pg, eng, gi)
+	column, err := idx.column(pg, eng, gi, idx.embeds(pg))
 	if err != nil {
 		return nil, err
 	}

@@ -24,18 +24,19 @@
 package pmi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"probgraph/internal/cuts"
 	"probgraph/internal/feature"
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
 	"probgraph/internal/mwclique"
+	"probgraph/internal/pool"
 	"probgraph/internal/prob"
 )
 
@@ -149,7 +150,7 @@ func (idx *Index) NumGraphs() int { return len(idx.cols) }
 
 // Build constructs the PMI for the database. engines[i] must be an
 // inference engine over db[i]; feats come from the feature miner. The build
-// fans out across graphs.
+// fans out across graphs, one column (incremental.go) each.
 func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, opt Options) (*Index, error) {
 	opt = opt.withDefaults()
 	if len(db) != len(engines) {
@@ -170,46 +171,25 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 		}
 	}
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	errMu := sync.Mutex{}
-	var firstErr error
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for gi := range jobs {
-				rng := rand.New(rand.NewSource(opt.Seed ^ int64(gi)*0x9e3779b97f4a7c))
-				b := &graphBuilder{
-					opt: opt, pg: db[gi], eng: engines[gi], rng: rng,
-				}
-				col := make([]Entry, len(feats))
-				idx.cols[gi] = col
-				for fi := range feats {
-					if !contained[fi][gi] {
-						continue
-					}
-					entry, err := b.bounds(feats[fi].G)
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("pmi: feature %d graph %d: %w", fi, gi, err)
-						}
-						errMu.Unlock()
-						continue
-					}
-					col[fi] = entry
-				}
-			}
-		}(w)
-	}
-	for gi := range db {
-		jobs <- gi
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// One column per graph, each into its own slot; the first failure
+	// stops the hand-out of further graphs. Indices are handed out in
+	// order and a started column runs to its end, so every graph below a
+	// failed one has its slot filled: the error reported is the lowest
+	// graph's, whichever worker met one first.
+	errs := make([]error, len(db))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The loop's own result is that cancel echoed back; the slots say more.
+	_ = pool.ForEachIndexCtx(ctx, len(db), opt.Workers, func(gi int) {
+		idx.cols[gi], errs[gi] = idx.column(db[gi], engines[gi], gi, func(fi int) bool { return contained[fi][gi] })
+		if errs[gi] != nil {
+			cancel()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return idx, nil
 }

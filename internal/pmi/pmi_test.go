@@ -1,7 +1,9 @@
 package pmi
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"probgraph/internal/dataset"
@@ -271,5 +273,38 @@ func TestRelaxIntegrationSmoke(t *testing.T) {
 	}
 	if !found {
 		t.Skip("no feature embeds in any relaxed query for this seed (acceptable)")
+	}
+}
+
+// TestBuildReportsLowestGraphsError: a feature whose support lists graphs
+// it does not embed in fails the build, and the error names the lowest such
+// graph at every worker count — not whichever worker got there first — and
+// the first such feature within it.
+func TestBuildReportsLowestGraphsError(t *testing.T) {
+	graphs, engines, feats := buildSmallDB(t, 29, 8, true)
+	b := graph.NewBuilder("absent")
+	b.MustAddEdge(b.AddVertex("no-such-label"), b.AddVertex("no-such-label"), "")
+	absent := b.Build()
+	bad := func(support ...int) *feature.Feature {
+		return &feature.Feature{G: absent, Code: graph.CanonicalCode(absent), Support: support}
+	}
+	feats = append(feats, bad(6, 2, 5), bad(7, 2))
+	want := ""
+	for _, workers := range []int{1, 2, 4, 8} {
+		opt := NewOptions()
+		opt.Workers = workers
+		_, err := Build(graphs, engines, feats, opt)
+		if err == nil {
+			t.Fatalf("workers=%d: build succeeded with a support list naming graphs the feature is not in", workers)
+		}
+		if want == "" {
+			want = err.Error()
+			if !strings.Contains(want, fmt.Sprintf("feature %d on graph 2:", len(feats)-2)) {
+				t.Fatalf("serial build reports %q, want feature %d on graph 2", want, len(feats)-2)
+			}
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d: error %q, serial build reports %q", workers, err, want)
+		}
 	}
 }

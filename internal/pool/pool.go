@@ -1,14 +1,15 @@
 // Package pool provides the engine's deterministic bounded worker pool.
 // Every parallel phase of the pipeline — candidate evaluation in core,
-// shard scans in the simsearch structural filter — runs on this one
-// primitive, so the QueryOptions.Concurrency knob has a single meaning
-// everywhere: it bounds goroutines, never changes results.
+// exact confirmation in the simsearch structural filter, the PMI build's
+// columns — runs on this one primitive, so the QueryOptions.Concurrency
+// knob has a single meaning everywhere: it bounds goroutines, never
+// changes results.
 //
 // The context-aware entry point ForEachIndexCtx is the cancellation
 // backbone of the query engine: cancellation is checked once per work
 // item, so a cancelled query stops at item granularity (one candidate
-// evaluation, one postings shard) without ever changing the result of
-// items that did complete.
+// evaluation, one confirmation) without ever changing the result of items
+// that did complete.
 package pool
 
 import (

@@ -100,14 +100,6 @@ func newServerMetrics(s *Server, reg *obs.Registry, slowlogSize int) *serverMetr
 		"PMI index size in bytes.", func(emit func(string, float64)) {
 			emit("", float64(s.db.View().Build.IndexSizeBytes))
 		})
-	reg.Collect("pg_struct_postings_entries", "gauge",
-		"Inverted structural index posting entries.",
-		func(emit func(string, float64)) {
-			if v := s.db.View(); v.Struct != nil {
-				_, entries := v.Struct.PostingsStats()
-				emit("", float64(entries))
-			}
-		})
 	reg.Collect("pg_uptime_seconds", "gauge",
 		"Seconds since the server started.", func(emit func(string, float64)) {
 			emit("", time.Since(s.start).Seconds())

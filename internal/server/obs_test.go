@@ -176,7 +176,6 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{"live graphs", float64(st.LiveGraphs), series[`pg_db_graphs{state="live"}`]},
 		{"tombstoned", float64(st.TombstonedGraphs), series[`pg_db_graphs{state="tombstoned"}`]},
 		{"index bytes", float64(st.IndexBytes), series["pg_index_bytes"]},
-		{"struct postings", float64(st.StructPostings), series["pg_struct_postings_entries"]},
 		{"inflight", float64(st.Inflight), series["pg_inflight_queries"]},
 	}
 	for _, p := range pairs {

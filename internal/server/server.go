@@ -286,19 +286,15 @@ type GenCacheJSON struct {
 }
 
 // StatsResponse is the /stats reply. Graphs counts slots (tombstoned
-// included), LiveGraphs the queryable ones. StructShards/StructPostings
-// describe the inverted structural index (postings shards and total
-// level-posting entries); both are 0 when the database has no structural
-// filter. CacheGenerations maps recent generation numbers (decimal
-// strings) to their result-cache hit/miss counters.
+// included), LiveGraphs the queryable ones. CacheGenerations maps recent
+// generation numbers (decimal strings) to their result-cache hit/miss
+// counters.
 type StatsResponse struct {
 	Graphs           int                     `json:"graphs"`
 	LiveGraphs       int                     `json:"live_graphs"`
 	TombstonedGraphs int                     `json:"tombstoned_graphs"`
 	Generation       uint64                  `json:"generation"`
 	PMIFeatures      int                     `json:"pmi_features"`
-	StructShards     int                     `json:"struct_shards"`
-	StructPostings   int                     `json:"struct_postings"`
 	IndexBytes       int                     `json:"index_bytes"`
 	UptimeMS         float64                 `json:"uptime_ms"`
 	Queries          int64                   `json:"queries"`
@@ -800,9 +796,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if v.PMI != nil {
 		resp.PMIFeatures = v.PMI.NumFeatures()
-	}
-	if v.Struct != nil {
-		resp.StructShards, resp.StructPostings = v.Struct.PostingsStats()
 	}
 	WriteJSON(w, resp)
 }

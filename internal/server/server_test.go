@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -452,19 +453,14 @@ func TestBadThresholdsAre400(t *testing.T) {
 	}
 }
 
-// TestStatsReportStructIndex: /stats exposes the inverted structural
-// index's shape and tracks AddGraph growth.
+// TestStatsReportStructIndex: a graph added over the wire gets its count
+// row — the structural filter keeps the new slot for a query that is the
+// graph itself — and /stats counts it.
 func TestStatsReportStructIndex(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	var st StatsResponse
 	env.get(t, "/stats", &st)
-	if st.StructShards < 1 {
-		t.Fatalf("struct_shards = %d, want >= 1", st.StructShards)
-	}
-	if st.StructPostings < 1 {
-		t.Fatalf("struct_postings = %d, want >= 1", st.StructPostings)
-	}
-	before := st.StructPostings
+	before := st.Graphs
 
 	extra, err := dataset.GeneratePPI(dataset.PPIOptions{
 		NumGraphs: 1, MinVertices: 5, MaxVertices: 6, Organisms: 1,
@@ -479,8 +475,12 @@ func TestStatsReportStructIndex(t *testing.T) {
 	}
 	env.post(t, "/graphs", AddGraphRequest{GraphText: pgText.String()}, nil)
 	env.get(t, "/stats", &st)
-	if st.StructPostings <= before {
-		t.Fatalf("struct_postings did not grow after AddGraph: %d -> %d", before, st.StructPostings)
+	if st.Graphs != before+1 {
+		t.Fatalf("graphs = %d after AddGraph, want %d", st.Graphs, before+1)
+	}
+	cand, err := env.srv.db.View().Struct.CandidatesCtx(context.Background(), extra.Graphs[0].G, 0, 1)
+	if err != nil || !slices.Contains(cand, before) {
+		t.Fatalf("structural filter keeps %v (err %v) for the added graph itself, want slot %d among them", cand, err, before)
 	}
 }
 

@@ -1,13 +1,14 @@
 package simsearch
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// TestScanSteadyStateAllocs pins the postings-scan allocation budget: the
-// per-scan hit accumulator comes from hitsPool, so the only allocation a
-// shard scan makes is the candidate list it returns — a scan returning no
+// TestScanSteadyStateAllocs pins the row scan's allocation budget: it
+// reads the count slab in place and keeps no accumulator, so the only
+// allocation is the candidate list it returns — a scan returning no
 // candidates makes none at all, and a productive scan pays only the
 // append growth of its result.
 func TestScanSteadyStateAllocs(t *testing.T) {
@@ -16,38 +17,29 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	dbc := randomDB(rng, 40)
-	ix := BuildIndexSharded(dbc, DefaultFeatures(dbc, 64), 8)
-	q := extractSubquery(rng, dbc[0], 4)
-	cq, budget := ix.queryProfile(q, 0)
-	total := 0
-	for _, c := range cq {
-		total += c
-	}
-	need := total - budget
-	if need <= 0 {
-		need = 1
-	}
-	for _, s := range ix.shards { // warm the accumulator pool
-		_ = s.scan(cq, need, nil)
+	ix := BuildIndex(dbc, DefaultFeatures(dbc, 64)).WithTombstone(7)
+	needs, budget := ix.queryProfile(extractSubquery(rng, dbc[0], 4), 1)
+	if len(needs) == 0 {
+		t.Fatal("query embeds no counting feature; the pin is vacuous")
 	}
 
 	avg := testing.AllocsPerRun(100, func() {
-		for _, s := range ix.shards {
-			_ = s.scan(cq, total+1, nil) // unattainable need: no candidates
-		}
+		_ = ix.scanRows(needs, -1) // unattainable budget: no candidates
 	})
 	if avg != 0 {
-		t.Errorf("empty scan allocates: %.2f allocs over %d shards, want 0", avg, len(ix.shards))
+		t.Errorf("empty scan allocates: %.2f allocs, want 0", avg)
 	}
 
+	kept := len(ix.scanRows(needs, budget))
+	if kept == 0 {
+		t.Fatal("productive scan kept nothing; the pin is vacuous")
+	}
 	avg = testing.AllocsPerRun(100, func() {
-		for _, s := range ix.shards {
-			_ = s.scan(cq, need, nil)
-		}
+		_ = ix.scanRows(needs, budget)
 	})
-	// Each producing shard allocates only its out slice: a handful of
-	// appends from nil, logarithmic in the shard width (8 here).
-	if per := avg / float64(len(ix.shards)); per > 6 {
-		t.Errorf("scan allocates %.2f allocs/shard beyond the result slice, want <= 6", per)
+	// Appends from nil: capacities 1, 2, 4, … up to the first that holds
+	// the result.
+	if limit := float64(bits.Len(uint(kept)) + 1); avg > limit {
+		t.Errorf("scan keeping %d graphs allocates %.2f times, want <= %.0f (its result slice only)", kept, avg, limit)
 	}
 }

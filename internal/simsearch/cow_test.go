@@ -10,14 +10,10 @@ import (
 
 // snapshotAnswers records one index's full filter behaviour over a query
 // workload so a later comparison can prove the index did not change.
-func snapshotAnswers(t *testing.T, ix *Index, qs []*queryCase) [][]int {
-	t.Helper()
+func snapshotAnswers(ix *Index, qs []queryCase) [][]int {
 	out := make([][]int, len(qs))
 	for i, qc := range qs {
-		out[i] = ix.Candidates(qc.q, qc.delta, 2)
-		if dense := ix.CandidatesDense(qc.q, qc.delta); !slices.Equal(out[i], dense) {
-			t.Fatalf("query %d: postings %v != dense %v", i, out[i], dense)
-		}
+		out[i] = candidates(ix, qc.q, qc.delta)
 	}
 	return out
 }
@@ -37,20 +33,19 @@ func TestCOWChainLeavesPredecessorsUntouched(t *testing.T) {
 	all := randomDB(rng, 12)
 	features := DefaultFeatures(all[:6], 64)
 
-	var qs []*queryCase
+	var qs []queryCase
 	for trial := 0; trial < 8; trial++ {
-		qs = append(qs, &queryCase{
+		qs = append(qs, queryCase{
 			q:     extractSubquery(rng, all[rng.Intn(6)], 2+rng.Intn(3)),
 			delta: rng.Intn(3),
 		})
 	}
 
-	// Small shard size so the chain crosses shard boundaries.
-	chain := []*Index{BuildIndexSharded(all[:6], features, 3)}
-	baselines := [][][]int{snapshotAnswers(t, chain[0], qs)}
+	chain := []*Index{BuildIndex(all[:6], features)}
+	baselines := [][][]int{snapshotAnswers(chain[0], qs)}
 	grow := func(next *Index) {
 		chain = append(chain, next)
-		baselines = append(baselines, snapshotAnswers(t, next, qs))
+		baselines = append(baselines, snapshotAnswers(next, qs))
 	}
 
 	for _, g := range all[6:10] {
@@ -65,7 +60,7 @@ func TestCOWChainLeavesPredecessorsUntouched(t *testing.T) {
 	// Every link must still answer exactly what it answered when it was
 	// the newest index.
 	for li, ix := range chain {
-		got := snapshotAnswers(t, ix, qs)
+		got := snapshotAnswers(ix, qs)
 		for i := range qs {
 			if !slices.Equal(got[i], baselines[li][i]) {
 				t.Fatalf("link %d query %d: answers drifted from %v to %v after later mutations",
@@ -84,7 +79,7 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	all := randomDB(rng, 9)
 	features := DefaultFeatures(all, 64)
-	ix := BuildIndexSharded(all, features, 4)
+	ix := BuildIndex(all, features)
 
 	removed := []int{1, 4, 8}
 	tombed := ix.WithTombstones(removed)
@@ -105,21 +100,18 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 		remap[gi] = len(survivors)
 		survivors = append(survivors, g)
 	}
-	rebuilt := BuildIndexSharded(survivors, features, 4)
+	rebuilt := BuildIndex(survivors, features)
 	compacted := tombed.Compacted()
 
 	for trial := 0; trial < 20; trial++ {
 		q := extractSubquery(rng, all[rng.Intn(len(all))], 2+rng.Intn(4))
 		delta := rng.Intn(3)
 
-		tc := tombed.Candidates(q, delta, 2)
+		tc := candidates(tombed, q, delta)
 		for _, gi := range tc {
 			if slices.Contains(removed, gi) {
 				t.Fatalf("tombstoned slot %d emitted as candidate", gi)
 			}
-		}
-		if dense := tombed.CandidatesDense(q, delta); !slices.Equal(tc, dense) {
-			t.Fatalf("tombstoned postings %v != dense %v", tc, dense)
 		}
 
 		// Mapped through remap, the tombstoned candidates are exactly the
@@ -128,51 +120,42 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 		for i, gi := range tc {
 			mapped[i] = remap[gi]
 		}
-		rc := rebuilt.Candidates(q, delta, 2)
+		rc := candidates(rebuilt, q, delta)
 		if !slices.Equal(mapped, rc) {
 			t.Fatalf("tombstoned candidates %v (mapped %v) != rebuilt %v", tc, mapped, rc)
 		}
 
 		// Compacted matches the rebuilt index slot-for-slot.
-		if cc := compacted.Candidates(q, delta, 2); !slices.Equal(cc, rc) {
+		if cc := candidates(compacted, q, delta); !slices.Equal(cc, rc) {
 			t.Fatalf("compacted candidates %v != rebuilt %v", cc, rc)
 		}
 	}
-	cs, ce := compacted.PostingsStats()
-	rs, re := rebuilt.PostingsStats()
-	if cs != rs || ce != re {
-		t.Fatalf("compacted postings (%d shards, %d entries) != rebuilt (%d, %d)", cs, ce, rs, re)
+	if !slices.Equal(compacted.counts, rebuilt.counts) {
+		t.Fatal("compacted count slab differs from the rebuilt index's")
 	}
 }
 
-// TestWithReplacedEqualsRebuilt: replacing a slot's graph answers exactly
-// like an index built from scratch over the post-replacement database, at
-// every shard size, and only the owning shard's entry count moves.
+// TestWithReplacedEqualsRebuilt: replacing a slot's graph gives the count
+// slab and the answers of an index built from scratch over the
+// post-replacement database.
 func TestWithReplacedEqualsRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	all := randomDB(rng, 10)
 	repl := randomDB(rng, 3)
 	features := DefaultFeatures(all, 64)
-	for _, shardSize := range []int{1, 4, 256} {
-		ix := BuildIndexSharded(all, features, shardSize)
-		for i, gi := range []int{0, 5, 9} {
-			next := ix.WithReplaced(gi, repl[i])
-			final := append(slices.Clone(all[:gi]), append([]*graph.Graph{repl[i]}, all[gi+1:]...)...)
-			rebuilt := BuildIndexSharded(final, features, shardSize)
-			ns, ne := next.PostingsStats()
-			rs, re := rebuilt.PostingsStats()
-			if ns != rs || ne != re {
-				t.Fatalf("shardSize=%d replace %d: postings (%d, %d) != rebuilt (%d, %d)",
-					shardSize, gi, ns, ne, rs, re)
-			}
-			for trial := 0; trial < 10; trial++ {
-				q := extractSubquery(rng, final[rng.Intn(len(final))], 2+rng.Intn(3))
-				delta := rng.Intn(3)
-				a := next.Candidates(q, delta, 2)
-				b := rebuilt.Candidates(q, delta, 2)
-				if !slices.Equal(a, b) {
-					t.Fatalf("shardSize=%d replace %d: %v != rebuilt %v", shardSize, gi, a, b)
-				}
+	ix := BuildIndex(all, features)
+	for i, gi := range []int{0, 5, 9} {
+		next := ix.WithReplaced(gi, repl[i])
+		final := append(slices.Clone(all[:gi]), append([]*graph.Graph{repl[i]}, all[gi+1:]...)...)
+		rebuilt := BuildIndex(final, features)
+		if !slices.Equal(next.counts, rebuilt.counts) {
+			t.Fatalf("replace %d: count slab differs from the rebuilt index's", gi)
+		}
+		for trial := 0; trial < 10; trial++ {
+			q := extractSubquery(rng, final[rng.Intn(len(final))], 2+rng.Intn(3))
+			delta := rng.Intn(3)
+			if a, b := candidates(next, q, delta), candidates(rebuilt, q, delta); !slices.Equal(a, b) {
+				t.Fatalf("replace %d: %v != rebuilt %v", gi, a, b)
 			}
 		}
 	}

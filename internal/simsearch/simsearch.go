@@ -18,11 +18,11 @@
 // the same answer as "some rq of the relaxed set U embeds in gc", without
 // deriving U or matching its members one by one.
 //
-// The count filter is evaluated over a sharded inverted index — per-feature
-// level postings scanned in parallel, touching only the features q embeds —
-// rather than the dense |D|×|F| matrix scan; see postings.go. The dense
-// matrix is retained for incremental updates and as the test oracle
-// (CandidatesDense); snapshots carry both (snap.go).
+// The counts live in one flat |D|×|F| matrix and the filter is one pass
+// over its rows that reads only the columns of features q embeds
+// (CandidatesCtx). The matrix is the whole index: mutations append, patch
+// or drop rows, and snapshots carry it and nothing derived from it
+// (snap.go).
 package simsearch
 
 import (
@@ -40,9 +40,8 @@ import (
 // inequality are capped identically, which keeps the filter sound.
 const CountCap = 64
 
-// Index holds per-graph feature occurrence counts, both as the dense
-// matrix (snapshot format, test oracle) and as the sharded inverted
-// postings the query path scans (see postings.go).
+// Index holds the counting features and the per-graph feature occurrence
+// counts the filter scans.
 //
 // An Index is immutable once published: mutation goes through the
 // copy-on-write constructors WithGraph, WithTombstone, WithReplaced, and
@@ -52,10 +51,8 @@ const CountCap = 64
 // internal/core relies on exactly that.
 //
 // Removal is tombstone-based: WithTombstone marks the slot dead and lets
-// its graph go, the postings keep the graph's entries, and every scan path
-// (postings, dense oracle, the all-pass shortcut) filters dead slots at
-// emission.
-// Compacted drops the tombstones and renumbers the survivors.
+// its graph go, the count row stays in place, and the scan skips dead
+// slots. Compacted drops the tombstones and renumbers the survivors.
 type Index struct {
 	Features []*graph.Graph
 	// counts is the dense count matrix flattened row-major: graph gi's
@@ -68,14 +65,10 @@ type Index struct {
 	dbc    []*graph.Graph
 
 	// dead marks tombstoned slots (nil = all live); tombs counts them.
-	// Dead slots keep their counts row and posting entries but are
-	// filtered out of every candidate list.
+	// Dead slots keep their counts row but are filtered out of every
+	// candidate list.
 	dead  []bool
 	tombs int
-
-	shardSize   int
-	shards      []*shard
-	postEntries int
 }
 
 // DefaultFeatures extracts the structural counting features from the
@@ -127,24 +120,12 @@ func DefaultFeatures(dbc []*graph.Graph, maxFeatures int) []*graph.Graph {
 	return out
 }
 
-// BuildIndex counts feature embeddings in every certain graph and builds
-// the sharded inverted postings over the counts.
+// BuildIndex counts feature embeddings in every certain graph.
 func BuildIndex(dbc []*graph.Graph, features []*graph.Graph) *Index {
-	return BuildIndexSharded(dbc, features, DefaultShardSize)
-}
-
-// BuildIndexSharded is BuildIndex with an explicit postings shard width
-// (<= 0 selects DefaultShardSize). The shard width trades scan parallelism
-// against per-shard overhead; it never affects results.
-func BuildIndexSharded(dbc []*graph.Graph, features []*graph.Graph, shardSize int) *Index {
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
-	ix := &Index{Features: features, dbc: dbc, counts: make([]int32, 0, len(dbc)*len(features)), shardSize: shardSize}
+	ix := &Index{Features: features, dbc: dbc, counts: make([]int32, 0, len(dbc)*len(features))}
 	for _, g := range dbc {
 		ix.counts = append(ix.counts, ix.countRow(g)...)
 	}
-	ix.rebuildPostings()
 	return ix
 }
 
@@ -189,41 +170,24 @@ func (ix *Index) clone() *Index {
 func (ix *Index) WithGraph(g *graph.Graph) *Index {
 	row := ix.countRow(g)
 	n := ix.clone()
-	gi := len(ix.dbc)
 	n.counts = append(ix.counts, row...)
 	n.dbc = append(ix.dbc, g)
 	if ix.dead != nil {
 		n.dead = append(ix.dead, false)
 	}
-	// The flat shard layout cannot be patched in place, so the shard
-	// gaining the graph is rebuilt from its count rows — O(shard entries),
-	// bounded by the shard width; every other shard is shared.
-	n.shards = slices.Clone(ix.shards)
-	last := len(n.shards) - 1
-	if last < 0 || n.shards[last].n >= n.shardSize {
-		s, entries := rebuildShard(gi, 1, n.counts, len(n.Features))
-		n.postEntries += entries
-		n.shards = append(n.shards, s)
-	} else {
-		old := n.shards[last]
-		s, entries := rebuildShard(old.lo, old.n+1, n.counts, len(n.Features))
-		n.postEntries += entries - len(old.slab)
-		n.shards[last] = s
-	}
 	return n
 }
 
-// WithTombstone returns a new Index with slot gi marked dead. The postings
-// and count matrix keep the graph's entries — only candidate emission
-// filters it — so the operation is O(slots) regardless of graph size; the
-// slot's graph is released (it points at graph.Empty from here on).
+// WithTombstone returns a new Index with slot gi marked dead. The count
+// matrix keeps the graph's row — only candidate emission filters it — so
+// the operation is O(slots) regardless of graph size; the slot's graph is
+// released (it points at graph.Empty from here on).
 func (ix *Index) WithTombstone(gi int) *Index {
 	return ix.WithTombstones([]int{gi})
 }
 
 // WithReplaced returns a new Index in which slot gi holds g's feature
-// counts instead. Only the postings shard owning gi is rebuilt (from the
-// count rows of its range); every other shard is shared.
+// counts instead.
 func (ix *Index) WithReplaced(gi int, g *graph.Graph) *Index {
 	row := ix.countRow(g)
 	n := ix.clone()
@@ -231,31 +195,21 @@ func (ix *Index) WithReplaced(gi int, g *graph.Graph) *Index {
 	copy(n.row(gi), row)
 	n.dbc = slices.Clone(ix.dbc)
 	n.dbc[gi] = g
-	n.shards = slices.Clone(ix.shards)
-	for si, s := range n.shards {
-		if gi >= s.lo && gi < s.lo+s.n {
-			fresh, added := rebuildShard(s.lo, s.n, n.counts, len(n.Features))
-			n.postEntries += added - len(s.slab)
-			n.shards[si] = fresh
-			break
-		}
-	}
 	return n
 }
 
 // Compacted returns a new Index without the tombstoned slots: survivors
-// keep their relative order and are renumbered contiguously, and the
-// postings are rebuilt from the surviving count rows (no re-counting).
+// keep their relative order and are renumbered contiguously, their count
+// rows copied (no re-counting).
 func (ix *Index) Compacted() *Index {
-	n := &Index{Features: ix.Features, shardSize: ix.shardSize}
+	n := &Index{Features: ix.Features}
 	for gi := range ix.dbc {
-		if ix.dead != nil && ix.dead[gi] {
+		if !ix.Live(gi) {
 			continue
 		}
 		n.counts = append(n.counts, ix.row(gi)...)
 		n.dbc = append(n.dbc, ix.dbc[gi])
 	}
-	n.rebuildPostings()
 	return n
 }
 
@@ -285,16 +239,18 @@ func (ix *Index) Tombstones() int { return ix.tombs }
 // Live reports whether slot gi holds a live (non-tombstoned) graph.
 func (ix *Index) Live(gi int) bool { return ix.dead == nil || !ix.dead[gi] }
 
-// queryProfile computes the query side of the filter inequality, shared by
-// the postings scan and the dense oracle so the two paths cannot diverge on
-// boundary semantics: cq[f] is the (capped) embedding count of feature f in
-// q, budget is T(δ) — the sum of the δ largest per-edge destruction weights
-// w(e). A graph passes iff Σ_f max(0, cq[f] − c_g(f)) ≤ budget; equality is
-// a pass (deleting the δ heaviest edges may destroy exactly T(δ) feature
-// embeddings). Features with zero embeddings in q contribute nothing on
-// either side and are skipped entirely by the postings scan.
-func (ix *Index) queryProfile(q *graph.Graph, delta int) (cq []int, budget int) {
-	cq = make([]int, len(ix.Features))
+// need is one term of the query side of the filter inequality: feature f
+// embeds c = c_q(f) > 0 times (capped) in q.
+type need struct{ f, c int32 }
+
+// queryProfile computes the query side of the filter inequality: one need
+// per feature q embeds, ascending by feature, and the budget T(δ) — the sum
+// of the δ largest per-edge destruction weights w(e). A graph passes iff
+// Σ_f max(0, c_q(f) − c_g(f)) ≤ budget; equality is a pass (deleting the δ
+// heaviest edges may destroy exactly T(δ) feature embeddings). Features
+// with zero embeddings in q contribute nothing on either side and get no
+// need, so the scan never reads their column.
+func (ix *Index) queryProfile(q *graph.Graph, delta int) (needs []need, budget int) {
 	// Per-edge destruction weights w(e).
 	w := make([]int, q.NumEdges())
 	for fi, f := range ix.Features {
@@ -306,33 +262,35 @@ func (ix *Index) queryProfile(q *graph.Graph, delta int) (cq []int, budget int) 
 			}
 			return n < CountCap
 		})
-		cq[fi] = n
+		if n > 0 {
+			needs = append(needs, need{int32(fi), int32(n)})
+		}
 	}
 	// Budget T(δ): the δ largest w(e).
-	sorted := append([]int(nil), w...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	for i := 0; i < delta && i < len(sorted); i++ {
-		budget += sorted[i]
+	sort.Sort(sort.Reverse(sort.IntSlice(w)))
+	for i := 0; i < delta && i < len(w); i++ {
+		budget += w[i]
 	}
-	return cq, budget
+	return needs, budget
 }
 
-// CandidatesDense is the original dense scan over the full count matrix,
-// kept as the reference oracle the postings-based Candidates is tested
-// against. Both paths share queryProfile, so they answer identically by
-// construction of the hits/misses identity — the property tests assert it
-// anyway.
-func (ix *Index) CandidatesDense(q *graph.Graph, delta int) []int {
-	cq, budget := ix.queryProfile(q, delta)
+// scanRows returns the live graphs whose count row misses at most budget
+// of the needed feature occurrences, ascending. A query that embeds no
+// feature has no needs and a budget covering every need admits any row, so
+// both keep every live graph without a case of their own. The result slice
+// is the only allocation.
+//
+//pgvet:noalloc
+func (ix *Index) scanRows(needs []need, budget int) []int {
 	var out []int
 	for gi := range ix.dbc {
 		if !ix.Live(gi) {
 			continue
 		}
-		misses := 0
 		row := ix.row(gi)
-		for fi := range ix.Features {
-			if d := cq[fi] - int(row[fi]); d > 0 {
+		misses := 0
+		for _, n := range needs {
+			if d := int(n.c - row[n.f]); d > 0 {
 				misses += d
 			}
 		}
@@ -343,6 +301,18 @@ func (ix *Index) CandidatesDense(q *graph.Graph, delta int) []int {
 	return out
 }
 
+// CandidatesCtx returns the indices of graphs passing the feature-miss
+// filter for query q at distance threshold delta, ascending. The scan is
+// serial — microseconds per thousand graphs — so workers is unused (the
+// parameter stays until bench/ stops passing it) and ctx is checked once,
+// before it: a cancelled call returns (nil, ctx.Err()).
+func (ix *Index) CandidatesCtx(ctx context.Context, q *graph.Graph, delta, workers int) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ix.scanRows(ix.queryProfile(q, delta)), nil
+}
+
 // Confirm verifies q ⊆sim gc exactly (subgraph distance ≤ delta).
 func (ix *Index) Confirm(q *graph.Graph, gi, delta int) bool {
 	return iso.ExistsWithin(q, ix.dbc[gi], nil, delta)
@@ -350,16 +320,16 @@ func (ix *Index) Confirm(q *graph.Graph, gi, delta int) bool {
 
 // SCq runs filter + exact confirmation: the paper's structural candidate
 // set {g : q ⊆sim gc}. It also reports the filter's candidate count (the
-// "Structure" bar of Figures 10–12). Both the postings scan and the exact
-// confirmations run on a pool of `workers` goroutines (0/1 serial,
-// negative GOMAXPROCS); results are identical at every worker count.
+// "Structure" bar of Figures 10–12). The exact confirmations run on a pool
+// of `workers` goroutines (0/1 serial, negative GOMAXPROCS); results are
+// identical at every worker count.
 func (ix *Index) SCq(q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int) {
 	confirmed, filterCandidates, _ = ix.SCqCtx(context.Background(), q, delta, workers)
 	return confirmed, filterCandidates
 }
 
-// SCqCtx is SCq with cooperative cancellation: the postings scan cancels
-// at shard granularity, the exact confirmations at candidate granularity.
+// SCqCtx is SCq with cooperative cancellation: ctx is checked before the
+// count scan and between exact confirmations (candidate granularity).
 // A cancelled call returns (nil, 0, ctx.Err()) — never a partial candidate
 // set; an uncancelled call returns exactly SCq's answer and a nil error.
 func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int, err error) {

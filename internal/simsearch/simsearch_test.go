@@ -62,7 +62,7 @@ func TestFilterSoundness(t *testing.T) {
 		}
 		delta := rng.Intn(3)
 		cand := make(map[int]bool)
-		for _, gi := range ix.Candidates(q, delta, 1) {
+		for _, gi := range candidates(ix, q, delta) {
 			cand[gi] = true
 		}
 		for gi, g := range dbc {
@@ -116,7 +116,7 @@ func TestQueryFromDBAlwaysSurvives(t *testing.T) {
 	}
 	for delta := 0; delta <= 2; delta++ {
 		found := false
-		for _, gi := range ix.Candidates(q, delta, 1) {
+		for _, gi := range candidates(ix, q, delta) {
 			if gi == 0 {
 				found = true
 			}
@@ -163,7 +163,7 @@ func TestBiggerDeltaNeverShrinksCandidates(t *testing.T) {
 	}
 	prev := -1
 	for delta := 0; delta <= 3; delta++ {
-		n := len(ix.Candidates(q, delta, 1))
+		n := len(candidates(ix, q, delta))
 		if n < prev {
 			t.Fatalf("candidates shrank from %d to %d as delta grew to %d", prev, n, delta)
 		}

@@ -7,50 +7,45 @@ import (
 	"probgraph/internal/snapbin"
 )
 
-// The snapshot section persists the postings shards beside the counts: in
-// the binary encoding the flat slabs land in the file exactly as they sit
-// in memory, so a loader on a little-endian host points the Index straight
-// at the mapping — counts, offset tables and posting slabs all zero-copy.
-// Everything decoded from untrusted input is validated (counts within
-// [0, CountCap], shard geometry, slab entries in range) before the Index
-// is returned, so a corrupt file errors out instead of panicking a later
-// scan.
+// The snapshot section persists the counting features and the count
+// matrix: in the binary encoding the flat slab lands in the file exactly as
+// it sits in memory, so a loader on a little-endian host points the Index
+// straight at the mapping. Everything decoded from untrusted input is
+// validated (slab size, counts within [0, CountCap]) before the Index is
+// returned, so a corrupt file errors out instead of panicking a later scan.
 
 // EncodeSnap appends the index to a snapshot section:
 //
-//	u32 nf, u32 ng, u32 shardSize, u32 pad
+//	u32 nf, u32 ng, u32 0, u32 pad
 //	nf graph records (the counting features)
 //	i32 slab: flat count matrix (ng*nf)
-//	u32 shard count; per shard: u32 lo, u32 n, i32 slabs lvlOff/entOff/slab
+//	u32 0
+//
+// The two zero words are where older writers put the geometry of tables
+// they derived from the counts and appended here; DecodeSnap reads past
+// both.
 func (ix *Index) EncodeSnap(s snapbin.Encoder) {
 	s.U32(uint32(len(ix.Features)))
 	s.U32(uint32(len(ix.dbc)))
-	s.U32(uint32(ix.shardSize))
+	s.U32(0)
 	s.U32(0)
 	for _, f := range ix.Features {
 		graph.EncodeSnap(s, f)
 	}
 	s.Align8()
 	s.I32s(ix.counts)
-	s.U32(uint32(len(ix.shards)))
-	for _, sh := range ix.shards {
-		s.U32(uint32(sh.lo))
-		s.U32(uint32(sh.n))
-		s.I32s(sh.lvlOff)
-		s.I32s(sh.entOff)
-		s.I32s(sh.slab)
-	}
+	s.U32(0)
 }
 
 // DecodeSnap reads an index written by EncodeSnap and re-binds it to dbc,
 // which must be the same certain graphs (in the same order) the index was
-// built from. From a binary snapshot on a little-endian host the count and
-// posting slabs alias the input bytes — with an mmap'd snapshot the
-// postings stay on disk until a scan touches them.
+// built from. From a binary snapshot on a little-endian host the count slab
+// aliases the input bytes — with an mmap'd snapshot it stays on disk until
+// a scan touches it.
 func DecodeSnap(c snapbin.Decoder, dbc []*graph.Graph) (*Index, error) {
 	nf := c.Int()
 	ng := c.Int()
-	shardSize := c.Int()
+	c.U32() // 0, or an older writer's table width: unused either way
 	c.U32() // pad
 	if c.Err() != nil {
 		return nil, fmt.Errorf("simsearch: snapshot header: %w", c.Err())
@@ -58,10 +53,7 @@ func DecodeSnap(c snapbin.Decoder, dbc []*graph.Graph) (*Index, error) {
 	if ng != len(dbc) {
 		return nil, fmt.Errorf("simsearch: index covers %d graphs, database has %d", ng, len(dbc))
 	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("simsearch: bad shard size %d", shardSize)
-	}
-	ix := &Index{dbc: dbc, shardSize: shardSize}
+	ix := &Index{dbc: dbc}
 	for fi := 0; fi < nf; fi++ {
 		f, err := graph.DecodeSnap(c)
 		if err != nil {
@@ -82,30 +74,18 @@ func DecodeSnap(c snapbin.Decoder, dbc []*graph.Graph) (*Index, error) {
 			return nil, fmt.Errorf("simsearch: count %d outside [0,%d]", v, CountCap)
 		}
 	}
-	nshards := c.Int()
-	want := (ng + shardSize - 1) / shardSize
-	if nshards != want {
-		return nil, fmt.Errorf("simsearch: %d shards, want %d", nshards, want)
-	}
-	for si := 0; si < nshards; si++ {
-		sh := &shard{lo: c.Int(), n: c.Int()}
-		sh.lvlOff = c.I32s()
-		sh.entOff = c.I32s()
-		sh.slab = c.I32s()
-		if c.Err() != nil {
-			return nil, fmt.Errorf("simsearch: shard %d: %w", si, c.Err())
-		}
-		if sh.lo != si*shardSize || sh.n != min(shardSize, ng-sh.lo) {
-			return nil, fmt.Errorf("simsearch: shard %d covers [%d,%d), want aligned range", si, sh.lo, sh.lo+sh.n)
-		}
-		if !sh.validate(nf) {
-			return nil, fmt.Errorf("simsearch: shard %d fails postings validation", si)
-		}
-		ix.shards = append(ix.shards, sh)
-		ix.postEntries += len(sh.slab)
+	// Older writers appended posting shards (u32 lo, u32 n, three i32
+	// slabs each) derived from the counts. They are read past, never
+	// looked at: the counts above are the index.
+	for si, nshards := 0, c.Int(); si < nshards && c.Err() == nil; si++ {
+		c.U32()
+		c.U32()
+		c.I32s()
+		c.I32s()
+		c.I32s()
 	}
 	if c.Err() != nil {
-		return nil, c.Err()
+		return nil, fmt.Errorf("simsearch: records after the counts: %w", c.Err())
 	}
 	return ix, nil
 }

@@ -40,11 +40,11 @@
 // Queries are methods of a DatabaseView — Database.View pins the current
 // one — and each exists in one form, which takes a context: QueryCtx,
 // QueryTopKCtx, QueryBatchCtx, QueryStream. ctx is threaded through the
-// whole pipeline: cancellation (or a deadline) is checked per postings
-// shard, per exact confirmation, and per candidate evaluation, so a
-// cancelled query returns ctx.Err() promptly, leaks no goroutines, and
-// never returns a partial result. A caller with nothing to cancel passes
-// context.Background().
+// whole pipeline: cancellation (or a deadline) is checked before the
+// structural scan, per exact confirmation, and per candidate evaluation,
+// so a cancelled query returns ctx.Err() promptly, leaks no goroutines,
+// and never returns a partial result. A caller with nothing to cancel
+// passes context.Background().
 //
 // QueryStream delivers answers incrementally: it yields each verified
 // Match the moment the prune+verify stage admits it, in arrival order, as
@@ -58,8 +58,8 @@
 //
 // The pipeline is embarrassingly parallel across database graphs, and the
 // engine exploits that: QueryOptions.Concurrency bounds a worker pool that
-// scans the structural filter's inverted-postings shards, confirms the
-// survivors, and evaluates candidates (bound combination and verification)
+// confirms the structural filter's survivors and evaluates candidates
+// (bound combination and verification)
 // in parallel, both in QueryCtx/QueryTopKCtx and across the queries of
 // QueryBatchCtx. Results are deterministic at every worker count — all per-candidate
 // randomness is seeded from QueryOptions.Seed and the candidate's graph
@@ -76,11 +76,11 @@
 // mutation answers bitwise-identically to one run before it. Each mutator
 // returns the new generation number.
 //
-// Removal is tombstone-based: the slot's postings and PMI column stay in
-// place, masked, and surviving graph indices are stable. Compact rewrites
-// the indexes without the tombstones (renumbering survivors);
-// SetCompactThreshold arms automatic compaction. Keep one pinned view to
-// run a multi-query analysis against one frozen state.
+// Removal is tombstone-based: the slot's structural count row and PMI
+// column stay in place, masked, and surviving graph indices are stable.
+// Compact rewrites the indexes without the tombstones (renumbering
+// survivors); SetCompactThreshold arms automatic compaction. Keep one
+// pinned view to run a multi-query analysis against one frozen state.
 //
 // See the examples directory for complete programs: examples/quickstart
 // walks the paper's own Figure 1 instance, examples/ppi searches a
