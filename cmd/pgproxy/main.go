@@ -15,7 +15,10 @@
 // label errors, metrics, and /stats health records. Fleet order must be
 // partition order.
 //
-// Endpoints:
+// pgproxy is pgserve's handler set (internal/server) over the fleet
+// backend (internal/cluster): requests are validated, counted, timed and
+// traced, failures written and streams framed by the same code
+// (docs/ARCHITECTURE.md, "Wire format"). What differs is the backend:
 //
 //	POST /query         fan-out to every shard; disjoint answer sets merged
 //	                    sorted by global graph id, SSP maps unioned
@@ -26,19 +29,19 @@
 //	                    SSPs fetched from each candidate's owning shard
 //	POST /batch         one fan-out carrying the whole batch, merged member-wise
 //	GET  /stats         per-shard health records + coordinator counters
-//	GET  /metrics       Prometheus exposition (pg_shard_requests_total,
-//	                    pg_shard_request_duration_seconds, pg_shard_up, ...)
+//	GET  /metrics       Prometheus exposition (pg_queries_total,
+//	                    pg_shard_requests_total, pg_shard_up, ...)
 //	GET  /healthz       liveness (the coordinator process is up)
 //	GET  /readyz        readiness (every shard's /readyz answers 200)
 //
-// The wire format is pgserve's, by construction: requests are validated,
-// failures written and streams framed by the same internal/server code
-// (docs/ARCHITECTURE.md, "Wire format"). A shard that cannot answer —
-// down, timed out after -retries, serving a different database
-// generation, or answering something that cannot be merged — fails the
-// whole request with a structured error naming the shard; the
-// coordinator never returns a silently partial answer. Client
-// disconnects and timeout_ms propagate into every shard sub-request.
+// The routes only an evaluating node has (/topk/bounds, /topk/verify,
+// /graphs, /debug/slowlog) answer 404; the proxy keeps no result cache
+// and no inflight bound. A shard that cannot answer — down, timed out
+// after -retries, serving a different database generation, or answering
+// something that cannot be merged — fails the whole request with a
+// structured error naming the shard; the coordinator never returns a
+// silently partial answer. Client disconnects and timeout_ms propagate
+// into every shard sub-request.
 package main
 
 import (
@@ -91,7 +94,7 @@ func main() {
 		logger.Info("shard", "name", sh.Name, "url", sh.URL)
 	}
 
-	if err := server.Serve(logger, *addr, *pprofAddr, coord.Handler(),
+	if err := server.Serve(logger, *addr, *pprofAddr, server.NewOver(coord, coord.Registry()).Handler(),
 		"shards", len(shards), "shard_timeout", shardTimeout.String(), "retries", *retries); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)

@@ -24,18 +24,19 @@
 //
 // Failure semantics: a shard that cannot answer (down, timed out after
 // retries, wrong generation, an answer that cannot be merged — a global id
-// another shard answered too, say) fails the whole request with a
-// structured error naming the shard — never a silently partial answer, or
-// a doubled one. The wire itself — request validation, the
-// error body, NDJSON framing, the HTTP client — is internal/server's;
-// this package only decides what to send where and how to merge. Client
-// cancellation propagates: every shard sub-request derives from the
-// incoming request's context.
+// another shard answered or streamed too, say) fails the whole request
+// with a structured error naming the shard — never a silently partial
+// answer, or a doubled one. The Coordinator is a server.Backend: the
+// HTTP side — request validation, counting, timing, tracing, the error
+// body, NDJSON framing — is internal/server's one handler set, which
+// pgproxy serves over it with server.NewOver, and the shard client is
+// internal/server's Client; this package only decides what to send where
+// and how to merge. Client cancellation propagates: every shard
+// sub-request derives from the incoming request's context.
 package cluster
 
 import (
 	"fmt"
-	"net/http"
 	"net/url"
 	"strings"
 	"time"
@@ -63,7 +64,8 @@ type Options struct {
 	// (transport errors only — an HTTP error status is an answer, not a
 	// flaky network). 0 selects the default (1); negative disables.
 	Retries int
-	// Metrics is the registry /metrics serves. nil creates a private one.
+	// Metrics is the registry the per-shard families register on — the
+	// one server.NewOver serves at /metrics. nil creates a private one.
 	Metrics *obs.Registry
 }
 
@@ -80,18 +82,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator serves the pgserve query API over a fleet of range-partition
-// shards. It holds no graph data itself: every query endpoint validates
-// the request, fans it out over HTTP, and merges deterministically.
+// Coordinator is the fleet backend: the pgserve query API over a fleet
+// of range-partition shards. It holds no graph data itself: every query
+// fans the accepted request out over HTTP and merges deterministically.
 type Coordinator struct {
 	shards  []Shard
 	clients []*server.Client // clients[i] speaks to shards[i]
 	opt     Options
 	health  *healthTracker
 	mx      *coordMetrics
-	mux     *http.ServeMux
 	start   time.Time
 }
+
+var _ server.Backend = (*Coordinator)(nil)
 
 // New builds a Coordinator over the given fleet.
 func New(opt Options) (*Coordinator, error) {
@@ -121,38 +124,19 @@ func New(opt Options) (*Coordinator, error) {
 		opt:    opt,
 		health: newHealthTracker(shards),
 		start:  time.Now(),
-		mux:    http.NewServeMux(),
 	}
 	for _, sh := range shards {
 		c.clients = append(c.clients, server.NewClient(sh.URL))
 	}
 	c.mx = newCoordMetrics(c, opt.Metrics)
-	// The single-node middleware, minus what only an evaluating node has
-	// (pipeline bridge, slowlog): shard sub-requests attach child spans
-	// under the endpoint root. Requests are counted by the handlers, once
-	// accepted.
-	instrumented := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-		return server.Instrument(endpoint, c.mx.latency[endpoint], nil, nil, h)
-	}
-	c.mux.HandleFunc("/query", instrumented("query", c.handleQuery))
-	c.mux.HandleFunc("/query/stream", instrumented("stream", c.handleQueryStream))
-	c.mux.HandleFunc("/topk", instrumented("topk", c.handleTopK))
-	c.mux.HandleFunc("/batch", instrumented("batch", c.handleBatch))
-	c.mux.HandleFunc("/stats", c.handleStats)
-	c.mux.HandleFunc("/metrics", server.MetricsHandler(opt.Metrics))
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/readyz", c.handleReadyz)
 	return c, nil
 }
 
-// Handler returns the HTTP handler serving the coordinator API.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Registry returns the metrics registry rendered at /metrics.
+// Registry returns the registry the per-shard families are on.
 func (c *Coordinator) Registry() *obs.Registry { return c.opt.Metrics }
 
-// handleHealthz is the liveness probe: the coordinator process is up. It
-// does not touch the shards — /readyz does.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, map[string]any{"status": "ok", "shards": len(c.shards)})
+// Healthz reports the coordinator process up. It does not touch the
+// shards — Readyz does.
+func (c *Coordinator) Healthz() any {
+	return map[string]any{"status": "ok", "shards": len(c.shards)}
 }

@@ -82,7 +82,7 @@ func newFleet(t *testing.T, db *core.Database, shards int) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.coord = httptest.NewServer(coord.Handler())
+	f.coord = httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
 	return f
 }
 
@@ -483,7 +483,7 @@ func TestClusterGenerationMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := httptest.NewServer(coord.Handler())
+	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
 	defer ch.Close()
 
 	q := extractQueries(db, 7, 1)[0]
@@ -514,7 +514,7 @@ func TestClusterCancellationPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := httptest.NewServer(coord.Handler())
+	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
 	defer ch.Close()
 
 	db := testDatabase(t, 3, 4)
@@ -561,7 +561,7 @@ func TestClusterTimeoutPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := httptest.NewServer(coord.Handler())
+	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
 	defer ch.Close()
 
 	db := testDatabase(t, 3, 4)

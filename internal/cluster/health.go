@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
-
-	"probgraph/internal/server"
 )
 
 // ShardHealthJSON is one shard's health record as /stats reports it.
@@ -114,16 +111,16 @@ func (h *healthTracker) snapshot(order []Shard) []ShardHealthJSON {
 	return out
 }
 
-// handleReadyz is the coordinator readiness probe: every shard's /readyz
-// must answer 200 within the probe timeout. 503 names the shards that
-// are not ready — an orchestrator holds traffic until the whole fleet
-// can answer, because any missing shard would fail every query anyway.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// Readyz is the fleet readiness probe: every shard's /readyz must answer
+// 200 within the probe timeout. Not ready names the shards that are not
+// — an orchestrator holds traffic until the whole fleet can answer,
+// because any missing shard would fail every query anyway.
+func (c *Coordinator) Readyz(ctx context.Context) (any, bool) {
 	timeout := c.opt.ShardTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
 	errs := make([]error, len(c.shards))
@@ -146,10 +143,8 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(failed) > 0 {
 		out["ready"], out["failed"] = false, failed
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	server.WriteJSON(w, out)
+	return out, len(failed) == 0
 }
 
 // probeReady GETs one shard's /readyz. The outcome feeds the health
@@ -161,12 +156,12 @@ func (c *Coordinator) probeReady(ctx context.Context, si int) error {
 	return err
 }
 
-// handleStats reports the coordinator's own counters plus every shard's
-// health record.
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, map[string]any{
+// Stats reports the coordinator's own counters plus every shard's health
+// record.
+func (c *Coordinator) Stats(queries int64) any {
+	return map[string]any{
 		"shards":    c.health.snapshot(c.shards),
-		"queries":   c.mx.totalQueries(),
+		"queries":   queries,
 		"uptime_ms": float64(time.Since(c.start).Microseconds()) / 1000,
-	})
+	}
 }

@@ -1,10 +1,11 @@
 package cluster
 
 import (
-	"net/http"
+	"context"
 	"sort"
-	"time"
 
+	"probgraph/internal/core"
+	"probgraph/internal/graph"
 	"probgraph/internal/server"
 )
 
@@ -14,46 +15,23 @@ func validQuery(_ int, qr *server.QueryResponse) (uint64, bool) {
 	return qr.Generation, len(qr.Names) == len(qr.Answers)
 }
 
-// handleQuery is POST /query: validate once, fan the request out to every
-// shard, merge. Shards hold disjoint global-id ranges and answer in
-// global ids, so the merge is a disjoint sorted union — bitwise the
-// single-node answer set, with bitwise the single-node SSP values.
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if _, _, ok := server.Accept(w, r, &req, req.Check); !ok {
-		return
-	}
-	c.mx.queries["query"].Inc()
-	start := time.Now()
-	resps, e := fanout(r.Context(), c, "/query", &req, validQuery)
+// Query is /query over the fleet: fan the request out to every shard,
+// merge. Shards hold disjoint global-id ranges and answer in global ids,
+// so the merge is a disjoint sorted union — bitwise the single-node
+// answer set, with bitwise the single-node SSP values.
+func (c *Coordinator) Query(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.QueryResponse, error) {
+	resps, e := fanout(ctx, c, "/query", req, validQuery)
 	if e != nil {
-		e.Write(w)
-		return
+		return nil, e
 	}
-	merged, e := c.mergeQuery(resps)
-	if e != nil {
-		e.Write(w)
-		return
-	}
-	merged.TimeMS = float64(time.Since(start).Microseconds()) / 1000
-	if server.TraceWanted(r, req.Trace) {
-		merged.Trace = server.TraceTree(r)
-	}
-	server.WriteJSON(w, merged)
+	return c.mergeQuery(resps)
 }
 
-// handleBatch is POST /batch: one fan-out carrying the whole batch (each
-// shard derives the same per-member seeds from the base seed), merged
-// member-wise.
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	qs, _, ok := server.Accept(w, r, &req, req.Check)
-	if !ok {
-		return
-	}
-	c.mx.queries["batch"].Add(int64(len(qs)))
-	start := time.Now()
-	batches, e := fanout(r.Context(), c, "/batch", &req, func(_ int, br *server.BatchResponse) (uint64, bool) {
+// Batch is /batch over the fleet: one fan-out carrying the whole batch
+// (each shard derives the same per-member seeds from the base seed),
+// merged member-wise.
+func (c *Coordinator) Batch(ctx context.Context, req *server.BatchRequest, qs []*graph.Graph, _ core.QueryOptions) (*server.BatchResponse, error) {
+	batches, e := fanout(ctx, c, "/batch", req, func(_ int, br *server.BatchResponse) (uint64, bool) {
 		if len(br.Results) != len(qs) {
 			return 0, false
 		}
@@ -67,26 +45,21 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return br.Results[0].Generation, true
 	})
 	if e != nil {
-		e.Write(w)
-		return
+		return nil, e
 	}
-	out := server.BatchResponse{TimeMS: float64(time.Since(start).Microseconds()) / 1000}
+	out := &server.BatchResponse{}
 	member := make([]*server.QueryResponse, len(batches))
 	for qi := range qs {
 		for si := range batches {
 			member[si] = batches[si].Results[qi]
 		}
-		merged, e := c.mergeQuery(member)
-		if e != nil {
-			e.Write(w)
-			return
+		merged, err := c.mergeQuery(member)
+		if err != nil {
+			return nil, err
 		}
 		out.Results = append(out.Results, merged)
 	}
-	if server.TraceWanted(r, req.Trace) {
-		out.Trace = server.TraceTree(r)
-	}
-	server.WriteJSON(w, out)
+	return out, nil
 }
 
 // mergeQuery folds per-shard /query responses (in fleet order) into the
@@ -99,7 +72,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 // every shard computes identically from the query alone (a sum would
 // multiply it by the fleet size). Cached is the fleet AND: the merged
 // answer came from caches only if every part did.
-func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryResponse, *server.Error) {
+func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryResponse, error) {
 	type pair struct {
 		gid   int
 		name  string

@@ -2,17 +2,10 @@ package cluster
 
 import "probgraph/internal/obs"
 
-// coordEndpoints are the coordinator's instrumented query endpoints, in
-// registration (= exposition) order.
-var coordEndpoints = []string{"query", "topk", "batch", "stream"}
-
-// coordMetrics holds the coordinator's observability state: per-endpoint
-// counters/latency mirroring the single-node server's families, plus the
-// per-shard fan-out families the fleet view needs.
+// coordMetrics holds the per-shard fan-out families the fleet view needs;
+// the request families (pg_queries_total, pg_request_duration_seconds)
+// are the shared handler set's, registered by server.NewOver.
 type coordMetrics struct {
-	queries map[string]*obs.Counter   // endpoint -> accepted requests
-	latency map[string]*obs.Histogram // endpoint -> wall-clock seconds
-
 	shardRequests map[string]map[string]*obs.Counter // shard -> outcome -> count
 	shardLatency  map[string]*obs.Histogram          // shard -> sub-request seconds
 }
@@ -21,17 +14,8 @@ var shardOutcomes = []string{"ok", "http_error", "error"}
 
 func newCoordMetrics(c *Coordinator, reg *obs.Registry) *coordMetrics {
 	m := &coordMetrics{
-		queries:       make(map[string]*obs.Counter, len(coordEndpoints)),
-		latency:       make(map[string]*obs.Histogram, len(coordEndpoints)),
 		shardRequests: make(map[string]map[string]*obs.Counter, len(c.shards)),
 		shardLatency:  make(map[string]*obs.Histogram, len(c.shards)),
-	}
-	for _, ep := range coordEndpoints {
-		m.queries[ep] = reg.Counter("pg_queries_total",
-			"Queries accepted per endpoint (batch counts members; rejected requests are not counted).",
-			"endpoint", ep)
-		m.latency[ep] = reg.Histogram("pg_request_duration_seconds",
-			"End-to-end request latency per endpoint.", nil, "endpoint", ep)
 	}
 	for _, sh := range c.shards {
 		byOutcome := make(map[string]*obs.Counter, len(shardOutcomes))
@@ -57,16 +41,5 @@ func newCoordMetrics(c *Coordinator, reg *obs.Registry) *coordMetrics {
 		})
 	reg.Collect("pg_shards", "gauge", "Configured fleet size.",
 		func(emit func(string, float64)) { emit("", float64(len(c.shards))) })
-	reg.RegisterGoRuntime()
 	return m
-}
-
-// totalQueries sums the per-endpoint counters (the /stats "queries"
-// value).
-func (m *coordMetrics) totalQueries() int64 {
-	var n int64
-	for _, c := range m.queries { //pgvet:sorted sums every counter; addition is order-insensitive
-		n += c.Value()
-	}
-	return n
 }

@@ -8,17 +8,22 @@ import (
 	"sync"
 	"time"
 
+	"probgraph/internal/core"
+	"probgraph/internal/graph"
 	"probgraph/internal/obs"
 	"probgraph/internal/server"
 )
 
-// handleQueryStream is POST /query/stream, distributed: one NDJSON
-// stream per shard, match lines forwarded to the client verbatim as they
-// arrive (they already carry global ids), then one merged summary line.
-// Match arrival order interleaves across shards — exactly as it already
-// interleaves across workers on a single node — while the summary
-// (sorted answers, SSP map, count) is bitwise the single-node summary,
-// because the shards' match sets partition the single node's.
+// Stream is /query/stream over the fleet: one NDJSON stream per shard,
+// match lines forwarded to the client verbatim as they arrive (they
+// already carry global ids); the handler then writes the summary line,
+// re-derived from what was forwarded. Match arrival order interleaves
+// across shards — exactly as it already interleaves across workers on a
+// single node — while the summary (sorted answers, SSP map, count) is
+// bitwise the single-node summary, because the shards' match sets
+// partition the single node's. A global id a second shard streams too —
+// two shards serving overlapping ranges — is refused like /query refuses
+// it, never recorded twice.
 //
 // A shard failing mid-stream aborts every other shard stream and ends
 // the output with an in-band error line naming the shard — the stream
@@ -29,21 +34,14 @@ import (
 // evaluation, and client disconnect cancels everything through the
 // request context. Streams are never retried: forwarded lines cannot be
 // unsent.
-func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if _, _, ok := server.Accept(w, r, &req, req.CheckStream); !ok {
-		return
-	}
-	c.mx.queries["stream"].Inc()
-	body, err := json.Marshal(&req)
+func (c *Coordinator) Stream(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions, sw *server.StreamWriter) error {
+	body, err := json.Marshal(req)
 	if err != nil {
-		server.Errorf(http.StatusInternalServerError, "%v", err).Write(w)
-		return
+		return server.Errorf(http.StatusInternalServerError, "%v", err)
 	}
-	start := time.Now()
-	sctx, cancel := context.WithCancel(r.Context())
+	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fan := &streamFan{sw: server.NewStreamWriter(w), cancel: cancel}
+	fan := &streamFan{sw: sw, cancel: cancel, seen: make(map[int]bool)}
 
 	var wg sync.WaitGroup
 	for si := range c.shards {
@@ -57,15 +55,14 @@ func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) 
 
 	switch {
 	case fan.failure != nil:
-		fan.sw.Fail(fan.failure)
-	case r.Context().Err() != nil:
+		return fan.failure
+	case ctx.Err() != nil:
 		// Shutdown with the client still attached: the shard streams were
 		// cut by our own context, which streamShard does not count as a
 		// shard failure — but what was forwarded is partial all the same.
-		fan.sw.Fail(server.ErrorFrom("stream failed", r.Context().Err()))
-	default:
-		fan.sw.Done(start)
+		return server.ErrorFrom("stream failed", ctx.Err())
 	}
+	return nil
 }
 
 // streamFan is the mutex-guarded client side of the fan-in: shard
@@ -75,15 +72,23 @@ func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) 
 type streamFan struct {
 	mu      sync.Mutex
 	sw      *server.StreamWriter
+	seen    map[int]bool // global ids forwarded so far
 	failure *server.Error
 	cancel  context.CancelFunc
 }
 
-var errClientGone = errors.New("client gone")
+var (
+	errClientGone = errors.New("client gone")
+	errOverlap    = errors.New("global id streamed by two shards")
+)
 
 func (f *streamFan) forward(m server.StreamMatchJSON, raw []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.seen[m.Graph] {
+		return errOverlap
+	}
+	f.seen[m.Graph] = true
 	if !f.sw.Match(m, raw) {
 		return errClientGone // the request context cancels the fleet
 	}
@@ -102,16 +107,22 @@ func (f *streamFan) abort(e *server.Error) {
 // streamShard runs one shard's /query/stream, forwarding its match lines
 // until the shard's summary arrives (the merged summary is re-derived
 // from what was forwarded). Any failure — unreachable, non-200, in-band
-// error line, undecodable line, or a stream that ends without a summary —
-// aborts the whole fan-in with a structured error naming the shard.
+// error line, undecodable line, a stream that ends without a summary, or
+// a global id another shard already streamed — aborts the whole fan-in
+// with a structured error naming the shard.
 func (c *Coordinator) streamShard(ctx context.Context, si int, body []byte, fan *streamFan) {
 	sh := c.shards[si]
 	sp := obs.SpanFrom(ctx).Child("shard:" + sh.Name + "/query/stream")
 	defer sp.End()
 	start := time.Now()
 	_, err := c.clients[si].Stream(ctx, "/query/stream", body, fan.forward)
-	if err == errClientGone {
+	switch err {
+	case errClientGone:
 		err = nil // the shard did nothing wrong
+	case errOverlap:
+		c.record(sh, start, nil) // the exchange worked; its content cannot be merged
+		fan.abort(malformed(sh))
+		return
 	}
 	c.record(sh, start, err)
 	// Once the context is done the ending is the coordinator's doing (a

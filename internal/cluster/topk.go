@@ -3,12 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sort"
-	"time"
 
 	"probgraph/internal/core"
+	"probgraph/internal/graph"
 	"probgraph/internal/server"
 )
 
@@ -19,23 +18,20 @@ type owner struct {
 	shard int
 }
 
-// handleTopK is POST /topk, distributed: fan out to /topk/bounds, merge
-// the shard schedules into the single-node verification order (Upper
-// descending, global id ascending — bounds are bitwise-equal across the
-// partition, so the merged schedule IS the single-node schedule), then
-// run the single node's rule, core.ReplayTopK, over it with a verify
-// that fetches a window of SSPs from the owning shards via /topk/verify.
-// Per-candidate SSPs are deterministic, so what a window fetches past
-// the stop wastes work but never changes the answer: the result is
+// TopK is /topk over the fleet: fan out to /topk/bounds, merge the shard
+// schedules into the single-node verification order (Upper descending,
+// global id ascending — bounds are bitwise-equal across the partition, so
+// the merged schedule IS the single-node schedule), then run the single
+// node's rule, core.ReplayTopK, over it with a verify that fetches a
+// window of SSPs from the owning shards via /topk/verify. The window —
+// how many SSPs one round of /topk/verify calls fetches ahead of the
+// walk — is max(k, 8): a round trip costs far more than a value, so the
+// coordinator amortises it where the in-process caller would not.
+// Per-candidate SSPs are deterministic, so what a window fetches past the
+// stop wastes work but never changes the answer: the result is
 // bitwise-identical to single-node QueryTopKCtx.
-func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if _, _, ok := server.Accept(w, r, &req, req.CheckTopK); !ok {
-		return
-	}
-	c.mx.queries["topk"].Inc()
-	start := time.Now()
-	bounds, e := fanout(r.Context(), c, "/topk/bounds", &req,
+func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.TopKResponse, error) {
+	bounds, e := fanout(ctx, c, "/topk/bounds", req,
 		func(_ int, br *server.TopKBoundsResponse) (uint64, bool) {
 			for _, b := range br.Bounds {
 				if !(b.Upper >= 0 && b.Upper <= 1) {
@@ -45,22 +41,19 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return br.Generation, true
 		})
 	if e != nil {
-		e.Write(w)
-		return
+		return nil, e
 	}
 	for i := 1; i < len(bounds); i++ {
 		// Degeneracy (δ ≥ |E(q)|) depends only on the query and options
 		// every shard received identically; disagreement means the fleet
 		// is not running the same code.
 		if bounds[i].Degenerate != bounds[0].Degenerate {
-			malformed(c.shards[i]).Write(w)
-			return
+			return nil, malformed(c.shards[i])
 		}
 	}
 	sched, owners, e := c.mergeSchedules(bounds)
 	if e != nil {
-		e.Write(w)
-		return
+		return nil, e
 	}
 	var top []core.TopKItem
 	if bounds[0].Degenerate {
@@ -71,22 +64,20 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		for _, s := range sched[:min(req.K, len(sched))] {
 			top = append(top, core.TopKItem{Graph: s.Graph, SSP: 1})
 		}
-	} else if top, e = c.replayTopK(r.Context(), &req, sched, owners, bounds[0].Generation); e != nil {
-		e.Write(w)
-		return
+	} else {
+		var err error
+		top, _, err = core.ReplayTopK(ctx, sched, req.K, max(req.K, 8), func(ctx context.Context, lo, hi int) ([]float64, error) {
+			return c.fetchSSPs(ctx, req, sched[lo:hi], owners, bounds[0].Generation)
+		})
+		if err != nil {
+			return nil, err // a shard's *server.Error, or the request's own context ending between rounds
+		}
 	}
-	resp := &server.TopKResponse{
-		Items:      make([]server.TopKItemJSON, len(top)),
-		Generation: bounds[0].Generation,
-		TimeMS:     float64(time.Since(start).Microseconds()) / 1000,
-	}
+	resp := &server.TopKResponse{Items: make([]server.TopKItemJSON, len(top)), Generation: bounds[0].Generation}
 	for i, it := range top {
 		resp.Items[i] = server.TopKItemJSON{Graph: it.Graph, Name: owners[it.Graph].name, SSP: it.SSP}
 	}
-	if server.TraceWanted(r, req.Trace) {
-		resp.Trace = server.TraceTree(r)
-	}
-	server.WriteJSON(w, resp)
+	return resp, nil
 }
 
 // mergeSchedules folds per-shard bound schedules into the global one, in
@@ -115,22 +106,6 @@ func (c *Coordinator) mergeSchedules(bounds []*server.TopKBoundsResponse) ([]cor
 		return sched[i].Graph < sched[j].Graph
 	})
 	return sched, owners, nil
-}
-
-// replayTopK runs the serial rule over the merged schedule. The window —
-// how many SSPs one round of /topk/verify calls fetches ahead of the
-// walk — is max(k, 8): a round trip costs far more than a value, so the
-// coordinator amortises it where the in-process caller would not. gen is
-// the generation the schedule was computed under.
-func (c *Coordinator) replayTopK(ctx context.Context, req *server.QueryRequest, sched []core.TopKBound, owners map[int]owner, gen uint64) ([]core.TopKItem, *server.Error) {
-	top, _, err := core.ReplayTopK(ctx, sched, req.K, max(req.K, 8), func(ctx context.Context, lo, hi int) ([]float64, error) {
-		return c.fetchSSPs(ctx, req, sched[lo:hi], owners, gen)
-	})
-	var e *server.Error
-	if err != nil && !errors.As(err, &e) {
-		e = server.ErrorFrom("topk failed", err) // the request's own context ended between rounds
-	}
-	return top, e
 }
 
 // fetchSSPs verifies one look-ahead window of schedule entries: global

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +86,44 @@ func TestEnvelopeParity(t *testing.T) {
 			}
 		}
 	}
+
+	// The probes and /stats run through the same handlers too; each process
+	// keeps its own status and body shape (the proxy's fleet is down here).
+	probes := []struct {
+		url, path string
+		status    int
+		keys      string
+	}{
+		{f.single.URL, "/healthz", 200, "generation graphs status"},
+		{f.single.URL, "/readyz", 200, "generation graphs partitioned ready"},
+		{f.single.URL, "/stats", 200, "cache_cap cache_entries cache_generations cache_hits cache_misses " +
+			"default_timeout_ms generation graphs index_bytes inflight live_graphs pmi_features queries " +
+			"tombstoned_graphs uptime_ms workers"},
+		{f.coord.URL, "/healthz", 200, "shards status"},
+		{f.coord.URL, "/readyz", 503, "failed ready shards"},
+		{f.coord.URL, "/stats", 200, "queries shards uptime_ms"},
+	}
+	for _, p := range probes {
+		st, body := do(t, "GET", p.url+p.path, "")
+		keys := slices.Sorted(maps.Keys(body))
+		if st != p.status || strings.Join(keys, " ") != p.keys {
+			t.Errorf("GET %s on %s: %d with keys %v, want %d with %s", p.path, p.url, st, keys, p.status, p.keys)
+		}
+	}
+	// What only an evaluating node serves is not routed on the proxy.
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/topk/bounds"}, {"POST", "/topk/verify"}, {"POST", "/graphs"}, {"GET", "/debug/slowlog"},
+	} {
+		req, _ := http.NewRequest(rt.method, f.coord.URL+rt.path, strings.NewReader(`{}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s on the proxy: %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
 }
 
 // hostileShard is a fake pgserve answering each path with a canned status
@@ -117,7 +157,7 @@ func coordOver(t *testing.T, shards ...http.Handler) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coord.Handler()
+	return server.NewOver(coord, coord.Registry()).Handler()
 }
 
 const (
@@ -233,23 +273,33 @@ func TestHostileShardStream(t *testing.T) {
 		status        int
 		body          string
 		flag, message string
+		// first, when set, is what s0 streams instead of a bare summary.
+		// Then either shard may be the second to send an id, so the
+		// message may name s0 as well.
+		first string
 	}{
-		{"undecodable line", 200, m0 + "garbage\n" + sum, "", "shard s1: undecodable stream line"},
-		{"ends before its summary", 200, m0, "", "shard s1: stream ended before summary: EOF"},
-		{"empty", 200, "", "", "shard s1: stream ended before summary: EOF"},
-		{"timeout line", 200, m0 + `{"error":"stream failed: context deadline exceeded","timeout":true}` + "\n", "timeout", "shard s1: stream failed: context deadline exceeded"},
-		{"cancelled line", 200, `{"error":"stream failed: context canceled","cancelled":true}` + "\n", "cancelled", "shard s1: stream failed: context canceled"},
-		{"refused up front", 504, `{"error":"busy","timeout":true}`, "timeout", "shard s1: busy"},
+		{"overlapping ids", 200, m0 + sum, "", "shard s1: undecodable response", m0 + sum},
+		{"undecodable line", 200, m0 + "garbage\n" + sum, "", "shard s1: undecodable stream line", ""},
+		{"ends before its summary", 200, m0, "", "shard s1: stream ended before summary: EOF", ""},
+		{"empty", 200, "", "", "shard s1: stream ended before summary: EOF", ""},
+		{"timeout line", 200, m0 + `{"error":"stream failed: context deadline exceeded","timeout":true}` + "\n", "timeout", "shard s1: stream failed: context deadline exceeded", ""},
+		{"cancelled line", 200, `{"error":"stream failed: context canceled","cancelled":true}` + "\n", "cancelled", "shard s1: stream failed: context canceled", ""},
+		{"refused up front", 504, `{"error":"busy","timeout":true}`, "timeout", "shard s1: busy", ""},
 	}
 	for _, c := range cases {
-		rec := postTo(coordOver(t, good, hostileShard{"/query/stream": {c.status, c.body}}), "/query/stream", hostileQuery)
+		first, want := good, []string{c.message}
+		if c.first != "" {
+			first = hostileShard{"/query/stream": {200, c.first}}
+			want = append(want, strings.Replace(c.message, "s1", "s0", 1))
+		}
+		rec := postTo(coordOver(t, first, hostileShard{"/query/stream": {c.status, c.body}}), "/query/stream", hostileQuery)
 		lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
 		var e server.StreamErrorJSON
 		if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
 			t.Errorf("%s: last line %q: %v", c.name, lines[len(lines)-1], err)
 			continue
 		}
-		if rec.Code != 200 || e.Error != c.message || e.Timeout != (c.flag == "timeout") || e.Cancelled != (c.flag == "cancelled") {
+		if rec.Code != 200 || !slices.Contains(want, e.Error) || e.Timeout != (c.flag == "timeout") || e.Cancelled != (c.flag == "cancelled") {
 			t.Errorf("%s: %d, last line %+v, want %q with flag %q", c.name, rec.Code, e, c.message, c.flag)
 		}
 		if bytes.Contains(rec.Body.Bytes(), []byte(`"done"`)) {
@@ -304,7 +354,26 @@ func TestCoordinatorQueryCounters(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type %q", ct)
 	}
+	// One request-metrics registration: every family appears once, and so
+	// does every series.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		key := line
+		if !strings.HasPrefix(line, "#") {
+			key = line[:strings.LastIndexByte(line, ' ')]
+		}
+		if seen[key] {
+			t.Errorf("/metrics repeats %q", key)
+		}
+		seen[key] = true
+	}
+	for _, want := range []string{"# TYPE pg_queries_total counter", "# TYPE go_goroutines gauge", "# TYPE pg_shards gauge"} {
+		if !seen[want] {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
 	for _, want := range []string{
+		`pg_shard_up{shard="s0"} 1`,
 		`pg_queries_total{endpoint="query"} 2`,
 		`pg_queries_total{endpoint="topk"} 0`,
 		`pg_queries_total{endpoint="batch"} 3`,

@@ -2,6 +2,8 @@ package server
 
 import (
 	"container/list"
+	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -87,4 +89,76 @@ func (c *lruCache) Counters() (int64, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// genCounters tracks per-generation result-cache hit/miss counts,
+// retaining the most recent maxTrackedGens generations.
+type genCounters struct {
+	mu sync.Mutex
+	m  map[uint64]*GenCacheJSON
+}
+
+const maxTrackedGens = 16
+
+func (g *genCounters) record(gen uint64, hit bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.m == nil {
+		g.m = make(map[uint64]*GenCacheJSON)
+	}
+	c := g.m[gen]
+	if c == nil {
+		c = &GenCacheJSON{}
+		g.m[gen] = c
+		for len(g.m) > maxTrackedGens {
+			oldest := gen
+			for k := range g.m { //pgvet:sorted min-find over keys; the result is order-insensitive
+				if k < oldest {
+					oldest = k
+				}
+			}
+			delete(g.m, oldest)
+		}
+	}
+	if hit {
+		c.Hits++
+	} else {
+		c.Misses++
+	}
+}
+
+func (g *genCounters) snapshot() map[string]GenCacheJSON {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make(map[string]GenCacheJSON, len(g.m))
+	for gen, c := range g.m { //pgvet:sorted builds a map rendered by encoding/json, which sorts keys
+		out[strconv.FormatUint(gen, 10)] = *c
+	}
+	return out
+}
+
+// genCacheEntry is one generation's counters with its label pre-rendered,
+// ordered for byte-stable /metrics exposition.
+type genCacheEntry struct {
+	Gen string
+	GenCacheJSON
+}
+
+// snapshotSorted returns the tracked per-generation counters in ascending
+// generation order. /metrics renders from this: Prometheus exposition is
+// part of the byte-stable output contract, so emission order cannot
+// depend on map iteration.
+func (g *genCounters) snapshotSorted() []genCacheEntry {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	gens := make([]uint64, 0, len(g.m))
+	for gen := range g.m { //pgvet:sorted keys are collected then sorted immediately below
+		gens = append(gens, gen)
+	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	out := make([]genCacheEntry, 0, len(gens))
+	for _, gen := range gens {
+		out = append(out, genCacheEntry{Gen: strconv.FormatUint(gen, 10), GenCacheJSON: *g.m[gen]})
+	}
+	return out
 }

@@ -56,42 +56,34 @@ type TopKVerifyResponse struct {
 // server's graphs — upper bounds only, no verification. A distributed
 // coordinator merges the schedules of every shard by (upper, global id)
 // and replays the serial early-termination rule over the union; see
-// internal/cluster. Not cached: the coordinator owns caching of the
-// merged result.
-func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
+// internal/cluster. Not cached: the schedule is one phase of a merged
+// answer, never an answer itself.
+func (l *local) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	q, opt, ok := accept(s, w, r, &req, req.CheckTopK)
+	q, opt, ok := Accept(w, r, &req, req.CheckTopK)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := l.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 	start := time.Now()
 
-	v := s.db.View()
-	s.metrics.queries["topk_bounds"].Inc()
-	release := s.acquire()
-	bounds, degenerate, err := v.QueryTopKBounds(ctx, q, req.K, opt)
+	v := l.db.View()
+	l.queries["topk_bounds"].Inc()
+	release := l.acquire()
+	bounds, degenerate, err := v.QueryTopKBounds(ctx, q, req.K, l.workers(opt))
 	release()
-	if err != nil {
-		ErrorFrom("topk bounds failed", err).Write(w)
-		return
-	}
-	resp := TopKBoundsResponse{
+	resp := &TopKBoundsResponse{
 		Degenerate: degenerate,
 		Bounds:     make([]TopKBoundJSON, 0, len(bounds)),
 		Generation: v.Generation,
-		TimeMS:     float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for _, b := range bounds {
 		resp.Bounds = append(resp.Bounds, TopKBoundJSON{
 			Graph: v.GID(b.Graph), Name: v.Graphs[b.Graph].G.Name(), Upper: b.Upper,
 		})
 	}
-	if TraceWanted(r, req.Trace) {
-		resp.Trace = TraceTree(r)
-	}
-	WriteJSON(w, resp)
+	reply(w, r, "topk bounds failed", req.Trace, start, resp, err)
 }
 
 // handleTopKVerify is POST /topk/verify: SSP estimates for an explicit
@@ -99,17 +91,17 @@ func (s *Server) handleTopKBounds(w http.ResponseWriter, r *http.Request) {
 // the serial top-k run would compute (per-candidate seeding from the
 // global id alone), so the coordinator can fold them into its replayed
 // commit loop unchanged.
-func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
+func (l *local) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 	var req TopKVerifyRequest
-	q, opt, ok := accept(s, w, r, &req, req.Check)
+	q, opt, ok := Accept(w, r, &req, req.Check)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := l.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 	start := time.Now()
 
-	v := s.db.View()
+	v := l.db.View()
 	locals := make([]int, len(req.Graphs))
 	for i, g := range req.Graphs {
 		li := v.LocalOf(g)
@@ -119,9 +111,9 @@ func (s *Server) handleTopKVerify(w http.ResponseWriter, r *http.Request) {
 		}
 		locals[i] = li
 	}
-	s.metrics.queries["topk_verify"].Add(int64(len(locals)))
-	release := s.acquire()
-	ssps, err := v.VerifySSPBatch(ctx, q, locals, opt)
+	l.queries["topk_verify"].Add(int64(len(locals)))
+	release := l.acquire()
+	ssps, err := v.VerifySSPBatch(ctx, q, locals, l.workers(opt))
 	release()
 	if err != nil {
 		ErrorFrom("topk verify failed", err).Write(w)

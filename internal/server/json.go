@@ -1,12 +1,13 @@
-// Package server exposes an indexed probabilistic graph database as a
-// long-running HTTP/JSON query service: load (or receive) a database once,
-// answer many T-PS queries concurrently on the engine's deterministic
-// worker pool, and serve repeated queries from an LRU result cache.
+// Package server is the HTTP/JSON query service: one handler set
+// (Server) answering T-PS queries over a Backend — a resident indexed
+// database (New: pgserve, with its LRU result cache, inflight bound and
+// mutation routes) or a fleet of range shards (NewOver with the
+// internal/cluster backend: pgproxy).
 //
 // It is also the single owner of the service's wire format, which the
-// coordinator (internal/cluster), pgsearch -server and both server mains
-// call rather than restate: the request and response types, the one
-// failure body (Error), the request prologue (Accept and the Check
+// fleet backend (internal/cluster), pgsearch -server and both server
+// mains call rather than restate: the request and response types, the
+// one failure body (Error), the request prologue (Accept and the Check
 // methods), the NDJSON reader and writer (ReadStream, StreamWriter), the
 // HTTP client (Client), and the process loop (Serve).
 package server

@@ -293,7 +293,7 @@ func TestMutationMetricsAndCompactedSlots(t *testing.T) {
 	env := newTestEnv(t, Options{MutationLog: func(ev MutationEvent) {
 		events = append(events, ev)
 	}})
-	env.srv.db.SetCompactThreshold(0.15)
+	env.db.SetCompactThreshold(0.15)
 
 	env.post(t, "/graphs", AddGraphRequest{GraphText: pgraphText(t, 818)}, nil) // 11 live
 	var rm1, rm2 MutationResponse

@@ -2,14 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"runtime"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"probgraph/internal/core"
@@ -78,58 +72,91 @@ type MutationEvent struct {
 	CompactedSlots int  // tombstoned slots reclaimed when Compacted
 }
 
-// Server answers T-PS queries over one resident Database. The query path
-// is lock-free: every request pins the database's current generation view
-// and evaluates against it, so mutations (POST/DELETE/PUT /graphs...)
-// never block a query and a query never observes a half-applied mutation
-// — the old RWMutex is gone. Result-cache entries are keyed by the
-// generation they were computed under, which invalidates exactly the
-// stale entries (they simply stop being looked up and age out of the
-// LRU); nothing is purged on mutation. All randomness stays seeded per
-// request, so a response is bitwise-identical to the corresponding
-// library call against the same generation.
-type Server struct {
-	db    *core.Database
-	opt   Options
-	cache *lruCache
-	sem   chan struct{}
-
-	start    time.Time
-	inflight atomic.Int64
-	genStats genCounters
-	metrics  *serverMetrics
-	mux      *http.ServeMux
+// Backend is what a Server answers queries with: an evaluating node over
+// one resident Database (New) or a fleet of range shards
+// (internal/cluster, served with NewOver). Each query method receives a
+// request the shared handler has already accepted — the decoded request
+// itself, so a fleet can forward it verbatim, plus the parsed graph(s)
+// and engine options it derived — and returns the reply body or the
+// failure (an *Error, or an evaluation error ErrorFrom maps). Everything
+// that differs between the two kinds of server — caching, admission,
+// default deadlines and workers, fan-out and merging — lives behind this
+// interface, so the handlers never ask which kind they serve.
+type Backend interface {
+	Query(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*QueryResponse, error)
+	TopK(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*TopKResponse, error)
+	Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph, opt core.QueryOptions) (*BatchResponse, error)
+	// Stream writes the request's match lines to sw as they are admitted.
+	// On nil the handler ends the stream with its summary line, otherwise
+	// with the error line (both are dropped once the client is gone).
+	Stream(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions, sw *StreamWriter) error
+	// Healthz is the /healthz body: the process is up and serving HTTP.
+	Healthz() any
+	// Readyz is the /readyz body, and whether queries can be answered
+	// (503 otherwise).
+	Readyz(ctx context.Context) (body any, ready bool)
+	// Stats is the /stats body; queries is the handlers' accepted-request
+	// count.
+	Stats(queries int64) any
 }
 
-// New wraps an indexed database in a Server.
-func New(db *core.Database, opt Options) *Server {
-	opt = opt.withDefaults()
+// Server is the query API's one handler set: /query, /topk, /batch and
+// /query/stream over a Backend, with /stats, /healthz, /readyz and
+// /metrics. Every query handler runs the same steps — Accept, count the
+// request, call the backend, stamp time_ms and the optional span tree,
+// write the reply or the failure — so pgserve and pgproxy answer alike
+// by construction.
+type Server struct {
+	b   Backend
+	mux *http.ServeMux
+	// pipeline and slowlog are an evaluating node's; over a fleet, which
+	// evaluates nothing, both are nil and instrument skips them.
+	pipeline *obs.Pipeline
+	slowlog  *obs.Slowlog
+	queries  map[string]*obs.Counter   // endpoint -> accepted requests
+	latency  map[string]*obs.Histogram // endpoint -> wall-clock seconds
+}
+
+// queryEndpoints are the instrumented endpoints every Server serves, in
+// the order their metrics register (registration order is exposition
+// order). New adds localEndpoints after them.
+var queryEndpoints = []string{"query", "topk", "batch", "stream"}
+
+// NewOver serves the query API over b, registering the request metrics
+// and the Go runtime families on reg. pgproxy runs it over a fleet;
+// New runs it over a local database.
+func NewOver(b Backend, reg *obs.Registry) *Server {
+	s := newServer(b, reg, nil, nil)
+	reg.RegisterGoRuntime()
+	return s
+}
+
+// newServer builds the shared handler set and registers the request
+// metrics of queryEndpoints plus extra; the caller registers the Go
+// runtime families once its own families are in.
+func newServer(b Backend, reg *obs.Registry, pipeline *obs.Pipeline, slowlog *obs.Slowlog, extra ...string) *Server {
 	s := &Server{
-		db:    db,
-		opt:   opt,
-		cache: newLRUCache(opt.CacheSize),
-		start: time.Now(),
-		mux:   http.NewServeMux(),
+		b: b, mux: http.NewServeMux(), pipeline: pipeline, slowlog: slowlog,
+		queries: make(map[string]*obs.Counter),
+		latency: make(map[string]*obs.Histogram),
 	}
-	if opt.MaxInflight > 0 {
-		s.sem = make(chan struct{}, opt.MaxInflight)
+	for _, ep := range append(queryEndpoints, extra...) {
+		s.queries[ep] = reg.Counter("pg_queries_total",
+			"Queries accepted per endpoint (batch counts members; rejected requests are not counted, cache hits are).",
+			"endpoint", ep)
+		s.latency[ep] = reg.Histogram("pg_request_duration_seconds",
+			"End-to-end request latency per endpoint, cache hits and rejected requests included.",
+			nil, "endpoint", ep)
 	}
-	s.metrics = newServerMetrics(s, opt.Metrics, opt.SlowlogSize)
-	instrumented := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-		return Instrument(endpoint, s.metrics.latency[endpoint], s.metrics.pipeline, s.metrics.slowlog, h)
-	}
-	s.mux.HandleFunc("/query", instrumented("query", s.handleQuery))
-	s.mux.HandleFunc("/query/stream", instrumented("stream", s.handleQueryStream))
-	s.mux.HandleFunc("/topk", instrumented("topk", s.handleTopK))
-	s.mux.HandleFunc("/topk/bounds", instrumented("topk_bounds", s.handleTopKBounds))
-	s.mux.HandleFunc("/topk/verify", instrumented("topk_verify", s.handleTopKVerify))
-	s.mux.HandleFunc("/batch", instrumented("batch", s.handleBatch))
-	s.mux.HandleFunc("POST /graphs", s.handleAddGraph)
-	s.mux.HandleFunc("DELETE /graphs/{id}", s.handleRemoveGraph)
-	s.mux.HandleFunc("PUT /graphs/{id}", s.handleReplaceGraph)
+	s.mux.HandleFunc("/query", s.instrument("query", s.handleQuery))
+	s.mux.HandleFunc("/query/stream", s.instrument("stream", s.handleQueryStream))
+	s.mux.HandleFunc("/topk", s.instrument("topk", s.handleTopK))
+	s.mux.HandleFunc("/batch", s.instrument("batch", s.handleBatch))
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", MetricsHandler(s.metrics.reg))
-	s.mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
+	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	return s
@@ -137,9 +164,6 @@ func New(db *core.Database, opt Options) *Server {
 
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry returns the metrics registry the server renders at /metrics.
-func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
 // QueryRequest is the /query (and, with K, /topk) payload. The query graph
 // comes either as structured JSON (graph) or in the text codec
@@ -311,493 +335,96 @@ type StatsResponse struct {
 	DefaultTimeoutMS float64 `json:"default_timeout_ms"`
 }
 
-// genCounters tracks per-generation result-cache hit/miss counts,
-// retaining the most recent maxTrackedGens generations.
-type genCounters struct {
-	mu sync.Mutex
-	m  map[uint64]*GenCacheJSON
+// reply is a query handler's epilogue: the failure, or the body stamped
+// with its time_ms (from start, just after Accept) and — when the
+// request asked for it — the span tree.
+func reply[R interface {
+	stamp(ms float64, tr *obs.SpanNode)
+}](w http.ResponseWriter, r *http.Request, what string, trace bool, start time.Time, resp R, err error) {
+	if err != nil {
+		ErrorFrom(what, err).Write(w)
+		return
+	}
+	var tr *obs.SpanNode
+	if TraceWanted(r, trace) {
+		tr = TraceTree(r)
+	}
+	resp.stamp(float64(time.Since(start).Microseconds())/1000, tr)
+	WriteJSON(w, resp)
 }
 
-const maxTrackedGens = 16
-
-func (g *genCounters) record(gen uint64, hit bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = make(map[uint64]*GenCacheJSON)
-	}
-	c := g.m[gen]
-	if c == nil {
-		c = &GenCacheJSON{}
-		g.m[gen] = c
-		for len(g.m) > maxTrackedGens {
-			oldest := gen
-			for k := range g.m { //pgvet:sorted min-find over keys; the result is order-insensitive
-				if k < oldest {
-					oldest = k
-				}
-			}
-			delete(g.m, oldest)
-		}
-	}
-	if hit {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
-}
-
-func (g *genCounters) snapshot() map[string]GenCacheJSON {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]GenCacheJSON, len(g.m))
-	for gen, c := range g.m { //pgvet:sorted builds a map rendered by encoding/json, which sorts keys
-		out[strconv.FormatUint(gen, 10)] = *c
-	}
-	return out
-}
-
-// genCacheEntry is one generation's counters with its label pre-rendered,
-// ordered for byte-stable /metrics exposition.
-type genCacheEntry struct {
-	Gen string
-	GenCacheJSON
-}
-
-// snapshotSorted returns the tracked per-generation counters in ascending
-// generation order. /metrics renders from this: Prometheus exposition is
-// part of the byte-stable output contract, so emission order cannot
-// depend on map iteration.
-func (g *genCounters) snapshotSorted() []genCacheEntry {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	gens := make([]uint64, 0, len(g.m))
-	for gen := range g.m { //pgvet:sorted keys are collected then sorted immediately below
-		gens = append(gens, gen)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	out := make([]genCacheEntry, 0, len(gens))
-	for _, gen := range gens {
-		out = append(out, genCacheEntry{Gen: strconv.FormatUint(gen, 10), GenCacheJSON: *g.m[gen]})
-	}
-	return out
-}
-
-// requestContext derives the evaluation context for one request: the
-// request's own context (cancelled when the client disconnects, and — when
-// pgserve wires http.Server.BaseContext to its shutdown context — when the
-// process is told to stop) bounded by the effective deadline: timeoutMS
-// when positive, else the server default. timeoutMS has been validated by
-// the request's Check.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := s.opt.Timeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > 0 {
-		return context.WithTimeout(r.Context(), d)
-	}
-	return r.Context(), func() {}
-}
-
-// accept is the shared prologue (Accept) plus the one default only an
-// evaluating node injects: its worker count, for requests that set none.
-func accept[Q any](s *Server, w http.ResponseWriter, r *http.Request, req any, check func() (Q, core.QueryOptions, error)) (Q, core.QueryOptions, bool) {
-	q, opt, ok := Accept(w, r, req, check)
-	if opt.Concurrency == 0 {
-		opt.Concurrency = s.opt.Workers
-	}
-	return q, opt, ok
-}
-
-// cacheKey identifies one deterministic query outcome: the generation it
-// was computed under, the query's canonical code, and every
-// result-affecting option. Keying by generation is what replaces the old
-// purge-on-insert: a mutation bumps the generation, so every existing
-// entry simply stops being addressable and ages out of the LRU, while
-// queries against a pinned older view would never be served a younger
-// generation's result. Workers is excluded — the engine guarantees
-// identical results at any concurrency — so requests differing only in
-// pool size share an entry. Isomorphic query presentations share an entry
-// too (the canonical code is a complete isomorphism invariant); the
-// cached result is the one computed for the first-seen presentation.
-func cacheKey(kind string, gen uint64, code string, opt core.QueryOptions, k int) string {
-	return kind + "\x00" + strconv.FormatUint(gen, 10) + "\x00" + code + "\x00" +
-		strconv.FormatFloat(opt.Epsilon, 'x', -1, 64) + "\x00" +
-		strconv.Itoa(opt.Delta) + "\x00" +
-		strconv.Itoa(int(opt.Verifier)) + "\x00" +
-		strconv.FormatBool(opt.OptBounds) + "\x00" +
-		strconv.FormatInt(opt.Seed, 10) + "\x00" +
-		strconv.Itoa(k)
-}
-
-// cacheGet looks the key up and feeds the per-generation counters.
-func (s *Server) cacheGet(gen uint64, key string) (any, bool) {
-	v, ok := s.cache.Get(key)
-	s.genStats.record(gen, ok)
-	return v, ok
-}
-
-// acquire blocks until an inflight evaluation slot is free.
-func (s *Server) acquire() func() {
-	s.inflight.Add(1)
-	if s.sem == nil {
-		return func() { s.inflight.Add(-1) }
-	}
-	s.sem <- struct{}{}
-	return func() {
-		<-s.sem
-		s.inflight.Add(-1)
-	}
-}
-
-// names resolves answer indices against the view the query ran on — never
-// the current database, which a concurrent mutation may have moved on.
-func names(v *core.View, answers []int) []string {
-	out := make([]string, len(answers))
-	for i, gi := range answers {
-		out[i] = v.Graphs[gi].G.Name()
-	}
-	return out
-}
-
-func queryResponse(v *core.View, res *core.Result, cached bool, elapsed time.Duration) *QueryResponse {
-	answers := res.Answers
-	ssp := res.SSP
-	if v.Partitioned() {
-		// Graph indices leave the server as global ids, so a shard's
-		// answers and SSP keys are directly comparable — and mergeable —
-		// with the full database's. Fresh slices/maps are built: res may
-		// live in the result cache and must never be mutated.
-		answers = make([]int, len(res.Answers))
-		for i, gi := range res.Answers {
-			answers[i] = v.GID(gi)
-		}
-		ssp = make(map[int]float64, len(res.SSP))
-		//pgvet:sorted map-to-map rekeying; result is order-independent
-		for gi, p := range res.SSP {
-			ssp[v.GID(gi)] = p
-		}
-	}
-	if answers == nil {
-		answers = []int{}
-	}
-	return &QueryResponse{
-		Answers:    answers,
-		Names:      names(v, res.Answers),
-		SSP:        ssp,
-		Stats:      statsJSON(res.Stats),
-		Generation: v.Generation,
-		Cached:     cached,
-		TimeMS:     float64(elapsed.Microseconds()) / 1000,
-	}
-}
+func (q *QueryResponse) stamp(ms float64, tr *obs.SpanNode)      { q.TimeMS, q.Trace = ms, tr }
+func (t *TopKResponse) stamp(ms float64, tr *obs.SpanNode)       { t.TimeMS, t.Trace = ms, tr }
+func (b *BatchResponse) stamp(ms float64, tr *obs.SpanNode)      { b.TimeMS, b.Trace = ms, tr }
+func (t *TopKBoundsResponse) stamp(ms float64, tr *obs.SpanNode) { t.TimeMS, t.Trace = ms, tr }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	q, opt, ok := accept(s, w, r, &req, req.Check)
+	q, opt, ok := Accept(w, r, &req, req.Check)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	s.queries["query"].Inc()
 	start := time.Now()
-
-	// Pin the current generation: evaluation, the cache key, and name
-	// resolution all use this one immutable view. A mutation committing
-	// mid-query neither blocks this request nor leaks into its result.
-	v := s.db.View()
-	s.metrics.queries["query"].Inc()
-	key := cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
-	wantTrace := TraceWanted(r, req.Trace)
-	if !req.NoCache {
-		if cached, ok := s.cacheGet(v.Generation, key); ok {
-			resp := queryResponse(v, cached.(*core.Result), true, time.Since(start))
-			if wantTrace {
-				resp.Trace = TraceTree(r)
-			}
-			WriteJSON(w, resp)
-			return
-		}
-	}
-	release := s.acquire()
-	res, err := v.QueryCtx(ctx, q, opt)
-	release()
-	if err != nil {
-		// Cancelled and timed-out evaluations return an error, so they can
-		// never reach the cache Put below — a dead query never poisons the
-		// result cache.
-		ErrorFrom("query failed", err).Write(w)
-		return
-	}
-	if !req.NoCache {
-		s.cache.Put(key, res)
-	}
-	resp := queryResponse(v, res, false, time.Since(start))
-	if wantTrace {
-		resp.Trace = TraceTree(r)
-	}
-	WriteJSON(w, resp)
+	resp, err := s.b.Query(r.Context(), &req, q, opt)
+	reply(w, r, "query failed", req.Trace, start, resp, err)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	q, opt, ok := accept(s, w, r, &req, req.CheckTopK)
+	q, opt, ok := Accept(w, r, &req, req.CheckTopK)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	s.queries["topk"].Inc()
 	start := time.Now()
-
-	v := s.db.View()
-	s.metrics.queries["topk"].Inc()
-	key := cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
-	wantTrace := TraceWanted(r, req.Trace)
-
-	build := func(items []core.TopKItem, cached bool) TopKResponse {
-		out := TopKResponse{Items: []TopKItemJSON{}, Generation: v.Generation, Cached: cached,
-			TimeMS: float64(time.Since(start).Microseconds()) / 1000}
-		for _, it := range items {
-			out.Items = append(out.Items, TopKItemJSON{
-				Graph: v.GID(it.Graph), Name: v.Graphs[it.Graph].G.Name(), SSP: it.SSP,
-			})
-		}
-		if wantTrace {
-			out.Trace = TraceTree(r)
-		}
-		return out
-	}
-	if !req.NoCache {
-		if cached, ok := s.cacheGet(v.Generation, key); ok {
-			WriteJSON(w, build(cached.([]core.TopKItem), true))
-			return
-		}
-	}
-	release := s.acquire()
-	items, err := v.QueryTopKCtx(ctx, q, req.K, opt)
-	release()
-	if err != nil {
-		ErrorFrom("topk failed", err).Write(w)
-		return
-	}
-	if !req.NoCache {
-		s.cache.Put(key, items)
-	}
-	WriteJSON(w, build(items, false))
+	resp, err := s.b.TopK(r.Context(), &req, q, opt)
+	reply(w, r, "topk failed", req.Trace, start, resp, err)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	qs, opt, ok := accept(s, w, r, &req, req.Check)
+	qs, opt, ok := Accept(w, r, &req, req.Check)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	s.queries["batch"].Add(int64(len(qs)))
 	start := time.Now()
-
-	// One pinned view serves the whole batch: every member runs against
-	// the same generation, whose number also keys each member's cache
-	// slot. Batch member i is definitionally Query with seed
-	// BatchSeed(seed, i), so a subsequent /query with that derived seed
-	// (and the same generation) hits the same entry. The batch is served
-	// from cache only when every member hits; one miss re-runs the whole
-	// batch (QueryBatchCtx derives seeds by position, so partial evaluation
-	// would change seeds).
-	v := s.db.View()
-	s.metrics.queries["batch"].Add(int64(len(qs)))
-	keys := make([]string, len(qs))
-	for i, q := range qs {
-		mo := opt
-		mo.Seed = core.BatchSeed(opt.Seed, i)
-		keys[i] = cacheKey("query", v.Generation, graph.CanonicalCode(q), mo, 0)
-	}
-
-	if !req.NoCache {
-		// Probe with Peek first: a probe that ends in a miss must not
-		// inflate the hit counter or LRU-promote entries the batch then
-		// recomputes anyway. Only an all-present batch commits to Gets.
-		allHit := true
-		for _, key := range keys {
-			if !s.cache.Peek(key) {
-				allHit = false
-				break
-			}
-		}
-		if allHit {
-			cached := make([]*core.Result, len(qs))
-			for i, key := range keys {
-				cv, ok := s.cacheGet(v.Generation, key)
-				if !ok { // evicted between Peek and Get: fall through to a full run
-					allHit = false
-					break
-				}
-				cached[i] = cv.(*core.Result)
-			}
-			if allHit {
-				out := BatchResponse{TimeMS: float64(time.Since(start).Microseconds()) / 1000}
-				for _, res := range cached {
-					out.Results = append(out.Results, queryResponse(v, res, true, 0))
-				}
-				if TraceWanted(r, req.Trace) {
-					out.Trace = TraceTree(r)
-				}
-				WriteJSON(w, out)
-				return
-			}
-		}
-	}
-	release := s.acquire()
-	results, err := v.QueryBatchCtx(ctx, qs, opt)
-	release()
-	if err != nil {
-		ErrorFrom("batch failed", err).Write(w)
-		return
-	}
-	out := BatchResponse{TimeMS: float64(time.Since(start).Microseconds()) / 1000}
-	for i, res := range results {
-		if !req.NoCache {
-			s.cache.Put(keys[i], res)
-		}
-		out.Results = append(out.Results, queryResponse(v, res, false, 0))
-	}
-	if TraceWanted(r, req.Trace) {
-		out.Trace = TraceTree(r)
-	}
-	WriteJSON(w, out)
+	resp, err := s.b.Batch(r.Context(), &req, qs, opt)
+	reply(w, r, "batch failed", req.Trace, start, resp, err)
 }
 
-// mutationResponse assembles the reply from core's mutation record —
-// every field of which was captured inside the database's writer lock,
-// so concurrent mutations cannot skew the reported generation, shape, or
-// compaction marker — and fires the mutation log hook.
-func (s *Server) mutationResponse(op string, m core.Mutation) MutationResponse {
-	resp := MutationResponse{
-		Op:             op,
-		Index:          m.Index,
-		Generation:     m.NewGeneration,
-		Graphs:         m.LiveGraphs,
-		Tombstoned:     m.Tombstoned,
-		Compacted:      m.Compacted,
-		CompactedSlots: m.CompactedSlots,
-	}
-	s.metrics.mutations[op].Inc()
-	if m.Compacted {
-		s.metrics.compact.Inc()
-	}
-	if s.opt.MutationLog != nil {
-		s.opt.MutationLog(MutationEvent{
-			Op: op, Index: m.Index,
-			OldGeneration: m.OldGeneration, NewGeneration: m.NewGeneration,
-			LiveGraphs: m.LiveGraphs, Tombstoned: m.Tombstoned,
-			Compacted: m.Compacted, CompactedSlots: m.CompactedSlots,
-		})
-	}
-	return resp
-}
-
-func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
-	var req AddGraphRequest
-	if !decodeJSONBody(w, r, &req) {
-		return
-	}
-	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	m, err := s.db.AddGraphInfo(pg)
-	if err != nil {
-		// core.AddGraph is atomic — a failure publishes nothing, so every
-		// cached result stays valid for its generation.
-		httpError(w, http.StatusUnprocessableEntity, "adding graph: %v", err)
-		return
-	}
-	WriteJSON(w, s.mutationResponse("add", m))
-}
-
-// graphID parses the {id} path segment of /graphs/{id}.
-func graphID(w http.ResponseWriter, r *http.Request) (int, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 {
-		httpError(w, http.StatusBadRequest, "bad graph id %q", r.PathValue("id"))
-		return 0, false
-	}
-	return id, true
-}
-
-// mutationError maps a failed remove/replace to a status: unknown or
-// already-removed slots are 404, everything else (engine construction,
-// PMI column computation) an evaluation failure, 422.
-func mutationError(w http.ResponseWriter, what string, err error) {
-	status := http.StatusUnprocessableEntity
-	if errors.Is(err, core.ErrNoSuchGraph) {
-		status = http.StatusNotFound
-	}
-	httpError(w, status, "%s: %v", what, err)
-}
-
-func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
-	id, ok := graphID(w, r)
+// handleQueryStream is POST /query/stream: the /query pipeline with
+// incremental NDJSON delivery. Each match line is written and flushed as
+// the backend admits it — arrival order, the one scheduling-dependent
+// aspect of the engine — followed by a summary line carrying the sorted
+// answer set, or, when the stream cannot complete, by one error line
+// (the status line is long gone). Client disconnect cancels the query
+// via r.Context(); timeout_ms bounds it.
+func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	q, opt, ok := Accept(w, r, &req, req.CheckStream)
 	if !ok {
 		return
 	}
-	m, err := s.db.RemoveGraphInfo(id)
-	if err != nil {
-		mutationError(w, "removing graph", err)
+	s.queries["stream"].Inc()
+	start := time.Now()
+	sw := NewStreamWriter(w)
+	if err := s.b.Stream(r.Context(), &req, q, opt, sw); err != nil {
+		sw.Fail(ErrorFrom("stream failed", err))
 		return
 	}
-	WriteJSON(w, s.mutationResponse("remove", m))
+	sw.Done(start)
 }
 
-func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
-	id, ok := graphID(w, r)
-	if !ok {
-		return
-	}
-	var req AddGraphRequest
-	if !decodeJSONBody(w, r, &req) {
-		return
-	}
-	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	m, err := s.db.ReplaceGraphInfo(id, pg)
-	if err != nil {
-		mutationError(w, "replacing graph", err)
-		return
-	}
-	WriteJSON(w, s.mutationResponse("replace", m))
-}
-
+// handleStats reports the backend's counters and shape; "queries" is
+// read from the same counters /metrics renders.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	v := s.db.View()
-	hits, misses := s.cache.Counters()
-	resp := StatsResponse{
-		Graphs:           v.Len(),
-		LiveGraphs:       v.NumLive(),
-		TombstonedGraphs: v.Tombstones(),
-		Generation:       v.Generation,
-		IndexBytes:       v.Build.IndexSizeBytes,
-		UptimeMS:         float64(time.Since(s.start).Microseconds()) / 1000,
-		Queries:          s.metrics.totalQueries(),
-		Inflight:         s.inflight.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheEntries:     s.cache.Len(),
-		CacheCap:         s.opt.CacheSize,
-		CacheGenerations: s.genStats.snapshot(),
-		Workers:          s.opt.Workers,
-
-		DefaultTimeoutMS: float64(s.opt.Timeout.Microseconds()) / 1000,
+	var n int64
+	for _, c := range s.queries { //pgvet:sorted sums every counter; addition is order-insensitive
+		n += c.Value()
 	}
-	if v.PMI != nil {
-		resp.PMIFeatures = v.PMI.NumFeatures()
-	}
-	WriteJSON(w, resp)
+	WriteJSON(w, s.b.Stats(n))
 }
 
 // handleHealthz is the liveness probe: the process is up and serving
@@ -805,24 +432,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /readyz's job — so orchestrators restart on /healthz failures and hold
 // traffic on /readyz failures, independently.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	v := s.db.View()
-	WriteJSON(w, map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation})
+	WriteJSON(w, s.b.Healthz())
 }
 
-// handleReadyz is the readiness probe: 200 once the database is loaded
-// with at least one live graph (the snapshot parsed and this server can
-// answer queries), 503 otherwise. The coordinator's /readyz additionally
-// requires every shard to be ready — see internal/cluster.
+// handleReadyz is the readiness probe: 200 when the backend can answer
+// queries, 503 with its reason otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	v := s.db.View()
-	if v.NumLive() == 0 {
+	body, ready := s.b.Readyz(r.Context())
+	if !ready {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "error": "no live graphs"})
-		return
 	}
-	WriteJSON(w, map[string]any{
-		"ready": true, "graphs": v.NumLive(), "generation": v.Generation,
-		"partitioned": v.Partitioned(),
-	})
+	WriteJSON(w, body)
 }

@@ -23,6 +23,7 @@ import (
 // below also exercises snapshot fidelity.
 type testEnv struct {
 	fresh  *core.Database // the database that wrote the snapshot
+	db     *core.Database // the reloaded copy srv serves
 	srv    *Server
 	ts     *httptest.Server
 	raw    *dataset.DB
@@ -56,7 +57,7 @@ func newTestEnv(t *testing.T, opt Options) *testEnv {
 	t.Cleanup(ts.Close)
 
 	rng := rand.New(rand.NewSource(5))
-	env := &testEnv{fresh: fresh, srv: srv, ts: ts, raw: raw}
+	env := &testEnv{fresh: fresh, db: loaded, srv: srv, ts: ts, raw: raw}
 	for i := 0; i < 3; i++ {
 		q := dataset.ExtractQuery(raw.Graphs[i].G, 4, rng)
 		var buf bytes.Buffer
@@ -324,8 +325,8 @@ func TestAddGraphEndpoint(t *testing.T) {
 	if ar.Op != "add" || ar.Index != env.fresh.Len()-1 || ar.Graphs != env.fresh.Len() {
 		t.Fatalf("add response %+v, want index %d", ar, env.fresh.Len()-1)
 	}
-	if ar.Generation != env.srv.db.View().Generation {
-		t.Fatalf("add response generation %d, want %d", ar.Generation, env.srv.db.View().Generation)
+	if ar.Generation != env.db.View().Generation {
+		t.Fatalf("add response generation %d, want %d", ar.Generation, env.db.View().Generation)
 	}
 
 	// The warmed entry is keyed by the pre-insertion generation, so the
@@ -478,7 +479,7 @@ func TestStatsReportStructIndex(t *testing.T) {
 	if st.Graphs != before+1 {
 		t.Fatalf("graphs = %d after AddGraph, want %d", st.Graphs, before+1)
 	}
-	cand, err := env.srv.db.View().Struct.CandidatesCtx(context.Background(), extra.Graphs[0].G, 0, 1)
+	cand, err := env.db.View().Struct.CandidatesCtx(context.Background(), extra.Graphs[0].G, 0, 1)
 	if err != nil || !slices.Contains(cand, before) {
 		t.Fatalf("structural filter keeps %v (err %v) for the added graph itself, want slot %d among them", cand, err, before)
 	}

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+
+	"probgraph/internal/core"
+	"probgraph/internal/graph"
 )
 
 // streamWriteTimeout is the per-write deadline of /query/stream responses,
@@ -52,8 +56,8 @@ type StreamErrorJSON struct {
 
 // StreamWriter writes one /query/stream response: NDJSON lines, each
 // flushed as it is written, and the bookkeeping for the summary line that
-// ends a complete stream. It is not safe for concurrent use; the
-// coordinator, which forwards from one goroutine per shard, guards it.
+// ends a complete stream. It is not safe for concurrent use; a fleet
+// backend, which forwards from one goroutine per shard, guards it.
 type StreamWriter struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
@@ -209,14 +213,8 @@ func (sq *streamQueue) pop() (it streamItem, ok bool) {
 	}
 }
 
-// handleQueryStream is POST /query/stream: the /query pipeline with
-// incremental NDJSON delivery. Each verified match is written and flushed
-// as verification confirms it — arrival order, which is the one
-// scheduling-dependent aspect of the engine — followed by a summary line
-// carrying the sorted answer set. Client disconnect cancels the query via
-// r.Context(); timeout_ms (or the server default deadline) bounds it.
-//
-// Two deliberate differences from /query:
+// Stream is /query/stream on a pinned view, with two deliberate
+// differences from Query:
 //   - The result cache is bypassed entirely. A stream can be abandoned or
 //     cancelled halfway, and a partial answer set must never be mistaken
 //     for a complete cached result; rather than cache only the happy path
@@ -230,15 +228,9 @@ func (sq *streamQueue) pop() (it streamItem, ok bool) {
 //     never shared state: the query path pins a generation view and holds
 //     no lock at all, so /graphs mutations and every other endpoint stay
 //     live no matter what a stream's client does.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	q, opt, ok := accept(s, w, r, &req, req.CheckStream)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+func (l *local) Stream(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions, sw *StreamWriter) error {
+	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
 	defer cancel()
-	start := time.Now()
 
 	// Evaluation goroutine: pins the current generation view, takes an
 	// inflight slot, runs the stream, resolves names against that same
@@ -246,14 +238,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// slot the moment evaluation ends. The queue absorbs matches without
 	// ever blocking the evaluator, so the slot hold is bounded by the
 	// evaluation itself (which ctx bounds), never by the client.
-	v := s.db.View()
-	s.metrics.queries["stream"].Inc()
-	release := s.acquire()
+	v := l.db.View()
+	release := l.acquire()
 	queue := newStreamQueue()
 	go func() {
 		defer queue.close()
 		defer release()
-		for m, err := range v.QueryStream(ctx, q, opt) {
+		for m, err := range v.QueryStream(ctx, q, l.workers(opt)) {
 			if err != nil {
 				queue.push(streamItem{err: err})
 				return
@@ -266,11 +257,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	sw := NewStreamWriter(w)
 	for {
 		it, ok := queue.pop()
 		if !ok {
-			break
+			return nil
 		}
 		if it.err != nil {
 			// On plain cancellation the client is either gone (the line
@@ -280,12 +270,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			// engine's error as is, unlike the 504/503 bodies.
 			e := ErrorFrom("stream failed", it.err)
 			e.Message = "stream failed: " + it.err.Error()
-			sw.Fail(e)
-			return
+			return e
 		}
 		if !sw.Match(it.m, nil) {
-			return // evaluation goroutine finishes on its own; pushes never block
+			return nil // the client is gone; the evaluation goroutine finishes on its own, pushes never block
 		}
 	}
-	sw.Done(start)
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the wire envelope every speaker of the query API shares —
-// this package's handlers, the coordinator in internal/cluster, and the
-// Client in client.go: how a failure is written and read back, how a
+// this package's handlers, the fleet backend in internal/cluster, and
+// the Client in client.go: how a failure is written and read back, how a
 // success is written, and the request prologue (decode, validate).
 
 // Error is the one failure of the wire: the JSON body of every non-200
@@ -49,15 +49,19 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	Errorf(status, format, args...).Write(w)
 }
 
-// ErrorFrom maps an evaluation failure to the wire. Deadline expiry is a
-// structured 504 with "timeout": true — the client gets a parseable
-// verdict, not a hung or reset connection. Plain cancellation means the
-// request context died: either the client disconnected (the 503 lands
-// nowhere, harmlessly) or the server is shutting down with the client
-// still attached — then the 503 tells it to retry elsewhere. Everything
-// else is an evaluation failure (422).
+// ErrorFrom maps a backend failure to the wire. An *Error — a failure
+// already in wire form, such as a fleet's shard error — passes through.
+// Deadline expiry is a structured 504 with "timeout": true — the client
+// gets a parseable verdict, not a hung or reset connection. Plain
+// cancellation means the request context died: either the client
+// disconnected (the 503 lands nowhere, harmlessly) or the server is
+// shutting down with the client still attached — then the 503 tells it
+// to retry elsewhere. Everything else is an evaluation failure (422).
 func ErrorFrom(what string, err error) *Error {
+	var e *Error
 	switch {
+	case errors.As(err, &e):
+		return e
 	case errors.Is(err, context.DeadlineExceeded):
 		return &Error{Status: http.StatusGatewayTimeout, Message: what + ": deadline exceeded", Timeout: true}
 	case errors.Is(err, context.Canceled):
@@ -112,13 +116,13 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// Accept is the request prologue of every query endpoint, on a single
-// node and on the coordinator alike: decode the body into req (405/400),
-// then run check — the Check method of req that fits the endpoint — which
-// validates every knob and derives the parsed query (or batch members)
-// and the engine options (400). A malformed request is therefore
-// rejected identically, and before any evaluation or fan-out, whoever
-// receives it. On failure the answer is written and ok is false.
+// Accept is the request prologue of every query endpoint: decode the body
+// into req (405/400), then run check — the Check method of req that fits
+// the endpoint — which validates every knob and derives the parsed query
+// (or batch members) and the engine options (400). The handlers run it
+// before calling any Backend, so a malformed request is rejected
+// identically, and before any evaluation or fan-out, by pgserve and
+// pgproxy alike. On failure the answer is written and ok is false.
 func Accept[Q any](w http.ResponseWriter, r *http.Request, req any, check func() (Q, core.QueryOptions, error)) (q Q, opt core.QueryOptions, ok bool) {
 	if !decodeBody(w, r, req) {
 		return q, opt, false
