@@ -137,8 +137,9 @@ func TestEvalCandidateParallelAllocs(t *testing.T) {
 				reps = append(reps, cases...)
 			}
 			run := func() error {
-				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) {
+				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) error {
 					_ = v.evalCandidate(reps[i].p, reps[i].gi)
+					return nil
 				})
 			}
 			if err := run(); err != nil { // warm one scratch per worker
@@ -185,7 +186,7 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 7}.withDefaults()
 
 	run := func(ctx context.Context) {
-		if _, err := v.query(ctx, q, opt); err != nil {
+		if _, err := v.query(ctx, q, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,12 @@
 // the View type for the full contract, and plan.go for the front half
 // every query method shares.
 //
+// Every threshold query runs one candidate loop, evaluate: QueryCtx and the
+// batch members materialize its outcome, QueryStream passes each admitted
+// match on through its emit hook. Every parallel loop takes the failure
+// rule of pool.ForEachIndexCtx — the lowest failing item's error, the
+// serial run's at any worker count.
+//
 // The ranked query's early-termination rule is written once, in ReplayTopK:
 // View.QueryTopKCtx runs it over its own schedule and internal/cluster's
 // coordinator over the merged schedules of a fleet, which is why the two

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"probgraph/internal/cover"
@@ -172,7 +171,7 @@ type Result struct {
 // candidate evaluation per worker at most — leaks no goroutines, and
 // never returns a partial Result.
 func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
-	return v.query(ctx, q, opt)
+	return v.query(ctx, q, opt, nil)
 }
 
 // candOutcome is the per-candidate result of the fused pruning +
@@ -183,6 +182,7 @@ type candOutcome struct {
 	err     error
 	probT   time.Duration
 	verifyT time.Duration
+	ran     bool // set once evaluated without error
 }
 
 // tally adds the outcome to the stage times, candidate counters and ladder
@@ -211,9 +211,8 @@ func (o candOutcome) tally(s *Stats) {
 // evalCandidate runs the fused probabilistic-pruning + verification stage
 // for one candidate graph gi of plan p. p.pr == nil skips the pruning
 // phase (PMI disabled or bypassed). The outcome is a pure function of
-// (v, p, gi): all randomness is seeded from candSeed, so every caller —
-// the materializing query loop, the stream workers — computes the
-// identical outcome regardless of scheduling.
+// (v, p, gi): all randomness is seeded from candSeed, so every caller
+// computes the identical outcome regardless of scheduling.
 //
 //pgvet:noalloc
 func (v *View) evalCandidate(p *plan, gi int) candOutcome {
@@ -251,7 +250,12 @@ func outcomeMatch(o candOutcome, opt QueryOptions) (match bool, ssp float64) {
 	}
 }
 
-func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Result, error) {
+// query is every threshold query: QueryCtx and the batch members with a
+// nil emit, QueryStream with the hook it delivers matches through (see
+// evaluate). A query that got past its plan observes its Stats once on
+// every exit, failed and cancelled ones included, with every candidate it
+// evaluated tallied.
+func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, emit func(Match)) (*Result, error) {
 	start := time.Now()
 	p, err := v.newPlan(ctx, q, opt, false)
 	if err != nil {
@@ -262,19 +266,28 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions) (*Re
 		res.Answers = p.scq
 		for _, gi := range p.scq {
 			res.SSP[gi] = 1
+			if emit != nil {
+				emit(Match{Graph: gi, SSP: 1})
+			}
 		}
-	} else if err := v.evaluate(ctx, p, res); err != nil {
-		return nil, err
+	} else {
+		err = v.evaluate(ctx, p, res, emit)
 	}
 	res.Stats.Answers = len(res.Answers)
 	res.Stats.TimeTotal = time.Since(start)
 	res.Stats.observe(ctx)
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
 // evaluate runs the plan's candidates through the fused prune+verify stage
-// and aggregates their outcomes into res.
-func (v *View) evaluate(ctx context.Context, p *plan, res *Result) error {
+// and aggregates the outcomes of those it evaluated into res. A non-nil
+// emit is handed each admitted match, one call per match, by the worker
+// that completed its candidate — so with Concurrency > 1 calls overlap and
+// emit must be safe for that (the stream's is a channel send).
+func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Match)) error {
 	opt, scq := p.opt, p.scq
 
 	// Phases 2+3, fused per candidate: probabilistic pruning via PMI
@@ -285,28 +298,31 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result) error {
 	// per-candidate RNG seeded by candSeed, making the outcome identical
 	// at any concurrency.
 	outs := make([]candOutcome, len(scq))
-	var abort atomic.Bool // first verification error stops remaining work
 	sp := obs.SpanFrom(ctx).Child("verify")
-	err := pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) {
-		if abort.Load() {
-			return // a pending error makes this candidate's work moot
+	err := pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) error {
+		o := v.evalCandidate(p, scq[i])
+		if o.err != nil {
+			return fmt.Errorf("core: verifying graph %d: %w", scq[i], o.err)
 		}
-		outs[i] = v.evalCandidate(p, scq[i])
-		if outs[i].err != nil {
-			abort.Store(true)
+		o.ran = true
+		outs[i] = o
+		if emit == nil {
+			return nil
 		}
+		if match, ssp := outcomeMatch(o, opt); match {
+			emit(Match{Graph: scq[i], SSP: ssp})
+		}
+		return nil
 	})
 	sp.EndCount(int64(len(scq)))
-	if err != nil {
-		return err
-	}
 
 	// Deterministic aggregation in database order: scq is ascending, so
-	// Answers is too.
+	// Answers is too. A failed or cancelled loop still tallies what it
+	// evaluated, for observe; its Result is discarded.
 	for i, gi := range scq {
 		o := outs[i]
-		if o.err != nil {
-			return fmt.Errorf("core: verifying graph %d: %w", gi, o.err)
+		if !o.ran {
+			continue
 		}
 		o.tally(&res.Stats)
 		switch o.verdict {
@@ -325,8 +341,7 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result) error {
 			}
 		}
 	}
-
-	return nil
+	return err
 }
 
 // VerifySSP decides candidate gi for q (with relaxed set u) at threshold

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"probgraph/internal/graph"
-	"probgraph/internal/obs"
-	"probgraph/internal/pool"
 )
 
 // Match is one verified answer delivered by View.QueryStream: a
@@ -25,7 +22,9 @@ type Match struct {
 // materializing a *Result at the end. The filter-and-verify pipeline
 // front-loads cheap pruning, so answers become known one at a time long
 // before the scan finishes; streaming hands each to the consumer the
-// moment its verification completes.
+// moment its verification completes. The evaluation is QueryCtx's own,
+// run with a hook that passes each admitted match on: same plan, same
+// candidate loop, same failure rule, same Stats observed.
 //
 // Delivery order is arrival order — whichever candidate finishes first —
 // and therefore scheduling-dependent. The *set* is not: every per-match
@@ -37,116 +36,52 @@ type Match struct {
 // The sequence ends in one of three ways:
 //   - normally, after the last candidate's outcome was yielded;
 //   - with a single (Match{}, err) pair when evaluation fails or ctx is
-//     cancelled (err is then ctx.Err(); cancellation is checked per shard
-//     and per candidate, exactly as in QueryCtx);
+//     cancelled — err is the error QueryCtx returns for the same call
+//     (ctx.Err() on cancellation, checked per shard and per candidate);
 //   - silently, when the consumer breaks out of the loop early — the
-//     internal workers are cancelled and joined before the iterator
-//     returns, so an abandoned stream leaks no goroutines.
+//     evaluation is cancelled and joined before the iterator returns, so
+//     an abandoned stream leaks no goroutines.
 //
 // Matches that were already yielded are never retracted; a consumer that
 // only needs the first few answers can break as soon as it has them.
 func (v *View) QueryStream(ctx context.Context, q *graph.Graph, opt QueryOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		p, err := v.newPlan(ctx, q, opt, false)
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		scq := p.scq
-
-		// Degenerate relaxation: every live graph matches with SSP 1;
-		// stream them in index order.
-		if p.degenerate {
-			for _, gi := range scq {
-				if err := ctx.Err(); err != nil {
-					yield(Match{}, err)
-					return
-				}
-				if !yield(Match{Graph: gi, SSP: 1}, nil) {
-					return
-				}
-			}
-			return
-		}
-
-		// Fan the candidates out over the shared worker pool
-		// (forEachIndexCtx, per-candidate cancellation like every other
-		// parallel phase). Workers push each admitted match (or the first
-		// evaluation error) onto an unbuffered channel; the consumer side
-		// of the rendezvous is this iterator's yield loop, so
-		// back-pressure from a slow consumer naturally throttles
-		// evaluation. inner is cancelled on early break, error, or caller
-		// cancellation; every send selects against it, so no worker can
-		// block forever on a departed consumer.
+		// The query runs on one producer goroutine, and its hook hands each
+		// match over an unbuffered channel, so the consumer's yield loop is
+		// the other side of the rendezvous and a slow consumer
+		// back-pressures evaluation. inner is cancelled on early break; the
+		// hook selects against it, so no worker blocks on a departed
+		// consumer.
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
-		type item struct {
-			m   Match
-			err error
-		}
-		out := make(chan item)
+		out := make(chan Match)
 		finished := make(chan struct{})
-		// When a pipeline is attached, the workers tally their outcomes
-		// into one Stats (under mu: they race) that is observed once all of
-		// them have exited — before finished closes, so the tally is
-		// complete on every exit path, including early consumer breaks.
-		observed := obs.PipelineFrom(ctx) != nil
-		var mu sync.Mutex
-		st := p.stats
+		var err error
 		go func() {
 			defer close(finished)
-			sp := obs.SpanFrom(ctx).Child("verify")
-			pool.ForEachIndexCtx(inner, len(scq), pool.Normalize(p.opt.Concurrency, len(scq)), func(i int) {
-				gi := scq[i]
-				o := v.evalCandidate(p, gi)
-				if o.err != nil {
-					select {
-					case out <- item{err: o.err}:
-					case <-inner.Done():
-					}
-					cancel() // stop handing out further candidates
-					return
-				}
-				match, ssp := outcomeMatch(o, p.opt)
-				if observed {
-					mu.Lock()
-					o.tally(&st)
-					if match {
-						st.Answers++
-					}
-					mu.Unlock()
-				}
-				if match {
-					select {
-					case out <- item{m: Match{Graph: gi, SSP: ssp}}:
-					case <-inner.Done():
-					}
+			_, err = v.query(inner, q, opt, func(m Match) {
+				select {
+				case out <- m:
+				case <-inner.Done():
 				}
 			})
-			sp.EndCount(int64(len(scq)))
-			st.observe(ctx)
 		}()
-		// Join the workers on every exit path — the iterator must not
-		// return while pool goroutines are still running.
-		join := func() { cancel(); <-finished }
-
 		for {
 			select {
-			case it := <-out:
-				if it.err != nil {
-					join()
-					yield(Match{}, it.err)
-					return
-				}
-				if !yield(it.m, nil) {
-					join()
+			case m := <-out:
+				if !yield(m, nil) {
+					cancel()
+					<-finished
 					return
 				}
 			case <-finished:
-				// All workers exited; out is unbuffered, so no yielded-but-
-				// unreceived item can exist. Distinguish completion from
-				// caller cancellation.
-				if err := ctx.Err(); err != nil {
+				// out is unbuffered, so no match is left in flight. A hook
+				// call that gave up on a cancelled context dropped its
+				// match, and only ctx can have cancelled it here.
+				if err == nil {
+					err = ctx.Err()
+				}
+				if err != nil {
 					yield(Match{}, err)
 				}
 				return

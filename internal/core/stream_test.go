@@ -212,6 +212,85 @@ func TestQueryStreamObservesLikeQuery(t *testing.T) {
 	}
 }
 
+// TestQueryCtxCancelledObservesOnce: the observe rule holds on the
+// cancelled exit too. A QueryCtx cancelled mid-candidates folds exactly one
+// sample into each stage histogram of an attached pipeline, its plan's
+// counts in full and, of the candidates, only what it evaluated — no
+// counter above the whole query's.
+func TestQueryCtxCancelledObservesOnce(t *testing.T) {
+	db, q, opt := slowQueryEnv(t)
+	whole := obs.NewPipeline(obs.NewRegistry())
+	start := time.Now()
+	if _, err := db.View().QueryCtx(obs.ContextWithPipeline(bg, whole), q, opt); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	if full < 50*time.Millisecond {
+		t.Skipf("full query took only %v; too fast to cancel mid-candidates reliably", full)
+	}
+	most := pipelineCounters(whole)
+	for _, workers := range []int{1, 4} {
+		po := opt
+		po.Concurrency = workers
+		p := obs.NewPipeline(obs.NewRegistry())
+		ctx, cancel := context.WithCancel(obs.ContextWithPipeline(bg, p))
+		go func() {
+			time.Sleep(full / 8)
+			cancel()
+		}()
+		_, err := db.View().QueryCtx(ctx, q, po)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		for _, h := range []*obs.Histogram{p.StageStruct, p.StageProb, p.StageVerify} {
+			if h.Count() != 1 {
+				t.Fatalf("workers=%d: a stage histogram holds %d samples, want 1", workers, h.Count())
+			}
+		}
+		got := pipelineCounters(p)
+		if got[0] != most[0] || got[1] != most[1] || got[6] != most[6] {
+			t.Fatalf("workers=%d: cancelled query observed plan counts %v, whole query %v", workers, got, most)
+		}
+		for i := range got {
+			if got[i] > most[i] {
+				t.Fatalf("workers=%d: cancelled query observed %v, more than the whole query's %v", workers, got, most)
+			}
+		}
+	}
+}
+
+// TestQueryStreamErrorEqualsQuery: a failing verification ends the stream
+// with exactly QueryCtx's error — the lowest failing candidate's, wrapped
+// with its graph — at every worker count and on every run, whichever
+// worker meets a failure first.
+func TestQueryStreamErrorEqualsQuery(t *testing.T) {
+	db, _ := smallDatabase(t, 3002, 10, true)
+	rng := rand.New(rand.NewSource(91))
+	q := dataset.ExtractQuery(db.View().Certain[0], 4, rng)
+	opt := QueryOptions{
+		Epsilon: 0.3, Delta: 2, OptBounds: true, Seed: 7,
+		Verifier: VerifierExact, Verify: verify.Options{MaxClauses: 1},
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		po := opt
+		po.Concurrency = workers
+		for run := 0; run < 50; run++ {
+			_, want := db.View().QueryCtx(bg, q, po)
+			if want == nil {
+				t.Fatal("workload does not fail verification (pick a smaller cap)")
+			}
+			var got error
+			for _, err := range db.View().QueryStream(bg, q, po) {
+				got = err
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Fatalf("workers=%d run=%d: stream ended with %v, QueryCtx returned %q", workers, run, got, want)
+			}
+		}
+	}
+}
+
 // TestQueryStreamCancelMidStream: cancelling the caller's context ends the
 // stream with ctx.Err() as its final element and reclaims the workers.
 func TestQueryStreamCancelMidStream(t *testing.T) {

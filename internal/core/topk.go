@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
@@ -108,22 +109,27 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 	}
 	workers := pool.Normalize(p.opt.Concurrency, len(sched))
 	vals := make([]float64, workers)
-	errs := make([]error, workers)
 	sp := obs.SpanFrom(ctx).Child("topk_commit")
 	top, committed, err := ReplayTopK(ctx, sched, k, workers, func(ctx context.Context, lo, hi int) ([]float64, error) {
-		if err := pool.ForEachIndexCtx(ctx, hi-lo, workers, func(j int) {
-			var d decision
-			d, errs[j] = decide(dnfs[lo+j], p.opt, 0)
+		// A failed entry's value is NaN. The loop's error is its lowest
+		// failing entry's, and every entry below that one ran, so the
+		// window's values end at the first NaN.
+		err := pool.ForEachIndexCtx(ctx, hi-lo, workers, func(j int) error {
+			d, err := decide(dnfs[lo+j], p.opt, 0)
+			if err != nil {
+				vals[j] = math.NaN()
+				return fmt.Errorf("core: verifying graph %d: %w", sched[lo+j].Graph, err)
+			}
 			vals[j] = d.ssp
-		}); err != nil {
+			return nil
+		})
+		switch {
+		case err == nil:
+			return vals[:hi-lo], nil
+		case ctx.Err() != nil:
 			return nil, err
 		}
-		for j, e := range errs[:hi-lo] {
-			if e != nil {
-				return vals[:j], fmt.Errorf("core: verifying graph %d: %w", sched[lo+j].Graph, e)
-			}
-		}
-		return vals[:hi-lo], nil
+		return vals[:slices.IndexFunc(vals[:hi-lo], math.IsNaN)], err
 	})
 	sp.EndCount(int64(committed))
 	return top, err
@@ -196,14 +202,13 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		dnf *verify.DNF
 	}
 	cands := make([]scheduled, len(p.scq))
-	errs := make([]error, len(p.scq))
 	sp := obs.SpanFrom(ctx).Child("bounds")
 	var pr *pruner
 	if v.PMI != nil {
 		pr, err = v.newPruner(ctx, q, p.u, p.deleted, p.opt, false)
 	}
 	if err == nil {
-		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) {
+		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
 			gi := p.scq[i]
 			ub := 1.0
 			if pr != nil {
@@ -213,20 +218,15 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 			}
 			d, err := v.prepareDNF(p.u, gi, p.opt)
 			if err != nil {
-				errs[i] = err
-				return
+				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}
 			cands[i] = scheduled{TopKBound{Graph: gi, Upper: min(ub, d.Bound())}, d}
+			return nil
 		})
 	}
 	sp.EndCount(int64(len(p.scq)))
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	for i, e := range errs {
-		if e != nil {
-			return nil, nil, nil, fmt.Errorf("core: verifying graph %d: %w", p.scq[i], e)
-		}
 	}
 	// Slot ascending breaks upper-bound ties. On a partition, slots are in
 	// global-id order, so merging shard schedules by (Upper desc, global
@@ -287,20 +287,16 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	}
 	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
 	out := make([]float64, len(gis))
-	errs := make([]error, len(gis))
-	workers := pool.Normalize(opt.Concurrency, len(gis))
-	err := pool.ForEachIndexCtx(ctx, len(gis), workers, func(i int) {
-		var d decision
-		d, errs[i] = v.verifySSP(u, gis[i], opt, 0)
+	err := pool.ForEachIndexCtx(ctx, len(gis), pool.Normalize(opt.Concurrency, len(gis)), func(i int) error {
+		d, err := v.verifySSP(u, gis[i], opt, 0)
+		if err != nil {
+			return fmt.Errorf("core: verifying graph %d: %w", gis[i], err)
+		}
 		out[i] = d.ssp
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("core: verifying graph %d: %w", gis[i], e)
-		}
 	}
 	return out, nil
 }
@@ -331,32 +327,20 @@ func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOp
 		inner = w / workers
 	}
 	results := make([]*Result, len(qs))
-	errs := make([]error, len(qs))
-	var abort atomic.Bool // first failed query stops remaining work
-	err := pool.ForEachIndexCtx(ctx, len(qs), workers, func(i int) {
-		if abort.Load() {
-			return
-		}
+	// A member that died of the shared context makes the loop report plain
+	// ctx.Err(): the batch was cancelled, not that query failing.
+	err := pool.ForEachIndexCtx(ctx, len(qs), workers, func(i int) error {
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = inner
-		results[i], errs[i] = v.query(ctx, qs[i], qo)
-		if errs[i] != nil {
-			abort.Store(true)
+		var err error
+		if results[i], err = v.query(ctx, qs[i], qo, nil); err != nil {
+			return fmt.Errorf("core: query %d: %w", i, err)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			// A member that died of the shared context reports plain
-			// ctx.Err(): the batch was cancelled, not that query failing.
-			if err == ctx.Err() {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: query %d: %w", i, err)
-		}
 	}
 	return results, nil
 }

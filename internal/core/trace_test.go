@@ -40,7 +40,7 @@ func TestQuerySpanTreeMatchesStats(t *testing.T) {
 	for qi, q := range snapQueries(t, raw, 4) {
 		opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(3 + qi)}
 		ctx, tr, root := tracedQueryCtx()
-		res, err := v.query(ctx, q, opt.withDefaults())
+		res, err := v.query(ctx, q, opt.withDefaults(), nil)
 		root.End()
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestPipelineBridgeMatchesStats(t *testing.T) {
 
 	var want Stats
 	for qi, q := range snapQueries(t, raw, 3) {
-		res, err := v.query(ctx, q, QueryOptions{Epsilon: 0.4, Delta: 1, Seed: int64(qi)}.withDefaults())
+		res, err := v.query(ctx, q, QueryOptions{Epsilon: 0.4, Delta: 1, Seed: int64(qi)}.withDefaults(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestCancelledQueryClosesSpans(t *testing.T) {
 	for limit := int64(1); limit < 10_000; limit++ {
 		base, tr, root := tracedQueryCtx()
 		ctx := &errAfterCtx{Context: base, limit: limit}
-		_, err := v.query(ctx, q, opt)
+		_, err := v.query(ctx, q, opt, nil)
 		root.End()
 		if n := tr.OpenSpans(); n != 0 {
 			t.Fatalf("limit %d: %d spans open after query returned (err=%v)", limit, n, err)
@@ -268,7 +268,7 @@ func TestTracedEqualsUntraced(t *testing.T) {
 	v := db.View()
 	for qi, q := range snapQueries(t, raw, 3) {
 		opt := QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: int64(11 + qi)}
-		want, err := v.query(context.Background(), q, opt.withDefaults())
+		want, err := v.query(context.Background(), q, opt.withDefaults(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestTracedEqualsUntraced(t *testing.T) {
 			o := opt
 			o.Concurrency = workers
 			ctx, _, root := tracedQueryCtx()
-			got, err := v.query(ctx, q, o.withDefaults())
+			got, err := v.query(ctx, q, o.withDefaults(), nil)
 			root.End()
 			if err != nil {
 				t.Fatal(err)

@@ -168,15 +168,11 @@ func mutate(rng *rand.Rand, seed *graph.Graph, rate float64, labels int) *graph.
 	return b.Build()
 }
 
-// Probabilize attaches edge probabilities and JPTs to a deterministic
-// graph. Edge probabilities are Beta-shaped around meanProb. Correlated
-// mode partitions edges into neighbor-edge sets (size ≤ maxGroup, each a
+// probabilize attaches edge probabilities and JPTs to a deterministic
+// graph. Edge probabilities are Beta-shaped around opt.MeanProb. Correlated
+// mode partitions edges into neighbor-edge sets (size ≤ opt.MaxGroup, each a
 // star at a common vertex) and applies the paper's max-rule joint; the
 // independent mode gives each edge its own table.
-func Probabilize(g *graph.Graph, meanProb float64, maxGroup int, correlated bool, rng *rand.Rand) (*prob.PGraph, error) {
-	return probabilize(g, PPIOptions{MeanProb: meanProb, MaxGroup: maxGroup, Correlated: correlated}.withDefaults(), rng)
-}
-
 func probabilize(g *graph.Graph, opt PPIOptions, rng *rand.Rand) (*prob.PGraph, error) {
 	probs := make([]float64, g.NumEdges())
 	for e := range probs {

@@ -252,25 +252,10 @@ func (g *Graph) EdgeBetween(u, v VertexID) (EdgeID, bool) {
 	return 0, false
 }
 
-// HasEdgeBetween reports whether u and v are adjacent.
-func (g *Graph) HasEdgeBetween(u, v VertexID) bool {
-	_, ok := g.EdgeBetween(u, v)
-	return ok
-}
-
 // Edges returns a copy of the edge slice, indexed by EdgeID.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, len(g.edges))
 	copy(out, g.edges)
-	return out
-}
-
-// IncidentEdges returns the IDs of edges incident to v.
-func (g *Graph) IncidentEdges(v VertexID) []EdgeID {
-	out := make([]EdgeID, len(g.adj[v]))
-	for i, h := range g.adj[v] {
-		out[i] = h.Edge
-	}
 	return out
 }
 

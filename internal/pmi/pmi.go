@@ -171,25 +171,17 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 		}
 	}
 
-	// One column per graph, each into its own slot; the first failure
-	// stops the hand-out of further graphs. Indices are handed out in
-	// order and a started column runs to its end, so every graph below a
-	// failed one has its slot filled: the error reported is the lowest
-	// graph's, whichever worker met one first.
-	errs := make([]error, len(db))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// The loop's own result is that cancel echoed back; the slots say more.
-	_ = pool.ForEachIndexCtx(ctx, len(db), opt.Workers, func(gi int) {
-		idx.cols[gi], errs[gi] = idx.column(db[gi], engines[gi], gi, func(fi int) bool { return contained[fi][gi] })
-		if errs[gi] != nil {
-			cancel()
-		}
+	// One column per graph, each into its own slot. The first failure
+	// stops the hand-out of further graphs, and the error reported is the
+	// lowest failing graph's, whichever worker met one first (the pool's
+	// failure rule).
+	err := pool.ForEachIndexCtx(context.Background(), len(db), opt.Workers, func(gi int) error {
+		var err error
+		idx.cols[gi], err = idx.column(db[gi], engines[gi], gi, func(fi int) bool { return contained[fi][gi] })
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

@@ -318,12 +318,7 @@ func (l *local) mutationResponse(op string, m core.Mutation) MutationResponse {
 		l.compact.Inc()
 	}
 	if l.opt.MutationLog != nil {
-		l.opt.MutationLog(MutationEvent{
-			Op: op, Index: m.Index,
-			OldGeneration: m.OldGeneration, NewGeneration: m.NewGeneration,
-			LiveGraphs: m.LiveGraphs, Tombstoned: m.Tombstoned,
-			Compacted: m.Compacted, CompactedSlots: m.CompactedSlots,
-		})
+		l.opt.MutationLog(MutationEvent{Op: op, Mutation: m})
 	}
 	return resp
 }

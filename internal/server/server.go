@@ -60,16 +60,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// MutationEvent describes one committed mutation for logging.
+// MutationEvent describes one committed mutation for logging: the
+// operation and core's record of it.
 type MutationEvent struct {
-	Op             string // "add", "remove", "replace"
-	Index          int    // slot the mutation targeted (or created)
-	OldGeneration  uint64
-	NewGeneration  uint64
-	LiveGraphs     int
-	Tombstoned     int
-	Compacted      bool // the mutation triggered auto-compaction
-	CompactedSlots int  // tombstoned slots reclaimed when Compacted
+	Op string // "add", "remove", "replace"
+	core.Mutation
 }
 
 // Backend is what a Server answers queries with: an evaluating node over

@@ -339,8 +339,9 @@ func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int)
 	}
 	ok := make([]bool, len(cand))
 	sp := obs.SpanFrom(ctx).Child("confirm")
-	err = pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) {
+	err = pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) error {
 		ok[i] = ix.Confirm(q, cand[i], delta)
+		return nil
 	})
 	sp.EndCount(int64(len(cand)))
 	if err != nil {
