@@ -26,30 +26,37 @@
 // -savesnap with -partition N instead writes N contiguous range-shard
 // snapshots (<savesnap>.shard<i>), one per cmd/pgproxy fleet member.
 //
-// -server runs the same queries against a running pgserve (or pgproxy
-// coordinator) over HTTP instead of evaluating locally; it requires
-// -qfile and prints exactly what local evaluation with the same flags
-// would — the server's answers are bitwise-identical to the library's.
+// There is one query path. -server sends the queries to a running pgserve
+// (or pgproxy coordinator) over HTTP and requires -qfile. Without it,
+// pgsearch serves the database it loaded from an in-process pgserve — no
+// result cache, so every query is evaluated — and sends the same requests
+// there, through the same wire codec. Every flag means the same in both
+// modes, and both print the same bytes: a server's answers are
+// bitwise-identical to the library's.
 //
 // -workers N evaluates candidate graphs on a pool of N goroutines (N < 0
-// selects GOMAXPROCS). -batch additionally runs all queries through one
-// QueryBatchCtx call, spreading the same pool across the queries. Both knobs
-// change scheduling only: for a fixed -seed, every combination of
-// -workers and -batch reports identical answers.
+// selects GOMAXPROCS; 0 is serial locally and the server's default
+// remotely). -batch sends all queries as one /batch request, spreading
+// the same pool across the queries. Both knobs change scheduling only:
+// for a fixed -seed, every combination of -workers and -batch reports
+// identical answers.
 //
-// -timeout D bounds the whole query run with a deadline; on expiry
-// pgsearch prints a one-line error to stderr and exits 3 (distinct from
-// exit 2 for bad flags and exit 1 for evaluation failures).
+// -timeout D bounds the whole query run with a deadline on the client's
+// context (a remote server sees the disconnect and cancels). On expiry,
+// or on a server's 504, pgsearch prints a one-line error to stderr and
+// exits 3 (distinct from exit 2 for bad flags and exit 1 for evaluation
+// failures).
 //
-// -stream answers with View.QueryStream instead: one NDJSON line per
+// -stream answers through /query/stream instead: one NDJSON line per
 // verified match, written as verification admits it (arrival order), then
 // one summary line per query with the sorted answer set — which is
 // bitwise-identical to the answers the non-streaming run reports, at any
 // -workers. -stream implies NDJSON output and excludes -batch.
 //
-// -trace prints each query's span tree — pipeline stages (struct filter
-// with its confirm span, relax, PMI prune, verify) with durations and
-// item counts — to stderr as JSON, leaving stdout untouched. Traced and
+// -trace asks the server for each response's span tree — pipeline stages
+// (struct filter with its confirm span, relax, PMI prune, verify) with
+// durations and item counts, rooted at query, batch or stream — and
+// prints it to stderr as JSON, leaving stdout untouched. Traced and
 // untraced runs return identical answers.
 package main
 
@@ -59,312 +66,390 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
-	"sort"
 	"time"
 
 	"probgraph"
 	"probgraph/internal/obs"
+	"probgraph/internal/server"
 	"probgraph/internal/stats"
 )
 
-// tracedCtx attaches a fresh trace root to ctx when -trace is on. The
-// returned done ends the root and prints the span tree to stderr (stdout
-// stays reserved for results and NDJSON). Tracing is observational only:
-// answers and stats are identical with and without it.
-func tracedCtx(ctx context.Context, enabled bool, label string) (context.Context, func()) {
-	if !enabled {
-		return ctx, func() {}
-	}
-	tr := obs.NewTrace()
-	root := tr.Root(label)
-	//pgvet:spanok ownership transfers to the returned done closure, which ends root
-	return obs.ContextWithSpan(ctx, root), func() {
-		root.End()
-		enc := json.NewEncoder(os.Stderr)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			TraceID string        `json:"trace_id"`
-			Trace   *obs.SpanNode `json:"trace"`
-		}{tr.ID(), tr.Tree()}); err != nil {
-			log.Fatal(err)
-		}
-	}
+// main is a thin shell around run: os.Exit skips defers, so every defer
+// lives inside run, which only ever returns.
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	dbPath := flag.String("db", "", "database file from pggen")
-	loadSnap := flag.String("loadsnap", "", "snapshot file to load instead of -db (skips indexing)")
-	saveSnap := flag.String("savesnap", "", "write the indexed database snapshot to this file")
-	format := flag.String("format", "text", "snapshot format for -savesnap: text (v5) or binary (v4, mmap-able)")
-	epsilon := flag.Float64("epsilon", 0.5, "probability threshold ε")
-	delta := flag.Int("delta", 2, "subgraph distance threshold δ")
-	qsize := flag.Int("qsize", 6, "query size (edges)")
-	qfrom := flag.Int("qfrom", 0, "index of the graph to extract queries from")
-	queries := flag.Int("queries", 5, "number of queries to run")
-	qfile := flag.String("qfile", "", "read query graph(s) from this file instead of extracting")
-	verifier := flag.String("verifier", "smp", "verifier: smp, exact, none")
-	plain := flag.Bool("plain", false, "use plain SSPBound instead of OPT-SSPBound")
-	workers := flag.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
-	batch := flag.Bool("batch", false, "run all queries through one QueryBatchCtx call")
-	seed := flag.Int64("seed", 1, "random seed")
-	verbose := flag.Bool("v", false, "print per-answer SSP estimates")
-	jsonOut := flag.Bool("json", false, "print results as JSON to stdout (suppresses tables)")
-	timeout := flag.Duration("timeout", 0, "deadline for the query run (0 = none; expiry exits 3)")
-	stream := flag.Bool("stream", false, "stream matches as NDJSON while verification admits them")
-	trace := flag.Bool("trace", false, "print each query's span tree (pipeline stages with durations and item counts) to stderr as JSON")
-	serverURL := flag.String("server", "", "query a running pgserve/pgproxy at this base URL instead of evaluating locally (requires -qfile)")
-	partition := flag.Int("partition", 0, "with -savesnap: split the database into N contiguous range shards, writing <savesnap>.shard<i> files")
-	flag.Parse()
+// run executes pgsearch and returns its exit code: 0 success, 1 a failure
+// (I/O, index build, evaluation), 2 a flag error, 3 an expired deadline.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pgsearch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dbPath := fs.String("db", "", "database file from pggen")
+	loadSnap := fs.String("loadsnap", "", "snapshot file to load instead of -db (skips indexing)")
+	saveSnap := fs.String("savesnap", "", "write the indexed database snapshot to this file")
+	format := fs.String("format", "text", "snapshot format for -savesnap: text (v5) or binary (v4, mmap-able)")
+	epsilon := fs.Float64("epsilon", 0.5, "probability threshold ε")
+	delta := fs.Int("delta", 2, "subgraph distance threshold δ")
+	qsize := fs.Int("qsize", 6, "query size (edges)")
+	qfrom := fs.Int("qfrom", 0, "index of the graph to extract queries from")
+	queries := fs.Int("queries", 5, "number of queries to run")
+	qfile := fs.String("qfile", "", "read query graph(s) from this file instead of extracting")
+	verifier := fs.String("verifier", "smp", "verifier: smp, exact, none")
+	plain := fs.Bool("plain", false, "use plain SSPBound instead of OPT-SSPBound")
+	workers := fs.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
+	batch := fs.Bool("batch", false, "run all queries as one /batch request")
+	seed := fs.Int64("seed", 1, "random seed")
+	verbose := fs.Bool("v", false, "print per-answer SSP estimates")
+	jsonOut := fs.Bool("json", false, "print results as JSON to stdout (suppresses tables)")
+	timeout := fs.Duration("timeout", 0, "deadline for the query run (0 = none; expiry exits 3)")
+	stream := fs.Bool("stream", false, "stream matches as NDJSON while verification admits them")
+	trace := fs.Bool("trace", false, "print each response's span tree (pipeline stages with durations and item counts) to stderr as JSON")
+	serverURL := fs.String("server", "", "query a running pgserve/pgproxy at this base URL instead of the loaded database (requires -qfile)")
+	partition := fs.Int("partition", 0, "with -savesnap: split the database into N contiguous range shards, writing <savesnap>.shard<i> files")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "pgsearch: "+format+"\n", args...)
+		return 2
+	}
 
 	if *serverURL != "" {
 		// Remote mode holds no database: queries must come from -qfile, and
 		// every local-index flag is meaningless.
 		if *qfile == "" {
-			fmt.Fprintln(os.Stderr, "pgsearch: -server requires -qfile")
-			os.Exit(2)
+			return usage("-server requires -qfile")
 		}
-		for flagName, set := range map[string]bool{
-			"-db": *dbPath != "", "-loadsnap": *loadSnap != "", "-savesnap": *saveSnap != "",
-			"-partition": *partition != 0, "-trace": *trace,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "pgsearch: %s cannot be combined with -server (use trace=1 against the server for traces)\n", flagName)
-				os.Exit(2)
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-db", *dbPath != ""}, {"-loadsnap", *loadSnap != ""}, {"-savesnap", *saveSnap != ""}, {"-partition", *partition != 0}} {
+			if f.set {
+				return usage("%s cannot be combined with -server", f.name)
 			}
 		}
 	} else if (*dbPath == "") == (*loadSnap == "") {
-		fmt.Fprintln(os.Stderr, "pgsearch: give exactly one of -db or -loadsnap")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pgsearch: give exactly one of -db or -loadsnap")
+		fs.Usage()
+		return 2
 	}
 	if *partition != 0 && (*partition < 1 || *saveSnap == "") {
-		fmt.Fprintln(os.Stderr, "pgsearch: -partition needs a positive shard count and -savesnap")
-		os.Exit(2)
+		return usage("-partition needs a positive shard count and -savesnap")
 	}
-	// Reject out-of-range thresholds up front: a bad ε/δ would otherwise
-	// surface only after the (possibly expensive) index build.
-	if *epsilon <= 0 || *epsilon > 1 {
-		fmt.Fprintf(os.Stderr, "pgsearch: -epsilon must be in (0,1], got %v\n", *epsilon)
-		os.Exit(2)
+	// Reject bad flags up front: they would otherwise surface only after
+	// the (possibly expensive) index build.
+	if !(*epsilon > 0 && *epsilon <= 1) {
+		return usage("-epsilon must be in (0,1], got %v", *epsilon)
 	}
 	if *delta < 0 {
-		fmt.Fprintf(os.Stderr, "pgsearch: -delta must be >= 0, got %d\n", *delta)
-		os.Exit(2)
+		return usage("-delta must be >= 0, got %d", *delta)
 	}
 	if *qsize < 1 {
-		fmt.Fprintf(os.Stderr, "pgsearch: -qsize must be >= 1, got %d\n", *qsize)
-		os.Exit(2)
+		return usage("-qsize must be >= 1, got %d", *qsize)
 	}
 	if *timeout < 0 {
-		fmt.Fprintf(os.Stderr, "pgsearch: -timeout must be >= 0, got %v\n", *timeout)
-		os.Exit(2)
+		return usage("-timeout must be >= 0, got %v", *timeout)
 	}
 	if *stream && *batch {
-		fmt.Fprintln(os.Stderr, "pgsearch: -stream and -batch are mutually exclusive")
-		os.Exit(2)
+		return usage("-stream and -batch are mutually exclusive")
+	}
+	var sf probgraph.SnapshotFormat
+	if *saveSnap != "" {
+		var err error
+		if sf, err = probgraph.ParseSnapshotFormat(*format); err != nil {
+			return usage("%v", err)
+		}
+	}
+	s := &search{
+		tmpl: server.QueryRequest{Epsilon: *epsilon, Delta: *delta, Verifier: *verifier,
+			Plain: *plain, Seed: *seed, Workers: *workers, Trace: *trace},
+		batch: *batch, verbose: *verbose, jsonOut: *jsonOut,
+		stdout: stdout, stderr: stderr,
+	}
+	// The server's own check of the request knobs (the verifier among
+	// them), on an empty graph, so no file is opened for a bad flag.
+	probe := s.tmpl
+	probe.Graph = &server.GraphJSON{}
+	if _, _, err := probe.Check(); err != nil {
+		return usage("%v", err)
 	}
 	say := func(format string, args ...any) {
 		// -stream shares stdout with the NDJSON lines, so it implies the
 		// same chatter suppression as -json.
 		if !*jsonOut && !*stream {
-			fmt.Printf(format, args...)
+			fmt.Fprintf(stdout, format, args...)
 		}
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pgsearch: %v\n", err)
+		return 1
 	}
 
-	if *serverURL != "" {
-		runRemote(remoteConfig{
-			url: *serverURL, qfile: *qfile,
-			epsilon: *epsilon, delta: *delta, verifier: *verifier, plain: *plain,
-			seed: *seed, workers: *workers, batch: *batch, stream: *stream,
-			jsonOut: *jsonOut, verbose: *verbose, timeout: *timeout,
-		}, say)
-		return
-	}
-
-	start := time.Now()
-	var db *probgraph.Database
-	if *loadSnap != "" {
-		var err error
-		db, err = probgraph.OpenSnapshot(*loadSnap)
+	s.c = server.NewClient(*serverURL)
+	var view *probgraph.DatabaseView
+	if *serverURL == "" {
+		db, err := openDatabase(*dbPath, *loadSnap, say)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		say("loaded snapshot %s: %d graphs in %v (no re-indexing)\n",
-			*loadSnap, db.Len(), time.Since(start).Round(time.Millisecond))
-	} else {
-		f, err := os.Open(*dbPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		raw, err := probgraph.LoadDataset(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		say("loaded %d probabilistic graphs\n", len(raw.Graphs))
-		db, err = probgraph.NewDatabase(raw.Graphs, probgraph.DefaultBuildOptions())
-		if err != nil {
-			log.Fatal(err)
-		}
-		say("indexed in %v: %d PMI features, %.1f KB index\n\n",
-			time.Since(start), db.View().PMI.NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
-	}
-	if *saveSnap != "" {
-		sf, err := probgraph.ParseSnapshotFormat(*format)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pgsearch: %v\n", err)
-			os.Exit(2)
-		}
-		if *partition > 0 {
-			// One snapshot per contiguous range shard: <base>.shard<i> files
-			// each carry the full feature vocabulary plus that range's
-			// graphs, structural count rows, and PMI columns — what
-			// cmd/pgproxy's fleet serves (see internal/cluster).
-			ranges, err := probgraph.PartitionRanges(db.Len(), *partition)
-			if err != nil {
-				log.Fatal(err)
+		if *saveSnap != "" {
+			if err := saveSnapshot(db, *saveSnap, *format, sf, *partition, say); err != nil {
+				return fail(err)
 			}
-			for i, r := range ranges {
-				path := fmt.Sprintf("%s.shard%d", *saveSnap, i)
-				if err := db.SaveRangeFile(path, r[0], r[1], sf); err != nil {
-					log.Fatal(err)
-				}
-				say("saved %s shard %d [%d,%d) to %s\n", *format, i, r[0], r[1], path)
-			}
-		} else {
-			if err := db.SaveFile(*saveSnap, sf); err != nil {
-				log.Fatal(err)
-			}
-			say("saved %s snapshot to %s\n", *format, *saveSnap)
 		}
+		view = db.View()
+		// Local mode is -server mode against an in-process pgserve over the
+		// loaded database: no result cache, so every query is evaluated,
+		// and a request with workers 0 stays serial.
+		s.c = server.NewHandlerClient(server.New(db, server.Options{CacheSize: -1, SlowlogSize: -1, Workers: 1}).Handler())
 	}
 
-	// pgsearch never mutates: every query below reads this one view.
-	view := db.View()
-
-	var vk probgraph.VerifierKind
-	switch *verifier {
-	case "smp":
-		vk = probgraph.VerifierSMP
-	case "exact":
-		vk = probgraph.VerifierExact
-	case "none":
-		vk = probgraph.VerifierNone
-	default:
-		log.Fatalf("unknown verifier %q", *verifier)
-	}
-
-	var qs []*probgraph.Graph
 	if *qfile != "" {
-		f, err := os.Open(*qfile)
-		if err != nil {
-			log.Fatal(err)
+		var err error
+		if s.qs, err = loadQueries(*qfile); err != nil {
+			return fail(err)
 		}
-		qs, err = probgraph.LoadGraphs(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(qs) == 0 {
-			log.Fatalf("pgsearch: no query graphs in %s", *qfile)
-		}
-		say("loaded %d query graph(s) from %s\n", len(qs), *qfile)
+		say("loaded %d query graph(s) from %s\n", len(s.qs), *qfile)
 	} else {
 		rng := rand.New(rand.NewSource(*seed))
-		qs = make([]*probgraph.Graph, *queries)
-		for i := range qs {
-			src := view.Graphs[(*qfrom+i)%view.Len()].G
-			qs[i] = probgraph.ExtractQuery(src, *qsize, rng)
+		for i := 0; i < *queries; i++ {
+			s.qs = append(s.qs, probgraph.ExtractQuery(view.Graphs[(*qfrom+i)%view.Len()].G, *qsize, rng))
 		}
 	}
 
-	// The whole query run shares one context; -timeout bounds it and the
-	// engine cancels at candidate granularity on expiry.
+	// The whole query run shares one context: -timeout bounds it, and the
+	// server cancels at candidate granularity on expiry.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	exitOnDeadline := func(err error) {
-		if errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "pgsearch: query run exceeded -timeout %v\n", *timeout)
-			os.Exit(3)
-		}
-	}
-
-	qo := probgraph.QueryOptions{
-		Epsilon: *epsilon, Delta: *delta,
-		OptBounds: !*plain, Verifier: vk,
-		Seed: *seed, Concurrency: *workers,
-	}
+	answer := s.answer
 	if *stream {
-		runStream(ctx, view, qs, qo, *trace, exitOnDeadline)
-		return
+		answer = s.stream
 	}
+	err := answer(ctx)
+	var we *server.Error
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		fmt.Fprintf(stderr, "pgsearch: query run exceeded -timeout %v\n", *timeout)
+		return 3
+	case errors.As(err, &we) && we.Status == http.StatusGatewayTimeout:
+		fmt.Fprintf(stderr, "pgsearch: server timeout: %s\n", we.Message)
+		return 3
+	}
+	return fail(err)
+}
 
-	qStart := time.Now()
-	results := make([]*probgraph.Result, len(qs))
-	if *batch {
-		bctx, done := tracedCtx(ctx, *trace, "batch")
-		rs, err := view.QueryBatchCtx(bctx, qs, qo)
-		done()
+// openDatabase restores the snapshot at snap, or indexes the dataset at
+// path.
+func openDatabase(path, snap string, say func(string, ...any)) (*probgraph.Database, error) {
+	start := time.Now()
+	if snap != "" {
+		db, err := probgraph.OpenSnapshot(snap)
 		if err != nil {
-			exitOnDeadline(err)
-			log.Fatal(err)
+			return nil, err
 		}
-		results = rs
-	} else {
-		for i, q := range qs {
-			// Same per-query seed derivation as QueryBatchCtx, so -batch
-			// changes scheduling only, never answers.
-			qo.Seed = probgraph.BatchSeed(*seed, i)
-			qctx, done := tracedCtx(ctx, *trace, fmt.Sprintf("q%d", i))
-			res, err := view.QueryCtx(qctx, q, qo)
-			done()
-			if err != nil {
-				exitOnDeadline(err)
-				log.Fatal(err)
+		say("loaded snapshot %s: %d graphs in %v (no re-indexing)\n",
+			snap, db.Len(), time.Since(start).Round(time.Millisecond))
+		return db, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := probgraph.LoadDataset(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	say("loaded %d probabilistic graphs\n", len(raw.Graphs))
+	db, err := probgraph.NewDatabase(raw.Graphs, probgraph.DefaultBuildOptions())
+	if err != nil {
+		return nil, err
+	}
+	say("indexed in %v: %d PMI features, %.1f KB index\n\n",
+		time.Since(start), db.View().PMI.NumFeatures(), float64(db.Build().IndexSizeBytes)/1024)
+	return db, nil
+}
+
+// saveSnapshot writes db to path, or with partition > 0 one snapshot per
+// contiguous range shard: <path>.shard<i> files each carry the full
+// feature vocabulary plus that range's graphs, structural count rows, and
+// PMI columns — what cmd/pgproxy's fleet serves (see internal/cluster).
+func saveSnapshot(db *probgraph.Database, path, format string, sf probgraph.SnapshotFormat, partition int, say func(string, ...any)) error {
+	if partition == 0 {
+		if err := db.SaveFile(path, sf); err != nil {
+			return err
+		}
+		say("saved %s snapshot to %s\n", format, path)
+		return nil
+	}
+	ranges, err := probgraph.PartitionRanges(db.Len(), partition)
+	if err != nil {
+		return err
+	}
+	for i, r := range ranges {
+		shard := fmt.Sprintf("%s.shard%d", path, i)
+		if err := db.SaveRangeFile(shard, r[0], r[1], sf); err != nil {
+			return err
+		}
+		say("saved %s shard %d [%d,%d) to %s\n", format, i, r[0], r[1], shard)
+	}
+	return nil
+}
+
+// loadQueries reads the query graphs of a -qfile.
+func loadQueries(path string) ([]*probgraph.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	qs, err := probgraph.LoadGraphs(f)
+	if err == nil && len(qs) == 0 {
+		err = fmt.Errorf("no query graphs in %s", path)
+	}
+	return qs, err
+}
+
+// search is one query run against one server, in-process or remote.
+type search struct {
+	c                       *server.Client
+	tmpl                    server.QueryRequest // every knob but graph
+	qs                      []*probgraph.Graph
+	batch, verbose, jsonOut bool
+	stdout, stderr          io.Writer
+}
+
+// request is query i on the wire. Seeds derive per query with BatchSeed,
+// exactly as /batch derives its members' from the base seed, so -batch
+// changes scheduling only, never answers.
+func (s *search) request(i int) []byte {
+	req := s.tmpl
+	req.Graph = server.GraphToJSON(s.qs[i])
+	req.Seed = probgraph.BatchSeed(s.tmpl.Seed, i)
+	body, _ := json.Marshal(&req) // plain fields: cannot fail
+	return body
+}
+
+// printTrace writes a response's span tree to stderr (nil when the run is
+// untraced). Like any diagnostic on stderr, a failed write is not an
+// error of the run.
+func (s *search) printTrace(tr *obs.SpanNode) {
+	if tr == nil {
+		return
+	}
+	enc := json.NewEncoder(s.stderr)
+	enc.SetIndent("", "  ")
+	enc.Encode(struct {
+		Trace *obs.SpanNode `json:"trace"`
+	}{tr})
+}
+
+// answer runs every query through /query (or all of them through one
+// /batch) and prints the results as the table or as JSON.
+func (s *search) answer(ctx context.Context) error {
+	start := time.Now()
+	var results []*server.QueryResponse
+	switch {
+	case s.batch && len(s.qs) == 0:
+		// The server refuses an empty batch; there is nothing to ask.
+	case s.batch:
+		t := s.tmpl
+		breq := server.BatchRequest{Epsilon: t.Epsilon, Delta: t.Delta, Verifier: t.Verifier,
+			Plain: t.Plain, Seed: t.Seed, Workers: t.Workers, Trace: t.Trace}
+		for _, q := range s.qs {
+			breq.Queries = append(breq.Queries, *server.GraphToJSON(q))
+		}
+		body, _ := json.Marshal(&breq) // plain fields: cannot fail
+		var bresp server.BatchResponse
+		if err := s.c.Post(ctx, "/batch", body, &bresp); err != nil {
+			return err
+		}
+		results = bresp.Results
+		s.printTrace(bresp.Trace)
+	default:
+		for i := range s.qs {
+			var resp server.QueryResponse
+			if err := s.c.Post(ctx, "/query", s.request(i), &resp); err != nil {
+				return err
 			}
-			results[i] = res
+			results = append(results, &resp)
+			s.printTrace(resp.Trace)
 		}
 	}
-	elapsed := time.Since(qStart)
+	elapsed := time.Since(start)
 
-	if *jsonOut {
-		printJSON(qs, results, view, elapsed)
-		return
+	if s.jsonOut {
+		out := struct {
+			Results []queryJSON `json:"results"`
+			TimeMS  float64     `json:"time_ms"`
+		}{Results: []queryJSON{}, TimeMS: float64(elapsed.Microseconds()) / 1000}
+		for i, res := range results {
+			out.Results = append(out.Results, queryJSON{
+				Query: i, Edges: s.qs[i].NumEdges(),
+				Answers: res.Answers, Names: res.Names, SSP: res.SSP,
+				Pruned:   res.Stats.PrunedByUpper,
+				Accepted: res.Stats.AcceptedByLower,
+				Verified: res.Stats.VerifyCandidates,
+				TimeMS:   res.Stats.TimeTotalMS,
+			})
+		}
+		enc := json.NewEncoder(s.stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(out)
 	}
 
 	table := stats.NewTable("query results",
 		"query", "answers", "struct", "pruned", "accepted", "verified", "time")
 	for i, res := range results {
 		table.AddRow(
-			fmt.Sprintf("q%d(%de)", i, qs[i].NumEdges()),
+			fmt.Sprintf("q%d(%de)", i, s.qs[i].NumEdges()),
 			len(res.Answers),
 			res.Stats.StructConfirmed,
 			res.Stats.PrunedByUpper,
 			res.Stats.AcceptedByLower,
 			res.Stats.VerifyCandidates,
-			res.Stats.TimeTotal.Round(time.Microsecond),
+			time.Duration(res.Stats.TimeTotalMS*float64(time.Millisecond)).Round(time.Microsecond),
 		)
-		if *verbose {
-			for _, gi := range res.Answers {
+		if s.verbose {
+			for k, gi := range res.Answers {
 				ssp := res.SSP[gi]
 				tag := fmt.Sprintf("SSP≈%.3f", ssp)
 				if ssp == -1 {
 					tag = "accepted by lower bound"
 				}
-				fmt.Printf("  q%d → %s (%s)\n", i, view.Graphs[gi].G.Name(), tag)
+				fmt.Fprintf(s.stdout, "  q%d → %s (%s)\n", i, res.Names[k], tag)
 			}
 		}
 	}
-	table.Render(os.Stdout)
-	fmt.Printf("%d queries in %v (workers=%d, batch=%v)\n",
-		len(qs), elapsed.Round(time.Microsecond), *workers, *batch)
+	table.Render(s.stdout)
+	_, err := fmt.Fprintf(s.stdout, "%d queries in %v (workers=%d, batch=%v)\n",
+		len(s.qs), elapsed.Round(time.Microsecond), s.tmpl.Workers, s.batch)
+	return err
+}
+
+// queryJSON is one query's machine-readable result; answers and ssp are
+// exactly the library's (ssp -1 marks direct lower-bound accepts).
+type queryJSON struct {
+	Query    int             `json:"query"`
+	Edges    int             `json:"edges"`
+	Answers  []int           `json:"answers"`
+	Names    []string        `json:"names"`
+	SSP      map[int]float64 `json:"ssp"`
+	Pruned   int             `json:"pruned"`
+	Accepted int             `json:"accepted"`
+	Verified int             `json:"verified"`
+	TimeMS   float64         `json:"time_ms"`
 }
 
 // streamMatchJSON is one -stream NDJSON line: a verified match of query
@@ -386,85 +471,27 @@ type streamSummaryJSON struct {
 	TimeMS  float64 `json:"time_ms"`
 }
 
-// runStream answers every query through View.QueryStream, printing
-// matches the moment verification admits them. Per-query seeds derive
-// exactly as in the non-streaming path (BatchSeed), so the summary line's
-// sorted answers match a plain run with the same flags.
-func runStream(ctx context.Context, view *probgraph.DatabaseView, qs []*probgraph.Graph,
-	opt probgraph.QueryOptions, trace bool, exitOnDeadline func(error)) {
-	enc := json.NewEncoder(os.Stdout)
-	for i, q := range qs {
-		qo := opt
-		qo.Seed = probgraph.BatchSeed(opt.Seed, i)
+// stream answers every query through /query/stream, re-emitting the
+// server's match lines with the query index prepended the moment they
+// arrive, then the query's summary.
+func (s *search) stream(ctx context.Context) error {
+	enc := json.NewEncoder(s.stdout)
+	for i := range s.qs {
 		start := time.Now()
-		var answers []int
-		qctx, done := tracedCtx(ctx, trace, fmt.Sprintf("q%d", i))
-		for m, err := range view.QueryStream(qctx, q, qo) {
-			if err != nil {
-				exitOnDeadline(err)
-				log.Fatal(err)
-			}
-			if err := enc.Encode(streamMatchJSON{
-				Query: i, Graph: m.Graph, Name: view.Graphs[m.Graph].G.Name(), SSP: m.SSP,
-			}); err != nil {
-				log.Fatal(err)
-			}
-			answers = append(answers, m.Graph)
+		sum, err := s.c.Stream(ctx, "/query/stream", s.request(i),
+			func(m server.StreamMatchJSON, _ []byte) error {
+				return enc.Encode(streamMatchJSON{Query: i, Graph: m.Graph, Name: m.Name, SSP: m.SSP})
+			})
+		if err != nil {
+			return err
 		}
-		done()
-		sort.Ints(answers)
-		if answers == nil {
-			answers = []int{}
-		}
+		s.printTrace(sum.Trace)
 		if err := enc.Encode(streamSummaryJSON{
-			Query: i, Done: true, Answers: answers, Count: len(answers),
+			Query: i, Done: true, Answers: sum.Answers, Count: sum.Count,
 			TimeMS: float64(time.Since(start).Microseconds()) / 1000,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-}
-
-// queryJSON is one query's machine-readable result; answers and ssp are
-// exactly the library's (ssp -1 marks direct lower-bound accepts).
-type queryJSON struct {
-	Query    int             `json:"query"`
-	Edges    int             `json:"edges"`
-	Answers  []int           `json:"answers"`
-	Names    []string        `json:"names"`
-	SSP      map[int]float64 `json:"ssp"`
-	Pruned   int             `json:"pruned"`
-	Accepted int             `json:"accepted"`
-	Verified int             `json:"verified"`
-	TimeMS   float64         `json:"time_ms"`
-}
-
-func printJSON(qs []*probgraph.Graph, results []*probgraph.Result, view *probgraph.DatabaseView, elapsed time.Duration) {
-	out := struct {
-		Results []queryJSON `json:"results"`
-		TimeMS  float64     `json:"time_ms"`
-	}{Results: []queryJSON{}, TimeMS: float64(elapsed.Microseconds()) / 1000}
-	for i, res := range results {
-		answers := res.Answers
-		if answers == nil {
-			answers = []int{}
-		}
-		names := make([]string, len(answers))
-		for k, gi := range answers {
-			names[k] = view.Graphs[gi].G.Name()
-		}
-		out.Results = append(out.Results, queryJSON{
-			Query: i, Edges: qs[i].NumEdges(),
-			Answers: answers, Names: names, SSP: res.SSP,
-			Pruned:   res.Stats.PrunedByUpper,
-			Accepted: res.Stats.AcceptedByLower,
-			Verified: res.Stats.VerifyCandidates,
-			TimeMS:   float64(res.Stats.TimeTotal.Microseconds()) / 1000,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

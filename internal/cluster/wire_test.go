@@ -126,6 +126,51 @@ func TestEnvelopeParity(t *testing.T) {
 	}
 }
 
+// TestStreamTraceShape: a traced /query/stream through pgproxy ends with
+// a summary whose span tree is rooted at "stream" with one
+// shard:sN/query/stream child per shard; pgserve's has the same root. An
+// untraced summary has no trace, and tracing changes no answer.
+func TestStreamTraceShape(t *testing.T) {
+	db := testDatabase(t, 3, 6)
+	f := newFleet(t, db, 2)
+	defer f.Close()
+	req := server.QueryRequest{Graph: server.GraphToJSON(extractQueries(db, 3, 1)[0]), Epsilon: 0.3, Delta: 2, Seed: 3}
+	stream := func(url string, trace bool) *server.StreamSummaryJSON {
+		r := req
+		r.Trace = trace
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := server.NewClient(url).Stream(context.Background(), "/query/stream", body,
+			func(server.StreamMatchJSON, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	plain := stream(f.coord.URL, false)
+	traced := stream(f.coord.URL, true)
+	if plain.Trace != nil || traced.Trace == nil || traced.Trace.Name != "stream" {
+		t.Fatalf("proxy traces: untraced %+v, traced %+v", plain.Trace, traced.Trace)
+	}
+	var children []string
+	for _, c := range traced.Trace.Children {
+		children = append(children, c.Name)
+	}
+	slices.Sort(children)
+	if want := []string{"shard:s0/query/stream", "shard:s1/query/stream"}; !slices.Equal(children, want) {
+		t.Errorf("proxy stream trace children %v, want %v", children, want)
+	}
+	if !slices.Equal(plain.Answers, traced.Answers) {
+		t.Errorf("tracing changed the answers: %v vs %v", plain.Answers, traced.Answers)
+	}
+	if single := stream(f.single.URL, true); single.Trace == nil || single.Trace.Name != "stream" ||
+		!slices.Equal(single.Answers, traced.Answers) {
+		t.Errorf("pgserve traced stream: %+v, answers %v", single.Trace, single.Answers)
+	}
+}
+
 // hostileShard is a fake pgserve answering each path with a canned status
 // and body.
 type hostileShard map[string]struct {

@@ -100,6 +100,7 @@ func NewPGraphDecoder(r io.Reader) *PGraphDecoder {
 func (d *PGraphDecoder) Decode() (*prob.PGraph, int, error) {
 	var (
 		b       *graph.Builder
+		nv      int // vertices of the open block
 		jpts    []prob.JPT
 		pending *prob.JPT
 		org     int
@@ -120,7 +121,7 @@ func (d *PGraphDecoder) Decode() (*prob.PGraph, int, error) {
 				return nil, 0, fmt.Errorf("dataset: line %d: want 'pgraph <name> [organism]'", d.line)
 			}
 			b = graph.NewBuilder(decTok(f[1]))
-			org = 0
+			nv, org = 0, 0
 			if len(f) >= 3 {
 				v, err := strconv.Atoi(f[2])
 				if err != nil {
@@ -132,7 +133,18 @@ func (d *PGraphDecoder) Decode() (*prob.PGraph, int, error) {
 			if b == nil || len(f) != 3 {
 				return nil, 0, fmt.Errorf("dataset: line %d: bad vertex line", d.line)
 			}
+			// The id is the vertex's position, as in the graph codec: a
+			// block listing its vertices out of order would otherwise load
+			// with their labels swapped.
+			id, err := strconv.Atoi(f[1])
+			if err != nil {
+				return nil, 0, fmt.Errorf("dataset: line %d: bad vertex id %q", d.line, f[1])
+			}
+			if id != nv {
+				return nil, 0, fmt.Errorf("dataset: line %d: vertex ids must be dense and ordered, got %d want %d", d.line, id, nv)
+			}
 			b.AddVertex(graph.Label(decTok(f[2])))
+			nv++
 		case "e":
 			if b == nil || len(f) != 4 {
 				return nil, 0, fmt.Errorf("dataset: line %d: bad edge line", d.line)

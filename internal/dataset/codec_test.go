@@ -118,6 +118,33 @@ func TestRoundTripHostileLabels(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMalformedBlocks: a block the decoder cannot read
+// faithfully is an error naming its line, never a silently different
+// graph. Vertex ids follow the graph codec's rule — dense and in order —
+// since the decoder places each vertex by its position, not its id.
+func TestDecodeRejectsMalformedBlocks(t *testing.T) {
+	cases := []struct{ name, text, want string }{
+		{"vertices out of order", "pgraph g\nv 1 B\nv 0 A\nend\n", "line 2: vertex ids must be dense and ordered, got 1 want 0"},
+		{"vertex id gap", "pgraph g\nv 0 A\nv 2 B\nend\n", "line 3: vertex ids must be dense and ordered, got 2 want 1"},
+		{"vertex id not a number", "pgraph g\nv x A\nend\n", `line 2: bad vertex id "x"`},
+		{"vertex outside a block", "v 0 A\n", "line 1: bad vertex line"},
+		{"stray end", "end\n", "line 1: stray end"},
+		{"unterminated block", "pgraph g\nv 0 A\n", "unterminated pgraph block"},
+	}
+	for _, c := range cases {
+		_, _, err := NewPGraphDecoder(strings.NewReader(c.text)).Decode()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// Ids restart at 0 in every block.
+	two := "pgraph a\nv 0 A\nv 1 B\ne 0 1 x\nend\npgraph b\nv 0 C\nend\n"
+	db, err := Load(strings.NewReader(two))
+	if err != nil || len(db.Graphs) != 2 || db.Graphs[1].G.VertexLabel(0) != "C" {
+		t.Fatalf("two dense blocks: %v", err)
+	}
+}
+
 // TestEncDecTok checks the token escaping directly, including the
 // empty-vs-dash distinction.
 func TestEncDecTok(t *testing.T) {

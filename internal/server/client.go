@@ -12,9 +12,11 @@ import (
 	"strings"
 )
 
-// Client speaks the query API to one server — a pgserve or a pgproxy. The
-// coordinator holds one per shard and pgsearch -server one for its target.
-// Every call runs under the caller's context. A call fails with an *Error
+// Client speaks the query API to one server — a pgserve or a pgproxy over
+// HTTP (NewClient), or a handler in this process (NewHandlerClient). The
+// coordinator holds one per shard; pgsearch holds one for its -server
+// target, or for the in-process server its local mode runs. Every call
+// runs under the caller's context. A call fails with an *Error
 // when the server answered and the answer is not a usable 200 (its own
 // structured failure, status and flags intact, or a 502 for a body that
 // does not decode); any other error means the exchange itself failed —
@@ -29,6 +31,83 @@ type Client struct {
 // NewClient returns a client for the server at base URL.
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/")}
+}
+
+// NewHandlerClient returns a client whose requests h serves in process.
+// No socket is involved, but every request and answer still crosses the
+// wire codec, so the client reads exactly the bytes an HTTP client of h
+// would.
+func NewHandlerClient(h http.Handler) *Client {
+	return &Client{base: "http://in-process", hc: http.Client{Transport: handlerTransport{h}}}
+}
+
+// handlerTransport is the in-process http.RoundTripper. It serves each
+// request through h on a goroutine and returns the body through a pipe,
+// so NDJSON lines reach the caller as the handler writes them. The
+// handler's r.Context() is the caller's context, also cancelled when the
+// caller closes the body (net/http's client disconnect). Once that
+// context ends the pipe is closed, so a handler nobody reads from fails
+// its next write instead of blocking, and its goroutine ends.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ctx, cancel := context.WithCancel(req.Context())
+	pr, pw := io.Pipe()
+	w := &pipeResponse{header: make(http.Header), pw: pw, ready: make(chan struct{}),
+		resp: &http.Response{Request: req, ContentLength: -1, Body: pipeBody{pr, cancel}}}
+	stop := context.AfterFunc(ctx, func() { pr.CloseWithError(ctx.Err()) })
+	go func() {
+		t.h.ServeHTTP(w, req.WithContext(ctx))
+		w.WriteHeader(http.StatusOK) // a handler that wrote nothing answered an empty 200
+		stop()                       // what was written stays readable whatever ctx does now
+		pw.Close()
+		req.Body.Close()
+	}()
+	select {
+	case <-w.ready:
+		return w.resp, nil
+	case <-ctx.Done():
+		cancel()
+		return nil, ctx.Err()
+	}
+}
+
+// pipeResponse is the handler's side of the in-process exchange. Only
+// the handler goroutine calls it; ready publishes resp to RoundTrip once
+// the status line is set.
+type pipeResponse struct {
+	header http.Header
+	pw     *io.PipeWriter
+	resp   *http.Response
+	ready  chan struct{}
+	wrote  bool
+}
+
+func (w *pipeResponse) Header() http.Header { return w.header }
+
+func (w *pipeResponse) WriteHeader(status int) {
+	if w.wrote {
+		return
+	}
+	w.wrote = true
+	w.resp.StatusCode, w.resp.Header = status, w.header.Clone()
+	close(w.ready)
+}
+
+func (w *pipeResponse) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.pw.Write(p)
+}
+
+// pipeBody is the caller's side: closing it ends the handler's context.
+type pipeBody struct {
+	*io.PipeReader
+	cancel context.CancelFunc
+}
+
+func (b pipeBody) Close() error {
+	b.cancel()
+	return b.PipeReader.Close()
 }
 
 // ErrStreamTruncated marks a stream that ended (EOF or a mid-body

@@ -41,17 +41,16 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// TraceWanted reports whether the request opted into an inline span tree
-// (trace=1 URL knob or the request body's trace field).
-func TraceWanted(r *http.Request, bodyFlag bool) bool {
-	return bodyFlag || r.URL.Query().Get("trace") == "1"
-}
-
-// TraceTree snapshots the request's span tree for inline delivery. The
-// root span is still open (the middleware ends it after the response is
-// written), so its duration reads as-of-now — evaluation is complete at
-// every call site, only response encoding is excluded.
-func TraceTree(r *http.Request) *obs.SpanNode {
+// inlineTrace snapshots the request's span tree for inline delivery, or
+// returns nil when the request did not opt in (trace=1 URL knob or the
+// request body's trace field). The root span is still open (the
+// middleware ends it after the response is written), so its duration
+// reads as-of-now — evaluation is complete at every call site, only
+// response encoding is excluded.
+func inlineTrace(r *http.Request, bodyFlag bool) *obs.SpanNode {
+	if !bodyFlag && r.URL.Query().Get("trace") != "1" {
+		return nil
+	}
 	if tr := obs.TraceFrom(r.Context()); tr != nil {
 		return tr.Tree()
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"probgraph/internal/core"
@@ -153,6 +154,31 @@ func TestRemoveAndReplaceEndpoints(t *testing.T) {
 	if !reflect.DeepEqual(final.Answers, wantAnswers) || !reflect.DeepEqual(final.SSP, wantRes.SSP) {
 		t.Fatalf("post-replace: server %v %v != library %v %v",
 			final.Answers, final.SSP, wantRes.Answers, wantRes.SSP)
+	}
+}
+
+// TestMutationRejectsMisnumberedVertices: a graph_text block whose vertex
+// ids are not dense and ordered is a malformed payload (400) on POST
+// /graphs and PUT /graphs/{id} — not a graph committed with its labels
+// swapped — and the database stays at its generation.
+func TestMutationRejectsMisnumberedVertices(t *testing.T) {
+	env := newTestEnv(t, Options{})
+	for _, text := range []string{
+		"pgraph swapped\nv 1 B\nv 0 A\ne 0 1 x\nend\n",
+		"pgraph junk\nv x A\nend\n",
+	} {
+		for _, c := range []struct{ method, path string }{{http.MethodPost, "/graphs"}, {http.MethodPut, "/graphs/0"}} {
+			var e Error
+			hr := env.send(t, c.method, c.path, AddGraphRequest{GraphText: text}, &e)
+			if hr.StatusCode != http.StatusBadRequest || !strings.Contains(e.Message, "vertex id") {
+				t.Errorf("%s %s %q: %d %q, want 400 naming the vertex id", c.method, c.path, text, hr.StatusCode, e.Message)
+			}
+		}
+	}
+	var st StatsResponse
+	env.get(t, "/stats", &st)
+	if st.Generation != 1 || st.Graphs != 10 {
+		t.Fatalf("rejected mutations changed the database: generation %d, %d graphs", st.Generation, st.Graphs)
 	}
 }
 

@@ -340,11 +340,7 @@ func reply[R interface {
 		ErrorFrom(what, err).Write(w)
 		return
 	}
-	var tr *obs.SpanNode
-	if TraceWanted(r, trace) {
-		tr = TraceTree(r)
-	}
-	resp.stamp(float64(time.Since(start).Microseconds())/1000, tr)
+	resp.stamp(float64(time.Since(start).Microseconds())/1000, inlineTrace(r, trace))
 	WriteJSON(w, resp)
 }
 
@@ -395,7 +391,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // aspect of the engine — followed by a summary line carrying the sorted
 // answer set, or, when the stream cannot complete, by one error line
 // (the status line is long gone). Client disconnect cancels the query
-// via r.Context(); timeout_ms bounds it.
+// via r.Context(); timeout_ms bounds it. A traced request's summary line
+// carries the span tree, like the other query endpoints' replies.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	q, opt, ok := Accept(w, r, &req, req.CheckStream)
@@ -409,7 +406,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		sw.Fail(ErrorFrom("stream failed", err))
 		return
 	}
-	sw.Done(start)
+	sw.Done(start, inlineTrace(r, req.Trace))
 }
 
 // handleStats reports the backend's counters and shape; "queries" is

@@ -11,6 +11,7 @@ import (
 
 	"probgraph/internal/core"
 	"probgraph/internal/graph"
+	"probgraph/internal/obs"
 )
 
 // streamWriteTimeout is the per-write deadline of /query/stream responses,
@@ -34,13 +35,15 @@ type StreamMatchJSON struct {
 // answers field for the same request — so a client that only tails the
 // last line still gets the full deterministic result. SSP covers the
 // answers only (what the match lines carried); unlike /query's ssp map it
-// has no entries for verified candidates that fell below ε.
+// has no entries for verified candidates that fell below ε. Trace is the
+// request's span tree, present only when requested, as on /query.
 type StreamSummaryJSON struct {
 	Done    bool            `json:"done"`
 	Answers []int           `json:"answers"`
 	SSP     map[int]float64 `json:"ssp"`
 	Count   int             `json:"count"`
 	TimeMS  float64         `json:"time_ms"`
+	Trace   *obs.SpanNode   `json:"trace,omitempty"`
 }
 
 // StreamErrorJSON ends a stream that could not complete. Timeout marks
@@ -131,8 +134,8 @@ func (sw *StreamWriter) Fail(e *Error) {
 }
 
 // Done ends a complete stream with its summary line: every match written,
-// re-sorted ascending.
-func (sw *StreamWriter) Done(start time.Time) {
+// re-sorted ascending, and the span tree tr when the request asked for it.
+func (sw *StreamWriter) Done(start time.Time, tr *obs.SpanNode) {
 	sort.Ints(sw.answers)
 	sw.emit(StreamSummaryJSON{
 		Done:    true,
@@ -140,6 +143,7 @@ func (sw *StreamWriter) Done(start time.Time) {
 		SSP:     sw.ssp,
 		Count:   len(sw.answers),
 		TimeMS:  float64(time.Since(start).Microseconds()) / 1000,
+		Trace:   tr,
 	})
 }
 

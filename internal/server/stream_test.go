@@ -114,6 +114,46 @@ func TestQueryStreamEndpointMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestStreamTraceInSummary: /query/stream honours trace like the other
+// query endpoints — asked for by the body field or the trace=1 knob, the
+// summary line carries the span tree rooted at "stream"; otherwise it
+// has no trace key, so untraced stream bytes are unchanged. Tracing never
+// changes the answers.
+func TestStreamTraceInSummary(t *testing.T) {
+	env := newTestEnv(t, Options{})
+	req := QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.3, Delta: 2, Seed: 3}
+	plain := streamLines(t, env, req)
+	if _, ok := plain[len(plain)-1]["trace"]; ok {
+		t.Fatalf("untraced summary carries a trace: %v", plain[len(plain)-1])
+	}
+	c := NewClient(env.ts.URL)
+	for _, v := range []struct {
+		path  string
+		trace bool
+	}{{"/query/stream", true}, {"/query/stream?trace=1", false}} {
+		r := req
+		r.Trace = v.trace
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := c.Stream(context.Background(), v.path, body, func(StreamMatchJSON, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Trace == nil || sum.Trace.Name != "stream" {
+			t.Fatalf("%s trace=%t: summary trace %+v, want a tree rooted at stream", v.path, v.trace, sum.Trace)
+		}
+		want := []int{}
+		for _, a := range plain[len(plain)-1]["answers"].([]any) {
+			want = append(want, int(a.(float64)))
+		}
+		if !reflect.DeepEqual(sum.Answers, want) {
+			t.Fatalf("%s: traced answers %v != untraced %v", v.path, sum.Answers, want)
+		}
+	}
+}
+
 // expiredRequest builds a direct (in-process) request whose context's
 // deadline has already passed — the deterministic way to exercise the
 // deadline path without racing a real query's duration.
