@@ -13,7 +13,8 @@
 //
 // Each -shards entry is url or name=url; names default to shard<i> and
 // label errors, metrics, and /stats health records. Fleet order must be
-// partition order.
+// partition order. A -shards entry whose URL lacks a scheme or a host is
+// a flag error: pgproxy prints it with the usage text and exits 2.
 //
 // pgproxy is pgserve's handler set (internal/server) over the fleet
 // backend (internal/cluster): requests are validated, counted, timed and
@@ -49,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/url"
 	"os"
 	"strings"
 
@@ -84,14 +86,14 @@ func main() {
 	coord, err := cluster.New(cluster.Options{
 		Shards:       shards,
 		ShardTimeout: *shardTimeout,
-		Retries:      effectiveRetries(*retries),
+		Retries:      *retries,
 	})
 	if err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 	for _, sh := range shards {
-		logger.Info("shard", "name", sh.Name, "url", sh.URL)
+		logger.Info("shard", "name", sh.Name, "url", sh.Client.URL())
 	}
 
 	if err := server.Serve(logger, *addr, *pprofAddr, server.NewOver(coord, coord.Registry()).Handler(),
@@ -101,37 +103,27 @@ func main() {
 	}
 }
 
-// parseShards splits the -shards flag: comma-separated url or name=url
-// entries, fleet order preserved.
+// parseShards splits the -shards flag — comma-separated url or name=url
+// entries, fleet order preserved — and builds each shard's client. A URL
+// needs a scheme and a host.
 func parseShards(s string) ([]cluster.Shard, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, errors.New("-shards is required")
-	}
 	var out []cluster.Shard
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		var sh cluster.Shard
-		if name, url, ok := strings.Cut(part, "="); ok && !strings.Contains(name, "/") {
-			sh = cluster.Shard{Name: strings.TrimSpace(name), URL: strings.TrimSpace(url)}
-		} else {
-			sh = cluster.Shard{URL: part}
+		name, raw := "", part
+		if n, u, ok := strings.Cut(part, "="); ok && !strings.Contains(n, "/") {
+			name, raw = strings.TrimSpace(n), strings.TrimSpace(u)
 		}
-		out = append(out, sh)
+		if u, err := url.Parse(raw); err != nil || u.Scheme == "" || u.Host == "" {
+			return nil, fmt.Errorf("-shards: bad URL %q (want scheme://host[:port])", raw)
+		}
+		out = append(out, cluster.Shard{Name: name, Client: server.NewClient(raw)})
 	}
 	if len(out) == 0 {
 		return nil, errors.New("-shards is required")
 	}
 	return out, nil
-}
-
-// effectiveRetries maps the flag onto cluster.Options.Retries, whose zero
-// value means "default": the flag's explicit 0 must mean no retries.
-func effectiveRetries(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
 }

@@ -1,9 +1,9 @@
 // Package cluster is the coordinator side of distributed serving: it fans
-// T-PS queries out to a fleet of pgserve shards — each serving one
-// contiguous global-id range partition of the same database (see
-// core.PartitionRanges / SaveRange) — and merges the shard responses into
-// answers that are bitwise-identical to a single-node run over the full
-// database.
+// T-PS queries out over each shard's client to a fleet of pgserve shards —
+// each serving one contiguous global-id range partition of the same
+// database (see core.PartitionRanges / SaveRange) — and merges the shard
+// responses into answers that are bitwise-identical to a single-node run
+// over the full database.
 //
 // The determinism contract stacks three layers:
 //
@@ -29,26 +29,26 @@
 // answer, or a doubled one. The Coordinator is a server.Backend: the
 // HTTP side — request validation, counting, timing, tracing, the error
 // body, NDJSON framing — is internal/server's one handler set, which
-// pgproxy serves over it with server.NewOver, and the shard client is
-// internal/server's Client; this package only decides what to send where
-// and how to merge. Client cancellation propagates: every shard
-// sub-request derives from the incoming request's context.
+// pgproxy serves over it with server.NewOver, and each shard's client is
+// internal/server's Client (over HTTP, or in process); this package only
+// decides what to send where and how to merge. Client cancellation
+// propagates: every shard sub-request derives from the incoming request's
+// context.
 package cluster
 
 import (
 	"fmt"
-	"net/url"
-	"strings"
+	"slices"
 	"time"
 
 	"probgraph/internal/obs"
 	"probgraph/internal/server"
 )
 
-// Shard names one member of the fleet.
+// Shard names one member of the fleet and the client that reaches it.
 type Shard struct {
-	Name string // label used in errors, metrics, and health reports
-	URL  string // base URL of the shard's pgserve (e.g. http://10.0.0.1:8091)
+	Name   string         // label used in errors, metrics, and health reports
+	Client *server.Client // server.NewClient(url), or server.NewHandlerClient in process
 }
 
 // Options configures a Coordinator.
@@ -62,78 +62,45 @@ type Options struct {
 	ShardTimeout time.Duration
 	// Retries is how many times a failed shard sub-request is retried
 	// (transport errors only — an HTTP error status is an answer, not a
-	// flaky network). 0 selects the default (1); negative disables.
+	// flaky network). Zero or negative means none.
 	Retries int
-	// Metrics is the registry the per-shard families register on — the
-	// one server.NewOver serves at /metrics. nil creates a private one.
-	Metrics *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.Retries == 0 {
-		o.Retries = 1
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
-	}
-	return o
 }
 
 // Coordinator is the fleet backend: the pgserve query API over a fleet
 // of range-partition shards. It holds no graph data itself: every query
-// fans the accepted request out over HTTP and merges deterministically.
+// fans the accepted request out over each shard's client and merges
+// deterministically.
 type Coordinator struct {
-	shards  []Shard
-	clients []*server.Client // clients[i] speaks to shards[i]
-	opt     Options
-	health  *healthTracker
-	mx      *coordMetrics
-	start   time.Time
+	shards       []*member // fleet order
+	shardTimeout time.Duration
+	retries      int
+	reg          *obs.Registry
+	start        time.Time
 }
 
 var _ server.Backend = (*Coordinator)(nil)
 
 // New builds a Coordinator over the given fleet.
 func New(opt Options) (*Coordinator, error) {
-	opt = opt.withDefaults()
 	if len(opt.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
-	shards := make([]Shard, len(opt.Shards))
-	seen := make(map[string]bool, len(opt.Shards))
+	c := &Coordinator{shardTimeout: opt.ShardTimeout, retries: opt.Retries, reg: obs.NewRegistry(), start: time.Now()}
 	for i, sh := range opt.Shards {
 		if sh.Name == "" {
 			sh.Name = fmt.Sprintf("shard%d", i)
 		}
-		if seen[sh.Name] {
+		if slices.ContainsFunc(c.shards, func(m *member) bool { return m.Name == sh.Name }) {
 			return nil, fmt.Errorf("cluster: duplicate shard name %q", sh.Name)
 		}
-		seen[sh.Name] = true
-		u, err := url.Parse(sh.URL)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("cluster: shard %s: bad URL %q", sh.Name, sh.URL)
-		}
-		sh.URL = strings.TrimRight(sh.URL, "/")
-		shards[i] = sh
+		c.shards = append(c.shards, newMember(sh, c.reg))
 	}
-	c := &Coordinator{
-		shards: shards,
-		opt:    opt,
-		health: newHealthTracker(shards),
-		start:  time.Now(),
-	}
-	for _, sh := range shards {
-		c.clients = append(c.clients, server.NewClient(sh.URL))
-	}
-	c.mx = newCoordMetrics(c, opt.Metrics)
+	c.registerFleetGauges()
 	return c, nil
 }
 
 // Registry returns the registry the per-shard families are on.
-func (c *Coordinator) Registry() *obs.Registry { return c.opt.Metrics }
+func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
 // Healthz reports the coordinator process up. It does not touch the
 // shards — Readyz does.

@@ -1,16 +1,16 @@
 package cluster_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,10 +18,11 @@ import (
 	"probgraph/internal/core"
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/prob"
 	"probgraph/internal/server"
 )
 
-func testDatabase(t *testing.T, seed int64, n int) *core.Database {
+func testGraphs(t *testing.T, seed int64, n int) []*prob.PGraph {
 	t.Helper()
 	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
 		NumGraphs: n, MinVertices: 5, MaxVertices: 7, EdgeFactor: 1.3,
@@ -30,78 +31,94 @@ func testDatabase(t *testing.T, seed int64, n int) *core.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return raw.Graphs
+}
+
+func testDatabase(t *testing.T, seed int64, n int) *core.Database {
+	t.Helper()
 	opt := core.DefaultBuildOptions()
 	opt.Feature.Beta = 0.2
 	opt.Feature.Alpha = 0.05
 	opt.Feature.Gamma = 0.05
 	opt.Feature.MaxL = 3
 	opt.PMI.Seed = seed
-	db, err := core.NewDatabase(raw.Graphs, opt)
+	db, err := core.NewDatabase(testGraphs(t, seed, n), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db
 }
 
-// fleet is a coordinator in front of range-partition shard servers, plus
-// the equivalent single-node server for comparison.
-type fleet struct {
-	single *httptest.Server
-	shards []*httptest.Server
-	coord  *httptest.Server
-}
-
-func (f *fleet) Close() {
-	f.single.Close()
-	for _, s := range f.shards {
-		s.Close()
-	}
-	f.coord.Close()
-}
-
-func newFleet(t *testing.T, db *core.Database, shards int) *fleet {
+// newCoord serves a coordinator over the given shards.
+func newCoord(t *testing.T, shards []cluster.Shard) http.Handler {
 	t.Helper()
-	f := &fleet{
-		single: httptest.NewServer(server.New(db, server.Options{}).Handler()),
-	}
-	ranges, err := core.PartitionRanges(db.Len(), shards)
+	coord, err := cluster.New(cluster.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return server.NewOver(coord, coord.Registry()).Handler()
+}
+
+// fleet is a coordinator in front of range-partition shard servers, plus
+// the equivalent single-node server for comparison. The tests call both
+// handlers directly. The coordinator reaches its shards in process, or
+// over loopback HTTP when the fleet is built that way — then shards holds
+// their servers, so a test can stop one.
+type fleet struct {
+	single, coord http.Handler
+	shards        []*httptest.Server
+}
+
+// newFleet cuts db at the given ranges, one shard each. No server caches,
+// so every request is evaluated.
+func newFleet(t *testing.T, db *core.Database, ranges [][2]int, overHTTP bool) *fleet {
+	t.Helper()
+	opt := server.Options{CacheSize: -1}
+	f := &fleet{single: server.New(db, opt).Handler()}
 	var members []cluster.Shard
 	for i, r := range ranges {
 		part, err := db.Partition(r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := httptest.NewServer(server.New(part, server.Options{}).Handler())
-		f.shards = append(f.shards, hs)
-		members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), URL: hs.URL})
+		h := server.New(part, opt).Handler()
+		client := server.NewHandlerClient(h)
+		if overHTTP {
+			hs := httptest.NewServer(h)
+			t.Cleanup(hs.Close)
+			f.shards = append(f.shards, hs)
+			client = server.NewClient(hs.URL)
+		}
+		members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), Client: client})
 	}
-	coord, err := cluster.New(cluster.Options{Shards: members})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.coord = httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
+	f.coord = newCoord(t, members)
 	return f
 }
 
-func postJSON(t *testing.T, url string, body any) (int, []byte) {
+func partitionRanges(t *testing.T, db *core.Database, shards int) [][2]int {
+	t.Helper()
+	ranges, err := core.PartitionRanges(db.Len(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranges
+}
+
+// serve runs one request through h in process.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+func postJSON(t *testing.T, h http.Handler, path string, body any) (int, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
+	rec := serve(h, http.MethodPost, path, string(data))
+	return rec.Code, rec.Body.Bytes()
 }
 
 func mustDecode[T any](t *testing.T, data []byte) T {
@@ -122,221 +139,137 @@ func extractQueries(db *core.Database, seed int64, n int) []*graph.Graph {
 	return qs
 }
 
+// timeFields matches time_ms / time_*_ms values: the only bytes two
+// evaluations of one request may differ in.
+var timeFields = regexp.MustCompile(`"time(_[a-z]+)?_ms":[-0-9.e+]+`)
+
+// canonical is an answer with its time fields blanked. A stream's match
+// lines are sorted too: their arrival order is scheduling.
+func canonical(path string, body []byte) string {
+	s := timeFields.ReplaceAllString(string(body), `"time_ms":0`)
+	if path != "/query/stream" {
+		return s
+	}
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	slices.Sort(lines[:len(lines)-1])
+	return strings.Join(lines, "\n")
+}
+
+// checkParity sends all four query endpoints the same requests through
+// the single node and the fleet, at two worker counts, and requires the
+// same bytes back: answers, names, SSP values, merged pipeline counters,
+// top-k rankings with the early-termination merge, batch members, stream
+// matches and summaries.
+func checkParity(t *testing.T, f *fleet, qs []*graph.Graph, eps float64, delta int, seed int64, label string) {
+	t.Helper()
+	type request struct {
+		path string
+		body any
+	}
+	for _, workers := range []int{1, 4} {
+		var reqs []request
+		batch := server.BatchRequest{Epsilon: eps, Delta: delta, Seed: seed, Workers: workers}
+		for qi, q := range qs {
+			req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: eps, Delta: delta, Seed: seed + int64(qi), Workers: workers}
+			topk := req
+			topk.K = 4
+			reqs = append(reqs, request{"/query", req}, request{"/query/stream", req}, request{"/topk", topk})
+			batch.Queries = append(batch.Queries, *server.GraphToJSON(q))
+		}
+		reqs = append(reqs, request{"/batch", batch})
+		for _, r := range reqs {
+			st1, b1 := postJSON(t, f.single, r.path, r.body)
+			st2, b2 := postJSON(t, f.coord, r.path, r.body)
+			if st1 != http.StatusOK || st2 != http.StatusOK || canonical(r.path, b1) != canonical(r.path, b2) {
+				t.Fatalf("%s workers=%d %s:\nsingle %d %s\nfleet  %d %s", label, workers, r.path, st1, b1, st2, b2)
+			}
+		}
+	}
+}
+
 // TestClusterBitwiseIdentity is the acceptance property: every query
-// endpoint answers bitwise-identically through the coordinator and the
-// single node — answers, names, SSP values, top-k rankings with the
-// early-termination merge, batch members, and stream summaries — across
-// seeds, worker counts, and 2- and 3-shard fleets.
+// endpoint answers byte for byte the same through the coordinator and
+// the single node, across seeds, worker counts, and 1-, 2- and 3-shard
+// fleets in process — and once with the shards behind loopback HTTP, so
+// the socket transport is held to it too.
 func TestClusterBitwiseIdentity(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		db := testDatabase(t, seed, 12)
 		qs := extractQueries(db, seed, 3)
-		for _, shards := range []int{2, 3} {
-			f := newFleet(t, db, shards)
-			for _, workers := range []int{1, 4} {
-				for qi, q := range qs {
-					req := server.QueryRequest{
-						Graph:   server.GraphToJSON(q),
-						Epsilon: 0.3, Delta: 1, Seed: seed + int64(qi), Workers: workers,
-					}
-					checkQueryParity(t, f, req, seed, shards, workers, qi)
-					checkTopKParity(t, f, req, seed, shards, workers, qi)
-					checkStreamParity(t, f, req, seed, shards, workers, qi)
+		for _, shards := range []int{1, 2, 3} {
+			f := newFleet(t, db, partitionRanges(t, db, shards), false)
+			checkParity(t, f, qs, 0.3, 1, seed, fmt.Sprintf("seed=%d shards=%d", seed, shards))
+		}
+	}
+	db := testDatabase(t, 3, 12)
+	f := newFleet(t, db, partitionRanges(t, db, 2), true)
+	checkParity(t, f, extractQueries(db, 3, 3), 0.3, 1, 3, "over HTTP")
+}
+
+// TestClusterIdentitySweep widens the property past PartitionRanges:
+// random seeds and knobs, a database that went through an
+// add/remove/replace chain before it was cut (so tombstones fall inside
+// ranges), and arbitrary cut points.
+func TestClusterIdentitySweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 10 {
+		seed := rng.Int63n(1 << 20)
+		db := testDatabase(t, seed, 10)
+		qs := extractQueries(db, seed, 2)
+		extra := testGraphs(t, seed+1, 2)
+		live := func() int {
+			for {
+				if gi := rng.Intn(db.Len()); db.View().Live(gi) {
+					return gi
 				}
-				checkBatchParity(t, f, qs, seed, workers)
-			}
-			f.Close()
-		}
-	}
-}
-
-func checkQueryParity(t *testing.T, f *fleet, req server.QueryRequest, seed int64, shards, workers, qi int) {
-	t.Helper()
-	st1, b1 := postJSON(t, f.single.URL+"/query", &req)
-	st2, b2 := postJSON(t, f.coord.URL+"/query", &req)
-	if st1 != http.StatusOK || st2 != http.StatusOK {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: /query status %d vs %d (%s / %s)",
-			seed, shards, workers, qi, st1, st2, b1, b2)
-	}
-	r1 := mustDecode[server.QueryResponse](t, b1)
-	r2 := mustDecode[server.QueryResponse](t, b2)
-	if len(r1.Answers) != len(r2.Answers) || r1.Generation != r2.Generation {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: /query %v gen %d vs %v gen %d",
-			seed, shards, workers, qi, r1.Answers, r1.Generation, r2.Answers, r2.Generation)
-	}
-	for i := range r1.Answers {
-		if r1.Answers[i] != r2.Answers[i] || r1.Names[i] != r2.Names[i] {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: /query answers %v/%v vs %v/%v",
-				seed, shards, workers, qi, r1.Answers, r1.Names, r2.Answers, r2.Names)
-		}
-	}
-	if len(r1.SSP) != len(r2.SSP) {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: SSP sizes %d vs %d",
-			seed, shards, workers, qi, len(r1.SSP), len(r2.SSP))
-	}
-	for gid, p := range r1.SSP {
-		if r2.SSP[gid] != p {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: SSP[%d] %v vs %v",
-				seed, shards, workers, qi, gid, p, r2.SSP[gid])
-		}
-	}
-	// The merged pipeline counters partition exactly (RelaxedQueries is
-	// common to every shard).
-	if r1.Stats.StructConfirmed != r2.Stats.StructConfirmed ||
-		r1.Stats.PrunedByUpper != r2.Stats.PrunedByUpper ||
-		r1.Stats.AcceptedByLower != r2.Stats.AcceptedByLower ||
-		r1.Stats.VerifyCandidates != r2.Stats.VerifyCandidates ||
-		r1.Stats.RelaxedQueries != r2.Stats.RelaxedQueries {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: stats diverge: %+v vs %+v",
-			seed, shards, workers, qi, r1.Stats, r2.Stats)
-	}
-}
-
-func checkTopKParity(t *testing.T, f *fleet, req server.QueryRequest, seed int64, shards, workers, qi int) {
-	t.Helper()
-	req.K = 4
-	st1, b1 := postJSON(t, f.single.URL+"/topk", &req)
-	st2, b2 := postJSON(t, f.coord.URL+"/topk", &req)
-	if st1 != http.StatusOK || st2 != http.StatusOK {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: /topk status %d vs %d (%s / %s)",
-			seed, shards, workers, qi, st1, st2, b1, b2)
-	}
-	r1 := mustDecode[server.TopKResponse](t, b1)
-	r2 := mustDecode[server.TopKResponse](t, b2)
-	if len(r1.Items) != len(r2.Items) {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: /topk %v vs %v",
-			seed, shards, workers, qi, r1.Items, r2.Items)
-	}
-	for i := range r1.Items {
-		if r1.Items[i] != r2.Items[i] {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: /topk item %d: %+v vs %+v",
-				seed, shards, workers, qi, i, r1.Items[i], r2.Items[i])
-		}
-	}
-}
-
-func checkBatchParity(t *testing.T, f *fleet, qs []*graph.Graph, seed int64, workers int) {
-	t.Helper()
-	breq := server.BatchRequest{Epsilon: 0.3, Delta: 1, Seed: seed, Workers: workers}
-	for _, q := range qs {
-		breq.Queries = append(breq.Queries, *server.GraphToJSON(q))
-	}
-	st1, b1 := postJSON(t, f.single.URL+"/batch", &breq)
-	st2, b2 := postJSON(t, f.coord.URL+"/batch", &breq)
-	if st1 != http.StatusOK || st2 != http.StatusOK {
-		t.Fatalf("seed=%d workers=%d: /batch status %d vs %d (%s / %s)", seed, workers, st1, st2, b1, b2)
-	}
-	r1 := mustDecode[server.BatchResponse](t, b1)
-	r2 := mustDecode[server.BatchResponse](t, b2)
-	if len(r1.Results) != len(r2.Results) {
-		t.Fatalf("seed=%d workers=%d: /batch %d vs %d members", seed, workers, len(r1.Results), len(r2.Results))
-	}
-	for m := range r1.Results {
-		a1, a2 := r1.Results[m].Answers, r2.Results[m].Answers
-		if len(a1) != len(a2) {
-			t.Fatalf("seed=%d workers=%d member=%d: answers %v vs %v", seed, workers, m, a1, a2)
-		}
-		for i := range a1 {
-			if a1[i] != a2[i] {
-				t.Fatalf("seed=%d workers=%d member=%d: answers %v vs %v", seed, workers, m, a1, a2)
 			}
 		}
-		for gid, p := range r1.Results[m].SSP {
-			if r2.Results[m].SSP[gid] != p {
-				t.Fatalf("seed=%d workers=%d member=%d: SSP[%d] %v vs %v",
-					seed, workers, m, gid, p, r2.Results[m].SSP[gid])
-			}
+		if _, _, err := db.AddGraph(extra[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RemoveGraph(live()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ReplaceGraph(live(), extra[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RemoveGraph(live()); err != nil {
+			t.Fatal(err)
+		}
+		ranges := randomRanges(rng, db.View())
+		eps, delta := []float64{0.2, 0.3, 0.5}[rng.Intn(3)], 1+rng.Intn(2)
+		checkParity(t, newFleet(t, db, ranges, false), qs, eps, delta, seed,
+			fmt.Sprintf("trial=%d seed=%d ranges=%v eps=%v delta=%d", trial, seed, ranges, eps, delta))
+	}
+}
+
+// randomRanges cuts [0, v.Len()) into two or three contiguous ranges at
+// random points, each holding at least one live graph.
+func randomRanges(rng *rand.Rand, v *core.View) [][2]int {
+	for {
+		cuts := []int{0, v.Len()}
+		for range 1 + rng.Intn(2) {
+			cuts = append(cuts, 1+rng.Intn(v.Len()-1))
+		}
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		var ranges [][2]int
+		for i := 1; i < len(cuts); i++ {
+			ranges = append(ranges, [2]int{cuts[i-1], cuts[i]})
+		}
+		if !slices.ContainsFunc(ranges, func(r [2]int) bool { return !hasLive(v, r) }) {
+			return ranges
 		}
 	}
 }
 
-// streamCapture is one /query/stream transcript: matches as (graph, ssp)
-// pairs sorted by graph (arrival order is scheduling-dependent on both
-// sides), plus the terminal summary.
-type streamCapture struct {
-	matches []server.StreamMatchJSON
-	summary server.StreamSummaryJSON
-}
-
-func captureStream(t *testing.T, url string, req *server.QueryRequest) streamCapture {
-	t.Helper()
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/query/stream", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stream status %d: %s", resp.StatusCode, body)
-	}
-	var cap streamCapture
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var probe struct {
-			Done  bool   `json:"done"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			t.Fatalf("bad stream line %s: %v", line, err)
-		}
-		switch {
-		case probe.Error != "":
-			t.Fatalf("stream error: %s", line)
-		case probe.Done:
-			cap.summary = mustDecode[server.StreamSummaryJSON](t, line)
-		default:
-			cap.matches = append(cap.matches, mustDecode[server.StreamMatchJSON](t, line))
+func hasLive(v *core.View, r [2]int) bool {
+	for gi := r[0]; gi < r[1]; gi++ {
+		if v.Live(gi) {
+			return true
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !cap.summary.Done {
-		t.Fatal("stream ended without summary")
-	}
-	sort.Slice(cap.matches, func(i, j int) bool { return cap.matches[i].Graph < cap.matches[j].Graph })
-	return cap
-}
-
-func checkStreamParity(t *testing.T, f *fleet, req server.QueryRequest, seed int64, shards, workers, qi int) {
-	t.Helper()
-	c1 := captureStream(t, f.single.URL, &req)
-	c2 := captureStream(t, f.coord.URL, &req)
-	if len(c1.matches) != len(c2.matches) {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: stream matches %v vs %v",
-			seed, shards, workers, qi, c1.matches, c2.matches)
-	}
-	for i := range c1.matches {
-		if c1.matches[i] != c2.matches[i] {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: stream match %d: %+v vs %+v",
-				seed, shards, workers, qi, i, c1.matches[i], c2.matches[i])
-		}
-	}
-	if len(c1.summary.Answers) != len(c2.summary.Answers) || c1.summary.Count != c2.summary.Count {
-		t.Fatalf("seed=%d shards=%d workers=%d q=%d: stream summaries %+v vs %+v",
-			seed, shards, workers, qi, c1.summary, c2.summary)
-	}
-	for i := range c1.summary.Answers {
-		if c1.summary.Answers[i] != c2.summary.Answers[i] {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: stream summaries %+v vs %+v",
-				seed, shards, workers, qi, c1.summary, c2.summary)
-		}
-	}
-	for gid, p := range c1.summary.SSP {
-		if c2.summary.SSP[gid] != p {
-			t.Fatalf("seed=%d shards=%d workers=%d q=%d: stream SSP[%d] %v vs %v",
-				seed, shards, workers, qi, gid, p, c2.summary.SSP[gid])
-		}
-	}
+	return false
 }
 
 // TestClusterShardDown checks the all-or-nothing failure contract: with
@@ -344,8 +277,7 @@ func checkStreamParity(t *testing.T, f *fleet, req server.QueryRequest, seed int
 // shard — never a silently partial result.
 func TestClusterShardDown(t *testing.T) {
 	db := testDatabase(t, 5, 9)
-	f := newFleet(t, db, 3)
-	defer f.Close()
+	f := newFleet(t, db, partitionRanges(t, db, 3), true)
 	f.shards[1].Close() // s1 goes dark
 
 	q := extractQueries(db, 5, 1)[0]
@@ -368,7 +300,7 @@ func TestClusterShardDown(t *testing.T) {
 			r2.K = 3
 			body = &r2
 		}
-		st, data := postJSON(t, f.coord.URL+path, body)
+		st, data := postJSON(t, f.coord, path, body)
 		if st != http.StatusServiceUnavailable {
 			t.Fatalf("%s with a dead shard: status %d (%s), want 503", path, st, data)
 		}
@@ -379,32 +311,23 @@ func TestClusterShardDown(t *testing.T) {
 	}
 
 	// The stream protocol folds the failure into an in-band error line.
-	data, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(f.coord.URL+"/query/stream", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, data := postJSON(t, f.coord, "/query/stream", &req)
 	var sawError bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
 		var probe struct {
 			Done  bool   `json:"done"`
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(sc.Bytes(), &probe) != nil {
+		if json.Unmarshal(line, &probe) != nil {
 			continue
 		}
 		if probe.Done {
-			t.Fatalf("stream completed despite a dead shard: %s", sc.Bytes())
+			t.Fatalf("stream completed despite a dead shard: %s", line)
 		}
 		if probe.Error != "" {
 			sawError = true
-			if !bytes.Contains(sc.Bytes(), []byte("s1")) {
-				t.Fatalf("stream error does not name the dead shard: %s", sc.Bytes())
+			if !bytes.Contains(line, []byte("s1")) {
+				t.Fatalf("stream error does not name the dead shard: %s", line)
 			}
 		}
 	}
@@ -417,38 +340,26 @@ func TestClusterShardDown(t *testing.T) {
 // fleet up, 503 naming the unreachable shard otherwise.
 func TestClusterReadyz(t *testing.T) {
 	db := testDatabase(t, 3, 6)
-	f := newFleet(t, db, 2)
-	defer f.Close()
+	f := newFleet(t, db, partitionRanges(t, db, 2), true)
 
-	resp, err := http.Get(f.coord.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz with fleet up: %d (%s)", resp.StatusCode, body)
+	if rec := serve(f.coord, http.MethodGet, "/readyz", ""); rec.Code != http.StatusOK {
+		t.Fatalf("/readyz with fleet up: %d (%s)", rec.Code, rec.Body)
 	}
 
 	f.shards[0].Close()
-	resp, err = http.Get(f.coord.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz with a dead shard: %d (%s)", resp.StatusCode, body)
+	rec := serve(f.coord, http.MethodGet, "/readyz", "")
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz with a dead shard: %d (%s)", rec.Code, rec.Body)
 	}
 	var rb struct {
 		Ready  bool     `json:"ready"`
 		Failed []string `json:"failed"`
 	}
-	if err := json.Unmarshal(body, &rb); err != nil {
+	if err := json.Unmarshal(rec.Body.Bytes(), &rb); err != nil {
 		t.Fatal(err)
 	}
 	if rb.Ready || len(rb.Failed) != 1 || rb.Failed[0] != "s0" {
-		t.Fatalf("/readyz body does not name the dead shard: %s", body)
+		t.Fatalf("/readyz body does not name the dead shard: %s", rec.Body)
 	}
 }
 
@@ -456,10 +367,7 @@ func TestClusterReadyz(t *testing.T) {
 // (shards partitioned from different source generations) is refused.
 func TestClusterGenerationMismatch(t *testing.T) {
 	db := testDatabase(t, 7, 8)
-	ranges, err := core.PartitionRanges(db.Len(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranges := partitionRanges(t, db, 2)
 	p0, err := db.Partition(ranges[0][0], ranges[0][1])
 	if err != nil {
 		t.Fatal(err)
@@ -473,112 +381,66 @@ func TestClusterGenerationMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0 := httptest.NewServer(server.New(p0, server.Options{}).Handler())
-	defer s0.Close()
-	s1 := httptest.NewServer(server.New(p1, server.Options{}).Handler())
-	defer s1.Close()
-	coord, err := cluster.New(cluster.Options{Shards: []cluster.Shard{
-		{Name: "s0", URL: s0.URL}, {Name: "s1", URL: s1.URL},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
-	defer ch.Close()
+	coord := newCoord(t, []cluster.Shard{
+		{Name: "s0", Client: server.NewHandlerClient(server.New(p0, server.Options{}).Handler())},
+		{Name: "s1", Client: server.NewHandlerClient(server.New(p1, server.Options{}).Handler())},
+	})
 
 	q := extractQueries(db, 7, 1)[0]
 	req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: 1, Seed: 7}
-	st, data := postJSON(t, ch.URL+"/query", &req)
+	st, data := postJSON(t, coord, "/query", &req)
 	if st != http.StatusServiceUnavailable || !bytes.Contains(data, []byte("generation mismatch")) {
 		t.Fatalf("mixed-generation fleet: %d (%s), want 503 generation mismatch", st, data)
 	}
 }
 
 // TestClusterCancellationPropagates checks that a client abandoning a
-// coordinator request cancels the shard sub-requests (the shard sees its
-// own request context end).
+// coordinator request cancels the shard sub-request (the shard sees its
+// own request context end) — and that the shard, cut off rather than
+// failing, is still counted up.
 func TestClusterCancellationPropagates(t *testing.T) {
-	shardSaw := make(chan struct{})
-	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body like a real shard's decode path does — net/http
-		// only watches for client disconnect once the body is consumed.
-		io.Copy(io.Discard, r.Body)
+	reached, shardSaw := make(chan struct{}), make(chan struct{})
+	coord := coordOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(reached)
 		<-r.Context().Done()
 		close(shardSaw)
 	}))
-	defer stuck.Close()
-	coord, err := cluster.New(cluster.Options{
-		Shards:  []cluster.Shard{{Name: "s0", URL: stuck.URL}},
-		Retries: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
-	defer ch.Close()
-
-	db := testDatabase(t, 3, 4)
-	q := extractQueries(db, 3, 1)[0]
-	body, err := json.Marshal(&server.QueryRequest{
-		Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ch.URL+"/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord.ServeHTTP(httptest.NewRecorder(),
+			httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(hostileQuery)).WithContext(ctx))
+	}()
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard sub-request never arrived")
 	}
-	req.Header.Set("Content-Type", "application/json")
-	errc := make(chan error, 1)
-	go func() { _, err := http.DefaultClient.Do(req); errc <- err }()
-	time.Sleep(50 * time.Millisecond)
 	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("cancelled request reported no error")
-	}
 	select {
 	case <-shardSaw:
 	case <-time.After(5 * time.Second):
 		t.Fatal("shard sub-request context never cancelled")
 	}
+	<-done
+	checkShardUp(t, coord, "after a client cancelled /query")
 }
 
-// TestClusterTimeoutPropagates checks that a shard's structured 504
-// (timeout_ms expiry) surfaces as the coordinator's 504 with the timeout
-// flag, naming the shard.
-func TestClusterTimeoutPropagates(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusGatewayTimeout)
-		json.NewEncoder(w).Encode(map[string]any{"error": "query timed out", "timeout": true})
-	}))
-	defer slow.Close()
-	coord, err := cluster.New(cluster.Options{
-		Shards: []cluster.Shard{{Name: "s0", URL: slow.URL}},
-	})
-	if err != nil {
-		t.Fatal(err)
+// checkShardUp: the coordinator still counts shard s0 up — /stats
+// healthy with no consecutive failures, and pg_shard_up 1.
+func checkShardUp(t *testing.T, coord http.Handler, what string) {
+	t.Helper()
+	var st struct {
+		Shards []cluster.ShardHealthJSON `json:"shards"`
 	}
-	ch := httptest.NewServer(server.NewOver(coord, coord.Registry()).Handler())
-	defer ch.Close()
-
-	db := testDatabase(t, 3, 4)
-	q := extractQueries(db, 3, 1)[0]
-	req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: 1, TimeoutMS: 1}
-	st, data := postJSON(t, ch.URL+"/query", &req)
-	if st != http.StatusGatewayTimeout {
-		t.Fatalf("shard 504: coordinator answered %d (%s)", st, data)
+	if err := json.Unmarshal(serve(coord, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil || len(st.Shards) == 0 {
+		t.Fatalf("%s: /stats: %v %+v", what, err, st)
 	}
-	var eb struct {
-		Shard   string `json:"shard"`
-		Timeout bool   `json:"timeout"`
+	if s0 := st.Shards[0]; !s0.Healthy || s0.ConsecutiveFailures != 0 {
+		t.Errorf("%s: /stats reports %+v, want s0 healthy with no consecutive failures", what, s0)
 	}
-	if err := json.Unmarshal(data, &eb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.Shard != "s0" || !eb.Timeout {
-		t.Fatalf("504 body lacks shard/timeout: %s", data)
+	if m := serve(coord, http.MethodGet, "/metrics", "").Body.String(); !strings.Contains(m, "\npg_shard_up{shard=\"s0\"} 1\n") {
+		t.Errorf("%s: /metrics lacks pg_shard_up{shard=\"s0\"} 1", what)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"probgraph/internal/obs"
 )
 
 // ShardHealthJSON is one shard's health record as /stats reports it.
@@ -22,16 +24,26 @@ type ShardHealthJSON struct {
 	LastChangeMSAgo     float64 `json:"last_change_ms_ago,omitempty"`
 }
 
-// healthTracker keeps per-shard health state, updated from fan-out
-// outcomes. One mutex guards the whole map: updates are a few field
-// writes on the request path's tail, far off any hot loop.
-type healthTracker struct {
-	mu sync.Mutex
-	m  map[string]*shardHealth
-}
+// Outcomes of one shard sub-request, in pg_shard_requests_total's label
+// order.
+const (
+	outcomeOK        = iota // HTTP 200
+	outcomeHTTPError        // the shard answered non-200
+	outcomeError            // transport failure after retries
+)
 
-type shardHealth struct {
-	shard      Shard
+var outcomeLabels = [...]string{"ok", "http_error", "error"}
+
+// member is everything the coordinator keeps about one shard: who it is,
+// how to reach it, its health record, and its metric series. The health
+// fields are guarded by mu — a few field writes on the request path's
+// tail, far off any hot loop.
+type member struct {
+	Shard
+	outcomes [len(outcomeLabels)]*obs.Counter
+	latency  *obs.Histogram
+
+	mu         sync.Mutex
 	healthy    bool
 	lastError  string
 	consec     int
@@ -40,75 +52,114 @@ type shardHealth struct {
 	lastChange time.Time
 }
 
-func newHealthTracker(shards []Shard) *healthTracker {
-	h := &healthTracker{m: make(map[string]*shardHealth, len(shards))}
-	for _, sh := range shards {
-		// Shards start healthy: the fleet is presumed serviceable until a
-		// request proves otherwise (readiness is /readyz's job).
-		h.m[sh.Name] = &shardHealth{shard: sh, healthy: true}
+func newMember(sh Shard, reg *obs.Registry) *member {
+	// Shards start healthy: the fleet is presumed serviceable until a
+	// request proves otherwise (readiness is /readyz's job).
+	m := &member{Shard: sh, healthy: true}
+	for oc, label := range outcomeLabels {
+		m.outcomes[oc] = reg.Counter("pg_shard_requests_total",
+			"Shard sub-requests by outcome (ok = HTTP 200; http_error = shard answered non-200; error = transport failure after retries).",
+			"shard", sh.Name, "outcome", label)
 	}
-	return h
+	m.latency = reg.Histogram("pg_shard_request_duration_seconds",
+		"Shard sub-request latency, retries included.", nil, "shard", sh.Name)
+	return m
 }
 
-// record feeds one exchange's outcome (nil, the shard's own structured
-// failure, or a failed exchange) into the shard's record. Only the last
-// counts against it: a non-200 is a served answer (400/422/504...), not
-// an outage — the shard is up and talking.
-func (h *healthTracker) record(name string, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.m[name]
-	if st == nil {
+// counts reports whether an exchange's outcome is the shard's to answer
+// for. It is not when the caller's context ended before the shard
+// answered — a client disconnect, or a sibling stream's abort: the shard
+// was cut off, not found wanting. A per-attempt deadline (ShardTimeout,
+// the readiness probe's) ends only the attempt's own context, so it
+// still counts.
+func counts(ctx context.Context, err error) bool {
+	return served(err) || ctx.Err() == nil
+}
+
+// finish feeds one finished sub-request into the shard's latency
+// histogram, outcome counter, and health record — unless the caller cut
+// it short (see counts).
+func (m *member) finish(ctx context.Context, start time.Time, err error) {
+	if !counts(ctx, err) {
 		return
 	}
-	st.requests++
+	m.latency.Observe(time.Since(start).Seconds())
+	oc := outcomeError
+	if err == nil {
+		oc = outcomeOK
+	} else if served(err) {
+		oc = outcomeHTTPError
+	}
+	m.outcomes[oc].Inc()
+	m.note(err)
+}
+
+// note feeds one exchange's outcome (nil, the shard's own structured
+// failure, or a failed exchange) into the shard's health record. Only the
+// last counts against it: a non-200 is a served answer (400/422/504...),
+// not an outage — the shard is up and talking.
+func (m *member) note(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.requests++
 	if served(err) {
-		if !st.healthy {
-			st.healthy = true
-			st.lastChange = time.Now()
+		if !m.healthy {
+			m.healthy = true
+			m.lastChange = time.Now()
 		}
-		st.consec = 0
+		m.consec = 0
 		return
 	}
-	st.failures++
-	st.consec++
-	st.lastError = err.Error()
-	if st.healthy {
-		st.healthy = false
-		st.lastChange = time.Now()
+	m.failures++
+	m.consec++
+	m.lastError = err.Error()
+	if m.healthy {
+		m.healthy = false
+		m.lastChange = time.Now()
 	}
 }
 
-// healthy reports a shard's current up/down view, for the pg_shard_up
-// gauge.
-func (h *healthTracker) healthy(name string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.m[name]
-	return st != nil && st.healthy
+// up reports the shard's current up/down view, for the pg_shard_up gauge.
+func (m *member) up() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.healthy
 }
 
-// snapshot returns every shard's record in fleet order.
-func (h *healthTracker) snapshot(order []Shard) []ShardHealthJSON {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]ShardHealthJSON, 0, len(order))
-	for _, sh := range order {
-		st := h.m[sh.Name]
-		rec := ShardHealthJSON{
-			Name: sh.Name, URL: sh.URL,
-			Healthy:             st.healthy,
-			LastError:           st.lastError,
-			ConsecutiveFailures: st.consec,
-			Requests:            st.requests,
-			Failures:            st.failures,
-		}
-		if !st.lastChange.IsZero() {
-			rec.LastChangeMSAgo = float64(time.Since(st.lastChange).Microseconds()) / 1000
-		}
-		out = append(out, rec)
+// report is the shard's /stats record.
+func (m *member) report() ShardHealthJSON {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rec := ShardHealthJSON{
+		Name: m.Name, URL: m.Client.URL(),
+		Healthy:             m.healthy,
+		LastError:           m.lastError,
+		ConsecutiveFailures: m.consec,
+		Requests:            m.requests,
+		Failures:            m.failures,
 	}
-	return out
+	if !m.lastChange.IsZero() {
+		rec.LastChangeMSAgo = float64(time.Since(m.lastChange).Microseconds()) / 1000
+	}
+	return rec
+}
+
+// registerFleetGauges registers the fleet-wide families, after every
+// member's own series.
+func (c *Coordinator) registerFleetGauges() {
+	c.reg.Collect("pg_shard_up", "gauge",
+		"Shard health as the coordinator last saw it (1 = reachable).",
+		func(emit func(string, float64)) {
+			for _, m := range c.shards {
+				up := 0.0
+				if m.up() {
+					up = 1
+				}
+				emit(obs.Labels("shard", m.Name), up)
+			}
+		})
+	c.reg.Collect("pg_shards", "gauge", "Configured fleet size.",
+		func(emit func(string, float64)) { emit("", float64(len(c.shards))) })
 }
 
 // Readyz is the fleet readiness probe: every shard's /readyz must answer
@@ -116,20 +167,13 @@ func (h *healthTracker) snapshot(order []Shard) []ShardHealthJSON {
 // — an orchestrator holds traffic until the whole fleet can answer,
 // because any missing shard would fail every query anyway.
 func (c *Coordinator) Readyz(ctx context.Context) (any, bool) {
-	timeout := c.opt.ShardTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
-	for si := range c.shards {
+	for si, m := range c.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[si] = c.probeReady(ctx, si)
+			errs[si] = c.probeReady(ctx, m)
 		}()
 	}
 	wg.Wait()
@@ -147,20 +191,32 @@ func (c *Coordinator) Readyz(ctx context.Context) (any, bool) {
 	return out, len(failed) == 0
 }
 
-// probeReady GETs one shard's /readyz. The outcome feeds the health
-// tracker like any other exchange: a shard that answers, even "not
-// ready", is up.
-func (c *Coordinator) probeReady(ctx context.Context, si int) error {
-	err := c.clients[si].Get(ctx, "/readyz")
-	c.health.record(c.shards[si].Name, err)
+// probeReady GETs one shard's /readyz within the probe timeout
+// (ShardTimeout, else 2 s). The outcome feeds the health record like any
+// other exchange: a shard that answers, even "not ready", is up.
+func (c *Coordinator) probeReady(ctx context.Context, m *member) error {
+	timeout := c.shardTimeout
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
+	pctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	err := m.Client.Get(pctx, "/readyz")
+	if counts(ctx, err) {
+		m.note(err)
+	}
 	return err
 }
 
 // Stats reports the coordinator's own counters plus every shard's health
 // record.
 func (c *Coordinator) Stats(queries int64) any {
+	shards := make([]ShardHealthJSON, len(c.shards))
+	for si, m := range c.shards {
+		shards[si] = m.report()
+	}
 	return map[string]any{
-		"shards":    c.health.snapshot(c.shards),
+		"shards":    shards,
 		"queries":   queries,
 		"uptime_ms": float64(time.Since(c.start).Microseconds()) / 1000,
 	}

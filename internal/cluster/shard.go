@@ -28,42 +28,29 @@ func served(err error) bool {
 // evaluation would change nothing anyway (responses are deterministic).
 // Outcomes feed the shard's health record and metrics.
 func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, out any) error {
-	sp := obs.SpanFrom(ctx).Child("shard:" + c.shards[si].Name + path)
+	m := c.shards[si]
+	sp := obs.SpanFrom(ctx).Child("shard:" + m.Name + path)
 	defer sp.End()
 	start := time.Now()
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, si, path, body, out)
-		if served(err) || attempt >= c.opt.Retries || ctx.Err() != nil {
+		err = c.attempt(ctx, m, path, body, out)
+		if served(err) || attempt >= c.retries || ctx.Err() != nil {
 			break
 		}
 	}
-	c.record(c.shards[si], start, err)
+	m.finish(ctx, start, err)
 	return err
 }
 
-// attempt is one HTTP exchange with a shard.
-func (c *Coordinator) attempt(ctx context.Context, si int, path string, body []byte, out any) error {
-	if c.opt.ShardTimeout > 0 {
+// attempt is one exchange with a shard.
+func (c *Coordinator) attempt(ctx context.Context, m *member, path string, body []byte, out any) error {
+	if c.shardTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opt.ShardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, c.shardTimeout)
 		defer cancel()
 	}
-	return c.clients[si].Post(ctx, path, body, out)
-}
-
-// record feeds one finished sub-request into the shard's latency
-// histogram, outcome counter, and health record.
-func (c *Coordinator) record(sh Shard, start time.Time, err error) {
-	c.mx.shardLatency[sh.Name].Observe(time.Since(start).Seconds())
-	outcome := "error"
-	if err == nil {
-		outcome = "ok"
-	} else if served(err) {
-		outcome = "http_error"
-	}
-	c.mx.shardRequests[sh.Name][outcome].Inc()
-	c.health.record(sh.Name, err)
+	return m.Client.Post(ctx, path, body, out)
 }
 
 // shardError turns a failed sub-request into the answer the coordinator
@@ -73,27 +60,27 @@ func (c *Coordinator) record(sh Shard, start time.Time, err error) {
 // status (504 deadline, 503 cancelled, 422 evaluation, 502 undecodable)
 // and flags, prefixed with the shard name so operators see where it
 // happened.
-func shardError(sh Shard, err error) *server.Error {
+func shardError(m *member, err error) *server.Error {
 	var we *server.Error
 	switch {
 	case errors.As(err, &we):
 		e := *we
-		e.Shard, e.Message = sh.Name, "shard "+sh.Name+": "+we.Message
+		e.Shard, e.Message = m.Name, "shard "+m.Name+": "+we.Message
 		return &e
 	case errors.Is(err, server.ErrStreamTruncated):
-		return &server.Error{Status: http.StatusServiceUnavailable, Shard: sh.Name,
-			Message: "shard " + sh.Name + ": " + err.Error()}
+		return &server.Error{Status: http.StatusServiceUnavailable, Shard: m.Name,
+			Message: "shard " + m.Name + ": " + err.Error()}
 	}
-	return &server.Error{Status: http.StatusServiceUnavailable, Shard: sh.Name,
-		Message: fmt.Sprintf("shard %s (%s) unreachable: %v", sh.Name, sh.URL, err)}
+	return &server.Error{Status: http.StatusServiceUnavailable, Shard: m.Name,
+		Message: fmt.Sprintf("shard %s (%s) unreachable: %v", m.Name, m.Client.URL(), err)}
 }
 
 // malformed is the 502 for a shard answer that decodes but cannot be
 // merged: a missing member, names out of step with answers, a requested
 // id left out.
-func malformed(sh Shard) *server.Error {
-	return &server.Error{Status: http.StatusBadGateway, Shard: sh.Name,
-		Message: "shard " + sh.Name + ": undecodable response"}
+func malformed(m *member) *server.Error {
+	return &server.Error{Status: http.StatusBadGateway, Shard: m.Name,
+		Message: "shard " + m.Name + ": undecodable response"}
 }
 
 // generationMismatch is the 503 for answers computed under different

@@ -44,11 +44,11 @@ func (c *Coordinator) Stream(ctx context.Context, req *server.QueryRequest, _ *g
 	fan := &streamFan{sw: sw, cancel: cancel, seen: make(map[int]bool)}
 
 	var wg sync.WaitGroup
-	for si := range c.shards {
+	for _, m := range c.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.streamShard(sctx, si, body, fan)
+			streamShard(sctx, m, body, fan)
 		}()
 	}
 	wg.Wait()
@@ -110,24 +110,23 @@ func (f *streamFan) abort(e *server.Error) {
 // error line, undecodable line, a stream that ends without a summary, or
 // a global id another shard already streamed — aborts the whole fan-in
 // with a structured error naming the shard.
-func (c *Coordinator) streamShard(ctx context.Context, si int, body []byte, fan *streamFan) {
-	sh := c.shards[si]
-	sp := obs.SpanFrom(ctx).Child("shard:" + sh.Name + "/query/stream")
+func streamShard(ctx context.Context, m *member, body []byte, fan *streamFan) {
+	sp := obs.SpanFrom(ctx).Child("shard:" + m.Name + "/query/stream")
 	defer sp.End()
 	start := time.Now()
-	_, err := c.clients[si].Stream(ctx, "/query/stream", body, fan.forward)
+	_, err := m.Client.Stream(ctx, "/query/stream", body, fan.forward)
 	switch err {
 	case errClientGone:
 		err = nil // the shard did nothing wrong
 	case errOverlap:
-		c.record(sh, start, nil) // the exchange worked; its content cannot be merged
-		fan.abort(malformed(sh))
+		m.finish(ctx, start, nil) // the exchange worked; its content cannot be merged
+		fan.abort(malformed(m))
 		return
 	}
-	c.record(sh, start, err)
+	m.finish(ctx, start, err)
 	// Once the context is done the ending is the coordinator's doing (a
 	// sibling's abort, or the client going away), not this shard's failure.
 	if err != nil && ctx.Err() == nil {
-		fan.abort(shardError(sh, err))
+		fan.abort(shardError(m, err))
 	}
 }

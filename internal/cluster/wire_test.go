@@ -18,38 +18,24 @@ import (
 	"probgraph/internal/server"
 )
 
-// do sends one raw request and decodes the answer as a JSON object.
-func do(t *testing.T, method, url, body string) (int, map[string]any) {
+// do sends one raw request to h and decodes the answer as a JSON object.
+func do(t *testing.T, h http.Handler, method, path, body string) (int, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := serve(h, method, path, body)
 	var out map[string]any
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("%s %s: body %q is not a JSON object: %v", method, url, raw, err)
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("%s %s: body %q is not a JSON object: %v", method, path, rec.Body, err)
 	}
-	return resp.StatusCode, out
+	return rec.Code, out
 }
 
 // TestEnvelopeParity: pgserve and pgproxy run one request prologue, so a
 // malformed request is refused with the same status and the same error
 // body whichever of them receives it — before any shard is asked.
 func TestEnvelopeParity(t *testing.T) {
-	f := newFleet(t, testDatabase(t, 3, 6), 2)
-	defer f.Close()
-	for _, sh := range f.shards {
-		sh.Close() // a rejection must not need the fleet
-	}
+	single := server.New(testDatabase(t, 3, 6), server.Options{}).Handler()
+	// Shards that answer every path 404: a rejection must not need the fleet.
+	coord := coordOver(t, hostileShard{}, hostileShard{})
 
 	const g = `"graph":{"vertices":["a","b"],"edges":[{"u":0,"v":1,"label":"x"}]}`
 	query := []string{"/query", "/query/stream", "/topk"}
@@ -76,8 +62,8 @@ func TestEnvelopeParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, path := range c.paths {
-			st1, b1 := do(t, c.method, f.single.URL+path, c.body)
-			st2, b2 := do(t, c.method, f.coord.URL+path, c.body)
+			st1, b1 := do(t, single, c.method, path, c.body)
+			st2, b2 := do(t, coord, c.method, path, c.body)
 			if st1 != c.status || st2 != c.status {
 				t.Errorf("%s %s: pgserve %d, pgproxy %d, want %d (%v / %v)", c.name, path, st1, st2, c.status, b1, b2)
 			}
@@ -88,40 +74,37 @@ func TestEnvelopeParity(t *testing.T) {
 	}
 
 	// The probes and /stats run through the same handlers too; each process
-	// keeps its own status and body shape (the proxy's fleet is down here).
+	// keeps its own status and body shape (the proxy's fleet is not ready
+	// here).
 	probes := []struct {
-		url, path string
-		status    int
-		keys      string
+		process string
+		h       http.Handler
+		path    string
+		status  int
+		keys    string
 	}{
-		{f.single.URL, "/healthz", 200, "generation graphs status"},
-		{f.single.URL, "/readyz", 200, "generation graphs partitioned ready"},
-		{f.single.URL, "/stats", 200, "cache_cap cache_entries cache_generations cache_hits cache_misses " +
+		{"pgserve", single, "/healthz", 200, "generation graphs status"},
+		{"pgserve", single, "/readyz", 200, "generation graphs partitioned ready"},
+		{"pgserve", single, "/stats", 200, "cache_cap cache_entries cache_generations cache_hits cache_misses " +
 			"default_timeout_ms generation graphs index_bytes inflight live_graphs pmi_features queries " +
 			"tombstoned_graphs uptime_ms workers"},
-		{f.coord.URL, "/healthz", 200, "shards status"},
-		{f.coord.URL, "/readyz", 503, "failed ready shards"},
-		{f.coord.URL, "/stats", 200, "queries shards uptime_ms"},
+		{"pgproxy", coord, "/healthz", 200, "shards status"},
+		{"pgproxy", coord, "/readyz", 503, "failed ready shards"},
+		{"pgproxy", coord, "/stats", 200, "queries shards uptime_ms"},
 	}
 	for _, p := range probes {
-		st, body := do(t, "GET", p.url+p.path, "")
+		st, body := do(t, p.h, "GET", p.path, "")
 		keys := slices.Sorted(maps.Keys(body))
 		if st != p.status || strings.Join(keys, " ") != p.keys {
-			t.Errorf("GET %s on %s: %d with keys %v, want %d with %s", p.path, p.url, st, keys, p.status, p.keys)
+			t.Errorf("GET %s on %s: %d with keys %v, want %d with %s", p.path, p.process, st, keys, p.status, p.keys)
 		}
 	}
 	// What only an evaluating node serves is not routed on the proxy.
 	for _, rt := range []struct{ method, path string }{
 		{"POST", "/topk/bounds"}, {"POST", "/topk/verify"}, {"POST", "/graphs"}, {"GET", "/debug/slowlog"},
 	} {
-		req, _ := http.NewRequest(rt.method, f.coord.URL+rt.path, strings.NewReader(`{}`))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s on the proxy: %d, want 404", rt.method, rt.path, resp.StatusCode)
+		if rec := serve(coord, rt.method, rt.path, `{}`); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s on the proxy: %d, want 404", rt.method, rt.path, rec.Code)
 		}
 	}
 }
@@ -132,25 +115,24 @@ func TestEnvelopeParity(t *testing.T) {
 // untraced summary has no trace, and tracing changes no answer.
 func TestStreamTraceShape(t *testing.T) {
 	db := testDatabase(t, 3, 6)
-	f := newFleet(t, db, 2)
-	defer f.Close()
+	f := newFleet(t, db, partitionRanges(t, db, 2), false)
 	req := server.QueryRequest{Graph: server.GraphToJSON(extractQueries(db, 3, 1)[0]), Epsilon: 0.3, Delta: 2, Seed: 3}
-	stream := func(url string, trace bool) *server.StreamSummaryJSON {
+	stream := func(h http.Handler, trace bool) *server.StreamSummaryJSON {
 		r := req
 		r.Trace = trace
 		body, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := server.NewClient(url).Stream(context.Background(), "/query/stream", body,
+		sum, err := server.NewHandlerClient(h).Stream(context.Background(), "/query/stream", body,
 			func(server.StreamMatchJSON, []byte) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sum
 	}
-	plain := stream(f.coord.URL, false)
-	traced := stream(f.coord.URL, true)
+	plain := stream(f.coord, false)
+	traced := stream(f.coord, true)
 	if plain.Trace != nil || traced.Trace == nil || traced.Trace.Name != "stream" {
 		t.Fatalf("proxy traces: untraced %+v, traced %+v", plain.Trace, traced.Trace)
 	}
@@ -165,7 +147,7 @@ func TestStreamTraceShape(t *testing.T) {
 	if !slices.Equal(plain.Answers, traced.Answers) {
 		t.Errorf("tracing changed the answers: %v vs %v", plain.Answers, traced.Answers)
 	}
-	if single := stream(f.single.URL, true); single.Trace == nil || single.Trace.Name != "stream" ||
+	if single := stream(f.single, true); single.Trace == nil || single.Trace.Name != "stream" ||
 		!slices.Equal(single.Answers, traced.Answers) {
 		t.Errorf("pgserve traced stream: %+v, answers %v", single.Trace, single.Answers)
 	}
@@ -179,7 +161,6 @@ type hostileShard map[string]struct {
 }
 
 func (h hostileShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	io.Copy(io.Discard, r.Body)
 	a, ok := h[r.URL.Path]
 	if !ok {
 		http.NotFound(w, r)
@@ -189,20 +170,15 @@ func (h hostileShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, a.body)
 }
 
-// coordOver runs a coordinator over the given shards, named s0, s1, ...
+// coordOver runs a coordinator over the given shard handlers, in process,
+// named s0, s1, ...
 func coordOver(t *testing.T, shards ...http.Handler) http.Handler {
 	t.Helper()
 	var members []cluster.Shard
-	for _, h := range shards {
-		hs := httptest.NewServer(h)
-		t.Cleanup(hs.Close)
-		members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", len(members)), URL: hs.URL})
+	for i, h := range shards {
+		members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), Client: server.NewHandlerClient(h)})
 	}
-	coord, err := cluster.New(cluster.Options{Shards: members, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return server.NewOver(coord, coord.Registry()).Handler()
+	return newCoord(t, members)
 }
 
 const (
@@ -210,12 +186,6 @@ const (
 	hostileQuery = `{` + hostileKnobs + `}`
 	hostileTopK  = `{` + hostileKnobs + `,"k":2}`
 )
-
-func postTo(h http.Handler, path, body string) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-	return rec
-}
 
 // TestHostileShard: whatever a shard sends back, the coordinator answers
 // with a structured error naming it — no panic, no silently partial
@@ -261,7 +231,10 @@ func TestHostileShard(t *testing.T) {
 		{"verify leaves an id out", "/topk", hostileTopK,
 			hostileShard{"/topk/bounds": {200, okBounds}, "/topk/verify": {200, `{"ssp":{"0":0.5},"generation":1}`}},
 			502, "", "undecodable response"},
-		{"shard 504", "/topk", hostileTopK,
+		{"shard 504 on /query", "/query", hostileQuery,
+			hostileShard{"/query": {504, `{"error":"query failed: deadline exceeded","timeout":true}`}},
+			504, "timeout", "shard s1: query failed: deadline exceeded"},
+		{"shard 504 on /topk", "/topk", hostileTopK,
 			hostileShard{"/topk/bounds": {504, `{"error":"topk bounds failed: deadline exceeded","timeout":true}`}},
 			504, "timeout", "shard s1: topk bounds failed: deadline exceeded"},
 		{"shard 503 cancelled", "/query", hostileQuery,
@@ -288,7 +261,7 @@ func TestHostileShard(t *testing.T) {
 			502, "", "undecodable response"},
 	}
 	for _, c := range cases {
-		rec := postTo(coordOver(t, good, c.shard), c.path, c.body)
+		rec := serve(coordOver(t, good, c.shard), http.MethodPost, c.path, c.body)
 		var e struct {
 			Error, Shard       string
 			Timeout, Cancelled bool
@@ -337,7 +310,7 @@ func TestHostileShardStream(t *testing.T) {
 			first = hostileShard{"/query/stream": {200, c.first}}
 			want = append(want, strings.Replace(c.message, "s1", "s0", 1))
 		}
-		rec := postTo(coordOver(t, first, hostileShard{"/query/stream": {c.status, c.body}}), "/query/stream", hostileQuery)
+		rec := serve(coordOver(t, first, hostileShard{"/query/stream": {c.status, c.body}}), http.MethodPost, "/query/stream", hostileQuery)
 		lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
 		var e server.StreamErrorJSON
 		if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
@@ -363,6 +336,15 @@ func TestHostileShardStream(t *testing.T) {
 	if err := json.Unmarshal(bytes.TrimSpace(rec.Body.Bytes()), &e); err != nil || !e.Cancelled || e.Error == "" {
 		t.Errorf("cancelled request: body %q (%v), want one cancelled error line", rec.Body, err)
 	}
+
+	// A sibling the abort cuts short did nothing wrong: s0, still
+	// evaluating when s1's garbage ends the fan-in, stays up.
+	stuck := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-r.Context().Done() })
+	coord := coordOver(t, stuck, hostileShard{"/query/stream": {200, "garbage\n"}})
+	if rec := serve(coord, http.MethodPost, "/query/stream", hostileQuery); !strings.Contains(rec.Body.String(), "shard s1: undecodable stream line") {
+		t.Errorf("garbage from s1: %q", rec.Body)
+	}
+	checkShardUp(t, coord, "after a sibling's stream failed")
 }
 
 // TestCoordinatorQueryCounters is TestMetricsExposition's counterpart for
@@ -370,33 +352,25 @@ func TestHostileShardStream(t *testing.T) {
 // members, a rejected request not at all — exactly as pgserve counts.
 func TestCoordinatorQueryCounters(t *testing.T) {
 	db := testDatabase(t, 3, 6)
-	f := newFleet(t, db, 2)
-	defer f.Close()
+	f := newFleet(t, db, partitionRanges(t, db, 2), false)
 	qs := extractQueries(db, 3, 3)
 	req := server.QueryRequest{Graph: server.GraphToJSON(qs[0]), Epsilon: 0.3, Delta: 1}
-	postJSON(t, f.coord.URL+"/query", &req)
-	postJSON(t, f.coord.URL+"/query", &req)
+	postJSON(t, f.coord, "/query", &req)
+	postJSON(t, f.coord, "/query", &req)
 	breq := server.BatchRequest{Epsilon: 0.3, Delta: 1}
 	for _, q := range qs {
 		breq.Queries = append(breq.Queries, *server.GraphToJSON(q))
 	}
-	postJSON(t, f.coord.URL+"/batch", &breq)
+	postJSON(t, f.coord, "/batch", &breq)
 	for _, path := range []string{"/query", "/topk", "/batch", "/query/stream"} {
-		if st, _ := postJSON(t, f.coord.URL+path, map[string]any{"epsilon": 7}); st != http.StatusBadRequest {
+		if st, _ := postJSON(t, f.coord, path, map[string]any{"epsilon": 7}); st != http.StatusBadRequest {
 			t.Fatalf("%s: malformed request answered %d", path, st)
 		}
 	}
 
-	resp, err := http.Get(f.coord.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+	rec := serve(f.coord, http.MethodGet, "/metrics", "")
+	raw := rec.Body.Bytes()
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type %q", ct)
 	}
 	// One request-metrics registration: every family appears once, and so

@@ -33,6 +33,10 @@ func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/")}
 }
 
+// URL returns the base URL requests go to: NewClient's, without a
+// trailing slash, or "http://in-process" for a NewHandlerClient.
+func (c *Client) URL() string { return c.base }
+
 // NewHandlerClient returns a client whose requests h serves in process.
 // No socket is involved, but every request and answer still crosses the
 // wire codec, so the client reads exactly the bytes an HTTP client of h
