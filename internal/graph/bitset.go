@@ -93,6 +93,17 @@ func (s EdgeSet) ContainsAll(o EdgeSet) bool {
 	return true
 }
 
+// FirstNotIn returns the lowest bit of s that o lacks, and false when every
+// bit of s is set in o.
+func (s EdgeSet) FirstNotIn(o EdgeSet) (EdgeID, bool) {
+	for i, w := range s.words {
+		if d := w &^ o.words[i]; d != 0 {
+			return EdgeID(i*64 + bits.TrailingZeros64(d)), true
+		}
+	}
+	return 0, false
+}
+
 // Intersects reports whether s and o share any set bit.
 func (s EdgeSet) Intersects(o EdgeSet) bool {
 	m := len(s.words)

@@ -433,6 +433,12 @@ func TestEdgeSetAlgebra(t *testing.T) {
 	if !a.Intersects(b) {
 		t.Fatal("Intersects failed")
 	}
+	if id, ok := a.FirstNotIn(b); !ok || id != 70 {
+		t.Fatalf("FirstNotIn = %d, %v; want 70 (the word past the first)", id, ok)
+	}
+	if _, ok := b.FirstNotIn(a); ok {
+		t.Fatal("FirstNotIn found a bit of a subset")
+	}
 	c := NewEdgeSet(80)
 	c.Add(5)
 	if a.Intersects(c) {

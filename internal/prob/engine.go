@@ -31,6 +31,7 @@ type schedule struct {
 	outVars  []int32       // per step, its output variables ascending
 	inputs   []int32       // per step, factor ids in multiplication order
 	gather   []uint8       // per input, per variable of that factor: the output bit to read, or selfBit
+	stepOf   []int32       // per variable, the step that sums it out
 	template graph.EdgeSet // certain-edges-only world
 }
 
@@ -54,7 +55,7 @@ func (sc *schedule) outputs(s int) []int32 {
 // creation order, and a factor over the remaining variables is created.
 func compile(pg *PGraph) (*schedule, error) {
 	n, nj := len(pg.uncertain), len(pg.JPTs)
-	sc := &schedule{steps: make([]step, 1, n+1), template: pg.NewWorld()}
+	sc := &schedule{steps: make([]step, 1, n+1), stepOf: make([]int32, n), template: pg.NewWorld()}
 	jptVars := make([][]int32, nj)
 	users := make([][]int32, n) // variable → factors mentioning it, in creation order
 	for f, t := range pg.JPTs {
@@ -137,6 +138,7 @@ func compile(pg *PGraph) (*schedule, error) {
 			return nil, fmt.Errorf("prob: elimination tables exceed %d entries (model too densely coupled)", math.MaxInt32)
 		}
 		sc.steps[s].v = v
+		sc.stepOf[v] = int32(s)
 		sc.outVars = append(sc.outVars, outs...)
 		sc.steps = append(sc.steps, step{outs: int32(len(sc.outVars)), ins: int32(len(sc.inputs)), tab: int32(size)})
 		done[v] = true

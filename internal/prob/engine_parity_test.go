@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"probgraph/internal/dataset"
@@ -222,14 +224,21 @@ func TestEngineWidthMatchesReference(t *testing.T) {
 	checkPair(t, "coupled(10) conditioned", rc, c, 4)
 }
 
-// refSMP is verify.SMP as it stood over the reference engine, minus the
-// MaxClauses truncation the instances below never reach.
+// refSMP is verify.SMP written over the reference engine, minus the
+// MaxClauses truncation the instances below never reach: clauses in
+// canonical order (descending probability, ties by ascending edge list), a
+// SplitMix64 stream, and a pick of clause i > 0 testing clauses 0..i−1 in a
+// lazily drawn world conditioned on clause i — each failing on an edge
+// already known absent, else reading its edges in ascending order.
 func refSMP(eng *prob.RefEngine, clauses []graph.EdgeSet, n int, seed int64) (float64, error) {
 	if len(clauses) == 0 {
 		return 0, nil
 	}
-	probs := make([]float64, len(clauses))
-	v := 0.0
+	type clause struct {
+		edges []graph.EdgeID
+		p     float64
+	}
+	cs := make([]clause, len(clauses))
 	for i, c := range clauses {
 		p, err := eng.ProbAllPresent(c)
 		if err != nil {
@@ -238,42 +247,59 @@ func refSMP(eng *prob.RefEngine, clauses []graph.EdgeSet, n int, seed int64) (fl
 		if p >= 1 {
 			return 1, nil
 		}
-		probs[i] = p
-		v += p
+		cs[i] = clause{c.Slice(), p}
 	}
-	if v <= 0 {
+	sort.SliceStable(cs, func(a, b int) bool {
+		if cs[a].p != cs[b].p {
+			return cs[a].p > cs[b].p
+		}
+		return slices.Compare(cs[a].edges, cs[b].edges) < 0
+	})
+	if cs[0].p <= 0 {
 		return 0, nil
 	}
-	cum := make([]float64, len(clauses))
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		cum[i] = acc
+	v := 0.0
+	cum := make([]float64, len(cs))
+	for i, c := range cs {
+		v += c.p
+		cum[i] = v
 	}
-	cond := make([]*prob.RefEngine, len(clauses))
-	rng := rand.New(rand.NewSource(seed))
+	cond := make([]*prob.RefEngine, len(cs))
+	rng := prob.NewSplitMix(seed)
+	world := eng.NewLazyWorld()
 	cnt := 0
-	world := graph.NewEdgeSet(eng.NumEdges())
-	scratch := make([]bool, eng.NumUncertain())
 	for s := 0; s < n; s++ {
 		x := rng.Float64() * v
 		i := 0
 		for i < len(cum)-1 && cum[i] < x {
 			i++
 		}
-		if cond[i] == nil {
-			ce, err := eng.NewConditioned(prob.AllPresent(clauses[i]))
-			if err != nil {
-				return 0, err
-			}
-			cond[i] = ce
-		}
-		cond[i].SampleWorldInto(rng, world, scratch)
 		first := true
-		for j := 0; j < i; j++ {
-			if world.ContainsAll(clauses[j]) {
-				first = false
-				break
+		if i > 0 {
+			if cond[i] == nil {
+				var lits []prob.Literal
+				for _, ed := range cs[i].edges {
+					lits = append(lits, prob.Literal{Edge: ed, Present: true})
+				}
+				ce, err := eng.NewConditioned(lits)
+				if err != nil {
+					return 0, err
+				}
+				cond[i] = ce
+			}
+			world.Reset(cond[i])
+			for _, c := range cs[:i] {
+				holds := !slices.ContainsFunc(c.edges, world.KnownAbsent)
+				for _, ed := range c.edges {
+					if !holds {
+						break
+					}
+					holds = world.Present(&rng, ed)
+				}
+				if holds {
+					first = false
+					break
+				}
 			}
 		}
 		if first {
@@ -353,9 +379,10 @@ func TestEngineNoLargerThanReference(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocs pins the //pgvet:noalloc contracts: sampling
-// allocates nothing, and a probability is two allocations — the pin vector
-// and the one scratch slab of the forward pass — whatever the evidence.
+// TestEngineSteadyStateAllocs pins the //pgvet:noalloc contracts: sampling,
+// full or lazy, allocates nothing, and a probability is two allocations —
+// the pin vector and the one scratch slab of the forward pass — whatever the
+// evidence.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
@@ -378,6 +405,17 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		cond.SampleWorldInto(rng, world, scratch)
 	}); n != 0 {
 		t.Errorf("SampleWorldInto allocates %v times per pair of calls, want 0", n)
+	}
+	lazy, sm := prob.NewLazyWorld(eng), prob.NewSplitMix(1)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, e := range []*prob.Engine{eng, cond} {
+			lazy.Reset(e)
+			for ed := 0; ed < eng.NumEdges(); ed++ {
+				lazy.Present(&sm, graph.EdgeID(ed))
+			}
+		}
+	}); n != 0 {
+		t.Errorf("two lazily drawn worlds allocate %v times, want 0", n)
 	}
 	for _, e := range []*prob.Engine{eng, cond} {
 		if n := testing.AllocsPerRun(100, func() { _, _ = e.ProbLits(lits) }); n != 2 {

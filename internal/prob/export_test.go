@@ -1,5 +1,7 @@
 package prob
 
+import "probgraph/internal/graph"
+
 // RefEngine hands the reference engine of engine_ref_test.go to this
 // directory's external tests, which need packages that import prob
 // (dataset for PPI-like graphs, verify for SMP).
@@ -7,3 +9,27 @@ type RefEngine = refEngine
 
 // NewRefEngine builds a reference engine for pg with no evidence.
 func NewRefEngine(pg *PGraph) (*RefEngine, error) { return newRefEngine(pg) }
+
+// Drawn returns the variables w decided since its last Reset — drawn, or
+// pinned and read — in that order.
+func (w *LazyWorld) Drawn() []int32 { return w.touched }
+
+// Parents returns variable v's parents in the schedule's DAG: the outputs of
+// the step that sums it out.
+func (e *Engine) Parents(v int32) []int32 { return e.sched.outputs(int(e.sched.stepOf[v])) }
+
+// Pinned reports whether e's evidence fixes variable v.
+func (e *Engine) Pinned(v int32) bool { return e.pin[v] != pinFree }
+
+// EliminationOrder returns the variables in the order the schedule sums
+// them out.
+func (e *Engine) EliminationOrder() []int32 {
+	order := make([]int32, len(e.sched.stepOf))
+	for v, s := range e.sched.stepOf {
+		order[s] = int32(v)
+	}
+	return order
+}
+
+// VarOf returns edge ed's variable, -1 for a certain edge.
+func (pg *PGraph) VarOf(ed graph.EdgeID) int32 { return pg.varOf[ed] }

@@ -202,3 +202,29 @@ func BenchmarkExactVsSample(b *testing.B) {
 		})
 	}
 }
+
+// TestSampleSteadyStateAllocs pins what a prepared DNF's Sample allocates:
+// the clause CDF, the conditioned-engine slots and the lazy world's three
+// slabs (edges known present, edges known absent, decided variables), then
+// three allocations — engine, pin vector, table slab — per conditioned
+// engine, one per clause after the first, every one of which N = 800
+// samples pick. No generator state is allocated.
+func TestSampleSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pg, eng := randomModel(t, rng, 7, 10)
+	d, err := Prepare(eng, DedupClauses(randomClauses(rng, pg.G.NumEdges(), 5)), Options{N: 800, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Clauses() < 3 {
+		t.Fatalf("fixture has %d clauses", d.Clauses())
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, _, err := d.Sample(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 5 + 3*(d.Clauses()-1); n != float64(want) {
+		t.Fatalf("Sample over %d clauses allocates %v times, want %d", d.Clauses(), n, want)
+	}
+}

@@ -8,10 +8,11 @@
 // SMP is the paper's Algorithm 5: the Karp–Luby / coverage Monte-Carlo
 // estimator. Clause probabilities Pr(Bfi) come from the exact inference
 // engine (the paper's junction-tree step), worlds conditioned on a clause
-// come from evidence-conditioned engines, and the estimator counts a sample
-// only when the chosen clause is the first satisfied one. The estimate is
-// V·Cnt/N with V = Σ Pr(Bfi); the N = ⌈4·ln(2/ξ)/τ²⌉ samples give relative
-// error τ with confidence 1−ξ on Pr ≥ V/m scales (Mitzenmacher–Upfal).
+// come from evidence-conditioned engines, drawn lazily edge by edge, and the
+// estimator counts a sample only when the chosen clause is the first
+// satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi); the
+// N = ⌈4·ln(2/ξ)/τ²⌉ samples give relative error τ with confidence 1−ξ on
+// Pr ≥ V/m scales (Mitzenmacher–Upfal).
 //
 // Exact is the paper's Equation 21 inclusion–exclusion baseline with
 // exponential cost in the clause count; it exists to reproduce the "Exact"
@@ -19,9 +20,10 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"sort"
 
 	"probgraph/internal/graph"
@@ -34,11 +36,11 @@ type Options struct {
 	// 0.1 → N ≈ 1476); N overrides when positive.
 	Xi, Tau float64
 	N       int
-	// Seed drives sampling.
+	// Seed keys the SplitMix64 stream sampling draws from.
 	Seed int64
 	// MaxClauses caps the DNF; beyond it the clause list is truncated to
-	// the most probable clauses, which makes the estimate a lower bound.
-	// Default 512.
+	// the most probable clauses (a prefix of the canonical order, see
+	// Prepare), which makes the estimate a lower bound. Default 512.
 	MaxClauses int
 }
 
@@ -70,26 +72,34 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 }
 
 // DNF is one candidate's verification problem, prepared once: the clauses
-// kept after MaxClauses truncation with their literal lists and exact
-// probabilities Pr(Bfi), and V = Σ Pr(Bfi). Everything that decides the
-// candidate reads this one value — Bound before any sample is drawn, then
-// Exact or Sample — so clause probabilities are computed once and the
-// three can never disagree on which clauses they describe. A DNF with no
+// kept after MaxClauses truncation, in canonical order, with their literal
+// lists and exact probabilities Pr(Bfi), and V = Σ Pr(Bfi). Everything that
+// decides the candidate reads this one value — Bound before any sample is
+// drawn, then Exact or Sample — so clause probabilities are computed once
+// and the three can never disagree on which clauses they describe. A DNF with no
 // clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is decided by preparation
 // alone: it keeps no clauses and Bound is its value.
 type DNF struct {
 	eng     *prob.Engine
-	opt     Options // defaulted
-	clauses []graph.EdgeSet
-	lits    [][]prob.Literal
-	probs   []float64
+	opt     Options  // defaulted
+	clauses []clause // canonical order, truncated to MaxClauses
 	v       float64
 	bound   float64
 }
 
+// clause is one conjunct Bfi: its edge set, its literal list and Pr(Bfi).
+type clause struct {
+	set  graph.EdgeSet
+	lits []prob.Literal
+	p    float64
+}
+
 // Prepare computes the clause probabilities of Pr(∨ clauses) by exact
-// inference and truncates the DNF to opt.MaxClauses. eng is not touched
-// when clauses is empty.
+// inference and puts the clauses in canonical order: descending Pr(Bfi),
+// ties broken by the ascending edge list. V is summed in that order, and
+// MaxClauses truncation keeps its prefix. Clause 0 is then the likeliest
+// pick of Sample, and the clause likeliest to hold is tested first. eng is
+// not touched when clauses is empty.
 func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, error) {
 	d := &DNF{eng: eng, opt: opt.withDefaults()}
 	if len(clauses) == 0 {
@@ -97,12 +107,10 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 	}
 	// Each clause's literal list serves its probability here and its
 	// conditioned engine in Sample.
-	lits := make([][]prob.Literal, len(clauses))
-	probs := make([]float64, len(clauses))
-	v := 0.0
+	cs := make([]clause, len(clauses))
 	for i, c := range clauses {
-		lits[i] = prob.AllPresent(c)
-		p, err := eng.ProbLits(lits[i])
+		lits := prob.AllPresent(c)
+		p, err := eng.ProbLits(lits)
 		if err != nil {
 			return nil, err
 		}
@@ -110,21 +118,26 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 			d.bound = 1 // certain clause: the union is certain
 			return d, nil
 		}
-		probs[i] = p
-		v += p
+		cs[i] = clause{c, lits, p}
 	}
-	if v <= 0 {
-		return d, nil
+	slices.SortFunc(cs, func(a, b clause) int {
+		if c := cmp.Compare(b.p, a.p); c != 0 {
+			return c
+		}
+		return slices.CompareFunc(a.lits, b.lits, func(x, y prob.Literal) int { return cmp.Compare(x.Edge, y.Edge) })
+	})
+	if cs[0].p <= 0 {
+		return d, nil // V = 0
 	}
-	if len(clauses) > d.opt.MaxClauses {
-		clauses, lits, probs, v = topClauses(clauses, lits, probs, d.opt.MaxClauses)
+	d.clauses = cs[:min(len(cs), d.opt.MaxClauses)]
+	for _, c := range d.clauses {
+		d.v += c.p
 	}
-	d.clauses, d.lits, d.probs, d.v = clauses, lits, probs, v
 	// The estimate at Cnt = N, rounded and clamped as Sample rounds and
 	// clamps it: float multiplication and division are monotone, so no
 	// smaller Cnt can produce a larger value.
 	n := float64(d.opt.N)
-	d.bound = min(v*n/n, 1)
+	d.bound = min(d.v*n/n, 1)
 	return d, nil
 }
 
@@ -145,7 +158,11 @@ func (d *DNF) Exact(maxClauses int) (float64, error) {
 	if len(d.clauses) == 0 {
 		return d.bound, nil
 	}
-	p, err := prob.ProbDNFExact(d.eng, d.clauses, exactCap(maxClauses))
+	sets := make([]graph.EdgeSet, len(d.clauses))
+	for i, c := range d.clauses {
+		sets[i] = c.set
+	}
+	p, err := prob.ProbDNFExact(d.eng, sets, exactCap(maxClauses))
 	return min(p, d.bound), err
 }
 
@@ -153,59 +170,67 @@ func (d *DNF) Exact(maxClauses int) (float64, error) {
 const rejectStride = 32
 
 // Sample runs Algorithm 5 on the prepared clauses and returns the estimate
-// V·Cnt/N with the number of worlds drawn. With eps > 0 it stops as soon
-// as even counting every remaining sample could not lift the estimate to
-// eps — V·(Cnt + N − s)/N < eps — and returns that bound instead: below
-// eps exactly when the full run's estimate is, so a threshold decision
-// never depends on the stop. eps = 0 always draws all N samples.
+// V·Cnt/N with the number of samples taken. A sample picks clause i with
+// probability Pr(Bfi)/V and counts when no earlier clause holds in a world
+// drawn conditioned on clause i. That world is a prob.LazyWorld, so only
+// edges of clauses 0..i−1 are drawn, each clause failing at its first
+// absent edge, and a pick of clause 0 draws nothing. With eps > 0 it stops
+// as soon as even counting every remaining sample could not lift the
+// estimate to eps — V·(Cnt + N − s)/N < eps — and returns that bound
+// instead: below eps exactly when the full run's estimate is, so a
+// threshold decision never depends on the stop. eps = 0 always takes all N
+// samples.
 func (d *DNF) Sample(eps float64) (est float64, drawn int, err error) {
 	if len(d.clauses) == 0 {
 		return d.bound, 0, nil
 	}
-	clauses, n := d.clauses, d.opt.N
+	n := d.opt.N
 	// Cumulative distribution for clause selection.
-	cum := make([]float64, len(clauses))
+	cum := make([]float64, len(d.clauses))
 	acc := 0.0
-	for i, p := range d.probs {
-		acc += p
+	for i, c := range d.clauses {
+		acc += c.p
 		cum[i] = acc
 	}
 	// Conditioned samplers, built lazily per clause.
-	cond := make([]*prob.Engine, len(clauses))
-	rng := rand.New(rand.NewSource(d.opt.Seed))
+	cond := make([]*prob.Engine, len(d.clauses))
+	rng := prob.NewSplitMix(d.opt.Seed)
+	world := prob.NewLazyWorld(d.eng)
 	cnt := 0
-	world := graph.NewEdgeSet(d.eng.NumEdges())
-	scratch := make([]bool, d.eng.NumUncertain())
 	for s := 0; s < n; s++ {
 		if eps > 0 && s%rejectStride == 0 {
 			if ub := d.v * float64(cnt+n-s) / float64(n); ub < eps {
 				return ub, s, nil
 			}
 		}
-		// Pick clause i with probability probs[i]/v.
-		x := rng.Float64() * d.v
-		i := lowerBound(cum, x)
-		if cond[i] == nil {
-			ce, err := d.eng.NewConditioned(d.lits[i])
-			if err != nil {
-				return 0, s, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
+		i := lowerBound(cum, rng.Float64()*d.v)
+		if i > 0 {
+			if cond[i] == nil {
+				ce, err := d.eng.NewConditioned(d.clauses[i].lits)
+				if err != nil {
+					return 0, s, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
+				}
+				cond[i] = ce
 			}
-			cond[i] = ce
-		}
-		cond[i].SampleWorldInto(rng, world, scratch)
-		// Count when i is the first satisfied clause.
-		first := true
-		for j := 0; j < i; j++ {
-			if world.ContainsAll(clauses[j]) {
-				first = false
-				break
+			world.Reset(cond[i])
+			if anyHolds(world, &rng, d.clauses[:i]) {
+				continue
 			}
 		}
-		if first {
-			cnt++
-		}
+		cnt++
 	}
 	return min(d.v*float64(cnt)/float64(n), 1), n, nil
+}
+
+// anyHolds reports whether some clause holds in w, testing the clauses in
+// order and stopping at the first that holds.
+func anyHolds(w *prob.LazyWorld, rng *prob.SplitMix, clauses []clause) bool {
+	for _, c := range clauses {
+		if w.ContainsAll(rng, c.set) {
+			return true
+		}
+	}
+	return false
 }
 
 // Exact computes Pr(∨ clauses) by inclusion–exclusion (Equation 21),
@@ -253,36 +278,6 @@ func DedupClauses(clauses []graph.EdgeSet) []graph.EdgeSet {
 	}
 	// Among equal sets the first survived dedup already.
 	return kept
-}
-
-// topClauses keeps the n most probable clauses, with their literal lists
-// (truncation makes SMP a lower-bound estimate; callers see MaxClauses only
-// on adversarial inputs).
-func topClauses(clauses []graph.EdgeSet, lits [][]prob.Literal, probs []float64, n int) ([]graph.EdgeSet, [][]prob.Literal, []float64, float64) {
-	idx := make([]int, len(clauses))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort for the top n (n ≪ len in practice).
-	for i := 0; i < n && i < len(idx); i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if probs[idx[j]] > probs[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	idx = idx[:n]
-	cs := make([]graph.EdgeSet, n)
-	ls := make([][]prob.Literal, n)
-	ps := make([]float64, n)
-	v := 0.0
-	for i, id := range idx {
-		cs[i], ls[i], ps[i] = clauses[id], lits[id], probs[id]
-		v += ps[i]
-	}
-	return cs, ls, ps, v
 }
 
 // lowerBound returns the first index with cum[i] >= x (the last when none).

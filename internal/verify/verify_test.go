@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,27 +224,64 @@ func TestExactRejectsTooManyClauses(t *testing.T) {
 	}
 }
 
+// TestTopClauses: Prepare keeps clauses in canonical order — descending
+// Pr(Bfi), ties by ascending edge list — with literal lists and
+// probabilities in step, sums V in that order, and truncates to its prefix.
 func TestTopClauses(t *testing.T) {
-	mk := func(id graph.EdgeID) graph.EdgeSet {
-		s := graph.NewEdgeSet(8)
-		s.Add(id)
+	b := graph.NewBuilder("top")
+	for i := 0; i < 7; i++ {
+		b.AddVertex("a")
+	}
+	for i := 0; i < 6; i++ {
+		b.MustAddEdge(graph.VertexID(i), graph.VertexID(i+1), "")
+	}
+	marginals := []float64{0.1, 0.9, 0.5, 0.7, 0.5, 0.25}
+	var jpts []prob.JPT
+	for e, p := range marginals {
+		jpts = append(jpts, prob.NewIndependentJPT(graph.EdgeID(e), p))
+	}
+	eng, err := prob.NewEngine(prob.MustNew(b.Build(), jpts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(ids ...graph.EdgeID) graph.EdgeSet {
+		s := graph.NewEdgeSet(6)
+		for _, id := range ids {
+			s.Add(id)
+		}
 		return s
 	}
-	clauses := []graph.EdgeSet{mk(0), mk(1), mk(2), mk(3)}
-	lits := make([][]prob.Literal, len(clauses))
-	for i, c := range clauses {
-		lits[i] = prob.AllPresent(c)
-	}
-	probs := []float64{0.1, 0.9, 0.5, 0.7}
-	cs, ls, ps, v := topClauses(clauses, lits, probs, 2)
-	if len(cs) != 2 || ps[0] != 0.9 || ps[1] != 0.7 {
-		t.Fatalf("topClauses picked %v", ps)
-	}
-	if !cs[0].Contains(1) || ls[0][0].Edge != 1 || !cs[1].Contains(3) || ls[1][0].Edge != 3 {
-		t.Fatalf("clauses %v and literal lists %v do not follow the probabilities", cs, ls)
-	}
-	if math.Abs(v-1.6) > 1e-12 {
-		t.Fatalf("v = %v, want 1.6", v)
+	// Pr: 0.1, 0.9, 0.5, 0.7, 0.5, 0.5·0.5 = 0.25 beside edge 5's 0.25.
+	clauses := []graph.EdgeSet{mk(0), mk(1), mk(4), mk(3), mk(2), mk(2, 4), mk(5)}
+	for _, tc := range []struct {
+		max   int
+		edges [][]graph.EdgeID
+	}{
+		{0, [][]graph.EdgeID{{1}, {3}, {2}, {4}, {2, 4}, {5}, {0}}},
+		{3, [][]graph.EdgeID{{1}, {3}, {2}}},
+		{6, [][]graph.EdgeID{{1}, {3}, {2}, {4}, {2, 4}, {5}}},
+	} {
+		d, err := Prepare(eng, clauses, Options{MaxClauses: tc.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Clauses() != len(tc.edges) {
+			t.Fatalf("MaxClauses %d: kept %d clauses, want %d", tc.max, d.Clauses(), len(tc.edges))
+		}
+		v := 0.0
+		for k, want := range tc.edges {
+			c := d.clauses[k]
+			if got := c.set.Slice(); !slices.Equal(got, want) || len(c.lits) != len(want) || c.lits[0].Edge != want[0] {
+				t.Fatalf("MaxClauses %d: clause %d is %v with literals %v, want %v", tc.max, k, got, c.lits, want)
+			}
+			if p, _ := eng.ProbLits(c.lits); c.p != p {
+				t.Fatalf("MaxClauses %d: clause %d has probability %v, its literals %v", tc.max, k, c.p, p)
+			}
+			v += c.p
+		}
+		if d.v != v {
+			t.Fatalf("MaxClauses %d: V = %v, the sum in canonical order %v", tc.max, d.v, v)
+		}
 	}
 }
 
@@ -272,7 +311,12 @@ func TestSMPTruncationKeepsClausesAligned(t *testing.T) {
 		lits[i] = prob.AllPresent(c)
 		probs[i], _ = eng.ProbLits(lits[i])
 	}
-	kept, _, _, _ := topClauses(clauses, lits, probs, 3)
+	order := make([]int, len(clauses))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(probs[b], probs[a]) })
+	kept := []graph.EdgeSet{clauses[order[0]], clauses[order[1]], clauses[order[2]]}
 	got, err := SMP(eng, clauses, Options{N: 500, Seed: 4, MaxClauses: 3})
 	if err != nil {
 		t.Fatal(err)
