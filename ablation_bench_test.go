@@ -14,6 +14,7 @@ import (
 	"probgraph/internal/cuts"
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
+	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
@@ -108,6 +109,43 @@ func BenchmarkKernelVF2EdgeSets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		iso.EdgeSets(q, target, nil, 32)
 	}
+}
+
+// BenchmarkEdgeSetsWithin times one candidate's verification DNF for a
+// ten-edge query at δ 2 over the PPI graph it was cut from: one budgeted
+// enumeration of q (what the query path runs) beside the per-rq loop it
+// replaced — iso.EdgeSets for each of U's members, at most 64 sets each,
+// then DedupClauses — with U derived outside the loop, as the plan did.
+func BenchmarkEdgeSetsWithin(b *testing.B) {
+	_, raw := microDB(b)
+	rng := rand.New(rand.NewSource(37))
+	target := raw.Graphs[3].G
+	q := probgraph.ExtractQuery(target, 10, rng)
+	const delta = 2
+	u := relax.Relaxed(q, delta, 0)
+	perRQ := func() []graph.EdgeSet {
+		var clauses []graph.EdgeSet
+		for _, rq := range u {
+			clauses = append(clauses, iso.EdgeSets(rq, target, nil, 64)...)
+		}
+		return verify.DedupClauses(clauses)
+	}
+	sets := iso.EdgeSetsWithin(q, target, delta, 4096)
+	if len(sets) == 0 || len(sets) != len(perRQ()) {
+		b.Fatalf("%d sets from the enumeration, %d from the per-rq loop", len(sets), len(perRQ()))
+	}
+	b.Run("within", func(b *testing.B) {
+		b.ReportMetric(float64(len(sets)), "sets")
+		for i := 0; i < b.N; i++ {
+			iso.EdgeSetsWithin(q, target, delta, 4096)
+		}
+	})
+	b.Run("per-rq", func(b *testing.B) {
+		b.ReportMetric(float64(len(u)), "rq")
+		for i := 0; i < b.N; i++ {
+			perRQ()
+		}
+	})
 }
 
 func BenchmarkKernelCanonicalCode(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
-	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
@@ -32,11 +31,10 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 		Seed: 5,
 	}
 	v := db.View()
-	u := relax.Relaxed(q, opt.Delta, 0)
 	scq, _ := v.Struct.SCq(q, opt.Delta, 1)
 	sampled := 0
 	for _, gi := range scq {
-		d, err := v.prepareDNF(u, gi, opt.withDefaults())
+		d, err := v.prepareDNF(q, gi, opt.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/iso"
 	"probgraph/internal/prob"
 	"probgraph/internal/relax"
 	"probgraph/internal/verify"
@@ -52,6 +54,148 @@ func ladderQueries(v *View, seed int64, n int) []*graph.Graph {
 	return qs
 }
 
+// perRQClauses is the clause collection prepareDNF replaced, kept as its
+// reference: one iso.EdgeSets per member of U = relax.Relaxed(q, δ, 0), at
+// most capPerRQ sets each, deduplicated and absorbed. capped reports
+// whether some member reached its cap.
+func perRQClauses(v *View, q *graph.Graph, delta, gi, capPerRQ int) (clauses []graph.EdgeSet, capped bool) {
+	for _, rq := range relax.Relaxed(q, delta, 0) {
+		sets := iso.EdgeSets(rq, v.Certain[gi], nil, capPerRQ)
+		capped = capped || len(sets) == capPerRQ
+		clauses = append(clauses, sets...)
+	}
+	return verify.DedupClauses(clauses), capped
+}
+
+// TestDNFWithinMatchesPerRQ: the DNF prepareDNF builds from one budgeted
+// search of q is bitwise the one the per-rq collection built — bound,
+// clause count, exact value, and the sampler's estimate and draws at ε 0
+// and 0.5 — for every graph of the ladder databases (edges at probability
+// 0 and 1) and of correlated and independent PPI databases, for 4–6-edge
+// queries at δ 0–3, with and without a MaxClauses truncation. The old
+// collection's per-rq cap of 64 binds nowhere here.
+func TestDNFWithinMatchesPerRQ(t *testing.T) {
+	var views []*View
+	for _, seed := range []int64{41, 42} {
+		views = append(views, ladderDatabase(t, seed, 12).View())
+	}
+	for _, seed := range []int64{71, 72} {
+		db, _ := smallDatabase(t, seed, 12, seed%2 == 0)
+		views = append(views, db.View())
+	}
+	compared, sampled := 0, 0
+	for vi, v := range views {
+		rng := rand.New(rand.NewSource(int64(vi)))
+		for qi := 0; qi < 4; qi++ {
+			q := dataset.ExtractQuery(v.Certain[rng.Intn(v.Len())], 4+qi%3, rng)
+			for delta := 0; delta <= 3 && delta < q.NumEdges(); delta++ {
+				opt := QueryOptions{Delta: delta, Seed: int64(qi), Verify: verify.Options{N: 300, MaxClauses: []int{0, 4}[delta%2]}}.withDefaults()
+				for gi := 0; gi < v.Len(); gi++ {
+					at := fmt.Sprintf("view %d q %d δ %d graph %d", vi, qi, delta, gi)
+					old, capped := perRQClauses(v, q, delta, gi, 64)
+					if capped {
+						t.Fatalf("%s: the per-rq cap binds", at)
+					}
+					got, err := v.prepareDNF(q, gi, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng, err := v.Engine(gi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vo := opt.Verify
+					vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
+					want, err := verify.Prepare(eng, old, vo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Bound() != want.Bound() || got.Clauses() != want.Clauses() {
+						t.Fatalf("%s: bound %v over %d clauses, per-rq %v over %d", at, got.Bound(), got.Clauses(), want.Bound(), want.Clauses())
+					}
+					if got.Clauses() <= 12 {
+						g, gerr := got.Exact(0)
+						w, werr := want.Exact(0)
+						if g != w || (gerr == nil) != (werr == nil) {
+							t.Fatalf("%s: exact %v (%v), per-rq %v (%v)", at, g, gerr, w, werr)
+						}
+					}
+					for _, eps := range []float64{0, 0.5} {
+						g, gn, gerr := got.Sample(eps)
+						w, wn, werr := want.Sample(eps)
+						if g != w || gn != wn || (gerr == nil) != (werr == nil) {
+							t.Fatalf("%s ε %v: estimate %v from %d samples, per-rq %v from %d", at, eps, g, gn, w, wn)
+						}
+						sampled += gn
+					}
+					if len(old) > 0 {
+						compared++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d candidates with clauses compared, %d samples drawn", compared, sampled)
+	if compared < 200 || sampled == 0 {
+		t.Fatal("the comparison no longer reaches enough candidates with clauses")
+	}
+}
+
+// TestVerifyWithinReadsAllOfU: MaxRelaxed caps what the PMI bounds read
+// and nothing else. Under a cap of one member every verified value is the
+// uncapped one, bitwise — VerifySSP, VerifySSPBatch and the SSPs of a
+// QueryCtx without pruning — where verification used to read the capped
+// prefix of U and could miss a confirmed graph's clauses altogether.
+func TestVerifyWithinReadsAllOfU(t *testing.T) {
+	moved := 0
+	for _, seed := range []int64{41, 42} {
+		v := ladderDatabase(t, seed, 12).View()
+		for qi, q := range ladderQueries(v, seed, 4) {
+			opt := QueryOptions{Epsilon: 0.3, Delta: 1 + qi%2, OptBounds: true, SkipProbPruning: true, Seed: seed}
+			capped := opt
+			capped.MaxRelaxed = 1
+			scq, _ := v.Struct.SCq(q, opt.Delta, 1)
+			full, err := v.VerifySSPBatch(bg, q, scq, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut, err := v.VerifySSPBatch(bg, q, scq, capped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := v.QueryCtx(bg, q, capped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, gi := range scq {
+				one, err := v.VerifySSP(q, nil, gi, capped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncapped, err := v.VerifySSP(q, nil, gi, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cut[i] != full[i] || one != uncapped || res.SSP[gi] != uncapped {
+					t.Fatalf("seed %d q %d graph %d: under MaxRelaxed 1 batch %v, VerifySSP %v, QueryCtx %v; uncapped %v and %v",
+						seed, qi, gi, cut[i], one, res.SSP[gi], full[i], uncapped)
+				}
+				// What the capped prefix of U alone would have collected.
+				prefix := 0
+				for _, rq := range relax.Relaxed(q, opt.Delta, 1) {
+					prefix += len(iso.EdgeSets(rq, v.Certain[gi], nil, 0))
+				}
+				if prefix < len(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, 0)) {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no candidate has clauses outside U's first member: the cap would not have mattered")
+	}
+}
+
 var ladderEpsGrid = []float64{0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1}
 
 // TestLadderValueContract holds every rung to the contract VerifySSP
@@ -73,7 +217,6 @@ func TestLadderValueContract(t *testing.T) {
 				Delta: 1 + qi%2, OptBounds: true, Seed: seed + int64(qi),
 				Verify: verify.Options{N: 256, MaxClauses: []int{0, 4}[qi/2%2]},
 			}
-			u := relax.Relaxed(q, opt.Delta, 0)
 			scq, _ := v.Struct.SCq(q, opt.Delta, 1)
 			if len(scq) == 0 {
 				continue
@@ -91,8 +234,8 @@ func TestLadderValueContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, gi := range scq {
-				clauses := v.collectClauses(u, gi, opt.withDefaults().MaxClausesPerRQ)
-				d, err := v.prepareDNF(u, gi, opt.withDefaults())
+				clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate)
+				d, err := v.prepareDNF(q, gi, opt.withDefaults())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +248,7 @@ func TestLadderValueContract(t *testing.T) {
 				for _, eps := range ladderEpsGrid {
 					o := opt
 					o.Epsilon = eps
-					got, err := v.VerifySSP(q, u, gi, o)
+					got, err := v.VerifySSP(q, nil, gi, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -163,11 +306,11 @@ func TestLadderValueContract(t *testing.T) {
 				}
 				draws := 0
 				for _, gi := range scq {
-					want, _ := v.VerifySSP(q, u, gi, o)
+					want, _ := v.VerifySSP(q, nil, gi, o)
 					if res.SSP[gi] != want || slices.Contains(res.Answers, gi) != (want >= eps) {
 						t.Fatalf("seed %d q %d graph %d: QueryCtx reports %v, VerifySSP %v", seed, qi, gi, res.SSP[gi], want)
 					}
-					if d, _ := v.verifySSP(u, gi, o.withDefaults(), eps); d.samples > 0 {
+					if d, _ := v.verifySSP(q, gi, o.withDefaults(), eps); d.samples > 0 {
 						draws += d.samples
 						sampled++
 						if d.samples < o.Verify.N {

@@ -15,6 +15,7 @@ import (
 // QueryTopKBounds — starts from newPlan and differs only in what it does
 // with the candidates afterwards.
 type plan struct {
+	q   *graph.Graph
 	opt QueryOptions // defaulted and validated
 
 	// degenerate marks δ ≥ |E(q)|: the empty relaxed query embeds in every
@@ -24,10 +25,8 @@ type plan struct {
 
 	// scq is the structural candidate set {g : q ⊆sim gc}, slots ascending.
 	scq []int
-	// u is the relaxed set pruning and verification read (Lemma 1), and
-	// deleted[i] the edges of q that u[i] lacks: relax.Members(q, δ,
-	// opt.MaxRelaxed).
-	u       []*graph.Graph
+	// deleted is the relaxed set the pruner reads (Lemma 1), each member
+	// as the edges of q it lacks: relax.Members(q, δ, opt.MaxRelaxed).
 	deleted []graph.EdgeSet
 	// pr judges candidates against the PMI bounds; nil when the view has no
 	// PMI, pruning is bypassed, or the plan is a ranked one (topkSchedule
@@ -42,9 +41,9 @@ type plan struct {
 // newPlan runs the query-side front half once: defaults and validation,
 // the degenerate answer, then relax → struct_filter → pmi_prune, each under
 // its span of the context's current span. U is derived here and nowhere per
-// candidate, as deletion masks over q: the pruner reads the masks,
-// verification the graphs, and structural confirmation neither — it searches
-// q itself with a budget of δ, so it is exact whatever MaxRelaxed caps.
+// candidate, as deletion masks over q, and only the pruner reads it:
+// structural confirmation and verification search q itself with a budget
+// of δ, so they are exact whatever MaxRelaxed caps.
 // ranked marks the top-k forms, which never drop a candidate on a bound:
 // they skip pmi_prune and topkSchedule orders them in its own bounds stage.
 func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ranked bool) (*plan, error) {
@@ -55,7 +54,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := &plan{opt: opt}
+	p := &plan{q: q, opt: opt}
 	if opt.Delta >= q.NumEdges() {
 		p.degenerate = true
 		for gi := range v.Graphs {
@@ -67,12 +66,11 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	}
 	parent := obs.SpanFrom(ctx)
 
-	// Relaxed query set U (Lemma 1), as far as pruning and verification
-	// read it.
+	// Relaxed query set U (Lemma 1), as far as pruning reads it.
 	sp := parent.Child("relax")
-	p.u, p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
-	sp.EndCount(int64(len(p.u)))
-	p.stats.RelaxedQueries = len(p.u)
+	p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
+	sp.EndCount(int64(len(p.deleted)))
+	p.stats.RelaxedQueries = len(p.deleted)
 
 	// Structural pruning (Theorem 1). The count scan is serial; the exact
 	// confirmations run on the query's worker pool.
@@ -90,7 +88,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	if v.PMI != nil && !opt.SkipProbPruning && !ranked {
 		t := time.Now()
 		sp = parent.Child("pmi_prune")
-		p.pr, err = v.newPruner(ctx, q, p.u, p.deleted, opt, true)
+		p.pr, err = v.newPruner(ctx, q, p.deleted, opt, true)
 		sp.End()
 		if err != nil {
 			return nil, err

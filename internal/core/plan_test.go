@@ -27,6 +27,7 @@ func badOptionsErrors(v *View, q *graph.Graph, opt QueryOptions) map[string]erro
 	_, _, out["QueryTopKBounds"] = v.QueryTopKBounds(bg, q, 2, opt)
 	_, out["QueryBatchCtx"] = v.QueryBatchCtx(bg, []*graph.Graph{q}, opt)
 	_, out["VerifySSPBatch"] = v.VerifySSPBatch(bg, q, []int{0}, opt)
+	_, out["VerifySSP"] = v.VerifySSP(q, nil, 0, opt)
 	for name, err := range out {
 		for u := errors.Unwrap(err); u != nil; u = errors.Unwrap(u) {
 			err = u // the batch names the failing member around the cause

@@ -13,6 +13,7 @@ import (
 	"probgraph/internal/obs"
 	"probgraph/internal/pool"
 	"probgraph/internal/prob"
+	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
@@ -46,12 +47,14 @@ type QueryOptions struct {
 	Verifier VerifierKind
 	// Verify tunes the SMP estimator / caps Exact's clause count.
 	Verify verify.Options
-	// MaxRelaxed caps the relaxed queries pruning and verification read
-	// (0 = all of U; structural confirmation always tests all of it) and
-	// MaxClausesPerRQ caps embeddings collected per relaxed query during
-	// verification.
-	MaxRelaxed      int
-	MaxClausesPerRQ int
+	// MaxRelaxed caps the relaxed queries the PMI bounds read (0 = all of
+	// U; structural confirmation and verification search q with a budget
+	// of δ and always read all of it). MaxClausesPerCandidate caps the
+	// distinct embedded edge sets verification collects per candidate
+	// (0 selects DefaultMaxClausesPerCandidate); a cap that binds leaves
+	// out clauses, so the value becomes a lower bound.
+	MaxRelaxed             int
+	MaxClausesPerCandidate int
 	// Seed drives the randomized pieces (plain SSPBound's pair choice,
 	// SMP) deterministically; OPT-SSPBound itself draws nothing.
 	Seed int64
@@ -65,12 +68,16 @@ type QueryOptions struct {
 	Concurrency int
 }
 
+// DefaultMaxClausesPerCandidate is the default of
+// QueryOptions.MaxClausesPerCandidate.
+const DefaultMaxClausesPerCandidate = 4096
+
 func (o QueryOptions) withDefaults() QueryOptions {
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.5
 	}
-	if o.MaxClausesPerRQ == 0 {
-		o.MaxClausesPerRQ = 64
+	if o.MaxClausesPerCandidate == 0 {
+		o.MaxClausesPerCandidate = DefaultMaxClausesPerCandidate
 	}
 	return o
 }
@@ -226,7 +233,7 @@ func (v *View) evalCandidate(p *plan, gi int) candOutcome {
 		return o
 	}
 	t := time.Now()
-	o.decision, o.err = v.verifySSP(p.u, gi, p.opt, p.opt.Epsilon)
+	o.decision, o.err = v.verifySSP(p.q, gi, p.opt, p.opt.Epsilon)
 	o.verifyT = time.Since(t)
 	return o
 }
@@ -344,9 +351,11 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 	return err
 }
 
-// VerifySSP decides candidate gi for q (with relaxed set u) at threshold
-// opt.Epsilon the way QueryCtx does, and returns the value QueryCtx reports
-// for it; a slot that is out of range or tombstoned is ErrNoSuchGraph.
+// VerifySSP decides candidate gi for q at threshold opt.Epsilon the way
+// QueryCtx does, and returns the value QueryCtx reports for it; a slot that
+// is out of range or tombstoned is ErrNoSuchGraph, and options QueryCtx
+// would refuse are refused. u is not read: the DNF is q's, from one search
+// at distance opt.Delta.
 //
 // Verification is a ladder, each rung cheaper than the next. (1) The DNF
 // of Equation 22 is collected and every clause probability Pr(Bfi)
@@ -362,11 +371,14 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 // value is reproducible regardless of which other graphs are verified, in
 // what order, or on how many workers.
 func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
+	opt = opt.withDefaults()
+	if err := opt.Validate(); err != nil {
+		return 0, err
+	}
 	if err := v.checkLive(gi, "verifying"); err != nil {
 		return 0, err
 	}
-	opt = opt.withDefaults()
-	d, err := v.verifySSP(u, gi, opt, opt.Epsilon)
+	d, err := v.verifySSP(q, gi, opt, opt.Epsilon)
 	return d.ssp, err
 }
 
@@ -393,8 +405,8 @@ type decision struct {
 // live slot and opt is defaulted. eps is the threshold the ladder may
 // reject against; the ranked forms pass 0 and get a value for every
 // candidate.
-func (v *View) verifySSP(u []*graph.Graph, gi int, opt QueryOptions, eps float64) (decision, error) {
-	d, err := v.prepareDNF(u, gi, opt)
+func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) (decision, error) {
+	d, err := v.prepareDNF(q, gi, opt)
 	if err != nil {
 		return decision{}, err
 	}
@@ -402,10 +414,13 @@ func (v *View) verifySSP(u []*graph.Graph, gi int, opt QueryOptions, eps float64
 }
 
 // prepareDNF is the ladder's first rung: candidate gi's clauses with their
-// exact probabilities, ready for decide. The engine is not resolved for a
-// candidate without clauses.
-func (v *View) prepareDNF(u []*graph.Graph, gi int, opt QueryOptions) (*verify.DNF, error) {
-	clauses := v.collectClauses(u, gi, opt.MaxClausesPerRQ)
+// exact probabilities, ready for decide. The clauses are the DNF of
+// Equation 22 — the distinct edge sets of gc on which some rq ∈ U embeds —
+// from one budgeted search of q (iso.EdgeSetsWithin): all of U, whatever
+// MaxRelaxed caps, and no set absorbs another. The engine is not resolved
+// for a candidate without clauses.
+func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF, error) {
+	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, opt.MaxClausesPerCandidate)
 	vo := opt.Verify
 	vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
 	if opt.Verifier == VerifierExact {
@@ -438,17 +453,6 @@ func decide(d *verify.DNF, opt QueryOptions, eps float64) (decision, error) {
 		p, n, err := d.Sample(eps)
 		return decision{ssp: p, samples: n}, err
 	}
-}
-
-// collectClauses gathers the DNF of Equation 22: distinct embedding edge
-// sets of every rq ∈ U in gc, absorbed and deduplicated.
-func (v *View) collectClauses(u []*graph.Graph, gi, capPerRQ int) []graph.EdgeSet {
-	gc := v.Certain[gi]
-	var clauses []graph.EdgeSet
-	for _, rq := range u {
-		clauses = append(clauses, iso.EdgeSets(rq, gc, nil, capPerRQ)...)
-	}
-	return verify.DedupClauses(clauses)
 }
 
 // ExactSSPByEnumeration computes SSP by full possible-world enumeration —
@@ -485,7 +489,7 @@ const (
 // plain baseline's random picks draw from a per-candidate scratch.
 type pruner struct {
 	v   *View
-	u   []*graph.Graph
+	nu  int // |U|
 	opt QueryOptions
 
 	// supOf[j] = relaxed queries containing feature j (rq ⊇iso f, for the
@@ -496,21 +500,29 @@ type pruner struct {
 }
 
 // newPruner builds the query-side feature/relaxed-query relation tables
-// for u = q minus each of the deletion sets deleted (relax.Members). Every
+// for U = q minus each of the deletion sets deleted (relax.Members). Every
 // rq is a piece of q, so f ⊆iso rq iff some embedding of f in q avoids the
 // edges rq lacks: one enumeration per feature — uncapped, a capped one
 // could miss the embedding that avoids them and silently loosen Usim — and
 // a mask test per member. The reverse relation is built only when lower is
 // set — judge reads it, a ranking, which orders by Usim, does not — and
 // tested per member, but only against features large enough to hold one.
-// ctx is checked per feature; a cancelled construction returns
-// (nil, ctx.Err()).
-func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
-	p := &pruner{v: v, u: u, opt: opt}
+// The member graphs those tests match are built on first use, and kept
+// here for the construction alone. ctx is checked per feature; a cancelled
+// construction returns (nil, ctx.Err()).
+func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
+	p := &pruner{v: v, nu: len(deleted), opt: opt}
 	nf := v.PMI.NumFeatures()
 	p.supOf = make([][]int, nf)
 	if lower {
 		p.subOf = make([][]int, nf)
+	}
+	rqs := make([]*graph.Graph, len(deleted))
+	rq := func(i int) *graph.Graph {
+		if rqs[i] == nil {
+			rqs[i] = relax.Member(q, deleted[i])
+		}
+		return rqs[i]
 	}
 	for j, f := range v.PMI.Features {
 		if err := ctx.Err(); err != nil {
@@ -519,18 +531,18 @@ func (v *View) newPruner(ctx context.Context, q *graph.Graph, u []*graph.Graph, 
 		// An isolated vertex of f needs an image that rq, its own isolated
 		// vertices dropped, may not have: only mined features (connected,
 		// at least one edge) take the mask test.
-		contains := func(i int) bool { return iso.Exists(f, u[i], nil) }
+		contains := func(i int) bool { return iso.Exists(f, rq(i), nil) }
 		if !hasIsolated(f) {
 			embs := iso.EdgeSets(f, q, nil, 0)
 			contains = func(i int) bool {
 				return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
 			}
 		}
-		for i, rq := range u {
+		for i := range deleted {
 			if contains(i) {
 				p.supOf[j] = append(p.supOf[j], i)
 			}
-			if lower && rq.NumEdges() <= f.NumEdges() && rq.NumVertices() <= f.NumVertices() && iso.Exists(rq, f, nil) {
+			if lower && q.NumEdges()-deleted[i].Count() <= f.NumEdges() && rq(i).NumVertices() <= f.NumVertices() && iso.Exists(rq(i), f, nil) {
 				p.subOf[j] = append(p.subOf[j], i)
 			}
 		}
@@ -583,9 +595,9 @@ func (p *pruner) usim(gi int) (float64, *scratch) {
 func (p *pruner) upperBound(sc *scratch) float64 {
 	entries := sc.entries
 	if p.opt.OptBounds {
-		in := cover.Instance{NumElements: len(p.u)}
+		in := cover.Instance{NumElements: p.nu}
 		in.Sets, in.Weights = sc.sets[:0], sc.wu[:0]
-		covered := clearedBools(&sc.covered, len(p.u))
+		covered := clearedBools(&sc.covered, p.nu)
 		for j, e := range entries {
 			if !e.Contained || len(p.supOf[j]) == 0 {
 				continue
@@ -599,7 +611,7 @@ func (p *pruner) upperBound(sc *scratch) float64 {
 		// Uncovered relaxed queries contribute singleton sets of weight 1;
 		// sc.singles is the identity list [0,1,...], so the singleton {i}
 		// is a subslice of it — no per-set allocation.
-		for i := len(sc.singles); i < len(p.u); i++ {
+		for i := len(sc.singles); i < p.nu; i++ {
 			sc.singles = append(sc.singles, i)
 		}
 		for i, c := range covered {
@@ -612,7 +624,7 @@ func (p *pruner) upperBound(sc *scratch) float64 {
 		return cover.GreedyScratch(in, &sc.cov).Weight
 	}
 	total := 0.0
-	for i := range p.u {
+	for i := range p.nu {
 		choices := sc.choicesF[:0]
 		for j, e := range entries {
 			if e.Contained && slices.Contains(p.supOf[j], i) {
@@ -657,7 +669,7 @@ func (p *pruner) lowerBound(sc *scratch) float64 {
 		}
 		return best
 	}
-	for i := range p.u {
+	for i := range p.nu {
 		choices := sc.choicesI[:0]
 		for j, e := range sc.entries {
 			if e.Contained && slices.Contains(p.subOf[j], i) {

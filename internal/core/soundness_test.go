@@ -59,11 +59,11 @@ func TestBoundsSandwichExactSSP(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 1))
 		q := dataset.ExtractQuery(v.Certain[int(seed)%len(v.Certain)], 4, rng)
 		for delta := 1; delta <= 2 && delta < q.NumEdges(); delta++ {
-			u, deleted := relax.Members(q, delta, 0)
+			deleted := relax.Members(q, delta, 0)
 			scq, _ := v.Struct.SCq(q, delta, 1)
 			for _, optBounds := range []bool{false, true} {
 				qo := QueryOptions{Epsilon: []float64{0.5, 0.3, 0.1}[seed%3], Delta: delta, OptBounds: optBounds, Seed: seed}
-				pr, err := v.newPruner(context.Background(), q, u, deleted, qo.withDefaults(), true)
+				pr, err := v.newPruner(context.Background(), q, deleted, qo.withDefaults(), true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +183,7 @@ func TestBonferroniNeverBeatsBestMember(t *testing.T) {
 		if got := bonferroniBest(entries); got < largest || got > largest+1e-12 {
 			t.Fatalf("trial %d: best Bonferroni bound %v over the sub-families of %v, largest LowerB %v", trial, got, entries, largest)
 		}
-		pr := &pruner{u: make([]*graph.Graph, 1), opt: QueryOptions{OptBounds: true}, subOf: subOf}
+		pr := &pruner{nu: 1, opt: QueryOptions{OptBounds: true}, subOf: subOf}
 		if got := pr.lowerBound(&scratch{entries: entries}); got != largest {
 			t.Fatalf("trial %d: lowerBound %v, largest LowerB %v", trial, got, largest)
 		}
@@ -263,9 +263,9 @@ func relationsPerRQ(features, u []*graph.Graph) (supOf, subOf [][]int) {
 func TestMaskRelationsMatchPerRQTables(t *testing.T) {
 	check := func(name string, features []*graph.Graph, q *graph.Graph, delta, maxRelaxed int) {
 		t.Helper()
-		u, deleted := relax.Members(q, delta, maxRelaxed)
+		u, deleted := relax.Relaxed(q, delta, maxRelaxed), relax.Members(q, delta, maxRelaxed)
 		v := &View{PMI: &pmi.Index{Features: features}}
-		pr, err := v.newPruner(bg, q, u, deleted, QueryOptions{}, true)
+		pr, err := v.newPruner(bg, q, deleted, QueryOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestMaskRelationsMatchPerRQTables(t *testing.T) {
 			check("feature with isolated vertex", odd, q, 1, 0)
 			check("feature with isolated vertex", odd, withIsolated(q, q.VertexLabel(0)), 0, 0)
 		}
-		u, _ := relax.Members(dataset.ExtractQuery(raw.Graphs[0].G, 4, rng), 1, 0)
+		u := relax.Relaxed(dataset.ExtractQuery(raw.Graphs[0].G, 4, rng), 1, 0)
 		sup, sub := relationsPerRQ(features, u)
 		for j := range sup {
 			related += len(sup[j]) + len(sub[j])

@@ -10,7 +10,6 @@ import (
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
 	"probgraph/internal/pool"
-	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
@@ -205,7 +204,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	sp := obs.SpanFrom(ctx).Child("bounds")
 	var pr *pruner
 	if v.PMI != nil {
-		pr, err = v.newPruner(ctx, q, p.u, p.deleted, p.opt, false)
+		pr, err = v.newPruner(ctx, q, p.deleted, p.opt, false)
 	}
 	if err == nil {
 		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
@@ -216,7 +215,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 				putScratch(sc)
 				ub = min(usim, 1)
 			}
-			d, err := v.prepareDNF(p.u, gi, p.opt)
+			d, err := v.prepareDNF(q, gi, p.opt)
 			if err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}
@@ -269,9 +268,9 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 // with ErrNoSuchGraph. opt.Epsilon is ignored — no candidate is rejected on
 // a bound and the sampler never stops early, so every slot gets its exact
 // SSP (at most exactCrossover clauses) or its full SMP estimate, which is
-// what QueryTopKCtx ranks by. The relaxed query set is derived internally
-// (as QueryCtx and QueryTopKCtx derive it), and each slot's value seeds from
-// its global id alone, independent of batching, order, or worker count.
+// what QueryTopKCtx ranks by. Each slot's DNF comes from q and opt.Delta
+// alone (see prepareDNF), and its value seeds from its global id alone,
+// independent of batching, order, or worker count.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -285,10 +284,9 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 	if len(gis) == 0 {
 		return nil, nil
 	}
-	u := relax.Relaxed(q, opt.Delta, opt.MaxRelaxed)
 	out := make([]float64, len(gis))
 	err := pool.ForEachIndexCtx(ctx, len(gis), pool.Normalize(opt.Concurrency, len(gis)), func(i int) error {
-		d, err := v.verifySSP(u, gis[i], opt, 0)
+		d, err := v.verifySSP(q, gis[i], opt, 0)
 		if err != nil {
 			return fmt.Errorf("core: verifying graph %d: %w", gis[i], err)
 		}

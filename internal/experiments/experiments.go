@@ -21,7 +21,6 @@ import (
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
 	"probgraph/internal/prob"
-	"probgraph/internal/relax"
 	"probgraph/internal/stats"
 	"probgraph/internal/verify"
 )
@@ -203,25 +202,23 @@ func (e *Env) verificationCandidates(q *graph.Graph, seed int64) ([]int, error) 
 	return out, nil
 }
 
-// candidateDNF collects the Equation 22 DNF of (u, gi) with its engine, the
-// way core's VerifySSP does (64 embeddings per relaxed query). The figures
+// candidateDNF collects the Equation 22 DNF of q at distance delta in
+// graph gi with its engine, from the enumeration core's VerifySSP reads
+// (iso.EdgeSetsWithin, under core's default per-candidate cap). The figures
 // that reproduce the paper's SMP and Exact curves run verify.SMP and
 // verify.Exact — Algorithm 5 and Equation 21 as published — on it:
 // View.VerifySSP is this repository's ladder, which decides most candidates
 // without sampling and would flatten both curves.
-func candidateDNF(v *core.View, u []*graph.Graph, gi int) (*prob.Engine, []graph.EdgeSet, error) {
-	var clauses []graph.EdgeSet
-	for _, rq := range u {
-		clauses = append(clauses, iso.EdgeSets(rq, v.Certain[gi], nil, 64)...)
-	}
+func candidateDNF(v *core.View, q *graph.Graph, delta, gi int) (*prob.Engine, []graph.EdgeSet, error) {
+	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], delta, core.DefaultMaxClausesPerCandidate)
 	eng, err := v.Engine(gi)
-	return eng, verify.DedupClauses(clauses), err
+	return eng, clauses, err
 }
 
 // paperSMP is the paper's verifier for one candidate: collect the DNF, run
 // Algorithm 5 on it with the candidate's own seed.
-func paperSMP(v *core.View, u []*graph.Graph, gi int, qo core.QueryOptions) (float64, error) {
-	eng, clauses, err := candidateDNF(v, u, gi)
+func paperSMP(v *core.View, q *graph.Graph, gi int, qo core.QueryOptions) (float64, error) {
+	eng, clauses, err := candidateDNF(v, q, qo.Delta, gi)
 	if err != nil {
 		return 0, err
 	}
@@ -232,8 +229,8 @@ func paperSMP(v *core.View, u []*graph.Graph, gi int, qo core.QueryOptions) (flo
 
 // paperExact is the Equation 21 baseline for one candidate, refusing DNFs
 // beyond maxClauses.
-func paperExact(v *core.View, u []*graph.Graph, gi, maxClauses int) (float64, error) {
-	eng, clauses, err := candidateDNF(v, u, gi)
+func paperExact(v *core.View, q *graph.Graph, delta, gi, maxClauses int) (float64, error) {
+	eng, clauses, err := candidateDNF(v, q, delta, gi)
 	if err != nil {
 		return 0, err
 	}
@@ -250,7 +247,6 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 		var smpMS, exactMS, ladderMS []float64
 		capped := 0
 		for qi, q := range e.Queries[size] {
-			u := relax.Relaxed(q, e.P.defaultDelta, 0)
 			cands, err := e.verificationCandidates(q, int64(qi))
 			if err != nil {
 				return nil, err
@@ -261,20 +257,20 @@ func (e *Env) Fig9a() (*stats.Table, error) {
 			for _, gi := range cands {
 				qo := e.defaultQO(int64(qi))
 				start := time.Now()
-				if _, err := paperSMP(e.DB.View(), u, gi, qo); err != nil {
+				if _, err := paperSMP(e.DB.View(), q, gi, qo); err != nil {
 					return nil, err
 				}
 				smpMS = append(smpMS, ms(time.Since(start)))
 
 				start = time.Now()
-				if _, err := paperExact(e.DB.View(), u, gi, 18); err == nil {
+				if _, err := paperExact(e.DB.View(), q, qo.Delta, gi, 18); err == nil {
 					exactMS = append(exactMS, ms(time.Since(start)))
 				} else {
 					capped++ // inclusion–exclusion beyond 2^18 terms
 				}
 
 				start = time.Now()
-				if _, err := e.DB.View().VerifySSP(q, u, gi, qo); err != nil {
+				if _, err := e.DB.View().VerifySSP(q, nil, gi, qo); err != nil {
 					return nil, err
 				}
 				ladderMS = append(ladderMS, ms(time.Since(start)))
@@ -296,7 +292,6 @@ func (e *Env) Fig9b() (*stats.Table, error) {
 	for _, size := range e.P.querySizes {
 		tp, fp, fn, n := 0, 0, 0, 0
 		for qi, q := range e.Queries[size] {
-			u := relax.Relaxed(q, e.P.defaultDelta, 0)
 			cands, err := e.verificationCandidates(q, int64(qi))
 			if err != nil {
 				return nil, err
@@ -305,11 +300,11 @@ func (e *Env) Fig9b() (*stats.Table, error) {
 				cands = cands[:4]
 			}
 			for _, gi := range cands {
-				smp, err := paperSMP(e.DB.View(), u, gi, e.defaultQO(int64(qi)))
+				smp, err := paperSMP(e.DB.View(), q, gi, e.defaultQO(int64(qi)))
 				if err != nil {
 					return nil, err
 				}
-				exact, err := paperExact(e.DB.View(), u, gi, 18)
+				exact, err := paperExact(e.DB.View(), q, e.P.defaultDelta, gi, 18)
 				if err != nil {
 					continue // exact infeasible for this graph
 				}
@@ -571,7 +566,6 @@ func (e *Env) Fig13() (*stats.Table, error) {
 			qo := e.defaultQO(int64(qi))
 			qo.Delta = delta
 			qo.Verifier = core.VerifierNone
-			u := relax.Relaxed(q, delta, 0)
 			start := time.Now()
 			res, err := db.View().QueryCtx(bg, q, qo)
 			if err != nil {
@@ -581,7 +575,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 				if res.SSP[gi] == -1 {
 					continue // accepted on the lower bound
 				}
-				if _, err := paperSMP(db.View(), u, gi, qo); err != nil {
+				if _, err := paperSMP(db.View(), q, gi, qo); err != nil {
 					return nil, err
 				}
 			}
@@ -592,12 +586,11 @@ func (e *Env) Fig13() (*stats.Table, error) {
 			var exactMS []float64
 			cappedGraphs, totalGraphs := 0, 0
 			for _, q := range qs {
-				u := relax.Relaxed(q, delta, 0)
 				start := time.Now()
 				for gi := range raw.Graphs {
 					// Exact scans every graph, no pruning at all.
 					totalGraphs++
-					if _, err := paperExact(db.View(), u, gi, 22); err != nil {
+					if _, err := paperExact(db.View(), q, delta, gi, 22); err != nil {
 						cappedGraphs++ // > 2^20 I-E terms: infeasible
 					}
 				}

@@ -24,6 +24,14 @@ func FullEdgeSet(n int) EdgeSet {
 	return s
 }
 
+// EdgeSetOfWords returns the EdgeSet over edge IDs 0..n-1 whose bits are
+// the first (n+63)/64 words, shared rather than copied: a caller that fills
+// many sets can keep them in one slab.
+func EdgeSetOfWords(words []uint64, n int) EdgeSet {
+	w := (n + 63) / 64
+	return EdgeSet{words: words[:w:w], n: n}
+}
+
 // Len returns the capacity (number of edge IDs addressable).
 func (s EdgeSet) Len() int { return s.n }
 

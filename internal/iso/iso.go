@@ -15,14 +15,17 @@
 // dis(q, t) ≤ δ) when given a budget of δ pattern edges it may leave
 // unmatched: ExistsWithin. Tolerant matching under an edit budget is the
 // shape of arXiv:1512.05256; here the budget replaces one strict search per
-// member of the relaxed query set. With no budget the matcher is the strict
-// search, whose enumeration order is a contract: the order of EdgeSets picks
-// the sampler's clauses and the summation order of inclusion–exclusion
-// (pinned by TestBudgetZeroKeepsEnumerationOrder).
+// member of the relaxed query set. EdgeSetsWithin runs the same search to
+// the end and collects, at each leaf, the edge sets the members embed on:
+// the verification DNF of Equation 22 over all of U from one search. With
+// no budget the matcher is the strict search, whose enumeration order is
+// pinned by TestBudgetZeroKeepsEnumerationOrder.
 package iso
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"probgraph/internal/graph"
 )
@@ -54,8 +57,10 @@ type matcher struct {
 	slack    int
 	tolerant bool
 	// yield receives each embedding; nil stops at the first complete
-	// assignment without building one (stopped then reads "found").
+	// assignment without building one (stopped then reads "found"). An
+	// enumeration under a budget hands its leaves to images instead.
 	yield   func(*Embedding) bool
+	images  *imageSet
 	stopped bool
 }
 
@@ -68,12 +73,14 @@ const (
 // BFS through each pattern component starting from the most constrained
 // vertex (rarest label in t, then highest degree), so that all but
 // component-initial vertices have a placed neighbor to anchor candidate
-// generation on. The state is allocated once per search, as three slabs.
-func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet) matcher {
+// generation on. The state lives in three slabs, taken from s (nil
+// allocates them for this search alone).
+func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet, s *slabs) matcher {
 	n, nt := p.NumVertices(), t.NumVertices()
-	ids := make([]graph.VertexID, 2*n)       // order, pmap
-	ints := make([]int, 2*n)                 // rarity, paid
-	flags := make([]bool, nt+n+p.NumEdges()) // tused, placed, dead
+	if s == nil {
+		s = new(slabs)
+	}
+	ids, ints, flags := s.take(n, nt, p.NumEdges())
 	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:]}
 	placed := flags[nt : nt+n]
 	rarity := ints[:n] // how often t carries each pattern vertex's label
@@ -107,6 +114,31 @@ func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet) matcher {
 		m.order = append(m.order, best)
 	}
 	return m
+}
+
+// slabs keeps a matcher's state between searches: ids holds order and
+// pmap, ints rarity and paid, flags tused, placed and dead.
+type slabs struct {
+	ids   []graph.VertexID
+	ints  []int
+	flags []bool
+}
+
+// take returns the slabs for a search of a pattern with n vertices and ne
+// edges in a target with nt vertices, zeroed.
+func (s *slabs) take(n, nt, ne int) ([]graph.VertexID, []int, []bool) {
+	s.ids, s.ints, s.flags = resize(s.ids, 2*n), resize(s.ints, 2*n), resize(s.flags, nt+n+ne)
+	return s.ids, s.ints, s.flags
+}
+
+// resize returns s cut or grown to n zeroed elements.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // feasible performs the cheap global pre-checks: with slack edges to spare,
@@ -144,6 +176,12 @@ func (m *matcher) edgeAlive(id graph.EdgeID) bool {
 // find no live, equally labelled target edge when pv maps to tv, or -1 when
 // tv cannot host pv: taken, differently labelled, or costlier than the
 // slack. At slack 0 this is VF2's consistency check.
+//
+// A given-up edge from pv that tv would match also refuses tv: the branch
+// that matched that edge when it anchored pv reaches the same vertex map,
+// with the edge free for a deletion the leaf may still choose (see
+// collect). So the tolerant search reaches each (deletion set, vertex map)
+// on one path, and an enumeration counts it once.
 func (m *matcher) cost(pv, tv graph.VertexID) int {
 	if m.tused[tv] || m.p.VertexLabel(pv) != m.t.VertexLabel(tv) {
 		return -1
@@ -154,17 +192,51 @@ func (m *matcher) cost(pv, tv graph.VertexID) int {
 	c := 0
 	for _, h := range m.p.Neighbors(pv) {
 		w := m.pmap[h.To]
-		if w < 0 || m.dead[h.Edge] {
+		if w < 0 {
 			continue
 		}
-		id, ok := m.t.EdgeBetween(tv, w)
-		if !ok || !m.edgeAlive(id) || m.t.EdgeLabel(id) != m.p.EdgeLabel(h.Edge) {
+		_, match := m.matches(tv, w, h.Edge)
+		switch {
+		case m.dead[h.Edge] && match:
+			return -1
+		case !m.dead[h.Edge] && !match:
 			if c++; c > m.slack {
 				return -1
 			}
 		}
 	}
 	return c
+}
+
+// matches reports whether pattern edge pe finds a live, equally labelled
+// target edge between a and b, and which.
+func (m *matcher) matches(a, b graph.VertexID, pe graph.EdgeID) (graph.EdgeID, bool) {
+	id, ok := m.t.EdgeBetween(a, b)
+	return id, ok && m.edgeAlive(id) && m.t.EdgeLabel(id) == m.p.EdgeLabel(pe)
+}
+
+// stranded reports whether mapped vertex w is left with no matched edge and
+// none still to decide once its edge e is given up. Every leaf below would
+// then drop w from the member it embeds, and the search reaches that
+// member's embeddings with w unmapped (see collect), so the tolerant search
+// cuts the branch. Giving up is the only way w can get there: a vertex
+// placed on an anchor has that edge matched, and after a component start
+// the next vertex placed is anchored on it.
+func (m *matcher) stranded(w graph.VertexID, e graph.EdgeID) bool {
+	for _, h := range m.p.Neighbors(w) {
+		if h.Edge == e || m.dead[h.Edge] {
+			continue
+		}
+		switch y := m.pmap[h.To]; {
+		case y == unplaced:
+			return false
+		case y >= 0:
+			if _, ok := m.matches(m.pmap[w], y, h.Edge); ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // next picks the pattern vertex to place: the first undecided one, in
@@ -206,9 +278,12 @@ func (m *matcher) extend() {
 	}
 	pv, h, anchored, ok := m.next()
 	if !ok {
-		if m.yield == nil {
+		switch {
+		case m.images != nil:
+			m.collect()
+		case m.yield == nil:
 			m.stopped = true
-		} else {
+		default:
 			m.emit()
 		}
 		return
@@ -228,7 +303,7 @@ func (m *matcher) extend() {
 				return
 			}
 		}
-		if m.slack > 0 {
+		if m.slack > 0 && !m.stranded(h.To, h.Edge) {
 			m.giveUp(h.Edge, pv, h.To, 1)
 			m.extend()
 			m.giveUp(h.Edge, pv, h.To, -1)
@@ -300,7 +375,7 @@ func Exists(p, t *graph.Graph, mask *graph.EdgeSet) bool {
 	if !feasible(p, t, mask, 0, false) {
 		return false
 	}
-	m := newMatcher(p, t, mask)
+	m := newMatcher(p, t, mask, nil)
 	m.extend()
 	return m.stopped
 }
@@ -316,10 +391,182 @@ func ExistsWithin(p, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
 	if !feasible(p, t, mask, delta, true) {
 		return false
 	}
-	m := newMatcher(p, t, mask)
+	m := newMatcher(p, t, mask, nil)
 	m.slack, m.tolerant = delta, true
 	m.extend()
 	return m.stopped
+}
+
+// EdgeSetsWithin returns the distinct edge sets of t on which some member
+// of the relaxed set U(p, delta) embeds — p with exactly delta edges
+// deleted and the vertices that isolates dropped — capped at limit sets
+// (limit <= 0 means all). That is the DNF of Equation 22 over all of U,
+// from one search: ExistsWithin's, run to the end (see collect) instead of
+// one EdgeSets per member. Isomorphic members embed on the same sets, so
+// the result is the union of EdgeSets(rq, t, nil, 0) over U, whichever
+// member of a class stands for it. Every set has |E(p)| − delta edges, so
+// none absorbs another; delta ≥ |E(p)| yields the one empty set. The order
+// of the sets is the search's and means nothing.
+func EdgeSetsWithin(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
+	delta = max(delta, 0)
+	if delta >= p.NumEdges() {
+		return []graph.EdgeSet{graph.NewEdgeSet(t.NumEdges())}
+	}
+	if !feasible(p, t, nil, delta, true) {
+		return nil
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.enumerate(p, t, delta, limit)
+}
+
+// scratch is what one EdgeSetsWithin call needs beyond its result, kept
+// per worker by scratchPool: the matcher's slabs and the image table.
+type scratch struct {
+	slabs  slabs
+	images imageSet
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{images: imageSet{head: make(map[uint64]int32)}} }}
+
+// enumerate is EdgeSetsWithin past its checks, in sc.
+func (sc *scratch) enumerate(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
+	m := newMatcher(p, t, nil, &sc.slabs)
+	m.slack, m.tolerant = delta, true
+	m.images = sc.images.reset(p.NumVertices(), t.NumEdges(), limit)
+	m.extend()
+	return m.images.sets()
+}
+
+// imageSet collects an enumeration's distinct edge sets as rows of one
+// word slab, found again through a hash of their words — no string key
+// per embedding — together with the state of the leaf being collected.
+type imageSet struct {
+	w, ne, limit int
+	reached      int              // (deletion set, vertex map) pairs emitted
+	rows         []uint64         // set i is rows[i*w : (i+1)*w]
+	head         map[uint64]int32 // hash -> 1 + the last set with it
+	next         []int32          // per set: 1 + the previous set with its hash, or 0
+	img          []uint64         // the set being built
+	edges        []matchedEdge    // the leaf's matched pattern edges
+	hit, cut     []int            // per pattern vertex: its matched edges, and those chosen for deletion
+}
+
+// matchedEdge is a pattern edge between u and v and the target edge t it
+// maps onto.
+type matchedEdge struct {
+	u, v graph.VertexID
+	t    graph.EdgeID
+}
+
+// reset empties s for a search of a pattern with n vertices in a target
+// with ne edges.
+func (s *imageSet) reset(n, ne, limit int) *imageSet {
+	s.w, s.ne, s.limit, s.reached = (ne+63)/64, ne, limit, 0
+	s.rows, s.next = s.rows[:0], s.next[:0]
+	clear(s.head)
+	s.img, s.hit, s.cut = resize(s.img, s.w), resize(s.hit, n), resize(s.cut, n)
+	return s
+}
+
+// add records the set in img and reports whether it is new.
+func (s *imageSet) add() bool {
+	h := uint64(len(s.img))
+	for _, w := range s.img {
+		h = mix(h ^ w)
+	}
+	first := s.head[h]
+	for i := first; i > 0; i = s.next[i-1] {
+		if slices.Equal(s.rows[int(i-1)*s.w:int(i)*s.w], s.img) {
+			return false
+		}
+	}
+	s.rows = append(s.rows, s.img...)
+	s.next = append(s.next, first)
+	s.head[h] = int32(len(s.next))
+	return true
+}
+
+// sets copies the collected sets out, into one slab of their own.
+func (s *imageSet) sets() []graph.EdgeSet {
+	if len(s.next) == 0 {
+		return nil
+	}
+	words := slices.Clone(s.rows)
+	out := make([]graph.EdgeSet, len(s.next))
+	for i := range out {
+		out[i] = graph.EdgeSetOfWords(words[i*s.w:], s.ne)
+	}
+	return out
+}
+
+// mix is the SplitMix64 finalizer, a bijection: one-word sets never share
+// a hash.
+func mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// collect is an enumeration's leaf. Every pattern vertex is mapped or
+// dropped; the matched edges are those between mapped vertices, not given
+// up, that found their target edge (each mapped vertex has one, see
+// stranded), and m.slack more edges may still go. Each choice of m.slack
+// matched edges completes one deletion set of size delta, and the image of
+// the other matched edges is an edge set a member of U embeds on. A choice
+// that leaves a mapped vertex without a matched edge is passed over: that
+// vertex is isolated in the member, and the search reaches the same
+// embedding with it dropped. With cost's rule this counts every (deletion
+// set, vertex map) pair once.
+func (m *matcher) collect() {
+	s := m.images
+	s.edges = s.edges[:0]
+	clear(s.hit)
+	for id := range m.dead {
+		e := m.p.Edge(graph.EdgeID(id))
+		u, v := m.pmap[e.U], m.pmap[e.V]
+		if m.dead[id] || u < 0 || v < 0 {
+			continue
+		}
+		if t, ok := m.matches(u, v, graph.EdgeID(id)); ok {
+			s.edges = append(s.edges, matchedEdge{e.U, e.V, t})
+			s.hit[e.U]++
+			s.hit[e.V]++
+		}
+	}
+	clear(s.img)
+	for _, e := range s.edges {
+		s.img[e.t>>6] |= 1 << (uint(e.t) & 63)
+	}
+	m.choose(0, m.slack)
+}
+
+// choose deletes left more of the leaf's matched edges, from index from on,
+// and records the image of what is left once none is left to delete.
+func (m *matcher) choose(from, left int) {
+	s := m.images
+	if left == 0 {
+		s.reached++
+		if s.add() && len(s.next) == s.limit {
+			m.stopped = true
+		}
+		return
+	}
+	for i := from; i <= len(s.edges)-left && !m.stopped; i++ {
+		e := s.edges[i]
+		if s.cut[e.u]+1 == s.hit[e.u] || s.cut[e.v]+1 == s.hit[e.v] {
+			continue // would leave a mapped vertex isolated
+		}
+		bit := uint64(1) << (uint(e.t) & 63)
+		s.cut[e.u]++
+		s.cut[e.v]++
+		s.img[e.t>>6] &^= bit
+		m.choose(i+1, left-1)
+		s.img[e.t>>6] |= bit
+		s.cut[e.u]--
+		s.cut[e.v]--
+	}
 }
 
 // ForEach enumerates embeddings of p in t (under mask) and calls fn for each;
@@ -330,7 +577,7 @@ func ForEach(p, t *graph.Graph, mask *graph.EdgeSet, fn func(*Embedding) bool) {
 	if !feasible(p, t, mask, 0, false) {
 		return
 	}
-	m := newMatcher(p, t, mask)
+	m := newMatcher(p, t, mask, nil)
 	m.yield = fn
 	m.extend()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"probgraph/internal/graph"
+	"probgraph/internal/verify"
 )
 
 // bruteWithin is ExistsWithin's reference: Definition 8 spelled out. Try
@@ -115,6 +116,104 @@ func TestTolerantMatchesDeletionSets(t *testing.T) {
 				t.Fatalf("seed %d δ=%d: ExistsWithin %v, brute force %v\np = %v\nt = %v", seed, delta, got, want, p, tg)
 			}
 		}
+	}
+}
+
+// perRQEdgeSets is the clause collection EdgeSetsWithin replaced: the
+// edge sets of every exactly-delta deletion of p in t, deduplicated and
+// absorbed. Past |E(p)| the relaxed set is the empty graph alone.
+func perRQEdgeSets(p, t *graph.Graph, delta int) []graph.EdgeSet {
+	if delta >= p.NumEdges() {
+		return EdgeSets(graph.NewBuilder("empty").Build(), t, nil, 0)
+	}
+	var all []graph.EdgeSet
+	for _, rq := range deletions(p, delta) {
+		all = append(all, EdgeSets(rq, t, nil, 0)...)
+	}
+	return verify.DedupClauses(all)
+}
+
+// sortedSets lists the sets as edge lists in ascending order.
+func sortedSets(sets []graph.EdgeSet) [][]graph.EdgeID {
+	out := make([][]graph.EdgeID, len(sets))
+	for i, s := range sets {
+		out[i] = s.Slice()
+	}
+	slices.SortFunc(out, slices.Compare)
+	return out
+}
+
+// TestEdgeSetsWithinMatchesDeletions holds the enumerator to the per-rq
+// collection over every exactly-δ deletion, as families: on random
+// labelled graphs with few labels (so that one vertex map realises several
+// deletion sets) and patterns that may carry isolated vertices, at δ 0–3,
+// δ = |E(p)| and beyond. Every set is new and has |E(p)| − δ edges, so the
+// family needs no absorption; a limit keeps a sub-family of its size.
+func TestEdgeSetsWithinMatchesDeletions(t *testing.T) {
+	vl := []graph.Label{"a", "b", "c"}
+	el := []graph.Label{"", "x"}
+	compared := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tg := randomGraph(rng, 5+rng.Intn(4), 6+rng.Intn(8), vl[:1+rng.Intn(3)], el[:1+rng.Intn(2)])
+		p := randomGraph(rng, 2+rng.Intn(4), 1+rng.Intn(6), vl[:1+rng.Intn(3)], el[:1+rng.Intn(2)])
+		for _, delta := range []int{0, 1, 2, 3, p.NumEdges(), p.NumEdges() + 1} {
+			got := EdgeSetsWithin(p, tg, delta, 0)
+			want := perRQEdgeSets(p, tg, delta)
+			if g, w := sortedSets(got), sortedSets(want); !slices.EqualFunc(g, w, slices.Equal) {
+				t.Fatalf("seed %d δ=%d: EdgeSetsWithin %v, per-rq collection %v\np = %v\nt = %v", seed, delta, g, w, p, tg)
+			}
+			for i, s := range got {
+				if s.Count() != max(p.NumEdges()-delta, 0) || s.Len() != tg.NumEdges() {
+					t.Fatalf("seed %d δ=%d: set %v of %d edges over %d", seed, delta, s.Slice(), s.Count(), s.Len())
+				}
+				for _, o := range got[:i] {
+					if s.Equal(o) {
+						t.Fatalf("seed %d δ=%d: set %v twice", seed, delta, s.Slice())
+					}
+				}
+			}
+			if len(got) > 2 {
+				limited := EdgeSetsWithin(p, tg, delta, 2)
+				if len(limited) != 2 || !slices.ContainsFunc(got, limited[0].Equal) || !slices.ContainsFunc(got, limited[1].Equal) {
+					t.Fatalf("seed %d δ=%d: limit 2 kept %v of %v", seed, delta, sortedSets(limited), sortedSets(got))
+				}
+			}
+			compared += len(got)
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("only %d sets compared", compared)
+	}
+}
+
+// TestEdgeSetsWithinReachesEachPairOnce: the enumeration emits one image
+// per (deletion set, vertex map) pair — as many as the per-rq loop over
+// every exactly-δ deletion finds embeddings — so no map is reached both
+// through a given-up anchor and a deletion chosen at the leaf, nor with a
+// vertex the member drops still mapped.
+func TestEdgeSetsWithinReachesEachPairOnce(t *testing.T) {
+	vl := []graph.Label{"a", "b", "c"}
+	reached := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tg := randomGraph(rng, 5+rng.Intn(4), 6+rng.Intn(8), vl[:1+rng.Intn(3)], []graph.Label{""})
+		p := randomGraph(rng, 2+rng.Intn(4), 1+rng.Intn(6), vl[:1+rng.Intn(3)], []graph.Label{""})
+		for delta := 0; delta < p.NumEdges(); delta++ {
+			want := 0
+			for _, rq := range deletions(p, delta) {
+				want += Count(rq, tg, nil, 0)
+			}
+			sc := &scratch{images: imageSet{head: make(map[uint64]int32)}}
+			sc.enumerate(p, tg, delta, 0)
+			if sc.images.reached != want {
+				t.Fatalf("seed %d δ=%d: %d pairs emitted, the deletions have %d embeddings\np = %v\nt = %v", seed, delta, sc.images.reached, want, p, tg)
+			}
+			reached += want
+		}
+	}
+	if reached < 1000 {
+		t.Fatalf("only %d pairs reached", reached)
 	}
 }
 
@@ -235,7 +334,8 @@ func fuzzInput(data []byte) (p, t *graph.Graph, mask *graph.EdgeSet, delta int) 
 }
 
 // FuzzExistsWithin holds the tolerant search to Definition 8 by brute force
-// over deletion sets, and budget 0 on an isolate-free pattern to Exists. The
+// over deletion sets, budget 0 on an isolate-free pattern to Exists, and
+// the enumeration (on the unmasked target) to the per-rq collection. The
 // checked-in corpus is under testdata/fuzz/FuzzExistsWithin.
 func FuzzExistsWithin(f *testing.F) {
 	f.Add([]byte{})
@@ -248,6 +348,9 @@ func FuzzExistsWithin(f *testing.F) {
 		}
 		if rq := p.DropIsolated(); ExistsWithin(p, tg, mask, 0) != Exists(rq, tg, mask) {
 			t.Fatalf("budget 0 disagrees with Exists\np = %v\nt = %v\nmask = %v", p, tg, mask)
+		}
+		if g, w := sortedSets(EdgeSetsWithin(p, tg, delta, 0)), sortedSets(perRQEdgeSets(p, tg, delta)); !slices.EqualFunc(g, w, slices.Equal) {
+			t.Fatalf("δ=%d: EdgeSetsWithin %v, per-rq collection %v\np = %v\nt = %v", delta, g, w, p, tg)
 		}
 	})
 }

@@ -3,13 +3,12 @@
 // deleting exactly δ edges. By Lemma 1, q is subgraph-similar to a world g′
 // (distance ≤ δ) iff some rq ∈ U is subgraph-isomorphic to g′, so U is the
 // one bridge between similarity and plain isomorphism. Every rq is q minus a
-// deletion set, and the consumers read U through that: Members hands out
-// each rq with the set of q's edges it lacks, the pruner decides f ⊆iso rq
-// by a mask test against the embeddings of f in q, and structural
-// confirmation does not enumerate U at all (iso.ExistsWithin searches q
-// with a budget of δ). Only the verification DNF still matches every rq
-// graph on its own. U depends on (q, δ) only and is derived once per query
-// (core's query plan).
+// deletion set, and the query path reads U as those sets alone: Members
+// lists them as masks over q's edges, the pruner decides f ⊆iso rq by a
+// mask test against the embeddings of f in q, and neither structural
+// confirmation nor the verification DNF enumerates U — iso.ExistsWithin and
+// iso.EdgeSetsWithin search q itself with a budget of δ. U depends on
+// (q, δ) only and is derived once per query (core's query plan).
 //
 // Relabeling operations are subsumed by deletion under the paper's
 // Definition 8 distance (a relabeled edge contributes to the distance
@@ -34,32 +33,42 @@ const DefaultMaxSize = 4096
 // DefaultMaxSize), and the enumeration order does not depend on maxSize:
 // Relaxed(q, δ, m) is a prefix of Relaxed(q, δ, 0).
 func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
-	u, _ := Members(q, delta, maxSize)
+	switch {
+	case delta <= 0:
+		if d := q.DropIsolated(); d.NumVertices() < q.NumVertices() {
+			return []*graph.Graph{d}
+		}
+		return []*graph.Graph{q}
+	case delta >= q.NumEdges():
+		return []*graph.Graph{graph.NewBuilder(q.Name() + "-empty").Build()}
+	}
+	deleted := Members(q, delta, maxSize)
+	u := make([]*graph.Graph, len(deleted))
+	for i, d := range deleted {
+		u[i] = Member(q, d)
+	}
 	return u
 }
 
-// Members is Relaxed with, beside each rq, the deletion set that produced
-// it as a mask over q's edge ids: u[i] is q.DeleteEdges(deleted[i])
-// .DropIsolated(). Deletion sets are enumerated in lexicographic order and
-// the first of each isomorphism class is kept.
+// Members returns the deletion sets of Relaxed's members, in its order, as
+// masks over q's edge ids: Relaxed(q, δ, m)[i] is Member(q, Members(q, δ,
+// m)[i]) up to isomorphism. Deletion sets are enumerated in lexicographic
+// order and the first of each isomorphism class is kept.
 //
 // Classes are told apart by an isomorphism-invariant fingerprint of
-// (q, deletion set) first; graph.CanonicalCode, which dominates the cost of
-// the enumeration, runs only on deletion sets whose fingerprint repeats.
-func Members(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, deleted []graph.EdgeSet) {
+// (q, deletion set) first. Only where a fingerprint repeats are member
+// graphs built, for graph.CanonicalCode, which dominates the cost of the
+// enumeration.
+func Members(q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxSize
 	}
 	ne := q.NumEdges()
-	if delta <= 0 {
-		rq := q
-		if d := q.DropIsolated(); d.NumVertices() < q.NumVertices() {
-			rq = d
-		}
-		return []*graph.Graph{rq}, []graph.EdgeSet{graph.NewEdgeSet(ne)}
-	}
-	if delta >= ne {
-		return []*graph.Graph{graph.NewBuilder(q.Name() + "-empty").Build()}, []graph.EdgeSet{graph.FullEdgeSet(ne)}
+	switch {
+	case delta <= 0:
+		return []graph.EdgeSet{graph.NewEdgeSet(ne)}
+	case delta >= ne:
+		return []graph.EdgeSet{graph.FullEdgeSet(ne)}
 	}
 	fingerprint := fingerprints(q)
 	// holder maps a fingerprint to the member that first showed it, or to
@@ -70,11 +79,10 @@ func Members(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, deleted []gr
 	drop := make([]graph.EdgeID, 0, delta)
 	var rec func(start graph.EdgeID)
 	rec = func(start graph.EdgeID) {
-		if len(u) >= maxSize {
+		if len(deleted) >= maxSize {
 			return
 		}
 		if len(drop) == delta {
-			rq := q.DeleteEdges(drop).DropIsolated()
 			mask := graph.NewEdgeSet(ne)
 			for _, e := range drop {
 				mask.Add(e)
@@ -82,18 +90,18 @@ func Members(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, deleted []gr
 			f := fingerprint(mask)
 			if first, dup := holder[f]; dup {
 				if first >= 0 {
-					seen[graph.CanonicalCode(u[first])] = true
+					seen[graph.CanonicalCode(Member(q, deleted[first]))] = true
 					holder[f] = -1
 				}
-				code := graph.CanonicalCode(rq)
+				code := graph.CanonicalCode(Member(q, mask))
 				if seen[code] {
 					return
 				}
 				seen[code] = true
 			} else {
-				holder[f] = len(u)
+				holder[f] = len(deleted)
 			}
-			u, deleted = append(u, rq), append(deleted, mask)
+			deleted = append(deleted, mask)
 			return
 		}
 		remaining := delta - len(drop)
@@ -104,7 +112,13 @@ func Members(q *graph.Graph, delta, maxSize int) (u []*graph.Graph, deleted []gr
 		}
 	}
 	rec(0)
-	return u, deleted
+	return deleted
+}
+
+// Member returns the relaxed query of one deletion set: q without the
+// edges in deleted and without the vertices that leaves isolated.
+func Member(q *graph.Graph, deleted graph.EdgeSet) *graph.Graph {
+	return q.DeleteEdges(deleted.Slice()).DropIsolated()
 }
 
 // fingerprints returns the function that folds, for q minus a deletion set,

@@ -296,7 +296,7 @@ func TestRelaxedMatchesCanonicalEnumeration(t *testing.T) {
 	for qi, q := range queries {
 		for delta := 1; delta <= 3 && delta < q.NumEdges(); delta++ {
 			want, drops := relaxedByCodes(q, delta, DefaultMaxSize)
-			got, deleted := Members(q, delta, 0)
+			got, deleted := Relaxed(q, delta, 0), Members(q, delta, 0)
 			if len(got) != len(want) || len(deleted) != len(got) {
 				t.Fatalf("query %d δ=%d: %d members and %d masks, reference has %d", qi, delta, len(got), len(deleted), len(want))
 			}
@@ -307,7 +307,7 @@ func TestRelaxedMatchesCanonicalEnumeration(t *testing.T) {
 				if !slices.Equal(deleted[i].Slice(), drops[i]) {
 					t.Fatalf("query %d δ=%d: member %d deletes %v, reference %v", qi, delta, i, deleted[i].Slice(), drops[i])
 				}
-				if rebuilt := q.DeleteEdges(deleted[i].Slice()).DropIsolated(); rebuilt.String() != got[i].String() {
+				if rebuilt := Member(q, deleted[i]); rebuilt.String() != got[i].String() {
 					t.Fatalf("query %d δ=%d: mask %v rebuilds %v, member is %v", qi, delta, deleted[i].Slice(), rebuilt, got[i])
 				}
 			}
@@ -316,6 +316,9 @@ func TestRelaxedMatchesCanonicalEnumeration(t *testing.T) {
 				fast := Relaxed(q, delta, max(m, 1))
 				if len(fast) != len(capped) {
 					t.Fatalf("query %d δ=%d cap %d: %d members, reference %d", qi, delta, m, len(fast), len(capped))
+				}
+				if masks := Members(q, delta, max(m, 1)); !slices.EqualFunc(masks, deleted[:len(fast)], graph.EdgeSet.Equal) {
+					t.Fatalf("query %d δ=%d cap %d: masks are not the uncapped prefix", qi, delta, m)
 				}
 				for i := range fast {
 					if fast[i].String() != got[i].String() {
@@ -330,12 +333,15 @@ func TestRelaxedMatchesCanonicalEnumeration(t *testing.T) {
 // TestRelaxedMembersEdgeCases: the two shapes Members answers without enumerating.
 func TestRelaxedMembersEdgeCases(t *testing.T) {
 	q := paperQuery()
-	u, deleted := Members(q, 0, 0)
-	if len(u) != 1 || u[0] != q || deleted[0].Count() != 0 || deleted[0].Len() != q.NumEdges() {
+	u, deleted := Relaxed(q, 0, 0), Members(q, 0, 0)
+	if len(u) != 1 || u[0] != q || len(deleted) != 1 || deleted[0].Count() != 0 || deleted[0].Len() != q.NumEdges() {
 		t.Fatalf("δ=0: members %v, masks %v", u, deleted)
 	}
-	u, deleted = Members(q, q.NumEdges()+2, 0)
-	if len(u) != 1 || u[0].NumVertices() != 0 || deleted[0].Count() != q.NumEdges() {
+	u, deleted = Relaxed(q, q.NumEdges()+2, 0), Members(q, q.NumEdges()+2, 0)
+	if len(u) != 1 || u[0].NumVertices() != 0 || len(deleted) != 1 || deleted[0].Count() != q.NumEdges() {
 		t.Fatalf("δ>|E|: members %v, masks %v", u, deleted)
+	}
+	if rq := Member(q, deleted[0]); rq.NumVertices() != 0 || rq.NumEdges() != 0 {
+		t.Fatalf("δ>|E|: the full mask rebuilds %v", rq)
 	}
 }
