@@ -74,6 +74,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"time"
 
@@ -115,8 +116,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pgserve: -timeout must be >= 0, got %v\n", *timeout)
 		os.Exit(2)
 	}
-	if *compactThreshold > 1 {
-		fmt.Fprintf(os.Stderr, "pgserve: -compact-threshold must be <= 1, got %v\n", *compactThreshold)
+	if math.IsNaN(*compactThreshold) || math.IsInf(*compactThreshold, 0) || *compactThreshold > 1 {
+		fmt.Fprintf(os.Stderr, "pgserve: -compact-threshold must be a finite number <= 1, got %v\n", *compactThreshold)
 		os.Exit(2)
 	}
 

@@ -76,7 +76,9 @@ type BuildStats struct {
 // index is the graph index queries report. RemoveGraph tombstones a slot
 // — its graph, engine and PMI column are released, the structural index
 // keeps its count row and the scan skips it — so surviving indices are
-// stable across removals. Compact drops the
+// stable across removals. Which slots are live is recorded once, in the
+// structural index's dead mask (simsearch.Index); Live, NumLive and
+// Tombstones read it. Compact drops the
 // tombstones and renumbers the survivors contiguously (in slot order),
 // realigning per-candidate query seeding with a fresh NewDatabase over
 // the surviving graphs; the mined feature vocabulary is carried over
@@ -103,17 +105,14 @@ type View struct {
 
 	Features []*feature.Feature
 	PMI      *pmi.Index
-	Struct   *simsearch.Index
+	// Struct is never nil: besides filtering, it records which slots are
+	// live.
+	Struct *simsearch.Index
 
 	// Build holds build-time metrics, not state; a snapshot load refills
 	// only the fields queries read.
 	Build BuildStats
 	opt   BuildOptions
-
-	// live marks which slots hold live graphs (nil = all live);
-	// liveCount counts them.
-	live      []bool
-	liveCount int
 
 	// gids maps this view's slots to the global graph ids of the
 	// database it was partitioned from (nil = identity: slot i is global
@@ -131,13 +130,24 @@ type View struct {
 func (v *View) Len() int { return len(v.Graphs) }
 
 // NumLive returns the number of live (non-tombstoned) graphs.
-func (v *View) NumLive() int { return v.liveCount }
+func (v *View) NumLive() int { return len(v.Graphs) - v.Struct.Tombstones() }
 
 // Tombstones returns the number of tombstoned slots.
-func (v *View) Tombstones() int { return len(v.Graphs) - v.liveCount }
+func (v *View) Tombstones() int { return v.Struct.Tombstones() }
 
 // Live reports whether slot gi holds a live graph.
-func (v *View) Live(gi int) bool { return v.live == nil || v.live[gi] }
+func (v *View) Live(gi int) bool { return v.Struct.Live(gi) }
+
+// liveSlots returns the live slots, ascending.
+func (v *View) liveSlots() []int {
+	var out []int
+	for gi := range v.Graphs {
+		if v.Live(gi) {
+			out = append(out, gi)
+		}
+	}
+	return out
+}
 
 // Options returns the build options the database was constructed with.
 func (v *View) Options() BuildOptions { return v.opt }
@@ -198,8 +208,8 @@ type Database struct {
 	mu sync.Mutex
 
 	// compactThreshold (guarded by mu) triggers automatic compaction
-	// after a mutation once Tombstones() > threshold × Len(); 0 disables
-	// auto-compaction (Compact stays available).
+	// after a removal once Tombstones() > threshold × Len(); a value not
+	// > 0 disables auto-compaction (Compact stays available).
 	compactThreshold float64
 }
 
@@ -210,7 +220,7 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
-	v := &View{Generation: 1, Graphs: graphs, opt: opt, liveCount: len(graphs)}
+	v := &View{Generation: 1, Graphs: graphs, opt: opt}
 	engines := make([]*prob.Engine, len(graphs))
 	for i, pg := range graphs {
 		eng, err := prob.NewEngine(pg)
@@ -267,11 +277,12 @@ func (db *Database) Len() int { return db.View().Len() }
 // Build returns the current view's construction statistics.
 func (db *Database) Build() BuildStats { return db.View().Build }
 
-// SetCompactThreshold configures automatic compaction: after a mutation
-// leaves more than frac × Len() slots tombstoned, the mutation compacts
-// the database in the same commit (one extra generation). frac <= 0
-// disables auto-compaction; Compact remains available either way. Note
-// that compaction renumbers the surviving graphs.
+// SetCompactThreshold configures automatic compaction: after a removal
+// leaves more than frac × Len() slots tombstoned, the removal compacts
+// the database in the same commit (one extra generation). A frac that is
+// not > 0 (NaN included) disables auto-compaction; Compact remains
+// available either way. Note that compaction renumbers the surviving
+// graphs.
 func (db *Database) SetCompactThreshold(frac float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -293,14 +304,6 @@ var ErrNoSuchGraph = errors.New("no such graph")
 // full database must mutate and re-partition instead.
 var ErrPartitioned = errors.New("database is a read-only partition")
 
-// checkMutable rejects mutations on partitioned views. Caller holds db.mu.
-func (db *Database) checkMutable() error {
-	if db.cur.Load().Partitioned() {
-		return fmt.Errorf("core: %w", ErrPartitioned)
-	}
-	return nil
-}
-
 // Mutation describes one committed mutation: the slot it targeted (or
 // created), the generation transition, the resulting shape, and whether
 // the mutation triggered auto-compaction (renumbering graph indices).
@@ -318,12 +321,46 @@ type Mutation struct {
 	CompactedSlots int
 }
 
-// record fills the post-state fields from the committed view.
-func (m *Mutation) record(old, committed *View) {
-	m.OldGeneration = old.Generation
-	m.NewGeneration = committed.Generation
-	m.LiveGraphs = committed.NumLive()
-	m.Tombstoned = committed.Tombstones()
+// commit runs one mutation under the writer lock: it refuses a
+// partitioned database, checks the addressed slot, and asks next for the
+// successor of the current view — the current view itself when there is
+// nothing to do, which publishes nothing. A mutation that addresses an
+// existing slot (RemoveGraph, ReplaceGraph) names it with verb and id, and
+// the slot must be live; one that addresses none (AddGraph, Compact)
+// passes an empty verb, and its record's Index is the slot an append
+// creates. The successor gets the next generation; one that tombstoned a
+// slot then compacts in the same commit (another generation) once the
+// threshold is crossed.
+func (db *Database) commit(verb string, id int, next func(v *View) (*View, error)) (Mutation, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	v := db.cur.Load()
+	if v.Partitioned() {
+		return Mutation{}, fmt.Errorf("core: %w", ErrPartitioned)
+	}
+	m := Mutation{Index: id, OldGeneration: v.Generation}
+	if verb == "" {
+		m.Index = v.Len()
+	} else if err := v.checkLive(id, verb); err != nil {
+		return Mutation{}, err
+	}
+	nv, err := next(v)
+	if err != nil {
+		return Mutation{}, err
+	}
+	if nv != v {
+		nv.Generation = v.Generation + 1
+		if nv.Tombstones() > v.Tombstones() && db.compactThreshold > 0 &&
+			float64(nv.Tombstones()) > db.compactThreshold*float64(nv.Len()) {
+			cv := nv.project(nv.liveSlots())
+			cv.Generation = nv.Generation + 1
+			m.Compacted, m.CompactedSlots = true, nv.Len()-cv.Len()
+			nv = cv
+		}
+		db.cur.Store(nv)
+	}
+	m.NewGeneration, m.LiveGraphs, m.Tombstoned = nv.Generation, nv.NumLive(), nv.Tombstones()
+	return m, nil
 }
 
 // AddGraph inserts one probabilistic graph incrementally: it builds the
@@ -352,43 +389,28 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 	if err != nil {
 		return Mutation{}, fmt.Errorf("core: adding graph: %w", err)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkMutable(); err != nil {
-		return Mutation{}, err
-	}
-	v := db.cur.Load()
-	nv := *v
-	if v.PMI != nil {
-		npmi, err := v.PMI.WithColumn(pg, eng)
-		if err != nil {
-			return Mutation{}, err
+	return db.commit("", 0, func(v *View) (*View, error) {
+		nv := *v
+		if v.PMI != nil {
+			npmi, err := v.PMI.WithColumn(pg, eng)
+			if err != nil {
+				return nil, err
+			}
+			nv.PMI = npmi
+			nv.Build.IndexSizeBytes = npmi.SizeBytes()
 		}
-		nv.PMI = npmi
-		nv.Build.IndexSizeBytes = npmi.SizeBytes()
-	}
-	gi := len(v.Graphs)
-	nv.Graphs = append(v.Graphs, pg)
-	nv.engines = append(v.engines, newEngineCell(eng))
-	nv.Certain = append(v.Certain, pg.G)
-	if v.live != nil {
-		nv.live = append(v.live, true)
-	}
-	nv.liveCount = v.liveCount + 1
-	if v.Struct != nil {
+		nv.Graphs = append(v.Graphs, pg)
+		nv.engines = append(v.engines, newEngineCell(eng))
+		nv.Certain = append(v.Certain, pg.G)
 		nv.Struct = v.Struct.WithGraph(pg.G)
-	}
-	nv.Generation = v.Generation + 1
-	db.cur.Store(&nv)
-	m := Mutation{Index: gi}
-	m.record(v, &nv)
-	return m, nil
+		return &nv, nil
+	})
 }
 
 // RemoveGraph tombstones slot id: the graph disappears from every
 // subsequent query (already-pinned views still see it) and its data is
-// released, while its structural count row stays in place, masked, until
-// Compact drops it.
+// released, while its structural count row stays in place, skipped by the
+// scan, until Compact drops it.
 // Surviving graph indices are unchanged. The new generation is returned.
 func (db *Database) RemoveGraph(id int) (uint64, error) {
 	m, err := db.RemoveGraphInfo(id)
@@ -399,48 +421,22 @@ func (db *Database) RemoveGraph(id int) (uint64, error) {
 // including whether the removal crossed the compaction threshold and
 // renumbered the survivors.
 func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkMutable(); err != nil {
-		return Mutation{}, err
-	}
-	v := db.cur.Load()
-	if err := v.checkLive(id, "removing"); err != nil {
-		return Mutation{}, err
-	}
-	nv := *v
-	nv.live = make([]bool, len(v.Graphs))
-	if v.live != nil {
-		copy(nv.live, v.live)
-	} else {
-		for i := range nv.live {
-			nv.live[i] = true
+	return db.commit("removing", id, func(v *View) (*View, error) {
+		// Dead slots are never queried: the successor is data-free for the
+		// slot — graph, JPTs and engine cell let go, the PMI column freed
+		// (pinned views keep theirs) — or an uncompacted server retains
+		// every graph it ever held. A snapshot of the successor writes the
+		// empty graph in the slot.
+		nv := *v
+		nv.Graphs = cloneWith(v.Graphs, id, deadGraph)
+		nv.Certain = cloneWith(v.Certain, id, deadGraph.G)
+		nv.engines = cloneWith(v.engines, id, nil)
+		nv.Struct = v.Struct.WithTombstones(id)
+		if v.PMI != nil {
+			nv.PMI = v.PMI.WithFreedColumns(id)
 		}
-	}
-	nv.live[id] = false
-	nv.liveCount = v.liveCount - 1
-	// Dead slots are never queried: the successor is data-free for the slot —
-	// graph, JPTs and engine cell let go, the PMI column freed (pinned views
-	// keep theirs) — or an uncompacted server retains every graph it ever
-	// held. A snapshot of the successor writes the empty graph in the slot.
-	nv.Graphs = cloneWith(v.Graphs, id, deadGraph)
-	nv.Certain = cloneWith(v.Certain, id, deadGraph.G)
-	nv.engines = cloneWith(v.engines, id, nil)
-	if v.Struct != nil {
-		nv.Struct = v.Struct.WithTombstone(id)
-	}
-	if v.PMI != nil {
-		nv.PMI = v.PMI.WithMaskedColumn(id)
-	}
-	nv.Generation = v.Generation + 1
-	final := db.maybeCompact(&nv)
-	db.cur.Store(final)
-	m := Mutation{Index: id, Compacted: final != &nv}
-	if m.Compacted {
-		m.CompactedSlots = nv.Len() - final.Len()
-	}
-	m.record(v, final)
-	return m, nil
+		return &nv, nil
+	})
 }
 
 // ReplaceGraph swaps the graph in live slot id for pg — the re-scored-JPT
@@ -459,35 +455,22 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 	if err != nil {
 		return Mutation{}, fmt.Errorf("core: replacing graph %d: %w", id, err)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkMutable(); err != nil {
-		return Mutation{}, err
-	}
-	v := db.cur.Load()
-	if err := v.checkLive(id, "replacing"); err != nil {
-		return Mutation{}, err
-	}
-	nv := *v
-	if v.PMI != nil {
-		npmi, err := v.PMI.WithReplacedColumn(id, pg, eng)
-		if err != nil {
-			return Mutation{}, err
+	return db.commit("replacing", id, func(v *View) (*View, error) {
+		nv := *v
+		if v.PMI != nil {
+			npmi, err := v.PMI.WithReplacedColumn(id, pg, eng)
+			if err != nil {
+				return nil, err
+			}
+			nv.PMI = npmi
+			nv.Build.IndexSizeBytes = npmi.SizeBytes()
 		}
-		nv.PMI = npmi
-		nv.Build.IndexSizeBytes = npmi.SizeBytes()
-	}
-	nv.Graphs = cloneWith(v.Graphs, id, pg)
-	nv.engines = cloneWith(v.engines, id, newEngineCell(eng))
-	nv.Certain = cloneWith(v.Certain, id, pg.G)
-	if v.Struct != nil {
+		nv.Graphs = cloneWith(v.Graphs, id, pg)
+		nv.engines = cloneWith(v.engines, id, newEngineCell(eng))
+		nv.Certain = cloneWith(v.Certain, id, pg.G)
 		nv.Struct = v.Struct.WithReplaced(id, pg.G)
-	}
-	nv.Generation = v.Generation + 1
-	db.cur.Store(&nv)
-	m := Mutation{Index: id}
-	m.record(v, &nv)
-	return m, nil
+		return &nv, nil
+	})
 }
 
 // Compact rewrites the database without its tombstoned slots: survivors
@@ -500,37 +483,13 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 // re-mined. A database without tombstones is returned unchanged (same
 // generation).
 func (db *Database) Compact() (uint64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkMutable(); err != nil {
-		return 0, err
-	}
-	v := db.cur.Load()
-	if v.Tombstones() == 0 {
-		return v.Generation, nil
-	}
-	nv := compactView(v)
-	db.cur.Store(nv)
-	return nv.Generation, nil
-}
-
-// maybeCompact applies the auto-compaction policy to a not-yet-published
-// successor view. Caller holds db.mu.
-func (db *Database) maybeCompact(nv *View) *View {
-	if db.compactThreshold <= 0 || nv.Len() == 0 {
-		return nv
-	}
-	if float64(nv.Tombstones()) <= db.compactThreshold*float64(nv.Len()) {
-		return nv
-	}
-	return compactView(nv)
-}
-
-// compactView builds the tombstone-free successor of v.
-func compactView(v *View) *View {
-	nv := v.project(v.Live)
-	nv.Generation = v.Generation + 1
-	return nv
+	m, err := db.commit("", 0, func(v *View) (*View, error) {
+		if v.Tombstones() == 0 {
+			return v, nil
+		}
+		return v.project(v.liveSlots()), nil
+	})
+	return m.NewGeneration, err
 }
 
 // deadGraph occupies every slot RemoveGraph tombstones.

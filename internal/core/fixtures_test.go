@@ -184,6 +184,46 @@ func fixtureQueries(t *testing.T) ([]*graph.Graph, QueryOptions) {
 // bg is the context of every test query that exercises no cancellation.
 var bg = context.Background()
 
+// withoutSection returns a copy of a snapshot, in either encoding, with
+// section s left out: in text its marker and payload lines are dropped, in
+// binary its section-table record is (the payload stays behind as bytes no
+// record points at).
+func withoutSection(t testing.TB, raw []byte, s section) []byte {
+	t.Helper()
+	if !snapbin.IsBinary(raw) {
+		var out []byte
+		skip, found := false, false
+		for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte("section ")) || bytes.HasPrefix(line, []byte("endpgsnap")) {
+				skip = string(line) == "section "+s.name+"\n"
+				found = found || skip
+			}
+			if !skip {
+				out = append(out, line...)
+			}
+		}
+		if !found {
+			t.Fatalf("text snapshot has no %s section", s.name)
+		}
+		return out
+	}
+	if _, err := snapbin.Parse(raw); err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.Clone(raw)
+	n := int(binary.LittleEndian.Uint64(out[8:16]))
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint64(out[16+24*i:]) == s.kind {
+			copy(out[16+24*i:], out[16+24*(i+1):16+24*n])
+			clear(out[16+24*(n-1) : 16+24*n])
+			binary.LittleEndian.PutUint64(out[8:16], uint64(n-1))
+			return out
+		}
+	}
+	t.Fatalf("binary snapshot has no %s section", s.name)
+	return nil
+}
+
 // withoutPostingsOf returns a copy of an older-layout snapshot in which the
 // struct section's posting slab no longer mentions graph victim: every
 // occurrence becomes graph other. Lengths and offset tables are untouched,

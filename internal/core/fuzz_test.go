@@ -2,19 +2,23 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"testing"
+	"time"
 )
 
 // FuzzLoadDatabase drives the snapshot loader — format sniffing, the v5
 // text decoder and the v4 binary cursor, and the one section decoder
-// behind both — with arbitrary bytes. The contract under fuzzing is purely
-// defensive: a corrupt snapshot must produce an error, never a panic, an
-// index out of range, or an attempt to allocate slabs the input cannot
-// back. The corpus seeds every checked-in fixture plus truncations and bit
-// flips of one fixture per encoding, which walk the cursor through its
-// bounds checks and the text decoder through its tag, count and framing
-// checks.
+// behind both — with arbitrary bytes, and queries what loads. The contract
+// under fuzzing is purely defensive: a corrupt snapshot must produce an
+// error, never a panic, an index out of range, or an attempt to allocate
+// slabs the input cannot back — and a snapshot that loads must answer a
+// query (an error is fine, a panic is not). The corpus seeds every
+// checked-in fixture, a v4 and a v5 fixture without their struct section,
+// and truncations and bit flips of one fixture per encoding, which walk
+// the cursor through its bounds checks and the text decoder through its
+// tag, count and framing checks.
 func FuzzLoadDatabase(f *testing.F) {
 	for _, name := range []string{"v1_tiny.pgsnapb", "v2_tiny.pgsnapb", "v5_tiny.pgsnap",
 		"v5_tiny_tombs.pgsnap", "v4_tiny.pgsnapb", "v4_tiny_tombs.pgsnapb",
@@ -29,6 +33,11 @@ func FuzzLoadDatabase(f *testing.F) {
 	for old := range oldLayoutFixtures {
 		if b, err := os.ReadFile(fixturePath(old)); err == nil {
 			f.Add(withoutPostingsOf(f, b, 0, 1))
+		}
+	}
+	for _, name := range []string{"v4_tiny_tombs.pgsnapb", "v5_tiny_tombs.pgsnap"} {
+		if b, err := os.ReadFile(fixturePath(name)); err == nil {
+			f.Add(withoutSection(f, b, secStruct))
 		}
 	}
 	damaged := func(name string, cuts, flips []int) {
@@ -61,8 +70,20 @@ func FuzzLoadDatabase(f *testing.F) {
 	f.Add([]byte("PGSNAPB4"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadDatabase(bytes.NewReader(data))
-		if err == nil && db == nil {
+		if err != nil {
+			return
+		}
+		if db == nil {
 			t.Fatal("LoadDatabase returned nil database without an error")
+		}
+		v := db.View()
+		for gi := range v.Graphs {
+			if v.Live(gi) {
+				ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+				defer cancel()
+				v.QueryCtx(ctx, v.Certain[gi], QueryOptions{Delta: 1, Verifier: VerifierNone})
+				return
+			}
 		}
 	})
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -592,6 +594,76 @@ func TestAutoCompactThreshold(t *testing.T) {
 		if n := db.View().PMI.NumGraphs(); n != 4 {
 			t.Fatalf("PMI has %d columns after compaction, want 4", n)
 		}
+	}
+}
+
+// TestRemoveGraphRefusesBadSlot: removing or replacing a slot that does
+// not exist — negative, past the end — or is already removed answers
+// ErrNoSuchGraph and commits nothing.
+func TestRemoveGraphRefusesBadSlot(t *testing.T) {
+	db, raw := smallDatabase(t, 2407, 4, false)
+	if _, err := db.RemoveGraph(1); err != nil {
+		t.Fatal(err)
+	}
+	gen := db.View().Generation
+	for _, id := range []int{-1, -7, 4, 1} {
+		_, rmErr := db.RemoveGraph(id)
+		_, replErr := db.ReplaceGraph(id, raw.Graphs[0])
+		if !errors.Is(rmErr, ErrNoSuchGraph) || !errors.Is(replErr, ErrNoSuchGraph) {
+			t.Fatalf("slot %d: remove error %v, replace error %v; want ErrNoSuchGraph", id, rmErr, replErr)
+		}
+	}
+	if db.View().Generation != gen {
+		t.Fatalf("refused mutations moved the generation from %d to %d", gen, db.View().Generation)
+	}
+}
+
+// TestAutoCompactNaNThresholdNeverCompacts: a threshold that is not > 0
+// disables auto-compaction, NaN included — every comparison with NaN is
+// false, so a "<= 0 disables" test would let it through to a rule that
+// then compacts on every removal.
+func TestAutoCompactNaNThresholdNeverCompacts(t *testing.T) {
+	db, _ := smallDatabase(t, 2403, 12, false)
+	db.SetCompactThreshold(math.NaN())
+	for k, id := range []int{3, 0, 7, 11, 5, 1, 9, 2, 10, 4, 6} {
+		m, err := db.RemoveGraphInfo(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Compacted || db.Len() != 12 || m.Tombstoned != k+1 || m.NewGeneration != m.OldGeneration+1 {
+			t.Fatalf("removal %d of slot %d: %+v, len %d — a NaN threshold compacted", k+1, id, m, db.Len())
+		}
+	}
+}
+
+// TestAutoCompactOnlyOnRemoval: auto-compaction rides only on a commit
+// that tombstones a slot. A threshold armed after the tombstones piled up
+// leaves an add and a replace alone; the next removal compacts.
+func TestAutoCompactOnlyOnRemoval(t *testing.T) {
+	db, raw := smallDatabase(t, 2405, 6, false)
+	for _, id := range []int{1, 2, 4} {
+		if _, err := db.RemoveGraph(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetCompactThreshold(0.25)
+	add, err := db.AddGraphInfo(raw.Graphs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := db.ReplaceGraphInfo(0, raw.Graphs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if add.Compacted || repl.Compacted || db.Len() != 7 || db.View().Tombstones() != 3 {
+		t.Fatalf("add %+v, replace %+v, len %d: a commit that tombstoned nothing compacted", add, repl, db.Len())
+	}
+	rm, err := db.RemoveGraphInfo(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rm.Compacted || rm.CompactedSlots != 4 || db.Len() != 3 || rm.NewGeneration != rm.OldGeneration+2 {
+		t.Fatalf("removal past the threshold: %+v, len %d; want compacted to 3 slots in two generations", rm, db.Len())
 	}
 }
 

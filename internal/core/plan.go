@@ -57,11 +57,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	p := &plan{q: q, opt: opt}
 	if opt.Delta >= q.NumEdges() {
 		p.degenerate = true
-		for gi := range v.Graphs {
-			if v.Live(gi) {
-				p.scq = append(p.scq, gi)
-			}
-		}
+		p.scq = v.liveSlots()
 		return p, nil
 	}
 	parent := obs.SpanFrom(ctx)

@@ -50,6 +50,8 @@ func TestQueryValidation(t *testing.T) {
 		{Epsilon: -0.1, Delta: 1},
 		{Epsilon: 0.5, Delta: -1},
 		{Delta: -3, Verifier: VerifierNone},
+		{Epsilon: math.NaN(), Delta: 1},
+		{Delta: 1, Verify: verify.Options{N: -5}},
 	} {
 		want := opt.Validate()
 		if want == nil {

@@ -49,12 +49,8 @@ type QueryOptions struct {
 	Verify verify.Options
 	// MaxRelaxed caps the relaxed queries the PMI bounds read (0 = all of
 	// U; structural confirmation and verification search q with a budget
-	// of δ and always read all of it). MaxClausesPerCandidate caps the
-	// distinct embedded edge sets verification collects per candidate
-	// (0 selects DefaultMaxClausesPerCandidate); a cap that binds leaves
-	// out clauses, so the value becomes a lower bound.
-	MaxRelaxed             int
-	MaxClausesPerCandidate int
+	// of δ and always read all of it).
+	MaxRelaxed int
 	// Seed drives the randomized pieces (plain SSPBound's pair choice,
 	// SMP) deterministically; OPT-SSPBound itself draws nothing.
 	Seed int64
@@ -68,33 +64,35 @@ type QueryOptions struct {
 	Concurrency int
 }
 
-// DefaultMaxClausesPerCandidate is the default of
-// QueryOptions.MaxClausesPerCandidate.
+// DefaultMaxClausesPerCandidate caps the distinct embedded edge sets
+// verification collects per candidate; a cap that binds leaves out
+// clauses, so the value becomes a lower bound.
 const DefaultMaxClausesPerCandidate = 4096
 
 func (o QueryOptions) withDefaults() QueryOptions {
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.5
 	}
-	if o.MaxClausesPerCandidate == 0 {
-		o.MaxClausesPerCandidate = DefaultMaxClausesPerCandidate
-	}
 	return o
 }
 
 // Validate reports whether the result-affecting knobs are in range:
-// ε ∈ (0, 1] (0 is accepted as "unset", defaulting to 0.5) and δ ≥ 0.
+// ε ∈ (0, 1] (0 is accepted as "unset", defaulting to 0.5; NaN is
+// refused), δ ≥ 0 and the SMP sample count Verify.N ≥ 0 (0 = default).
 // Every query method applies it inside its plan, the ranked ones
 // included although ε does not affect a ranking; callers that want to
 // reject bad requests before any work, distinguishable from evaluation
 // failures (the server maps Validate errors to HTTP 400, everything
 // downstream to 422), call it on the untouched options.
 func (o QueryOptions) Validate() error {
-	if o.Epsilon < 0 || o.Epsilon > 1 {
+	if !(o.Epsilon >= 0 && o.Epsilon <= 1) {
 		return fmt.Errorf("core: epsilon %v outside (0,1]", o.Epsilon)
 	}
 	if o.Delta < 0 {
 		return fmt.Errorf("core: negative delta %d", o.Delta)
+	}
+	if o.Verify.N < 0 {
+		return fmt.Errorf("core: negative sample count %d", o.Verify.N)
 	}
 	return nil
 }
@@ -420,7 +418,7 @@ func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) 
 // MaxRelaxed caps, and no set absorbs another. The engine is not resolved
 // for a candidate without clauses.
 func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF, error) {
-	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, opt.MaxClausesPerCandidate)
+	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate)
 	vo := opt.Verify
 	vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
 	if opt.Verifier == VerifierExact {

@@ -38,35 +38,30 @@ func (v *View) Range(lo, hi int) (*View, error) {
 	if len(gids) == 0 {
 		return nil, fmt.Errorf("core: range [%d,%d) holds no live graphs", lo, hi)
 	}
-	nv := v.project(func(gi int) bool { return lo <= gi && gi < hi && v.Live(gi) })
+	nv := v.project(gids)
 	nv.Generation, nv.gids = v.Generation, gids
 	return nv, nil
 }
 
-// project builds the view holding the slots keep selects, renumbered
-// contiguously in slot order with their graphs and engine cells, the full
-// mined feature vocabulary carried over (supports remapped). Masking every
-// other slot and compacting restricts the indices to the kept graphs —
-// count rows and PMI bound entries for the survivors are carried over
-// bitwise, so pruning decisions on the projection match the source's.
-// Compaction and range partitioning are this one projection; the caller
-// sets Generation and gids.
-func (v *View) project(keep func(gi int) bool) *View {
+// project builds the view holding the given slots (ascending), renumbered
+// contiguously with their graphs and engine cells, the full mined feature
+// vocabulary carried over (supports remapped). Each index's Select
+// restricts it to the kept graphs — count rows and PMI bound entries are
+// carried over bitwise, so pruning decisions on the projection match the
+// source's. Compaction and range partitioning are this one projection;
+// the caller sets Generation and gids.
+func (v *View) project(slots []int) *View {
 	nv := &View{opt: v.opt, Build: v.Build}
 	remap := make([]int, v.Len()) // old slot → new slot, -1 when dropped
-	var dropped []int
-	for gi := range v.Graphs {
-		if !keep(gi) {
-			remap[gi] = -1
-			dropped = append(dropped, gi)
-			continue
-		}
-		remap[gi] = len(nv.Graphs)
+	for gi := range remap {
+		remap[gi] = -1
+	}
+	for i, gi := range slots {
+		remap[gi] = i
 		nv.Graphs = append(nv.Graphs, v.Graphs[gi])
 		nv.engines = append(nv.engines, v.engines[gi])
 		nv.Certain = append(nv.Certain, v.Certain[gi])
 	}
-	nv.liveCount = len(nv.Graphs)
 	nv.Features = make([]*feature.Feature, len(v.Features))
 	for i, f := range v.Features {
 		cp := *f
@@ -78,11 +73,9 @@ func (v *View) project(keep func(gi int) bool) *View {
 		}
 		nv.Features[i] = &cp
 	}
-	if v.Struct != nil {
-		nv.Struct = v.Struct.WithTombstones(dropped).Compacted()
-	}
+	nv.Struct = v.Struct.Select(slots)
 	if v.PMI != nil {
-		nv.PMI = v.PMI.WithMaskedColumns(dropped).CompactedColumns()
+		nv.PMI = v.PMI.Select(slots)
 		nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
 	}
 	return nv

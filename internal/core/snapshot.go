@@ -25,7 +25,7 @@ import (
 //	generation  u64 generation; i32 slab of tombstoned slots, ascending
 //	graphs      u32 n; n dataset pgraph records (certain graph + JPTs)
 //	features    u32 nf; per feature an i32 support slab + graph record
-//	struct      simsearch section (absent when Struct is nil)
+//	struct      simsearch section (required: it holds the tombstone mask)
 //	pmi         pmi section (absent when PMI is nil)
 //	gids        i32 slab of slot→global-id map (range partitions only)
 //
@@ -36,9 +36,10 @@ import (
 // section writes every slot, dead ones included, so graph indices — and
 // therefore per-candidate query seeding — survive the round trip. A dead
 // slot holds the empty graph when this process removed it and whatever the
-// file held when it was loaded dead. The PMI section writes masked columns
-// as uncontained and the loader re-applies the mask from the tombstone
-// list.
+// file held when it was loaded dead. The tombstone list restores the
+// structural index's dead mask — the view's one record of which slots are
+// live — and frees the dead slots' PMI columns, which the PMI section
+// writes as uncontained.
 //
 // There are two encodings of that one token stream (see snapbin): pgsnap
 // v4 binary — a section table over 8-byte-aligned payloads, which a server
@@ -126,9 +127,7 @@ func (v *View) encode(open func(section) snapbin.Encoder) error {
 		graph.EncodeSnap(fs, f.G)
 	}
 
-	if v.Struct != nil {
-		v.Struct.EncodeSnap(open(secStruct))
-	}
+	v.Struct.EncodeSnap(open(secStruct))
 	if v.PMI != nil {
 		v.PMI.EncodeSnap(open(secPMI))
 	}
@@ -296,25 +295,26 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 	}
 	v.Build.Features = len(v.Features)
 
-	if c, ok := open(secStruct); ok {
-		ix, err := simsearch.DecodeSnap(c, v.Certain)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: %w", err)
-		}
-		v.Struct = ix.WithTombstones(tombs)
+	if c, err = need(secStruct); err != nil {
+		return nil, err
 	}
+	ix, err := simsearch.DecodeSnap(c, v.Certain)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	v.Struct = ix.WithTombstones(tombs...)
 
 	if c, ok := open(secPMI); ok {
 		idx, err := pmi.DecodeSnap(c, n)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
-		// The pmi section does not persist options, and masked columns
-		// were written as uncontained, so the options and the tombstone
-		// mask are restored here — incremental mutations then behave
-		// exactly as before the round trip.
+		// The pmi section does not persist options, so they are restored
+		// here — incremental mutations then behave exactly as before the
+		// round trip — and the dead slots' columns, written uncontained,
+		// are freed as RemoveGraph freed them.
 		idx.Opt = v.opt.PMI
-		v.PMI = idx.WithMaskedColumns(tombs)
+		v.PMI = idx.WithFreedColumns(tombs...)
 		v.Build.IndexSizeBytes = v.PMI.SizeBytes()
 	}
 
@@ -328,17 +328,6 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 		}
 		if v.gids, err = ascendingIDs(gids32, math.MaxInt, "global id"); err != nil {
 			return nil, err
-		}
-	}
-
-	v.liveCount = n - len(tombs)
-	if len(tombs) > 0 {
-		v.live = make([]bool, n)
-		for gi := range v.live {
-			v.live[gi] = true
-		}
-		for _, gi := range tombs {
-			v.live[gi] = false
 		}
 	}
 

@@ -202,8 +202,8 @@ func TestSnapshotBinaryNoPMI(t *testing.T) {
 	if got.View().PMI != nil {
 		t.Fatal("reloaded database unexpectedly has a PMI")
 	}
-	if got.View().Struct == nil {
-		t.Fatal("reloaded database lost its structural filter")
+	if got.View().NumLive() != db.View().NumLive() {
+		t.Fatalf("reloaded database holds %d live graphs, want %d", got.View().NumLive(), db.View().NumLive())
 	}
 }
 

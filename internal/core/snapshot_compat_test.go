@@ -28,9 +28,6 @@ func replayConvertedFixture(t *testing.T, fixture string) *Database {
 		t.Fatalf("%s restored at generation %d with %d tombstones, want 1 and 0",
 			fixture, db.View().Generation, db.View().Tombstones())
 	}
-	if db.View().Struct == nil {
-		t.Fatalf("%s loaded without a structural filter", fixture)
-	}
 
 	// The recorded run: pgsearch -epsilon 0.3 -delta 2 -seed 5 on query 0
 	// (per-query seed BatchSeed(5, 0) = 5).

@@ -95,9 +95,13 @@ func comparePersisted(t *testing.T, label string, got, want any, separately ...s
 func assertRoundTrip(t *testing.T, label string, got, want *View) {
 	t.Helper()
 	comparePersisted(t, label, got, want, "Features", "PMI")
-	if !reflect.DeepEqual(got.opt, want.opt) || !reflect.DeepEqual(got.live, want.live) ||
-		got.liveCount != want.liveCount || !reflect.DeepEqual(got.gids, want.gids) {
-		t.Errorf("%s: options, live mask or global ids changed across the round trip", label)
+	if !reflect.DeepEqual(got.opt, want.opt) || got.NumLive() != want.NumLive() || !reflect.DeepEqual(got.gids, want.gids) {
+		t.Errorf("%s: options, live count or global ids changed across the round trip", label)
+	}
+	for gi := range want.Graphs {
+		if got.Live(gi) != want.Live(gi) {
+			t.Errorf("%s: slot %d liveness changed across the round trip", label, gi)
+		}
 	}
 
 	// View.engines, View.Certain, View.Build: re-derived.
@@ -144,13 +148,11 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 		if got.PMI.Codes[fi] != graph.CanonicalCode(fg) {
 			t.Errorf("%s: PMI code %d not re-derived from its feature", label, fi)
 		}
-		// Masked columns are saved as uncontained and stay masked.
+		// A dead slot's freed column is saved as uncontained and reads
+		// as the paper's ⟨0⟩ after the load.
 		for gi := 0; gi < got.PMI.NumGraphs(); gi++ {
 			e := got.PMI.At(fi, gi)
-			if got.PMI.Masked(gi) != want.PMI.Masked(gi) {
-				t.Fatalf("%s: PMI mask of column %d changed", label, gi)
-			}
-			if w := want.PMI.At(fi, gi); e != w && !(got.PMI.Masked(gi) && e == (pmi.Entry{})) {
+			if w := want.PMI.At(fi, gi); e != w || (!got.Live(gi) && e != (pmi.Entry{})) {
 				t.Fatalf("%s: PMI entry (%d,%d) = %+v, want %+v", label, fi, gi, e, w)
 			}
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,6 +237,32 @@ func TestSnapshotNoPMI(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Answers, have.Answers) || !reflect.DeepEqual(want.SSP, have.SSP) {
 		t.Fatalf("structure-only query diverged")
+	}
+}
+
+// TestTombstoneRecordNeedsStructSection: the struct section holds the
+// view's one liveness record (the tombstone mask lives in its index), so a
+// snapshot without it is refused, in either encoding and through either
+// loader, with an error naming the section — not loaded into a view whose
+// first query dereferences a nil index.
+func TestTombstoneRecordNeedsStructSection(t *testing.T) {
+	db, _ := snapDB(t, 6)
+	if _, err := db.RemoveGraph(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range bothFormats {
+		cut := withoutSection(t, saveBytes(t, db.View(), format), secStruct)
+		path := filepath.Join(t.TempDir(), "nostruct")
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := LoadDatabase(bytes.NewReader(cut))
+		_, openErr := OpenSnapshot(path)
+		for name, err := range map[string]error{"LoadDatabase": loadErr, "OpenSnapshot": openErr} {
+			if err == nil || !strings.Contains(err.Error(), "missing struct section") {
+				t.Errorf("%s %s without a struct section: error %v, want one naming the section", format, name, err)
+			}
+		}
 	}
 }
 

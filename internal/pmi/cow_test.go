@@ -59,73 +59,67 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestMaskedColumnSaveAndCompact: a masked column serializes as
-// uncontained, the predecessor index is untouched, save→load→save of the
-// masked index is byte-stable, and CompactedColumns equals a matrix that
-// never contained the column.
-func TestMaskedColumnSaveAndCompact(t *testing.T) {
+// TestCOWFreedColumnSaveAndSelect: a freed column serializes as uncontained,
+// the predecessor index is untouched, save→load→save of the freed index is
+// byte-stable, and Select of the surviving slots equals a matrix that never
+// contained the column.
+func TestCOWFreedColumnSaveAndSelect(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 5, 5, false)
 	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	const dead = 2
-	masked := idx.WithMaskedColumn(dead)
-	if idx.MaskedColumns() != 0 || idx.Masked(dead) {
-		t.Fatal("masking mutated the predecessor")
+	freed := idx.WithFreedColumns(dead)
+	contained := 0
+	for fi := range idx.Features {
+		if freed.At(fi, dead) != (Entry{}) {
+			t.Fatalf("row %d: freed column reads %+v, want ⟨0⟩", fi, freed.At(fi, dead))
+		}
+		if idx.At(fi, dead).Contained {
+			contained++
+		}
 	}
-	if masked.MaskedColumns() != 1 || !masked.Masked(dead) {
-		t.Fatal("mask not recorded")
-	}
-	// Idempotent and bulk-compatible.
-	if again := masked.WithMaskedColumns([]int{dead}); again.MaskedColumns() != 1 {
-		t.Fatal("re-masking double-counted")
+	if contained == 0 {
+		t.Fatal("freeing mutated the predecessor (or the column was empty to begin with)")
 	}
 
 	for _, codec := range snapCodecs {
-		maskedOut := codec.save(t, masked)
-		loaded, err := codec.load(maskedOut, len(graphs))
+		freedOut := codec.save(t, freed)
+		loaded, err := codec.load(freedOut, len(graphs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for fi := range loaded.Features {
 			if loaded.At(fi, dead).Contained {
-				t.Fatalf("%s row %d: masked column survived the save as contained", codec.name, fi)
+				t.Fatalf("%s row %d: freed column survived the save as contained", codec.name, fi)
 			}
 		}
-		if second := codec.save(t, loaded.WithMaskedColumns([]int{dead})); !bytes.Equal(maskedOut, second) {
-			t.Fatalf("%s: masked save→load→save not byte-stable", codec.name)
+		if second := codec.save(t, loaded.WithFreedColumns(dead)); !bytes.Equal(freedOut, second) {
+			t.Fatalf("%s: freed save→load→save not byte-stable", codec.name)
 		}
 	}
 
-	compacted := masked.CompactedColumns()
-	if compacted.NumGraphs() != len(graphs)-1 {
-		t.Fatalf("%d columns after compaction, want %d", compacted.NumGraphs(), len(graphs)-1)
+	survivors := []int{0, 1, 3, 4}
+	selected := freed.Select(survivors)
+	if selected.NumGraphs() != len(survivors) {
+		t.Fatalf("%d columns after Select, want %d", selected.NumGraphs(), len(survivors))
 	}
-	for fi := range compacted.Features {
-		for gi := 0; gi < compacted.NumGraphs(); gi++ {
-			src := gi
-			if gi >= dead {
-				src = gi + 1
-			}
-			if compacted.At(fi, gi) != idx.At(fi, src) {
-				t.Fatalf("compacted entry (%d,%d) != original (%d,%d)", fi, gi, fi, src)
+	for fi := range selected.Features {
+		for gi, src := range survivors {
+			if selected.At(fi, gi) != idx.At(fi, src) {
+				t.Fatalf("selected entry (%d,%d) != original (%d,%d)", fi, gi, fi, src)
 			}
 		}
 	}
 }
 
 // TestWithReplacedColumn: replacing a column yields the entries the graph
-// would have received at insertion time (same slot seed), and clears any
-// mask on the slot.
+// would have received at insertion time (same slot seed), freed or not.
 func TestWithReplacedColumn(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 7, 5, true)
 	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	const slot = 1
-	masked := idx.WithMaskedColumn(slot)
-	repl, err := masked.WithReplacedColumn(slot, graphs[slot], engines[slot])
+	repl, err := idx.WithFreedColumns(slot).WithReplacedColumn(slot, graphs[slot], engines[slot])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if repl.Masked(slot) || repl.MaskedColumns() != 0 {
-		t.Fatal("replacement did not clear the slot's mask")
 	}
 	// Replacing a slot with the graph it already holds reproduces the
 	// built entries bitwise: the column seed depends only on the slot.

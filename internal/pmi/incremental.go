@@ -10,14 +10,18 @@ import (
 )
 
 // This file holds the copy-on-write mutation constructors of the index.
-// An Index is immutable once published: WithColumn, WithMaskedColumn,
-// WithReplacedColumn, and CompactedColumns each return a new Index that
-// shares every untouched column with its predecessor, so queries holding an
-// older Index (a pinned generation view, see internal/core) never observe
-// the mutation. The feature vocabulary is never re-mined — the standard
+// An Index is immutable once published: WithColumn, WithFreedColumns,
+// WithReplacedColumn and Select each return a new Index that shares every
+// untouched column with its predecessor, so queries holding an older Index
+// (a pinned generation view, see internal/core) never observe the
+// mutation. The feature vocabulary is never re-mined — the standard
 // trade-off for incremental maintenance of feature-based graph indexes
 // (pruning power for new graphs is bounded by the existing features;
 // rebuild periodically if the data distribution drifts).
+//
+// The index keeps no record of which slots are live: that is the
+// structural index's dead mask (simsearch.Index), which internal/core
+// reads. A removed graph's column is nil only so its entries are freed.
 
 // column computes graph gi's SIP-bound column against every indexed
 // feature that contained reports as embedded in it — the miner's support
@@ -72,34 +76,25 @@ func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) 
 	return n, nil
 }
 
-// WithMaskedColumn returns a new Index with column gi masked: Lookup
-// callers are expected never to ask for a masked (tombstoned) graph, and
-// EncodeSnap writes the column as uncontained — the paper's ⟨0⟩ — so the
-// dead graph's bounds leave the matrix, in memory and persisted,
-// immediately. O(numGraphs) pointers, no entry is copied.
-func (idx *Index) WithMaskedColumn(gi int) *Index {
-	return idx.WithMaskedColumns([]int{gi})
-}
-
-// WithMaskedColumns is the bulk form of WithMaskedColumn (snapshot loads).
-func (idx *Index) WithMaskedColumns(ids []int) *Index {
+// WithFreedColumns returns a new Index with the listed columns freed
+// (nil): Lookup is never called for a removed graph, At reads its entries
+// as the paper's ⟨0⟩ and EncodeSnap writes them uncontained, so the dead
+// graph's bounds leave the matrix, in memory and persisted, immediately.
+// O(numGraphs) pointers, no entry is copied.
+func (idx *Index) WithFreedColumns(ids ...int) *Index {
 	if len(ids) == 0 {
 		return idx
 	}
 	n := idx.clone()
 	n.cols = slices.Clone(idx.cols)
 	for _, gi := range ids {
-		if n.cols[gi] != nil {
-			n.cols[gi] = nil
-			n.maskCount++
-		}
+		n.cols[gi] = nil
 	}
 	return n
 }
 
 // WithReplacedColumn returns a new Index whose column gi holds the bounds
-// of pg instead — one column swapped, every other shared; the replaced
-// slot's mask, if any, is cleared.
+// of pg instead — one column swapped, every other shared.
 func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
 	column, err := idx.column(pg, eng, gi, idx.embeds(pg))
 	if err != nil {
@@ -107,34 +102,18 @@ func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) 
 	}
 	n := idx.clone()
 	n.cols = slices.Clone(idx.cols)
-	if n.cols[gi] == nil {
-		n.maskCount--
-	}
 	n.cols[gi] = column
 	return n, nil
 }
 
-// CompactedColumns returns a new Index without the masked columns:
-// surviving columns keep their relative order and are renumbered
-// contiguously, matching the database compaction that drops the
-// tombstoned graphs.
-func (idx *Index) CompactedColumns() *Index {
-	if idx.maskCount == 0 {
-		return idx
-	}
+// Select returns a new Index holding the given slots' columns, in the
+// given order and renumbered 0..len(slots)-1 — compaction and range
+// partitioning are this one projection. Columns are shared, not copied.
+func (idx *Index) Select(slots []int) *Index {
 	n := idx.clone()
-	n.cols = make([][]Entry, 0, len(idx.cols)-idx.maskCount)
-	for _, col := range idx.cols {
-		if col != nil {
-			n.cols = append(n.cols, col)
-		}
+	n.cols = make([][]Entry, len(slots))
+	for i, gi := range slots {
+		n.cols[i] = idx.cols[gi]
 	}
-	n.maskCount = 0
 	return n
 }
-
-// Masked reports whether column gi is masked (tombstoned).
-func (idx *Index) Masked(gi int) bool { return idx.cols[gi] == nil }
-
-// MaskedColumns returns the number of masked columns.
-func (idx *Index) MaskedColumns() int { return idx.maskCount }

@@ -116,8 +116,8 @@ type Entry struct {
 
 // Index is the probabilistic matrix index. It is immutable once
 // published; the copy-on-write constructors in incremental.go (WithColumn,
-// WithMaskedColumn, WithReplacedColumn, CompactedColumns) return new
-// indexes sharing untouched columns with their predecessor.
+// WithFreedColumns, WithReplacedColumn, Select) return new indexes sharing
+// untouched columns with their predecessor.
 type Index struct {
 	Features []*graph.Graph
 	// Codes are the canonical codes of Features; snapshots re-derive them.
@@ -129,14 +129,13 @@ type Index struct {
 	// cols is the matrix, column-major: cols[gi][fi] bounds
 	// Pr(Features[fi] ⊆iso db[gi]) — the row Dg a query reads for one
 	// candidate is one contiguous slice, and a mutation touches one column.
-	// A masked (tombstoned) column is nil: its entries are freed, EncodeSnap
+	// A removed graph's column is nil: its entries are freed, EncodeSnap
 	// writes it as uncontained and Lookup is never called for it.
-	cols      [][]Entry
-	maskCount int
+	cols [][]Entry
 }
 
 // At returns the entry of feature fi in graph gi (the paper's ⟨0⟩ for a
-// masked column).
+// freed column).
 func (idx *Index) At(fi, gi int) Entry {
 	if idx.cols[gi] == nil {
 		return Entry{}
@@ -144,7 +143,7 @@ func (idx *Index) At(fi, gi int) Entry {
 	return idx.cols[gi][fi]
 }
 
-// NumGraphs returns the column count of the matrix, masked columns
+// NumGraphs returns the column count of the matrix, freed columns
 // included.
 func (idx *Index) NumGraphs() int { return len(idx.cols) }
 

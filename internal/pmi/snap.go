@@ -9,10 +9,10 @@ import (
 
 // The snapshot section is the feature graphs, a contained-bitmap, and the
 // bounds of the contained entries as two float64 slabs (row-major,
-// bit-order). Uncontained entries are implicit (the paper's ⟨0⟩). Masked
-// (tombstoned) columns serialize as uncontained, so a dead graph's bounds
-// leave the persisted matrix, and the snapshot loader re-applies the mask
-// from the tombstone list, which keeps save→load→save byte-stable. Codes
+// bit-order). Uncontained entries are implicit (the paper's ⟨0⟩). Freed
+// columns (removed graphs) serialize as uncontained, so a dead graph's
+// bounds leave the persisted matrix; the snapshot loader frees them again
+// from the tombstone list, and save→load→save is byte-stable either way. Codes
 // and Opt are not written: codes are re-derived from the feature graphs,
 // and the snapshot loader restores Opt from the database's build options.
 //

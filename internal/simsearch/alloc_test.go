@@ -17,7 +17,7 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	dbc := randomDB(rng, 40)
-	ix := BuildIndex(dbc, DefaultFeatures(dbc, 64)).WithTombstone(7)
+	ix := BuildIndex(dbc, DefaultFeatures(dbc, 64)).WithTombstones(7)
 	needs, budget := ix.queryProfile(extractSubquery(rng, dbc[0], 4), 1)
 	if len(needs) == 0 {
 		t.Fatal("query embeds no counting feature; the pin is vacuous")

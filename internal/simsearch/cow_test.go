@@ -24,7 +24,7 @@ type queryCase struct {
 }
 
 // TestCOWChainLeavesPredecessorsUntouched pins the copy-on-write
-// contract: every WithGraph / WithTombstone / WithReplaced / Compacted
+// contract: every WithGraph / WithTombstones / WithReplaced / Select
 // call returns a new Index, and the answers of every earlier link of the
 // chain stay bitwise-identical afterwards — a pinned view can keep
 // scanning mid-mutation.
@@ -51,11 +51,11 @@ func TestCOWChainLeavesPredecessorsUntouched(t *testing.T) {
 	for _, g := range all[6:10] {
 		grow(chain[len(chain)-1].WithGraph(g))
 	}
-	grow(chain[len(chain)-1].WithTombstone(2))
+	grow(chain[len(chain)-1].WithTombstones(2))
 	grow(chain[len(chain)-1].WithReplaced(7, all[10]))
-	grow(chain[len(chain)-1].WithTombstone(7))
+	grow(chain[len(chain)-1].WithTombstones(7))
 	grow(chain[len(chain)-1].WithGraph(all[11]))
-	grow(chain[len(chain)-1].Compacted())
+	grow(chain[len(chain)-1].Select([]int{0, 1, 3, 4, 5, 6, 8, 9, 10}))
 
 	// Every link must still answer exactly what it answered when it was
 	// the newest index.
@@ -73,8 +73,8 @@ func TestCOWChainLeavesPredecessorsUntouched(t *testing.T) {
 // TestTombstoneEqualsRebuiltWithout: a tombstoned index answers exactly
 // like... not quite an index rebuilt without the graph (ids differ) — it
 // answers the rebuilt index's candidates mapped back through the identity
-// of the surviving slots, and Compacted() then equals the rebuilt index
-// slot-for-slot.
+// of the surviving slots, and Select of the survivors then equals the
+// rebuilt index slot-for-slot.
 func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	all := randomDB(rng, 9)
@@ -82,7 +82,7 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 	ix := BuildIndex(all, features)
 
 	removed := []int{1, 4, 8}
-	tombed := ix.WithTombstones(removed)
+	tombed := ix.WithTombstones(removed...)
 	if got := tombed.Tombstones(); got != len(removed) {
 		t.Fatalf("Tombstones() = %d, want %d", got, len(removed))
 	}
@@ -92,6 +92,7 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 
 	// Survivors in slot order, plus old-slot → new-slot mapping.
 	var survivors []*graph.Graph
+	var kept []int
 	remap := make(map[int]int)
 	for gi, g := range all {
 		if slices.Contains(removed, gi) {
@@ -99,9 +100,10 @@ func TestTombstoneEqualsRebuiltWithout(t *testing.T) {
 		}
 		remap[gi] = len(survivors)
 		survivors = append(survivors, g)
+		kept = append(kept, gi)
 	}
 	rebuilt := BuildIndex(survivors, features)
-	compacted := tombed.Compacted()
+	compacted := tombed.Select(kept)
 
 	for trial := 0; trial < 20; trial++ {
 		q := extractSubquery(rng, all[rng.Intn(len(all))], 2+rng.Intn(4))

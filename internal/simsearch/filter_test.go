@@ -155,7 +155,7 @@ func TestZeroEmbeddingFeaturesAreInert(t *testing.T) {
 func TestEmptyQueryAllCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dbc := randomDB(rng, 7)
-	ix := BuildIndex(dbc, DefaultFeatures(dbc, 64)).WithTombstone(4)
+	ix := BuildIndex(dbc, DefaultFeatures(dbc, 64)).WithTombstones(4)
 	empty := graph.NewBuilder("empty").Build()
 	for delta := 0; delta <= 1; delta++ {
 		if got, want := candidates(ix, empty, delta), []int{0, 1, 2, 3, 5, 6}; !slices.Equal(got, want) {
@@ -184,7 +184,7 @@ func TestCandidatesMatchCountOracle(t *testing.T) {
 					slots[gi] = nil
 				}
 			}
-			ix = ix.WithTombstones(dead)
+			ix = ix.WithTombstones(dead...)
 		}
 		for delta := 0; delta <= 3; delta++ {
 			got, want := candidates(ix, q, delta), oracleCandidates(features, slots, q, delta)
@@ -280,7 +280,7 @@ func assertEqualsFresh(t *testing.T, step string, ix *Index, slots, features []*
 }
 
 // TestMutationChainEqualsFreshBuild walks build → add → replace → tombstone
-// → compact → range (core's range cut is tombstone-the-rest + compact) and
+// → compact → range (core's compaction and range cut are both Select) and
 // holds every link to a fresh BuildIndex over the graphs that survive to
 // it: same count slab, same candidates.
 func TestMutationChainEqualsFreshBuild(t *testing.T) {
@@ -301,21 +301,21 @@ func TestMutationChainEqualsFreshBuild(t *testing.T) {
 	assertEqualsFresh(t, "add", ix, slots, features, qs)
 	ix, slots[3] = ix.WithReplaced(3, all[11]), all[11]
 	assertEqualsFresh(t, "replace", ix, slots, features, qs)
-	ix, slots[1], slots[8] = ix.WithTombstone(1).WithTombstone(8), nil, nil
+	ix, slots[1], slots[8] = ix.WithTombstones(1).WithTombstones(8), nil, nil
 	assertEqualsFresh(t, "tombstone", ix, slots, features, qs)
 	ix, slots = ix.WithGraph(all[12]), append(slots, all[12])
 	ix, slots[10] = ix.WithReplaced(10, all[13]), all[13]
 	assertEqualsFresh(t, "add+replace beside tombstones", ix, slots, features, qs)
-	ix, slots = ix.Compacted(), slices.DeleteFunc(slots, func(g *graph.Graph) bool { return g == nil })
-	assertEqualsFresh(t, "compact", ix, slots, features, qs)
-	lo, hi := 2, 7
-	var outside []int
-	for gi := range slots {
-		if gi < lo || gi >= hi {
-			outside = append(outside, gi)
+	var live []int
+	for gi, g := range slots {
+		if g != nil {
+			live = append(live, gi)
 		}
 	}
-	ix, slots = ix.WithTombstones(outside).Compacted(), slices.Clone(slots[lo:hi])
+	ix, slots = ix.Select(live), slices.DeleteFunc(slots, func(g *graph.Graph) bool { return g == nil })
+	assertEqualsFresh(t, "compact", ix, slots, features, qs)
+	lo, hi := 2, 7
+	ix, slots = ix.Select([]int{2, 3, 4, 5, 6}), slices.Clone(slots[lo:hi])
 	assertEqualsFresh(t, "range", ix, slots, features, qs)
 }
 

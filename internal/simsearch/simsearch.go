@@ -44,15 +44,18 @@ const CountCap = 64
 // counts the filter scans.
 //
 // An Index is immutable once published: mutation goes through the
-// copy-on-write constructors WithGraph, WithTombstone, WithReplaced, and
-// Compacted, each returning a new Index that shares every untouched slice
+// copy-on-write constructors WithGraph, WithTombstones, WithReplaced and
+// Select, each returning a new Index that shares every untouched slice
 // with its predecessor. Queries running against an older Index therefore
 // never observe a mutation — the generation-view machinery in
 // internal/core relies on exactly that.
 //
-// Removal is tombstone-based: WithTombstone marks the slot dead and lets
-// its graph go, the count row stays in place, and the scan skips dead
-// slots. Compacted drops the tombstones and renumbers the survivors.
+// The dead mask is the database's one record of which slots are live:
+// internal/core's View.Live, NumLive and Tombstones read it, because the
+// count scan is the one reader that must skip dead rows on every query.
+// WithTombstones marks slots dead and lets their graphs go, the count rows
+// stay in place, and Select keeps the slots a compaction or a range
+// partition retains, renumbered.
 type Index struct {
 	Features []*graph.Graph
 	// counts is the dense count matrix flattened row-major: graph gi's
@@ -65,7 +68,7 @@ type Index struct {
 	dbc    []*graph.Graph
 
 	// dead marks tombstoned slots (nil = all live); tombs counts them.
-	// Dead slots keep their counts row but are filtered out of every
+	// Dead slots keep their count row but are filtered out of every
 	// candidate list.
 	dead  []bool
 	tombs int
@@ -178,14 +181,6 @@ func (ix *Index) WithGraph(g *graph.Graph) *Index {
 	return n
 }
 
-// WithTombstone returns a new Index with slot gi marked dead. The count
-// matrix keeps the graph's row — only candidate emission filters it — so
-// the operation is O(slots) regardless of graph size; the slot's graph is
-// released (it points at graph.Empty from here on).
-func (ix *Index) WithTombstone(gi int) *Index {
-	return ix.WithTombstones([]int{gi})
-}
-
 // WithReplaced returns a new Index in which slot gi holds g's feature
 // counts instead.
 func (ix *Index) WithReplaced(gi int, g *graph.Graph) *Index {
@@ -198,24 +193,24 @@ func (ix *Index) WithReplaced(gi int, g *graph.Graph) *Index {
 	return n
 }
 
-// Compacted returns a new Index without the tombstoned slots: survivors
-// keep their relative order and are renumbered contiguously, their count
-// rows copied (no re-counting).
-func (ix *Index) Compacted() *Index {
+// Select returns a new Index holding the given slots' count rows, in the
+// given order and renumbered 0..len(slots)-1, all live — compaction and
+// range partitioning are this one projection. Rows are copied, not
+// re-counted.
+func (ix *Index) Select(slots []int) *Index {
 	n := &Index{Features: ix.Features}
-	for gi := range ix.dbc {
-		if !ix.Live(gi) {
-			continue
-		}
+	for _, gi := range slots {
 		n.counts = append(n.counts, ix.row(gi)...)
 		n.dbc = append(n.dbc, ix.dbc[gi])
 	}
 	return n
 }
 
-// WithTombstones returns a new Index with every listed slot marked dead —
-// the snapshot loader's bulk form of WithTombstone.
-func (ix *Index) WithTombstones(ids []int) *Index {
+// WithTombstones returns a new Index with every listed slot marked dead.
+// The count matrix keeps their rows — only candidate emission filters
+// them — so the operation is O(slots) regardless of graph size; each
+// slot's graph is released (it points at graph.Empty from here on).
+func (ix *Index) WithTombstones(ids ...int) *Index {
 	if len(ids) == 0 {
 		return ix
 	}

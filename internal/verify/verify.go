@@ -10,9 +10,13 @@
 // engine (the paper's junction-tree step), worlds conditioned on a clause
 // come from evidence-conditioned engines, drawn lazily edge by edge, and the
 // estimator counts a sample only when the chosen clause is the first
-// satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi); the
-// N = ⌈4·ln(2/ξ)/τ²⌉ samples give relative error τ with confidence 1−ξ on
-// Pr ≥ V/m scales (Mitzenmacher–Upfal).
+// satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi). By the
+// zero-one estimator theorem (Mitzenmacher–Upfal) N = ⌈4·ln(2/ξ)/(μτ²)⌉
+// samples give relative error τ with confidence 1−ξ, where μ = p/V, p the
+// DNF's probability, is the Karp–Luby success rate. The default
+// N = ⌈4·ln(2/ξ)/τ²⌉ = 1476 (ξ = 0.05, τ = 0.1) is that count at μ = 1, so
+// it gives relative error τ only when μ = 1 (disjoint clauses); at μ < 1
+// the error at that N grows to τ/√μ.
 //
 // Exact is the paper's Equation 21 inclusion–exclusion baseline with
 // exponential cost in the clause count; it exists to reproduce the "Exact"
@@ -22,7 +26,6 @@ package verify
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -32,10 +35,8 @@ import (
 
 // Options tunes the SMP estimator.
 type Options struct {
-	// Xi and Tau set the sample count N = ⌈4·ln(2/ξ)/τ²⌉ (defaults 0.05,
-	// 0.1 → N ≈ 1476); N overrides when positive.
-	Xi, Tau float64
-	N       int
+	// N is the sample count (0 selects 1476, see the package doc).
+	N int
 	// Seed keys the SplitMix64 stream sampling draws from.
 	Seed int64
 	// MaxClauses caps the DNF; beyond it the clause list is truncated to
@@ -44,15 +45,13 @@ type Options struct {
 	MaxClauses int
 }
 
+// defaultN is the default sample count, ⌈4·ln(2/ξ)/τ²⌉ at ξ = 0.05 and
+// τ = 0.1 (see the package doc for what it guarantees).
+const defaultN = 1476
+
 func (o Options) withDefaults() Options {
-	if o.Xi == 0 {
-		o.Xi = 0.05
-	}
-	if o.Tau == 0 {
-		o.Tau = 0.1
-	}
 	if o.N == 0 {
-		o.N = int(math.Ceil(4 * math.Log(2/o.Xi) / (o.Tau * o.Tau)))
+		o.N = defaultN
 	}
 	if o.MaxClauses == 0 {
 		o.MaxClauses = 512

@@ -76,8 +76,9 @@
 // mutation answers bitwise-identically to one run before it. Each mutator
 // returns the new generation number.
 //
-// Removal is tombstone-based: the slot's structural count row and PMI
-// column stay in place, masked, and surviving graph indices are stable.
+// Removal is tombstone-based: the slot's structural count row stays in
+// place, skipped by the scan, its PMI column is freed, and surviving graph
+// indices are stable.
 // Compact rewrites the indexes without the tombstones (renumbering
 // survivors); SetCompactThreshold arms automatic compaction. Keep one
 // pinned view to run a multi-query analysis against one frozen state.
