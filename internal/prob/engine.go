@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"probgraph/internal/graph"
 )
@@ -17,11 +18,11 @@ const MaxFactorWidth = 22
 
 // schedule is variable elimination over one PGraph with the numbers taken
 // out: the min-degree order, which factors each step multiplies, every
-// intermediate table's variables and where the table lives in a slab. None
-// of it depends on evidence (a pinned variable keeps its place, its tables
-// their shapes), so it is compiled once per graph and shared by the base
-// engine and every engine conditioned from it — flat, offsets into shared
-// slabs, because a database holds one per graph.
+// intermediate table's variables, where the table lives in a slab and which
+// later step reads it. None of it depends on evidence (a pinned variable
+// keeps its place, its tables their shapes), so it is compiled once per
+// graph and shared by the base engine and every engine conditioned from it —
+// flat, offsets into shared slabs, because a database holds one per graph.
 //
 // Factor ids: id < len(JPTs) is that JPT, read in place; id-len(JPTs) is the
 // table a step produced. Bit i of a table index is the factor's i-th
@@ -31,15 +32,21 @@ type schedule struct {
 	outVars  []int32       // per step, its output variables ascending
 	inputs   []int32       // per step, factor ids in multiplication order
 	gather   []uint8       // per input, per variable of that factor: the output bit to read, or selfBit
+	tab      []int32       // per step, its table's offset in a full slab half; then the half's size
+	up       []int32       // per step, the later step that multiplies its table in, or -1 for a root
+	roots    []int32       // the steps without outputs, ascending
 	stepOf   []int32       // per variable, the step that sums it out
 	template graph.EdgeSet // certain-edges-only world
 }
 
 // step is one elimination: v is summed out of the product of the inputs,
-// leaving a table of 1<<len(outputs) entries at offset tab of a slab half.
-// outs and ins index the step's first output and input; the next step's mark
-// the ends.
-type step struct{ v, outs, ins, tab int32 }
+// leaving a table of 1<<len(outputs) entries (at schedule.tab in a full
+// slab). outs, ins and gat index the step's first output, input and gather
+// entry; the next step's mark the ends. A step without outputs is a root:
+// its constant table is a factor of the partition function and no step
+// reads it, while every other step's table is read by exactly one later
+// step (schedule.up).
+type step struct{ v, outs, ins, gat int32 }
 
 // selfBit in schedule.gather marks the variable the step sums out.
 const selfBit = 0xFF
@@ -55,7 +62,7 @@ func (sc *schedule) outputs(s int) []int32 {
 // creation order, and a factor over the remaining variables is created.
 func compile(pg *PGraph) (*schedule, error) {
 	n, nj := len(pg.uncertain), len(pg.JPTs)
-	sc := &schedule{steps: make([]step, 1, n+1), stepOf: make([]int32, n), template: pg.NewWorld()}
+	sc := &schedule{steps: make([]step, 1, n+1), tab: make([]int32, 1, n+1), up: make([]int32, n), stepOf: make([]int32, n), template: pg.NewWorld()}
 	jptVars := make([][]int32, nj)
 	users := make([][]int32, n) // variable → factors mentioning it, in creation order
 	for f, t := range pg.JPTs {
@@ -124,6 +131,9 @@ func compile(pg *PGraph) (*schedule, error) {
 				continue
 			}
 			consumed[f] = true
+			if int(f) >= nj {
+				sc.up[int(f)-nj] = int32(s)
+			}
 			sc.inputs = append(sc.inputs, f)
 			for _, u := range scope(f) {
 				if u == v {
@@ -133,14 +143,15 @@ func compile(pg *PGraph) (*schedule, error) {
 				}
 			}
 		}
-		size := int(sc.steps[s].tab) + 1<<len(outs)
+		size := int(sc.tab[s]) + 1<<len(outs)
 		if size > math.MaxInt32 {
 			return nil, fmt.Errorf("prob: elimination tables exceed %d entries (model too densely coupled)", math.MaxInt32)
 		}
-		sc.steps[s].v = v
+		sc.steps[s].v, sc.up[s] = v, -1
 		sc.stepOf[v] = int32(s)
 		sc.outVars = append(sc.outVars, outs...)
-		sc.steps = append(sc.steps, step{outs: int32(len(sc.outVars)), ins: int32(len(sc.inputs)), tab: int32(size)})
+		sc.steps = append(sc.steps, step{outs: int32(len(sc.outVars)), ins: int32(len(sc.inputs)), gat: int32(len(sc.gather))})
+		sc.tab = append(sc.tab, int32(size))
 		done[v] = true
 		for _, u := range sc.outputs(s) { // the copy that stays: outs aliases buf
 			users[u] = append(users[u], int32(nj+s))
@@ -148,26 +159,42 @@ func compile(pg *PGraph) (*schedule, error) {
 			width[u] = len(buf)
 		}
 	}
+	for s, up := range sc.up {
+		if up < 0 {
+			sc.roots = append(sc.roots, int32(s))
+		}
+	}
 	sc.outVars, sc.inputs, sc.gather = slices.Clone(sc.outVars), slices.Clone(sc.inputs), slices.Clone(sc.gather)
 	return sc, nil
 }
 
 // Engine performs exact inference over a PGraph, optionally with evidence
-// baked in. NewEngine compiles the graph's elimination schedule once; every
-// probability is then one numeric forward pass over it, and an engine keeps
-// the tables of its own pass — per step and per assignment of the step's
-// output variables, the summed weight and the weight of "variable present" —
-// so SampleWorldInto is one table lookup and one rng draw per variable.
-// After construction an Engine is immutable, so concurrent queries and
-// sampling are safe provided each goroutine supplies its own rng and scratch
-// buffers (QueryBatchCtx and the PMI builder rely on this).
+// baked in. NewEngine compiles the graph's elimination schedule once and runs
+// it numerically, keeping its tables — per step and per assignment of the
+// step's output variables, the summed weight and the weight of "variable
+// present" — so SampleWorldInto is one table lookup and one rng draw per
+// variable. Evidence changes only the tables of the steps it pins and of the
+// steps above them, the dirty path (see markDirty): ProbLits recomputes that
+// path into pooled scratch, and an engine from NewConditioned is an overlay
+// holding the dirty path's tables and reading every other table from the
+// unconditioned engine it came from. After construction an Engine is
+// immutable, so concurrent queries and sampling are safe provided each
+// goroutine supplies its own rng and scratch buffers (QueryBatchCtx and the
+// PMI builder rely on this).
 type Engine struct {
 	pg    *PGraph
 	sched *schedule
-	pin   []uint8   // evidence per variable: pinFree, pinAbsent or pinPresent
-	slab  []float64 // summed tables, then the present-weight tables at the same offsets
-	z     float64
-	zFull float64 // partition function of the unconditioned model
+	pin   []uint8 // evidence per variable: pinFree, pinAbsent or pinPresent
+	// root is the unconditioned engine — e itself, or the engine e was
+	// conditioned from — and holds every step's tables.
+	root *Engine
+	// at is, per step, the offset of the step's tables in slab, or clean
+	// when e reads root's. Every step of root is its own.
+	at   []int32
+	slab []float64 // e's own tables: summed, then the present weights at the same offsets
+	z    float64
+	// zFull is the partition function of the unconditioned model.
+	zFull float64
 }
 
 const (
@@ -176,41 +203,58 @@ const (
 	pinPresent
 )
 
+// clean and pending mark a step's entry in an at vector: its table is the
+// root engine's, or it is dirty and not yet placed (see markDirty).
+const (
+	clean   int32 = -1
+	pending int32 = -2
+)
+
 // NewEngine builds an inference engine for pg with no evidence.
 func NewEngine(pg *PGraph) (*Engine, error) {
 	sc, err := compile(pg)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(pg, sc, nil, 0)
-	if err == nil {
-		e.zFull = e.z
+	n := len(sc.steps) - 1
+	e := &Engine{pg: pg, sched: sc, pin: make([]uint8, len(pg.uncertain)), at: sc.tab[:n:n]}
+	e.root = e
+	every := make([]int32, n)
+	for s := range every {
+		every[s] = int32(s)
 	}
-	return e, err
+	half := int(sc.tab[n])
+	e.slab = make([]float64, 2*half)
+	e.z = e.recompute(e.pin, e.at, every, e.slab[:half], e.slab[half:])
+	if e.z < 0 {
+		return nil, fmt.Errorf("prob: negative partition function")
+	}
+	e.zFull = e.z
+	return e, nil
 }
 
 // NewConditioned builds an engine whose distribution is pg's conditioned on
 // the given literals (and only those: evidence e itself carries is not
 // inherited). SampleWorld then draws worlds consistent with the evidence; Z
-// returns the evidence probability mass times the base Z.
+// returns the evidence probability mass times the base Z. The engine is an
+// overlay on the unconditioned engine: it computes and stores only the
+// tables of the steps the literals make dirty and shares all others.
 func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
-	return newEngine(e.pg, e.sched, lits, e.zFull)
-}
-
-// newEngine pins lits and runs the engine's own forward pass, keeping its
-// tables.
-func newEngine(pg *PGraph, sc *schedule, lits []Literal, zFull float64) (*Engine, error) {
-	e := &Engine{pg: pg, sched: sc, pin: make([]uint8, len(pg.uncertain)), zFull: zFull}
-	if err := pg.pinLits(e.pin, lits); err != nil {
+	r := e.root
+	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]uint8, len(r.pin)), root: r, at: make([]int32, len(r.at)), zFull: r.zFull}
+	if err := r.pg.pinLits(c.pin, lits); err != nil {
 		return nil, err
 	}
-	half := int(sc.steps[len(sc.steps)-1].tab)
-	e.slab = make([]float64, 2*half)
-	e.z = e.forward(e.pin, e.slab[:half], e.slab[half:])
-	if e.z < 0 {
+	sc := litScratchPool.Get().(*litScratch)
+	var size int
+	sc.dirty, size = r.markDirty(c.pin, lits, c.at, sc.dirty[:0])
+	c.slab = make([]float64, 2*size)
+	c.z = r.recompute(c.pin, c.at, sc.dirty, c.slab[:size], c.slab[size:])
+	litScratchPool.Put(sc)
+	if c.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
-	return e, nil
+	return c, nil
 }
 
 // pinLits records lits in pin. Literals that cannot hold — a certain edge
@@ -236,34 +280,87 @@ func (pg *PGraph) pinLits(pin []uint8, lits []Literal) error {
 	return nil
 }
 
-// forward runs the schedule numerically and returns the partition function
-// under pin. For each step and each assignment m of its output variables it
-// multiplies the step's inputs, in schedule order from 1.0, once with the
-// summed variable absent and once present; a pinned variable's other value
-// weighs 0. sums[tab+m] receives 0.0+absent+present and, when present is
-// non-nil, present[tab+m] the present weight; Z is the product of the
-// constant tables in step order. docs/ARCHITECTURE.md has why these orders
-// make every float bit-identical to the reference engine's.
+// tables returns the slab holding step s's tables and the offset of its
+// summed table there; its present weights lie half the slab further on.
 //
 //pgvet:noalloc
-func (e *Engine) forward(pin []uint8, sums, present []float64) float64 {
+func (e *Engine) tables(s int32) ([]float64, int) {
+	if o := e.at[s]; o >= 0 {
+		return e.slab, int(o)
+	}
+	return e.root.slab, int(e.sched.tab[s])
+}
+
+// markDirty finds the steps whose tables change when lits are pinned on top
+// of e's evidence, pin being the result. A step is dirty when pin and e.pin
+// differ on its variable or when it multiplies in a dirty step's table, so
+// the dirty set is the newly pinned variables' steps and every step above
+// them up to a root (schedule.up). It appends the dirty steps to dirty in
+// step order, gives each the offset of its table in a compact slab half of
+// the returned size, and marks every other step clean in at.
+//
+//pgvet:noalloc
+func (e *Engine) markDirty(pin []uint8, lits []Literal, at, dirty []int32) ([]int32, int) {
+	sc := e.sched
+	for s := range at {
+		at[s] = clean
+	}
+	for _, l := range lits {
+		v := e.pg.variable(l.Edge)
+		if v < 0 || pin[v] == e.pin[v] {
+			continue
+		}
+		for s := sc.stepOf[v]; s >= 0 && at[s] == clean; s = sc.up[s] {
+			at[s] = pending
+		}
+	}
+	size := 0
+	for s, o := range at {
+		if o == pending {
+			at[s] = int32(size)
+			size += 1 << (sc.steps[s+1].outs - sc.steps[s].outs)
+			dirty = append(dirty, int32(s))
+		}
+	}
+	return dirty, size
+}
+
+// recompute runs the dirty steps (see markDirty; at holds their offsets)
+// numerically under pin and returns the partition function. For each dirty
+// step s and each assignment m of its output variables it multiplies the
+// step's inputs, in schedule order from 1.0, once with the summed variable
+// absent and once present; a pinned variable's other value weighs 0. An
+// input from a dirty step is read from sums, one from a clean step from e's
+// own tables. sums[at[s]+m] receives 0.0+absent+present and, when present
+// is non-nil, present[at[s]+m] the present weight. Z is the product, from
+// 1.0 in step order, of every root's constant table, dirty or clean.
+// docs/ARCHITECTURE.md has why these orders make every float bit-identical
+// to the reference engine's.
+//
+//pgvet:noalloc
+func (e *Engine) recompute(pin []uint8, at, dirty []int32, sums, present []float64) float64 {
 	sc, jpts := e.sched, e.pg.JPTs
-	z, g := 1.0, 0
-	for s, st := range sc.steps[:len(sc.steps)-1] {
-		end := sc.steps[s+1]
+	for _, s := range dirty {
+		st, end := sc.steps[s], sc.steps[s+1]
+		o := int(at[s])
 		ins := sc.inputs[st.ins:end.ins]
-		c := g // cursor into gather; every m re-reads the step's run from g
-		for m := 0; m < int(end.tab-st.tab); m++ {
+		for m := 0; m < 1<<(end.outs-st.outs); m++ {
 			w0, w1 := 1.0, 1.0
-			c = g
+			c := int(st.gat)
 			for _, id := range ins {
 				var tab []float64
 				var arity int
 				if int(id) < len(jpts) {
 					tab, arity = jpts[id].P, len(jpts[id].Edges)
 				} else {
-					from := sc.steps[int(id)-len(jpts):]
-					tab, arity = sums[from[0].tab:], int(from[1].outs-from[0].outs)
+					j := int(id) - len(jpts)
+					arity = int(sc.steps[j+1].outs - sc.steps[j].outs)
+					if oj := at[j]; oj >= 0 {
+						tab = sums[oj:]
+					} else {
+						slab, t := e.tables(int32(j))
+						tab = slab[t:]
+					}
 				}
 				idx, self := 0, 0
 				for i, b := range sc.gather[c : c+arity] {
@@ -286,14 +383,19 @@ func (e *Engine) forward(pin []uint8, sums, present []float64) float64 {
 			sum := 0.0
 			sum += w0
 			sum += w1
-			sums[int(st.tab)+m] = sum
+			sums[o+m] = sum
 			if present != nil {
-				present[int(st.tab)+m] = w1
+				present[o+m] = w1
 			}
 		}
-		g = c
-		if end.outs == st.outs {
-			z *= sums[st.tab]
+	}
+	z := 1.0
+	for _, r := range sc.roots {
+		if o := at[r]; o >= 0 {
+			z *= sums[o]
+		} else {
+			slab, t := e.tables(r)
+			z *= slab[t]
 		}
 	}
 	return z
@@ -323,19 +425,51 @@ func (e *Engine) ProbEvidence() float64 {
 }
 
 // ProbLits returns the probability that all literals hold, conditioned on
-// this engine's evidence: one forward pass with the literals pinned on top
-// of the evidence, nothing kept. Literals that cannot hold have probability
-// 0.
+// this engine's evidence: the literals pinned on top of the evidence, the
+// dirty path recomputed in pooled scratch, nothing kept. Literals that
+// cannot hold have probability 0.
 func (e *Engine) ProbLits(lits []Literal) (float64, error) {
 	if e.z == 0 {
 		return 0, fmt.Errorf("prob: conditioning event has zero probability")
 	}
-	pin := slices.Clone(e.pin)
-	if e.pg.pinLits(pin, lits) != nil {
-		return 0, nil
+	sc := litScratchPool.Get().(*litScratch)
+	p := e.probLits(lits, sc)
+	litScratchPool.Put(sc)
+	return p, nil
+}
+
+// litScratch is one ProbLits call's working memory — the pin vector, the
+// dirty steps' offsets and list, and their summed tables — and lends
+// NewConditioned its dirty list.
+type litScratch struct {
+	pin   []uint8
+	at    []int32
+	dirty []int32
+	sums  []float64
+}
+
+var litScratchPool = sync.Pool{New: func() any { return new(litScratch) }}
+
+// probLits is ProbLits over caller-held scratch, which keeps in sc.dirty
+// the steps it recomputed (none when the literals cannot hold).
+//
+//pgvet:noalloc
+func (e *Engine) probLits(lits []Literal, sc *litScratch) float64 {
+	sc.pin = append(sc.pin[:0], e.pin...)
+	sc.dirty = sc.dirty[:0]
+	if e.pg.pinLits(sc.pin, lits) != nil {
+		return 0
 	}
-	sums := make([]float64, len(e.slab)/2)
-	return e.forward(pin, sums, nil) / e.z, nil
+	if cap(sc.at) < len(e.at) {
+		sc.at = make([]int32, len(e.at))
+	}
+	sc.at = sc.at[:len(e.at)]
+	var size int
+	sc.dirty, size = e.markDirty(sc.pin, lits, sc.at, sc.dirty)
+	if cap(sc.sums) < size {
+		sc.sums = make([]float64, size)
+	}
+	return e.recompute(sc.pin, sc.at, sc.dirty, sc.sums[:size], nil) / e.z
 }
 
 // ProbAllPresent returns Pr(every edge in es exists | evidence). This is the
@@ -381,13 +515,15 @@ func (e *Engine) SampleWorldInto(rng *rand.Rand, world graph.EdgeSet, scratch []
 	sc := e.sched
 	steps, outVars, unc := sc.steps, sc.outVars, e.pg.uncertain
 	assign := scratch[:len(steps)-1]
-	half := len(e.slab) / 2
-	sums, present := e.slab[:half], e.slab[half:]
+	ats, own, base := e.at[:len(assign)], e.slab, e.root.slab
 	world.CopyFrom(sc.template)
 	hi := steps[len(assign)].outs
 	for s := len(assign) - 1; s >= 0; s-- {
 		st := steps[s]
-		at := int(st.tab)
+		slab, at := own, int(ats[s]) // e.tables, unrolled
+		if at < 0 {
+			slab, at = base, int(sc.tab[s])
+		}
 		for j, u := range outVars[st.outs:hi] {
 			bit := 0
 			if assign[u] {
@@ -396,9 +532,9 @@ func (e *Engine) SampleWorldInto(rng *rand.Rand, world graph.EdgeSet, scratch []
 			at += bit << j // no branch on a coin flip
 		}
 		hi = st.outs
-		total, on := sums[at], false
+		total, on := slab[at], false
 		if total > 0 {
-			on = rng.Float64()*total < present[at]
+			on = rng.Float64()*total < slab[len(slab)/2+at]
 		}
 		assign[st.v] = on
 		world.AddIf(unc[st.v], on)

@@ -162,10 +162,15 @@ func TestEngineMatchesReference(t *testing.T) {
 				continue
 			}
 			checkPair(t, tag+" conditioned", rc, c, seed+int64(trial))
-			// Nested: a query on top of the evidence, and an engine
-			// conditioned from the conditioned one.
+			// Nested: queries on top of the evidence — every marginal, new
+			// literals, and new literals beside the evidence restated — and
+			// an engine conditioned from the conditioned one, queried too.
+			for ed := 0; ed < pg.G.NumEdges(); ed++ {
+				checkProbLits(t, tag+" conditioned marginal", rc, c, []prob.Literal{{Edge: graph.EdgeID(ed), Present: true}})
+			}
 			more := parityLits(rng, pg)
 			checkProbLits(t, tag+" nested", rc, c, more)
+			checkProbLits(t, tag+" nested over evidence", rc, c, append(slices.Clip(more), lits...))
 			rcc, e1 := rc.NewConditioned(more)
 			cc, e2 := c.NewConditioned(more)
 			if !sameErr(e1, e2) {
@@ -173,6 +178,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 			if e1 == nil {
 				checkPair(t, tag+" re-conditioned", rcc, cc, seed)
+				checkProbLits(t, tag+" re-conditioned", rcc, cc, lits)
 			}
 		}
 	}
@@ -380,9 +386,9 @@ func TestEngineNoLargerThanReference(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs pins the //pgvet:noalloc contracts: sampling,
-// full or lazy, allocates nothing, and a probability is two allocations —
-// the pin vector and the one scratch slab of the forward pass — whatever the
-// evidence.
+// full or lazy, allocates nothing, and neither does a probability, on the
+// base engine or an overlay — its pin vector, dirty-step offsets and tables
+// come from pooled scratch.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
@@ -418,8 +424,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Errorf("two lazily drawn worlds allocate %v times, want 0", n)
 	}
 	for _, e := range []*prob.Engine{eng, cond} {
-		if n := testing.AllocsPerRun(100, func() { _, _ = e.ProbLits(lits) }); n != 2 {
-			t.Errorf("ProbLits allocates %v times per call, want 2", n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = e.ProbLits(lits) }); n != 0 {
+			t.Errorf("ProbLits allocates %v times per call, want 0", n)
 		}
 	}
 }
@@ -457,6 +463,27 @@ func BenchmarkProbLits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.ProbLits(lits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewConditioned conditions on one clause of the same four edges
+// as BenchmarkProbLits, as the sampler does per picked clause.
+func BenchmarkNewConditioned(b *testing.B) {
+	pg := benchGraph(b)
+	eng, err := prob.NewEngine(pg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lits []prob.Literal
+	for _, ed := range pg.UncertainEdges()[:4] {
+		lits = append(lits, prob.Literal{Edge: ed, Present: true})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.NewConditioned(lits); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package prob
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"probgraph/internal/graph"
 )
@@ -49,29 +51,22 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 	if m > 30 {
 		return 0, fmt.Errorf("prob: %d clauses too many for inclusion-exclusion", m)
 	}
-	memo := make(map[string]float64)
+	u := newUnionMemo(e.pg.G.NumEdges())
 	total := 0.0
-	ne := e.pg.G.NumEdges()
 	for mask := 1; mask < 1<<m; mask++ {
-		union := graph.NewEdgeSet(ne)
-		bits := 0
+		clear(u.words)
+		size := 0
 		for i := 0; i < m; i++ {
 			if mask&(1<<i) != 0 {
-				union.UnionWith(clauses[i])
-				bits++
+				u.set.UnionWith(clauses[i])
+				size++
 			}
 		}
-		key := union.Key()
-		p, ok := memo[key]
-		if !ok {
-			var err error
-			p, err = e.ProbAllPresent(union)
-			if err != nil {
-				return 0, err
-			}
-			memo[key] = p
+		p, err := u.prob(e, true)
+		if err != nil {
+			return 0, err
 		}
-		if bits%2 == 1 {
+		if size%2 == 1 {
 			total += p
 		} else {
 			total -= p
@@ -103,42 +98,29 @@ func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, pre
 	if m > 24 {
 		return 0, fmt.Errorf("prob: %d overlapping sets too many for inclusion-exclusion", m)
 	}
-	ne := e.pg.G.NumEdges()
-	memo := make(map[string]float64)
-	probOf := func(union graph.EdgeSet) (float64, error) {
-		key := union.Key()
-		if p, ok := memo[key]; ok {
-			return p, nil
-		}
-		p, err := e.ProbLits(literals(union, present))
-		if err != nil {
-			return 0, err
-		}
-		memo[key] = p
-		return p, nil
-	}
+	u := newUnionMemo(e.pg.G.NumEdges())
 	total := 0.0
 	for mask := 0; mask < 1<<m; mask++ {
-		union := graph.NewEdgeSet(ne)
+		clear(u.words)
 		if base != nil {
-			union.UnionWith(*base)
+			u.set.UnionWith(*base)
 		}
-		bits := 0
+		size := 0
 		for j := 0; j < m; j++ {
 			if mask&(1<<j) != 0 {
-				union.UnionWith(others[j])
-				bits++
+				u.set.UnionWith(others[j])
+				size++
 			}
 		}
 		if base == nil && mask == 0 {
 			total += 1 // empty conjunction holds with probability 1
 			continue
 		}
-		p, err := probOf(union)
+		p, err := u.prob(e, present)
 		if err != nil {
 			return 0, err
 		}
-		if bits%2 == 0 {
+		if size%2 == 0 {
 			total += p
 		} else {
 			total -= p
@@ -151,4 +133,48 @@ func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, pre
 		total = 1
 	}
 	return total, nil
+}
+
+// unionMemo is inclusion–exclusion's working state, reused across masks: one
+// union set over words it owns, a literal buffer, and the probabilities
+// already computed, keyed by the union's words so a hit builds no key.
+type unionMemo struct {
+	words []uint64
+	set   graph.EdgeSet // over words
+	key   []byte
+	lits  []Literal
+	memo  map[string]float64
+}
+
+func newUnionMemo(numEdges int) *unionMemo {
+	words := make([]uint64, (numEdges+63)/64)
+	return &unionMemo{
+		words: words,
+		set:   graph.EdgeSetOfWords(words, numEdges),
+		key:   make([]byte, 8*len(words)),
+		memo:  make(map[string]float64),
+	}
+}
+
+// prob returns the probability that every edge of the union holds the
+// given polarity, from the memo when the same union was asked before.
+func (u *unionMemo) prob(e *Engine, present bool) (float64, error) {
+	for i, w := range u.words {
+		binary.LittleEndian.PutUint64(u.key[8*i:], w)
+	}
+	if p, ok := u.memo[string(u.key)]; ok {
+		return p, nil
+	}
+	u.lits = u.lits[:0]
+	for i, w := range u.words {
+		for ; w != 0; w &= w - 1 {
+			u.lits = append(u.lits, Literal{Edge: graph.EdgeID(64*i + bits.TrailingZeros64(w)), Present: present})
+		}
+	}
+	p, err := e.ProbLits(u.lits)
+	if err != nil {
+		return 0, err
+	}
+	u.memo[string(u.key)] = p
+	return p, nil
 }

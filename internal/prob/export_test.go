@@ -33,3 +33,28 @@ func (e *Engine) EliminationOrder() []int32 {
 
 // VarOf returns edge ed's variable, -1 for a certain edge.
 func (pg *PGraph) VarOf(ed graph.EdgeID) int32 { return pg.varOf[ed] }
+
+// ProbLitsSteps is ProbLits, also returning the steps the call recomputed in
+// ascending order (none when the literals cannot hold).
+func (e *Engine) ProbLitsSteps(lits []Literal) (float64, []int32, error) {
+	if e.z == 0 {
+		p, err := e.ProbLits(lits)
+		return p, nil, err
+	}
+	var sc litScratch
+	p := e.probLits(lits, &sc)
+	return p, sc.dirty, nil
+}
+
+// OwnSteps returns the steps whose tables e computed and holds itself, in
+// ascending order: every step for an unconditioned engine, the dirty path
+// for one from NewConditioned.
+func (e *Engine) OwnSteps() []int32 {
+	var out []int32
+	for s, o := range e.at {
+		if o >= 0 {
+			out = append(out, int32(s))
+		}
+	}
+	return out
+}

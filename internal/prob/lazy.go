@@ -107,7 +107,7 @@ func (w *LazyWorld) draw(rng *SplitMix, v int32) bool {
 		sc := e.sched
 		s := sc.stepOf[v]
 		st := sc.steps[s]
-		at := int(st.tab)
+		slab, at := e.tables(s)
 		for j, u := range sc.outVars[st.outs:sc.steps[s+1].outs] {
 			bit := 0
 			if w.draw(rng, u) {
@@ -115,9 +115,8 @@ func (w *LazyWorld) draw(rng *SplitMix, v int32) bool {
 			}
 			at += bit << j
 		}
-		half := len(e.slab) / 2
-		if total := e.slab[at]; total > 0 {
-			on = rng.Float64()*total < e.slab[half+at]
+		if total := slab[at]; total > 0 {
+			on = rng.Float64()*total < slab[len(slab)/2+at]
 		}
 	}
 	w.on.AddIf(ed, on)

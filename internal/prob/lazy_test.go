@@ -10,8 +10,9 @@ import (
 	"probgraph/internal/prob"
 )
 
-// lazyEngines returns the parity model's engine and, when its evidence has
-// positive mass, one conditioned on random evidence.
+// lazyEngines returns the parity model's engine and, when their evidence
+// has positive mass, two overlays on it: one conditioned on random evidence
+// and one conditioned from that one on other evidence.
 func lazyEngines(t *testing.T, rng *rand.Rand, pg *prob.PGraph) []*prob.Engine {
 	t.Helper()
 	eng, err := prob.NewEngine(pg)
@@ -19,8 +20,13 @@ func lazyEngines(t *testing.T, rng *rand.Rand, pg *prob.PGraph) []*prob.Engine {
 		t.Fatal(err)
 	}
 	out := []*prob.Engine{eng}
-	if c, err := eng.NewConditioned(parityLits(rng, pg)); err == nil && c.Z() > 0 {
+	for from := eng; len(out) < 3; {
+		c, err := from.NewConditioned(parityLits(rng, pg))
+		if err != nil || c.Z() == 0 {
+			break
+		}
 		out = append(out, c)
+		from = c
 	}
 	return out
 }
@@ -125,8 +131,9 @@ func (s *splitMixSource) Seed(int64)   {}
 // TestLazyWorldDescendingIsSampleWorld: asking for every variable in
 // descending step order is SampleWorldInto. Without evidence both take one
 // uniform per step with a positive total, so from equal streams the worlds
-// are equal bit for bit; with evidence SampleWorldInto also draws for
-// pinned variables, so there the two world distributions must agree.
+// are equal bit for bit; with evidence (the overlays, whose clean steps read
+// the base engine's tables) SampleWorldInto also draws for pinned variables,
+// so there the two world distributions must agree.
 func TestLazyWorldDescendingIsSampleWorld(t *testing.T) {
 	const n = 3000
 	for seed := int64(0); seed < 80; seed++ {

@@ -206,10 +206,14 @@ func BenchmarkExactVsSample(b *testing.B) {
 // TestSampleSteadyStateAllocs pins what a prepared DNF's Sample allocates:
 // the clause CDF, the conditioned-engine slots and the lazy world's three
 // slabs (edges known present, edges known absent, decided variables), then
-// three allocations — engine, pin vector, table slab — per conditioned
-// engine, one per clause after the first, every one of which N = 800
-// samples pick. No generator state is allocated.
+// four allocations — engine, pin vector, per-step table offsets, and the
+// overlay slab of the clause's dirty steps — per conditioned engine, one per
+// clause after the first, every one of which N = 800 samples pick. No
+// generator state is allocated.
 func TestSampleSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
+	}
 	rng := rand.New(rand.NewSource(3))
 	pg, eng := randomModel(t, rng, 7, 10)
 	d, err := Prepare(eng, DedupClauses(randomClauses(rng, pg.G.NumEdges(), 5)), Options{N: 800, Seed: 2})
@@ -224,7 +228,52 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := 5 + 3*(d.Clauses()-1); n != float64(want) {
+	if want := 5 + 4*(d.Clauses()-1); n != float64(want) {
 		t.Fatalf("Sample over %d clauses allocates %v times, want %d", d.Clauses(), n, want)
+	}
+}
+
+// TestTruncationBoundCoversEveryClause: Bound is V over every clause, not
+// over the MaxClauses prefix. Four independent edges at 0.2 as four clauses,
+// two kept: the prefix's V is 0.4 and the DNF's probability 1 − 0.8⁴ ≈ 0.59,
+// so a threshold of 0.5 may not reject it on the bound.
+func TestTruncationBoundCoversEveryClause(t *testing.T) {
+	const eps = 0.5
+	b := graph.NewBuilder("star")
+	hub := b.AddVertex("a")
+	var jpts []prob.JPT
+	for i := 0; i < 4; i++ {
+		ed := b.MustAddEdge(hub, b.AddVertex("a"), "")
+		jpts = append(jpts, prob.JPT{Edges: []graph.EdgeID{ed}, P: []float64{0.8, 0.2}})
+	}
+	pg := prob.MustNew(b.Build(), jpts)
+	eng, err := prob.NewEngine(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses := make([]graph.EdgeSet, 4)
+	for i := range clauses {
+		clauses[i] = graph.NewEdgeSet(4)
+		clauses[i].Add(graph.EdgeID(i))
+	}
+	d, err := Prepare(eng, clauses, Options{N: 300, Seed: 1, MaxClauses: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Clauses() != 2 || d.v >= eps {
+		t.Fatalf("fixture: %d clauses kept, prefix V %v", d.Clauses(), d.v)
+	}
+	if d.Bound() < eps {
+		t.Fatalf("Bound %v below ε %v: the truncated DNF is rejected although Pr = %v", d.Bound(), eps, 1-math.Pow(0.8, 4))
+	}
+	full, err := Prepare(eng, clauses, Options{N: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Bound() != full.Bound() {
+		t.Fatalf("truncated Bound %v, untruncated %v", d.Bound(), full.Bound())
+	}
+	if got, _, err := d.Sample(0); err != nil || got > d.Bound() || got > d.v {
+		t.Fatalf("Sample = %v, %v; prefix V %v, Bound %v", got, err, d.v, d.Bound())
 	}
 }

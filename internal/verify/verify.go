@@ -7,10 +7,13 @@
 //
 // SMP is the paper's Algorithm 5: the Karp–Luby / coverage Monte-Carlo
 // estimator. Clause probabilities Pr(Bfi) come from the exact inference
-// engine (the paper's junction-tree step), worlds conditioned on a clause
-// come from evidence-conditioned engines, drawn lazily edge by edge, and the
-// estimator counts a sample only when the chosen clause is the first
-// satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi). By the
+// engine (the paper's junction-tree step), each one a recompute of only the
+// elimination steps its pinned edges reach. Worlds conditioned on a clause
+// come from the candidate engine's NewConditioned, one per clause picked: an
+// overlay that holds the tables of the steps the clause's edges dirty and
+// reads every other table from the candidate's engine. They are drawn
+// lazily edge by edge, and the estimator counts a sample only when the
+// chosen clause is the first satisfied one. The estimate is V·Cnt/N with V = Σ Pr(Bfi). By the
 // zero-one estimator theorem (Mitzenmacher–Upfal) N = ⌈4·ln(2/ξ)/(μτ²)⌉
 // samples give relative error τ with confidence 1−ξ, where μ = p/V, p the
 // DNF's probability, is the Karp–Luby success rate. The default
@@ -72,17 +75,19 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 
 // DNF is one candidate's verification problem, prepared once: the clauses
 // kept after MaxClauses truncation, in canonical order, with their literal
-// lists and exact probabilities Pr(Bfi), and V = Σ Pr(Bfi). Everything that
-// decides the candidate reads this one value — Bound before any sample is
-// drawn, then Exact or Sample — so clause probabilities are computed once
-// and the three can never disagree on which clauses they describe. A DNF with no
-// clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is decided by preparation
-// alone: it keeps no clauses and Bound is its value.
+// lists and exact probabilities Pr(Bfi), and V = Σ Pr(Bfi) over the kept
+// clauses. Everything that decides the candidate reads this one value —
+// Bound before any sample is drawn, then Exact or Sample — so clause
+// probabilities are computed once and the three can never disagree on which
+// clauses they describe. Bound alone sums over every clause, kept or not, so
+// it bounds the whole DNF's probability and not just the kept prefix's. A
+// DNF with no clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is decided by
+// preparation alone: it keeps no clauses and Bound is its value.
 type DNF struct {
 	eng     *prob.Engine
 	opt     Options  // defaulted
 	clauses []clause // canonical order, truncated to MaxClauses
-	v       float64
+	v       float64  // Σ Pr(Bfi) over the kept clauses
 	bound   float64
 }
 
@@ -97,8 +102,9 @@ type clause struct {
 // inference and puts the clauses in canonical order: descending Pr(Bfi),
 // ties broken by the ascending edge list. V is summed in that order, and
 // MaxClauses truncation keeps its prefix. Clause 0 is then the likeliest
-// pick of Sample, and the clause likeliest to hold is tested first. eng is
-// not touched when clauses is empty.
+// pick of Sample, and the clause likeliest to hold is tested first. Bound
+// is taken from the same sum continued over the clauses truncation drops.
+// eng is not touched when clauses is empty.
 func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, error) {
 	d := &DNF{eng: eng, opt: opt.withDefaults()}
 	if len(clauses) == 0 {
@@ -132,11 +138,16 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 	for _, c := range d.clauses {
 		d.v += c.p
 	}
-	// The estimate at Cnt = N, rounded and clamped as Sample rounds and
-	// clamps it: float multiplication and division are monotone, so no
-	// smaller Cnt can produce a larger value.
+	all := d.v // V over every clause: the kept prefix's sum, continued
+	for _, c := range cs[len(d.clauses):] {
+		all += c.p
+	}
+	// The estimate at Cnt = N over every clause's V, rounded and clamped as
+	// Sample rounds and clamps it: adding non-negative terms, multiplying and
+	// dividing are monotone in floats, so neither a smaller Cnt nor the kept
+	// prefix's V can produce a larger value.
 	n := float64(d.opt.N)
-	d.bound = min(d.v*n/n, 1)
+	d.bound = min(all*n/n, 1)
 	return d, nil
 }
 
@@ -145,8 +156,10 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 func (d *DNF) Clauses() int { return len(d.clauses) }
 
 // Bound returns the largest value Exact or Sample can return for this DNF,
-// compared bitwise: a threshold above it rejects the candidate without
-// evaluating anything, and a ranking may schedule the candidate by it.
+// compared bitwise, and is V over every clause, truncated or not — a union
+// bound on the whole DNF: a threshold above it rejects the candidate
+// without evaluating anything, and a ranking may schedule the candidate by
+// it.
 func (d *DNF) Bound() float64 { return d.bound }
 
 // Exact computes Pr(∨ clauses) by inclusion–exclusion over the prepared
