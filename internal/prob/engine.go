@@ -219,13 +219,9 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 	n := len(sc.steps) - 1
 	e := &Engine{pg: pg, sched: sc, pin: make([]uint8, len(pg.uncertain)), at: sc.tab[:n:n]}
 	e.root = e
-	every := make([]int32, n)
-	for s := range every {
-		every[s] = int32(s)
-	}
 	half := int(sc.tab[n])
 	e.slab = make([]float64, 2*half)
-	e.z = e.recompute(e.pin, e.at, every, e.slab[:half], e.slab[half:])
+	e.z = e.recompute(e.pin, e.at, e.slab[:half], e.slab[half:])
 	if e.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
@@ -245,12 +241,9 @@ func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
 	if err := r.pg.pinLits(c.pin, lits); err != nil {
 		return nil, err
 	}
-	sc := litScratchPool.Get().(*litScratch)
-	var size int
-	sc.dirty, size = r.markDirty(c.pin, lits, c.at, sc.dirty[:0])
+	size := r.markDirty(c.pin, lits, c.at)
 	c.slab = make([]float64, 2*size)
-	c.z = r.recompute(c.pin, c.at, sc.dirty, c.slab[:size], c.slab[size:])
-	litScratchPool.Put(sc)
+	c.z = r.recompute(c.pin, c.at, c.slab[:size], c.slab[size:])
 	if c.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
@@ -295,12 +288,12 @@ func (e *Engine) tables(s int32) ([]float64, int) {
 // of e's evidence, pin being the result. A step is dirty when pin and e.pin
 // differ on its variable or when it multiplies in a dirty step's table, so
 // the dirty set is the newly pinned variables' steps and every step above
-// them up to a root (schedule.up). It appends the dirty steps to dirty in
-// step order, gives each the offset of its table in a compact slab half of
-// the returned size, and marks every other step clean in at.
+// them up to a root (schedule.up). It gives each dirty step, in step order,
+// the offset of its table in a compact slab half of the returned size, and
+// marks every other step clean in at.
 //
 //pgvet:noalloc
-func (e *Engine) markDirty(pin []uint8, lits []Literal, at, dirty []int32) ([]int32, int) {
+func (e *Engine) markDirty(pin []uint8, lits []Literal, at []int32) int {
 	sc := e.sched
 	for s := range at {
 		at[s] = clean
@@ -319,13 +312,13 @@ func (e *Engine) markDirty(pin []uint8, lits []Literal, at, dirty []int32) ([]in
 		if o == pending {
 			at[s] = int32(size)
 			size += 1 << (sc.steps[s+1].outs - sc.steps[s].outs)
-			dirty = append(dirty, int32(s))
 		}
 	}
-	return dirty, size
+	return size
 }
 
-// recompute runs the dirty steps (see markDirty; at holds their offsets)
+// recompute runs the dirty steps — those at gives an offset (see markDirty),
+// every step on the unconditioned engine's first run — in step order
 // numerically under pin and returns the partition function. For each dirty
 // step s and each assignment m of its output variables it multiplies the
 // step's inputs, in schedule order from 1.0, once with the summed variable
@@ -338,11 +331,14 @@ func (e *Engine) markDirty(pin []uint8, lits []Literal, at, dirty []int32) ([]in
 // to the reference engine's.
 //
 //pgvet:noalloc
-func (e *Engine) recompute(pin []uint8, at, dirty []int32, sums, present []float64) float64 {
+func (e *Engine) recompute(pin []uint8, at []int32, sums, present []float64) float64 {
 	sc, jpts := e.sched, e.pg.JPTs
-	for _, s := range dirty {
+	for s, o32 := range at {
+		if o32 < 0 {
+			continue
+		}
 		st, end := sc.steps[s], sc.steps[s+1]
-		o := int(at[s])
+		o := int(o32)
 		ins := sc.inputs[st.ins:end.ins]
 		for m := 0; m < 1<<(end.outs-st.outs); m++ {
 			w0, w1 := 1.0, 1.0
@@ -438,25 +434,24 @@ func (e *Engine) ProbLits(lits []Literal) (float64, error) {
 	return p, nil
 }
 
-// litScratch is one ProbLits call's working memory — the pin vector, the
-// dirty steps' offsets and list, and their summed tables — and lends
-// NewConditioned its dirty list.
+// litScratch is one ProbLits call's working memory: the pin vector, the
+// dirty steps' offsets and their summed tables.
 type litScratch struct {
-	pin   []uint8
-	at    []int32
-	dirty []int32
-	sums  []float64
+	pin  []uint8
+	at   []int32
+	sums []float64
 }
 
 var litScratchPool = sync.Pool{New: func() any { return new(litScratch) }}
 
-// probLits is ProbLits over caller-held scratch, which keeps in sc.dirty
-// the steps it recomputed (none when the literals cannot hold).
+// probLits is ProbLits over caller-held scratch, whose at then gives an
+// offset to exactly the steps it recomputed (sc.at is empty when the
+// literals cannot hold).
 //
 //pgvet:noalloc
 func (e *Engine) probLits(lits []Literal, sc *litScratch) float64 {
 	sc.pin = append(sc.pin[:0], e.pin...)
-	sc.dirty = sc.dirty[:0]
+	sc.at = sc.at[:0]
 	if e.pg.pinLits(sc.pin, lits) != nil {
 		return 0
 	}
@@ -464,12 +459,11 @@ func (e *Engine) probLits(lits []Literal, sc *litScratch) float64 {
 		sc.at = make([]int32, len(e.at))
 	}
 	sc.at = sc.at[:len(e.at)]
-	var size int
-	sc.dirty, size = e.markDirty(sc.pin, lits, sc.at, sc.dirty)
+	size := e.markDirty(sc.pin, lits, sc.at)
 	if cap(sc.sums) < size {
 		sc.sums = make([]float64, size)
 	}
-	return e.recompute(sc.pin, sc.at, sc.dirty, sc.sums[:size], nil) / e.z
+	return e.recompute(sc.pin, sc.at, sc.sums[:size], nil) / e.z
 }
 
 // ProbAllPresent returns Pr(every edge in es exists | evidence). This is the

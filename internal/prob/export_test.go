@@ -43,7 +43,13 @@ func (e *Engine) ProbLitsSteps(lits []Literal) (float64, []int32, error) {
 	}
 	var sc litScratch
 	p := e.probLits(lits, &sc)
-	return p, sc.dirty, nil
+	var steps []int32
+	for s, o := range sc.at {
+		if o >= 0 {
+			steps = append(steps, int32(s))
+		}
+	}
+	return p, steps, nil
 }
 
 // OwnSteps returns the steps whose tables e computed and holds itself, in

@@ -211,9 +211,6 @@ func BenchmarkExactVsSample(b *testing.B) {
 // clause after the first, every one of which N = 800 samples pick. No
 // generator state is allocated.
 func TestSampleSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
-	}
 	rng := rand.New(rand.NewSource(3))
 	pg, eng := randomModel(t, rng, 7, 10)
 	d, err := Prepare(eng, DedupClauses(randomClauses(rng, pg.G.NumEdges(), 5)), Options{N: 800, Seed: 2})
