@@ -107,6 +107,10 @@ func run(args []string, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "pggen: -qsize must be >= 1, got %d\n", *qsize)
 		return 2
 	}
+	if *qfrom < 0 {
+		fmt.Fprintf(stderr, "pggen: -qfrom must be >= 0, got %d\n", *qfrom)
+		return 2
+	}
 
 	opt := probgraph.DatasetOptions{
 		NumGraphs: *n, Organisms: *organisms,

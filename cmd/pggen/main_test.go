@@ -69,3 +69,13 @@ func TestRunFlagErrorExit(t *testing.T) {
 		t.Fatalf("run = %d, want 2 for a flag parse error", code)
 	}
 }
+
+// TestRunNegativeQFromExit: a negative source index is refused up front
+// as a flag error, not taken modulo the graph count into a negative index.
+func TestRunNegativeQFromExit(t *testing.T) {
+	var stderr bytes.Buffer
+	out := filepath.Join(t.TempDir(), "q.pgraph")
+	if code := run([]string{"-query", "-n", "3", "-qfrom", "-1", "-o", out}, &stderr); code != 2 || !strings.Contains(stderr.String(), "-qfrom") {
+		t.Fatalf("run = %d, stderr %q; want 2 naming -qfrom", code, stderr.String())
+	}
+}

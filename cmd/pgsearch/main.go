@@ -152,6 +152,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *qsize < 1 {
 		return usage("-qsize must be >= 1, got %d", *qsize)
 	}
+	if *qfrom < 0 {
+		return usage("-qfrom must be >= 0, got %d", *qfrom)
+	}
 	if *timeout < 0 {
 		return usage("-timeout must be >= 0, got %v", *timeout)
 	}

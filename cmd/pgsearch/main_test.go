@@ -157,6 +157,9 @@ func TestExitCodes(t *testing.T) {
 	if code, _, _ := pgsearch(t, "-loadsnap", snap, "-qfile", "/nonexistent"); code != 1 {
 		t.Errorf("missing -qfile: exit %d, want 1", code)
 	}
+	if code, _, stderr := pgsearch(t, "-loadsnap", snap, "-qfrom", "-1", "-queries", "1"); code != 2 || !strings.Contains(stderr, "-qfrom") {
+		t.Errorf("-qfrom -1: exit %d, stderr %q; want 2 naming the flag", code, stderr)
+	}
 }
 
 // TestTraceLeavesStdout: -trace writes one span tree per response to

@@ -140,7 +140,7 @@ func main() {
 		}
 		loadGauge.Set(time.Since(start).Seconds())
 		logger.Info("opened snapshot (no mining)",
-			"path", *snapshot, "graphs", db.Len(), "pmi_features", pmiFeatures(db),
+			"path", *snapshot, "graphs", db.Len(), "pmi_features", db.View().PMI.NumFeatures(),
 			"elapsed", time.Since(start).Round(time.Millisecond).String())
 	default:
 		f, err := os.Open(*dbPath)
@@ -158,7 +158,7 @@ func main() {
 		}
 		loadGauge.Set(time.Since(start).Seconds())
 		logger.Info("indexed dataset",
-			"path", *dbPath, "graphs", db.Len(), "pmi_features", pmiFeatures(db),
+			"path", *dbPath, "graphs", db.Len(), "pmi_features", db.View().PMI.NumFeatures(),
 			"elapsed", time.Since(start).Round(time.Millisecond).String())
 	}
 
@@ -188,12 +188,4 @@ func main() {
 		"cache", *cacheSize, "workers", *workers, "timeout", timeout.String()); err != nil {
 		fatal(err)
 	}
-}
-
-func pmiFeatures(db *core.Database) int {
-	pmi := db.View().PMI
-	if pmi == nil {
-		return 0
-	}
-	return pmi.NumFeatures()
 }

@@ -46,9 +46,6 @@ type BuildOptions struct {
 	PMI pmi.Options
 	// StructFeatures caps the structural filter's counting features.
 	StructFeatures int
-	// SkipPMI builds only the structural layer (used by the Structure-only
-	// baseline and by IND-model comparisons that rebuild indices).
-	SkipPMI bool
 }
 
 // DefaultBuildOptions returns the paper's default parameter setting scaled
@@ -103,8 +100,14 @@ type View struct {
 	// deterministic).
 	engines []*engineCell
 
+	// Features is the mined vocabulary the PMI indexes. Each Support is the
+	// miner's build-time record: AddGraph, ReplaceGraph and RemoveGraph do
+	// not maintain it (a projection only renumbers it), and nothing after
+	// pmi.Build reads it.
 	Features []*feature.Feature
-	PMI      *pmi.Index
+	// PMI is never nil: NewDatabase always builds it and a snapshot must
+	// carry it.
+	PMI *pmi.Index
 	// Struct is never nil: besides filtering, it records which slots are
 	// live.
 	Struct *simsearch.Index
@@ -242,16 +245,14 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 	v.Build.FeatureTime = time.Since(t1)
 	v.Build.Features = len(v.Features)
 
-	if !opt.SkipPMI {
-		t2 := time.Now()
-		idx, err := pmi.Build(graphs, engines, v.Features, opt.PMI)
-		if err != nil {
-			return nil, fmt.Errorf("core: building PMI: %w", err)
-		}
-		v.PMI = idx
-		v.Build.PMITime = time.Since(t2)
-		v.Build.IndexSizeBytes = idx.SizeBytes()
+	t2 := time.Now()
+	idx, err := pmi.Build(graphs, engines, v.Features, opt.PMI)
+	if err != nil {
+		return nil, fmt.Errorf("core: building PMI: %w", err)
 	}
+	v.PMI = idx
+	v.Build.PMITime = time.Since(t2)
+	v.Build.IndexSizeBytes = idx.SizeBytes()
 	db := &Database{}
 	db.cur.Store(v)
 	return db, nil
@@ -390,15 +391,13 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 		return Mutation{}, fmt.Errorf("core: adding graph: %w", err)
 	}
 	return db.commit("", 0, func(v *View) (*View, error) {
-		nv := *v
-		if v.PMI != nil {
-			npmi, err := v.PMI.WithColumn(pg, eng)
-			if err != nil {
-				return nil, err
-			}
-			nv.PMI = npmi
-			nv.Build.IndexSizeBytes = npmi.SizeBytes()
+		npmi, err := v.PMI.WithColumn(pg, eng)
+		if err != nil {
+			return nil, err
 		}
+		nv := *v
+		nv.PMI = npmi
+		nv.Build.IndexSizeBytes = npmi.SizeBytes()
 		nv.Graphs = append(v.Graphs, pg)
 		nv.engines = append(v.engines, newEngineCell(eng))
 		nv.Certain = append(v.Certain, pg.G)
@@ -432,9 +431,7 @@ func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
 		nv.Certain = cloneWith(v.Certain, id, deadGraph.G)
 		nv.engines = cloneWith(v.engines, id, nil)
 		nv.Struct = v.Struct.WithTombstones(id)
-		if v.PMI != nil {
-			nv.PMI = v.PMI.WithFreedColumns(id)
-		}
+		nv.PMI = v.PMI.WithFreedColumns(id)
 		return &nv, nil
 	})
 }
@@ -456,15 +453,13 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 		return Mutation{}, fmt.Errorf("core: replacing graph %d: %w", id, err)
 	}
 	return db.commit("replacing", id, func(v *View) (*View, error) {
-		nv := *v
-		if v.PMI != nil {
-			npmi, err := v.PMI.WithReplacedColumn(id, pg, eng)
-			if err != nil {
-				return nil, err
-			}
-			nv.PMI = npmi
-			nv.Build.IndexSizeBytes = npmi.SizeBytes()
+		npmi, err := v.PMI.WithReplacedColumn(id, pg, eng)
+		if err != nil {
+			return nil, err
 		}
+		nv := *v
+		nv.PMI = npmi
+		nv.Build.IndexSizeBytes = npmi.SizeBytes()
 		nv.Graphs = cloneWith(v.Graphs, id, pg)
 		nv.engines = cloneWith(v.engines, id, newEngineCell(eng))
 		nv.Certain = cloneWith(v.Certain, id, pg.G)

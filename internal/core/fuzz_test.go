@@ -15,8 +15,8 @@ import (
 // error, never a panic, an index out of range, or an attempt to allocate
 // slabs the input cannot back — and a snapshot that loads must answer a
 // query (an error is fine, a panic is not). The corpus seeds every
-// checked-in fixture, a v4 and a v5 fixture without their struct section,
-// and truncations and bit flips of one fixture per encoding, which walk
+// checked-in fixture, a v4 and a v5 fixture without their struct section
+// and without their pmi section, and truncations and bit flips of one fixture per encoding, which walk
 // the cursor through its bounds checks and the text decoder through its
 // tag, count and framing checks.
 func FuzzLoadDatabase(f *testing.F) {
@@ -38,6 +38,7 @@ func FuzzLoadDatabase(f *testing.F) {
 	for _, name := range []string{"v4_tiny_tombs.pgsnapb", "v5_tiny_tombs.pgsnap"} {
 		if b, err := os.ReadFile(fixturePath(name)); err == nil {
 			f.Add(withoutSection(f, b, secStruct))
+			f.Add(withoutSection(f, b, secPMI))
 		}
 	}
 	damaged := func(name string, cuts, flips []int) {
@@ -63,7 +64,7 @@ func FuzzLoadDatabase(f *testing.F) {
 	// v5: inside the header, a section marker, the options literal, and
 	// (from the tombstone fixture) the generation section's slab line.
 	damaged("v5_tiny.pgsnap", []int{5, 10, 18, 26, 40}, []int{7, 12, 20, 27, 60})
-	damaged("v5_tiny_tombs.pgsnap", nil, []int{370, 376, 380})
+	damaged("v5_tiny_tombs.pgsnap", nil, []int{312, 318, 322})
 	f.Add([]byte("pgsnap v5\nsection options\nbytes \"{}\"\n"))
 	f.Add([]byte("pgsnap v5\nsection options\nbytes \"{}\"\nsection generation\nu64 1\ni32s 9999999999 1\n"))
 	f.Add([]byte("pgsnap v6\nsection options\n"))

@@ -93,27 +93,6 @@ func TestAddGraphBookkeepingAfterCommit(t *testing.T) {
 			len(v.Graphs), len(v.engines), len(v.Certain))
 	}
 
-	// Without a PMI the stat must stay untouched (no stale PMI size).
-	raw2, err := dataset.GeneratePPI(dataset.PPIOptions{
-		NumGraphs: 4, MinVertices: 5, MaxVertices: 7, EdgeFactor: 1.3,
-		Labels: 3, Organisms: 2, Correlated: true, Seed: 1009,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultBuildOptions()
-	opt.SkipPMI = true
-	noPMI, err := NewDatabase(raw2.Graphs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := noPMI.Build().IndexSizeBytes
-	if _, _, err := noPMI.AddGraph(extra.Graphs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if noPMI.Build().IndexSizeBytes != before {
-		t.Fatalf("IndexSizeBytes changed on a PMI-less database: %d -> %d", before, noPMI.Build().IndexSizeBytes)
-	}
 }
 
 // TestAddGraphBoundsStaySound: PMI entries added incrementally must still

@@ -590,10 +590,8 @@ func TestAutoCompactThreshold(t *testing.T) {
 	if db.View().Tombstones() != 0 || db.Len() != 4 || db.View().NumLive() != 4 {
 		t.Fatalf("after auto-compact: tombs=%d len=%d live=%d", db.View().Tombstones(), db.Len(), db.View().NumLive())
 	}
-	if db.View().PMI != nil {
-		if n := db.View().PMI.NumGraphs(); n != 4 {
-			t.Fatalf("PMI has %d columns after compaction, want 4", n)
-		}
+	if n := db.View().PMI.NumGraphs(); n != 4 {
+		t.Fatalf("PMI has %d columns after compaction, want 4", n)
 	}
 }
 
@@ -808,8 +806,8 @@ func TestMutationsOnZeroFeatureVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.View().PMI == nil || db.View().PMI.NumFeatures() != 0 {
-		t.Fatalf("setup: want a PMI with zero feature rows, got %v", db.View().PMI)
+	if n := db.View().PMI.NumFeatures(); n != 0 {
+		t.Fatalf("setup: want a PMI with zero feature rows, got %d", n)
 	}
 
 	if _, err := db.RemoveGraph(1); err != nil {

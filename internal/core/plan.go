@@ -81,7 +81,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	p.stats.StructConfirmed = len(p.scq)
 	p.stats.TimeStruct = time.Since(t0)
 
-	if v.PMI != nil && !opt.SkipProbPruning && !ranked {
+	if !opt.SkipProbPruning && !ranked {
 		t := time.Now()
 		sp = parent.Child("pmi_prune")
 		p.pr, err = v.newPruner(ctx, q, p.deleted, opt, true)

@@ -74,10 +74,8 @@ func (v *View) project(slots []int) *View {
 		nv.Features[i] = &cp
 	}
 	nv.Struct = v.Struct.Select(slots)
-	if v.PMI != nil {
-		nv.PMI = v.PMI.Select(slots)
-		nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
-	}
+	nv.PMI = v.PMI.Select(slots)
+	nv.Build.IndexSizeBytes = nv.PMI.SizeBytes()
 	return nv
 }
 

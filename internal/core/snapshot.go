@@ -128,9 +128,7 @@ func (v *View) encode(open func(section) snapbin.Encoder) error {
 	}
 
 	v.Struct.EncodeSnap(open(secStruct))
-	if v.PMI != nil {
-		v.PMI.EncodeSnap(open(secPMI))
-	}
+	v.PMI.EncodeSnap(open(secPMI))
 	if v.gids != nil {
 		open(secGIDs).I32s(int32s(v.gids))
 	}
@@ -304,19 +302,20 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 	}
 	v.Struct = ix.WithTombstones(tombs...)
 
-	if c, ok := open(secPMI); ok {
-		idx, err := pmi.DecodeSnap(c, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: %w", err)
-		}
-		// The pmi section does not persist options, so they are restored
-		// here — incremental mutations then behave exactly as before the
-		// round trip — and the dead slots' columns, written uncontained,
-		// are freed as RemoveGraph freed them.
-		idx.Opt = v.opt.PMI
-		v.PMI = idx.WithFreedColumns(tombs...)
-		v.Build.IndexSizeBytes = v.PMI.SizeBytes()
+	if c, err = need(secPMI); err != nil {
+		return nil, err
 	}
+	idx, err := pmi.DecodeSnap(c, n)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
+	}
+	// The pmi section does not persist options, so they are restored here —
+	// incremental mutations then behave exactly as before the round trip —
+	// and the dead slots' columns, written uncontained, are freed as
+	// RemoveGraph freed them.
+	idx.Opt = v.opt.PMI
+	v.PMI = idx.WithFreedColumns(tombs...)
+	v.Build.IndexSizeBytes = v.PMI.SizeBytes()
 
 	if c, ok := open(secGIDs); ok {
 		gids32 := c.I32s()

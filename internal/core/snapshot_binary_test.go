@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"probgraph/internal/dataset"
 )
 
 // roundTripBinary snapshots db as pgsnap v4 and loads it back.
@@ -180,30 +178,6 @@ func TestOpenSnapshot(t *testing.T) {
 		if !reflect.DeepEqual(want.Answers, have.Answers) || !reflect.DeepEqual(want.SSP, have.SSP) {
 			t.Fatalf("OpenSnapshot(%s) answers diverged", format)
 		}
-	}
-}
-
-// TestSnapshotBinaryNoPMI: a structure-only database round-trips in v4.
-func TestSnapshotBinaryNoPMI(t *testing.T) {
-	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
-		NumGraphs: 6, MinVertices: 5, MaxVertices: 6, Organisms: 2,
-		Correlated: true, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultBuildOptions()
-	opt.SkipPMI = true
-	db, err := NewDatabase(raw.Graphs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := roundTripBinary(t, db)
-	if got.View().PMI != nil {
-		t.Fatal("reloaded database unexpectedly has a PMI")
-	}
-	if got.View().NumLive() != db.View().NumLive() {
-		t.Fatalf("reloaded database holds %d live graphs, want %d", got.View().NumLive(), db.View().NumLive())
 	}
 }
 

@@ -54,13 +54,7 @@ func snapshotCases(t *testing.T) map[string]*View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultBuildOptions()
-	opt.SkipPMI = true
-	noPMI, err := NewDatabase(full.View().Graphs[:5], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*View{"full": full.View(), "mutated": mutated.View(), "range": part, "no-pmi": noPMI.View()}
+	return map[string]*View{"full": full.View(), "mutated": mutated.View(), "range": part}
 }
 
 func reload(t *testing.T, v *View, format SnapshotFormat) *View {
@@ -131,12 +125,6 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 		}
 	}
 
-	if (got.PMI == nil) != (want.PMI == nil) {
-		t.Fatalf("%s: PMI presence changed", label)
-	}
-	if got.PMI == nil {
-		return
-	}
 	comparePersisted(t, label, got.PMI, want.PMI, "Entries")
 	if got.PMI.Opt != got.opt.PMI {
 		t.Errorf("%s: PMI options not restored from the build options", label)

@@ -77,8 +77,8 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 	if got.Len() != db.Len() {
 		t.Fatalf("reloaded %d graphs, want %d", got.Len(), db.Len())
 	}
-	if got.View().PMI == nil || got.View().PMI.NumFeatures() != db.View().PMI.NumFeatures() {
-		t.Fatalf("PMI features: got %v, want %d", got.View().PMI, db.View().PMI.NumFeatures())
+	if got.View().PMI.NumFeatures() != db.View().PMI.NumFeatures() {
+		t.Fatalf("PMI features: got %d, want %d", got.View().PMI.NumFeatures(), db.View().PMI.NumFeatures())
 	}
 	if len(got.View().Features) != len(db.View().Features) {
 		t.Fatalf("mined features: got %d, want %d", len(got.View().Features), len(db.View().Features))
@@ -205,62 +205,30 @@ func TestSnapshotIncrementalAddGraph(t *testing.T) {
 	}
 }
 
-// TestSnapshotNoPMI: a structure-only database (SkipPMI) snapshots and
-// reloads too.
-func TestSnapshotNoPMI(t *testing.T) {
-	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
-		NumGraphs: 6, MinVertices: 5, MaxVertices: 6, Organisms: 2,
-		Correlated: true, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultBuildOptions()
-	opt.SkipPMI = true
-	db, err := NewDatabase(raw.Graphs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := roundTrip(t, db)
-	if got.View().PMI != nil {
-		t.Fatal("reloaded database unexpectedly has a PMI")
-	}
-	q := snapQueries(t, raw, 1)[0]
-	qo := QueryOptions{Epsilon: 0.4, Delta: 1, Seed: 2}
-	want, err := db.View().QueryCtx(bg, q, qo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.View().QueryCtx(bg, q, qo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Answers, have.Answers) || !reflect.DeepEqual(want.SSP, have.SSP) {
-		t.Fatalf("structure-only query diverged")
-	}
-}
-
-// TestTombstoneRecordNeedsStructSection: the struct section holds the
-// view's one liveness record (the tombstone mask lives in its index), so a
-// snapshot without it is refused, in either encoding and through either
-// loader, with an error naming the section — not loaded into a view whose
-// first query dereferences a nil index.
-func TestTombstoneRecordNeedsStructSection(t *testing.T) {
+// TestSnapshotNeedsStructAndPMISections: the struct section holds the
+// view's one liveness record (the tombstone mask lives in its index) and the
+// pmi section the bounds every query prunes by, so a snapshot without either
+// is refused, in either encoding and through either loader, with an error
+// naming the section — not loaded into a view whose first query dereferences
+// a nil index.
+func TestSnapshotNeedsStructAndPMISections(t *testing.T) {
 	db, _ := snapDB(t, 6)
 	if _, err := db.RemoveGraph(2); err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range bothFormats {
-		cut := withoutSection(t, saveBytes(t, db.View(), format), secStruct)
-		path := filepath.Join(t.TempDir(), "nostruct")
-		if err := os.WriteFile(path, cut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, loadErr := LoadDatabase(bytes.NewReader(cut))
-		_, openErr := OpenSnapshot(path)
-		for name, err := range map[string]error{"LoadDatabase": loadErr, "OpenSnapshot": openErr} {
-			if err == nil || !strings.Contains(err.Error(), "missing struct section") {
-				t.Errorf("%s %s without a struct section: error %v, want one naming the section", format, name, err)
+	for _, sec := range []section{secStruct, secPMI} {
+		for _, format := range bothFormats {
+			cut := withoutSection(t, saveBytes(t, db.View(), format), sec)
+			path := filepath.Join(t.TempDir(), "no"+sec.name)
+			if err := os.WriteFile(path, cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, loadErr := LoadDatabase(bytes.NewReader(cut))
+			_, openErr := OpenSnapshot(path)
+			for name, err := range map[string]error{"LoadDatabase": loadErr, "OpenSnapshot": openErr} {
+				if want := "missing " + sec.name + " section"; err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s %s without a %s section: error %v, want one naming the section", format, name, sec.name, err)
+				}
 			}
 		}
 	}

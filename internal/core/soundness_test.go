@@ -204,9 +204,7 @@ func TestStructuralPruningNeverDropsAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultBuildOptions()
-		opt.SkipPMI = true
-		db, err := NewDatabase(raw.Graphs, opt)
+		db, err := NewDatabase(raw.Graphs, DefaultBuildOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

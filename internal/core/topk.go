@@ -159,9 +159,8 @@ func insertTopK(top []TopKItem, item TopKItem, k int) []TopKItem {
 // candidate slot and the bound it is scheduled by, min(Usim, V, 1). V is the
 // bound of the candidate's own prepared DNF (Σ Pr(Bfi), see VerifySSP):
 // VerifySSPBatch never returns more, compared bitwise. Usim is the PMI's
-// bound on the true SSP, absent when the view has no PMI. The schedule is
-// sorted Upper descending, slot ascending — the order the serial top-k
-// algorithm verifies in.
+// bound on the true SSP. The schedule is sorted Upper descending, slot
+// ascending — the order the serial top-k algorithm verifies in.
 type TopKBound struct {
 	Graph int     // database slot index
 	Upper float64 // min(Usim, V, 1)
@@ -192,34 +191,26 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		}
 		return p, sched, nil, nil
 	}
-	// Each candidate's bound is the smaller of Usim (when the view has a
-	// PMI; drawn from the candidate's own candSeed-derived rng) and the
-	// bound of its prepared DNF, so the schedule is the same at any worker
-	// count.
+	// Each candidate's bound is the smallest of Usim (drawn from the
+	// candidate's own candSeed-derived rng), 1 and the bound of its prepared
+	// DNF, so the schedule is the same at any worker count.
 	type scheduled struct {
 		TopKBound
 		dnf *verify.DNF
 	}
 	cands := make([]scheduled, len(p.scq))
 	sp := obs.SpanFrom(ctx).Child("bounds")
-	var pr *pruner
-	if v.PMI != nil {
-		pr, err = v.newPruner(ctx, q, p.deleted, p.opt, false)
-	}
+	pr, err := v.newPruner(ctx, q, p.deleted, p.opt, false)
 	if err == nil {
 		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
 			gi := p.scq[i]
-			ub := 1.0
-			if pr != nil {
-				usim, sc := pr.usim(gi)
-				putScratch(sc)
-				ub = min(usim, 1)
-			}
+			usim, sc := pr.usim(gi)
+			putScratch(sc)
 			d, err := v.prepareDNF(q, gi, p.opt)
 			if err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}
-			cands[i] = scheduled{TopKBound{Graph: gi, Upper: min(ub, d.Bound())}, d}
+			cands[i] = scheduled{TopKBound{Graph: gi, Upper: min(usim, 1, d.Bound())}, d}
 			return nil
 		})
 	}

@@ -145,6 +145,24 @@ func TestDecodeRejectsMalformedBlocks(t *testing.T) {
 	}
 }
 
+// TestDecodersReadIntegersStrictly: a vertex id or edge endpoint with
+// trailing junk is an error in both text decoders — the query-graph codec
+// and the dataset codec — never the number its leading digits spell.
+func TestDecodersReadIntegersStrictly(t *testing.T) {
+	for _, row := range []string{"v 1junk B", "e 0x1 2 x", "e 1.9 2 x", "e 1 2x x"} {
+		body := "v 0 A\n" + row + "\n"
+		if row[0] == 'e' {
+			body = "v 0 A\nv 1 B\nv 2 C\n" + row + "\n"
+		}
+		if _, err := graph.NewDecoder(strings.NewReader("g q\n" + body + "end\n")).Decode(); err == nil {
+			t.Errorf("graph.Decoder accepted %q", row)
+		}
+		if _, _, err := NewPGraphDecoder(strings.NewReader("pgraph q\n" + body + "end\n")).Decode(); err == nil {
+			t.Errorf("PGraphDecoder accepted %q", row)
+		}
+	}
+}
+
 // TestEncDecTok checks the token escaping directly, including the
 // empty-vs-dash distinction.
 func TestEncDecTok(t *testing.T) {

@@ -118,7 +118,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.DB, err = core.NewDatabase(e.Raw.Graphs, buildOpt(true, cfg.Seed))
+	e.DB, err = core.NewDatabase(e.Raw.Graphs, buildOpt(true))
 	if err != nil {
 		return nil, err
 	}
@@ -148,21 +148,20 @@ func NewEnv(cfg Config) (*Env, error) {
 	return e, nil
 }
 
-func buildOpt(optimize bool, seed int64) core.BuildOptions {
+func buildOpt(optimize bool) core.BuildOptions {
 	opt := core.DefaultBuildOptions()
 	opt.Feature.Beta = 0.2
 	opt.Feature.Alpha = 0.1
 	opt.Feature.Gamma = 0.1
 	opt.Feature.MaxL = 4
 	opt.PMI.Optimize = optimize
-	opt.PMI.Seed = seed
 	return opt
 }
 
 // plainDB lazily builds the SIPBound (greedy family) index.
 func (e *Env) plainDB() (*core.Database, error) {
 	if e.PlainDB == nil {
-		db, err := core.NewDatabase(e.Raw.Graphs, buildOpt(false, e.Cfg.Seed))
+		db, err := core.NewDatabase(e.Raw.Graphs, buildOpt(false))
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +486,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		structureBaseline = dataset.Mean(ss)
 	}
 	for _, maxL := range []int{2, 3, 4, 5} {
-		opt := buildOpt(true, e.Cfg.Seed)
+		opt := buildOpt(true)
 		opt.Feature.MaxL = maxL
 		c, db, err := candidatesWith(opt)
 		if err != nil {
@@ -499,7 +498,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	b := stats.NewTable("Figure 12b — candidate size vs α",
 		"alpha", "Structure", "OPT-SIPBound candidates", "features")
 	for _, alpha := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true, e.Cfg.Seed)
+		opt := buildOpt(true)
 		opt.Feature.Alpha = alpha
 		c, db, err := candidatesWith(opt)
 		if err != nil {
@@ -511,7 +510,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	c := stats.NewTable("Figure 12c — index building time vs β",
 		"beta", "build time ms", "features")
 	for _, beta := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true, e.Cfg.Seed)
+		opt := buildOpt(true)
 		opt.Feature.Beta = beta
 		start := time.Now()
 		db, err := core.NewDatabase(e.Raw.Graphs, opt)
@@ -524,7 +523,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	d := stats.NewTable("Figure 12d — index size vs γ",
 		"gamma", "index KB", "features")
 	for _, gamma := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true, e.Cfg.Seed)
+		opt := buildOpt(true)
 		opt.Feature.Gamma = gamma
 		db, err := core.NewDatabase(e.Raw.Graphs, opt)
 		if err != nil {
@@ -549,7 +548,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		db, err := core.NewDatabase(raw.Graphs, buildOpt(true, e.Cfg.Seed))
+		db, err := core.NewDatabase(raw.Graphs, buildOpt(true))
 		if err != nil {
 			return nil, err
 		}
@@ -640,15 +639,15 @@ func (e *Env) Fig14() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cor, err := core.NewDatabase(raw.Graphs, buildOpt(true, e.Cfg.Seed))
+	cor, err := core.NewDatabase(raw.Graphs, buildOpt(true))
 	if err != nil {
 		return nil, err
 	}
-	indR, err := core.NewDatabase(rawInd.Graphs, buildOpt(true, e.Cfg.Seed))
+	indR, err := core.NewDatabase(rawInd.Graphs, buildOpt(true))
 	if err != nil {
 		return nil, err
 	}
-	ind, err := core.NewDatabase(margInd.Graphs, buildOpt(true, e.Cfg.Seed))
+	ind, err := core.NewDatabase(margInd.Graphs, buildOpt(true))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -154,8 +155,8 @@ func (d *Decoder) Decode() (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph codec line %d: want 'v <id> <label>'", d.line)
 			}
-			var id int
-			if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
+			id, err := strconv.Atoi(fields[1])
+			if err != nil {
 				return nil, fmt.Errorf("graph codec line %d: bad vertex id %q", d.line, fields[1])
 			}
 			if id != len(b.vlabel) {
@@ -169,11 +170,12 @@ func (d *Decoder) Decode() (*Graph, error) {
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("graph codec line %d: want 'e <u> <v> <label>'", d.line)
 			}
-			var u, v int
-			if _, err := fmt.Sscanf(fields[1], "%d", &u); err != nil {
+			u, err := strconv.Atoi(fields[1])
+			if err != nil {
 				return nil, fmt.Errorf("graph codec line %d: bad endpoint %q", d.line, fields[1])
 			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &v); err != nil {
+			v, err := strconv.Atoi(fields[2])
+			if err != nil {
 				return nil, fmt.Errorf("graph codec line %d: bad endpoint %q", d.line, fields[2])
 			}
 			if _, err := b.AddEdge(VertexID(u), VertexID(v), decLabel(fields[3])); err != nil {

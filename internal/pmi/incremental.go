@@ -2,7 +2,6 @@ package pmi
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"probgraph/internal/iso"
@@ -29,11 +28,7 @@ import (
 // arriving later. It runs in full before any structural change happens, so
 // a failed computation leaves nothing to undo.
 func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
-	opt := idx.Opt.withDefaults()
-	b := &graphBuilder{
-		opt: opt, pg: pg, eng: eng,
-		rng: rand.New(rand.NewSource(opt.Seed ^ int64(gi)*0x9e3779b97f4a7c)),
-	}
+	b := &graphBuilder{opt: idx.Opt.withDefaults(), pg: pg, eng: eng}
 	column := make([]Entry, len(idx.Features))
 	for fi, fg := range idx.Features {
 		if !contained(fi) {

@@ -18,16 +18,16 @@
 //
 // with the tightest family again a maximum weight clique, now over cuts.
 //
-// Conditional probabilities Pr(B|COND) come either from the exact
-// inclusion–exclusion path (prob.ProbConjNegConj) or from the paper's
-// Algorithm 3 Monte-Carlo estimator on a shared pool of sampled worlds.
+// The conditionals Pr(B|COND) are exact: a ratio of two inclusion–exclusion
+// evaluations (prob.ProbConjNegConj) over a conditioning set of at most
+// MaxOverlap members, where the paper estimates them by Monte-Carlo sampling
+// (Algorithm 3).
 package pmi
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 
@@ -49,20 +49,14 @@ type Options struct {
 	// MaxOverlap caps the conditioning set |COR|/|COM| per embedding/cut.
 	// Default 6.
 	MaxOverlap int
-	// ExactCondLimit: conditioning sets up to this size use the exact
-	// inclusion–exclusion path; larger ones fall back to Algorithm 3
-	// sampling. Default 6 (so the default configuration is fully exact).
-	ExactCondLimit int
-	// Xi and Tau are the paper's Monte-Carlo parameters; the Algorithm 3
-	// sample count is N = ceil(4·ln(2/ξ)/τ²). Defaults ξ=0.05, τ=0.25.
-	Xi, Tau float64
 	// Optimize selects OPT-SIPBound (max-weight-clique tightest families).
 	// When false the builder uses the greedy disjoint family (the paper's
 	// plain SIPBound ablation). Default true via NewOptions.
 	Optimize bool
 	// Workers bounds build parallelism. Default GOMAXPROCS.
 	Workers int
-	// Seed drives Algorithm 3 sampling deterministically.
+	// Seed is read by nothing: the build is exact and draws no samples.
+	// It remains only because the benchmark's corpus recipe sets it.
 	Seed int64
 }
 
@@ -81,25 +75,10 @@ func (o Options) withDefaults() Options {
 	if o.MaxOverlap == 0 {
 		o.MaxOverlap = 6
 	}
-	if o.ExactCondLimit == 0 {
-		o.ExactCondLimit = 6
-	}
-	if o.Xi == 0 {
-		o.Xi = 0.05
-	}
-	if o.Tau == 0 {
-		o.Tau = 0.25
-	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// SampleN returns the Algorithm 3 world-pool size for the options.
-func (o Options) SampleN() int {
-	o = o.withDefaults()
-	return int(math.Ceil(4 * math.Log(2/o.Xi) / (o.Tau * o.Tau)))
 }
 
 // Entry is one cell of the matrix: SIP bounds of feature f in graph g.
@@ -185,29 +164,11 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 	return idx, nil
 }
 
-// graphBuilder computes entries for one graph; it owns a private rng and a
-// lazily sampled world pool shared by all Algorithm 3 estimates on this
-// graph.
+// graphBuilder computes the entries of one graph's column.
 type graphBuilder struct {
-	opt  Options
-	pg   *prob.PGraph
-	eng  *prob.Engine
-	rng  *rand.Rand
-	pool []graph.EdgeSet
-}
-
-func (b *graphBuilder) worldPool() []graph.EdgeSet {
-	if b.pool == nil {
-		n := b.opt.SampleN()
-		b.pool = make([]graph.EdgeSet, n)
-		scratch := make([]bool, b.pg.NumUncertain())
-		for i := range b.pool {
-			w := b.pg.NewWorld()
-			b.eng.SampleWorldInto(b.rng, w, scratch)
-			b.pool[i] = w
-		}
-	}
-	return b.pool
+	opt Options
+	pg  *prob.PGraph
+	eng *prob.Engine
 }
 
 // bounds computes the PMI entry for one contained feature.
@@ -230,62 +191,24 @@ func (b *graphBuilder) bounds(f *graph.Graph) (Entry, error) {
 }
 
 // condProb returns Pr(all of base hold polarity | none of others fully hold
-// polarity), exactly when the conditioning set is small, else via the
-// Algorithm 3 estimator over the shared world pool.
+// polarity) exactly, as the ratio of two inclusion–exclusion evaluations.
 func (b *graphBuilder) condProb(base graph.EdgeSet, others []graph.EdgeSet, present bool) (float64, error) {
-	if len(others) <= b.opt.ExactCondLimit {
-		num, err := prob.ProbConjNegConj(b.eng, &base, others, present, 0)
-		if err != nil {
-			return 0, err
-		}
-		den, err := prob.ProbConjNegConj(b.eng, nil, others, present, 0)
-		if err != nil {
-			return 0, err
-		}
-		if den <= 0 {
-			return 0, nil
-		}
-		p := num / den
-		if p > 1 {
-			p = 1
-		}
-		return p, nil
+	num, err := prob.ProbConjNegConj(b.eng, &base, others, present, 0)
+	if err != nil {
+		return 0, err
 	}
-	// Algorithm 3: n1 = worlds where base holds and no other holds;
-	// n2 = worlds where no other holds.
-	holds := func(w graph.EdgeSet, s graph.EdgeSet) bool {
-		if present {
-			return w.ContainsAll(s)
-		}
-		// All edges absent.
-		for _, e := range s.Slice() {
-			if w.Contains(e) {
-				return false
-			}
-		}
-		return true
+	den, err := prob.ProbConjNegConj(b.eng, nil, others, present, 0)
+	if err != nil {
+		return 0, err
 	}
-	n1, n2 := 0, 0
-	for _, w := range b.worldPool() {
-		anyOther := false
-		for _, o := range others {
-			if holds(w, o) {
-				anyOther = true
-				break
-			}
-		}
-		if anyOther {
-			continue
-		}
-		n2++
-		if holds(w, base) {
-			n1++
-		}
-	}
-	if n2 == 0 {
+	if den <= 0 {
 		return 0, nil
 	}
-	return float64(n1) / float64(n2), nil
+	p := num / den
+	if p > 1 {
+		p = 1
+	}
+	return p, nil
 }
 
 // overlapping returns up to MaxOverlap members of sets (≠ skip) sharing an
@@ -325,7 +248,7 @@ func (b *graphBuilder) overlapping(base graph.EdgeSet, sets []graph.EdgeSet, ski
 }
 
 // lowerBound follows §4.1.1: weight each embedding by −ln(1 − Pr(Bfi|COR))
-// (Algorithm 3 / exact conditionals), pick the tightest pairwise-disjoint
+// (exact conditionals), pick the tightest pairwise-disjoint
 // family via the Example 6 max-weight clique, then evaluate the selected
 // family. The paper's Eq 17 multiplies (1 − Pr(Bfi|COR)) assuming the
 // disjoint embeddings are conditionally independent; under shared-edge JPTs

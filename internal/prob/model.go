@@ -4,7 +4,7 @@
 // engine (variable elimination / junction-tree style) that supplies
 // partition functions, conjunction probabilities, marginals, and exact
 // possible-world sampling — including sampling conditioned on evidence,
-// which the paper's Algorithm 3 and Algorithm 5 both require.
+// which the paper's Algorithm 5 requires.
 //
 // Semantics. The distribution over possible worlds is the normalized product
 // of the JPT factors (a Markov random field). When JPTs partition the edge

@@ -402,11 +402,12 @@ func (l *local) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 func (l *local) Stats(queries int64) any {
 	v := l.db.View()
 	hits, misses := l.cache.Counters()
-	resp := StatsResponse{
+	return StatsResponse{
 		Graphs:           v.Len(),
 		LiveGraphs:       v.NumLive(),
 		TombstonedGraphs: v.Tombstones(),
 		Generation:       v.Generation,
+		PMIFeatures:      v.PMI.NumFeatures(),
 		IndexBytes:       v.Build.IndexSizeBytes,
 		UptimeMS:         float64(time.Since(l.start).Microseconds()) / 1000,
 		Queries:          queries,
@@ -420,10 +421,6 @@ func (l *local) Stats(queries int64) any {
 
 		DefaultTimeoutMS: float64(l.opt.Timeout.Microseconds()) / 1000,
 	}
-	if v.PMI != nil {
-		resp.PMIFeatures = v.PMI.NumFeatures()
-	}
-	return resp
 }
 
 func (l *local) Healthz() any {
