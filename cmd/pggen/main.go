@@ -111,6 +111,24 @@ func run(args []string, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "pggen: -qfrom must be >= 0, got %d\n", *qfrom)
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"minv", *minV}, {"organisms", *organisms}, {"labels", *labels}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "pggen: -%s must be >= 1, got %d\n", f.name, f.v)
+			return 2
+		}
+	}
+	if *maxV < *minV {
+		fmt.Fprintf(stderr, "pggen: -maxv must be >= -minv (%d), got %d\n", *minV, *maxV)
+		return 2
+	}
+	sf, err := probgraph.ParseSnapshotFormat(*format)
+	if err != nil {
+		fmt.Fprintf(stderr, "pggen: %v\n", err)
+		return 2
+	}
 
 	opt := probgraph.DatasetOptions{
 		NumGraphs: *n, Organisms: *organisms,
@@ -139,11 +157,6 @@ func run(args []string, stderr io.Writer) (code int) {
 	}
 
 	if *saveSnap != "" {
-		sf, err := probgraph.ParseSnapshotFormat(*format)
-		if err != nil {
-			fmt.Fprintf(stderr, "pggen: %v\n", err)
-			return 2
-		}
 		idxDB, err := probgraph.NewDatabase(db.Graphs, probgraph.DefaultBuildOptions())
 		if err != nil {
 			fmt.Fprintf(stderr, "pggen: %v\n", err)
@@ -153,11 +166,7 @@ func run(args []string, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "pggen: %v\n", err)
 			return 1
 		}
-		feats := 0
-		if pmi := idxDB.View().PMI; pmi != nil {
-			feats = pmi.NumFeatures()
-		}
-		fmt.Fprintf(stderr, "pggen: wrote snapshot (%d PMI features) to %s\n", feats, *saveSnap)
+		fmt.Fprintf(stderr, "pggen: wrote snapshot (%d PMI features) to %s\n", idxDB.View().PMI.NumFeatures(), *saveSnap)
 	}
 
 	totalV, totalE := 0, 0

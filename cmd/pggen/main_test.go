@@ -79,3 +79,48 @@ func TestRunNegativeQFromExit(t *testing.T) {
 		t.Fatalf("run = %d, stderr %q; want 2 naming -qfrom", code, stderr.String())
 	}
 }
+
+// TestRunRefusesOutOfRangeSizes: the size flags the generator cannot honour
+// are refused up front with one line naming the flag and exit 2 (they used
+// to panic inside GeneratePPI), in database and query mode alike, and
+// nothing is written.
+func TestRunRefusesOutOfRangeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-minv", "10", "-maxv", "5"}, "-maxv"},
+		{[]string{"-labels", "-1"}, "-labels"},
+		{[]string{"-organisms", "-1"}, "-organisms"},
+		{[]string{"-minv", "-3"}, "-minv"},
+		{[]string{"-query", "-organisms", "0"}, "-organisms"},
+	} {
+		var stderr bytes.Buffer
+		out := filepath.Join(t.TempDir(), "out.pgraph")
+		args := append([]string{"-n", "3", "-o", out}, tc.args...)
+		code := run(args, &stderr)
+		msg := stderr.String()
+		if code != 2 || !strings.Contains(msg, tc.flag) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: run = %d, stderr %q; want 2 and one line naming %s", tc.args, code, msg, tc.flag)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: output file exists after the refusal (stat err %v)", tc.args, err)
+		}
+	}
+}
+
+// TestRunBadFormatWritesNothing: an unknown -format is refused with the
+// other up-front checks, before the dataset or the snapshot is written.
+func TestRunBadFormatWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	out, snap := filepath.Join(dir, "ds.txt"), filepath.Join(dir, "s")
+	var stderr bytes.Buffer
+	if code := run([]string{"-n", "3", "-o", out, "-savesnap", snap, "-format", "bogus"}, &stderr); code != 2 {
+		t.Fatalf("run = %d, stderr %q; want 2", code, stderr.String())
+	}
+	for _, p := range []string{out, snap} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after the refusal (stat err %v)", filepath.Base(p), err)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 // unchanged on fixture modules and golden testdata.
 var detRangeScope = map[string]bool{
 	"core":      true,
+	"feature":   true,
 	"simsearch": true,
 	"pmi":       true,
 	"relax":     true,

@@ -24,6 +24,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,6 +34,7 @@ import (
 	"probgraph/internal/feature"
 	"probgraph/internal/graph"
 	"probgraph/internal/pmi"
+	"probgraph/internal/pool"
 	"probgraph/internal/prob"
 	"probgraph/internal/simsearch"
 )
@@ -225,13 +227,19 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 	}
 	v := &View{Generation: 1, Graphs: graphs, opt: opt}
 	engines := make([]*prob.Engine, len(graphs))
-	for i, pg := range graphs {
-		eng, err := prob.NewEngine(pg)
+	err := pool.ForEachIndexCtx(context.Background(), len(graphs), pool.Normalize(-1, len(graphs)), func(i int) error {
+		eng, err := prob.NewEngine(graphs[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: graph %d: %w", i, err)
+			return fmt.Errorf("core: graph %d: %w", i, err)
 		}
 		engines[i] = eng
-		v.engines = append(v.engines, newEngineCell(eng))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, pg := range graphs {
+		v.engines = append(v.engines, newEngineCell(engines[i]))
 		v.Certain = append(v.Certain, pg.G)
 	}
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probgraph/internal/dataset"
@@ -211,5 +213,42 @@ func TestCandSeedSpreads(t *testing.T) {
 	}
 	if candSeed(7, 0) == candSeed(8, 0) {
 		t.Fatal("candSeed ignores the base seed")
+	}
+}
+
+// TestNewDatabaseIndependentOfGOMAXPROCS builds one generated corpus at
+// GOMAXPROCS 1 and 4 and requires byte-identical binary snapshots. The
+// snapshot carries every build stage that runs on the pool — mined
+// features, structural count rows, the PMI — and the engines feed the PMI,
+// so the whole offline build is held to worker-count independence at once.
+func TestNewDatabaseIndependentOfGOMAXPROCS(t *testing.T) {
+	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
+		NumGraphs: 40, MinVertices: 10, MaxVertices: 14, Organisms: 5, Correlated: true, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultBuildOptions()
+	opt.Feature.Beta, opt.Feature.Alpha, opt.Feature.Gamma, opt.Feature.MaxL = 0.2, 0.1, 0.1, 4
+	opt.PMI.Optimize = true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var snaps [][]byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		db, err := NewDatabase(raw.Graphs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.Build().Features == 0 {
+			t.Fatal("no features mined")
+		}
+		var buf bytes.Buffer
+		if err := db.View().SaveAs(&buf, SnapshotBinary); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, buf.Bytes())
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("snapshots differ between GOMAXPROCS 1 and 4 (%d vs %d bytes)", len(snaps[0]), len(snaps[1]))
 	}
 }

@@ -74,6 +74,22 @@ func (o PPIOptions) withDefaults() PPIOptions {
 	return o
 }
 
+// check reports the first defaulted option outside the range the generator
+// can honour.
+func (o PPIOptions) check() error {
+	switch {
+	case o.MinVertices < 1:
+		return fmt.Errorf("dataset: MinVertices must be >= 1, got %d", o.MinVertices)
+	case o.MaxVertices < o.MinVertices:
+		return fmt.Errorf("dataset: MaxVertices %d is below MinVertices %d", o.MaxVertices, o.MinVertices)
+	case o.Organisms < 1:
+		return fmt.Errorf("dataset: Organisms must be >= 1, got %d", o.Organisms)
+	case o.Labels < 1:
+		return fmt.Errorf("dataset: Labels must be >= 1, got %d", o.Labels)
+	}
+	return nil
+}
+
 // DB is a generated database with organism ground truth.
 type DB struct {
 	Graphs   []*prob.PGraph
@@ -81,9 +97,13 @@ type DB struct {
 	Seeds    []*graph.Graph // family seed graphs
 }
 
-// GeneratePPI builds the synthetic PPI-like database.
+// GeneratePPI builds the synthetic PPI-like database. Zero options take
+// their defaults; out-of-range ones are an error.
 func GeneratePPI(opt PPIOptions) (*DB, error) {
 	opt = opt.withDefaults()
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	db := &DB{}
 	for o := 0; o < opt.Organisms; o++ {

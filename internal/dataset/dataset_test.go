@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"probgraph/internal/graph"
@@ -33,6 +34,31 @@ func TestGeneratePPIShape(t *testing.T) {
 				t.Fatalf("graph %d JPT %d is not a neighbor edge set", gi, ji)
 			}
 		}
+	}
+}
+
+// TestGeneratePPIRejectsOutOfRangeOptions pins the ranges that used to
+// panic inside the generator: each is an error naming the option.
+func TestGeneratePPIRejectsOutOfRangeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		opt  PPIOptions
+		want string
+	}{
+		{PPIOptions{MinVertices: -3}, "MinVertices"},
+		{PPIOptions{MinVertices: 10, MaxVertices: 5}, "MaxVertices"},
+		{PPIOptions{MinVertices: 20}, "MaxVertices"}, // above the default maximum
+		{PPIOptions{Organisms: -1}, "Organisms"},
+		{PPIOptions{Labels: -1}, "Labels"},
+	} {
+		tc.opt.NumGraphs = 3
+		db, err := GeneratePPI(tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || db != nil {
+			t.Errorf("%+v: got (%v, %v), want an error naming %s", tc.opt, db != nil, err, tc.want)
+		}
+	}
+	// The boundary values are accepted.
+	if _, err := GeneratePPI(PPIOptions{NumGraphs: 3, MinVertices: 1, MaxVertices: 1, Organisms: 1, Labels: 1}); err != nil {
+		t.Fatal(err)
 	}
 }
 

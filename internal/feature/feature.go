@@ -14,17 +14,41 @@
 //	      sub-features' supports, |Df| ≤ (1−γ)·|∩ Df′|
 //	maxL  maximum feature size (vertices)
 //
-// Mining is level-wise pattern growth: level-1 features are the distinct
-// labeled edges; each level extends embeddings by one adjacent edge, with
-// canonical-code deduplication and anti-monotone support pruning (a
-// candidate's support is a subset of its parent's).
+// Mining is level-wise pattern growth: level-1 candidates are the distinct
+// labeled edges, and every level-k candidate has k edges. Each level runs
+// five phases, the parallel ones on the shared pool (GOMAXPROCS workers,
+// each writing only its own slot), so the result is the serial
+// algorithm's, bitwise, at any worker count:
+//
+//  1. Qualify, in parallel: the α-frequency and discriminative rules for
+//     each candidate. The latter reads only features with fewer edges, so
+//     the features accepted before the level are all it can see.
+//  2. Accept, serially in level order, up to MaxFeatures.
+//  3. Extension shapes, in parallel, one task per accepted parent below
+//     maxL: the one-edge extensions, one graph per canonical code. A shape
+//     (pattern vertex, other endpoint, labels) already built is skipped
+//     before it is built or coded.
+//  4. Support, in parallel, once per distinct code of the level: the graphs
+//     of its smallest producer's support that contain it. A child contains
+//     every parent, so this is its exact support whichever parent it is
+//     filtered from.
+//  5. Merge, serially: parents in order, codes ascending within a parent,
+//     first occurrence kept, the first MaxCandidatesPerLevel codes with
+//     support ≥ β·|D| form the next level.
+//
+// Mining is not complete: extension shapes come from the first 8
+// supporting graphs' first 8 embeddings of each parent, so an extension
+// present only elsewhere in the database is never generated. The supports
+// of the features that are generated are exact.
 package feature
 
 import (
+	"context"
 	"sort"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
+	"probgraph/internal/pool"
 )
 
 // Options controls mining. Zero values select the defaults (the paper's
@@ -83,7 +107,10 @@ type Feature struct {
 	Support []int  // indices of graphs whose certain graph contains G
 }
 
-// Mine extracts features from the certain graphs dbc.
+// Mine extracts features from the certain graphs dbc. Each level runs the
+// five phases of the package doc; the parallel ones run on GOMAXPROCS
+// workers and write only per-index slots, so the features are the same,
+// bitwise, at any worker count.
 func Mine(dbc []*graph.Graph, opt Options) []*Feature {
 	opt = opt.withDefaults()
 	if len(dbc) == 0 {
@@ -95,50 +122,32 @@ func Mine(dbc []*graph.Graph, opt Options) []*Feature {
 	}
 
 	var out []*Feature
-	supportOf := make(map[string][]int) // code -> support (for dis())
-
 	level := mineSingleEdges(dbc)
 	for len(level) > 0 && len(out) < opt.MaxFeatures {
-		var next []*candidate
-		seen := make(map[string]bool)
-		for _, c := range level {
+		// 1. Qualify against the features accepted before this level.
+		indexed := out
+		ok := make([]bool, len(level))
+		forEach(len(level), func(i int) {
+			ok[i] = qualifies(level[i], dbc, indexed, minSupport, opt)
+		})
+		// 2. Accept, in level order, up to MaxFeatures.
+		var parents []*candidate
+		for i, c := range level {
 			if len(out) >= opt.MaxFeatures {
 				break
 			}
-			// Frequency with the α disjoint-ratio qualification.
-			qualified := 0
-			for _, gi := range c.support {
-				if disjointRatioOK(c.g, dbc[gi], opt) {
-					qualified++
-				}
-			}
-			if qualified < minSupport {
+			if !ok[i] {
 				continue
 			}
-			// Discriminative check against already indexed sub-features.
-			if !discriminativeOK(c, out, opt.Gamma) {
-				continue
-			}
-			f := &Feature{G: c.g, Code: c.code, Support: c.support}
-			out = append(out, f)
-			supportOf[c.code] = c.support
-
-			// Grow.
-			if c.g.NumVertices() >= opt.MaxL {
-				continue
-			}
-			for _, ext := range extend(c, dbc, opt) {
-				if seen[ext.code] || len(next) >= opt.MaxCandidatesPerLevel {
-					continue
-				}
-				if len(ext.support) < minSupport {
-					continue
-				}
-				seen[ext.code] = true
-				next = append(next, ext)
+			out = append(out, &Feature{G: c.g, Code: c.code, Support: c.support})
+			if c.g.NumVertices() < opt.MaxL {
+				parents = append(parents, c)
 			}
 		}
-		level = next
+		if len(out) >= opt.MaxFeatures {
+			break
+		}
+		level = grow(parents, dbc, minSupport, opt)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].G.NumEdges() != out[j].G.NumEdges() {
@@ -149,10 +158,84 @@ func Mine(dbc []*graph.Graph, opt Options) []*Feature {
 	return out
 }
 
+// forEach runs fn(i) for every i in [0, n) on GOMAXPROCS workers. The
+// loop cannot fail: its context is never cancelled and fn returns nil.
+func forEach(n int, fn func(i int)) {
+	_ = pool.ForEachIndexCtx(context.Background(), n, pool.Normalize(-1, n), func(i int) error {
+		fn(i)
+		return nil
+	})
+}
+
 type candidate struct {
 	g       *graph.Graph
 	code    string
 	support []int
+}
+
+// qualifies applies the α-frequency and discriminative rules to c.
+func qualifies(c *candidate, dbc []*graph.Graph, indexed []*Feature, minSupport int, opt Options) bool {
+	qualified := 0 // counted only as far as minSupport, all the rule reads
+	for _, gi := range c.support {
+		if qualified >= minSupport {
+			break
+		}
+		if disjointRatioOK(c.g, dbc[gi], opt) {
+			qualified++
+		}
+	}
+	return qualified >= minSupport && discriminativeOK(c, indexed, opt.Gamma)
+}
+
+// grow builds the next level from the accepted parents (phases 3–5).
+func grow(parents []*candidate, dbc []*graph.Graph, minSupport int, opt Options) []*candidate {
+	// 3. Extension shapes, one task per parent, each sorted by code.
+	shapes := make([][]*candidate, len(parents))
+	forEach(len(parents), func(i int) { shapes[i] = extensionShapes(parents[i], dbc) })
+
+	// The distinct codes in merge order (parents in order, codes ascending
+	// within a parent), each with its first producer's graph and the
+	// smallest support among its producers.
+	var uniq []*candidate
+	var base [][]int
+	at := make(map[string]int)
+	for i, ss := range shapes {
+		for _, s := range ss {
+			j, ok := at[s.code]
+			if !ok {
+				at[s.code] = len(uniq)
+				uniq = append(uniq, s)
+				base = append(base, parents[i].support)
+			} else if len(parents[i].support) < len(base[j]) {
+				base[j] = parents[i].support
+			}
+		}
+	}
+
+	// 4. One support per distinct code. A child contains each of its
+	// producers, and a producer's support is exact, so filtering any of
+	// them yields the child's exact support, in ascending order.
+	forEach(len(uniq), func(j int) {
+		supp := make([]int, 0, len(base[j]))
+		for _, gi := range base[j] {
+			if iso.Exists(uniq[j].g, dbc[gi], nil) {
+				supp = append(supp, gi)
+			}
+		}
+		uniq[j].support = supp
+	})
+
+	// 5. Merge: the first MaxCandidatesPerLevel frequent codes.
+	var next []*candidate
+	for _, c := range uniq {
+		if len(next) >= opt.MaxCandidatesPerLevel {
+			break
+		}
+		if len(c.support) >= minSupport {
+			next = append(next, c)
+		}
+	}
+	return next
 }
 
 // mineSingleEdges builds the level-1 candidates: one per distinct labeled
@@ -169,12 +252,12 @@ func mineSingleEdges(dbc []*graph.Graph) []*candidate {
 			}
 			local[triple{la, ed.Label, lb}] = true
 		}
-		for tr := range local {
+		for tr := range local { //pgvet:sorted each triple gets gi once; gi ascends whatever the order
 			supp[tr] = append(supp[tr], gi)
 		}
 	}
 	var out []*candidate
-	for tr, s := range supp {
+	for tr, s := range supp { //pgvet:sorted collected, then sorted by code below
 		b := graph.NewBuilder("f")
 		u := b.AddVertex(tr.a)
 		v := b.AddVertex(tr.b)
@@ -246,23 +329,28 @@ func discriminativeOK(c *candidate, indexed []*Feature, gamma float64) bool {
 	return float64(len(c.support)) <= (1-gamma)*float64(len(inter))
 }
 
-// extend grows a candidate by one edge using its embeddings in supporting
-// graphs; support is computed exactly (iso test over the parent support).
-func extend(c *candidate, dbc []*graph.Graph, opt Options) []*candidate {
-	type ext struct {
-		g    *graph.Graph
-		code string
-	}
-	candidates := make(map[string]*ext)
-	// Derive extension shapes from a few supporting graphs' embeddings.
+// shape identifies the pattern buildExtension makes from a parent: the
+// edge labelled el from parent vertex pv, either back to parent vertex to
+// or, when to is -1, to a new vertex labelled vl.
+type shape struct {
+	pv, to graph.VertexID
+	vl, el graph.Label
+}
+
+// extensionShapes returns c's one-edge extensions, one per canonical code
+// (the first graph built for it), sorted by code. Shapes come from the
+// first 8 supporting graphs' first 8 embeddings each; a shape met again is
+// skipped before it is built or coded.
+func extensionShapes(c *candidate, dbc []*graph.Graph) []*candidate {
+	built := make(map[shape]bool)
+	byCode := make(map[string]*graph.Graph)
 	samples := c.support
 	if len(samples) > 8 {
 		samples = samples[:8]
 	}
 	for _, gi := range samples {
 		g := dbc[gi]
-		embs := iso.FindAll(c.g, g, nil, 8)
-		for _, em := range embs {
+		for _, em := range iso.FindAll(c.g, g, nil, 8) {
 			inImage := make(map[graph.VertexID]graph.VertexID, len(em.VMap)) // target -> pattern
 			for pv, tv := range em.VMap {
 				inImage[tv] = graph.VertexID(pv)
@@ -272,36 +360,40 @@ func extend(c *candidate, dbc []*graph.Graph, opt Options) []*candidate {
 					if em.Edges.Contains(h.Edge) {
 						continue
 					}
-					ng := buildExtension(c.g, graph.VertexID(pv), inImage, g, h)
+					s := shape{pv: graph.VertexID(pv), to: -1, el: g.EdgeLabel(h.Edge)}
+					if opv, mapped := inImage[h.To]; mapped {
+						s.to = opv
+					} else {
+						s.vl = g.VertexLabel(h.To)
+					}
+					if built[s] {
+						continue
+					}
+					built[s] = true
+					ng := buildExtension(c.g, s)
 					if ng == nil {
 						continue
 					}
 					code := graph.CanonicalCode(ng)
-					if _, ok := candidates[code]; !ok {
-						candidates[code] = &ext{g: ng, code: code}
+					if _, ok := byCode[code]; !ok {
+						byCode[code] = ng
 					}
 				}
 			}
 		}
 	}
-	var out []*candidate
-	for _, e := range candidates {
-		supp := make([]int, 0, len(c.support))
-		for _, gi := range c.support {
-			if iso.Exists(e.g, dbc[gi], nil) {
-				supp = append(supp, gi)
-			}
-		}
-		out = append(out, &candidate{g: e.g, code: e.code, support: supp})
+	out := make([]*candidate, 0, len(byCode))
+	for code, g := range byCode { //pgvet:sorted collected, then sorted by code below
+		out = append(out, &candidate{g: g, code: code})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].code < out[j].code })
 	return out
 }
 
-// buildExtension adds to pattern p the target edge h leaving the image of
-// pattern vertex pv: either a back-edge to another mapped vertex or a fresh
-// pendant vertex carrying the target's labels.
-func buildExtension(p *graph.Graph, pv graph.VertexID, inImage map[graph.VertexID]graph.VertexID, g *graph.Graph, h graph.HalfEdge) *graph.Graph {
+// buildExtension adds shape s to pattern p: a back edge between two
+// pattern vertices (nil when that edge exists already) or a pendant edge
+// to a new vertex.
+func buildExtension(p *graph.Graph, s shape) *graph.Graph {
 	b := graph.NewBuilder("f")
 	for v := 0; v < p.NumVertices(); v++ {
 		b.AddVertex(p.VertexLabel(graph.VertexID(v)))
@@ -309,15 +401,13 @@ func buildExtension(p *graph.Graph, pv graph.VertexID, inImage map[graph.VertexI
 	for _, e := range p.Edges() {
 		b.MustAddEdge(e.U, e.V, e.Label)
 	}
-	lbl := g.EdgeLabel(h.Edge)
-	if opv, mapped := inImage[h.To]; mapped {
-		// Back edge within the pattern (may already exist -> reject).
-		if _, err := b.AddEdge(pv, opv, lbl); err != nil {
+	if s.to >= 0 {
+		if _, err := b.AddEdge(s.pv, s.to, s.el); err != nil {
 			return nil
 		}
 	} else {
-		nv := b.AddVertex(g.VertexLabel(h.To))
-		b.MustAddEdge(pv, nv, lbl)
+		nv := b.AddVertex(s.vl)
+		b.MustAddEdge(s.pv, nv, s.el)
 	}
 	return b.Build()
 }

@@ -1,9 +1,11 @@
 // Package pool provides the engine's deterministic bounded worker pool.
-// Every parallel phase of the pipeline — candidate evaluation in core,
-// exact confirmation in the simsearch structural filter, the PMI build's
-// columns — runs on this one primitive, so the QueryOptions.Concurrency
-// knob has a single meaning everywhere: it bounds goroutines, never
-// changes results.
+// Every parallel phase of the pipeline runs on this one primitive: at
+// query time candidate evaluation in core and exact confirmation in the
+// simsearch structural filter; at build time the per-graph inference
+// engines, the structural filter's count rows, the feature miner's
+// levels and the PMI build's columns. So the QueryOptions.Concurrency knob
+// has a single meaning everywhere: it bounds goroutines, never changes
+// results.
 //
 // The context-aware entry point ForEachIndexCtx is the cancellation
 // backbone of the query engine: cancellation is checked once per work

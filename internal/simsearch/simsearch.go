@@ -123,12 +123,15 @@ func DefaultFeatures(dbc []*graph.Graph, maxFeatures int) []*graph.Graph {
 	return out
 }
 
-// BuildIndex counts feature embeddings in every certain graph.
+// BuildIndex counts feature embeddings in every certain graph, one row per
+// graph on GOMAXPROCS workers, each into its own slice of the slab. The
+// loop cannot fail: its context is never cancelled and no row errs.
 func BuildIndex(dbc []*graph.Graph, features []*graph.Graph) *Index {
-	ix := &Index{Features: features, dbc: dbc, counts: make([]int32, 0, len(dbc)*len(features))}
-	for _, g := range dbc {
-		ix.counts = append(ix.counts, ix.countRow(g)...)
-	}
+	ix := &Index{Features: features, dbc: dbc, counts: make([]int32, len(dbc)*len(features))}
+	_ = pool.ForEachIndexCtx(context.Background(), len(dbc), pool.Normalize(-1, len(dbc)), func(gi int) error {
+		copy(ix.row(gi), ix.countRow(dbc[gi]))
+		return nil
+	})
 	return ix
 }
 
