@@ -46,8 +46,6 @@ type BuildOptions struct {
 	// PMI construction knobs; PMI.Optimize distinguishes OPT-SIPBound
 	// (true) from SIPBound (false).
 	PMI pmi.Options
-	// StructFeatures caps the structural filter's counting features.
-	StructFeatures int
 }
 
 // DefaultBuildOptions returns the paper's default parameter setting scaled
@@ -244,7 +242,7 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 	}
 
 	t0 := time.Now()
-	sf := simsearch.DefaultFeatures(v.Certain, opt.StructFeatures)
+	sf := simsearch.DefaultFeatures(v.Certain, 0)
 	v.Struct = simsearch.BuildIndex(v.Certain, sf)
 	v.Build.StructTime = time.Since(t0)
 

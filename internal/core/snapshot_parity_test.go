@@ -23,7 +23,6 @@ import (
 var notPersisted = map[string]string{
 	"View.Certain": "each entry aliases Graphs[i].G; the loader re-derives the slice",
 	"View.Build":   "build-time metrics, not state; the loader repopulates the fields queries read",
-	"Index.Codes":  "canonical codes are re-derived from Features at load time",
 	"Index.Opt":    "pmi sections do not persist options; the loader restores them from BuildOptions",
 	"Feature.Code": "canonical code is re-derived from G at load time",
 }
@@ -132,10 +131,7 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 	if got.Build.IndexSizeBytes != got.PMI.SizeBytes() {
 		t.Errorf("%s: Build.IndexSizeBytes = %d, want %d", label, got.Build.IndexSizeBytes, got.PMI.SizeBytes())
 	}
-	for fi, fg := range got.PMI.Features {
-		if got.PMI.Codes[fi] != graph.CanonicalCode(fg) {
-			t.Errorf("%s: PMI code %d not re-derived from its feature", label, fi)
-		}
+	for fi := range got.PMI.Features {
 		// A dead slot's freed column is saved as uncontained and reads
 		// as the paper's ⟨0⟩ after the load.
 		for gi := 0; gi < got.PMI.NumGraphs(); gi++ {

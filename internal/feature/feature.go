@@ -14,6 +14,10 @@
 //	      sub-features' supports, |Df| ≤ (1−γ)·|∩ Df′|
 //	maxL  maximum feature size (vertices)
 //
+// Two more options cap the search, MaxFeatures (|F|) and
+// MaxCandidatesPerLevel; the embeddings enumerated per (candidate, graph)
+// for the α ratio are capped by a constant, maxEmbeddingsPerGraph.
+//
 // Mining is level-wise pattern growth: level-1 candidates are the distinct
 // labeled edges, and every level-k candidate has k edges. Each level runs
 // five phases, the parallel ones on the shared pool (GOMAXPROCS workers,
@@ -61,9 +65,11 @@ type Options struct {
 	MaxL  int     // max feature vertices (default 10)
 
 	MaxFeatures           int // cap on |F| (default 256)
-	MaxEmbeddingsPerGraph int // cap on |Ef| when computing ratios (default 64)
 	MaxCandidatesPerLevel int // growth cap (default 2048)
 }
+
+// maxEmbeddingsPerGraph caps |Ef| when computing the α ratio |IN|/|Ef|.
+const maxEmbeddingsPerGraph = 64
 
 func (o Options) withDefaults() Options {
 	// Zero selects the default; negative selects an explicit zero (off).
@@ -90,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFeatures == 0 {
 		o.MaxFeatures = 256
-	}
-	if o.MaxEmbeddingsPerGraph == 0 {
-		o.MaxEmbeddingsPerGraph = 64
 	}
 	if o.MaxCandidatesPerLevel == 0 {
 		o.MaxCandidatesPerLevel = 2048
@@ -274,7 +277,7 @@ func mineSingleEdges(dbc []*graph.Graph) []*candidate {
 // Ef capped and IN greedy (the exact clique version is reserved for the PMI
 // builder where tightness matters).
 func disjointRatioOK(f, g *graph.Graph, opt Options) bool {
-	sets := iso.EdgeSets(f, g, nil, opt.MaxEmbeddingsPerGraph)
+	sets := iso.EdgeSets(f, g, nil, maxEmbeddingsPerGraph)
 	if len(sets) == 0 {
 		return false
 	}

@@ -28,7 +28,7 @@ import (
 // arriving later. It runs in full before any structural change happens, so
 // a failed computation leaves nothing to undo.
 func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
-	b := &graphBuilder{opt: idx.Opt.withDefaults(), pg: pg, eng: eng}
+	b := &graphBuilder{opt: idx.Opt, pg: pg, eng: eng}
 	column := make([]Entry, len(idx.Features))
 	for fi, fg := range idx.Features {
 		if !contained(fi) {

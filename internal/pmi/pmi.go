@@ -20,15 +20,18 @@
 //
 // The conditionals Pr(B|COND) are exact: a ratio of two inclusion–exclusion
 // evaluations (prob.ProbConjNegConj) over a conditioning set of at most
-// MaxOverlap members, where the paper estimates them by Monte-Carlo sampling
+// maxOverlap members, where the paper estimates them by Monte-Carlo sampling
 // (Algorithm 3).
+//
+// The build's one knob is Optimize (OPT-SIPBound vs SIPBound, the paper's
+// Fig 11). Its caps — maxEmbeddings, maxCuts, maxOverlap — are constants,
+// and the columns run on the shared pool at GOMAXPROCS workers.
 package pmi
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"probgraph/internal/cuts"
@@ -40,21 +43,19 @@ import (
 	"probgraph/internal/prob"
 )
 
+// Caps on the work of one (feature, graph) cell.
+const (
+	maxEmbeddings = 24 // |Ef| enumerated per cell
+	maxCuts       = 24 // minimal embedding cuts enumerated per cell
+	maxOverlap    = 6  // conditioning set |COR|/|COM| per embedding or cut
+)
+
 // Options tunes index construction.
 type Options struct {
-	// MaxEmbeddings caps |Ef| per (feature, graph) pair. Default 24.
-	MaxEmbeddings int
-	// MaxCuts caps the enumerated minimal embedding cuts. Default 24.
-	MaxCuts int
-	// MaxOverlap caps the conditioning set |COR|/|COM| per embedding/cut.
-	// Default 6.
-	MaxOverlap int
 	// Optimize selects OPT-SIPBound (max-weight-clique tightest families).
 	// When false the builder uses the greedy disjoint family (the paper's
 	// plain SIPBound ablation). Default true via NewOptions.
 	Optimize bool
-	// Workers bounds build parallelism. Default GOMAXPROCS.
-	Workers int
 	// Seed is read by nothing: the build is exact and draws no samples.
 	// It remains only because the benchmark's corpus recipe sets it.
 	Seed int64
@@ -63,22 +64,6 @@ type Options struct {
 // NewOptions returns the default (OPT-SIPBound) configuration.
 func NewOptions() Options {
 	return Options{Optimize: true}
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxEmbeddings == 0 {
-		o.MaxEmbeddings = 24
-	}
-	if o.MaxCuts == 0 {
-		o.MaxCuts = 24
-	}
-	if o.MaxOverlap == 0 {
-		o.MaxOverlap = 6
-	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // Entry is one cell of the matrix: SIP bounds of feature f in graph g.
@@ -99,8 +84,6 @@ type Entry struct {
 // untouched columns with their predecessor.
 type Index struct {
 	Features []*graph.Graph
-	// Codes are the canonical codes of Features; snapshots re-derive them.
-	Codes []string
 	// Opt is not persisted with the index; the snapshot loader restores it
 	// from the database's build options.
 	Opt Options
@@ -130,14 +113,12 @@ func (idx *Index) NumGraphs() int { return len(idx.cols) }
 // inference engine over db[i]; feats come from the feature miner. The build
 // fans out across graphs, one column (incremental.go) each.
 func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, opt Options) (*Index, error) {
-	opt = opt.withDefaults()
 	if len(db) != len(engines) {
 		return nil, fmt.Errorf("pmi: %d graphs but %d engines", len(db), len(engines))
 	}
 	idx := &Index{Opt: opt, cols: make([][]Entry, len(db))}
 	for _, f := range feats {
 		idx.Features = append(idx.Features, f.G)
-		idx.Codes = append(idx.Codes, f.Code)
 	}
 
 	// Invert feature support for quick "contained" lookups.
@@ -153,7 +134,7 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature, 
 	// stops the hand-out of further graphs, and the error reported is the
 	// lowest failing graph's, whichever worker met one first (the pool's
 	// failure rule).
-	err := pool.ForEachIndexCtx(context.Background(), len(db), opt.Workers, func(gi int) error {
+	err := pool.ForEachIndexCtx(context.Background(), len(db), pool.Normalize(-1, len(db)), func(gi int) error {
 		var err error
 		idx.cols[gi], err = idx.column(db[gi], engines[gi], gi, func(fi int) bool { return contained[fi][gi] })
 		return err
@@ -174,7 +155,7 @@ type graphBuilder struct {
 // bounds computes the PMI entry for one contained feature.
 func (b *graphBuilder) bounds(f *graph.Graph) (Entry, error) {
 	gc := b.pg.G
-	embs := iso.EdgeSets(f, gc, nil, b.opt.MaxEmbeddings)
+	embs := iso.EdgeSets(f, gc, nil, maxEmbeddings)
 	if len(embs) == 0 {
 		// Support said contained but matching found nothing: inconsistent.
 		return Entry{}, fmt.Errorf("no embeddings for contained feature")
@@ -193,11 +174,11 @@ func (b *graphBuilder) bounds(f *graph.Graph) (Entry, error) {
 // condProb returns Pr(all of base hold polarity | none of others fully hold
 // polarity) exactly, as the ratio of two inclusion–exclusion evaluations.
 func (b *graphBuilder) condProb(base graph.EdgeSet, others []graph.EdgeSet, present bool) (float64, error) {
-	num, err := prob.ProbConjNegConj(b.eng, &base, others, present, 0)
+	num, err := prob.ProbConjNegConj(b.eng, &base, others, present)
 	if err != nil {
 		return 0, err
 	}
-	den, err := prob.ProbConjNegConj(b.eng, nil, others, present, 0)
+	den, err := prob.ProbConjNegConj(b.eng, nil, others, present)
 	if err != nil {
 		return 0, err
 	}
@@ -211,7 +192,7 @@ func (b *graphBuilder) condProb(base graph.EdgeSet, others []graph.EdgeSet, pres
 	return p, nil
 }
 
-// overlapping returns up to MaxOverlap members of sets (≠ skip) sharing an
+// overlapping returns up to maxOverlap members of sets (≠ skip) sharing an
 // edge with base, largest overlap first.
 func (b *graphBuilder) overlapping(base graph.EdgeSet, sets []graph.EdgeSet, skip int) []graph.EdgeSet {
 	type scored struct {
@@ -237,8 +218,8 @@ func (b *graphBuilder) overlapping(base graph.EdgeSet, sets []graph.EdgeSet, ski
 		}
 		return cand[a].i < cand[c].i
 	})
-	if len(cand) > b.opt.MaxOverlap {
-		cand = cand[:b.opt.MaxOverlap]
+	if len(cand) > maxOverlap {
+		cand = cand[:maxOverlap]
 	}
 	out := make([]graph.EdgeSet, len(cand))
 	for i, c := range cand {
@@ -265,7 +246,7 @@ func (b *graphBuilder) lowerBound(embs []graph.EdgeSet) (float64, error) {
 	best := 0.0
 	for _, fam := range b.candidateFamilies(embs, weights) {
 		sets := pickSets(embs, fam)
-		pNone, err := prob.ProbConjNegConj(b.eng, nil, sets, true, 0)
+		pNone, err := prob.ProbConjNegConj(b.eng, nil, sets, true)
 		if err != nil {
 			return 0, err
 		}
@@ -282,7 +263,7 @@ func (b *graphBuilder) lowerBound(embs []graph.EdgeSet) (float64, error) {
 // for any cut family: every enumerated cut is a true embedding cut, so
 // SIP = Pr(no cut of the full family is absent) ≤ Pr(none of IN′ absent)).
 func (b *graphBuilder) upperBound(embs []graph.EdgeSet) (float64, error) {
-	cutSets := cuts.MinimalCuts(embs, b.pg.G.NumEdges(), b.opt.MaxCuts)
+	cutSets := cuts.MinimalCuts(embs, b.pg.G.NumEdges(), maxCuts)
 	if len(cutSets) == 0 {
 		return 1, nil
 	}
@@ -293,7 +274,7 @@ func (b *graphBuilder) upperBound(embs []graph.EdgeSet) (float64, error) {
 	best := 1.0
 	for _, fam := range b.candidateFamilies(cutSets, weights) {
 		sets := pickSets(cutSets, fam)
-		pNone, err := prob.ProbConjNegConj(b.eng, nil, sets, false, 0)
+		pNone, err := prob.ProbConjNegConj(b.eng, nil, sets, false)
 		if err != nil {
 			return 0, err
 		}

@@ -3,6 +3,7 @@ package pmi
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -190,7 +191,7 @@ func TestPaperFigure1Bounds(t *testing.T) {
 		if len(embs) == 0 {
 			t.Fatalf("feature %v does not embed in 002", f)
 		}
-		b := &graphBuilder{opt: NewOptions().withDefaults(), pg: g002, eng: eng}
+		b := &graphBuilder{opt: NewOptions(), pg: g002, eng: eng}
 		entry, err := b.bounds(f)
 		if err != nil {
 			t.Fatal(err)
@@ -244,10 +245,10 @@ func TestBuildReportsLowestGraphsError(t *testing.T) {
 	}
 	feats = append(feats, bad(6, 2, 5), bad(7, 2))
 	want := ""
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 4, 8} {
-		opt := NewOptions()
-		opt.Workers = workers
-		_, err := Build(graphs, engines, feats, opt)
+		runtime.GOMAXPROCS(workers)
+		_, err := Build(graphs, engines, feats, NewOptions())
 		if err == nil {
 			t.Fatalf("workers=%d: build succeeded with a support list naming graphs the feature is not in", workers)
 		}

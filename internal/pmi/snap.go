@@ -12,9 +12,9 @@ import (
 // bit-order). Uncontained entries are implicit (the paper's ⟨0⟩). Freed
 // columns (removed graphs) serialize as uncontained, so a dead graph's
 // bounds leave the persisted matrix; the snapshot loader frees them again
-// from the tombstone list, and save→load→save is byte-stable either way. Codes
-// and Opt are not written: codes are re-derived from the feature graphs,
-// and the snapshot loader restores Opt from the database's build options.
+// from the tombstone list, and save→load→save is byte-stable either way. Opt
+// is not written: the snapshot loader restores it from the database's build
+// options.
 //
 // The file is feature-major and the matrix in memory graph-major (one
 // column per graph, see Index), so unlike the structural slabs the PMI is
@@ -73,7 +73,6 @@ func DecodeSnap(c snapbin.Decoder, wantCols int) (*Index, error) {
 			return nil, fmt.Errorf("pmi: feature %d: %w", fi, err)
 		}
 		idx.Features = append(idx.Features, fg)
-		idx.Codes = append(idx.Codes, graph.CanonicalCode(fg))
 	}
 	bitmap := c.Bytes()
 	c.Align8()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"probgraph/internal/graph"
 	"probgraph/internal/snapbin"
 )
 
@@ -67,8 +68,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("%s: features %d vs %d", codec.name, back.NumFeatures(), idx.NumFeatures())
 		}
 		for fi := range idx.Features {
-			if back.Codes[fi] != idx.Codes[fi] {
-				t.Fatalf("%s: feature %d code mismatch", codec.name, fi)
+			if graph.CanonicalCode(back.Features[fi]) != graph.CanonicalCode(idx.Features[fi]) {
+				t.Fatalf("%s: feature %d graph mismatch", codec.name, fi)
 			}
 			if back.NumGraphs() != idx.NumGraphs() {
 				t.Fatalf("%s: %d columns, want %d", codec.name, back.NumGraphs(), idx.NumGraphs())

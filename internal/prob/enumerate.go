@@ -90,11 +90,8 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 //	Pr(base ∧ ⋀¬other_j) = Σ_{J⊆others} (−1)^{|J|} Pr(base ∧ ⋀_{j∈J} other_j)
 //
 // When base is nil the leading conjunct is dropped (computes Pr(⋀¬other_j)).
-func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, present bool, maxOthers int) (float64, error) {
+func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, present bool) (float64, error) {
 	m := len(others)
-	if maxOthers > 0 && m > maxOthers {
-		return 0, fmt.Errorf("prob: %d overlapping sets exceed exact cap %d", m, maxOthers)
-	}
 	if m > 24 {
 		return 0, fmt.Errorf("prob: %d overlapping sets too many for inclusion-exclusion", m)
 	}

@@ -434,7 +434,7 @@ func TestProbConjNegConj(t *testing.T) {
 		base := mk()
 		others := []graph.EdgeSet{mk(), mk()}
 		for _, present := range []bool{true, false} {
-			got, err := ProbConjNegConj(eng, &base, others, present, 0)
+			got, err := ProbConjNegConj(eng, &base, others, present)
 			if err != nil {
 				t.Fatal(err)
 			}
