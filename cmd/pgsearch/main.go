@@ -15,7 +15,8 @@
 // Queries are extracted from the certain graph of the graph at index
 // -qfrom (rotating across -queries runs), matching the paper's workload
 // construction — or read verbatim from -qfile (one or more graph blocks,
-// as written by pggen -query).
+// as written by pggen -query). -queries 0 is accepted only with -savesnap,
+// to convert or partition a snapshot without querying it.
 //
 // -savesnap persists the indexed database as one snapshot file (-format
 // text writes the pgsnap v5 line format, -format binary the mmap-able v4
@@ -154,6 +155,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *qfrom < 0 {
 		return usage("-qfrom must be >= 0, got %d", *qfrom)
+	}
+	// Without -qfile the run extracts -queries queries; extracting none
+	// only makes sense when the run exists to write a snapshot.
+	if *qfile == "" && (*queries < 0 || *queries == 0 && *saveSnap == "") {
+		return usage("-queries must be >= 1 (0 only with -savesnap), got %d", *queries)
 	}
 	if *timeout < 0 {
 		return usage("-timeout must be >= 0, got %v", *timeout)

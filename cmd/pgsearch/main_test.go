@@ -160,6 +160,18 @@ func TestExitCodes(t *testing.T) {
 	if code, _, stderr := pgsearch(t, "-loadsnap", snap, "-qfrom", "-1", "-queries", "1"); code != 2 || !strings.Contains(stderr, "-qfrom") {
 		t.Errorf("-qfrom -1: exit %d, stderr %q; want 2 naming the flag", code, stderr)
 	}
+	for _, mode := range [][]string{nil, {"-batch"}, {"-json"}, {"-stream"}} {
+		for _, n := range []string{"0", "-2"} {
+			args := append([]string{"-loadsnap", snap, "-queries", n}, mode...)
+			if code, stdout, stderr := pgsearch(t, args...); code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "-queries") {
+				t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, nothing on stdout and one line naming the flag", args, code, stdout, stderr)
+			}
+		}
+	}
+	// Extracting no query stays the way to convert a snapshot.
+	if code, _, stderr := pgsearch(t, "-loadsnap", snap, "-savesnap", filepath.Join(t.TempDir(), "re.idx"), "-queries", "0"); code != 0 {
+		t.Errorf("-savesnap -queries 0: exit %d, stderr %q; want 0", code, stderr)
+	}
 }
 
 // TestTraceLeavesStdout: -trace writes one span tree per response to

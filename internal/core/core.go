@@ -39,7 +39,9 @@ import (
 	"probgraph/internal/simsearch"
 )
 
-// BuildOptions configures database and index construction.
+// BuildOptions configures database and index construction with the
+// paper's knobs. Every other cap of the build is a constant in the package
+// that reads it, and every build stage runs at GOMAXPROCS workers.
 type BuildOptions struct {
 	// Feature mining knobs (paper Algorithm 4: α, β, γ, maxL).
 	Feature feature.Options

@@ -68,8 +68,9 @@ func loadFixture(t *testing.T, name string) (*Database, []byte) {
 //	PGSNAP_REGEN=1 go test ./internal/core -run RegenSnapshotFixtures
 //
 // rewrites the current-format fixtures after a deliberate format change;
-// commit the result. Without the variable it only verifies the files
-// exist. The converted v1/v2 fixtures and the *_oldlayout files are never
+// commit the result. CI runs it too and fails on any diff, so the files
+// stay what a fresh build writes. Without the variable it only verifies
+// the files exist. The converted v1/v2 fixtures and the *_oldlayout files are never
 // regenerated — their writers are gone.
 func TestRegenSnapshotFixtures(t *testing.T) {
 	if os.Getenv("PGSNAP_REGEN") == "" {

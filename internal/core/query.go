@@ -126,28 +126,28 @@ type Stats struct {
 	TimeTotal  time.Duration
 }
 
-// observe bridges the query's stats into the process-wide pipeline
-// metrics, if the caller attached one to ctx (the server does, per
-// request). A context without a pipeline makes this free; observing
-// happens once at query exit, so hot per-candidate paths never touch it.
+// observe adds the query's stats to the process-wide pipeline metrics, if
+// the caller attached one to ctx (the server does, per request). A context
+// without a pipeline makes this free; observing happens once at query
+// exit, so hot per-candidate paths never touch it.
 func (s Stats) observe(ctx context.Context) {
-	if p := obs.PipelineFrom(ctx); p != nil {
-		p.Observe(obs.PipelineStats{
-			StructFilterCandidates: s.StructFilterCandidates,
-			StructConfirmed:        s.StructConfirmed,
-			PrunedByUpper:          s.PrunedByUpper,
-			AcceptedByLower:        s.AcceptedByLower,
-			VerifyCandidates:       s.VerifyCandidates,
-			Answers:                s.Answers,
-			RelaxedQueries:         s.RelaxedQueries,
-			RejectedByBound:        s.RejectedByBound,
-			DecidedExactly:         s.DecidedExactly,
-			SamplesDrawn:           s.SamplesDrawn,
-			TimeStruct:             s.TimeStruct,
-			TimeProb:               s.TimeProb,
-			TimeVerify:             s.TimeVerify,
-		})
+	p := obs.PipelineFrom(ctx)
+	if p == nil {
+		return
 	}
+	p.StructCandidates.Add(int64(s.StructFilterCandidates))
+	p.StructConfirmed.Add(int64(s.StructConfirmed))
+	p.PrunedUpper.Add(int64(s.PrunedByUpper))
+	p.AcceptedLower.Add(int64(s.AcceptedByLower))
+	p.Verified.Add(int64(s.VerifyCandidates))
+	p.Answers.Add(int64(s.Answers))
+	p.Relaxed.Add(int64(s.RelaxedQueries))
+	p.VerifyRejectedByBound.Add(int64(s.RejectedByBound))
+	p.VerifyDecidedExactly.Add(int64(s.DecidedExactly))
+	p.VerifySamples.Add(int64(s.SamplesDrawn))
+	p.StageStruct.Observe(s.TimeStruct.Seconds())
+	p.StageProb.Observe(s.TimeProb.Seconds())
+	p.StageVerify.Observe(s.TimeVerify.Seconds())
 }
 
 // Result is a query outcome.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"probgraph/internal/dataset"
+	"probgraph/internal/graph"
 	"probgraph/internal/obs"
 )
 
@@ -162,28 +165,48 @@ func TestFrontHalfSpansAgree(t *testing.T) {
 }
 
 // TestPipelineBridgeMatchesStats attaches an obs.Pipeline to the query
-// context and checks the process counters absorb exactly the per-query
-// Stats — the bridge /metrics depends on.
+// context and checks the process counters and stage histograms absorb
+// exactly the per-query Stats — the bridge /metrics depends on. The option
+// sets make every counter non-zero (the first prunes, rejects by bound,
+// decides exactly and samples; the last accepts by the lower bound) and
+// every counter's total distinct, so no field passes by both sides being
+// 0 and no two fields can be swapped unseen.
 func TestPipelineBridgeMatchesStats(t *testing.T) {
-	db, raw := snapDB(t, 12)
+	db, _ := smallDatabase(t, 2001, 16, true)
 	v := db.View()
-	reg := obs.NewRegistry()
-	p := obs.NewPipeline(reg)
+	rng := rand.New(rand.NewSource(61))
+	var qs []*graph.Graph
+	for i := 0; i < 3; i++ {
+		qs = append(qs, dataset.ExtractQuery(v.Certain[i], 5, rng))
+	}
+	p := obs.NewPipeline(obs.NewRegistry())
 	ctx := obs.ContextWithPipeline(context.Background(), p)
 
 	var want Stats
-	for qi, q := range snapQueries(t, raw, 3) {
-		res, err := v.query(ctx, q, QueryOptions{Epsilon: 0.4, Delta: 1, Seed: int64(qi)}.withDefaults(), nil)
-		if err != nil {
-			t.Fatal(err)
+	var wantStruct, wantProb, wantVerify float64
+	opts := []QueryOptions{{Epsilon: 0.3, Delta: 2}, {Epsilon: 0.02, Delta: 2}, {Epsilon: 0.1, Delta: 3}}
+	for _, o := range opts {
+		for qi, q := range qs {
+			o.OptBounds, o.Seed, o.Verify.N = true, int64(qi), 500
+			res, err := v.query(ctx, q, o.withDefaults(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			want.StructFilterCandidates += s.StructFilterCandidates
+			want.StructConfirmed += s.StructConfirmed
+			want.PrunedByUpper += s.PrunedByUpper
+			want.AcceptedByLower += s.AcceptedByLower
+			want.VerifyCandidates += s.VerifyCandidates
+			want.Answers += s.Answers
+			want.RelaxedQueries += s.RelaxedQueries
+			want.RejectedByBound += s.RejectedByBound
+			want.DecidedExactly += s.DecidedExactly
+			want.SamplesDrawn += s.SamplesDrawn
+			wantStruct += s.TimeStruct.Seconds()
+			wantProb += s.TimeProb.Seconds()
+			wantVerify += s.TimeVerify.Seconds()
 		}
-		want.StructFilterCandidates += res.Stats.StructFilterCandidates
-		want.StructConfirmed += res.Stats.StructConfirmed
-		want.PrunedByUpper += res.Stats.PrunedByUpper
-		want.AcceptedByLower += res.Stats.AcceptedByLower
-		want.VerifyCandidates += res.Stats.VerifyCandidates
-		want.Answers += res.Stats.Answers
-		want.RelaxedQueries += res.Stats.RelaxedQueries
 	}
 	got := map[string]int64{
 		"struct_candidates": p.StructCandidates.Value(),
@@ -193,6 +216,9 @@ func TestPipelineBridgeMatchesStats(t *testing.T) {
 		"verified":          p.Verified.Value(),
 		"answers":           p.Answers.Value(),
 		"relaxed":           p.Relaxed.Value(),
+		"rejected_by_bound": p.VerifyRejectedByBound.Value(),
+		"decided_exactly":   p.VerifyDecidedExactly.Value(),
+		"samples":           p.VerifySamples.Value(),
 	}
 	wantM := map[string]int64{
 		"struct_candidates": int64(want.StructFilterCandidates),
@@ -202,12 +228,30 @@ func TestPipelineBridgeMatchesStats(t *testing.T) {
 		"verified":          int64(want.VerifyCandidates),
 		"answers":           int64(want.Answers),
 		"relaxed":           int64(want.RelaxedQueries),
+		"rejected_by_bound": int64(want.RejectedByBound),
+		"decided_exactly":   int64(want.DecidedExactly),
+		"samples":           int64(want.SamplesDrawn),
+	}
+	for name, n := range wantM {
+		if n == 0 {
+			t.Errorf("summed Stats give %s = 0: the options no longer exercise it", name)
+		}
 	}
 	if !reflect.DeepEqual(got, wantM) {
 		t.Fatalf("pipeline counters diverge from summed Stats:\n got %v\nwant %v", got, wantM)
 	}
-	if n := p.StageStruct.Count(); n != 3 {
-		t.Fatalf("stage histogram observed %d queries, want 3", n)
+	queries := int64(len(opts) * len(qs))
+	for _, h := range []struct {
+		name string
+		h    *obs.Histogram
+		sum  float64
+	}{{"struct", p.StageStruct, wantStruct}, {"prob", p.StageProb, wantProb}, {"verify", p.StageVerify, wantVerify}} {
+		if n := h.h.Count(); n != queries {
+			t.Errorf("stage %s histogram observed %d queries, want %d", h.name, n, queries)
+		}
+		if h.h.Sum() != h.sum {
+			t.Errorf("stage %s histogram sums %v s, Stats sum %v s", h.name, h.h.Sum(), h.sum)
+		}
 	}
 }
 

@@ -1,37 +1,13 @@
 package obs
 
-import (
-	"context"
-	"time"
-)
-
-// PipelineStats is the per-query stage payload the engine reports at
-// query exit — a decoupled mirror of core.Stats, so core can bridge its
-// instrumentation into the registry without obs importing core.
-type PipelineStats struct {
-	StructFilterCandidates int
-	StructConfirmed        int
-	PrunedByUpper          int
-	AcceptedByLower        int
-	VerifyCandidates       int
-	Answers                int
-	RelaxedQueries         int
-
-	// The verification ladder's share of VerifyCandidates.
-	RejectedByBound int
-	DecidedExactly  int
-	SamplesDrawn    int
-
-	TimeStruct time.Duration
-	TimeProb   time.Duration
-	TimeVerify time.Duration
-}
+import "context"
 
 // Pipeline aggregates query-pipeline counters across all queries served
 // by one process: candidate flow through the filter → prune → verify
 // funnel, and per-stage compute histograms. The server attaches it to
-// each request context (ContextWithPipeline); core's query exit observes
-// into it — one bridge, so /metrics and per-query stats can't diverge.
+// each request context (ContextWithPipeline); core's query exit adds its
+// per-query stats to these counters and histograms — one bridge, so
+// /metrics and per-query stats can't diverge.
 type Pipeline struct {
 	StructCandidates *Counter
 	StructConfirmed  *Counter
@@ -80,27 +56,6 @@ func NewPipeline(r *Registry) *Pipeline {
 		StageVerify: r.Histogram("pg_stage_duration_seconds",
 			"Per-query compute spent in each pipeline stage.", nil, "stage", "verify"),
 	}
-}
-
-// Observe folds one query's stats into the counters. Safe for concurrent
-// use; nil receivers are ignored so call sites need no guard.
-func (p *Pipeline) Observe(s PipelineStats) {
-	if p == nil {
-		return
-	}
-	p.StructCandidates.Add(int64(s.StructFilterCandidates))
-	p.StructConfirmed.Add(int64(s.StructConfirmed))
-	p.PrunedUpper.Add(int64(s.PrunedByUpper))
-	p.AcceptedLower.Add(int64(s.AcceptedByLower))
-	p.Verified.Add(int64(s.VerifyCandidates))
-	p.Answers.Add(int64(s.Answers))
-	p.Relaxed.Add(int64(s.RelaxedQueries))
-	p.VerifyRejectedByBound.Add(int64(s.RejectedByBound))
-	p.VerifyDecidedExactly.Add(int64(s.DecidedExactly))
-	p.VerifySamples.Add(int64(s.SamplesDrawn))
-	p.StageStruct.Observe(s.TimeStruct.Seconds())
-	p.StageProb.Observe(s.TimeProb.Seconds())
-	p.StageVerify.Observe(s.TimeVerify.Seconds())
 }
 
 type pipelineCtxKey struct{}

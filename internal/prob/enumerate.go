@@ -90,6 +90,7 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 //	Pr(base ∧ ⋀¬other_j) = Σ_{J⊆others} (−1)^{|J|} Pr(base ∧ ⋀_{j∈J} other_j)
 //
 // When base is nil the leading conjunct is dropped (computes Pr(⋀¬other_j)).
+// More than 24 others (2^24 terms) is an error.
 func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, present bool) (float64, error) {
 	m := len(others)
 	if m > 24 {
