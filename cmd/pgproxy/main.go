@@ -25,9 +25,10 @@
 //	                    sorted by global graph id, SSP maps unioned
 //	POST /query/stream  per-shard NDJSON streams forwarded as lines arrive,
 //	                    then one merged summary line
-//	POST /topk          shard bound schedules merged into the serial
-//	                    verification order, early-termination rule replayed,
-//	                    SSPs fetched from each candidate's owning shard
+//	POST /topk          one fan-out: each shard walks the early-termination
+//	                    rule over its own schedule (/topk/walk); the walks
+//	                    merged into the serial verification order and the
+//	                    rule replayed over them, every value in hand
 //	POST /batch         one fan-out carrying the whole batch, merged member-wise
 //	GET  /stats         per-shard health records + coordinator counters
 //	GET  /metrics       Prometheus exposition (pg_queries_total,
@@ -35,8 +36,8 @@
 //	GET  /healthz       liveness (the coordinator process is up)
 //	GET  /readyz        readiness (every shard's /readyz answers 200)
 //
-// The routes only an evaluating node has (/topk/bounds, /topk/verify,
-// /graphs, /debug/slowlog) answer 404; the proxy keeps no result cache
+// The routes only an evaluating node has (/topk/walk, /graphs,
+// /debug/slowlog) answer 404; the proxy keeps no result cache
 // and no inflight bound. A shard that cannot answer — down, timed out
 // after -retries, serving a different database generation, or answering
 // something that cannot be merged — fails the whole request with a

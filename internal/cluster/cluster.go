@@ -18,7 +18,7 @@
 //  3. Deterministic merges (this package): /query and /batch concatenate
 //     disjoint answer sets sorted by global id; /topk runs the single
 //     node's own early-termination rule, core.ReplayTopK, over the merged
-//     bound schedules, fetching SSPs from the owning shards;
+//     walks each shard took with that rule over its own schedule;
 //     /query/stream forwards shard match lines and re-derives the sorted
 //     summary.
 //

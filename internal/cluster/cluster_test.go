@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,6 +272,53 @@ func hasLive(v *core.View, r [2]int) bool {
 		}
 	}
 	return false
+}
+
+// TestTopKOneSubRequestPerShard: a fleet /topk costs one round trip per
+// shard — one /topk/walk each and nothing else — whether the walks verify
+// (δ 1) or the query is degenerate (δ ≥ |E(q)|, every live graph at SSP 1),
+// and the answer is the single node's.
+func TestTopKOneSubRequestPerShard(t *testing.T) {
+	db := testDatabase(t, 3, 12)
+	q := extractQueries(db, 3, 1)[0]
+	opt := server.Options{CacheSize: -1}
+	single := server.New(db, opt).Handler()
+	for _, delta := range []int{1, q.NumEdges()} {
+		var mu sync.Mutex
+		var counts []map[string]int
+		var members []cluster.Shard
+		for i, r := range partitionRanges(t, db, 3) {
+			part, err := db.Partition(r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := server.New(part, opt).Handler()
+			seen := map[string]int{}
+			counts = append(counts, seen)
+			counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				seen[r.URL.Path]++
+				mu.Unlock()
+				h.ServeHTTP(w, r)
+			})
+			members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), Client: server.NewHandlerClient(counting)})
+		}
+		coord := newCoord(t, members)
+		req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: delta, Seed: 3, K: 4}
+		st1, b1 := postJSON(t, single, "/topk", req)
+		st2, b2 := postJSON(t, coord, "/topk", req)
+		if st1 != http.StatusOK || st2 != http.StatusOK || canonical("/topk", b1) != canonical("/topk", b2) {
+			t.Fatalf("delta %d:\nsingle %d %s\nfleet  %d %s", delta, st1, b1, st2, b2)
+		}
+		if items := mustDecode[server.TopKResponse](t, b2).Items; len(items) == 0 {
+			t.Fatalf("delta %d: empty ranking, nothing was walked", delta)
+		}
+		for i, c := range counts {
+			if !maps.Equal(c, map[string]int{"/topk/walk": 1}) {
+				t.Errorf("delta %d: shard s%d received %v, want one /topk/walk", delta, i, c)
+			}
+		}
+	}
 }
 
 // TestClusterShardDown checks the all-or-nothing failure contract: with

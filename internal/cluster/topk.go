@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"sort"
 
 	"probgraph/internal/core"
@@ -11,153 +9,107 @@ import (
 	"probgraph/internal/server"
 )
 
-// owner is where a scheduled candidate lives: its graph name and the shard
-// (an index into c.shards) to fetch its SSP from.
-type owner struct {
-	name  string
+// walked is one entry of the merged walks: a schedule entry in global ids,
+// the shard (an index into c.shards) that walked it, and its value — nil
+// on the entry that shard stopped at.
+type walked struct {
+	core.TopKBound
 	shard int
+	ssp   *float64
 }
 
-// TopK is /topk over the fleet: fan out to /topk/bounds, merge the shard
-// schedules into the single-node verification order (Upper descending,
-// global id ascending — bounds are bitwise-equal across the partition, so
-// the merged schedule IS the single-node schedule), then run the single
-// node's rule, core.ReplayTopK, over it with a verify that fetches a
-// window of SSPs from the owning shards via /topk/verify. The window —
-// how many SSPs one round of /topk/verify calls fetches ahead of the
-// walk — is max(k, 8): a round trip costs far more than a value, so the
-// coordinator amortises it where the in-process caller would not.
-// Per-candidate SSPs are deterministic, so what a window fetches past the
-// stop wastes work but never changes the answer: the result is
-// bitwise-identical to single-node QueryTopKCtx.
+// TopK is /topk over the fleet, in one fan-out: every shard runs the
+// single node's rule, core.ReplayTopK, over its own schedule and returns
+// its walk (/topk/walk); the coordinator merges the walks into the
+// single-node verification order (Upper descending, global id ascending —
+// bounds are bitwise-equal across the partition) and runs the same rule
+// over the merged list with every value already in hand. At any point of
+// the schedule a shard's k-th best SSP is never above the fleet's, so each
+// shard's walk covers every entry of that shard the fleet's walk commits,
+// and the fleet's walk stops inside some walk or at one shard's stop
+// entry: the result is bitwise-identical to single-node QueryTopKCtx.
+// Reaching an unvalued entry means that shard stopped short of its own
+// rule — a 502 naming it. In the degenerate δ ≥ |E(q)| case every shard
+// walks its first k live graphs at Upper and SSP 1, and the replay keeps
+// the fleet's first k.
 func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.TopKResponse, error) {
-	bounds, e := fanout(ctx, c, "/topk/bounds", req,
-		func(_ int, br *server.TopKBoundsResponse) (uint64, bool) {
-			for _, b := range br.Bounds {
-				if !(b.Upper >= 0 && b.Upper <= 1) {
-					return 0, false
-				}
+	walks, e := fanout(ctx, c, "/topk/walk", req, validWalk)
+	if e != nil {
+		return nil, e
+	}
+	merged, names, e := c.mergeWalks(walks)
+	if e != nil {
+		return nil, e
+	}
+	sched := make([]core.TopKBound, len(merged))
+	vals := make([]float64, len(merged))
+	for i, w := range merged {
+		sched[i] = w.TopKBound
+		if w.ssp != nil {
+			vals[i] = *w.ssp
+		}
+	}
+	top, _, err := core.ReplayTopK(ctx, sched, req.K, max(len(sched), 1), func(_ context.Context, lo, hi int) ([]float64, error) {
+		for i := lo; i < hi; i++ {
+			if merged[i].ssp == nil {
+				return vals[lo:i], malformed(c.shards[merged[i].shard])
 			}
-			return br.Generation, true
-		})
-	if e != nil {
-		return nil, e
-	}
-	for i := 1; i < len(bounds); i++ {
-		// Degeneracy (δ ≥ |E(q)|) depends only on the query and options
-		// every shard received identically; disagreement means the fleet
-		// is not running the same code.
-		if bounds[i].Degenerate != bounds[0].Degenerate {
-			return nil, malformed(c.shards[i])
 		}
+		return vals[lo:hi], nil
+	})
+	if err != nil {
+		return nil, err // a shard that stopped short, or the request's own context ending
 	}
-	sched, owners, e := c.mergeSchedules(bounds)
-	if e != nil {
-		return nil, e
-	}
-	var top []core.TopKItem
-	if bounds[0].Degenerate {
-		// Every live graph matches with SSP 1 and the single node returns
-		// its first k live slots. Each shard listed its first k live
-		// global ids with Upper 1, so the schedule is in global-id order
-		// and the fleet's first k head it.
-		for _, s := range sched[:min(req.K, len(sched))] {
-			top = append(top, core.TopKItem{Graph: s.Graph, SSP: 1})
-		}
-	} else {
-		var err error
-		top, _, err = core.ReplayTopK(ctx, sched, req.K, max(req.K, 8), func(ctx context.Context, lo, hi int) ([]float64, error) {
-			return c.fetchSSPs(ctx, req, sched[lo:hi], owners, bounds[0].Generation)
-		})
-		if err != nil {
-			return nil, err // a shard's *server.Error, or the request's own context ending between rounds
-		}
-	}
-	resp := &server.TopKResponse{Items: make([]server.TopKItemJSON, len(top)), Generation: bounds[0].Generation}
+	resp := &server.TopKResponse{Items: make([]server.TopKItemJSON, len(top)), Generation: walks[0].Generation}
 	for i, it := range top {
-		resp.Items[i] = server.TopKItemJSON{Graph: it.Graph, Name: owners[it.Graph].name, SSP: it.SSP}
+		resp.Items[i] = server.TopKItemJSON{Graph: it.Graph, Name: names[it.Graph], SSP: it.SSP}
 	}
 	return resp, nil
 }
 
-// mergeSchedules folds per-shard bound schedules into the global one, in
-// global ids, sorted in the serial verification order: Upper descending,
-// global id ascending. Each shard's bounds are bitwise the single node's
-// (they seed from the global id), so over disjoint ranges this is exactly
-// the schedule a single node would verify in. A global id listed twice —
-// two shards serving overlapping ranges — would be ranked twice; it is a
-// 502 naming the second shard to list it.
-func (c *Coordinator) mergeSchedules(bounds []*server.TopKBoundsResponse) ([]core.TopKBound, map[int]owner, *server.Error) {
-	var sched []core.TopKBound
-	owners := make(map[int]owner)
-	for si, br := range bounds {
-		for _, b := range br.Bounds {
-			if _, dup := owners[b.Graph]; dup {
-				return nil, nil, malformed(c.shards[si])
-			}
-			owners[b.Graph] = owner{b.Name, si}
-			sched = append(sched, core.TopKBound{Graph: b.Graph, Upper: b.Upper})
+// validWalk vets one shard's /topk/walk answer: bounds and values in
+// [0, 1], entries in schedule order, and at most one unvalued entry, the
+// last — the shape every merged-replay step above relies on.
+func validWalk(_ int, wr *server.TopKWalkResponse) (uint64, bool) {
+	for i, s := range wr.Walk {
+		if !(s.Upper >= 0 && s.Upper <= 1) || (s.SSP == nil && i != len(wr.Walk)-1) ||
+			(s.SSP != nil && !(*s.SSP >= 0 && *s.SSP <= 1)) {
+			return 0, false
 		}
-	}
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].Upper != sched[j].Upper {
-			return sched[i].Upper > sched[j].Upper
-		}
-		return sched[i].Graph < sched[j].Graph
-	})
-	return sched, owners, nil
-}
-
-// fetchSSPs verifies one look-ahead window of schedule entries: global
-// ids are grouped by owning shard and each shard verifies its group in
-// one /topk/verify call, concurrently. It returns the window's values in
-// window order, zeros included (a shard answers every id it is given; one
-// left out is a malformed answer, never an SSP of 0). They must have been
-// computed under gen, the schedule's generation: a shard that moved on
-// between the two phases would otherwise be merged into a ranking of two
-// database states. A failure is a *server.Error.
-func (c *Coordinator) fetchSSPs(ctx context.Context, req *server.QueryRequest, window []core.TopKBound, owners map[int]owner, gen uint64) ([]float64, error) {
-	byShard := make([][]int, len(c.shards))
-	for _, b := range window {
-		si := owners[b.Graph].shard
-		byShard[si] = append(byShard[si], b.Graph)
-	}
-	// Deterministic sub-request order: fleet order, ids ascending.
-	var reqs []subRequest
-	var ids [][]int
-	for si := range c.shards {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		sort.Ints(byShard[si])
-		body, err := json.Marshal(&server.TopKVerifyRequest{QueryRequest: *req, Graphs: byShard[si]})
-		if err != nil {
-			return nil, server.Errorf(http.StatusInternalServerError, "%v", err)
-		}
-		reqs = append(reqs, subRequest{si, body})
-		ids = append(ids, byShard[si])
-	}
-	resps, e := gather(ctx, c, "/topk/verify", reqs, func(i int, vr *server.TopKVerifyResponse) (uint64, bool) {
-		for _, gid := range ids[i] {
-			if _, ok := vr.SSP[gid]; !ok {
+		if i > 0 {
+			if p := wr.Walk[i-1]; p.Upper < s.Upper || (p.Upper == s.Upper && p.Graph >= s.Graph) {
 				return 0, false
 			}
 		}
-		return vr.Generation, true
+	}
+	return wr.Generation, true
+}
+
+// mergeWalks folds per-shard walks into one list in global ids, sorted in
+// the serial verification order: Upper descending, global id ascending.
+// Each shard's bounds are bitwise the single node's (they seed from the
+// global id), so over disjoint ranges the list is, up to the first shard's
+// stop entry, exactly the prefix of the schedule a single node would
+// verify. It also returns each entry's graph name. A global id listed
+// twice — two shards serving overlapping ranges — would be ranked twice;
+// it is a 502 naming the second shard to list it.
+func (c *Coordinator) mergeWalks(walks []*server.TopKWalkResponse) ([]walked, map[int]string, *server.Error) {
+	var merged []walked
+	names := make(map[int]string)
+	for si, wr := range walks {
+		for _, s := range wr.Walk {
+			if _, dup := names[s.Graph]; dup {
+				return nil, nil, malformed(c.shards[si])
+			}
+			names[s.Graph] = s.Name
+			merged = append(merged, walked{core.TopKBound{Graph: s.Graph, Upper: s.Upper}, si, s.SSP})
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Upper != merged[j].Upper {
+			return merged[i].Upper > merged[j].Upper
+		}
+		return merged[i].Graph < merged[j].Graph
 	})
-	if e != nil {
-		return nil, e
-	}
-	if got := resps[0].Generation; got != gen {
-		return nil, generationMismatch("/topk/bounds", gen, c.shards[reqs[0].shard].Name, got)
-	}
-	from := make([]*server.TopKVerifyResponse, len(c.shards))
-	for i, rq := range reqs {
-		from[rq.shard] = resps[i]
-	}
-	ssps := make([]float64, len(window))
-	for i, b := range window {
-		ssps[i] = from[owners[b.Graph].shard].SSP[b.Graph]
-	}
-	return ssps, nil
+	return merged, names, nil
 }

@@ -101,10 +101,18 @@ func TestEnvelopeParity(t *testing.T) {
 	}
 	// What only an evaluating node serves is not routed on the proxy.
 	for _, rt := range []struct{ method, path string }{
-		{"POST", "/topk/bounds"}, {"POST", "/topk/verify"}, {"POST", "/graphs"}, {"GET", "/debug/slowlog"},
+		{"POST", "/topk/walk"}, {"POST", "/graphs"}, {"GET", "/debug/slowlog"},
 	} {
 		if rec := serve(coord, rt.method, rt.path, `{}`); rec.Code != http.StatusNotFound {
 			t.Errorf("%s %s on the proxy: %d, want 404", rt.method, rt.path, rec.Code)
+		}
+	}
+	// The two-phase top-k routes are gone from both processes.
+	for _, path := range []string{"/topk/bounds", "/topk/verify"} {
+		for process, h := range map[string]http.Handler{"pgserve": single, "pgproxy": coord} {
+			if rec := serve(h, http.MethodPost, path, `{}`); rec.Code != http.StatusNotFound {
+				t.Errorf("POST %s on %s: %d, want 404", path, process, rec.Code)
+			}
 		}
 	}
 }
@@ -193,18 +201,20 @@ const (
 // instead of vanishing into net/http's recover.
 func TestHostileShard(t *testing.T) {
 	const (
-		okQuery  = `{"answers":[],"names":[],"ssp":{},"generation":1}`
-		okBounds = `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":0.9},{"graph":1,"name":"g1","upper":0.8}],"generation":1}`
+		okQuery = `{"answers":[],"names":[],"ssp":{},"generation":1}`
 		// What the good shard holds: global id 7, which no shard beside it
 		// may answer as well.
-		holds7  = `{"answers":[7],"names":["g7"],"ssp":{"7":0.6},"generation":1}`
-		bounds7 = `{"degenerate":false,"bounds":[{"graph":7,"name":"g7","upper":0.95}],"generation":1}`
+		holds7 = `{"answers":[7],"names":["g7"],"ssp":{"7":0.6},"generation":1}`
+		walk7  = `{"walk":[{"graph":7,"name":"g7","upper":0.95,"ssp":0.7}],"generation":1}`
 	)
+	// walk wraps /topk/walk entries in a reply at generation 1.
+	walk := func(entries string) hostileShard {
+		return hostileShard{"/topk/walk": {200, `{"walk":[` + entries + `],"generation":1}`}}
+	}
 	good := hostileShard{
-		"/query":       {200, holds7},
-		"/batch":       {200, `{"results":[` + holds7 + `,` + holds7 + `]}`},
-		"/topk/bounds": {200, bounds7},
-		"/topk/verify": {200, `{"ssp":{"7":0.7},"generation":1}`},
+		"/query":     {200, holds7},
+		"/batch":     {200, `{"results":[` + holds7 + `,` + holds7 + `]}`},
+		"/topk/walk": {200, walk7},
 	}
 	batchBody := `{"queries":[{"vertices":["a"],"edges":[]},{"vertices":["b"],"edges":[]}]}`
 	cases := []struct {
@@ -225,18 +235,15 @@ func TestHostileShard(t *testing.T) {
 			hostileShard{"/query": {200, `<html>`}}, 502, "", "undecodable response"},
 		{"generation mismatch", "/query", hostileQuery,
 			hostileShard{"/query": {200, `{"answers":[],"names":[],"generation":2}`}}, 503, "", "generation mismatch"},
-		{"verify at another generation", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, okBounds}, "/topk/verify": {200, `{"ssp":{"0":0.5,"1":0.4},"generation":2}`}},
+		{"walk at another generation", "/topk", hostileTopK,
+			hostileShard{"/topk/walk": {200, `{"walk":[{"graph":0,"name":"g0","upper":0.9,"ssp":0.5}],"generation":2}`}},
 			503, "", "generation mismatch"},
-		{"verify leaves an id out", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, okBounds}, "/topk/verify": {200, `{"ssp":{"0":0.5},"generation":1}`}},
-			502, "", "undecodable response"},
 		{"shard 504 on /query", "/query", hostileQuery,
 			hostileShard{"/query": {504, `{"error":"query failed: deadline exceeded","timeout":true}`}},
 			504, "timeout", "shard s1: query failed: deadline exceeded"},
 		{"shard 504 on /topk", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {504, `{"error":"topk bounds failed: deadline exceeded","timeout":true}`}},
-			504, "timeout", "shard s1: topk bounds failed: deadline exceeded"},
+			hostileShard{"/topk/walk": {504, `{"error":"topk walk failed: deadline exceeded","timeout":true}`}},
+			504, "timeout", "shard s1: topk walk failed: deadline exceeded"},
 		{"shard 503 cancelled", "/query", hostileQuery,
 			hostileShard{"/query": {503, `{"error":"query failed: cancelled","cancelled":true}`}},
 			503, "cancelled", "shard s1: query failed: cancelled"},
@@ -249,16 +256,36 @@ func TestHostileShard(t *testing.T) {
 		{"overlapping ranges on /batch", "/batch", batchBody,
 			hostileShard{"/batch": {200, `{"results":[` + okQuery + `,` + holds7 + `]}`}}, 502, "", "undecodable response"},
 		{"overlapping ranges on /topk", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, bounds7}}, 502, "", "undecodable response"},
+			hostileShard{"/topk/walk": {200, walk7}}, 502, "", "undecodable response"},
 		{"overlap under two different bounds", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":3,"name":"g3","upper":0.5},{"graph":7,"name":"g7","upper":0.4}],"generation":1}`}},
+			walk(`{"graph":3,"name":"g3","upper":0.5,"ssp":0.4},{"graph":7,"name":"g7","upper":0.4,"ssp":0.3}`),
 			502, "", "undecodable response"},
+		{"overlap at the stop entry", "/topk", hostileTopK,
+			walk(`{"graph":7,"name":"g7","upper":0.4}`), 502, "", "undecodable response"},
 		{"upper bound above 1", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":1.5}],"generation":1}`}},
-			502, "", "undecodable response"},
+			walk(`{"graph":0,"name":"g0","upper":1.5,"ssp":0.5}`), 502, "", "undecodable response"},
 		{"negative upper bound", "/topk", hostileTopK,
-			hostileShard{"/topk/bounds": {200, `{"degenerate":false,"bounds":[{"graph":0,"name":"g0","upper":-0.1}],"generation":1}`}},
+			walk(`{"graph":0,"name":"g0","upper":-0.1}`), 502, "", "undecodable response"},
+		{"ssp NaN", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9,"ssp":NaN}`), 502, "", "undecodable response"},
+		{"ssp above 1", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9,"ssp":1.5}`), 502, "", "undecodable response"},
+		{"negative ssp", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9,"ssp":-0.2}`), 502, "", "undecodable response"},
+		{"valued entry after the unvalued one", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9},{"graph":1,"name":"g1","upper":0.8,"ssp":0.5}`),
 			502, "", "undecodable response"},
+		{"two unvalued entries", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9},{"graph":1,"name":"g1","upper":0.8}`),
+			502, "", "undecodable response"},
+		{"walk out of schedule order", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.5,"ssp":0.4},{"graph":1,"name":"g1","upper":0.8,"ssp":0.3}`),
+			502, "", "undecodable response"},
+		// With k = 2 the good shard's one entry cannot end the fleet's
+		// walk, so the replay reaches s1's stop entry: s1 stopped before its
+		// own ranking held k items, which the rule never does.
+		{"walk stops short", "/topk", hostileTopK,
+			walk(`{"graph":0,"name":"g0","upper":0.9}`), 502, "", "undecodable response"},
 	}
 	for _, c := range cases {
 		rec := serve(coordOver(t, good, c.shard), http.MethodPost, c.path, c.body)

@@ -18,9 +18,9 @@
 // serial run's at any worker count.
 //
 // The ranked query's early-termination rule is written once, in ReplayTopK:
-// View.QueryTopKCtx runs it over its own schedule and internal/cluster's
-// coordinator over the merged schedules of a fleet, which is why the two
-// rankings are bitwise the same.
+// View.QueryTopKWalk runs it over its own schedule — on a fleet, each shard
+// over its range's — and internal/cluster's coordinator over the merged
+// walks of a fleet, which is why the two rankings are bitwise the same.
 package core
 
 import (

@@ -11,7 +11,7 @@ import (
 
 // plan is the query-side half of one evaluation: everything that depends
 // on (q, options, view) and not on which candidate is being judged. Every
-// query entry point — QueryCtx, QueryBatchCtx, QueryStream, QueryTopKCtx,
+// query entry point — QueryCtx, QueryBatchCtx, QueryStream, QueryTopKWalk,
 // QueryTopKBounds — starts from newPlan and differs only in what it does
 // with the candidates afterwards.
 type plan struct {

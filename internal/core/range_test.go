@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -257,32 +258,103 @@ func TestLocalOf(t *testing.T) {
 	}
 }
 
-// TestTopKBoundsDistributedReplay replays the coordinator's distributed
-// top-k at the library level: per-partition bound schedules merged into
-// the serial verification order, SSPs fetched from the owning partition
-// via VerifySSPBatch, serial early-termination rule applied — the result
-// must be bitwise the full database's QueryTopK at every worker count.
-func TestTopKBoundsDistributedReplay(t *testing.T) {
+// TestTopKWalkDistributedReplay replays the coordinator's distributed
+// top-k at the library level: every range partition walks its own
+// schedule (QueryTopKWalk), the walks merge by (Upper descending, global id
+// ascending), and ReplayTopK runs over the merged list with every value in
+// hand. At 1–3 ranges, k = 1…6 and two worker counts the result must be
+// bitwise the full database's QueryTopKCtx without ever reaching a
+// partition's stop entry. The ladder databases hold candidates with
+// certain-edge clauses (SSP = Upper = 1), so the full walk stops on a tie at
+// the k-th value — the case the partitions' walks must cover too.
+func TestTopKWalkDistributedReplay(t *testing.T) {
+	ties, certain := 0, 0
 	for _, seed := range []int64{3, 9} {
-		db, _ := smallDatabase(t, seed, 12, true)
-		rng := rand.New(rand.NewSource(seed))
-		q := dataset.ExtractQuery(db.View().Graphs[2].G, 4, rng)
-		const k = 4
-		opt := QueryOptions{Delta: 1, OptBounds: true, Seed: seed}
-		for _, workers := range []int{1, 4} {
-			wopt := opt
-			wopt.Concurrency = workers
-			full, err := db.View().QueryTopKCtx(bg, q, k, wopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var shards []*View
-			for _, p := range partitionAll(t, db, 3) {
-				shards = append(shards, p.View())
-			}
-			if top, _ := replayTopK(t, shards, q, k, wopt); !slices.Equal(top, full) {
-				t.Fatalf("seed=%d workers=%d: replay %v != full %v", seed, workers, top, full)
+		small, _ := smallDatabase(t, seed, 12, true)
+		for _, db := range []*Database{small, ladderDatabase(t, seed, 14)} {
+			v := db.View()
+			for qi, q := range ladderQueries(v, seed, 3) {
+				opt := QueryOptions{Delta: 1 + qi%2, OptBounds: true, Seed: seed + int64(qi)}
+				for shards := 1; shards <= 3; shards++ {
+					var parts []*View
+					for _, p := range partitionAll(t, db, shards) {
+						parts = append(parts, p.View())
+					}
+					for k := 1; k <= 6; k++ {
+						for _, workers := range []int{1, 4} {
+							wopt := opt
+							wopt.Concurrency = workers
+							full, err := v.QueryTopKWalk(bg, q, k, wopt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if top := mergedWalkTopK(t, parts, q, k, wopt); !slices.Equal(top, full.Top) {
+								t.Fatalf("seed %d q %d shards %d k %d workers %d: merged walks %v, full %v",
+									seed, qi, shards, k, workers, top, full.Top)
+							}
+							if full.Stop != nil && full.Stop.Upper == full.Top[k-1].SSP {
+								ties++
+								if full.Stop.Upper == 1 {
+									certain++
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+	t.Logf("%d runs stopped on a tie at the k-th value, %d of them at SSP 1", ties, certain)
+	if certain == 0 {
+		t.Fatal("no walk stopped on a tie at SSP 1")
+	}
+}
+
+// mergedWalkTopK answers a top-k query the way the fleet coordinator does:
+// each partition's walk, translated to global ids, merged by (Upper
+// descending, global id ascending), and the rule replayed over it. The
+// replay reaching a partition's unvalued stop entry fails the test.
+func mergedWalkTopK(t *testing.T, parts []*View, q *graph.Graph, k int, opt QueryOptions) []TopKItem {
+	t.Helper()
+	type entry struct {
+		TopKBound // in global ids
+		ssp       float64
+		valued    bool
+	}
+	var merged []entry
+	for _, p := range parts {
+		w, err := p.QueryTopKWalk(bg, q, k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range w.Steps {
+			merged = append(merged, entry{TopKBound{Graph: p.GID(s.Graph), Upper: s.Upper}, s.SSP, true})
+		}
+		if w.Stop != nil {
+			merged = append(merged, entry{TopKBound{Graph: p.GID(w.Stop.Graph), Upper: w.Stop.Upper}, 0, false})
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Upper != merged[j].Upper {
+			return merged[i].Upper > merged[j].Upper
+		}
+		return merged[i].Graph < merged[j].Graph
+	})
+	sched := make([]TopKBound, len(merged))
+	vals := make([]float64, len(merged))
+	for i, e := range merged {
+		sched[i], vals[i] = e.TopKBound, e.ssp
+	}
+	top, _, err := ReplayTopK(bg, sched, k, max(len(sched), 1), func(_ context.Context, lo, hi int) ([]float64, error) {
+		for i := lo; i < hi; i++ {
+			if !merged[i].valued {
+				return vals[lo:i], fmt.Errorf("replay reached the stop entry of graph %d", merged[i].Graph)
+			}
+		}
+		return vals[lo:hi], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
 }

@@ -27,6 +27,12 @@ type TopKItem struct {
 // and how many entries it committed, that is, walked past without stopping.
 // k and window are at least 1.
 //
+// The stop is taken on a tie: an entry whose Upper equals the k-th best SSP
+// is not walked. So an entry left unwalked whose SSP equals the k-th value
+// is not listed even when its Graph is smaller — though the ranking's own
+// order would put it above the k-th item. The ranking is the walk's, not
+// the k first (SSP descending, Graph ascending) keys of the whole schedule.
+//
 // Values come from verify, which is asked for the values of sched[lo:hi]
 // when the walk reaches an entry it holds no value for: lo is that entry,
 // hi − lo ≤ window, no index is asked for twice and at most window − 1 past
@@ -70,15 +76,50 @@ func ReplayTopK(ctx context.Context, sched []TopKBound, k, window int,
 	return top, committed, nil
 }
 
+// TopKStep is one entry a top-k walk committed: the schedule entry and the
+// SSP it was valued at.
+type TopKStep struct {
+	TopKBound
+	SSP float64
+}
+
+// TopKWalk is a ranked query's outcome together with the walk behind it:
+// the entries ReplayTopK committed, in schedule order with their values,
+// and the entry it stopped at — nil when it walked the whole schedule.
+// Top is what QueryTopKCtx returns.
+type TopKWalk struct {
+	Top   []TopKItem
+	Steps []TopKStep
+	Stop  *TopKBound
+}
+
 // QueryTopKCtx returns the k database graphs with the highest SSP for q at
-// distance δ, ranked descending. It extends the paper's threshold queries
-// the way its bounds machinery invites: candidates are verified in
+// distance δ, ranked descending: QueryTopKWalk's Top.
+func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
+	w, err := v.QueryTopKWalk(ctx, q, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	return w.Top, nil
+}
+
+// QueryTopKWalk is the ranked query. It extends the paper's threshold
+// queries the way its bounds machinery invites: candidates are verified in
 // decreasing order of their upper bound (TopKBound.Upper), and verification
 // stops as soon as the next candidate's bound cannot beat the current k-th
 // best SSP (ReplayTopK). Every value comes from the un-thresholded ladder
 // of VerifySSP: exact for a DNF of at most exactCrossover clauses, the full
-// SMP estimate otherwise.
-// QueryOptions.Epsilon does not affect the ranking (it is still validated).
+// SMP estimate otherwise. QueryOptions.Epsilon does not affect the ranking
+// (it is still validated). The degenerate query (δ ≥ |E(q)|) commits the
+// first k live slots at SSP 1 without verifying them.
+//
+// On a range partition the walk is what a coordinator merges: at every
+// point of the schedule a partition's k-th best SSP is at most the full
+// database's, so the partition's walk commits every entry of its range the
+// full walk commits, and the full walk stops no later than the partition's
+// stop entry. Replaying the rule over the partitions' walks merged by
+// (Upper descending, global id ascending) therefore needs no value it does
+// not hold and returns this Top, bitwise.
 //
 // With opt.Concurrency > 1 the bound computation fans out over the worker
 // pool and the rule's window is the worker count: w candidates are valued
@@ -91,23 +132,24 @@ func ReplayTopK(ctx context.Context, sched []TopKBound, k, window int,
 // Cancellation is checked at every stage — structural scan (shard
 // granularity), bound computation and verification (candidate granularity):
 // a cancelled call returns (nil, ctx.Err()) with every pool goroutine joined.
-func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) ([]TopKItem, error) {
+func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*TopKWalk, error) {
 	p, sched, dnfs, err := v.topkSchedule(ctx, q, k, opt)
 	if err != nil {
 		return nil, err
 	}
+	w := &TopKWalk{}
 	if p.degenerate {
-		out := make([]TopKItem, len(sched))
+		w.Top, w.Steps = make([]TopKItem, len(sched)), make([]TopKStep, len(sched))
 		for i, c := range sched {
-			out[i] = TopKItem{Graph: c.Graph, SSP: 1}
+			w.Top[i], w.Steps[i] = TopKItem{Graph: c.Graph, SSP: 1}, TopKStep{c, 1}
 		}
-		return out, nil
+		return w, nil
 	}
 	if len(sched) == 0 {
-		return nil, nil
+		return w, nil
 	}
 	workers := pool.Normalize(p.opt.Concurrency, len(sched))
-	vals := make([]float64, workers)
+	vals := make([]float64, len(sched))
 	sp := obs.SpanFrom(ctx).Child("topk_commit")
 	top, committed, err := ReplayTopK(ctx, sched, k, workers, func(ctx context.Context, lo, hi int) ([]float64, error) {
 		// A failed entry's value is NaN. The loop's error is its lowest
@@ -116,22 +158,32 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 		err := pool.ForEachIndexCtx(ctx, hi-lo, workers, func(j int) error {
 			d, err := decide(dnfs[lo+j], p.opt, 0)
 			if err != nil {
-				vals[j] = math.NaN()
+				vals[lo+j] = math.NaN()
 				return fmt.Errorf("core: verifying graph %d: %w", sched[lo+j].Graph, err)
 			}
-			vals[j] = d.ssp
+			vals[lo+j] = d.ssp
 			return nil
 		})
 		switch {
 		case err == nil:
-			return vals[:hi-lo], nil
+			return vals[lo:hi], nil
 		case ctx.Err() != nil:
 			return nil, err
 		}
-		return vals[:slices.IndexFunc(vals[:hi-lo], math.IsNaN)], err
+		return vals[lo : lo+slices.IndexFunc(vals[lo:hi], math.IsNaN)], err
 	})
 	sp.EndCount(int64(committed))
-	return top, err
+	if err != nil {
+		return nil, err
+	}
+	w.Top, w.Steps = top, make([]TopKStep, committed)
+	for i := range w.Steps {
+		w.Steps[i] = TopKStep{sched[i], vals[i]}
+	}
+	if committed < len(sched) {
+		w.Stop = &sched[committed]
+	}
+	return w, nil
 }
 
 // insertTopK folds item into the ranking by sorted insertion (SSP
@@ -238,9 +290,9 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 // QueryTopKBounds computes the top-k verification schedule without
 // verifying anything: the ranked candidate slots with their upper bounds,
 // sorted in serial verification order (Upper descending, slot ascending).
-// A distributed coordinator calls this on every shard, merges the
-// schedules by (Upper, global id), and runs ReplayTopK over the union —
-// fetching SSPs via VerifySSPBatch — to reproduce QueryTopKCtx bitwise.
+// Its one caller outside tests is the benchmark ledger (bench/layers.go),
+// which times top-k's two halves apart with it and VerifySSPBatch; a
+// fleet merges QueryTopKWalk's walks instead.
 //
 // The degenerate return (δ ≥ |E(q)|, where every live graph matches with
 // SSP 1) lists the first k live slots with Upper 1 and degenerate=true;
@@ -261,7 +313,8 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 // SSP (at most exactCrossover clauses) or its full SMP estimate, which is
 // what QueryTopKCtx ranks by. Each slot's DNF comes from q and opt.Delta
 // alone (see prepareDNF), and its value seeds from its global id alone,
-// independent of batching, order, or worker count.
+// independent of batching, order, or worker count. Its one caller outside
+// tests is the benchmark ledger (bench/layers.go), beside QueryTopKBounds.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {

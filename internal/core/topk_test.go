@@ -216,3 +216,25 @@ func TestReplayTopK(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayTopKStopsOnTie pins the stop rule's tie behaviour on a
+// synthetic schedule: once the ranking holds k items, an entry whose Upper
+// equals the k-th best SSP is not walked — so graphs 1 and 3, whose SSP
+// equals the k-th value and whose ids are smaller than both ranked ones,
+// are not listed. At every window, values fetched past the stop included.
+func TestReplayTopKStopsOnTie(t *testing.T) {
+	sched := []TopKBound{{Graph: 5, Upper: 0.9}, {Graph: 4, Upper: 0.8}, {Graph: 1, Upper: 0.5}, {Graph: 3, Upper: 0.5}}
+	vals := []float64{0.5, 0.5, 0.5, 0.5}
+	want := []TopKItem{{Graph: 4, SSP: 0.5}, {Graph: 5, SSP: 0.5}}
+	for window := 1; window <= len(sched); window++ {
+		top, committed, err := ReplayTopK(bg, sched, 2, window, func(_ context.Context, lo, hi int) ([]float64, error) {
+			return vals[lo:hi], nil
+		})
+		if err != nil || committed != 2 || !slices.Equal(top, want) {
+			t.Fatalf("window %d: (%v, %d, %v), want (%v, 2, nil)", window, top, committed, err, want)
+		}
+	}
+	if top, _ := serialTopK(sched, 2, func(i int) float64 { return vals[i] }); !slices.Equal(top, want) {
+		t.Fatalf("serial loop %v, want %v", top, want)
+	}
+}

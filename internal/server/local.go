@@ -44,13 +44,13 @@ type local struct {
 
 // localEndpoints are the instrumented endpoints only an evaluating node
 // serves: the shard side of the distributed top-k (distrib.go).
-var localEndpoints = []string{"topk_bounds", "topk_verify"}
+var localEndpoints = []string{"topk_walk"}
 
 var mutationOps = []string{"add", "remove", "replace"}
 
 // New serves an indexed database: the shared handler set over the local
-// backend, plus the routes only an evaluating node has — /topk/bounds,
-// /topk/verify, the /graphs mutations and /debug/slowlog.
+// backend, plus the routes only an evaluating node has — /topk/walk, the
+// /graphs mutations and /debug/slowlog.
 func New(db *core.Database, opt Options) *Server {
 	opt = opt.withDefaults()
 	l := &local{db: db, opt: opt, cache: newLRUCache(opt.CacheSize), start: time.Now(),
@@ -62,8 +62,7 @@ func New(db *core.Database, opt Options) *Server {
 	l.queries = s.queries
 	l.registerMetrics(opt.Metrics)
 	opt.Metrics.RegisterGoRuntime()
-	s.mux.HandleFunc("/topk/bounds", s.instrument("topk_bounds", l.handleTopKBounds))
-	s.mux.HandleFunc("/topk/verify", s.instrument("topk_verify", l.handleTopKVerify))
+	s.mux.HandleFunc("/topk/walk", s.instrument("topk_walk", l.handleTopKWalk))
 	s.mux.HandleFunc("POST /graphs", l.handleAddGraph)
 	s.mux.HandleFunc("DELETE /graphs/{id}", l.handleRemoveGraph)
 	s.mux.HandleFunc("PUT /graphs/{id}", l.handleReplaceGraph)

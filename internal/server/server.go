@@ -344,10 +344,10 @@ func reply[R interface {
 	WriteJSON(w, resp)
 }
 
-func (q *QueryResponse) stamp(ms float64, tr *obs.SpanNode)      { q.TimeMS, q.Trace = ms, tr }
-func (t *TopKResponse) stamp(ms float64, tr *obs.SpanNode)       { t.TimeMS, t.Trace = ms, tr }
-func (b *BatchResponse) stamp(ms float64, tr *obs.SpanNode)      { b.TimeMS, b.Trace = ms, tr }
-func (t *TopKBoundsResponse) stamp(ms float64, tr *obs.SpanNode) { t.TimeMS, t.Trace = ms, tr }
+func (q *QueryResponse) stamp(ms float64, tr *obs.SpanNode)    { q.TimeMS, q.Trace = ms, tr }
+func (t *TopKResponse) stamp(ms float64, tr *obs.SpanNode)     { t.TimeMS, t.Trace = ms, tr }
+func (b *BatchResponse) stamp(ms float64, tr *obs.SpanNode)    { b.TimeMS, b.Trace = ms, tr }
+func (t *TopKWalkResponse) stamp(ms float64, tr *obs.SpanNode) { t.TimeMS, t.Trace = ms, tr }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest

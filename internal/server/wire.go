@@ -149,7 +149,7 @@ func (req *QueryRequest) Check() (*graph.Graph, core.QueryOptions, error) {
 	return q, opt, err
 }
 
-// CheckTopK is Check for /topk and /topk/bounds, which need a positive k.
+// CheckTopK is Check for /topk and /topk/walk, which need a positive k.
 func (req *QueryRequest) CheckTopK() (*graph.Graph, core.QueryOptions, error) {
 	if req.K <= 0 {
 		return nil, core.QueryOptions{}, errors.New("k must be positive")
@@ -163,14 +163,6 @@ func (req *QueryRequest) CheckStream() (*graph.Graph, core.QueryOptions, error) 
 		return nil, core.QueryOptions{}, errors.New("k is not supported on /query/stream")
 	}
 	return req.Check()
-}
-
-// Check is QueryRequest.Check for /topk/verify, which needs ids to verify.
-func (req *TopKVerifyRequest) Check() (*graph.Graph, core.QueryOptions, error) {
-	if len(req.Graphs) == 0 {
-		return nil, core.QueryOptions{}, errors.New("empty graphs list")
-	}
-	return req.QueryRequest.Check()
 }
 
 // Check validates a /batch request (either queries or query_texts, at
