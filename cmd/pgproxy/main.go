@@ -12,9 +12,10 @@
 //	        [-pprof-addr 127.0.0.1:6060]
 //
 // Each -shards entry is url or name=url; names default to shard<i> and
-// label errors, metrics, and /stats health records. Fleet order must be
-// partition order. A -shards entry whose URL lacks a scheme or a host is
-// a flag error: pgproxy prints it with the usage text and exits 2.
+// label errors and metrics. Fleet order must be partition order. A
+// -shards entry whose URL lacks a scheme or a host is a flag error:
+// pgproxy prints it with the usage text and exits 2, as it does for a
+// negative -shard-timeout.
 //
 // pgproxy is pgserve's handler set (internal/server) over the fleet
 // backend (internal/cluster): requests are validated, counted, timed and
@@ -30,7 +31,6 @@
 //	                    merged into the serial verification order and the
 //	                    rule replayed over them, every value in hand
 //	POST /batch         one fan-out carrying the whole batch, merged member-wise
-//	GET  /stats         per-shard health records + coordinator counters
 //	GET  /metrics       Prometheus exposition (pg_queries_total,
 //	                    pg_shard_requests_total, pg_shard_up, ...)
 //	GET  /healthz       liveness (the coordinator process is up)
@@ -77,6 +77,10 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
+	if *shardTimeout < 0 {
+		fmt.Fprintf(os.Stderr, "pgproxy: -shard-timeout must be >= 0, got %v\n", *shardTimeout)
+		os.Exit(2)
+	}
 	shards, err := parseShards(*shardsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pgproxy: %v\n", err)

@@ -34,8 +34,8 @@
 //	POST   /graphs      incremental AddGraph ingestion (pgraph JSON or text)
 //	DELETE /graphs/{id} RemoveGraph: tombstones the slot, indices stay stable
 //	PUT    /graphs/{id} ReplaceGraph: swaps the slot's graph (re-scored JPTs)
-//	GET  /stats         server + cache counters, generation, live/tombstoned
-//	GET  /metrics       Prometheus text exposition of the same counters
+//	GET  /metrics       Prometheus text exposition: query, cache, inflight,
+//	                    generation, live/tombstoned and index-size counters
 //	GET  /debug/slowlog the -slowlog slowest queries with their span trees
 //	GET  /healthz       liveness probe
 //

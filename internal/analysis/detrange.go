@@ -6,7 +6,7 @@ import (
 )
 
 // detRangeScope names the packages whose loops feed either query answers
-// or rendered output (snapshots, /metrics, /stats): the determinism
+// or rendered output (snapshots, /metrics, JSON replies): the determinism
 // contract — serial ≡ parallel ≡ pre-refactor, byte-stable exposition —
 // makes map iteration order a bug there unless the loop body provably
 // does not care. Scoping is by package name so the analyzer works

@@ -47,7 +47,7 @@ import (
 
 // Shard names one member of the fleet and the client that reaches it.
 type Shard struct {
-	Name   string         // label used in errors, metrics, and health reports
+	Name   string         // label used in errors and metrics
 	Client *server.Client // server.NewClient(url), or server.NewHandlerClient in process
 }
 
@@ -75,7 +75,6 @@ type Coordinator struct {
 	shardTimeout time.Duration
 	retries      int
 	reg          *obs.Registry
-	start        time.Time
 }
 
 var _ server.Backend = (*Coordinator)(nil)
@@ -85,7 +84,7 @@ func New(opt Options) (*Coordinator, error) {
 	if len(opt.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
-	c := &Coordinator{shardTimeout: opt.ShardTimeout, retries: opt.Retries, reg: obs.NewRegistry(), start: time.Now()}
+	c := &Coordinator{shardTimeout: opt.ShardTimeout, retries: opt.Retries, reg: obs.NewRegistry()}
 	for i, sh := range opt.Shards {
 		if sh.Name == "" {
 			sh.Name = fmt.Sprintf("shard%d", i)

@@ -3,26 +3,11 @@ package cluster
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"probgraph/internal/obs"
 )
-
-// ShardHealthJSON is one shard's health record as /stats reports it.
-// Healthy flips false after a transport failure and back true on the next
-// successful exchange; an HTTP error status counts as success (the shard
-// answered). The record is fed by real fan-out traffic plus /readyz
-// probes — there is no background prober.
-type ShardHealthJSON struct {
-	Name                string  `json:"name"`
-	URL                 string  `json:"url"`
-	Healthy             bool    `json:"healthy"`
-	LastError           string  `json:"last_error,omitempty"`
-	ConsecutiveFailures int     `json:"consecutive_failures"`
-	Requests            int64   `json:"requests"`
-	Failures            int64   `json:"failures"`
-	LastChangeMSAgo     float64 `json:"last_change_ms_ago,omitempty"`
-}
 
 // Outcomes of one shard sub-request, in pg_shard_requests_total's label
 // order.
@@ -35,27 +20,22 @@ const (
 var outcomeLabels = [...]string{"ok", "http_error", "error"}
 
 // member is everything the coordinator keeps about one shard: who it is,
-// how to reach it, its health record, and its metric series. The health
-// fields are guarded by mu — a few field writes on the request path's
-// tail, far off any hot loop.
+// how to reach it, its health bit, and its metric series. The health bit
+// is pg_shard_up: it flips false after a failed exchange and back true
+// on the next served one. It is fed by real fan-out traffic plus /readyz
+// probes — there is no background prober.
 type member struct {
 	Shard
 	outcomes [len(outcomeLabels)]*obs.Counter
 	latency  *obs.Histogram
-
-	mu         sync.Mutex
-	healthy    bool
-	lastError  string
-	consec     int
-	requests   int64
-	failures   int64
-	lastChange time.Time
+	up       atomic.Bool
 }
 
 func newMember(sh Shard, reg *obs.Registry) *member {
-	// Shards start healthy: the fleet is presumed serviceable until a
-	// request proves otherwise (readiness is /readyz's job).
-	m := &member{Shard: sh, healthy: true}
+	m := &member{Shard: sh}
+	// Shards start up: the fleet is presumed serviceable until a request
+	// proves otherwise (readiness is /readyz's job).
+	m.up.Store(true)
 	for oc, label := range outcomeLabels {
 		m.outcomes[oc] = reg.Counter("pg_shard_requests_total",
 			"Shard sub-requests by outcome (ok = HTTP 200; http_error = shard answered non-200; error = transport failure after retries).",
@@ -77,7 +57,7 @@ func counts(ctx context.Context, err error) bool {
 }
 
 // finish feeds one finished sub-request into the shard's latency
-// histogram, outcome counter, and health record — unless the caller cut
+// histogram, outcome counter, and health bit — unless the caller cut
 // it short (see counts).
 func (m *member) finish(ctx context.Context, start time.Time, err error) {
 	if !counts(ctx, err) {
@@ -95,54 +75,10 @@ func (m *member) finish(ctx context.Context, start time.Time, err error) {
 }
 
 // note feeds one exchange's outcome (nil, the shard's own structured
-// failure, or a failed exchange) into the shard's health record. Only the
-// last counts against it: a non-200 is a served answer (400/422/504...),
-// not an outage — the shard is up and talking.
-func (m *member) note(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests++
-	if served(err) {
-		if !m.healthy {
-			m.healthy = true
-			m.lastChange = time.Now()
-		}
-		m.consec = 0
-		return
-	}
-	m.failures++
-	m.consec++
-	m.lastError = err.Error()
-	if m.healthy {
-		m.healthy = false
-		m.lastChange = time.Now()
-	}
-}
-
-// up reports the shard's current up/down view, for the pg_shard_up gauge.
-func (m *member) up() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.healthy
-}
-
-// report is the shard's /stats record.
-func (m *member) report() ShardHealthJSON {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec := ShardHealthJSON{
-		Name: m.Name, URL: m.Client.URL(),
-		Healthy:             m.healthy,
-		LastError:           m.lastError,
-		ConsecutiveFailures: m.consec,
-		Requests:            m.requests,
-		Failures:            m.failures,
-	}
-	if !m.lastChange.IsZero() {
-		rec.LastChangeMSAgo = float64(time.Since(m.lastChange).Microseconds()) / 1000
-	}
-	return rec
-}
+// failure, or a failed exchange) into the shard's health bit. Only a
+// failed exchange marks it down: a non-200 is a served answer
+// (400/422/504...), not an outage — the shard is up and talking.
+func (m *member) note(err error) { m.up.Store(served(err)) }
 
 // registerFleetGauges registers the fleet-wide families, after every
 // member's own series.
@@ -152,7 +88,7 @@ func (c *Coordinator) registerFleetGauges() {
 		func(emit func(string, float64)) {
 			for _, m := range c.shards {
 				up := 0.0
-				if m.up() {
+				if m.up.Load() {
 					up = 1
 				}
 				emit(obs.Labels("shard", m.Name), up)
@@ -192,7 +128,7 @@ func (c *Coordinator) Readyz(ctx context.Context) (any, bool) {
 }
 
 // probeReady GETs one shard's /readyz within the probe timeout
-// (ShardTimeout, else 2 s). The outcome feeds the health record like any
+// (ShardTimeout, else 2 s). The outcome feeds the health bit like any
 // other exchange: a shard that answers, even "not ready", is up.
 func (c *Coordinator) probeReady(ctx context.Context, m *member) error {
 	timeout := c.shardTimeout
@@ -206,18 +142,4 @@ func (c *Coordinator) probeReady(ctx context.Context, m *member) error {
 		m.note(err)
 	}
 	return err
-}
-
-// Stats reports the coordinator's own counters plus every shard's health
-// record.
-func (c *Coordinator) Stats(queries int64) any {
-	shards := make([]ShardHealthJSON, len(c.shards))
-	for si, m := range c.shards {
-		shards[si] = m.report()
-	}
-	return map[string]any{
-		"shards":    shards,
-		"queries":   queries,
-		"uptime_ms": float64(time.Since(c.start).Microseconds()) / 1000,
-	}
 }

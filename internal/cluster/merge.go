@@ -11,7 +11,7 @@ import (
 
 // validQuery vets one shard's /query answer for mergeQuery, which pairs
 // names with answers by position.
-func validQuery(_ int, qr *server.QueryResponse) (uint64, bool) {
+func validQuery(qr *server.QueryResponse) (uint64, bool) {
 	return qr.Generation, len(qr.Names) == len(qr.Answers)
 }
 
@@ -31,7 +31,7 @@ func (c *Coordinator) Query(ctx context.Context, req *server.QueryRequest, _ *gr
 // (each shard derives the same per-member seeds from the base seed),
 // merged member-wise.
 func (c *Coordinator) Batch(ctx context.Context, req *server.BatchRequest, qs []*graph.Graph, _ core.QueryOptions) (*server.BatchResponse, error) {
-	batches, e := fanout(ctx, c, "/batch", req, func(_ int, br *server.BatchResponse) (uint64, bool) {
+	batches, e := fanout(ctx, c, "/batch", req, func(br *server.BatchResponse) (uint64, bool) {
 		if len(br.Results) != len(qs) {
 			return 0, false
 		}

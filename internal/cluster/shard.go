@@ -26,7 +26,7 @@ func served(err error) bool {
 // It is retried on transport errors only — an HTTP error status is the
 // shard's answer, not a flaky network, and retrying a non-idempotent
 // evaluation would change nothing anyway (responses are deterministic).
-// Outcomes feed the shard's health record and metrics.
+// Outcomes feed the shard's health bit and metrics.
 func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, out any) error {
 	m := c.shards[si]
 	sp := obs.SpanFrom(ctx).Child("shard:" + m.Name + path)
@@ -93,64 +93,49 @@ func generationMismatch(a string, genA uint64, b string, genB uint64) *server.Er
 		Message: fmt.Sprintf("shard generation mismatch: %s at %d, %s at %d", a, genA, b, genB)}
 }
 
-// subRequest addresses one body to one shard (an index into c.shards).
-type subRequest struct {
-	shard int
-	body  []byte
-}
-
-// gather is the fan-out every merged endpoint shares: POST each
-// sub-request concurrently and wait for all of them (each bounded by
-// ShardTimeout and the request context, so the wait is bounded too),
-// decode each 200 into a T, let valid vet its shape — it reports the
-// generation the answer was computed under, and false for an answer the
-// merge could not safely index — and require one generation throughout.
-// Answers come back in request order. Failed exchanges are reported
-// before malformed or mismatched answers, and within each kind the first
-// in request order, which keeps the choice deterministic when several
-// shards fail at once.
-func gather[T any](ctx context.Context, c *Coordinator, path string, reqs []subRequest, valid func(i int, v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
-	outs := make([]*T, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, rq := range reqs {
-		outs[i] = new(T)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = c.call(ctx, rq.shard, path, rq.body, outs[i])
-		}()
-	}
-	wg.Wait()
-	for i, rq := range reqs {
-		if errs[i] != nil {
-			return nil, shardError(c.shards[rq.shard], errs[i])
-		}
-	}
-	var first uint64
-	for i, rq := range reqs {
-		gen, ok := valid(i, outs[i])
-		if !ok {
-			return nil, malformed(c.shards[rq.shard])
-		}
-		if i == 0 {
-			first = gen
-		} else if gen != first {
-			return nil, generationMismatch(c.shards[reqs[0].shard].Name, first, c.shards[rq.shard].Name, gen)
-		}
-	}
-	return outs, nil
-}
-
-// fanout gathers the same request from every shard, in fleet order.
-func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, valid func(i int, v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
+// fanout is the fan-out every merged endpoint shares: POST the same
+// request to every shard concurrently and wait for all of them (each
+// bounded by ShardTimeout and the request context, so the wait is bounded
+// too), decode each 200 into a T, let valid vet its shape — it reports
+// the generation the answer was computed under, and false for an answer
+// the merge could not safely index — and require one generation
+// throughout. Answers come back in fleet order. Failed exchanges are
+// reported before malformed or mismatched answers, and within each kind
+// the first in fleet order, which keeps the choice deterministic when
+// several shards fail at once.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, valid func(v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, server.Errorf(http.StatusInternalServerError, "%v", err)
 	}
-	reqs := make([]subRequest, len(c.shards))
-	for si := range reqs {
-		reqs[si] = subRequest{si, body}
+	outs := make([]*T, len(c.shards))
+	errs := make([]error, len(c.shards))
+	var wg sync.WaitGroup
+	for si := range c.shards {
+		outs[si] = new(T)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[si] = c.call(ctx, si, path, body, outs[si])
+		}()
 	}
-	return gather(ctx, c, path, reqs, valid)
+	wg.Wait()
+	for si, err := range errs {
+		if err != nil {
+			return nil, shardError(c.shards[si], err)
+		}
+	}
+	var first uint64
+	for si, out := range outs {
+		gen, ok := valid(out)
+		if !ok {
+			return nil, malformed(c.shards[si])
+		}
+		if si == 0 {
+			first = gen
+		} else if gen != first {
+			return nil, generationMismatch(c.shards[0].Name, first, c.shards[si].Name, gen)
+		}
+	}
+	return outs, nil
 }

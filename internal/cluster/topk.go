@@ -70,7 +70,7 @@ func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *gra
 // validWalk vets one shard's /topk/walk answer: bounds and values in
 // [0, 1], entries in schedule order, and at most one unvalued entry, the
 // last — the shape every merged-replay step above relies on.
-func validWalk(_ int, wr *server.TopKWalkResponse) (uint64, bool) {
+func validWalk(wr *server.TopKWalkResponse) (uint64, bool) {
 	for i, s := range wr.Walk {
 		if !(s.Upper >= 0 && s.Upper <= 1) || (s.SSP == nil && i != len(wr.Walk)-1) ||
 			(s.SSP != nil && !(*s.SSP >= 0 && *s.SSP <= 1)) {

@@ -73,9 +73,8 @@ func TestEnvelopeParity(t *testing.T) {
 		}
 	}
 
-	// The probes and /stats run through the same handlers too; each process
-	// keeps its own status and body shape (the proxy's fleet is not ready
-	// here).
+	// The probes run through the same handlers too; each process keeps its
+	// own status and body shape (the proxy's fleet is not ready here).
 	probes := []struct {
 		process string
 		h       http.Handler
@@ -85,12 +84,8 @@ func TestEnvelopeParity(t *testing.T) {
 	}{
 		{"pgserve", single, "/healthz", 200, "generation graphs status"},
 		{"pgserve", single, "/readyz", 200, "generation graphs partitioned ready"},
-		{"pgserve", single, "/stats", 200, "cache_cap cache_entries cache_generations cache_hits cache_misses " +
-			"default_timeout_ms generation graphs index_bytes inflight live_graphs pmi_features queries " +
-			"tombstoned_graphs uptime_ms workers"},
 		{"pgproxy", coord, "/healthz", 200, "shards status"},
 		{"pgproxy", coord, "/readyz", 503, "failed ready shards"},
-		{"pgproxy", coord, "/stats", 200, "queries shards uptime_ms"},
 	}
 	for _, p := range probes {
 		st, body := do(t, p.h, "GET", p.path, "")
@@ -107,11 +102,14 @@ func TestEnvelopeParity(t *testing.T) {
 			t.Errorf("%s %s on the proxy: %d, want 404", rt.method, rt.path, rec.Code)
 		}
 	}
-	// The two-phase top-k routes are gone from both processes.
-	for _, path := range []string{"/topk/bounds", "/topk/verify"} {
+	// Routes the API no longer has are gone from both processes: the
+	// two-phase top-k pair, and /stats (/metrics is the counter surface).
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/topk/bounds"}, {"POST", "/topk/verify"}, {"GET", "/stats"},
+	} {
 		for process, h := range map[string]http.Handler{"pgserve": single, "pgproxy": coord} {
-			if rec := serve(h, http.MethodPost, path, `{}`); rec.Code != http.StatusNotFound {
-				t.Errorf("POST %s on %s: %d, want 404", path, process, rec.Code)
+			if rec := serve(h, rt.method, rt.path, `{}`); rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s on %s: %d, want 404", rt.method, rt.path, process, rec.Code)
 			}
 		}
 	}

@@ -287,9 +287,7 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot feature %d graph: %w", fi, err)
 		}
-		v.Features = append(v.Features, &feature.Feature{
-			G: fg, Code: graph.CanonicalCode(fg), Support: support,
-		})
+		v.Features = append(v.Features, &feature.Feature{G: fg, Support: support})
 	}
 	v.Build.Features = len(v.Features)
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"probgraph/internal/dataset"
-	"probgraph/internal/graph"
 	"probgraph/internal/pmi"
 	"probgraph/internal/snapbin"
 )
@@ -24,7 +23,6 @@ var notPersisted = map[string]string{
 	"View.Certain": "each entry aliases Graphs[i].G; the loader re-derives the slice",
 	"View.Build":   "build-time metrics, not state; the loader repopulates the fields queries read",
 	"Index.Opt":    "pmi sections do not persist options; the loader restores them from BuildOptions",
-	"Feature.Code": "canonical code is re-derived from G at load time",
 }
 
 var bothFormats = []SnapshotFormat{SnapshotText, SnapshotBinary}
@@ -119,9 +117,6 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 	}
 	for fi, f := range got.Features {
 		comparePersisted(t, label, f, want.Features[fi])
-		if f.Code != graph.CanonicalCode(f.G) {
-			t.Errorf("%s: feature %d code not re-derived from its graph", label, fi)
-		}
 	}
 
 	comparePersisted(t, label, got.PMI, want.PMI, "Entries")

@@ -106,8 +106,7 @@ func (o Options) withDefaults() Options {
 // Feature is a mined pattern with its database support.
 type Feature struct {
 	G       *graph.Graph
-	Code    string // canonical code of G; snapshots re-derive it
-	Support []int  // indices of graphs whose certain graph contains G
+	Support []int // indices of graphs whose certain graph contains G
 }
 
 // Mine extracts features from the certain graphs dbc. Each level runs the
@@ -124,11 +123,11 @@ func Mine(dbc []*graph.Graph, opt Options) []*Feature {
 		minSupport = 1
 	}
 
-	var out []*Feature
+	var accepted []*candidate
 	level := mineSingleEdges(dbc)
-	for len(level) > 0 && len(out) < opt.MaxFeatures {
+	for len(level) > 0 && len(accepted) < opt.MaxFeatures {
 		// 1. Qualify against the features accepted before this level.
-		indexed := out
+		indexed := accepted
 		ok := make([]bool, len(level))
 		forEach(len(level), func(i int) {
 			ok[i] = qualifies(level[i], dbc, indexed, minSupport, opt)
@@ -136,28 +135,32 @@ func Mine(dbc []*graph.Graph, opt Options) []*Feature {
 		// 2. Accept, in level order, up to MaxFeatures.
 		var parents []*candidate
 		for i, c := range level {
-			if len(out) >= opt.MaxFeatures {
+			if len(accepted) >= opt.MaxFeatures {
 				break
 			}
 			if !ok[i] {
 				continue
 			}
-			out = append(out, &Feature{G: c.g, Code: c.code, Support: c.support})
+			accepted = append(accepted, c)
 			if c.g.NumVertices() < opt.MaxL {
 				parents = append(parents, c)
 			}
 		}
-		if len(out) >= opt.MaxFeatures {
+		if len(accepted) >= opt.MaxFeatures {
 			break
 		}
 		level = grow(parents, dbc, minSupport, opt)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].G.NumEdges() != out[j].G.NumEdges() {
-			return out[i].G.NumEdges() < out[j].G.NumEdges()
+	sort.Slice(accepted, func(i, j int) bool {
+		if accepted[i].g.NumEdges() != accepted[j].g.NumEdges() {
+			return accepted[i].g.NumEdges() < accepted[j].g.NumEdges()
 		}
-		return out[i].Code < out[j].Code
+		return accepted[i].code < accepted[j].code
 	})
+	out := make([]*Feature, len(accepted))
+	for i, c := range accepted {
+		out[i] = &Feature{G: c.g, Support: c.support}
+	}
 	return out
 }
 
@@ -177,7 +180,7 @@ type candidate struct {
 }
 
 // qualifies applies the α-frequency and discriminative rules to c.
-func qualifies(c *candidate, dbc []*graph.Graph, indexed []*Feature, minSupport int, opt Options) bool {
+func qualifies(c *candidate, dbc []*graph.Graph, indexed []*candidate, minSupport int, opt Options) bool {
 	qualified := 0 // counted only as far as minSupport, all the rule reads
 	for _, gi := range c.support {
 		if qualified >= minSupport {
@@ -299,27 +302,27 @@ func disjointRatioOK(f, g *graph.Graph, opt Options) bool {
 // which matches gIndex's discriminative-fragment intent and reproduces the
 // decreasing index-size trend. Features with no indexed sub-feature are
 // trivially discriminative.
-func discriminativeOK(c *candidate, indexed []*Feature, gamma float64) bool {
+func discriminativeOK(c *candidate, indexed []*candidate, gamma float64) bool {
 	if len(c.support) == 0 {
 		return false
 	}
 	var inter map[int]bool
 	for _, f := range indexed {
-		if f.G.NumEdges() >= c.g.NumEdges() {
+		if f.g.NumEdges() >= c.g.NumEdges() {
 			continue
 		}
-		if !iso.Exists(f.G, c.g, nil) {
+		if !iso.Exists(f.g, c.g, nil) {
 			continue
 		}
 		if inter == nil {
-			inter = make(map[int]bool, len(f.Support))
-			for _, gi := range f.Support {
+			inter = make(map[int]bool, len(f.support))
+			for _, gi := range f.support {
 				inter[gi] = true
 			}
 			continue
 		}
 		keep := make(map[int]bool, len(inter))
-		for _, gi := range f.Support {
+		for _, gi := range f.support {
 			if inter[gi] {
 				keep[gi] = true
 			}

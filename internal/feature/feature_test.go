@@ -91,13 +91,11 @@ func TestMineDedup(t *testing.T) {
 	feats := Mine(dbc, Options{Beta: 0.1, Alpha: 0.01, Gamma: 0.01, MaxL: 4})
 	seen := make(map[string]bool)
 	for _, f := range feats {
-		if seen[f.Code] {
-			t.Fatalf("duplicate feature code %q", f.Code)
+		code := graph.CanonicalCode(f.G)
+		if seen[code] {
+			t.Fatalf("duplicate feature code %q", code)
 		}
-		seen[f.Code] = true
-		if f.Code != graph.CanonicalCode(f.G) {
-			t.Fatal("stored code does not match graph")
-		}
+		seen[code] = true
 	}
 }
 

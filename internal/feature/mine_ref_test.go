@@ -76,7 +76,7 @@ func TestMineMatchesReference(t *testing.T) {
 }
 
 // sameFeatures reports whether two feature lists are equal element by
-// element: graph bytes, code and support.
+// element: graph bytes, canonical code and support.
 func sameFeatures(a, b []*Feature) bool {
 	if len(a) != len(b) {
 		return false
@@ -86,7 +86,8 @@ func sameFeatures(a, b []*Feature) bool {
 		if graph.Encode(&ga, a[i].G) != nil || graph.Encode(&gb, b[i].G) != nil {
 			return false
 		}
-		if !bytes.Equal(ga.Bytes(), gb.Bytes()) || a[i].Code != b[i].Code || !equalInts(a[i].Support, b[i].Support) {
+		if !bytes.Equal(ga.Bytes(), gb.Bytes()) || graph.CanonicalCode(a[i].G) != graph.CanonicalCode(b[i].G) ||
+			!equalInts(a[i].Support, b[i].Support) {
 			return false
 		}
 	}
@@ -116,7 +117,7 @@ func refMine(dbc []*graph.Graph, opt Options) []*Feature {
 		minSupport = 1
 	}
 
-	var out []*Feature
+	var out []*candidate
 	supportOf := make(map[string][]int) // code -> support (for dis())
 
 	level := mineSingleEdges(dbc)
@@ -141,8 +142,7 @@ func refMine(dbc []*graph.Graph, opt Options) []*Feature {
 			if !discriminativeOK(c, out, opt.Gamma) {
 				continue
 			}
-			f := &Feature{G: c.g, Code: c.code, Support: c.support}
-			out = append(out, f)
+			out = append(out, c)
 			supportOf[c.code] = c.support
 
 			// Grow.
@@ -163,12 +163,16 @@ func refMine(dbc []*graph.Graph, opt Options) []*Feature {
 		level = next
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].G.NumEdges() != out[j].G.NumEdges() {
-			return out[i].G.NumEdges() < out[j].G.NumEdges()
+		if out[i].g.NumEdges() != out[j].g.NumEdges() {
+			return out[i].g.NumEdges() < out[j].g.NumEdges()
 		}
-		return out[i].Code < out[j].Code
+		return out[i].code < out[j].code
 	})
-	return out
+	feats := make([]*Feature, len(out))
+	for i, c := range out {
+		feats[i] = &Feature{G: c.g, Support: c.support}
+	}
+	return feats
 }
 
 // refExtend grows a candidate by one edge using its embeddings in supporting

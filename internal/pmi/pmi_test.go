@@ -241,7 +241,7 @@ func TestBuildReportsLowestGraphsError(t *testing.T) {
 	b.MustAddEdge(b.AddVertex("no-such-label"), b.AddVertex("no-such-label"), "")
 	absent := b.Build()
 	bad := func(support ...int) *feature.Feature {
-		return &feature.Feature{G: absent, Code: graph.CanonicalCode(absent), Support: support}
+		return &feature.Feature{G: absent, Support: support}
 	}
 	feats = append(feats, bad(6, 2, 5), bad(7, 2))
 	want := ""

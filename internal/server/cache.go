@@ -95,8 +95,11 @@ func (c *lruCache) Counters() (int64, int64) {
 // retaining the most recent maxTrackedGens generations.
 type genCounters struct {
 	mu sync.Mutex
-	m  map[uint64]*GenCacheJSON
+	m  map[uint64]*hitMiss
 }
+
+// hitMiss is one generation's result-cache counters.
+type hitMiss struct{ Hits, Misses int64 }
 
 const maxTrackedGens = 16
 
@@ -104,11 +107,11 @@ func (g *genCounters) record(gen uint64, hit bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.m == nil {
-		g.m = make(map[uint64]*GenCacheJSON)
+		g.m = make(map[uint64]*hitMiss)
 	}
 	c := g.m[gen]
 	if c == nil {
-		c = &GenCacheJSON{}
+		c = &hitMiss{}
 		g.m[gen] = c
 		for len(g.m) > maxTrackedGens {
 			oldest := gen
@@ -127,21 +130,11 @@ func (g *genCounters) record(gen uint64, hit bool) {
 	}
 }
 
-func (g *genCounters) snapshot() map[string]GenCacheJSON {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]GenCacheJSON, len(g.m))
-	for gen, c := range g.m { //pgvet:sorted builds a map rendered by encoding/json, which sorts keys
-		out[strconv.FormatUint(gen, 10)] = *c
-	}
-	return out
-}
-
 // genCacheEntry is one generation's counters with its label pre-rendered,
 // ordered for byte-stable /metrics exposition.
 type genCacheEntry struct {
 	Gen string
-	GenCacheJSON
+	hitMiss
 }
 
 // snapshotSorted returns the tracked per-generation counters in ascending
@@ -158,7 +151,7 @@ func (g *genCounters) snapshotSorted() []genCacheEntry {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	out := make([]genCacheEntry, 0, len(gens))
 	for _, gen := range gens {
-		out = append(out, genCacheEntry{Gen: strconv.FormatUint(gen, 10), GenCacheJSON: *g.m[gen]})
+		out = append(out, genCacheEntry{Gen: strconv.FormatUint(gen, 10), hitMiss: *g.m[gen]})
 	}
 	return out
 }

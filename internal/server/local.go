@@ -398,30 +398,6 @@ func (l *local) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, l.mutationResponse("replace", m))
 }
 
-func (l *local) Stats(queries int64) any {
-	v := l.db.View()
-	hits, misses := l.cache.Counters()
-	return StatsResponse{
-		Graphs:           v.Len(),
-		LiveGraphs:       v.NumLive(),
-		TombstonedGraphs: v.Tombstones(),
-		Generation:       v.Generation,
-		PMIFeatures:      v.PMI.NumFeatures(),
-		IndexBytes:       v.Build.IndexSizeBytes,
-		UptimeMS:         float64(time.Since(l.start).Microseconds()) / 1000,
-		Queries:          queries,
-		Inflight:         l.inflight.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheEntries:     l.cache.Len(),
-		CacheCap:         l.opt.CacheSize,
-		CacheGenerations: l.genStats.snapshot(),
-		Workers:          l.opt.Workers,
-
-		DefaultTimeoutMS: float64(l.opt.Timeout.Microseconds()) / 1000,
-	}
-}
-
 func (l *local) Healthz() any {
 	v := l.db.View()
 	return map[string]any{"status": "ok", "graphs": v.NumLive(), "generation": v.Generation}
@@ -441,8 +417,8 @@ func (l *local) Readyz(context.Context) (any, bool) {
 }
 
 // registerMetrics adds what only an evaluating node reports: mutation
-// counters and the scrape-time families, which read the very sources
-// /stats reports, so the two views agree by construction.
+// counters and the scrape-time families, read from the live sources
+// (cache, inflight count, pinned view) at each scrape.
 func (l *local) registerMetrics(reg *obs.Registry) {
 	l.mutations = make(map[string]*obs.Counter, len(mutationOps))
 	for _, op := range mutationOps {

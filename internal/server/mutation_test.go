@@ -175,15 +175,13 @@ func TestMutationRejectsMisnumberedVertices(t *testing.T) {
 			}
 		}
 	}
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.Generation != 1 || st.Graphs != 10 {
-		t.Fatalf("rejected mutations changed the database: generation %d, %d graphs", st.Generation, st.Graphs)
+	if _, series := scrapeMetrics(t, env); series["pg_db_generation"] != 1 || slots(series) != 10 {
+		t.Fatalf("rejected mutations changed the database: generation %v, %v graphs", series["pg_db_generation"], slots(series))
 	}
 }
 
 // TestGenerationKeyedCache: mutation does not purge the cache — it makes
-// stale entries unaddressable. Stats report generation, live/tombstoned
+// stale entries unaddressable. /metrics reports generation, live/tombstoned
 // counts, and per-generation hit/miss counters.
 func TestGenerationKeyedCache(t *testing.T) {
 	env := newTestEnv(t, Options{})
@@ -196,16 +194,15 @@ func TestGenerationKeyedCache(t *testing.T) {
 		t.Fatalf("warmup: cached = (%t, %t), want (false, true)", r1.Cached, r2.Cached)
 	}
 
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.Generation != 1 || st.LiveGraphs != 10 || st.TombstonedGraphs != 0 {
-		t.Fatalf("pre-mutation stats: gen=%d live=%d tomb=%d", st.Generation, st.LiveGraphs, st.TombstonedGraphs)
+	_, st := scrapeMetrics(t, env)
+	live, tomb := st[`pg_db_graphs{state="live"}`], st[`pg_db_graphs{state="tombstoned"}`]
+	if st["pg_db_generation"] != 1 || live != 10 || tomb != 0 {
+		t.Fatalf("pre-mutation metrics: gen=%v live=%v tomb=%v", st["pg_db_generation"], live, tomb)
 	}
-	g1 := st.CacheGenerations["1"]
-	if g1.Hits != 1 || g1.Misses != 1 {
-		t.Fatalf("generation 1 counters %+v, want 1 hit / 1 miss", g1)
+	if h, m := st[`pg_cache_generation_hits_total{generation="1"}`], st[`pg_cache_generation_misses_total{generation="1"}`]; h != 1 || m != 1 {
+		t.Fatalf("generation 1 counters %v hits / %v misses, want 1 / 1", h, m)
 	}
-	entriesBefore := st.CacheEntries
+	entriesBefore := st["pg_cache_entries"]
 	if entriesBefore == 0 {
 		t.Fatal("no cache entries after a warmed query")
 	}
@@ -217,9 +214,9 @@ func TestGenerationKeyedCache(t *testing.T) {
 	if mr.Generation != 2 {
 		t.Fatalf("add produced generation %d, want 2", mr.Generation)
 	}
-	env.get(t, "/stats", &st)
-	if st.CacheEntries != entriesBefore {
-		t.Fatalf("mutation changed cache entries %d -> %d (purge is gone by design)", entriesBefore, st.CacheEntries)
+	_, st = scrapeMetrics(t, env)
+	if st["pg_cache_entries"] != entriesBefore {
+		t.Fatalf("mutation changed cache entries %v -> %v (purge is gone by design)", entriesBefore, st["pg_cache_entries"])
 	}
 
 	var r3, r4 QueryResponse
@@ -232,21 +229,21 @@ func TestGenerationKeyedCache(t *testing.T) {
 		t.Fatalf("post-mutation generations (%d, %d), want 2", r3.Generation, r4.Generation)
 	}
 
-	env.get(t, "/stats", &st)
-	g2 := st.CacheGenerations["2"]
-	if g2.Hits != 1 || g2.Misses != 1 {
-		t.Fatalf("generation 2 counters %+v, want 1 hit / 1 miss", g2)
+	_, st = scrapeMetrics(t, env)
+	if h, m := st[`pg_cache_generation_hits_total{generation="2"}`], st[`pg_cache_generation_misses_total{generation="2"}`]; h != 1 || m != 1 {
+		t.Fatalf("generation 2 counters %v hits / %v misses, want 1 / 1", h, m)
 	}
-	if st.CacheEntries != entriesBefore+1 {
-		t.Fatalf("cache entries %d, want %d (old + new generation's)", st.CacheEntries, entriesBefore+1)
+	if st["pg_cache_entries"] != entriesBefore+1 {
+		t.Fatalf("cache entries %v, want %v (old + new generation's)", st["pg_cache_entries"], entriesBefore+1)
 	}
 
-	// Remove: stats flip to tombstoned, healthz reports live count.
+	// Remove: the slot flips to tombstoned, healthz reports live count.
 	var rm MutationResponse
 	env.send(t, http.MethodDelete, "/graphs/0", nil, &rm)
-	env.get(t, "/stats", &st)
-	if st.Generation != 3 || st.LiveGraphs != 10 || st.TombstonedGraphs != 1 || st.Graphs != 11 {
-		t.Fatalf("post-remove stats: %+v", st)
+	_, st = scrapeMetrics(t, env)
+	live, tomb = st[`pg_db_graphs{state="live"}`], st[`pg_db_graphs{state="tombstoned"}`]
+	if st["pg_db_generation"] != 3 || live != 10 || tomb != 1 || slots(st) != 11 {
+		t.Fatalf("post-remove metrics: gen=%v live=%v tomb=%v", st["pg_db_generation"], live, tomb)
 	}
 	var hz map[string]any
 	env.get(t, "/healthz", &hz)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,6 +47,22 @@ func scrapeMetrics(t *testing.T, env *testEnv) (string, map[string]float64) {
 		series[line[:sp]] = v
 	}
 	return string(raw), series
+}
+
+// slots is the database's slot count, live and tombstoned, as /metrics
+// reports it.
+func slots(series map[string]float64) float64 {
+	return series[`pg_db_graphs{state="live"}`] + series[`pg_db_graphs{state="tombstoned"}`]
+}
+
+// queriesTotal sums pg_queries_total over every endpoint a local server
+// instruments.
+func queriesTotal(series map[string]float64) float64 {
+	var n float64
+	for _, ep := range slices.Concat(queryEndpoints, localEndpoints) {
+		n += series[`pg_queries_total{endpoint="`+ep+`"}`]
+	}
+	return n
 }
 
 var (
@@ -139,56 +156,6 @@ func TestMetricsExposition(t *testing.T) {
 		if after[s] < series[s] {
 			t.Errorf("counter %s went backwards: %v -> %v", s, series[s], after[s])
 		}
-	}
-}
-
-// TestStatsAndMetricsAgree pins the satellite contract: /stats and
-// /metrics are backed by the same registry and the same scrape-time
-// sources, so with no traffic between the two reads every shared quantity
-// is identical — not merely close.
-func TestStatsAndMetricsAgree(t *testing.T) {
-	env := newTestEnv(t, Options{})
-	for i, qt := range env.qtexts {
-		req := QueryRequest{GraphText: qt, Epsilon: 0.4, Delta: 1, Seed: int64(i)}
-		env.post(t, "/query", req, nil)
-		env.post(t, "/query", req, nil) // cache hit
-	}
-	env.post(t, "/topk", QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, K: 2, Seed: 1}, nil)
-
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	_, series := scrapeMetrics(t, env)
-
-	var metricQueries float64
-	for _, ep := range queryEndpoints {
-		metricQueries += series[`pg_queries_total{endpoint="`+ep+`"}`]
-	}
-	pairs := []struct {
-		name   string
-		stats  float64
-		metric float64
-	}{
-		{"queries", float64(st.Queries), metricQueries},
-		{"cache hits", float64(st.CacheHits), series["pg_cache_hits_total"]},
-		{"cache misses", float64(st.CacheMisses), series["pg_cache_misses_total"]},
-		{"cache entries", float64(st.CacheEntries), series["pg_cache_entries"]},
-		{"generation", float64(st.Generation), series["pg_db_generation"]},
-		{"live graphs", float64(st.LiveGraphs), series[`pg_db_graphs{state="live"}`]},
-		{"tombstoned", float64(st.TombstonedGraphs), series[`pg_db_graphs{state="tombstoned"}`]},
-		{"index bytes", float64(st.IndexBytes), series["pg_index_bytes"]},
-		{"inflight", float64(st.Inflight), series["pg_inflight_queries"]},
-	}
-	for _, p := range pairs {
-		if p.stats != p.metric {
-			t.Errorf("%s: /stats says %v, /metrics says %v", p.name, p.stats, p.metric)
-		}
-	}
-	if st.CacheHits != int64(len(env.qtexts)) {
-		t.Fatalf("cache hits %d, want %d (fixture assumption broke)", st.CacheHits, len(env.qtexts))
-	}
-	hitsByGen := series[`pg_cache_generation_hits_total{generation="1"}`]
-	if got := float64(st.CacheGenerations["1"].Hits); got != hitsByGen {
-		t.Errorf("generation-1 hits: /stats %v, /metrics %v", got, hitsByGen)
 	}
 }
 

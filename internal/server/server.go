@@ -90,17 +90,14 @@ type Backend interface {
 	// Readyz is the /readyz body, and whether queries can be answered
 	// (503 otherwise).
 	Readyz(ctx context.Context) (body any, ready bool)
-	// Stats is the /stats body; queries is the handlers' accepted-request
-	// count.
-	Stats(queries int64) any
 }
 
 // Server is the query API's one handler set: /query, /topk, /batch and
-// /query/stream over a Backend, with /stats, /healthz, /readyz and
-// /metrics. Every query handler runs the same steps — Accept, count the
-// request, call the backend, stamp time_ms and the optional span tree,
-// write the reply or the failure — so pgserve and pgproxy answer alike
-// by construction.
+// /query/stream over a Backend, with /healthz, /readyz and /metrics.
+// Every query handler runs the same steps — Accept, count the request,
+// call the backend, stamp time_ms and the optional span tree, write the
+// reply or the failure — so pgserve and pgproxy answer alike by
+// construction.
 type Server struct {
 	b   Backend
 	mux *http.ServeMux
@@ -147,7 +144,6 @@ func newServer(b Backend, reg *obs.Registry, pipeline *obs.Pipeline, slowlog *ob
 	s.mux.HandleFunc("/query/stream", s.instrument("stream", s.handleQueryStream))
 	s.mux.HandleFunc("/topk", s.instrument("topk", s.handleTopK))
 	s.mux.HandleFunc("/batch", s.instrument("batch", s.handleBatch))
-	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
@@ -298,38 +294,6 @@ type MutationResponse struct {
 	CompactedSlots int    `json:"compacted_slots,omitempty"`
 }
 
-// GenCacheJSON is one generation's result-cache hit/miss counters.
-type GenCacheJSON struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// StatsResponse is the /stats reply. Graphs counts slots (tombstoned
-// included), LiveGraphs the queryable ones. CacheGenerations maps recent
-// generation numbers (decimal strings) to their result-cache hit/miss
-// counters.
-type StatsResponse struct {
-	Graphs           int                     `json:"graphs"`
-	LiveGraphs       int                     `json:"live_graphs"`
-	TombstonedGraphs int                     `json:"tombstoned_graphs"`
-	Generation       uint64                  `json:"generation"`
-	PMIFeatures      int                     `json:"pmi_features"`
-	IndexBytes       int                     `json:"index_bytes"`
-	UptimeMS         float64                 `json:"uptime_ms"`
-	Queries          int64                   `json:"queries"`
-	Inflight         int64                   `json:"inflight"`
-	CacheHits        int64                   `json:"cache_hits"`
-	CacheMisses      int64                   `json:"cache_misses"`
-	CacheEntries     int                     `json:"cache_entries"`
-	CacheCap         int                     `json:"cache_cap"`
-	CacheGenerations map[string]GenCacheJSON `json:"cache_generations"`
-	Workers          int                     `json:"workers"`
-	// DefaultTimeoutMS is the server's per-request deadline default
-	// (Options.Timeout); 0 means queries run unbounded unless the request
-	// sets timeout_ms.
-	DefaultTimeoutMS float64 `json:"default_timeout_ms"`
-}
-
 // reply is a query handler's epilogue: the failure, or the body stamped
 // with its time_ms (from start, just after Accept) and — when the
 // request asked for it — the span tree.
@@ -407,16 +371,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw.Done(start, inlineTrace(r, req.Trace))
-}
-
-// handleStats reports the backend's counters and shape; "queries" is
-// read from the same counters /metrics renders.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var n int64
-	for _, c := range s.queries { //pgvet:sorted sums every counter; addition is order-insensitive
-		n += c.Value()
-	}
-	WriteJSON(w, s.b.Stats(n))
 }
 
 // handleHealthz is the liveness probe: the process is up and serving

@@ -153,13 +153,12 @@ func TestQueryMatchesLibraryBitwise(t *testing.T) {
 		}
 	}
 
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.CacheHits < int64(len(env.qs)) {
-		t.Fatalf("stats: cache_hits = %d, want >= %d", st.CacheHits, len(env.qs))
+	_, series := scrapeMetrics(t, env)
+	if got := series["pg_cache_hits_total"]; got < float64(len(env.qs)) {
+		t.Fatalf("pg_cache_hits_total = %v, want >= %d", got, len(env.qs))
 	}
-	if st.Queries != int64(2*len(env.qs)) {
-		t.Fatalf("stats: queries = %d, want %d", st.Queries, 2*len(env.qs))
+	if got := queriesTotal(series); got != float64(2*len(env.qs)) {
+		t.Fatalf("pg_queries_total sums to %v, want %d", got, 2*len(env.qs))
 	}
 }
 
@@ -274,8 +273,7 @@ func TestBatchPartialHitDoesNotInflateCounters(t *testing.T) {
 		Seed: core.BatchSeed(21, 0)}
 	env.post(t, "/query", warm, nil)
 
-	var before StatsResponse
-	env.get(t, "/stats", &before)
+	_, before := scrapeMetrics(t, env)
 
 	req := BatchRequest{QueryTexts: env.qtexts, Epsilon: 0.4, Delta: 1, Seed: 21}
 	var got BatchResponse
@@ -285,10 +283,9 @@ func TestBatchPartialHitDoesNotInflateCounters(t *testing.T) {
 			t.Fatalf("partial-hit batch member %d wrongly marked cached", i)
 		}
 	}
-	var after StatsResponse
-	env.get(t, "/stats", &after)
-	if after.CacheHits != before.CacheHits {
-		t.Fatalf("partial-hit probe inflated cache_hits: %d -> %d", before.CacheHits, after.CacheHits)
+	_, after := scrapeMetrics(t, env)
+	if after["pg_cache_hits_total"] != before["pg_cache_hits_total"] {
+		t.Fatalf("partial-hit probe inflated pg_cache_hits_total: %v -> %v", before["pg_cache_hits_total"], after["pg_cache_hits_total"])
 	}
 }
 
@@ -454,14 +451,13 @@ func TestBadThresholdsAre400(t *testing.T) {
 	}
 }
 
-// TestStatsReportStructIndex: a graph added over the wire gets its count
+// TestMetricsReportStructIndex: a graph added over the wire gets its count
 // row — the structural filter keeps the new slot for a query that is the
-// graph itself — and /stats counts it.
-func TestStatsReportStructIndex(t *testing.T) {
+// graph itself — and /metrics counts it.
+func TestMetricsReportStructIndex(t *testing.T) {
 	env := newTestEnv(t, Options{})
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	before := st.Graphs
+	_, series := scrapeMetrics(t, env)
+	before := int(slots(series))
 
 	extra, err := dataset.GeneratePPI(dataset.PPIOptions{
 		NumGraphs: 1, MinVertices: 5, MaxVertices: 6, Organisms: 1,
@@ -475,9 +471,9 @@ func TestStatsReportStructIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.post(t, "/graphs", AddGraphRequest{GraphText: pgText.String()}, nil)
-	env.get(t, "/stats", &st)
-	if st.Graphs != before+1 {
-		t.Fatalf("graphs = %d after AddGraph, want %d", st.Graphs, before+1)
+	_, series = scrapeMetrics(t, env)
+	if got := int(slots(series)); got != before+1 {
+		t.Fatalf("pg_db_graphs sums to %d after AddGraph, want %d", got, before+1)
 	}
 	cand, err := env.db.View().Struct.CandidatesCtx(context.Background(), extra.Graphs[0].G, 0, 1)
 	if err != nil || !slices.Contains(cand, before) {
@@ -519,16 +515,15 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	env.post(t, "/graphs", AddGraphRequest{GraphText: pgText.String()}, nil)
 	wg.Wait()
 
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.Graphs != 11 {
-		t.Fatalf("stats: graphs = %d, want 11", st.Graphs)
+	_, series := scrapeMetrics(t, env)
+	if got := slots(series); got != 11 {
+		t.Fatalf("pg_db_graphs sums to %v, want 11", got)
 	}
-	if st.Queries != 30 {
-		t.Fatalf("stats: queries = %d, want 30", st.Queries)
+	if got := queriesTotal(series); got != 30 {
+		t.Fatalf("pg_queries_total sums to %v, want 30", got)
 	}
-	if st.Inflight != 0 {
-		t.Fatalf("stats: inflight = %d, want 0", st.Inflight)
+	if got := series["pg_inflight_queries"]; got != 0 {
+		t.Fatalf("pg_inflight_queries = %v, want 0", got)
 	}
 }
 

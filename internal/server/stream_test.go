@@ -294,8 +294,9 @@ func TestStreamCancellationEndsWithCancelledLine(t *testing.T) {
 }
 
 // TestTimeoutKnobPlumbing: a generous timeout_ms changes nothing (the
-// request completes well inside it), and /stats reports the server-wide
-// default deadline.
+// request completes well inside it), the server-wide default deadline
+// bounds a request that sets none, and a request's timeout_ms overrides
+// that default.
 func TestTimeoutKnobPlumbing(t *testing.T) {
 	env := newTestEnv(t, Options{Timeout: 30 * time.Second})
 	req := QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, Seed: 3, TimeoutMS: 60000}
@@ -303,11 +304,6 @@ func TestTimeoutKnobPlumbing(t *testing.T) {
 	hr := env.post(t, "/query", req, &resp)
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", hr.StatusCode)
-	}
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.DefaultTimeoutMS != 30000 {
-		t.Fatalf("stats default_timeout_ms = %v, want 30000", st.DefaultTimeoutMS)
 	}
 
 	// The same query without the knob hits the cache entry the bounded run
@@ -318,6 +314,16 @@ func TestTimeoutKnobPlumbing(t *testing.T) {
 	if !again.Cached {
 		t.Fatal("timeout_ms leaked into the cache key")
 	}
+
+	tiny := newTestEnv(t, Options{Timeout: time.Nanosecond})
+	bare := QueryRequest{GraphText: tiny.qtexts[0], Epsilon: 0.4, Delta: 1, Seed: 3}
+	if hr := tiny.post(t, "/query", bare, nil); hr.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("no timeout_ms under a 1ns default deadline: status %d, want 504", hr.StatusCode)
+	}
+	bare.TimeoutMS = 60000
+	if hr := tiny.post(t, "/query", bare, nil); hr.StatusCode != http.StatusOK {
+		t.Fatalf("timeout_ms over a 1ns default deadline: status %d, want 200", hr.StatusCode)
+	}
 }
 
 // TestStreamDoesNotTouchCache: streams bypass the result cache in both
@@ -326,20 +332,16 @@ func TestStreamDoesNotTouchCache(t *testing.T) {
 	env := newTestEnv(t, Options{})
 	req := QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, Seed: 3}
 	streamLines(t, env, req)
-	var st StatsResponse
-	env.get(t, "/stats", &st)
-	if st.CacheEntries != 0 {
-		t.Fatalf("stream wrote %d cache entries", st.CacheEntries)
+	if _, series := scrapeMetrics(t, env); series["pg_cache_entries"] != 0 {
+		t.Fatalf("stream wrote %v cache entries", series["pg_cache_entries"])
 	}
 	// Warm via /query, then stream again: still no hit recorded.
 	env.post(t, "/query", req, nil)
-	before := st
-	env.get(t, "/stats", &before)
+	_, before := scrapeMetrics(t, env)
 	streamLines(t, env, req)
-	var after StatsResponse
-	env.get(t, "/stats", &after)
-	if after.CacheHits != before.CacheHits {
-		t.Fatalf("stream consumed a cache hit: %d -> %d", before.CacheHits, after.CacheHits)
+	_, after := scrapeMetrics(t, env)
+	if after["pg_cache_hits_total"] != before["pg_cache_hits_total"] {
+		t.Fatalf("stream consumed a cache hit: %v -> %v", before["pg_cache_hits_total"], after["pg_cache_hits_total"])
 	}
 }
 
