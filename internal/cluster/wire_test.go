@@ -59,6 +59,9 @@ func TestEnvelopeParity(t *testing.T) {
 		{"both batch payloads", "POST", `{"queries":[{"vertices":["a"],"edges":[]}],"query_texts":["x"]}`, []string{"/batch"}, 400},
 		{"bad batch member", "POST", `{"queries":[{"vertices":["a"],"edges":[{"u":0,"v":5}]}]}`, []string{"/batch"}, 400},
 		{"batch negative delta", "POST", `{"queries":[{"vertices":["a"],"edges":[]}],"delta":-2}`, []string{"/batch"}, 400},
+		{"two graphs in graph_text", "POST", `{"graph_text":"g a\nv 0 a\nend\ng b\nv 0 b\nend\n"}`, []string{"/query", "/query/stream"}, 400},
+		{"junk after graph_text", "POST", `{"graph_text":"g a\nv 0 a\nend\njunk\n","k":1}`, []string{"/topk"}, 400},
+		{"two graphs in a batch member", "POST", `{"query_texts":["g a\nv 0 a\nend\ng b\nv 0 b\nend\n"]}`, []string{"/batch"}, 400},
 	}
 	for _, c := range cases {
 		for _, path := range c.paths {

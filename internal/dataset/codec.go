@@ -88,11 +88,13 @@ type PGraphDecoder struct {
 	line int
 }
 
+// maxLine is the longest line the dataset codec reads: a p row holds
+// 2^k probabilities, so it is longer than the graph codec's.
+const maxLine = 64 << 20
+
 // NewPGraphDecoder returns a decoder reading from r.
 func NewPGraphDecoder(r io.Reader) *PGraphDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	return &PGraphDecoder{sc: sc}
+	return &PGraphDecoder{sc: graph.NewLineScanner(r, maxLine)}
 }
 
 // Decode reads the next pgraph block, returning the graph and its organism

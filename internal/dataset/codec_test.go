@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -219,5 +220,43 @@ func TestGeneratedRoundTripExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeLongToken: a line far longer than the scanner's start buffer
+// decodes; the buffer grows to fit it.
+func TestDecodeLongToken(t *testing.T) {
+	long := strings.Repeat("x", 100<<10)
+	pg, _, err := NewPGraphDecoder(strings.NewReader("pgraph " + long + "\nv 0 " + long + "\nv 1 A\ne 0 1 x\njpt 1 0\np 0.5 0.5\nend\n")).Decode()
+	if err != nil {
+		t.Fatalf("100 KiB tokens: %v", err)
+	}
+	if pg.G.Name() != long || string(pg.G.VertexLabel(0)) != long {
+		t.Fatal("100 KiB tokens did not survive the decode")
+	}
+}
+
+// TestDecodePGraphSteadyStateBytes pins what parsing a POST /graphs
+// payload allocates: a six-edge block with one JPT costs a few KiB, not a
+// 64 KiB scanner buffer per parse.
+func TestDecodePGraphSteadyStateBytes(t *testing.T) {
+	const text = "pgraph g6 0\nv 0 C3\nv 1 C5\nv 2 C2\nv 3 C1\nv 4 C0\nv 5 C4\ne 1 3 -\ne 0 4 -\ne 2 4 -\ne 2 3 -\ne 0 5 -\ne 1 5 -\njpt 2 0 1\np 0.1 0.2 0.3 0.4\nend\n"
+	decode := func() {
+		if _, _, err := NewPGraphDecoder(strings.NewReader(text)).Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 200
+	for range runs {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	n := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B per decode", n)
+	if n > 4<<10 {
+		t.Errorf("decoding a six-edge pgraph block allocates %d B, want <= 4 KiB", n)
 	}
 }

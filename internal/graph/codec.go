@@ -121,11 +121,23 @@ type Decoder struct {
 	line int
 }
 
+// maxLine is the longest line the graph codec reads; a longer one fails
+// with bufio.ErrTooLong.
+const maxLine = 16 << 20
+
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{sc: NewLineScanner(r, maxLine)}
+}
+
+// NewLineScanner returns the line scanner of the text codecs. Its buffer
+// starts with room for one ordinary line and doubles as longer lines
+// arrive, up to limit bytes, so what a decode allocates grows with the
+// text: a request's query graph is a few hundred bytes.
+func NewLineScanner(r io.Reader, limit int) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Decoder{sc: sc}
+	sc.Buffer(make([]byte, 0, 512), limit)
+	return sc
 }
 
 // Decode reads the next graph. It returns io.EOF when the stream is

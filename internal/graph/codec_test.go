@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -80,5 +84,58 @@ func TestTokenEscaping(t *testing.T) {
 	// Malformed escapes decode verbatim (legacy files).
 	if DecodeToken("%zz") != "%zz" || DecodeToken("50%") != "50%" {
 		t.Error("malformed escapes must decode verbatim")
+	}
+}
+
+// sixEdgeQuery is a query text of the size a request carries: six edges,
+// about a hundred bytes.
+const sixEdgeQuery = "g q6\nv 0 C3\nv 1 C5\nv 2 C2\nv 3 C1\nv 4 C0\nv 5 C4\ne 1 3 -\ne 0 4 -\ne 2 4 -\ne 2 3 -\ne 0 5 -\ne 1 5 -\nend\n"
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDecodeQuerySteadyStateBytes pins what parsing a request's query
+// graph allocates: the scanner starts small, so a hundred-byte text costs
+// a few KiB, not a 64 KiB buffer per parse.
+func TestDecodeQuerySteadyStateBytes(t *testing.T) {
+	g, err := NewDecoder(strings.NewReader(sixEdgeQuery)).Decode()
+	if err != nil || g.NumEdges() != 6 {
+		t.Fatalf("query text: %v, %v", g, err)
+	}
+	n := bytesPerRun(200, func() {
+		if _, err := NewDecoder(strings.NewReader(sixEdgeQuery)).Decode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d B per decode", n)
+	if n > 4<<10 {
+		t.Errorf("decoding the %d-byte six-edge query allocates %d B, want <= 4 KiB", len(sixEdgeQuery), n)
+	}
+}
+
+// TestDecodeLineCap: the scanner grows past its start for a long line, up
+// to maxLine; a longer line fails with bufio.ErrTooLong.
+func TestDecodeLineCap(t *testing.T) {
+	long := strings.Repeat("x", 100<<10)
+	g, err := NewDecoder(strings.NewReader("g q\nv 0 " + long + "\nv 1 A\ne 0 1 " + long + "\nend\n")).Decode()
+	if err != nil {
+		t.Fatalf("100 KiB label: %v", err)
+	}
+	if string(g.VertexLabel(0)) != long || string(g.EdgeLabel(0)) != long {
+		t.Fatal("100 KiB label did not survive the decode")
+	}
+	_, err = NewDecoder(strings.NewReader("g " + strings.Repeat("x", maxLine) + "\nend\n")).Decode()
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over %d bytes: %v, want bufio.ErrTooLong", maxLine, err)
 	}
 }

@@ -1,0 +1,44 @@
+package iso
+
+import (
+	"math/rand"
+	"testing"
+
+	"probgraph/internal/graph"
+)
+
+// TestSearchSteadyStateAllocs pins the searches to their pooled scratch:
+// once the pool is warm, Exists, ExistsWithin and Count allocate nothing,
+// with or without a world mask, and ForEach allocates nothing per
+// embedding — it refills one Embedding for each.
+func TestSearchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
+	}
+	rng := rand.New(rand.NewSource(3))
+	tg := randomGraph(rng, 12, 24, []graph.Label{"a", "b"}, []graph.Label{""})
+	p := connectedQuery(tg, 5)
+	// A world keeping the first embedding's edges and every even edge.
+	embs := FindAll(p, tg, nil, 0)
+	if len(embs) < 2 {
+		t.Fatalf("%d embeddings; the pin is vacuous", len(embs))
+	}
+	mask := embs[0].Edges.Clone()
+	for e := 0; e < tg.NumEdges(); e += 2 {
+		mask.Add(graph.EdgeID(e))
+	}
+	visit := func(*Embedding) bool { return true }
+	for name, search := range map[string]func(){
+		"Exists":              func() { Exists(p, tg, nil) },
+		"Exists masked":       func() { Exists(p, tg, &mask) },
+		"ExistsWithin":        func() { ExistsWithin(p, tg, nil, 2) },
+		"ExistsWithin masked": func() { ExistsWithin(p, tg, &mask, 2) },
+		"Count":               func() { Count(p, tg, nil, 0) },
+		"Count masked":        func() { Count(p, tg, &mask, 0) },
+		"ForEach":             func() { ForEach(p, tg, nil, visit) },
+	} {
+		if n := testing.AllocsPerRun(100, search); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+}

@@ -56,12 +56,15 @@ type matcher struct {
 	paid     []int
 	slack    int
 	tolerant bool
-	// yield receives each embedding; nil stops at the first complete
-	// assignment without building one (stopped then reads "found"). An
-	// enumeration under a budget hands its leaves to images instead.
-	yield   func(*Embedding) bool
-	images  *imageSet
-	stopped bool
+	// A complete assignment is counted in found, and the search stops
+	// when found reaches limit (never, for limit <= 0). Given visit it is
+	// built in emb instead and handed to visit, which returns false to
+	// stop. An enumeration under a budget hands its leaves to images.
+	found, limit int
+	emb          *Embedding
+	visit        func() bool
+	images       *imageSet
+	stopped      bool
 }
 
 const (
@@ -73,13 +76,9 @@ const (
 // BFS through each pattern component starting from the most constrained
 // vertex (rarest label in t, then highest degree), so that all but
 // component-initial vertices have a placed neighbor to anchor candidate
-// generation on. The state lives in three slabs, taken from s (nil
-// allocates them for this search alone).
+// generation on. The state lives in three slabs, taken from s.
 func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet, s *slabs) matcher {
 	n, nt := p.NumVertices(), t.NumVertices()
-	if s == nil {
-		s = new(slabs)
-	}
 	ids, ints, flags := s.take(n, nt, p.NumEdges())
 	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:]}
 	placed := flags[nt : nt+n]
@@ -281,10 +280,11 @@ func (m *matcher) extend() {
 		switch {
 		case m.images != nil:
 			m.collect()
-		case m.yield == nil:
-			m.stopped = true
-		default:
+		case m.visit != nil:
 			m.emit()
+		default:
+			m.found++
+			m.stopped = m.found == m.limit
 		}
 		return
 	}
@@ -355,29 +355,37 @@ func (m *matcher) tryAssign(pv, tv graph.VertexID) {
 	m.tused[tv] = false
 }
 
+// emit builds the complete assignment in m.emb and hands it to visit.
 func (m *matcher) emit() {
-	em := Embedding{
-		VMap:  append([]graph.VertexID(nil), m.pmap...),
-		Edges: graph.NewEdgeSet(m.t.NumEdges()),
+	copy(m.emb.VMap, m.pmap)
+	m.emb.Edges.Clear()
+	for id := range m.p.NumEdges() {
+		e := m.p.Edge(graph.EdgeID(id))
+		te, _ := m.t.EdgeBetween(m.pmap[e.U], m.pmap[e.V])
+		m.emb.Edges.Add(te)
 	}
-	for _, e := range m.p.Edges() {
-		id, _ := m.t.EdgeBetween(em.VMap[e.U], em.VMap[e.V])
-		em.Edges.Add(id)
-	}
-	if !m.yield(&em) {
-		m.stopped = true
-	}
+	m.stopped = !m.visit()
 }
 
 // Exists reports whether pattern p is subgraph-isomorphic to target t,
 // optionally restricted to the possible world mask (nil = certain graph).
 func Exists(p, t *graph.Graph, mask *graph.EdgeSet) bool {
-	if !feasible(p, t, mask, 0, false) {
-		return false
+	return search(p, t, mask, 0, false, 1) > 0
+}
+
+// search counts the complete assignments of a search of p in t (under
+// mask) with slack pattern edges to give up, stopping at limit (never, for
+// limit <= 0), on pooled slabs.
+func search(p, t *graph.Graph, mask *graph.EdgeSet, slack int, tolerant bool, limit int) int {
+	if !feasible(p, t, mask, slack, tolerant) {
+		return 0
 	}
-	m := newMatcher(p, t, mask, nil)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	m := newMatcher(p, t, mask, &sc.slabs)
+	m.slack, m.tolerant, m.limit = slack, tolerant, limit
 	m.extend()
-	return m.stopped
+	return m.found
 }
 
 // ExistsWithin reports whether p embeds in t (under mask) once at most
@@ -387,14 +395,7 @@ func Exists(p, t *graph.Graph, mask *graph.EdgeSet) bool {
 // answered by one search — VF2 with a budget of delta pattern edges it may
 // give up (see extend) — instead of one per rq.
 func ExistsWithin(p, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
-	delta = max(delta, 0)
-	if !feasible(p, t, mask, delta, true) {
-		return false
-	}
-	m := newMatcher(p, t, mask, nil)
-	m.slack, m.tolerant = delta, true
-	m.extend()
-	return m.stopped
+	return search(p, t, mask, max(delta, 0), true, 1) > 0
 }
 
 // EdgeSetsWithin returns the distinct edge sets of t on which some member
@@ -420,11 +421,22 @@ func EdgeSetsWithin(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
 	return sc.enumerate(p, t, delta, limit)
 }
 
-// scratch is what one EdgeSetsWithin call needs beyond its result, kept
-// per worker by scratchPool: the matcher's slabs and the image table.
+// scratch is what one search needs beyond its result, kept per worker by
+// scratchPool: the matcher's slabs, EdgeSetsWithin's image table, and the
+// embedding ForEach hands to its callback with the words of its edge set.
 type scratch struct {
 	slabs  slabs
 	images imageSet
+	emb    Embedding
+	words  []uint64
+}
+
+// embedding returns sc.emb sized for a pattern with n vertices in a target
+// with ne edges.
+func (sc *scratch) embedding(n, ne int) *Embedding {
+	sc.words = resize(sc.words, (ne+63)/64)
+	sc.emb = Embedding{VMap: resize(sc.emb.VMap, n), Edges: graph.EdgeSetOfWords(sc.words, ne)}
+	return &sc.emb
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{images: imageSet{head: make(map[uint64]int32)}} }}
@@ -572,13 +584,20 @@ func (m *matcher) choose(from, left int) {
 // ForEach enumerates embeddings of p in t (under mask) and calls fn for each;
 // fn returns false to stop early. Embeddings are produced per injective
 // vertex mapping; callers that only care about edge sets should deduplicate
-// (see EdgeSets).
+// (see EdgeSets). Every call of fn gets the same Embedding, refilled, so
+// fn must copy what it keeps.
 func ForEach(p, t *graph.Graph, mask *graph.EdgeSet, fn func(*Embedding) bool) {
 	if !feasible(p, t, mask, 0, false) {
 		return
 	}
-	m := newMatcher(p, t, mask, nil)
-	m.yield = fn
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	m := newMatcher(p, t, mask, &sc.slabs)
+	// fn gets em from this closure, not from m: a pointer read out of m
+	// and passed to fn would make the compiler move every mask handed to
+	// a search to the heap.
+	em := sc.embedding(p.NumVertices(), t.NumEdges())
+	m.emb, m.visit = em, func() bool { return fn(em) }
 	m.extend()
 }
 
@@ -586,7 +605,7 @@ func ForEach(p, t *graph.Graph, mask *graph.EdgeSet, fn func(*Embedding) bool) {
 func FindAll(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []Embedding {
 	var out []Embedding
 	ForEach(p, t, mask, func(e *Embedding) bool {
-		out = append(out, *e)
+		out = append(out, Embedding{VMap: slices.Clone(e.VMap), Edges: e.Edges.Clone()})
 		return limit <= 0 || len(out) < limit
 	})
 	return out
@@ -603,7 +622,7 @@ func EdgeSets(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []graph.EdgeSet
 		k := e.Edges.Key()
 		if !seen[k] {
 			seen[k] = true
-			out = append(out, e.Edges)
+			out = append(out, e.Edges.Clone())
 		}
 		return limit <= 0 || len(out) < limit
 	})
@@ -611,14 +630,9 @@ func EdgeSets(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []graph.EdgeSet
 }
 
 // Count returns the number of embeddings of p in t, stopping at cap when
-// cap > 0.
+// cap > 0: ForEach's enumeration, counted without building embeddings.
 func Count(p, t *graph.Graph, mask *graph.EdgeSet, cap int) int {
-	n := 0
-	ForEach(p, t, mask, func(*Embedding) bool {
-		n++
-		return cap <= 0 || n < cap
-	})
-	return n
+	return search(p, t, mask, 0, false, cap)
 }
 
 // MaxDisjointGreedy picks a maximal family of pairwise edge-disjoint sets

@@ -13,18 +13,15 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
 	"probgraph/internal/prob"
 )
-
-// datasetDecode parses one dataset pgraph block (certain graph + JPTs).
-func datasetDecode(text string) (*prob.PGraph, int, error) {
-	return dataset.NewPGraphDecoder(strings.NewReader(text)).Decode()
-}
 
 // GraphJSON is the wire form of a labeled graph; with JPTs attached it
 // describes a probabilistic graph (the /graphs ingestion payload).
@@ -99,6 +96,10 @@ func GraphToJSON(g *graph.Graph) *GraphJSON {
 	return gj
 }
 
+// errMoreThanOne refuses a graph_text with anything but blank and '#'
+// lines after its first graph, which would otherwise go unread.
+var errMoreThanOne = errors.New("graph_text holds more than one graph")
+
 // parseGraphPayload resolves the two ways a request can carry a query
 // graph: structured JSON (graph) or the text codec (graph_text, the format
 // written by pggen -query / probgraph.SaveGraph).
@@ -109,9 +110,13 @@ func parseGraphPayload(gj *GraphJSON, text string) (*graph.Graph, error) {
 	case gj != nil:
 		return GraphFromJSON(gj)
 	case text != "":
-		g, err := graph.NewDecoder(strings.NewReader(text)).Decode()
+		dec := graph.NewDecoder(strings.NewReader(text))
+		g, err := dec.Decode()
 		if err != nil {
 			return nil, fmt.Errorf("graph_text: %v", err)
+		}
+		if _, err := dec.Decode(); err != io.EOF {
+			return nil, errMoreThanOne
 		}
 		return g, nil
 	default:
@@ -128,8 +133,15 @@ func parsePGraphPayload(gj *GraphJSON, text string) (*prob.PGraph, error) {
 	case gj != nil:
 		return PGraphFromJSON(gj)
 	case text != "":
-		pg, _, err := datasetDecode(text)
-		return pg, err
+		dec := dataset.NewPGraphDecoder(strings.NewReader(text))
+		pg, _, err := dec.Decode()
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := dec.Decode(); err != io.EOF {
+			return nil, errMoreThanOne
+		}
+		return pg, nil
 	default:
 		return nil, fmt.Errorf("missing graph (graph or graph_text)")
 	}

@@ -160,18 +160,21 @@ func TestRemoveAndReplaceEndpoints(t *testing.T) {
 // TestMutationRejectsMisnumberedVertices: a graph_text block whose vertex
 // ids are not dense and ordered is a malformed payload (400) on POST
 // /graphs and PUT /graphs/{id} — not a graph committed with its labels
-// swapped — and the database stays at its generation.
+// swapped — and the database stays at its generation. So is a text with
+// more after its first block, which would otherwise go unread.
 func TestMutationRejectsMisnumberedVertices(t *testing.T) {
 	env := newTestEnv(t, Options{})
-	for _, text := range []string{
-		"pgraph swapped\nv 1 B\nv 0 A\ne 0 1 x\nend\n",
-		"pgraph junk\nv x A\nend\n",
+	for _, r := range []struct{ text, want string }{
+		{"pgraph swapped\nv 1 B\nv 0 A\ne 0 1 x\nend\n", "vertex id"},
+		{"pgraph junk\nv x A\nend\n", "vertex id"},
+		{"pgraph a\nv 0 A\nend\npgraph b\nv 0 B\nend\n", "more than one graph"},
+		{"pgraph a\nv 0 A\nend\njunk\n", "more than one graph"},
 	} {
 		for _, c := range []struct{ method, path string }{{http.MethodPost, "/graphs"}, {http.MethodPut, "/graphs/0"}} {
 			var e Error
-			hr := env.send(t, c.method, c.path, AddGraphRequest{GraphText: text}, &e)
-			if hr.StatusCode != http.StatusBadRequest || !strings.Contains(e.Message, "vertex id") {
-				t.Errorf("%s %s %q: %d %q, want 400 naming the vertex id", c.method, c.path, text, hr.StatusCode, e.Message)
+			hr := env.send(t, c.method, c.path, AddGraphRequest{GraphText: r.text}, &e)
+			if hr.StatusCode != http.StatusBadRequest || !strings.Contains(e.Message, r.want) {
+				t.Errorf("%s %s %q: %d %q, want 400 naming %q", c.method, c.path, r.text, hr.StatusCode, e.Message, r.want)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -355,6 +356,8 @@ func TestStreamRejectsBadRequests(t *testing.T) {
 		{GraphText: env.qtexts[0], Delta: 1, K: 2},              // k on stream
 		{GraphText: env.qtexts[0], Delta: 1, Verifier: "bogus"}, // bad verifier
 		{GraphText: env.qtexts[0], Delta: 1, TimeoutMS: -100},   // bad timeout
+		{GraphText: env.qtexts[0] + env.qtexts[1], Delta: 1},    // two graphs
+		{GraphText: env.qtexts[0] + "junk\n", Delta: 1},         // junk after end
 	}
 	for i, req := range cases {
 		hr := env.post(t, "/query/stream", req, nil)
@@ -378,5 +381,33 @@ func TestStreamRejectsBadRequests(t *testing.T) {
 	breq := BatchRequest{QueryTexts: env.qtexts[:1], Epsilon: 0.4, Delta: 1, TimeoutMS: -1}
 	if hr := env.post(t, "/batch", breq, nil); hr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/batch negative timeout_ms: status %d, want 400", hr.StatusCode)
+	}
+
+	// A graph_text carries one graph: a second one, or junk after its end,
+	// is refused rather than dropped unread. Blank and comment lines may
+	// follow it.
+	for _, c := range []struct {
+		text   string
+		status int
+	}{
+		{env.qtexts[0] + env.qtexts[1], http.StatusBadRequest},
+		{env.qtexts[0] + "junk\n", http.StatusBadRequest},
+		{env.qtexts[0] + "\n\n# trailing comment\n", http.StatusOK},
+	} {
+		reqs := map[string]any{
+			"/query": QueryRequest{GraphText: c.text, Epsilon: 0.4, Delta: 1},
+			"/topk":  QueryRequest{GraphText: c.text, Epsilon: 0.4, Delta: 1, K: 2},
+			"/batch": BatchRequest{QueryTexts: []string{env.qtexts[1], c.text}, Epsilon: 0.4, Delta: 1},
+		}
+		for path, req := range reqs {
+			var e Error
+			hr := env.post(t, path, req, &e)
+			if hr.StatusCode != c.status {
+				t.Errorf("%s %q: status %d, want %d", path, c.text, hr.StatusCode, c.status)
+			}
+			if c.status == http.StatusBadRequest && !strings.Contains(e.Message, "graph_text holds more than one graph") {
+				t.Errorf("%s %q: error %q does not name the extra graph", path, c.text, e.Message)
+			}
+		}
 	}
 }

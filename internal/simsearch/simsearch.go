@@ -249,17 +249,22 @@ type need struct{ f, c int32 }
 // with zero embeddings in q contribute nothing on either side and get no
 // need, so the scan never reads their column.
 func (ix *Index) queryProfile(q *graph.Graph, delta int) (needs []need, budget int) {
-	// Per-edge destruction weights w(e).
+	// Per-edge destruction weights w(e), from one callback for every
+	// feature: ForEach keeps what its callback captures on the heap.
 	w := make([]int, q.NumEdges())
-	for fi, f := range ix.Features {
-		n := 0
-		iso.ForEach(f, q, nil, func(em *iso.Embedding) bool {
-			n++
-			for _, e := range em.Edges.Slice() {
+	n := 0
+	tally := func(em *iso.Embedding) bool {
+		n++
+		for e := range w {
+			if em.Edges.Contains(graph.EdgeID(e)) {
 				w[e]++
 			}
-			return n < CountCap
-		})
+		}
+		return n < CountCap
+	}
+	for fi, f := range ix.Features {
+		n = 0
+		iso.ForEach(f, q, nil, tally)
 		if n > 0 {
 			needs = append(needs, need{int32(fi), int32(n)})
 		}
