@@ -274,6 +274,44 @@ func hasLive(v *core.View, r [2]int) bool {
 	return false
 }
 
+// countingFleet cuts db into n range shards served with opt, in process,
+// behind a coordinator. It returns the coordinator, each shard's own
+// handler (requests sent to it directly are not counted), and a snapshot
+// function of the paths each shard received through the coordinator.
+func countingFleet(t *testing.T, db *core.Database, n int, opt server.Options) (http.Handler, []http.Handler, func() []map[string]int) {
+	t.Helper()
+	var mu sync.Mutex
+	var seen []map[string]int
+	var handlers []http.Handler
+	var members []cluster.Shard
+	for i, r := range partitionRanges(t, db, n) {
+		part, err := db.Partition(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := server.New(part, opt).Handler()
+		counts := map[string]int{}
+		seen, handlers = append(seen, counts), append(handlers, h)
+		counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			counts[r.URL.Path]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		})
+		members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), Client: server.NewHandlerClient(counting)})
+	}
+	snapshot := func() []map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make([]map[string]int, len(seen))
+		for i, c := range seen {
+			out[i] = maps.Clone(c)
+		}
+		return out
+	}
+	return newCoord(t, members), handlers, snapshot
+}
+
 // TestTopKOneSubRequestPerShard: a fleet /topk costs one round trip per
 // shard — one /topk/walk each and nothing else — whether the walks verify
 // (δ 1) or the query is degenerate (δ ≥ |E(q)|, every live graph at SSP 1),
@@ -284,26 +322,7 @@ func TestTopKOneSubRequestPerShard(t *testing.T) {
 	opt := server.Options{CacheSize: -1}
 	single := server.New(db, opt).Handler()
 	for _, delta := range []int{1, q.NumEdges()} {
-		var mu sync.Mutex
-		var counts []map[string]int
-		var members []cluster.Shard
-		for i, r := range partitionRanges(t, db, 3) {
-			part, err := db.Partition(r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := server.New(part, opt).Handler()
-			seen := map[string]int{}
-			counts = append(counts, seen)
-			counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				mu.Lock()
-				seen[r.URL.Path]++
-				mu.Unlock()
-				h.ServeHTTP(w, r)
-			})
-			members = append(members, cluster.Shard{Name: fmt.Sprintf("s%d", i), Client: server.NewHandlerClient(counting)})
-		}
-		coord := newCoord(t, members)
+		coord, _, counts := countingFleet(t, db, 3, opt)
 		req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: delta, Seed: 3, K: 4}
 		st1, b1 := postJSON(t, single, "/topk", req)
 		st2, b2 := postJSON(t, coord, "/topk", req)
@@ -313,12 +332,65 @@ func TestTopKOneSubRequestPerShard(t *testing.T) {
 		if items := mustDecode[server.TopKResponse](t, b2).Items; len(items) == 0 {
 			t.Fatalf("delta %d: empty ranking, nothing was walked", delta)
 		}
-		for i, c := range counts {
+		for i, c := range counts() {
 			if !maps.Equal(c, map[string]int{"/topk/walk": 1}) {
 				t.Errorf("delta %d: shard s%d received %v, want one /topk/walk", delta, i, c)
 			}
 		}
 	}
+}
+
+// TestFleetTopKServedFromShardCaches: with result caches on, a repeated
+// fleet /topk is still one /topk/walk per shard, each served from that
+// shard's cache (a walk is /topk's cache entry), so the merged reply says
+// cached as the single node's does — and ranks bitwise the same.
+func TestFleetTopKServedFromShardCaches(t *testing.T) {
+	db := testDatabase(t, 3, 12)
+	q := extractQueries(db, 3, 1)[0]
+	req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: 0.3, Delta: 1, Seed: 3, K: 4}
+	for _, n := range []int{2, 3} {
+		single := server.New(db, server.Options{}).Handler()
+		coord, shards, counts := countingFleet(t, db, n, server.Options{})
+		for round := range 2 {
+			hits := make([]float64, n)
+			for i, h := range shards {
+				hits[i] = cacheHits(t, h)
+			}
+			st1, b1 := postJSON(t, single, "/topk", req)
+			st2, b2 := postJSON(t, coord, "/topk", req)
+			if st1 != http.StatusOK || st2 != http.StatusOK || canonical("/topk", b1) != canonical("/topk", b2) {
+				t.Fatalf("%d shards, round %d:\nsingle %d %s\nfleet  %d %s", n, round, st1, b1, st2, b2)
+			}
+			if got := mustDecode[server.TopKResponse](t, b2); len(got.Items) == 0 || got.Cached != (round == 1) {
+				t.Fatalf("%d shards, round %d: %d items, cached %t", n, round, len(got.Items), got.Cached)
+			}
+			for i, c := range counts() {
+				if !maps.Equal(c, map[string]int{"/topk/walk": round + 1}) {
+					t.Errorf("%d shards, round %d: shard s%d received %v, want one /topk/walk per round", n, round, i, c)
+				}
+				if rose := cacheHits(t, shards[i]) > hits[i]; rose != (round == 1) {
+					t.Errorf("%d shards, round %d: shard s%d pg_cache_hits_total %v -> %v", n, round, i, hits[i], cacheHits(t, shards[i]))
+				}
+			}
+		}
+	}
+}
+
+// cacheHits reads pg_cache_hits_total from a server's /metrics.
+func cacheHits(t *testing.T, h http.Handler) float64 {
+	t.Helper()
+	m := serve(h, http.MethodGet, "/metrics", "").Body.String()
+	for _, line := range strings.Split(m, "\n") {
+		if v, ok := strings.CutPrefix(line, "pg_cache_hits_total "); ok {
+			var hits float64
+			if _, err := fmt.Sscan(v, &hits); err != nil {
+				t.Fatal(err)
+			}
+			return hits
+		}
+	}
+	t.Fatal("/metrics lacks pg_cache_hits_total")
+	return 0
 }
 
 // TestClusterShardDown checks the all-or-nothing failure contract: with

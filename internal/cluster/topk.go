@@ -31,7 +31,8 @@ type walked struct {
 // Reaching an unvalued entry means that shard stopped short of its own
 // rule — a 502 naming it. In the degenerate δ ≥ |E(q)| case every shard
 // walks its first k live graphs at Upper and SSP 1, and the replay keeps
-// the fleet's first k.
+// the fleet's first k. Cached is the fleet AND, as in mergeQuery: the
+// ranking came from caches only if every shard's walk did.
 func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.TopKResponse, error) {
 	walks, e := fanout(ctx, c, "/topk/walk", req, validWalk)
 	if e != nil {
@@ -60,7 +61,10 @@ func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *gra
 	if err != nil {
 		return nil, err // a shard that stopped short, or the request's own context ending
 	}
-	resp := &server.TopKResponse{Items: make([]server.TopKItemJSON, len(top)), Generation: walks[0].Generation}
+	resp := &server.TopKResponse{Items: make([]server.TopKItemJSON, len(top)), Generation: walks[0].Generation, Cached: true}
+	for _, wr := range walks {
+		resp.Cached = resp.Cached && wr.Cached
+	}
 	for i, it := range top {
 		resp.Items[i] = server.TopKItemJSON{Graph: it.Graph, Name: names[it.Graph], SSP: it.SSP}
 	}

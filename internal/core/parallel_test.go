@@ -125,7 +125,7 @@ func TestQueryTopKParallelMatchesSerial(t *testing.T) {
 
 // TestQueryBatchInnerConcurrency: a batch smaller than the pool spreads
 // leftover workers inside each query; results must still match the
-// serial per-query runs exactly.
+// serial per-query runs exactly, also for a subset of the members.
 func TestQueryBatchInnerConcurrency(t *testing.T) {
 	db, _ := smallDatabase(t, 1003, 8, true)
 	rng := rand.New(rand.NewSource(47))
@@ -152,6 +152,16 @@ func TestQueryBatchInnerConcurrency(t *testing.T) {
 		}
 		sameResults(t, "batch query", batch[i], seq)
 	}
+	// A member run alone, as a server runs a batch's cache misses, gets
+	// every worker and the same result; unlisted members stay nil.
+	one, err := db.View().QueryBatchMembersCtx(bg, qs, []int{1}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[0] != nil {
+		t.Fatal("unlisted member 0 was evaluated")
+	}
+	sameResults(t, "batch member run alone", one[1], batch[1])
 }
 
 // TestQueryBatchRepeatedQueriesHitCache: duplicate queries in one batch

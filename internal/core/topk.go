@@ -360,18 +360,33 @@ func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, op
 // candidate) and the call returns (nil, ctx.Err()); there are no partial
 // batch results.
 func (v *View) QueryBatchCtx(ctx context.Context, qs []*graph.Graph, opt QueryOptions) ([]*Result, error) {
-	if len(qs) == 0 {
+	all := make([]int, len(qs))
+	for i := range all {
+		all[i] = i
+	}
+	return v.QueryBatchMembersCtx(ctx, qs, all, opt)
+}
+
+// QueryBatchMembersCtx runs only the listed members of the batch qs
+// (ascending indices), each exactly as QueryBatchCtx runs it — member i
+// with seed BatchSeed(opt.Seed, i) — with the pool split over the listed
+// members alone, so a single member gets every worker. results[i] is set
+// for each listed i and nil for the others: a caller that already holds
+// some members' results (a result cache) evaluates only the rest.
+func (v *View) QueryBatchMembersCtx(ctx context.Context, qs []*graph.Graph, members []int, opt QueryOptions) ([]*Result, error) {
+	if len(members) == 0 {
 		return nil, nil
 	}
-	workers := pool.Normalize(opt.Concurrency, len(qs))
+	workers := pool.Normalize(opt.Concurrency, len(members))
 	inner := 1
-	if w := pool.Normalize(opt.Concurrency, len(qs)*v.Len()); w > workers {
+	if w := pool.Normalize(opt.Concurrency, len(members)*v.Len()); w > workers {
 		inner = w / workers
 	}
 	results := make([]*Result, len(qs))
 	// A member that died of the shared context makes the loop report plain
 	// ctx.Err(): the batch was cancelled, not that query failing.
-	err := pool.ForEachIndexCtx(ctx, len(qs), workers, func(i int) error {
+	err := pool.ForEachIndexCtx(ctx, len(members), workers, func(j int) error {
+		i := members[j]
 		qo := opt
 		qo.Seed = BatchSeed(opt.Seed, i)
 		qo.Concurrency = inner

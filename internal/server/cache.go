@@ -45,16 +45,6 @@ func (c *lruCache) Get(key string) (any, bool) {
 	return nil, false
 }
 
-// Peek reports whether key is cached without promoting the entry or
-// touching the hit/miss counters — for speculative probes (the /batch
-// all-members-cached check) that may not result in serving the entry.
-func (c *lruCache) Peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // Put stores value under key, evicting the least recently used entry when
 // the cache is full.
 func (c *lruCache) Put(key string, value any) {

@@ -27,9 +27,11 @@ type TopKStepJSON struct {
 // id ascending — the committed entries valued, then the unvalued entry the
 // walk stopped at, if it stopped before its schedule ended. In the
 // δ ≥ |E(q)| case the walk is the shard's first k live graphs at SSP 1.
+// Cached marks a walk served from the shard's result cache.
 type TopKWalkResponse struct {
 	Walk       []TopKStepJSON `json:"walk"`
 	Generation uint64         `json:"generation"`
+	Cached     bool           `json:"cached"`
 	TimeMS     float64        `json:"time_ms"`
 	Trace      *obs.SpanNode  `json:"trace,omitempty"`
 }
@@ -37,26 +39,21 @@ type TopKWalkResponse struct {
 // handleTopKWalk is POST /topk/walk: the serial top-k rule run over this
 // server's own schedule, returned as the walk it took. A distributed
 // coordinator merges the walks of every shard by (upper, global id) and
-// replays the rule over the union; see internal/cluster. Not cached: a
-// walk is one part of a merged answer, never an answer itself.
+// replays the rule over the union; see internal/cluster. The walk is the
+// result-cache entry /topk ranks from (local.topkWalk), so a repeated
+// fleet /topk is served from every shard's cache.
 func (l *local) handleTopKWalk(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	q, opt, ok := Accept(w, r, &req, req.CheckTopK)
 	if !ok {
 		return
 	}
-	ctx, cancel := l.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-
-	v := l.db.View()
 	l.queries["topk_walk"].Inc()
-	release := l.acquire()
-	walk, err := v.QueryTopKWalk(ctx, q, req.K, l.workers(opt))
-	release()
-	resp := &TopKWalkResponse{Generation: v.Generation}
+	start := time.Now()
+	v, walk, cached, err := l.topkWalk(r.Context(), &req, q, opt)
+	var resp *TopKWalkResponse
 	if err == nil {
-		resp.Walk = make([]TopKStepJSON, 0, len(walk.Steps)+1)
+		resp = &TopKWalkResponse{Walk: make([]TopKStepJSON, 0, len(walk.Steps)+1), Generation: v.Generation, Cached: cached}
 		for _, s := range walk.Steps {
 			resp.Walk = append(resp.Walk, TopKStepJSON{
 				Graph: v.GID(s.Graph), Name: v.Graphs[s.Graph].G.Name(), Upper: s.Upper, SSP: &s.SSP,

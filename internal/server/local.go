@@ -206,35 +206,46 @@ func (l *local) Query(ctx context.Context, req *QueryRequest, q *graph.Graph, op
 	return queryResponse(v, res, false), nil
 }
 
-func (l *local) TopK(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*TopKResponse, error) {
+// topkWalk is the one evaluation behind /topk and /topk/walk: the ranked
+// query's walk on the pinned view, served from the result cache under the
+// "topk" key or computed and stored there, so either endpoint warms the
+// other. A walk is a deterministic function of the generation, the query's
+// canonical code and every result-affecting option, like a /query result.
+// A cached walk is shared: callers only read it.
+func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*core.View, *core.TopKWalk, bool, error) {
 	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
 	defer cancel()
 	v := l.db.View()
 	key := cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
-	build := func(items []core.TopKItem, cached bool) *TopKResponse {
-		out := &TopKResponse{Items: make([]TopKItemJSON, 0, len(items)), Generation: v.Generation, Cached: cached}
-		for _, it := range items {
-			out.Items = append(out.Items, TopKItemJSON{
-				Graph: v.GID(it.Graph), Name: v.Graphs[it.Graph].G.Name(), SSP: it.SSP,
-			})
-		}
-		return out
-	}
 	if !req.NoCache {
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
-			return build(cached.([]core.TopKItem), true), nil
+			return v, cached.(*core.TopKWalk), true, nil
 		}
 	}
 	release := l.acquire()
-	items, err := v.QueryTopKCtx(ctx, q, req.K, l.workers(opt))
+	walk, err := v.QueryTopKWalk(ctx, q, req.K, l.workers(opt))
 	release()
+	if err != nil {
+		return nil, nil, false, err // never cached, like a dead /query
+	}
+	if !req.NoCache {
+		l.cache.Put(key, walk)
+	}
+	return v, walk, false, nil
+}
+
+func (l *local) TopK(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*TopKResponse, error) {
+	v, walk, cached, err := l.topkWalk(ctx, req, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	if !req.NoCache {
-		l.cache.Put(key, items)
+	out := &TopKResponse{Items: make([]TopKItemJSON, 0, len(walk.Top)), Generation: v.Generation, Cached: cached}
+	for _, it := range walk.Top {
+		out.Items = append(out.Items, TopKItemJSON{
+			Graph: v.GID(it.Graph), Name: v.Graphs[it.Graph].G.Name(), SSP: it.SSP,
+		})
 	}
-	return build(items, false), nil
+	return out, nil
 }
 
 func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph, opt core.QueryOptions) (*BatchResponse, error) {
@@ -243,57 +254,39 @@ func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph,
 	// One pinned view serves the whole batch: every member runs against
 	// the same generation, whose number also keys each member's cache
 	// slot. Batch member i is definitionally Query with seed
-	// BatchSeed(seed, i), so a subsequent /query with that derived seed
-	// (and the same generation) hits the same entry. The batch is served
-	// from cache only when every member hits; one miss re-runs the whole
-	// batch (QueryBatchCtx derives seeds by position, so partial evaluation
-	// would change seeds).
+	// BatchSeed(seed, i), so it is looked up under that /query key — a
+	// /query with the derived seed and a batch share the entry — and only
+	// the members that miss are evaluated, each with its own derived seed.
 	v := l.db.View()
 	keys := make([]string, len(qs))
+	out := &BatchResponse{Results: make([]*QueryResponse, len(qs))}
+	var missed []int
 	for i, q := range qs {
 		mo := opt
 		mo.Seed = core.BatchSeed(opt.Seed, i)
 		keys[i] = cacheKey("query", v.Generation, graph.CanonicalCode(q), mo, 0)
+		if !req.NoCache {
+			if cached, ok := l.cacheGet(v.Generation, keys[i]); ok {
+				out.Results[i] = queryResponse(v, cached.(*core.Result), true)
+				continue
+			}
+		}
+		missed = append(missed, i)
 	}
-
-	if !req.NoCache {
-		// Probe with Peek first: a probe that ends in a miss must not
-		// inflate the hit counter or LRU-promote entries the batch then
-		// recomputes anyway. Only an all-present batch commits to Gets.
-		allHit := true
-		for _, key := range keys {
-			if !l.cache.Peek(key) {
-				allHit = false
-				break
-			}
-		}
-		if allHit {
-			out := &BatchResponse{}
-			for _, key := range keys {
-				cv, ok := l.cacheGet(v.Generation, key)
-				if !ok { // evicted between Peek and Get: fall through to a full run
-					allHit = false
-					break
-				}
-				out.Results = append(out.Results, queryResponse(v, cv.(*core.Result), true))
-			}
-			if allHit {
-				return out, nil
-			}
-		}
+	if len(missed) == 0 {
+		return out, nil
 	}
 	release := l.acquire()
-	results, err := v.QueryBatchCtx(ctx, qs, l.workers(opt))
+	results, err := v.QueryBatchMembersCtx(ctx, qs, missed, l.workers(opt))
 	release()
 	if err != nil {
 		return nil, err
 	}
-	out := &BatchResponse{}
-	for i, res := range results {
+	for _, i := range missed {
 		if !req.NoCache {
-			l.cache.Put(keys[i], res)
+			l.cache.Put(keys[i], results[i])
 		}
-		out.Results = append(out.Results, queryResponse(v, res, false))
+		out.Results[i] = queryResponse(v, results[i], false)
 	}
 	return out, nil
 }

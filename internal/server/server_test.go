@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -263,30 +264,62 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchPartialHitDoesNotInflateCounters: a batch probe that finds some
-// members cached but not all must re-run everything without counting the
-// probed members as cache hits.
-func TestBatchPartialHitDoesNotInflateCounters(t *testing.T) {
+// TestBatchServesCachedMembers: a batch looks every member up under its
+// /query key and evaluates only the members that miss. A member warmed by
+// /query with the derived seed is served from cache and the others are
+// computed, each counted once as a hit or a miss; every member is bitwise
+// the uncached batch's and the library's.
+func TestBatchServesCachedMembers(t *testing.T) {
 	env := newTestEnv(t, Options{})
-	// Warm member 0's slot via /query with the derived batch seed.
+	want, err := env.fresh.View().QueryBatchCtx(context.Background(), env.qs,
+		core.QueryOptions{Epsilon: 0.4, Delta: 1, OptBounds: true, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
 	warm := QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1,
 		Seed: core.BatchSeed(21, 0)}
 	env.post(t, "/query", warm, nil)
 
 	_, before := scrapeMetrics(t, env)
-
 	req := BatchRequest{QueryTexts: env.qtexts, Epsilon: 0.4, Delta: 1, Seed: 21}
 	var got BatchResponse
 	env.post(t, "/batch", req, &got)
+	_, after := scrapeMetrics(t, env)
 	for i, r := range got.Results {
-		if r.Cached {
-			t.Fatalf("partial-hit batch member %d wrongly marked cached", i)
+		if r.Cached != (i == 0) {
+			t.Errorf("member %d: cached %t, want %t", i, r.Cached, i == 0)
 		}
 	}
-	_, after := scrapeMetrics(t, env)
-	if after["pg_cache_hits_total"] != before["pg_cache_hits_total"] {
-		t.Fatalf("partial-hit probe inflated pg_cache_hits_total: %v -> %v", before["pg_cache_hits_total"], after["pg_cache_hits_total"])
+	if d := after["pg_cache_hits_total"] - before["pg_cache_hits_total"]; d != 1 {
+		t.Errorf("pg_cache_hits_total rose by %v, want 1", d)
 	}
+	if d := after["pg_cache_misses_total"] - before["pg_cache_misses_total"]; d != float64(len(env.qs)-1) {
+		t.Errorf("pg_cache_misses_total rose by %v, want %d", d, len(env.qs)-1)
+	}
+
+	req.NoCache = true
+	var fresh BatchResponse
+	env.post(t, "/batch", req, &fresh)
+	if len(got.Results) != len(want) || len(fresh.Results) != len(want) {
+		t.Fatalf("batch sizes %d and %d, want %d", len(got.Results), len(fresh.Results), len(want))
+	}
+	for i, res := range want {
+		g, f := got.Results[i], fresh.Results[i]
+		if f.Cached || !slices.Equal(g.Answers, f.Answers) || !slices.Equal(g.Names, f.Names) ||
+			!maps.Equal(g.SSP, f.SSP) || g.Generation != f.Generation || counters(g.Stats) != counters(f.Stats) {
+			t.Errorf("member %d differs from the no_cache batch:\n%+v\n%+v", i, g, f)
+		}
+		if !slices.Equal(g.Answers, res.Answers) || !maps.Equal(g.SSP, res.SSP) {
+			t.Errorf("member %d: answers %v SSP %v, library %v %v", i, g.Answers, g.SSP, res.Answers, res.SSP)
+		}
+	}
+}
+
+// counters is a StatsJSON with its timings zeroed: what two evaluations
+// of one query must agree on.
+func counters(s StatsJSON) StatsJSON {
+	s.TimeStructMS, s.TimeProbMS, s.TimeVerifyMS, s.TimeTotalMS = 0, 0, 0, 0
+	return s
 }
 
 // TestAddGraphEndpoint: /graphs extends the database incrementally, purges
