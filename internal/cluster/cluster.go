@@ -16,11 +16,11 @@
 //     the graph's global id, so a shard computes the very SSP estimate
 //     the single node computes for the same graph.
 //  3. Deterministic merges (this package): /query and /batch concatenate
-//     disjoint answer sets sorted by global id; /topk runs the single
-//     node's own early-termination rule, core.ReplayTopK, over the merged
-//     walks each shard took with that rule over its own schedule;
-//     /query/stream forwards shard match lines and re-derives the sorted
-//     summary.
+//     disjoint answer sets sorted by global id; /topk hands the walks each
+//     shard took with the single node's early-termination rule over its
+//     own schedule to core.ReplayWalks, which steps that same rule over
+//     them merged; /query/stream forwards shard match lines and
+//     re-derives the sorted summary.
 //
 // Failure semantics: a shard that cannot answer (down, timed out after
 // retries, wrong generation, an answer that cannot be merged — a global id

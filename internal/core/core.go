@@ -17,10 +17,11 @@
 // rule of pool.ForEachIndexCtx — the lowest failing item's error, the
 // serial run's at any worker count.
 //
-// The ranked query's early-termination rule is written once, in ReplayTopK:
-// View.QueryTopKWalk runs it over its own schedule — on a fleet, each shard
-// over its range's — and internal/cluster's coordinator over the merged
-// walks of a fleet, which is why the two rankings are bitwise the same.
+// The ranked query's early-termination rule is written once, as topkRule:
+// View.QueryTopKWalk steps it over its own schedule — on a fleet, each
+// shard over its range's — and ReplayWalks over the merged walks of a
+// fleet, which internal/cluster's coordinator calls; that is why the two
+// rankings are bitwise the same.
 package core
 
 import (
@@ -172,31 +173,6 @@ func (v *View) GID(gi int) int {
 		return gi
 	}
 	return v.gids[gi]
-}
-
-// LocalOf translates a global graph id back to this view's slot, or -1
-// when the id is not held by this partition. For ordinary views it is the
-// identity (bounded by Len).
-func (v *View) LocalOf(global int) int {
-	if v.gids == nil {
-		if global < 0 || global >= len(v.Graphs) {
-			return -1
-		}
-		return global
-	}
-	lo, hi := 0, len(v.gids) // gids is strictly ascending: binary search
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.gids[mid] < global {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(v.gids) && v.gids[lo] == global {
-		return lo
-	}
-	return -1
 }
 
 // Database is an indexed probabilistic graph database ready for T-PS

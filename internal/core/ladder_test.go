@@ -417,7 +417,7 @@ func TestLadderTopKParity(t *testing.T) {
 }
 
 // serialTopK is the test tree's one oracle for the top-k rule, written the
-// plain way and sharing nothing with ReplayTopK: one value per entry, a
+// plain way and sharing nothing with topkRule: one value per entry, a
 // stable re-sort per insertion. It returns the ranking and how many entries
 // it valued.
 func serialTopK(sched []TopKBound, k int, value func(i int) float64) (top []TopKItem, verified int) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -235,34 +234,11 @@ func TestPartitionRanges(t *testing.T) {
 	}
 }
 
-// TestLocalOf checks the global→local inverse on identity and partition
-// views.
-func TestLocalOf(t *testing.T) {
-	db, _ := smallDatabase(t, 3, 8, false)
-	v := db.View()
-	if v.LocalOf(3) != 3 || v.LocalOf(8) != -1 || v.LocalOf(-1) != -1 {
-		t.Fatalf("identity LocalOf broken: %d %d %d", v.LocalOf(3), v.LocalOf(8), v.LocalOf(-1))
-	}
-	part, err := db.Partition(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv := part.View()
-	for li := 0; li < pv.Len(); li++ {
-		if pv.LocalOf(pv.GID(li)) != li {
-			t.Fatalf("LocalOf(GID(%d)) = %d", li, pv.LocalOf(pv.GID(li)))
-		}
-	}
-	if pv.LocalOf(0) != -1 || pv.LocalOf(6) != -1 {
-		t.Fatalf("out-of-range gids resolved: %d %d", pv.LocalOf(0), pv.LocalOf(6))
-	}
-}
-
 // TestTopKWalkDistributedReplay replays the coordinator's distributed
 // top-k at the library level: every range partition walks its own
 // schedule (QueryTopKWalk), the walks merge by (Upper descending, global id
-// ascending), and ReplayTopK runs over the merged list with every value in
-// hand. At 1–3 ranges, k = 1…6 and two worker counts the result must be
+// ascending), and the rule replays over the merged list with every value in
+// hand (ReplayWalks). At 1–3 ranges, k = 1…6 and two worker counts the result must be
 // bitwise the full database's QueryTopKCtx without ever reaching a
 // partition's stop entry. The ladder databases hold candidates with
 // certain-edge clauses (SSP = Upper = 1), so the full walk stops on a tie at
@@ -311,50 +287,27 @@ func TestTopKWalkDistributedReplay(t *testing.T) {
 }
 
 // mergedWalkTopK answers a top-k query the way the fleet coordinator does:
-// each partition's walk, translated to global ids, merged by (Upper
-// descending, global id ascending), and the rule replayed over it. The
-// replay reaching a partition's unvalued stop entry fails the test.
+// each partition's walk, translated to global ids, replayed by ReplayWalks.
+// The replay reaching a partition's unvalued stop entry fails the test.
 func mergedWalkTopK(t *testing.T, parts []*View, q *graph.Graph, k int, opt QueryOptions) []TopKItem {
 	t.Helper()
-	type entry struct {
-		TopKBound // in global ids
-		ssp       float64
-		valued    bool
-	}
-	var merged []entry
-	for _, p := range parts {
+	walks := make([]*TopKWalk, len(parts))
+	for i, p := range parts {
 		w, err := p.QueryTopKWalk(bg, q, k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range w.Steps {
-			merged = append(merged, entry{TopKBound{Graph: p.GID(s.Graph), Upper: s.Upper}, s.SSP, true})
+		walks[i] = &TopKWalk{Steps: make([]TopKStep, len(w.Steps))}
+		for j, s := range w.Steps {
+			walks[i].Steps[j] = TopKStep{TopKBound{Graph: p.GID(s.Graph), Upper: s.Upper}, s.SSP}
 		}
 		if w.Stop != nil {
-			merged = append(merged, entry{TopKBound{Graph: p.GID(w.Stop.Graph), Upper: w.Stop.Upper}, 0, false})
+			walks[i].Stop = &TopKBound{Graph: p.GID(w.Stop.Graph), Upper: w.Stop.Upper}
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Upper != merged[j].Upper {
-			return merged[i].Upper > merged[j].Upper
-		}
-		return merged[i].Graph < merged[j].Graph
-	})
-	sched := make([]TopKBound, len(merged))
-	vals := make([]float64, len(merged))
-	for i, e := range merged {
-		sched[i], vals[i] = e.TopKBound, e.ssp
-	}
-	top, _, err := ReplayTopK(bg, sched, k, max(len(sched), 1), func(_ context.Context, lo, hi int) ([]float64, error) {
-		for i := lo; i < hi; i++ {
-			if !merged[i].valued {
-				return vals[lo:i], fmt.Errorf("replay reached the stop entry of graph %d", merged[i].Graph)
-			}
-		}
-		return vals[lo:hi], nil
-	})
+	top, bad, err := ReplayWalks(walks, k)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("partition %d: %v", bad, err)
 	}
 	return top
 }

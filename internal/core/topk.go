@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
@@ -19,61 +19,87 @@ type TopKItem struct {
 	SSP   float64 // estimated subgraph similarity probability
 }
 
-// ReplayTopK is the serial top-k rule, and the one place it is written:
-// walk sched — sorted Upper descending, Graph ascending — and before every
-// entry stop if the ranking holds k items and the entry's Upper cannot beat
-// the k-th best SSP; otherwise fold the entry's SSP in when it is positive
-// (SSP descending, Graph ascending, at most k kept). It returns the ranking
-// and how many entries it committed, that is, walked past without stopping.
-// k and window are at least 1.
+// topkRule is the serial top-k rule, and the one place it is written. A
+// walk steps it over a schedule in walk order (walkOrder): before every
+// entry it asks stops, and while that is false it commits the entry's
+// value. The ranking is SSP descending, Graph ascending, at most k kept.
 //
 // The stop is taken on a tie: an entry whose Upper equals the k-th best SSP
 // is not walked. So an entry left unwalked whose SSP equals the k-th value
 // is not listed even when its Graph is smaller — though the ranking's own
 // order would put it above the k-th item. The ranking is the walk's, not
 // the k first (SSP descending, Graph ascending) keys of the whole schedule.
-//
-// Values come from verify, which is asked for the values of sched[lo:hi]
-// when the walk reaches an entry it holds no value for: lo is that entry,
-// hi − lo ≤ window, no index is asked for twice and at most window − 1 past
-// the stop. A value depends on its entry alone, so a window buys batching —
-// pool workers in-process, round trips in a fleet — and values past the
-// stop are dropped: the outcome at any window is the outcome at window 1.
-// Failures included: verify may return the values before its first failing
-// entry together with that entry's error, and the error counts only if the
-// walk reaches the entry. Then, or when ctx is done before a call,
-// ReplayTopK returns (nil, committed, err), err unchanged.
-func ReplayTopK(ctx context.Context, sched []TopKBound, k, window int,
-	verify func(ctx context.Context, lo, hi int) ([]float64, error)) (top []TopKItem, committed int, err error) {
+type topkRule struct {
+	k   int
+	top []TopKItem
+}
+
+// newTopKRule starts the rule for k ≥ 1 over a schedule of n entries.
+func newTopKRule(k, n int) topkRule {
 	// One slot over what is kept, so insertTopK never reallocates.
-	top = make([]TopKItem, 0, min(k, len(sched))+1)
-	var (
-		vals []float64 // vals[j] is the value of sched[lo+j]
-		lo   int
-		verr error // why vals is shorter than the window asked for
-	)
-	for i, c := range sched {
-		if len(top) >= k && c.Upper <= top[k-1].SSP {
+	return topkRule{k: k, top: make([]TopKItem, 0, min(k, n)+1)}
+}
+
+// stops reports whether the walk ends before e: the ranking holds k items
+// and e's Upper cannot beat the k-th best SSP.
+func (r *topkRule) stops(e TopKBound) bool {
+	return len(r.top) >= r.k && e.Upper <= r.top[r.k-1].SSP
+}
+
+// commit folds e's value into the ranking when it is positive.
+func (r *topkRule) commit(e TopKBound, ssp float64) {
+	if ssp > 0 {
+		r.top = insertTopK(r.top, TopKItem{Graph: e.Graph, SSP: ssp}, r.k)
+	}
+}
+
+// walkOrder is the order every top-k walk takes its schedule in: Upper
+// descending, Graph ascending.
+func walkOrder(a, b TopKBound) int {
+	return cmp.Or(cmp.Compare(b.Upper, a.Upper), cmp.Compare(a.Graph, b.Graph))
+}
+
+// ReplayWalks is a fleet's top-k: it merges the walks range partitions took
+// (QueryTopKWalk, translated to global ids) in walk order and steps the
+// rule over the merged list, every value already in hand. QueryTopKWalk
+// explains why that is the full database's Top, bitwise. It fails, with bad
+// the index of the offending walk, when a graph id is listed twice — bad is
+// the walk of the second listing — or when the replay reaches a walk's Stop
+// entry: that walk stopped short of its own rule. k is at least 1.
+func ReplayWalks(walks []*TopKWalk, k int) (top []TopKItem, bad int, err error) {
+	type entry struct {
+		TopKStep
+		walk int
+		stop bool
+	}
+	var merged []entry
+	for wi, w := range walks {
+		for _, s := range w.Steps {
+			merged = append(merged, entry{s, wi, false})
+		}
+		if w.Stop != nil {
+			merged = append(merged, entry{TopKStep{TopKBound: *w.Stop}, wi, true})
+		}
+	}
+	listed := make(map[int]bool, len(merged))
+	for _, e := range merged {
+		if listed[e.Graph] {
+			return nil, e.walk, fmt.Errorf("core: graph %d listed twice", e.Graph)
+		}
+		listed[e.Graph] = true
+	}
+	slices.SortFunc(merged, func(a, b entry) int { return walkOrder(a.TopKBound, b.TopKBound) })
+	r := newTopKRule(k, len(merged))
+	for _, e := range merged {
+		if r.stops(e.TopKBound) {
 			break
 		}
-		if i == lo+len(vals) {
-			if verr == nil {
-				verr = ctx.Err()
-			}
-			if verr != nil {
-				return nil, i, verr
-			}
-			lo = i
-			if vals, verr = verify(ctx, lo, min(lo+window, len(sched))); verr != nil && len(vals) == 0 {
-				return nil, i, verr
-			}
+		if e.stop {
+			return nil, e.walk, fmt.Errorf("core: the replay reaches walk %d's stop entry, graph %d", e.walk, e.Graph)
 		}
-		if ssp := vals[i-lo]; ssp > 0 {
-			top = insertTopK(top, TopKItem{Graph: c.Graph, SSP: ssp}, k)
-		}
-		committed = i + 1
+		r.commit(e.TopKBound, e.SSP)
 	}
-	return top, committed, nil
+	return r.top, 0, nil
 }
 
 // TopKStep is one entry a top-k walk committed: the schedule entry and the
@@ -84,7 +110,7 @@ type TopKStep struct {
 }
 
 // TopKWalk is a ranked query's outcome together with the walk behind it:
-// the entries ReplayTopK committed, in schedule order with their values,
+// the entries the rule committed, in schedule order with their values,
 // and the entry it stopped at — nil when it walked the whole schedule.
 // Top is what QueryTopKCtx returns.
 type TopKWalk struct {
@@ -107,7 +133,7 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 // queries the way its bounds machinery invites: candidates are verified in
 // decreasing order of their upper bound (TopKBound.Upper), and verification
 // stops as soon as the next candidate's bound cannot beat the current k-th
-// best SSP (ReplayTopK). Every value comes from the un-thresholded ladder
+// best SSP (topkRule). Every value comes from the un-thresholded ladder
 // of VerifySSP: exact for a DNF of at most exactCrossover clauses, the full
 // SMP estimate otherwise. QueryOptions.Epsilon does not affect the ranking
 // (it is still validated). The degenerate query (δ ≥ |E(q)|) commits the
@@ -117,9 +143,9 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 // point of the schedule a partition's k-th best SSP is at most the full
 // database's, so the partition's walk commits every entry of its range the
 // full walk commits, and the full walk stops no later than the partition's
-// stop entry. Replaying the rule over the partitions' walks merged by
-// (Upper descending, global id ascending) therefore needs no value it does
-// not hold and returns this Top, bitwise.
+// stop entry. Replaying the rule over the partitions' walks merged in walk
+// order (ReplayWalks) therefore needs no value it does not hold and returns
+// this Top, bitwise.
 //
 // With opt.Concurrency > 1 the bound computation fans out over the worker
 // pool and the rule's window is the worker count: w candidates are valued
@@ -151,32 +177,50 @@ func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt Que
 	workers := pool.Normalize(p.opt.Concurrency, len(sched))
 	vals := make([]float64, len(sched))
 	sp := obs.SpanFrom(ctx).Child("topk_commit")
-	top, committed, err := ReplayTopK(ctx, sched, k, workers, func(ctx context.Context, lo, hi int) ([]float64, error) {
-		// A failed entry's value is NaN. The loop's error is its lowest
-		// failing entry's, and every entry below that one ran, so the
-		// window's values end at the first NaN.
-		err := pool.ForEachIndexCtx(ctx, hi-lo, workers, func(j int) error {
-			d, err := decide(dnfs[lo+j], p.opt, 0)
-			if err != nil {
-				vals[lo+j] = math.NaN()
-				return fmt.Errorf("core: verifying graph %d: %w", sched[lo+j].Graph, err)
-			}
-			vals[lo+j] = d.ssp
-			return nil
-		})
-		switch {
-		case err == nil:
-			return vals[lo:hi], nil
-		case ctx.Err() != nil:
-			return nil, err
+	r := newTopKRule(k, len(sched))
+	var (
+		valued    int          // sched[:valued] has been valued
+		failAt    = len(sched) // the first entry that failed, with werr
+		werr      error
+		committed int
+	)
+	for i, c := range sched {
+		if r.stops(c) {
+			break
 		}
-		return vals[lo : lo+slices.IndexFunc(vals[lo:hi], math.IsNaN)], err
-	})
+		if i == valued {
+			valued = min(i+workers, len(sched))
+			werr = pool.ForEachIndexCtx(ctx, valued-i, workers, func(j int) error {
+				d, err := decide(dnfs[i+j], p.opt, 0)
+				if err != nil {
+					vals[i+j] = math.NaN()
+					return fmt.Errorf("core: verifying graph %d: %w", sched[i+j].Graph, err)
+				}
+				vals[i+j] = d.ssp
+				return nil
+			})
+			if werr != nil {
+				// The loop's error is its lowest failing entry's, and every
+				// entry below that one ran: the first NaN. A dead context
+				// ends the walk here.
+				failAt = i
+				if ctx.Err() == nil {
+					failAt += slices.IndexFunc(vals[i:valued], math.IsNaN)
+				}
+			}
+		}
+		if i == failAt {
+			err = werr
+			break
+		}
+		r.commit(c, vals[i])
+		committed++
+	}
 	sp.EndCount(int64(committed))
 	if err != nil {
 		return nil, err
 	}
-	w.Top, w.Steps = top, make([]TopKStep, committed)
+	w.Top, w.Steps = r.top, make([]TopKStep, committed)
 	for i := range w.Steps {
 		w.Steps[i] = TopKStep{sched[i], vals[i]}
 	}
@@ -273,12 +317,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	// Slot ascending breaks upper-bound ties. On a partition, slots are in
 	// global-id order, so merging shard schedules by (Upper desc, global
 	// id asc) reproduces exactly this order over the union.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Upper != cands[j].Upper {
-			return cands[i].Upper > cands[j].Upper
-		}
-		return cands[i].Graph < cands[j].Graph
-	})
+	slices.SortFunc(cands, func(a, b scheduled) int { return walkOrder(a.TopKBound, b.TopKBound) })
 	sched := make([]TopKBound, len(cands))
 	dnfs := make([]*verify.DNF, len(cands))
 	for i, c := range cands {

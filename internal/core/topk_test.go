@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -141,100 +139,151 @@ func randomSchedule(rng *rand.Rand, n int) ([]TopKBound, []float64) {
 	return sched, vals
 }
 
-// TestReplayTopK holds the one rule to the plain serial loop: on random
-// schedules, at every window from 1 to n + 1, ReplayTopK returns serialTopK's
-// ranking and commits what it valued, asks verify for no index twice, for no
-// more than a window at once and for at most window − 1 values past the
-// stop; a failure counts exactly when the walk reaches the failing entry;
-// and a verify error or a dead context comes back unchanged with no ranking.
-func TestReplayTopK(t *testing.T) {
+// TestReplayWalks holds the fleet replay to the plain serial loop: random
+// schedules split over 1–3 walks, each of which values its entries up to
+// the serial stop and a random number past it (a partition's own rule walks
+// at least that far) and then stops at its next entry, replay to
+// serialTopK's ranking. A walk cut short before the serial stop, or a later
+// walk listing an id again, fails naming that walk.
+func TestReplayWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	boom := errors.New("boom")
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(14) // 0: the empty schedule
 		sched, vals := randomSchedule(rng, n)
 		for _, k := range []int{1, 2, 1 + rng.Intn(n+1), n + 3} {
 			want, stop := serialTopK(sched, k, func(i int) float64 { return vals[i] })
-			for window := 1; window <= n+1; window++ {
-				// failAt == n never fails; the others fail entry failAt.
-				for _, failAt := range []int{n, rng.Intn(n + 1)} {
-					asked := make([]bool, n)
-					verify := func(_ context.Context, lo, hi int) ([]float64, error) {
-						if lo >= hi || hi-lo > window || hi > n {
-							t.Fatalf("n %d k %d window %d: verify(%d, %d)", n, k, window, lo, hi)
+			owned := make([][]int, 1+rng.Intn(3)) // schedule indices per walk
+			for i := range sched {
+				w := rng.Intn(len(owned))
+				owned[w] = append(owned[w], i)
+			}
+			// split lists each walk's first valued[w] entries and stops at
+			// the next one.
+			split := func(valued []int) []*TopKWalk {
+				walks := make([]*TopKWalk, len(owned))
+				for w, own := range owned {
+					walks[w] = &TopKWalk{}
+					for _, i := range own[:valued[w]] {
+						walks[w].Steps = append(walks[w].Steps, TopKStep{sched[i], vals[i]})
+					}
+					if valued[w] < len(own) {
+						walks[w].Stop = &sched[own[valued[w]]]
+					}
+				}
+				return walks
+			}
+			valued := make([]int, len(owned))
+			for w, own := range owned {
+				below := sort.SearchInts(own, stop)
+				valued[w] = below + rng.Intn(len(own)-below+1)
+			}
+			walks := split(valued)
+			if top, bad, err := ReplayWalks(walks, k); err != nil || !slices.Equal(top, want) {
+				t.Fatalf("n %d k %d walks %d: (%v, %d, %v), serial loop %v", n, k, len(walks), top, bad, err, want)
+			}
+
+			if n == 0 {
+				continue
+			}
+			// sched[0] is listed, valued or as a stop entry: list it again.
+			dup := append(walks, &TopKWalk{Stop: &sched[0]})
+			if _, bad, err := ReplayWalks(dup, k); err == nil || bad != len(walks) {
+				t.Fatalf("n %d k %d: graph %d listed twice: (%d, %v), want walk %d named", n, k, sched[0].Graph, bad, err, len(walks))
+			}
+			cut := rng.Intn(len(owned))
+			below := sort.SearchInts(owned[cut], stop)
+			if below == 0 {
+				continue
+			}
+			short := slices.Clone(valued)
+			short[cut] = rng.Intn(below)
+			if _, bad, err := ReplayWalks(split(short), k); err == nil || bad != cut {
+				t.Fatalf("n %d k %d: walk %d stops at %d of its %d entries below the serial stop: (%d, %v), want it named",
+					n, k, cut, short[cut], below, bad, err)
+			}
+		}
+	}
+}
+
+// TestReplayWalksStopsOnTie pins the stop rule's tie behaviour on a
+// synthetic schedule: once the ranking holds k items, an entry whose Upper
+// equals the k-th best SSP is not walked — so graphs 1 and 3, whose SSP
+// equals the k-th value and whose ids are smaller than both ranked ones,
+// are not listed, and a walk that stops at graph 1 is not reached.
+func TestReplayWalksStopsOnTie(t *testing.T) {
+	sched := []TopKBound{{Graph: 5, Upper: 0.9}, {Graph: 4, Upper: 0.8}, {Graph: 1, Upper: 0.5}, {Graph: 3, Upper: 0.5}}
+	vals := []float64{0.5, 0.5, 0.5, 0.5}
+	want := []TopKItem{{Graph: 4, SSP: 0.5}, {Graph: 5, SSP: 0.5}}
+	whole := &TopKWalk{}
+	for i, e := range sched {
+		whole.Steps = append(whole.Steps, TopKStep{e, vals[i]})
+	}
+	for _, walks := range [][]*TopKWalk{
+		{whole},
+		{{Steps: whole.Steps[:2]}, {Stop: &sched[2]}},
+	} {
+		if top, bad, err := ReplayWalks(walks, 2); err != nil || !slices.Equal(top, want) {
+			t.Fatalf("%d walks: (%v, %d, %v), want %v", len(walks), top, bad, err, want)
+		}
+	}
+	if top, _ := serialTopK(sched, 2, func(i int) float64 { return vals[i] }); !slices.Equal(top, want) {
+		t.Fatalf("serial loop %v, want %v", top, want)
+	}
+}
+
+// TestQueryTopKWalkFailureParity holds the ranked query's failure rule to
+// the serial run: exact verification under a clause cap fails a candidate
+// whose DNF is over it, and the error counts only if the walk reaches that
+// candidate. At 2, 4 and 8 workers every query returns the serial run's
+// error or its ranking, bitwise. Both outcomes occur, and so do rankings
+// with a failing entry past the stop — the ladder databases' certain
+// clauses stop walks early, so a window at w workers values such entries.
+func TestQueryTopKWalkFailureParity(t *testing.T) {
+	small, _ := smallDatabase(t, 909, 12, true)
+	failed, ranked, failingPastStop := 0, 0, 0
+	for _, db := range []*Database{small, ladderDatabase(t, 909, 12), ladderDatabase(t, 51, 14)} {
+		v := db.View()
+		for qi, q := range ladderQueries(v, 909, 6) {
+			for _, maxClauses := range []int{2, 4, 6, 8, 12, 16} {
+				for k := 1; k <= 4; k++ {
+					opt := QueryOptions{Delta: 1 + qi%2, OptBounds: true, Seed: int64(qi),
+						Verifier: VerifierExact, Verify: verify.Options{MaxClauses: maxClauses}}
+					serial, serr := v.QueryTopKWalk(bg, q, k, opt)
+					if serr != nil {
+						failed++
+					} else {
+						ranked++
+						sched, _, err := v.QueryTopKBounds(bg, q, k, opt)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if hi > stop+window-1 {
-							t.Fatalf("n %d k %d window %d: verify(%d, %d) with the stop at %d", n, k, window, lo, hi, stop)
+						var past []int
+						for _, e := range sched[len(serial.Steps):] {
+							past = append(past, e.Graph)
 						}
-						for i := lo; i < hi; i++ {
-							if asked[i] {
-								t.Fatalf("n %d k %d window %d: index %d asked for twice", n, k, window, i)
+						if _, err := v.VerifySSPBatch(bg, q, past, opt); err != nil {
+							failingPastStop++
+						}
+					}
+					for _, workers := range []int{2, 4, 8} {
+						po := opt
+						po.Concurrency = workers
+						par, err := v.QueryTopKWalk(bg, q, k, po)
+						switch {
+						case serr != nil:
+							if err == nil || err.Error() != serr.Error() {
+								t.Fatalf("q %d cap %d k %d workers %d: error %v, serial %v", qi, maxClauses, k, workers, err, serr)
 							}
-							asked[i] = true
+						case err != nil || !slices.Equal(par.Top, serial.Top):
+							t.Fatalf("q %d cap %d k %d workers %d: (%v, %v), serial %v", qi, maxClauses, k, workers, par, err, serial.Top)
 						}
-						if lo <= failAt && failAt < hi {
-							return vals[lo:failAt], boom
-						}
-						return vals[lo:hi], nil
-					}
-					top, committed, err := ReplayTopK(bg, sched, k, window, verify)
-					if failAt < stop {
-						if top != nil || committed != failAt || err != boom {
-							t.Fatalf("n %d k %d window %d failing at %d: (%v, %d, %v), want (nil, %d, boom)",
-								n, k, window, failAt, top, committed, err, failAt)
-						}
-						continue
-					}
-					if err != nil || committed != stop || !slices.Equal(top, want) {
-						t.Fatalf("n %d k %d window %d failing at %d: (%v, %d, %v), serial loop (%v, %d)",
-							n, k, window, failAt, top, committed, err, want, stop)
 					}
 				}
 			}
 		}
 	}
-
-	// A context that dies while the first window is valued ends the walk
-	// where that window ends; one dead from the start asks for nothing.
-	sched, vals := randomSchedule(rng, 12)
-	for _, cancelAfter := range []int{0, 1} {
-		ctx, cancel := context.WithCancel(bg)
-		calls := 0
-		if cancelAfter == 0 {
-			cancel()
-		}
-		top, committed, err := ReplayTopK(ctx, sched, len(sched), 3, func(_ context.Context, lo, hi int) ([]float64, error) {
-			if calls++; calls == cancelAfter {
-				cancel()
-			}
-			return vals[lo:hi], nil
-		})
-		cancel()
-		if top != nil || committed != 3*cancelAfter || calls != cancelAfter || err != context.Canceled {
-			t.Fatalf("cancelled after %d calls: (%v, %d, %v) in %d calls, want (nil, %d, Canceled)",
-				cancelAfter, top, committed, err, calls, 3*cancelAfter)
-		}
-	}
-}
-
-// TestReplayTopKStopsOnTie pins the stop rule's tie behaviour on a
-// synthetic schedule: once the ranking holds k items, an entry whose Upper
-// equals the k-th best SSP is not walked — so graphs 1 and 3, whose SSP
-// equals the k-th value and whose ids are smaller than both ranked ones,
-// are not listed. At every window, values fetched past the stop included.
-func TestReplayTopKStopsOnTie(t *testing.T) {
-	sched := []TopKBound{{Graph: 5, Upper: 0.9}, {Graph: 4, Upper: 0.8}, {Graph: 1, Upper: 0.5}, {Graph: 3, Upper: 0.5}}
-	vals := []float64{0.5, 0.5, 0.5, 0.5}
-	want := []TopKItem{{Graph: 4, SSP: 0.5}, {Graph: 5, SSP: 0.5}}
-	for window := 1; window <= len(sched); window++ {
-		top, committed, err := ReplayTopK(bg, sched, 2, window, func(_ context.Context, lo, hi int) ([]float64, error) {
-			return vals[lo:hi], nil
-		})
-		if err != nil || committed != 2 || !slices.Equal(top, want) {
-			t.Fatalf("window %d: (%v, %d, %v), want (%v, 2, nil)", window, top, committed, err, want)
-		}
-	}
-	if top, _ := serialTopK(sched, 2, func(i int) float64 { return vals[i] }); !slices.Equal(top, want) {
-		t.Fatalf("serial loop %v, want %v", top, want)
+	t.Logf("%d queries failed, %d ranked, %d of them with a failing entry past the stop", failed, ranked, failingPastStop)
+	if failed == 0 || ranked == 0 || failingPastStop == 0 {
+		t.Fatalf("%d queries failed, %d ranked, %d with a failing entry past the stop: want each", failed, ranked, failingPastStop)
 	}
 }
