@@ -16,32 +16,33 @@ import (
 // slowQueryEnv builds a database and query on which a full QueryCtx run is
 // slow by construction, so that a cancel lands mid-scan: probabilistic
 // pruning is bypassed, ε lies below every candidate's bound V so the ladder
-// rejects none unsampled, and several candidates carry a DNF past
-// exactCrossover, each paying the full 300 000 samples. The helper asserts
-// both, so a change to the ladder or the generator cannot quietly make the
-// cancellation tests vacuous.
+// rejects none unsampled, and four heavy graphs carry a DNF over the
+// elimination budget, each paying the full 150 000 samples. The helper
+// asserts both, so a change to the ladder or the generator cannot quietly
+// make the cancellation tests vacuous.
 func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 	t.Helper()
 	db, _ := smallDatabase(t, 2001, 16, true)
 	rng := rand.New(rand.NewSource(61))
 	q := dataset.ExtractQuery(db.View().Certain[0], 5, rng)
+	db = withHeavyGraphs(t, db, 2001, q, q, q, q)
 	opt := QueryOptions{
 		Epsilon: 0.01, Delta: 2, SkipProbPruning: true,
-		Verifier: VerifierSMP, Verify: verify.Options{N: 300000},
+		Verifier: VerifierSMP, Verify: verify.Options{N: 150000},
 		Seed: 5,
 	}
 	v := db.View()
 	scq, _ := v.Struct.SCq(q, opt.Delta, 1)
 	sampled := 0
 	for _, gi := range scq {
-		d, err := v.prepareDNF(q, gi, opt.withDefaults())
+		d, _, err := v.prepareDNF(q, gi, opt.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Bound() < opt.Epsilon {
 			t.Fatalf("graph %d: bound %v below ε %v — rejected without sampling", gi, d.Bound(), opt.Epsilon)
 		}
-		if d.Clauses() > exactCrossover {
+		if _, ok, _ := d.Eliminate(eliminationBudget); !ok {
 			sampled++
 		}
 	}

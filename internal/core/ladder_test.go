@@ -44,6 +44,45 @@ func ladderDatabase(t *testing.T, seed int64, n int) *Database {
 	return indexSmall(t, graphs, seed)
 }
 
+// heavyGraph is q blown up: every vertex of q becomes two of its label and
+// every edge the four edges between their copies, each present
+// independently. q embeds in it many times over and its clauses couple
+// edges all across it, so the elimination of its DNF is wide and costs
+// more than eliminationBudget — the ladder samples it — while each clause
+// probability stays a product of marginals.
+func heavyGraph(t *testing.T, q *graph.Graph, rng *rand.Rand) *prob.PGraph {
+	t.Helper()
+	b := graph.NewBuilder("heavy")
+	for v := 0; v < q.NumVertices(); v++ {
+		b.AddVertices(2, q.VertexLabel(graph.VertexID(v)))
+	}
+	p := map[graph.EdgeID]float64{}
+	for _, e := range q.Edges() {
+		for _, u := range []graph.VertexID{2 * e.U, 2*e.U + 1} {
+			for _, w := range []graph.VertexID{2 * e.V, 2*e.V + 1} {
+				p[b.MustAddEdge(u, w, e.Label)] = 0.05 + 0.3*rng.Float64()
+			}
+		}
+	}
+	pg, err := prob.NewIndependent(b.Build(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// withHeavyGraphs rebuilds db as indexSmall does with one heavyGraph per
+// query appended, for tests that need candidates the ladder samples.
+func withHeavyGraphs(t *testing.T, db *Database, seed int64, qs ...*graph.Graph) *Database {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	graphs := slices.Clone(db.View().Graphs)
+	for _, q := range qs {
+		graphs = append(graphs, heavyGraph(t, q, rng))
+	}
+	return indexSmall(t, graphs, seed)
+}
+
 // ladderQueries extracts n queries of 4–5 edges from the database's graphs.
 func ladderQueries(v *View, seed int64, n int) []*graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -96,7 +135,7 @@ func TestDNFWithinMatchesPerRQ(t *testing.T) {
 					if capped {
 						t.Fatalf("%s: the per-rq cap binds", at)
 					}
-					got, err := v.prepareDNF(q, gi, opt)
+					got, _, err := v.prepareDNF(q, gi, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -200,19 +239,23 @@ var ladderEpsGrid = []float64{0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1}
 
 // TestLadderValueContract holds every rung to the contract VerifySSP
 // documents, on databases with edges at probability 0 and 1, certain
-// clauses and DNFs past MaxClauses. For every structural candidate: (a) the
-// ranked value and the value at every ε are at most the candidate's DNF
-// bound, bitwise, and it is never scheduled above that bound; (b) the decision at every ε is the ranked
-// value's, an answer carries exactly the ranked value, and a DNF above the
-// crossover ranks at the un-thresholded verify.SMP of the same seed;
-// (c) a DNF at or below the crossover ranks at its enumerated SSP; and
-// QueryCtx reports VerifySSP's values with counters that add up.
+// clauses, DNFs past MaxClauses and, per query, one heavyGraph whose DNF the
+// elimination declines. For every structural candidate: (a) the ranked
+// value and the value at every ε are at most the candidate's DNF bound,
+// bitwise, and it is never scheduled above that bound; (b) the decision at
+// every ε is the ranked value's, an answer carries exactly the ranked
+// value, and a DNF over the elimination budget ranks at the un-thresholded
+// verify.SMP of the same seed; (c) a DNF within the budget ranks at its
+// enumerated SSP, on the ladder database's own graphs (a heavy graph has
+// up to 20 uncertain edges, too many to enumerate); and QueryCtx reports
+// VerifySSP's values with counters that add up.
 func TestLadderValueContract(t *testing.T) {
 	var certain, impossible, truncated, sampled, exact, byBound, stopped int
 	for _, seed := range []int64{41, 42, 43} {
-		db := ladderDatabase(t, seed, 12)
-		v := db.View()
-		for qi, q := range ladderQueries(v, seed, 4) {
+		base := ladderDatabase(t, seed, 12)
+		qs := ladderQueries(base.View(), seed, 4)
+		v := withHeavyGraphs(t, base, seed, qs...).View()
+		for qi, q := range qs {
 			opt := QueryOptions{
 				Delta: 1 + qi%2, OptBounds: true, Seed: seed + int64(qi),
 				Verify: verify.Options{N: 256, MaxClauses: []int{0, 4}[qi/2%2]},
@@ -235,7 +278,7 @@ func TestLadderValueContract(t *testing.T) {
 			}
 			for i, gi := range scq {
 				clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate)
-				d, err := v.prepareDNF(q, gi, opt.withDefaults())
+				d, _, err := v.prepareDNF(q, gi, opt.withDefaults())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -268,7 +311,7 @@ func TestLadderValueContract(t *testing.T) {
 				case d.Clauses() < len(clauses):
 					truncated++
 				}
-				if d.Clauses() > exactCrossover {
+				if _, ok, _ := d.Eliminate(eliminationBudget); !ok {
 					vo := opt.Verify
 					vo.Seed = candSeed(opt.Seed^verifySalt, gi)
 					eng, err := v.Engine(gi)
@@ -280,15 +323,15 @@ func TestLadderValueContract(t *testing.T) {
 						t.Fatal(err)
 					}
 					if ranked[i] != smp {
-						t.Fatalf("seed %d q %d graph %d: %d clauses rank at %v, verify.SMP gives %v", seed, qi, gi, d.Clauses(), ranked[i], smp)
+						t.Fatalf("seed %d q %d graph %d: %d clauses over the budget rank at %v, verify.SMP gives %v", seed, qi, gi, d.Clauses(), ranked[i], smp)
 					}
-				} else if d.Clauses() == len(clauses) || d.Clauses() == 0 {
+				} else if gi < base.View().Len() && (d.Clauses() == len(clauses) || d.Clauses() == 0) {
 					want, err := v.ExactSSPByEnumeration(q, gi, opt.Delta)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if math.Abs(ranked[i]-want) > 1e-12 {
-						t.Fatalf("seed %d q %d graph %d: exact rung %v, enumeration %v", seed, qi, gi, ranked[i], want)
+						t.Fatalf("seed %d q %d graph %d: elimination %v, enumeration %v", seed, qi, gi, ranked[i], want)
 					}
 				}
 			}
@@ -481,4 +524,66 @@ func replayTopK(t *testing.T, shards []*View, q *graph.Graph, k int, opt QueryOp
 		}
 		return ssps[0]
 	})
+}
+
+// TestCappedCandidateNotRejectedOnBound: a candidate whose clause
+// enumeration stops at DefaultMaxClausesPerCandidate is never rejected on
+// a bound. A 31-leaf star holds C(31, 3) = 4 495 edge sets of a three-edge
+// star query, its edges each present with probability 0.05, so the capped
+// V is 4 096·0.05³ ≈ 0.51 and the full V ≈ 0.56: at ε 0.55 the capped V
+// alone would reject a candidate the full DNF's bound does not. It is
+// verified instead, by the sampler's full N since its elimination is far
+// over the budget, in VerifySSP and in QueryCtx alike.
+func TestCappedCandidateNotRejectedOnBound(t *testing.T) {
+	const leaves, eps = 31, 0.55
+	star := func(n int) *graph.Graph {
+		b := graph.NewBuilder("star")
+		hub := b.AddVertex("a")
+		for i := 0; i < n; i++ {
+			b.MustAddEdge(hub, b.AddVertex("b"), "")
+		}
+		return b.Build()
+	}
+	g := star(leaves)
+	p := map[graph.EdgeID]float64{}
+	for e := 0; e < g.NumEdges(); e++ {
+		p[graph.EdgeID(e)] = 0.05
+	}
+	pg, err := prob.NewIndependent(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := indexSmall(t, []*prob.PGraph{pg}, 1).View()
+	q := star(3)
+	opt := QueryOptions{Epsilon: eps, SkipProbPruning: true, Verify: verify.Options{N: 200}}.withDefaults()
+
+	d, capped, err := v.prepareDNF(q, 0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := v.Engine(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := verify.Prepare(eng, iso.EdgeSetsWithin(q, v.Certain[0], 0, 0), opt.Verify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !capped || d.Bound() >= eps || full.Bound() < eps {
+		t.Fatalf("fixture: capped %v, capped V %v, full V %v at ε %v", capped, d.Bound(), full.Bound(), eps)
+	}
+	dec, err := v.verifySSP(q, 0, opt, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.byBound || dec.samples != opt.Verify.N {
+		t.Fatalf("capped candidate decided %+v: rejected on the bound or sampled short of N = %d", dec, opt.Verify.N)
+	}
+	res, err := v.QueryCtx(bg, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.VerifyCandidates != 1 || st.RejectedByBound != 0 || st.SamplesDrawn != opt.Verify.N || res.SSP[0] != dec.ssp {
+		t.Fatalf("QueryCtx: stats %+v, SSP %v; VerifySSP's decision %+v", st, res.SSP[0], dec)
+	}
 }

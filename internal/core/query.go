@@ -156,11 +156,11 @@ type Result struct {
 	Answers []int
 	// SSP holds the value verification gave every graph that reached it
 	// (direct accepts are not re-estimated and map to -1). An answer
-	// carries its exact SSP (a DNF of at most exactCrossover clauses, or
-	// VerifierExact) or the full SMP estimate. A verified non-answer
-	// carries a value below ε that is its exact SSP, the estimate, or an
-	// upper bound on the estimate — whichever the ladder of VerifySSP
-	// reached first.
+	// carries its exact SSP (a DNF whose elimination is within the
+	// ladder's budget, or VerifierExact) or the full SMP estimate. A
+	// verified non-answer carries a value below ε that is its exact SSP, the
+	// estimate, or an upper bound on the estimate — whichever the ladder of
+	// VerifySSP reached first.
 	SSP map[int]float64
 	// Stats carries phase instrumentation.
 	Stats Stats
@@ -359,15 +359,18 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 // of Equation 22 is collected and every clause probability Pr(Bfi)
 // computed exactly; V = Σ Pr(Bfi) bounds everything below from above.
 // (2) V < ε rejects with no further work and the value is that bound.
-// (3) A DNF of at most exactCrossover clauses is evaluated exactly by
-// inclusion–exclusion. (4) The rest run the SMP sampler, which stops early
-// once no remaining sample could lift the estimate to ε and then reports
-// the bound that proved it. So the value is ≥ ε exactly for answers; an
-// answer's value is exact or the full SMP estimate, a non-answer's may be
-// an upper bound instead. VerifierExact skips rungs 2 and 4: every value is
-// exact. The sampler's seed is derived from opt.Seed and gi alone, so the
-// value is reproducible regardless of which other graphs are verified, in
-// what order, or on how many workers.
+// (3) A DNF whose variable elimination compiles within eliminationBudget
+// is evaluated exactly by it (prob.Engine.ProbNoClause); no sample is
+// drawn. (4) The rest run the SMP sampler, which stops early once no
+// remaining sample could lift the estimate to ε and then reports the bound
+// that proved it. A candidate whose clause search stopped at
+// DefaultMaxClausesPerCandidate skips rung 2 and the stop, since its V may
+// under-read. So the value is ≥ ε exactly for answers; an answer's value
+// is exact or the full SMP estimate, a non-answer's may be an upper bound
+// instead. VerifierExact skips rungs 2–4 for inclusion–exclusion: every
+// value is exact. The sampler's seed is derived from opt.Seed and gi alone,
+// so the value is reproducible regardless of which other graphs are
+// verified, in what order, or on how many workers.
 func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOptions) (float64, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -380,33 +383,41 @@ func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOpti
 	return d.ssp, err
 }
 
-// exactCrossover is the clause count up to which the ladder evaluates a
-// DNF exactly instead of sampling it. Measured on the ledger corpus at
-// N = 800 (median µs over 40 DNFs per size, inclusion–exclusion vs the
-// full sampler): 2.2 vs 176 at 2 clauses, 24 vs 200 at 6, 68 vs 218 at 8,
-// 118 vs 213 at 9, break-even at 10 (195 vs 215), 2 600 vs 224 at 14. At 8
-// the exact value costs a third of the estimate it replaces on real
-// embeddings, whose unions repeat, and no more than the estimate on random
-// clauses that share none (BenchmarkExactVsSample in internal/verify).
-const exactCrossover = 8
+// eliminationBudget is the compiled cost, in the units of
+// prob.Engine.ProbNoClause, up to which the ladder evaluates a DNF exactly
+// by elimination instead of sampling it. Measured on the ledger corpus
+// (bench/corpus.go: every structural candidate of the four workloads'
+// query classes, 1 188 DNFs) against the full sampler at N = 800, minimum
+// of 15 runs each, on 2 vCPUs, in medians per cost band: 7 vs 115 µs
+// between 2^9 and 2^10 units, 38 vs 186 µs between 2^13 and 2^14, 223 vs
+// 364 µs between 2^16 and 2^17, where no candidate took more than 0.70 of
+// its sampler's time. Between 2^17 and 2^18 it was 340 vs 437 µs, but one
+// candidate took 1.4 times its sampler's; the cheapest found dearer than
+// sampling cost 195 526 units. A declined DNF pays 13–39 µs of
+// compilation before the 330–580 µs its sampler takes.
+const eliminationBudget = 1 << 17
 
 // decision is what the verification ladder concluded for one candidate:
 // the value to report and which rung produced it.
 type decision struct {
 	ssp     float64
 	byBound bool // rejected on the bound, nothing evaluated
-	exact   bool // evaluated by inclusion–exclusion
+	exact   bool // evaluated exactly: by elimination, or VerifierExact's inclusion–exclusion
 	samples int  // worlds drawn by the sampler
 }
 
 // verifySSP is VerifySSP past its checks — the per-candidate form: gi is a
 // live slot and opt is defaulted. eps is the threshold the ladder may
 // reject against; the ranked forms pass 0 and get a value for every
-// candidate.
+// candidate, and so does a candidate whose clause enumeration hit its cap:
+// its V reads only part of its DNF, so no rung may reject it on a bound.
 func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) (decision, error) {
-	d, err := v.prepareDNF(q, gi, opt)
+	d, capped, err := v.prepareDNF(q, gi, opt)
 	if err != nil {
 		return decision{}, err
+	}
+	if capped {
+		eps = 0
 	}
 	return decide(d, opt, eps)
 }
@@ -415,10 +426,12 @@ func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) 
 // exact probabilities, ready for decide. The clauses are the DNF of
 // Equation 22 — the distinct edge sets of gc on which some rq ∈ U embeds —
 // from one budgeted search of q (iso.EdgeSetsWithin): all of U, whatever
-// MaxRelaxed caps, and no set absorbs another. The engine is not resolved
-// for a candidate without clauses.
-func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF, error) {
+// MaxRelaxed caps, and no set absorbs another. capped reports that the
+// search stopped at DefaultMaxClausesPerCandidate sets, so the list may be
+// incomplete. The engine is not resolved for a candidate without clauses.
+func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (d *verify.DNF, capped bool, err error) {
 	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate)
+	capped = len(clauses) == DefaultMaxClausesPerCandidate
 	vo := opt.Verify
 	vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
 	if opt.Verifier == VerifierExact {
@@ -428,12 +441,12 @@ func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF
 	}
 	var eng *prob.Engine
 	if len(clauses) > 0 {
-		var err error
 		if eng, err = v.Engine(gi); err != nil {
-			return nil, err
+			return nil, capped, err
 		}
 	}
-	return verify.Prepare(eng, clauses, vo)
+	d, err = verify.Prepare(eng, clauses, vo)
+	return d, capped, err
 }
 
 // decide runs the rungs below preparation on d.
@@ -444,13 +457,12 @@ func decide(d *verify.DNF, opt QueryOptions, eps float64) (decision, error) {
 		return decision{ssp: p, exact: true}, err
 	case d.Bound() < eps:
 		return decision{ssp: d.Bound(), byBound: true}, nil
-	case d.Clauses() <= exactCrossover:
-		p, err := d.Exact(0)
-		return decision{ssp: p, exact: true}, err
-	default:
-		p, n, err := d.Sample(eps)
-		return decision{ssp: p, samples: n}, err
 	}
+	if p, ok, err := d.Eliminate(eliminationBudget); ok || err != nil {
+		return decision{ssp: p, exact: true}, err
+	}
+	p, n, err := d.Sample(eps)
+	return decision{ssp: p, samples: n}, err
 }
 
 // ExactSSPByEnumeration computes SSP by full possible-world enumeration —

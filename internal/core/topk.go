@@ -134,7 +134,7 @@ func (v *View) QueryTopKCtx(ctx context.Context, q *graph.Graph, k int, opt Quer
 // decreasing order of their upper bound (TopKBound.Upper), and verification
 // stops as soon as the next candidate's bound cannot beat the current k-th
 // best SSP (topkRule). Every value comes from the un-thresholded ladder
-// of VerifySSP: exact for a DNF of at most exactCrossover clauses, the full
+// of VerifySSP: exact where the DNF's elimination is cheap, the full
 // SMP estimate otherwise. QueryOptions.Epsilon does not affect the ranking
 // (it is still validated). The degenerate query (δ ≥ |E(q)|) commits the
 // first k live slots at SSP 1 without verifying them.
@@ -302,7 +302,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 			gi := p.scq[i]
 			usim, sc := pr.usim(gi)
 			putScratch(sc)
-			d, err := v.prepareDNF(q, gi, p.opt)
+			d, _, err := v.prepareDNF(q, gi, p.opt)
 			if err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}
@@ -349,7 +349,7 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 // input order; a slot that is out of range or tombstoned fails the call
 // with ErrNoSuchGraph. opt.Epsilon is ignored — no candidate is rejected on
 // a bound and the sampler never stops early, so every slot gets its exact
-// SSP (at most exactCrossover clauses) or its full SMP estimate, which is
+// SSP (its elimination within the budget) or its full SMP estimate, which is
 // what QueryTopKCtx ranks by. Each slot's DNF comes from q and opt.Delta
 // alone (see prepareDNF), and its value seeds from its global id alone,
 // independent of batching, order, or worker count. Its one caller outside

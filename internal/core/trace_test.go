@@ -168,17 +168,18 @@ func TestFrontHalfSpansAgree(t *testing.T) {
 // context and checks the process counters and stage histograms absorb
 // exactly the per-query Stats — the bridge /metrics depends on. The option
 // sets make every counter non-zero (the first prunes, rejects by bound,
-// decides exactly and samples; the last accepts by the lower bound) and
+// decides exactly and samples — the last over a heavy graph, whose DNF the
+// elimination declines; the last set accepts by the lower bound) and
 // every counter's total distinct, so no field passes by both sides being
 // 0 and no two fields can be swapped unseen.
 func TestPipelineBridgeMatchesStats(t *testing.T) {
 	db, _ := smallDatabase(t, 2001, 16, true)
-	v := db.View()
 	rng := rand.New(rand.NewSource(61))
 	var qs []*graph.Graph
 	for i := 0; i < 3; i++ {
-		qs = append(qs, dataset.ExtractQuery(v.Certain[i], 5, rng))
+		qs = append(qs, dataset.ExtractQuery(db.View().Certain[i], 5, rng))
 	}
+	v := withHeavyGraphs(t, db, 2001, qs...).View()
 	p := obs.NewPipeline(obs.NewRegistry())
 	ctx := obs.ContextWithPipeline(context.Background(), p)
 

@@ -44,9 +44,9 @@ func NewPipeline(r *Registry) *Pipeline {
 		Relaxed: r.Counter("pg_relaxed_queries_total",
 			"Relaxed queries generated (|U|) across all queries."),
 		VerifyRejectedByBound: r.Counter("pg_verify_decisions_total",
-			"Verification candidates by the ladder rung that decided them without sampling.", "rung", "bound"),
+			"Verification candidates by the ladder rung that decided them without sampling: bound (V < epsilon) or exact (elimination, or the inclusion-exclusion baseline).", "rung", "bound"),
 		VerifyDecidedExactly: r.Counter("pg_verify_decisions_total",
-			"Verification candidates by the ladder rung that decided them without sampling.", "rung", "exact"),
+			"Verification candidates by the ladder rung that decided them without sampling: bound (V < epsilon) or exact (elimination, or the inclusion-exclusion baseline).", "rung", "exact"),
 		VerifySamples: r.Counter("pg_verify_samples_total",
 			"Possible worlds drawn by the SMP sampler."),
 		StageStruct: r.Histogram("pg_stage_duration_seconds",

@@ -1,0 +1,430 @@
+package prob
+
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
+
+// ProbNoClause returns the probability under e's distribution, its evidence
+// included, that none of the clauses holds, a clause being the conjunction
+// of its literals — one minus the probability of their DNF. It is computed
+// exactly by variable elimination over two kinds of factor: every JPT of
+// each connected component of the model that a clause reaches, so that
+// tables sharing edges enter whole, and one 0/1 factor per clause that is 0
+// where the clause holds. The normalizer is the product of those
+// components' partition functions, read from e.
+//
+// The min-degree order over the reached variables is compiled from symbols
+// on each call, and with it the cost: over the steps, the factors a step
+// multiplies times the 2^width entries it reads of each. When that cost
+// exceeds budget, or a step would be wider than MaxFactorWidth, the call
+// declines, ok false, before any arithmetic runs.
+// It draws no random numbers and works in pooled scratch, so a warmed call
+// allocates nothing. A clause with a literal that cannot hold (a certain
+// edge asserted absent, one edge asserted both ways) never holds and is
+// dropped; a clause whose literals all assert certain edges present holds
+// in every world, and the probability is 0.
+func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bool, err error) {
+	if e.z == 0 {
+		return 0, false, fmt.Errorf("prob: conditioning event has zero probability")
+	}
+	s := elimPool.Get().(*elimScratch)
+	defer elimPool.Put(s)
+	switch s.factors(e, clauses, budget) {
+	case certainClause:
+		return 0, true, nil
+	case overBudget:
+		return 0, false, nil
+	}
+	if len(s.pats) == 0 {
+		return 1, true, nil
+	}
+	if !s.order(budget) || s.cost() > budget {
+		return 0, false, nil
+	}
+	s.layout()
+	num := s.eliminate(e)
+	z := 1.0
+	for r, live := range s.live {
+		if live {
+			slab, t := e.tables(int32(r))
+			z *= slab[t]
+		}
+	}
+	return min(max(num/z, 0), 1), true, nil
+}
+
+// elimScratch is one ProbNoClause call's working memory. Variables are
+// local — the reached components' uncertain edges, numbered in ascending
+// edge order — and factor ids run over the reached JPTs, then the clauses,
+// then the steps' tables (nf + s is step s's).
+type elimScratch struct {
+	// Per engine step and per engine variable.
+	rootOf []int32 // step → the root step of its component
+	live   []bool  // step → a root some clause reaches
+	local  []int32 // variable → local variable, or -1
+	seen   []int32 // variable → 1 + the last clause that listed it
+	pol    []bool  // variable → the polarity that clause asserts
+
+	vars   []int32  // local → engine variable
+	jpts   []int32  // reached JPTs, by index into the model's
+	cvars  []int32  // the kept clauses' distinct engine variables, flat
+	coff   []int32  // offsets of each kept clause's run in cvars
+	pats   []int    // per kept clause, the assignment of its scope where it holds
+	scope  []int32  // every factor's local variables: JPTs in Edges order, then clauses, then steps' outputs ascending
+	off    []int32  // factor → its run in scope (len = factors + 1)
+	adj    []uint64 // local variable → its neighbours and itself, words per row
+	mask   []uint64 // one factor's variables
+	width  []int    // local variable → the width eliminating it next would have
+	pos    []int32  // local variable → the step that sums it out
+	stepV  []int32  // step → the local variable it sums out
+	up     []int32  // factor → the step that multiplies it in, or -1
+	inOff  []int32  // step → its run in inputs
+	inputs []int32  // per step, the factors it multiplies: originals ascending, then steps' tables ascending
+	fill   []int32  // step → inputs placed so far
+	gather []uint8  // per input, per variable of that factor: the step's output bit, or selfBit
+	gatOff []int32  // step → its run in gather
+	bitOf  []uint8  // local variable → its bit among the current step's outputs
+	tab    []int32  // step → its table's offset in sums; then the total
+	sums   []float64
+	w0, w1 []float64 // the current step's weights per assignment of its outputs, variable absent and present
+	lo, hi []int     // the current input's index per assignment of the outputs' low and high halves
+	put    []int     // output bit → the current input's index bit it sets, or 0
+	nf     int       // original factors: len(jpts) + len(pats)
+}
+
+var elimPool = sync.Pool{New: func() any { return new(elimScratch) }}
+
+// Outcomes of elimScratch.factors besides a model to eliminate.
+const (
+	modelReady = iota
+	certainClause
+	overBudget
+)
+
+// grow returns buf resized to n, reallocated only when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// factors collects the model to eliminate: the clauses' distinct variables
+// and polarities, the components they reach, those components' variables
+// and JPTs, and every factor's scope. It returns certainClause or
+// overBudget as soon as either is known: each factor is multiplied in once,
+// by a step at least as wide as the factor, so the sum of 2^arity over the
+// factors is a lower bound on the cost.
+func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
+	pg, sc := e.pg, e.sched
+	n := len(pg.uncertain)
+	s.seen, s.pol = grow(s.seen, n), grow(s.pol, n)
+	clear(s.seen)
+	s.cvars, s.coff = s.cvars[:0], append(s.coff[:0], 0)
+	s.pats = s.pats[:0]
+	for ci, c := range clauses {
+		start, pat, never := len(s.cvars), 0, false
+		for _, l := range c {
+			v := pg.variable(l.Edge)
+			switch {
+			case v < 0:
+				never = never || !l.Present
+			case s.seen[v] == int32(ci+1):
+				never = never || s.pol[v] != l.Present
+			default:
+				s.seen[v], s.pol[v] = int32(ci+1), l.Present
+				if l.Present {
+					pat |= 1 << (len(s.cvars) - start)
+				}
+				s.cvars = append(s.cvars, int32(v))
+			}
+		}
+		switch {
+		case never:
+			s.cvars = s.cvars[:start]
+		case len(s.cvars) == start:
+			return certainClause
+		default:
+			s.coff = append(s.coff, int32(len(s.cvars)))
+			s.pats = append(s.pats, pat)
+		}
+	}
+	// Each component has one root step, the one every step of it reaches
+	// by following up; a later step is never below an earlier one.
+	steps := len(sc.up)
+	s.rootOf, s.live = grow(s.rootOf, steps), grow(s.live, steps)
+	clear(s.live)
+	for st := steps - 1; st >= 0; st-- {
+		if u := sc.up[st]; u < 0 {
+			s.rootOf[st] = int32(st)
+		} else {
+			s.rootOf[st] = s.rootOf[u]
+		}
+	}
+	for _, v := range s.cvars {
+		s.live[s.rootOf[sc.stepOf[v]]] = true
+	}
+	s.local = grow(s.local, n)
+	s.vars = s.vars[:0]
+	for v := range s.local {
+		s.local[v] = -1
+		if s.live[s.rootOf[sc.stepOf[v]]] {
+			s.local[v] = int32(len(s.vars))
+			s.vars = append(s.vars, int32(v))
+		}
+	}
+	cost := 0
+	s.jpts, s.scope, s.off = s.jpts[:0], s.scope[:0], append(s.off[:0], 0)
+	for j, t := range pg.JPTs {
+		if s.local[pg.varOf[t.Edges[0]]] < 0 {
+			continue
+		}
+		for _, ed := range t.Edges {
+			s.scope = append(s.scope, s.local[pg.varOf[ed]])
+		}
+		s.jpts = append(s.jpts, int32(j))
+		s.off = append(s.off, int32(len(s.scope)))
+		cost += len(t.P)
+	}
+	for i := range s.pats {
+		vs := s.cvars[s.coff[i]:s.coff[i+1]]
+		if len(vs) > MaxFactorWidth {
+			return overBudget
+		}
+		for _, v := range vs {
+			s.scope = append(s.scope, s.local[v])
+		}
+		s.off = append(s.off, int32(len(s.scope)))
+		cost += 1 << len(vs)
+	}
+	if cost > budget {
+		return overBudget
+	}
+	s.nf = len(s.jpts) + len(s.pats)
+	return modelReady
+}
+
+// order runs min-degree elimination on the interaction graph of the
+// factors: at each step the variable with the fewest neighbours, itself
+// included, goes next (lowest local index on ties), its neighbours become
+// pairwise adjacent, and the step's outputs are those neighbours, appended
+// as one more factor's scope. It declines when a step alone would read more
+// than budget entries, or would be wider than MaxFactorWidth.
+func (s *elimScratch) order(budget int) bool {
+	k := len(s.vars)
+	words := (k + 63) / 64
+	s.adj, s.mask = grow(s.adj, k*words), grow(s.mask, words)
+	clear(s.adj)
+	for f := 0; f < s.nf; f++ {
+		vs := s.scope[s.off[f]:s.off[f+1]]
+		clear(s.mask)
+		for _, u := range vs {
+			s.mask[u>>6] |= 1 << (u & 63)
+		}
+		for _, u := range vs {
+			row := s.adj[int(u)*words:]
+			for i, x := range s.mask {
+				row[i] |= x
+			}
+		}
+	}
+	s.width, s.pos, s.stepV = grow(s.width, k), grow(s.pos, k), grow(s.stepV, k)
+	for u := range s.width {
+		s.width[u] = popcount(s.adj[u*words : (u+1)*words])
+		s.pos[u] = -1
+	}
+	for st := 0; st < k; st++ {
+		best := -1
+		for u, w := range s.width {
+			if s.pos[u] < 0 && (best < 0 || w < s.width[best]) {
+				best = u
+			}
+		}
+		if s.width[best] > MaxFactorWidth || 1<<s.width[best] > budget {
+			return false
+		}
+		s.pos[best], s.stepV[st] = int32(st), int32(best)
+		row := s.adj[best*words : (best+1)*words]
+		row[best/64] &^= 1 << (best % 64)
+		for wi, w := range row {
+			for ; w != 0; w &= w - 1 {
+				u := 64*wi + bits.TrailingZeros64(w)
+				s.scope = append(s.scope, int32(u))
+				nb := s.adj[u*words : (u+1)*words]
+				for i, x := range row {
+					nb[i] |= x
+				}
+				nb[best/64] &^= 1 << (best % 64)
+				s.width[u] = popcount(nb)
+			}
+		}
+		s.off = append(s.off, int32(len(s.scope)))
+	}
+	return true
+}
+
+func popcount(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// cost assigns every factor to the step that multiplies it in — the first
+// step to sum out one of its variables, none for a root's table — counting
+// each step's inputs and placing its table, and returns the elimination's
+// cost: Σ over the steps of inputs × 2^width.
+func (s *elimScratch) cost() int {
+	k, nf := len(s.vars), s.nf
+	s.inOff, s.fill, s.up = grow(s.inOff, k+1), grow(s.fill, k), grow(s.up, nf+k)
+	clear(s.inOff)
+	clear(s.fill)
+	for f := range s.up {
+		c := int32(-1)
+		for _, u := range s.scope[s.off[f]:s.off[f+1]] {
+			if p := s.pos[u]; c < 0 || p < c {
+				c = p
+			}
+		}
+		s.up[f] = c
+		if c >= 0 {
+			s.inOff[c+1]++
+		}
+	}
+	cost := 0
+	s.tab = grow(s.tab, k+1)
+	s.tab[0] = 0
+	for st := 0; st < k; st++ {
+		outs := int(s.off[nf+st+1] - s.off[nf+st])
+		cost += int(s.inOff[st+1]) << (outs + 1)
+		s.inOff[st+1] += s.inOff[st]
+		s.tab[st+1] = s.tab[st] + 1<<outs
+	}
+	return cost
+}
+
+// layout lists each step's inputs, originals ascending and then steps'
+// tables ascending, with their gather maps, and sizes the tables' slab.
+func (s *elimScratch) layout() {
+	k := len(s.vars)
+	s.inputs = grow(s.inputs, int(s.inOff[k]))
+	for f, c := range s.up {
+		if c >= 0 {
+			s.inputs[s.inOff[c]+s.fill[c]] = int32(f)
+			s.fill[c]++
+		}
+	}
+	s.bitOf, s.gatOff = grow(s.bitOf, k), grow(s.gatOff, k+1)
+	s.gather = s.gather[:0]
+	for st := 0; st < k; st++ {
+		s.gatOff[st] = int32(len(s.gather))
+		for j, u := range s.scope[s.off[s.nf+st]:s.off[s.nf+st+1]] {
+			s.bitOf[u] = uint8(j)
+		}
+		for _, f := range s.inputs[s.inOff[st]:s.inOff[st+1]] {
+			for _, u := range s.scope[s.off[f]:s.off[f+1]] {
+				b := s.bitOf[u]
+				if u == s.stepV[st] {
+					b = selfBit
+				}
+				s.gather = append(s.gather, b)
+			}
+		}
+	}
+	s.gatOff[k] = int32(len(s.gather))
+	s.sums = grow(s.sums, int(s.tab[k]))
+	widest := 0
+	for st := 0; st < k; st++ {
+		widest = max(widest, int(s.off[s.nf+st+1]-s.off[s.nf+st]))
+	}
+	s.w0, s.w1 = grow(s.w0, 1<<widest), grow(s.w1, 1<<widest)
+	s.lo, s.hi, s.put = grow(s.lo, 1<<(widest/2)), grow(s.hi, 1<<(widest-widest/2)), grow(s.put, widest)
+	s.lo[0], s.hi[0] = 0, 0
+}
+
+// eliminate runs the planned steps and returns the weight of the worlds in
+// which no clause holds, over the reached components. For each step and
+// each assignment m of its outputs it multiplies the step's inputs, in
+// plan order from 1.0, once with the summed variable absent (w0) and once
+// present (w1) — a clause factor contributing 0 where its clause holds —
+// and stores their sum; a variable e's evidence pins weighs 0 in its other
+// value. An input is read at the index its variables' bits of m scatter
+// to, looked up in two tables over m's low and high halves. The result is
+// the product, in step order, of the root steps' constant tables.
+//
+//pgvet:noalloc
+func (s *elimScratch) eliminate(e *Engine) float64 {
+	jpts, nj, nf := e.pg.JPTs, len(s.jpts), s.nf
+	num := 1.0
+	for st, v := range s.stepV {
+		o, size := int(s.tab[st]), int(s.tab[st+1]-s.tab[st])
+		nout := bits.TrailingZeros(uint(size))
+		half := nout / 2
+		w0, w1 := s.w0[:size], s.w1[:size]
+		for m := range w0 {
+			w0[m], w1[m] = 1, 1
+		}
+		lo, hi := s.lo[:1<<half], s.hi[:1<<(nout-half)]
+		put := s.put[:nout]
+		c := int(s.gatOff[st])
+		for _, f := range s.inputs[s.inOff[st]:s.inOff[st+1]] {
+			arity := int(s.off[f+1] - s.off[f])
+			clear(put)
+			self := 0
+			for i, b := range s.gather[c : c+arity] {
+				if b == selfBit {
+					self = 1 << i
+				} else {
+					put[b] = 1 << i
+				}
+			}
+			c += arity
+			for x := 1; x < len(lo); x++ {
+				lo[x] = lo[x&(x-1)] | put[bits.TrailingZeros(uint(x))]
+			}
+			for x := 1; x < len(hi); x++ {
+				hi[x] = hi[x&(x-1)] | put[half+bits.TrailingZeros(uint(x))]
+			}
+			if int(f) >= nj && int(f) < nf {
+				pat := s.pats[int(f)-nj]
+				for m := range w0 {
+					i := lo[m&(len(lo)-1)] | hi[m>>half]
+					if i == pat {
+						w0[m] = 0
+					}
+					if i|self == pat {
+						w1[m] = 0
+					}
+				}
+				continue
+			}
+			var tab []float64
+			if int(f) < nj {
+				tab = jpts[s.jpts[f]].P
+			} else {
+				tab = s.sums[s.tab[int(f)-nf]:]
+			}
+			for m := range w0 {
+				i := lo[m&(len(lo)-1)] | hi[m>>half]
+				w0[m] *= tab[i]
+				w1[m] *= tab[i|self]
+			}
+		}
+		switch e.pin[s.vars[v]] {
+		case pinAbsent:
+			clear(w1)
+		case pinPresent:
+			clear(w0)
+		}
+		for m := range w0 {
+			s.sums[o+m] = w0[m] + w1[m]
+		}
+		if size == 1 {
+			num *= s.sums[o]
+		}
+	}
+	return num
+}

@@ -1,6 +1,11 @@
 package prob
 
-import "probgraph/internal/graph"
+import (
+	"math"
+	"math/rand"
+
+	"probgraph/internal/graph"
+)
 
 // RefEngine hands the reference engine of engine_ref_test.go to this
 // directory's external tests, which need packages that import prob
@@ -64,3 +69,19 @@ func (e *Engine) OwnSteps() []int32 {
 	}
 	return out
 }
+
+// EliminationCost returns the cost ProbNoClause compiles for clauses before
+// it compares it with its budget, or -1 when the call decides without
+// eliminating (a certain clause, or no clause that can hold).
+func (e *Engine) EliminationCost(clauses [][]Literal) int {
+	var s elimScratch
+	if s.factors(e, clauses, math.MaxInt) != modelReady || len(s.pats) == 0 {
+		return -1
+	}
+	s.order(math.MaxInt)
+	return s.cost()
+}
+
+// RandomPGraph hands randomPGraph's correlated models, some of whose tables
+// share an edge, to this directory's external tests.
+func RandomPGraph(rng *rand.Rand, nv, ne int) *PGraph { return randomPGraph(rng, nv, ne) }

@@ -170,10 +170,12 @@ func TestLadderSureRejectStops(t *testing.T) {
 	}
 }
 
-// BenchmarkExactVsSample times the two evaluations of a prepared DNF by
-// clause count at the ledger's N = 800, on random clauses — the worst case
-// for inclusion–exclusion, whose memo only pays when clause unions repeat as
-// they do among embeddings. core.exactCrossover must not lose even here.
+// BenchmarkExactVsSample times the three evaluations of a prepared DNF by
+// clause count on random clauses: inclusion–exclusion, VerifierExact's
+// Equation 21 baseline, whose memo only pays when clause unions repeat as
+// they do among embeddings; elimination, which the ladder uses whenever its
+// compiled cost is within core's budget; and the sampler at the ledger's
+// N = 800.
 func BenchmarkExactVsSample(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	pg, eng := randomModel(b, rng, 14, 20)
@@ -190,6 +192,13 @@ func BenchmarkExactVsSample(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Exact(30); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("eliminate/clauses=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := d.Eliminate(math.MaxInt); !ok || err != nil {
+					b.Fatal(ok, err)
 				}
 			}
 		})

@@ -21,9 +21,16 @@
 // it gives relative error τ only when μ = 1 (disjoint clauses); at μ < 1
 // the error at that N grows to τ/√μ.
 //
+// DNF.Eliminate computes the same probability exactly as one minus
+// prob.Engine.ProbNoClause, by variable elimination over the JPTs the
+// clauses reach and one 0/1 factor per clause, declining before any
+// arithmetic when the compiled cost exceeds the caller's budget. The query
+// ladder (core) uses it for every DNF within its budget and samples only
+// the rest, although the problem is #P-complete in general.
+//
 // Exact is the paper's Equation 21 inclusion–exclusion baseline with
 // exponential cost in the clause count; it exists to reproduce the "Exact"
-// curves of Figures 9a and 13.
+// curves of Figures 9a and 13, and is what core's VerifierExact runs.
 package verify
 
 import (
@@ -77,12 +84,12 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 // kept after MaxClauses truncation, in canonical order, with their literal
 // lists and exact probabilities Pr(Bfi), and V = Σ Pr(Bfi) over the kept
 // clauses. Everything that decides the candidate reads this one value —
-// Bound before any sample is drawn, then Exact or Sample — so clause
-// probabilities are computed once and the three can never disagree on which
-// clauses they describe. Bound alone sums over every clause, kept or not, so
-// it bounds the whole DNF's probability and not just the kept prefix's. A
-// DNF with no clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is decided by
-// preparation alone: it keeps no clauses and Bound is its value.
+// Bound before any sample is drawn, then Eliminate, Exact or Sample — so
+// clause probabilities are computed once and the four can never disagree on
+// which clauses they describe. Bound alone sums over every clause, kept or
+// not, so it bounds the whole DNF's probability and not just the kept
+// prefix's. A DNF with no clauses, a certain clause (Pr ≥ 1) or V ≤ 0 is
+// decided by preparation alone: it keeps no clauses and Bound is its value.
 type DNF struct {
 	eng     *prob.Engine
 	opt     Options  // defaulted
@@ -176,6 +183,30 @@ func (d *DNF) Exact(maxClauses int) (float64, error) {
 	}
 	p, err := prob.ProbDNFExact(d.eng, sets, exactCap(maxClauses))
 	return min(p, d.bound), err
+}
+
+// Eliminate computes Pr(∨ clauses) over the prepared clauses exactly, as one
+// minus prob.Engine.ProbNoClause, when that elimination's compiled cost is
+// at most budget; otherwise it declines with ok false, having done no
+// arithmetic. One clause needs no elimination: its value is Pr(Bf1). The
+// value is clamped to Bound like Exact's, and like Exact's it is a function
+// of the clauses alone: no sample is drawn.
+func (d *DNF) Eliminate(budget int) (p float64, ok bool, err error) {
+	switch len(d.clauses) {
+	case 0:
+		return d.bound, true, nil
+	case 1:
+		return min(d.clauses[0].p, d.bound), true, nil
+	}
+	lits := make([][]prob.Literal, len(d.clauses))
+	for i, c := range d.clauses {
+		lits[i] = c.lits
+	}
+	none, ok, err := d.eng.ProbNoClause(lits, budget)
+	if !ok || err != nil {
+		return 0, ok, err
+	}
+	return min(max(1-none, 0), d.bound), true, nil
 }
 
 // rejectStride is how often Sample tests the sure-reject condition.
