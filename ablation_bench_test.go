@@ -1,6 +1,6 @@
 // Ablation benchmarks for the design choices the paper motivates and
-// DESIGN.md documents: clique-optimized vs greedy bound families
-// (OPT-SIPBound vs SIPBound), optimized vs random query-time bound
+// DESIGN.md documents: exact PMI cells vs clique-optimized vs greedy bound
+// families (Exact vs OPT-SIPBound vs SIPBound), optimized vs random query-time bound
 // combination (OPT-SSPBound vs SSPBound), Monte-Carlo sample counts, and
 // the load-bearing kernels (VF2, canonical codes, minimal cuts).
 package probgraph_test
@@ -21,13 +21,14 @@ import (
 func BenchmarkAblationPMIBuild(b *testing.B) {
 	_, raw := microDB(b)
 	for _, cfg := range []struct {
-		name     string
-		optimize bool
-	}{{"OPT-SIPBound", true}, {"SIPBound-greedy", false}} {
+		name            string
+		exact, optimize bool
+	}{{"Exact", true, true}, {"OPT-SIPBound", false, true}, {"SIPBound-greedy", false, false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opt := probgraph.DefaultBuildOptions()
 			opt.Feature.MaxL = 4
 			opt.Feature.Beta = 0.2
+			opt.PMI.Exact = cfg.exact
 			opt.PMI.Optimize = cfg.optimize
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,8 @@
 // Command indexing inspects the PMI index: it builds a database, dumps the
 // feature matrix with its SIP bounds (the paper's Figure 4 view), compares
-// the OPT-SIPBound and SIPBound index variants, and shows how pruning power
-// responds — the paper's §4 story in one program.
+// the OPT-SIPBound and SIPBound index variants with the exact cells the
+// library builds by default, and shows how pruning power responds — the
+// paper's §4 story in one program.
 package main
 
 import (
@@ -24,10 +25,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	build := func(optimize bool) *probgraph.Database {
+	build := func(exact, optimize bool) *probgraph.Database {
 		opt := probgraph.DefaultBuildOptions()
 		opt.Feature.Beta = 0.25
 		opt.Feature.MaxL = 4
+		opt.PMI.Exact = exact
 		opt.PMI.Optimize = optimize
 		db, err := probgraph.NewDatabase(raw.Graphs, opt)
 		if err != nil {
@@ -35,13 +37,15 @@ func main() {
 		}
 		return db
 	}
-	optDB := build(true)
-	plainDB := build(false)
+	optDB := build(false, true)
+	plainDB := build(false, false)
+	exactDB := build(true, true)
 
 	fmt.Printf("OPT-SIPBound index: %d features, %d bytes, built in %v (mining %v + PMI %v)\n",
 		optDB.Build().Features, optDB.Build().IndexSizeBytes,
 		optDB.Build().FeatureTime+optDB.Build().PMITime, optDB.Build().FeatureTime, optDB.Build().PMITime)
-	fmt.Printf("SIPBound index:     %d features, %d bytes\n\n", plainDB.Build().Features, plainDB.Build().IndexSizeBytes)
+	fmt.Printf("SIPBound index:     %d features, %d bytes\n", plainDB.Build().Features, plainDB.Build().IndexSizeBytes)
+	fmt.Printf("Exact-cell index:   %d features, %d bytes, PMI %v\n\n", exactDB.Build().Features, exactDB.Build().IndexSizeBytes, exactDB.Build().PMITime)
 
 	// The PMI matrix view (paper Figure 4) for the first few features and
 	// graphs: ⟨LowerB, UpperB⟩ for contained features, ⟨0⟩ otherwise.
@@ -86,7 +90,8 @@ func main() {
 	}
 	ow, on := width(optDB)
 	pw, _ := width(plainDB)
-	fmt.Printf("Average bound width over %d contained entries: OPT %.4f vs plain %.4f\n", on, ow, pw)
+	ew, _ := width(exactDB)
+	fmt.Printf("Average bound width over %d contained entries: OPT %.4f vs plain %.4f vs exact %.4f\n", on, ow, pw, ew)
 
 	// Pruning-power comparison over a few queries: fraction of structural
 	// candidates resolved without verification.
@@ -114,6 +119,8 @@ func main() {
 	fOpt := resolve(optDB, 1)
 	rng = rand.New(rand.NewSource(23))
 	fPlain := resolve(plainDB, 1)
-	fmt.Printf("Structural candidates resolved by PMI pruning alone: OPT %.0f%% vs plain %.0f%%\n",
-		100*fOpt, 100*fPlain)
+	rng = rand.New(rand.NewSource(23))
+	fExact := resolve(exactDB, 1)
+	fmt.Printf("Structural candidates resolved by PMI pruning alone: OPT %.0f%% vs plain %.0f%% vs exact %.0f%%\n",
+		100*fOpt, 100*fPlain, 100*fExact)
 }

@@ -1,6 +1,7 @@
 // Package core assembles the paper's full T-PS query pipeline: structural
 // pruning over the certain graphs, probabilistic pruning through the PMI
-// index (SSPBound / OPT-SSPBound over SIPBound / OPT-SIPBound entries), and
+// index (SSPBound / OPT-SSPBound over exact or SIPBound / OPT-SIPBound
+// entries), and
 // Monte-Carlo or exact verification (paper §1.2).
 //
 // The database is a first-class mutable store built from immutable,
@@ -46,8 +47,11 @@ import (
 type BuildOptions struct {
 	// Feature mining knobs (paper Algorithm 4: α, β, γ, maxL).
 	Feature feature.Options
-	// PMI construction knobs; PMI.Optimize distinguishes OPT-SIPBound
-	// (true) from SIPBound (false).
+	// PMI construction knobs: PMI.Exact stores each cell's exact SIP
+	// where its embedding list is complete and its elimination cheap (the
+	// default; a snapshot saved before the field existed loads it false),
+	// and PMI.Optimize distinguishes OPT-SIPBound (true) from SIPBound
+	// (false) for the paper's family cells, every cell when Exact is false.
 	PMI pmi.Options
 }
 

@@ -25,8 +25,9 @@ import (
 // were written when the struct section still carried tables derived from
 // its count matrix: they are inputs only, and must load to exactly what
 // the current-layout file of the same database holds (the tombstone pair
-// also keeps the removed graph in its dead slot). All of them seed
-// FuzzLoadDatabase.
+// also keeps the removed graph in its dead slot) — a family-cell database,
+// since their options predate exact cells (familyFixture). All of them
+// seed FuzzLoadDatabase.
 
 func fixturePath(name string) string { return filepath.Join(fixtureDir, name) }
 
@@ -35,7 +36,9 @@ func currentFixtureNames() []string {
 }
 
 // oldLayoutFixtures maps each older-layout file to the current-layout
-// fixture of the same database.
+// fixture of the same corpus. Their options blobs predate pmi.Options.Exact,
+// so they hold family cells: the database such a file holds is
+// familyFixture's, not the exact-cell fixture's.
 var oldLayoutFixtures = map[string]string{
 	"v4_tiny_oldlayout.pgsnapb": "v4_tiny.pgsnapb",
 	"v5_tiny_oldlayout.pgsnap":  "v5_tiny.pgsnap",
@@ -96,6 +99,59 @@ func TestRegenSnapshotFixtures(t *testing.T) {
 	write("v5_tiny_tombs.pgsnap", "v4_tiny_tombs.pgsnapb")
 }
 
+// familyFixture is what this build writes for the database of an
+// older-layout fixture that maps to cur: the fixture corpus built with the
+// options that file carries — family cells, no Exact key — with graph 2
+// removed for a tombstone file, saved in cur's format.
+func familyFixture(t *testing.T, cur string) (*Database, []byte) {
+	t.Helper()
+	_, raw := snapDB(t, 8)
+	opt := DefaultBuildOptions()
+	opt.PMI.Exact = false
+	db, err := NewDatabase(raw.Graphs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(cur, "_tombs") {
+		if _, err := db.RemoveGraph(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, saveBytes(t, db.View(), fixtureFormat(cur))
+}
+
+// TestExactCellLegacySnapshot: an options blob written before
+// pmi.Options.Exact existed loads as family cells, so a graph added to
+// such a snapshot gets the column a family build computes for it, while the
+// current fixture adds an exact column.
+func TestExactCellLegacySnapshot(t *testing.T) {
+	fam, _ := familyFixture(t, "v5_tiny.pgsnap")
+	exact, _ := snapDB(t, 8)
+	src := 0
+	for src < fam.Len() && slices.Equal(fam.View().PMI.Lookup(src), exact.View().PMI.Lookup(src)) {
+		src++
+	}
+	if src == fam.Len() {
+		t.Fatal("every family column equals its exact column; the test cannot tell them apart")
+	}
+	for _, c := range []struct {
+		file string
+		want *Database
+	}{{"v5_tiny_oldlayout.pgsnap", fam}, {"v4_tiny_oldlayout.pgsnapb", fam}, {"v5_tiny.pgsnap", exact}} {
+		db, _ := loadFixture(t, c.file)
+		if got, want := db.View().PMI.Opt, c.want.View().PMI.Opt; got != want {
+			t.Fatalf("%s loads PMI options %+v, want %+v", c.file, got, want)
+		}
+		gi, _, err := db.AddGraph(db.View().Graphs[src])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := db.View().PMI.Lookup(gi), c.want.View().PMI.Lookup(src); !slices.Equal(got, want) {
+			t.Errorf("%s: added column %+v, a fresh build's is %+v", c.file, got, want)
+		}
+	}
+}
+
 // TestSnapshotFixtureReplay is the cross-format contract on disk: the v5
 // text and v4 binary fixtures of the same corpus must answer recorded
 // queries identically (with and without tombstones), and every fixture
@@ -109,8 +165,7 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 		Answers []int
 		SSP     map[int]float64
 	}
-	answersAt := func(name string, workers int) []recorded {
-		db, _ := loadFixture(t, name)
+	answersOf := func(db *Database, workers int) []recorded {
 		opt := opt
 		opt.Concurrency = workers
 		out := make([]recorded, len(qs))
@@ -122,6 +177,10 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 			out[i] = recorded{r.Answers, r.SSP}
 		}
 		return out
+	}
+	answersAt := func(name string, workers int) []recorded {
+		db, _ := loadFixture(t, name)
+		return answersOf(db, workers)
 	}
 	answers := func(name string) []recorded { return answersAt(name, 1) }
 
@@ -139,30 +198,31 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 		}
 	}
 	for old, cur := range oldLayoutFixtures {
+		fam, want := familyFixture(t, cur)
 		for _, workers := range []int{1, 4} {
-			if !reflect.DeepEqual(answersAt(old, workers), answers(cur)) {
-				t.Errorf("%s answers diverge from %s at %d workers", old, cur, workers)
+			if !reflect.DeepEqual(answersAt(old, workers), answersOf(fam, 1)) {
+				t.Errorf("%s answers diverge from a family build of %s at %d workers", old, cur, workers)
 			}
 		}
 		db, _ := loadFixture(t, old)
-		_, want := loadFixture(t, cur)
 		if !bytes.Equal(saveBytes(t, db.View(), fixtureFormat(cur)), want) {
-			t.Errorf("%s: load→save is not %s byte for byte", old, cur)
+			t.Errorf("%s: load→save is not a family build of %s byte for byte", old, cur)
 		}
 	}
 	// The older-layout tombstone files also hold the removed graph in its
 	// dead slot, where a file written today holds the empty graph. A load
-	// keeps what the file held, so they answer like the current fixtures
-	// and re-save longer than them, byte-stably from the first save on.
+	// keeps what the file held, so they answer like a family build of the
+	// current fixtures' corpus and re-save longer than it, byte-stably from
+	// the first save on.
 	for old, cur := range map[string]string{
 		"v4_tiny_tombs_oldlayout.pgsnapb": "v4_tiny_tombs.pgsnapb",
 		"v5_tiny_tombs_oldlayout.pgsnap":  "v5_tiny_tombs.pgsnap",
 	} {
-		if !reflect.DeepEqual(answers(old), answers(cur)) {
-			t.Errorf("%s answers diverge from %s", old, cur)
+		fam, curBytes := familyFixture(t, cur)
+		if !reflect.DeepEqual(answers(old), answersOf(fam, 1)) {
+			t.Errorf("%s answers diverge from a family build of %s", old, cur)
 		}
 		db, _ := loadFixture(t, old)
-		_, curBytes := loadFixture(t, cur)
 		saved := saveBytes(t, db.View(), fixtureFormat(cur))
 		again, err := LoadDatabase(bytes.NewReader(saved))
 		if err != nil {
@@ -290,12 +350,12 @@ func withoutPostingsOf(t testing.TB, raw []byte, victim, other int) []byte {
 // check could catch — used to lose that graph from every answer until the
 // first write rebuilt the tables. The tables are read past now: the file
 // answers as the untampered one does and re-saves as the current-layout
-// fixture, byte for byte.
+// file of its database (familyFixture), byte for byte.
 func TestSnapshotPostingsCannotDisagree(t *testing.T) {
 	qs, opt := fixtureQueries(t)
 	crafted := 0
 	for old, cur := range oldLayoutFixtures {
-		want, curBytes := loadFixture(t, cur)
+		want, curBytes := familyFixture(t, cur)
 		_, oldBytes := loadFixture(t, old)
 		for qi, q := range qs {
 			wr, err := want.View().QueryCtx(bg, q, opt)
@@ -320,7 +380,7 @@ func TestSnapshotPostingsCannotDisagree(t *testing.T) {
 					t.Errorf("%s without postings of %d, query %d: answers %v, want %v", old, victim, qi, got.Answers, wr.Answers)
 				}
 				if !bytes.Equal(saveBytes(t, db.View(), fixtureFormat(cur)), curBytes) {
-					t.Errorf("%s without postings of %d: load→save is not %s byte for byte", old, victim, cur)
+					t.Errorf("%s without postings of %d: load→save is not a family build of %s byte for byte", old, victim, cur)
 				}
 			}
 		}

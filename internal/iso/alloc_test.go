@@ -42,3 +42,24 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeSetsSteadyStateAllocs: EdgeSets deduplicates on the pooled image
+// table, so once the pool is warm a call allocates its result and nothing
+// else — one word slab and one slice of set headers — however many vertex
+// maps land on the same set.
+func TestEdgeSetsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
+	}
+	rng := rand.New(rand.NewSource(3))
+	tg := randomGraph(rng, 12, 24, []graph.Label{"a", "b"}, []graph.Label{""})
+	p := connectedQuery(tg, 3)
+	if n := Count(p, tg, nil, 0); n <= len(EdgeSets(p, tg, nil, 0)) || len(EdgeSets(p, tg, nil, 0)) < 3 {
+		t.Fatalf("%d embeddings on %d sets; the pin needs repeated sets", n, len(EdgeSets(p, tg, nil, 0)))
+	}
+	for _, limit := range []int{0, 2} {
+		if n := testing.AllocsPerRun(100, func() { EdgeSets(p, tg, nil, limit) }); n != 2 {
+			t.Errorf("EdgeSets(limit %d) allocates %v times per call, want 2", limit, n)
+		}
+	}
+}

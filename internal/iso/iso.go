@@ -422,8 +422,9 @@ func EdgeSetsWithin(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
 }
 
 // scratch is what one search needs beyond its result, kept per worker by
-// scratchPool: the matcher's slabs, EdgeSetsWithin's image table, and the
-// embedding ForEach hands to its callback with the words of its edge set.
+// scratchPool: the matcher's slabs, the image table EdgeSets and
+// EdgeSetsWithin deduplicate on, and the embedding a search fills with the
+// words of its edge set.
 type scratch struct {
 	slabs  slabs
 	images imageSet
@@ -614,19 +615,24 @@ func FindAll(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []Embedding {
 // EdgeSets returns the distinct edge sets of embeddings of p in t, capped at
 // limit distinct sets (limit <= 0 means all). This is the set Ef of the
 // paper's Section 4.1: probabilistic events only depend on which target
-// edges an embedding occupies.
+// edges an embedding occupies. The sets come in the order ForEach first
+// reaches them, deduplicated on the pooled image table EdgeSetsWithin
+// uses, so a warmed call allocates only its result.
 func EdgeSets(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []graph.EdgeSet {
-	var out []graph.EdgeSet
-	seen := make(map[string]bool)
-	ForEach(p, t, mask, func(e *Embedding) bool {
-		k := e.Edges.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e.Edges.Clone())
-		}
-		return limit <= 0 || len(out) < limit
-	})
-	return out
+	if !feasible(p, t, mask, 0, false) {
+		return nil
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	m := newMatcher(p, t, mask, &sc.slabs)
+	s := sc.images.reset(p.NumVertices(), t.NumEdges(), limit)
+	m.emb = sc.embedding(p.NumVertices(), t.NumEdges())
+	m.visit = func() bool {
+		copy(s.img, sc.words)
+		return !s.add() || len(s.next) != limit
+	}
+	m.extend()
+	return s.sets()
 }
 
 // Count returns the number of embeddings of p in t, stopping at cap when

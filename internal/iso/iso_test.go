@@ -288,6 +288,54 @@ func TestEdgeSetsLimit(t *testing.T) {
 	}
 }
 
+// TestEdgeSetsMatchesKeyedDedup holds EdgeSets to the string-keyed dedup
+// over ForEach it replaced: the same sets in the same first-seen order, at
+// every cap and under a world mask.
+func TestEdgeSetsMatchesKeyedDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	checked := 0
+	for trial := 0; trial < 60; trial++ {
+		tg := randomGraph(rng, 9, 16, []graph.Label{"a", "b"}, []graph.Label{""})
+		p := connectedQuery(tg, 1+rng.Intn(3))
+		mask := graph.NewEdgeSet(tg.NumEdges())
+		for e := 0; e < tg.NumEdges(); e++ {
+			if rng.Intn(4) > 0 {
+				mask.Add(graph.EdgeID(e))
+			}
+		}
+		for _, m := range []*graph.EdgeSet{nil, &mask} {
+			var ref []string
+			seen := map[string]bool{}
+			ForEach(p, tg, m, func(e *Embedding) bool {
+				if k := e.Edges.Key(); !seen[k] {
+					seen[k] = true
+					ref = append(ref, k)
+				}
+				return true
+			})
+			for _, limit := range []int{0, -1, 1, 2, len(ref), len(ref) + 1} {
+				want := ref
+				if limit > 0 && limit < len(ref) {
+					want = ref[:limit]
+				}
+				got := EdgeSets(p, tg, m, limit)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d limit %d: %d sets, want %d", trial, limit, len(got), len(want))
+				}
+				for i, s := range got {
+					if s.Key() != want[i] {
+						t.Fatalf("trial %d limit %d: set %d differs from the keyed dedup's", trial, limit, i)
+					}
+				}
+				checked += len(got)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no edge set compared")
+	}
+}
+
 func TestEmbeddingEdgesConsistent(t *testing.T) {
 	q, g := paperQueryAnd002(t)
 	for _, em := range FindAll(q, g, nil, 0) {

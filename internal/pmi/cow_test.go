@@ -12,10 +12,17 @@ import (
 // TestWithColumnMatchesBuild: growing the matrix one copy-on-write column
 // at a time produces exactly the entries a from-scratch Build over the
 // final database would (the incremental path uses the same per-graph seed
-// derivation), and no link of the chain mutates its predecessor.
+// derivation), and no link of the chain mutates its predecessor — with
+// exact cells and with family cells, bitwise.
 func TestWithColumnMatchesBuild(t *testing.T) {
+	for _, opt := range []Options{NewOptions(), familyOptions()} {
+		withColumnMatchesBuild(t, opt)
+	}
+}
+
+func withColumnMatchesBuild(t *testing.T, opt Options) {
 	graphs, engines, feats := buildSmallDB(t, 3, 6, true)
-	full := mustBuild(t, graphs, engines, feats, NewOptions())
+	full := mustBuild(t, graphs, engines, feats, opt)
 
 	// Seed the chain with the first 3 graphs. Build consumes Support
 	// lists, which cover the full database — truncate them to the prefix
@@ -33,7 +40,7 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 		}
 		prefixFeats[i] = &cp
 	}
-	base := mustBuild(t, graphs[:3], engines[:3], prefixFeats, NewOptions())
+	base := mustBuild(t, graphs[:3], engines[:3], prefixFeats, opt)
 	chain := []*Index{base}
 	for gi := 3; gi < len(graphs); gi++ {
 		next, err := chain[len(chain)-1].WithColumn(graphs[gi], engines[gi])
@@ -52,8 +59,8 @@ func TestWithColumnMatchesBuild(t *testing.T) {
 	for fi := range full.Features {
 		for gi := 0; gi < full.NumGraphs(); gi++ {
 			if full.At(fi, gi) != final.At(fi, gi) {
-				t.Fatalf("entry (%d,%d): incremental %+v != built %+v",
-					fi, gi, final.At(fi, gi), full.At(fi, gi))
+				t.Fatalf("%+v entry (%d,%d): incremental %+v != built %+v",
+					opt, fi, gi, final.At(fi, gi), full.At(fi, gi))
 			}
 		}
 	}

@@ -2,6 +2,16 @@
 // a feature × graph matrix whose entry for (f, g) holds lower and upper
 // bounds on the subgraph isomorphism probability SIP = Pr(f ⊆iso g).
 //
+// Exact cells. SIP is the probability that some embedding of f in gc has
+// every edge present, #P-hard in general, which is why the paper stores
+// bounds. Under Options.Exact (the default) a cell whose embedding list is
+// complete — fewer than maxEmbeddings distinct edge sets — and whose
+// variable elimination fits exactBudget stores the value itself:
+// Lower = Upper = SIP = 1 − prob.Engine.ProbNoClause over one all-present
+// clause per embedding. On the ledger and probe corpora every cell is one.
+// The paper's §4.1 families below compute the other cells, and every cell
+// when Exact is false (Fig 11's SIPBound and OPT-SIPBound).
+//
 // Lower bound (paper §4.1.1, Eq 17): over a family IN of pairwise
 // edge-disjoint embeddings of f in gc,
 //
@@ -23,9 +33,12 @@
 // maxOverlap members, where the paper estimates them by Monte-Carlo sampling
 // (Algorithm 3).
 //
-// The build's one knob is Optimize (OPT-SIPBound vs SIPBound, the paper's
-// Fig 11). Its caps — maxEmbeddings, maxCuts, maxOverlap — are constants,
-// and the columns run on the shared pool at GOMAXPROCS workers.
+// The build's two knobs are Exact and, for family cells, Optimize
+// (OPT-SIPBound vs SIPBound, the paper's Fig 11). Its caps —
+// maxEmbeddings, maxCuts, maxOverlap, exactBudget — are constants, and the
+// columns run on the shared pool at GOMAXPROCS workers. A capped embedding
+// list is a lower bound's input only: the unlisted embeddings may fall
+// outside every cut of the listed ones, so such a cell's Upper is 1.
 package pmi
 
 import (
@@ -54,24 +67,34 @@ const (
 type Options struct {
 	// Optimize selects OPT-SIPBound (max-weight-clique tightest families).
 	// When false the builder uses the greedy disjoint family (the paper's
-	// plain SIPBound ablation). Default true via NewOptions.
+	// plain SIPBound ablation). Default true via NewOptions. It is read
+	// only by family cells.
 	Optimize bool
+	// Exact stores a cell's SIP itself, Lower = Upper, wherever its
+	// embedding list is complete and its elimination fits exactBudget;
+	// the §4.1 families compute only the other cells. When false every
+	// cell is a family cell, as in the paper. Default true via NewOptions;
+	// options saved before the field existed decode as false, so an old
+	// snapshot computes its later columns the way its stored cells were.
+	Exact bool
 	// Seed is read by nothing: the build is exact and draws no samples.
 	// It remains only because the benchmark's corpus recipe sets it.
 	Seed int64
 }
 
-// NewOptions returns the default (OPT-SIPBound) configuration.
+// NewOptions returns the default configuration: exact cells, and
+// OPT-SIPBound families for the cells that cannot be exact.
 func NewOptions() Options {
-	return Options{Optimize: true}
+	return Options{Optimize: true, Exact: true}
 }
 
 // Entry is one cell of the matrix: SIP bounds of feature f in graph g.
-// Lower and Upper are two exact evaluations — a union of embeddings, an
-// intersection of cuts — that bracket the same SIP, and where they describe
-// the same event they may cross by an ulp (Lower > Upper by ≤ 3.4e-16 in
-// about a quarter of the contained cells of the ledger corpus): consumers
-// may rely on Lower ≤ Upper + 1e-12, never on Lower ≤ Upper bitwise.
+// An exact cell has Lower == Upper bitwise. A family cell's Lower and Upper
+// are two exact evaluations — a union of embeddings, an intersection of
+// cuts — that bracket the same SIP, and where they describe the same event
+// they may cross by an ulp (Lower > Upper by ≤ 3.4e-16 in about a quarter
+// of the family cells of the ledger corpus): consumers may rely on
+// Lower ≤ Upper + 1e-12, never on Lower ≤ Upper bitwise.
 type Entry struct {
 	Contained bool // f ⊆iso gc; when false the paper stores ⟨0⟩
 	Lower     float64
@@ -152,23 +175,84 @@ type graphBuilder struct {
 	eng *prob.Engine
 }
 
+// exactBudget is the compiled cost, in the units of
+// prob.Engine.ProbNoClause, up to which a cell's SIP is eliminated exactly;
+// a dearer cell is a family cell. Measured on the ledger corpus
+// (bench/corpus.go: 120 graphs, 79 features, 2 963 contained cells) and on
+// the at-size probe corpus (GeneratePPI, 60 graphs of 100–110 vertices, 6
+// organisms, correlated, seed 3, the ledger's mining options: 256
+// features, 10 550 cells), minimum of 7 runs each on 2 vCPUs: no list was
+// capped, the longest held 7 and 20 embeddings, and the dearest cell cost
+// 278 and 432 units. In every cost band the elimination took 0.01–0.38 of
+// the families' time, medians 1.2 against 8.7 µs at 2^4–2^5 units and 11
+// against 2 774 µs at 2^8–2^9 on the probe. The budget sits far above both
+// corpora: at the kernel's ≈ 2 ns per unit (core.eliminationBudget) a cell
+// at 2^16 units takes ≈ 130 µs, still below the families' median in the
+// dearest measured band.
+const exactBudget = 1 << 16
+
 // bounds computes the PMI entry for one contained feature.
 func (b *graphBuilder) bounds(f *graph.Graph) (Entry, error) {
-	gc := b.pg.G
-	embs := iso.EdgeSets(f, gc, nil, maxEmbeddings)
+	embs := iso.EdgeSets(f, b.pg.G, nil, maxEmbeddings)
 	if len(embs) == 0 {
 		// Support said contained but matching found nothing: inconsistent.
 		return Entry{}, fmt.Errorf("no embeddings for contained feature")
 	}
-	lower, err := b.lowerBound(embs)
-	if err != nil {
-		return Entry{}, err
+	return b.entry(embs, exactBudget)
+}
+
+// entry computes the cell from the embedding list embs, eliminating within
+// budget. A list of maxEmbeddings sets may be capped: the unlisted
+// embeddings can only raise SIP, so its Lower is still read from the listed
+// sets, but no cut of the listed sets is known to hit the rest, so its
+// Upper is 1. Under Exact the Lower of a capped cell is the listed sets'
+// exact union where it fits the budget, and a complete list that fits is
+// the exact cell Lower = Upper = SIP; every other bound comes from the
+// §4.1 families.
+func (b *graphBuilder) entry(embs []graph.EdgeSet, budget int) (Entry, error) {
+	complete := len(embs) < maxEmbeddings
+	e := Entry{Contained: true, Upper: 1}
+	exact := false
+	if b.opt.Exact {
+		var err error
+		if e.Lower, exact, err = b.union(embs, budget); err != nil {
+			return Entry{}, err
+		}
+		if exact && complete {
+			e.Upper = e.Lower
+			return e, nil
+		}
 	}
-	upper, err := b.upperBound(embs)
-	if err != nil {
-		return Entry{}, err
+	if !exact {
+		lower, err := b.lowerBound(embs)
+		if err != nil {
+			return Entry{}, err
+		}
+		e.Lower = lower
 	}
-	return Entry{Contained: true, Lower: lower, Upper: upper}, nil
+	if complete {
+		upper, err := b.upperBound(embs)
+		if err != nil {
+			return Entry{}, err
+		}
+		e.Upper = upper
+	}
+	return e, nil
+}
+
+// union returns Pr(some set of embs has every edge present), one minus an
+// elimination with one all-present clause per set, or ok false when that
+// elimination would cost more than budget.
+func (b *graphBuilder) union(embs []graph.EdgeSet, budget int) (p float64, ok bool, err error) {
+	clauses := make([][]prob.Literal, len(embs))
+	for i, s := range embs {
+		clauses[i] = prob.AllPresent(s)
+	}
+	none, ok, err := b.eng.ProbNoClause(clauses, budget)
+	if !ok || err != nil {
+		return 0, false, err
+	}
+	return 1 - none, true, nil
 }
 
 // condProb returns Pr(all of base hold polarity | none of others fully hold
@@ -260,8 +344,9 @@ func (b *graphBuilder) lowerBound(embs []graph.EdgeSet) (float64, error) {
 // upperBound follows §4.1.2 dually over minimal embedding cuts: weights
 // −ln(1 − Pr(Bci|COM)), tightest disjoint family by max-weight clique, and
 // the intersection Pr(∧_{i∈IN′} ¬Bci) evaluated exactly (sound upper bound
-// for any cut family: every enumerated cut is a true embedding cut, so
-// SIP = Pr(no cut of the full family is absent) ≤ Pr(none of IN′ absent)).
+// for any cut family of a complete list: every enumerated cut is then a
+// true embedding cut, so SIP = Pr(no cut of the full family is absent) ≤
+// Pr(none of IN′ absent)). entry never calls it on a capped list.
 func (b *graphBuilder) upperBound(embs []graph.EdgeSet) (float64, error) {
 	cutSets := cuts.MinimalCuts(embs, b.pg.G.NumEdges(), maxCuts)
 	if len(cutSets) == 0 {

@@ -2,6 +2,7 @@ package pmi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -109,6 +110,26 @@ func TestBoundsSandwichExactSIP(t *testing.T) {
 	}
 }
 
+// TestBoundsSandwichCappedList: a feature with more embeddings than
+// maxEmbeddings lists only some of them, and a cut of the listed sets need
+// not hit the rest, so no Upper may come from those cuts. Thirty disjoint
+// a–b edges at p = 0.1 have SIP = 1 − 0.9^30 = 0.9576; cuts of the 24
+// listed ones read 0.9202.
+func TestBoundsSandwichCappedList(t *testing.T) {
+	pg, eng := disjointEdges(t, 30, 0.1)
+	f := path("a", "b")
+	sip := 1 - math.Pow(0.9, 30)
+	for _, opt := range []Options{NewOptions(), {Optimize: true}, {}} {
+		e, err := (&graphBuilder{opt: opt, pg: pg, eng: eng}).bounds(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Lower > sip+1e-12 || e.Upper < sip-1e-12 || e.Lower <= 0 {
+			t.Errorf("%+v: capped cell [%v, %v] does not sandwich SIP %v", opt, e.Lower, e.Upper, sip)
+		}
+	}
+}
+
 func TestUncontainedEntriesAreZero(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 33, 6, true)
 	idx := mustBuild(t, graphs, engines, feats, NewOptions())
@@ -125,10 +146,17 @@ func TestUncontainedEntriesAreZero(t *testing.T) {
 	}
 }
 
+// familyOptions is NewOptions with every cell a §4.1 family cell.
+func familyOptions() Options {
+	opt := NewOptions()
+	opt.Exact = false
+	return opt
+}
+
 func TestOptimizeTightensBounds(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 44, 8, true)
-	on := mustBuild(t, graphs, engines, feats, NewOptions())
-	optOff := NewOptions()
+	on := mustBuild(t, graphs, engines, feats, familyOptions())
+	optOff := familyOptions()
 	optOff.Optimize = false
 	off := mustBuild(t, graphs, engines, feats, optOff)
 	// OPT bounds must never be looser (greedy families are sub-families of
@@ -191,7 +219,7 @@ func TestPaperFigure1Bounds(t *testing.T) {
 		if len(embs) == 0 {
 			t.Fatalf("feature %v does not embed in 002", f)
 		}
-		b := &graphBuilder{opt: NewOptions(), pg: g002, eng: eng}
+		b := &graphBuilder{opt: familyOptions(), pg: g002, eng: eng}
 		entry, err := b.bounds(f)
 		if err != nil {
 			t.Fatal(err)

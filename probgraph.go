@@ -141,7 +141,7 @@ type (
 	// ever changes a pinned view.
 	DatabaseView = core.View
 	// BuildOptions configures indexing (feature mining α/β/γ/maxL, PMI
-	// construction, OPT-SIPBound vs SIPBound).
+	// construction: exact cells, or OPT-SIPBound vs SIPBound).
 	BuildOptions = core.BuildOptions
 	// QueryOptions configures one T-PS query (ε, δ, OPT-SSPBound vs
 	// SSPBound, verifier choice, Concurrency worker-pool bound).
@@ -196,7 +196,8 @@ func NewDatabase(graphs []*PGraph, opt BuildOptions) (*Database, error) {
 }
 
 // DefaultBuildOptions returns the paper's default configuration
-// (OPT-SIPBound index, α=β=γ=0.15 mining thresholds).
+// (exact PMI cells, OPT-SIPBound where a cell cannot be exact, α=β=γ=0.15
+// mining thresholds).
 func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 
 // Database.AddGraph (on the aliased core type) inserts one graph
