@@ -18,6 +18,7 @@ import (
 
 	"probgraph"
 	"probgraph/internal/experiments"
+	"probgraph/internal/prob"
 )
 
 var (
@@ -297,7 +298,7 @@ func BenchmarkEngineProbConjunction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ProbAllPresent(set); err != nil {
+		if _, err := eng.ProbLits(prob.AllPresent(set)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -179,7 +179,7 @@ func TestPaperFigure1Fixture(t *testing.T) {
 	}
 	// Graph 001's printed JPT: Pr(e1,e2,e3 all present) = 0.2.
 	all := graph.FullEdgeSet(3)
-	p, err := eng1.ProbAllPresent(all)
+	p, err := eng1.ProbLits(prob.AllPresent(all))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@ import (
 // components' partition functions, read from e.
 //
 // The min-degree order over the reached variables is compiled from symbols
-// on each call, and with it the cost: over the steps, the factors a step
-// multiplies times the 2^width entries it reads of each. When that cost
-// exceeds budget, or a step would be wider than MaxFactorWidth, the call
-// declines, ok false, before any arithmetic runs.
+// on each call, by the planner that also gives NewEngine its schedule, and
+// with it the cost: over the steps, the factors a step multiplies times the
+// 2^width entries it reads of each. When that cost exceeds budget, or a
+// step would be wider than MaxFactorWidth, the call declines, ok false,
+// before any arithmetic runs.
 // It draws no random numbers and works in pooled scratch, so a warmed call
 // allocates nothing. A clause with a literal that cannot hold (a certain
 // edge asserted absent, one edge asserted both ways) never holds and is
@@ -40,10 +41,11 @@ func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bo
 	if len(s.pats) == 0 {
 		return 1, true, nil
 	}
-	if !s.order(budget) || s.cost() > budget {
+	if s.order(budget) > 0 || s.cost() > budget {
 		return 0, false, nil
 	}
 	s.layout()
+	s.buffers()
 	num := s.eliminate(e)
 	z := 1.0
 	for r, live := range s.live {
@@ -175,19 +177,7 @@ func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
 			s.vars = append(s.vars, int32(v))
 		}
 	}
-	cost := 0
-	s.jpts, s.scope, s.off = s.jpts[:0], s.scope[:0], append(s.off[:0], 0)
-	for j, t := range pg.JPTs {
-		if s.local[pg.varOf[t.Edges[0]]] < 0 {
-			continue
-		}
-		for _, ed := range t.Edges {
-			s.scope = append(s.scope, s.local[pg.varOf[ed]])
-		}
-		s.jpts = append(s.jpts, int32(j))
-		s.off = append(s.off, int32(len(s.scope)))
-		cost += len(t.P)
-	}
+	cost := s.jptFactors(pg)
 	for i := range s.pats {
 		vs := s.cvars[s.coff[i]:s.coff[i+1]]
 		if len(vs) > MaxFactorWidth {
@@ -206,13 +196,46 @@ func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
 	return modelReady
 }
 
+// whole collects the entire model, as NewEngine's schedule eliminates it:
+// every uncertain edge a variable, numbered as the engine numbers them, and
+// every JPT a factor, with no clauses.
+func (s *elimScratch) whole(pg *PGraph) {
+	n := len(pg.uncertain)
+	s.local, s.vars = grow(s.local, n), grow(s.vars, n)
+	for v := range s.local {
+		s.local[v], s.vars[v] = int32(v), int32(v)
+	}
+	s.jptFactors(pg)
+	s.nf = len(s.jpts)
+}
+
+// jptFactors lists the JPTs over local variables, with their scopes, as the
+// first factors and returns the sum of their table sizes.
+func (s *elimScratch) jptFactors(pg *PGraph) int {
+	cost := 0
+	s.jpts, s.scope, s.off = s.jpts[:0], s.scope[:0], append(s.off[:0], 0)
+	for j, t := range pg.JPTs {
+		if s.local[pg.varOf[t.Edges[0]]] < 0 {
+			continue
+		}
+		for _, ed := range t.Edges {
+			s.scope = append(s.scope, s.local[pg.varOf[ed]])
+		}
+		s.jpts = append(s.jpts, int32(j))
+		s.off = append(s.off, int32(len(s.scope)))
+		cost += len(t.P)
+	}
+	return cost
+}
+
 // order runs min-degree elimination on the interaction graph of the
 // factors: at each step the variable with the fewest neighbours, itself
 // included, goes next (lowest local index on ties), its neighbours become
 // pairwise adjacent, and the step's outputs are those neighbours, appended
 // as one more factor's scope. It declines when a step alone would read more
-// than budget entries, or would be wider than MaxFactorWidth.
-func (s *elimScratch) order(budget int) bool {
+// than budget entries, or would be wider than MaxFactorWidth, and returns
+// that step's width; it returns 0 once every variable has its step.
+func (s *elimScratch) order(budget int) (refused int) {
 	k := len(s.vars)
 	words := (k + 63) / 64
 	s.adj, s.mask = grow(s.adj, k*words), grow(s.mask, words)
@@ -243,7 +266,7 @@ func (s *elimScratch) order(budget int) bool {
 			}
 		}
 		if s.width[best] > MaxFactorWidth || 1<<s.width[best] > budget {
-			return false
+			return s.width[best]
 		}
 		s.pos[best], s.stepV[st] = int32(st), int32(best)
 		row := s.adj[best*words : (best+1)*words]
@@ -262,7 +285,7 @@ func (s *elimScratch) order(budget int) bool {
 		}
 		s.off = append(s.off, int32(len(s.scope)))
 	}
-	return true
+	return 0
 }
 
 func popcount(ws []uint64) int {
@@ -307,7 +330,7 @@ func (s *elimScratch) cost() int {
 }
 
 // layout lists each step's inputs, originals ascending and then steps'
-// tables ascending, with their gather maps, and sizes the tables' slab.
+// tables ascending, with their gather maps.
 func (s *elimScratch) layout() {
 	k := len(s.vars)
 	s.inputs = grow(s.inputs, int(s.inOff[k]))
@@ -335,11 +358,16 @@ func (s *elimScratch) layout() {
 		}
 	}
 	s.gatOff[k] = int32(len(s.gather))
-	s.sums = grow(s.sums, int(s.tab[k]))
-	widest := 0
+}
+
+// buffers sizes eliminate's working memory: the tables' slab and the
+// per-step weights and index tables, for the widest step.
+func (s *elimScratch) buffers() {
+	k, widest := len(s.vars), 0
 	for st := 0; st < k; st++ {
 		widest = max(widest, int(s.off[s.nf+st+1]-s.off[s.nf+st]))
 	}
+	s.sums = grow(s.sums, int(s.tab[k]))
 	s.w0, s.w1 = grow(s.w0, 1<<widest), grow(s.w1, 1<<widest)
 	s.lo, s.hi, s.put = grow(s.lo, 1<<(widest/2)), grow(s.hi, 1<<(widest-widest/2)), grow(s.put, widest)
 	s.lo[0], s.hi[0] = 0, 0

@@ -285,7 +285,9 @@ func (b *fuzzBytes) next() int {
 // model the bytes decode to: at most ten edges on a path, JPTs of one to
 // three edges that may overlap, edges no table covers left certain, table
 // entries with zeros among them, clauses of up to four literals of either
-// polarity, and now and then evidence.
+// polarity, and now and then evidence. The engine built on the model must
+// first match the reference engine bit for bit (checkPair, every marginal)
+// or fail with the same error.
 func FuzzEliminate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 3, 2, 0, 1, 10, 20, 30, 40, 50, 60, 70, 80, 2, 1, 2, 3, 4, 1, 5, 6, 2, 1, 3, 7})
@@ -324,10 +326,16 @@ func FuzzEliminate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, refErr := prob.NewRefEngine(pg)
 		eng, err := prob.NewEngine(pg)
-		if err != nil {
-			t.Fatal(err)
+		if !sameErr(refErr, err) {
+			t.Fatalf("engine: %v; reference %v", err, refErr)
 		}
+		if err != nil {
+			return
+		}
+		checkPair(t, "engine", ref, eng, 1)
+		checkMarginals(t, "engine", ref, eng)
 		lit := func() prob.Literal {
 			c := b.next()
 			return prob.Literal{Edge: graph.EdgeID(c % ne), Present: c/ne%4 != 0}

@@ -56,115 +56,48 @@ func (sc *schedule) outputs(s int) []int32 {
 	return sc.outVars[sc.steps[s].outs:sc.steps[s+1].outs]
 }
 
-// compile runs min-degree elimination symbolically: at each step the
-// variable whose live factors span the fewest distinct variables goes next
-// (lowest index on ties), the live factors mentioning it are consumed in
-// creation order, and a factor over the remaining variables is created.
-func compile(pg *PGraph) (*schedule, error) {
-	n, nj := len(pg.uncertain), len(pg.JPTs)
-	sc := &schedule{steps: make([]step, 1, n+1), tab: make([]int32, 1, n+1), up: make([]int32, n), stepOf: make([]int32, n), template: pg.NewWorld()}
-	jptVars := make([][]int32, nj)
-	users := make([][]int32, n) // variable → factors mentioning it, in creation order
-	for f, t := range pg.JPTs {
-		jptVars[f] = make([]int32, len(t.Edges))
-		for i, ed := range t.Edges {
-			v := pg.varOf[ed]
-			jptVars[f][i] = v
-			users[v] = append(users[v], int32(f))
+// newSchedule plans elimination over the whole model with the planner
+// ProbNoClause runs (elimScratch's whole, order, cost and layout) and copies
+// the plan out of the pooled scratch into a schedule of its own: min-degree
+// order, lowest index on ties, each step's inputs in creation order.
+func newSchedule(pg *PGraph) (*schedule, error) {
+	s := elimPool.Get().(*elimScratch)
+	defer elimPool.Put(s)
+	s.whole(pg)
+	if w := s.order(math.MaxInt); w > 0 {
+		return nil, fmt.Errorf("prob: elimination width %d exceeds limit %d (model too densely coupled)", w, MaxFactorWidth)
+	}
+	n, nf := len(s.vars), s.nf
+	size := 0 // in int: cost's int32 offsets would wrap first
+	for st := 0; st < n; st++ {
+		size += 1 << (s.off[nf+st+1] - s.off[nf+st])
+	}
+	if size > math.MaxInt32 {
+		return nil, fmt.Errorf("prob: elimination tables exceed %d entries (model too densely coupled)", math.MaxInt32)
+	}
+	s.cost()
+	s.layout()
+	sc := &schedule{
+		steps:    make([]step, n+1),
+		outVars:  slices.Clone(s.scope[s.off[nf]:]),
+		inputs:   slices.Clone(s.inputs),
+		gather:   slices.Clone(s.gather),
+		tab:      slices.Clone(s.tab),
+		up:       slices.Clone(s.up[nf:]),
+		stepOf:   slices.Clone(s.pos),
+		template: pg.NewWorld(),
+	}
+	for st := range sc.steps {
+		sc.steps[st] = step{outs: s.off[nf+st] - s.off[nf], ins: s.inOff[st], gat: s.gatOff[st]}
+		if st < n {
+			sc.steps[st].v = s.stepV[st]
 		}
 	}
-	scope := func(f int32) []int32 {
-		if int(f) < nj {
-			return jptVars[f]
-		}
-		return sc.outputs(int(f) - nj)
-	}
-	consumed := make([]bool, nj+n)
-	mark := make([]int32, n) // mark[u] == stamp: u already in the union being collected
-	stamp := int32(0)
-	// union appends the distinct variables of the live factors mentioning v
-	// (v among them); its length is v's elimination width.
-	union := func(v int32, into []int32) []int32 {
-		stamp++
-		for _, f := range users[v] {
-			if consumed[f] {
-				continue
-			}
-			for _, u := range scope(f) {
-				if mark[u] != stamp {
-					mark[u] = stamp
-					into = append(into, u)
-				}
-			}
-		}
-		return into
-	}
-	// A width changes only when one of the variable's factors is consumed or
-	// created, i.e. for the outputs of the step just taken.
-	var buf []int32
-	width := make([]int, n)
-	for v := range width {
-		buf = union(int32(v), buf[:0])
-		width[v] = len(buf)
-	}
-	done := make([]bool, n)
-	pos := make([]uint8, n) // output variable → its bit in the step's table index
-	for s := 0; s < n; s++ {
-		best := -1
-		for v, w := range width {
-			if !done[v] && (best < 0 || w < width[best]) {
-				best = v
-			}
-		}
-		if width[best] > MaxFactorWidth {
-			return nil, fmt.Errorf("prob: elimination width %d exceeds limit %d (model too densely coupled)", width[best], MaxFactorWidth)
-		}
-		v := int32(best)
-		buf = union(v, buf[:0])
-		outs := slices.DeleteFunc(buf, func(u int32) bool { return u == v })
-		slices.Sort(outs)
-		for j, u := range outs {
-			pos[u] = uint8(j)
-		}
-		for _, f := range users[v] {
-			if consumed[f] {
-				continue
-			}
-			consumed[f] = true
-			if int(f) >= nj {
-				sc.up[int(f)-nj] = int32(s)
-			}
-			sc.inputs = append(sc.inputs, f)
-			for _, u := range scope(f) {
-				if u == v {
-					sc.gather = append(sc.gather, selfBit)
-				} else {
-					sc.gather = append(sc.gather, pos[u])
-				}
-			}
-		}
-		size := int(sc.tab[s]) + 1<<len(outs)
-		if size > math.MaxInt32 {
-			return nil, fmt.Errorf("prob: elimination tables exceed %d entries (model too densely coupled)", math.MaxInt32)
-		}
-		sc.steps[s].v, sc.up[s] = v, -1
-		sc.stepOf[v] = int32(s)
-		sc.outVars = append(sc.outVars, outs...)
-		sc.steps = append(sc.steps, step{outs: int32(len(sc.outVars)), ins: int32(len(sc.inputs)), gat: int32(len(sc.gather))})
-		sc.tab = append(sc.tab, int32(size))
-		done[v] = true
-		for _, u := range sc.outputs(s) { // the copy that stays: outs aliases buf
-			users[u] = append(users[u], int32(nj+s))
-			buf = union(u, buf[:0])
-			width[u] = len(buf)
-		}
-	}
-	for s, up := range sc.up {
+	for st, up := range sc.up {
 		if up < 0 {
-			sc.roots = append(sc.roots, int32(s))
+			sc.roots = append(sc.roots, int32(st))
 		}
 	}
-	sc.outVars, sc.inputs, sc.gather = slices.Clone(sc.outVars), slices.Clone(sc.inputs), slices.Clone(sc.gather)
 	return sc, nil
 }
 
@@ -212,7 +145,7 @@ const (
 
 // NewEngine builds an inference engine for pg with no evidence.
 func NewEngine(pg *PGraph) (*Engine, error) {
-	sc, err := compile(pg)
+	sc, err := newSchedule(pg)
 	if err != nil {
 		return nil, err
 	}
@@ -464,18 +397,6 @@ func (e *Engine) probLits(lits []Literal, sc *litScratch) float64 {
 		sc.sums = make([]float64, size)
 	}
 	return e.recompute(sc.pin, sc.at, sc.sums[:size], nil) / e.z
-}
-
-// ProbAllPresent returns Pr(every edge in es exists | evidence). This is the
-// probability of one embedding's existence (the paper's Pr(Bf)).
-func (e *Engine) ProbAllPresent(es graph.EdgeSet) (float64, error) {
-	return e.ProbLits(AllPresent(es))
-}
-
-// ProbAllAbsent returns Pr(every edge in es is missing | evidence), the
-// probability of one embedding cut's presence (the paper's Pr(Bc)).
-func (e *Engine) ProbAllAbsent(es graph.EdgeSet) (float64, error) {
-	return e.ProbLits(AllAbsent(es))
 }
 
 // MarginalPresent returns Pr(edge exists | evidence). Certain edges have

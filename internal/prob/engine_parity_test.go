@@ -142,13 +142,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 		tag := fmt.Sprintf("seed %d", seed)
 		checkPair(t, tag, ref, eng, seed)
-		for ed := 0; ed < pg.G.NumEdges(); ed++ {
-			m1, _ := ref.MarginalPresent(graph.EdgeID(ed))
-			m2, _ := eng.MarginalPresent(graph.EdgeID(ed))
-			if !sameBits(m1, m2) {
-				t.Fatalf("%s: marginal of edge %d: %v vs %v", tag, ed, m1, m2)
-			}
-		}
+		checkMarginals(t, tag, ref, eng)
 		for trial := 0; trial < 4; trial++ {
 			lits := parityLits(rng, pg)
 			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
@@ -182,6 +176,64 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Corpus-sized schedules, which no parity model above reaches: the
+	// ledger's corpus shape and graphs of 100–110 vertices, queried with
+	// clauses of one to four literals as verification queries them.
+	for _, o := range []dataset.PPIOptions{
+		{NumGraphs: 120, MinVertices: 12, MaxVertices: 18, Organisms: 8, Correlated: true, Seed: 1},
+		{NumGraphs: 6, MinVertices: 100, MaxVertices: 110, Organisms: 6, Correlated: true, Seed: 3},
+	} {
+		db, err := dataset.GeneratePPI(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pg := range db.Graphs {
+			seed, tag := int64(i), fmt.Sprintf("PPI %d-%d vertices, graph %d", o.MinVertices, o.MaxVertices, i)
+			ref, e1 := prob.NewRefEngine(pg)
+			eng, e2 := prob.NewEngine(pg)
+			if e1 != nil || e2 != nil {
+				t.Fatalf("%s: engines: %v, %v", tag, e1, e2)
+			}
+			checkPair(t, tag, ref, eng, seed)
+			checkMarginals(t, tag, ref, eng)
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 3; trial++ {
+				lits := clauseLits(rng, pg)
+				tag := fmt.Sprintf("%s trial %d", tag, trial)
+				checkProbLits(t, tag, ref, eng, lits)
+				rc, e1 := ref.NewConditioned(lits)
+				c, e2 := eng.NewConditioned(lits)
+				if e1 != nil || e2 != nil {
+					t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, lits, e2, e1)
+				}
+				checkPair(t, tag+" conditioned", rc, c, seed+int64(trial))
+				checkProbLits(t, tag+" nested", rc, c, clauseLits(rng, pg))
+			}
+		}
+	}
+}
+
+// checkMarginals compares every edge's marginal, value bits and error.
+func checkMarginals(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine) {
+	t.Helper()
+	for ed := 0; ed < eng.NumEdges(); ed++ {
+		m1, e1 := ref.MarginalPresent(graph.EdgeID(ed))
+		m2, e2 := eng.MarginalPresent(graph.EdgeID(ed))
+		if !sameErr(e1, e2) || !sameBits(m1, m2) {
+			t.Fatalf("%s: marginal of edge %d: %v, %v; reference %v, %v", tag, ed, m2, e2, m1, e1)
+		}
+	}
+}
+
+// clauseLits draws one to four distinct uncertain edges of pg, each asserted
+// present or, one time in four, absent.
+func clauseLits(rng *rand.Rand, pg *prob.PGraph) []prob.Literal {
+	es := pg.UncertainEdges()
+	var lits []prob.Literal
+	for _, i := range rng.Perm(len(es))[:min(1+rng.Intn(4), len(es))] {
+		lits = append(lits, prob.Literal{Edge: es[i], Present: rng.Intn(4) != 0})
+	}
+	return lits
 }
 
 // coupled returns a path of n edges whose edges are all pairwise coupled, so
@@ -246,7 +298,7 @@ func refSMP(eng *prob.RefEngine, clauses []graph.EdgeSet, n int, seed int64) (fl
 	}
 	cs := make([]clause, len(clauses))
 	for i, c := range clauses {
-		p, err := eng.ProbAllPresent(c)
+		p, err := eng.ProbLits(prob.AllPresent(c))
 		if err != nil {
 			return 0, err
 		}

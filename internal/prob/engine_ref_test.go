@@ -321,18 +321,6 @@ func (e *refEngine) condProbEngine(lits []Literal) (*refEngine, error) {
 	return eng, nil
 }
 
-// ProbAllPresent returns Pr(every edge in es exists | evidence). This is the
-// probability of one embedding's existence (the paper's Pr(Bf)).
-func (e *refEngine) ProbAllPresent(es graph.EdgeSet) (float64, error) {
-	return e.ProbLits(AllPresent(es))
-}
-
-// ProbAllAbsent returns Pr(every edge in es is missing | evidence), the
-// probability of one embedding cut's presence (the paper's Pr(Bc)).
-func (e *refEngine) ProbAllAbsent(es graph.EdgeSet) (float64, error) {
-	return e.ProbLits(AllAbsent(es))
-}
-
 // MarginalPresent returns Pr(edge exists | evidence). Certain edges have
 // probability 1.
 func (e *refEngine) MarginalPresent(ed graph.EdgeID) (float64, error) {

@@ -152,7 +152,7 @@ func TestPaper001Exact(t *testing.T) {
 	es.Add(0)
 	es.Add(1)
 	es.Add(2)
-	p, err = eng.ProbAllPresent(es)
+	p, err = eng.ProbLits(AllPresent(es))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPaper001Exact(t *testing.T) {
 		t.Fatalf("Pr(all) = %v, want 0.2", p)
 	}
 	// Pr(all absent) = 0.1.
-	p, err = eng.ProbAllAbsent(es)
+	p, err = eng.ProbLits(AllAbsent(es))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestNewIndependent(t *testing.T) {
 	es := graph.NewEdgeSet(3)
 	es.Add(0)
 	es.Add(1)
-	got, err := eng.ProbAllPresent(es)
+	got, err := eng.ProbLits(AllPresent(es))
 	if err != nil {
 		t.Fatal(err)
 	}
