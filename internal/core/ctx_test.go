@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,10 +14,16 @@ import (
 	"probgraph/internal/verify"
 )
 
+// slowHeavy is the number of heavy candidates in slowQueryEnv: twice the
+// widest pool a cancellation test runs, so that when a cancel lands after
+// an eighth of the serial scan, each worker holds at most one heavy
+// candidate and half of them are still unstarted.
+const slowHeavy = 8
+
 // slowQueryEnv builds a database and query on which a full QueryCtx run is
 // slow by construction, so that a cancel lands mid-scan: probabilistic
 // pruning is bypassed, ε lies below every candidate's bound V so the ladder
-// rejects none unsampled, and four heavy graphs carry a DNF over the
+// rejects none unsampled, and slowHeavy heavy graphs carry a DNF over the
 // elimination budget, each paying the full 150 000 samples. The helper
 // asserts both, so a change to the ladder or the generator cannot quietly
 // make the cancellation tests vacuous.
@@ -25,7 +32,7 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 	db, _ := smallDatabase(t, 2001, 16, true)
 	rng := rand.New(rand.NewSource(61))
 	q := dataset.ExtractQuery(db.View().Certain[0], 5, rng)
-	db = withHeavyGraphs(t, db, 2001, q, q, q, q)
+	db = withHeavyGraphs(t, db, 2001, slices.Repeat([]*graph.Graph{q}, slowHeavy)...)
 	opt := QueryOptions{
 		Epsilon: 0.01, Delta: 2, SkipProbPruning: true,
 		Verifier: VerifierSMP, Verify: verify.Options{N: 150000},
@@ -46,7 +53,7 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 			sampled++
 		}
 	}
-	if sampled < 4 {
+	if sampled < slowHeavy {
 		t.Fatalf("only %d of %d candidates reach the sampler; the fixture is not slow", sampled, len(scq))
 	}
 	return db, q, opt
@@ -112,7 +119,10 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 		t.Fatal("workload has no verification candidates; cancellation test is vacuous")
 	}
 
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	// Each worker count leaves unstarted heavy candidates when the cancel
+	// lands (slowHeavy); a pool as wide as their number would start them
+	// all at once and have nothing left to skip.
+	for _, workers := range []int{1, 2, slowHeavy / 2} {
 		baseline := runtime.NumGoroutine()
 		po := opt
 		po.Concurrency = workers

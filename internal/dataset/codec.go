@@ -2,16 +2,17 @@ package dataset
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"probgraph/internal/graph"
 	"probgraph/internal/prob"
 )
 
-// The database file format is line-oriented:
+// The database file format is the graph block grammar of internal/graph
+// with a "pgraph" header and JPT lines before end:
 //
 //	pgraph <name> [organism]
 //	v <id> <label>
@@ -20,12 +21,12 @@ import (
 //	p <2^k probabilities>
 //	end
 //
-// Names and labels go through graph.EncodeToken: "-" stands for the empty
-// string and whitespace/'#'/'%' are percent-escaped, so labels containing
-// spaces, comment markers, or any unicode round-trip intact. Blank lines
-// and '#' comments are ignored. Probabilities are printed with %g, which
-// emits the shortest representation that parses back to the identical
-// float64 — round-trips are bitwise-exact.
+// graph.Decoder and graph.EncodeBlock read and write everything but
+// the organism and the JPT lines, so names, labels, comments, vertex ids
+// and endpoints follow the graph codec's rules, and a jpt edge id, like an
+// endpoint, is a decimal that must fit an EdgeID. Probabilities are
+// printed with %g, which emits the shortest representation that parses
+// back to the identical float64: round-trips are bitwise-exact.
 
 // Save writes the database to w.
 func Save(w io.Writer, db *DB) error {
@@ -45,48 +46,27 @@ func Save(w io.Writer, db *DB) error {
 // EncodePGraph writes one pgraph block (certain graph + JPT factors) in the
 // database file format.
 func EncodePGraph(w io.Writer, pg *prob.PGraph, organism int) error {
-	if _, err := fmt.Fprintf(w, "pgraph %s %d\n", encTok(pg.G.Name()), organism); err != nil {
-		return err
-	}
-	for v := 0; v < pg.G.NumVertices(); v++ {
-		if _, err := fmt.Fprintf(w, "v %d %s\n", v, encTok(string(pg.G.VertexLabel(graph.VertexID(v))))); err != nil {
-			return err
+	return graph.EncodeBlock(w, pg.G, "pgraph", strconv.Itoa(organism), func(printf func(string, ...any)) {
+		for _, j := range pg.JPTs {
+			printf("jpt %d", len(j.Edges))
+			for _, e := range j.Edges {
+				printf(" %d", e)
+			}
+			printf("\np")
+			for _, p := range j.P {
+				printf(" %g", p)
+			}
+			printf("\n")
 		}
-	}
-	for _, e := range pg.G.Edges() {
-		if _, err := fmt.Fprintf(w, "e %d %d %s\n", e.U, e.V, encTok(string(e.Label))); err != nil {
-			return err
-		}
-	}
-	for _, j := range pg.JPTs {
-		if _, err := fmt.Fprintf(w, "jpt %d", len(j.Edges)); err != nil {
-			return err
-		}
-		for _, e := range j.Edges {
-			fmt.Fprintf(w, " %d", e)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprint(w, "p")
-		for _, p := range j.P {
-			fmt.Fprintf(w, " %g", p)
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "end")
-	return err
+	})
 }
 
-func encTok(s string) string { return graph.EncodeToken(s) }
+// PGraphDecoder reads a stream of pgraph blocks: it is the graph decoder
+// of the "pgraph" header and its JPT lines.
+type PGraphDecoder graph.Decoder
 
-func decTok(s string) string { return graph.DecodeToken(s) }
-
-// PGraphDecoder reads a stream of pgraph blocks.
-type PGraphDecoder struct {
-	sc   *bufio.Scanner
-	line int
-}
+// pgraphLines are the directives a pgraph block adds to a graph block.
+var pgraphLines = []string{"jpt", "p"}
 
 // maxLine is the longest line the dataset codec reads: a p row holds
 // 2^k probabilities, so it is longer than the graph codec's.
@@ -94,131 +74,78 @@ const maxLine = 64 << 20
 
 // NewPGraphDecoder returns a decoder reading from r.
 func NewPGraphDecoder(r io.Reader) *PGraphDecoder {
-	return &PGraphDecoder{sc: graph.NewLineScanner(r, maxLine)}
+	return (*PGraphDecoder)(graph.NewBlockDecoder(r, maxLine, "pgraph", pgraphLines...))
 }
 
 // Decode reads the next pgraph block, returning the graph and its organism
 // tag. It returns io.EOF when the stream is exhausted.
 func (d *PGraphDecoder) Decode() (*prob.PGraph, int, error) {
+	r := (*graph.Decoder)(d)
 	var (
-		b       *graph.Builder
-		nv      int // vertices of the open block
-		jpts    []prob.JPT
-		pending *prob.JPT
 		org     int
+		jpts    []prob.JPT
+		pending bool // the last of jpts awaits its p row
 	)
-	for d.sc.Scan() {
-		d.line++
-		text := strings.TrimSpace(d.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		f := strings.Fields(text)
-		switch f[0] {
-		case "pgraph":
-			if b != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: nested pgraph", d.line)
-			}
-			if len(f) < 2 {
-				return nil, 0, fmt.Errorf("dataset: line %d: want 'pgraph <name> [organism]'", d.line)
-			}
-			b = graph.NewBuilder(decTok(f[1]))
-			nv, org = 0, 0
-			if len(f) >= 3 {
-				v, err := strconv.Atoi(f[2])
-				if err != nil {
-					return nil, 0, fmt.Errorf("dataset: line %d: bad organism %q", d.line, f[2])
-				}
-				org = v
-			}
-		case "v":
-			if b == nil || len(f) != 3 {
-				return nil, 0, fmt.Errorf("dataset: line %d: bad vertex line", d.line)
-			}
-			// The id is the vertex's position, as in the graph codec: a
-			// block listing its vertices out of order would otherwise load
-			// with their labels swapped.
-			id, err := strconv.Atoi(f[1])
+	head := func(args []string) error {
+		if len(args) > 0 {
+			v, err := strconv.Atoi(args[0])
 			if err != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: bad vertex id %q", d.line, f[1])
+				return fmt.Errorf("bad organism %q", args[0])
 			}
-			if id != nv {
-				return nil, 0, fmt.Errorf("dataset: line %d: vertex ids must be dense and ordered, got %d want %d", d.line, id, nv)
+			org = v
+		}
+		return nil
+	}
+	jptLine := func(f []string) error {
+		switch {
+		case f[0] == "jpt" && pending:
+			return errors.New("jpt before previous probability row")
+		case f[0] == "jpt":
+			if len(f) < 3 {
+				return errors.New("want 'jpt <k> <edge1> … <edgek>'")
 			}
-			b.AddVertex(graph.Label(decTok(f[2])))
-			nv++
-		case "e":
-			if b == nil || len(f) != 4 {
-				return nil, 0, fmt.Errorf("dataset: line %d: bad edge line", d.line)
-			}
-			u, err1 := strconv.Atoi(f[1])
-			v, err2 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: bad endpoints", d.line)
-			}
-			if _, err := b.AddEdge(graph.VertexID(u), graph.VertexID(v), graph.Label(decTok(f[3]))); err != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: %v", d.line, err)
-			}
-		case "jpt":
-			if b == nil || len(f) < 3 {
-				return nil, 0, fmt.Errorf("dataset: line %d: bad jpt line", d.line)
-			}
-			if pending != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: jpt before previous probability row", d.line)
-			}
-			k, err := strconv.Atoi(f[1])
-			if err != nil || len(f) != 2+k {
-				return nil, 0, fmt.Errorf("dataset: line %d: jpt arity mismatch", d.line)
+			if k, err := strconv.Atoi(f[1]); err != nil || len(f) != 2+k {
+				return errors.New("jpt arity mismatch")
 			}
 			j := prob.JPT{}
 			for _, tok := range f[2:] {
-				e, err := strconv.Atoi(tok)
+				e, err := strconv.ParseInt(tok, 10, 32)
 				if err != nil {
-					return nil, 0, fmt.Errorf("dataset: line %d: bad edge id %q", d.line, tok)
+					return fmt.Errorf("bad edge id %q", tok)
 				}
 				j.Edges = append(j.Edges, graph.EdgeID(e))
 			}
-			pending = &j
-		case "p":
-			if pending == nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: probability row without jpt", d.line)
-			}
-			want := 1 << len(pending.Edges)
-			if len(f)-1 != want {
-				return nil, 0, fmt.Errorf("dataset: line %d: want %d probabilities, got %d", d.line, want, len(f)-1)
-			}
-			for _, tok := range f[1:] {
-				v, err := strconv.ParseFloat(tok, 64)
-				if err != nil {
-					return nil, 0, fmt.Errorf("dataset: line %d: bad probability %q", d.line, tok)
-				}
-				pending.P = append(pending.P, v)
-			}
-			jpts = append(jpts, *pending)
-			pending = nil
-		case "end":
-			if b == nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: stray end", d.line)
-			}
-			if pending != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: jpt without probability row", d.line)
-			}
-			pg, err := prob.New(b.Build(), jpts)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dataset: line %d: %w", d.line, err)
-			}
-			return pg, org, nil
-		default:
-			return nil, 0, fmt.Errorf("dataset: line %d: unknown directive %q", d.line, f[0])
+			jpts, pending = append(jpts, j), true
+			return nil
+		case !pending:
+			return errors.New("probability row without jpt")
 		}
+		j := &jpts[len(jpts)-1]
+		if want := 1 << len(j.Edges); len(f)-1 != want {
+			return fmt.Errorf("want %d probabilities, got %d", want, len(f)-1)
+		}
+		for _, tok := range f[1:] {
+			v, err := strconv.ParseFloat(tok, 64)
+			if err != nil {
+				return fmt.Errorf("bad probability %q", tok)
+			}
+			j.P = append(j.P, v)
+		}
+		pending = false
+		return nil
 	}
-	if err := d.sc.Err(); err != nil {
+	g, err := r.Read(head, jptLine)
+	if err != nil {
 		return nil, 0, err
 	}
-	if b != nil {
-		return nil, 0, fmt.Errorf("dataset: unterminated pgraph block at EOF")
+	if pending {
+		return nil, 0, r.Errorf("jpt without probability row")
 	}
-	return nil, 0, io.EOF
+	pg, err := prob.New(g, jpts)
+	if err != nil {
+		return nil, 0, r.Errorf("%w", err)
+	}
+	return pg, org, nil
 }
 
 // Load reads a database written by Save.

@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,7 +38,7 @@ func buildLabeled(t *testing.T, name string, vlabels []string, elabel string) *p
 	return pg
 }
 
-// TestRoundTripHostileLabels exercises encTok/decTok: labels and names with
+// TestRoundTripHostileLabels exercises the token escaping: labels and names with
 // spaces, '#', '%', a literal '-', tabs, and multi-byte unicode must
 // round-trip byte-for-byte through Save/Load.
 func TestRoundTripHostileLabels(t *testing.T) {
@@ -128,9 +132,10 @@ func TestDecodeRejectsMalformedBlocks(t *testing.T) {
 		{"vertices out of order", "pgraph g\nv 1 B\nv 0 A\nend\n", "line 2: vertex ids must be dense and ordered, got 1 want 0"},
 		{"vertex id gap", "pgraph g\nv 0 A\nv 2 B\nend\n", "line 3: vertex ids must be dense and ordered, got 2 want 1"},
 		{"vertex id not a number", "pgraph g\nv x A\nend\n", `line 2: bad vertex id "x"`},
-		{"vertex outside a block", "v 0 A\n", "line 1: bad vertex line"},
-		{"stray end", "end\n", "line 1: stray end"},
+		{"vertex outside a block", "v 0 A\n", `line 1: "v" line outside a graph block`},
+		{"stray end", "end\n", `line 1: "end" line outside a graph block`},
 		{"unterminated block", "pgraph g\nv 0 A\n", "unterminated pgraph block"},
+		{"jpt edge id outside int32", wrappedJPTEdge, `line 5: bad edge id "4294967296"`},
 	}
 	for _, c := range cases {
 		_, _, err := NewPGraphDecoder(strings.NewReader(c.text)).Decode()
@@ -148,9 +153,10 @@ func TestDecodeRejectsMalformedBlocks(t *testing.T) {
 
 // TestDecodersReadIntegersStrictly: a vertex id or edge endpoint with
 // trailing junk is an error in both text decoders — the query-graph codec
-// and the dataset codec — never the number its leading digits spell.
+// and the dataset codec — never the number its leading digits spell, and
+// so is an endpoint outside int32, never the id its conversion wraps to.
 func TestDecodersReadIntegersStrictly(t *testing.T) {
-	for _, row := range []string{"v 1junk B", "e 0x1 2 x", "e 1.9 2 x", "e 1 2x x"} {
+	for _, row := range []string{"v 1junk B", "e 0x1 2 x", "e 1.9 2 x", "e 1 2x x", "e 4294967296 4294967297 x"} {
 		body := "v 0 A\n" + row + "\n"
 		if row[0] == 'e' {
 			body = "v 0 A\nv 1 B\nv 2 C\n" + row + "\n"
@@ -164,25 +170,76 @@ func TestDecodersReadIntegersStrictly(t *testing.T) {
 	}
 }
 
-// TestEncDecTok checks the token escaping directly, including the
-// empty-vs-dash distinction.
-func TestEncDecTok(t *testing.T) {
-	cases := []string{"", "-", "%2D", "a b", "#", "%", "% ", "héllo 世界", "plain", "C0"}
-	for _, s := range cases {
-		enc := encTok(s)
-		if strings.ContainsAny(enc, " \t\r\n") {
-			t.Errorf("encTok(%q) = %q contains whitespace", s, enc)
-		}
-		if strings.HasPrefix(enc, "#") {
-			t.Errorf("encTok(%q) = %q starts a comment", s, enc)
-		}
-		if got := decTok(enc); got != s {
-			t.Errorf("decTok(encTok(%q)) = %q", s, got)
+// TestEncodePGraphWriteErrors: a write that fails anywhere in a block, JPT
+// rows included, is EncodePGraph's error, never a nil return after a cut
+// block.
+func TestEncodePGraphWriteErrors(t *testing.T) {
+	pg, _, err := NewPGraphDecoder(strings.NewReader(sixEdgeBlock)).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := &failingWriter{fail: -1}
+	if err := EncodePGraph(all, pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range all.writes {
+		if err := EncodePGraph(&failingWriter{fail: i}, pg, 0); err == nil {
+			t.Errorf("write %d of %d failed, EncodePGraph returned nil", i, all.writes)
 		}
 	}
-	// Legacy compatibility: plain tokens decode to themselves and "-" to "".
-	if decTok("-") != "" || decTok("C0") != "C0" {
-		t.Error("legacy token decoding broken")
+}
+
+// failingWriter counts its writes and fails the one numbered fail.
+type failingWriter struct{ writes, fail int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes-1 == w.fail {
+		return 0, errors.New("write failed")
+	}
+	return len(p), nil
+}
+
+// TestFormatsAgree: a query block and the same block read as a pgraph
+// block, header rewritten, decode to the same certain graph, or are both
+// rejected at the same line. It runs over FuzzDecodeGraph's seeds and
+// malformed blocks.
+func TestFormatsAgree(t *testing.T) {
+	texts := append(slices.Clone(graphSeeds),
+		"g q\nv 1 B\nv 0 A\nend\n",                   // vertex ids out of order
+		"g q\nv 0 A\nv 2 B\nend\n",                   // vertex id gap
+		"g q\nv 0 A\nfrob 1 2\nend\n",                // unknown directive
+		"g q\nv 0 A\ng r\nv 0 B\nend\n",              // nested header
+		"g q\nv 0 A\n",                               // unterminated block
+		"end\n",                                      // stray end
+		"g q\nv 0 A\nend\nend\n",                     // stray end after a block
+		"v 0 A\n",                                    // vertex outside a block
+		"g\nend\n",                                   // header without a name
+		"g q r\nend\n",                               // header with a bad argument
+		"g q\nv 0 A\ne 0 1 x\nend\n",                 // endpoint names no vertex
+		"g q\nv 0 A\nv 1 B\ne 0 x x\nend\n",          // endpoint not a number
+		"g q\nv 0 A\nv 1 B\ne 0 1\nend\n",            // edge line without a label
+		"g q\nv 0 A\nv 1 B\ne 0 1 x\ne 1 0 y\nend\n", // duplicate edge
+		"# head\n\n  g  q \n v 0 A\nv 1 %2D\ne 1 0 -\nend\n# tail\n",
+	)
+	lineOf := regexp.MustCompile(`line \d+:`)
+	for _, text := range texts {
+		gd := graph.NewDecoder(strings.NewReader(text))
+		pd := NewPGraphDecoder(strings.NewReader(asPGraph(text)))
+		for {
+			g, gerr := gd.Decode()
+			pg, org, perr := pd.Decode()
+			if gerr != nil || perr != nil {
+				if gerr == nil || perr == nil || (gerr == io.EOF) != (perr == io.EOF) ||
+					lineOf.FindString(gerr.Error()) != lineOf.FindString(perr.Error()) {
+					t.Errorf("%q: query format says %v, pgraph format %v", text, gerr, perr)
+				}
+				break
+			}
+			if !samePGraph(&prob.PGraph{G: g}, pg) || org != 0 {
+				t.Errorf("%q: the formats decode different graphs", text)
+			}
+		}
 	}
 }
 
@@ -223,6 +280,28 @@ func TestGeneratedRoundTripExact(t *testing.T) {
 	}
 }
 
+// TestEncDecTok checks the token escaping that pgraph blocks write names
+// and labels through, including the empty-vs-dash distinction.
+func TestEncDecTok(t *testing.T) {
+	cases := []string{"", "-", "%2D", "a b", "#", "%", "% ", "héllo 世界", "plain", "C0"}
+	for _, s := range cases {
+		enc := graph.EncodeToken(s)
+		if strings.ContainsAny(enc, " \t\r\n") {
+			t.Errorf("EncodeToken(%q) = %q contains whitespace", s, enc)
+		}
+		if strings.HasPrefix(enc, "#") {
+			t.Errorf("EncodeToken(%q) = %q starts a comment", s, enc)
+		}
+		if got := graph.DecodeToken(enc); got != s {
+			t.Errorf("DecodeToken(EncodeToken(%q)) = %q", s, got)
+		}
+	}
+	// Legacy compatibility: plain tokens decode to themselves and "-" to "".
+	if graph.DecodeToken("-") != "" || graph.DecodeToken("C0") != "C0" {
+		t.Error("legacy token decoding broken")
+	}
+}
+
 // TestDecodeLongToken: a line far longer than the scanner's start buffer
 // decodes; the buffer grows to fit it.
 func TestDecodeLongToken(t *testing.T) {
@@ -258,5 +337,19 @@ func TestDecodePGraphSteadyStateBytes(t *testing.T) {
 	t.Logf("%d B per decode", n)
 	if n > 4<<10 {
 		t.Errorf("decoding a six-edge pgraph block allocates %d B, want <= 4 KiB", n)
+	}
+}
+
+// sixEdgeBlock is the block TestDecodePGraphSteadyStateBytes parses: a
+// POST /graphs payload of six edges and one JPT.
+const sixEdgeBlock = "pgraph g6 0\nv 0 C3\nv 1 C5\nv 2 C2\nv 3 C1\nv 4 C0\nv 5 C4\ne 1 3 -\ne 0 4 -\ne 2 4 -\ne 2 3 -\ne 0 5 -\ne 1 5 -\njpt 2 0 1\np 0.1 0.2 0.3 0.4\nend\n"
+
+// BenchmarkDecodePGraph times the parse of a POST /graphs payload.
+func BenchmarkDecodePGraph(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := NewPGraphDecoder(strings.NewReader(sixEdgeBlock)).Decode(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,37 +2,64 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Encode writes g in the line-oriented text format of query files, which
-// the dataset file format extends:
+// The text grammar of graphs is line-oriented, one block per graph:
 //
-//	g <name>
+//	<header> <name> [args]
 //	v <id> <label>
 //	e <u> <v> <label>
 //	end
 //
-// Names and labels are written through EncodeToken, so arbitrary strings —
-// spaces, '#', '%', unicode — round-trip intact.
-func Encode(w io.Writer, g *Graph) error {
-	if _, err := fmt.Fprintf(w, "g %s\n", EncodeToken(g.Name())); err != nil {
-		return err
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if _, err := fmt.Fprintf(w, "v %d %s\n", v, EncodeToken(string(g.VertexLabel(VertexID(v))))); err != nil {
-			return err
+// The query format's header is "g <name>" and its blocks hold nothing
+// else. The dataset format (internal/dataset) opens a block with "pgraph
+// <name> [organism]" and adds its JPT lines before end. Both formats are
+// read by Decoder and written by EncodeBlock, so the scanner, the line
+// numbers and the error text of the grammar live here once; each format
+// keeps its own line cap. The i-th v line of a block must say i: a vertex
+// is placed by its position, so ids out of order would otherwise load
+// with their labels swapped. An edge endpoint is a decimal that must fit a
+// VertexID and name a vertex of the block: a number outside int32 is an
+// error, never a wrapped id. Blank lines and '#' comments are skipped.
+// Names and labels are written through EncodeToken, so arbitrary strings
+// (spaces, '#', '%', unicode) round-trip intact.
+
+// Encode writes g as a query-format block.
+func Encode(w io.Writer, g *Graph) error { return EncodeBlock(w, g, "g", "", nil) }
+
+// EncodeBlock writes g as one block: the header line "<header> <name>",
+// followed by args when it is not empty, g's v and e lines, the lines
+// extra prints through printf (when extra is not nil) and end. After a
+// failed write nothing more is written, and EncodeBlock returns that
+// write's error.
+func EncodeBlock(w io.Writer, g *Graph, header, args string, extra func(printf func(format string, a ...any))) error {
+	var err error
+	printf := func(format string, a ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, a...)
 		}
+	}
+	printf("%s %s", header, EncodeToken(g.Name()))
+	if args != "" {
+		printf(" %s", args)
+	}
+	printf("\n")
+	for v, l := range g.vlabel {
+		printf("v %d %s\n", v, EncodeToken(string(l)))
 	}
 	for _, e := range g.edges {
-		if _, err := fmt.Fprintf(w, "e %d %d %s\n", e.U, e.V, EncodeToken(string(e.Label))); err != nil {
-			return err
-		}
+		printf("e %d %d %s\n", e.U, e.V, EncodeToken(string(e.Label)))
 	}
-	_, err := fmt.Fprintln(w, "end")
+	if extra != nil {
+		extra(printf)
+	}
+	printf("end\n")
 	return err
 }
 
@@ -111,38 +138,44 @@ func unhex(c byte) (byte, bool) {
 	return 0, false
 }
 
-func decLabel(s string) Label {
-	return Label(DecodeToken(s))
-}
-
-// Decoder reads a stream of graphs in the Encode format.
+// A Decoder reads the blocks of one text format built on the graph
+// grammar.
 type Decoder struct {
-	sc   *bufio.Scanner
-	line int
+	sc         *bufio.Scanner
+	line       int
+	header     string
+	directives []string
 }
 
-// maxLine is the longest line the graph codec reads; a longer one fails
-// with bufio.ErrTooLong.
+// maxLine is the longest line the query format reads.
 const maxLine = 16 << 20
 
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{sc: NewLineScanner(r, maxLine)}
-}
+// NewDecoder returns a Decoder of the query format reading from r.
+func NewDecoder(r io.Reader) *Decoder { return NewBlockDecoder(r, maxLine, "g") }
 
-// NewLineScanner returns the line scanner of the text codecs. Its buffer
-// starts with room for one ordinary line and doubles as longer lines
-// arrive, up to limit bytes, so what a decode allocates grows with the
-// text: a request's query graph is a few hundred bytes.
-func NewLineScanner(r io.Reader, limit int) *bufio.Scanner {
+// NewBlockDecoder returns a Decoder of the blocks in r. header is the
+// keyword that opens a block, and directives are the keywords of the lines
+// the format adds to a block, which Read hands to its caller. The line
+// buffer starts with room for one ordinary line and doubles as longer
+// lines arrive, up to maxLine bytes, so what a decode allocates grows with
+// the text (a request's query graph is a few hundred bytes); a longer
+// line fails with bufio.ErrTooLong.
+func NewBlockDecoder(r io.Reader, maxLine int, header string, directives ...string) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 512), limit)
-	return sc
+	sc.Buffer(make([]byte, 0, 512), maxLine)
+	return &Decoder{sc: sc, header: header, directives: directives}
 }
 
-// Decode reads the next graph. It returns io.EOF when the stream is
-// exhausted.
-func (d *Decoder) Decode() (*Graph, error) {
+// Decode reads the next graph of a block without arguments or directive
+// lines. It returns io.EOF when the stream is exhausted.
+func (d *Decoder) Decode() (*Graph, error) { return d.Read(nil, nil) }
+
+// Read reads the next block and returns its graph, or io.EOF when the
+// stream holds no further block. head receives the header's fields after
+// the name; when head is nil the header must be "<header> <name>". extra
+// receives the fields of every directive line of the block. An error
+// either returns is reported at its line.
+func (d *Decoder) Read(head, extra func(f []string) error) (*Graph, error) {
 	var b *Builder
 	for d.sc.Scan() {
 		d.line++
@@ -150,63 +183,81 @@ func (d *Decoder) Decode() (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "g":
-			if b != nil {
-				return nil, fmt.Errorf("graph codec line %d: nested graph header", d.line)
+		f := strings.Fields(line)
+		if b == nil && f[0] != d.header {
+			return nil, d.Errorf("%q line outside a graph block", f[0])
+		}
+		var err error
+		switch f[0] {
+		case d.header:
+			switch {
+			case b != nil:
+				return nil, d.Errorf("nested graph header")
+			case len(f) < 2 || head == nil && len(f) > 2:
+				return nil, d.Errorf("want '%s <name>'", d.header)
+			case head != nil:
+				err = head(f[2:])
 			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("graph codec line %d: want 'g <name>'", d.line)
-			}
-			b = NewBuilder(DecodeToken(fields[1]))
+			b = NewBuilder(DecodeToken(f[1]))
 		case "v":
-			if b == nil {
-				return nil, fmt.Errorf("graph codec line %d: vertex outside graph block", d.line)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph codec line %d: want 'v <id> <label>'", d.line)
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph codec line %d: bad vertex id %q", d.line, fields[1])
-			}
-			if id != len(b.vlabel) {
-				return nil, fmt.Errorf("graph codec line %d: vertex ids must be dense and ordered, got %d want %d", d.line, id, len(b.vlabel))
-			}
-			b.AddVertex(decLabel(fields[2]))
+			err = b.vertexLine(f)
 		case "e":
-			if b == nil {
-				return nil, fmt.Errorf("graph codec line %d: edge outside graph block", d.line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("graph codec line %d: want 'e <u> <v> <label>'", d.line)
-			}
-			u, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph codec line %d: bad endpoint %q", d.line, fields[1])
-			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("graph codec line %d: bad endpoint %q", d.line, fields[2])
-			}
-			if _, err := b.AddEdge(VertexID(u), VertexID(v), decLabel(fields[3])); err != nil {
-				return nil, fmt.Errorf("graph codec line %d: %v", d.line, err)
-			}
+			err = b.edgeLine(f)
 		case "end":
-			if b == nil {
-				return nil, fmt.Errorf("graph codec line %d: 'end' outside graph block", d.line)
-			}
 			return b.Build(), nil
 		default:
-			return nil, fmt.Errorf("graph codec line %d: unknown directive %q", d.line, fields[0])
+			if !slices.Contains(d.directives, f[0]) {
+				return nil, d.Errorf("unknown directive %q", f[0])
+			}
+			err = extra(f)
+		}
+		if err != nil {
+			return nil, d.Errorf("%w", err)
 		}
 	}
 	if err := d.sc.Err(); err != nil {
 		return nil, err
 	}
 	if b != nil {
-		return nil, fmt.Errorf("graph codec: unterminated graph block at EOF")
+		return nil, fmt.Errorf("graph codec: unterminated %s block at EOF", d.header)
 	}
 	return nil, io.EOF
+}
+
+// Errorf returns an error at the line Read read last.
+func (d *Decoder) Errorf(format string, a ...any) error {
+	return fmt.Errorf("graph codec line %d: %w", d.line, fmt.Errorf(format, a...))
+}
+
+// vertexLine adds the vertex of a "v <id> <label>" line.
+func (b *Builder) vertexLine(f []string) error {
+	if len(f) != 3 {
+		return errors.New("want 'v <id> <label>'")
+	}
+	id, err := strconv.Atoi(f[1])
+	if err != nil {
+		return fmt.Errorf("bad vertex id %q", f[1])
+	}
+	if id != len(b.vlabel) {
+		return fmt.Errorf("vertex ids must be dense and ordered, got %d want %d", id, len(b.vlabel))
+	}
+	b.AddVertex(Label(DecodeToken(f[2])))
+	return nil
+}
+
+// edgeLine adds the edge of an "e <u> <v> <label>" line.
+func (b *Builder) edgeLine(f []string) error {
+	if len(f) != 4 {
+		return errors.New("want 'e <u> <v> <label>'")
+	}
+	var uv [2]VertexID
+	for i, s := range f[1:3] {
+		n, err := strconv.ParseInt(s, 10, 32)
+		if err != nil {
+			return fmt.Errorf("bad endpoint %q", s)
+		}
+		uv[i] = VertexID(n)
+	}
+	_, err := b.AddEdge(uv[0], uv[1], Label(DecodeToken(f[3])))
+	return err
 }

@@ -91,6 +91,10 @@ func TestTokenEscaping(t *testing.T) {
 // about a hundred bytes.
 const sixEdgeQuery = "g q6\nv 0 C3\nv 1 C5\nv 2 C2\nv 3 C1\nv 4 C0\nv 5 C4\ne 1 3 -\ne 0 4 -\ne 2 4 -\ne 2 3 -\ne 0 5 -\ne 1 5 -\nend\n"
 
+// wrappedIDs names its edge's endpoints by numbers outside int32 that a
+// conversion without a range check wraps to the valid ids 0 and 1.
+const wrappedIDs = "g q\nv 0 A\nv 1 B\ne 4294967296 4294967297 x\nend\n"
+
 // bytesPerRun returns the heap bytes one call of f allocates, averaged
 // over runs calls.
 func bytesPerRun(runs int, f func()) uint64 {
@@ -137,5 +141,15 @@ func TestDecodeLineCap(t *testing.T) {
 	_, err = NewDecoder(strings.NewReader("g " + strings.Repeat("x", maxLine) + "\nend\n")).Decode()
 	if !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("line over %d bytes: %v, want bufio.ErrTooLong", maxLine, err)
+	}
+}
+
+// BenchmarkDecodeQuery times the parse of a request's query text.
+func BenchmarkDecodeQuery(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewDecoder(strings.NewReader(sixEdgeQuery)).Decode(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

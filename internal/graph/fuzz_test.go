@@ -16,7 +16,7 @@ func FuzzTokenRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		"", "-", "a", "hello world", "%", "%%", "%zz", "50%", "50%AB",
 		"a\nb", "tab\there", "ret\rurn", "#comment", "héllo", "%25",
-		string([]byte{0xff, 0x00, 0x25}),
+		string([]byte{0xff, 0x00, 0x25}), "%2D", "% ", "héllo 世界", "C0",
 	} {
 		f.Add(s)
 	}
@@ -44,6 +44,7 @@ func FuzzDecodeGraph(f *testing.F) {
 	f.Add([]byte(sixEdgeQuery))
 	f.Add([]byte("g a\nv 0 A\nv 1 B\ne 0 1 x\nend\ng b\nv 0 C\nend\n"))
 	f.Add([]byte("g long\nv 0 " + strings.Repeat("x", 8<<10) + "\nend\n"))
+	f.Add([]byte(wrappedIDs))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dec := NewDecoder(bytes.NewReader(in))
 		for {

@@ -385,6 +385,7 @@ func TestCodecErrors(t *testing.T) {
 		"g x\ng y\n",                        // nested header
 		"g x\nv 0 a\nfrob 1 2\n",            // unknown directive
 		"g x\nv 0 a\nv 1 a\ne 0 0 l\nend\n", // self loop via codec
+		wrappedIDs,                          // endpoints that wrap to 0 and 1 in int32
 	}
 	for i, in := range cases {
 		dec := NewDecoder(bytes.NewReader([]byte(in)))

@@ -97,52 +97,43 @@ func GraphToJSON(g *graph.Graph) *GraphJSON {
 }
 
 // errMoreThanOne refuses a graph_text with anything but blank and '#'
-// lines after its first graph, which would otherwise go unread.
+// lines after its first block, which would otherwise go unread.
 var errMoreThanOne = errors.New("graph_text holds more than one graph")
 
-// parseGraphPayload resolves the two ways a request can carry a query
-// graph: structured JSON (graph) or the text codec (graph_text, the format
-// written by pggen -query / probgraph.SaveGraph).
-func parseGraphPayload(gj *GraphJSON, text string) (*graph.Graph, error) {
+// graphPayload resolves the two ways a request carries a graph: structured
+// JSON (graph), built by fromJSON, or exactly one block of a text format
+// (graph_text), whose blocks blocks reads in turn: the query format
+// written by pggen -query / probgraph.SaveGraph for queries, a dataset
+// pgraph block for /graphs.
+func graphPayload[T any](gj *GraphJSON, text string, fromJSON func(*GraphJSON) (T, error), blocks func(io.Reader) func() (T, error)) (T, error) {
+	var zero T
 	switch {
 	case gj != nil && text != "":
-		return nil, fmt.Errorf("give either graph or graph_text, not both")
+		return zero, errors.New("give either graph or graph_text, not both")
 	case gj != nil:
-		return GraphFromJSON(gj)
-	case text != "":
-		dec := graph.NewDecoder(strings.NewReader(text))
-		g, err := dec.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("graph_text: %v", err)
-		}
-		if _, err := dec.Decode(); err != io.EOF {
-			return nil, errMoreThanOne
-		}
-		return g, nil
-	default:
-		return nil, fmt.Errorf("missing query graph (graph or graph_text)")
+		return fromJSON(gj)
+	case text == "":
+		return zero, errors.New("missing graph (graph or graph_text)")
 	}
+	next := blocks(strings.NewReader(text))
+	v, err := next()
+	if err != nil {
+		return zero, fmt.Errorf("graph_text: %v", err)
+	}
+	if _, err := next(); err != io.EOF {
+		return zero, errMoreThanOne
+	}
+	return v, nil
 }
 
-// parsePGraphPayload is parseGraphPayload for probabilistic graphs: the
-// text form is a dataset pgraph block.
-func parsePGraphPayload(gj *GraphJSON, text string) (*prob.PGraph, error) {
-	switch {
-	case gj != nil && text != "":
-		return nil, fmt.Errorf("give either graph or graph_text, not both")
-	case gj != nil:
-		return PGraphFromJSON(gj)
-	case text != "":
-		dec := dataset.NewPGraphDecoder(strings.NewReader(text))
-		pg, _, err := dec.Decode()
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := dec.Decode(); err != io.EOF {
-			return nil, errMoreThanOne
-		}
-		return pg, nil
-	default:
-		return nil, fmt.Errorf("missing graph (graph or graph_text)")
+// queryBlocks reads the blocks of the query format.
+func queryBlocks(r io.Reader) func() (*graph.Graph, error) { return graph.NewDecoder(r).Decode }
+
+// pgraphBlocks reads the pgraph blocks of the dataset format.
+func pgraphBlocks(r io.Reader) func() (*prob.PGraph, error) {
+	d := dataset.NewPGraphDecoder(r)
+	return func() (*prob.PGraph, error) {
+		pg, _, err := d.Decode()
+		return pg, err
 	}
 }

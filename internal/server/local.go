@@ -320,7 +320,7 @@ func (l *local) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBody(w, r, &req) {
 		return
 	}
-	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
+	pg, err := graphPayload(req.Graph, req.GraphText, PGraphFromJSON, pgraphBlocks)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -378,7 +378,7 @@ func (l *local) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBody(w, r, &req) {
 		return
 	}
-	pg, err := parsePGraphPayload(req.Graph, req.GraphText)
+	pg, err := graphPayload(req.Graph, req.GraphText, PGraphFromJSON, pgraphBlocks)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -134,7 +134,7 @@ func TestRemoveAndReplaceEndpoints(t *testing.T) {
 	if _, err := lib.RemoveGraph(victim); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := parsePGraphPayload(nil, text)
+	pg, err := graphPayload(nil, text, PGraphFromJSON, pgraphBlocks)
 	if err != nil {
 		t.Fatal(err)
 	}

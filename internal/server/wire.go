@@ -141,7 +141,7 @@ func Accept[Q any](w http.ResponseWriter, r *http.Request, req any, check func()
 // It is the whole bad-request path (400) of /query; whatever fails later
 // is an evaluation failure (422).
 func (req *QueryRequest) Check() (*graph.Graph, core.QueryOptions, error) {
-	q, err := parseGraphPayload(req.Graph, req.GraphText)
+	q, err := graphPayload(req.Graph, req.GraphText, GraphFromJSON, queryBlocks)
 	if err != nil {
 		return nil, core.QueryOptions{}, err
 	}
@@ -181,7 +181,7 @@ func (req *BatchRequest) Check() ([]*graph.Graph, core.QueryOptions, error) {
 		qs = append(qs, q)
 	}
 	for i, text := range req.QueryTexts {
-		q, err := parseGraphPayload(nil, text)
+		q, err := graphPayload(nil, text, GraphFromJSON, queryBlocks)
 		if err != nil {
 			return nil, core.QueryOptions{}, fmt.Errorf("query %d: %v", i, err)
 		}
