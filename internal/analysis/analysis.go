@@ -6,8 +6,9 @@
 //   - detrange:  determinism — no map iteration in query/render-path
 //     packages without an order-insensitivity justification, and no
 //     global math/rand state outside tests.
-//   - spanclose: span hygiene — every obs span started in a function is
-//     closed on every return path, error returns included.
+//   - spanclose: span hygiene — every obs span is ended by a defer on the
+//     statement after the one that opens it, so it closes on every
+//     return, error and panic (obs.Stage is that shape).
 //   - ctxflow:   context flow — a function that receives a
 //     context.Context never launders it through context.Background() and
 //     never calls the ctx-less variant of a callee that has one.

@@ -2,37 +2,30 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// SpanClose enforces the PR 7 span-hygiene invariant statically: every
-// obs span opened in a function (a call to a Child or Root method whose
-// result is a Span) must be closed — End or EndCount — on every path out
-// of the function, error returns included. The runtime sweep (the
-// Err-counting cancel tests) only proves it for exercised paths; this
-// pass proves it for all of them.
+// SpanClose enforces span hygiene by construction. The span a Child or
+// Root call returns (a call to a method or function of that name whose
+// static result is a named type Span) must be bound to a variable and
+// ended by a defer on the very next statement of the same block:
 //
-// The walk is a small branch-sensitive abstract interpretation over the
-// statement tree:
+//	sp := parent.Child("stage")
+//	defer sp.End() // or defer sp.EndCount(n), or defer func() { …sp.End… }()
 //
-//   - an assignment from a Child/Root call opens the assigned variable;
-//   - v.End() / v.EndCount(n) / defer v.End() closes it (a deferred close
-//     covers every subsequent path by construction);
-//   - at a return, every still-open span is a finding — unless the span
-//     itself is among the returned values (ownership transfer);
-//   - if/switch/select branches are walked on cloned state and merged: a
-//     span survives as open unless every non-terminating branch closed it;
-//   - loop bodies are walked on cloned state; closes inside a loop do not
-//     count for code after it (the body may run zero times), and a span
-//     opened inside a loop body must close inside that body;
-//   - function literals are independent scopes, each checked on its own.
+// Nothing can leave the function between the open and the defer, so the
+// span ends on every return, error and panic, and no path needs walking.
+// Pipeline stages get that shape from obs.Stage, the one function that
+// opens a stage span. Every other creator call is a finding: a discarded
+// result, a span ended by hand (even on every path), one handed to a
+// caller or a struct, one whose defer comes after a statement that could
+// return first.
 //
-// Escape hatch: //pgvet:spanok <why> on the offending line or the
-// function suppresses, with the justification mandatory.
+// Escape hatch: //pgvet:spanok <why> on the opening line or the function
+// suppresses, with the justification mandatory.
 var SpanClose = &Analyzer{
 	Name: "spanclose",
-	Doc:  "every obs span opened in a function is closed on every return path",
+	Doc:  "every obs span is ended by a defer on the statement after the one that opens it",
 	Run:  runSpanClose,
 }
 
@@ -40,419 +33,129 @@ func runSpanClose(pkgs []*Package, report func(Diagnostic)) {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			ds := parseDirectives(pkg.Fset, file)
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+			// verdict holds the finding for each creator call that opens a
+			// statement, "" when the next statement defers its end.
+			verdict := map[*ast.CallExpr]string{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch b := n.(type) {
+				case *ast.BlockStmt:
+					list = b.List
+				case *ast.CaseClause:
+					list = b.Body
+				case *ast.CommClause:
+					list = b.Body
 				}
-				w := &spanWalker{pkg: pkg, file: file, ds: ds, fn: fd, report: report}
-				w.checkBody(fd.Body)
-				// Function literals anywhere in the declaration (including
-				// nested ones) are their own scopes.
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						lw := &spanWalker{pkg: pkg, file: file, ds: ds, fn: fd, report: report}
-						lw.checkBody(lit.Body)
-					}
-					return true
-				})
-			}
-		}
-	}
-}
-
-// spanWalker carries one function-scope check.
-type spanWalker struct {
-	pkg    *Package
-	file   *ast.File
-	ds     directives
-	fn     *ast.FuncDecl
-	report func(Diagnostic)
-}
-
-// openSet maps an open span variable to the position it was opened at.
-type openSet map[types.Object]token.Pos
-
-func (o openSet) clone() openSet {
-	c := make(openSet, len(o))
-	for k, v := range o { //pgvet:sorted analysis-internal state clone; diagnostics are sorted at the end
-		c[k] = v
-	}
-	return c
-}
-
-func (w *spanWalker) checkBody(body *ast.BlockStmt) {
-	open := openSet{}
-	terminated := w.walk(body.List, open)
-	if !terminated {
-		for obj, pos := range open { //pgvet:sorted diagnostics are position-sorted after collection
-			w.leak(pos, obj, "end")
-		}
-	}
-}
-
-func (w *spanWalker) leak(pos token.Pos, obj types.Object, format string) {
-	p := w.pkg.Fset.Position(pos)
-	if ok, unjustified := suppressed(w.ds, w.pkg.Fset, w.fn, p.Line, "spanok"); ok {
-		return
-	} else if unjustified {
-		w.report(Diagnostic{Pos: p, Message: "//pgvet:spanok annotation is missing its one-line justification"})
-		return
-	}
-	msg := "span " + obj.Name() + " may leak"
-	switch format {
-	case "end":
-		msg = "span " + obj.Name() + " not closed before the function ends"
-	case "loop":
-		msg = "span " + obj.Name() + " opened inside a loop is not closed within the loop body"
-	case "reopen":
-		msg = "span " + obj.Name() + " reassigned while still open; close it first"
-	case "drop":
-		msg = "span result discarded without being closed"
-	}
-	w.report(Diagnostic{Pos: p, Message: msg})
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// walk processes stmts sequentially, mutating open, and reports findings.
-// It returns true when the statement list definitely terminates (returns,
-// panics, or exits) — callers use that to drop a branch's state from
-// merges.
-func (w *spanWalker) walk(stmts []ast.Stmt, open openSet) bool {
-	for _, stmt := range stmts {
-		if w.walkStmt(stmt, open) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *spanWalker) walkStmt(stmt ast.Stmt, open openSet) bool {
-	w.compositeTransfers(stmt, open)
-	switch s := stmt.(type) {
-	case *ast.AssignStmt:
-		w.handleAssign(s, open)
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if w.isCreator(call) {
-				w.leak(call.Pos(), fakeObj{}, "drop")
-				return false
-			}
-			if obj := w.closedVar(call); obj != nil {
-				delete(open, obj)
-			}
-			return w.isTerminalCall(call)
-		}
-	case *ast.DeferStmt:
-		if obj := w.closedVar(s.Call); obj != nil {
-			delete(open, obj) // a deferred close covers every later path
-			return false
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// defer func() { ... sp.End() ... }(): closes inside the
-			// deferred literal cover every later path too.
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if obj := w.closedVar(call); obj != nil {
-						delete(open, obj)
+				for i, st := range list {
+					if call, msg := openedSpan(pkg, st, list[i+1:]); call != nil {
+						verdict[call] = msg
 					}
 				}
 				return true
 			})
-		}
-	case *ast.GoStmt:
-		if obj := w.closedVar(s.Call); obj != nil {
-			delete(open, obj)
-		}
-	case *ast.ReturnStmt:
-		returned := map[types.Object]bool{}
-		for _, res := range s.Results {
-			if id, ok := res.(*ast.Ident); ok {
-				if obj := w.pkg.Info.Uses[id]; obj != nil {
-					returned[obj] = true
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isSpanCreator(pkg, call) {
+					return true
 				}
-			}
+				msg, seen := verdict[call]
+				if !seen {
+					msg = "span is not bound to a variable and ended by a defer on the next statement; open stage spans with obs.Stage"
+				}
+				if msg == "" {
+					return true
+				}
+				p := pkg.Fset.Position(call.Pos())
+				if ok, unjustified := suppressed(ds, pkg.Fset, enclosingFunc(file, call.Pos()), p.Line, "spanok"); ok {
+					return true
+				} else if unjustified {
+					msg = "//pgvet:spanok annotation is missing its one-line justification"
+				}
+				report(Diagnostic{Pos: p, Message: msg})
+				return true
+			})
 		}
-		for obj, pos := range open { //pgvet:sorted diagnostics are position-sorted after collection
-			if returned[obj] {
-				continue // ownership transferred to the caller
-			}
-			// Report at the return site but reference the open position;
-			// suppression is checked at the return's line.
-			p := w.pkg.Fset.Position(s.Pos())
-			if ok, unjustified := suppressed(w.ds, w.pkg.Fset, w.fn, p.Line, "spanok"); ok {
-				continue
-			} else if unjustified {
-				w.report(Diagnostic{Pos: p, Message: "//pgvet:spanok annotation is missing its one-line justification"})
-				continue
-			}
-			w.report(Diagnostic{Pos: p, Message: "span " + obj.Name() +
-				" not closed on this return path (opened at line " + itoa(w.pkg.Fset.Position(pos).Line) +
-				"); call End/EndCount before returning"})
-		}
-		return true
-	case *ast.BlockStmt:
-		return w.walk(s.List, open)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, open)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, open)
-		}
-		thenSt := open.clone()
-		thenTerm := w.walk(s.Body.List, thenSt)
-		elseSt := open.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseSt)
-		}
-		mergeBranches(open, []openSet{thenSt, elseSt}, []bool{thenTerm, elseTerm})
-		return thenTerm && elseTerm
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.walkBranches(s, open)
-	case *ast.ForStmt:
-		w.walkLoop(s.Body, open)
-	case *ast.RangeStmt:
-		w.walkLoop(s.Body, open)
 	}
-	return false
 }
 
-// compositeTransfers removes from open any span stored into a composite
-// literal within a leaf statement: c := carrier{span: sp} (or return
-// carrier{sp}) hands ownership to whatever holds the literal, exactly
-// like assigning to a field — which already stops tracking. Branch and
-// loop statements are skipped here; their nested leaves each pass
-// through walkStmt and get their own check.
-func (w *spanWalker) compositeTransfers(stmt ast.Stmt, open openSet) {
-	switch stmt.(type) {
-	case *ast.AssignStmt, *ast.ExprStmt, *ast.ReturnStmt, *ast.DeclStmt,
-		*ast.DeferStmt, *ast.GoStmt, *ast.SendStmt:
-	default:
-		return
+// openedSpan reports the creator call st opens a span with, if any, and
+// the finding for it given the statements that follow st in its block:
+// "" when the first of them defers the span's end.
+func openedSpan(pkg *Package, st ast.Stmt, rest []ast.Stmt) (*ast.CallExpr, string) {
+	switch s := st.(type) {
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok && isSpanCreator(pkg, call) {
+			return call, "span result discarded; it is never ended"
+		}
+	case *ast.AssignStmt:
+		if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
+			return nil, ""
+		}
+		call, ok := s.Rhs[0].(*ast.CallExpr)
+		id, isIdent := s.Lhs[0].(*ast.Ident)
+		if !ok || !isIdent || !isSpanCreator(pkg, call) {
+			return nil, ""
+		}
+		if id.Name == "_" {
+			return call, "span result discarded; it is never ended"
+		}
+		obj := pkg.Info.Defs[id]
+		if obj == nil {
+			obj = pkg.Info.Uses[id]
+		}
+		if len(rest) > 0 && defersEnd(pkg, rest[0], obj) {
+			return call, ""
+		}
+		return call, "span " + id.Name + " is not ended by a defer on the next statement; open stage spans with obs.Stage"
 	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
+	return nil, ""
+}
+
+// defersEnd reports whether st is `defer v.End()`, `defer v.EndCount(n)`,
+// or a deferred func literal whose body calls one of them on v.
+func defersEnd(pkg *Package, st ast.Stmt, v types.Object) bool {
+	d, ok := st.(*ast.DeferStmt)
+	if !ok || v == nil {
+		return false
+	}
+	lit, isLit := d.Call.Fun.(*ast.FuncLit)
+	if !isLit {
+		return endsSpan(pkg, d.Call, v)
+	}
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && endsSpan(pkg, call, v) {
+			found = true
 		}
-		for _, el := range lit.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			id, ok := el.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if obj := w.pkg.Info.Uses[id]; obj != nil {
-				delete(open, obj)
-			}
-		}
-		return true
+		return !found
 	})
+	return found
 }
 
-// fakeObj stands in for the (nonexistent) variable of a discarded span.
-type fakeObj struct{ types.Object }
-
-func (fakeObj) Name() string { return "(discarded)" }
-
-func (w *spanWalker) handleAssign(s *ast.AssignStmt, open openSet) {
-	if len(s.Rhs) != 1 {
-		return
+// endsSpan reports whether call is v.End() or v.EndCount(n).
+func endsSpan(pkg *Package, call *ast.CallExpr, v types.Object) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "End" && sel.Sel.Name != "EndCount" {
+		return false
 	}
-	call, ok := s.Rhs[0].(*ast.CallExpr)
-	if !ok || !w.isCreator(call) {
-		return
-	}
-	// sp := parent.Child(...) / sp = parent.Child(...): find the lhs var.
-	if len(s.Lhs) != 1 {
-		return
-	}
-	id, ok := s.Lhs[0].(*ast.Ident)
-	if !ok {
-		// Assigned to a field or index: ownership escapes this function's
-		// scope; tracking stops here.
-		return
-	}
-	if id.Name == "_" {
-		w.leak(call.Pos(), fakeObj{}, "drop")
-		return
-	}
-	var obj types.Object
-	if d := w.pkg.Info.Defs[id]; d != nil {
-		obj = d
-	} else {
-		obj = w.pkg.Info.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	if _, already := open[obj]; already {
-		w.leak(s.Pos(), obj, "reopen")
-	}
-	open[obj] = call.Pos()
+	id, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Info.Uses[id] == v
 }
 
-// isCreator reports whether call opens a span: a call to a method or
+// isSpanCreator reports whether call opens a span: a call to a method or
 // function named Child or Root whose static result type is a named type
 // called Span.
-func (w *spanWalker) isCreator(call *ast.CallExpr) bool {
-	name := calleeName(call)
+func isSpanCreator(pkg *Package, call *ast.CallExpr) bool {
+	var name string
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
 	if name != "Child" && name != "Root" {
 		return false
 	}
-	tv, ok := w.pkg.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
+	named, ok := pkg.Info.Types[call].Type.(*types.Named)
 	return ok && named.Obj().Name() == "Span"
-}
-
-// closedVar returns the span variable closed by call (v.End() or
-// v.EndCount(n) on a plain identifier), or nil.
-func (w *spanWalker) closedVar(call *ast.CallExpr) types.Object {
-	name := calleeName(call)
-	if name != "End" && name != "EndCount" {
-		return nil
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := w.pkg.Info.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	if named, ok := obj.Type().(*types.Named); !ok || named.Obj().Name() != "Span" {
-		return nil
-	}
-	return obj
-}
-
-// isTerminalCall reports calls that never return: panic and the
-// conventional fatal/exit helpers.
-func (w *spanWalker) isTerminalCall(call *ast.CallExpr) bool {
-	switch name := calleeName(call); name {
-	case "panic", "Exit", "Fatal", "Fatalf", "Fatalln", "Goexit":
-		return true
-	}
-	return false
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-// walkBranches handles switch/type-switch/select: every case body is
-// walked on cloned state; the merged state keeps a span open unless every
-// non-terminating branch closed it. A switch without a default keeps the
-// incoming state as an implicit fall-through branch.
-func (w *spanWalker) walkBranches(stmt ast.Stmt, open openSet) bool {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, open)
-		}
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, open)
-		}
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	var states []openSet
-	var terms []bool
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		st := open.clone()
-		terms = append(terms, w.walk(stmts, st))
-		states = append(states, st)
-	}
-	if !hasDefault {
-		states = append(states, open.clone())
-		terms = append(terms, false)
-	}
-	mergeBranches(open, states, terms)
-	allTerm := len(terms) > 0
-	for _, t := range terms {
-		allTerm = allTerm && t
-	}
-	return allTerm
-}
-
-// walkLoop checks a loop body on cloned state. Spans opened inside the
-// body must close inside it; closes of outer spans inside the body do not
-// propagate out (the body may run zero times).
-func (w *spanWalker) walkLoop(body *ast.BlockStmt, open openSet) {
-	st := open.clone()
-	w.walk(body.List, st)
-	for obj, pos := range st { //pgvet:sorted diagnostics are position-sorted after collection
-		if _, existedBefore := open[obj]; !existedBefore {
-			w.leak(pos, obj, "loop")
-		}
-	}
-}
-
-// mergeBranches rewrites open in place: a span stays open if any
-// non-terminating branch left it open; spans opened inside branches that
-// fall through join the merged state.
-func mergeBranches(open openSet, states []openSet, terms []bool) {
-	merged := openSet{}
-	for i, st := range states {
-		if terms[i] {
-			continue
-		}
-		for obj, pos := range st { //pgvet:sorted analysis-internal merge; diagnostics are sorted at the end
-			merged[obj] = pos
-		}
-	}
-	for obj := range open { //pgvet:sorted analysis-internal merge; diagnostics are sorted at the end
-		if _, ok := merged[obj]; !ok {
-			delete(open, obj)
-		}
-	}
-	for obj, pos := range merged { //pgvet:sorted analysis-internal merge; diagnostics are sorted at the end
-		open[obj] = pos
-	}
 }

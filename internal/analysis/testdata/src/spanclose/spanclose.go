@@ -29,17 +29,18 @@ var errBoom = errors.New("boom")
 // LeakOnError forgets sp on the error return path — the exact bug class
 // the PR 7 sweep fixed.
 func LeakOnError(parent Span, fail bool) error {
-	sp := parent.Child("stage")
+	sp := parent.Child("stage") // want "span sp is not ended by a defer on the next statement"
 	if fail {
-		return errBoom // want "span sp not closed on this return path"
+		return errBoom
 	}
 	sp.End()
 	return nil
 }
 
-// ClosedEverywhere closes on both paths — clean.
+// ClosedEverywhere ends sp by hand on both paths. It leaks nothing today,
+// but only a path walk can tell, and the next early return breaks it.
 func ClosedEverywhere(parent Span, fail bool) error {
-	sp := parent.Child("stage")
+	sp := parent.Child("stage") // want "span sp is not ended by a defer on the next statement"
 	if fail {
 		sp.End()
 		return errBoom
@@ -48,7 +49,19 @@ func ClosedEverywhere(parent Span, fail bool) error {
 	return nil
 }
 
-// DeferClose closes via defer, covering every later path — clean.
+// DeferTooLate defers the end only after a statement that can return
+// first.
+func DeferTooLate(parent Span, fail bool) error {
+	sp := parent.Child("stage") // want "span sp is not ended by a defer on the next statement"
+	if fail {
+		return errBoom
+	}
+	defer sp.End()
+	return nil
+}
+
+// DeferClose ends sp with a plain defer, covering every later path —
+// clean.
 func DeferClose(parent Span, fail bool) error {
 	sp := parent.Child("stage")
 	defer sp.End()
@@ -58,56 +71,54 @@ func DeferClose(parent Span, fail bool) error {
 	return nil
 }
 
-// Transfer returns sp itself — ownership moves to the caller, clean.
-func Transfer(parent Span) Span {
-	sp := parent.Child("stage")
-	return sp
+// Stage is obs.Stage's shape: a deferred func literal ends the span with
+// the count f returned, on a panic too — clean.
+func Stage(parent Span, name string, f func(Span) (int64, error)) error {
+	var n int64
+	sp := parent.Child(name)
+	defer func() { sp.EndCount(n) }()
+	n, err := f(sp)
+	return err
 }
 
-// Annotated suppresses a known-open return with a justification.
+// Request opens a root span and defers its end — clean.
+func Request(t *Trace, serve func(Span)) {
+	root := t.Root("query")
+	defer root.End()
+	serve(root)
+}
+
+// Discarded opens spans nobody can end.
+func Discarded(parent Span) {
+	parent.Child("stage")     // want "span result discarded"
+	_ = parent.Child("stage") // want "span result discarded"
+}
+
+// Handed passes a span on instead of ending it here.
+func Handed(parent Span, use func(Span)) Span {
+	use(parent.Child("arg"))   // want "span is not bound to a variable and ended by a defer"
+	return parent.Child("ret") // want "span is not bound to a variable and ended by a defer"
+}
+
+// Annotated suppresses a span ended elsewhere with a justification.
 func Annotated(parent Span, fail bool) error {
-	sp := parent.Child("stage")
+	sp := parent.Child("stage") //pgvet:spanok fixture: a registry sweep ends the span out of band
 	if fail {
-		//pgvet:spanok fixture: a registry sweep ends the span out of band
 		return errBoom
 	}
 	sp.End()
 	return nil
 }
 
-// LeakAtEnd falls off the end of the function with sp still open.
-func LeakAtEnd(parent Span) {
-	sp := parent.Child("stage") // want "span sp not closed before the function ends"
-	_ = sp
-}
-
-// LoopLeak opens a span per iteration and only closes the last one after
-// the loop — each iteration's span must close within the body.
-func LoopLeak(parent Span, n int) {
-	var sp Span
-	for i := 0; i < n; i++ {
-		sp = parent.Child("iter") // want "opened inside a loop is not closed within the loop body"
-	}
+// Unjustified carries the annotation without its why.
+func Unjustified(parent Span) {
+	//pgvet:spanok
+	sp := parent.Child("stage") // want "annotation is missing its one-line justification"
 	sp.End()
 }
 
-// carrier owns a span on behalf of a longer-lived operation.
-type carrier struct {
-	span Span
-	name string
-}
-
-// TransferStruct hands the span to a carrier struct literal — ownership
-// moves with the literal, same as returning the span directly; clean.
-func TransferStruct(parent Span) carrier {
-	sp := parent.Child("op")
-	return carrier{span: sp, name: "op"}
-}
-
-// TransferStructAssign stores the span into a literal bound to a
-// variable the function returns later; also clean.
-func TransferStructAssign(parent Span) *carrier {
-	sp := parent.Child("op")
-	c := &carrier{span: sp}
-	return c
+// LeakAtEnd falls off the end of the function with sp still open.
+func LeakAtEnd(parent Span) {
+	sp := parent.Child("stage") // want "span sp is not ended by a defer on the next statement"
+	_ = sp
 }

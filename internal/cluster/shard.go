@@ -29,18 +29,18 @@ func served(err error) bool {
 // Outcomes feed the shard's health bit and metrics.
 func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, out any) error {
 	m := c.shards[si]
-	sp := obs.SpanFrom(ctx).Child("shard:" + m.Name + path)
-	defer sp.End()
-	start := time.Now()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, m, path, body, out)
-		if served(err) || attempt >= c.retries || ctx.Err() != nil {
-			break
+	return obs.Stage(ctx, "shard:"+m.Name+path, func(ctx context.Context) (int64, error) {
+		start := time.Now()
+		var err error
+		for attempt := 0; ; attempt++ {
+			err = c.attempt(ctx, m, path, body, out)
+			if served(err) || attempt >= c.retries || ctx.Err() != nil {
+				break
+			}
 		}
-	}
-	m.finish(ctx, start, err)
-	return err
+		m.finish(ctx, start, err)
+		return 0, err
+	})
 }
 
 // attempt is one exchange with a shard.

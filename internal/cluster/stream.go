@@ -111,22 +111,24 @@ func (f *streamFan) abort(e *server.Error) {
 // a global id another shard already streamed — aborts the whole fan-in
 // with a structured error naming the shard.
 func streamShard(ctx context.Context, m *member, body []byte, fan *streamFan) {
-	sp := obs.SpanFrom(ctx).Child("shard:" + m.Name + "/query/stream")
-	defer sp.End()
-	start := time.Now()
-	_, err := m.Client.Stream(ctx, "/query/stream", body, fan.forward)
-	switch err {
-	case errClientGone:
-		err = nil // the shard did nothing wrong
-	case errOverlap:
-		m.finish(ctx, start, nil) // the exchange worked; its content cannot be merged
-		fan.abort(malformed(m))
-		return
-	}
-	m.finish(ctx, start, err)
-	// Once the context is done the ending is the coordinator's doing (a
-	// sibling's abort, or the client going away), not this shard's failure.
-	if err != nil && ctx.Err() == nil {
-		fan.abort(shardError(m, err))
-	}
+	obs.Stage(ctx, "shard:"+m.Name+"/query/stream", func(ctx context.Context) (int64, error) {
+		start := time.Now()
+		_, err := m.Client.Stream(ctx, "/query/stream", body, fan.forward)
+		switch err {
+		case errClientGone:
+			err = nil // the shard did nothing wrong
+		case errOverlap:
+			m.finish(ctx, start, nil) // the exchange worked; its content cannot be merged
+			fan.abort(malformed(m))
+			return 0, nil
+		}
+		m.finish(ctx, start, err)
+		// Once the context is done the ending is the coordinator's doing (a
+		// sibling's abort, or the client going away), not this shard's
+		// failure.
+		if err != nil && ctx.Err() == nil {
+			fan.abort(shardError(m, err))
+		}
+		return 0, nil
+	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/obs"
 	"probgraph/internal/verify"
 )
 
@@ -118,6 +119,7 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 	if want.Stats.VerifyCandidates == 0 {
 		t.Fatal("workload has no verification candidates; cancellation test is vacuous")
 	}
+	judged := int64(want.Stats.PrunedByUpper + want.Stats.AcceptedByLower + want.Stats.VerifyCandidates)
 
 	// Each worker count leaves unstarted heavy candidates when the cancel
 	// lands (slowHeavy); a pool as wide as their number would start them
@@ -131,8 +133,9 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 			time.Sleep(full / 8)
 			cancel()
 		}()
+		pipe := obs.NewPipeline(obs.NewRegistry())
 		start := time.Now()
-		res, err := db.View().QueryCtx(ctx, q, po)
+		res, err := db.View().QueryCtx(obs.ContextWithPipeline(ctx, pipe), q, po)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -146,6 +149,13 @@ func TestQueryCtxCancelMidScan(t *testing.T) {
 		if elapsed > full {
 			t.Fatalf("workers=%d: cancelled query returned after %v (full scan %v) — not prompt",
 				workers, elapsed, full)
+		}
+		// The query observes every candidate it evaluated, cancelled runs
+		// included: a scan that ignored ctx and only reported ctx.Err() at
+		// the end would have judged all of them.
+		if got := pipe.PrunedUpper.Value() + pipe.AcceptedLower.Value() + pipe.Verified.Value(); got >= judged {
+			t.Fatalf("workers=%d: cancelled query judged %d candidates, the full run %d — the scan ignored ctx",
+				workers, got, judged)
 		}
 		checkGoroutineBaseline(t, "QueryCtx", baseline)
 	}

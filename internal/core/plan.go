@@ -60,21 +60,22 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 		p.scq = v.liveSlots()
 		return p, nil
 	}
-	parent := obs.SpanFrom(ctx)
 
 	// Relaxed query set U (Lemma 1), as far as pruning reads it.
-	sp := parent.Child("relax")
-	p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
-	sp.EndCount(int64(len(p.deleted)))
+	obs.Stage(ctx, "relax", func(context.Context) (int64, error) {
+		p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
+		return int64(len(p.deleted)), nil
+	})
 	p.stats.RelaxedQueries = len(p.deleted)
 
 	// Structural pruning (Theorem 1). The count scan is serial; the exact
 	// confirmations run on the query's worker pool.
-	var err error
 	t0 := time.Now()
-	sp = parent.Child("struct_filter")
-	p.scq, p.stats.StructFilterCandidates, err = v.Struct.SCqCtx(obs.ContextWithSpan(ctx, sp), q, opt.Delta, opt.Concurrency)
-	sp.EndCount(int64(len(p.scq)))
+	err := obs.Stage(ctx, "struct_filter", func(ctx context.Context) (int64, error) {
+		var err error
+		p.scq, p.stats.StructFilterCandidates, err = v.Struct.SCqCtx(ctx, q, opt.Delta, opt.Concurrency)
+		return int64(len(p.scq)), err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -83,9 +84,11 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 
 	if !opt.SkipProbPruning && !ranked {
 		t := time.Now()
-		sp = parent.Child("pmi_prune")
-		p.pr, err = v.newPruner(ctx, q, p.deleted, opt, true)
-		sp.End()
+		err := obs.Stage(ctx, "pmi_prune", func(ctx context.Context) (int64, error) {
+			var err error
+			p.pr, err = v.newPruner(ctx, q, p.deleted, opt, true)
+			return 0, err
+		})
 		if err != nil {
 			return nil, err
 		}

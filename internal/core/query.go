@@ -303,23 +303,23 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 	// per-candidate RNG seeded by candSeed, making the outcome identical
 	// at any concurrency.
 	outs := make([]candOutcome, len(scq))
-	sp := obs.SpanFrom(ctx).Child("verify")
-	err := pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) error {
-		o := v.evalCandidate(p, scq[i])
-		if o.err != nil {
-			return fmt.Errorf("core: verifying graph %d: %w", scq[i], o.err)
-		}
-		o.ran = true
-		outs[i] = o
-		if emit == nil {
+	err := obs.Stage(ctx, "verify", func(ctx context.Context) (int64, error) {
+		return int64(len(scq)), pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) error {
+			o := v.evalCandidate(p, scq[i])
+			if o.err != nil {
+				return fmt.Errorf("core: verifying graph %d: %w", scq[i], o.err)
+			}
+			o.ran = true
+			outs[i] = o
+			if emit == nil {
+				return nil
+			}
+			if match, ssp := outcomeMatch(o, opt); match {
+				emit(Match{Graph: scq[i], SSP: ssp})
+			}
 			return nil
-		}
-		if match, ssp := outcomeMatch(o, opt); match {
-			emit(Match{Graph: scq[i], SSP: ssp})
-		}
-		return nil
+		})
 	})
-	sp.EndCount(int64(len(scq)))
 
 	// Deterministic aggregation in database order: scq is ascending, so
 	// Answers is too. A failed or cancelled loop still tallies what it

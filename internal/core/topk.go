@@ -176,47 +176,50 @@ func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt Que
 	}
 	workers := pool.Normalize(p.opt.Concurrency, len(sched))
 	vals := make([]float64, len(sched))
-	sp := obs.SpanFrom(ctx).Child("topk_commit")
-	r := newTopKRule(k, len(sched))
 	var (
-		valued    int          // sched[:valued] has been valued
-		failAt    = len(sched) // the first entry that failed, with werr
-		werr      error
+		r         topkRule
 		committed int
 	)
-	for i, c := range sched {
-		if r.stops(c) {
-			break
-		}
-		if i == valued {
-			valued = min(i+workers, len(sched))
-			werr = pool.ForEachIndexCtx(ctx, valued-i, workers, func(j int) error {
-				d, err := decide(dnfs[i+j], p.opt, 0)
-				if err != nil {
-					vals[i+j] = math.NaN()
-					return fmt.Errorf("core: verifying graph %d: %w", sched[i+j].Graph, err)
-				}
-				vals[i+j] = d.ssp
-				return nil
-			})
-			if werr != nil {
-				// The loop's error is its lowest failing entry's, and every
-				// entry below that one ran: the first NaN. A dead context
-				// ends the walk here.
-				failAt = i
-				if ctx.Err() == nil {
-					failAt += slices.IndexFunc(vals[i:valued], math.IsNaN)
+	err = obs.Stage(ctx, "topk_commit", func(ctx context.Context) (int64, error) {
+		r = newTopKRule(k, len(sched))
+		var (
+			valued int          // sched[:valued] has been valued
+			failAt = len(sched) // the first entry that failed, with werr
+			werr   error
+		)
+		for i, c := range sched {
+			if r.stops(c) {
+				break
+			}
+			if i == valued {
+				valued = min(i+workers, len(sched))
+				werr = pool.ForEachIndexCtx(ctx, valued-i, workers, func(j int) error {
+					d, err := decide(dnfs[i+j], p.opt, 0)
+					if err != nil {
+						vals[i+j] = math.NaN()
+						return fmt.Errorf("core: verifying graph %d: %w", sched[i+j].Graph, err)
+					}
+					vals[i+j] = d.ssp
+					return nil
+				})
+				if werr != nil {
+					// The loop's error is its lowest failing entry's, and
+					// every entry below that one ran: the first NaN. A dead
+					// context ends the walk here.
+					failAt = i
+					if ctx.Err() == nil {
+						failAt += slices.IndexFunc(vals[i:valued], math.IsNaN)
+					}
 				}
 			}
+			if i == failAt {
+				return int64(committed), werr
+			}
+			r.commit(c, vals[i])
+			committed++
 		}
-		if i == failAt {
-			err = werr
-			break
-		}
-		r.commit(c, vals[i])
-		committed++
-	}
-	sp.EndCount(int64(committed))
+		return int64(committed), nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -295,10 +298,13 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		dnf *verify.DNF
 	}
 	cands := make([]scheduled, len(p.scq))
-	sp := obs.SpanFrom(ctx).Child("bounds")
-	pr, err := v.newPruner(ctx, q, p.deleted, p.opt, false)
-	if err == nil {
-		err = pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
+	err = obs.Stage(ctx, "bounds", func(ctx context.Context) (int64, error) {
+		n := int64(len(p.scq))
+		pr, err := v.newPruner(ctx, q, p.deleted, p.opt, false)
+		if err != nil {
+			return n, err
+		}
+		return n, pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
 			gi := p.scq[i]
 			usim, sc := pr.usim(gi)
 			putScratch(sc)
@@ -309,8 +315,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 			cands[i] = scheduled{TopKBound{Graph: gi, Upper: min(usim, 1, d.Bound())}, d}
 			return nil
 		})
-	}
-	sp.EndCount(int64(len(p.scq)))
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -87,6 +87,9 @@ func (d *PGraphDecoder) Decode() (*prob.PGraph, int, error) {
 		pending bool // the last of jpts awaits its p row
 	)
 	head := func(args []string) error {
+		if len(args) > 1 {
+			return errors.New("want 'pgraph <name> [<organism>]'")
+		}
 		if len(args) > 0 {
 			v, err := strconv.Atoi(args[0])
 			if err != nil {

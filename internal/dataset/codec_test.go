@@ -136,6 +136,7 @@ func TestDecodeRejectsMalformedBlocks(t *testing.T) {
 		{"stray end", "end\n", `line 1: "end" line outside a graph block`},
 		{"unterminated block", "pgraph g\nv 0 A\n", "unterminated pgraph block"},
 		{"jpt edge id outside int32", wrappedJPTEdge, `line 5: bad edge id "4294967296"`},
+		{"header with extra fields", "pgraph a 3 junk more\nv 0 A\nend\n", "line 1: want 'pgraph <name> [<organism>]'"},
 	}
 	for _, c := range cases {
 		_, _, err := NewPGraphDecoder(strings.NewReader(c.text)).Decode()
@@ -216,6 +217,7 @@ func TestFormatsAgree(t *testing.T) {
 		"v 0 A\n",                                    // vertex outside a block
 		"g\nend\n",                                   // header without a name
 		"g q r\nend\n",                               // header with a bad argument
+		"g q 3 junk\nend\n",                          // header with extra arguments
 		"g q\nv 0 A\ne 0 1 x\nend\n",                 // endpoint names no vertex
 		"g q\nv 0 A\nv 1 B\ne 0 x x\nend\n",          // endpoint not a number
 		"g q\nv 0 A\nv 1 B\ne 0 1\nend\n",            // edge line without a label

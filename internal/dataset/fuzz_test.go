@@ -30,6 +30,7 @@ func FuzzDecodePGraph(f *testing.F) {
 		f.Add([]byte(asPGraph(s)))
 	}
 	f.Add([]byte(wrappedJPTEdge))
+	f.Add([]byte("pgraph a 3 junk more\nv 0 A\nend\n"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dec := NewPGraphDecoder(bytes.NewReader(in))
 		for {

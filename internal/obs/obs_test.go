@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"regexp"
 	"strings"
 	"sync"
@@ -168,6 +169,77 @@ func TestZeroSpanIsInert(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestStageEndsItsSpan: Stage hands f a context whose span is the stage's
+// own (a stage f opens nests under it), and ends that span with f's count
+// whichever way f leaves — a normal return, an error, or a panic (count 0).
+func TestStageEndsItsSpan(t *testing.T) {
+	tr := NewTrace()
+	root := tr.Root("query")
+	defer root.End()
+	ctx := ContextWithSpan(context.Background(), root)
+	errBoom := errors.New("boom")
+
+	err := Stage(ctx, "relax", func(sctx context.Context) (int64, error) {
+		return 5, Stage(sctx, "confirm", func(context.Context) (int64, error) { return 2, nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Stage(ctx, "verify", func(context.Context) (int64, error) { return 3, errBoom }); err != errBoom {
+		t.Fatalf("Stage returned %v, want f's error", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Stage swallowed f's panic")
+			}
+		}()
+		Stage(ctx, "bounds", func(context.Context) (int64, error) { panic("boom") })
+	}()
+
+	want := []SpanData{
+		{Name: "query", Parent: -1},
+		{Name: "relax", Parent: 0, Count: 5, Done: true},
+		{Name: "confirm", Parent: 1, Count: 2, Done: true},
+		{Name: "verify", Parent: 0, Count: 3, Done: true},
+		{Name: "bounds", Parent: 0, Count: 0, Done: true},
+	}
+	spans := tr.Spans()
+	if len(spans) != len(want) {
+		t.Fatalf("got %d spans, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, sp := range spans {
+		sp.Start, sp.Duration = 0, 0
+		if sp != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+	if tr.OpenSpans() != 1 {
+		t.Errorf("%d open spans, want only the root", tr.OpenSpans())
+	}
+}
+
+// TestStageSteadyStateAllocs: untraced, a Stage whose f captures its
+// caller's variables allocates nothing — neither the span, nor the
+// context, nor the closure.
+func TestStageSteadyStateAllocs(t *testing.T) {
+	ctx := context.Background()
+	xs := make([]int, 8)
+	var total int64
+	allocs := testing.AllocsPerRun(100, func() {
+		Stage(ctx, "verify", func(sctx context.Context) (int64, error) {
+			for i := range xs {
+				xs[i]++
+			}
+			total += int64(len(xs))
+			return int64(len(xs)), sctx.Err()
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced Stage allocates %.1f per op, want 0", allocs)
 	}
 }
 

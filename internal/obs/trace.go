@@ -103,6 +103,19 @@ func (s Span) Child(name string) Span {
 	return s.tr.newSpan(name, int(s.idx))
 }
 
+// Stage runs f as one pipeline stage: it opens the span name under ctx's
+// span, hands f a context carrying that span (so f's own stages nest
+// under it), and ends the span with f's count when f returns — on an
+// error and on a panic too, when the count is 0. Stage returns f's error.
+// With no trace attached, f runs on ctx itself and nothing is allocated.
+func Stage(ctx context.Context, name string, f func(context.Context) (count int64, err error)) error {
+	var n int64
+	sp := SpanFrom(ctx).Child(name)
+	defer func() { sp.EndCount(n) }()
+	n, err := f(ContextWithSpan(ctx, sp))
+	return err
+}
+
 // End closes the span. No-op on the zero Span; closing twice keeps the
 // first duration.
 func (s Span) End() { s.end(0, false) }
@@ -135,7 +148,8 @@ func (t *Trace) Spans() []SpanData {
 }
 
 // OpenSpans counts spans not yet ended — 0 after any complete query run,
-// cancelled ones included (every stage ends its span on every exit path).
+// cancelled ones included: every stage span is opened and ended by Stage,
+// whose deferred end runs on every exit from the stage.
 func (t *Trace) OpenSpans() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

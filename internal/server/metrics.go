@@ -20,12 +20,14 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tr := obs.NewTrace()
-		root := tr.Root(endpoint)
-		ctx := obs.ContextWithSpan(r.Context(), root)
-		ctx = obs.ContextWithPipeline(ctx, pipeline)
-		w.Header().Set("X-PG-Trace-Id", tr.ID())
-		h(w, r.WithContext(ctx))
-		root.End()
+		func() {
+			root := tr.Root(endpoint)
+			defer root.End()
+			ctx := obs.ContextWithSpan(r.Context(), root)
+			ctx = obs.ContextWithPipeline(ctx, pipeline)
+			w.Header().Set("X-PG-Trace-Id", tr.ID())
+			h(w, r.WithContext(ctx))
+		}()
 		elapsed := time.Since(start)
 		latency.Observe(elapsed.Seconds())
 		durMS := float64(elapsed.Microseconds()) / 1000

@@ -341,12 +341,12 @@ func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int)
 		return nil, 0, err
 	}
 	ok := make([]bool, len(cand))
-	sp := obs.SpanFrom(ctx).Child("confirm")
-	err = pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) error {
-		ok[i] = ix.Confirm(q, cand[i], delta)
-		return nil
+	err = obs.Stage(ctx, "confirm", func(ctx context.Context) (int64, error) {
+		return int64(len(cand)), pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) error {
+			ok[i] = ix.Confirm(q, cand[i], delta)
+			return nil
+		})
 	})
-	sp.EndCount(int64(len(cand)))
 	if err != nil {
 		return nil, 0, err
 	}
