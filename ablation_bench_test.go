@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices the paper motivates and
-// DESIGN.md documents: exact PMI cells vs clique-optimized vs greedy bound
-// families (Exact vs OPT-SIPBound vs SIPBound), optimized vs random query-time bound
-// combination (OPT-SSPBound vs SSPBound), Monte-Carlo sample counts, and
-// the load-bearing kernels (VF2, canonical codes, minimal cuts).
+// docs/ARCHITECTURE.md documents: the PMI build (exact cells), optimized
+// vs random query-time bound combination (OPT-SSPBound vs SSPBound),
+// Monte-Carlo sample counts, and the load-bearing kernels (VF2, canonical
+// codes).
 package probgraph_test
 
 import (
@@ -11,32 +11,24 @@ import (
 	"testing"
 
 	"probgraph"
-	"probgraph/internal/cuts"
 	"probgraph/internal/graph"
 	"probgraph/internal/iso"
 	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
 
+// BenchmarkAblationPMIBuild times a whole database build, the PMI's cells
+// among its stages.
 func BenchmarkAblationPMIBuild(b *testing.B) {
 	_, raw := microDB(b)
-	for _, cfg := range []struct {
-		name            string
-		exact, optimize bool
-	}{{"Exact", true, true}, {"OPT-SIPBound", false, true}, {"SIPBound-greedy", false, false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opt := probgraph.DefaultBuildOptions()
-			opt.Feature.MaxL = 4
-			opt.Feature.Beta = 0.2
-			opt.PMI.Exact = cfg.exact
-			opt.PMI.Optimize = cfg.optimize
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := probgraph.NewDatabase(raw.Graphs, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opt := probgraph.DefaultBuildOptions()
+	opt.Feature.MaxL = 4
+	opt.Feature.Beta = 0.2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := probgraph.NewDatabase(raw.Graphs, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -156,20 +148,5 @@ func BenchmarkKernelCanonicalCode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graph.CanonicalCode(q)
-	}
-}
-
-func BenchmarkKernelMinimalCuts(b *testing.B) {
-	_, raw := microDB(b)
-	rng := rand.New(rand.NewSource(37))
-	target := raw.Graphs[3].G
-	q := probgraph.ExtractQuery(target, 3, rng)
-	embs := iso.EdgeSets(q, target, nil, 16)
-	if len(embs) == 0 {
-		b.Skip("no embeddings for this seed")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cuts.MinimalCuts(embs, target.NumEdges(), 32)
 	}
 }

@@ -68,16 +68,6 @@ func BenchmarkFig10_CandidatesVsEpsilon(b *testing.B) {
 	}
 }
 
-func BenchmarkFig11_CandidatesVsDelta(b *testing.B) {
-	e := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Fig11(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig12_FeatureParameters(b *testing.B) {
 	e := benchEnv(b)
 	b.ResetTimer()

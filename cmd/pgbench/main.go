@@ -1,16 +1,17 @@
 // Command pgbench reproduces the paper's evaluation section, and nothing
-// else: it runs the sweep behind every figure (9a–14) on synthetic PPI-like
-// data and prints paper-style series tables. Performance is tracked by the
+// else: it runs the sweep behind every figure (9a–14, Figure 11 superseded
+// by the index's exact cells) on synthetic PPI-like data and prints
+// paper-style series tables. Performance is tracked by the
 // ledger under bench/ (see bench/README.md), not here.
 //
 // Usage:
 //
-//	pgbench [-scale tiny|small|full] [-fig all|9a|9b|10|11|12|13|14]
+//	pgbench [-scale tiny|small|full] [-fig all|9a|9b|10|12|13|14]
 //	        [-workers N] [-seed N] [-json out.json]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Absolute timings are machine-dependent; the reproduction target is the
-// shape of each series (see EXPERIMENTS.md).
+// shape of each series (see README's reproduction notes).
 //
 // -workers N runs every query's candidate pipeline on a pool of N
 // goroutines (results are unchanged; only timings move).
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -54,6 +56,9 @@ type figureJSON struct {
 	WallMS  float64      `json:"wall_ms"`
 }
 
+// figureNames are the figures pgbench runs, in order.
+var figureNames = []string{"9a", "9b", "10", "12", "13", "14"}
+
 // main is a thin shell around run: os.Exit skips defers, so every defer
 // (profile flushing above all) lives inside run, which only ever returns.
 func main() {
@@ -67,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("pgbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.String("scale", "small", "experiment scale: tiny, small, full")
-	fig := fs.String("fig", "all", "figure to run: all, 9a, 9b, 10, 11, 12, 13, 14")
+	fig := fs.String("fig", "all", "figure to run: all, "+strings.Join(figureNames, ", "))
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 1, "candidate-evaluation worker pool size (<0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write machine-readable per-figure series to this file")
@@ -91,6 +96,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
+	if *fig != "all" && !slices.ContainsFunc(figureNames, func(name string) bool { return strings.EqualFold(*fig, name) }) {
+		fmt.Fprintf(stderr, "pgbench: unknown -fig %q: want all or one of %s (Figure 11 is superseded)\n", *fig, strings.Join(figureNames, ", "))
+		return 2
+	}
+
 	start := time.Now()
 	fmt.Fprintf(stdout, "pgbench: scale=%s fig=%s seed=%d workers=%d\n", *scale, *fig, *seed, *workers)
 	env, err := experiments.NewEnv(experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers})
@@ -103,10 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		env.DB.Build().FeatureTime+env.DB.Build().PMITime+env.DB.Build().StructTime)
 
 	var figures []figureJSON
-	want := func(name string) bool {
-		return *fig == "all" || strings.EqualFold(*fig, name) ||
-			(len(name) > 2 && strings.EqualFold(*fig, name[:2]))
-	}
+	want := func(name string) bool { return *fig == "all" || strings.EqualFold(*fig, name) }
 	// runFig executes one figure, renders its tables, and records them
 	// with the figure's wall time split evenly across its tables.
 	runFig := func(name string, f func() ([]*stats.Table, error)) error {
@@ -151,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		{"9a", want("9a"), one(env.Fig9a)},
 		{"9b", want("9b"), one(env.Fig9b)},
 		{"10", want("10"), two(env.Fig10)},
-		{"11", want("11"), two(env.Fig11)},
 		{"12", want("12"), env.Fig12},
 		{"13", want("13"), one(env.Fig13)},
 		{"14", want("14"), one(env.Fig14)},

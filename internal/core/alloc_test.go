@@ -206,11 +206,13 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 		run(obs.ContextWithSpan(context.Background(), root))
 		root.End()
 	})
-	// The traced run may allocate the trace, the root, and one span per
-	// pipeline stage — a small constant. Anything that scales with
-	// candidates (the fixture corpus has 12) is a regression into the
-	// per-candidate hot path.
-	budget := plain + 8*8
+	// The traced run may allocate the trace, its span slab, and one
+	// context node per pipeline stage — a small constant, measured at 251
+	// untraced and 264 traced, and 270 traced while each stage's context
+	// also boxed its span. Anything that scales with candidates (the
+	// fixture corpus has 12) is a regression into the per-candidate hot
+	// path.
+	budget := plain + 18
 	if traced > budget {
 		t.Errorf("traced query allocates %.1f, untraced %.1f; span overhead exceeds constant budget %.1f",
 			traced, plain, budget)

@@ -1,8 +1,8 @@
 // Package core assembles the paper's full T-PS query pipeline: structural
 // pruning over the certain graphs, probabilistic pruning through the PMI
-// index (SSPBound / OPT-SSPBound over exact or SIPBound / OPT-SIPBound
-// entries), and
-// Monte-Carlo or exact verification (paper §1.2).
+// index (SSPBound / OPT-SSPBound over its cells, exact SIP wherever the
+// pmi package can afford it), and Monte-Carlo or exact verification
+// (paper §1.2).
 //
 // The database is a first-class mutable store built from immutable,
 // generation-numbered views: queries are methods of a View pinned with
@@ -47,11 +47,8 @@ import (
 type BuildOptions struct {
 	// Feature mining knobs (paper Algorithm 4: α, β, γ, maxL).
 	Feature feature.Options
-	// PMI construction knobs: PMI.Exact stores each cell's exact SIP
-	// where its embedding list is complete and its elimination cheap (the
-	// default; a snapshot saved before the field existed loads it false),
-	// and PMI.Optimize distinguishes OPT-SIPBound (true) from SIPBound
-	// (false) for the paper's family cells, every cell when Exact is false.
+	// PMI options are read by nothing: every cell follows the pmi
+	// package's one rule. They are kept in the persisted options blob.
 	PMI pmi.Options
 }
 
@@ -234,7 +231,7 @@ func NewDatabase(graphs []*prob.PGraph, opt BuildOptions) (*Database, error) {
 	v.Build.Features = len(v.Features)
 
 	t2 := time.Now()
-	idx, err := pmi.Build(graphs, engines, v.Features, opt.PMI)
+	idx, err := pmi.Build(graphs, engines, v.Features)
 	if err != nil {
 		return nil, fmt.Errorf("core: building PMI: %w", err)
 	}

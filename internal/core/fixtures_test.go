@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,11 +24,11 @@ import (
 // snapshot_compat_test.go. The v5/v4 pairs below pin the current text and
 // binary formats against each other. The *_oldlayout files, like v1/v2,
 // were written when the struct section still carried tables derived from
-// its count matrix: they are inputs only, and must load to exactly what
-// the current-layout file of the same database holds (the tombstone pair
-// also keeps the removed graph in its dead slot) — a family-cell database,
-// since their options predate exact cells (familyFixture). All of them
-// seed FuzzLoadDatabase.
+// its count matrix, and when PMI cells came from the paper's §4.1 bound
+// families: they are inputs only. They must answer as recorded
+// (oldLayoutExpected) and re-save as the current-layout file of the same
+// database everywhere but the PMI section (the tombstone pair also keeps
+// the removed graph in its dead slot). All of them seed FuzzLoadDatabase.
 
 func fixturePath(name string) string { return filepath.Join(fixtureDir, name) }
 
@@ -36,12 +37,37 @@ func currentFixtureNames() []string {
 }
 
 // oldLayoutFixtures maps each older-layout file to the current-layout
-// fixture of the same corpus. Their options blobs predate pmi.Options.Exact,
-// so they hold family cells: the database such a file holds is
-// familyFixture's, not the exact-cell fixture's.
+// fixture of the same corpus.
 var oldLayoutFixtures = map[string]string{
 	"v4_tiny_oldlayout.pgsnapb": "v4_tiny.pgsnapb",
 	"v5_tiny_oldlayout.pgsnap":  "v5_tiny.pgsnap",
+}
+
+// oldLayoutExpected maps every older-layout file, the tombstone pair
+// included, to its recorded answers: the fixtureQueries runs, answers and
+// SSPs bitwise, over a family-cell build of its corpus (the cells these
+// files hold), recorded by the last build that could make one, against
+// which the files answered identically.
+var oldLayoutExpected = map[string]string{
+	"v4_tiny_oldlayout.pgsnapb":       "tiny_oldlayout_expected.json",
+	"v5_tiny_oldlayout.pgsnap":        "tiny_oldlayout_expected.json",
+	"v4_tiny_tombs_oldlayout.pgsnapb": "tiny_tombs_oldlayout_expected.json",
+	"v5_tiny_tombs_oldlayout.pgsnap":  "tiny_tombs_oldlayout_expected.json",
+}
+
+// fixtureRuns loads the recorded runs of an older-layout file, one per
+// fixtureQueries query.
+func fixtureRuns(t *testing.T, old string) []recordedRun {
+	t.Helper()
+	raw, err := os.ReadFile(fixturePath(oldLayoutExpected[old]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []recordedRun
+	if err := json.Unmarshal(raw, &runs); err != nil {
+		t.Fatal(err)
+	}
+	return runs
 }
 
 // fixtureFormat is the format a fixture file was written in.
@@ -99,55 +125,29 @@ func TestRegenSnapshotFixtures(t *testing.T) {
 	write("v5_tiny_tombs.pgsnap", "v4_tiny_tombs.pgsnapb")
 }
 
-// familyFixture is what this build writes for the database of an
-// older-layout fixture that maps to cur: the fixture corpus built with the
-// options that file carries — family cells, no Exact key — with graph 2
-// removed for a tombstone file, saved in cur's format.
-func familyFixture(t *testing.T, cur string) (*Database, []byte) {
-	t.Helper()
-	_, raw := snapDB(t, 8)
-	opt := DefaultBuildOptions()
-	opt.PMI.Exact = false
-	db, err := NewDatabase(raw.Graphs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(cur, "_tombs") {
-		if _, err := db.RemoveGraph(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db, saveBytes(t, db.View(), fixtureFormat(cur))
-}
-
-// TestExactCellLegacySnapshot: an options blob written before
-// pmi.Options.Exact existed loads as family cells, so a graph added to
-// such a snapshot gets the column a family build computes for it, while the
-// current fixture adds an exact column.
+// TestExactCellLegacySnapshot: a loaded cell is data and is never
+// recomputed, so an older-layout file keeps its family cells; a graph
+// added to it gets the column the current fixture adds for that graph,
+// which is the graph's column in the current fixture.
 func TestExactCellLegacySnapshot(t *testing.T) {
-	fam, _ := familyFixture(t, "v5_tiny.pgsnap")
-	exact, _ := snapDB(t, 8)
+	cur, _ := loadFixture(t, "v5_tiny.pgsnap")
+	probe, _ := loadFixture(t, "v5_tiny_oldlayout.pgsnap")
 	src := 0
-	for src < fam.Len() && slices.Equal(fam.View().PMI.Lookup(src), exact.View().PMI.Lookup(src)) {
+	for src < cur.Len() && slices.Equal(probe.View().PMI.Lookup(src), cur.View().PMI.Lookup(src)) {
 		src++
 	}
-	if src == fam.Len() {
-		t.Fatal("every family column equals its exact column; the test cannot tell them apart")
+	if src == cur.Len() {
+		t.Fatal("every older-layout column equals its current column; the test cannot tell them apart")
 	}
-	for _, c := range []struct {
-		file string
-		want *Database
-	}{{"v5_tiny_oldlayout.pgsnap", fam}, {"v4_tiny_oldlayout.pgsnapb", fam}, {"v5_tiny.pgsnap", exact}} {
-		db, _ := loadFixture(t, c.file)
-		if got, want := db.View().PMI.Opt, c.want.View().PMI.Opt; got != want {
-			t.Fatalf("%s loads PMI options %+v, want %+v", c.file, got, want)
-		}
+	want := cur.View().PMI.Lookup(src)
+	for _, file := range []string{"v5_tiny_oldlayout.pgsnap", "v4_tiny_oldlayout.pgsnapb", "v5_tiny.pgsnap"} {
+		db, _ := loadFixture(t, file)
 		gi, _, err := db.AddGraph(db.View().Graphs[src])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := db.View().PMI.Lookup(gi), c.want.View().PMI.Lookup(src); !slices.Equal(got, want) {
-			t.Errorf("%s: added column %+v, a fresh build's is %+v", c.file, got, want)
+		if got := db.View().PMI.Lookup(gi); !slices.Equal(got, want) {
+			t.Errorf("%s: added column %+v, the current fixture's is %+v", file, got, want)
 		}
 	}
 }
@@ -197,39 +197,36 @@ func TestSnapshotFixtureReplay(t *testing.T) {
 			t.Errorf("%s: load→save not byte-identical (%d vs %d bytes)", name, len(again), len(b))
 		}
 	}
+	// An older-layout file holds the current fixture's database with
+	// family cells: re-saved as text, it is the current file but for the
+	// pmi section.
 	for old, cur := range oldLayoutFixtures {
-		fam, want := familyFixture(t, cur)
-		for _, workers := range []int{1, 4} {
-			if !reflect.DeepEqual(answersAt(old, workers), answersOf(fam, 1)) {
-				t.Errorf("%s answers diverge from a family build of %s at %d workers", old, cur, workers)
-			}
-		}
 		db, _ := loadFixture(t, old)
-		if !bytes.Equal(saveBytes(t, db.View(), fixtureFormat(cur)), want) {
-			t.Errorf("%s: load→save is not a family build of %s byte for byte", old, cur)
+		curDB, _ := loadFixture(t, cur)
+		got := withoutSection(t, saveBytes(t, db.View(), SnapshotText), secPMI)
+		if want := withoutSection(t, saveBytes(t, curDB.View(), SnapshotText), secPMI); !bytes.Equal(got, want) {
+			t.Errorf("%s: load→save differs from %s outside the pmi section", old, cur)
 		}
 	}
-	// The older-layout tombstone files also hold the removed graph in its
-	// dead slot, where a file written today holds the empty graph. A load
-	// keeps what the file held, so they answer like a family build of the
-	// current fixtures' corpus and re-save longer than it, byte-stably from
-	// the first save on.
-	for old, cur := range map[string]string{
-		"v4_tiny_tombs_oldlayout.pgsnapb": "v4_tiny_tombs.pgsnapb",
-		"v5_tiny_tombs_oldlayout.pgsnap":  "v5_tiny_tombs.pgsnap",
-	} {
-		fam, curBytes := familyFixture(t, cur)
-		if !reflect.DeepEqual(answers(old), answersOf(fam, 1)) {
-			t.Errorf("%s answers diverge from a family build of %s", old, cur)
+	// An older-layout file answers as recorded at every worker count, and
+	// re-saves byte-stably from the first save on. The tombstone files
+	// also hold the removed graph in their dead slot, where a file written
+	// today holds the empty graph; a load keeps what the file held.
+	for old := range oldLayoutExpected {
+		want := fixtureRuns(t, old)
+		for _, workers := range []int{1, 4} {
+			for qi, got := range answersAt(old, workers) {
+				assertRecorded(t, &Result{Answers: got.Answers, SSP: got.SSP}, want[qi], workers)
+			}
 		}
-		db, _ := loadFixture(t, old)
-		saved := saveBytes(t, db.View(), fixtureFormat(cur))
+		db, raw := loadFixture(t, old)
+		saved := saveBytes(t, db.View(), fixtureFormat(old))
 		again, err := LoadDatabase(bytes.NewReader(saved))
 		if err != nil {
 			t.Fatalf("%s re-saved: %v", old, err)
 		}
-		if len(saved) <= len(curBytes) || !bytes.Equal(saveBytes(t, again.View(), fixtureFormat(cur)), saved) {
-			t.Errorf("%s: re-save (%d B, %s is %d B) dropped the dead slot's graph or is not byte-stable", old, len(saved), cur, len(curBytes))
+		if len(saved) >= len(raw) || !bytes.Equal(saveBytes(t, again.View(), fixtureFormat(old)), saved) {
+			t.Errorf("%s: re-save (%d B, the file %d B) kept the derived tables or is not byte-stable", old, len(saved), len(raw))
 		}
 	}
 }
@@ -349,21 +346,18 @@ func withoutPostingsOf(t testing.TB, raw []byte, victim, other int) []byte {
 // posting tables omit a graph — well-formed tables, so nothing a geometry
 // check could catch — used to lose that graph from every answer until the
 // first write rebuilt the tables. The tables are read past now: the file
-// answers as the untampered one does and re-saves as the current-layout
-// file of its database (familyFixture), byte for byte.
+// answers as recorded for the untampered one and re-saves as it does,
+// byte for byte.
 func TestSnapshotPostingsCannotDisagree(t *testing.T) {
 	qs, opt := fixtureQueries(t)
 	crafted := 0
-	for old, cur := range oldLayoutFixtures {
-		want, curBytes := familyFixture(t, cur)
-		_, oldBytes := loadFixture(t, old)
+	for old := range oldLayoutFixtures {
+		runs := fixtureRuns(t, old)
+		untampered, oldBytes := loadFixture(t, old)
+		wantBytes := saveBytes(t, untampered.View(), fixtureFormat(old))
 		for qi, q := range qs {
-			wr, err := want.View().QueryCtx(bg, q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, victim := range wr.Answers {
-				tampered := withoutPostingsOf(t, oldBytes, victim, (victim+1)%want.Len())
+			for _, victim := range runs[qi].Answers {
+				tampered := withoutPostingsOf(t, oldBytes, victim, (victim+1)%untampered.Len())
 				if bytes.Equal(tampered, oldBytes) {
 					t.Fatalf("%s: graph %d has no posting entry to remove", old, victim)
 				}
@@ -376,11 +370,9 @@ func TestSnapshotPostingsCannotDisagree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.Answers, wr.Answers) || !reflect.DeepEqual(got.SSP, wr.SSP) {
-					t.Errorf("%s without postings of %d, query %d: answers %v, want %v", old, victim, qi, got.Answers, wr.Answers)
-				}
-				if !bytes.Equal(saveBytes(t, db.View(), fixtureFormat(cur)), curBytes) {
-					t.Errorf("%s without postings of %d: load→save is not a family build of %s byte for byte", old, victim, cur)
+				assertRecorded(t, got, runs[qi], 1)
+				if !bytes.Equal(saveBytes(t, db.View(), fixtureFormat(old)), wantBytes) {
+					t.Errorf("%s without postings of %d: load→save differs from the untampered file's", old, victim)
 				}
 			}
 		}

@@ -52,6 +52,7 @@ func TestQueryValidation(t *testing.T) {
 		{Delta: -3, Verifier: VerifierNone},
 		{Epsilon: math.NaN(), Delta: 1},
 		{Delta: 1, Verify: verify.Options{N: -5}},
+		{Delta: 1, Verify: verify.Options{MaxClauses: -1}},
 	} {
 		want := opt.Validate()
 		if want == nil {

@@ -78,7 +78,8 @@ func (o QueryOptions) withDefaults() QueryOptions {
 
 // Validate reports whether the result-affecting knobs are in range:
 // ε ∈ (0, 1] (0 is accepted as "unset", defaulting to 0.5; NaN is
-// refused), δ ≥ 0 and the SMP sample count Verify.N ≥ 0 (0 = default).
+// refused), δ ≥ 0, the SMP sample count Verify.N ≥ 0 and the clause cap
+// Verify.MaxClauses ≥ 0 (0 = default for both).
 // Every query method applies it inside its plan, the ranked ones
 // included although ε does not affect a ranking; callers that want to
 // reject bad requests before any work, distinguishable from evaluation
@@ -93,6 +94,9 @@ func (o QueryOptions) Validate() error {
 	}
 	if o.Verify.N < 0 {
 		return fmt.Errorf("core: negative sample count %d", o.Verify.N)
+	}
+	if o.Verify.MaxClauses < 0 {
+		return fmt.Errorf("core: negative clause cap %d", o.Verify.MaxClauses)
 	}
 	return nil
 }

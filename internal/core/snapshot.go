@@ -307,11 +307,8 @@ func decodeView(open func(section) (snapbin.Decoder, bool)) (*View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	// The pmi section does not persist options, so they are restored here —
-	// incremental mutations then behave exactly as before the round trip —
-	// and the dead slots' columns, written uncontained, are freed as
+	// The dead slots' columns, written uncontained, are freed as
 	// RemoveGraph freed them.
-	idx.Opt = v.opt.PMI
 	v.PMI = idx.WithFreedColumns(tombs...)
 	v.Build.IndexSizeBytes = v.PMI.SizeBytes()
 

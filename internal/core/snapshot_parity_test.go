@@ -22,7 +22,6 @@ import (
 var notPersisted = map[string]string{
 	"View.Certain": "each entry aliases Graphs[i].G; the loader re-derives the slice",
 	"View.Build":   "build-time metrics, not state; the loader repopulates the fields queries read",
-	"Index.Opt":    "pmi sections do not persist options; the loader restores them from BuildOptions",
 }
 
 var bothFormats = []SnapshotFormat{SnapshotText, SnapshotBinary}
@@ -120,9 +119,6 @@ func assertRoundTrip(t *testing.T, label string, got, want *View) {
 	}
 
 	comparePersisted(t, label, got.PMI, want.PMI, "Entries")
-	if got.PMI.Opt != got.opt.PMI {
-		t.Errorf("%s: PMI options not restored from the build options", label)
-	}
 	if got.Build.IndexSizeBytes != got.PMI.SizeBytes() {
 		t.Errorf("%s: Build.IndexSizeBytes = %d, want %d", label, got.Build.IndexSizeBytes, got.PMI.SizeBytes())
 	}

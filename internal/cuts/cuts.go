@@ -8,9 +8,11 @@
 // chosen from every embedding, minimized. We enumerate those directly with
 // Berge's sequential algorithm under a cap.
 //
-// Any enumerated cut is a valid embedding cut, and the PMI upper bound
-// remains correct for any subset of the full cut family, so capping the
-// enumeration trades bound tightness for time, never correctness.
+// Any enumerated cut is a valid embedding cut, and the paper's PMI upper
+// bound remains correct for any subset of the full cut family, so capping
+// the enumeration trades bound tightness for time, never correctness. The
+// index stores exact cells instead, so no engine package imports it; the
+// ledger under bench/ still times it as a kernel.
 package cuts
 
 import (

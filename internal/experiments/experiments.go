@@ -1,5 +1,8 @@
-// Package experiments reproduces every figure of the paper's evaluation
-// (§6, Figures 9–14). Each FigXX method runs the corresponding sweep and
+// Package experiments reproduces the figures of the paper's evaluation
+// (§6, Figures 9–14, except Figure 11: it compared the paper's two index
+// builds, SIPBound and OPT-SIPBound, and the index now stores exact cells —
+// README's reproduction notes record what the paper's bounds cost against
+// them). Each FigXX method runs the corresponding sweep and
 // returns a rendered table whose series mirror the paper's plots; the
 // cmd/pgbench binary prints them and the repository-root benchmarks wrap
 // them in testing.B harnesses.
@@ -7,7 +10,8 @@
 // Absolute numbers differ from the paper (different hardware, Go instead of
 // VC++ 6.0, synthetic data at reduced scale); the reproduction targets are
 // the curve shapes — who wins, by what rough factor, where the crossovers
-// fall. EXPERIMENTS.md records paper-vs-measured for each figure.
+// fall. README's reproduction notes say where a figure departs from the
+// paper and why.
 package experiments
 
 import (
@@ -51,7 +55,6 @@ type preset struct {
 	defaultQuerySize int
 	defaultDelta     int
 	defaultEpsilon   float64
-	deltas           []int
 	epsilons         []float64
 	dbSizes          []int
 	exactSizeLimit   int // largest DB size the Exact baseline runs at
@@ -65,7 +68,6 @@ func presetFor(scale string) preset {
 			numGraphs: 400, minV: 12, maxV: 18, organisms: 8,
 			querySizes: []int{4, 6, 8, 10, 12}, queriesPerSize: 8,
 			defaultQuerySize: 8, defaultDelta: 2, defaultEpsilon: 0.5,
-			deltas:   []int{0, 1, 2, 3},
 			epsilons: []float64{0.3, 0.4, 0.5, 0.6, 0.7},
 			dbSizes:  []int{100, 200, 400, 800}, exactSizeLimit: 100,
 			verifyN: 1476,
@@ -75,7 +77,6 @@ func presetFor(scale string) preset {
 			numGraphs: 120, minV: 9, maxV: 13, organisms: 6,
 			querySizes: []int{3, 4, 6, 8}, queriesPerSize: 5,
 			defaultQuerySize: 4, defaultDelta: 1, defaultEpsilon: 0.5,
-			deltas:   []int{0, 1, 2},
 			epsilons: []float64{0.3, 0.4, 0.5, 0.6, 0.7},
 			dbSizes:  []int{40, 80, 160, 320}, exactSizeLimit: 40,
 			verifyN: 800,
@@ -85,7 +86,6 @@ func presetFor(scale string) preset {
 			numGraphs: 24, minV: 7, maxV: 9, organisms: 4,
 			querySizes: []int{3, 4, 5}, queriesPerSize: 3,
 			defaultQuerySize: 4, defaultDelta: 1, defaultEpsilon: 0.5,
-			deltas:   []int{0, 1, 2},
 			epsilons: []float64{0.3, 0.5, 0.7},
 			dbSizes:  []int{12, 24, 48}, exactSizeLimit: 24,
 			verifyN: 400,
@@ -98,10 +98,8 @@ type Env struct {
 	Cfg Config
 	P   preset
 
-	Raw     *dataset.DB
-	DB      *core.Database // COR model, OPT-SIPBound index
-	PlainDB *core.Database // COR model, SIPBound index (greedy families)
-	ExactDB *core.Database // COR model, exact cells (the library default)
+	Raw *dataset.DB
+	DB  *core.Database // COR model, the library's index
 
 	// Queries[size] holds extracted connected query graphs.
 	Queries map[int][]*graph.Graph
@@ -119,7 +117,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.DB, err = core.NewDatabase(e.Raw.Graphs, buildOpt(true))
+	e.DB, err = core.NewDatabase(e.Raw.Graphs, buildOpt())
 	if err != nil {
 		return nil, err
 	}
@@ -149,43 +147,15 @@ func NewEnv(cfg Config) (*Env, error) {
 	return e, nil
 }
 
-// buildOpt is the figures' index: the paper's §4.1 family cells,
-// OPT-SIPBound when optimize is set and SIPBound otherwise.
-func buildOpt(optimize bool) core.BuildOptions {
+// buildOpt is the figures' index: the library's defaults with the
+// figures' mining thresholds.
+func buildOpt() core.BuildOptions {
 	opt := core.DefaultBuildOptions()
 	opt.Feature.Beta = 0.2
 	opt.Feature.Alpha = 0.1
 	opt.Feature.Gamma = 0.1
 	opt.Feature.MaxL = 4
-	opt.PMI.Optimize = optimize
-	opt.PMI.Exact = false
 	return opt
-}
-
-// plainDB lazily builds the SIPBound (greedy family) index.
-func (e *Env) plainDB() (*core.Database, error) {
-	if e.PlainDB == nil {
-		db, err := core.NewDatabase(e.Raw.Graphs, buildOpt(false))
-		if err != nil {
-			return nil, err
-		}
-		e.PlainDB = db
-	}
-	return e.PlainDB, nil
-}
-
-// exactDB lazily builds the exact-cell index.
-func (e *Env) exactDB() (*core.Database, error) {
-	if e.ExactDB == nil {
-		opt := buildOpt(true)
-		opt.PMI.Exact = true
-		db, err := core.NewDatabase(e.Raw.Graphs, opt)
-		if err != nil {
-			return nil, err
-		}
-		e.ExactDB = db
-	}
-	return e.ExactDB, nil
 }
 
 // defaultQO returns the default query configuration (OPT everything, SMP).
@@ -419,54 +389,6 @@ func (e *Env) Fig10() (*stats.Table, *stats.Table, error) {
 	return a, b, nil
 }
 
-// Fig11 — candidate size and pruning time vs distance threshold δ for
-// Structure / SIPBound / OPT-SIPBound (index-level ablation: each runs the
-// OPT query bounds over a differently built PMI), with the exact-cell index
-// beside them: the tightest any cell can be, so its column is the floor
-// both paper bounds are measured against.
-func (e *Env) Fig11() (*stats.Table, *stats.Table, error) {
-	plain, err := e.plainDB()
-	if err != nil {
-		return nil, nil, err
-	}
-	exact, err := e.exactDB()
-	if err != nil {
-		return nil, nil, err
-	}
-	a := stats.NewTable("Figure 11a — candidate size vs δ",
-		"delta", "Structure", "SIPBound", "OPT-SIPBound", "Exact")
-	b := stats.NewTable("Figure 11b — pruning time vs δ",
-		"delta", "Structure ms", "SIPBound ms", "OPT-SIPBound ms", "Exact ms")
-	qs := e.Queries[e.P.defaultQuerySize]
-	for _, delta := range e.P.deltas {
-		var structC, structT []float64
-		var c, t [3][]float64 // SIPBound, OPT-SIPBound, Exact
-		for qi, q := range qs {
-			qo := core.QueryOptions{Epsilon: e.P.defaultEpsilon, Delta: delta,
-				SkipProbPruning: true, Verifier: core.VerifierNone, Seed: int64(qi)}
-			start := time.Now()
-			res, err := e.DB.View().QueryCtx(bg, q, qo)
-			if err != nil {
-				return nil, nil, err
-			}
-			structT = append(structT, ms(time.Since(start)))
-			structC = append(structC, float64(res.Stats.StructConfirmed))
-
-			for i, db := range []*core.Database{plain, e.DB, exact} {
-				pp, err := e.pruneOnce(db, q, e.P.defaultEpsilon, delta, true, int64(qi))
-				if err != nil {
-					return nil, nil, err
-				}
-				c[i] = append(c[i], pp.candidates)
-				t[i] = append(t[i], pp.timeMS)
-			}
-		}
-		a.AddRow(delta, dataset.Mean(structC), dataset.Mean(c[0]), dataset.Mean(c[1]), dataset.Mean(c[2]))
-		b.AddRow(delta, dataset.Mean(structT), dataset.Mean(t[0]), dataset.Mean(t[1]), dataset.Mean(t[2]))
-	}
-	return a, b, nil
-}
-
 // Fig12 — feature-generation parameter study: candidates vs maxL and α,
 // index build time vs β, index size vs γ.
 func (e *Env) Fig12() ([]*stats.Table, error) {
@@ -505,7 +427,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 		structureBaseline = dataset.Mean(ss)
 	}
 	for _, maxL := range []int{2, 3, 4, 5} {
-		opt := buildOpt(true)
+		opt := buildOpt()
 		opt.Feature.MaxL = maxL
 		c, db, err := candidatesWith(opt)
 		if err != nil {
@@ -515,9 +437,9 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	}
 
 	b := stats.NewTable("Figure 12b — candidate size vs α",
-		"alpha", "Structure", "OPT-SIPBound candidates", "features")
+		"alpha", "Structure", "OPT-SSPBound candidates", "features")
 	for _, alpha := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true)
+		opt := buildOpt()
 		opt.Feature.Alpha = alpha
 		c, db, err := candidatesWith(opt)
 		if err != nil {
@@ -529,7 +451,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	c := stats.NewTable("Figure 12c — index building time vs β",
 		"beta", "build time ms", "features")
 	for _, beta := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true)
+		opt := buildOpt()
 		opt.Feature.Beta = beta
 		start := time.Now()
 		db, err := core.NewDatabase(e.Raw.Graphs, opt)
@@ -542,7 +464,7 @@ func (e *Env) Fig12() ([]*stats.Table, error) {
 	d := stats.NewTable("Figure 12d — index size vs γ",
 		"gamma", "index KB", "features")
 	for _, gamma := range []float64{0.05, 0.1, 0.15, 0.2, 0.25} {
-		opt := buildOpt(true)
+		opt := buildOpt()
 		opt.Feature.Gamma = gamma
 		db, err := core.NewDatabase(e.Raw.Graphs, opt)
 		if err != nil {
@@ -567,7 +489,7 @@ func (e *Env) Fig13() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		db, err := core.NewDatabase(raw.Graphs, buildOpt(true))
+		db, err := core.NewDatabase(raw.Graphs, buildOpt())
 		if err != nil {
 			return nil, err
 		}
@@ -658,15 +580,15 @@ func (e *Env) Fig14() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cor, err := core.NewDatabase(raw.Graphs, buildOpt(true))
+	cor, err := core.NewDatabase(raw.Graphs, buildOpt())
 	if err != nil {
 		return nil, err
 	}
-	indR, err := core.NewDatabase(rawInd.Graphs, buildOpt(true))
+	indR, err := core.NewDatabase(rawInd.Graphs, buildOpt())
 	if err != nil {
 		return nil, err
 	}
-	ind, err := core.NewDatabase(margInd.Graphs, buildOpt(true))
+	ind, err := core.NewDatabase(margInd.Graphs, buildOpt())
 	if err != nil {
 		return nil, err
 	}

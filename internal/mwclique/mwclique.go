@@ -1,6 +1,8 @@
-// Package mwclique solves the maximum weight clique problem used by the PMI
-// index to pick the tightest families of disjoint embeddings (lower bound,
-// paper §4.1.1) and disjoint embedding cuts (upper bound, paper §4.1.2).
+// Package mwclique solves the maximum weight clique problem the paper's
+// PMI bounds use to pick the tightest families of disjoint embeddings
+// (lower bound, §4.1.1) and disjoint embedding cuts (upper bound, §4.1.2).
+// The index stores exact cells instead, so no engine package imports it;
+// the ledger under bench/ still times it as a kernel.
 //
 // The solver is a branch-and-bound in the spirit of Balas–Xue (reference [7]
 // of the paper): vertices are ordered by weight, and a greedy coloring of

@@ -172,6 +172,25 @@ func TestZeroSpanIsInert(t *testing.T) {
 	}
 }
 
+// TestContextWithSpanAllocatesOnce: attaching a live span costs the one
+// context node — the value is a pointer to the handle the trace keeps —
+// and reads back as the same span after the trace has grown past it.
+func TestContextWithSpanAllocatesOnce(t *testing.T) {
+	tr := NewTrace()
+	root := tr.Root("query")
+	ctx := ContextWithSpan(context.Background(), root)
+	for i := 0; i < 100; i++ {
+		tr.Root("more").End() // outgrow the backing array root's handle sits in
+	}
+	if SpanFrom(ctx) != root {
+		t.Fatalf("span read back as %+v, attached %+v", SpanFrom(ctx), root)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ContextWithSpan(ctx, root) }); allocs != 1 {
+		t.Fatalf("attaching a live span allocates %.1f per op, want 1", allocs)
+	}
+	root.End()
+}
+
 // TestStageEndsItsSpan: Stage hands f a context whose span is the stage's
 // own (a stage f opens nests under it), and ends that span with f's count
 // whichever way f leaves — a normal return, an error, or a panic (count 0).

@@ -29,7 +29,16 @@ type Trace struct {
 	start time.Time
 
 	mu    sync.Mutex
-	spans []SpanData
+	spans []spanRec
+}
+
+// spanRec is one recorded span and its handle. ContextWithSpan stores a
+// pointer to the handle, which the trace owns, so attaching a span boxes
+// nothing. A handle never changes once written, so a pointer into a
+// backing array the slice has since outgrown still reads it right.
+type spanRec struct {
+	data SpanData
+	self Span
 }
 
 // SpanData is one recorded span. Parent indexes Spans() (-1 for roots);
@@ -86,10 +95,10 @@ func (s Span) Trace() *Trace { return s.tr }
 func (t *Trace) newSpan(name string, parent int) Span {
 	now := time.Since(t.start)
 	t.mu.Lock()
-	idx := len(t.spans)
-	t.spans = append(t.spans, SpanData{Name: name, Parent: parent, Start: now})
+	s := Span{tr: t, idx: int32(len(t.spans))}
+	t.spans = append(t.spans, spanRec{SpanData{Name: name, Parent: parent, Start: now}, s})
 	t.mu.Unlock()
-	return Span{tr: t, idx: int32(idx)}
+	return s
 }
 
 // Root opens a top-level span (Parent -1).
@@ -129,7 +138,7 @@ func (s Span) end(n int64, setCount bool) {
 	}
 	now := time.Since(s.tr.start)
 	s.tr.mu.Lock()
-	sp := &s.tr.spans[s.idx]
+	sp := &s.tr.spans[s.idx].data
 	if !sp.Done {
 		sp.Done = true
 		sp.Duration = now - sp.Start
@@ -144,7 +153,11 @@ func (s Span) end(n int64, setCount bool) {
 func (t *Trace) Spans() []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanData(nil), t.spans...)
+	out := make([]SpanData, len(t.spans))
+	for i := range t.spans {
+		out[i] = t.spans[i].data
+	}
+	return out
 }
 
 // OpenSpans counts spans not yet ended — 0 after any complete query run,
@@ -155,7 +168,7 @@ func (t *Trace) OpenSpans() int {
 	defer t.mu.Unlock()
 	open := 0
 	for i := range t.spans {
-		if !t.spans[i].Done {
+		if !t.spans[i].data.Done {
 			open++
 		}
 	}
@@ -178,9 +191,7 @@ type SpanNode struct {
 // directly.
 func (t *Trace) Tree() *SpanNode {
 	now := time.Since(t.start)
-	t.mu.Lock()
-	spans := append([]SpanData(nil), t.spans...)
-	t.mu.Unlock()
+	spans := t.Spans()
 
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	nodes := make([]*SpanNode, len(spans))
@@ -212,19 +223,26 @@ type spanCtxKey struct{}
 
 // ContextWithSpan attaches s as the context's current span — the parent
 // that downstream stages hang their children from. Attaching the zero
-// Span returns ctx unchanged, so untraced calls pay nothing.
+// Span returns ctx unchanged, so untraced calls pay nothing; a live span
+// costs the one context node, whose value is a pointer to the handle the
+// trace keeps.
 func ContextWithSpan(ctx context.Context, s Span) context.Context {
 	if s.tr == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
+	s.tr.mu.Lock()
+	h := &s.tr.spans[s.idx].self
+	s.tr.mu.Unlock()
+	return context.WithValue(ctx, spanCtxKey{}, h)
 }
 
 // SpanFrom returns the context's current span, or the zero Span. The
 // lookup itself never allocates.
 func SpanFrom(ctx context.Context) Span {
-	s, _ := ctx.Value(spanCtxKey{}).(Span)
-	return s
+	if h, _ := ctx.Value(spanCtxKey{}).(*Span); h != nil {
+		return *h
+	}
+	return Span{}
 }
 
 // TraceFrom returns the trace the context's span belongs to, or nil.

@@ -1,7 +1,7 @@
 package pmi
 
 import (
-	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -75,15 +75,10 @@ func TestExactCellMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// TestExactCellEdgeProbabilities holds single cells to enumeration where
-// the model is awkward: graph 002 of the paper's Figure 1 (overlapping
-// JPTs, a partition function other than 1), and a graph with edges at
-// probability 0 and 1, a certain edge and a JPT with a zero row.
-func TestExactCellEdgeProbabilities(t *testing.T) {
-	_, g002, _, err := dataset.PaperFigure1()
-	if err != nil {
-		t.Fatal(err)
-	}
+// degenerate is a graph with edges at probability 0 and 1, a certain edge
+// and a JPT with a zero row, and the features of TestExactCellEdgeProbabilities.
+func degenerate(t *testing.T) (*prob.PGraph, []*graph.Graph) {
+	t.Helper()
 	b := graph.NewBuilder("degenerate")
 	a0, b1, a2, b3, c4 := b.AddVertex("a"), b.AddVertex("b"), b.AddVertex("a"), b.AddVertex("b"), b.AddVertex("c")
 	sure := b.MustAddEdge(a0, b1, "")
@@ -91,7 +86,7 @@ func TestExactCellEdgeProbabilities(t *testing.T) {
 	half := b.MustAddEdge(a2, b3, "")
 	b.MustAddEdge(b3, c4, "") // in no JPT: certain
 	joint := b.MustAddEdge(a0, b3, "")
-	degenerate, err := prob.New(b.Build(), []prob.JPT{
+	pg, err := prob.New(b.Build(), []prob.JPT{
 		prob.NewIndependentJPT(sure, 1),
 		prob.NewIndependentJPT(never, 0),
 		{Edges: []graph.EdgeID{half, joint}, P: []float64{0.2, 0, 0.5, 0.3}},
@@ -99,19 +94,29 @@ func TestExactCellEdgeProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feats := []*graph.Graph{path("a", "b"), path("a", "b", "b"), path("b", "b", "c"), path("b", "a", "b"), path("a", "b", "c"), path("c", "b", "a", "b")}
+	return pg, []*graph.Graph{path("a", "b"), path("a", "b", "b"), path("b", "b", "c"), path("b", "a", "b"), path("a", "b", "c"), path("c", "b", "a", "b")}
+}
+
+// TestExactCellEdgeProbabilities holds single cells to enumeration where
+// the model is awkward: graph 002 of the paper's Figure 1 (overlapping
+// JPTs, a partition function other than 1), and the degenerate graph.
+func TestExactCellEdgeProbabilities(t *testing.T) {
+	_, g002, _, err := dataset.PaperFigure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, feats := degenerate(t)
 	checked := 0
-	for _, pg := range []*prob.PGraph{g002, degenerate} {
+	for _, pg := range []*prob.PGraph{g002, pg} {
 		eng, err := prob.NewEngine(pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb := &graphBuilder{opt: NewOptions(), pg: pg, eng: eng}
 		for _, f := range feats {
 			if !iso.Exists(f, pg.G, nil) {
 				continue
 			}
-			e, err := gb.bounds(f)
+			e, err := cell(eng, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,116 +132,97 @@ func TestExactCellEdgeProbabilities(t *testing.T) {
 	}
 }
 
-// TestExactCellWithinFamilyBounds: an exact cell lies within both family
-// builds' bounds of the same cell, up to rounding.
-func TestExactCellWithinFamilyBounds(t *testing.T) {
-	for _, correlated := range []bool{false, true} {
-		graphs, engines, feats := buildSmallDB(t, 44, 8, correlated)
-		exact := mustBuild(t, graphs, engines, feats, NewOptions())
-		plain := familyOptions()
-		plain.Optimize = false
-		for _, opt := range []Options{familyOptions(), plain} {
-			fam := mustBuild(t, graphs, engines, feats, opt)
-			checked := 0
-			for fi := range exact.Features {
-				for gi := range graphs {
-					x, f := exact.At(fi, gi), fam.At(fi, gi)
-					if x.Contained != f.Contained {
-						t.Fatalf("cell (%d,%d): containment differs", fi, gi)
-					}
-					if !x.Contained {
-						continue
-					}
-					if x.Lower < f.Lower-1e-12 || x.Upper > f.Upper+1e-12 {
-						t.Errorf("correlated=%v %+v cell (%d,%d): exact %v outside family [%v, %v]", correlated, opt, fi, gi, x.Lower, f.Lower, f.Upper)
-					}
-					checked++
-				}
-			}
-			if checked == 0 {
-				t.Fatal("no contained cell")
-			}
-		}
-	}
-}
-
-// TestExactCellFallback: a cell whose elimination is over the budget is
-// the family cell bitwise, and a capped embedding list keeps Upper 1 with
-// its Lower from the listed sets — their exact union within budget, the
-// family lower bound over it.
+// TestExactCellFallback forces the rule for cells that cannot be exact
+// — a zero budget on every contained cell of two small corpora and of the
+// degenerate graph, a capped list at both budgets — and holds each to
+// Lower ≤ SIP ≤ Upper, Lower ≤ Upper bitwise. Over budget, Lower is the
+// largest embedding's probability and a complete list's Upper the union
+// bound; a capped list's Upper is 1, its Lower the listed sets' union
+// where that fits.
 func TestExactCellFallback(t *testing.T) {
-	graphs, engines, feats := buildSmallDB(t, 21, 8, true)
-	fam := mustBuild(t, graphs, engines, feats, familyOptions())
-	checked := 0
-	for fi, f := range fam.Features {
-		for gi := range graphs {
-			if !fam.At(fi, gi).Contained {
-				continue
-			}
-			b := &graphBuilder{opt: NewOptions(), pg: graphs[gi], eng: engines[gi]}
-			embs := iso.EdgeSets(f, graphs[gi].G, nil, maxEmbeddings)
-			if _, ok, _ := b.union(embs, 0); ok {
-				continue // certain or impossible: exact at no cost
-			}
-			got, err := b.entry(embs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != fam.At(fi, gi) {
-				t.Errorf("cell (%d,%d) over budget: %+v, family cell %+v", fi, gi, got, fam.At(fi, gi))
-			}
-			checked++
+	check := func(at string, e Entry, sip float64) {
+		t.Helper()
+		if !e.Contained || e.Lower > e.Upper || e.Lower > sip+1e-12 || e.Upper < sip-1e-12 || e.Lower < 0 || e.Upper > 1 {
+			t.Errorf("%s: cell %+v does not sandwich SIP %v", at, e, sip)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no cell went over a zero budget")
-	}
-
-	pg, eng := disjointEdges(t, 30, 0.1)
-	f := path("a", "b")
-	embs := iso.EdgeSets(f, pg.G, nil, maxEmbeddings)
-	if len(embs) != maxEmbeddings {
-		t.Fatalf("%d embeddings listed, want the cap %d", len(embs), maxEmbeddings)
-	}
-	familyLower, err := (&graphBuilder{opt: familyOptions(), pg: pg, eng: eng}).lowerBound(embs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed := 1 - math.Pow(0.9, maxEmbeddings)
-	for _, c := range []struct {
-		opt    Options
-		budget int
-		lower  float64
-	}{
-		{NewOptions(), exactBudget, listed},
-		{NewOptions(), 0, familyLower},
-		{familyOptions(), exactBudget, familyLower},
-	} {
-		got, err := (&graphBuilder{opt: c.opt, pg: pg, eng: eng}).entry(embs, c.budget)
+	fallbacks := 0
+	overBudget := func(at string, eng *prob.Engine, f *graph.Graph) {
+		t.Helper()
+		embs := iso.EdgeSets(f, eng.PGraph().G, nil, maxEmbeddings)
+		e, err := entry(eng, embs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Upper != 1 || math.Abs(got.Lower-c.lower) > 1e-12 {
-			t.Errorf("%+v budget %d: capped cell [%v, %v], want [%v, 1]", c.opt, c.budget, got.Lower, got.Upper, c.lower)
+		check(at, e, exactSIP(t, eng, f, eng.PGraph().G))
+		if e.Lower != e.Upper {
+			fallbacks++
 		}
 	}
-}
-
-// TestExactCellLegacyOptions: an options blob written before Exact existed
-// has no such key and decodes to family cells.
-func TestExactCellLegacyOptions(t *testing.T) {
-	var opt Options
-	if err := json.Unmarshal([]byte(`{"Optimize":true,"Seed":1}`), &opt); err != nil {
-		t.Fatal(err)
+	for _, correlated := range []bool{false, true} {
+		graphs, engines, feats := buildSmallDB(t, 21, 8, correlated)
+		idx := mustBuild(t, graphs, engines, feats, NewOptions())
+		for fi, f := range idx.Features {
+			for gi := range graphs {
+				if idx.At(fi, gi).Contained {
+					overBudget(fmt.Sprintf("correlated=%v cell (%d,%d)", correlated, fi, gi), engines[gi], f)
+				}
+			}
+		}
 	}
-	if opt != (Options{Optimize: true, Seed: 1}) {
-		t.Fatalf("legacy blob decodes to %+v", opt)
-	}
-	blob, err := json.Marshal(NewOptions())
+	pg, feats := degenerate(t)
+	eng, err := prob.NewEngine(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"Optimize":true,"Exact":true,"Seed":0}`; string(blob) != want {
-		t.Fatalf("NewOptions encodes as %s, want %s", blob, want)
+	for i, f := range feats {
+		if iso.Exists(f, pg.G, nil) {
+			overBudget(fmt.Sprintf("degenerate feature %d", i), eng, f)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no cell took the fallback under a zero budget")
+	}
+
+	// Four disjoint a–b edges at p = 0.1, complete: max 0.1, Σ 0.4.
+	pg, eng = disjointEdges(t, 4, 0.1)
+	e, err := entry(eng, iso.EdgeSets(path("a", "b"), pg.G, nil, maxEmbeddings), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(e.Lower-0.1) > 1e-12 || math.Abs(e.Upper-0.4) > 1e-12 {
+		t.Errorf("complete list over budget: cell [%v, %v], want [0.1, 0.4]", e.Lower, e.Upper)
+	}
+	check("complete list over budget", e, 1-math.Pow(0.9, 4))
+
+	// Thirty at p = 0.1 list only the cap.
+	pg, eng = disjointEdges(t, 30, 0.1)
+	embs := iso.EdgeSets(path("a", "b"), pg.G, nil, maxEmbeddings)
+	if len(embs) != maxEmbeddings {
+		t.Fatalf("%d embeddings listed, want the cap %d", len(embs), maxEmbeddings)
+	}
+	for _, c := range []struct {
+		budget int
+		lower  float64
+	}{{exactBudget, 1 - math.Pow(0.9, maxEmbeddings)}, {0, 0.1}} {
+		e, err := entry(eng, embs, c.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Upper != 1 || math.Abs(e.Lower-c.lower) > 1e-12 {
+			t.Errorf("budget %d: capped cell [%v, %v], want [%v, 1]", c.budget, e.Lower, e.Upper, c.lower)
+		}
+		check(fmt.Sprintf("capped list, budget %d", c.budget), e, 1-math.Pow(0.9, 30))
 	}
 }
+
+// graphBuilder is the cell rule in the form TestBoundsSandwichCappedList
+// calls it, written when a build's options chose between cell rules; opt
+// and pg select nothing now.
+type graphBuilder struct {
+	opt Options
+	pg  *prob.PGraph
+	eng *prob.Engine
+}
+
+func (b *graphBuilder) bounds(f *graph.Graph) (Entry, error) { return cell(b.eng, f) }

@@ -27,14 +27,13 @@ import (
 // lists during a build, a fresh isomorphism test (embeds) for a graph
 // arriving later. It runs in full before any structural change happens, so
 // a failed computation leaves nothing to undo.
-func (idx *Index) column(pg *prob.PGraph, eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
-	b := &graphBuilder{opt: idx.Opt, pg: pg, eng: eng}
+func (idx *Index) column(eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
 	column := make([]Entry, len(idx.Features))
 	for fi, fg := range idx.Features {
 		if !contained(fi) {
 			continue
 		}
-		entry, err := b.bounds(fg)
+		entry, err := cell(eng, fg)
 		if err != nil {
 			return nil, fmt.Errorf("pmi: feature %d on graph %d: %w", fi, gi, err)
 		}
@@ -62,7 +61,7 @@ func (idx *Index) clone() *Index {
 // form a linear chain (serialized by core's writer lock), so a backing
 // slot is written at most once after becoming reachable.
 func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(pg, eng, len(idx.cols), idx.embeds(pg))
+	column, err := idx.column(eng, len(idx.cols), idx.embeds(pg))
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +90,7 @@ func (idx *Index) WithFreedColumns(ids ...int) *Index {
 // WithReplacedColumn returns a new Index whose column gi holds the bounds
 // of pg instead — one column swapped, every other shared.
 func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(pg, eng, gi, idx.embeds(pg))
+	column, err := idx.column(eng, gi, idx.embeds(pg))
 	if err != nil {
 		return nil, err
 	}

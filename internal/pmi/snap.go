@@ -12,9 +12,10 @@ import (
 // bit-order). Uncontained entries are implicit (the paper's ⟨0⟩). Freed
 // columns (removed graphs) serialize as uncontained, so a dead graph's
 // bounds leave the persisted matrix; the snapshot loader frees them again
-// from the tombstone list, and save→load→save is byte-stable either way. Opt
-// is not written: the snapshot loader restores it from the database's build
-// options.
+// from the tombstone list, and save→load→save is byte-stable either way.
+// A loaded cell is data and is never recomputed: a snapshot written when
+// cells came from the paper's §4.1 families keeps them, and only the
+// columns added to it later follow the current rule.
 //
 // The file is feature-major and the matrix in memory graph-major (one
 // column per graph, see Index), so unlike the structural slabs the PMI is

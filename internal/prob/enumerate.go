@@ -62,63 +62,11 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 				size++
 			}
 		}
-		p, err := u.prob(e, true)
+		p, err := u.prob(e)
 		if err != nil {
 			return 0, err
 		}
 		if size%2 == 1 {
-			total += p
-		} else {
-			total -= p
-		}
-	}
-	if total < 0 {
-		total = 0
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total, nil
-}
-
-// ProbConjNegConj computes Pr(base ∧ ⋀_j ¬other_j) exactly, where base and
-// each other_j assert that all edges of the set hold the given polarity
-// (present=true: edges exist; present=false: edges are absent — the cut
-// case). This is the exact counterpart of the paper's Algorithm 3 for
-// Pr(Bf|COR) and Pr(Bc|COM) numerators/denominators:
-//
-//	Pr(base ∧ ⋀¬other_j) = Σ_{J⊆others} (−1)^{|J|} Pr(base ∧ ⋀_{j∈J} other_j)
-//
-// When base is nil the leading conjunct is dropped (computes Pr(⋀¬other_j)).
-// More than 24 others (2^24 terms) is an error.
-func ProbConjNegConj(e *Engine, base *graph.EdgeSet, others []graph.EdgeSet, present bool) (float64, error) {
-	m := len(others)
-	if m > 24 {
-		return 0, fmt.Errorf("prob: %d overlapping sets too many for inclusion-exclusion", m)
-	}
-	u := newUnionMemo(e.pg.G.NumEdges())
-	total := 0.0
-	for mask := 0; mask < 1<<m; mask++ {
-		clear(u.words)
-		if base != nil {
-			u.set.UnionWith(*base)
-		}
-		size := 0
-		for j := 0; j < m; j++ {
-			if mask&(1<<j) != 0 {
-				u.set.UnionWith(others[j])
-				size++
-			}
-		}
-		if base == nil && mask == 0 {
-			total += 1 // empty conjunction holds with probability 1
-			continue
-		}
-		p, err := u.prob(e, present)
-		if err != nil {
-			return 0, err
-		}
-		if size%2 == 0 {
 			total += p
 		} else {
 			total -= p
@@ -154,9 +102,9 @@ func newUnionMemo(numEdges int) *unionMemo {
 	}
 }
 
-// prob returns the probability that every edge of the union holds the
-// given polarity, from the memo when the same union was asked before.
-func (u *unionMemo) prob(e *Engine, present bool) (float64, error) {
+// prob returns the probability that every edge of the union is present,
+// from the memo when the same union was asked before.
+func (u *unionMemo) prob(e *Engine) (float64, error) {
 	for i, w := range u.words {
 		binary.LittleEndian.PutUint64(u.key[8*i:], w)
 	}
@@ -166,7 +114,7 @@ func (u *unionMemo) prob(e *Engine, present bool) (float64, error) {
 	u.lits = u.lits[:0]
 	for i, w := range u.words {
 		for ; w != 0; w &= w - 1 {
-			u.lits = append(u.lits, Literal{Edge: graph.EdgeID(64*i + bits.TrailingZeros64(w)), Present: present})
+			u.lits = append(u.lits, Literal{Edge: graph.EdgeID(64*i + bits.TrailingZeros64(w)), Present: true})
 		}
 	}
 	p, err := e.ProbLits(u.lits)

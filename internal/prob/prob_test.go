@@ -410,69 +410,6 @@ func TestProbDNFExact(t *testing.T) {
 	}
 }
 
-func TestProbConjNegConj(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pg := randomPGraph(rng, 5, 5)
-		eng, err := NewEngine(pg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ne := pg.G.NumEdges()
-		mk := func() graph.EdgeSet {
-			s := graph.NewEdgeSet(ne)
-			for e := 0; e < ne; e++ {
-				if rng.Intn(3) == 0 {
-					s.Add(graph.EdgeID(e))
-				}
-			}
-			if s.Count() == 0 {
-				s.Add(graph.EdgeID(rng.Intn(ne)))
-			}
-			return s
-		}
-		base := mk()
-		others := []graph.EdgeSet{mk(), mk()}
-		for _, present := range []bool{true, false} {
-			got, err := ProbConjNegConj(eng, &base, others, present)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := 0.0
-			if err := EnumerateWorlds(eng, func(w graph.EdgeSet, p float64) bool {
-				holds := func(s graph.EdgeSet) bool {
-					for _, e := range s.Slice() {
-						if w.Contains(e) != present {
-							return false
-						}
-					}
-					return true
-				}
-				if !holds(base) {
-					return true
-				}
-				for _, o := range others {
-					if holds(o) {
-						return true
-					}
-				}
-				want += p
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Logf("seed %d present=%v: got %v want %v", seed, present, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIsNeighborEdgeSet(t *testing.T) {
 	b := graph.NewBuilder("x")
 	v0 := b.AddVertex("a")

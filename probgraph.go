@@ -140,8 +140,8 @@ type (
 	// the state they read (Graphs, PMI, ...) live on it, and no mutation
 	// ever changes a pinned view.
 	DatabaseView = core.View
-	// BuildOptions configures indexing (feature mining α/β/γ/maxL, PMI
-	// construction: exact cells, or OPT-SIPBound vs SIPBound).
+	// BuildOptions configures indexing (feature mining α/β/γ/maxL; the
+	// PMI build has no knobs).
 	BuildOptions = core.BuildOptions
 	// QueryOptions configures one T-PS query (ε, δ, OPT-SSPBound vs
 	// SSPBound, verifier choice, Concurrency worker-pool bound).
@@ -156,7 +156,7 @@ type (
 	VerifyOptions = verify.Options
 	// FeatureOptions are the miner knobs (paper Algorithm 4).
 	FeatureOptions = feature.Options
-	// PMIOptions are the index construction knobs (paper §4.1).
+	// PMIOptions are BuildOptions.PMI, which the build reads none of.
 	PMIOptions = pmi.Options
 )
 
@@ -195,9 +195,9 @@ func NewDatabase(graphs []*PGraph, opt BuildOptions) (*Database, error) {
 	return core.NewDatabase(graphs, opt)
 }
 
-// DefaultBuildOptions returns the paper's default configuration
-// (exact PMI cells, OPT-SIPBound where a cell cannot be exact, α=β=γ=0.15
-// mining thresholds).
+// DefaultBuildOptions returns the paper's default configuration (α=β=γ=0.15
+// mining thresholds). The PMI it builds has no options: every cell stores
+// SIP exactly where its elimination is cheap, elementary bounds elsewhere.
 func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 
 // Database.AddGraph (on the aliased core type) inserts one graph
@@ -242,7 +242,8 @@ type (
 )
 
 // GeneratePPI synthesizes a PPI-like probabilistic graph database with
-// organism families (see DESIGN.md for the substitution rationale).
+// organism families (internal/dataset's package doc gives the substitution
+// rationale).
 func GeneratePPI(opt DatasetOptions) (*Dataset, error) { return dataset.GeneratePPI(opt) }
 
 // IndependentCounterpart rebuilds a dataset with the same certain graphs
