@@ -1,9 +1,10 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"slices"
+	"strconv"
+	"sync"
 )
 
 // CanonicalCode returns a string that is identical for isomorphic graphs and
@@ -13,151 +14,273 @@ import (
 // queries (≲ 16 vertices). Isolated vertices participate like any others.
 //
 // The code is the lexicographically smallest row-major rendering of the
-// labeled adjacency matrix together with the ordered vertex label sequence.
+// labeled adjacency matrix together with the ordered vertex label sequence:
+// per vertex, in order, its label, ':', then "j[label]" for each edge to the
+// j-th earlier vertex, then ';'. Labels are written with '%', ':', ';', '['
+// and ']' percent-escaped (as %25, %3A, %3B, %5B, %5D), so the delimiters
+// are unambiguous and the code determines the graph; escaping leaves every
+// label without those bytes as it is.
+//
+// The output bytes are frozen: feature.Mine orders and cuts its candidates
+// by code, and the server keys its result cache by it, so any other
+// canonical form — even another correct one — would move the mined index.
+// The refinement's color strings, which decide the orderings tried, are
+// frozen with them (canonical_oracle_test.go keeps the reference).
 func CanonicalCode(g *Graph) string {
-	n := g.NumVertices()
-	if n == 0 {
+	if g.NumVertices() == 0 {
 		return "∅"
 	}
-	colors := refine(g)
-
-	// Group vertices by refined color; orderings only permute within groups
-	// that share a color, which prunes the factorial search dramatically.
-	c := &canonSearch{g: g, colors: colors, perm: make([]VertexID, 0, n), used: make([]bool, n)}
-	c.search()
-	return c.best
+	c := canonPool.Get().(*canon)
+	defer canonPool.Put(c)
+	c.reset(g)
+	c.refine()
+	c.order()
+	c.search(0)
+	c.g = nil
+	return string(c.best)
 }
 
-// Isomorphic reports whether g1 and g2 are isomorphic, using signatures as a
-// fast path and canonical codes for confirmation.
+// Isomorphic reports whether g1 and g2 are isomorphic: it rejects on vertex
+// and edge counts, vertex-label counts and edge-type multisets, and confirms
+// by canonical codes.
 func Isomorphic(g1, g2 *Graph) bool {
-	if g1.NumVertices() != g2.NumVertices() || g1.NumEdges() != g2.NumEdges() {
-		return false
-	}
-	if g1.Signature() != g2.Signature() {
+	if g1.NumVertices() != g2.NumVertices() || g1.NumEdges() != g2.NumEdges() ||
+		!slices.Equal(g1.vcount, g2.vcount) || !slices.Equal(g1.etypes, g2.etypes) {
 		return false
 	}
 	return CanonicalCode(g1) == CanonicalCode(g2)
+}
+
+// canon is CanonicalCode's scratch, kept between calls by canonPool.
+type canon struct {
+	g *Graph
+	n int
+	// Refinement: cols are the vertices' colors, in colBuf, sigs the
+	// round's vertex signatures, in sigBuf, and ents one vertex's
+	// neighbour entries, in entBuf; at and entAt collect a buffer's
+	// offsets. pre is the length of each color's fixed prefix, id the
+	// round's ranks, ord the vertices by signature.
+	colBuf, tmpBuf, sigBuf, entBuf []byte
+	cols, sigs, ents               [][]byte
+	at, entAt, pre, id, ord        []int32
+	// Search: rank is the final color's rank, seq the vertices by rank and
+	// first[d] where depth d's color class starts in seq; edge[u*n+v] is
+	// the edge joining u and v, or -1; perm the ordering so far and buf its
+	// rendering, best the least complete rendering yet (empty before the
+	// first: no complete rendering is).
+	rank, seq, first, edge, perm []int32
+	used                         []bool
+	buf, best                    []byte
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canon) }}
+
+// reset sizes c for g.
+func (c *canon) reset(g *Graph) {
+	n := len(g.vlabel)
+	c.g, c.n = g, n
+	c.cols, c.sigs, c.ents = resize(c.cols, n), resize(c.sigs, n), resize(c.ents, n)
+	c.at, c.pre, c.id, c.ord = resize(c.at, n+1), resize(c.pre, n), resize(c.id, n), resize(c.ord, n)
+	c.rank, c.seq, c.first, c.perm = resize(c.rank, n), resize(c.seq, n), resize(c.first, n), resize(c.perm, n)
+	c.used, c.edge = resize(c.used, n), resize(c.edge, n*n)
+	clear(c.used)
+	for i := range c.edge {
+		c.edge[i] = -1
+	}
+	for id, e := range g.edges {
+		c.edge[int(e.U)*n+int(e.V)], c.edge[int(e.V)*n+int(e.U)] = int32(id), int32(id)
+	}
+	c.buf, c.best = c.buf[:0], c.best[:0]
+}
+
+// resize returns s cut or grown to n elements, contents unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// split points out[i] at buf[at[i]:at[i+1]].
+func split(out [][]byte, buf []byte, at []int32) {
+	for i := range out {
+		out[i] = buf[at[i]:at[i+1]]
+	}
+}
+
+// sortBy fills ord with the vertices ordered by key, ties by vertex.
+func sortBy(ord []int32, key [][]byte) {
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		if d := bytes.Compare(key[a], key[b]); d != 0 {
+			return d
+		}
+		return int(a - b)
+	})
 }
 
 // refine computes a stable vertex coloring via iterative refinement
 // (1-dimensional Weisfeiler-Leman over labels, degrees, incident edge
 // labels). Equal final colors are a necessary condition for two vertices to
 // be exchangeable by an automorphism.
-func refine(g *Graph) []string {
-	n := g.NumVertices()
-	colors := make([]string, n)
-	for v := 0; v < n; v++ {
-		colors[v] = fmt.Sprintf("%s/%d", g.VertexLabel(VertexID(v)), g.Degree(VertexID(v)))
+//
+// A vertex starts as "label/degree". Each round gives it the signature
+// color + "(" + its sorted "edgelabel~neighbourcolor" entries joined by ","
+// + ")", and then the color prefix#rank: prefix is the start color up to
+// its first '#', rank that of the signature among the round's distinct
+// signatures in byte order, which keeps colors isomorphism-invariant. The
+// rounds stop once no rank changes, or after n.
+func (c *canon) refine() {
+	g, n := c.g, c.n
+	c.colBuf, c.at[0] = c.colBuf[:0], 0
+	for v := range n {
+		start := len(c.colBuf)
+		c.colBuf = append(c.colBuf, g.vlabel[v]...)
+		c.colBuf = append(c.colBuf, '/')
+		c.colBuf = strconv.AppendInt(c.colBuf, int64(len(g.adj[v])), 10)
+		c.at[v+1] = int32(len(c.colBuf))
+		c.pre[v] = int32(len(c.colBuf) - start)
+		if i := bytes.IndexByte(c.colBuf[start:], '#'); i >= 0 {
+			c.pre[v] = int32(i)
+		}
 	}
-	next := make([]string, n)
+	split(c.cols, c.colBuf, c.at)
 	for round := 0; round < n; round++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			nb := make([]string, 0, g.Degree(VertexID(v)))
-			for _, h := range g.Neighbors(VertexID(v)) {
-				nb = append(nb, string(g.EdgeLabel(h.Edge))+"~"+colors[h.To])
+		c.sigBuf = c.sigBuf[:0]
+		for v := range n {
+			c.sigBuf = append(c.sigBuf, c.cols[v]...)
+			c.sigBuf = append(c.sigBuf, '(')
+			c.sigBuf = c.appendEntries(c.sigBuf, v)
+			c.sigBuf = append(c.sigBuf, ')')
+			c.at[v+1] = int32(len(c.sigBuf))
+		}
+		split(c.sigs, c.sigBuf, c.at)
+		sortBy(c.ord, c.sigs)
+		changed := round == 0
+		r := int32(-1)
+		for i, v := range c.ord {
+			if i == 0 || !bytes.Equal(c.sigs[v], c.sigs[c.ord[i-1]]) {
+				r++
 			}
-			sort.Strings(nb)
-			next[v] = colors[v] + "(" + strings.Join(nb, ",") + ")"
+			changed = changed || c.id[v] != r
+			c.id[v] = r
 		}
-		// Compress to small ids to keep strings from growing unboundedly.
-		// Ids are ranks of the sorted distinct color strings, which keeps
-		// them isomorphism-invariant (a vertex-order-dependent numbering
-		// would break permutation invariance of the final code).
-		distinct := make([]string, 0, n)
-		seen := make(map[string]bool, n)
-		for v := 0; v < n; v++ {
-			if !seen[next[v]] {
-				seen[next[v]] = true
-				distinct = append(distinct, next[v])
-			}
+		c.tmpBuf = c.tmpBuf[:0]
+		for v := range n {
+			c.tmpBuf = append(c.tmpBuf, c.cols[v][:c.pre[v]]...)
+			c.tmpBuf = append(c.tmpBuf, '#')
+			c.tmpBuf = strconv.AppendInt(c.tmpBuf, int64(c.id[v]), 10)
+			c.at[v+1] = int32(len(c.tmpBuf))
 		}
-		sort.Strings(distinct)
-		ids := make(map[string]int, len(distinct))
-		for i, s := range distinct {
-			ids[s] = i
-		}
-		for v := 0; v < n; v++ {
-			nc := fmt.Sprintf("%s#%d", colors[v][:strings.IndexByte(colors[v]+"#", '#')], ids[next[v]])
-			if nc != colors[v] {
-				changed = true
-			}
-			colors[v] = nc
-		}
+		c.colBuf, c.tmpBuf = c.tmpBuf, c.colBuf
+		split(c.cols, c.colBuf, c.at)
 		if !changed {
 			break
 		}
 	}
-	return colors
 }
 
-type canonSearch struct {
-	g      *Graph
-	colors []string
-	perm   []VertexID
-	used   []bool
-	best   string
+// appendEntries appends v's neighbour entries, edgelabel~color, sorted and
+// joined by ','.
+func (c *canon) appendEntries(b []byte, v int) []byte {
+	adj := c.g.adj[v]
+	c.entBuf, c.entAt = c.entBuf[:0], append(c.entAt[:0], 0)
+	for _, h := range adj {
+		c.entBuf = append(c.entBuf, c.g.edges[h.Edge].Label...)
+		c.entBuf = append(c.entBuf, '~')
+		c.entBuf = append(c.entBuf, c.cols[h.To]...)
+		c.entAt = append(c.entAt, int32(len(c.entBuf)))
+	}
+	ents := c.ents[:len(adj)]
+	split(ents, c.entBuf, c.entAt)
+	slices.SortFunc(ents, bytes.Compare)
+	for i, e := range ents {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e...)
+	}
+	return b
 }
 
-func (c *canonSearch) search() {
-	n := c.g.NumVertices()
-	if len(c.perm) == n {
-		code := c.render()
-		if c.best == "" || code < c.best {
-			c.best = code
+// order ranks the final colors in byte order and lays the vertices out by
+// rank: an ordering the search tries places them class by class, ascending.
+func (c *canon) order() {
+	sortBy(c.seq, c.cols)
+	for d, v := range c.seq {
+		if d > 0 && bytes.Equal(c.cols[v], c.cols[c.seq[d-1]]) {
+			c.rank[v], c.first[d] = c.rank[c.seq[d-1]], c.first[d-1]
+		} else {
+			c.rank[v], c.first[d] = int32(d), int32(d)
+		}
+	}
+}
+
+// search places a vertex of depth d's color class at position d in every
+// way, rendering one segment per level and cutting a branch whose
+// rendering already exceeds the best code's prefix. The least complete
+// rendering lands in best.
+func (c *canon) search(d int) {
+	if d == c.n {
+		if len(c.best) == 0 || bytes.Compare(c.buf, c.best) < 0 {
+			c.best = append(c.best[:0], c.buf...)
 		}
 		return
 	}
-	// Candidates for the next position: among unused vertices, only the ones
-	// with the lexicographically smallest refined color need to be tried at
-	// ties; vertices of different colors are not exchangeable, but we must
-	// still explore color classes in all orders consistent with minimality.
-	// We conservatively try every unused vertex whose color is minimal among
-	// unused, plus — to stay exact even when refinement is too coarse — any
-	// vertex sharing that minimal color.
-	minColor := ""
-	for v := 0; v < n; v++ {
+	r := c.rank[c.seq[d]]
+	for i := c.first[d]; i < int32(c.n) && c.rank[c.seq[i]] == r; i++ {
+		v := c.seq[i]
 		if c.used[v] {
 			continue
 		}
-		if minColor == "" || c.colors[v] < minColor {
-			minColor = c.colors[v]
+		mark := len(c.buf)
+		c.used[v], c.perm[d] = true, v
+		c.segment(d, v)
+		if !c.exceeds() {
+			c.search(d + 1)
 		}
-	}
-	// Prefix pruning: if the partial rendering already exceeds best, stop.
-	if c.best != "" {
-		partial := c.render()
-		if len(partial) <= len(c.best) && partial > c.best[:len(partial)] {
-			return
-		}
-	}
-	for v := 0; v < n; v++ {
-		if c.used[v] || c.colors[v] != minColor {
-			continue
-		}
-		c.used[v] = true
-		c.perm = append(c.perm, VertexID(v))
-		c.search()
-		c.perm = c.perm[:len(c.perm)-1]
-		c.used[v] = false
+		c.used[v], c.buf = false, c.buf[:mark]
 	}
 }
 
-// render produces the code of the current (possibly partial) permutation:
-// the vertex labels in order, then for each vertex the labeled edges to
-// earlier vertices.
-func (c *canonSearch) render() string {
-	var sb strings.Builder
-	for i, v := range c.perm {
-		sb.WriteString(string(c.g.VertexLabel(v)))
-		sb.WriteByte(':')
-		for j := 0; j < i; j++ {
-			if id, ok := c.g.EdgeBetween(c.perm[j], v); ok {
-				fmt.Fprintf(&sb, "%d[%s]", j, c.g.EdgeLabel(id))
-			}
+// segment appends position d's rendering, with v placed there.
+func (c *canon) segment(d int, v int32) {
+	c.buf = appendLabel(c.buf, c.g.vlabel[v])
+	c.buf = append(c.buf, ':')
+	row := c.edge[int(v)*c.n:]
+	for j, u := range c.perm[:d] {
+		if e := row[u]; e >= 0 {
+			c.buf = strconv.AppendInt(c.buf, int64(j), 10)
+			c.buf = append(c.buf, '[')
+			c.buf = appendLabel(c.buf, c.g.edges[e].Label)
+			c.buf = append(c.buf, ']')
 		}
-		sb.WriteByte(';')
 	}
-	return sb.String()
+	c.buf = append(c.buf, ';')
+}
+
+// exceeds reports whether every completion of buf renders above best: buf
+// is above best's prefix, or extends all of best.
+func (c *canon) exceeds() bool {
+	if len(c.best) == 0 {
+		return false
+	}
+	k := min(len(c.buf), len(c.best))
+	cmp := bytes.Compare(c.buf[:k], c.best[:k])
+	return cmp > 0 || cmp == 0 && len(c.buf) > len(c.best)
+}
+
+// appendLabel appends l to b with '%' and the code's delimiters escaped.
+func appendLabel(b []byte, l Label) []byte {
+	for i := 0; i < len(l); i++ {
+		switch ch := l[i]; ch {
+		case '%', ':', ';', '[', ']':
+			b = append(b, '%', "0123456789ABCDEF"[ch>>4], "0123456789ABCDEF"[ch&15])
+		default:
+			b = append(b, ch)
+		}
+	}
+	return b
 }

@@ -5,7 +5,8 @@ import "testing"
 // TestCanonicalCodeExhaustiveOracle enumerates every labeled graph on 4
 // vertices with 2 vertex labels and unlabeled edges (2^4 label choices ×
 // 2^6 edge subsets = 1024 graphs) and checks, for every pair, that
-// canonical-code equality coincides exactly with brute-force isomorphism.
+// canonical-code equality coincides exactly with brute-force isomorphism,
+// and that every code is the oracle's, byte for byte.
 func TestCanonicalCodeExhaustiveOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive oracle is slow")
@@ -32,6 +33,9 @@ func TestCanonicalCodeExhaustiveOracle(t *testing.T) {
 			g := b.Build()
 			graphs = append(graphs, g)
 			codes = append(codes, CanonicalCode(g))
+			if want := canonicalCodeOracle(g); codes[len(codes)-1] != want {
+				t.Fatalf("code %q, oracle %q\n%v", codes[len(codes)-1], want, g)
+			}
 		}
 	}
 	perms := permutations(n)

@@ -10,6 +10,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -59,13 +60,15 @@ type Graph struct {
 	vlabel []Label
 	edges  []Edge
 	adj    [][]HalfEdge
-	// vcount and ecount are the label multisets, counted once by Build.
-	vcount, ecount LabelCounts
+	// vcount is the vertex-label multiset and etypes the edge-type
+	// multiset, both counted once by Build.
+	vcount LabelCounts
+	etypes EdgeTypes
 }
 
 // LabelCounts is a multiset of labels: one entry per distinct label,
 // ascending. A few dozen bytes where a map costs several hundred, which
-// matters because every graph of a database carries two.
+// matters because every graph of a database carries one.
 type LabelCounts []LabelCount
 
 // LabelCount is one entry of a LabelCounts.
@@ -74,21 +77,24 @@ type LabelCount struct {
 	N     int
 }
 
-// countLabels builds the multiset of labels, which it sorts in place.
-func countLabels(labels []Label) LabelCounts {
-	slices.Sort(labels)
+// multiset sorts keys in place and returns one entry per distinct key,
+// ascending, made by entry from the key and its count.
+func multiset[K cmp.Ordered, E any](keys []K, entry func(K, int) E) []E {
+	slices.Sort(keys)
 	distinct := 0
-	for i, l := range labels {
-		if i == 0 || l != labels[i-1] {
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
 			distinct++
 		}
 	}
-	out := make(LabelCounts, 0, distinct)
-	for i, l := range labels {
-		if i == 0 || l != labels[i-1] {
-			out = append(out, LabelCount{Label: l})
+	out := make([]E, 0, distinct)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
 		}
-		out[len(out)-1].N++
+		out = append(out, entry(keys[i], j-i))
+		i = j
 	}
 	return out
 }
@@ -113,6 +119,55 @@ func (c LabelCounts) Covers(need LabelCounts) bool {
 		}
 	}
 	return true
+}
+
+// EdgeTypes is a multiset of edge types: one entry per distinct type key,
+// ascending. An edge's type is its label and its endpoints' labels,
+// unordered; a key is a 64-bit hash of the type, so two types may share
+// one, and then their counts add up.
+type EdgeTypes []EdgeType
+
+// EdgeType is one entry of an EdgeTypes.
+type EdgeType struct {
+	Key uint64
+	N   int32
+}
+
+// edgeTypeKey hashes the type of an edge labelled l between vertices
+// labelled a and b: FNV-1a over the three labels, each ended by its length
+// so no two label triples read as the same bytes, with a and b in order.
+func edgeTypeKey(l, a, b Label) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	h := uint64(14695981039346656037)
+	for _, s := range [3]Label{l, a, b} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		h = (h ^ uint64(len(s))) * 1099511628211
+	}
+	return h
+}
+
+// Deficit returns how many of c's edges find no edge of their own type in
+// t, Σ max(0, c(τ) − t(τ)) over types τ, or stops counting once that
+// exceeds limit and returns limit + 1.
+func (c EdgeTypes) Deficit(t EdgeTypes, limit int) int {
+	d := 0
+	for _, need := range c {
+		for len(t) > 0 && t[0].Key < need.Key {
+			t = t[1:]
+		}
+		have := int32(0)
+		if len(t) > 0 && t[0].Key == need.Key {
+			have = t[0].N
+		}
+		if d += int(max(0, need.N-have)); d > limit {
+			return limit + 1
+		}
+	}
+	return d
 }
 
 // Builder incrementally assembles a Graph. The zero value is ready to use.
@@ -187,16 +242,16 @@ func (b *Builder) Build() *Graph {
 		vlabel: b.vlabel,
 		edges:  b.edges,
 		adj:    make([][]HalfEdge, len(b.vlabel)),
-		vcount: countLabels(slices.Clone(b.vlabel)),
+		vcount: multiset(slices.Clone(b.vlabel), func(l Label, n int) LabelCount { return LabelCount{l, n} }),
 	}
-	elabel := make([]Label, len(b.edges))
+	keys := make([]uint64, len(b.edges))
 	deg := make([]int, len(b.vlabel))
 	for i, e := range b.edges {
 		deg[e.U]++
 		deg[e.V]++
-		elabel[i] = e.Label
+		keys[i] = edgeTypeKey(e.Label, b.vlabel[e.U], b.vlabel[e.V])
 	}
-	g.ecount = countLabels(elabel)
+	g.etypes = multiset(keys, func(k uint64, n int) EdgeType { return EdgeType{k, int32(n)} })
 	for v := range g.adj {
 		if deg[v] > 0 {
 			g.adj[v] = make([]HalfEdge, 0, deg[v])
@@ -358,32 +413,6 @@ func (g *Graph) IsConnected() bool {
 	return n <= 1
 }
 
-// Signature is a cheap isomorphism-invariant fingerprint: two isomorphic
-// graphs always have equal signatures. It is used for fast candidate
-// rejection before running canonical coding or VF2.
-func (g *Graph) Signature() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "v%d e%d;", len(g.vlabel), len(g.edges))
-	vl := make([]string, len(g.vlabel))
-	for i, l := range g.vlabel {
-		vl[i] = fmt.Sprintf("%s/%d", l, len(g.adj[i]))
-	}
-	sort.Strings(vl)
-	sb.WriteString(strings.Join(vl, ","))
-	sb.WriteByte(';')
-	el := make([]string, len(g.edges))
-	for i, e := range g.edges {
-		lu, lv := g.vlabel[e.U], g.vlabel[e.V]
-		if lu > lv {
-			lu, lv = lv, lu
-		}
-		el[i] = string(lu) + "|" + string(e.Label) + "|" + string(lv)
-	}
-	sort.Strings(el)
-	sb.WriteString(strings.Join(el, ","))
-	return sb.String()
-}
-
 // String renders a compact human-readable description.
 func (g *Graph) String() string {
 	var sb strings.Builder
@@ -401,10 +430,13 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// LabelCounts returns the multisets of vertex and edge labels; used by
-// filters and the feature miner. They are the graph's own, shared by every
-// caller: read-only.
-func (g *Graph) LabelCounts() (verts, edges LabelCounts) { return g.vcount, g.ecount }
+// LabelCounts returns the multiset of vertex labels. It is the graph's own,
+// shared by every caller: read-only.
+func (g *Graph) LabelCounts() LabelCounts { return g.vcount }
+
+// EdgeTypes returns the multiset of edge types. It is the graph's own,
+// shared by every caller: read-only.
+func (g *Graph) EdgeTypes() EdgeTypes { return g.etypes }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {

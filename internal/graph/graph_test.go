@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,8 +175,10 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestSignatureInvariance(t *testing.T) {
-	// Same triangle built in a different vertex order must share a signature.
+// TestEdgeTypeInvariance: an edge's type is its label and its endpoints'
+// labels, unordered, so the same triangle built in another vertex order
+// has the same edge types, and moving a label moves them.
+func TestEdgeTypeInvariance(t *testing.T) {
 	b := NewBuilder("t2")
 	vd := b.AddVertex("d")
 	va := b.AddVertex("a")
@@ -185,8 +188,35 @@ func TestSignatureInvariance(t *testing.T) {
 	mustEdge(t, b, vb, vd, "")
 	g2 := b.Build()
 	g1 := triangle(t)
-	if g1.Signature() != g2.Signature() {
-		t.Fatalf("signatures differ:\n%s\n%s", g1.Signature(), g2.Signature())
+	if !slices.Equal(g1.EdgeTypes(), g2.EdgeTypes()) {
+		t.Fatalf("edge types differ:\n%v\n%v", g1.EdgeTypes(), g2.EdgeTypes())
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 50 {
+		g := randomGraph(rng, 2+rng.Intn(7), rng.Intn(12), []Label{"a", "b", "ab", ""}, []Label{"", "x", "b"})
+		if h := permuteGraph(rng, g); !slices.Equal(g.EdgeTypes(), h.EdgeTypes()) {
+			t.Fatalf("edge types move under renumbering: %v vs %v", g, h)
+		}
+	}
+	// One edge's type, from its endpoint labels u, v and its label l.
+	typeOf := func(u, v, l Label) EdgeTypes {
+		b := NewBuilder("")
+		b.AddVertex(u)
+		b.AddVertex(v)
+		b.MustAddEdge(0, 1, l)
+		return b.Build().EdgeTypes()
+	}
+	if !slices.Equal(typeOf("a", "b", "x"), typeOf("b", "a", "x")) {
+		t.Fatal("an edge's type depends on the order of its endpoints")
+	}
+	// Where a label's bytes sit decides the type.
+	triples := [][3]Label{{"a", "b", ""}, {"a", "", "b"}, {"ab", "", ""}, {"", "", "ab"}, {"a", "b", "b"}, {"ab", "b", ""}}
+	for i, x := range triples {
+		for _, y := range triples[:i] {
+			if slices.Equal(typeOf(x[0], x[1], x[2]), typeOf(y[0], y[1], y[2])) {
+				t.Errorf("edges %q and %q share a type", x, y)
+			}
+		}
 	}
 }
 
@@ -319,20 +349,42 @@ func TestCanonicalCodeEmptyAndSingle(t *testing.T) {
 
 func TestLabelCounts(t *testing.T) {
 	g := triangle(t)
-	vc, ec := g.LabelCounts()
+	vc := g.LabelCounts()
 	if vc.Of("a") != 1 || vc.Of("b") != 1 || vc.Of("d") != 1 || vc.Of("c") != 0 || len(vc) != 3 {
 		t.Fatalf("vertex counts %v", vc)
 	}
-	if ec.Of("") != 3 || len(ec) != 1 {
-		t.Fatalf("edge counts %v", ec)
+	// Three edges of three types: a–b, b–d and a–d, all labelled "".
+	et := g.EdgeTypes()
+	if len(et) != 3 || et[0].N != 1 || et[1].N != 1 || et[2].N != 1 || et[0].Key >= et[1].Key || et[1].Key >= et[2].Key {
+		t.Fatalf("edge types %v", et)
 	}
 	// Covers is multiset inclusion, label by label.
 	b := NewBuilder("pair")
 	b.AddVertices(2, "a")
 	b.AddVertex("d")
-	pv, pe := b.Build().LabelCounts()
-	if vc.Covers(pv) || !vc.Covers(pv[1:]) || !pv.Covers(nil) || !ec.Covers(pe) || pe.Covers(ec) {
-		t.Fatalf("Covers: %v vs %v, %v vs %v", vc, pv, ec, pe)
+	b.MustAddEdge(0, 2, "")
+	b.MustAddEdge(1, 2, "")
+	pair := b.Build()
+	pv := pair.LabelCounts()
+	if vc.Covers(pv) || !vc.Covers(pv[1:]) || !pv.Covers(nil) {
+		t.Fatalf("Covers: %v vs %v", vc, pv)
+	}
+	// Deficit: pair's two a–d edges find one in the triangle; the triangle's
+	// a–b and b–d edges find none in pair. Past the limit it stops counting.
+	for _, c := range []struct {
+		p, t        EdgeTypes
+		limit, want int
+	}{
+		{pair.EdgeTypes(), et, 5, 1},
+		{et, pair.EdgeTypes(), 5, 2},
+		{et, pair.EdgeTypes(), 1, 2},
+		{et, pair.EdgeTypes(), 0, 1},
+		{et, et, 0, 0},
+		{nil, et, 0, 0},
+	} {
+		if got := c.p.Deficit(c.t, c.limit); got != c.want {
+			t.Errorf("%v.Deficit(%v, %d) = %d, want %d", c.p, c.t, c.limit, got, c.want)
+		}
 	}
 }
 

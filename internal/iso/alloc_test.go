@@ -10,7 +10,8 @@ import (
 // TestSearchSteadyStateAllocs pins the searches to their pooled scratch:
 // once the pool is warm, Exists, ExistsWithin and Count allocate nothing,
 // with or without a world mask, and ForEach allocates nothing per
-// embedding — it refills one Embedding for each.
+// embedding — it refills one Embedding for each. A pair the edge types
+// refuse allocates nothing either, in ExistsWithin and EdgeSetsWithin.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
@@ -28,14 +29,34 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		mask.Add(graph.EdgeID(e))
 	}
 	visit := func(*Embedding) bool { return true }
+	// A path a–b–a–b–a against a target whose edges only join equal labels:
+	// enough edges of label "" and vertices of each label, no a–b edge.
+	path, split := graph.NewBuilder("path"), graph.NewBuilder("split")
+	for v := range 5 {
+		path.AddVertex([]graph.Label{"a", "b"}[v%2])
+		split.AddVertex([]graph.Label{"a", "b"}[v%2])
+		if v > 0 {
+			path.MustAddEdge(graph.VertexID(v-1), graph.VertexID(v), "")
+		}
+	}
+	split.MustAddEdge(0, 2, "")
+	split.MustAddEdge(2, 4, "")
+	split.MustAddEdge(0, 4, "")
+	split.MustAddEdge(1, 3, "")
+	rp, rt := path.Build(), split.Build()
+	if feasible(rp, rt, nil, 2, true) {
+		t.Fatal("the edge types do not refuse the pair; the pin is vacuous")
+	}
 	for name, search := range map[string]func(){
-		"Exists":              func() { Exists(p, tg, nil) },
-		"Exists masked":       func() { Exists(p, tg, &mask) },
-		"ExistsWithin":        func() { ExistsWithin(p, tg, nil, 2) },
-		"ExistsWithin masked": func() { ExistsWithin(p, tg, &mask, 2) },
-		"Count":               func() { Count(p, tg, nil, 0) },
-		"Count masked":        func() { Count(p, tg, &mask, 0) },
-		"ForEach":             func() { ForEach(p, tg, nil, visit) },
+		"Exists":                          func() { Exists(p, tg, nil) },
+		"Exists masked":                   func() { Exists(p, tg, &mask) },
+		"ExistsWithin":                    func() { ExistsWithin(p, tg, nil, 2) },
+		"ExistsWithin masked":             func() { ExistsWithin(p, tg, &mask, 2) },
+		"Count":                           func() { Count(p, tg, nil, 0) },
+		"Count masked":                    func() { Count(p, tg, &mask, 0) },
+		"ForEach":                         func() { ForEach(p, tg, nil, visit) },
+		"ExistsWithin refused by types":   func() { ExistsWithin(rp, rt, nil, 2) },
+		"EdgeSetsWithin refused by types": func() { EdgeSetsWithin(rp, rt, 2, 0) },
 	} {
 		if n := testing.AllocsPerRun(100, search); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)

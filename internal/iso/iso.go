@@ -4,6 +4,13 @@
 // with a connectivity-aware static ordering and label/degree feasibility
 // pruning.
 //
+// Before a matcher is built, every search counts the pattern's edges by
+// type — edge label and endpoint labels, unordered — against the
+// target's: each matched edge needs a target edge of its own type, so a
+// pattern that would leave more edges unmatched than its budget allows is
+// refused without a search (see feasible). Most failed confirmations end
+// there.
+//
 // Matching is the paper's Definition 5: an injective vertex mapping that
 // preserves vertex labels, maps every pattern edge onto a target edge, and
 // preserves edge labels. Non-pattern edges of the target are unconstrained
@@ -83,7 +90,7 @@ func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet, s *slabs) matcher {
 	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:]}
 	placed := flags[nt : nt+n]
 	rarity := ints[:n] // how often t carries each pattern vertex's label
-	tLabelCount, _ := t.LabelCounts()
+	tLabelCount := t.LabelCounts()
 	for v := range rarity {
 		rarity[v] = tLabelCount.Of(p.VertexLabel(graph.VertexID(v)))
 		m.pmap[v] = unplaced
@@ -141,29 +148,23 @@ func resize[T any](s []T, n int) []T {
 }
 
 // feasible performs the cheap global pre-checks: with slack edges to spare,
-// the pattern's edges and edge labels must occur at least as often in the
-// target, and in the strict search so must its vertices and vertex labels
-// (a tolerant search may leave vertices unmapped). With a world mask the
-// edge-label check is skipped (counting masked labels costs as much as
-// matching).
+// the pattern's edges must occur at least as often in the target, type by
+// type, and in the strict search so must its vertices and vertex labels (a
+// tolerant search may leave vertices unmapped). An edge's type is its label
+// and its endpoints' labels; a matched pattern edge lands on a target edge
+// of its own type, so at least Σ max(0, c_p − c_t) over types of the
+// pattern's edges go unmatched, and a search refused for a sum above the
+// slack could not have matched. That is never weaker than counting edge
+// labels alone, of which types are a split. With a world mask the type
+// check is skipped (counting masked types costs as much as matching).
 func feasible(p, t *graph.Graph, mask *graph.EdgeSet, slack int, tolerant bool) bool {
 	if p.NumEdges()-slack > t.NumEdges() {
 		return false
 	}
-	pv, pe := p.LabelCounts()
-	tv, te := t.LabelCounts()
-	if !tolerant && (p.NumVertices() > t.NumVertices() || !tv.Covers(pv)) {
+	if mask == nil && p.EdgeTypes().Deficit(t.EdgeTypes(), slack) > slack {
 		return false
 	}
-	if mask != nil {
-		return true
-	}
-	for _, c := range pe {
-		if slack -= max(0, c.N-te.Of(c.Label)); slack < 0 {
-			return false
-		}
-	}
-	return true
+	return tolerant || p.NumVertices() <= t.NumVertices() && t.LabelCounts().Covers(p.LabelCounts())
 }
 
 // edgeAlive reports whether target edge id exists under the world mask.

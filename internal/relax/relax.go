@@ -57,8 +57,10 @@ func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
 //
 // Classes are told apart by an isomorphism-invariant fingerprint of
 // (q, deletion set) first. Only where a fingerprint repeats are member
-// graphs built, for graph.CanonicalCode, which dominates the cost of the
-// enumeration.
+// graphs built, for graph.CanonicalCode. On the benchmark ledger's ten-edge
+// δ 2 queries the codes take about a fifth of the enumeration's time
+// (22 % in a profile of engine-filter's query loop), beside the
+// fingerprints (25 %) and building the member graphs (19 %).
 func Members(q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxSize

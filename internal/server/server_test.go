@@ -17,6 +17,7 @@ import (
 	"probgraph/internal/core"
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/prob"
 )
 
 // testEnv builds a small indexed database, snapshots it, reloads it (the
@@ -599,5 +600,53 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	o.Concurrency = 8
 	if cacheKey("query", 1, "CODE", o, 0) != keys["base"] {
 		t.Fatal("workers changed the cache key")
+	}
+}
+
+// TestCacheKeySeparatesLabelSpellings: the result cache is keyed by the
+// query's canonical code, and a label holding the code's delimiters once
+// spelled another graph's code — a path a–b–c labelled x and y, and one
+// edge a–b labelled "x];c:1[y". Asked one after the other through one
+// server, each must get its own answers.
+func TestCacheKeySeparatesLabelSpellings(t *testing.T) {
+	build := func(labels []graph.Label, edges [][2]graph.VertexID, elabels []graph.Label) *graph.Graph {
+		b := graph.NewBuilder("")
+		for _, l := range labels {
+			b.AddVertex(l)
+		}
+		for i, e := range edges {
+			b.MustAddEdge(e[0], e[1], elabels[i])
+		}
+		return b.Build()
+	}
+	path := build([]graph.Label{"a", "b", "c"}, [][2]graph.VertexID{{0, 1}, {1, 2}}, []graph.Label{"x", "y"})
+	edge := build([]graph.Label{"a", "b"}, [][2]graph.VertexID{{0, 1}}, []graph.Label{"x];c:1[y"})
+	var pgs []*prob.PGraph
+	for _, g := range []*graph.Graph{path, edge} {
+		pg, err := prob.NewIndependent(g, map[graph.EdgeID]float64{0: 0.9, 1: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pgs = append(pgs, pg)
+	}
+	db, err := core.NewDatabase(pgs, core.DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db, Options{}).Handler())
+	t.Cleanup(ts.Close)
+	env := &testEnv{ts: ts}
+	for i, q := range []*graph.Graph{path, edge} {
+		var text bytes.Buffer
+		if err := graph.Encode(&text, q); err != nil {
+			t.Fatal(err)
+		}
+		var got QueryResponse
+		if hr := env.post(t, "/query", QueryRequest{GraphText: text.String(), Epsilon: 0.5, Seed: 1}, &got); hr.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, hr.StatusCode)
+		}
+		if got.Cached || !slices.Equal(got.Answers, []int{i}) {
+			t.Fatalf("query %d: answers %v (cached %v), want [%d]", i, got.Answers, got.Cached, i)
+		}
 	}
 }
