@@ -93,6 +93,12 @@ func ladderQueries(v *View, seed int64, n int) []*graph.Graph {
 	return qs
 }
 
+// prepareDNF is the ladder's first rung as VerifySSP reaches it: gi's
+// clauses enumerated from q, then prepared.
+func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF, bool, error) {
+	return v.prepareClauses(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt)
+}
+
 // perRQClauses is the clause collection prepareDNF replaced, kept as its
 // reference: one iso.EdgeSets per member of U = relax.Relaxed(q, δ, 0), at
 // most capPerRQ sets each, deduplicated and absorbed. capped reports

@@ -23,8 +23,12 @@ type plan struct {
 	// live slot and no stage below ran.
 	degenerate bool
 
-	// scq is the structural candidate set {g : q ⊆sim gc}, slots ascending.
-	scq []int
+	// scq is the structural candidate set {g : q ⊆sim gc}, slots ascending,
+	// and sets[i] the clauses scq[i] was confirmed by: its DNF of Equation
+	// 22, capped at DefaultMaxClausesPerCandidate (nil in a threshold plan
+	// with VerifierNone, which verifies nothing).
+	scq  []int
+	sets [][]graph.EdgeSet
 	// deleted is the relaxed set the pruner reads (Lemma 1), each member
 	// as the edges of q it lacks: relax.Members(q, δ, opt.MaxRelaxed).
 	deleted []graph.EdgeSet
@@ -42,8 +46,9 @@ type plan struct {
 // the degenerate answer, then relax → struct_filter → pmi_prune, each under
 // its span of the context's current span. U is derived here and nowhere per
 // candidate, as deletion masks over q, and only the pruner reads it:
-// structural confirmation and verification search q itself with a budget
-// of δ, so they are exact whatever MaxRelaxed caps.
+// structural confirmation searches q itself with a budget of δ, so it is
+// exact whatever MaxRelaxed caps, and the clauses it enumerates are the
+// ones verification reads.
 // ranked marks the top-k forms, which never drop a candidate on a bound:
 // they skip pmi_prune and topkSchedule orders them in its own bounds stage.
 func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ranked bool) (*plan, error) {
@@ -69,11 +74,16 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	p.stats.RelaxedQueries = len(p.deleted)
 
 	// Structural pruning (Theorem 1). The count scan is serial; the exact
-	// confirmations run on the query's worker pool.
+	// confirmations run on the query's worker pool, and each enumerates the
+	// clauses verification reads, unless nothing will read them.
+	limit := DefaultMaxClausesPerCandidate
+	if opt.Verifier == VerifierNone && !ranked {
+		limit = 1
+	}
 	t0 := time.Now()
 	err := obs.Stage(ctx, "struct_filter", func(ctx context.Context) (int64, error) {
 		var err error
-		p.scq, p.stats.StructFilterCandidates, err = v.Struct.SCqCtx(ctx, q, opt.Delta, opt.Concurrency)
+		p.scq, p.sets, p.stats.StructFilterCandidates, err = v.Struct.SCqSetsCtx(ctx, q, opt.Delta, opt.Concurrency, limit)
 		return int64(len(p.scq)), err
 	})
 	if err != nil {
@@ -95,4 +105,19 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 		p.stats.TimeProb = time.Since(t)
 	}
 	return p, nil
+}
+
+// setsOf returns the clauses candidate gi was confirmed by: a binary
+// search of scq, written out so that evalCandidate allocates nothing.
+func (p *plan) setsOf(gi int) []graph.EdgeSet {
+	lo, hi := 0, len(p.scq)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if p.scq[h] < gi {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return p.sets[lo]
 }

@@ -10,6 +10,7 @@ import (
 
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
+	"probgraph/internal/iso"
 	"probgraph/internal/relax"
 	"probgraph/internal/verify"
 )
@@ -173,5 +174,62 @@ func TestIsolatedQueryVertexIsIgnored(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKeptClausesMatchEdgeSetsWithin: the clauses a plan keeps from each
+// confirmation are what verification would enumerate afresh — a fresh
+// iso.EdgeSetsWithin at the candidate cap, set for set and in order — at 1,
+// 2 and 4 workers, for the threshold and the ranked plans; the confirmed
+// slots are SCqCtx's, which keeps nothing; and a threshold plan with
+// VerifierNone keeps no lists.
+func TestKeptClausesMatchEdgeSetsWithin(t *testing.T) {
+	db, _ := smallDatabase(t, 55, 14, true)
+	v := db.View()
+	kept := 0
+	for _, q := range ladderQueries(v, 56, 6) {
+		for delta := range 3 {
+			want, _, err := v.Struct.SCqCtx(bg, q, delta, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, c := range []struct {
+					ranked   bool
+					verifier VerifierKind
+				}{{false, VerifierSMP}, {true, VerifierSMP}, {false, VerifierNone}, {true, VerifierNone}} {
+					opt := QueryOptions{Epsilon: 0.3, Delta: delta, Concurrency: workers, Verifier: c.verifier}
+					p, err := v.newPlan(bg, q, opt, c.ranked)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(p.scq, want) {
+						t.Fatalf("δ=%d workers=%d %+v: plan confirms %v, SCqCtx %v", delta, workers, c, p.scq, want)
+					}
+					if !c.ranked && c.verifier == VerifierNone {
+						if p.sets != nil {
+							t.Fatalf("δ=%d workers=%d: a VerifierNone plan keeps %d lists", delta, workers, len(p.sets))
+						}
+						continue
+					}
+					if len(p.sets) != len(p.scq) {
+						t.Fatalf("δ=%d workers=%d %+v: %d lists for %d candidates", delta, workers, c, len(p.sets), len(p.scq))
+					}
+					for i, gi := range p.scq {
+						fresh := iso.EdgeSetsWithin(q, v.Certain[gi], delta, DefaultMaxClausesPerCandidate)
+						if !slices.EqualFunc(p.sets[i], fresh, graph.EdgeSet.Equal) || len(fresh) == 0 {
+							t.Fatalf("δ=%d workers=%d %+v graph %d: kept %v, fresh %v", delta, workers, c, gi, p.sets[i], fresh)
+						}
+						if got := p.setsOf(gi); &got[0] != &p.sets[i][0] {
+							t.Fatalf("graph %d: setsOf finds another candidate's list", gi)
+						}
+						kept++
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no query confirmed a candidate: the fixture is vacuous")
 	}
 }

@@ -103,10 +103,14 @@ func (o QueryOptions) Validate() error {
 
 // Stats instruments a query run with the paper's reported metrics.
 //
-// TimeProb and TimeVerify sum the per-candidate compute spent in each
-// phase. At Concurrency <= 1 that equals the phase's wall-clock time; with
-// a larger pool the candidates overlap, so the sums measure aggregate CPU
-// work and only TimeTotal remains wall-clock.
+// TimeStruct is the structural stage's wall-clock time: the count scan and
+// the confirmations, which in a plan that verifies also enumerate each
+// candidate's clauses. TimeProb and TimeVerify sum the per-candidate
+// compute spent in each phase; TimeVerify starts from the enumerated
+// clauses, so it holds their probabilities and the ladder, not the search.
+// At Concurrency <= 1 that equals the phase's wall-clock time; with a
+// larger pool the candidates overlap, so the sums measure aggregate CPU
+// work and only TimeTotal and TimeStruct remain wall-clock.
 type Stats struct {
 	StructFilterCandidates int // Grafil-style filter output ("Structure")
 	StructConfirmed        int // |SCq|
@@ -235,7 +239,7 @@ func (v *View) evalCandidate(p *plan, gi int) candOutcome {
 		return o
 	}
 	t := time.Now()
-	o.decision, o.err = v.verifySSP(p.q, gi, p.opt, p.opt.Epsilon)
+	o.decision, o.err = v.verifyClauses(p.setsOf(gi), gi, p.opt, p.opt.Epsilon)
 	o.verifyT = time.Since(t)
 	return o
 }
@@ -360,8 +364,10 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 // at distance opt.Delta.
 //
 // Verification is a ladder, each rung cheaper than the next. (1) The DNF
-// of Equation 22 is collected and every clause probability Pr(Bfi)
-// computed exactly; V = Σ Pr(Bfi) bounds everything below from above.
+// of Equation 22 is collected — here by one budgeted search of q in gc; a
+// query's candidates bring the list their confirmation enumerated — and
+// every clause probability Pr(Bfi) computed exactly; V = Σ Pr(Bfi) bounds
+// everything below from above.
 // (2) V < ε rejects with no further work and the value is that bound.
 // (3) A DNF whose variable elimination compiles within eliminationBudget
 // is evaluated exactly by it (prob.Engine.ProbNoClause); no sample is
@@ -411,12 +417,20 @@ type decision struct {
 }
 
 // verifySSP is VerifySSP past its checks — the per-candidate form: gi is a
-// live slot and opt is defaulted. eps is the threshold the ladder may
-// reject against; the ranked forms pass 0 and get a value for every
-// candidate, and so does a candidate whose clause enumeration hit its cap:
-// its V reads only part of its DNF, so no rung may reject it on a bound.
+// live slot and opt is defaulted. It enumerates gi's clauses for itself;
+// a plan's candidates were enumerated by their confirmation and go
+// straight to verifyClauses.
 func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) (decision, error) {
-	d, capped, err := v.prepareDNF(q, gi, opt)
+	return v.verifyClauses(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt, eps)
+}
+
+// verifyClauses runs the ladder on candidate gi's clauses. eps is the
+// threshold the ladder may reject against; the ranked forms pass 0 and get
+// a value for every candidate, and so does a candidate whose clause
+// enumeration hit its cap: its V reads only part of its DNF, so no rung
+// may reject it on a bound.
+func (v *View) verifyClauses(clauses []graph.EdgeSet, gi int, opt QueryOptions, eps float64) (decision, error) {
+	d, capped, err := v.prepareClauses(clauses, gi, opt)
 	if err != nil {
 		return decision{}, err
 	}
@@ -426,15 +440,15 @@ func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) 
 	return decide(d, opt, eps)
 }
 
-// prepareDNF is the ladder's first rung: candidate gi's clauses with their
-// exact probabilities, ready for decide. The clauses are the DNF of
+// prepareClauses is the ladder's first rung: candidate gi's clauses with
+// their exact probabilities, ready for decide. The clauses are the DNF of
 // Equation 22 — the distinct edge sets of gc on which some rq ∈ U embeds —
-// from one budgeted search of q (iso.EdgeSetsWithin): all of U, whatever
-// MaxRelaxed caps, and no set absorbs another. capped reports that the
-// search stopped at DefaultMaxClausesPerCandidate sets, so the list may be
-// incomplete. The engine is not resolved for a candidate without clauses.
-func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (d *verify.DNF, capped bool, err error) {
-	clauses := iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate)
+// from one budgeted search of q (iso.EdgeSetsWithin at
+// DefaultMaxClausesPerCandidate): all of U, whatever MaxRelaxed caps, and
+// no set absorbs another. capped reports that the search stopped at the
+// cap, so the list may be incomplete. The engine is not resolved for a
+// candidate without clauses.
+func (v *View) prepareClauses(clauses []graph.EdgeSet, gi int, opt QueryOptions) (d *verify.DNF, capped bool, err error) {
 	capped = len(clauses) == DefaultMaxClausesPerCandidate
 	vo := opt.Verify
 	vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))

@@ -269,9 +269,10 @@ type TopKBound struct {
 // verification schedule over its candidates — each candidate's upper bound
 // (seeded from its global id, so partitions agree bitwise with the full
 // database), sorted by the serial verification order — and beside it the
-// prepared DNF each bound came from, so the in-process top-k verifies
-// without enumerating embeddings again. A degenerate plan schedules its
-// first k live slots and no DNFs; their SSP is 1 without verification.
+// prepared DNF each bound came from. Each DNF is prepared from the clauses
+// the plan's confirmation enumerated, so no embedding is searched for
+// after struct_filter. A degenerate plan schedules its first k live slots
+// and no DNFs; their SSP is 1 without verification.
 func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt QueryOptions) (*plan, []TopKBound, []*verify.DNF, error) {
 	if k <= 0 {
 		return nil, nil, nil, fmt.Errorf("core: k must be positive")
@@ -308,7 +309,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 			gi := p.scq[i]
 			usim, sc := pr.usim(gi)
 			putScratch(sc)
-			d, _, err := v.prepareDNF(q, gi, p.opt)
+			d, _, err := v.prepareClauses(p.sets[i], gi, p.opt)
 			if err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}

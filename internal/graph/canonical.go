@@ -64,13 +64,15 @@ type canon struct {
 	cols, sigs, ents               [][]byte
 	at, entAt, pre, id, ord        []int32
 	// Search: rank is the final color's rank, seq the vertices by rank and
-	// first[d] where depth d's color class starts in seq; edge[u*n+v] is
-	// the edge joining u and v, or -1; perm the ordering so far and buf its
-	// rendering, best the least complete rendering yet (empty before the
-	// first: no complete rendering is).
-	rank, seq, first, edge, perm []int32
-	used                         []bool
-	buf, best                    []byte
+	// first[d] where depth d's color class starts in seq; twin[v] is the
+	// first vertex of v's class, in seq order, that is v's twin, or -1
+	// when v has none (see order); edge[u*n+v] is the edge joining u and
+	// v, or -1; perm the
+	// ordering so far and buf its rendering, best the least complete
+	// rendering yet (empty before the first: no complete rendering is).
+	rank, seq, first, twin, edge, perm []int32
+	used                               []bool
+	buf, best                          []byte
 }
 
 var canonPool = sync.Pool{New: func() any { return new(canon) }}
@@ -81,7 +83,7 @@ func (c *canon) reset(g *Graph) {
 	c.g, c.n = g, n
 	c.cols, c.sigs, c.ents = resize(c.cols, n), resize(c.sigs, n), resize(c.ents, n)
 	c.at, c.pre, c.id, c.ord = resize(c.at, n+1), resize(c.pre, n), resize(c.id, n), resize(c.ord, n)
-	c.rank, c.seq, c.first, c.perm = resize(c.rank, n), resize(c.seq, n), resize(c.first, n), resize(c.perm, n)
+	c.rank, c.seq, c.first, c.twin, c.perm = resize(c.rank, n), resize(c.seq, n), resize(c.first, n), resize(c.twin, n), resize(c.perm, n)
 	c.used, c.edge = resize(c.used, n), resize(c.edge, n*n)
 	clear(c.used)
 	for i := range c.edge {
@@ -207,6 +209,10 @@ func (c *canon) appendEntries(b []byte, v int) []byte {
 
 // order ranks the final colors in byte order and lays the vertices out by
 // rank: an ordering the search tries places them class by class, ascending.
+// It also groups each class into twins: vertices with the same label and
+// the same labelled neighbourhood apart from each other. Swapping two
+// twins is an automorphism, so twin is an equivalence, and each vertex
+// with a twin points at its set's first member.
 func (c *canon) order() {
 	sortBy(c.seq, c.cols)
 	for d, v := range c.seq {
@@ -215,13 +221,38 @@ func (c *canon) order() {
 		} else {
 			c.rank[v], c.first[d] = int32(d), int32(d)
 		}
+		c.twin[v] = -1
+		for _, w := range c.seq[c.first[d]:d] {
+			if (c.twin[w] < 0 || c.twin[w] == w) && c.twins(v, w) {
+				c.twin[v], c.twin[w] = w, w
+				break
+			}
+		}
 	}
+}
+
+// twins reports whether swapping v and w maps g onto itself.
+func (c *canon) twins(v, w int32) bool {
+	g := c.g
+	if g.vidx[v] != g.vidx[w] {
+		return false
+	}
+	rv, rw := c.edge[int(v)*c.n:][:c.n], c.edge[int(w)*c.n:][:c.n]
+	for u := range rv {
+		if ev, ew := rv[u], rw[u]; int32(u) != v && int32(u) != w && ev != ew &&
+			(ev < 0 || ew < 0 || g.eidx[ev] != g.eidx[ew]) {
+			return false
+		}
+	}
+	return true
 }
 
 // search places a vertex of depth d's color class at position d in every
 // way, rendering one segment per level and cutting a branch whose
-// rendering already exceeds the best code's prefix. The least complete
-// rendering lands in best.
+// rendering already exceeds the best code's prefix. Of unused twins it
+// places only the first: swapping two of them fixes the ordering so far
+// and maps each one's completions onto the other's, renderings and all.
+// The least complete rendering lands in best.
 func (c *canon) search(d int) {
 	if d == c.n {
 		if len(c.best) == 0 || bytes.Compare(c.buf, c.best) < 0 {
@@ -232,7 +263,7 @@ func (c *canon) search(d int) {
 	r := c.rank[c.seq[d]]
 	for i := c.first[d]; i < int32(c.n) && c.rank[c.seq[i]] == r; i++ {
 		v := c.seq[i]
-		if c.used[v] {
+		if c.used[v] || c.twin[v] >= 0 && c.twinPlaced(c.first[d], i) {
 			continue
 		}
 		mark := len(c.buf)
@@ -243,6 +274,18 @@ func (c *canon) search(d int) {
 		}
 		c.used[v], c.buf = false, c.buf[:mark]
 	}
+}
+
+// twinPlaced reports whether an unused twin of seq[i] comes before it in
+// seq[from:i], the part of its class this level has placed already.
+func (c *canon) twinPlaced(from, i int32) bool {
+	v := c.seq[i]
+	for _, w := range c.seq[from:i] {
+		if !c.used[w] && c.twin[w] == c.twin[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // segment appends position d's rendering, with v placed there.

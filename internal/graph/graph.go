@@ -60,10 +60,13 @@ type Graph struct {
 	vlabel []Label
 	edges  []Edge
 	adj    [][]HalfEdge
-	// vcount is the vertex-label multiset and etypes the edge-type
-	// multiset, both counted once by Build.
-	vcount LabelCounts
-	etypes EdgeTypes
+	// vcount is the vertex-label multiset, ecount the edge-label multiset
+	// and etypes the edge-type multiset, all counted once by Build. vidx
+	// and eidx give each vertex's and each edge's label as its index in
+	// vcount and ecount, so a search compares labels as integers.
+	vcount, ecount LabelCounts
+	etypes         EdgeTypes
+	vidx, eidx     []int32
 }
 
 // LabelCounts is a multiset of labels: one entry per distinct label,
@@ -99,13 +102,13 @@ func multiset[K cmp.Ordered, E any](keys []K, entry func(K, int) E) []E {
 	return out
 }
 
-// Of returns how often l occurs.
-func (c LabelCounts) Of(l Label) int {
-	i := sort.Search(len(c), func(i int) bool { return c[i].Label >= l })
-	if i < len(c) && c[i].Label == l {
-		return c[i].N
+// Index returns the position of l's entry in c, or -1 when l does not
+// occur.
+func (c LabelCounts) Index(l Label) int32 {
+	if i, ok := slices.BinarySearchFunc(c, l, func(e LabelCount, l Label) int { return cmp.Compare(e.Label, l) }); ok {
+		return int32(i)
 	}
-	return 0
+	return -1
 }
 
 // Covers reports whether every label of need occurs in c at least as often.
@@ -237,12 +240,23 @@ func (b *Builder) MustAddEdge(u, v VertexID, l Label) EdgeID {
 
 // Build finalizes the graph. The Builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
+	count := func(l Label, n int) LabelCount { return LabelCount{l, n} }
+	elabels := make([]Label, len(b.edges))
+	for i, e := range b.edges {
+		elabels[i] = e.Label
+	}
 	g := &Graph{
 		name:   b.name,
 		vlabel: b.vlabel,
 		edges:  b.edges,
 		adj:    make([][]HalfEdge, len(b.vlabel)),
-		vcount: multiset(slices.Clone(b.vlabel), func(l Label, n int) LabelCount { return LabelCount{l, n} }),
+		vcount: multiset(slices.Clone(b.vlabel), count),
+		ecount: multiset(elabels, count),
+		vidx:   make([]int32, len(b.vlabel)),
+		eidx:   make([]int32, len(b.edges)),
+	}
+	for v, l := range b.vlabel {
+		g.vidx[v] = g.vcount.Index(l)
 	}
 	keys := make([]uint64, len(b.edges))
 	deg := make([]int, len(b.vlabel))
@@ -250,6 +264,7 @@ func (b *Builder) Build() *Graph {
 		deg[e.U]++
 		deg[e.V]++
 		keys[i] = edgeTypeKey(e.Label, b.vlabel[e.U], b.vlabel[e.V])
+		g.eidx[i] = g.ecount.Index(e.Label)
 	}
 	g.etypes = multiset(keys, func(k uint64, n int) EdgeType { return EdgeType{k, int32(n)} })
 	for v := range g.adj {
@@ -285,6 +300,12 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
 // EdgeLabel returns the label of the edge with the given ID.
 func (g *Graph) EdgeLabel(id EdgeID) Label { return g.edges[id].Label }
+
+// VertexLabelIndex returns the index of v's label in LabelCounts.
+func (g *Graph) VertexLabelIndex(v VertexID) int32 { return g.vidx[v] }
+
+// EdgeLabelIndex returns the index of edge id's label in EdgeLabelCounts.
+func (g *Graph) EdgeLabelIndex(id EdgeID) int32 { return g.eidx[id] }
 
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v VertexID) int { return len(g.adj[v]) }
@@ -433,6 +454,10 @@ func (g *Graph) String() string {
 // LabelCounts returns the multiset of vertex labels. It is the graph's own,
 // shared by every caller: read-only.
 func (g *Graph) LabelCounts() LabelCounts { return g.vcount }
+
+// EdgeLabelCounts returns the multiset of edge labels. It is the graph's
+// own, shared by every caller: read-only.
+func (g *Graph) EdgeLabelCounts() LabelCounts { return g.ecount }
 
 // EdgeTypes returns the multiset of edge types. It is the graph's own,
 // shared by every caller: read-only.

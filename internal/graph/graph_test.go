@@ -350,8 +350,18 @@ func TestCanonicalCodeEmptyAndSingle(t *testing.T) {
 func TestLabelCounts(t *testing.T) {
 	g := triangle(t)
 	vc := g.LabelCounts()
-	if vc.Of("a") != 1 || vc.Of("b") != 1 || vc.Of("d") != 1 || vc.Of("c") != 0 || len(vc) != 3 {
+	if vc.Index("a") != 0 || vc.Index("b") != 1 || vc.Index("d") != 2 || vc.Index("c") != -1 || vc.Index("") != -1 || vc.Index("e") != -1 ||
+		len(vc) != 3 || vc[0].N != 1 || vc[1].N != 1 || vc[2].N != 1 {
 		t.Fatalf("vertex counts %v", vc)
+	}
+	for v := range g.NumVertices() {
+		if l := vc[g.VertexLabelIndex(VertexID(v))].Label; l != g.VertexLabel(VertexID(v)) {
+			t.Fatalf("vertex %d: index names %q, label %q", v, l, g.VertexLabel(VertexID(v)))
+		}
+	}
+	if ec := g.EdgeLabelCounts(); len(ec) != 1 || ec[0] != (LabelCount{"", 3}) || ec.Index("") != 0 || ec.Index("a") != -1 ||
+		g.EdgeLabelIndex(0) != 0 || g.EdgeLabelIndex(2) != 0 {
+		t.Fatalf("edge label counts %v", ec)
 	}
 	// Three edges of three types: a–b, b–d and a–d, all labelled "".
 	et := g.EdgeTypes()

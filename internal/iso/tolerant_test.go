@@ -285,7 +285,9 @@ func TestBudgetZeroKeepsEnumerationOrder(t *testing.T) {
 // fuzzInput decodes bytes into a small search problem: a pattern of at most
 // 5 vertices and 8 edges (label "z" never occurs in the target), a target of
 // at most 7 vertices and 8 edges, an optional world mask and δ ∈ 0..3.
-// Exhausted input reads as zeros, so every byte string is a valid problem.
+// Vertex labels include the empty one and two that share a prefix, "a" and
+// "ab", and edges are labelled "" or "x". Exhausted input reads as zeros,
+// so every byte string is a valid problem.
 func fuzzInput(data []byte) (p, t *graph.Graph, mask *graph.EdgeSet, delta int) {
 	next := func() int {
 		if len(data) == 0 {
@@ -295,7 +297,7 @@ func fuzzInput(data []byte) (p, t *graph.Graph, mask *graph.EdgeSet, delta int) 
 		data = data[1:]
 		return int(b)
 	}
-	labels := []graph.Label{"a", "b", "c", "z"}
+	labels := []graph.Label{"a", "ab", "", "z"}
 	elabels := []graph.Label{"", "x"}
 	delta = next() % 4
 	nl := 1 + next()%3
@@ -335,11 +337,22 @@ func fuzzInput(data []byte) (p, t *graph.Graph, mask *graph.EdgeSet, delta int) 
 
 // FuzzExistsWithin holds the tolerant search to Definition 8 by brute force
 // over deletion sets, budget 0 on an isolate-free pattern to Exists, and
-// the enumeration (on the unmasked target) to the per-rq collection. The
+// the enumeration (on the unmasked target) to the per-rq collection and,
+// capped at one set or not, to the search: it finds a set exactly when
+// ExistsWithin is true, so structural confirmation may enumerate. The
 // checked-in corpus is under testdata/fuzz/FuzzExistsWithin.
 func FuzzExistsWithin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 0, 0, 0, 3, 0x01, 0, 0x12, 0, 0x20, 0, 4, 0, 0, 0, 0, 0, 5, 0x01, 0, 0x12, 0, 0x23, 0, 0x34, 0, 0x40, 0})
+	// Labels sharing a prefix: a path a–ab–a in a target labelled ab, a, a, "".
+	f.Add([]byte{1, 2, 2, 0, 1, 0, 2, 0x01, 0, 0x12, 0, 3, 1, 0, 0, 2, 3, 0x01, 0, 0x02, 0, 0x23, 0, 0})
+	// The empty label on vertices and edges, the pattern a copy of the target.
+	f.Add([]byte{0, 2, 2, 2, 2, 0, 2, 0x01, 0, 0x12, 1, 2, 2, 2, 0, 2, 0x01, 0, 0x12, 1, 0})
+	// An edge label the target lacks: both pattern edges are x, no target edge is.
+	f.Add([]byte{1, 1, 2, 0, 1, 0, 2, 0x01, 1, 0x12, 1, 2, 0, 1, 0, 2, 0x01, 0, 0x12, 0, 0})
+	// A vertex label the target lacks, at δ 1 and 2: z hangs off a path.
+	f.Add([]byte{1, 1, 3, 0, 1, 0, 2, 3, 0x01, 0, 0x12, 0, 0x23, 0, 3, 0, 1, 0, 0, 3, 0x01, 0, 0x12, 0, 0x23, 0, 0})
+	f.Add([]byte{2, 1, 3, 2, 1, 0, 2, 3, 0x01, 0, 0x12, 0, 0x23, 0, 3, 0, 1, 0, 0, 3, 0x01, 0, 0x12, 0, 0x23, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, tg, mask, delta := fuzzInput(data)
 		got, want := ExistsWithin(p, tg, mask, delta), bruteWithin(p, tg, mask, delta)
@@ -349,8 +362,13 @@ func FuzzExistsWithin(f *testing.F) {
 		if rq := p.DropIsolated(); ExistsWithin(p, tg, mask, 0) != Exists(rq, tg, mask) {
 			t.Fatalf("budget 0 disagrees with Exists\np = %v\nt = %v\nmask = %v", p, tg, mask)
 		}
-		if g, w := sortedSets(EdgeSetsWithin(p, tg, delta, 0)), sortedSets(perRQEdgeSets(p, tg, delta)); !slices.EqualFunc(g, w, slices.Equal) {
+		all := EdgeSetsWithin(p, tg, delta, 0)
+		if g, w := sortedSets(all), sortedSets(perRQEdgeSets(p, tg, delta)); !slices.EqualFunc(g, w, slices.Equal) {
 			t.Fatalf("δ=%d: EdgeSetsWithin %v, per-rq collection %v\np = %v\nt = %v", delta, g, w, p, tg)
+		}
+		exists, one := ExistsWithin(p, tg, nil, delta), EdgeSetsWithin(p, tg, delta, 1)
+		if len(one) > 1 || (len(one) > 0) != exists || (len(all) > 0) != exists {
+			t.Fatalf("δ=%d: ExistsWithin %v, EdgeSetsWithin finds %d sets at limit 1 and %d at 0\np = %v\nt = %v", delta, exists, len(one), len(all), p, tg)
 		}
 	})
 }

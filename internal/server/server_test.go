@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"probgraph/internal/core"
 	"probgraph/internal/dataset"
@@ -188,6 +189,32 @@ func TestQueryJSONGraphAndWorkersShareCache(t *testing.T) {
 	env.post(t, "/query", sreq, &third)
 	if third.Cached {
 		t.Fatal("different seed wrongly served from cache")
+	}
+}
+
+// TestQueryTwinRichGraphIsQuick: the server keys a query by its canonical
+// code before any deadline applies, so a graph whose refinement splits
+// nothing must still be coded fast. A single-label K12 in labels the corpus
+// lacks answers, with no match, within a second.
+func TestQueryTwinRichGraphIsQuick(t *testing.T) {
+	env := newTestEnv(t, Options{})
+	b := graph.NewBuilder("k12")
+	b.AddVertices(12, "absent")
+	for u := range 12 {
+		for v := u + 1; v < 12; v++ {
+			b.MustAddEdge(graph.VertexID(u), graph.VertexID(v), "absent")
+		}
+	}
+	start := time.Now()
+	var resp QueryResponse
+	if hr := env.post(t, "/query", QueryRequest{Graph: GraphToJSON(b.Build()), Epsilon: 0.5, Delta: 1}, &resp); hr.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", hr.StatusCode)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("K12 answered in %v", took)
+	}
+	if len(resp.Answers) != 0 {
+		t.Errorf("K12 in absent labels matched %v", resp.Answers)
 	}
 }
 

@@ -16,7 +16,9 @@
 // produce SCq: q ⊆sim gc is Definition 8's dis(q, gc) ≤ δ, decided by one
 // budgeted isomorphism search per candidate (iso.ExistsWithin) — by Lemma 1
 // the same answer as "some rq of the relaxed set U embeds in gc", without
-// deriving U or matching its members one by one.
+// deriving U or matching its members one by one. SCqSetsCtx confirms with
+// the enumerating form of that search instead and keeps what it found,
+// the clauses verification reads.
 //
 // The counts live in one flat |D|×|F| matrix and the filter is one pass
 // over its rows that reads only the columns of features q embeds
@@ -335,25 +337,50 @@ func (ix *Index) SCq(q *graph.Graph, delta, workers int) (confirmed []int, filte
 // count scan and between exact confirmations (candidate granularity).
 // A cancelled call returns (nil, 0, ctx.Err()) — never a partial candidate
 // set; an uncancelled call returns exactly SCq's answer and a nil error.
+// It is SCqSetsCtx at limit 1.
 func (ix *Index) SCqCtx(ctx context.Context, q *graph.Graph, delta, workers int) (confirmed []int, filterCandidates int, err error) {
+	confirmed, _, filterCandidates, err = ix.SCqSetsCtx(ctx, q, delta, workers, 1)
+	return confirmed, filterCandidates, err
+}
+
+// SCqSetsCtx is SCqCtx keeping what each confirmation found: a candidate
+// is confirmed when iso.EdgeSetsWithin(q, gc, delta, limit) — the
+// verification DNF of Equation 22, capped at limit sets (limit <= 0: all)
+// — is not empty, and sets[i] is confirmed[i]'s list, so verification need
+// not search again. At limit 1 it is Confirm's search instead, which stops
+// at the first embedding and builds no set, and sets is nil. The confirmed
+// slots are the same at every limit.
+func (ix *Index) SCqSetsCtx(ctx context.Context, q *graph.Graph, delta, workers, limit int) (confirmed []int, sets [][]graph.EdgeSet, filterCandidates int, err error) {
 	cand, err := ix.CandidatesCtx(ctx, q, delta, workers)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	ok := make([]bool, len(cand))
+	var found [][]graph.EdgeSet
+	if limit != 1 {
+		found = make([][]graph.EdgeSet, len(cand))
+	}
 	err = obs.Stage(ctx, "confirm", func(ctx context.Context) (int64, error) {
 		return int64(len(cand)), pool.ForEachIndexCtx(ctx, len(cand), pool.Normalize(workers, len(cand)), func(i int) error {
-			ok[i] = ix.Confirm(q, cand[i], delta)
+			if found == nil {
+				ok[i] = ix.Confirm(q, cand[i], delta)
+			} else {
+				found[i] = iso.EdgeSetsWithin(q, ix.dbc[cand[i]], delta, limit)
+				ok[i] = len(found[i]) > 0
+			}
 			return nil
 		})
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	for i, gi := range cand {
 		if ok[i] {
 			confirmed = append(confirmed, gi)
+			if found != nil {
+				sets = append(sets, found[i])
+			}
 		}
 	}
-	return confirmed, len(cand), nil
+	return confirmed, sets, len(cand), nil
 }
