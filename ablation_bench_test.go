@@ -7,6 +7,7 @@ package probgraph_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,6 +102,47 @@ func BenchmarkKernelVF2EdgeSets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iso.EdgeSets(q, target, nil, 32)
+	}
+}
+
+// BenchmarkEdgeSets times the pruner's strict enumeration: for one query,
+// iso.EdgeSets of every mined feature in it, uncapped, as newPruner derives
+// the rq ⊆iso f relation. The database is ledger-shaped — 120 GeneratePPI
+// graphs of 12–18 vertices, 8 organisms, correlated, mined at β 0.2, α and
+// γ 0.1, maxL 4 — and the queries are cut from it at the ledger's three
+// sizes, eight of each; an op is one query.
+func BenchmarkEdgeSets(b *testing.B) {
+	raw, err := probgraph.GeneratePPI(probgraph.DatasetOptions{
+		NumGraphs: 120, MinVertices: 12, MaxVertices: 18, Organisms: 8, Correlated: true, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := probgraph.DefaultBuildOptions()
+	opt.Feature.Beta, opt.Feature.Alpha, opt.Feature.Gamma, opt.Feature.MaxL = 0.2, 0.1, 0.1, 4
+	db, err := probgraph.NewDatabase(raw.Graphs, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	feats := db.View().PMI.Features
+	for _, edges := range []int{4, 6, 10} {
+		rng := rand.New(rand.NewSource(int64(edges)))
+		var qs []*graph.Graph
+		for len(qs) < 8 {
+			if q := probgraph.ExtractQuery(raw.Graphs[rng.Intn(len(raw.Graphs))].G, edges, rng); q.NumEdges() == edges {
+				qs = append(qs, q)
+			}
+		}
+		b.Run(fmt.Sprintf("%dedges", edges), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(feats)), "features")
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				for _, f := range feats {
+					iso.EdgeSets(f, q, nil, 0)
+				}
+			}
+		})
 	}
 }
 

@@ -34,6 +34,9 @@
 //	POST   /graphs      incremental AddGraph ingestion (pgraph JSON or text)
 //	DELETE /graphs/{id} RemoveGraph: tombstones the slot, indices stay stable
 //	PUT    /graphs/{id} ReplaceGraph: swaps the slot's graph (re-scored JPTs)
+//	                    Each /graphs reply reports the committed mutation:
+//	                    op, index, generation, graphs (live), tombstoned,
+//	                    and compacted/compacted_slots when it compacted.
 //	GET  /metrics       Prometheus text exposition: query, cache, inflight,
 //	                    generation, live/tombstoned and index-size counters
 //	GET  /debug/slowlog the -slowlog slowest queries with their span trees
@@ -50,8 +53,8 @@
 // The database is generation-numbered: every query pins the current view,
 // so mutations never block queries and a query never sees a half-applied
 // mutation; result-cache entries are keyed by generation (no purge on
-// mutation). One structured log line records each mutation's old→new
-// generation. -compact-threshold controls auto-compaction: once more than
+// mutation). One structured log line records each mutation's record: its
+// old→new generation, resulting shape and any compaction. -compact-threshold controls auto-compaction: once more than
 // that fraction of slots is tombstoned, the triggering mutation also
 // compacts the database — dropping tombstones and renumbering graph
 // indices (its response carries "compacted": true and the slot count

@@ -560,3 +560,51 @@ func checkShardUp(t *testing.T, coord http.Handler, what string) {
 		}
 	}
 }
+
+// TestFleetStatsMatchSingleNode: a fleet's merged pipeline counters — the
+// verification ladder's among them — are the single node's, for /query and
+// for every /batch member, with the timings zeroed (shards time their own
+// share). The sweep must reach the ladder's bound and exact rungs.
+func TestFleetStatsMatchSingleNode(t *testing.T) {
+	counters := func(s server.StatsJSON) server.StatsJSON {
+		s.TimeStructMS, s.TimeProbMS, s.TimeVerifyMS, s.TimeTotalMS = 0, 0, 0, 0
+		return s
+	}
+	db := testDatabase(t, 5, 16)
+	qs := extractQueries(db, 5, 6)
+	f := newFleet(t, db, partitionRanges(t, db, 3), false)
+	var ladder server.StatsJSON
+	check := func(label string, single, fleet server.StatsJSON) {
+		t.Helper()
+		if counters(single) != counters(fleet) {
+			t.Fatalf("%s: fleet stats %+v, single node %+v", label, counters(fleet), counters(single))
+		}
+		ladder.RejectedByBound += single.RejectedByBound
+		ladder.DecidedExactly += single.DecidedExactly
+	}
+	for _, eps := range []float64{0.3, 0.6} {
+		for _, delta := range []int{1, 2} {
+			batch := server.BatchRequest{Epsilon: eps, Delta: delta, Seed: 9}
+			for qi, q := range qs {
+				req := server.QueryRequest{Graph: server.GraphToJSON(q), Epsilon: eps, Delta: delta, Seed: 9 + int64(qi)}
+				_, b1 := postJSON(t, f.single, "/query", req)
+				_, b2 := postJSON(t, f.coord, "/query", req)
+				label := fmt.Sprintf("ε=%v δ=%d /query %d", eps, delta, qi)
+				check(label, mustDecode[server.QueryResponse](t, b1).Stats, mustDecode[server.QueryResponse](t, b2).Stats)
+				batch.Queries = append(batch.Queries, *server.GraphToJSON(q))
+			}
+			_, b1 := postJSON(t, f.single, "/batch", batch)
+			_, b2 := postJSON(t, f.coord, "/batch", batch)
+			single, fleet := mustDecode[server.BatchResponse](t, b1), mustDecode[server.BatchResponse](t, b2)
+			if len(single.Results) != len(qs) || len(fleet.Results) != len(qs) {
+				t.Fatalf("ε=%v δ=%d: batch of %d answered %d (single) and %d (fleet) members", eps, delta, len(qs), len(single.Results), len(fleet.Results))
+			}
+			for i := range qs {
+				check(fmt.Sprintf("ε=%v δ=%d /batch member %d", eps, delta, i), single.Results[i].Stats, fleet.Results[i].Stats)
+			}
+		}
+	}
+	if ladder.RejectedByBound == 0 || ladder.DecidedExactly == 0 {
+		t.Fatalf("the sweep never reached a ladder rung (rejected by bound %d, decided exactly %d)", ladder.RejectedByBound, ladder.DecidedExactly)
+	}
+}

@@ -103,6 +103,9 @@ func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryRe
 		st.PrunedByUpper += add.PrunedByUpper
 		st.AcceptedByLower += add.AcceptedByLower
 		st.VerifyCandidates += add.VerifyCandidates
+		st.RejectedByBound += add.RejectedByBound
+		st.DecidedExactly += add.DecidedExactly
+		st.SamplesDrawn += add.SamplesDrawn
 		if add.RelaxedQueries > st.RelaxedQueries {
 			st.RelaxedQueries = add.RelaxedQueries
 		}

@@ -15,10 +15,11 @@ import (
 	"probgraph/internal/prob"
 )
 
-// allocCase is one candidate of one plan with the verdict the bounds give it.
+// allocCase is candidate i of one plan, graph gi, with the verdict the
+// bounds give it.
 type allocCase struct {
 	p       *plan
-	gi      int
+	i, gi   int
 	verdict judgement
 }
 
@@ -47,10 +48,10 @@ func allocFixture(t *testing.T, optBounds bool) (v *View, cases []allocCase) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, gi := range p.scq {
+			for i, gi := range p.scq {
 				if verdict := p.pr.judge(gi); seen[verdict] < 8 {
 					seen[verdict]++
-					cases = append(cases, allocCase{p, gi, verdict})
+					cases = append(cases, allocCase{p, i, gi, verdict})
 				}
 			}
 		}
@@ -78,12 +79,12 @@ func TestEvalCandidateSteadyStateAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("optBounds=%v", optBounds), func(t *testing.T) {
 			v, cases := allocFixture(t, optBounds)
 			for _, c := range cases {
-				if got := v.evalCandidate(c.p, c.gi).verdict; got != c.verdict {
+				if got := v.evalCandidate(c.p, c.i).verdict; got != c.verdict {
 					t.Fatalf("graph %d: verdict %d on a second evaluation, %d on the first", c.gi, got, c.verdict)
 				}
 			}
 			for _, c := range cases {
-				if avg := testing.AllocsPerRun(100, func() { _ = v.evalCandidate(c.p, c.gi) }); avg != 0 {
+				if avg := testing.AllocsPerRun(100, func() { _ = v.evalCandidate(c.p, c.i) }); avg != 0 {
 					t.Errorf("evalCandidate allocates %.2f per run on graph %d (verdict %d), want 0", avg, c.gi, c.verdict)
 				}
 			}
@@ -138,7 +139,7 @@ func TestEvalCandidateParallelAllocs(t *testing.T) {
 			}
 			run := func() error {
 				return pool.ForEachIndexCtx(context.Background(), len(reps), workers, func(i int) error {
-					_ = v.evalCandidate(reps[i].p, reps[i].gi)
+					_ = v.evalCandidate(reps[i].p, reps[i].i)
 					return nil
 				})
 			}

@@ -123,7 +123,7 @@ type View struct {
 
 	// gids maps this view's slots to the global graph ids of the
 	// database it was partitioned from (nil = identity: slot i is global
-	// id i). Range views (View.Range, Database.Partition, SaveRange) set
+	// id i). Range views (View.Range, Database.Partition, SaveRangeFile) set
 	// it so per-candidate query seeding — and therefore every verdict and
 	// SSP estimate — is computed from the global id, which is what makes
 	// a sharded evaluation bitwise-identical to the full database's.
@@ -160,7 +160,7 @@ func (v *View) liveSlots() []int {
 func (v *View) Options() BuildOptions { return v.opt }
 
 // Partitioned reports whether this view is a range partition of a larger
-// database (built by Range / Partition / a SaveRange snapshot). Partitioned
+// database (built by Range / Partition / a range snapshot). Partitioned
 // views are read-only.
 func (v *View) Partitioned() bool { return v.gids != nil }
 
@@ -283,7 +283,7 @@ func (db *Database) SetCompactThreshold(frac float64) {
 var ErrNoSuchGraph = errors.New("no such graph")
 
 // ErrPartitioned marks mutations attempted on a partitioned database (one
-// loaded from a SaveRange snapshot or built by Partition). Partitions are
+// loaded from a range snapshot or built by Partition). Partitions are
 // read-only serving replicas: a local mutation would desynchronize the
 // global-id map — and with it the seeding contract that keeps shard
 // answers bitwise-identical to the full database — so the owner of the
@@ -292,9 +292,10 @@ var ErrPartitioned = errors.New("database is a read-only partition")
 
 // Mutation describes one committed mutation: the slot it targeted (or
 // created), the generation transition, the resulting shape, and whether
-// the mutation triggered auto-compaction (renumbering graph indices).
-// Every field is captured inside the writer lock, so the record is
-// consistent even under concurrent mutations.
+// the mutation compacted the database (renumbering graph indices) — a
+// Compact that dropped slots, or a removal that crossed the
+// auto-compaction threshold. Every field is captured inside the writer
+// lock, so the record is consistent even under concurrent mutations.
 type Mutation struct {
 	Index         int
 	OldGeneration uint64
@@ -316,7 +317,8 @@ type Mutation struct {
 // passes an empty verb, and its record's Index is the slot an append
 // creates. The successor gets the next generation; one that tombstoned a
 // slot then compacts in the same commit (another generation) once the
-// threshold is crossed.
+// threshold is crossed. A successor with fewer slots than the current view
+// is a compaction, and the record says how many it dropped.
 func (db *Database) commit(verb string, id int, next func(v *View) (*View, error)) (Mutation, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -340,10 +342,12 @@ func (db *Database) commit(verb string, id int, next func(v *View) (*View, error
 			float64(nv.Tombstones()) > db.compactThreshold*float64(nv.Len()) {
 			cv := nv.project(nv.liveSlots())
 			cv.Generation = nv.Generation + 1
-			m.Compacted, m.CompactedSlots = true, nv.Len()-cv.Len()
 			nv = cv
 		}
 		db.cur.Store(nv)
+	}
+	if dropped := v.Len() - nv.Len(); dropped > 0 {
+		m.Compacted, m.CompactedSlots = true, dropped
 	}
 	m.NewGeneration, m.LiveGraphs, m.Tombstoned = nv.Generation, nv.NumLive(), nv.Tombstones()
 	return m, nil
@@ -355,27 +359,21 @@ func (db *Database) commit(verb string, id int, next func(v *View) (*View, error
 // against the pre-insertion view are never blocked or disturbed. The
 // mined feature vocabulary is kept (standard incremental-index trade-off;
 // rebuild with NewDatabase when the data distribution drifts). The new
-// graph's slot index and the new generation are returned.
+// graph's slot index and the mutation record are returned.
 //
 // AddGraph is atomic: the fallible steps (engine construction, PMI column
 // computation) run before the successor view is published, so a failed
 // call leaves the database — and every already-pinned view — exactly as
 // it was.
-func (db *Database) AddGraph(pg *prob.PGraph) (int, uint64, error) {
-	m, err := db.AddGraphInfo(pg)
-	return m.Index, m.NewGeneration, err
-}
-
-// AddGraphInfo is AddGraph returning the full mutation record.
-func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
+func (db *Database) AddGraph(pg *prob.PGraph) (int, Mutation, error) {
 	// Engine construction depends only on the incoming graph, so it runs
 	// before the writer lock — concurrent mutations serialize only on the
 	// view-dependent index work.
 	eng, err := prob.NewEngine(pg)
 	if err != nil {
-		return Mutation{}, fmt.Errorf("core: adding graph: %w", err)
+		return 0, Mutation{}, fmt.Errorf("core: adding graph: %w", err)
 	}
-	return db.commit("", 0, func(v *View) (*View, error) {
+	m, err := db.commit("", 0, func(v *View) (*View, error) {
 		npmi, err := v.PMI.WithColumn(pg, eng)
 		if err != nil {
 			return nil, err
@@ -389,22 +387,16 @@ func (db *Database) AddGraphInfo(pg *prob.PGraph) (Mutation, error) {
 		nv.Struct = v.Struct.WithGraph(pg.G)
 		return &nv, nil
 	})
+	return m.Index, m, err
 }
 
 // RemoveGraph tombstones slot id: the graph disappears from every
 // subsequent query (already-pinned views still see it) and its data is
 // released, while its structural count row stays in place, skipped by the
 // scan, until Compact drops it.
-// Surviving graph indices are unchanged. The new generation is returned.
-func (db *Database) RemoveGraph(id int) (uint64, error) {
-	m, err := db.RemoveGraphInfo(id)
-	return m.NewGeneration, err
-}
-
-// RemoveGraphInfo is RemoveGraph returning the full mutation record —
-// including whether the removal crossed the compaction threshold and
-// renumbered the survivors.
-func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
+// Surviving graph indices are unchanged unless the removal crossed the
+// compaction threshold, which the record's Compacted reports.
+func (db *Database) RemoveGraph(id int) (Mutation, error) {
 	return db.commit("removing", id, func(v *View) (*View, error) {
 		// Dead slots are never queried: the successor is data-free for the
 		// slot — graph, JPTs and engine cell let go, the PMI column freed
@@ -423,22 +415,16 @@ func (db *Database) RemoveGraphInfo(id int) (Mutation, error) {
 
 // ReplaceGraph swaps the graph in live slot id for pg — the re-scored-JPT
 // case: same slot index, fresh engine, recomputed structural counts and
-// PMI column, all copy-on-write. The new generation is returned.
-func (db *Database) ReplaceGraph(id int, pg *prob.PGraph) (uint64, error) {
-	m, err := db.ReplaceGraphInfo(id, pg)
-	return m.NewGeneration, err
-}
-
-// ReplaceGraphInfo is ReplaceGraph returning the full mutation record.
-func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) {
-	// As in AddGraphInfo, the engine build is view-independent and stays
+// PMI column, all copy-on-write. Like AddGraph it is atomic.
+func (db *Database) ReplaceGraph(id int, pg *prob.PGraph) (Mutation, error) {
+	// As in AddGraph, the engine build is view-independent and stays
 	// outside the writer lock.
 	eng, err := prob.NewEngine(pg)
 	if err != nil {
 		return Mutation{}, fmt.Errorf("core: replacing graph %d: %w", id, err)
 	}
 	return db.commit("replacing", id, func(v *View) (*View, error) {
-		npmi, err := v.PMI.WithReplacedColumn(id, pg, eng)
+		npmi, err := v.PMI.WithReplacedColumn(id, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -461,15 +447,15 @@ func (db *Database) ReplaceGraphInfo(id int, pg *prob.PGraph) (Mutation, error) 
 // NewDatabase over the surviving graphs (pruning-bypassed queries answer
 // bitwise-identically to one); the mined vocabulary is carried over, not
 // re-mined. A database without tombstones is returned unchanged (same
-// generation).
-func (db *Database) Compact() (uint64, error) {
-	m, err := db.commit("", 0, func(v *View) (*View, error) {
+// generation). The record's Compacted and CompactedSlots report what was
+// dropped.
+func (db *Database) Compact() (Mutation, error) {
+	return db.commit("", 0, func(v *View) (*View, error) {
 		if v.Tombstones() == 0 {
 			return v, nil
 		}
 		return v.project(v.liveSlots()), nil
 	})
-	return m.NewGeneration, err
 }
 
 // deadGraph occupies every slot RemoveGraph tombstones.

@@ -24,15 +24,15 @@ func TestAddGraphMatchesNaive(t *testing.T) {
 	}
 	genBefore := db.View().Generation
 	for i, pg := range extra.Graphs {
-		gi, gen, err := db.AddGraph(pg)
+		gi, m, err := db.AddGraph(pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gi >= db.Len() {
-			t.Fatalf("returned index %d out of range", gi)
+		if gi >= db.Len() || gi != m.Index {
+			t.Fatalf("returned index %d out of range or not the record's %d", gi, m.Index)
 		}
-		if want := genBefore + uint64(i) + 1; gen != want {
-			t.Fatalf("AddGraph returned generation %d, want %d", gen, want)
+		if want := genBefore + uint64(i) + 1; m.NewGeneration != want || m.OldGeneration != want-1 {
+			t.Fatalf("AddGraph recorded generations %d → %d, want %d → %d", m.OldGeneration, m.NewGeneration, want-1, want)
 		}
 	}
 	if db.Len() != len(raw.Graphs)+2 {

@@ -361,12 +361,12 @@ func TestRemoveGraphSemantics(t *testing.T) {
 	}
 	victim := before.Answers[0]
 
-	gen, err := db.RemoveGraph(victim)
+	m, err := db.RemoveGraph(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 {
-		t.Fatalf("generation after first mutation = %d, want 2", gen)
+	if m.NewGeneration != 2 {
+		t.Fatalf("generation after first mutation = %d, want 2", m.NewGeneration)
 	}
 	if db.Len() != 8 || db.View().NumLive() != 7 || db.View().Tombstones() != 1 {
 		t.Fatalf("shape after remove: len=%d live=%d tombs=%d", db.Len(), db.View().NumLive(), db.View().Tombstones())
@@ -485,8 +485,12 @@ func removeGraphReleasesEngine(t *testing.T, db *Database, raw *dataset.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rv, err := v.Range(0, v.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := v.SaveRange(&buf, 0, v.Len(), SnapshotBinary); err != nil {
+	if err := rv.SaveAs(&buf, SnapshotBinary); err != nil {
 		t.Fatal(err)
 	}
 	part, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
@@ -496,8 +500,17 @@ func removeGraphReleasesEngine(t *testing.T, db *Database, raw *dataset.DB) {
 	if part.View().NumLive() != 5 {
 		t.Fatalf("range of the tombstoned view holds %d graphs, want 5", part.View().NumLive())
 	}
-	if _, err := db.Compact(); err != nil {
+	// Compact's record reports the two tombstones it dropped; a second
+	// Compact finds none, drops nothing and commits nothing.
+	m, err := db.Compact()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !m.Compacted || m.CompactedSlots != 2 || m.LiveGraphs != 5 || m.Tombstoned != 0 || m.NewGeneration != m.OldGeneration+1 {
+		t.Fatalf("Compact recorded %+v, want 2 slots dropped, 5 live, one generation", m)
+	}
+	if again, err := db.Compact(); err != nil || again.Compacted || again.CompactedSlots != 0 || again.NewGeneration != m.NewGeneration {
+		t.Fatalf("Compact without tombstones recorded %+v (%v), want nothing dropped at generation %d", again, err, m.NewGeneration)
 	}
 	cv := db.View()
 	for i := range cv.Graphs {
@@ -571,21 +584,21 @@ func TestAutoCompactThreshold(t *testing.T) {
 	db, _ := smallDatabase(t, 2401, 6, true)
 	db.SetCompactThreshold(0.25)
 
-	gen, err := db.RemoveGraph(0)
+	m, err := db.RemoveGraph(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1/6 ≤ 0.25: tombstone stays.
-	if gen != 2 || db.View().Tombstones() != 1 || db.Len() != 6 {
-		t.Fatalf("after first remove: gen=%d tombs=%d len=%d", gen, db.View().Tombstones(), db.Len())
+	if m.NewGeneration != 2 || m.Compacted || db.View().Tombstones() != 1 || db.Len() != 6 {
+		t.Fatalf("after first remove: %+v tombs=%d len=%d", m, db.View().Tombstones(), db.Len())
 	}
-	gen, err = db.RemoveGraph(3)
+	m, err = db.RemoveGraph(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2/6 > 0.25: remove + compact in one commit.
-	if gen != 4 {
-		t.Fatalf("auto-compacting remove returned generation %d, want 4 (remove + compact)", gen)
+	if m.NewGeneration != 4 || !m.Compacted || m.CompactedSlots != 2 {
+		t.Fatalf("auto-compacting remove recorded %+v, want generation 4 (remove + compact) and 2 slots dropped", m)
 	}
 	if db.View().Tombstones() != 0 || db.Len() != 4 || db.View().NumLive() != 4 {
 		t.Fatalf("after auto-compact: tombs=%d len=%d live=%d", db.View().Tombstones(), db.Len(), db.View().NumLive())
@@ -624,7 +637,7 @@ func TestAutoCompactNaNThresholdNeverCompacts(t *testing.T) {
 	db, _ := smallDatabase(t, 2403, 12, false)
 	db.SetCompactThreshold(math.NaN())
 	for k, id := range []int{3, 0, 7, 11, 5, 1, 9, 2, 10, 4, 6} {
-		m, err := db.RemoveGraphInfo(id)
+		m, err := db.RemoveGraph(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,18 +658,18 @@ func TestAutoCompactOnlyOnRemoval(t *testing.T) {
 		}
 	}
 	db.SetCompactThreshold(0.25)
-	add, err := db.AddGraphInfo(raw.Graphs[1])
+	_, add, err := db.AddGraph(raw.Graphs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := db.ReplaceGraphInfo(0, raw.Graphs[2])
+	repl, err := db.ReplaceGraph(0, raw.Graphs[2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if add.Compacted || repl.Compacted || db.Len() != 7 || db.View().Tombstones() != 3 {
 		t.Fatalf("add %+v, replace %+v, len %d: a commit that tombstoned nothing compacted", add, repl, db.Len())
 	}
-	rm, err := db.RemoveGraphInfo(6)
+	rm, err := db.RemoveGraph(6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,18 +106,3 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	}
 	return p, nil
 }
-
-// setsOf returns the clauses candidate gi was confirmed by: a binary
-// search of scq, written out so that evalCandidate allocates nothing.
-func (p *plan) setsOf(gi int) []graph.EdgeSet {
-	lo, hi := 0, len(p.scq)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if p.scq[h] < gi {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	return p.sets[lo]
-}

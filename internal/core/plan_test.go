@@ -220,9 +220,6 @@ func TestKeptClausesMatchEdgeSetsWithin(t *testing.T) {
 						if !slices.EqualFunc(p.sets[i], fresh, graph.EdgeSet.Equal) || len(fresh) == 0 {
 							t.Fatalf("δ=%d workers=%d %+v graph %d: kept %v, fresh %v", delta, workers, c, gi, p.sets[i], fresh)
 						}
-						if got := p.setsOf(gi); &got[0] != &p.sets[i][0] {
-							t.Fatalf("graph %d: setsOf finds another candidate's list", gi)
-						}
 						kept++
 					}
 				}

@@ -222,13 +222,15 @@ func (o candOutcome) tally(s *Stats) {
 }
 
 // evalCandidate runs the fused probabilistic-pruning + verification stage
-// for one candidate graph gi of plan p. p.pr == nil skips the pruning
-// phase (PMI disabled or bypassed). The outcome is a pure function of
-// (v, p, gi): all randomness is seeded from candSeed, so every caller
-// computes the identical outcome regardless of scheduling.
+// for candidate i of plan p: graph p.scq[i], verified from its clauses
+// p.sets[i]. p.pr == nil skips the pruning phase (PMI disabled or
+// bypassed). The outcome is a pure function of (v, p, i): all randomness
+// is seeded from candSeed, so every caller computes the identical outcome
+// regardless of scheduling.
 //
 //pgvet:noalloc
-func (v *View) evalCandidate(p *plan, gi int) candOutcome {
+func (v *View) evalCandidate(p *plan, i int) candOutcome {
+	gi := p.scq[i]
 	var o candOutcome
 	if p.pr != nil {
 		t := time.Now()
@@ -239,7 +241,7 @@ func (v *View) evalCandidate(p *plan, gi int) candOutcome {
 		return o
 	}
 	t := time.Now()
-	o.decision, o.err = v.verifyClauses(p.setsOf(gi), gi, p.opt, p.opt.Epsilon)
+	o.decision, o.err = v.verifyClauses(p.sets[i], gi, p.opt, p.opt.Epsilon)
 	o.verifyT = time.Since(t)
 	return o
 }
@@ -313,7 +315,7 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 	outs := make([]candOutcome, len(scq))
 	err := obs.Stage(ctx, "verify", func(ctx context.Context) (int64, error) {
 		return int64(len(scq)), pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) error {
-			o := v.evalCandidate(p, scq[i])
+			o := v.evalCandidate(p, i)
 			if o.err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", scq[i], o.err)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"probgraph/internal/feature"
 )
@@ -89,21 +88,11 @@ func (db *Database) Partition(lo, hi int) (*Database, error) {
 	return newFromView(pv), nil
 }
 
-// SaveRange writes the partition holding global ids [lo, hi) as a
-// snapshot in the given format. Loading it (LoadDatabase / OpenSnapshot)
-// yields a read-only partition whose queries are bitwise-identical to the
-// full database's for the graphs it holds — the shard bootstrap path of a
-// distributed deployment.
-func (v *View) SaveRange(w io.Writer, lo, hi int, format SnapshotFormat) error {
-	pv, err := v.Range(lo, hi)
-	if err != nil {
-		return err
-	}
-	return pv.SaveAs(w, format)
-}
-
-// SaveRangeFile atomically writes a range partition of the current view
-// to path; see View.SaveRange and View.SaveFile.
+// SaveRangeFile atomically writes the partition holding global ids
+// [lo, hi) of the current view to path (see View.SaveFile). Loading it
+// (LoadDatabase / OpenSnapshot) yields a read-only partition whose queries
+// are bitwise-identical to the full database's for the graphs it holds —
+// the shard bootstrap path of a distributed deployment.
 func (db *Database) SaveRangeFile(path string, lo, hi int, format SnapshotFormat) error {
 	pv, err := db.View().Range(lo, hi)
 	if err != nil {

@@ -140,8 +140,12 @@ func TestRangeSnapshotRoundTrip(t *testing.T) {
 	q := dataset.ExtractQuery(db.View().Graphs[0].G, 4, rng)
 	opt := QueryOptions{Epsilon: 0.3, Delta: 1, OptBounds: true, Seed: 5}
 	for _, format := range []SnapshotFormat{SnapshotText, SnapshotBinary} {
+		rv, err := db.View().Range(4, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		if err := db.View().SaveRange(&buf, 4, 10, format); err != nil {
+		if err := rv.SaveAs(&buf, format); err != nil {
 			t.Fatal(err)
 		}
 		part, err := LoadDatabase(bytes.NewReader(buf.Bytes()))

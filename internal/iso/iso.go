@@ -76,9 +76,10 @@ type matcher struct {
 	slack    int
 	tolerant bool
 	// A complete assignment is counted in found, and the search stops
-	// when found reaches limit (never, for limit <= 0). Given visit it is
-	// built in emb instead and handed to visit, which returns false to
-	// stop. An enumeration under a budget hands its leaves to images.
+	// when found reaches limit (never, for limit <= 0). Given visit (ForEach)
+	// it is built in emb instead and handed to visit, which returns false
+	// to stop. An enumeration (EdgeSets, EdgeSetsWithin) hands its leaves
+	// to images.
 	found, limit int
 	emb          *Embedding
 	visit        func() bool
@@ -434,18 +435,13 @@ func EdgeSetsWithin(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
 	if delta >= p.NumEdges() {
 		return []graph.EdgeSet{graph.NewEdgeSet(t.NumEdges())}
 	}
-	if !feasible(p, t, nil, delta, true) {
-		return nil
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.enumerate(p, t, delta, limit)
+	return edgeSets(p, t, nil, delta, true, limit)
 }
 
 // scratch is what one search needs beyond its result, kept per worker by
 // scratchPool: the matcher's slabs, the image table EdgeSets and
-// EdgeSetsWithin deduplicate on, and the embedding a search fills with the
-// words of its edge set.
+// EdgeSetsWithin deduplicate on, and the embedding ForEach fills, its edge
+// set over words.
 type scratch struct {
 	slabs  slabs
 	images imageSet
@@ -463,10 +459,22 @@ func (sc *scratch) embedding(n, ne int) *Embedding {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{images: imageSet{head: make(map[uint64]int32)}} }}
 
-// enumerate is EdgeSetsWithin past its checks, in sc.
-func (sc *scratch) enumerate(p, t *graph.Graph, delta, limit int) []graph.EdgeSet {
-	m := newMatcher(p, t, nil, &sc.slabs)
-	m.slack, m.tolerant = delta, true
+// edgeSets is search run to the end, collecting the distinct edge sets of
+// its leaves (see collect) up to limit: EdgeSets at slack 0, strict,
+// EdgeSetsWithin tolerant at slack delta.
+func edgeSets(p, t *graph.Graph, mask *graph.EdgeSet, slack int, tolerant bool, limit int) []graph.EdgeSet {
+	if !feasible(p, t, mask, slack, tolerant) {
+		return nil
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.enumerate(p, t, mask, slack, tolerant, limit)
+}
+
+// enumerate is edgeSets past its check, in sc.
+func (sc *scratch) enumerate(p, t *graph.Graph, mask *graph.EdgeSet, slack int, tolerant bool, limit int) []graph.EdgeSet {
+	m := newMatcher(p, t, mask, &sc.slabs)
+	m.slack, m.tolerant = slack, tolerant
 	m.images = sc.images.reset(p.NumVertices(), t.NumEdges(), limit)
 	m.extend()
 	return m.images.sets()
@@ -636,24 +644,12 @@ func FindAll(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []Embedding {
 // EdgeSets returns the distinct edge sets of embeddings of p in t, capped at
 // limit distinct sets (limit <= 0 means all). This is the set Ef of the
 // paper's Section 4.1: probabilistic events only depend on which target
-// edges an embedding occupies. The sets come in the order ForEach first
-// reaches them, deduplicated on the pooled image table EdgeSetsWithin
-// uses, so a warmed call allocates only its result.
+// edges an embedding occupies. It is EdgeSetsWithin's enumeration with no
+// budget — the strict search, collecting at each leaf — so the sets come
+// in the order ForEach first reaches them, deduplicated on the pooled image
+// table, and a warmed call allocates only its result.
 func EdgeSets(p, t *graph.Graph, mask *graph.EdgeSet, limit int) []graph.EdgeSet {
-	if !feasible(p, t, mask, 0, false) {
-		return nil
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	m := newMatcher(p, t, mask, &sc.slabs)
-	s := sc.images.reset(p.NumVertices(), t.NumEdges(), limit)
-	m.emb = sc.embedding(p.NumVertices(), t.NumEdges())
-	m.visit = func() bool {
-		copy(s.img, sc.words)
-		return !s.add() || len(s.next) != limit
-	}
-	m.extend()
-	return s.sets()
+	return edgeSets(p, t, mask, 0, false, limit)
 }
 
 // Count returns the number of embeddings of p in t, stopping at cap when

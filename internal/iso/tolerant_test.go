@@ -205,7 +205,7 @@ func TestEdgeSetsWithinReachesEachPairOnce(t *testing.T) {
 				want += Count(rq, tg, nil, 0)
 			}
 			sc := &scratch{images: imageSet{head: make(map[uint64]int32)}}
-			sc.enumerate(p, tg, delta, 0)
+			sc.enumerate(p, tg, nil, delta, true, 0)
 			if sc.images.reached != want {
 				t.Fatalf("seed %d δ=%d: %d pairs emitted, the deletions have %d embeddings\np = %v\nt = %v", seed, delta, sc.images.reached, want, p, tg)
 			}

@@ -117,7 +117,7 @@ func TestWithReplacedColumn(t *testing.T) {
 	graphs, engines, feats := buildSmallDB(t, 7, 5, true)
 	idx := mustBuild(t, graphs, engines, feats, NewOptions())
 	const slot = 1
-	repl, err := idx.WithFreedColumns(slot).WithReplacedColumn(slot, graphs[slot], engines[slot])
+	repl, err := idx.WithFreedColumns(slot).WithReplacedColumn(slot, engines[slot])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCOWReplacedColumnCopiesPointers(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			if _, err := idx.WithReplacedColumn(1, graphs[1], engines[1]); err != nil {
+			if _, err := idx.WithReplacedColumn(1, engines[1]); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&m1)

@@ -1,10 +1,10 @@
 package pmi
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
-	"probgraph/internal/iso"
 	"probgraph/internal/prob"
 )
 
@@ -22,29 +22,29 @@ import (
 // structural index's dead mask (simsearch.Index), which internal/core
 // reads. A removed graph's column is nil only so its entries are freed.
 
-// column computes graph gi's SIP-bound column against every indexed
-// feature that contained reports as embedded in it — the miner's support
-// lists during a build, a fresh isomorphism test (embeds) for a graph
-// arriving later. It runs in full before any structural change happens, so
-// a failed computation leaves nothing to undo.
-func (idx *Index) column(eng *prob.Engine, gi int, contained func(fi int) bool) ([]Entry, error) {
+// column computes graph gi's column: one cell per indexed feature, each
+// from one search (see cell). A graph arriving later is searched for every
+// feature (skip nil). During a build skip names the features the miner's
+// support lists leave out, which are not searched; a listed feature that
+// does not embed is a miner fault and fails the column. It runs in full
+// before any structural change happens, so a failed computation leaves
+// nothing to undo.
+func (idx *Index) column(eng *prob.Engine, gi int, skip func(fi int) bool) ([]Entry, error) {
 	column := make([]Entry, len(idx.Features))
 	for fi, fg := range idx.Features {
-		if !contained(fi) {
+		if skip != nil && skip(fi) {
 			continue
 		}
 		entry, err := cell(eng, fg)
+		if err == nil && !entry.Contained && skip != nil {
+			err = errors.New("no embeddings for contained feature")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pmi: feature %d on graph %d: %w", fi, gi, err)
 		}
 		column[fi] = entry
 	}
 	return column, nil
-}
-
-// embeds is column's containment test for a graph the miner never saw.
-func (idx *Index) embeds(pg *prob.PGraph) func(fi int) bool {
-	return func(fi int) bool { return iso.Exists(idx.Features[fi], pg.G, nil) }
 }
 
 // clone returns a shallow struct copy — the starting point of every
@@ -59,9 +59,10 @@ func (idx *Index) clone() *Index {
 // receiver's backing array when capacity allows, writing only beyond the
 // receiver's length — invisible to readers of the old Index; mutations
 // form a linear chain (serialized by core's writer lock), so a backing
-// slot is written at most once after becoming reachable.
+// slot is written at most once after becoming reachable. The graph is
+// eng's; pg is not read.
 func (idx *Index) WithColumn(pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(eng, len(idx.cols), idx.embeds(pg))
+	column, err := idx.column(eng, len(idx.cols), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +89,9 @@ func (idx *Index) WithFreedColumns(ids ...int) *Index {
 }
 
 // WithReplacedColumn returns a new Index whose column gi holds the bounds
-// of pg instead — one column swapped, every other shared.
-func (idx *Index) WithReplacedColumn(gi int, pg *prob.PGraph, eng *prob.Engine) (*Index, error) {
-	column, err := idx.column(eng, gi, idx.embeds(pg))
+// of eng's graph instead — one column swapped, every other shared.
+func (idx *Index) WithReplacedColumn(gi int, eng *prob.Engine) (*Index, error) {
+	column, err := idx.column(eng, gi, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,8 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature) 
 		idx.Features = append(idx.Features, f.G)
 	}
 
-	// Invert feature support for quick "contained" lookups.
+	// Invert feature support: a feature the miner found no embedding of is
+	// not searched again.
 	contained := make([][]bool, len(feats))
 	for fi, f := range feats {
 		contained[fi] = make([]bool, len(db))
@@ -117,7 +118,7 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature) 
 	// failure rule).
 	err := pool.ForEachIndexCtx(context.Background(), len(db), pool.Normalize(-1, len(db)), func(gi int) error {
 		var err error
-		idx.cols[gi], err = idx.column(engines[gi], gi, func(fi int) bool { return contained[fi][gi] })
+		idx.cols[gi], err = idx.column(engines[gi], gi, func(fi int) bool { return !contained[fi][gi] })
 		return err
 	})
 	if err != nil {
@@ -141,12 +142,13 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature) 
 // (core.eliminationBudget) a cell at 2^16 units takes ≈ 130 µs.
 const exactBudget = 1 << 16
 
-// cell computes the PMI entry of a contained feature f in eng's graph.
+// cell computes the PMI entry of feature f in eng's graph from one search:
+// f is contained exactly when iso.EdgeSets lists an embedding, and the
+// list is the cell rule's input. An empty list is the paper's ⟨0⟩.
 func cell(eng *prob.Engine, f *graph.Graph) (Entry, error) {
 	embs := iso.EdgeSets(f, eng.PGraph().G, nil, maxEmbeddings)
 	if len(embs) == 0 {
-		// Support said contained but matching found nothing: inconsistent.
-		return Entry{}, fmt.Errorf("no embeddings for contained feature")
+		return Entry{}, nil
 	}
 	return entry(eng, embs, exactBudget)
 }

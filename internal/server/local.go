@@ -12,6 +12,7 @@ import (
 	"probgraph/internal/core"
 	"probgraph/internal/graph"
 	"probgraph/internal/obs"
+	"probgraph/internal/prob"
 )
 
 // local is the Backend of an evaluating node: one resident Database. The
@@ -184,9 +185,12 @@ func (l *local) Query(ctx context.Context, req *QueryRequest, q *graph.Graph, op
 	// Pin the current generation: evaluation, the cache key, and name
 	// resolution all use this one immutable view. A mutation committing
 	// mid-query neither blocks this request nor leaks into its result.
+	// A no_cache request neither reads nor fills the cache, so it needs
+	// no key (a canonical code costs a search of its own).
 	v := l.db.View()
-	key := cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
+	var key string
 	if !req.NoCache {
+		key = cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
 			return queryResponse(v, cached.(*core.Result), true), nil
 		}
@@ -216,8 +220,9 @@ func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph,
 	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
 	defer cancel()
 	v := l.db.View()
-	key := cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
+	var key string
 	if !req.NoCache {
+		key = cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
 			return v, cached.(*core.TopKWalk), true, nil
 		}
@@ -262,10 +267,10 @@ func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph,
 	out := &BatchResponse{Results: make([]*QueryResponse, len(qs))}
 	var missed []int
 	for i, q := range qs {
-		mo := opt
-		mo.Seed = core.BatchSeed(opt.Seed, i)
-		keys[i] = cacheKey("query", v.Generation, graph.CanonicalCode(q), mo, 0)
 		if !req.NoCache {
+			mo := opt
+			mo.Seed = core.BatchSeed(opt.Seed, i)
+			keys[i] = cacheKey("query", v.Generation, graph.CanonicalCode(q), mo, 0)
 			if cached, ok := l.cacheGet(v.Generation, keys[i]); ok {
 				out.Results[i] = queryResponse(v, cached.(*core.Result), true)
 				continue
@@ -291,48 +296,19 @@ func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph,
 	return out, nil
 }
 
-// mutationResponse assembles the reply from core's mutation record —
-// every field of which was captured inside the database's writer lock,
-// so concurrent mutations cannot skew the reported generation, shape, or
-// compaction marker — and fires the mutation log hook.
-func (l *local) mutationResponse(op string, m core.Mutation) MutationResponse {
-	resp := MutationResponse{
-		Op:             op,
-		Index:          m.Index,
-		Generation:     m.NewGeneration,
-		Graphs:         m.LiveGraphs,
-		Tombstoned:     m.Tombstoned,
-		Compacted:      m.Compacted,
-		CompactedSlots: m.CompactedSlots,
-	}
-	l.mutations[op].Inc()
-	if m.Compacted {
-		l.compact.Inc()
-	}
-	if l.opt.MutationLog != nil {
-		l.opt.MutationLog(MutationEvent{Op: op, Mutation: m})
-	}
-	return resp
-}
-
-func (l *local) handleAddGraph(w http.ResponseWriter, r *http.Request) {
+// graphBody reads the pgraph payload of POST /graphs and PUT /graphs/{id},
+// answering 400 itself when there is none to read.
+func graphBody(w http.ResponseWriter, r *http.Request) (*prob.PGraph, bool) {
 	var req AddGraphRequest
 	if !decodeJSONBody(w, r, &req) {
-		return
+		return nil, false
 	}
 	pg, err := graphPayload(req.Graph, req.GraphText, PGraphFromJSON, pgraphBlocks)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
-	m, err := l.db.AddGraphInfo(pg)
-	if err != nil {
-		// core.AddGraph is atomic — a failure publishes nothing, so every
-		// cached result stays valid for its generation.
-		httpError(w, http.StatusUnprocessableEntity, "adding graph: %v", err)
-		return
-	}
-	WriteJSON(w, l.mutationResponse("add", m))
+	return pg, true
 }
 
 // graphID parses the {id} path segment of /graphs/{id}.
@@ -345,15 +321,48 @@ func graphID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return id, true
 }
 
-// mutationError maps a failed remove/replace to a status: unknown or
-// already-removed slots are 404, everything else (engine construction,
-// PMI column computation) an evaluation failure, 422.
-func mutationError(w http.ResponseWriter, what string, err error) {
-	status := http.StatusUnprocessableEntity
-	if errors.Is(err, core.ErrNoSuchGraph) {
-		status = http.StatusNotFound
+// mutated is the reply of every /graphs mutation. A failure is 404 for an
+// unknown or already-removed slot and 422 for anything else (engine
+// construction, PMI column computation, a read-only partition); core's
+// mutations are atomic, so it published nothing and every cached result
+// stays valid for its generation. A success replies with core's record —
+// every field of which was captured inside the database's writer lock, so
+// concurrent mutations cannot skew the reported generation, shape, or
+// compaction marker — counts it and fires the mutation log hook.
+func (l *local) mutated(w http.ResponseWriter, op, what string, m core.Mutation, err error) {
+	if err != nil {
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, core.ErrNoSuchGraph) {
+			status = http.StatusNotFound
+		}
+		httpError(w, status, "%s: %v", what, err)
+		return
 	}
-	httpError(w, status, "%s: %v", what, err)
+	l.mutations[op].Inc()
+	if m.Compacted {
+		l.compact.Inc()
+	}
+	if l.opt.MutationLog != nil {
+		l.opt.MutationLog(MutationEvent{Op: op, Mutation: m})
+	}
+	WriteJSON(w, MutationResponse{
+		Op:             op,
+		Index:          m.Index,
+		Generation:     m.NewGeneration,
+		Graphs:         m.LiveGraphs,
+		Tombstoned:     m.Tombstoned,
+		Compacted:      m.Compacted,
+		CompactedSlots: m.CompactedSlots,
+	})
+}
+
+func (l *local) handleAddGraph(w http.ResponseWriter, r *http.Request) {
+	pg, ok := graphBody(w, r)
+	if !ok {
+		return
+	}
+	_, m, err := l.db.AddGraph(pg)
+	l.mutated(w, "add", "adding graph", m, err)
 }
 
 func (l *local) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
@@ -361,12 +370,8 @@ func (l *local) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m, err := l.db.RemoveGraphInfo(id)
-	if err != nil {
-		mutationError(w, "removing graph", err)
-		return
-	}
-	WriteJSON(w, l.mutationResponse("remove", m))
+	m, err := l.db.RemoveGraph(id)
+	l.mutated(w, "remove", "removing graph", m, err)
 }
 
 func (l *local) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
@@ -374,21 +379,12 @@ func (l *local) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req AddGraphRequest
-	if !decodeJSONBody(w, r, &req) {
+	pg, ok := graphBody(w, r)
+	if !ok {
 		return
 	}
-	pg, err := graphPayload(req.Graph, req.GraphText, PGraphFromJSON, pgraphBlocks)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	m, err := l.db.ReplaceGraphInfo(id, pg)
-	if err != nil {
-		mutationError(w, "replacing graph", err)
-		return
-	}
-	WriteJSON(w, l.mutationResponse("replace", m))
+	m, err := l.db.ReplaceGraph(id, pg)
+	l.mutated(w, "replace", "replacing graph", m, err)
 }
 
 func (l *local) Healthz() any {

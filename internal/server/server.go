@@ -183,13 +183,19 @@ type QueryRequest struct {
 }
 
 // StatsJSON reports the pipeline counters of one query (times in
-// milliseconds).
+// milliseconds). rejected_by_bound, decided_exactly and samples_drawn are
+// the verification ladder's share of verify_candidates: rejected on a bound
+// below ε, given an exact value, and the worlds sampled for the rest (see
+// core.Stats).
 type StatsJSON struct {
 	StructFilterCandidates int     `json:"struct_filter_candidates"`
 	StructConfirmed        int     `json:"struct_confirmed"`
 	PrunedByUpper          int     `json:"pruned_by_upper"`
 	AcceptedByLower        int     `json:"accepted_by_lower"`
 	VerifyCandidates       int     `json:"verify_candidates"`
+	RejectedByBound        int     `json:"rejected_by_bound"`
+	DecidedExactly         int     `json:"decided_exactly"`
+	SamplesDrawn           int     `json:"samples_drawn"`
 	RelaxedQueries         int     `json:"relaxed_queries"`
 	TimeStructMS           float64 `json:"time_struct_ms"`
 	TimeProbMS             float64 `json:"time_prob_ms"`
@@ -205,6 +211,9 @@ func statsJSON(st core.Stats) StatsJSON {
 		PrunedByUpper:          st.PrunedByUpper,
 		AcceptedByLower:        st.AcceptedByLower,
 		VerifyCandidates:       st.VerifyCandidates,
+		RejectedByBound:        st.RejectedByBound,
+		DecidedExactly:         st.DecidedExactly,
+		SamplesDrawn:           st.SamplesDrawn,
 		RelaxedQueries:         st.RelaxedQueries,
 		TimeStructMS:           ms(st.TimeStruct),
 		TimeProbMS:             ms(st.TimeProb),

@@ -74,7 +74,8 @@
 // next view copy-on-write under a writer lock — mutations never block
 // queries, queries never block mutations, and a query started before a
 // mutation answers bitwise-identically to one run before it. Each mutator
-// returns the new generation number.
+// returns its Mutation record: the slot, the generation transition and
+// whether the database was compacted.
 //
 // Removal is tombstone-based: the slot's structural count row stays in
 // place, skipped by the scan, its PMI column is freed, and surviving graph
@@ -140,6 +141,10 @@ type (
 	// the state they read (Graphs, PMI, ...) live on it, and no mutation
 	// ever changes a pinned view.
 	DatabaseView = core.View
+	// Mutation is the record every Database mutator returns: the slot it
+	// targeted or created, the old and new generation, the resulting shape
+	// and whether it compacted (renumbering graph indices).
+	Mutation = core.Mutation
 	// BuildOptions configures indexing (feature mining α/β/γ/maxL; the
 	// PMI build has no knobs).
 	BuildOptions = core.BuildOptions
@@ -204,9 +209,10 @@ func DefaultBuildOptions() BuildOptions { return core.DefaultBuildOptions() }
 // incrementally — engine, structural counts, and PMI column — without
 // re-mining the feature vocabulary; Database.RemoveGraph tombstones a
 // slot and Database.ReplaceGraph swaps a slot's graph in place (the
-// re-scored-JPT case). Each returns the new generation; Database.Compact
-// drops accumulated tombstones. All mutations are copy-on-write against
-// immutable views, so none of them ever blocks a running query.
+// re-scored-JPT case); Database.Compact drops accumulated tombstones. Each
+// returns its Mutation (AddGraph also the new slot first). All mutations
+// are copy-on-write against immutable views, so none of them ever blocks a
+// running query.
 //
 // DatabaseView.QueryBatchCtx answers many queries over one bounded worker
 // pool of QueryOptions.Concurrency goroutines. Query i runs with the
