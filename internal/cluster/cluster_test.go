@@ -566,14 +566,73 @@ func checkShardUp(t *testing.T, coord http.Handler, what string) {
 // for every /batch member, with the timings zeroed (shards time their own
 // share). The sweep must reach the ladder's bound and exact rungs.
 func TestFleetStatsMatchSingleNode(t *testing.T) {
+	db := testDatabase(t, 5, 16)
+	ladder := checkFleetStats(t, db, extractQueries(db, 5, 6))
+	if ladder.RejectedByBound == 0 || ladder.DecidedExactly == 0 {
+		t.Fatalf("the sweep never reached a ladder rung (rejected by bound %d, decided exactly %d)", ladder.RejectedByBound, ladder.DecidedExactly)
+	}
+}
+
+// TestFleetStatsCountSampledWorlds is TestFleetStatsMatchSingleNode over a
+// database with one blown-up copy of each query (heavyGraph), whose DNF is
+// too wide to eliminate: the sweep must reach the sampler, and the fleet
+// must sum the worlds its shards drew.
+func TestFleetStatsCountSampledWorlds(t *testing.T) {
+	db := testDatabase(t, 5, 16)
+	qs := extractQueries(db, 5, 6)
+	rng := rand.New(rand.NewSource(5))
+	graphs := slices.Clone(db.View().Graphs)
+	for _, q := range qs {
+		graphs = append(graphs, heavyGraph(t, q, rng))
+	}
+	opt := core.DefaultBuildOptions()
+	opt.Feature.Beta, opt.Feature.Alpha, opt.Feature.Gamma, opt.Feature.MaxL = 0.2, 0.05, 0.05, 3
+	heavy, err := core.NewDatabase(graphs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ladder := checkFleetStats(t, heavy, qs); ladder.SamplesDrawn == 0 {
+		t.Fatalf("the sweep never reached the sampler (rejected by bound %d, decided exactly %d)", ladder.RejectedByBound, ladder.DecidedExactly)
+	}
+}
+
+// heavyGraph is q blown up: every vertex of q becomes two of its label and
+// every edge the four edges between their copies, each present
+// independently. q embeds in it many times over and its clauses couple
+// edges all across it, so the elimination of its DNF is over budget and
+// the ladder samples it.
+func heavyGraph(t *testing.T, q *graph.Graph, rng *rand.Rand) *prob.PGraph {
+	t.Helper()
+	b := graph.NewBuilder("heavy")
+	for v := range q.NumVertices() {
+		b.AddVertices(2, q.VertexLabel(graph.VertexID(v)))
+	}
+	p := map[graph.EdgeID]float64{}
+	for _, e := range q.Edges() {
+		for _, u := range []graph.VertexID{2 * e.U, 2*e.U + 1} {
+			for _, w := range []graph.VertexID{2 * e.V, 2*e.V + 1} {
+				p[b.MustAddEdge(u, w, e.Label)] = 0.05 + 0.3*rng.Float64()
+			}
+		}
+	}
+	pg, err := prob.NewIndependent(b.Build(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// checkFleetStats sweeps ε 0.3/0.6 × δ 1/2 over qs, as /query and as one
+// /batch, against db's single node and a 3-shard fleet of it, fails on
+// any counter that differs, and returns the single node's ladder counters
+// summed.
+func checkFleetStats(t *testing.T, db *core.Database, qs []*graph.Graph) (ladder server.StatsJSON) {
+	t.Helper()
 	counters := func(s server.StatsJSON) server.StatsJSON {
 		s.TimeStructMS, s.TimeProbMS, s.TimeVerifyMS, s.TimeTotalMS = 0, 0, 0, 0
 		return s
 	}
-	db := testDatabase(t, 5, 16)
-	qs := extractQueries(db, 5, 6)
 	f := newFleet(t, db, partitionRanges(t, db, 3), false)
-	var ladder server.StatsJSON
 	check := func(label string, single, fleet server.StatsJSON) {
 		t.Helper()
 		if counters(single) != counters(fleet) {
@@ -581,6 +640,7 @@ func TestFleetStatsMatchSingleNode(t *testing.T) {
 		}
 		ladder.RejectedByBound += single.RejectedByBound
 		ladder.DecidedExactly += single.DecidedExactly
+		ladder.SamplesDrawn += single.SamplesDrawn
 	}
 	for _, eps := range []float64{0.3, 0.6} {
 		for _, delta := range []int{1, 2} {
@@ -604,7 +664,5 @@ func TestFleetStatsMatchSingleNode(t *testing.T) {
 			}
 		}
 	}
-	if ladder.RejectedByBound == 0 || ladder.DecidedExactly == 0 {
-		t.Fatalf("the sweep never reached a ladder rung (rejected by bound %d, decided exactly %d)", ladder.RejectedByBound, ladder.DecidedExactly)
-	}
+	return ladder
 }

@@ -524,22 +524,32 @@ type pruner struct {
 
 	// supOf[j] = relaxed queries containing feature j (rq ⊇iso f, for the
 	// upper bound); subOf[j] = relaxed queries contained in feature j
-	// (rq ⊆iso f, for the lower bound; nil in a pruner built without it).
+	// (rq ⊆iso f, for the lower bound; nil in a pruner built without it;
+	// for a feature of the members' size, supOf[j] itself).
 	supOf [][]int
 	subOf [][]int
 }
 
 // newPruner builds the query-side feature/relaxed-query relation tables
-// for U = q minus each of the deletion sets deleted (relax.Members). Every
-// rq is a piece of q, so f ⊆iso rq iff some embedding of f in q avoids the
-// edges rq lacks: one enumeration per feature — uncapped, a capped one
-// could miss the embedding that avoids them and silently loosen Usim — and
-// a mask test per member. The reverse relation is built only when lower is
-// set — judge reads it, a ranking, which orders by Usim, does not — and
-// tested per member, but only against features large enough to hold one.
-// The member graphs those tests match are built on first use, and kept
-// here for the construction alone. ctx is checked per feature; a cancelled
-// construction returns (nil, ctx.Err()).
+// for U = q minus each of the deletion sets deleted (relax.Members: every
+// set has δ edges, so every member has |E(q)| − δ), paying per feature
+// that embeds in q.
+//
+// Every rq is a piece of q, so f ⊆iso rq iff some embedding of f in q
+// avoids the edges rq lacks: one enumeration per feature — uncapped, a
+// capped one could miss the embedding that avoids them and silently
+// loosen Usim — and a mask test per member, none for a feature with no
+// embedding. The reverse relation rq ⊆iso f is built only when lower is
+// set — judge reads it, a ranking, which orders by Usim, does not. A
+// feature smaller than the members holds none. One of their size holds
+// exactly the members it is contained in: an embedding between two graphs
+// with equal edge counts and no isolated vertices is an isomorphism. A
+// larger one holds none unless q is within δ of it (one tolerant search),
+// and is then tested per member. Those tests, and the fallback for a
+// feature with an isolated vertex (which rq, its own isolated vertices
+// dropped, may have no image for), match member graphs, built on first
+// use and kept for the construction alone. ctx is checked per feature; a
+// cancelled construction returns (nil, ctx.Err()).
 func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
 	p := &pruner{v: v, nu: len(deleted), opt: opt}
 	nf := v.PMI.NumFeatures()
@@ -547,6 +557,11 @@ func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.Ed
 	if lower {
 		p.subOf = make([][]int, nf)
 	}
+	delta := 0
+	if len(deleted) > 0 {
+		delta = deleted[0].Count()
+	}
+	size := q.NumEdges() - delta
 	rqs := make([]*graph.Graph, len(deleted))
 	rq := func(i int) *graph.Graph {
 		if rqs[i] == nil {
@@ -554,27 +569,50 @@ func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.Ed
 		}
 		return rqs[i]
 	}
+	buf := make([]int, 0, len(deleted))
+	// those lists the members that pass test, in a slice of their own (nil
+	// for none).
+	those := func(test func(i int) bool) []int {
+		buf = buf[:0]
+		for i := range deleted {
+			if test(i) {
+				buf = append(buf, i)
+			}
+		}
+		if len(buf) == 0 {
+			return nil
+		}
+		return slices.Clone(buf)
+	}
+	// heldBy lists the members f holds: none unless q is within δ of f.
+	heldBy := func(f *graph.Graph) []int {
+		if !iso.ExistsWithin(q, f, nil, delta) {
+			return nil
+		}
+		return those(func(i int) bool { return rq(i).NumVertices() <= f.NumVertices() && iso.Exists(rq(i), f, nil) })
+	}
 	for j, f := range v.PMI.Features {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// An isolated vertex of f needs an image that rq, its own isolated
-		// vertices dropped, may not have: only mined features (connected,
-		// at least one edge) take the mask test.
-		contains := func(i int) bool { return iso.Exists(f, rq(i), nil) }
-		if !hasIsolated(f) {
-			embs := iso.EdgeSets(f, q, nil, 0)
-			contains = func(i int) bool {
-				return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
+		if hasIsolated(f) {
+			p.supOf[j] = those(func(i int) bool { return iso.Exists(f, rq(i), nil) })
+			if lower && f.NumEdges() >= size {
+				p.subOf[j] = heldBy(f)
 			}
+			continue
 		}
-		for i := range deleted {
-			if contains(i) {
-				p.supOf[j] = append(p.supOf[j], i)
-			}
-			if lower && q.NumEdges()-deleted[i].Count() <= f.NumEdges() && rq(i).NumVertices() <= f.NumVertices() && iso.Exists(rq(i), f, nil) {
-				p.subOf[j] = append(p.subOf[j], i)
-			}
+		if embs := iso.EdgeSets(f, q, nil, 0); len(embs) > 0 {
+			p.supOf[j] = those(func(i int) bool {
+				return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
+			})
+		}
+		switch {
+		case !lower || f.NumEdges() < size:
+		case f.NumEdges() == size:
+			p.subOf[j] = p.supOf[j] // shared: neither is written after construction
+		default:
+			p.subOf[j] = heldBy(f)
 		}
 	}
 	return p, nil

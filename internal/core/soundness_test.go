@@ -316,3 +316,92 @@ func TestMaskRelationsMatchPerRQTables(t *testing.T) {
 		t.Fatal("no feature related to any relaxed query: the comparison was vacuous")
 	}
 }
+
+// plusVertex is g with one more vertex labelled l, joined to vertex attach
+// by an unlabelled edge unless attach is negative.
+func plusVertex(g *graph.Graph, l graph.Label, attach graph.VertexID) *graph.Graph {
+	b := graph.NewBuilder(g.Name() + "+" + string(l))
+	for v := range g.NumVertices() {
+		b.AddVertex(g.VertexLabel(graph.VertexID(v)))
+	}
+	w := b.AddVertex(l)
+	for _, e := range g.Edges() {
+		b.MustAddEdge(e.U, e.V, e.Label)
+	}
+	if attach >= 0 {
+		b.MustAddEdge(attach, w, "")
+	}
+	return b.Build()
+}
+
+// TestPrunerRelationBranches: newPruner's shortcuts build the per-pair
+// tests' tables on inputs that reach each of them with a non-empty
+// relation, counted per (feature, query): a feature with no embedding in q
+// (its mask tests skipped; one larger than the members may still hold
+// one), a feature of the members' size without isolated vertices (subOf
+// read from supOf), one of that size with an isolated vertex (member
+// graphs matched, and the two relations differ), a larger feature, and a
+// larger one that q is not within δ of (its member tests skipped).
+func TestPrunerRelationBranches(t *testing.T) {
+	reached := map[string]int{}
+	check := func(features []*graph.Graph, q *graph.Graph, delta int) {
+		t.Helper()
+		u, deleted := relax.Relaxed(q, delta, 0), relax.Members(q, delta, 0)
+		v := &View{PMI: &pmi.Index{Features: features}}
+		pr, err := v.newPruner(bg, q, deleted, QueryOptions{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		supOf, subOf := relationsPerRQ(features, u)
+		if !reflect.DeepEqual(pr.supOf, supOf) || !reflect.DeepEqual(pr.subOf, subOf) {
+			t.Fatalf("δ=%d (|U| = %d, q = %v):\n supOf %v\n  want %v\n subOf %v\n  want %v", delta, len(u), q, pr.supOf, supOf, pr.subOf, subOf)
+		}
+		size := q.NumEdges() - delta
+		for j, f := range features {
+			isolated, holds := hasIsolated(f), len(subOf[j]) > 0
+			if !isolated && !iso.Exists(f, q, nil) {
+				reached["no embedding"]++
+				if holds {
+					reached["no embedding, larger, holds a member"]++
+				}
+			}
+			switch {
+			case !holds && f.NumEdges() > size && !iso.ExistsWithin(q, f, nil, delta):
+				reached["larger, q not within δ"]++
+			case !holds:
+			case f.NumEdges() == size && !isolated:
+				reached["equal size"]++
+			case f.NumEdges() == size && !reflect.DeepEqual(supOf[j], subOf[j]):
+				reached["equal size, isolated vertex, relations differ"]++
+			case f.NumEdges() > size && !isolated:
+				reached["larger"]++
+			}
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		db, raw := smallDatabase(t, 3000+seed, 8, seed%2 == 0)
+		rng := rand.New(rand.NewSource(seed))
+		for qi := 0; qi < 6; qi++ {
+			q := dataset.ExtractQuery(raw.Graphs[qi%len(raw.Graphs)].G, 2+qi, rng)
+			features := slices.Clone(db.View().PMI.Features)
+			for delta := 0; delta <= 2 && delta < q.NumEdges(); delta++ {
+				check(features, q, delta)
+			}
+			// Hand-made features around the first member at δ 1: it with an
+			// isolated vertex of a label q lacks (equal size; contains the
+			// member, is contained in none), and it grown by an edge to such
+			// a vertex (larger; no embedding in q; contains the member).
+			if q.NumEdges() < 2 {
+				continue
+			}
+			m := relax.Member(q, relax.Members(q, 1, 0)[0])
+			features = append(features, plusVertex(m, "nowhere", -1), plusVertex(m, "nowhere", 0))
+			check(features, q, 1)
+		}
+	}
+	for _, branch := range []string{"no embedding", "no embedding, larger, holds a member", "equal size", "equal size, isolated vertex, relations differ", "larger", "larger, q not within δ"} {
+		if reached[branch] == 0 {
+			t.Errorf("no case reached %q (reached %v)", branch, reached)
+		}
+	}
+}

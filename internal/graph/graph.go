@@ -398,6 +398,33 @@ func (g *Graph) DropIsolated() *Graph {
 	return b.Build()
 }
 
+// Without returns g without the edges in deleted and without the vertices
+// that leaves isolated: g.DeleteEdges(deleted.Slice()).DropIsolated(),
+// built once. Vertex and edge IDs are renumbered densely preserving order.
+func (g *Graph) Without(deleted EdgeSet) *Graph {
+	const kept = 1 // a vertex with a surviving edge, before it is renumbered
+	remap := make([]VertexID, len(g.vlabel))
+	for id, e := range g.edges {
+		if !deleted.Contains(EdgeID(id)) {
+			remap[e.U], remap[e.V] = kept, kept
+		}
+	}
+	b := &Builder{name: g.name, edges: make([]Edge, 0, len(g.edges)-deleted.Count())}
+	for v, l := range g.vlabel {
+		if remap[v] == kept {
+			remap[v] = b.AddVertex(l)
+		} else {
+			remap[v] = -1
+		}
+	}
+	for id, e := range g.edges {
+		if !deleted.Contains(EdgeID(id)) {
+			b.edges = append(b.edges, Edge{U: remap[e.U], V: remap[e.V], Label: e.Label})
+		}
+	}
+	return b.Build()
+}
+
 // ConnectedComponents returns, for each vertex, its component index, and the
 // number of components.
 func (g *Graph) ConnectedComponents() (comp []int, n int) {

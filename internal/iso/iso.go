@@ -483,12 +483,17 @@ func (sc *scratch) enumerate(p, t *graph.Graph, mask *graph.EdgeSet, slack int, 
 // imageSet collects an enumeration's distinct edge sets as rows of one
 // word slab, found again through a hash of their words — no string key
 // per embedding — together with the state of the leaf being collected.
+// The table is pooled with the scratch, so reset deletes the hashes the
+// last enumeration inserted rather than clearing head: a map keeps the
+// buckets it once grew to, and a clear costs that capacity, which the
+// largest enumeration the scratch has seen set, on every small one after.
 type imageSet struct {
 	w, ne, limit int
 	reached      int              // (deletion set, vertex map) pairs emitted
 	rows         []uint64         // set i is rows[i*w : (i+1)*w]
 	head         map[uint64]int32 // hash -> 1 + the last set with it
 	next         []int32          // per set: 1 + the previous set with its hash, or 0
+	hash         []uint64         // per set: its hash, a key of head
 	img          []uint64         // the set being built
 	edges        []matchedEdge    // the leaf's matched pattern edges
 	hit, cut     []int            // per pattern vertex: its matched edges, and those chosen for deletion
@@ -505,8 +510,10 @@ type matchedEdge struct {
 // with ne edges.
 func (s *imageSet) reset(n, ne, limit int) *imageSet {
 	s.w, s.ne, s.limit, s.reached = (ne+63)/64, ne, limit, 0
-	s.rows, s.next = s.rows[:0], s.next[:0]
-	clear(s.head)
+	for _, h := range s.hash {
+		delete(s.head, h)
+	}
+	s.rows, s.next, s.hash = s.rows[:0], s.next[:0], s.hash[:0]
 	s.img, s.hit, s.cut = resize(s.img, s.w), resize(s.hit, n), resize(s.cut, n)
 	return s
 }
@@ -525,6 +532,7 @@ func (s *imageSet) add() bool {
 	}
 	s.rows = append(s.rows, s.img...)
 	s.next = append(s.next, first)
+	s.hash = append(s.hash, h)
 	s.head[h] = int32(len(s.next))
 	return true
 }

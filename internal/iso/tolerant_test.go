@@ -427,3 +427,37 @@ func BenchmarkExistsWithin(b *testing.B) {
 		})
 	}
 }
+
+// TestImageSetResetKeepsOnlyItsOwnSets: a small strict enumeration on a
+// scratch that just ran a large tolerant one returns the sets, in the
+// order, it returns on a fresh scratch, and leaves the image table holding
+// its own sets alone: reset deletes what the last enumeration inserted.
+func TestImageSetResetKeepsOnlyItsOwnSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := []graph.Label{"a"}
+	bigT, bigP := randomGraph(rng, 20, 45, a, []graph.Label{""}), randomGraph(rng, 6, 5, a, []graph.Label{""})
+	smallT, smallP := randomGraph(rng, 8, 10, a, []graph.Label{""}), randomGraph(rng, 3, 2, a, []graph.Label{""})
+	pooled := &scratch{images: imageSet{head: make(map[uint64]int32)}}
+	if n := len(pooled.enumerate(bigP, bigT, nil, 2, true, 0)); n < 1000 {
+		t.Fatalf("the large enumeration found only %d sets", n)
+	}
+	fresh := &scratch{images: imageSet{head: make(map[uint64]int32)}}
+	want := fresh.enumerate(smallP, smallT, nil, 0, false, 0)
+	got := pooled.enumerate(smallP, smallT, nil, 0, false, 0)
+	if len(want) == 0 || !slices.EqualFunc(got, want, graph.EdgeSet.Equal) {
+		t.Fatalf("after a large enumeration the scratch returns %v, a fresh one %v", got, want)
+	}
+	s := &pooled.images
+	own := map[uint64]bool{}
+	for _, h := range s.hash {
+		own[h] = true
+	}
+	if len(s.next) != len(want) || len(s.head) != len(own) {
+		t.Fatalf("the table holds %d sets under %d hashes, the enumeration's %d sets have %d", len(s.next), len(s.head), len(want), len(own))
+	}
+	for h, last := range s.head {
+		if !own[h] || s.hash[last-1] != h {
+			t.Fatalf("hash %x heads set %d, not one of the enumeration's own", h, last-1)
+		}
+	}
+}

@@ -345,3 +345,60 @@ func TestRelaxedMembersEdgeCases(t *testing.T) {
 		t.Fatalf("δ>|E|: the full mask rebuilds %v", rq)
 	}
 }
+
+// TestMemberMatchesDeleteThenDrop: Member, which builds its graph once, is
+// q.DeleteEdges(d).DropIsolated() — name, vertex labels in order, edge
+// list and canonical code — for every deletion set at δ 0–3 of the
+// symmetric, paper, random and isolated-vertex queries.
+func TestMemberMatchesDeleteThenDrop(t *testing.T) {
+	var k5 [][2]int
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			k5 = append(k5, [2]int{i, j})
+		}
+	}
+	cube := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {4, 5}, {5, 6}, {6, 7}, {4, 7}, {0, 4}, {1, 5}, {2, 6}, {3, 7}}
+	isolated := graph.NewBuilder("iso")
+	isolated.AddVertices(2, "b")
+	isolated.AddVertices(3, "a")
+	isolated.MustAddEdge(1, 2, "x")
+	isolated.MustAddEdge(2, 4, "")
+	isolated.MustAddEdge(4, 1, "y")
+	queries := []*graph.Graph{symmetric(5, k5), symmetric(8, cube), paperQuery(), isolated.Build()}
+	for seed := int64(0); seed < 30; seed++ {
+		queries = append(queries, randomGraph(rand.New(rand.NewSource(seed))))
+	}
+	sets := 0
+	for qi, q := range queries {
+		ne := q.NumEdges()
+		for delta := 0; delta <= 3 && delta <= ne; delta++ {
+			var rec func(d graph.EdgeSet, start, left int)
+			rec = func(d graph.EdgeSet, start, left int) {
+				if left > 0 {
+					for e := start; e <= ne-left; e++ {
+						d.Add(graph.EdgeID(e))
+						rec(d, e+1, left-1)
+						d.Remove(graph.EdgeID(e))
+					}
+					return
+				}
+				sets++
+				got, want := Member(q, d), q.DeleteEdges(d.Slice()).DropIsolated()
+				labels := func(g *graph.Graph) (ls []graph.Label) {
+					for v := range g.NumVertices() {
+						ls = append(ls, g.VertexLabel(graph.VertexID(v)))
+					}
+					return ls
+				}
+				if got.Name() != want.Name() || !slices.Equal(labels(got), labels(want)) || !slices.Equal(got.Edges(), want.Edges()) ||
+					graph.CanonicalCode(got) != graph.CanonicalCode(want) {
+					t.Fatalf("query %d deleting %v: Member is %v, want %v", qi, d.Slice(), got, want)
+				}
+			}
+			rec(graph.NewEdgeSet(ne), 0, delta)
+		}
+	}
+	if sets < 1000 {
+		t.Fatalf("only %d deletion sets compared", sets)
+	}
+}
