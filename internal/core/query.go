@@ -397,16 +397,24 @@ func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOpti
 
 // eliminationBudget is the compiled cost, in the units of
 // prob.Engine.ProbNoClause, up to which the ladder evaluates a DNF exactly
-// by elimination instead of sampling it. Measured on the ledger corpus
-// (bench/corpus.go: every structural candidate of the four workloads'
-// query classes, 1 188 DNFs) against the full sampler at N = 800, minimum
-// of 15 runs each, on 2 vCPUs, in medians per cost band: 7 vs 115 µs
-// between 2^9 and 2^10 units, 38 vs 186 µs between 2^13 and 2^14, 223 vs
-// 364 µs between 2^16 and 2^17, where no candidate took more than 0.70 of
-// its sampler's time. Between 2^17 and 2^18 it was 340 vs 437 µs, but one
-// candidate took 1.4 times its sampler's; the cheapest found dearer than
-// sampling cost 195 526 units. A declined DNF pays 13–39 µs of
-// compilation before the 330–580 µs its sampler takes.
+// by elimination instead of sampling it. The constant was set on the
+// ledger corpus (bench/corpus.go: every structural candidate of the four
+// workloads' query classes, 1 188 DNFs) against the full sampler at
+// N = 800, when a clause factor still scanned its step's 2^width entries:
+// between 2^17 and 2^18 units one candidate then took 1.4 times its
+// sampler's time. Re-measured since clause factors write only the entries
+// where their clause holds — the 801 of those DNFs with two or more
+// clauses and at most 2^18 units, minimum of 30 eliminations and of 14
+// sampler runs each, 2 vCPUs, medians per cost band, elimination vs
+// sampler: 4.6 vs 102 µs between 2^9 and 2^10 units, 17 vs 172 µs between
+// 2^13 and 2^14, 38 vs 280 µs between 2^16 and 2^17, where no candidate
+// took more than 0.23 of its sampler's time (0.70 before); 49 vs 368 µs
+// between 2^17 and 2^18, at most 0.37. The cost still charges a clause
+// factor 2^width, so the budget now over-prices elimination, by the
+// per-DNF speed-up: a median 3.3–5.0× in the bands from 2^15 to 2^18.
+// Re-pricing it is a change of its own. A declined DNF pays 13–39 µs of
+// compilation, which did not change, before the 330–580 µs its sampler
+// takes.
 const eliminationBudget = 1 << 17
 
 // decision is what the verification ladder concluded for one candidate:

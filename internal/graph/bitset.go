@@ -32,6 +32,10 @@ func EdgeSetOfWords(words []uint64, n int) EdgeSet {
 	return EdgeSet{words: words[:w:w], n: n}
 }
 
+// Words returns the set's bits, shared rather than copied: bit i of word w
+// is edge 64w+i. Callers only read them.
+func (s EdgeSet) Words() []uint64 { return s.words }
+
 // Len returns the capacity (number of edge IDs addressable).
 func (s EdgeSet) Len() int { return s.n }
 

@@ -138,8 +138,10 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature) 
 // 278 and 432 units. In every cost band the elimination took 0.01–0.38 of
 // the time of the §4.1 families it replaced, medians 1.2 against 8.7 µs at
 // 2^4–2^5 units and 11 against 2 774 µs at 2^8–2^9 on the probe. The budget
-// sits far above both corpora: at the kernel's ≈ 2 ns per unit
-// (core.eliminationBudget) a cell at 2^16 units takes ≈ 130 µs.
+// sits far above both corpora: at the kernel's ≈ 0.3–0.45 ns per unit
+// between 2^15 and 2^18 units (core.eliminationBudget; ≈ 1.2–1.4 ns while
+// clause factors scanned every entry of their step) a cell at 2^16 units
+// takes ≈ 30 µs.
 const exactBudget = 1 << 16
 
 // cell computes the PMI entry of feature f in eng's graph from one search:
@@ -160,10 +162,7 @@ func cell(eng *prob.Engine, f *graph.Graph) (Entry, error) {
 // its Upper is 1.
 func entry(eng *prob.Engine, embs []graph.EdgeSet, budget int) (Entry, error) {
 	complete := len(embs) < maxEmbeddings
-	clauses := make([][]prob.Literal, len(embs))
-	for i, s := range embs {
-		clauses[i] = prob.AllPresent(s)
-	}
+	clauses := prob.PresentClauses(embs)
 	none, exact, err := eng.ProbNoClause(clauses, budget)
 	if err != nil {
 		return Entry{}, err
@@ -178,12 +177,12 @@ func entry(eng *prob.Engine, embs []graph.EdgeSet, budget int) (Entry, error) {
 	// Over budget: the largest single embedding below, the union bound
 	// above. A float sum of non-negative terms is at least each term, so
 	// Lower ≤ Upper survives rounding.
+	ps := make([]float64, len(clauses))
+	if err := eng.ProbLitsBatch(clauses, ps); err != nil {
+		return Entry{}, err
+	}
 	largest, sum := 0.0, 0.0
-	for _, c := range clauses {
-		p, err := eng.ProbLits(c)
-		if err != nil {
-			return Entry{}, err
-		}
+	for _, p := range ps {
 		largest, sum = max(largest, p), sum+p
 	}
 	e := Entry{Contained: true, Lower: min(largest, 1), Upper: 1}

@@ -12,21 +12,29 @@ import (
 // exactly by variable elimination over two kinds of factor: every JPT of
 // each connected component of the model that a clause reaches, so that
 // tables sharing edges enter whole, and one 0/1 factor per clause that is 0
-// where the clause holds. The normalizer is the product of those
-// components' partition functions, read from e.
+// where the clause holds, applied by writing those zeros alone. The
+// normalizer is the product of those components' partition functions, read
+// from e.
 //
 // The min-degree order over the reached variables is compiled from symbols
 // on each call, by the planner that also gives NewEngine its schedule, and
 // with it the cost: over the steps, the factors a step multiplies times the
-// 2^width entries it reads of each. When that cost exceeds budget, or a
-// step would be wider than MaxFactorWidth, the call declines, ok false,
-// before any arithmetic runs.
+// 2^width entries it reads of each — a clause factor charged its step's
+// 2^width too, although it writes only the 2^(width−k) entries where its k
+// output variables match. When that cost exceeds budget, or a step would be
+// wider than MaxFactorWidth, the call declines, ok false, before any
+// arithmetic runs.
 // It draws no random numbers and works in pooled scratch, so a warmed call
 // allocates nothing. A clause with a literal that cannot hold (a certain
 // edge asserted absent, one edge asserted both ways) never holds and is
 // dropped; a clause whose literals all assert certain edges present holds
 // in every world, and the probability is 0.
 func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bool, err error) {
+	return e.probNoClause(clauses, budget, zeroWhereHolds)
+}
+
+// probNoClause is ProbNoClause with each clause factor applied by zero.
+func (e *Engine) probNoClause(clauses [][]Literal, budget int, zero clauseFactor) (p float64, ok bool, err error) {
 	if e.z == 0 {
 		return 0, false, fmt.Errorf("prob: conditioning event has zero probability")
 	}
@@ -46,11 +54,11 @@ func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bo
 	}
 	s.layout()
 	s.buffers()
-	num := s.eliminate(e)
+	num := s.eliminate(e, zero)
 	z := 1.0
-	for r, live := range s.live {
+	for k, live := range s.live {
 		if live {
-			slab, t := e.tables(int32(r))
+			slab, t := e.tables(e.sched.roots[k])
 			z *= slab[t]
 		}
 	}
@@ -63,11 +71,10 @@ func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bo
 // then the steps' tables (nf + s is step s's).
 type elimScratch struct {
 	// Per engine step and per engine variable.
-	rootOf []int32 // step → the root step of its component
-	live   []bool  // step → a root some clause reaches
-	local  []int32 // variable → local variable, or -1
-	seen   []int32 // variable → 1 + the last clause that listed it
-	pol    []bool  // variable → the polarity that clause asserts
+	live  []bool  // component → some clause reaches it
+	local []int32 // variable → local variable, or -1
+	seen  []int32 // variable → 1 + the last clause that listed it
+	pol   []bool  // variable → the polarity that clause asserts
 
 	vars   []int32  // local → engine variable
 	jpts   []int32  // reached JPTs, by index into the model's
@@ -153,26 +160,16 @@ func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
 			s.pats = append(s.pats, pat)
 		}
 	}
-	// Each component has one root step, the one every step of it reaches
-	// by following up; a later step is never below an earlier one.
-	steps := len(sc.up)
-	s.rootOf, s.live = grow(s.rootOf, steps), grow(s.live, steps)
+	s.live = grow(s.live, len(sc.roots))
 	clear(s.live)
-	for st := steps - 1; st >= 0; st-- {
-		if u := sc.up[st]; u < 0 {
-			s.rootOf[st] = int32(st)
-		} else {
-			s.rootOf[st] = s.rootOf[u]
-		}
-	}
 	for _, v := range s.cvars {
-		s.live[s.rootOf[sc.stepOf[v]]] = true
+		s.live[sc.comp[sc.stepOf[v]]] = true
 	}
 	s.local = grow(s.local, n)
 	s.vars = s.vars[:0]
 	for v := range s.local {
 		s.local[v] = -1
-		if s.live[s.rootOf[sc.stepOf[v]]] {
+		if s.live[sc.comp[sc.stepOf[v]]] {
 			s.local[v] = int32(len(s.vars))
 			s.vars = append(s.vars, int32(v))
 		}
@@ -377,14 +374,15 @@ func (s *elimScratch) buffers() {
 // which no clause holds, over the reached components. For each step and
 // each assignment m of its outputs it multiplies the step's inputs, in
 // plan order from 1.0, once with the summed variable absent (w0) and once
-// present (w1) — a clause factor contributing 0 where its clause holds —
-// and stores their sum; a variable e's evidence pins weighs 0 in its other
-// value. An input is read at the index its variables' bits of m scatter
-// to, looked up in two tables over m's low and high halves. The result is
-// the product, in step order, of the root steps' constant tables.
+// present (w1) — zero applies a clause factor, zeroing the weights where
+// its clause holds — and stores their sum; a variable e's evidence pins
+// weighs 0 in its other value. A table input is read at the index its
+// variables' bits of m scatter to, looked up in two tables over m's low
+// and high halves. The result is the product, in step order, of the root
+// steps' constant tables.
 //
 //pgvet:noalloc
-func (s *elimScratch) eliminate(e *Engine) float64 {
+func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
 	jpts, nj, nf := e.pg.JPTs, len(s.jpts), s.nf
 	num := 1.0
 	for st, v := range s.stepV {
@@ -410,24 +408,15 @@ func (s *elimScratch) eliminate(e *Engine) float64 {
 				}
 			}
 			c += arity
+			if int(f) >= nj && int(f) < nf {
+				zero(w0, w1, put, self, s.pats[int(f)-nj])
+				continue
+			}
 			for x := 1; x < len(lo); x++ {
 				lo[x] = lo[x&(x-1)] | put[bits.TrailingZeros(uint(x))]
 			}
 			for x := 1; x < len(hi); x++ {
 				hi[x] = hi[x&(x-1)] | put[half+bits.TrailingZeros(uint(x))]
-			}
-			if int(f) >= nj && int(f) < nf {
-				pat := s.pats[int(f)-nj]
-				for m := range w0 {
-					i := lo[m&(len(lo)-1)] | hi[m>>half]
-					if i == pat {
-						w0[m] = 0
-					}
-					if i|self == pat {
-						w1[m] = 0
-					}
-				}
-				continue
 			}
 			var tab []float64
 			if int(f) < nj {
@@ -455,4 +444,47 @@ func (s *elimScratch) eliminate(e *Engine) float64 {
 		}
 	}
 	return num
+}
+
+// clauseFactor applies one clause's 0/1 factor to a step's weights: w0 and
+// w1 per assignment m of the step's outputs, with the summed variable
+// absent and present. Output bit b of m is the clause's variable put[b]
+// (a one-bit mask of the clause's scope; 0 for an output the clause does
+// not read), self is the summed variable's bit in the scope (0 when the
+// clause does not read it), and the clause holds where the scope's
+// assignment is pat.
+type clauseFactor func(w0, w1 []float64, put []int, self, pat int)
+
+// zeroWhereHolds is the clause factor eliminate runs. It writes 0 to the
+// 2^(w−k) entries where the clause holds and reads no other, k of the w
+// output bits being the clause's: those bits are taken from pat and the
+// others run over every subset. It zeroes w0 there when pat has the summed
+// variable absent or does not read it, w1 when pat has it present or does
+// not read it — the entries a scan of all 2^w would find, so the weights
+// come out the same bit for bit.
+//
+//pgvet:noalloc
+func zeroWhereHolds(w0, w1 []float64, put []int, self, pat int) {
+	fixed, base := 0, 0
+	for b, bit := range put {
+		if bit != 0 {
+			fixed |= 1 << b
+			if pat&bit != 0 {
+				base |= 1 << b
+			}
+		}
+	}
+	free := (len(w0) - 1) &^ fixed
+	absent, present := self == 0 || pat&self == 0, self == 0 || pat&self != 0
+	for sub := free; ; sub = (sub - 1) & free {
+		if absent {
+			w0[base|sub] = 0
+		}
+		if present {
+			w1[base|sub] = 0
+		}
+		if sub == 0 {
+			return
+		}
+	}
 }

@@ -281,51 +281,78 @@ func (b *fuzzBytes) next() int {
 	return int(c)
 }
 
-// FuzzEliminate holds the kernel to world enumeration on whatever small
-// model the bytes decode to: at most ten edges on a path, JPTs of one to
-// three edges that may overlap, edges no table covers left certain, table
-// entries with zeros among them, clauses of up to four literals of either
-// polarity, and now and then evidence. The engine built on the model must
-// first match the reference engine bit for bit (checkPair, every marginal)
-// or fail with the same error.
+// eliminateSeeds is FuzzEliminate's seed corpus.
+var eliminateSeeds = [][]byte{
+	{},
+	{9, 3, 2, 0, 1, 10, 20, 30, 40, 50, 60, 70, 80, 2, 1, 2, 3, 4, 1, 5, 6, 2, 1, 3, 7},
+	{4, 5, 1, 0, 200, 1, 2, 1, 1, 3, 3, 1, 2, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 3, 2, 4, 5, 6, 7, 1},
+}
+
+// decodeEliminateInput decodes a fuzz input into a small model: at most ten
+// edges on a path, JPTs of one to three edges that may overlap, edges no
+// table covers left certain, table entries with zeros among them, clauses
+// of up to four literals of either polarity, and now and then evidence.
+func decodeEliminateInput(t *testing.T, in []byte) (pg *prob.PGraph, clauses [][]prob.Literal, evidence []prob.Literal) {
+	b := fuzzBytes(in)
+	ne := 1 + b.next()%10
+	gb := graph.NewBuilder("fuzz")
+	prev := gb.AddVertex("a")
+	for i := 0; i < ne; i++ {
+		next := gb.AddVertex("a")
+		gb.MustAddEdge(prev, next, "")
+		prev = next
+	}
+	var jpts []prob.JPT
+	for n := b.next() % 7; n > 0; n-- {
+		var edges []graph.EdgeID
+		for k := 1 + b.next()%3; k > 0; k-- {
+			ed := graph.EdgeID(b.next() % ne)
+			if !containsEdge(edges, ed) {
+				edges = append(edges, ed)
+			}
+		}
+		tab := make([]float64, 1<<len(edges))
+		sum := 0.0
+		for i := range tab {
+			tab[i] = float64(b.next() % 5)
+			sum += tab[i]
+		}
+		if sum == 0 {
+			tab[len(tab)-1] = 1
+		}
+		jpts = append(jpts, prob.JPT{Edges: edges, P: tab})
+	}
+	pg, err := prob.New(gb.Build(), jpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := func() prob.Literal {
+		c := b.next()
+		return prob.Literal{Edge: graph.EdgeID(c % ne), Present: c/ne%4 != 0}
+	}
+	clauses = make([][]prob.Literal, b.next()%7)
+	for i := range clauses {
+		for k := b.next() % 5; k > 0; k-- {
+			clauses[i] = append(clauses[i], lit())
+		}
+	}
+	for k := b.next() % 4; k > 0; k-- {
+		evidence = append(evidence, lit())
+	}
+	return pg, clauses, evidence
+}
+
+// FuzzEliminate holds the kernel to world enumeration, and bit for bit to
+// the full-scan clause factor, on whatever small model the bytes decode to
+// (decodeEliminateInput). The engine built on the model must first match
+// the reference engine bit for bit (checkPair, every marginal) or fail with
+// the same error.
 func FuzzEliminate(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{9, 3, 2, 0, 1, 10, 20, 30, 40, 50, 60, 70, 80, 2, 1, 2, 3, 4, 1, 5, 6, 2, 1, 3, 7})
-	f.Add([]byte{4, 5, 1, 0, 200, 1, 2, 1, 1, 3, 3, 1, 2, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 3, 2, 4, 5, 6, 7, 1})
+	for _, in := range eliminateSeeds {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		b := fuzzBytes(in)
-		ne := 1 + b.next()%10
-		gb := graph.NewBuilder("fuzz")
-		prev := gb.AddVertex("a")
-		for i := 0; i < ne; i++ {
-			next := gb.AddVertex("a")
-			gb.MustAddEdge(prev, next, "")
-			prev = next
-		}
-		var jpts []prob.JPT
-		for n := b.next() % 7; n > 0; n-- {
-			var edges []graph.EdgeID
-			for k := 1 + b.next()%3; k > 0; k-- {
-				ed := graph.EdgeID(b.next() % ne)
-				if !containsEdge(edges, ed) {
-					edges = append(edges, ed)
-				}
-			}
-			tab := make([]float64, 1<<len(edges))
-			sum := 0.0
-			for i := range tab {
-				tab[i] = float64(b.next() % 5)
-				sum += tab[i]
-			}
-			if sum == 0 {
-				tab[len(tab)-1] = 1
-			}
-			jpts = append(jpts, prob.JPT{Edges: edges, P: tab})
-		}
-		pg, err := prob.New(gb.Build(), jpts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pg, clauses, evidence := decodeEliminateInput(t, in)
 		ref, refErr := prob.NewRefEngine(pg)
 		eng, err := prob.NewEngine(pg)
 		if !sameErr(refErr, err) {
@@ -336,20 +363,6 @@ func FuzzEliminate(f *testing.F) {
 		}
 		checkPair(t, "engine", ref, eng, 1)
 		checkMarginals(t, "engine", ref, eng)
-		lit := func() prob.Literal {
-			c := b.next()
-			return prob.Literal{Edge: graph.EdgeID(c % ne), Present: c/ne%4 != 0}
-		}
-		clauses := make([][]prob.Literal, b.next()%7)
-		for i := range clauses {
-			for k := b.next() % 5; k > 0; k-- {
-				clauses[i] = append(clauses[i], lit())
-			}
-		}
-		var evidence []prob.Literal
-		for k := b.next() % 4; k > 0; k-- {
-			evidence = append(evidence, lit())
-		}
 		want, mass := noClauseByEnumeration(t, eng, evidence, clauses)
 		e := eng
 		if len(evidence) > 0 {
@@ -368,7 +381,144 @@ func FuzzEliminate(f *testing.F) {
 		case math.Abs(got-want) > 1e-12:
 			t.Fatalf("clauses %v evidence %v: elimination %v, enumeration %v", clauses, evidence, got, want)
 		}
+		checkFullScan(t, fmt.Sprintf("clauses %v evidence %v", clauses, evidence), e, clauses)
 	})
+}
+
+// fullScanZero is the clause factor eliminate applied before zeroWhereHolds,
+// kept as its reference: it scans every entry m of the step, gathers the
+// clause's index from m's bits, and zeroes w0 where that index with the
+// summed variable absent is pat, w1 where it is pat with the variable
+// present.
+func fullScanZero(w0, w1 []float64, put []int, self, pat int) {
+	for m := range w0 {
+		i := 0
+		for b, bit := range put {
+			if m>>b&1 != 0 {
+				i |= bit
+			}
+		}
+		if i == pat {
+			w0[m] = 0
+		}
+		if i|self == pat {
+			w1[m] = 0
+		}
+	}
+}
+
+// checkFullScan holds e.ProbNoClause to the same elimination run with the
+// full-scan clause factor at each budget — core's 2^17 units and no limit
+// when none is given: same value bits, same ok, same error.
+func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]prob.Literal, budgets ...int) {
+	t.Helper()
+	if budgets == nil {
+		budgets = []int{1 << 17, math.MaxInt}
+	}
+	for _, budget := range budgets {
+		p1, ok1, err1 := e.ProbNoClauseWith(clauses, budget, fullScanZero)
+		p2, ok2, err2 := e.ProbNoClause(clauses, budget)
+		if !sameBits(p1, p2) || ok1 != ok2 || !sameErr(err1, err2) {
+			t.Fatalf("%s budget %d: %v, %v, %v; full scan %v, %v, %v", tag, budget, p2, ok2, err2, p1, ok1, err1)
+		}
+	}
+}
+
+// TestProbNoClauseMatchesFullScan holds the clause factor that zeroes only
+// the entries where its clause holds to the full scan it replaced, bit for
+// bit: first the factor alone, on every output width up to 10 — one-entry
+// tables among them — with clauses reading the summed variable asserted
+// present, absent, or not at all; then whole eliminations on every model
+// of eliminationModels, with random clause lists (absent literals among
+// them) on the unconditioned engine and on engines conditioned on
+// evidence, on coupled(12)'s wide steps, on FuzzEliminate's seeds, and on
+// every ledger-shaped DNF of more than one clause at budgets 2^17 and 2^22.
+func TestProbNoClauseMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 4000; trial++ {
+		nout := trial % 11
+		put := make([]int, nout)
+		scope := 0
+		for b := range put {
+			if rng.Intn(2) == 0 {
+				put[b] = 1 << scope
+				scope++
+			}
+		}
+		rng.Shuffle(nout, func(i, j int) { put[i], put[j] = put[j], put[i] })
+		self := 0
+		if rng.Intn(4) != 0 {
+			self = 1 << scope
+			scope++
+		}
+		pat := rng.Intn(1 << scope)
+		w := [4][]float64{}
+		for i := range w {
+			w[i] = make([]float64, 1<<nout)
+		}
+		for m := range w[0] {
+			w[0][m], w[1][m] = rng.Float64(), rng.Float64()
+		}
+		copy(w[2], w[0])
+		copy(w[3], w[1])
+		fullScanZero(w[0], w[1], put, self, pat)
+		prob.ZeroWhereHolds(w[2], w[3], put, self, pat)
+		for m := range w[0] {
+			if !sameBits(w[0][m], w[2][m]) || !sameBits(w[1][m], w[3][m]) {
+				t.Fatalf("put %v self %d pat %b: entry %d is %v/%v, full scan %v/%v", put, self, pat, m, w[2][m], w[3][m], w[0][m], w[1][m])
+			}
+		}
+	}
+	checked := 0
+	for round := 0; round < 6; round++ {
+		for _, m := range eliminationModels(t, rng) {
+			eng, err := prob.NewEngine(m.pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 12; i++ {
+				clauses := randomLitClauses(rng, m.pg.G.NumEdges())
+				e := eng
+				if i%3 == 2 {
+					if e, err = eng.NewConditioned(parityLits(rng, m.pg)); err != nil || e.Z() == 0 {
+						continue
+					}
+				}
+				checkFullScan(t, fmt.Sprintf("round %d %s list %d %v", round, m.name, i, clauses), e, clauses)
+				checked++
+			}
+		}
+	}
+	wide, err := prob.NewEngine(coupled(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		checkFullScan(t, "coupled(12)", wide, randomLitClauses(rng, 12))
+	}
+	for _, in := range eliminateSeeds {
+		pg, clauses, evidence := decodeEliminateInput(t, in)
+		e, err := prob.NewEngine(pg)
+		if err != nil {
+			continue
+		}
+		if len(evidence) > 0 {
+			if e, err = e.NewConditioned(evidence); err != nil || e.Z() == 0 {
+				continue
+			}
+		}
+		checkFullScan(t, fmt.Sprintf("seed %v", in), e, clauses)
+		checked++
+	}
+	for _, lc := range ledgerClasses(t) {
+		for i, c := range lc.cands {
+			if len(c.clauses) > 1 {
+				checkFullScan(t, fmt.Sprintf("%s candidate %d", lc.name, i), c.eng, c.clauses, 1<<17, 1<<22)
+				checked++
+			}
+		}
+	}
+	t.Logf("%d clause lists checked", checked)
 }
 
 func containsEdge(edges []graph.EdgeID, ed graph.EdgeID) bool {
@@ -378,4 +528,29 @@ func containsEdge(edges []graph.EdgeID, ed graph.EdgeID) bool {
 		}
 	}
 	return false
+}
+
+// BenchmarkProbNoClause eliminates every ledger-shaped DNF of more than one
+// clause (ledgerClasses) at core's budget of 2^17 units, per workload
+// class; ns/DNF is the mean over the class's DNFs, declined ones included.
+func BenchmarkProbNoClause(b *testing.B) {
+	for _, lc := range ledgerClasses(b) {
+		var dnfs []ledgerCandidate
+		for _, c := range lc.cands {
+			if len(c.clauses) > 1 {
+				dnfs = append(dnfs, c)
+			}
+		}
+		b.Run(lc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range dnfs {
+					if _, _, err := c.eng.ProbNoClause(c.clauses, 1<<17); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dnfs)), "ns/DNF")
+		})
+	}
 }

@@ -35,6 +35,8 @@ type schedule struct {
 	tab      []int32       // per step, its table's offset in a full slab half; then the half's size
 	up       []int32       // per step, the later step that multiplies its table in, or -1 for a root
 	roots    []int32       // the steps without outputs, ascending
+	comp     []int32       // per step, its component: the index in roots of the root up leads to
+	rank     []uint8       // per step, its place among its component's steps, saturating at 255
 	stepOf   []int32       // per variable, the step that sums it out
 	template graph.EdgeSet // certain-edges-only world
 }
@@ -98,6 +100,22 @@ func newSchedule(pg *PGraph) (*schedule, error) {
 			sc.roots = append(sc.roots, int32(st))
 		}
 	}
+	// A later step is never below an earlier one, so each step's component
+	// is known once the steps above it have theirs.
+	sc.comp, sc.rank = make([]int32, n), make([]uint8, n)
+	for k, r := range sc.roots {
+		sc.comp[r] = int32(k)
+	}
+	for st := n - 1; st >= 0; st-- {
+		if u := sc.up[st]; u >= 0 {
+			sc.comp[st] = sc.comp[u]
+		}
+	}
+	seen := make([]uint8, len(sc.roots))
+	for st, k := range sc.comp {
+		sc.rank[st] = seen[k]
+		seen[k] = min(seen[k]+1, 255)
+	}
 	return sc, nil
 }
 
@@ -108,7 +126,8 @@ func newSchedule(pg *PGraph) (*schedule, error) {
 // present" — so SampleWorldInto is one table lookup and one rng draw per
 // variable. Evidence changes only the tables of the steps it pins and of the
 // steps above them, the dirty path (see markDirty): ProbLits recomputes that
-// path into pooled scratch, and an engine from NewConditioned is an overlay
+// path into pooled scratch, ProbLitsBatch each component's path once per
+// restriction, and an engine from NewConditioned is an overlay
 // holding the dirty path's tables and reading every other table from the
 // unconditioned engine it came from. After construction an Engine is
 // immutable, so concurrent queries and sampling are safe provided each
@@ -154,7 +173,12 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 	e.root = e
 	half := int(sc.tab[n])
 	e.slab = make([]float64, 2*half)
-	e.z = e.recompute(e.pin, e.at, e.slab[:half], e.slab[half:])
+	every := make([]int32, n)
+	for s := range every {
+		every[s] = int32(s)
+	}
+	e.recompute(e.pin, e.at, every, e.slab[:half], e.slab[half:])
+	e.z = e.partition(e.at, e.slab[:half])
 	if e.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
@@ -170,40 +194,58 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 // tables of the steps the literals make dirty and shares all others.
 func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
 	r := e.root
-	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]uint8, len(r.pin)), root: r, at: make([]int32, len(r.at)), zFull: r.zFull}
-	if err := r.pg.pinLits(c.pin, lits); err != nil {
+	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]uint8, len(r.pin)), root: r, zFull: r.zFull}
+	// One allocation holds at and, behind it, the pinned variables and the
+	// dirty steps — at most one each per step — so that an overlay costs
+	// four allocations and no pooled scratch, whose reuse the race
+	// detector's runtime would randomize.
+	n := len(r.at)
+	buf := make([]int32, 3*n)
+	c.at = buf[:n:n]
+	for s := range c.at {
+		c.at[s] = clean
+	}
+	vars, err := r.pg.pinLits(c.pin, lits, buf[n:n:2*n])
+	if err != nil {
 		return nil, err
 	}
-	size := r.markDirty(c.pin, lits, c.at)
+	dirty, size := r.sched.markDirty(vars, c.at, buf[2*n:2*n])
 	c.slab = make([]float64, 2*size)
-	c.z = r.recompute(c.pin, c.at, c.slab[:size], c.slab[size:])
+	r.recompute(c.pin, c.at, dirty, c.slab[:size], c.slab[size:])
+	c.z = r.partition(c.at, c.slab[:size])
 	if c.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
 	return c, nil
 }
 
-// pinLits records lits in pin. Literals that cannot hold — a certain edge
-// asserted absent, one edge asserted both ways — are an error.
-func (pg *PGraph) pinLits(pin []uint8, lits []Literal) error {
+// pinLits records lits in pin, appending to vars each variable it pins that
+// was free. Literals that cannot hold — a certain edge asserted absent, one
+// edge asserted both ways, or against pin — are an error, and vars then
+// lists what was pinned before it.
+func (pg *PGraph) pinLits(pin []uint8, lits []Literal, vars []int32) ([]int32, error) {
 	for _, l := range lits {
 		v := pg.variable(l.Edge)
 		if v < 0 {
 			if l.Present {
 				continue // certain edge asserted present: vacuous
 			}
-			return fmt.Errorf("prob: evidence asserts certain edge %d absent", l.Edge)
+			return vars, fmt.Errorf("prob: evidence asserts certain edge %d absent", l.Edge)
 		}
 		want := pinAbsent
 		if l.Present {
 			want = pinPresent
 		}
-		if pin[v] != pinFree && pin[v] != want {
-			return fmt.Errorf("prob: contradictory evidence on edge %d", l.Edge)
+		switch pin[v] {
+		case pinFree:
+			pin[v] = want
+			vars = append(vars, int32(v))
+		case want:
+		default:
+			return vars, fmt.Errorf("prob: contradictory evidence on edge %d", l.Edge)
 		}
-		pin[v] = want
 	}
-	return nil
+	return vars, nil
 }
 
 // tables returns the slab holding step s's tables and the offset of its
@@ -217,61 +259,57 @@ func (e *Engine) tables(s int32) ([]float64, int) {
 	return e.root.slab, int(e.sched.tab[s])
 }
 
-// markDirty finds the steps whose tables change when lits are pinned on top
-// of e's evidence, pin being the result. A step is dirty when pin and e.pin
-// differ on its variable or when it multiplies in a dirty step's table, so
-// the dirty set is the newly pinned variables' steps and every step above
-// them up to a root (schedule.up). It gives each dirty step, in step order,
-// the offset of its table in a compact slab half of the returned size, and
-// marks every other step clean in at.
+// markDirty marks dirty the steps whose tables change when vars, free
+// until now, are pinned: their steps and every step above them up to a
+// root (schedule.up), since a step is dirty when its variable's pin changes
+// or when it multiplies in a dirty step's table. at must hold clean for
+// every step. It lists the dirty steps in dirty, ascending — read off at
+// between the lowest and the highest of them, so no sort — and gives each
+// in at its offset in a compact slab half of the returned size; every
+// other step stays clean.
 //
 //pgvet:noalloc
-func (e *Engine) markDirty(pin []uint8, lits []Literal, at []int32) int {
-	sc := e.sched
-	for s := range at {
-		at[s] = clean
-	}
-	for _, l := range lits {
-		v := e.pg.variable(l.Edge)
-		if v < 0 || pin[v] == e.pin[v] {
-			continue
-		}
-		for s := sc.stepOf[v]; s >= 0 && at[s] == clean; s = sc.up[s] {
+func (sc *schedule) markDirty(vars []int32, at []int32, dirty []int32) ([]int32, int) {
+	lo, hi := int32(len(at)), int32(-1)
+	for _, v := range vars {
+		s := sc.stepOf[v]
+		lo = min(lo, s)
+		for ; s >= 0 && at[s] == clean; s = sc.up[s] {
 			at[s] = pending
+			hi = max(hi, s)
 		}
 	}
+	dirty = dirty[:0]
 	size := 0
-	for s, o := range at {
-		if o == pending {
+	for s := lo; s <= hi; s++ {
+		if at[s] == pending {
 			at[s] = int32(size)
 			size += 1 << (sc.steps[s+1].outs - sc.steps[s].outs)
+			dirty = append(dirty, s)
 		}
 	}
-	return size
+	return dirty, size
 }
 
-// recompute runs the dirty steps — those at gives an offset (see markDirty),
-// every step on the unconditioned engine's first run — in step order
-// numerically under pin and returns the partition function. For each dirty
-// step s and each assignment m of its output variables it multiplies the
-// step's inputs, in schedule order from 1.0, once with the summed variable
-// absent and once present; a pinned variable's other value weighs 0. An
-// input from a dirty step is read from sums, one from a clean step from e's
-// own tables. sums[at[s]+m] receives 0.0+absent+present and, when present
-// is non-nil, present[at[s]+m] the present weight. Z is the product, from
-// 1.0 in step order, of every root's constant table, dirty or clean.
-// docs/ARCHITECTURE.md has why these orders make every float bit-identical
-// to the reference engine's.
+// recompute runs the steps in dirty, ascending, numerically under pin:
+// every step on the unconditioned engine's first run, the dirty steps
+// markDirty listed otherwise. For each step s and each assignment m of its
+// output variables it multiplies the step's inputs, in schedule order from
+// 1.0, once with the summed variable absent and once present; a pinned
+// variable's other value weighs 0. An input from a step at gives an offset
+// (a dirty one) is read from sums, any other from e's own tables.
+// sums[at[s]+m] receives 0.0+absent+present and, when present is non-nil,
+// present[at[s]+m] the present weight. It is the one loop that computes an
+// engine's tables: NewEngine, NewConditioned, ProbLits and ProbLitsBatch
+// all run it. docs/ARCHITECTURE.md has why these orders make every float
+// bit-identical to the reference engine's.
 //
 //pgvet:noalloc
-func (e *Engine) recompute(pin []uint8, at []int32, sums, present []float64) float64 {
+func (e *Engine) recompute(pin []uint8, at, dirty []int32, sums, present []float64) {
 	sc, jpts := e.sched, e.pg.JPTs
-	for s, o32 := range at {
-		if o32 < 0 {
-			continue
-		}
+	for _, s := range dirty {
 		st, end := sc.steps[s], sc.steps[s+1]
-		o := int(o32)
+		o := int(at[s])
 		ins := sc.inputs[st.ins:end.ins]
 		for m := 0; m < 1<<(end.outs-st.outs); m++ {
 			w0, w1 := 1.0, 1.0
@@ -318,8 +356,16 @@ func (e *Engine) recompute(pin []uint8, at []int32, sums, present []float64) flo
 			}
 		}
 	}
+}
+
+// partition returns the partition function after a recompute: the product,
+// from 1.0 in step order, of every root's constant table, a dirty root's
+// read from sums and a clean one's from e.
+//
+//pgvet:noalloc
+func (e *Engine) partition(at []int32, sums []float64) float64 {
 	z := 1.0
-	for _, r := range sc.roots {
+	for _, r := range e.sched.roots {
 		if o := at[r]; o >= 0 {
 			z *= sums[o]
 		} else {
@@ -355,48 +401,271 @@ func (e *Engine) ProbEvidence() float64 {
 
 // ProbLits returns the probability that all literals hold, conditioned on
 // this engine's evidence: the literals pinned on top of the evidence, the
-// dirty path recomputed in pooled scratch, nothing kept. Literals that
-// cannot hold have probability 0.
+// dirty path recomputed in pooled scratch, nothing kept — ProbLitsBatch
+// over one clause. Literals that cannot hold have probability 0.
 func (e *Engine) ProbLits(lits []Literal) (float64, error) {
 	if e.z == 0 {
 		return 0, fmt.Errorf("prob: conditioning event has zero probability")
 	}
 	sc := litScratchPool.Get().(*litScratch)
-	p := e.probLits(lits, sc)
+	var p [1]float64
+	e.probLits([][]Literal{lits}, p[:], sc)
 	litScratchPool.Put(sc)
-	return p, nil
+	return p[0], nil
 }
 
-// litScratch is one ProbLits call's working memory: the pin vector, the
-// dirty steps' offsets and their summed tables.
+// ProbLitsBatch sets p[i] to ProbLits(clauses[i]) for every clause, bit for
+// bit, pricing each restriction of a model component once per call. A
+// clause's probability is the product, from 1.0 over the roots in step
+// order, of each root's constant — the engine's own for a component the
+// clause does not pin — divided by Z. A root's constant depends only on the
+// pins in its component (docs/ARCHITECTURE.md, rule 5), so it is memoized
+// per call by (component, the literals the clause pins there), and a miss
+// recomputes only that component's dirty path. A component of more than 64
+// steps has no key and is recomputed for every clause that pins it. p must
+// be as long as clauses.
+func (e *Engine) ProbLitsBatch(clauses [][]Literal, p []float64) error {
+	if e.z == 0 {
+		return fmt.Errorf("prob: conditioning event has zero probability")
+	}
+	sc := litScratchPool.Get().(*litScratch)
+	e.probLits(clauses, p[:len(clauses)], sc)
+	litScratchPool.Put(sc)
+	return nil
+}
+
+// litScratch is one ProbLits or ProbLitsBatch call's working memory. at
+// and slot are clean (−1) over their whole length between calls, so a call
+// resets only the entries it set.
 type litScratch struct {
-	pin  []uint8
-	at   []int32
-	sums []float64
+	pin   []uint8
+	vars  []int32   // the variables the current clause pinned
+	at    []int32   // per step, its offset in sums while dirty
+	dirty []int32   // the steps the last recompute ran, ascending
+	sums  []float64 // their summed tables
+	// Per component, the engine's root constant, or the clause's while the
+	// clause pins the component; per component, its entry in touch while
+	// the clause pins it; per variable of vars, its entry in touch; the
+	// components the clause pins.
+	consts []float64
+	slot   []int32
+	of     []int32
+	touch  []restriction
+	memo   memo
 }
 
 var litScratchPool = sync.Pool{New: func() any { return new(litScratch) }}
 
-// probLits is ProbLits over caller-held scratch, whose at then gives an
-// offset to exactly the steps it recomputed (sc.at is empty when the
-// literals cannot hold).
+// restriction is what one clause pins in one component: the component, the
+// pinned steps as bits of their rank in it and which of them are pinned
+// present — the memo key, unless wide — and the root's constant under it
+// once known.
+type restriction struct {
+	comp            int32
+	wide            bool // a pinned step ranks 64th or later: no key
+	known           bool // the memo had the key, and c is its constant
+	pinned, present uint64
+	c               float64
+}
+
+// cleaned returns s[:n], allocating it clean when s is too short: a
+// slice kept clean between uses stays clean over its whole capacity.
+func cleaned(s []int32, n int) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n)
+		for i := range s {
+			s[i] = clean
+		}
+	}
+	return s[:n]
+}
+
+// probLits is ProbLitsBatch over caller-held scratch. A single clause is
+// priced as NewConditioned prices its evidence, its dirty path recomputed
+// and the partition function taken over it; more clauses go through the
+// memo (lookup, then price). Afterwards sc.dirty lists the steps the last
+// clause recomputed (none when its literals cannot hold).
 //
 //pgvet:noalloc
-func (e *Engine) probLits(lits []Literal, sc *litScratch) float64 {
+func (e *Engine) probLits(clauses [][]Literal, p []float64, sc *litScratch) {
+	sched := e.sched
+	memoize := len(clauses) > 1
 	sc.pin = append(sc.pin[:0], e.pin...)
-	sc.at = sc.at[:0]
-	if e.pg.pinLits(sc.pin, lits) != nil {
-		return 0
+	sc.at = cleaned(sc.at, len(e.at))
+	if memoize {
+		sc.slot = cleaned(sc.slot, len(sched.roots))
+		sc.consts = grow(sc.consts, len(sched.roots))
+		for k, r := range sched.roots {
+			slab, t := e.tables(r)
+			sc.consts[k] = slab[t]
+		}
+		sc.memo.reset()
 	}
-	if cap(sc.at) < len(e.at) {
-		sc.at = make([]int32, len(e.at))
+	for i, lits := range clauses {
+		var err error
+		sc.dirty = sc.dirty[:0]
+		if sc.vars, err = e.pg.pinLits(sc.pin, lits, sc.vars[:0]); err != nil {
+			p[i] = 0
+			unpin(sc.pin, sc.vars)
+			continue
+		}
+		missed := len(sc.vars)
+		if memoize {
+			missed = sc.lookup(sched)
+		}
+		var size int
+		sc.dirty, size = sched.markDirty(sc.vars[:missed], sc.at, sc.dirty)
+		sc.sums = grow(sc.sums, size)
+		e.recompute(sc.pin, sc.at, sc.dirty, sc.sums, nil)
+		if memoize {
+			p[i] = sc.price(e) / e.z
+		} else {
+			p[i] = e.partition(sc.at, sc.sums) / e.z
+		}
+		for _, s := range sc.dirty {
+			sc.at[s] = clean
+		}
+		unpin(sc.pin, sc.vars)
 	}
-	sc.at = sc.at[:len(e.at)]
-	size := e.markDirty(sc.pin, lits, sc.at)
-	if cap(sc.sums) < size {
-		sc.sums = make([]float64, size)
+}
+
+// lookup groups the clause's newly pinned variables (sc.vars) by component
+// into sc.touch, looks each restriction up in the memo, and moves the
+// variables of the components it missed to the front of sc.vars,
+// returning how many there are.
+//
+//pgvet:noalloc
+func (sc *litScratch) lookup(sched *schedule) (missed int) {
+	// At most one restriction per variable: the slab is sized up front and
+	// each new entry's fields are set in place.
+	touch, of, slot := grow(sc.touch, len(sc.vars)), grow(sc.of, len(sc.vars)), sc.slot
+	n := int32(0)
+	for j, v := range sc.vars {
+		st := sched.stepOf[v]
+		k := sched.comp[st]
+		t := slot[k]
+		if t < 0 {
+			t, slot[k] = n, n
+			n++
+			rs := &touch[t]
+			rs.comp, rs.wide, rs.known, rs.pinned, rs.present = k, false, false, 0, 0
+		}
+		of[j] = t
+		rs := &touch[t]
+		if b := sched.rank[st]; b < 64 {
+			rs.pinned |= 1 << b
+			if sc.pin[v] == pinPresent {
+				rs.present |= 1 << b
+			}
+		} else {
+			rs.wide = true
+		}
 	}
-	return e.recompute(sc.pin, sc.at, sc.sums[:size], nil) / e.z
+	touch = touch[:n]
+	for t := range touch {
+		if rs := &touch[t]; !rs.wide {
+			rs.c, rs.known = sc.memo.lookup(rs)
+		}
+	}
+	for j, v := range sc.vars {
+		if !touch[of[j]].known {
+			sc.vars[j], sc.vars[missed] = sc.vars[missed], v
+			missed++
+		}
+	}
+	sc.touch, sc.of = touch, of
+	return missed
+}
+
+// price returns the clause's unnormalized probability once its missed
+// components are recomputed: it reads their roots' constants and records
+// them in the memo, then takes partition's product — from 1.0 over the
+// roots in step order — over the engine's constants with the clause's in
+// place of those it pins.
+//
+//pgvet:noalloc
+func (sc *litScratch) price(e *Engine) float64 {
+	roots := e.sched.roots
+	for t := range sc.touch {
+		rs := &sc.touch[t]
+		if !rs.known {
+			rs.c = sc.sums[sc.at[roots[rs.comp]]]
+			if !rs.wide {
+				sc.memo.insert(rs)
+			}
+		}
+		sc.consts[rs.comp] = rs.c
+	}
+	z := 1.0
+	for _, c := range sc.consts {
+		z *= c
+	}
+	for _, rs := range sc.touch {
+		slab, t := e.tables(roots[rs.comp])
+		sc.consts[rs.comp], sc.slot[rs.comp] = slab[t], clean
+	}
+	return z
+}
+
+// unpin frees the variables vars pinned.
+func unpin(pin []uint8, vars []int32) {
+	for _, v := range vars {
+		pin[v] = pinFree
+	}
+}
+
+// memo maps a restriction's key to its root's constant within one call:
+// the restrictions priced so far, and an open-addressed index into them
+// at most half full.
+type memo struct {
+	entries []restriction
+	index   []int32 // 1 + the entry's position, 0 for an empty slot; a power of two long
+}
+
+func (m *memo) reset() {
+	m.entries = m.entries[:0]
+	m.index = grow(m.index, 8)
+	clear(m.index)
+}
+
+// slot returns where r's key is in the index, or the empty slot it would
+// take.
+func (m *memo) slot(r *restriction) int {
+	h := uint64(r.comp) ^ r.pinned*0x9e3779b97f4a7c15 ^ r.present*0xc2b2ae3d27d4eb4f
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	mask := len(m.index) - 1
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		k := m.index[i]
+		if k == 0 {
+			return i
+		}
+		if x := &m.entries[k-1]; x.comp == r.comp && x.pinned == r.pinned && x.present == r.present {
+			return i
+		}
+	}
+}
+
+// lookup returns the constant recorded for r's key.
+func (m *memo) lookup(r *restriction) (float64, bool) {
+	if k := m.index[m.slot(r)]; k > 0 {
+		return m.entries[k-1].c, true
+	}
+	return 0, false
+}
+
+// insert records r, whose key is not in m, doubling the index when it
+// would pass half full.
+func (m *memo) insert(r *restriction) {
+	m.entries = append(m.entries, *r)
+	if 2*len(m.entries) > len(m.index) {
+		m.index = grow(m.index, 2*len(m.index))
+		clear(m.index)
+		for k := range m.entries[:len(m.entries)-1] {
+			m.index[m.slot(&m.entries[k])] = int32(k + 1)
+		}
+	}
+	m.index[m.slot(r)] = int32(len(m.entries))
 }
 
 // MarginalPresent returns Pr(edge exists | evidence). Certain edges have

@@ -555,3 +555,214 @@ func BenchmarkSampleWorldInto(b *testing.B) {
 		eng.SampleWorldInto(rng, world, scratch)
 	}
 }
+
+// chainPGraph returns a path of n edges with one JPT per pair of adjacent
+// edges: a single component of n steps, narrow however long.
+func chainPGraph(rng *rand.Rand, n int) *prob.PGraph {
+	b := graph.NewBuilder("chain")
+	prev := b.AddVertex("a")
+	for i := 0; i < n; i++ {
+		next := b.AddVertex("a")
+		b.MustAddEdge(prev, next, "")
+		prev = next
+	}
+	var jpts []prob.JPT
+	for i := 0; i+1 < n; i++ {
+		tab := make([]float64, 4)
+		for j := range tab {
+			tab[j] = 0.05 + rng.Float64()
+		}
+		jpts = append(jpts, prob.JPT{Edges: []graph.EdgeID{graph.EdgeID(i), graph.EdgeID(i + 1)}, P: tab})
+	}
+	return prob.MustNew(b.Build(), jpts)
+}
+
+// batchClauses draws a clause list that repeats restrictions: fresh
+// clauses (absent literals among them), exact repeats, and clauses that
+// keep an earlier clause's literals in one part of the model and change
+// the rest; now and then a clause asserting a certain edge present or
+// absent, one asserting an edge both ways, and the empty clause.
+func batchClauses(rng *rand.Rand, pg *prob.PGraph) [][]prob.Literal {
+	var out [][]prob.Literal
+	for len(out) < 16 {
+		switch k := rng.Intn(10); {
+		case k < 4 || len(out) == 0:
+			out = append(out, clauseLits(rng, pg))
+		case k < 6:
+			out = append(out, out[rng.Intn(len(out))])
+		case k < 8:
+			old := out[rng.Intn(len(out))]
+			c := slices.Clone(old[:rng.Intn(len(old)+1)])
+			out = append(out, append(c, clauseLits(rng, pg)...))
+		default:
+			out = append(out, parityLits(rng, pg))
+		}
+	}
+	for ed := 0; ed < pg.G.NumEdges(); ed++ {
+		if !pg.IsUncertain(graph.EdgeID(ed)) {
+			out = append(out, []prob.Literal{{Edge: graph.EdgeID(ed), Present: true}}, []prob.Literal{{Edge: graph.EdgeID(ed), Present: false}})
+			break
+		}
+	}
+	if es := pg.UncertainEdges(); len(es) > 0 {
+		out = append(out, []prob.Literal{{Edge: es[0], Present: true}, {Edge: es[0], Present: false}})
+	}
+	return append(out, nil)
+}
+
+// checkBatch holds eng.ProbLitsBatch to ref.ProbLits clause by clause, bit
+// for bit, and returns how many clauses pin a variable ranked 64th or
+// later in its component (no memo key).
+func checkBatch(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, clauses [][]prob.Literal) (wide int) {
+	t.Helper()
+	got := make([]float64, len(clauses))
+	if err := eng.ProbLitsBatch(clauses, got); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	for i, c := range clauses {
+		want, err := ref.ProbLits(c)
+		if err != nil || !sameBits(got[i], want) {
+			t.Fatalf("%s: clause %d %v: batch %v; reference %v, %v", tag, i, c, got[i], want, err)
+		}
+		for _, l := range c {
+			if v := eng.PGraph().VarOf(l.Edge); v >= 0 && eng.Rank(v) >= 64 {
+				wide++
+				break
+			}
+		}
+	}
+	return wide
+}
+
+// TestProbLitsBatchMatchesReference holds the batch to the reference
+// engine's ProbLits per clause, bit for bit, on clause lists that repeat
+// restrictions within the call: on parity models, whose JPTs share edges so
+// that a component spans several tables; on the ledger's corpus shape and
+// on graphs of 100–110 vertices; and on a 90-edge chain, one component too
+// wide for the memo key. Each model is queried unconditioned and
+// conditioned on evidence, and each clause list holds absent,
+// contradictory and certain-edge literals.
+func TestProbLitsBatchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var models []*prob.PGraph
+	for i := 0; i < 80; i++ {
+		models = append(models, parityPGraph(rng))
+	}
+	for _, o := range []dataset.PPIOptions{
+		{NumGraphs: 12, MinVertices: 12, MaxVertices: 18, Organisms: 8, Correlated: true, Seed: 1},
+		{NumGraphs: 2, MinVertices: 100, MaxVertices: 110, Organisms: 6, Correlated: true, Seed: 3},
+	} {
+		db, err := dataset.GeneratePPI(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, db.Graphs...)
+	}
+	chain := chainPGraph(rng, 90)
+	models = append(models, chain)
+	wide := 0
+	for mi, pg := range models {
+		ref, e1 := prob.NewRefEngine(pg)
+		eng, e2 := prob.NewEngine(pg)
+		if e1 != nil || e2 != nil {
+			t.Fatalf("model %d: engines: %v, %v", mi, e1, e2)
+		}
+		for trial := 0; trial < 3; trial++ {
+			tag := fmt.Sprintf("model %d trial %d", mi, trial)
+			wide += checkBatch(t, tag, ref, eng, batchClauses(rng, pg))
+			evidence := clauseLits(rng, pg)
+			rc, e1 := ref.NewConditioned(evidence)
+			c, e2 := eng.NewConditioned(evidence)
+			if e1 != nil || e2 != nil {
+				t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, evidence, e2, e1)
+			}
+			if c.Z() > 0 {
+				wide += checkBatch(t, tag+" conditioned", rc, c, append(batchClauses(rng, pg), evidence))
+			}
+		}
+	}
+	// On the chain, one clause per step, each pinning its step's edge: the
+	// steps ranked r and r+64 would share a key if ranks wrapped at 64.
+	ref, e1 := prob.NewRefEngine(chain)
+	eng, e2 := prob.NewEngine(chain)
+	if e1 != nil || e2 != nil {
+		t.Fatal(e1, e2)
+	}
+	var byRank [][]prob.Literal
+	for _, present := range []bool{true, false} {
+		for _, ed := range chain.UncertainEdges() {
+			byRank = append(byRank, []prob.Literal{{Edge: ed, Present: present}})
+		}
+	}
+	wide += checkBatch(t, "chain, one edge per clause", ref, eng, byRank)
+	if wide == 0 {
+		t.Fatal("no clause pinned a component past the memo key's 64 steps")
+	}
+	t.Logf("%d clauses pinned past the memo key", wide)
+}
+
+// TestProbLitsBatchSteadyStateAllocs pins the batch's //pgvet:noalloc
+// contract: once warm, a call — repeated restrictions, a conditioned
+// engine — allocates nothing.
+func TestProbLitsBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the pin runs in the plain test pass")
+	}
+	for _, lc := range ledgerClasses(t) {
+		for _, c := range lc.cands[:min(len(lc.cands), 20)] {
+			cond, err := c.eng.NewConditioned(c.clauses[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := make([]float64, len(c.clauses))
+			for _, e := range []*prob.Engine{c.eng, cond} {
+				if n := testing.AllocsPerRun(20, func() {
+					if err := e.ProbLitsBatch(c.clauses, p); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Fatalf("%s: ProbLitsBatch over %d clauses allocates %v times, want 0", lc.name, len(c.clauses), n)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkProbLitsBatch prices every clause of every ledger-shaped
+// candidate (ledgerClasses), per workload class: batch is one ProbLitsBatch
+// call per candidate, as verify.Prepare makes it, each is one ProbLits per
+// clause, as it was made before. ns/clause is the mean over the class's
+// clauses.
+func BenchmarkProbLitsBatch(b *testing.B) {
+	for _, lc := range ledgerClasses(b) {
+		clauses, widest := 0, 0
+		for _, c := range lc.cands {
+			clauses, widest = clauses+len(c.clauses), max(widest, len(c.clauses))
+		}
+		p := make([]float64, widest)
+		b.Run(lc.name+"/batch", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range lc.cands {
+					if err := c.eng.ProbLitsBatch(c.clauses, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clauses), "ns/clause")
+		})
+		b.Run(lc.name+"/each", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range lc.cands {
+					for _, lits := range c.clauses {
+						if _, err := c.eng.ProbLits(lits); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clauses), "ns/clause")
+		})
+	}
+}

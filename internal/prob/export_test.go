@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"probgraph/internal/graph"
 )
@@ -36,6 +37,10 @@ func (e *Engine) EliminationOrder() []int32 {
 	return order
 }
 
+// Rank returns the place of variable v's step among its component's steps,
+// the bit it takes in a memo key (255 from the 255th on).
+func (e *Engine) Rank(v int32) int { return int(e.sched.rank[e.sched.stepOf[v]]) }
+
 // VarOf returns edge ed's variable, -1 for a certain edge.
 func (pg *PGraph) VarOf(ed graph.EdgeID) int32 { return pg.varOf[ed] }
 
@@ -47,14 +52,9 @@ func (e *Engine) ProbLitsSteps(lits []Literal) (float64, []int32, error) {
 		return p, nil, err
 	}
 	var sc litScratch
-	p := e.probLits(lits, &sc)
-	var steps []int32
-	for s, o := range sc.at {
-		if o >= 0 {
-			steps = append(steps, int32(s))
-		}
-	}
-	return p, steps, nil
+	var p [1]float64
+	e.probLits([][]Literal{lits}, p[:], &sc)
+	return p[0], slices.Clone(sc.dirty), nil
 }
 
 // OwnSteps returns the steps whose tables e computed and holds itself, in
@@ -81,6 +81,15 @@ func (e *Engine) EliminationCost(clauses [][]Literal) int {
 	s.order(math.MaxInt)
 	return s.cost()
 }
+
+// ProbNoClauseWith is ProbNoClause with each clause factor applied by zero
+// instead of the kernel's own.
+func (e *Engine) ProbNoClauseWith(clauses [][]Literal, budget int, zero func(w0, w1 []float64, put []int, self, pat int)) (float64, bool, error) {
+	return e.probNoClause(clauses, budget, zero)
+}
+
+// ZeroWhereHolds is the clause factor ProbNoClause applies.
+var ZeroWhereHolds = zeroWhereHolds
 
 // RandomPGraph hands randomPGraph's correlated models, some of whose tables
 // share an edge, to this directory's external tests.

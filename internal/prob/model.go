@@ -18,6 +18,7 @@ package prob
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"probgraph/internal/graph"
@@ -220,16 +221,39 @@ type Literal struct {
 }
 
 // AllPresent returns literals asserting every edge in es exists.
-func AllPresent(es graph.EdgeSet) []Literal { return literals(es, true) }
+func AllPresent(es graph.EdgeSet) []Literal {
+	return appendLiterals(make([]Literal, 0, es.Count()), es, true)
+}
 
 // AllAbsent returns literals asserting every edge in es is missing.
-func AllAbsent(es graph.EdgeSet) []Literal { return literals(es, false) }
+func AllAbsent(es graph.EdgeSet) []Literal {
+	return appendLiterals(make([]Literal, 0, es.Count()), es, false)
+}
 
-func literals(es graph.EdgeSet, present bool) []Literal {
-	edges := es.Slice()
-	lits := make([]Literal, len(edges))
-	for i, e := range edges {
-		lits[i] = Literal{Edge: e, Present: present}
+// PresentClauses returns AllPresent of every set, the lists sharing one
+// slab: a DNF's clauses in two allocations.
+func PresentClauses(sets []graph.EdgeSet) [][]Literal {
+	size := 0
+	for _, s := range sets {
+		size += s.Count()
+	}
+	slab := make([]Literal, 0, size)
+	clauses := make([][]Literal, len(sets))
+	for i, s := range sets {
+		start := len(slab)
+		slab = appendLiterals(slab, s, true)
+		clauses[i] = slab[start:len(slab):len(slab)]
+	}
+	return clauses
+}
+
+// appendLiterals appends to lits one literal per edge in es, in ascending
+// edge order, each asserting the edge present or absent as present says.
+func appendLiterals(lits []Literal, es graph.EdgeSet, present bool) []Literal {
+	for wi, w := range es.Words() {
+		for ; w != 0; w &= w - 1 {
+			lits = append(lits, Literal{Edge: graph.EdgeID(64*wi + bits.TrailingZeros64(w)), Present: present})
+		}
 	}
 	return lits
 }

@@ -7,8 +7,12 @@
 //
 // SMP is the paper's Algorithm 5: the Karp–Luby / coverage Monte-Carlo
 // estimator. Clause probabilities Pr(Bfi) come from the exact inference
-// engine (the paper's junction-tree step), each one a recompute of only the
-// elimination steps its pinned edges reach. Worlds conditioned on a clause
+// engine (the paper's junction-tree step) in one prob.Engine.ProbLitsBatch
+// call per candidate over one literal slab: each clause's value is a
+// product over the model's components, and a component's factor under the
+// edges a clause pins there is recomputed — only the elimination steps
+// those edges reach — the first time a clause pins them so, and reused by
+// every later clause that does. Worlds conditioned on a clause
 // come from the candidate engine's NewConditioned, one per clause picked: an
 // overlay that holds the tables of the steps the clause's edges dirty and
 // reads every other table from the candidate's engine. They are drawn
@@ -23,7 +27,8 @@
 //
 // DNF.Eliminate computes the same probability exactly as one minus
 // prob.Engine.ProbNoClause, by variable elimination over the JPTs the
-// clauses reach and one 0/1 factor per clause, declining before any
+// clauses reach and one 0/1 factor per clause — applied by zeroing the
+// entries where the clause holds, and only those — declining before any
 // arithmetic when the compiled cost exceeds the caller's budget. The query
 // ladder (core) uses it for every DNF within its budget and samples only
 // the rest, although the problem is #P-complete in general.
@@ -92,9 +97,10 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 // decided by preparation alone: it keeps no clauses and Bound is its value.
 type DNF struct {
 	eng     *prob.Engine
-	opt     Options  // defaulted
-	clauses []clause // canonical order, truncated to MaxClauses
-	v       float64  // Σ Pr(Bfi) over the kept clauses
+	opt     Options          // defaulted
+	clauses []clause         // canonical order, truncated to MaxClauses
+	lits    [][]prob.Literal // the clauses' literal lists, in the same order
+	v       float64          // Σ Pr(Bfi) over the kept clauses
 	bound   float64
 }
 
@@ -106,7 +112,8 @@ type clause struct {
 }
 
 // Prepare computes the clause probabilities of Pr(∨ clauses) by exact
-// inference and puts the clauses in canonical order: descending Pr(Bfi),
+// inference, in one ProbLitsBatch call over the clauses' literal lists (one
+// slab, prob.PresentClauses), and puts the clauses in canonical order: descending Pr(Bfi),
 // ties broken by the ascending edge list. V is summed in that order, and
 // MaxClauses truncation keeps its prefix. Clause 0 is then the likeliest
 // pick of Sample, and the clause likeliest to hold is tested first. Bound
@@ -117,20 +124,20 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 	if len(clauses) == 0 {
 		return d, nil
 	}
-	// Each clause's literal list serves its probability here and its
-	// conditioned engine in Sample.
+	// Each clause's literal list serves its probability here, its
+	// conditioned engine in Sample and its factor in Eliminate.
+	lits := prob.PresentClauses(clauses)
+	ps := make([]float64, len(clauses))
+	if err := eng.ProbLitsBatch(lits, ps); err != nil {
+		return nil, err
+	}
 	cs := make([]clause, len(clauses))
 	for i, c := range clauses {
-		lits := prob.AllPresent(c)
-		p, err := eng.ProbLits(lits)
-		if err != nil {
-			return nil, err
-		}
-		if p >= 1 {
+		if ps[i] >= 1 {
 			d.bound = 1 // certain clause: the union is certain
 			return d, nil
 		}
-		cs[i] = clause{c, lits, p}
+		cs[i] = clause{c, lits[i], ps[i]}
 	}
 	slices.SortFunc(cs, func(a, b clause) int {
 		if c := cmp.Compare(b.p, a.p); c != 0 {
@@ -142,7 +149,9 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 		return d, nil // V = 0
 	}
 	d.clauses = cs[:min(len(cs), d.opt.MaxClauses)]
-	for _, c := range d.clauses {
+	d.lits = lits[:len(d.clauses)]
+	for i, c := range d.clauses {
+		d.lits[i] = c.lits
 		d.v += c.p
 	}
 	all := d.v // V over every clause: the kept prefix's sum, continued
@@ -198,11 +207,7 @@ func (d *DNF) Eliminate(budget int) (p float64, ok bool, err error) {
 	case 1:
 		return min(d.clauses[0].p, d.bound), true, nil
 	}
-	lits := make([][]prob.Literal, len(d.clauses))
-	for i, c := range d.clauses {
-		lits[i] = c.lits
-	}
-	none, ok, err := d.eng.ProbNoClause(lits, budget)
+	none, ok, err := d.eng.ProbNoClause(d.lits, budget)
 	if !ok || err != nil {
 		return 0, ok, err
 	}
