@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -18,7 +19,8 @@ import (
 // checked-in fixture, a v4 and a v5 fixture without their struct section
 // and without their pmi section, and truncations and bit flips of one fixture per encoding, which walk
 // the cursor through its bounds checks and the text decoder through its
-// tag, count and framing checks.
+// tag, count and framing checks, and a range partition in each encoding
+// with damaged copies of its gids section.
 func FuzzLoadDatabase(f *testing.F) {
 	for _, name := range []string{"v1_tiny.pgsnapb", "v2_tiny.pgsnapb", "v5_tiny.pgsnap",
 		"v5_tiny_tombs.pgsnap", "v4_tiny.pgsnapb", "v4_tiny_tombs.pgsnapb",
@@ -69,6 +71,37 @@ func FuzzLoadDatabase(f *testing.F) {
 	f.Add([]byte("pgsnap v5\nsection options\nbytes \"{}\"\nsection generation\nu64 1\ni32s 9999999999 1\n"))
 	f.Add([]byte("pgsnap v6\nsection options\n"))
 	f.Add([]byte("PGSNAPB4"))
+	// A range partition in each encoding, the only files with a gids
+	// section, and copies whose slab is not ascending, holds an id out of
+	// range, or is one entry short.
+	if b, err := os.ReadFile(fixturePath("v5_tiny_tombs.pgsnap")); err == nil {
+		db, err := LoadDatabase(bytes.NewReader(b))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rv, err := db.View().Range(1, db.View().Len())
+		if err != nil {
+			f.Fatal(err)
+		}
+		gids := rv.gids
+		swapped, negative := slices.Clone(gids), slices.Clone(gids)
+		swapped[0], swapped[1] = swapped[1], swapped[0]
+		negative[0] = -1
+		for _, format := range []SnapshotFormat{SnapshotBinary, SnapshotText} {
+			for i, g := range [][]int{gids, swapped, negative, gids[:len(gids)-1]} {
+				var buf bytes.Buffer
+				rv.gids = g
+				if err := rv.SaveAs(&buf, format); err != nil {
+					f.Fatal(err)
+				}
+				if _, err := LoadDatabase(bytes.NewReader(buf.Bytes())); (err == nil) != (i == 0) {
+					f.Fatalf("%s range snapshot with gids %v: load error %v", format, g, err)
+				}
+				f.Add(buf.Bytes())
+			}
+		}
+		rv.gids = gids
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadDatabase(bytes.NewReader(data))
 		if err != nil {

@@ -244,32 +244,23 @@ func grow(parents []*candidate, dbc []*graph.Graph, minSupport int, opt Options)
 	return next
 }
 
-// mineSingleEdges builds the level-1 candidates: one per distinct labeled
-// edge triple (uLabel, edgeLabel, vLabel).
+// mineSingleEdges builds the level-1 candidates: one per distinct edge
+// type (edge label and endpoint labels), read from each graph's EdgeTypes.
+// A graph lists each type once, so a type's support ascends with gi.
 func mineSingleEdges(dbc []*graph.Graph) []*candidate {
-	type triple struct{ a, e, b graph.Label }
-	supp := make(map[triple][]int)
+	supp := make(map[[3]graph.Handle][]int)
 	for gi, g := range dbc {
-		local := make(map[triple]bool)
-		for _, ed := range g.Edges() {
-			la, lb := g.VertexLabel(ed.U), g.VertexLabel(ed.V)
-			if la > lb {
-				la, lb = lb, la
-			}
-			local[triple{la, ed.Label, lb}] = true
-		}
-		for tr := range local { //pgvet:sorted each triple gets gi once; gi ascends whatever the order
-			supp[tr] = append(supp[tr], gi)
+		for _, t := range g.EdgeTypes() {
+			supp[t.Labels] = append(supp[t.Labels], gi)
 		}
 	}
 	var out []*candidate
 	for tr, s := range supp { //pgvet:sorted collected, then sorted by code below
 		b := graph.NewBuilder("f")
-		u := b.AddVertex(tr.a)
-		v := b.AddVertex(tr.b)
-		b.MustAddEdge(u, v, tr.e)
+		u := b.AddVertex(tr[1].Value())
+		v := b.AddVertex(tr[2].Value())
+		b.MustAddEdge(u, v, tr[0].Value())
 		g := b.Build()
-		sort.Ints(s)
 		out = append(out, &candidate{g: g, code: graph.CanonicalCode(g), support: s})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].code < out[j].code })

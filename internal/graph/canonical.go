@@ -139,7 +139,7 @@ func (c *canon) refine() {
 	c.colBuf, c.at[0] = c.colBuf[:0], 0
 	for v := range n {
 		start := len(c.colBuf)
-		c.colBuf = append(c.colBuf, g.vlabel[v]...)
+		c.colBuf = append(c.colBuf, g.vlabel[v].Value()...)
 		c.colBuf = append(c.colBuf, '/')
 		c.colBuf = strconv.AppendInt(c.colBuf, int64(len(g.adj[v])), 10)
 		c.at[v+1] = int32(len(c.colBuf))
@@ -190,7 +190,7 @@ func (c *canon) appendEntries(b []byte, v int) []byte {
 	adj := c.g.adj[v]
 	c.entBuf, c.entAt = c.entBuf[:0], append(c.entAt[:0], 0)
 	for _, h := range adj {
-		c.entBuf = append(c.entBuf, c.g.edges[h.Edge].Label...)
+		c.entBuf = append(c.entBuf, c.g.edges[h.Edge].label.Value()...)
 		c.entBuf = append(c.entBuf, '~')
 		c.entBuf = append(c.entBuf, c.cols[h.To]...)
 		c.entAt = append(c.entAt, int32(len(c.entBuf)))
@@ -234,13 +234,13 @@ func (c *canon) order() {
 // twins reports whether swapping v and w maps g onto itself.
 func (c *canon) twins(v, w int32) bool {
 	g := c.g
-	if g.vidx[v] != g.vidx[w] {
+	if g.vlabel[v] != g.vlabel[w] {
 		return false
 	}
 	rv, rw := c.edge[int(v)*c.n:][:c.n], c.edge[int(w)*c.n:][:c.n]
 	for u := range rv {
 		if ev, ew := rv[u], rw[u]; int32(u) != v && int32(u) != w && ev != ew &&
-			(ev < 0 || ew < 0 || g.eidx[ev] != g.eidx[ew]) {
+			(ev < 0 || ew < 0 || g.edges[ev].label != g.edges[ew].label) {
 			return false
 		}
 	}
@@ -290,14 +290,14 @@ func (c *canon) twinPlaced(from, i int32) bool {
 
 // segment appends position d's rendering, with v placed there.
 func (c *canon) segment(d int, v int32) {
-	c.buf = appendLabel(c.buf, c.g.vlabel[v])
+	c.buf = appendLabel(c.buf, c.g.vlabel[v].Value())
 	c.buf = append(c.buf, ':')
 	row := c.edge[int(v)*c.n:]
 	for j, u := range c.perm[:d] {
 		if e := row[u]; e >= 0 {
 			c.buf = strconv.AppendInt(c.buf, int64(j), 10)
 			c.buf = append(c.buf, '[')
-			c.buf = appendLabel(c.buf, c.g.edges[e].Label)
+			c.buf = appendLabel(c.buf, c.g.edges[e].label.Value())
 			c.buf = append(c.buf, ']')
 		}
 	}

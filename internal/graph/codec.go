@@ -50,11 +50,11 @@ func EncodeBlock(w io.Writer, g *Graph, header, args string, extra func(printf f
 		printf(" %s", args)
 	}
 	printf("\n")
-	for v, l := range g.vlabel {
-		printf("v %d %s\n", v, EncodeToken(string(l)))
+	for v, h := range g.vlabel {
+		printf("v %d %s\n", v, EncodeToken(string(h.Value())))
 	}
 	for _, e := range g.edges {
-		printf("e %d %d %s\n", e.U, e.V, EncodeToken(string(e.Label)))
+		printf("e %d %d %s\n", e.U, e.V, EncodeToken(string(e.label.Value())))
 	}
 	if extra != nil {
 		extra(printf)

@@ -13,8 +13,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
+	"unique"
 )
 
 // VertexID identifies a vertex within a single Graph. IDs are dense:
@@ -29,10 +29,31 @@ type EdgeID int32
 // wildcard-free ordinary label (it only matches itself).
 type Label string
 
+// Handle is an interned Label: two handles are equal exactly when their
+// labels are, and Value returns the label. A graph stores one handle per
+// vertex and one per edge and nothing else about its labels; a label no
+// graph holds any more is dropped by the runtime.
+type Handle = unique.Handle[Label]
+
+// compareLabels orders two handles by their labels, reading no string when
+// they are the same handle.
+func compareLabels(a, b Handle) int {
+	if a == b {
+		return 0
+	}
+	return cmp.Compare(a.Value(), b.Value())
+}
+
 // Edge is an undirected labeled edge between U and V. Invariant: U < V.
 type Edge struct {
 	U, V  VertexID
 	Label Label
+}
+
+// edge is an Edge as a graph stores it, its label interned.
+type edge struct {
+	U, V  VertexID
+	label Handle
 }
 
 // Other returns the endpoint of e opposite to v. It panics if v is not an
@@ -57,16 +78,13 @@ type HalfEdge struct {
 // Graph is an immutable labeled undirected graph.
 type Graph struct {
 	name   string
-	vlabel []Label
-	edges  []Edge
+	vlabel []Handle
+	edges  []edge
 	adj    [][]HalfEdge
-	// vcount is the vertex-label multiset, ecount the edge-label multiset
-	// and etypes the edge-type multiset, all counted once by Build. vidx
-	// and eidx give each vertex's and each edge's label as its index in
-	// vcount and ecount, so a search compares labels as integers.
-	vcount, ecount LabelCounts
-	etypes         EdgeTypes
-	vidx, eidx     []int32
+	// vcount is the vertex-label multiset and etypes the edge-type
+	// multiset, both counted once by Build.
+	vcount LabelCounts
+	etypes EdgeTypes
 }
 
 // LabelCounts is a multiset of labels: one entry per distinct label,
@@ -76,14 +94,14 @@ type LabelCounts []LabelCount
 
 // LabelCount is one entry of a LabelCounts.
 type LabelCount struct {
-	Label Label
+	Label Handle
 	N     int
 }
 
-// multiset sorts keys in place and returns one entry per distinct key,
-// ascending, made by entry from the key and its count.
-func multiset[K cmp.Ordered, E any](keys []K, entry func(K, int) E) []E {
-	slices.Sort(keys)
+// multiset sorts keys in place by compare and returns one entry per
+// distinct key, ascending, made by entry from the key and its count.
+func multiset[K comparable, E any](keys []K, compare func(K, K) int, entry func(K, int) E) []E {
+	slices.SortFunc(keys, compare)
 	distinct := 0
 	for i, k := range keys {
 		if i == 0 || k != keys[i-1] {
@@ -102,19 +120,10 @@ func multiset[K cmp.Ordered, E any](keys []K, entry func(K, int) E) []E {
 	return out
 }
 
-// Index returns the position of l's entry in c, or -1 when l does not
-// occur.
-func (c LabelCounts) Index(l Label) int32 {
-	if i, ok := slices.BinarySearchFunc(c, l, func(e LabelCount, l Label) int { return cmp.Compare(e.Label, l) }); ok {
-		return int32(i)
-	}
-	return -1
-}
-
 // Covers reports whether every label of need occurs in c at least as often.
 func (c LabelCounts) Covers(need LabelCounts) bool {
 	for _, n := range need {
-		for len(c) > 0 && c[0].Label < n.Label {
+		for len(c) > 0 && compareLabels(c[0].Label, n.Label) < 0 {
 			c = c[1:]
 		}
 		if len(c) == 0 || c[0].Label != n.Label || c[0].N < n.N {
@@ -124,38 +133,57 @@ func (c LabelCounts) Covers(need LabelCounts) bool {
 	return true
 }
 
-// EdgeTypes is a multiset of edge types: one entry per distinct type key,
-// ascending. An edge's type is its label and its endpoints' labels,
-// unordered; a key is a 64-bit hash of the type, so two types may share
-// one, and then their counts add up.
+// EdgeTypes is a multiset of edge types: one entry per distinct type,
+// ascending by key, types that share a key by their labels. An edge's type
+// is its label and its endpoints' labels, unordered.
 type EdgeTypes []EdgeType
 
-// EdgeType is one entry of an EdgeTypes.
+// EdgeType is one entry of an EdgeTypes: Labels holds the edge's label and
+// its endpoints' labels, the lesser endpoint label first, and Key a 32-bit
+// hash of the three, which orders the entries; N counts the edges. Two
+// types are equal when their labels are: the key only orders them, so
+// types may share one, and 32 bits keep an entry at four words.
 type EdgeType struct {
-	Key uint64
-	N   int32
+	Key    uint32
+	N      int32
+	Labels [3]Handle
 }
 
-// edgeTypeKey hashes the type of an edge labelled l between vertices
-// labelled a and b: FNV-1a over the three labels, each ended by its length
-// so no two label triples read as the same bytes, with a and b in order.
-func edgeTypeKey(l, a, b Label) uint64 {
-	if a > b {
+// edgeType returns the type of an edge labelled l between vertices labelled
+// a and b. Its key is FNV-1a over the three labels, each ended by its
+// length, with a and b in order.
+func edgeType(l, a, b Handle) EdgeType {
+	if compareLabels(a, b) > 0 {
 		a, b = b, a
 	}
-	h := uint64(14695981039346656037)
-	for _, s := range [3]Label{l, a, b} {
+	h := uint32(2166136261)
+	for _, s := range [3]Label{l.Value(), a.Value(), b.Value()} {
 		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * 1099511628211
+			h = (h ^ uint32(s[i])) * 16777619
 		}
-		h = (h ^ uint64(len(s))) * 1099511628211
+		h = (h ^ uint32(len(s))) * 16777619
 	}
-	return h
+	return EdgeType{Key: h, Labels: [3]Handle{l, a, b}}
+}
+
+// compareTypes orders edge types by key, then by their labels; it reads a
+// label only for two distinct types that share a key.
+func compareTypes(x, y EdgeType) int {
+	if c := cmp.Compare(x.Key, y.Key); c != 0 || x.Labels == y.Labels {
+		return c
+	}
+	for i := range x.Labels {
+		if c := compareLabels(x.Labels[i], y.Labels[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Deficit returns how many of c's edges find no edge of their own type in
 // t, Σ max(0, c(τ) − t(τ)) over types τ, or stops counting once that
-// exceeds limit and returns limit + 1.
+// exceeds limit and returns limit + 1. It compares keys and, among t's
+// types with a key equal to one of c's, handles: it reads no label.
 func (c EdgeTypes) Deficit(t EdgeTypes, limit int) int {
 	d := 0
 	for _, need := range c {
@@ -163,8 +191,14 @@ func (c EdgeTypes) Deficit(t EdgeTypes, limit int) int {
 			t = t[1:]
 		}
 		have := int32(0)
-		if len(t) > 0 && t[0].Key == need.Key {
-			have = t[0].N
+		for _, e := range t {
+			if e.Key != need.Key {
+				break
+			}
+			if e.Labels == need.Labels {
+				have = e.N
+				break
+			}
 		}
 		if d += int(max(0, need.N-have)); d > limit {
 			return limit + 1
@@ -176,8 +210,8 @@ func (c EdgeTypes) Deficit(t EdgeTypes, limit int) int {
 // Builder incrementally assembles a Graph. The zero value is ready to use.
 type Builder struct {
 	name   string
-	vlabel []Label
-	edges  []Edge
+	vlabel []Handle
+	edges  []edge
 	seen   map[[2]VertexID]bool
 }
 
@@ -188,16 +222,21 @@ func NewBuilder(name string) *Builder {
 
 // AddVertex appends a vertex with the given label and returns its ID.
 func (b *Builder) AddVertex(l Label) VertexID {
-	b.vlabel = append(b.vlabel, l)
+	return b.addVertex(unique.Make(l))
+}
+
+// addVertex appends a vertex labelled h and returns its ID.
+func (b *Builder) addVertex(h Handle) VertexID {
+	b.vlabel = append(b.vlabel, h)
 	return VertexID(len(b.vlabel) - 1)
 }
 
 // AddVertices appends n vertices all carrying label l and returns the ID of
 // the first one.
 func (b *Builder) AddVertices(n int, l Label) VertexID {
-	first := VertexID(len(b.vlabel))
+	first, h := VertexID(len(b.vlabel)), unique.Make(l)
 	for i := 0; i < n; i++ {
-		b.vlabel = append(b.vlabel, l)
+		b.addVertex(h)
 	}
 	return first
 }
@@ -224,7 +263,7 @@ func (b *Builder) AddEdge(u, v VertexID, l Label) (EdgeID, error) {
 		return 0, fmt.Errorf("graph %q: duplicate edge {%d,%d}", b.name, u, v)
 	}
 	b.seen[key] = true
-	b.edges = append(b.edges, Edge{U: u, V: v, Label: l})
+	b.edges = append(b.edges, edge{U: u, V: v, label: unique.Make(l)})
 	return EdgeID(len(b.edges) - 1), nil
 }
 
@@ -240,33 +279,21 @@ func (b *Builder) MustAddEdge(u, v VertexID, l Label) EdgeID {
 
 // Build finalizes the graph. The Builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	count := func(l Label, n int) LabelCount { return LabelCount{l, n} }
-	elabels := make([]Label, len(b.edges))
-	for i, e := range b.edges {
-		elabels[i] = e.Label
-	}
 	g := &Graph{
 		name:   b.name,
 		vlabel: b.vlabel,
 		edges:  b.edges,
 		adj:    make([][]HalfEdge, len(b.vlabel)),
-		vcount: multiset(slices.Clone(b.vlabel), count),
-		ecount: multiset(elabels, count),
-		vidx:   make([]int32, len(b.vlabel)),
-		eidx:   make([]int32, len(b.edges)),
+		vcount: multiset(slices.Clone(b.vlabel), compareLabels, func(h Handle, n int) LabelCount { return LabelCount{h, n} }),
 	}
-	for v, l := range b.vlabel {
-		g.vidx[v] = g.vcount.Index(l)
-	}
-	keys := make([]uint64, len(b.edges))
+	types := make([]EdgeType, len(b.edges))
 	deg := make([]int, len(b.vlabel))
 	for i, e := range b.edges {
 		deg[e.U]++
 		deg[e.V]++
-		keys[i] = edgeTypeKey(e.Label, b.vlabel[e.U], b.vlabel[e.V])
-		g.eidx[i] = g.ecount.Index(e.Label)
+		types[i] = edgeType(e.label, b.vlabel[e.U], b.vlabel[e.V])
 	}
-	g.etypes = multiset(keys, func(k uint64, n int) EdgeType { return EdgeType{k, int32(n)} })
+	g.etypes = multiset(types, compareTypes, func(t EdgeType, n int) EdgeType { t.N = int32(n); return t })
 	for v := range g.adj {
 		if deg[v] > 0 {
 			g.adj[v] = make([]HalfEdge, 0, deg[v])
@@ -293,19 +320,23 @@ func (g *Graph) NumVertices() int { return len(g.vlabel) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // VertexLabel returns the label of vertex v.
-func (g *Graph) VertexLabel(v VertexID) Label { return g.vlabel[v] }
+func (g *Graph) VertexLabel(v VertexID) Label { return g.vlabel[v].Value() }
 
 // Edge returns the edge with the given ID.
-func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
+func (g *Graph) Edge(id EdgeID) Edge {
+	e := g.edges[id]
+	return Edge{U: e.U, V: e.V, Label: e.label.Value()}
+}
 
 // EdgeLabel returns the label of the edge with the given ID.
-func (g *Graph) EdgeLabel(id EdgeID) Label { return g.edges[id].Label }
+func (g *Graph) EdgeLabel(id EdgeID) Label { return g.edges[id].label.Value() }
 
-// VertexLabelIndex returns the index of v's label in LabelCounts.
-func (g *Graph) VertexLabelIndex(v VertexID) int32 { return g.vidx[v] }
+// VertexHandle returns v's label interned: two vertices, of any graphs,
+// carry the same label exactly when their handles are equal.
+func (g *Graph) VertexHandle(v VertexID) Handle { return g.vlabel[v] }
 
-// EdgeLabelIndex returns the index of edge id's label in EdgeLabelCounts.
-func (g *Graph) EdgeLabelIndex(id EdgeID) int32 { return g.eidx[id] }
+// EdgeHandle returns the label of edge id interned, as VertexHandle does.
+func (g *Graph) EdgeHandle(id EdgeID) Handle { return g.edges[id].label }
 
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v VertexID) int { return len(g.adj[v]) }
@@ -331,7 +362,9 @@ func (g *Graph) EdgeBetween(u, v VertexID) (EdgeID, bool) {
 // Edges returns a copy of the edge slice, indexed by EdgeID.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
+	for id := range out {
+		out[id] = g.Edge(EdgeID(id))
+	}
 	return out
 }
 
@@ -343,38 +376,13 @@ func (g *Graph) Rename(name string) *Graph {
 	return &cp
 }
 
-// DeleteEdges returns a new graph with the same vertex set and every edge of
-// g except those whose IDs appear in drop. Edge IDs are renumbered densely
-// in the original order.
-func (g *Graph) DeleteEdges(drop []EdgeID) *Graph {
-	dead := make([]bool, len(g.edges))
-	for _, id := range drop {
-		dead[id] = true
-	}
-	b := NewBuilder(g.name)
-	b.vlabel = append([]Label(nil), g.vlabel...)
-	for id, e := range g.edges {
-		if !dead[id] {
-			b.edges = append(b.edges, e)
-		}
-	}
-	return b.Build()
-}
-
 // EdgeSubgraph returns the subgraph of g consisting of exactly the edges in
 // keep plus every vertex of g (vertex set is preserved so VertexIDs remain
 // stable). Edge IDs are renumbered densely in increasing original order.
 func (g *Graph) EdgeSubgraph(keep []EdgeID) *Graph {
-	sorted := append([]EdgeID(nil), keep...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	b := NewBuilder(g.name)
-	b.vlabel = append([]Label(nil), g.vlabel...)
-	var prev EdgeID = -1
-	for _, id := range sorted {
-		if id == prev {
-			continue
-		}
-		prev = id
+	b.vlabel = slices.Clone(g.vlabel)
+	for _, id := range slices.Compact(slices.Sorted(slices.Values(keep))) {
 		b.edges = append(b.edges, g.edges[id])
 	}
 	return b.Build()
@@ -385,22 +393,23 @@ func (g *Graph) EdgeSubgraph(keep []EdgeID) *Graph {
 func (g *Graph) DropIsolated() *Graph {
 	remap := make([]VertexID, len(g.vlabel))
 	b := NewBuilder(g.name)
-	for v, l := range g.vlabel {
+	for v, h := range g.vlabel {
 		if len(g.adj[v]) > 0 {
-			remap[v] = b.AddVertex(l)
+			remap[v] = b.addVertex(h)
 		} else {
 			remap[v] = -1
 		}
 	}
 	for _, e := range g.edges {
-		b.edges = append(b.edges, Edge{U: remap[e.U], V: remap[e.V], Label: e.Label})
+		b.edges = append(b.edges, edge{U: remap[e.U], V: remap[e.V], label: e.label})
 	}
 	return b.Build()
 }
 
 // Without returns g without the edges in deleted and without the vertices
-// that leaves isolated: g.DeleteEdges(deleted.Slice()).DropIsolated(),
-// built once. Vertex and edge IDs are renumbered densely preserving order.
+// that leaves isolated: the edge subgraph of the other edges, then
+// DropIsolated, built once. Vertex and edge IDs are renumbered densely
+// preserving order.
 func (g *Graph) Without(deleted EdgeSet) *Graph {
 	const kept = 1 // a vertex with a surviving edge, before it is renumbered
 	remap := make([]VertexID, len(g.vlabel))
@@ -409,17 +418,17 @@ func (g *Graph) Without(deleted EdgeSet) *Graph {
 			remap[e.U], remap[e.V] = kept, kept
 		}
 	}
-	b := &Builder{name: g.name, edges: make([]Edge, 0, len(g.edges)-deleted.Count())}
-	for v, l := range g.vlabel {
+	b := &Builder{name: g.name, edges: make([]edge, 0, len(g.edges)-deleted.Count())}
+	for v, h := range g.vlabel {
 		if remap[v] == kept {
-			remap[v] = b.AddVertex(l)
+			remap[v] = b.addVertex(h)
 		} else {
 			remap[v] = -1
 		}
 	}
 	for id, e := range g.edges {
 		if !deleted.Contains(EdgeID(id)) {
-			b.edges = append(b.edges, Edge{U: remap[e.U], V: remap[e.V], Label: e.Label})
+			b.edges = append(b.edges, edge{U: remap[e.U], V: remap[e.V], label: e.label})
 		}
 	}
 	return b.Build()
@@ -472,7 +481,7 @@ func (g *Graph) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "%d(%s)-[%s]-%d(%s)", e.U, g.vlabel[e.U], e.Label, e.V, g.vlabel[e.V])
+		fmt.Fprintf(&sb, "%d(%s)-[%s]-%d(%s)", e.U, g.vlabel[e.U].Value(), e.label.Value(), e.V, g.vlabel[e.V].Value())
 	}
 	sb.WriteString("}")
 	return sb.String()
@@ -482,10 +491,6 @@ func (g *Graph) String() string {
 // shared by every caller: read-only.
 func (g *Graph) LabelCounts() LabelCounts { return g.vcount }
 
-// EdgeLabelCounts returns the multiset of edge labels. It is the graph's
-// own, shared by every caller: read-only.
-func (g *Graph) EdgeLabelCounts() LabelCounts { return g.ecount }
-
 // EdgeTypes returns the multiset of edge types. It is the graph's own,
 // shared by every caller: read-only.
 func (g *Graph) EdgeTypes() EdgeTypes { return g.etypes }
@@ -493,7 +498,7 @@ func (g *Graph) EdgeTypes() EdgeTypes { return g.etypes }
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	b := NewBuilder(g.name)
-	b.vlabel = append([]Label(nil), g.vlabel...)
-	b.edges = append([]Edge(nil), g.edges...)
+	b.vlabel = slices.Clone(g.vlabel)
+	b.edges = slices.Clone(g.edges)
 	return b.Build()
 }

@@ -3,10 +3,12 @@ package graph
 import (
 	"bytes"
 	"io"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unique"
 )
 
 func mustEdge(t *testing.T, b *Builder, u, v VertexID, l Label) EdgeID {
@@ -113,9 +115,25 @@ func TestEdgeBetween(t *testing.T) {
 	}
 }
 
+// deleteEdges is g without the edges in drop, every vertex kept: the edge
+// subgraph of the other edges.
+func deleteEdges(g *Graph, drop []EdgeID) *Graph {
+	gone := make([]bool, g.NumEdges())
+	for _, id := range drop {
+		gone[id] = true
+	}
+	var keep []EdgeID
+	for id, d := range gone {
+		if !d {
+			keep = append(keep, EdgeID(id))
+		}
+	}
+	return g.EdgeSubgraph(keep)
+}
+
 func TestDeleteEdges(t *testing.T) {
 	g := triangle(t)
-	h := g.DeleteEdges([]EdgeID{0})
+	h := deleteEdges(g, []EdgeID{0})
 	if h.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", h.NumEdges())
 	}
@@ -124,6 +142,9 @@ func TestDeleteEdges(t *testing.T) {
 	}
 	if g.NumEdges() != 3 {
 		t.Fatal("original mutated")
+	}
+	if want := []Edge{g.Edge(1), g.Edge(2)}; !slices.Equal(h.Edges(), want) {
+		t.Fatalf("edges %v, want %v", h.Edges(), want)
 	}
 }
 
@@ -324,7 +345,7 @@ func TestIsomorphic(t *testing.T) {
 		t.Fatal("permuted copy not isomorphic")
 	}
 	if g.NumEdges() > 0 {
-		k := g.DeleteEdges([]EdgeID{0}) // same counts? no: one fewer edge
+		k := deleteEdges(g, []EdgeID{0}) // one fewer edge
 		if Isomorphic(g, k) {
 			t.Fatal("graphs with different edge counts reported isomorphic")
 		}
@@ -350,18 +371,21 @@ func TestCanonicalCodeEmptyAndSingle(t *testing.T) {
 func TestLabelCounts(t *testing.T) {
 	g := triangle(t)
 	vc := g.LabelCounts()
-	if vc.Index("a") != 0 || vc.Index("b") != 1 || vc.Index("d") != 2 || vc.Index("c") != -1 || vc.Index("") != -1 || vc.Index("e") != -1 ||
-		len(vc) != 3 || vc[0].N != 1 || vc[1].N != 1 || vc[2].N != 1 {
-		t.Fatalf("vertex counts %v", vc)
+	h := unique.Make[Label]
+	if want := (LabelCounts{{h("a"), 1}, {h("b"), 1}, {h("d"), 1}}); !slices.Equal(vc, want) {
+		t.Fatalf("vertex counts %v, want %v", vc, want)
 	}
-	for v := range g.NumVertices() {
-		if l := vc[g.VertexLabelIndex(VertexID(v))].Label; l != g.VertexLabel(VertexID(v)) {
-			t.Fatalf("vertex %d: index names %q, label %q", v, l, g.VertexLabel(VertexID(v)))
+	// A vertex's or edge's handle is its label interned: equal to the
+	// handle of an equal label made anywhere else, reading back the label.
+	for v := range VertexID(g.NumVertices()) {
+		if l := g.VertexHandle(v); l != h(g.VertexLabel(v)) || l.Value() != g.VertexLabel(v) || l != vc[v].Label {
+			t.Fatalf("vertex %d: handle %q, label %q", v, l.Value(), g.VertexLabel(v))
 		}
 	}
-	if ec := g.EdgeLabelCounts(); len(ec) != 1 || ec[0] != (LabelCount{"", 3}) || ec.Index("") != 0 || ec.Index("a") != -1 ||
-		g.EdgeLabelIndex(0) != 0 || g.EdgeLabelIndex(2) != 0 {
-		t.Fatalf("edge label counts %v", ec)
+	for id := range EdgeID(g.NumEdges()) {
+		if g.EdgeHandle(id) != h("") || g.EdgeLabel(id) != "" {
+			t.Fatalf("edge %d: handle %q", id, g.EdgeHandle(id).Value())
+		}
 	}
 	// Three edges of three types: a–b, b–d and a–d, all labelled "".
 	et := g.EdgeTypes()
@@ -394,6 +418,84 @@ func TestLabelCounts(t *testing.T) {
 	} {
 		if got := c.p.Deficit(c.t, c.limit); got != c.want {
 			t.Errorf("%v.Deficit(%v, %d) = %d, want %d", c.p, c.t, c.limit, got, c.want)
+		}
+	}
+}
+
+// TestEdgeTypesMatchOracle holds EdgeTypes, Deficit and Isomorphic's
+// type pre-check (equal EdgeTypes) to a count of (edge label, lesser
+// endpoint label, greater endpoint label) triples by string, over random
+// graphs whose labels are prefixes of one another, empty, or not UTF-8.
+func TestEdgeTypesMatchOracle(t *testing.T) {
+	labels := []Label{"", "a", "ab", "b", "\xff"}
+	count := func(g *Graph) map[[3]string]int {
+		c := make(map[[3]string]int)
+		for _, e := range g.Edges() {
+			a, b := string(g.VertexLabel(e.U)), string(g.VertexLabel(e.V))
+			c[[3]string{string(e.Label), min(a, b), max(a, b)}]++
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := range 400 {
+		p := randomGraph(rng, 1+rng.Intn(6), rng.Intn(10), labels, labels)
+		tg := randomGraph(rng, 1+rng.Intn(7), rng.Intn(14), labels, labels)
+		if i%4 == 0 {
+			tg = permuteGraph(rng, p)
+		}
+		cp, ct := count(p), count(tg)
+		// EdgeTypes is the oracle's multiset, ascending.
+		for _, g := range []*Graph{p, tg} {
+			et, c := g.EdgeTypes(), count(g)
+			if len(et) != len(c) || !slices.IsSortedFunc(et, compareTypes) {
+				t.Fatalf("%v: edge types %v, want %d distinct, ascending", g, et, len(c))
+			}
+			for _, e := range et {
+				l := e.Labels
+				if key := [3]string{string(l[0].Value()), string(l[1].Value()), string(l[2].Value())}; c[key] != int(e.N) {
+					t.Fatalf("%v: type %q counts %d, want %d", g, key, e.N, c[key])
+				}
+			}
+		}
+		d := 0
+		for k, n := range cp { //pgvet:sorted a sum
+			d += max(0, n-ct[k])
+		}
+		for _, limit := range []int{0, 1, 2, 3, 5, 100} {
+			want := d
+			if d > limit {
+				want = limit + 1
+			}
+			if got := p.EdgeTypes().Deficit(tg.EdgeTypes(), limit); got != want {
+				t.Fatalf("Deficit(%v, %v, %d) = %d, want %d", p, tg, limit, got, want)
+			}
+		}
+		if got, want := slices.Equal(p.EdgeTypes(), tg.EdgeTypes()), maps.Equal(cp, ct); got != want {
+			t.Fatalf("%v vs %v: equal types %v, oracle %v", p, tg, got, want)
+		}
+	}
+	// Two types that share a key are counted apart.
+	h := unique.Make[Label]
+	x := EdgeType{Key: 7, Labels: [3]Handle{h(""), h("a"), h("b")}, N: 2}
+	y := EdgeType{Key: 7, Labels: [3]Handle{h("x"), h("a"), h("b")}, N: 1}
+	if compareTypes(x, y) >= 0 || compareTypes(y, x) <= 0 || compareTypes(x, x) != 0 {
+		t.Fatal("types sharing a key are not ordered by their labels")
+	}
+	both := EdgeTypes{x, y}
+	for _, c := range []struct {
+		p, t EdgeTypes
+		want int
+	}{
+		{EdgeTypes{x}, EdgeTypes{y}, 2},
+		{EdgeTypes{y}, EdgeTypes{x}, 1},
+		{EdgeTypes{x}, both, 0},
+		{EdgeTypes{y}, both, 0},
+		{both, EdgeTypes{x}, 1},
+		{both, EdgeTypes{y}, 2},
+		{both, both, 0},
+	} {
+		if got := c.p.Deficit(c.t, 5); got != c.want {
+			t.Errorf("%v.Deficit(%v) = %d, want %d", c.p, c.t, got, c.want)
 		}
 	}
 }

@@ -16,14 +16,14 @@ import (
 func EncodeSnap(s snapbin.Encoder, g *Graph) {
 	s.Str(g.name)
 	s.U32(uint32(len(g.vlabel)))
-	for _, l := range g.vlabel {
-		s.Str(string(l))
+	for _, h := range g.vlabel {
+		s.Str(string(h.Value()))
 	}
 	s.U32(uint32(len(g.edges)))
 	for _, e := range g.edges {
 		s.U32(uint32(e.U))
 		s.U32(uint32(e.V))
-		s.Str(string(e.Label))
+		s.Str(string(e.label.Value()))
 	}
 }
 

@@ -31,10 +31,10 @@
 // strict search, whose enumeration order is pinned by
 // TestBudgetZeroKeepsEnumerationOrder.
 //
-// Labels are compared as integers: a graph records each vertex's and
-// edge's label as its index among the graph's distinct labels, and the
-// matcher looks the pattern's labels up in the target's once (see
-// newMatcher).
+// Labels are compared as handles: a graph holds each vertex's and edge's
+// label interned (graph.Handle), one word that is equal across graphs
+// exactly when the labels are, so the matcher compares the pattern's
+// handles with the target's directly.
 package iso
 
 import (
@@ -62,10 +62,6 @@ type matcher struct {
 	order []graph.VertexID // pattern vertices in matching order
 	pmap  []graph.VertexID // pattern -> target; unplaced or skipped when negative
 	tused []bool
-	// vlab and elab are the pattern's vertex and edge labels as indices
-	// into t's label multisets, -1 for a label t lacks: a target vertex or
-	// edge carries the pattern's label when its own index is equal.
-	vlab, elab []int32
 	// The tolerant search gives up pattern edges: dead marks the ones given
 	// up one by one, a skipped vertex gives up all of its own, paid counts
 	// per vertex how many are gone either way, slack how many more may go.
@@ -96,23 +92,22 @@ const (
 // BFS through each pattern component starting from the most constrained
 // vertex (rarest label in t, then highest degree), so that all but
 // component-initial vertices have a placed neighbor to anchor candidate
-// generation on. The pattern's labels are looked up in t's once, here;
-// the search compares indices. The state lives in four slabs, taken from s.
+// generation on. The state lives in three slabs, taken from s.
 func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet, s *slabs) matcher {
 	n, nt, ne := p.NumVertices(), t.NumVertices(), p.NumEdges()
-	ids, ints, labs, flags := s.take(n, nt, ne)
-	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:], vlab: labs[:n], elab: labs[n:]}
+	ids, ints, flags := s.take(n, nt, ne)
+	m := matcher{p: p, t: t, mask: mask, order: ids[:0:n], pmap: ids[n:], tused: flags[:nt], dead: flags[nt+n:], paid: ints[n:]}
 	placed := flags[nt : nt+n]
 	rarity := ints[:n] // how often t carries each pattern vertex's label
-	tv, te := t.LabelCounts(), t.EdgeLabelCounts()
 	for v := range rarity {
-		if m.vlab[v] = tv.Index(p.VertexLabel(graph.VertexID(v))); m.vlab[v] >= 0 {
-			rarity[v] = tv[m.vlab[v]].N
+		l := p.VertexHandle(graph.VertexID(v))
+		for _, c := range t.LabelCounts() {
+			if c.Label == l {
+				rarity[v] = c.N
+				break
+			}
 		}
 		m.pmap[v] = unplaced
-	}
-	for e := range m.elab {
-		m.elab[e] = te.Index(p.EdgeLabel(graph.EdgeID(e)))
 	}
 	for len(m.order) < n {
 		// Pick the best unplaced vertex preferring attachment to the placed
@@ -142,20 +137,18 @@ func newMatcher(p, t *graph.Graph, mask *graph.EdgeSet, s *slabs) matcher {
 }
 
 // slabs keeps a matcher's state between searches: ids holds order and
-// pmap, ints rarity and paid, labs vlab and elab, flags tused, placed and
-// dead.
+// pmap, ints rarity and paid, flags tused, placed and dead.
 type slabs struct {
 	ids   []graph.VertexID
 	ints  []int
-	labs  []int32
 	flags []bool
 }
 
 // take returns the slabs for a search of a pattern with n vertices and ne
 // edges in a target with nt vertices, zeroed.
-func (s *slabs) take(n, nt, ne int) ([]graph.VertexID, []int, []int32, []bool) {
-	s.ids, s.ints, s.labs, s.flags = resize(s.ids, 2*n), resize(s.ints, 2*n), resize(s.labs, n+ne), resize(s.flags, nt+n+ne)
-	return s.ids, s.ints, s.labs, s.flags
+func (s *slabs) take(n, nt, ne int) ([]graph.VertexID, []int, []bool) {
+	s.ids, s.ints, s.flags = resize(s.ids, 2*n), resize(s.ints, 2*n), resize(s.flags, nt+n+ne)
+	return s.ids, s.ints, s.flags
 }
 
 // resize returns s cut or grown to n zeroed elements.
@@ -204,7 +197,7 @@ func (m *matcher) edgeAlive(id graph.EdgeID) bool {
 // collect). So the tolerant search reaches each (deletion set, vertex map)
 // on one path, and an enumeration counts it once.
 func (m *matcher) cost(pv, tv graph.VertexID) int {
-	if m.tused[tv] || m.vlab[pv] != m.t.VertexLabelIndex(tv) {
+	if m.tused[tv] || m.p.VertexHandle(pv) != m.t.VertexHandle(tv) {
 		return -1
 	}
 	if m.mask == nil && m.p.Degree(pv)-m.paid[pv]-m.slack > m.t.Degree(tv) {
@@ -233,7 +226,7 @@ func (m *matcher) cost(pv, tv graph.VertexID) int {
 // target edge between a and b, and which.
 func (m *matcher) matches(a, b graph.VertexID, pe graph.EdgeID) (graph.EdgeID, bool) {
 	id, ok := m.t.EdgeBetween(a, b)
-	return id, ok && m.edgeAlive(id) && m.t.EdgeLabelIndex(id) == m.elab[pe]
+	return id, ok && m.edgeAlive(id) && m.t.EdgeHandle(id) == m.p.EdgeHandle(pe)
 }
 
 // stranded reports whether mapped vertex w is left with no matched edge and
@@ -315,9 +308,9 @@ func (m *matcher) extend() {
 		// are the live neighbors of its image across an equally labelled
 		// edge — or it is given up and pv waits for another anchor: no
 		// candidate ever comes from a scan of t, whatever the slack.
-		want := m.elab[h.Edge]
+		want := m.p.EdgeHandle(h.Edge)
 		for _, th := range m.t.Neighbors(m.pmap[h.To]) {
-			if !m.edgeAlive(th.Edge) || m.t.EdgeLabelIndex(th.Edge) != want {
+			if !m.edgeAlive(th.Edge) || m.t.EdgeHandle(th.Edge) != want {
 				continue
 			}
 			m.tryAssign(pv, th.To)

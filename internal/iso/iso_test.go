@@ -202,7 +202,7 @@ func TestPaperFigure1(t *testing.T) {
 	if Exists(q, g, &mask) {
 		t.Fatal("q must not embed when e5 is absent")
 	}
-	rq := q.DeleteEdges([]graph.EdgeID{4}).DropIsolated()
+	rq := deleteEdges(q, []graph.EdgeID{4}).DropIsolated()
 	if !Exists(rq, g, &mask) {
 		t.Fatal("relaxed q (c-edge deleted) must embed in world (1)")
 	}

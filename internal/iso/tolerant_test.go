@@ -19,7 +19,7 @@ func bruteWithin(p, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
 	var drop []graph.EdgeID
 	var rec func(start int) bool
 	rec = func(start int) bool {
-		if bruteForceExists(p.DeleteEdges(drop).DropIsolated(), t, mask) {
+		if bruteForceExists(deleteEdges(p, drop).DropIsolated(), t, mask) {
 			return true
 		}
 		if len(drop) == delta {
@@ -36,6 +36,22 @@ func bruteWithin(p, t *graph.Graph, mask *graph.EdgeSet, delta int) bool {
 		return false
 	}
 	return rec(0)
+}
+
+// deleteEdges is g without the edges in drop, every vertex kept: the edge
+// subgraph of the other edges.
+func deleteEdges(g *graph.Graph, drop []graph.EdgeID) *graph.Graph {
+	gone := make([]bool, g.NumEdges())
+	for _, id := range drop {
+		gone[id] = true
+	}
+	var keep []graph.EdgeID
+	for id, d := range gone {
+		if !d {
+			keep = append(keep, graph.EdgeID(id))
+		}
+	}
+	return g.EdgeSubgraph(keep)
 }
 
 // perRQ is what ExistsWithin replaced on the query path: one plain search
@@ -58,7 +74,7 @@ func deletions(q *graph.Graph, delta int) []*graph.Graph {
 	var rec func(start int)
 	rec = func(start int) {
 		if len(drop) == delta {
-			out = append(out, q.DeleteEdges(drop).DropIsolated())
+			out = append(out, deleteEdges(q, drop).DropIsolated())
 			return
 		}
 		for e := start; e < q.NumEdges(); e++ {
