@@ -30,8 +30,10 @@ type plan struct {
 	scq  []int
 	sets [][]graph.EdgeSet
 	// deleted is the relaxed set the pruner reads (Lemma 1), each member
-	// as the edges of q it lacks: relax.Members(q, δ, opt.MaxRelaxed).
+	// as the edges of q it lacks: relax.Enumerate(q, δ, opt.MaxRelaxed).
+	// partial marks a prefix of U, cut by that cap or the walk's budget.
 	deleted []graph.EdgeSet
+	partial bool
 	// pr judges candidates against the PMI bounds; nil when the view has no
 	// PMI, pruning is bypassed, or the plan is a ranked one (topkSchedule
 	// builds its own inside the bounds stage).
@@ -48,7 +50,8 @@ type plan struct {
 // candidate, as deletion masks over q, and only the pruner reads it:
 // structural confirmation searches q itself with a budget of δ, so it is
 // exact whatever MaxRelaxed caps, and the clauses it enumerates are the
-// ones verification reads.
+// ones verification reads. A U cut short, by MaxRelaxed or the walk's
+// budget, leaves Usim at the trivial 1.
 // ranked marks the top-k forms, which never drop a candidate on a bound:
 // they skip pmi_prune and topkSchedule orders them in its own bounds stage.
 func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ranked bool) (*plan, error) {
@@ -68,7 +71,9 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 
 	// Relaxed query set U (Lemma 1), as far as pruning reads it.
 	obs.Stage(ctx, "relax", func(context.Context) (int64, error) {
-		p.deleted = relax.Members(q, opt.Delta, opt.MaxRelaxed)
+		var complete bool
+		p.deleted, complete = relax.Enumerate(q, opt.Delta, opt.MaxRelaxed)
+		p.partial = !complete
 		return int64(len(p.deleted)), nil
 	})
 	p.stats.RelaxedQueries = len(p.deleted)
@@ -102,6 +107,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 		if err != nil {
 			return nil, err
 		}
+		p.pr.partial = p.partial
 		p.stats.TimeProb = time.Since(t)
 	}
 	return p, nil

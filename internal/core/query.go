@@ -45,11 +45,16 @@ type QueryOptions struct {
 	OptBounds bool
 	// Verifier selects SMP (default), Exact, or none.
 	Verifier VerifierKind
-	// Verify tunes the SMP estimator / caps Exact's clause count.
+	// Verify tunes the SMP estimator / caps Exact's clause count. Queries
+	// never read Verify.Seed: each candidate's sampler is seeded from Seed
+	// and the candidate's global id (candSeed).
 	Verify verify.Options
-	// MaxRelaxed caps the relaxed queries the PMI bounds read (0 = all of
-	// U; structural confirmation and verification search q with a budget
-	// of δ and always read all of it).
+	// MaxRelaxed caps the relaxed queries the PMI bounds read (0 = up to
+	// relax.DefaultMaxSize). A U cut short, by the cap or by the walk's
+	// budget (relax.Enumerate), loosens Usim to the trivial 1, so Pruning 1
+	// never fires and top-k's upper bounds are the DNF's; Lsim still reads
+	// the members listed. Structural confirmation and verification search q
+	// with a budget of δ and always read all of U.
 	MaxRelaxed int
 	// Seed drives the randomized pieces (plain SSPBound's pair choice,
 	// SMP) deterministically; OPT-SSPBound itself draws nothing.
@@ -527,21 +532,33 @@ const (
 // plain baseline's random picks draw from a per-candidate scratch.
 type pruner struct {
 	v   *View
-	nu  int // |U|
+	nu  int // members of U listed
 	opt QueryOptions
 
-	// supOf[j] = relaxed queries containing feature j (rq ⊇iso f, for the
-	// upper bound); subOf[j] = relaxed queries contained in feature j
-	// (rq ⊆iso f, for the lower bound; nil in a pruner built without it;
-	// for a feature of the members' size, supOf[j] itself).
-	supOf [][]int
-	subOf [][]int
+	// partial reports that the members listed are a prefix of U, which
+	// the plan sets after construction; Usim is then the trivial 1 (a cover
+	// of part of U bounds nothing).
+	partial bool
+
+	// rels lists the features that relate to some member, ascending by
+	// feature; every other feature is invisible to both bounds.
+	rels []relation
 }
 
-// newPruner builds the query-side feature/relaxed-query relation tables
-// for U = q minus each of the deletion sets deleted (relax.Members: every
-// set has δ edges, so every member has |E(q)| − δ), paying per feature
-// that embeds in q.
+// relation is one feature's relations to the members of U: sup lists the
+// members containing it (rq ⊇iso f, for the upper bound), sub those it
+// contains (rq ⊆iso f, for the lower bound; nil in a pruner built without
+// it; for a feature of the members' size, sup itself). At least one is
+// non-empty.
+type relation struct {
+	f        int
+	sup, sub []int
+}
+
+// newPruner builds the query-side feature/relaxed-query relations for U =
+// q minus each of the deletion sets deleted (relax.Members: every set has
+// δ edges, so every member has |E(q)| − δ), paying per feature that embeds
+// in q.
 //
 // Every rq is a piece of q, so f ⊆iso rq iff some embedding of f in q
 // avoids the edges rq lacks: one enumeration per feature — uncapped, a
@@ -560,11 +577,6 @@ type pruner struct {
 // cancelled construction returns (nil, ctx.Err()).
 func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
 	p := &pruner{v: v, nu: len(deleted), opt: opt}
-	nf := v.PMI.NumFeatures()
-	p.supOf = make([][]int, nf)
-	if lower {
-		p.subOf = make([][]int, nf)
-	}
 	delta := 0
 	if len(deleted) > 0 {
 		delta = deleted[0].Count()
@@ -603,24 +615,28 @@ func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.Ed
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		r := relation{f: j}
 		if hasIsolated(f) {
-			p.supOf[j] = those(func(i int) bool { return iso.Exists(f, rq(i), nil) })
+			r.sup = those(func(i int) bool { return iso.Exists(f, rq(i), nil) })
 			if lower && f.NumEdges() >= size {
-				p.subOf[j] = heldBy(f)
+				r.sub = heldBy(f)
 			}
-			continue
+		} else {
+			if embs := iso.EdgeSets(f, q, nil, 0); len(embs) > 0 {
+				r.sup = those(func(i int) bool {
+					return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
+				})
+			}
+			switch {
+			case !lower || f.NumEdges() < size:
+			case f.NumEdges() == size:
+				r.sub = r.sup // shared: neither is written after construction
+			default:
+				r.sub = heldBy(f)
+			}
 		}
-		if embs := iso.EdgeSets(f, q, nil, 0); len(embs) > 0 {
-			p.supOf[j] = those(func(i int) bool {
-				return slices.ContainsFunc(embs, func(e graph.EdgeSet) bool { return !e.Intersects(deleted[i]) })
-			})
-		}
-		switch {
-		case !lower || f.NumEdges() < size:
-		case f.NumEdges() == size:
-			p.subOf[j] = p.supOf[j] // shared: neither is written after construction
-		default:
-			p.subOf[j] = heldBy(f)
+		if r.sup != nil || r.sub != nil {
+			p.rels = append(p.rels, r)
 		}
 	}
 	return p, nil
@@ -656,58 +672,53 @@ func (p *pruner) judge(gi int) judgement {
 // from; the caller puts it back.
 func (p *pruner) usim(gi int) (float64, *scratch) {
 	sc := getScratch(candSeed(p.opt.Seed^pruneSalt, p.v.GID(gi)))
-	sc.entries = p.v.PMI.LookupInto(gi, sc.entries[:0])
+	sc.row = p.v.PMI.Lookup(gi)
 	return p.upperBound(sc), sc
 }
 
-// upperBound computes Usim(q) from the PMI row in sc.entries. Soundness:
+// upperBound computes Usim(q) from the PMI row in sc.row. Soundness:
 // rq ⊇iso f means a world containing rq also contains f, so Pr(∨ Brq) ≤
 // Σ UpperB over any feature family covering U; relaxed queries no feature
-// covers contribute the trivial bound Pr(Brq) ≤ 1.
+// covers contribute the trivial bound Pr(Brq) ≤ 1. Over a U known only in
+// part the bound is that trivial 1.
 //
 // OPT-SSPBound minimizes the covering weight with the greedy set cover
-// (Definition 10, Algorithm 1); plain SSPBound picks one qualifying feature
-// per rq at random (the paper's §6 baseline).
+// (Definition 10, Algorithm 1) over the contained features; each member
+// they leave uncovered adds 1 after the cover's weight, as the singleton
+// set {rq} of weight 1 would (it shares no element with a feature's set,
+// so greedy picks the same features with or without it). Plain SSPBound
+// picks one qualifying feature per rq at random (the paper's §6 baseline).
 func (p *pruner) upperBound(sc *scratch) float64 {
-	entries := sc.entries
+	if p.partial {
+		return 1
+	}
 	if p.opt.OptBounds {
 		in := cover.Instance{NumElements: p.nu}
 		in.Sets, in.Weights = sc.sets[:0], sc.wu[:0]
-		covered := clearedBools(&sc.covered, p.nu)
-		for j, e := range entries {
-			if !e.Contained || len(p.supOf[j]) == 0 {
-				continue
-			}
-			in.Sets = append(in.Sets, p.supOf[j])
-			in.Weights = append(in.Weights, e.Upper)
-			for _, i := range p.supOf[j] {
-				covered[i] = true
-			}
-		}
-		// Uncovered relaxed queries contribute singleton sets of weight 1;
-		// sc.singles is the identity list [0,1,...], so the singleton {i}
-		// is a subslice of it — no per-set allocation.
-		for i := len(sc.singles); i < p.nu; i++ {
-			sc.singles = append(sc.singles, i)
-		}
-		for i, c := range covered {
-			if !c {
-				in.Sets = append(in.Sets, sc.singles[i:i+1:i+1])
-				in.Weights = append(in.Weights, 1)
+		for _, r := range p.rels {
+			if e := sc.row[r.f]; e.Contained && len(r.sup) > 0 {
+				in.Sets = append(in.Sets, r.sup)
+				in.Weights = append(in.Weights, e.Upper)
 			}
 		}
 		sc.sets, sc.wu = in.Sets, in.Weights
-		return cover.GreedyScratch(in, &sc.cov).Weight
+		total, covered := cover.Greedy(in, &sc.cov)
+		// One at a time, as the padded instance summed its singletons: a
+		// single float64(n) would round differently.
+		for range p.nu - covered {
+			total += 1
+		}
+		return total
 	}
 	total := 0.0
 	for i := range p.nu {
-		choices := sc.choicesF[:0]
-		for j, e := range entries {
-			if e.Contained && slices.Contains(p.supOf[j], i) {
+		choices := sc.choices[:0]
+		for _, r := range p.rels {
+			if e := sc.row[r.f]; e.Contained && slices.Contains(r.sup, i) {
 				choices = append(choices, e.Upper)
 			}
 		}
-		sc.choicesF = choices
+		sc.choices = choices
 		if len(choices) == 0 {
 			total += 1
 			continue
@@ -717,12 +728,12 @@ func (p *pruner) upperBound(sc *scratch) float64 {
 	return total
 }
 
-// lowerBound computes Lsim(q) from the PMI row in sc.entries: the largest
+// lowerBound computes Lsim(q) from the PMI row in sc.row: the largest
 // LowerB among the features it may use. Soundness: rq ⊆iso f with f ⊆iso gc
 // means a world containing f contains rq, so Pr(Bf) ≥ LowerB_f lower-bounds
-// the SSP. OPT-SSPBound may use every contained feature that holds some rq;
-// plain SSPBound uses one such feature per rq, picked at random (the
-// paper's §6 baseline).
+// the SSP — over any part of U. OPT-SSPBound may use every contained
+// feature that holds some rq; plain SSPBound uses one such feature per rq,
+// picked at random (the paper's §6 baseline).
 //
 // This is the one deliberate departure from the paper's Pruning 2
 // (Definition 11, Algorithm 2), which selects a family by a relaxed QP and
@@ -738,23 +749,23 @@ func (p *pruner) upperBound(sc *scratch) float64 {
 func (p *pruner) lowerBound(sc *scratch) float64 {
 	best := 0.0
 	if p.opt.OptBounds {
-		for j, e := range sc.entries {
-			if e.Contained && len(p.subOf[j]) > 0 {
+		for _, r := range p.rels {
+			if e := sc.row[r.f]; e.Contained && len(r.sub) > 0 {
 				best = max(best, e.Lower)
 			}
 		}
 		return best
 	}
 	for i := range p.nu {
-		choices := sc.choicesI[:0]
-		for j, e := range sc.entries {
-			if e.Contained && slices.Contains(p.subOf[j], i) {
-				choices = append(choices, j)
+		choices := sc.choices[:0]
+		for _, r := range p.rels {
+			if e := sc.row[r.f]; e.Contained && slices.Contains(r.sub, i) {
+				choices = append(choices, e.Lower)
 			}
 		}
-		sc.choicesI = choices
+		sc.choices = choices
 		if len(choices) > 0 {
-			best = max(best, sc.entries[choices[sc.intn(len(choices))]].Lower)
+			best = max(best, choices[sc.intn(len(choices))])
 		}
 	}
 	return best

@@ -23,14 +23,11 @@ type scratch struct {
 	seed   int64 // the candidate's candSeed
 	seeded bool  // rng has been reseeded from seed
 
-	entries  []pmi.Entry // LookupInto buffer (one PMI row)
-	choicesF []float64   // plain upper bound: per-rq qualifying uppers
-	choicesI []int       // plain lower bound: per-rq qualifying features
-	sets     [][]int     // OPT upper bound: Instance.Sets backing
-	wu       []float64   // OPT upper bound: Instance.Weights backing
-	covered  []bool      // OPT upper bound: rq coverage flags
-	singles  []int       // OPT upper bound: singleton-set backing [0,1,...]
-	cov      cover.Scratch
+	row     []pmi.Entry // the candidate's PMI column, read in place
+	choices []float64   // plain bounds: per-rq qualifying uppers or lowers
+	sets    [][]int     // OPT upper bound: Instance.Sets backing
+	wu      []float64   // OPT upper bound: Instance.Weights backing
+	cov     cover.Scratch
 }
 
 var scratchPool = sync.Pool{
@@ -44,7 +41,12 @@ func getScratch(seed int64) *scratch {
 	return sc
 }
 
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
+// putScratch returns sc to the pool, dropping its row so a pooled scratch
+// never keeps an old index's column alive.
+func putScratch(sc *scratch) {
+	sc.row = nil
+	scratchPool.Put(sc)
+}
 
 // intn is the candidate's next draw from [0, n).
 func (sc *scratch) intn(n int) int {
@@ -53,19 +55,4 @@ func (sc *scratch) intn(n int) int {
 		sc.seeded = true
 	}
 	return sc.rng.Intn(n)
-}
-
-// clearedBools resizes *buf to n all-false entries, reusing capacity.
-func clearedBools(buf *[]bool, n int) []bool {
-	b := *buf
-	if cap(b) < n {
-		b = make([]bool, n)
-	} else {
-		b = b[:n]
-		for i := range b {
-			b[i] = false
-		}
-	}
-	*buf = b
-	return b
 }

@@ -165,7 +165,7 @@ func TestBonferroniNeverBeatsBestMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
 		entries := make([]pmi.Entry, 1+rng.Intn(8))
-		subOf := make([][]int, len(entries))
+		rels := make([]relation, len(entries))
 		largest := 0.0
 		for j := range entries {
 			lo := rng.Float64()
@@ -177,14 +177,14 @@ func TestBonferroniNeverBeatsBestMember(t *testing.T) {
 				up = lo // a tight cell
 			}
 			entries[j] = pmi.Entry{Contained: true, Lower: lo, Upper: up}
-			subOf[j] = []int{0}
+			rels[j] = relation{f: j, sub: []int{0}}
 			largest = max(largest, lo)
 		}
 		if got := bonferroniBest(entries); got < largest || got > largest+1e-12 {
 			t.Fatalf("trial %d: best Bonferroni bound %v over the sub-families of %v, largest LowerB %v", trial, got, entries, largest)
 		}
-		pr := &pruner{nu: 1, opt: QueryOptions{OptBounds: true}, subOf: subOf}
-		if got := pr.lowerBound(&scratch{entries: entries}); got != largest {
+		pr := &pruner{nu: 1, opt: QueryOptions{OptBounds: true}, rels: rels}
+		if got := pr.lowerBound(&scratch{row: entries}); got != largest {
 			t.Fatalf("trial %d: lowerBound %v, largest LowerB %v", trial, got, largest)
 		}
 	}
@@ -253,6 +253,22 @@ func relationsPerRQ(features, u []*graph.Graph) (supOf, subOf [][]int) {
 	return supOf, subOf
 }
 
+// relationTables spreads the pruner's relation list over nf features, as
+// the tables relationsPerRQ builds: nil for a feature the list leaves out.
+// The list must ascend by feature and leave out every feature without a
+// relation.
+func relationTables(t *testing.T, p *pruner, nf int) (supOf, subOf [][]int) {
+	t.Helper()
+	supOf, subOf = make([][]int, nf), make([][]int, nf)
+	for k, r := range p.rels {
+		if (r.sup == nil && r.sub == nil) || (k > 0 && r.f <= p.rels[k-1].f) {
+			t.Fatalf("relation %d of %d: feature %d (after %d), sup %v, sub %v", k, len(p.rels), r.f, p.rels[max(k-1, 0)].f, r.sup, r.sub)
+		}
+		supOf[r.f], subOf[r.f] = r.sup, r.sub
+	}
+	return supOf, subOf
+}
+
 // TestMaskRelationsMatchPerRQTables: deciding f ⊆iso rq from the embeddings
 // of f in q and rq's deletion mask, and rq ⊆iso f only where sizes allow,
 // builds exactly the tables the per-pair tests built — on mined PPI
@@ -268,9 +284,9 @@ func TestMaskRelationsMatchPerRQTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		supOf, subOf := relationsPerRQ(features, u)
-		if !reflect.DeepEqual(pr.supOf, supOf) || !reflect.DeepEqual(pr.subOf, subOf) {
+		if gotSup, gotSub := relationTables(t, pr, len(features)); !reflect.DeepEqual(gotSup, supOf) || !reflect.DeepEqual(gotSub, subOf) {
 			t.Errorf("%s δ=%d cap=%d (|U| = %d, q = %v):\n supOf %v\n  want %v\n subOf %v\n  want %v",
-				name, delta, maxRelaxed, len(u), q, pr.supOf, supOf, pr.subOf, subOf)
+				name, delta, maxRelaxed, len(u), q, gotSup, supOf, gotSub, subOf)
 		}
 	}
 	withIsolated := func(q *graph.Graph, l graph.Label) *graph.Graph {
@@ -353,8 +369,8 @@ func TestPrunerRelationBranches(t *testing.T) {
 			t.Fatal(err)
 		}
 		supOf, subOf := relationsPerRQ(features, u)
-		if !reflect.DeepEqual(pr.supOf, supOf) || !reflect.DeepEqual(pr.subOf, subOf) {
-			t.Fatalf("δ=%d (|U| = %d, q = %v):\n supOf %v\n  want %v\n subOf %v\n  want %v", delta, len(u), q, pr.supOf, supOf, pr.subOf, subOf)
+		if gotSup, gotSub := relationTables(t, pr, len(features)); !reflect.DeepEqual(gotSup, supOf) || !reflect.DeepEqual(gotSub, subOf) {
+			t.Fatalf("δ=%d (|U| = %d, q = %v):\n supOf %v\n  want %v\n subOf %v\n  want %v", delta, len(u), q, gotSup, supOf, gotSub, subOf)
 		}
 		size := q.NumEdges() - delta
 		for j, f := range features {

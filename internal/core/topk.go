@@ -305,6 +305,7 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 		if err != nil {
 			return n, err
 		}
+		pr.partial = p.partial
 		return n, pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
 			gi := p.scq[i]
 			usim, sc := pr.usim(gi)

@@ -14,38 +14,24 @@ type Instance struct {
 	Weights     []float64 // Weights[j] >= 0
 }
 
-// Result is the greedy cover.
-type Result struct {
-	Chosen []int   // indices of chosen sets, in selection order
-	Weight float64 // total weight of the chosen sets
-	Full   bool    // false when the union of all sets cannot cover U
-}
-
 // Scratch holds Greedy's working buffers so hot callers can reuse them
 // across calls and run allocation-free. The zero value is ready to use.
 type Scratch struct {
 	covered []bool
 	used    []bool
-	chosen  []int
 }
 
 // Greedy runs the classic weighted greedy: repeatedly pick the set
-// minimizing weight / newly-covered-count (paper Algorithm 1's γ(s)).
-// If the instance is infeasible it covers what it can and reports
-// Full=false.
-func Greedy(in Instance) Result {
-	return GreedyScratch(in, &Scratch{})
-}
-
-// GreedyScratch is Greedy with caller-owned buffers: it allocates nothing
-// once the scratch has grown to the instance size. Result.Chosen aliases
-// the scratch and is valid only until its next use.
-func GreedyScratch(in Instance, sc *Scratch) Result {
-	covered := clearedBools(&sc.covered, in.NumElements)
+// minimizing weight / newly-covered-count (paper Algorithm 1's γ(s)), ties
+// to the larger gain, then to the earlier set. It stops once no set covers
+// anything new and returns the summed weight of the sets it picked, in set
+// order, and how many elements they cover — fewer than NumElements when the
+// sets do not cover U. It allocates nothing once sc has grown to the
+// instance size.
+func Greedy(in Instance, sc *Scratch) (weight float64, covered int) {
+	isCovered := clearedBools(&sc.covered, in.NumElements)
 	used := clearedBools(&sc.used, len(in.Sets))
-	remaining := in.NumElements
-	var res Result
-	for remaining > 0 {
+	for covered < in.NumElements {
 		best, bestGamma, bestGain := -1, math.Inf(1), 0
 		for j, s := range in.Sets {
 			if used[j] {
@@ -53,7 +39,7 @@ func GreedyScratch(in Instance, sc *Scratch) Result {
 			}
 			gain := 0
 			for _, e := range s {
-				if !covered[e] {
+				if !isCovered[e] {
 					gain++
 				}
 			}
@@ -66,23 +52,22 @@ func GreedyScratch(in Instance, sc *Scratch) Result {
 			}
 		}
 		if best < 0 {
-			res.Chosen = chosenList(used, sc)
-			res.Weight = totalWeight(in, used)
-			res.Full = false
-			return res
+			break
 		}
 		used[best] = true
 		for _, e := range in.Sets[best] {
-			if !covered[e] {
-				covered[e] = true
-				remaining--
+			if !isCovered[e] {
+				isCovered[e] = true
+				covered++
 			}
 		}
 	}
-	res.Chosen = chosenList(used, sc)
-	res.Weight = totalWeight(in, used)
-	res.Full = true
-	return res
+	for j, u := range used {
+		if u {
+			weight += in.Weights[j]
+		}
+	}
+	return weight, covered
 }
 
 // clearedBools resizes *buf to n all-false entries, reusing capacity.
@@ -98,62 +83,4 @@ func clearedBools(buf *[]bool, n int) []bool {
 	}
 	*buf = b
 	return b
-}
-
-func chosenList(used []bool, sc *Scratch) []int {
-	out := sc.chosen[:0]
-	for j, u := range used {
-		if u {
-			out = append(out, j)
-		}
-	}
-	sc.chosen = out
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func totalWeight(in Instance, used []bool) float64 {
-	w := 0.0
-	for j, u := range used {
-		if u {
-			w += in.Weights[j]
-		}
-	}
-	return w
-}
-
-// BruteForceOptimal exhaustively finds the minimum-weight full cover; it is
-// a test oracle and only admits small instances (≤ 20 sets).
-func BruteForceOptimal(in Instance) (weight float64, ok bool) {
-	n := len(in.Sets)
-	if n > 20 {
-		return 0, false
-	}
-	best := math.Inf(1)
-	for mask := 0; mask < 1<<n; mask++ {
-		covered := make([]bool, in.NumElements)
-		cnt := 0
-		w := 0.0
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			w += in.Weights[j]
-			for _, e := range in.Sets[j] {
-				if !covered[e] {
-					covered[e] = true
-					cnt++
-				}
-			}
-		}
-		if cnt == in.NumElements && w < best {
-			best = w
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
 }

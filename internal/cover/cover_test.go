@@ -16,12 +16,12 @@ func TestGreedyPaperExample3(t *testing.T) {
 		Sets:        [][]int{{0, 1}, {1, 2}, {0, 2}},
 		Weights:     []float64{0.4, 0.1, 0.5},
 	}
-	res := Greedy(in)
-	if !res.Full {
-		t.Fatal("instance is coverable")
+	w, covered := Greedy(in, &Scratch{})
+	if covered != 3 {
+		t.Fatalf("covered %d of 3: instance is coverable", covered)
 	}
-	if math.Abs(res.Weight-0.5) > 1e-12 {
-		t.Fatalf("Usim = %v, want 0.5", res.Weight)
+	if math.Abs(w-0.5) > 1e-12 {
+		t.Fatalf("Usim = %v, want 0.5", w)
 	}
 }
 
@@ -41,37 +41,21 @@ func TestGreedyIsValidCover(t *testing.T) {
 			in.Sets = append(in.Sets, s)
 			in.Weights = append(in.Weights, rng.Float64())
 		}
-		res := Greedy(in)
-		covered := make([]bool, n)
-		for _, j := range res.Chosen {
-			for _, e := range in.Sets[j] {
-				covered[e] = true
-			}
-		}
-		// Full=true must mean everything covered; Full=false must mean the
-		// instance itself is infeasible.
-		all := true
-		for _, c := range covered {
-			all = all && c
-		}
-		if res.Full != all {
-			return false
-		}
-		if !res.Full {
-			universe := make([]bool, n)
-			for _, s := range in.Sets {
-				for _, e := range s {
+		w, covered := Greedy(in, &Scratch{})
+		// The sets cover what their union covers, and the weight is that
+		// of some subfamily: at most the sum of all of them.
+		universe := make([]bool, n)
+		coverable, total := 0, 0.0
+		for j, s := range in.Sets {
+			total += in.Weights[j]
+			for _, e := range s {
+				if !universe[e] {
 					universe[e] = true
+					coverable++
 				}
 			}
-			for _, u := range universe {
-				if !u {
-					return true // genuinely infeasible
-				}
-			}
-			return false // feasible but greedy said infeasible
 		}
-		return true
+		return covered == coverable && w >= 0 && w <= total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -98,15 +82,15 @@ func TestGreedyApproximationBound(t *testing.T) {
 			in.Sets = append(in.Sets, s)
 			in.Weights = append(in.Weights, 0.05+rng.Float64())
 		}
-		opt, feasible := BruteForceOptimal(in)
-		res := Greedy(in)
+		opt, feasible := bruteForceOptimal(in)
+		w, covered := Greedy(in, &Scratch{})
 		if !feasible {
-			return !res.Full
+			return covered < n
 		}
-		if !res.Full {
+		if covered != n {
 			return false
 		}
-		return res.Weight <= opt*(math.Log(float64(n))+1)+1e-9
+		return w <= opt*(math.Log(float64(n))+1)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -114,20 +98,16 @@ func TestGreedyApproximationBound(t *testing.T) {
 }
 
 func TestGreedyEmptyUniverse(t *testing.T) {
-	res := Greedy(Instance{NumElements: 0})
-	if !res.Full || res.Weight != 0 || len(res.Chosen) != 0 {
-		t.Fatalf("empty universe: %+v", res)
+	if w, covered := Greedy(Instance{NumElements: 0}, &Scratch{}); w != 0 || covered != 0 {
+		t.Fatalf("empty universe: weight %v, covered %d", w, covered)
 	}
 }
 
 func TestGreedyInfeasible(t *testing.T) {
 	in := Instance{NumElements: 2, Sets: [][]int{{0}}, Weights: []float64{1}}
-	res := Greedy(in)
-	if res.Full {
-		t.Fatal("element 1 is uncoverable")
-	}
-	if len(res.Chosen) != 1 || res.Chosen[0] != 0 {
-		t.Fatalf("should still cover what it can: %+v", res)
+	w, covered := Greedy(in, &Scratch{})
+	if covered != 1 || w != 1 {
+		t.Fatalf("should cover what it can, element 0 at weight 1: weight %v, covered %d", w, covered)
 	}
 }
 
@@ -139,8 +119,41 @@ func TestGreedyPrefersCheapPerElement(t *testing.T) {
 		Sets:        [][]int{{0, 1}, {0}, {1}},
 		Weights:     []float64{1.0, 0.1, 0.1},
 	}
-	res := Greedy(in)
-	if math.Abs(res.Weight-0.2) > 1e-12 {
-		t.Fatalf("weight = %v, want 0.2", res.Weight)
+	if w, _ := Greedy(in, &Scratch{}); math.Abs(w-0.2) > 1e-12 {
+		t.Fatalf("weight = %v, want 0.2", w)
 	}
+}
+
+// bruteForceOptimal exhaustively finds the minimum-weight full cover; it
+// only admits small instances (≤ 20 sets).
+func bruteForceOptimal(in Instance) (weight float64, ok bool) {
+	n := len(in.Sets)
+	if n > 20 {
+		return 0, false
+	}
+	best := math.Inf(1)
+	for mask := 0; mask < 1<<n; mask++ {
+		covered := make([]bool, in.NumElements)
+		cnt := 0
+		w := 0.0
+		for j := 0; j < n; j++ {
+			if mask&(1<<j) == 0 {
+				continue
+			}
+			w += in.Weights[j]
+			for _, e := range in.Sets[j] {
+				if !covered[e] {
+					covered[e] = true
+					cnt++
+				}
+			}
+		}
+		if cnt == in.NumElements && w < best {
+			best = w
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, false
+	}
+	return best, true
 }

@@ -268,8 +268,7 @@ func mineSingleEdges(dbc []*graph.Graph) []*candidate {
 }
 
 // disjointRatioOK computes |IN| / |Ef| ≥ α for feature f in graph g, with
-// Ef capped and IN greedy (the exact clique version is reserved for the PMI
-// builder where tightness matters).
+// Ef capped and IN greedy (iso.MaxDisjointGreedy).
 func disjointRatioOK(f, g *graph.Graph, opt Options) bool {
 	sets := iso.EdgeSets(f, g, nil, maxEmbeddingsPerGraph)
 	if len(sets) == 0 {

@@ -661,8 +661,9 @@ func Count(p, t *graph.Graph, mask *graph.EdgeSet, cap int) int {
 
 // MaxDisjointGreedy picks a maximal family of pairwise edge-disjoint sets
 // greedily (smallest sets first), returning indices into sets. It is the
-// cheap approximation of the paper's IN set used during feature mining; the
-// PMI builder uses the exact max-weight-clique version instead.
+// cheap approximation of the paper's IN set used during feature mining.
+// The PMI builder reads no IN set: it computes each cell from the union of
+// the feature's embeddings, exactly within its budget.
 func MaxDisjointGreedy(sets []graph.EdgeSet) []int {
 	idx := make([]int, len(sets))
 	for i := range idx {

@@ -192,16 +192,17 @@ func entry(eng *prob.Engine, embs []graph.EdgeSet, budget int) (Entry, error) {
 	return e, nil
 }
 
-// Lookup returns the row Dg of the paper: for each feature contained in
-// gc(gi), its entry. The returned slice is indexed by feature.
+// Lookup returns the row Dg of the paper: for each feature, its entry in
+// gc(gi), indexed by feature. The slice is the index's own column, read in
+// place: a published column is never written, and a freed column is empty.
+// Callers must not write it.
 func (idx *Index) Lookup(gi int) []Entry {
-	return idx.LookupInto(gi, make([]Entry, 0, len(idx.Features)))
+	return idx.cols[gi]
 }
 
-// LookupInto is Lookup gathering into buf (reset to length 0 first): the
-// query hot path calls it once per candidate with a pooled buffer, so the
-// steady state allocates nothing. It allocates only when buf's capacity
-// is short.
+// LookupInto is Lookup copied into buf (reset to length 0 first),
+// allocating only when buf's capacity is short. Its one caller is the
+// benchmark ledger, which times the copy as pmi.lookup_us.
 func (idx *Index) LookupInto(gi int, buf []Entry) []Entry {
 	return append(buf[:0], idx.cols[gi]...)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"probgraph/internal/graph"
 )
@@ -416,5 +417,48 @@ func TestMemberMatchesDeleteThenDrop(t *testing.T) {
 	}
 	if sets < 1000 {
 		t.Fatalf("only %d deletion sets compared", sets)
+	}
+}
+
+// TestEnumerateWalkBudget: the walk over deletion sets stops at its budget
+// and says so. A 24-edge single-label star at δ 12 has C(24, 12) ≈ 2.7 M
+// deletion sets, all isomorphic; walked in full at ≈ 7 µs a set it takes
+// about 19 s to keep its one member, bounded ≈ 0.2 s (≈ 2.7 s under the
+// race detector, 2 vCPUs). Below the budget and the size cap U is
+// complete: the 12-edge star at δ 6 walks all 924 sets. Only a walk that
+// reached every set is complete, and a cap that binds is not.
+func TestEnumerateWalkBudget(t *testing.T) {
+	star := func(n int) *graph.Graph {
+		edges := make([][2]int, n)
+		for i := range edges {
+			edges[i] = [2]int{0, i + 1}
+		}
+		return symmetric(n+1, edges)
+	}
+	start := time.Now()
+	deleted, complete := Enumerate(star(24), 12, 0)
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("24-edge star at δ 12: the walk took %v", took)
+	}
+	if complete || len(deleted) != 1 || !slices.Equal(deleted[0].Slice(), []graph.EdgeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+		t.Fatalf("24-edge star at δ 12: %d members (first %v), complete %v; want the first deletion set alone, incomplete", len(deleted), deleted[0].Slice(), complete)
+	}
+	if deleted, complete := Enumerate(star(12), 6, 0); !complete || len(deleted) != 1 {
+		t.Fatalf("12-edge star at δ 6: %d members, complete %v", len(deleted), complete)
+	}
+	q := paperQuery()
+	for delta := 0; delta <= q.NumEdges()+1; delta++ {
+		full, complete := Enumerate(q, delta, 0)
+		if !complete {
+			t.Fatalf("paper query δ=%d: an uncapped walk of %d members is incomplete", delta, len(full))
+		}
+		if _, complete := Enumerate(q, delta, len(full)+1); !complete {
+			t.Fatalf("paper query δ=%d: a cap above |U| = %d binds", delta, len(full))
+		}
+		if len(full) > 1 {
+			if _, complete := Enumerate(q, delta, len(full)-1); complete {
+				t.Fatalf("paper query δ=%d: a cap below |U| = %d reports U complete", delta, len(full))
+			}
+		}
 	}
 }
