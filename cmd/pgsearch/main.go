@@ -432,9 +432,12 @@ func (s *search) answer(ctx context.Context) error {
 		)
 		if s.verbose {
 			for k, gi := range res.Answers {
-				ssp := res.SSP[gi]
+				ssp, verified := res.SSP[gi]
 				tag := fmt.Sprintf("SSP≈%.3f", ssp)
-				if ssp == -1 {
+				switch {
+				case !verified:
+					tag = "not verified" // -verifier none
+				case ssp == -1:
 					tag = "accepted by lower bound"
 				}
 				fmt.Fprintf(s.stdout, "  q%d → %s (%s)\n", i, res.Names[k], tag)

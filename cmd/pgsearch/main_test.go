@@ -143,6 +143,33 @@ func TestOnePath(t *testing.T) {
 	}
 }
 
+// TestVerboseTags: -v tags each answer with how it was admitted. Under
+// -verifier none no answer was verified, so none reads as an SSP of 0;
+// under the default sampler the answers left to verification print theirs.
+func TestVerboseTags(t *testing.T) {
+	_, snap, qfile := fixture(t)
+	knobs := []string{"-loadsnap", snap, "-qfile", qfile, "-epsilon", "0.3", "-delta", "1", "-v"}
+	answerLine := regexp.MustCompile(`(?m)^  q0 → \S+ \((.*)\)$`)
+	for _, c := range []struct {
+		verifier string
+		tag      *regexp.Regexp
+	}{{"none", regexp.MustCompile(`^not verified$`)}, {"smp", regexp.MustCompile(`^(SSP≈[01]\.\d{3}|accepted by lower bound)$`)}} {
+		code, stdout, stderr := pgsearch(t, append(knobs, "-verifier", c.verifier)...)
+		if code != 0 {
+			t.Fatalf("-verifier %s: exit %d: %s", c.verifier, code, stderr)
+		}
+		lines := answerLine.FindAllStringSubmatch(stdout, -1)
+		if len(lines) == 0 {
+			t.Fatalf("-verifier %s: no answer lines in\n%s", c.verifier, stdout)
+		}
+		for _, l := range lines {
+			if !c.tag.MatchString(l[1]) {
+				t.Errorf("-verifier %s: answer tagged %q", c.verifier, l[1])
+			}
+		}
+	}
+}
+
 // TestExitCodes: an expired -timeout exits 3 with one stderr line, and a
 // bad -verifier exits 2 before any file is opened.
 func TestExitCodes(t *testing.T) {

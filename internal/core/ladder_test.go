@@ -94,9 +94,11 @@ func ladderQueries(v *View, seed int64, n int) []*graph.Graph {
 }
 
 // prepareDNF is the ladder's first rung as VerifySSP reaches it: gi's
-// clauses enumerated from q, then prepared.
-func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (*verify.DNF, bool, error) {
-	return v.prepareClauses(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt)
+// clauses enumerated from q, then prepared. capped reports that the search
+// stopped at the cap: prepare then lowers any threshold, 1 included, to 0.
+func (v *View) prepareDNF(q *graph.Graph, gi int, opt QueryOptions) (d *verify.DNF, capped bool, err error) {
+	d, at, err := v.prepare(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt, 1)
+	return d, at == 0, err
 }
 
 // perRQClauses is the clause collection prepareDNF replaced, kept as its

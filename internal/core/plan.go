@@ -70,12 +70,16 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 	}
 
 	// Relaxed query set U (Lemma 1), as far as pruning reads it.
-	obs.Stage(ctx, "relax", func(context.Context) (int64, error) {
+	err := obs.Stage(ctx, "relax", func(ctx context.Context) (int64, error) {
 		var complete bool
-		p.deleted, complete = relax.Enumerate(q, opt.Delta, opt.MaxRelaxed)
+		var err error
+		p.deleted, complete, err = relax.Enumerate(ctx, q, opt.Delta, opt.MaxRelaxed)
 		p.partial = !complete
-		return int64(len(p.deleted)), nil
+		return int64(len(p.deleted)), err
 	})
+	if err != nil {
+		return nil, err
+	}
 	p.stats.RelaxedQueries = len(p.deleted)
 
 	// Structural pruning (Theorem 1). The count scan is serial; the exact
@@ -86,7 +90,7 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 		limit = 1
 	}
 	t0 := time.Now()
-	err := obs.Stage(ctx, "struct_filter", func(ctx context.Context) (int64, error) {
+	err = obs.Stage(ctx, "struct_filter", func(ctx context.Context) (int64, error) {
 		var err error
 		p.scq, p.sets, p.stats.StructFilterCandidates, err = v.Struct.SCqSetsCtx(ctx, q, opt.Delta, opt.Concurrency, limit)
 		return int64(len(p.scq)), err
@@ -101,13 +105,12 @@ func (v *View) newPlan(ctx context.Context, q *graph.Graph, opt QueryOptions, ra
 		t := time.Now()
 		err := obs.Stage(ctx, "pmi_prune", func(ctx context.Context) (int64, error) {
 			var err error
-			p.pr, err = v.newPruner(ctx, q, p.deleted, opt, true)
+			p.pr, err = v.newPruner(ctx, q, p.deleted, p.partial, opt, true)
 			return 0, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		p.pr.partial = p.partial
 		p.stats.TimeProb = time.Since(t)
 	}
 	return p, nil

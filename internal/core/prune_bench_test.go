@@ -47,7 +47,7 @@ func BenchmarkNewPruner(b *testing.B) {
 				b.ReportMetric(float64(v.PMI.NumFeatures()), "features")
 				qo := QueryOptions{Delta: c.delta}
 				for i := 0; i < b.N; i++ {
-					if _, err := v.newPruner(bg, qs[i%len(qs)], us[i%len(qs)], qo, lower); err != nil {
+					if _, err := v.newPruner(bg, qs[i%len(qs)], us[i%len(qs)], false, qo, lower); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -173,7 +173,9 @@ type Result struct {
 	// ladder's budget, or VerifierExact) or the full SMP estimate. A
 	// verified non-answer carries a value below ε that is its exact SSP, the
 	// estimate, or an upper bound on the estimate — whichever the ladder of
-	// VerifySSP reached first.
+	// VerifySSP reached first. Under VerifierNone no candidate is verified
+	// and the answers have no entry here, though QueryStream's Match
+	// carries -1 for them.
 	SSP map[int]float64
 	// Stats carries phase instrumentation.
 	Stats Stats
@@ -182,9 +184,10 @@ type Result struct {
 // QueryCtx runs the full T-PS pipeline for query graph q against this
 // view. Candidates are evaluated on a pool of opt.Concurrency workers; see
 // QueryOptions for the determinism guarantee. Cancellation (or a deadline)
-// is checked at every pipeline stage — before the structural scan, per
-// exact confirmation, per feature during pruner
-// construction, and per candidate in the fused prune+verify loop. A
+// is checked at every pipeline stage — every 64 sets of the relaxed-set
+// walk, before the structural scan, per exact confirmation, per feature
+// during pruner construction, and per candidate in the fused prune+verify
+// loop. A
 // cancelled query returns (nil, ctx.Err()) promptly — one in-flight
 // candidate evaluation per worker at most — leaks no goroutines, and
 // never returns a partial Result.
@@ -192,15 +195,24 @@ func (v *View) QueryCtx(ctx context.Context, q *graph.Graph, opt QueryOptions) (
 	return v.query(ctx, q, opt, nil)
 }
 
-// candOutcome is the per-candidate result of the fused pruning +
-// verification stage, written by exactly one worker.
+// candOutcome is one candidate's decision, written by exactly one worker:
+// the verdict of the PMI bounds, the ladder's decision when it reached
+// verification, and what the decision means for the query's outputs —
+// every output (Answers, Result.SSP, the stream's Match, Stats) is read
+// from it.
 type candOutcome struct {
 	verdict judgement
 	decision
-	err     error
-	probT   time.Duration
-	verifyT time.Duration
-	ran     bool // set once evaluated without error
+	// answer marks an answer; ssp (the decision's) is the value its Match
+	// carries, and recorded says Result.SSP holds it. A lower-bound accept
+	// carries -1 in both; a VerifierNone answer carries -1 and is not
+	// recorded.
+	answer   bool
+	recorded bool
+	err      error
+	probT    time.Duration
+	verifyT  time.Duration
+	ran      bool // set once evaluated without error
 }
 
 // tally adds the outcome to the stage times, candidate counters and ladder
@@ -242,32 +254,22 @@ func (v *View) evalCandidate(p *plan, i int) candOutcome {
 		o.verdict = p.pr.judge(gi)
 		o.probT = time.Since(t)
 	}
-	if o.verdict != judgeUndecided || p.opt.Verifier == VerifierNone {
-		return o
-	}
-	t := time.Now()
-	o.decision, o.err = v.verifyClauses(p.sets[i], gi, p.opt, p.opt.Epsilon)
-	o.verifyT = time.Since(t)
-	return o
-}
-
-// outcomeMatch translates a candidate outcome into stream terms: whether
-// gi belongs to the answer set, and the SSP to report for it. Verified
-// answers carry their estimate; direct lower-bound accepts and
-// VerifierNone answers carry -1 ("not re-estimated"), mirroring
-// Result.SSP.
-func outcomeMatch(o candOutcome, opt QueryOptions) (match bool, ssp float64) {
-	switch o.verdict {
-	case judgePrune:
-		return false, 0
-	case judgeAccept:
-		return true, -1
+	switch {
+	case o.verdict == judgePrune:
+	case o.verdict == judgeAccept:
+		o.ssp, o.answer, o.recorded = -1, true, true
+	case p.opt.Verifier == VerifierNone:
+		o.ssp, o.answer = -1, true
 	default:
-		if opt.Verifier == VerifierNone {
-			return true, -1
+		t := time.Now()
+		d, at, err := v.prepare(p.sets[i], gi, p.opt, p.opt.Epsilon)
+		if err == nil {
+			o.decision, err = decide(d, p.opt, at)
 		}
-		return o.ssp >= opt.Epsilon, o.ssp
+		o.err, o.verifyT = err, time.Since(t)
+		o.answer, o.recorded = o.ssp >= p.opt.Epsilon, true
 	}
+	return o
 }
 
 // query is every threshold query: QueryCtx and the batch members with a
@@ -308,7 +310,7 @@ func (v *View) query(ctx context.Context, q *graph.Graph, opt QueryOptions, emit
 // that completed its candidate — so with Concurrency > 1 calls overlap and
 // emit must be safe for that (the stream's is a channel send).
 func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Match)) error {
-	opt, scq := p.opt, p.scq
+	scq := p.scq
 
 	// Phases 2+3, fused per candidate: probabilistic pruning via PMI
 	// bounds, then verification (§5) for the undecided. Each candidate is
@@ -319,18 +321,15 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 	// at any concurrency.
 	outs := make([]candOutcome, len(scq))
 	err := obs.Stage(ctx, "verify", func(ctx context.Context) (int64, error) {
-		return int64(len(scq)), pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(opt.Concurrency, len(scq)), func(i int) error {
+		return int64(len(scq)), pool.ForEachIndexCtx(ctx, len(scq), pool.Normalize(p.opt.Concurrency, len(scq)), func(i int) error {
 			o := v.evalCandidate(p, i)
 			if o.err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", scq[i], o.err)
 			}
 			o.ran = true
 			outs[i] = o
-			if emit == nil {
-				return nil
-			}
-			if match, ssp := outcomeMatch(o, opt); match {
-				emit(Match{Graph: scq[i], SSP: ssp})
+			if emit != nil && o.answer {
+				emit(Match{Graph: scq[i], SSP: o.ssp})
 			}
 			return nil
 		})
@@ -345,20 +344,11 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 			continue
 		}
 		o.tally(&res.Stats)
-		switch o.verdict {
-		case judgePrune:
-		case judgeAccept:
-			res.Answers = append(res.Answers, gi)
-			res.SSP[gi] = -1
-		default:
-			if opt.Verifier == VerifierNone {
-				res.Answers = append(res.Answers, gi)
-				continue
-			}
+		if o.recorded {
 			res.SSP[gi] = o.ssp
-			if o.ssp >= opt.Epsilon {
-				res.Answers = append(res.Answers, gi)
-			}
+		}
+		if o.answer {
+			res.Answers = append(res.Answers, gi)
 		}
 	}
 	return err
@@ -433,38 +423,29 @@ type decision struct {
 
 // verifySSP is VerifySSP past its checks — the per-candidate form: gi is a
 // live slot and opt is defaulted. It enumerates gi's clauses for itself;
-// a plan's candidates were enumerated by their confirmation and go
-// straight to verifyClauses.
+// a plan's candidates were enumerated by their confirmation.
 func (v *View) verifySSP(q *graph.Graph, gi int, opt QueryOptions, eps float64) (decision, error) {
-	return v.verifyClauses(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt, eps)
-}
-
-// verifyClauses runs the ladder on candidate gi's clauses. eps is the
-// threshold the ladder may reject against; the ranked forms pass 0 and get
-// a value for every candidate, and so does a candidate whose clause
-// enumeration hit its cap: its V reads only part of its DNF, so no rung
-// may reject it on a bound.
-func (v *View) verifyClauses(clauses []graph.EdgeSet, gi int, opt QueryOptions, eps float64) (decision, error) {
-	d, capped, err := v.prepareClauses(clauses, gi, opt)
+	d, at, err := v.prepare(iso.EdgeSetsWithin(q, v.Certain[gi], opt.Delta, DefaultMaxClausesPerCandidate), gi, opt, eps)
 	if err != nil {
 		return decision{}, err
 	}
-	if capped {
-		eps = 0
-	}
-	return decide(d, opt, eps)
+	return decide(d, opt, at)
 }
 
-// prepareClauses is the ladder's first rung: candidate gi's clauses with
-// their exact probabilities, ready for decide. The clauses are the DNF of
-// Equation 22 — the distinct edge sets of gc on which some rq ∈ U embeds —
-// from one budgeted search of q (iso.EdgeSetsWithin at
-// DefaultMaxClausesPerCandidate): all of U, whatever MaxRelaxed caps, and
-// no set absorbs another. capped reports that the search stopped at the
-// cap, so the list may be incomplete. The engine is not resolved for a
-// candidate without clauses.
-func (v *View) prepareClauses(clauses []graph.EdgeSet, gi int, opt QueryOptions) (d *verify.DNF, capped bool, err error) {
-	capped = len(clauses) == DefaultMaxClausesPerCandidate
+// prepare is the ladder's first rung: candidate gi's clauses with their
+// exact probabilities, and the threshold decide may reject them at. The
+// clauses are the DNF of Equation 22 — the distinct edge sets of gc on
+// which some rq ∈ U embeds — from one budgeted search of q
+// (iso.EdgeSetsWithin at DefaultMaxClausesPerCandidate): all of U, whatever
+// MaxRelaxed caps, and no set absorbs another. The threshold is eps, or 0
+// when the search stopped at the cap: the list may then be incomplete, its
+// V reads only part of the DNF, and no rung may reject on a bound. The
+// ranked forms pass eps 0 and get a value for every candidate. The engine
+// is not resolved for a candidate without clauses.
+func (v *View) prepare(clauses []graph.EdgeSet, gi int, opt QueryOptions, eps float64) (d *verify.DNF, at float64, err error) {
+	if len(clauses) == DefaultMaxClausesPerCandidate {
+		eps = 0
+	}
 	vo := opt.Verify
 	vo.Seed = candSeed(opt.Seed^verifySalt, v.GID(gi))
 	if opt.Verifier == VerifierExact {
@@ -475,11 +456,11 @@ func (v *View) prepareClauses(clauses []graph.EdgeSet, gi int, opt QueryOptions)
 	var eng *prob.Engine
 	if len(clauses) > 0 {
 		if eng, err = v.Engine(gi); err != nil {
-			return nil, capped, err
+			return nil, eps, err
 		}
 	}
 	d, err = verify.Prepare(eng, clauses, vo)
-	return d, capped, err
+	return d, eps, err
 }
 
 // decide runs the rungs below preparation on d.
@@ -535,9 +516,8 @@ type pruner struct {
 	nu  int // members of U listed
 	opt QueryOptions
 
-	// partial reports that the members listed are a prefix of U, which
-	// the plan sets after construction; Usim is then the trivial 1 (a cover
-	// of part of U bounds nothing).
+	// partial reports that the members listed are a prefix of U; Usim is
+	// then the trivial 1 (a cover of part of U bounds nothing).
 	partial bool
 
 	// rels lists the features that relate to some member, ascending by
@@ -558,7 +538,7 @@ type relation struct {
 // newPruner builds the query-side feature/relaxed-query relations for U =
 // q minus each of the deletion sets deleted (relax.Members: every set has
 // δ edges, so every member has |E(q)| − δ), paying per feature that embeds
-// in q.
+// in q. partial marks the sets as a prefix of U.
 //
 // Every rq is a piece of q, so f ⊆iso rq iff some embedding of f in q
 // avoids the edges rq lacks: one enumeration per feature — uncapped, a
@@ -575,8 +555,8 @@ type relation struct {
 // dropped, may have no image for), match member graphs, built on first
 // use and kept for the construction alone. ctx is checked per feature; a
 // cancelled construction returns (nil, ctx.Err()).
-func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.EdgeSet, opt QueryOptions, lower bool) (*pruner, error) {
-	p := &pruner{v: v, nu: len(deleted), opt: opt}
+func (v *View) newPruner(ctx context.Context, q *graph.Graph, deleted []graph.EdgeSet, partial bool, opt QueryOptions, lower bool) (*pruner, error) {
+	p := &pruner{v: v, nu: len(deleted), opt: opt, partial: partial}
 	delta := 0
 	if len(deleted) > 0 {
 		delta = deleted[0].Count()

@@ -63,7 +63,7 @@ func TestBoundsSandwichExactSSP(t *testing.T) {
 			scq, _ := v.Struct.SCq(q, delta, 1)
 			for _, optBounds := range []bool{false, true} {
 				qo := QueryOptions{Epsilon: []float64{0.5, 0.3, 0.1}[seed%3], Delta: delta, OptBounds: optBounds, Seed: seed}
-				pr, err := v.newPruner(context.Background(), q, deleted, qo.withDefaults(), true)
+				pr, err := v.newPruner(context.Background(), q, deleted, false, qo.withDefaults(), true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +279,7 @@ func TestMaskRelationsMatchPerRQTables(t *testing.T) {
 		t.Helper()
 		u, deleted := relax.Relaxed(q, delta, maxRelaxed), relax.Members(q, delta, maxRelaxed)
 		v := &View{PMI: &pmi.Index{Features: features}}
-		pr, err := v.newPruner(bg, q, deleted, QueryOptions{}, true)
+		pr, err := v.newPruner(bg, q, deleted, false, QueryOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestPrunerRelationBranches(t *testing.T) {
 		t.Helper()
 		u, deleted := relax.Relaxed(q, delta, 0), relax.Members(q, delta, 0)
 		v := &View{PMI: &pmi.Index{Features: features}}
-		pr, err := v.newPruner(bg, q, deleted, QueryOptions{}, true)
+		pr, err := v.newPruner(bg, q, deleted, false, QueryOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,11 @@ import (
 	"probgraph/internal/graph"
 )
 
-// Match is one verified answer delivered by View.QueryStream: a
-// database graph index and the SSP reported for it. SSP mirrors
-// Result.SSP: verified answers carry their estimate, direct lower-bound
-// accepts (and VerifierNone answers) carry -1 — they were admitted without
-// re-estimation.
+// Match is one answer delivered by View.QueryStream: a database graph
+// index and the SSP reported for it. SSP mirrors Result.SSP: verified
+// answers carry the ladder's value, direct lower-bound accepts carry -1 —
+// they were admitted without re-estimation. VerifierNone answers carry -1
+// too, but Result.SSP has no entry for them.
 type Match struct {
 	Graph int
 	SSP   float64

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"probgraph/internal/graph"
@@ -16,7 +15,7 @@ import (
 // TopKItem is one ranked answer.
 type TopKItem struct {
 	Graph int     // database index
-	SSP   float64 // estimated subgraph similarity probability
+	SSP   float64 // the ladder's value: the exact SSP or the full SMP estimate
 }
 
 // topkRule is the serial top-k rule, and the one place it is written. A
@@ -175,18 +174,15 @@ func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt Que
 		return w, nil
 	}
 	workers := pool.Normalize(p.opt.Concurrency, len(sched))
-	vals := make([]float64, len(sched))
+	outs := make([]candOutcome, len(sched))
 	var (
 		r         topkRule
 		committed int
 	)
 	err = obs.Stage(ctx, "topk_commit", func(ctx context.Context) (int64, error) {
 		r = newTopKRule(k, len(sched))
-		var (
-			valued int          // sched[:valued] has been valued
-			failAt = len(sched) // the first entry that failed, with werr
-			werr   error
-		)
+		valued := 0 // sched[:valued] has been valued
+		var werr error
 		for i, c := range sched {
 			if r.stops(c) {
 				break
@@ -194,28 +190,23 @@ func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt Que
 			if i == valued {
 				valued = min(i+workers, len(sched))
 				werr = pool.ForEachIndexCtx(ctx, valued-i, workers, func(j int) error {
-					d, err := decide(dnfs[i+j], p.opt, 0)
-					if err != nil {
-						vals[i+j] = math.NaN()
-						return fmt.Errorf("core: verifying graph %d: %w", sched[i+j].Graph, err)
+					o := &outs[i+j]
+					if o.decision, o.err = decide(dnfs[i+j], p.opt, 0); o.err != nil {
+						return fmt.Errorf("core: verifying graph %d: %w", sched[i+j].Graph, o.err)
 					}
-					vals[i+j] = d.ssp
 					return nil
 				})
-				if werr != nil {
-					// The loop's error is its lowest failing entry's, and
-					// every entry below that one ran: the first NaN. A dead
-					// context ends the walk here.
-					failAt = i
-					if ctx.Err() == nil {
-						failAt += slices.IndexFunc(vals[i:valued], math.IsNaN)
-					}
+				// A dead context ends the walk at its window.
+				if werr != nil && ctx.Err() != nil {
+					return int64(committed), werr
 				}
 			}
-			if i == failAt {
+			// The loop's error is its lowest failing entry's, and every
+			// entry below that one ran: the walk commits up to it.
+			if outs[i].err != nil {
 				return int64(committed), werr
 			}
-			r.commit(c, vals[i])
+			r.commit(c, outs[i].ssp)
 			committed++
 		}
 		return int64(committed), nil
@@ -225,7 +216,7 @@ func (v *View) QueryTopKWalk(ctx context.Context, q *graph.Graph, k int, opt Que
 	}
 	w.Top, w.Steps = r.top, make([]TopKStep, committed)
 	for i := range w.Steps {
-		w.Steps[i] = TopKStep{sched[i], vals[i]}
+		w.Steps[i] = TopKStep{sched[i], outs[i].ssp}
 	}
 	if committed < len(sched) {
 		w.Stop = &sched[committed]
@@ -301,16 +292,15 @@ func (v *View) topkSchedule(ctx context.Context, q *graph.Graph, k int, opt Quer
 	cands := make([]scheduled, len(p.scq))
 	err = obs.Stage(ctx, "bounds", func(ctx context.Context) (int64, error) {
 		n := int64(len(p.scq))
-		pr, err := v.newPruner(ctx, q, p.deleted, p.opt, false)
+		pr, err := v.newPruner(ctx, q, p.deleted, p.partial, p.opt, false)
 		if err != nil {
 			return n, err
 		}
-		pr.partial = p.partial
 		return n, pool.ForEachIndexCtx(ctx, len(p.scq), pool.Normalize(p.opt.Concurrency, len(p.scq)), func(i int) error {
 			gi := p.scq[i]
 			usim, sc := pr.usim(gi)
 			putScratch(sc)
-			d, _, err := v.prepareClauses(p.sets[i], gi, p.opt)
+			d, _, err := v.prepare(p.sets[i], gi, p.opt, 0)
 			if err != nil {
 				return fmt.Errorf("core: verifying graph %d: %w", gi, err)
 			}
@@ -358,7 +348,7 @@ func (v *View) QueryTopKBounds(ctx context.Context, q *graph.Graph, k int, opt Q
 // a bound and the sampler never stops early, so every slot gets its exact
 // SSP (its elimination within the budget) or its full SMP estimate, which is
 // what QueryTopKCtx ranks by. Each slot's DNF comes from q and opt.Delta
-// alone (see prepareDNF), and its value seeds from its global id alone,
+// alone (see VerifySSP), and its value seeds from its global id alone,
 // independent of batching, order, or worker count. Its one caller outside
 // tests is the benchmark ledger (bench/layers.go), beside QueryTopKBounds.
 func (v *View) VerifySSPBatch(ctx context.Context, q *graph.Graph, gis []int, opt QueryOptions) ([]float64, error) {

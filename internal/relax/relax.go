@@ -17,6 +17,8 @@
 package relax
 
 import (
+	"context"
+
 	"probgraph/internal/graph"
 )
 
@@ -53,9 +55,10 @@ func Relaxed(q *graph.Graph, delta, maxSize int) []*graph.Graph {
 
 // Members returns the deletion sets of Relaxed's members, in its order, as
 // masks over q's edge ids: Relaxed(q, δ, m)[i] is Member(q, Members(q, δ,
-// m)[i]) up to isomorphism. It is Enumerate without the completeness flag.
+// m)[i]) up to isomorphism. It is Enumerate without the completeness flag,
+// and without a context to cancel it.
 func Members(q *graph.Graph, delta, maxSize int) []graph.EdgeSet {
-	deleted, _ := Enumerate(q, delta, maxSize)
+	deleted, _, _ := Enumerate(context.Background(), q, delta, maxSize)
 	return deleted
 }
 
@@ -66,13 +69,20 @@ func Members(q *graph.Graph, delta, maxSize int) []graph.EdgeSet {
 // each, to keep one.
 const walkFactor = 4
 
+// cancelCheck is how many deletion sets Enumerate walks between two reads
+// of its context: at ≈ 12 µs a set on a large symmetric query, under a
+// millisecond.
+const cancelCheck = 64
+
 // Enumerate returns the deletion sets of U, in Relaxed's order, and whether
 // they are all of U. Deletion sets are enumerated in lexicographic order
 // and the first of each isomorphism class is kept; the walk stops once
 // maxSize members are kept (maxSize <= 0 selects DefaultMaxSize) or
 // walkFactor·max(maxSize, DefaultMaxSize) sets are walked, and complete
 // reports that it walked every set. The order does not depend on where the
-// walk stops, so a shorter walk returns a prefix of a longer one.
+// walk stops, so a shorter walk returns a prefix of a longer one. ctx is
+// checked every cancelCheck walked sets; a cancelled walk returns no sets
+// and ctx.Err().
 //
 // Classes are told apart by an isomorphism-invariant fingerprint of
 // (q, deletion set) first. Only where a fingerprint repeats are member
@@ -81,16 +91,16 @@ const walkFactor = 4
 // a top-k each, one worker), the walk takes 8 % of the time; of that the
 // codes take 16 %, the fingerprints 24 % and building the member graphs
 // 22 %.
-func Enumerate(q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet, complete bool) {
+func Enumerate(ctx context.Context, q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet, complete bool, err error) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxSize
 	}
 	ne := q.NumEdges()
 	switch {
 	case delta <= 0:
-		return []graph.EdgeSet{graph.NewEdgeSet(ne)}, true
+		return []graph.EdgeSet{graph.NewEdgeSet(ne)}, true, nil
 	case delta >= ne:
-		return []graph.EdgeSet{graph.FullEdgeSet(ne)}, true
+		return []graph.EdgeSet{graph.FullEdgeSet(ne)}, true, nil
 	}
 	fingerprint := fingerprints(q)
 	// holder maps a fingerprint to the member that first showed it, or to
@@ -104,12 +114,17 @@ func Enumerate(q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet, com
 	rec = func(start graph.EdgeID) {
 		// Every call has a deletion set below it, so one that returns here
 		// leaves a set unwalked.
-		if len(deleted) >= maxSize || walked >= budget {
+		if len(deleted) >= maxSize || walked >= budget || err != nil {
 			stopped = true
 			return
 		}
 		if len(drop) == delta {
 			walked++
+			if walked%cancelCheck == 0 {
+				if err = ctx.Err(); err != nil {
+					return
+				}
+			}
 			mask := graph.NewEdgeSet(ne)
 			for _, e := range drop {
 				mask.Add(e)
@@ -139,7 +154,10 @@ func Enumerate(q *graph.Graph, delta, maxSize int) (deleted []graph.EdgeSet, com
 		}
 	}
 	rec(0)
-	return deleted, !stopped
+	if err != nil {
+		return nil, false, err
+	}
+	return deleted, !stopped, nil
 }
 
 // Member returns the relaxed query of one deletion set: q without the

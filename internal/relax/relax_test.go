@@ -1,6 +1,8 @@
 package relax
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -426,7 +428,9 @@ func TestMemberMatchesDeleteThenDrop(t *testing.T) {
 // about 19 s to keep its one member, bounded ≈ 0.2 s (≈ 2.7 s under the
 // race detector, 2 vCPUs). Below the budget and the size cap U is
 // complete: the 12-edge star at δ 6 walks all 924 sets. Only a walk that
-// reached every set is complete, and a cap that binds is not.
+// reached every set is complete, and a cap that binds is not. The walk
+// reads its context as it goes: under a cancelled one the 24-edge star
+// returns context.Canceled and no sets.
 func TestEnumerateWalkBudget(t *testing.T) {
 	star := func(n int) *graph.Graph {
 		edges := make([][2]int, n)
@@ -436,27 +440,32 @@ func TestEnumerateWalkBudget(t *testing.T) {
 		return symmetric(n+1, edges)
 	}
 	start := time.Now()
-	deleted, complete := Enumerate(star(24), 12, 0)
+	deleted, complete, _ := Enumerate(context.Background(), star(24), 12, 0)
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("24-edge star at δ 12: the walk took %v", took)
 	}
 	if complete || len(deleted) != 1 || !slices.Equal(deleted[0].Slice(), []graph.EdgeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
 		t.Fatalf("24-edge star at δ 12: %d members (first %v), complete %v; want the first deletion set alone, incomplete", len(deleted), deleted[0].Slice(), complete)
 	}
-	if deleted, complete := Enumerate(star(12), 6, 0); !complete || len(deleted) != 1 {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if deleted, complete, err := Enumerate(ctx, star(24), 12, 0); !errors.Is(err, context.Canceled) || deleted != nil || complete {
+		t.Fatalf("24-edge star at δ 12, cancelled: %d members, complete %v, error %v; want none, false, context.Canceled", len(deleted), complete, err)
+	}
+	if deleted, complete, _ := Enumerate(context.Background(), star(12), 6, 0); !complete || len(deleted) != 1 {
 		t.Fatalf("12-edge star at δ 6: %d members, complete %v", len(deleted), complete)
 	}
 	q := paperQuery()
 	for delta := 0; delta <= q.NumEdges()+1; delta++ {
-		full, complete := Enumerate(q, delta, 0)
+		full, complete, _ := Enumerate(context.Background(), q, delta, 0)
 		if !complete {
 			t.Fatalf("paper query δ=%d: an uncapped walk of %d members is incomplete", delta, len(full))
 		}
-		if _, complete := Enumerate(q, delta, len(full)+1); !complete {
+		if _, complete, _ := Enumerate(context.Background(), q, delta, len(full)+1); !complete {
 			t.Fatalf("paper query δ=%d: a cap above |U| = %d binds", delta, len(full))
 		}
 		if len(full) > 1 {
-			if _, complete := Enumerate(q, delta, len(full)-1); complete {
+			if _, complete, _ := Enumerate(context.Background(), q, delta, len(full)-1); complete {
 				t.Fatalf("paper query δ=%d: a cap below |U| = %d reports U complete", delta, len(full))
 			}
 		}

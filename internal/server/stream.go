@@ -35,7 +35,9 @@ type StreamMatchJSON struct {
 // answers field for the same request — so a client that only tails the
 // last line still gets the full deterministic result. SSP covers the
 // answers only (what the match lines carried); unlike /query's ssp map it
-// has no entries for verified candidates that fell below ε. Trace is the
+// has no entries for verified candidates that fell below ε, and under
+// verifier none it maps every answer to -1 where /query's map has no
+// entry. Trace is the
 // request's span tree, present only when requested, as on /query.
 type StreamSummaryJSON struct {
 	Done    bool            `json:"done"`
