@@ -18,7 +18,6 @@ import (
 
 	"probgraph"
 	"probgraph/internal/experiments"
-	"probgraph/internal/prob"
 )
 
 var (
@@ -276,19 +275,13 @@ func BenchmarkEngineProbConjunction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	es := pg.UncertainEdges()
-	query := es
+	query := pg.UncertainEdges()
 	if len(query) > 4 {
 		query = query[:4]
 	}
-	set := pg.NewWorld()
-	set.Clear()
-	for _, e := range query {
-		set.Add(e)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ProbLits(prob.AllPresent(set)); err != nil {
+		if _, err := eng.ProbLits(query); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -210,9 +210,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // tableJSON converts a rendered table to its export form: raw rows always,
-// plus numeric series (per non-x column) when the cells parse as numbers.
-// Non-numeric cells (verifier names, "n/a") simply omit that point, so a
-// series' x and y stay aligned.
+// plus numeric series (per non-x column) over the cells that are numbers.
+// A float cell exports the value it was given, not its 4-digit rendering;
+// any other cell counts when its rendering parses as a number. Non-numeric
+// cells (verifier names, "n/a") simply omit that point, so a series' x and
+// y stay aligned.
 func tableJSON(name string, t *stats.Table, wallMS float64) figureJSON {
 	fj := figureJSON{
 		Figure:  name,
@@ -227,12 +229,12 @@ func tableJSON(name string, t *stats.Table, wallMS float64) figureJSON {
 	}
 	for col := 1; col < len(t.Headers); col++ {
 		s := seriesJSON{Name: t.Headers[col], X: []float64{}, Y: []float64{}}
-		for _, row := range t.Rows() {
+		for r, row := range t.Rows() {
 			if col >= len(row) {
 				continue
 			}
-			x, errX := parseCell(row[0])
-			y, errY := parseCell(row[col])
+			x, errX := cellValue(t, r, 0)
+			y, errY := cellValue(t, r, col)
 			if errX != nil || errY != nil {
 				continue
 			}
@@ -246,8 +248,15 @@ func tableJSON(name string, t *stats.Table, wallMS float64) figureJSON {
 	return fj
 }
 
-// parseCell reads a numeric table cell, tolerating unit-ish suffixes the
-// tables use (q50 → 50 is NOT parsed; "12.5" and "3e-2" are).
-func parseCell(s string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+// cellValue reads cell (r, c) of t as a number: a float cell's value, or
+// any other cell's rendering parsed ("12.5" and "3e-2" are numbers, "q50"
+// is not).
+func cellValue(t *stats.Table, r, c int) (float64, error) {
+	switch v := t.Values()[r][c].(type) {
+	case float64:
+		return v, nil
+	case float32:
+		return float64(v), nil
+	}
+	return strconv.ParseFloat(strings.TrimSpace(t.Rows()[r][c]), 64)
 }

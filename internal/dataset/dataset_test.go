@@ -178,8 +178,7 @@ func TestPaperFigure1Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Graph 001's printed JPT: Pr(e1,e2,e3 all present) = 0.2.
-	all := graph.FullEdgeSet(3)
-	p, err := eng1.ProbLits(prob.AllPresent(all))
+	p, err := eng1.ProbLits([]graph.EdgeID{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+
+	"probgraph/internal/graph"
 )
 
 // ProbNoClause returns the probability under e's distribution, its evidence
-// included, that none of the clauses holds, a clause being the conjunction
-// of its literals — one minus the probability of their DNF. It is computed
-// exactly by variable elimination over two kinds of factor: every JPT of
-// each connected component of the model that a clause reaches, so that
-// tables sharing edges enter whole, and one 0/1 factor per clause that is 0
-// where the clause holds, applied by writing those zeros alone. The
-// normalizer is the product of those components' partition functions, read
-// from e.
+// included, that none of the clauses holds, a clause holding when every
+// edge it lists is present — one minus the probability of their DNF. It is
+// computed exactly by variable elimination over two kinds of factor: every
+// JPT of each connected component of the model that a clause reaches, so
+// that tables sharing edges enter whole, and one 0/1 factor per clause over
+// its distinct uncertain edges that is 0 where they are all present,
+// applied by writing those zeros alone. The normalizer is the product of
+// those components' partition functions, read from e.
 //
 // The min-degree order over the reached variables is compiled from symbols
 // on each call, by the planner that also gives NewEngine its schedule, and
@@ -25,18 +27,19 @@ import (
 // wider than MaxFactorWidth, the call declines, ok false, before any
 // arithmetic runs.
 // It draws no random numbers and works in pooled scratch, so a warmed call
-// allocates nothing. A clause with a literal that cannot hold (a certain
-// edge asserted absent, one edge asserted both ways) never holds and is
-// dropped; a clause whose literals all assert certain edges present holds
-// in every world, and the probability is 0.
-func (e *Engine) ProbNoClause(clauses [][]Literal, budget int) (p float64, ok bool, err error) {
+// allocates nothing. A clause that lists only certain edges, the empty
+// clause among them, holds in every world, and the probability is 0.
+func (e *Engine) ProbNoClause(clauses [][]graph.EdgeID, budget int) (p float64, ok bool, err error) {
 	return e.probNoClause(clauses, budget, zeroWhereHolds)
 }
 
 // probNoClause is ProbNoClause with each clause factor applied by zero.
-func (e *Engine) probNoClause(clauses [][]Literal, budget int, zero clauseFactor) (p float64, ok bool, err error) {
+func (e *Engine) probNoClause(clauses [][]graph.EdgeID, budget int, zero clauseFactor) (p float64, ok bool, err error) {
 	if e.z == 0 {
 		return 0, false, fmt.Errorf("prob: conditioning event has zero probability")
+	}
+	if len(clauses) == 0 {
+		return 1, true, nil
 	}
 	s := elimPool.Get().(*elimScratch)
 	defer elimPool.Put(s)
@@ -45,9 +48,6 @@ func (e *Engine) probNoClause(clauses [][]Literal, budget int, zero clauseFactor
 		return 0, true, nil
 	case overBudget:
 		return 0, false, nil
-	}
-	if len(s.pats) == 0 {
-		return 1, true, nil
 	}
 	if s.order(budget) > 0 || s.cost() > budget {
 		return 0, false, nil
@@ -74,13 +74,11 @@ type elimScratch struct {
 	live  []bool  // component → some clause reaches it
 	local []int32 // variable → local variable, or -1
 	seen  []int32 // variable → 1 + the last clause that listed it
-	pol   []bool  // variable → the polarity that clause asserts
 
 	vars   []int32  // local → engine variable
 	jpts   []int32  // reached JPTs, by index into the model's
-	cvars  []int32  // the kept clauses' distinct engine variables, flat
-	coff   []int32  // offsets of each kept clause's run in cvars
-	pats   []int    // per kept clause, the assignment of its scope where it holds
+	cvars  []int32  // the clauses' distinct engine variables, flat
+	coff   []int32  // offsets of each clause's run in cvars
 	scope  []int32  // every factor's local variables: JPTs in Edges order, then clauses, then steps' outputs ascending
 	off    []int32  // factor → its run in scope (len = factors + 1)
 	adj    []uint64 // local variable → its neighbours and itself, words per row
@@ -100,7 +98,7 @@ type elimScratch struct {
 	w0, w1 []float64 // the current step's weights per assignment of its outputs, variable absent and present
 	lo, hi []int     // the current input's index per assignment of the outputs' low and high halves
 	put    []int     // output bit → the current input's index bit it sets, or 0
-	nf     int       // original factors: len(jpts) + len(pats)
+	nf     int       // original factors: the reached JPTs and the clauses
 }
 
 var elimPool = sync.Pool{New: func() any { return new(elimScratch) }}
@@ -120,45 +118,30 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// factors collects the model to eliminate: the clauses' distinct variables
-// and polarities, the components they reach, those components' variables
-// and JPTs, and every factor's scope. It returns certainClause or
-// overBudget as soon as either is known: each factor is multiplied in once,
-// by a step at least as wide as the factor, so the sum of 2^arity over the
-// factors is a lower bound on the cost.
-func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
+// factors collects the model to eliminate: the clauses' distinct
+// variables, the components they reach, those components' variables and
+// JPTs, and every factor's scope. It returns certainClause or overBudget
+// as soon as either is known: each factor is multiplied in once, by a step
+// at least as wide as the factor, so the sum of 2^arity over the factors is
+// a lower bound on the cost.
+func (s *elimScratch) factors(e *Engine, clauses [][]graph.EdgeID, budget int) int {
 	pg, sc := e.pg, e.sched
 	n := len(pg.uncertain)
-	s.seen, s.pol = grow(s.seen, n), grow(s.pol, n)
+	s.seen = grow(s.seen, n)
 	clear(s.seen)
 	s.cvars, s.coff = s.cvars[:0], append(s.coff[:0], 0)
-	s.pats = s.pats[:0]
 	for ci, c := range clauses {
-		start, pat, never := len(s.cvars), 0, false
-		for _, l := range c {
-			v := pg.variable(l.Edge)
-			switch {
-			case v < 0:
-				never = never || !l.Present
-			case s.seen[v] == int32(ci+1):
-				never = never || s.pol[v] != l.Present
-			default:
-				s.seen[v], s.pol[v] = int32(ci+1), l.Present
-				if l.Present {
-					pat |= 1 << (len(s.cvars) - start)
-				}
+		start := len(s.cvars)
+		for _, ed := range c {
+			if v := pg.variable(ed); v >= 0 && s.seen[v] != int32(ci+1) {
+				s.seen[v] = int32(ci + 1)
 				s.cvars = append(s.cvars, int32(v))
 			}
 		}
-		switch {
-		case never:
-			s.cvars = s.cvars[:start]
-		case len(s.cvars) == start:
+		if len(s.cvars) == start {
 			return certainClause
-		default:
-			s.coff = append(s.coff, int32(len(s.cvars)))
-			s.pats = append(s.pats, pat)
 		}
+		s.coff = append(s.coff, int32(len(s.cvars)))
 	}
 	s.live = grow(s.live, len(sc.roots))
 	clear(s.live)
@@ -175,7 +158,7 @@ func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
 		}
 	}
 	cost := s.jptFactors(pg)
-	for i := range s.pats {
+	for i := range clauses {
 		vs := s.cvars[s.coff[i]:s.coff[i+1]]
 		if len(vs) > MaxFactorWidth {
 			return overBudget
@@ -189,7 +172,7 @@ func (s *elimScratch) factors(e *Engine, clauses [][]Literal, budget int) int {
 	if cost > budget {
 		return overBudget
 	}
-	s.nf = len(s.jpts) + len(s.pats)
+	s.nf = len(s.jpts) + len(clauses)
 	return modelReady
 }
 
@@ -376,10 +359,10 @@ func (s *elimScratch) buffers() {
 // plan order from 1.0, once with the summed variable absent (w0) and once
 // present (w1) — zero applies a clause factor, zeroing the weights where
 // its clause holds — and stores their sum; a variable e's evidence pins
-// weighs 0 in its other value. A table input is read at the index its
-// variables' bits of m scatter to, looked up in two tables over m's low
-// and high halves. The result is the product, in step order, of the root
-// steps' constant tables.
+// weighs 0 absent. A table input is read at the index its variables' bits
+// of m scatter to, looked up in two tables over m's low and high halves.
+// The result is the product, in step order, of the root steps' constant
+// tables.
 //
 //pgvet:noalloc
 func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
@@ -409,7 +392,7 @@ func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
 			}
 			c += arity
 			if int(f) >= nj && int(f) < nf {
-				zero(w0, w1, put, self, s.pats[int(f)-nj])
+				zero(w0, w1, put, self)
 				continue
 			}
 			for x := 1; x < len(lo); x++ {
@@ -430,10 +413,7 @@ func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
 				w1[m] *= tab[i|self]
 			}
 		}
-		switch e.pin[s.vars[v]] {
-		case pinAbsent:
-			clear(w1)
-		case pinPresent:
+		if e.pin[s.vars[v]] {
 			clear(w0)
 		}
 		for m := range w0 {
@@ -451,38 +431,31 @@ func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
 // absent and present. Output bit b of m is the clause's variable put[b]
 // (a one-bit mask of the clause's scope; 0 for an output the clause does
 // not read), self is the summed variable's bit in the scope (0 when the
-// clause does not read it), and the clause holds where the scope's
-// assignment is pat.
-type clauseFactor func(w0, w1 []float64, put []int, self, pat int)
+// clause does not read it), and the clause holds where every variable of
+// its scope is present.
+type clauseFactor func(w0, w1 []float64, put []int, self int)
 
 // zeroWhereHolds is the clause factor eliminate runs. It writes 0 to the
 // 2^(w−k) entries where the clause holds and reads no other, k of the w
-// output bits being the clause's: those bits are taken from pat and the
-// others run over every subset. It zeroes w0 there when pat has the summed
-// variable absent or does not read it, w1 when pat has it present or does
-// not read it — the entries a scan of all 2^w would find, so the weights
-// come out the same bit for bit.
+// output bits being the clause's: those bits are set and the others run
+// over every subset. It zeroes w1 there, and w0 too when the clause does
+// not read the summed variable — the entries a scan of all 2^w would find,
+// so the weights come out the same bit for bit.
 //
 //pgvet:noalloc
-func zeroWhereHolds(w0, w1 []float64, put []int, self, pat int) {
-	fixed, base := 0, 0
+func zeroWhereHolds(w0, w1 []float64, put []int, self int) {
+	fixed := 0
 	for b, bit := range put {
 		if bit != 0 {
 			fixed |= 1 << b
-			if pat&bit != 0 {
-				base |= 1 << b
-			}
 		}
 	}
 	free := (len(w0) - 1) &^ fixed
-	absent, present := self == 0 || pat&self == 0, self == 0 || pat&self != 0
 	for sub := free; ; sub = (sub - 1) & free {
-		if absent {
-			w0[base|sub] = 0
+		if self == 0 {
+			w0[fixed|sub] = 0
 		}
-		if present {
-			w1[base|sub] = 0
-		}
+		w1[fixed|sub] = 0
 		if sub == 0 {
 			return
 		}

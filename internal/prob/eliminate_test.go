@@ -11,10 +11,10 @@ import (
 	"probgraph/internal/prob"
 )
 
-// holdsAll reports whether every literal holds in world w.
-func holdsAll(w graph.EdgeSet, lits []prob.Literal) bool {
-	for _, l := range lits {
-		if w.Contains(l.Edge) != l.Present {
+// holdsAll reports whether every edge of edges is present in world w.
+func holdsAll(w graph.EdgeSet, edges []graph.EdgeID) bool {
+	for _, ed := range edges {
+		if !w.Contains(ed) {
 			return false
 		}
 	}
@@ -23,7 +23,7 @@ func holdsAll(w graph.EdgeSet, lits []prob.Literal) bool {
 
 // noClauseByEnumeration is Pr(no clause holds | evidence) over base's
 // possible worlds, and the evidence's probability.
-func noClauseByEnumeration(t testing.TB, base *prob.Engine, evidence []prob.Literal, clauses [][]prob.Literal) (p, mass float64) {
+func noClauseByEnumeration(t testing.TB, base *prob.Engine, evidence []graph.EdgeID, clauses [][]graph.EdgeID) (p, mass float64) {
 	t.Helper()
 	num := 0.0
 	err := prob.EnumerateWorlds(base, func(w graph.EdgeSet, pw float64) bool {
@@ -85,40 +85,35 @@ type namedModel struct {
 	pg   *prob.PGraph
 }
 
-// randomLitClauses draws up to five clauses of one to three literals over
-// every edge, certain ones included, mostly asserting presence as a DNF's
-// clauses do.
-func randomLitClauses(rng *rand.Rand, numEdges int) [][]prob.Literal {
-	clauses := make([][]prob.Literal, rng.Intn(6))
+// randomClauses draws up to five clauses of one to three edges over every
+// edge, certain ones included; an edge may be drawn twice.
+func randomClauses(rng *rand.Rand, numEdges int) [][]graph.EdgeID {
+	clauses := make([][]graph.EdgeID, rng.Intn(6))
 	for i := range clauses {
 		for j := 1 + rng.Intn(3); j > 0; j-- {
-			clauses[i] = append(clauses[i], prob.Literal{Edge: graph.EdgeID(rng.Intn(numEdges)), Present: rng.Intn(5) != 0})
+			clauses[i] = append(clauses[i], graph.EdgeID(rng.Intn(numEdges)))
 		}
 	}
 	return clauses
 }
 
-// presentOnly reports whether every literal asserts presence, returning the
-// clauses as edge sets for ProbDNFExact.
-func presentOnly(numEdges int, clauses [][]prob.Literal) ([]graph.EdgeSet, bool) {
+// edgeSets returns the clauses as edge sets for ProbDNFExact.
+func edgeSets(numEdges int, clauses [][]graph.EdgeID) []graph.EdgeSet {
 	sets := make([]graph.EdgeSet, len(clauses))
 	for i, c := range clauses {
 		sets[i] = graph.NewEdgeSet(numEdges)
-		for _, l := range c {
-			if !l.Present {
-				return nil, false
-			}
-			sets[i].Add(l.Edge)
+		for _, ed := range c {
+			sets[i].Add(ed)
 		}
 	}
-	return sets, true
+	return sets
 }
 
 // TestProbNoClauseMatchesEnumeration: on every model, for random clause
-// lists, the empty list, a certain clause and a clause that cannot hold,
+// lists, the empty list, the empty clause and a clause of certain edges,
 // the kernel is within 1e-12 of world enumeration and of inclusion–exclusion
-// (ProbDNFExact, where every literal asserts presence), on the unconditioned
-// engine and on engines conditioned on random evidence.
+// (ProbDNFExact), on the unconditioned engine and on engines conditioned on
+// random evidence.
 func TestProbNoClauseMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	checked := 0
@@ -133,13 +128,12 @@ func TestProbNoClauseMatchesEnumeration(t *testing.T) {
 				t.Fatalf("figure1-002: Z = %v, the overlapping tables should not normalize to 1", eng.Z())
 			}
 			ne := pg.G.NumEdges()
-			lists := [][][]prob.Literal{
+			lists := [][][]graph.EdgeID{
 				nil,
-				{{{Edge: 0, Present: true}, {Edge: 0, Present: false}}},
-				{{}, {{Edge: 0, Present: true}}},
+				{{}, {0}},
 			}
 			for i := 0; i < 8; i++ {
-				lists = append(lists, randomLitClauses(rng, ne))
+				lists = append(lists, randomClauses(rng, ne))
 			}
 			if certain := graph.EdgeID(-1); pg.NumUncertain() < ne {
 				for e := 0; e < ne && certain < 0; e++ {
@@ -147,19 +141,19 @@ func TestProbNoClauseMatchesEnumeration(t *testing.T) {
 						certain = graph.EdgeID(e)
 					}
 				}
-				lists = append(lists, [][]prob.Literal{{{Edge: 0, Present: true}}, {{Edge: certain, Present: true}}})
+				lists = append(lists, [][]graph.EdgeID{{0}, {certain}})
 			}
 			for li, clauses := range lists {
-				var evidence []prob.Literal
+				var evidence []graph.EdgeID
 				if li%3 == 2 {
-					evidence = parityLits(rng, pg)
+					evidence = parityEdges(rng, pg)
 				}
 				at := fmt.Sprintf("round %d %s list %d %v evidence %v", round, name, li, clauses, evidence)
 				want, mass := noClauseByEnumeration(t, eng, evidence, clauses)
 				e := eng
 				if evidence != nil {
 					if e, err = eng.NewConditioned(evidence); err != nil {
-						continue // contradictory evidence
+						t.Fatalf("%s: %v", at, err)
 					}
 				}
 				got, ok, err := e.ProbNoClause(clauses, math.MaxInt)
@@ -175,8 +169,8 @@ func TestProbNoClauseMatchesEnumeration(t *testing.T) {
 				if math.Abs(got-want) > 1e-12 {
 					t.Fatalf("%s: elimination %v, enumeration %v", at, got, want)
 				}
-				if sets, ok := presentOnly(ne, clauses); ok && evidence == nil && len(sets) <= 20 {
-					ie, err := prob.ProbDNFExact(eng, sets, 0)
+				if evidence == nil && len(clauses) <= 20 {
+					ie, err := prob.ProbDNFExact(eng, edgeSets(ne, clauses), 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -203,7 +197,7 @@ func TestProbNoClauseBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clauses := randomLitClauses(rng, pg.G.NumEdges())
+		clauses := randomClauses(rng, pg.G.NumEdges())
 		cost := eng.EliminationCost(clauses)
 		if cost < 0 {
 			continue
@@ -220,7 +214,7 @@ func TestProbNoClauseBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clauses := [][]prob.Literal{{{Edge: 0, Present: true}, {Edge: 15, Present: true}}}
+	clauses := [][]graph.EdgeID{{0, 15}}
 	if cost := eng.EliminationCost(clauses); cost < 1<<20 {
 		t.Fatalf("coupled(16) costs only %d", cost)
 	}
@@ -252,8 +246,8 @@ func TestProbNoClauseSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clauses := [][]prob.Literal{{{Edge: 0, Present: true}, {Edge: 1, Present: true}}, {{Edge: 2, Present: true}}}
-		cond, err := eng.NewConditioned([]prob.Literal{{Edge: pg.UncertainEdges()[0], Present: true}})
+		clauses := [][]graph.EdgeID{{0, 1}, {2}}
+		cond, err := eng.NewConditioned(pg.UncertainEdges()[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +285,9 @@ var eliminateSeeds = [][]byte{
 // decodeEliminateInput decodes a fuzz input into a small model: at most ten
 // edges on a path, JPTs of one to three edges that may overlap, edges no
 // table covers left certain, table entries with zeros among them, clauses
-// of up to four literals of either polarity, and now and then evidence.
-func decodeEliminateInput(t *testing.T, in []byte) (pg *prob.PGraph, clauses [][]prob.Literal, evidence []prob.Literal) {
+// of up to four edges, and now and then evidence. An edge's byte also says
+// whether to keep it: one in four is read and dropped.
+func decodeEliminateInput(t *testing.T, in []byte) (pg *prob.PGraph, clauses [][]graph.EdgeID, evidence []graph.EdgeID) {
 	b := fuzzBytes(in)
 	ne := 1 + b.next()%10
 	gb := graph.NewBuilder("fuzz")
@@ -326,18 +321,20 @@ func decodeEliminateInput(t *testing.T, in []byte) (pg *prob.PGraph, clauses [][
 	if err != nil {
 		t.Fatal(err)
 	}
-	lit := func() prob.Literal {
-		c := b.next()
-		return prob.Literal{Edge: graph.EdgeID(c % ne), Present: c/ne%4 != 0}
+	appendEdge := func(edges []graph.EdgeID) []graph.EdgeID {
+		if c := b.next(); c/ne%4 != 0 {
+			edges = append(edges, graph.EdgeID(c%ne))
+		}
+		return edges
 	}
-	clauses = make([][]prob.Literal, b.next()%7)
+	clauses = make([][]graph.EdgeID, b.next()%7)
 	for i := range clauses {
 		for k := b.next() % 5; k > 0; k-- {
-			clauses[i] = append(clauses[i], lit())
+			clauses[i] = appendEdge(clauses[i])
 		}
 	}
 	for k := b.next() % 4; k > 0; k-- {
-		evidence = append(evidence, lit())
+		evidence = appendEdge(evidence)
 	}
 	return pg, clauses, evidence
 }
@@ -367,7 +364,7 @@ func FuzzEliminate(f *testing.F) {
 		e := eng
 		if len(evidence) > 0 {
 			if e, err = eng.NewConditioned(evidence); err != nil {
-				return // contradictory evidence
+				t.Fatalf("evidence %v: %v", evidence, err)
 			}
 		}
 		got, ok, err := e.ProbNoClause(clauses, math.MaxInt)
@@ -388,9 +385,13 @@ func FuzzEliminate(f *testing.F) {
 // fullScanZero is the clause factor eliminate applied before zeroWhereHolds,
 // kept as its reference: it scans every entry m of the step, gathers the
 // clause's index from m's bits, and zeroes w0 where that index with the
-// summed variable absent is pat, w1 where it is pat with the variable
-// present.
-func fullScanZero(w0, w1 []float64, put []int, self, pat int) {
+// summed variable absent is pat — every variable of the scope present —
+// and w1 where it is pat with the variable present.
+func fullScanZero(w0, w1 []float64, put []int, self int) {
+	pat := self
+	for _, bit := range put {
+		pat |= bit
+	}
 	for m := range w0 {
 		i := 0
 		for b, bit := range put {
@@ -410,7 +411,7 @@ func fullScanZero(w0, w1 []float64, put []int, self, pat int) {
 // checkFullScan holds e.ProbNoClause to the same elimination run with the
 // full-scan clause factor at each budget — core's 2^17 units and no limit
 // when none is given: same value bits, same ok, same error.
-func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]prob.Literal, budgets ...int) {
+func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]graph.EdgeID, budgets ...int) {
 	t.Helper()
 	if budgets == nil {
 		budgets = []int{1 << 17, math.MaxInt}
@@ -427,12 +428,12 @@ func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]prob.Li
 // TestProbNoClauseMatchesFullScan holds the clause factor that zeroes only
 // the entries where its clause holds to the full scan it replaced, bit for
 // bit: first the factor alone, on every output width up to 10 — one-entry
-// tables among them — with clauses reading the summed variable asserted
-// present, absent, or not at all; then whole eliminations on every model
-// of eliminationModels, with random clause lists (absent literals among
-// them) on the unconditioned engine and on engines conditioned on
-// evidence, on coupled(12)'s wide steps, on FuzzEliminate's seeds, and on
-// every ledger-shaped DNF of more than one clause at budgets 2^17 and 2^22.
+// tables among them — with clauses reading the summed variable or not;
+// then whole eliminations on every model of eliminationModels, with random
+// clause lists (repeated and certain edges among them) on the
+// unconditioned engine and on engines conditioned on evidence, on
+// coupled(12)'s wide steps, on FuzzEliminate's seeds, and on every
+// ledger-shaped DNF of more than one clause at budgets 2^17 and 2^22.
 func TestProbNoClauseMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 4000; trial++ {
@@ -451,7 +452,6 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 			self = 1 << scope
 			scope++
 		}
-		pat := rng.Intn(1 << scope)
 		w := [4][]float64{}
 		for i := range w {
 			w[i] = make([]float64, 1<<nout)
@@ -461,11 +461,11 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 		}
 		copy(w[2], w[0])
 		copy(w[3], w[1])
-		fullScanZero(w[0], w[1], put, self, pat)
-		prob.ZeroWhereHolds(w[2], w[3], put, self, pat)
+		fullScanZero(w[0], w[1], put, self)
+		prob.ZeroWhereHolds(w[2], w[3], put, self)
 		for m := range w[0] {
 			if !sameBits(w[0][m], w[2][m]) || !sameBits(w[1][m], w[3][m]) {
-				t.Fatalf("put %v self %d pat %b: entry %d is %v/%v, full scan %v/%v", put, self, pat, m, w[2][m], w[3][m], w[0][m], w[1][m])
+				t.Fatalf("put %v self %d: entry %d is %v/%v, full scan %v/%v", put, self, m, w[2][m], w[3][m], w[0][m], w[1][m])
 			}
 		}
 	}
@@ -477,10 +477,10 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 12; i++ {
-				clauses := randomLitClauses(rng, m.pg.G.NumEdges())
+				clauses := randomClauses(rng, m.pg.G.NumEdges())
 				e := eng
 				if i%3 == 2 {
-					if e, err = eng.NewConditioned(parityLits(rng, m.pg)); err != nil || e.Z() == 0 {
+					if e, err = eng.NewConditioned(parityEdges(rng, m.pg)); err != nil || e.Z() == 0 {
 						continue
 					}
 				}
@@ -494,7 +494,7 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		checkFullScan(t, "coupled(12)", wide, randomLitClauses(rng, 12))
+		checkFullScan(t, "coupled(12)", wide, randomClauses(rng, 12))
 	}
 	for _, in := range eliminateSeeds {
 		pg, clauses, evidence := decodeEliminateInput(t, in)

@@ -136,7 +136,7 @@ func newSchedule(pg *PGraph) (*schedule, error) {
 type Engine struct {
 	pg    *PGraph
 	sched *schedule
-	pin   []uint8 // evidence per variable: pinFree, pinAbsent or pinPresent
+	pin   []bool // evidence per variable: pinned present
 	// root is the unconditioned engine — e itself, or the engine e was
 	// conditioned from — and holds every step's tables.
 	root *Engine
@@ -148,12 +148,6 @@ type Engine struct {
 	// zFull is the partition function of the unconditioned model.
 	zFull float64
 }
-
-const (
-	pinFree uint8 = iota
-	pinAbsent
-	pinPresent
-)
 
 // clean and pending mark a step's entry in an at vector: its table is the
 // root engine's, or it is dirty and not yet placed (see markDirty).
@@ -169,7 +163,7 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 		return nil, err
 	}
 	n := len(sc.steps) - 1
-	e := &Engine{pg: pg, sched: sc, pin: make([]uint8, len(pg.uncertain)), at: sc.tab[:n:n]}
+	e := &Engine{pg: pg, sched: sc, pin: make([]bool, len(pg.uncertain)), at: sc.tab[:n:n]}
 	e.root = e
 	half := int(sc.tab[n])
 	e.slab = make([]float64, 2*half)
@@ -187,14 +181,15 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 }
 
 // NewConditioned builds an engine whose distribution is pg's conditioned on
-// the given literals (and only those: evidence e itself carries is not
-// inherited). SampleWorld then draws worlds consistent with the evidence; Z
-// returns the evidence probability mass times the base Z. The engine is an
-// overlay on the unconditioned engine: it computes and stores only the
-// tables of the steps the literals make dirty and shares all others.
-func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
+// every edge of edges being present (and only those: evidence e itself
+// carries is not inherited). SampleWorld then draws worlds consistent with
+// the evidence; Z returns the evidence probability mass times the base Z.
+// The engine is an overlay on the unconditioned engine: it computes and
+// stores only the tables of the steps the edges make dirty and shares all
+// others.
+func (e *Engine) NewConditioned(edges []graph.EdgeID) (*Engine, error) {
 	r := e.root
-	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]uint8, len(r.pin)), root: r, zFull: r.zFull}
+	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]bool, len(r.pin)), root: r, zFull: r.zFull}
 	// One allocation holds at and, behind it, the pinned variables and the
 	// dirty steps — at most one each per step — so that an overlay costs
 	// four allocations and no pooled scratch, whose reuse the race
@@ -205,10 +200,7 @@ func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
 	for s := range c.at {
 		c.at[s] = clean
 	}
-	vars, err := r.pg.pinLits(c.pin, lits, buf[n:n:2*n])
-	if err != nil {
-		return nil, err
-	}
+	vars := r.pg.pinEdges(c.pin, edges, buf[n:n:2*n])
 	dirty, size := r.sched.markDirty(vars, c.at, buf[2*n:2*n])
 	c.slab = make([]float64, 2*size)
 	r.recompute(c.pin, c.at, dirty, c.slab[:size], c.slab[size:])
@@ -219,33 +211,17 @@ func (e *Engine) NewConditioned(lits []Literal) (*Engine, error) {
 	return c, nil
 }
 
-// pinLits records lits in pin, appending to vars each variable it pins that
-// was free. Literals that cannot hold — a certain edge asserted absent, one
-// edge asserted both ways, or against pin — are an error, and vars then
-// lists what was pinned before it.
-func (pg *PGraph) pinLits(pin []uint8, lits []Literal, vars []int32) ([]int32, error) {
-	for _, l := range lits {
-		v := pg.variable(l.Edge)
-		if v < 0 {
-			if l.Present {
-				continue // certain edge asserted present: vacuous
-			}
-			return vars, fmt.Errorf("prob: evidence asserts certain edge %d absent", l.Edge)
-		}
-		want := pinAbsent
-		if l.Present {
-			want = pinPresent
-		}
-		switch pin[v] {
-		case pinFree:
-			pin[v] = want
+// pinEdges pins present each uncertain edge of edges, appending to vars
+// each variable it pins that was free. A certain edge, or one pinned
+// already, asserts nothing more.
+func (pg *PGraph) pinEdges(pin []bool, edges []graph.EdgeID, vars []int32) []int32 {
+	for _, ed := range edges {
+		if v := pg.variable(ed); v >= 0 && !pin[v] {
+			pin[v] = true
 			vars = append(vars, int32(v))
-		case want:
-		default:
-			return vars, fmt.Errorf("prob: contradictory evidence on edge %d", l.Edge)
 		}
 	}
-	return vars, nil
+	return vars
 }
 
 // tables returns the slab holding step s's tables and the offset of its
@@ -296,7 +272,7 @@ func (sc *schedule) markDirty(vars []int32, at []int32, dirty []int32) ([]int32,
 // markDirty listed otherwise. For each step s and each assignment m of its
 // output variables it multiplies the step's inputs, in schedule order from
 // 1.0, once with the summed variable absent and once present; a pinned
-// variable's other value weighs 0. An input from a step at gives an offset
+// variable's absent value weighs 0. An input from a step at gives an offset
 // (a dirty one) is read from sums, any other from e's own tables.
 // sums[at[s]+m] receives 0.0+absent+present and, when present is non-nil,
 // present[at[s]+m] the present weight. It is the one loop that computes an
@@ -305,7 +281,7 @@ func (sc *schedule) markDirty(vars []int32, at []int32, dirty []int32) ([]int32,
 // bit-identical to the reference engine's.
 //
 //pgvet:noalloc
-func (e *Engine) recompute(pin []uint8, at, dirty []int32, sums, present []float64) {
+func (e *Engine) recompute(pin []bool, at, dirty []int32, sums, present []float64) {
 	sc, jpts := e.sched, e.pg.JPTs
 	for _, s := range dirty {
 		st, end := sc.steps[s], sc.steps[s+1]
@@ -341,10 +317,7 @@ func (e *Engine) recompute(pin []uint8, at, dirty []int32, sums, present []float
 				w0 *= tab[idx]
 				w1 *= tab[idx|self]
 			}
-			switch pin[st.v] {
-			case pinAbsent:
-				w1 = 0
-			case pinPresent:
+			if pin[st.v] {
 				w0 = 0
 			}
 			sum := 0.0
@@ -399,17 +372,17 @@ func (e *Engine) ProbEvidence() float64 {
 	return e.z / e.zFull
 }
 
-// ProbLits returns the probability that all literals hold, conditioned on
-// this engine's evidence: the literals pinned on top of the evidence, the
-// dirty path recomputed in pooled scratch, nothing kept — ProbLitsBatch
-// over one clause. Literals that cannot hold have probability 0.
-func (e *Engine) ProbLits(lits []Literal) (float64, error) {
+// ProbLits returns the probability that every edge of edges is present,
+// conditioned on this engine's evidence: the edges pinned on top of the
+// evidence, the dirty path recomputed in pooled scratch, nothing kept —
+// ProbLitsBatch over one clause.
+func (e *Engine) ProbLits(edges []graph.EdgeID) (float64, error) {
 	if e.z == 0 {
 		return 0, fmt.Errorf("prob: conditioning event has zero probability")
 	}
 	sc := litScratchPool.Get().(*litScratch)
 	var p [1]float64
-	e.probLits([][]Literal{lits}, p[:], sc)
+	e.probLits([][]graph.EdgeID{edges}, p[:], sc)
 	litScratchPool.Put(sc)
 	return p[0], nil
 }
@@ -420,11 +393,11 @@ func (e *Engine) ProbLits(lits []Literal) (float64, error) {
 // order, of each root's constant — the engine's own for a component the
 // clause does not pin — divided by Z. A root's constant depends only on the
 // pins in its component (docs/ARCHITECTURE.md, rule 5), so it is memoized
-// per call by (component, the literals the clause pins there), and a miss
+// per call by (component, the variables the clause pins there), and a miss
 // recomputes only that component's dirty path. A component of more than 64
 // steps has no key and is recomputed for every clause that pins it. p must
 // be as long as clauses.
-func (e *Engine) ProbLitsBatch(clauses [][]Literal, p []float64) error {
+func (e *Engine) ProbLitsBatch(clauses [][]graph.EdgeID, p []float64) error {
 	if e.z == 0 {
 		return fmt.Errorf("prob: conditioning event has zero probability")
 	}
@@ -438,7 +411,7 @@ func (e *Engine) ProbLitsBatch(clauses [][]Literal, p []float64) error {
 // and slot are clean (−1) over their whole length between calls, so a call
 // resets only the entries it set.
 type litScratch struct {
-	pin   []uint8
+	pin   []bool
 	vars  []int32   // the variables the current clause pinned
 	at    []int32   // per step, its offset in sums while dirty
 	dirty []int32   // the steps the last recompute ran, ascending
@@ -456,16 +429,15 @@ type litScratch struct {
 
 var litScratchPool = sync.Pool{New: func() any { return new(litScratch) }}
 
-// restriction is what one clause pins in one component: the component, the
-// pinned steps as bits of their rank in it and which of them are pinned
-// present — the memo key, unless wide — and the root's constant under it
-// once known.
+// restriction is what one clause pins in one component: the component and
+// the pinned steps as bits of their rank in it — the memo key, unless wide
+// — and the root's constant under it once known.
 type restriction struct {
-	comp            int32
-	wide            bool // a pinned step ranks 64th or later: no key
-	known           bool // the memo had the key, and c is its constant
-	pinned, present uint64
-	c               float64
+	comp   int32
+	wide   bool // a pinned step ranks 64th or later: no key
+	known  bool // the memo had the key, and c is its constant
+	pinned uint64
+	c      float64
 }
 
 // cleaned returns s[:n], allocating it clean when s is too short: a
@@ -484,10 +456,10 @@ func cleaned(s []int32, n int) []int32 {
 // priced as NewConditioned prices its evidence, its dirty path recomputed
 // and the partition function taken over it; more clauses go through the
 // memo (lookup, then price). Afterwards sc.dirty lists the steps the last
-// clause recomputed (none when its literals cannot hold).
+// clause recomputed.
 //
 //pgvet:noalloc
-func (e *Engine) probLits(clauses [][]Literal, p []float64, sc *litScratch) {
+func (e *Engine) probLits(clauses [][]graph.EdgeID, p []float64, sc *litScratch) {
 	sched := e.sched
 	memoize := len(clauses) > 1
 	sc.pin = append(sc.pin[:0], e.pin...)
@@ -501,14 +473,8 @@ func (e *Engine) probLits(clauses [][]Literal, p []float64, sc *litScratch) {
 		}
 		sc.memo.reset()
 	}
-	for i, lits := range clauses {
-		var err error
-		sc.dirty = sc.dirty[:0]
-		if sc.vars, err = e.pg.pinLits(sc.pin, lits, sc.vars[:0]); err != nil {
-			p[i] = 0
-			unpin(sc.pin, sc.vars)
-			continue
-		}
+	for i, edges := range clauses {
+		sc.vars = e.pg.pinEdges(sc.pin, edges, sc.vars[:0])
 		missed := len(sc.vars)
 		if memoize {
 			missed = sc.lookup(sched)
@@ -548,15 +514,12 @@ func (sc *litScratch) lookup(sched *schedule) (missed int) {
 			t, slot[k] = n, n
 			n++
 			rs := &touch[t]
-			rs.comp, rs.wide, rs.known, rs.pinned, rs.present = k, false, false, 0, 0
+			rs.comp, rs.wide, rs.known, rs.pinned = k, false, false, 0
 		}
 		of[j] = t
 		rs := &touch[t]
 		if b := sched.rank[st]; b < 64 {
 			rs.pinned |= 1 << b
-			if sc.pin[v] == pinPresent {
-				rs.present |= 1 << b
-			}
 		} else {
 			rs.wide = true
 		}
@@ -608,9 +571,9 @@ func (sc *litScratch) price(e *Engine) float64 {
 }
 
 // unpin frees the variables vars pinned.
-func unpin(pin []uint8, vars []int32) {
+func unpin(pin []bool, vars []int32) {
 	for _, v := range vars {
-		pin[v] = pinFree
+		pin[v] = false
 	}
 }
 
@@ -631,7 +594,7 @@ func (m *memo) reset() {
 // slot returns where r's key is in the index, or the empty slot it would
 // take.
 func (m *memo) slot(r *restriction) int {
-	h := uint64(r.comp) ^ r.pinned*0x9e3779b97f4a7c15 ^ r.present*0xc2b2ae3d27d4eb4f
+	h := uint64(r.comp) ^ r.pinned*0x9e3779b97f4a7c15
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
 	mask := len(m.index) - 1
@@ -640,7 +603,7 @@ func (m *memo) slot(r *restriction) int {
 		if k == 0 {
 			return i
 		}
-		if x := &m.entries[k-1]; x.comp == r.comp && x.pinned == r.pinned && x.present == r.present {
+		if x := &m.entries[k-1]; x.comp == r.comp && x.pinned == r.pinned {
 			return i
 		}
 	}
@@ -674,7 +637,7 @@ func (e *Engine) MarginalPresent(ed graph.EdgeID) (float64, error) {
 	if !e.pg.IsUncertain(ed) {
 		return 1, nil
 	}
-	return e.ProbLits([]Literal{{Edge: ed, Present: true}})
+	return e.ProbLits([]graph.EdgeID{ed})
 }
 
 // SampleWorld draws one possible world exactly from the engine's

@@ -73,20 +73,19 @@ func parityPGraph(rng *rand.Rand) *prob.PGraph {
 	return prob.MustNew(g, jpts)
 }
 
-// parityLits draws evidence over all edges — certain ones included, either
-// polarity — and now and then asserts one edge both ways.
-func parityLits(rng *rand.Rand, pg *prob.PGraph) []prob.Literal {
-	var lits []prob.Literal
+// parityEdges draws evidence over all edges, certain ones included, and
+// now and then lists one edge twice.
+func parityEdges(rng *rand.Rand, pg *prob.PGraph) []graph.EdgeID {
+	var edges []graph.EdgeID
 	for e := 0; e < pg.G.NumEdges(); e++ {
 		if rng.Intn(3) == 0 {
-			lits = append(lits, prob.Literal{Edge: graph.EdgeID(e), Present: rng.Intn(3) != 0})
+			edges = append(edges, graph.EdgeID(e))
 		}
 	}
-	if len(lits) > 0 && rng.Intn(8) == 0 {
-		l := lits[rng.Intn(len(lits))]
-		lits = append(lits, prob.Literal{Edge: l.Edge, Present: !l.Present})
+	if len(edges) > 0 && rng.Intn(8) == 0 {
+		edges = append(edges, edges[rng.Intn(len(edges))])
 	}
-	return lits
+	return edges
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -122,12 +121,12 @@ func checkPair(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, 
 }
 
 // checkProbLits compares one probability query, value bits and error.
-func checkProbLits(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, lits []prob.Literal) {
+func checkProbLits(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, edges []graph.EdgeID) {
 	t.Helper()
-	p1, e1 := ref.ProbLits(lits)
-	p2, e2 := eng.ProbLits(lits)
+	p1, e1 := ref.ProbLits(prob.RefPresent(edges))
+	p2, e2 := eng.ProbLits(edges)
 	if !sameErr(e1, e2) || !sameBits(p1, p2) {
-		t.Fatalf("%s: ProbLits(%v) = %v, %v; reference %v, %v", tag, lits, p2, e2, p1, e1)
+		t.Fatalf("%s: ProbLits(%v) = %v, %v; reference %v, %v", tag, edges, p2, e2, p1, e1)
 	}
 }
 
@@ -144,41 +143,41 @@ func TestEngineMatchesReference(t *testing.T) {
 		checkPair(t, tag, ref, eng, seed)
 		checkMarginals(t, tag, ref, eng)
 		for trial := 0; trial < 4; trial++ {
-			lits := parityLits(rng, pg)
+			edges := parityEdges(rng, pg)
 			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
-			checkProbLits(t, tag, ref, eng, lits)
-			rc, e1 := ref.NewConditioned(lits)
-			c, e2 := eng.NewConditioned(lits)
+			checkProbLits(t, tag, ref, eng, edges)
+			rc, e1 := ref.NewConditioned(prob.RefPresent(edges))
+			c, e2 := eng.NewConditioned(edges)
 			if !sameErr(e1, e2) {
-				t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, lits, e2, e1)
+				t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, edges, e2, e1)
 			}
 			if e1 != nil {
 				continue
 			}
 			checkPair(t, tag+" conditioned", rc, c, seed+int64(trial))
 			// Nested: queries on top of the evidence — every marginal, new
-			// literals, and new literals beside the evidence restated — and
-			// an engine conditioned from the conditioned one, queried too.
+			// edges, and new edges beside the evidence restated — and an
+			// engine conditioned from the conditioned one, queried too.
 			for ed := 0; ed < pg.G.NumEdges(); ed++ {
-				checkProbLits(t, tag+" conditioned marginal", rc, c, []prob.Literal{{Edge: graph.EdgeID(ed), Present: true}})
+				checkProbLits(t, tag+" conditioned marginal", rc, c, []graph.EdgeID{graph.EdgeID(ed)})
 			}
-			more := parityLits(rng, pg)
+			more := parityEdges(rng, pg)
 			checkProbLits(t, tag+" nested", rc, c, more)
-			checkProbLits(t, tag+" nested over evidence", rc, c, append(slices.Clip(more), lits...))
-			rcc, e1 := rc.NewConditioned(more)
+			checkProbLits(t, tag+" nested over evidence", rc, c, append(slices.Clip(more), edges...))
+			rcc, e1 := rc.NewConditioned(prob.RefPresent(more))
 			cc, e2 := c.NewConditioned(more)
 			if !sameErr(e1, e2) {
 				t.Fatalf("%s: nested NewConditioned(%v): %v; reference %v", tag, more, e2, e1)
 			}
 			if e1 == nil {
 				checkPair(t, tag+" re-conditioned", rcc, cc, seed)
-				checkProbLits(t, tag+" re-conditioned", rcc, cc, lits)
+				checkProbLits(t, tag+" re-conditioned", rcc, cc, edges)
 			}
 		}
 	}
 	// Corpus-sized schedules, which no parity model above reaches: the
 	// ledger's corpus shape and graphs of 100–110 vertices, queried with
-	// clauses of one to four literals as verification queries them.
+	// clauses of one to four edges as verification queries them.
 	for _, o := range []dataset.PPIOptions{
 		{NumGraphs: 120, MinVertices: 12, MaxVertices: 18, Organisms: 8, Correlated: true, Seed: 1},
 		{NumGraphs: 6, MinVertices: 100, MaxVertices: 110, Organisms: 6, Correlated: true, Seed: 3},
@@ -198,16 +197,16 @@ func TestEngineMatchesReference(t *testing.T) {
 			checkMarginals(t, tag, ref, eng)
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 3; trial++ {
-				lits := clauseLits(rng, pg)
+				edges := clauseEdges(rng, pg)
 				tag := fmt.Sprintf("%s trial %d", tag, trial)
-				checkProbLits(t, tag, ref, eng, lits)
-				rc, e1 := ref.NewConditioned(lits)
-				c, e2 := eng.NewConditioned(lits)
+				checkProbLits(t, tag, ref, eng, edges)
+				rc, e1 := ref.NewConditioned(prob.RefPresent(edges))
+				c, e2 := eng.NewConditioned(edges)
 				if e1 != nil || e2 != nil {
-					t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, lits, e2, e1)
+					t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, edges, e2, e1)
 				}
 				checkPair(t, tag+" conditioned", rc, c, seed+int64(trial))
-				checkProbLits(t, tag+" nested", rc, c, clauseLits(rng, pg))
+				checkProbLits(t, tag+" nested", rc, c, clauseEdges(rng, pg))
 			}
 		}
 	}
@@ -225,15 +224,14 @@ func checkMarginals(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Eng
 	}
 }
 
-// clauseLits draws one to four distinct uncertain edges of pg, each asserted
-// present or, one time in four, absent.
-func clauseLits(rng *rand.Rand, pg *prob.PGraph) []prob.Literal {
+// clauseEdges draws one to four distinct uncertain edges of pg.
+func clauseEdges(rng *rand.Rand, pg *prob.PGraph) []graph.EdgeID {
 	es := pg.UncertainEdges()
-	var lits []prob.Literal
+	var edges []graph.EdgeID
 	for _, i := range rng.Perm(len(es))[:min(1+rng.Intn(4), len(es))] {
-		lits = append(lits, prob.Literal{Edge: es[i], Present: rng.Intn(4) != 0})
+		edges = append(edges, es[i])
 	}
-	return lits
+	return edges
 }
 
 // coupled returns a path of n edges whose edges are all pairwise coupled, so
@@ -272,10 +270,10 @@ func TestEngineWidthMatchesReference(t *testing.T) {
 		t.Fatal(e1, e2)
 	}
 	checkPair(t, "coupled(10)", ref, eng, 3)
-	lits := []prob.Literal{{Edge: 2, Present: true}, {Edge: 7, Present: false}}
-	checkProbLits(t, "coupled(10)", ref, eng, lits)
-	rc, e1 := ref.NewConditioned(lits)
-	c, e2 := eng.NewConditioned(lits)
+	edges := []graph.EdgeID{2, 7}
+	checkProbLits(t, "coupled(10)", ref, eng, edges)
+	rc, e1 := ref.NewConditioned(prob.RefPresent(edges))
+	c, e2 := eng.NewConditioned(edges)
 	if e1 != nil || e2 != nil {
 		t.Fatal(e1, e2)
 	}
@@ -298,7 +296,7 @@ func refSMP(eng *prob.RefEngine, clauses []graph.EdgeSet, n int, seed int64) (fl
 	}
 	cs := make([]clause, len(clauses))
 	for i, c := range clauses {
-		p, err := eng.ProbLits(prob.AllPresent(c))
+		p, err := eng.ProbLits(prob.RefPresent(c.Slice()))
 		if err != nil {
 			return 0, err
 		}
@@ -335,11 +333,7 @@ func refSMP(eng *prob.RefEngine, clauses []graph.EdgeSet, n int, seed int64) (fl
 		first := true
 		if i > 0 {
 			if cond[i] == nil {
-				var lits []prob.Literal
-				for _, ed := range cs[i].edges {
-					lits = append(lits, prob.Literal{Edge: ed, Present: true})
-				}
-				ce, err := eng.NewConditioned(lits)
+				ce, err := eng.NewConditioned(prob.RefPresent(cs[i].edges))
 				if err != nil {
 					return 0, err
 				}
@@ -451,8 +445,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lits := []prob.Literal{{Edge: pg.UncertainEdges()[0], Present: true}}
-	cond, err := eng.NewConditioned(lits)
+	edges := pg.UncertainEdges()[:1]
+	cond, err := eng.NewConditioned(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +470,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Errorf("two lazily drawn worlds allocate %v times, want 0", n)
 	}
 	for _, e := range []*prob.Engine{eng, cond} {
-		if n := testing.AllocsPerRun(100, func() { _, _ = e.ProbLits(lits) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _, _ = e.ProbLits(edges) }); n != 0 {
 			t.Errorf("ProbLits allocates %v times per call, want 0", n)
 		}
 	}
@@ -508,13 +502,10 @@ func BenchmarkProbLits(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var lits []prob.Literal
-	for _, ed := range pg.UncertainEdges()[:4] {
-		lits = append(lits, prob.Literal{Edge: ed, Present: true})
-	}
+	edges := pg.UncertainEdges()[:4]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ProbLits(lits); err != nil {
+		if _, err := eng.ProbLits(edges); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,14 +519,11 @@ func BenchmarkNewConditioned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var lits []prob.Literal
-	for _, ed := range pg.UncertainEdges()[:4] {
-		lits = append(lits, prob.Literal{Edge: ed, Present: true})
-	}
+	edges := pg.UncertainEdges()[:4]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.NewConditioned(lits); err != nil {
+		if _, err := eng.NewConditioned(edges); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,34 +566,33 @@ func chainPGraph(rng *rand.Rand, n int) *prob.PGraph {
 }
 
 // batchClauses draws a clause list that repeats restrictions: fresh
-// clauses (absent literals among them), exact repeats, and clauses that
-// keep an earlier clause's literals in one part of the model and change
-// the rest; now and then a clause asserting a certain edge present or
-// absent, one asserting an edge both ways, and the empty clause.
-func batchClauses(rng *rand.Rand, pg *prob.PGraph) [][]prob.Literal {
-	var out [][]prob.Literal
+// clauses, exact repeats, and clauses that keep an earlier clause's edges
+// in one part of the model and change the rest; now and then a clause
+// listing a certain edge, one listing an edge twice, and the empty clause.
+func batchClauses(rng *rand.Rand, pg *prob.PGraph) [][]graph.EdgeID {
+	var out [][]graph.EdgeID
 	for len(out) < 16 {
 		switch k := rng.Intn(10); {
 		case k < 4 || len(out) == 0:
-			out = append(out, clauseLits(rng, pg))
+			out = append(out, clauseEdges(rng, pg))
 		case k < 6:
 			out = append(out, out[rng.Intn(len(out))])
 		case k < 8:
 			old := out[rng.Intn(len(out))]
 			c := slices.Clone(old[:rng.Intn(len(old)+1)])
-			out = append(out, append(c, clauseLits(rng, pg)...))
+			out = append(out, append(c, clauseEdges(rng, pg)...))
 		default:
-			out = append(out, parityLits(rng, pg))
+			out = append(out, parityEdges(rng, pg))
 		}
 	}
 	for ed := 0; ed < pg.G.NumEdges(); ed++ {
 		if !pg.IsUncertain(graph.EdgeID(ed)) {
-			out = append(out, []prob.Literal{{Edge: graph.EdgeID(ed), Present: true}}, []prob.Literal{{Edge: graph.EdgeID(ed), Present: false}})
+			out = append(out, []graph.EdgeID{graph.EdgeID(ed)})
 			break
 		}
 	}
 	if es := pg.UncertainEdges(); len(es) > 0 {
-		out = append(out, []prob.Literal{{Edge: es[0], Present: true}, {Edge: es[0], Present: false}})
+		out = append(out, []graph.EdgeID{es[0], es[0]})
 	}
 	return append(out, nil)
 }
@@ -613,19 +600,19 @@ func batchClauses(rng *rand.Rand, pg *prob.PGraph) [][]prob.Literal {
 // checkBatch holds eng.ProbLitsBatch to ref.ProbLits clause by clause, bit
 // for bit, and returns how many clauses pin a variable ranked 64th or
 // later in its component (no memo key).
-func checkBatch(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, clauses [][]prob.Literal) (wide int) {
+func checkBatch(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine, clauses [][]graph.EdgeID) (wide int) {
 	t.Helper()
 	got := make([]float64, len(clauses))
 	if err := eng.ProbLitsBatch(clauses, got); err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	for i, c := range clauses {
-		want, err := ref.ProbLits(c)
+		want, err := ref.ProbLits(prob.RefPresent(c))
 		if err != nil || !sameBits(got[i], want) {
 			t.Fatalf("%s: clause %d %v: batch %v; reference %v, %v", tag, i, c, got[i], want, err)
 		}
-		for _, l := range c {
-			if v := eng.PGraph().VarOf(l.Edge); v >= 0 && eng.Rank(v) >= 64 {
+		for _, ed := range c {
+			if v := eng.PGraph().VarOf(ed); v >= 0 && eng.Rank(v) >= 64 {
 				wide++
 				break
 			}
@@ -640,8 +627,8 @@ func checkBatch(t *testing.T, tag string, ref *prob.RefEngine, eng *prob.Engine,
 // that a component spans several tables; on the ledger's corpus shape and
 // on graphs of 100–110 vertices; and on a 90-edge chain, one component too
 // wide for the memo key. Each model is queried unconditioned and
-// conditioned on evidence, and each clause list holds absent,
-// contradictory and certain-edge literals.
+// conditioned on evidence, and each clause list holds repeated and certain
+// edges.
 func TestProbLitsBatchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var models []*prob.PGraph
@@ -670,8 +657,8 @@ func TestProbLitsBatchMatchesReference(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			tag := fmt.Sprintf("model %d trial %d", mi, trial)
 			wide += checkBatch(t, tag, ref, eng, batchClauses(rng, pg))
-			evidence := clauseLits(rng, pg)
-			rc, e1 := ref.NewConditioned(evidence)
+			evidence := clauseEdges(rng, pg)
+			rc, e1 := ref.NewConditioned(prob.RefPresent(evidence))
 			c, e2 := eng.NewConditioned(evidence)
 			if e1 != nil || e2 != nil {
 				t.Fatalf("%s: NewConditioned(%v): %v; reference %v", tag, evidence, e2, e1)
@@ -688,17 +675,98 @@ func TestProbLitsBatchMatchesReference(t *testing.T) {
 	if e1 != nil || e2 != nil {
 		t.Fatal(e1, e2)
 	}
-	var byRank [][]prob.Literal
-	for _, present := range []bool{true, false} {
-		for _, ed := range chain.UncertainEdges() {
-			byRank = append(byRank, []prob.Literal{{Edge: ed, Present: present}})
-		}
+	var byRank [][]graph.EdgeID
+	for _, ed := range chain.UncertainEdges() {
+		byRank = append(byRank, []graph.EdgeID{ed})
 	}
 	wide += checkBatch(t, "chain, one edge per clause", ref, eng, byRank)
 	if wide == 0 {
 		t.Fatal("no clause pinned a component past the memo key's 64 steps")
 	}
 	t.Logf("%d clauses pinned past the memo key", wide)
+}
+
+// TestRepeatedEdgesMatchReference: an edge listed twice, and an edge the
+// engine's evidence already pins listed again, assert nothing more. On
+// parity models conditioned on random evidence, ProbLits, ProbLitsBatch and
+// NewConditioned over such lists match the reference engine bit for bit;
+// ProbNoClause over them is the same call over the lists without repeats,
+// bit for bit and at the same compiled cost, and world enumeration within
+// 1e-12.
+func TestRepeatedEdgesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	checked := 0
+	for seed := int64(0); seed < 200; seed++ {
+		pg := parityPGraph(rng)
+		es := pg.UncertainEdges()
+		if len(es) < 2 {
+			continue
+		}
+		ref, e1 := prob.NewRefEngine(pg)
+		eng, e2 := prob.NewEngine(pg)
+		if e1 != nil || e2 != nil {
+			t.Fatalf("seed %d: engines: %v, %v", seed, e1, e2)
+		}
+		evidence, more := clauseEdges(rng, pg), clauseEdges(rng, pg)
+		rc, e1 := ref.NewConditioned(prob.RefPresent(evidence))
+		c, e2 := eng.NewConditioned(evidence)
+		if e1 != nil || e2 != nil {
+			t.Fatalf("seed %d: NewConditioned(%v): %v; reference %v", seed, evidence, e2, e1)
+		}
+		if c.Z() == 0 {
+			continue
+		}
+		tag := fmt.Sprintf("seed %d evidence %v", seed, evidence)
+		checkPair(t, tag, rc, c, seed)
+		repeated := []graph.EdgeID{es[1], es[0], es[1]}
+		restated := append(slices.Clone(evidence), evidence...)
+		over := append(slices.Clone(more), evidence...)
+		// Listed more often than a factor may be wide, one edge is still
+		// one variable.
+		many := slices.Repeat([]graph.EdgeID{es[0]}, prob.MaxFactorWidth+1)
+		clauses := [][]graph.EdgeID{repeated, append(slices.Clone(more), more...), restated, over, many}
+		checkProbLits(t, tag+" restated", rc, c, over)
+		checkBatch(t, tag, rc, c, clauses)
+		checkBatch(t, tag+" unconditioned", ref, eng, clauses)
+		for i, edges := range clauses {
+			rcc, e1 := rc.NewConditioned(prob.RefPresent(edges))
+			cc, e2 := c.NewConditioned(edges)
+			if e1 != nil || e2 != nil {
+				t.Fatalf("%s: re-conditioned on %v: %v; reference %v", tag, edges, e2, e1)
+			}
+			checkPair(t, fmt.Sprintf("%s re-conditioned %d", tag, i), rcc, cc, seed)
+		}
+		// Clause 2 holds in every world of c, so each list leaves it out
+		// but one.
+		for _, list := range [][][]graph.EdgeID{{clauses[0], clauses[1]}, {clauses[3]}, {clauses[0], clauses[3]}, {clauses[2]}, {many, clauses[1]}} {
+			got, ok, err := c.ProbNoClause(list, math.MaxInt)
+			if err != nil || !ok {
+				t.Fatalf("%s: ProbNoClause(%v): %v, ok %v", tag, list, err, ok)
+			}
+			distinct := make([][]graph.EdgeID, len(list))
+			for i, edges := range list {
+				for _, ed := range edges {
+					if !slices.Contains(distinct[i], ed) {
+						distinct[i] = append(distinct[i], ed)
+					}
+				}
+			}
+			if p, _, _ := c.ProbNoClause(distinct, math.MaxInt); !sameBits(got, p) {
+				t.Fatalf("%s: ProbNoClause(%v) = %v, without repeats %v", tag, list, got, p)
+			}
+			if a, b := c.EliminationCost(list), c.EliminationCost(distinct); a != b {
+				t.Fatalf("%s: ProbNoClause(%v) costs %d, without repeats %d", tag, list, a, b)
+			}
+			if want, _ := noClauseByEnumeration(t, eng, evidence, list); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("%s: ProbNoClause(%v) = %v, enumeration %v", tag, list, got, want)
+			}
+		}
+		checked++
+	}
+	if checked < 50 {
+		t.Fatalf("only %d models had evidence of positive mass", checked)
+	}
+	t.Logf("%d models checked", checked)
 }
 
 // TestProbLitsBatchSteadyStateAllocs pins the batch's //pgvet:noalloc
@@ -755,8 +823,8 @@ func BenchmarkProbLitsBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, c := range lc.cands {
-					for _, lits := range c.clauses {
-						if _, err := c.eng.ProbLits(lits); err != nil {
+					for _, edges := range c.clauses {
+						if _, err := c.eng.ProbLits(edges); err != nil {
 							b.Fatal(err)
 						}
 					}

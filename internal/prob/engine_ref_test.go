@@ -15,6 +15,14 @@ import (
 // It is the oracle the compiled Engine is held to, bit for bit, by
 // engine_parity_test.go; nothing outside tests may use it.
 
+// refLiteral asserts one edge present or absent. The compiled engine
+// conditions only on present edges; the reference keeps both polarities, so
+// that tests can check the lazy draw's absent values against it.
+type refLiteral struct {
+	Edge    graph.EdgeID
+	Present bool
+}
+
 // refVarOf rebuilds the map form of PGraph.varOf the reference engine reads.
 func (pg *PGraph) refVarOf() map[graph.EdgeID]int {
 	m := make(map[graph.EdgeID]int, len(pg.uncertain))
@@ -73,7 +81,7 @@ func newRefEngine(pg *PGraph) (*refEngine, error) {
 // NewConditioned builds an engine whose distribution is pg's conditioned on
 // the given literals. SampleWorld then draws worlds consistent with the
 // evidence; Z returns the evidence probability mass times the base Z.
-func (e *refEngine) NewConditioned(lits []Literal) (*refEngine, error) {
+func (e *refEngine) NewConditioned(lits []refLiteral) (*refEngine, error) {
 	ev := make(map[int]bool, len(lits))
 	for _, l := range lits {
 		v, ok := e.pg.refVarOf()[l.Edge]
@@ -280,14 +288,14 @@ func (e *refEngine) ProbEvidence() float64 {
 
 // ProbLits returns the probability that all literals hold, conditioned on
 // this engine's evidence.
-func (e *refEngine) ProbLits(lits []Literal) (float64, error) {
+func (e *refEngine) ProbLits(lits []refLiteral) (float64, error) {
 	if e.z == 0 {
 		return 0, fmt.Errorf("prob: conditioning event has zero probability")
 	}
-	merged := make([]Literal, 0, len(lits)+len(e.evidence))
+	merged := make([]refLiteral, 0, len(lits)+len(e.evidence))
 	merged = append(merged, lits...)
 	for v, val := range e.evidence {
-		merged = append(merged, Literal{Edge: e.pg.uncertain[v], Present: val})
+		merged = append(merged, refLiteral{Edge: e.pg.uncertain[v], Present: val})
 	}
 	cond, err := e.condProbEngine(merged)
 	if err != nil {
@@ -298,7 +306,7 @@ func (e *refEngine) ProbLits(lits []Literal) (float64, error) {
 
 // condProbEngine builds a throwaway engine with the given evidence; it
 // reuses the PGraph so construction cost is one VE pass.
-func (e *refEngine) condProbEngine(lits []Literal) (*refEngine, error) {
+func (e *refEngine) condProbEngine(lits []refLiteral) (*refEngine, error) {
 	ev := make(map[int]bool, len(lits))
 	for _, l := range lits {
 		v, ok := e.pg.refVarOf()[l.Edge]
@@ -327,7 +335,7 @@ func (e *refEngine) MarginalPresent(ed graph.EdgeID) (float64, error) {
 	if _, ok := e.pg.refVarOf()[ed]; !ok {
 		return 1, nil
 	}
-	return e.ProbLits([]Literal{{Edge: ed, Present: true}})
+	return e.ProbLits([]refLiteral{{Edge: ed, Present: true}})
 }
 
 // SampleWorld draws one possible world exactly from the engine's

@@ -82,13 +82,13 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 }
 
 // unionMemo is inclusion–exclusion's working state, reused across masks: one
-// union set over words it owns, a literal buffer, and the probabilities
+// union set over words it owns, an edge buffer, and the probabilities
 // already computed, keyed by the union's words so a hit builds no key.
 type unionMemo struct {
 	words []uint64
 	set   graph.EdgeSet // over words
 	key   []byte
-	lits  []Literal
+	edges []graph.EdgeID
 	memo  map[string]float64
 }
 
@@ -111,13 +111,13 @@ func (u *unionMemo) prob(e *Engine) (float64, error) {
 	if p, ok := u.memo[string(u.key)]; ok {
 		return p, nil
 	}
-	u.lits = u.lits[:0]
+	u.edges = u.edges[:0]
 	for i, w := range u.words {
 		for ; w != 0; w &= w - 1 {
-			u.lits = append(u.lits, Literal{Edge: graph.EdgeID(64*i + bits.TrailingZeros64(w)), Present: true})
+			u.edges = append(u.edges, graph.EdgeID(64*i+bits.TrailingZeros64(w)))
 		}
 	}
-	p, err := e.ProbLits(u.lits)
+	p, err := e.ProbLits(u.edges)
 	if err != nil {
 		return 0, err
 	}

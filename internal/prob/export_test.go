@@ -16,6 +16,20 @@ type RefEngine = refEngine
 // NewRefEngine builds a reference engine for pg with no evidence.
 func NewRefEngine(pg *PGraph) (*RefEngine, error) { return newRefEngine(pg) }
 
+// RefLiteral is the reference engine's evidence: an edge asserted present
+// or absent.
+type RefLiteral = refLiteral
+
+// RefPresent returns literals asserting every edge of edges present: what
+// the compiled engine's edge lists mean.
+func RefPresent(edges []graph.EdgeID) []RefLiteral {
+	lits := make([]RefLiteral, len(edges))
+	for i, ed := range edges {
+		lits[i] = RefLiteral{Edge: ed, Present: true}
+	}
+	return lits
+}
+
 // Drawn returns the variables w decided since its last Reset — drawn, or
 // pinned and read — in that order.
 func (w *LazyWorld) Drawn() []int32 { return w.touched }
@@ -25,7 +39,7 @@ func (w *LazyWorld) Drawn() []int32 { return w.touched }
 func (e *Engine) Parents(v int32) []int32 { return e.sched.outputs(int(e.sched.stepOf[v])) }
 
 // Pinned reports whether e's evidence fixes variable v.
-func (e *Engine) Pinned(v int32) bool { return e.pin[v] != pinFree }
+func (e *Engine) Pinned(v int32) bool { return e.pin[v] }
 
 // EliminationOrder returns the variables in the order the schedule sums
 // them out.
@@ -45,15 +59,15 @@ func (e *Engine) Rank(v int32) int { return int(e.sched.rank[e.sched.stepOf[v]])
 func (pg *PGraph) VarOf(ed graph.EdgeID) int32 { return pg.varOf[ed] }
 
 // ProbLitsSteps is ProbLits, also returning the steps the call recomputed in
-// ascending order (none when the literals cannot hold).
-func (e *Engine) ProbLitsSteps(lits []Literal) (float64, []int32, error) {
+// ascending order.
+func (e *Engine) ProbLitsSteps(edges []graph.EdgeID) (float64, []int32, error) {
 	if e.z == 0 {
-		p, err := e.ProbLits(lits)
+		p, err := e.ProbLits(edges)
 		return p, nil, err
 	}
 	var sc litScratch
 	var p [1]float64
-	e.probLits([][]Literal{lits}, p[:], &sc)
+	e.probLits([][]graph.EdgeID{edges}, p[:], &sc)
 	return p[0], slices.Clone(sc.dirty), nil
 }
 
@@ -72,10 +86,10 @@ func (e *Engine) OwnSteps() []int32 {
 
 // EliminationCost returns the cost ProbNoClause compiles for clauses before
 // it compares it with its budget, or -1 when the call decides without
-// eliminating (a certain clause, or no clause that can hold).
-func (e *Engine) EliminationCost(clauses [][]Literal) int {
+// eliminating (no clause, or a certain one).
+func (e *Engine) EliminationCost(clauses [][]graph.EdgeID) int {
 	var s elimScratch
-	if s.factors(e, clauses, math.MaxInt) != modelReady || len(s.pats) == 0 {
+	if len(clauses) == 0 || s.factors(e, clauses, math.MaxInt) != modelReady {
 		return -1
 	}
 	s.order(math.MaxInt)
@@ -84,7 +98,7 @@ func (e *Engine) EliminationCost(clauses [][]Literal) int {
 
 // ProbNoClauseWith is ProbNoClause with each clause factor applied by zero
 // instead of the kernel's own.
-func (e *Engine) ProbNoClauseWith(clauses [][]Literal, budget int, zero func(w0, w1 []float64, put []int, self, pat int)) (float64, bool, error) {
+func (e *Engine) ProbNoClauseWith(clauses [][]graph.EdgeID, budget int, zero func(w0, w1 []float64, put []int, self int)) (float64, bool, error) {
 	return e.probNoClause(clauses, budget, zero)
 }
 

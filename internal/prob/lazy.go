@@ -30,8 +30,8 @@ func (r *SplitMix) Float64() float64 { return float64(r.Uint64()>>11) * 0x1p-53 
 // schedule's DAG, whose parents of v are its step's outputs. A variable not
 // yet drawn has no drawn descendant, so by the local Markov property every
 // draw is exact whatever was asked before it, and the edges asked about are
-// distributed as in a full world. A pinned variable takes its pinned value
-// without a draw. Reset starts the next world.
+// distributed as in a full world. A pinned variable is present without a
+// draw. Reset starts the next world.
 type LazyWorld struct {
 	e       *Engine
 	on, off graph.EdgeSet // edges known present (certain ones from the start), known absent
@@ -102,8 +102,8 @@ func (w *LazyWorld) draw(rng *SplitMix, v int32) bool {
 	if w.off.Contains(ed) {
 		return false
 	}
-	on := e.pin[v] == pinPresent
-	if e.pin[v] == pinFree {
+	on := e.pin[v]
+	if !on {
 		sc := e.sched
 		s := sc.stepOf[v]
 		st := sc.steps[s]

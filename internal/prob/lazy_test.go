@@ -12,23 +12,32 @@ import (
 
 // lazyEngines returns the parity model's engine and, when their evidence
 // has positive mass, two overlays on it: one conditioned on random evidence
-// and one conditioned from that one on other evidence.
-func lazyEngines(t *testing.T, rng *rand.Rand, pg *prob.PGraph) []*prob.Engine {
+// and one conditioned from that one on other evidence; refs holds the
+// reference engine conditioned alike beside each.
+func lazyEngines(t *testing.T, rng *rand.Rand, pg *prob.PGraph) (engs []*prob.Engine, refs []*prob.RefEngine) {
 	t.Helper()
 	eng, err := prob.NewEngine(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []*prob.Engine{eng}
-	for from := eng; len(out) < 3; {
-		c, err := from.NewConditioned(parityLits(rng, pg))
+	ref, err := prob.NewRefEngine(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engs, refs = []*prob.Engine{eng}, []*prob.RefEngine{ref}
+	for len(engs) < 3 {
+		evidence := parityEdges(rng, pg)
+		c, err := engs[len(engs)-1].NewConditioned(evidence)
 		if err != nil || c.Z() == 0 {
 			break
 		}
-		out = append(out, c)
-		from = c
+		rc, err := refs[len(refs)-1].NewConditioned(prob.RefPresent(evidence))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs, refs = append(engs, c), append(refs, rc)
 	}
-	return out
+	return engs, refs
 }
 
 // within reports whether an observed frequency is within five standard
@@ -38,16 +47,18 @@ func within(freq, p float64, n int) bool {
 }
 
 // TestLazyWorldMarginals asks random edge subsets — certain edges included —
-// in a fresh random order per sample. Each assignment's frequency must match
-// ProbLits, and no sample may draw a variable outside the ancestral closure
-// of the edges it asked about: their unpinned variables and, recursively,
-// the unpinned parents (step outputs) of those.
+// in a fresh random order per sample. Each assignment's frequency, absent
+// edges and all, must match the reference engine's ProbLits, and no sample
+// may draw a variable outside the ancestral closure of the edges it asked
+// about: their unpinned variables and, recursively, the unpinned parents
+// (step outputs) of those.
 func TestLazyWorldMarginals(t *testing.T) {
 	const n = 3000
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pg := parityPGraph(rng)
-		for ei, e := range lazyEngines(t, rng, pg) {
+		engs, refs := lazyEngines(t, rng, pg)
+		for ei, e := range engs {
 			tag := fmt.Sprintf("seed %d engine %d", seed, ei)
 			edges := make([]graph.EdgeID, 1+rng.Intn(min(3, pg.G.NumEdges())))
 			for i, ed := range rng.Perm(pg.G.NumEdges())[:len(edges)] {
@@ -68,11 +79,11 @@ func TestLazyWorldMarginals(t *testing.T) {
 				checkAncestral(t, tag, e, pg, edges, w.Drawn())
 			}
 			for m, c := range counts {
-				lits := make([]prob.Literal, len(edges))
+				lits := make([]prob.RefLiteral, len(edges))
 				for i, ed := range edges {
-					lits[i] = prob.Literal{Edge: ed, Present: m>>i&1 == 1}
+					lits[i] = prob.RefLiteral{Edge: ed, Present: m>>i&1 == 1}
 				}
-				p, err := e.ProbLits(lits)
+				p, err := refs[ei].ProbLits(lits)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +151,8 @@ func TestLazyWorldDescendingIsSampleWorld(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		pg := parityPGraph(rng)
 		unc := pg.UncertainEdges()
-		for ei, e := range lazyEngines(t, rng, pg) {
+		engs, _ := lazyEngines(t, rng, pg)
+		for ei, e := range engs {
 			tag := fmt.Sprintf("seed %d engine %d", seed, ei)
 			order := e.EliminationOrder()
 			w := prob.NewLazyWorld(e)

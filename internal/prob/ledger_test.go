@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probgraph/internal/dataset"
+	"probgraph/internal/graph"
 	"probgraph/internal/iso"
 	"probgraph/internal/prob"
 )
@@ -21,7 +22,7 @@ type ledgerClass struct {
 
 type ledgerCandidate struct {
 	eng     *prob.Engine
-	clauses [][]prob.Literal
+	clauses [][]graph.EdgeID
 }
 
 var ledgerOnce struct {

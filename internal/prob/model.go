@@ -6,6 +6,12 @@
 // possible-world sampling — including sampling conditioned on evidence,
 // which the paper's Algorithm 5 requires.
 //
+// Evidence and clauses are lists of edges that must all be present
+// (PresentClauses builds them ascending): the paper's verification only
+// ever asserts that an embedding's edges exist. A certain edge, or an edge
+// listed twice or already pinned, asserts nothing more, so no list can
+// contradict itself or an engine's evidence.
+//
 // Semantics. The distribution over possible worlds is the normalized product
 // of the JPT factors (a Markov random field). When JPTs partition the edge
 // set and each table is normalized — the construction used by the paper's
@@ -214,46 +220,23 @@ func IsNeighborEdgeSet(g *graph.Graph, edges []graph.EdgeID) bool {
 	return false
 }
 
-// Literal is an assertion about one edge's existence.
-type Literal struct {
-	Edge    graph.EdgeID
-	Present bool
-}
-
-// AllPresent returns literals asserting every edge in es exists.
-func AllPresent(es graph.EdgeSet) []Literal {
-	return appendLiterals(make([]Literal, 0, es.Count()), es, true)
-}
-
-// AllAbsent returns literals asserting every edge in es is missing.
-func AllAbsent(es graph.EdgeSet) []Literal {
-	return appendLiterals(make([]Literal, 0, es.Count()), es, false)
-}
-
-// PresentClauses returns AllPresent of every set, the lists sharing one
-// slab: a DNF's clauses in two allocations.
-func PresentClauses(sets []graph.EdgeSet) [][]Literal {
+// PresentClauses returns each set's edges in ascending order, the lists
+// sharing one slab: a DNF's clauses in two allocations.
+func PresentClauses(sets []graph.EdgeSet) [][]graph.EdgeID {
 	size := 0
 	for _, s := range sets {
 		size += s.Count()
 	}
-	slab := make([]Literal, 0, size)
-	clauses := make([][]Literal, len(sets))
+	slab := make([]graph.EdgeID, 0, size)
+	clauses := make([][]graph.EdgeID, len(sets))
 	for i, s := range sets {
 		start := len(slab)
-		slab = appendLiterals(slab, s, true)
+		for wi, w := range s.Words() {
+			for ; w != 0; w &= w - 1 {
+				slab = append(slab, graph.EdgeID(64*wi+bits.TrailingZeros64(w)))
+			}
+		}
 		clauses[i] = slab[start:len(slab):len(slab)]
 	}
 	return clauses
-}
-
-// appendLiterals appends to lits one literal per edge in es, in ascending
-// edge order, each asserting the edge present or absent as present says.
-func appendLiterals(lits []Literal, es graph.EdgeSet, present bool) []Literal {
-	for wi, w := range es.Words() {
-		for ; w != 0; w &= w - 1 {
-			lits = append(lits, Literal{Edge: graph.EdgeID(64*wi + bits.TrailingZeros64(w)), Present: present})
-		}
-	}
-	return lits
 }

@@ -11,29 +11,18 @@ import (
 	"probgraph/internal/prob"
 )
 
-// pinsOf returns the variables lits pin, with their polarity; ok is false
-// when the literals cannot hold together (a certain edge asserted absent,
-// an edge asserted both ways).
-func pinsOf(pg *prob.PGraph, lits []prob.Literal) (pins map[int32]bool, ok bool) {
-	pins = map[int32]bool{}
-	for _, l := range lits {
-		v := pg.VarOf(l.Edge)
-		if v < 0 {
-			if !l.Present {
-				return nil, false
-			}
-			continue
+// pinsOf returns the variables of the uncertain edges among edges.
+func pinsOf(pg *prob.PGraph, edges []graph.EdgeID) map[int32]bool {
+	pins := map[int32]bool{}
+	for _, ed := range edges {
+		if v := pg.VarOf(ed); v >= 0 {
+			pins[v] = true
 		}
-		if was, seen := pins[v]; seen && was != l.Present {
-			return nil, false
-		}
-		pins[v] = l.Present
 	}
-	return pins, true
+	return pins
 }
 
-// newlyPinned returns the variables pins pins that evidence leaves free
-// (none when pins is nil: literals that cannot hold pin nothing).
+// newlyPinned returns the variables pins pins that evidence leaves free.
 func newlyPinned(evidence, pins map[int32]bool) []int32 {
 	var out []int32
 	for v := range pins {
@@ -80,8 +69,8 @@ func dirtyPath(e *prob.Engine, pinned []int32) []int32 {
 // TestOverlayRecomputesOnlyDirtySteps: ProbLits, on the base engine and on
 // a conditioned one, and NewConditioned, from either, recompute exactly the
 // steps on a path from a newly pinned variable's step to a root — the
-// variables whose pin differs from the engine's own evidence — and keep no
-// other table; literals that cannot hold recompute nothing.
+// variables the engine's own evidence leaves free — and keep no other
+// table.
 func TestOverlayRecomputesOnlyDirtySteps(t *testing.T) {
 	var recomputed, steps int
 	check := func(tag string, e *prob.Engine, got []int32, pinned []int32) {
@@ -105,37 +94,32 @@ func TestOverlayRecomputesOnlyDirtySteps(t *testing.T) {
 		}
 		for trial := 0; trial < 4; trial++ {
 			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
-			lits := parityLits(rng, pg)
-			p, got, err := eng.ProbLitsSteps(lits)
-			if q, _ := eng.ProbLits(lits); err != nil || !sameBits(p, q) {
+			edges := parityEdges(rng, pg)
+			p, got, err := eng.ProbLitsSteps(edges)
+			if q, _ := eng.ProbLits(edges); err != nil || !sameBits(p, q) {
 				t.Fatalf("%s: ProbLitsSteps %v, %v; ProbLits %v", tag, p, err, q)
 			}
-			evidence, ok := pinsOf(pg, lits)
+			evidence := pinsOf(pg, edges)
 			check(tag+" ProbLits", eng, got, newlyPinned(nil, evidence))
-			c, err := eng.NewConditioned(lits)
-			if !ok {
-				if err == nil {
-					t.Fatalf("%s: NewConditioned(%v) accepted impossible evidence", tag, lits)
-				}
-				continue
+			c, err := eng.NewConditioned(edges)
+			if err != nil {
+				t.Fatal(err)
 			}
 			check(tag+" NewConditioned", eng, c.OwnSteps(), newlyPinned(nil, evidence))
-			more := parityLits(rng, pg)
+			more := parityEdges(rng, pg)
 			if c.Z() > 0 {
 				_, got, err := c.ProbLitsSteps(more)
 				if err != nil {
 					t.Fatal(err)
 				}
-				both, _ := pinsOf(pg, append(slices.Clip(lits), more...))
+				both := pinsOf(pg, append(slices.Clip(edges), more...))
 				check(tag+" conditioned ProbLits", c, got, newlyPinned(evidence, both))
 			}
-			if pins, ok := pinsOf(pg, more); ok {
-				cc, err := c.NewConditioned(more)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(tag+" re-conditioned", eng, cc.OwnSteps(), newlyPinned(nil, pins))
+			cc, err := c.NewConditioned(more)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check(tag+" re-conditioned", eng, cc.OwnSteps(), newlyPinned(nil, pinsOf(pg, more)))
 		}
 	}
 	if recomputed == 0 || recomputed >= steps {
@@ -156,17 +140,17 @@ func TestOverlayConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	type query struct {
-		evidence, lits []prob.Literal
-		want           float64
+		evidence, edges []graph.EdgeID
+		want            float64
 	}
 	var queries []query
 	for len(queries) < 16 {
-		q := query{evidence: parityLits(rng, pg), lits: parityLits(rng, pg)}
+		q := query{evidence: parityEdges(rng, pg), edges: parityEdges(rng, pg)}
 		c, err := eng.NewConditioned(q.evidence)
 		if err != nil || c.Z() == 0 {
 			continue
 		}
-		if q.want, err = c.ProbLits(q.lits); err != nil {
+		if q.want, err = c.ProbLits(q.edges); err != nil {
 			t.Fatal(err)
 		}
 		queries = append(queries, q)
@@ -193,11 +177,11 @@ func TestOverlayConcurrentQueries(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := eng.ProbLits(q.lits); err != nil {
+				if _, err := eng.ProbLits(q.edges); err != nil {
 					errs <- err
 					return
 				}
-				if p, err := c.ProbLits(q.lits); err != nil || !sameBits(p, q.want) {
+				if p, err := c.ProbLits(q.edges); err != nil || !sameBits(p, q.want) {
 					errs <- fmt.Errorf("goroutine %d: ProbLits = %v, %v; serial %v", g, p, err, q.want)
 					return
 				}

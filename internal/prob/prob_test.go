@@ -135,7 +135,7 @@ func paper001(t *testing.T) (*PGraph, *Engine) {
 }
 
 func TestPaper001Exact(t *testing.T) {
-	_, eng := paper001(t)
+	pg, eng := paper001(t)
 	if math.Abs(eng.Z()-1) > 1e-12 {
 		t.Fatalf("Z = %v, want 1 (normalized table)", eng.Z())
 	}
@@ -148,23 +148,15 @@ func TestPaper001Exact(t *testing.T) {
 		t.Fatalf("Pr(e1) = %v, want 0.6", p)
 	}
 	// Pr(e1=1, e2=1, e3=1) = 0.2 (the full triangle world).
-	es := graph.NewEdgeSet(3)
-	es.Add(0)
-	es.Add(1)
-	es.Add(2)
-	p, err = eng.ProbLits(AllPresent(es))
+	p, err = eng.ProbLits([]graph.EdgeID{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p-0.2) > 1e-12 {
 		t.Fatalf("Pr(all) = %v, want 0.2", p)
 	}
-	// Pr(all absent) = 0.1.
-	p, err = eng.ProbLits(AllAbsent(es))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.1) > 1e-12 {
+	// Pr(all absent) = 0.1: the world of no uncertain edge.
+	if p = eng.WorldProb(pg.NewWorld()); math.Abs(p-0.1) > 1e-12 {
 		t.Fatalf("Pr(none) = %v, want 0.1", p)
 	}
 }
@@ -192,23 +184,15 @@ func TestCertainEdgesAlwaysPresent(t *testing.T) {
 			t.Fatal("sampled world missing certain edge")
 		}
 	}
-	// Asserting a certain edge absent is impossible evidence.
-	p, err := eng.ProbLits([]Literal{{Edge: 0, Present: false}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 0 {
-		t.Fatalf("Pr(certain edge absent) = %v, want 0", p)
-	}
 }
 
-// enumProb computes Pr(all lits hold) by brute-force world enumeration.
-func enumProb(t *testing.T, eng *Engine, lits []Literal) float64 {
+// enumProb computes Pr(every edge present) by brute-force world enumeration.
+func enumProb(t *testing.T, eng *Engine, edges []graph.EdgeID) float64 {
 	t.Helper()
 	total := 0.0
 	err := EnumerateWorlds(eng, func(w graph.EdgeSet, p float64) bool {
-		for _, l := range lits {
-			if w.Contains(l.Edge) != l.Present {
+		for _, ed := range edges {
+			if !w.Contains(ed) {
 				return true
 			}
 		}
@@ -240,21 +224,21 @@ func TestEngineAgainstEnumeration(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			return false
 		}
-		// Random literal queries match enumeration.
+		// Random edge subsets match enumeration.
 		for trial := 0; trial < 4; trial++ {
-			var lits []Literal
+			var edges []graph.EdgeID
 			for e := 0; e < pg.G.NumEdges(); e++ {
 				if rng.Intn(3) == 0 {
-					lits = append(lits, Literal{Edge: graph.EdgeID(e), Present: rng.Intn(2) == 0})
+					edges = append(edges, graph.EdgeID(e))
 				}
 			}
-			want := enumProb(t, eng, lits)
-			got, err := eng.ProbLits(lits)
+			want := enumProb(t, eng, edges)
+			got, err := eng.ProbLits(edges)
 			if err != nil {
 				t.Fatalf("ProbLits: %v", err)
 			}
 			if math.Abs(got-want) > 1e-9 {
-				t.Logf("seed %d lits %v: got %v want %v", seed, lits, got, want)
+				t.Logf("seed %d edges %v: got %v want %v", seed, edges, got, want)
 				return false
 			}
 		}
@@ -304,8 +288,7 @@ func TestConditionedSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := pg.UncertainEdges()[0]
-	ev := []Literal{{Edge: target, Present: true}}
-	cond, err := eng.NewConditioned(ev)
+	cond, err := eng.NewConditioned([]graph.EdgeID{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,26 +324,6 @@ func TestConditionedSampling(t *testing.T) {
 	got := float64(hits) / N
 	if math.Abs(got-wantCond) > 0.02 {
 		t.Fatalf("conditional marginal: sampled %v, exact %v", got, wantCond)
-	}
-}
-
-func TestContradictoryEvidence(t *testing.T) {
-	g := chain(3)
-	pg := MustNew(g, []JPT{NewIndependentJPT(0, 0.5), NewIndependentJPT(1, 0.5)})
-	eng, err := NewEngine(pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.NewConditioned([]Literal{{Edge: 0, Present: true}, {Edge: 0, Present: false}}); err == nil {
-		t.Fatal("expected contradictory-evidence error")
-	}
-	// Contradictory literals in a query give probability 0.
-	p, err := eng.ProbLits([]Literal{{Edge: 0, Present: true}, {Edge: 0, Present: false}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 0 {
-		t.Fatalf("Pr(contradiction) = %v, want 0", p)
 	}
 }
 
@@ -460,10 +423,7 @@ func TestNewIndependent(t *testing.T) {
 		}
 	}
 	// Joint = product under independence.
-	es := graph.NewEdgeSet(3)
-	es.Add(0)
-	es.Add(1)
-	got, err := eng.ProbLits(AllPresent(es))
+	got, err := eng.ProbLits([]graph.EdgeID{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

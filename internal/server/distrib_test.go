@@ -124,6 +124,42 @@ func TestTopKWalkNoCache(t *testing.T) {
 	}
 }
 
+// TestDisabledCacheNeverConsulted: with Options.CacheSize < 0 (pgsearch's
+// local mode) /query, /topk, /topk/walk and /batch, each sent twice, count
+// no cache hit or miss, per generation neither, and answer byte for byte
+// what a caching server answers the same requests sent no_cache.
+func TestDisabledCacheNeverConsulted(t *testing.T) {
+	off, on := newTestEnv(t, Options{CacheSize: -1}), newTestEnv(t, Options{})
+	req := QueryRequest{GraphText: off.qtexts[0], Epsilon: 0.3, Delta: 1, K: 3, Seed: 9}
+	batch := BatchRequest{QueryTexts: off.qtexts, Epsilon: 0.3, Delta: 1, Seed: 9}
+	noReq, noBatch := req, batch
+	noReq.NoCache, noBatch.NoCache = true, true
+	for _, c := range []struct {
+		path     string
+		req, ref any
+	}{{"/query", req, noReq}, {"/topk", req, noReq}, {"/topk/walk", req, noReq}, {"/batch", batch, noBatch}} {
+		var want json.RawMessage
+		on.post(t, c.path, c.ref, &want)
+		for i := 0; i < 2; i++ {
+			var got json.RawMessage
+			if hr := off.post(t, c.path, c.req, &got); hr.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", c.path, hr.StatusCode, got)
+			}
+			if zeroed(got) != zeroed(want) {
+				t.Fatalf("%s #%d without a cache:\n%s\nwith one, sent no_cache:\n%s", c.path, i, got, want)
+			}
+		}
+	}
+	text, st := scrapeMetrics(t, off)
+	if st["pg_cache_misses_total"] != 0 || st["pg_cache_hits_total"] != 0 || st["pg_cache_entries"] != 0 {
+		t.Fatalf("disabled cache consulted: hits %v misses %v entries %v",
+			st["pg_cache_hits_total"], st["pg_cache_misses_total"], st["pg_cache_entries"])
+	}
+	if strings.Contains(text, "pg_cache_generation_misses_total{") || strings.Contains(text, "pg_cache_generation_hits_total{") {
+		t.Fatalf("disabled cache counted per generation:\n%s", text)
+	}
+}
+
 // TestTopKWalkTimeoutNotCached: a walk whose timeout_ms expires answers
 // 504 and stores nothing. The one inflight slot is held until the
 // request's deadline has passed, so the walk starts already expired.

@@ -118,6 +118,12 @@ func cacheKey(kind string, gen uint64, code string, opt core.QueryOptions, k int
 		strconv.Itoa(k)
 }
 
+// caching reports whether a request uses the result cache: not when it
+// asks no_cache, nor when Options.CacheSize < 0 leaves a cache that holds
+// nothing. Either way the request builds no key and counts no miss (a
+// canonical code costs a search of its own).
+func (l *local) caching(noCache bool) bool { return !noCache && l.cache.cap > 0 }
+
 // cacheGet looks the key up and feeds the per-generation counters.
 func (l *local) cacheGet(gen uint64, key string) (any, bool) {
 	v, ok := l.cache.Get(key)
@@ -185,11 +191,10 @@ func (l *local) Query(ctx context.Context, req *QueryRequest, q *graph.Graph, op
 	// Pin the current generation: evaluation, the cache key, and name
 	// resolution all use this one immutable view. A mutation committing
 	// mid-query neither blocks this request nor leaks into its result.
-	// A no_cache request neither reads nor fills the cache, so it needs
-	// no key (a canonical code costs a search of its own).
 	v := l.db.View()
+	caching := l.caching(req.NoCache)
 	var key string
-	if !req.NoCache {
+	if caching {
 		key = cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
 			return queryResponse(v, cached.(*core.Result), true), nil
@@ -204,7 +209,7 @@ func (l *local) Query(ctx context.Context, req *QueryRequest, q *graph.Graph, op
 		// result cache.
 		return nil, err
 	}
-	if !req.NoCache {
+	if caching {
 		l.cache.Put(key, res)
 	}
 	return queryResponse(v, res, false), nil
@@ -220,8 +225,9 @@ func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph,
 	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
 	defer cancel()
 	v := l.db.View()
+	caching := l.caching(req.NoCache)
 	var key string
-	if !req.NoCache {
+	if caching {
 		key = cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
 			return v, cached.(*core.TopKWalk), true, nil
@@ -233,7 +239,7 @@ func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph,
 	if err != nil {
 		return nil, nil, false, err // never cached, like a dead /query
 	}
-	if !req.NoCache {
+	if caching {
 		l.cache.Put(key, walk)
 	}
 	return v, walk, false, nil
@@ -263,11 +269,12 @@ func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph,
 	// /query with the derived seed and a batch share the entry — and only
 	// the members that miss are evaluated, each with its own derived seed.
 	v := l.db.View()
+	caching := l.caching(req.NoCache)
 	keys := make([]string, len(qs))
 	out := &BatchResponse{Results: make([]*QueryResponse, len(qs))}
 	var missed []int
 	for i, q := range qs {
-		if !req.NoCache {
+		if caching {
 			mo := opt
 			mo.Seed = core.BatchSeed(opt.Seed, i)
 			keys[i] = cacheKey("query", v.Generation, graph.CanonicalCode(q), mo, 0)
@@ -288,7 +295,7 @@ func (l *local) Batch(ctx context.Context, req *BatchRequest, qs []*graph.Graph,
 		return nil, err
 	}
 	for _, i := range missed {
-		if !req.NoCache {
+		if caching {
 			l.cache.Put(keys[i], results[i])
 		}
 		out.Results[i] = queryResponse(v, results[i], false)

@@ -6,14 +6,18 @@ package stats
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
-// Table accumulates rows and renders them with aligned columns.
+// Table accumulates rows and renders them with aligned columns. It keeps
+// each cell's value beside its rendering, so an export need not parse the
+// rendering back.
 type Table struct {
 	Title   string
 	Headers []string
 	rows    [][]string
+	values  [][]any
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -35,6 +39,7 @@ func (t *Table) AddRow(cells ...interface{}) {
 		}
 	}
 	t.rows = append(t.rows, row)
+	t.values = append(t.values, slices.Clone(cells))
 }
 
 // NumRows returns the number of data rows.
@@ -43,6 +48,10 @@ func (t *Table) NumRows() int { return len(t.rows) }
 // Rows returns the rendered data rows (cells as strings, in AddRow order)
 // for machine-readable export; callers must not mutate the result.
 func (t *Table) Rows() [][]string { return t.rows }
+
+// Values returns the data rows' cells as AddRow was given them, beside
+// Rows' renderings; callers must not mutate the result.
+func (t *Table) Values() [][]any { return t.values }
 
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {

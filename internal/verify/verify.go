@@ -5,10 +5,14 @@
 // Bfi range over the embeddings of all relaxed queries rq ∈ U in the certain
 // graph gc — a DNF whose clauses assert that an embedding's edges all exist.
 //
+// Each clause reaches the inference engine as its ascending edge list
+// (prob.PresentClauses), the one form of evidence the engine takes: a
+// clause only ever asserts that edges are present, so it can always hold.
+//
 // SMP is the paper's Algorithm 5: the Karp–Luby / coverage Monte-Carlo
 // estimator. Clause probabilities Pr(Bfi) come from the exact inference
 // engine (the paper's junction-tree step) in one prob.Engine.ProbLitsBatch
-// call per candidate over one literal slab: each clause's value is a
+// call per candidate over one edge-list slab: each clause's value is a
 // product over the model's components, and a component's factor under the
 // edges a clause pins there is recomputed — only the elimination steps
 // those edges reach — the first time a clause pins them so, and reused by
@@ -28,8 +32,9 @@
 // DNF.Eliminate computes the same probability exactly as one minus
 // prob.Engine.ProbNoClause, by variable elimination over the JPTs the
 // clauses reach and one 0/1 factor per clause — applied by zeroing the
-// entries where the clause holds, and only those — declining before any
-// arithmetic when the compiled cost exceeds the caller's budget. The query
+// entries where its edges are all present, and only those — declining
+// before any arithmetic when the compiled cost exceeds the caller's
+// budget. The query
 // ladder (core) uses it for every DNF within its budget and samples only
 // the rest, although the problem is #P-complete in general.
 //
@@ -86,7 +91,7 @@ func SMP(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (float64, error
 }
 
 // DNF is one candidate's verification problem, prepared once: the clauses
-// kept after MaxClauses truncation, in canonical order, with their literal
+// kept after MaxClauses truncation, in canonical order, with their edge
 // lists and exact probabilities Pr(Bfi), and V = Σ Pr(Bfi) over the kept
 // clauses. Everything that decides the candidate reads this one value —
 // Bound before any sample is drawn, then Eliminate, Exact or Sample — so
@@ -99,20 +104,21 @@ type DNF struct {
 	eng     *prob.Engine
 	opt     Options          // defaulted
 	clauses []clause         // canonical order, truncated to MaxClauses
-	lits    [][]prob.Literal // the clauses' literal lists, in the same order
+	edges   [][]graph.EdgeID // the clauses' edge lists, in the same order
 	v       float64          // Σ Pr(Bfi) over the kept clauses
 	bound   float64
 }
 
-// clause is one conjunct Bfi: its edge set, its literal list and Pr(Bfi).
+// clause is one conjunct Bfi: its edges as a set and as an ascending list,
+// and Pr(Bfi).
 type clause struct {
-	set  graph.EdgeSet
-	lits []prob.Literal
-	p    float64
+	set   graph.EdgeSet
+	edges []graph.EdgeID
+	p     float64
 }
 
 // Prepare computes the clause probabilities of Pr(∨ clauses) by exact
-// inference, in one ProbLitsBatch call over the clauses' literal lists (one
+// inference, in one ProbLitsBatch call over the clauses' edge lists (one
 // slab, prob.PresentClauses), and puts the clauses in canonical order: descending Pr(Bfi),
 // ties broken by the ascending edge list. V is summed in that order, and
 // MaxClauses truncation keeps its prefix. Clause 0 is then the likeliest
@@ -124,11 +130,11 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 	if len(clauses) == 0 {
 		return d, nil
 	}
-	// Each clause's literal list serves its probability here, its
-	// conditioned engine in Sample and its factor in Eliminate.
-	lits := prob.PresentClauses(clauses)
+	// Each clause's edge list serves its probability here, its conditioned
+	// engine in Sample and its factor in Eliminate.
+	edges := prob.PresentClauses(clauses)
 	ps := make([]float64, len(clauses))
-	if err := eng.ProbLitsBatch(lits, ps); err != nil {
+	if err := eng.ProbLitsBatch(edges, ps); err != nil {
 		return nil, err
 	}
 	cs := make([]clause, len(clauses))
@@ -137,21 +143,21 @@ func Prepare(eng *prob.Engine, clauses []graph.EdgeSet, opt Options) (*DNF, erro
 			d.bound = 1 // certain clause: the union is certain
 			return d, nil
 		}
-		cs[i] = clause{c, lits[i], ps[i]}
+		cs[i] = clause{c, edges[i], ps[i]}
 	}
 	slices.SortFunc(cs, func(a, b clause) int {
 		if c := cmp.Compare(b.p, a.p); c != 0 {
 			return c
 		}
-		return slices.CompareFunc(a.lits, b.lits, func(x, y prob.Literal) int { return cmp.Compare(x.Edge, y.Edge) })
+		return slices.Compare(a.edges, b.edges)
 	})
 	if cs[0].p <= 0 {
 		return d, nil // V = 0
 	}
 	d.clauses = cs[:min(len(cs), d.opt.MaxClauses)]
-	d.lits = lits[:len(d.clauses)]
+	d.edges = edges[:len(d.clauses)]
 	for i, c := range d.clauses {
-		d.lits[i] = c.lits
+		d.edges[i] = c.edges
 		d.v += c.p
 	}
 	all := d.v // V over every clause: the kept prefix's sum, continued
@@ -207,7 +213,7 @@ func (d *DNF) Eliminate(budget int) (p float64, ok bool, err error) {
 	case 1:
 		return min(d.clauses[0].p, d.bound), true, nil
 	}
-	none, ok, err := d.eng.ProbNoClause(d.lits, budget)
+	none, ok, err := d.eng.ProbNoClause(d.edges, budget)
 	if !ok || err != nil {
 		return 0, ok, err
 	}
@@ -254,7 +260,7 @@ func (d *DNF) Sample(eps float64) (est float64, drawn int, err error) {
 		i := lowerBound(cum, rng.Float64()*d.v)
 		if i > 0 {
 			if cond[i] == nil {
-				ce, err := d.eng.NewConditioned(d.clauses[i].lits)
+				ce, err := d.eng.NewConditioned(d.clauses[i].edges)
 				if err != nil {
 					return 0, s, fmt.Errorf("verify: conditioning on clause %d: %w", i, err)
 				}

@@ -271,11 +271,11 @@ func TestTopClauses(t *testing.T) {
 		v := 0.0
 		for k, want := range tc.edges {
 			c := d.clauses[k]
-			if got := c.set.Slice(); !slices.Equal(got, want) || len(c.lits) != len(want) || c.lits[0].Edge != want[0] {
-				t.Fatalf("MaxClauses %d: clause %d is %v with literals %v, want %v", tc.max, k, got, c.lits, want)
+			if got := c.set.Slice(); !slices.Equal(got, want) || !slices.Equal(c.edges, want) {
+				t.Fatalf("MaxClauses %d: clause %d is %v with edge list %v, want %v", tc.max, k, got, c.edges, want)
 			}
-			if p, _ := eng.ProbLits(c.lits); c.p != p {
-				t.Fatalf("MaxClauses %d: clause %d has probability %v, its literals %v", tc.max, k, c.p, p)
+			if p, _ := eng.ProbLits(c.edges); c.p != p {
+				t.Fatalf("MaxClauses %d: clause %d has probability %v, its edge list %v", tc.max, k, c.p, p)
 			}
 			v += c.p
 		}
@@ -296,7 +296,7 @@ func TestLowerBoundSearch(t *testing.T) {
 }
 
 // TestSMPTruncationKeepsClausesAligned: past MaxClauses, SMP must sample
-// exactly as it would on the kept clauses alone — probabilities, literal
+// exactly as it would on the kept clauses alone — probabilities, edge
 // lists and edge sets staying in step.
 func TestSMPTruncationKeepsClausesAligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -305,11 +305,9 @@ func TestSMPTruncationKeepsClausesAligned(t *testing.T) {
 	if len(clauses) < 4 {
 		t.Fatalf("fixture has only %d distinct clauses", len(clauses))
 	}
-	lits := make([][]prob.Literal, len(clauses))
 	probs := make([]float64, len(clauses))
 	for i, c := range clauses {
-		lits[i] = prob.AllPresent(c)
-		probs[i], _ = eng.ProbLits(lits[i])
+		probs[i], _ = eng.ProbLits(c.Slice())
 	}
 	order := make([]int, len(clauses))
 	for i := range order {
