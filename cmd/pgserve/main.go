@@ -76,6 +76,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -88,45 +89,55 @@ import (
 )
 
 func main() {
-	snapshot := flag.String("snapshot", "", "snapshot file from pgsearch -savesnap / pggen -savesnap")
-	dbPath := flag.String("db", "", "dataset file from pggen (index built at startup)")
-	addr := flag.String("addr", ":8091", "listen address")
-	cacheSize := flag.Int("cache", 256, "result cache capacity in entries (<0 disables)")
-	workers := flag.Int("workers", -1, "default per-query worker pool (<0 = GOMAXPROCS)")
-	inflight := flag.Int("inflight", 0, "max concurrently evaluated queries (0 = 2×GOMAXPROCS, <0 unbounded)")
-	timeout := flag.Duration("timeout", 0, "default per-request evaluation deadline (0 = none; requests override via timeout_ms)")
-	compactThreshold := flag.Float64("compact-threshold", 0.5,
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run executes pgserve and returns its exit code: 1 when the database
+// cannot be loaded or the server fails, 2 on a flag refusal, which comes
+// before any file is opened.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pgserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	snapshot := fs.String("snapshot", "", "snapshot file from pgsearch -savesnap / pggen -savesnap")
+	dbPath := fs.String("db", "", "dataset file from pggen (index built at startup)")
+	addr := fs.String("addr", ":8091", "listen address")
+	cacheSize := fs.Int("cache", 256, "result cache capacity in entries (<0 disables)")
+	workers := fs.Int("workers", -1, "default per-query worker pool (<0 = GOMAXPROCS)")
+	inflight := fs.Int("inflight", 0, "max concurrently evaluated queries (0 = 2×GOMAXPROCS, <0 unbounded)")
+	timeout := fs.Duration("timeout", 0, "default per-request evaluation deadline (0 = none; requests override via timeout_ms)")
+	compactThreshold := fs.Float64("compact-threshold", 0.5,
 		"auto-compact once tombstoned/total slots exceeds this fraction (renumbers graph indices; <=0 disables)")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-	slowlogSize := flag.Int("slowlog", 32, "slow-query ring size served at /debug/slowlog (<0 disables)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it loopback)")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
-		os.Exit(2)
+	logFormat := fs.String("log-format", "text", "log output format: text or json")
+	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+	slowlogSize := fs.Int("slowlog", 32, "slow-query ring size served at /debug/slowlog (<0 disables)")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it loopback)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	slog.SetDefault(logger)
 
+	logger, err := obs.NewLogger(stderr, *logFormat, *logLevel)
+	if err != nil {
+		fmt.Fprintf(stderr, "pgserve: %v\n", err)
+		return 2
+	}
 	if (*snapshot == "") == (*dbPath == "") {
-		fmt.Fprintln(os.Stderr, "pgserve: give exactly one of -snapshot or -db")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pgserve: give exactly one of -snapshot or -db")
+		fs.Usage()
+		return 2
 	}
 	if *timeout < 0 {
-		fmt.Fprintf(os.Stderr, "pgserve: -timeout must be >= 0, got %v\n", *timeout)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pgserve: -timeout must be >= 0, got %v\n", *timeout)
+		return 2
 	}
 	if math.IsNaN(*compactThreshold) || math.IsInf(*compactThreshold, 0) || *compactThreshold > 1 {
-		fmt.Fprintf(os.Stderr, "pgserve: -compact-threshold must be a finite number <= 1, got %v\n", *compactThreshold)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pgserve: -compact-threshold must be a finite number <= 1, got %v\n", *compactThreshold)
+		return 2
 	}
 
-	fatal := func(err error) {
+	slog.SetDefault(logger)
+	fatal := func(err error) int {
 		logger.Error("fatal", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	reg := obs.NewRegistry()
@@ -139,7 +150,7 @@ func main() {
 	case *snapshot != "":
 		db, err = probgraph.OpenSnapshot(*snapshot)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		loadGauge.Set(time.Since(start).Seconds())
 		logger.Info("opened snapshot (no mining)",
@@ -148,16 +159,16 @@ func main() {
 	default:
 		f, err := os.Open(*dbPath)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		raw, err := probgraph.LoadDataset(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		db, err = probgraph.NewDatabase(raw.Graphs, probgraph.DefaultBuildOptions())
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		loadGauge.Set(time.Since(start).Seconds())
 		logger.Info("indexed dataset",
@@ -189,6 +200,7 @@ func main() {
 
 	if err := server.Serve(logger, *addr, *pprofAddr, srv.Handler(),
 		"cache", *cacheSize, "workers", *workers, "timeout", timeout.String()); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
+	return 0
 }

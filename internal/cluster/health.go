@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,17 +102,7 @@ func (c *Coordinator) registerFleetGauges() {
 // — an orchestrator holds traffic until the whole fleet can answer,
 // because any missing shard would fail every query anyway.
 func (c *Coordinator) Readyz(ctx context.Context) (any, bool) {
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si, m := range c.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[si] = c.probeReady(ctx, m)
-		}()
-	}
-	wg.Wait()
-
+	errs := c.everyShard(func(_ int, m *member) error { return c.probeReady(ctx, m) })
 	out := map[string]any{"ready": true, "shards": len(c.shards)}
 	var failed []string
 	for si, err := range errs {

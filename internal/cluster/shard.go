@@ -93,6 +93,23 @@ func generationMismatch(a string, genA uint64, b string, genB uint64) *server.Er
 		Message: fmt.Sprintf("shard generation mismatch: %s at %d, %s at %d", a, genA, b, genB)}
 }
 
+// everyShard runs f once per shard, each on its own goroutine, waits for
+// all of them, and returns their errors in fleet order. It is the one place
+// the coordinator reaches the whole fleet: fanout, Readyz and Stream.
+func (c *Coordinator) everyShard(f func(si int, m *member) error) []error {
+	errs := make([]error, len(c.shards))
+	var wg sync.WaitGroup
+	for si, m := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[si] = f(si, m)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // fanout is the fan-out every merged endpoint shares: POST the same
 // request to every shard concurrently and wait for all of them (each
 // bounded by ShardTimeout and the request context, so the wait is bounded
@@ -109,17 +126,12 @@ func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, va
 		return nil, server.Errorf(http.StatusInternalServerError, "%v", err)
 	}
 	outs := make([]*T, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range c.shards {
+	for si := range outs {
 		outs[si] = new(T)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[si] = c.call(ctx, si, path, body, outs[si])
-		}()
 	}
-	wg.Wait()
+	errs := c.everyShard(func(si int, _ *member) error {
+		return c.call(ctx, si, path, body, outs[si])
+	})
 	for si, err := range errs {
 		if err != nil {
 			return nil, shardError(c.shards[si], err)

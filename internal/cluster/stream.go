@@ -42,16 +42,10 @@ func (c *Coordinator) Stream(ctx context.Context, req *server.QueryRequest, _ *g
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	fan := &streamFan{sw: sw, cancel: cancel, seen: make(map[int]bool)}
-
-	var wg sync.WaitGroup
-	for _, m := range c.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			streamShard(sctx, m, body, fan)
-		}()
-	}
-	wg.Wait()
+	c.everyShard(func(_ int, m *member) error {
+		streamShard(sctx, m, body, fan)
+		return nil
+	})
 
 	switch {
 	case fan.failure != nil:

@@ -69,54 +69,12 @@ func TestAtSizeGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("seconds of sampling become minutes under the race runtime; CI runs the golden in its own step without it")
 	}
-	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
-		NumGraphs: 60, MinVertices: 100, MaxVertices: 110, Organisms: 6, Correlated: true, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bo := DefaultBuildOptions()
-	// The benchmark ledger's mining knobs (bench/corpus.go).
-	bo.Feature.Beta, bo.Feature.Alpha, bo.Feature.Gamma, bo.Feature.MaxL = 0.2, 0.1, 0.1, 4
-	db, err := NewDatabase(raw.Graphs, bo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := db.View()
+	v, queries := atSizeCorpus(t)
 	rec := atSizeRecord{Features: v.Build.Features}
-	for ci, cl := range atSizeClasses {
-		rng := rand.New(rand.NewSource(int64(100*ci + cl.edges)))
-		for n := 0; n < 4; {
-			q := dataset.ExtractQuery(v.Certain[rng.Intn(v.Len())], cl.edges, rng)
-			if q.NumEdges() != cl.edges {
-				continue
-			}
-			opt := QueryOptions{
-				Epsilon: cl.epsilon, Delta: cl.delta, OptBounds: true, Seed: 1,
-				Verify: verify.Options{N: 800}, Concurrency: -1,
-			}
-			rec.Queries = append(rec.Queries, atSizeRun(t, v, q, opt, fmt.Sprintf("%de δ%d ε%v #%d", cl.edges, cl.delta, cl.epsilon, n)))
-			n++
-		}
+	for _, aq := range queries {
+		rec.Queries = append(rec.Queries, atSizeRun(t, v, aq.q, aq.opt, aq.class))
 	}
-	got, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	if os.Getenv("PGSNAP_REGEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(atSizeGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(atSizeGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(atSizeGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with PGSNAP_REGEN=1): %v", err)
-	}
+	got, want := atSizeCompare(t, atSizeGoldenPath, rec)
 	if !bytes.Equal(got, want) {
 		var old atSizeRecord
 		if err := json.Unmarshal(want, &old); err != nil {
@@ -134,6 +92,82 @@ func TestAtSizeGolden(t *testing.T) {
 			t.Errorf("%d queries, golden %d", len(rec.Queries), len(old.Queries))
 		}
 	}
+}
+
+// atSizeQueryCase is one of the at-size queries with its options.
+type atSizeQueryCase struct {
+	class string
+	q     *graph.Graph
+	opt   QueryOptions
+}
+
+// atSizeCorpus builds the at-size database — 60 correlated PPI graphs of
+// 100–110 vertices, mined with the benchmark ledger's knobs — at the
+// current GOMAXPROCS and returns its view and its twelve queries, four of
+// each of atSizeClasses. Each test and each -cpu pass builds its own, so
+// the record holds the build and the cold engines at every worker count.
+func atSizeCorpus(t *testing.T) (*View, []atSizeQueryCase) {
+	t.Helper()
+	raw, err := dataset.GeneratePPI(dataset.PPIOptions{
+		NumGraphs: 60, MinVertices: 100, MaxVertices: 110, Organisms: 6, Correlated: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo := DefaultBuildOptions()
+	// The benchmark ledger's mining knobs (bench/corpus.go).
+	bo.Feature.Beta, bo.Feature.Alpha, bo.Feature.Gamma, bo.Feature.MaxL = 0.2, 0.1, 0.1, 4
+	db, err := NewDatabase(raw.Graphs, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := db.View()
+	var queries []atSizeQueryCase
+	for ci, cl := range atSizeClasses {
+		rng := rand.New(rand.NewSource(int64(100*ci + cl.edges)))
+		for n := 0; n < 4; {
+			q := dataset.ExtractQuery(v.Certain[rng.Intn(v.Len())], cl.edges, rng)
+			if q.NumEdges() != cl.edges {
+				continue
+			}
+			queries = append(queries, atSizeQueryCase{
+				class: fmt.Sprintf("%de δ%d ε%v #%d", cl.edges, cl.delta, cl.epsilon, n),
+				q:     q,
+				opt: QueryOptions{
+					Epsilon: cl.epsilon, Delta: cl.delta, OptBounds: true, Seed: 1,
+					Verify: verify.Options{N: 800}, Concurrency: -1,
+				},
+			})
+			n++
+		}
+	}
+	return v, queries
+}
+
+// atSizeCompare renders rec as the record at path holds it and returns it
+// with that record's bytes. Under PGSNAP_REGEN it writes rec there instead
+// and returns it twice.
+func atSizeCompare(t *testing.T, path string, rec any) (got, want []byte) {
+	t.Helper()
+	got, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if os.Getenv("PGSNAP_REGEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return got, got
+	}
+	want, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with PGSNAP_REGEN=1): %v", err)
+	}
+	return got, want
 }
 
 // atSizeRun asks q once as a threshold query and once as a top-5 query,
@@ -185,4 +219,107 @@ func atSizeRun(t *testing.T, v *View, q *graph.Graph, opt QueryOptions, class st
 		}
 	}
 	return out
+}
+
+// atSizeOraclePath is the checked-in record of TestAtSizeOracle.
+const atSizeOraclePath = "../../testdata/golden/oracle.json"
+
+// oracleBudget is the elimination budget, in the units of
+// prob.Engine.ProbNoClause, within which TestAtSizeOracle values a
+// sampled candidate exactly: 32 times the ladder's eliminationBudget.
+const oracleBudget = 1 << 22
+
+// oracleWindow is how close to ε a sampled estimate must lie for
+// TestAtSizeOracle to value its candidate.
+const oracleWindow = 0.15
+
+// oracleRecord is what TestAtSizeOracle pins, one entry per at-size query.
+type oracleRecord struct {
+	Budget  int
+	Window  float64
+	Queries []oracleQuery
+}
+
+// oracleQuery counts the candidates of one query that the ladder sampled
+// with an estimate within oracleWindow of ε: Valued of them exactly within
+// oracleBudget, OverBudget not. Disagreements lists the valued ones whose
+// exact value and estimate lie on opposite sides of ε.
+type oracleQuery struct {
+	Class         string
+	Valued        int
+	OverBudget    int
+	Disagreements []oracleDisagreement `json:",omitempty"`
+}
+
+// oracleDisagreement is one candidate, by global id, that the sampler
+// decided otherwise than its exact value would have.
+type oracleDisagreement struct {
+	Graph    int
+	Exact    float64
+	Estimate float64
+}
+
+// TestAtSizeOracle holds the sampled rung of the verification ladder to
+// exact values on a fixed subset: on the at-size golden's corpus and
+// queries, every candidate the ladder sampled whose estimate lies within
+// oracleWindow of ε is valued by elimination within oracleBudget, and each
+// disagreement — a candidate the sampler put on the other side of ε — is
+// recorded with both values in testdata/golden/oracle.json.
+//
+//	PGSNAP_REGEN=1 go test ./internal/core -run '^TestAtSizeOracle$'
+//
+// rewrites the record; CI regenerates it with the golden and fails on any
+// diff.
+func TestAtSizeOracle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("seconds of sampling become minutes under the race runtime; CI runs the oracle in its own step without it")
+	}
+	v, queries := atSizeCorpus(t)
+	rec := oracleRecord{Budget: oracleBudget, Window: oracleWindow}
+	for _, aq := range queries {
+		p, err := v.newPlan(bg, aq.q, aq.opt, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := p.opt.Epsilon
+		out := oracleQuery{Class: aq.class}
+		for i, gi := range p.scq {
+			o := v.evalCandidate(p, i)
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if o.samples == 0 || math.Abs(o.ssp-eps) > oracleWindow {
+				continue
+			}
+			d, _, err := v.prepare(p.sets[i], gi, p.opt, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, ok, err := d.Eliminate(oracleBudget)
+			switch {
+			case err != nil:
+				t.Fatal(err)
+			case !ok:
+				out.OverBudget++
+				continue
+			}
+			out.Valued++
+			if (exact >= eps) != o.answer {
+				out.Disagreements = append(out.Disagreements, oracleDisagreement{Graph: v.GID(gi), Exact: exact, Estimate: o.ssp})
+			}
+		}
+		rec.Queries = append(rec.Queries, out)
+	}
+	got, want := atSizeCompare(t, atSizeOraclePath, rec)
+	if !bytes.Equal(got, want) {
+		var old oracleRecord
+		if err := json.Unmarshal(want, &old); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(old, rec) {
+			t.Errorf("oracle drifted:\n got    %+v\n record %+v", rec, old)
+		} else {
+			t.Error("oracle record is not what this test writes: regenerate it")
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "probgraph/internal/graph"
+
 // Salts separating the independent per-candidate random streams derived
 // from one QueryOptions.Seed.
 const (
@@ -8,16 +10,14 @@ const (
 )
 
 // candSeed derives the RNG seed for candidate graph gi from the query
-// seed with a SplitMix64-style mix. Every randomized per-candidate step
-// (plain SSPBound's pair choice, SMP sampling) seeds from this and
-// nothing else, so a candidate's draws are a pure function of (Seed, gi) —
+// seed: output gi, counting from 0, of the SplitMix64 stream seeded with
+// it, i.e. graph.Mix(seed + gi·γ). Every randomized per-candidate step
+// (plain SSPBound's pair choice, SMP sampling) seeds from this and nothing
+// else, so a candidate's draws are a pure function of (Seed, gi) —
 // independent of scheduling order and of which other candidates exist.
 // That is what makes serial and concurrent runs bitwise-identical.
 func candSeed(seed int64, gi int) int64 {
-	z := uint64(seed) + (uint64(gi)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(graph.Mix(uint64(seed) + uint64(gi)*0x9e3779b97f4a7c15))
 }
 
 // BatchSeed is the per-query seed QueryBatchCtx derives from its base seed:

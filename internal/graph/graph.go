@@ -502,3 +502,15 @@ func (g *Graph) Clone() *Graph {
 	b.edges = slices.Clone(g.edges)
 	return b.Build()
 }
+
+// Mix is SplitMix64's output function: z advanced by the golden gamma and
+// finalized, a bijection on 64-bit words. The generator's stream seeded
+// with s is Mix(s), Mix(s+γ), Mix(s+2γ), …; the samplers' streams, the
+// per-candidate seeds, the image-set hash and the relaxation fingerprints
+// all mix through it.
+func Mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

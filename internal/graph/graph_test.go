@@ -685,3 +685,17 @@ func TestStringRendering(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// splitMix64Seed0 is the reference SplitMix64 stream seeded with 0: its
+// first three outputs.
+var splitMix64Seed0 = []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+
+// TestMixIsSplitMix64: Mix(k·γ) is output k, counting from 0, of the
+// reference stream.
+func TestMixIsSplitMix64(t *testing.T) {
+	for k, want := range splitMix64Seed0 {
+		if got := Mix(uint64(k) * 0x9e3779b97f4a7c15); got != want {
+			t.Errorf("Mix(%d·γ) = %#016x, want %#016x", k, got, want)
+		}
+	}
+}

@@ -515,7 +515,7 @@ func (s *imageSet) reset(n, ne, limit int) *imageSet {
 func (s *imageSet) add() bool {
 	h := uint64(len(s.img))
 	for _, w := range s.img {
-		h = mix(h ^ w)
+		h = graph.Mix(h ^ w) // a bijection: one-word sets never share a hash
 	}
 	first := s.head[h]
 	for i := first; i > 0; i = s.next[i-1] {
@@ -541,15 +541,6 @@ func (s *imageSet) sets() []graph.EdgeSet {
 		out[i] = graph.EdgeSetOfWords(words[i*s.w:], s.ne)
 	}
 	return out
-}
-
-// mix is the SplitMix64 finalizer, a bijection: one-word sets never share
-// a hash.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // collect is an enumeration's leaf. Every pattern vertex is mapped or

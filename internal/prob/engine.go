@@ -125,14 +125,14 @@ func newSchedule(pg *PGraph) (*schedule, error) {
 // step's output variables, the summed weight and the weight of "variable
 // present" — so SampleWorldInto is one table lookup and one rng draw per
 // variable. Evidence changes only the tables of the steps it pins and of the
-// steps above them, the dirty path (see markDirty): ProbLits recomputes that
-// path into pooled scratch, ProbLitsBatch each component's path once per
-// restriction, and an engine from NewConditioned is an overlay
-// holding the dirty path's tables and reading every other table from the
-// unconditioned engine it came from. After construction an Engine is
-// immutable, so concurrent queries and sampling are safe provided each
-// goroutine supplies its own rng and scratch buffers (QueryBatchCtx and the
-// PMI builder rely on this).
+// steps above them, the dirty path (see markDirty): ProbLitsBatch — and
+// ProbLits, one clause of it — recomputes each component's path into pooled
+// scratch once per restriction, and an engine from NewConditioned is an
+// overlay holding the dirty path's tables and reading every other table,
+// and the unconditioned partition function, from the engine it came from.
+// After construction an Engine is immutable, so concurrent queries and
+// sampling are safe provided each goroutine supplies its own rng and
+// scratch buffers (QueryBatchCtx and the PMI builder rely on this).
 type Engine struct {
 	pg    *PGraph
 	sched *schedule
@@ -145,8 +145,6 @@ type Engine struct {
 	at   []int32
 	slab []float64 // e's own tables: summed, then the present weights at the same offsets
 	z    float64
-	// zFull is the partition function of the unconditioned model.
-	zFull float64
 }
 
 // clean and pending mark a step's entry in an at vector: its table is the
@@ -176,7 +174,6 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 	if e.z < 0 {
 		return nil, fmt.Errorf("prob: negative partition function")
 	}
-	e.zFull = e.z
 	return e, nil
 }
 
@@ -189,7 +186,7 @@ func NewEngine(pg *PGraph) (*Engine, error) {
 // others.
 func (e *Engine) NewConditioned(edges []graph.EdgeID) (*Engine, error) {
 	r := e.root
-	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]bool, len(r.pin)), root: r, zFull: r.zFull}
+	c := &Engine{pg: r.pg, sched: r.sched, pin: make([]bool, len(r.pin)), root: r}
 	// One allocation holds at and, behind it, the pinned variables and the
 	// dirty steps — at most one each per step — so that an overlay costs
 	// four allocations and no pooled scratch, whose reuse the race
@@ -276,9 +273,9 @@ func (sc *schedule) markDirty(vars []int32, at []int32, dirty []int32) ([]int32,
 // (a dirty one) is read from sums, any other from e's own tables.
 // sums[at[s]+m] receives 0.0+absent+present and, when present is non-nil,
 // present[at[s]+m] the present weight. It is the one loop that computes an
-// engine's tables: NewEngine, NewConditioned, ProbLits and ProbLitsBatch
-// all run it. docs/ARCHITECTURE.md has why these orders make every float
-// bit-identical to the reference engine's.
+// engine's tables: NewEngine, NewConditioned and ProbLitsBatch all run it.
+// docs/ARCHITECTURE.md has why these orders make every float bit-identical
+// to the reference engine's.
 //
 //pgvet:noalloc
 func (e *Engine) recompute(pin []bool, at, dirty []int32, sums, present []float64) {
@@ -366,35 +363,29 @@ func (e *Engine) PGraph() *PGraph { return e.pg }
 // the unconditioned model: Z(evidence)/Z(). For an unconditioned engine it
 // is 1.
 func (e *Engine) ProbEvidence() float64 {
-	if e.zFull == 0 {
+	if e.root.z == 0 {
 		return 0
 	}
-	return e.z / e.zFull
+	return e.z / e.root.z
 }
 
 // ProbLits returns the probability that every edge of edges is present,
-// conditioned on this engine's evidence: the edges pinned on top of the
-// evidence, the dirty path recomputed in pooled scratch, nothing kept —
-// ProbLitsBatch over one clause.
+// conditioned on this engine's evidence: ProbLitsBatch over one clause.
 func (e *Engine) ProbLits(edges []graph.EdgeID) (float64, error) {
-	if e.z == 0 {
-		return 0, fmt.Errorf("prob: conditioning event has zero probability")
-	}
-	sc := litScratchPool.Get().(*litScratch)
 	var p [1]float64
-	e.probLits([][]graph.EdgeID{edges}, p[:], sc)
-	litScratchPool.Put(sc)
-	return p[0], nil
+	err := e.ProbLitsBatch([][]graph.EdgeID{edges}, p[:])
+	return p[0], err
 }
 
-// ProbLitsBatch sets p[i] to ProbLits(clauses[i]) for every clause, bit for
-// bit, pricing each restriction of a model component once per call. A
-// clause's probability is the product, from 1.0 over the roots in step
-// order, of each root's constant — the engine's own for a component the
-// clause does not pin — divided by Z. A root's constant depends only on the
-// pins in its component (docs/ARCHITECTURE.md, rule 5), so it is memoized
-// per call by (component, the variables the clause pins there), and a miss
-// recomputes only that component's dirty path. A component of more than 64
+// ProbLitsBatch sets p[i] to the probability that every edge of clauses[i]
+// is present, conditioned on this engine's evidence, pricing each
+// restriction of a model component once per call. A clause's probability
+// is the product, from 1.0 over the roots in step order, of each root's
+// constant — the engine's own for a component the clause does not pin —
+// divided by Z. A root's constant depends only on the pins in its
+// component (docs/ARCHITECTURE.md, rule 5), so it is memoized per call by
+// (component, the variables the clause pins there), and a miss recomputes
+// only that component's dirty path. A component of more than 64
 // steps has no key and is recomputed for every clause that pins it. p must
 // be as long as clauses.
 func (e *Engine) ProbLitsBatch(clauses [][]graph.EdgeID, p []float64) error {
@@ -407,9 +398,9 @@ func (e *Engine) ProbLitsBatch(clauses [][]graph.EdgeID, p []float64) error {
 	return nil
 }
 
-// litScratch is one ProbLits or ProbLitsBatch call's working memory. at
-// and slot are clean (−1) over their whole length between calls, so a call
-// resets only the entries it set.
+// litScratch is one ProbLitsBatch call's working memory. at and slot are
+// clean (−1) over their whole length between calls, so a call resets only
+// the entries it set.
 type litScratch struct {
 	pin   []bool
 	vars  []int32   // the variables the current clause pinned
@@ -452,42 +443,30 @@ func cleaned(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// probLits is ProbLitsBatch over caller-held scratch. A single clause is
-// priced as NewConditioned prices its evidence, its dirty path recomputed
-// and the partition function taken over it; more clauses go through the
-// memo (lookup, then price). Afterwards sc.dirty lists the steps the last
-// clause recomputed.
+// probLits is ProbLitsBatch over caller-held scratch: each clause is
+// looked up in the memo, its missed components' dirty paths recomputed,
+// and it is priced. Afterwards sc.dirty lists the steps the last clause
+// recomputed.
 //
 //pgvet:noalloc
 func (e *Engine) probLits(clauses [][]graph.EdgeID, p []float64, sc *litScratch) {
 	sched := e.sched
-	memoize := len(clauses) > 1
 	sc.pin = append(sc.pin[:0], e.pin...)
 	sc.at = cleaned(sc.at, len(e.at))
-	if memoize {
-		sc.slot = cleaned(sc.slot, len(sched.roots))
-		sc.consts = grow(sc.consts, len(sched.roots))
-		for k, r := range sched.roots {
-			slab, t := e.tables(r)
-			sc.consts[k] = slab[t]
-		}
-		sc.memo.reset()
+	sc.slot = cleaned(sc.slot, len(sched.roots))
+	sc.consts = grow(sc.consts, len(sched.roots))
+	for k, r := range sched.roots {
+		slab, t := e.tables(r)
+		sc.consts[k] = slab[t]
 	}
+	sc.memo.reset()
 	for i, edges := range clauses {
 		sc.vars = e.pg.pinEdges(sc.pin, edges, sc.vars[:0])
-		missed := len(sc.vars)
-		if memoize {
-			missed = sc.lookup(sched)
-		}
 		var size int
-		sc.dirty, size = sched.markDirty(sc.vars[:missed], sc.at, sc.dirty)
+		sc.dirty, size = sched.markDirty(sc.vars[:sc.lookup(sched)], sc.at, sc.dirty)
 		sc.sums = grow(sc.sums, size)
 		e.recompute(sc.pin, sc.at, sc.dirty, sc.sums, nil)
-		if memoize {
-			p[i] = sc.price(e) / e.z
-		} else {
-			p[i] = e.partition(sc.at, sc.sums) / e.z
-		}
+		p[i] = sc.price(e) / e.z
 		for _, s := range sc.dirty {
 			sc.at[s] = clean
 		}
@@ -692,7 +671,7 @@ func (e *Engine) SampleWorldInto(rng *rand.Rand, world graph.EdgeSet, scratch []
 // under the unconditioned model. Worlds missing a certain edge have
 // probability zero.
 func (e *Engine) WorldProb(world graph.EdgeSet) float64 {
-	if e.zFull == 0 || !world.ContainsAll(e.sched.template) {
+	if e.root.z == 0 || !world.ContainsAll(e.sched.template) {
 		return 0
 	}
 	prod := 1.0
@@ -705,5 +684,5 @@ func (e *Engine) WorldProb(world graph.EdgeSet) float64 {
 		}
 		prod *= t.P[idx]
 	}
-	return prod / e.zFull
+	return prod / e.root.z
 }

@@ -38,8 +38,9 @@ func EnumerateWorlds(e *Engine, fn func(world graph.EdgeSet, p float64) bool) er
 
 // ProbDNFExact computes Pr(∨ clauses) where each clause asserts that all of
 // its edges exist, via inclusion–exclusion over clauses (the paper's
-// Equation 21 / "Exact" baseline). Cost is Θ(2^len(clauses)) inference
-// queries with memoization on edge-set unions; callers cap the clause count.
+// Equation 21 / "Exact" baseline). Cost is Θ(2^len(clauses)) unions; each
+// distinct union is priced once, and all of them in one ProbLitsBatch call,
+// so their restrictions share its memo. Callers cap the clause count.
 func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, error) {
 	m := len(clauses)
 	if m == 0 {
@@ -51,76 +52,42 @@ func ProbDNFExact(e *Engine, clauses []graph.EdgeSet, maxClauses int) (float64, 
 	if m > 30 {
 		return 0, fmt.Errorf("prob: %d clauses too many for inclusion-exclusion", m)
 	}
-	u := newUnionMemo(e.pg.G.NumEdges())
-	total := 0.0
+	n := e.pg.G.NumEdges()
+	words := make([]uint64, (n+63)/64)
+	union := graph.EdgeSetOfWords(words, n)
+	key := make([]byte, 8*len(words)) // union's words, so a repeat builds no key
+	seen := make(map[string]int32)
+	var distinct [][]graph.EdgeID
+	of := make([]int32, 1<<m) // per mask, its union's index in distinct
 	for mask := 1; mask < 1<<m; mask++ {
-		clear(u.words)
-		size := 0
+		clear(words)
 		for i := 0; i < m; i++ {
 			if mask&(1<<i) != 0 {
-				u.set.UnionWith(clauses[i])
-				size++
+				union.UnionWith(clauses[i])
 			}
 		}
-		p, err := u.prob(e)
-		if err != nil {
-			return 0, err
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
 		}
-		if size%2 == 1 {
-			total += p
-		} else {
-			total -= p
+		k, ok := seen[string(key)]
+		if !ok {
+			k = int32(len(distinct))
+			seen[string(key)] = k
+			distinct = append(distinct, union.Slice())
 		}
+		of[mask] = k
 	}
-	if total < 0 {
-		total = 0
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total, nil
-}
-
-// unionMemo is inclusion–exclusion's working state, reused across masks: one
-// union set over words it owns, an edge buffer, and the probabilities
-// already computed, keyed by the union's words so a hit builds no key.
-type unionMemo struct {
-	words []uint64
-	set   graph.EdgeSet // over words
-	key   []byte
-	edges []graph.EdgeID
-	memo  map[string]float64
-}
-
-func newUnionMemo(numEdges int) *unionMemo {
-	words := make([]uint64, (numEdges+63)/64)
-	return &unionMemo{
-		words: words,
-		set:   graph.EdgeSetOfWords(words, numEdges),
-		key:   make([]byte, 8*len(words)),
-		memo:  make(map[string]float64),
-	}
-}
-
-// prob returns the probability that every edge of the union is present,
-// from the memo when the same union was asked before.
-func (u *unionMemo) prob(e *Engine) (float64, error) {
-	for i, w := range u.words {
-		binary.LittleEndian.PutUint64(u.key[8*i:], w)
-	}
-	if p, ok := u.memo[string(u.key)]; ok {
-		return p, nil
-	}
-	u.edges = u.edges[:0]
-	for i, w := range u.words {
-		for ; w != 0; w &= w - 1 {
-			u.edges = append(u.edges, graph.EdgeID(64*i+bits.TrailingZeros64(w)))
-		}
-	}
-	p, err := e.ProbLits(u.edges)
-	if err != nil {
+	p := make([]float64, len(distinct))
+	if err := e.ProbLitsBatch(distinct, p); err != nil {
 		return 0, err
 	}
-	u.memo[string(u.key)] = p
-	return p, nil
+	total := 0.0
+	for mask := 1; mask < 1<<m; mask++ {
+		if bits.OnesCount(uint(mask))%2 == 1 {
+			total += p[of[mask]]
+		} else {
+			total -= p[of[mask]]
+		}
+	}
+	return min(max(total, 0), 1), nil
 }

@@ -2,9 +2,9 @@ package prob
 
 import "probgraph/internal/graph"
 
-// SplitMix is the SplitMix64 generator: a counter advanced by the golden
-// gamma and passed through the SplitMix64 finalizer. Its whole state is one
-// word, so seeding a stream per sampled candidate costs nothing.
+// SplitMix is the SplitMix64 generator: a counter passed through
+// graph.Mix and advanced by the golden gamma. Its whole state is one word,
+// so seeding a stream per sampled candidate costs nothing.
 type SplitMix struct{ x uint64 }
 
 // NewSplitMix returns the stream seeded with seed.
@@ -12,11 +12,9 @@ func NewSplitMix(seed int64) SplitMix { return SplitMix{uint64(seed)} }
 
 // Uint64 returns the next 64 bits of the stream.
 func (r *SplitMix) Uint64() uint64 {
+	z := graph.Mix(r.x)
 	r.x += 0x9e3779b97f4a7c15
-	z := r.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // Float64 returns a uniform value in [0, 1) from the top 53 bits of Uint64.

@@ -192,3 +192,14 @@ func TestLazyWorldDescendingIsSampleWorld(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitMixStream: NewSplitMix(0) yields the reference SplitMix64
+// stream seeded with 0, as graph.Mix computes it.
+func TestSplitMixStream(t *testing.T) {
+	sm := prob.NewSplitMix(0)
+	for k, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := sm.Uint64(); got != want || got != graph.Mix(uint64(k)*0x9e3779b97f4a7c15) {
+			t.Errorf("output %d = %#016x, want %#016x", k, got, want)
+		}
+	}
+}

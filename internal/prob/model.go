@@ -10,7 +10,8 @@
 // (PresentClauses builds them ascending): the paper's verification only
 // ever asserts that an embedding's edges exist. A certain edge, or an edge
 // listed twice or already pinned, asserts nothing more, so no list can
-// contradict itself or an engine's evidence.
+// contradict itself or an engine's evidence. A clause is priced in one
+// place, Engine.ProbLitsBatch; ProbLits is it over one clause.
 //
 // Semantics. The distribution over possible worlds is the normalized product
 // of the JPT factors (a Markov random field). When JPTs partition the edge
@@ -187,7 +188,8 @@ func (pg *PGraph) NewWorld() graph.EdgeSet {
 
 // IsNeighborEdgeSet reports whether the edges form a neighbor-edge set per
 // the paper's Definition 1: all incident to one common vertex, or forming a
-// triangle. Generators use this to build paper-conformant JPT scopes; the
+// triangle. The generators build their scopes with
+// dataset.GroupNeighborEdges, and tests check those scopes with it; the
 // engine itself accepts arbitrary scopes.
 func IsNeighborEdgeSet(g *graph.Graph, edges []graph.EdgeID) bool {
 	if len(edges) == 0 {

@@ -208,16 +208,8 @@ func fingerprints(q *graph.Graph) func(deleted graph.EdgeSet) uint64 {
 				a, b = b, a
 			}
 			// A sum of well-mixed terms is order-free, as a multiset must be.
-			sum += mix(mix(a<<32|b) + l)
+			sum += graph.Mix(graph.Mix(a<<32|b) + l)
 		}
 		return sum
 	}
-}
-
-// mix is the SplitMix64 finalizer.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

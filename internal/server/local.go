@@ -186,63 +186,58 @@ func queryResponse(v *core.View, res *core.Result, cached bool) *QueryResponse {
 }
 
 func (l *local) Query(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*QueryResponse, error) {
+	v, res, cached, err := cachedRead(ctx, l, req, "query", q, opt, 0, (*core.View).QueryCtx)
+	if err != nil {
+		return nil, err
+	}
+	return queryResponse(v, res, cached), nil
+}
+
+// topkWalk is the one evaluation behind /topk and /topk/walk: the ranked
+// query's walk, under the "topk" key, so either endpoint warms the other.
+// A walk is a deterministic function of the generation, the query's
+// canonical code and every result-affecting option, like a /query result.
+func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*core.View, *core.TopKWalk, bool, error) {
+	return cachedRead(ctx, l, req, "topk", q, opt, req.K,
+		func(v *core.View, ctx context.Context, q *graph.Graph, opt core.QueryOptions) (*core.TopKWalk, error) {
+			return v.QueryTopKWalk(ctx, q, req.K, opt)
+		})
+}
+
+// cachedRead is the one cached read of /query, /topk and /topk/walk: under
+// the request's deadline it pins the current generation — evaluation, the
+// cache key and name resolution all use this one immutable view, so a
+// mutation committing mid-query neither blocks the request nor leaks into
+// its result — looks the result up under the key of kind and k, and on a
+// miss evaluates eval(v, ctx, q, opt) in an inflight slot and stores it —
+// a method expression such as (*core.View).QueryCtx. It returns the view,
+// the result and whether it was cached. A cached result is shared: callers
+// only read it. Cancelled and timed-out evaluations return an error, so
+// they never reach the store — a dead query never poisons the cache.
+func cachedRead[T any](ctx context.Context, l *local, req *QueryRequest, kind string, q *graph.Graph, opt core.QueryOptions, k int,
+	eval func(*core.View, context.Context, *graph.Graph, core.QueryOptions) (T, error)) (*core.View, T, bool, error) {
 	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
 	defer cancel()
-	// Pin the current generation: evaluation, the cache key, and name
-	// resolution all use this one immutable view. A mutation committing
-	// mid-query neither blocks this request nor leaks into its result.
 	v := l.db.View()
 	caching := l.caching(req.NoCache)
 	var key string
 	if caching {
-		key = cacheKey("query", v.Generation, graph.CanonicalCode(q), opt, 0)
+		key = cacheKey(kind, v.Generation, graph.CanonicalCode(q), opt, k)
 		if cached, ok := l.cacheGet(v.Generation, key); ok {
-			return queryResponse(v, cached.(*core.Result), true), nil
+			return v, cached.(T), true, nil
 		}
 	}
 	release := l.acquire()
-	res, err := v.QueryCtx(ctx, q, l.workers(opt))
+	res, err := eval(v, ctx, q, l.workers(opt))
 	release()
 	if err != nil {
-		// Cancelled and timed-out evaluations return an error, so they can
-		// never reach the cache Put below — a dead query never poisons the
-		// result cache.
-		return nil, err
+		var zero T
+		return nil, zero, false, err
 	}
 	if caching {
 		l.cache.Put(key, res)
 	}
-	return queryResponse(v, res, false), nil
-}
-
-// topkWalk is the one evaluation behind /topk and /topk/walk: the ranked
-// query's walk on the pinned view, served from the result cache under the
-// "topk" key or computed and stored there, so either endpoint warms the
-// other. A walk is a deterministic function of the generation, the query's
-// canonical code and every result-affecting option, like a /query result.
-// A cached walk is shared: callers only read it.
-func (l *local) topkWalk(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*core.View, *core.TopKWalk, bool, error) {
-	ctx, cancel := l.requestContext(ctx, req.TimeoutMS)
-	defer cancel()
-	v := l.db.View()
-	caching := l.caching(req.NoCache)
-	var key string
-	if caching {
-		key = cacheKey("topk", v.Generation, graph.CanonicalCode(q), opt, req.K)
-		if cached, ok := l.cacheGet(v.Generation, key); ok {
-			return v, cached.(*core.TopKWalk), true, nil
-		}
-	}
-	release := l.acquire()
-	walk, err := v.QueryTopKWalk(ctx, q, req.K, l.workers(opt))
-	release()
-	if err != nil {
-		return nil, nil, false, err // never cached, like a dead /query
-	}
-	if caching {
-		l.cache.Put(key, walk)
-	}
-	return v, walk, false, nil
+	return v, res, false, nil
 }
 
 func (l *local) TopK(ctx context.Context, req *QueryRequest, q *graph.Graph, opt core.QueryOptions) (*TopKResponse, error) {

@@ -325,6 +325,25 @@ func TestTimeoutKnobPlumbing(t *testing.T) {
 	if hr := tiny.post(t, "/query", bare, nil); hr.StatusCode != http.StatusOK {
 		t.Fatalf("timeout_ms over a 1ns default deadline: status %d, want 200", hr.StatusCode)
 	}
+
+	// A timeout_ms whose nanoseconds overflow int64 is refused on every
+	// query endpoint, not wrapped: the first would run with no deadline
+	// at all, the second with 448 µs.
+	for _, ms := range []int64{9_223_372_036_855, 18_446_744_073_710} {
+		reqs := map[string]any{
+			"/query":        QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, TimeoutMS: ms},
+			"/topk":         QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, K: 2, TimeoutMS: ms},
+			"/batch":        BatchRequest{QueryTexts: env.qtexts[:1], Epsilon: 0.4, Delta: 1, TimeoutMS: ms},
+			"/query/stream": QueryRequest{GraphText: env.qtexts[0], Epsilon: 0.4, Delta: 1, TimeoutMS: ms},
+		}
+		for _, path := range []string{"/query", "/topk", "/batch", "/query/stream"} {
+			var body Error
+			hr := env.post(t, path, reqs[path], &body)
+			if hr.StatusCode != http.StatusBadRequest || !strings.Contains(body.Message, "timeout_ms must be <= 9223372036854") {
+				t.Errorf("%s timeout_ms %d: status %d %q, want 400 naming the limit", path, ms, hr.StatusCode, body.Message)
+			}
+		}
+	}
 }
 
 // TestStreamDoesNotTouchCache: streams bypass the result cache in both

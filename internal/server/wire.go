@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
+	"time"
 
 	"probgraph/internal/core"
 	"probgraph/internal/graph"
@@ -213,7 +215,8 @@ func verifierKind(name string) (core.VerifierKind, error) {
 // the evaluating server's default. Out-of-range ε/δ and a negative
 // timeout_ms (0 means "use the server default") are malformed requests —
 // HTTP 400, matching the CLI flags — not evaluation failures (422), on
-// every query endpoint, /query/stream included.
+// every query endpoint, /query/stream included. So is a timeout_ms past
+// maxTimeoutMS, which as a time.Duration would wrap.
 func checkOptions(epsilon float64, delta int, verifier string, plain bool, seed int64, workers int, timeoutMS int64) (core.QueryOptions, error) {
 	vk, err := verifierKind(verifier)
 	if err != nil {
@@ -233,5 +236,11 @@ func checkOptions(epsilon float64, delta int, verifier string, plain bool, seed 
 	if timeoutMS < 0 {
 		return core.QueryOptions{}, fmt.Errorf("timeout_ms must be >= 0, got %d", timeoutMS)
 	}
+	if timeoutMS > maxTimeoutMS {
+		return core.QueryOptions{}, fmt.Errorf("timeout_ms must be <= %d, got %d", maxTimeoutMS, timeoutMS)
+	}
 	return opt, nil
 }
+
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)

@@ -28,7 +28,9 @@
 // The Cursor reader is hardened for fuzzing: every read is bounds-checked
 // against the section payload, errors are sticky, and slab counts are
 // validated against the remaining bytes before any allocation — corrupt
-// input errors out, it never panics or over-allocates.
+// input errors out, it never panics or over-allocates. Both slab kinds go
+// through one generic reader, slab: a view of an aligned payload on a
+// little-endian host, a decoded copy otherwise.
 package snapbin
 
 import (
@@ -368,63 +370,38 @@ func (c *Cursor) Align8() {
 	}
 }
 
-// I32s reads an int32 slab written by Section.I32s. On a little-endian
-// host with an aligned payload the returned slice aliases the underlying
-// data (zero copy, len == cap so appends always reallocate); otherwise it
-// is decoded into a fresh slice. The count is validated against the
-// remaining bytes before any allocation.
-func (c *Cursor) I32s() []int32 {
-	n := c.U64()
-	c.Align8()
-	if c.err != nil {
-		return nil
-	}
-	if n > uint64(c.Remaining())/4 {
-		c.fail("int32 slab of %d entries exceeds remaining %d bytes", n, c.Remaining())
-		return nil
-	}
-	raw := c.take(int(n) * 4)
-	if raw == nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&raw[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
-}
+// I32s reads an int32 slab written by Section.I32s (see slab).
+func (c *Cursor) I32s() []int32 { return slab[int32](c) }
 
-// F64s reads a float64 slab written by Section.F64s, zero copy when the
-// host allows it, bitwise-exact either way.
-func (c *Cursor) F64s() []float64 {
+// F64s reads a float64 slab written by Section.F64s (see slab).
+func (c *Cursor) F64s() []float64 { return slab[float64](c) }
+
+// slab is the one slab reader: a u64 count, padding to 8 bytes, then the
+// little-endian entries. The count is validated against the remaining
+// bytes before any allocation. On a little-endian host with an aligned
+// payload the returned slice aliases the underlying data (zero copy,
+// len == cap so appends always reallocate); otherwise the entries are
+// decoded into a fresh slice, bitwise-exact either way.
+func slab[T int32 | float64](c *Cursor) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
 	n := c.U64()
 	c.Align8()
 	if c.err != nil {
 		return nil
 	}
-	if n > uint64(c.Remaining())/8 {
-		c.fail("float64 slab of %d entries exceeds remaining %d bytes", n, c.Remaining())
+	if n > uint64(c.Remaining()/size) {
+		c.fail("%T slab of %d entries exceeds remaining %d bytes", zero, n, c.Remaining())
 		return nil
 	}
-	raw := c.take(int(n) * 8)
-	if raw == nil {
+	raw := c.take(int(n) * size)
+	if len(raw) == 0 {
 		return nil
 	}
-	if n == 0 {
-		return nil
+	if hostLittle && uintptr(unsafe.Pointer(&raw[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), n)
 	}
-	if hostLittle && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	out := make([]T, n)
+	_, _ = binary.Decode(raw, binary.LittleEndian, out) // raw holds exactly n entries: it cannot fail
 	return out
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func buildSample(t *testing.T) []byte {
@@ -132,5 +134,76 @@ func TestCursorStickyError(t *testing.T) {
 	c.Str()
 	if c.Err() != first {
 		t.Fatal("error not sticky")
+	}
+}
+
+// TestSlabDecodedCopy reads both slab kinds from a section copied to an
+// odd address, where no view is possible: the values must be decoded into
+// slices of their own, bit for bit. At the section's own, aligned address
+// the same reads are views of it.
+func TestSlabDecodedCopy(t *testing.T) {
+	ints := []int32{-1, 0, 1, 1 << 30, math.MinInt32}
+	floats := []float64{0, math.Copysign(0, -1), 1e300, math.Inf(-1), math.NaN()}
+	w := NewWriter()
+	s := w.Section(1)
+	s.I32s(ints)
+	s.F64s(floats)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, _ := snap.Section(1)
+	odd := make([]byte, len(sec)+1)[1:]
+	copy(odd, sec)
+	for _, payload := range [][]byte{sec, odd} {
+		view := &payload[0] == &sec[0]
+		lo := uintptr(unsafe.Pointer(&payload[0]))
+		inside := func(p unsafe.Pointer) bool { return uintptr(p)-lo < uintptr(len(payload)) }
+		c := NewCursor(payload)
+		gotI, gotF := c.I32s(), c.F64s()
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		if !slices.Equal(gotI, ints) {
+			t.Errorf("view %v: I32s = %v, want %v", view, gotI, ints)
+		}
+		if len(gotF) != len(floats) {
+			t.Fatalf("view %v: F64s = %v, want %v", view, gotF, floats)
+		}
+		for i := range floats {
+			if math.Float64bits(gotF[i]) != math.Float64bits(floats[i]) {
+				t.Errorf("view %v: F64s[%d] = %v, want %v", view, i, gotF[i], floats[i])
+			}
+		}
+		if hostLittle && (inside(unsafe.Pointer(&gotI[0])) != view || inside(unsafe.Pointer(&gotF[0])) != view) {
+			t.Errorf("view %v: slabs alias the payload: %v %v", view,
+				inside(unsafe.Pointer(&gotI[0])), inside(unsafe.Pointer(&gotF[0])))
+		}
+	}
+}
+
+// TestSlabCountChecked: a count past the bytes left fails before any
+// allocation, for both slab kinds, with an error naming the kind.
+func TestSlabCountChecked(t *testing.T) {
+	i32s := func(c *Cursor) bool { return c.I32s() == nil }
+	f64s := func(c *Cursor) bool { return c.F64s() == nil }
+	for _, c := range []struct {
+		n    uint64
+		read func(*Cursor) bool
+		want string
+	}{
+		{3, i32s, "snapbin: int32 slab of 3 entries exceeds remaining 8 bytes"},
+		{2, f64s, "snapbin: float64 slab of 2 entries exceeds remaining 8 bytes"},
+		{1 << 60, f64s, "snapbin: float64 slab of 1152921504606846976 entries exceeds remaining 8 bytes"},
+	} {
+		// The count, then 8 bytes: room for two int32s or one float64.
+		cur := NewCursor(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, c.n), 0))
+		if !c.read(cur) || cur.Err() == nil || cur.Err().Error() != c.want {
+			t.Errorf("count %d: error %v, want %q and no slab", c.n, cur.Err(), c.want)
+		}
 	}
 }
