@@ -25,7 +25,7 @@ const slowHeavy = 8
 // slow by construction, so that a cancel lands mid-scan: probabilistic
 // pruning is bypassed, ε lies below every candidate's bound V so the ladder
 // rejects none unsampled, and slowHeavy heavy graphs carry a DNF over the
-// elimination budget, each paying the full 150 000 samples. The helper
+// elimination budget, each paying the full 60 000 samples. The helper
 // asserts both, so a change to the ladder or the generator cannot quietly
 // make the cancellation tests vacuous.
 func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
@@ -36,7 +36,7 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 	db = withHeavyGraphs(t, db, 2001, slices.Repeat([]*graph.Graph{q}, slowHeavy)...)
 	opt := QueryOptions{
 		Epsilon: 0.01, Delta: 2, SkipProbPruning: true,
-		Verifier: VerifierSMP, Verify: verify.Options{N: 150000},
+		Verifier: VerifierSMP, Verify: verify.Options{N: 60000},
 		Seed: 5,
 	}
 	v := db.View()
@@ -50,7 +50,7 @@ func slowQueryEnv(t *testing.T) (*Database, *graph.Graph, QueryOptions) {
 		if d.Bound() < opt.Epsilon {
 			t.Fatalf("graph %d: bound %v below ε %v — rejected without sampling", gi, d.Bound(), opt.Epsilon)
 		}
-		if _, ok, _ := d.Eliminate(eliminationBudget); !ok {
+		if _, ok, _ := d.Eliminate(EliminationBudget); !ok {
 			sampled++
 		}
 	}

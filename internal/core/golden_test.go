@@ -57,8 +57,9 @@ type atSizeQuery struct {
 // QueryTopKCtx (k 5), and holds every counter, the answers, the SSP bits,
 // the ranking and the clause counts to testdata/golden/atsize.json. It is
 // the one test whose queries sample candidates on graphs of this size, so a
-// change to a ladder knob that binds at size (eliminationBudget, the clause
-// cap, the sampler) moves it. The queries run on GOMAXPROCS workers, so
+// change to a ladder knob that binds at size (EliminationBudget, which
+// moves it halved to 2^18 units or doubled to 2^20; the clause cap; the
+// sampler) moves it. The queries run on GOMAXPROCS workers, so
 // `-cpu 1,2,4` holds the counts equal across worker counts.
 //
 //	PGSNAP_REGEN=1 go test ./internal/core -run '^TestAtSizeGolden$'
@@ -226,7 +227,7 @@ const atSizeOraclePath = "../../testdata/golden/oracle.json"
 
 // oracleBudget is the elimination budget, in the units of
 // prob.Engine.ProbNoClause, within which TestAtSizeOracle values a
-// sampled candidate exactly: 32 times the ladder's eliminationBudget.
+// sampled candidate exactly: 8 times the ladder's EliminationBudget.
 const oracleBudget = 1 << 22
 
 // oracleWindow is how close to ε a sampled estimate must lie for

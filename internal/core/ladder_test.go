@@ -44,23 +44,26 @@ func ladderDatabase(t *testing.T, seed int64, n int) *Database {
 	return indexSmall(t, graphs, seed)
 }
 
-// heavyGraph is q blown up: every vertex of q becomes two of its label and
-// every edge the four edges between their copies, each present
-// independently. q embeds in it many times over and its clauses couple
-// edges all across it, so the elimination of its DNF is wide and costs
-// more than eliminationBudget — the ladder samples it — while each clause
-// probability stays a product of marginals.
+// heavyGraph is q blown up: every vertex of q becomes three of its label
+// and every edge the nine edges between their copies, each present
+// independently with probability 0.02–0.17. q embeds in it many times over
+// and its clauses couple edges all across it, so the elimination of its DNF
+// is wide and costs more than EliminationBudget — the ladder samples it —
+// while each clause probability stays a product of marginals. The
+// probabilities are low enough that some of those DNFs have a bound V
+// close to ε, where the sampler stops early.
 func heavyGraph(t *testing.T, q *graph.Graph, rng *rand.Rand) *prob.PGraph {
 	t.Helper()
 	b := graph.NewBuilder("heavy")
+	const copies = 3
 	for v := 0; v < q.NumVertices(); v++ {
-		b.AddVertices(2, q.VertexLabel(graph.VertexID(v)))
+		b.AddVertices(copies, q.VertexLabel(graph.VertexID(v)))
 	}
 	p := map[graph.EdgeID]float64{}
 	for _, e := range q.Edges() {
-		for _, u := range []graph.VertexID{2 * e.U, 2*e.U + 1} {
-			for _, w := range []graph.VertexID{2 * e.V, 2*e.V + 1} {
-				p[b.MustAddEdge(u, w, e.Label)] = 0.05 + 0.3*rng.Float64()
+		for i := range graph.VertexID(copies) {
+			for j := range graph.VertexID(copies) {
+				p[b.MustAddEdge(copies*e.U+i, copies*e.V+j, e.Label)] = 0.02 + 0.15*rng.Float64()
 			}
 		}
 	}
@@ -255,7 +258,7 @@ var ladderEpsGrid = []float64{0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1}
 // value, and a DNF over the elimination budget ranks at the un-thresholded
 // verify.SMP of the same seed; (c) a DNF within the budget ranks at its
 // enumerated SSP, on the ladder database's own graphs (a heavy graph has
-// up to 20 uncertain edges, too many to enumerate); and QueryCtx reports
+// up to 45 uncertain edges, too many to enumerate); and QueryCtx reports
 // VerifySSP's values with counters that add up.
 func TestLadderValueContract(t *testing.T) {
 	var certain, impossible, truncated, sampled, exact, byBound, stopped int
@@ -319,7 +322,7 @@ func TestLadderValueContract(t *testing.T) {
 				case d.Clauses() < len(clauses):
 					truncated++
 				}
-				if _, ok, _ := d.Eliminate(eliminationBudget); !ok {
+				if _, ok, _ := d.Eliminate(EliminationBudget); !ok {
 					vo := opt.Verify
 					vo.Seed = candSeed(opt.Seed^verifySalt, gi)
 					eng, err := v.Engine(gi)

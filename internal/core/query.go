@@ -366,9 +366,11 @@ func (v *View) evaluate(ctx context.Context, p *plan, res *Result, emit func(Mat
 // every clause probability Pr(Bfi) computed exactly; V = Σ Pr(Bfi) bounds
 // everything below from above.
 // (2) V < ε rejects with no further work and the value is that bound.
-// (3) A DNF whose variable elimination compiles within eliminationBudget
-// is evaluated exactly by it (prob.Engine.ProbNoClause); no sample is
-// drawn. (4) The rest run the SMP sampler, which stops early once no
+// (3) A DNF whose variable elimination compiles within EliminationBudget —
+// 2^19 table entries touched, a clause factor charged only the entries
+// where its clause holds — is evaluated exactly by it
+// (prob.Engine.ProbNoClause); no sample is drawn. (4) The rest run the SMP
+// sampler, which stops early once no
 // remaining sample could lift the estimate to ε and then reports the bound
 // that proved it. A candidate whose clause search stopped at
 // DefaultMaxClausesPerCandidate skips rung 2 and the stop, since its V may
@@ -390,27 +392,36 @@ func (v *View) VerifySSP(q *graph.Graph, u []*graph.Graph, gi int, opt QueryOpti
 	return d.ssp, err
 }
 
-// eliminationBudget is the compiled cost, in the units of
-// prob.Engine.ProbNoClause, up to which the ladder evaluates a DNF exactly
-// by elimination instead of sampling it. The constant was set on the
-// ledger corpus (bench/corpus.go: every structural candidate of the four
-// workloads' query classes, 1 188 DNFs) against the full sampler at
-// N = 800, when a clause factor still scanned its step's 2^width entries:
-// between 2^17 and 2^18 units one candidate then took 1.4 times its
-// sampler's time. Re-measured since clause factors write only the entries
-// where their clause holds — the 801 of those DNFs with two or more
-// clauses and at most 2^18 units, minimum of 30 eliminations and of 14
-// sampler runs each, 2 vCPUs, medians per cost band, elimination vs
-// sampler: 4.6 vs 102 µs between 2^9 and 2^10 units, 17 vs 172 µs between
-// 2^13 and 2^14, 38 vs 280 µs between 2^16 and 2^17, where no candidate
-// took more than 0.23 of its sampler's time (0.70 before); 49 vs 368 µs
-// between 2^17 and 2^18, at most 0.37. The cost still charges a clause
-// factor 2^width, so the budget now over-prices elimination, by the
-// per-DNF speed-up: a median 3.3–5.0× in the bands from 2^15 to 2^18.
-// Re-pricing it is a change of its own. A declined DNF pays 13–39 µs of
-// compilation, which did not change, before the 330–580 µs its sampler
-// takes.
-const eliminationBudget = 1 << 17
+// EliminationBudget is the compiled cost, in the units of
+// prob.Engine.ProbNoClause — the table entries its steps touch, a clause
+// factor charged only the entries where its clause holds — up to which the
+// ladder evaluates a DNF exactly by elimination instead of sampling it. It
+// was fitted against the full sampler at N = 800 on the DNFs of two or more
+// clauses of the ledger corpus (bench/corpus.go: every structural candidate
+// of the four workloads' query classes, the serve-churn pool graphs
+// included) and of the at-size golden (TestAtSizeGolden): 1 546 DNFs of at
+// most 2^22 units, minimum of 30 eliminations and of 14 sampler runs each,
+// 2 vCPUs. Medians per cost band, elimination vs sampler, and the largest
+// ratio of the two:
+//
+//	2^9–2^10    91 DNFs     8 vs  156 µs  ≤ 0.09
+//	2^13–2^14   45 DNFs    41 vs  281 µs  ≤ 0.26
+//	2^15–2^16   20 DNFs   108 vs  376 µs  ≤ 0.46
+//	2^16–2^17   23 DNFs   204 vs  448 µs  ≤ 1.17
+//	2^17–2^18   13 DNFs   425 vs  563 µs  ≤ 1.06
+//	2^18–2^19   17 DNFs   619 vs  657 µs  ≤ 2.03 (median 1.02)
+//	2^19–2^20   15 DNFs  1385 vs  704 µs  ≤ 4.86 (median 1.86)
+//
+// So the budget is the top of the last band whose median DNF eliminates
+// within its sampler's time: up to there an exact value costs no more than
+// an estimate. No ledger DNF costs more than 2^16 units; the at-size
+// golden's heavy classes keep sampling what lies beyond. The charge is
+// never above the former one, 2^width for every input, so every DNF the
+// former budget of 2^17 admitted is still admitted. An admitted DNF's
+// float64 scratch, which the pool keeps, is at most 1.5 · 2^19 entries,
+// 6 MiB: the steps' tables, at most half the budget, and the widest step's
+// two weight rows, at most the budget (1.1 MB at most on the corpus).
+const EliminationBudget = 1 << 19
 
 // decision is what the verification ladder concluded for one candidate:
 // the value to report and which rung produced it.
@@ -472,7 +483,7 @@ func decide(d *verify.DNF, opt QueryOptions, eps float64) (decision, error) {
 	case d.Bound() < eps:
 		return decision{ssp: d.Bound(), byBound: true}, nil
 	}
-	if p, ok, err := d.Eliminate(eliminationBudget); ok || err != nil {
+	if p, ok, err := d.Eliminate(EliminationBudget); ok || err != nil {
 		return decision{ssp: p, exact: true}, err
 	}
 	p, n, err := d.Sample(eps)

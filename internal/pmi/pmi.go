@@ -137,11 +137,13 @@ func Build(db []*prob.PGraph, engines []*prob.Engine, feats []*feature.Feature) 
 // capped, the longest held 7 and 20 embeddings, and the dearest cell cost
 // 278 and 432 units. In every cost band the elimination took 0.01–0.38 of
 // the time of the §4.1 families it replaced, medians 1.2 against 8.7 µs at
-// 2^4–2^5 units and 11 against 2 774 µs at 2^8–2^9 on the probe. The budget
-// sits far above both corpora: at the kernel's ≈ 0.3–0.45 ns per unit
-// between 2^15 and 2^18 units (core.eliminationBudget; ≈ 1.2–1.4 ns while
-// clause factors scanned every entry of their step) a cell at 2^16 units
-// takes ≈ 30 µs.
+// 2^4–2^5 units and 11 against 2 774 µs at 2^8–2^9 on the probe. Those
+// costs were charged at 2^width per clause factor; the units now charge a
+// clause factor only the entries where its clause holds, never more, so
+// no cell's cost rose and none crossed the budget. The budget sits far
+// above both corpora: at the kernel's ≈ 1.6–2.5 ns per unit between 2^15
+// and 2^19 units (the units of core.EliminationBudget, medians per band on
+// its fitting corpus) a cell at 2^16 units takes ≈ 100–200 µs.
 const exactBudget = 1 << 16
 
 // cell computes the PMI entry of feature f in eng's graph from one search:

@@ -20,12 +20,12 @@ import (
 //
 // The min-degree order over the reached variables is compiled from symbols
 // on each call, by the planner that also gives NewEngine its schedule, and
-// with it the cost: over the steps, the factors a step multiplies times the
-// 2^width entries it reads of each — a clause factor charged its step's
-// 2^width too, although it writes only the 2^(width−k) entries where its k
-// output variables match. When that cost exceeds budget, or a step would be
-// wider than MaxFactorWidth, the call declines, ok false, before any
-// arithmetic runs.
+// with it the cost: the entries the steps touch. A step of width w reads
+// 2^w entries of each table it multiplies — a JPT or an earlier step's —
+// and writes 2^(w−k) for a clause over k variables, the entries where the
+// clause holds. When that cost exceeds budget, or a step would be wider
+// than MaxFactorWidth, the call declines, ok false, before any arithmetic
+// runs.
 // It draws no random numbers and works in pooled scratch, so a warmed call
 // allocates nothing. A clause that lists only certain edges, the empty
 // clause among them, holds in every world, and the probability is 0.
@@ -122,8 +122,8 @@ func grow[T any](buf []T, n int) []T {
 // variables, the components they reach, those components' variables and
 // JPTs, and every factor's scope. It returns certainClause or overBudget
 // as soon as either is known: each factor is multiplied in once, by a step
-// at least as wide as the factor, so the sum of 2^arity over the factors is
-// a lower bound on the cost.
+// at least as wide as the factor, so the JPTs' table sizes plus one entry
+// per clause are a lower bound on the cost.
 func (s *elimScratch) factors(e *Engine, clauses [][]graph.EdgeID, budget int) int {
 	pg, sc := e.pg, e.sched
 	n := len(pg.uncertain)
@@ -167,7 +167,7 @@ func (s *elimScratch) factors(e *Engine, clauses [][]graph.EdgeID, budget int) i
 			s.scope = append(s.scope, s.local[v])
 		}
 		s.off = append(s.off, int32(len(s.scope)))
-		cost += 1 << len(vs)
+		cost++
 	}
 	if cost > budget {
 		return overBudget
@@ -213,8 +213,10 @@ func (s *elimScratch) jptFactors(pg *PGraph) int {
 // included, goes next (lowest local index on ties), its neighbours become
 // pairwise adjacent, and the step's outputs are those neighbours, appended
 // as one more factor's scope. It declines when a step alone would read more
-// than budget entries, or would be wider than MaxFactorWidth, and returns
-// that step's width; it returns 0 once every variable has its step.
+// than budget entries — every step multiplies in a table over the variable
+// it sums out, a JPT or an earlier step's — or would be wider than
+// MaxFactorWidth, and returns that step's width; it returns 0 once every
+// variable has its step.
 func (s *elimScratch) order(budget int) (refused int) {
 	k := len(s.vars)
 	words := (k + 63) / 64
@@ -279,32 +281,38 @@ func popcount(ws []uint64) int {
 // cost assigns every factor to the step that multiplies it in — the first
 // step to sum out one of its variables, none for a root's table — counting
 // each step's inputs and placing its table, and returns the elimination's
-// cost: Σ over the steps of inputs × 2^width.
+// cost: over the steps, 2^width per table input and 2^(width−k) per clause
+// over k variables, the entries eliminate touches.
 func (s *elimScratch) cost() int {
-	k, nf := len(s.vars), s.nf
+	k, nj, nf := len(s.vars), len(s.jpts), s.nf
 	s.inOff, s.fill, s.up = grow(s.inOff, k+1), grow(s.fill, k), grow(s.up, nf+k)
 	clear(s.inOff)
 	clear(s.fill)
+	cost := 0
 	for f := range s.up {
+		vs := s.scope[s.off[f]:s.off[f+1]]
 		c := int32(-1)
-		for _, u := range s.scope[s.off[f]:s.off[f+1]] {
+		for _, u := range vs {
 			if p := s.pos[u]; c < 0 || p < c {
 				c = p
 			}
 		}
 		s.up[f] = c
-		if c >= 0 {
-			s.inOff[c+1]++
+		if c < 0 {
+			continue
 		}
+		s.inOff[c+1]++
+		width := 1 + int(s.off[nf+int(c)+1]-s.off[nf+int(c)])
+		if f >= nj && f < nf {
+			width -= len(vs)
+		}
+		cost += 1 << width
 	}
-	cost := 0
 	s.tab = grow(s.tab, k+1)
 	s.tab[0] = 0
 	for st := 0; st < k; st++ {
-		outs := int(s.off[nf+st+1] - s.off[nf+st])
-		cost += int(s.inOff[st+1]) << (outs + 1)
 		s.inOff[st+1] += s.inOff[st]
-		s.tab[st+1] = s.tab[st] + 1<<outs
+		s.tab[st+1] = s.tab[st] + 1<<(s.off[nf+st+1]-s.off[nf+st])
 	}
 	return cost
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"probgraph/internal/core"
 	"probgraph/internal/dataset"
 	"probgraph/internal/graph"
 	"probgraph/internal/prob"
@@ -230,6 +231,105 @@ func TestProbNoClauseBudget(t *testing.T) {
 	}
 }
 
+// TestEliminationPrice pins the cost on a DNF worked out by hand. Edges 0
+// and 1 share a table, edge 2 has its own, and the clauses are {0, 2} and
+// {1}. The variables are 0, 1 and 2. Variable 1 goes first (width 2, tied
+// with 2, lower index): it multiplies the table of 0 and 1 (4 entries) and
+// the clause {1}, of which it writes the 2^(2−1) = 2 entries with 1
+// present. Variable 0 goes next (width 2): the clause {0, 2}, 2^(2−2) = 1
+// entry, and step 1's table over 0 (4). Variable 2 goes last (width 1):
+// its own table (2) and step 2's (2). So ProbNoClause evaluates at a
+// budget of 15 and declines at 14, where charging each clause its step's
+// 2^width, as the full-scan factor read, costs 20.
+func TestEliminationPrice(t *testing.T) {
+	b := graph.NewBuilder("price")
+	u := b.AddVertex("a")
+	for range 3 {
+		w := b.AddVertex("a")
+		b.MustAddEdge(u, w, "")
+		u = w
+	}
+	pg := prob.MustNew(b.Build(), []prob.JPT{
+		{Edges: []graph.EdgeID{0, 1}, P: []float64{0.1, 0.2, 0.3, 0.4}},
+		prob.NewIndependentJPT(2, 0.4),
+	})
+	eng, err := prob.NewEngine(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses := [][]graph.EdgeID{{0, 2}, {1}}
+	if cost := eng.EliminationCost(clauses); cost != 15 {
+		t.Fatalf("cost %d, worked out by hand 15", cost)
+	}
+	if old := widthCharge(eng.EliminationSteps(clauses)); old != 20 {
+		t.Fatalf("width charge %d, worked out by hand 20", old)
+	}
+	want, _ := noClauseByEnumeration(t, eng, nil, clauses)
+	if p, ok, err := eng.ProbNoClause(clauses, 15); !ok || err != nil || math.Abs(p-want) > 1e-12 {
+		t.Fatalf("at a budget of 15: %v, ok %v, %v; enumeration %v", p, ok, err, want)
+	}
+	if p, ok, err := eng.ProbNoClause(clauses, 14); ok || err != nil {
+		t.Fatalf("evaluated to %v at a budget of 14 (%v)", p, err)
+	}
+}
+
+// TestEliminationPriceNeverAboveWidthCharge: on every ledger-shaped DNF
+// (ledgerClasses), every FuzzEliminate seed and random clause lists over
+// every model of eliminationModels, the cost ProbNoClause compiles is the
+// entries its plan touches — 2^width per table input and 2^(width−k) per
+// clause over k variables — and never more than widthCharge, so every DNF
+// a budget admitted under the old charge it still admits.
+func TestEliminationPriceNeverAboveWidthCharge(t *testing.T) {
+	checked, cheaper := 0, 0
+	check := func(tag string, e *prob.Engine, clauses [][]graph.EdgeID) {
+		t.Helper()
+		width, inputs := e.EliminationSteps(clauses)
+		if width == nil {
+			return
+		}
+		touched := 0
+		for st, w := range width {
+			for _, k := range inputs[st] {
+				touched += 1 << (w - k)
+			}
+		}
+		cost, old := e.EliminationCost(clauses), widthCharge(width, inputs)
+		if cost != touched || cost > old {
+			t.Fatalf("%s: cost %d, entries touched %d, width charge %d", tag, cost, touched, old)
+		}
+		checked++
+		if cost < old {
+			cheaper++
+		}
+	}
+	for _, lc := range ledgerClasses(t) {
+		for i, c := range lc.cands {
+			check(fmt.Sprintf("%s candidate %d", lc.name, i), c.eng, c.clauses)
+		}
+	}
+	for _, in := range eliminateSeeds {
+		pg, clauses, _ := decodeEliminateInput(t, in)
+		if e, err := prob.NewEngine(pg); err == nil {
+			check(fmt.Sprintf("seed %v", in), e, clauses)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, m := range eliminationModels(t, rng) {
+		eng, err := prob.NewEngine(m.pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			clauses := randomClauses(rng, m.pg.G.NumEdges())
+			check(fmt.Sprintf("%s list %d %v", m.name, i, clauses), eng, clauses)
+		}
+	}
+	if cheaper == 0 {
+		t.Fatal("no plan is cheaper than its width charge: the clause factors' price is not in the cost")
+	}
+	t.Logf("%d plans checked, %d cheaper than their width charge", checked, cheaper)
+}
+
 // TestProbNoClauseSteadyStateAllocs pins the kernel's //pgvet:noalloc
 // contract: a warmed call, conditioned engine included, allocates nothing.
 func TestProbNoClauseSteadyStateAllocs(t *testing.T) {
@@ -408,13 +508,25 @@ func fullScanZero(w0, w1 []float64, put []int, self int) {
 	}
 }
 
+// widthCharge is the cost ProbNoClause charged while clause factors
+// scanned every entry of their step (fullScanZero), kept as its reference:
+// every input of a step, clause or table, at the step's 2^width. width and
+// inputs are a plan as EliminationSteps returns it.
+func widthCharge(width []int, inputs [][]int) int {
+	cost := 0
+	for st, w := range width {
+		cost += len(inputs[st]) << w
+	}
+	return cost
+}
+
 // checkFullScan holds e.ProbNoClause to the same elimination run with the
-// full-scan clause factor at each budget — core's 2^17 units and no limit
-// when none is given: same value bits, same ok, same error.
+// full-scan clause factor at each budget — core.EliminationBudget and no
+// limit when none is given: same value bits, same ok, same error.
 func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]graph.EdgeID, budgets ...int) {
 	t.Helper()
 	if budgets == nil {
-		budgets = []int{1 << 17, math.MaxInt}
+		budgets = []int{core.EliminationBudget, math.MaxInt}
 	}
 	for _, budget := range budgets {
 		p1, ok1, err1 := e.ProbNoClauseWith(clauses, budget, fullScanZero)
@@ -433,7 +545,8 @@ func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]graph.E
 // clause lists (repeated and certain edges among them) on the
 // unconditioned engine and on engines conditioned on evidence, on
 // coupled(12)'s wide steps, on FuzzEliminate's seeds, and on every
-// ledger-shaped DNF of more than one clause at budgets 2^17 and 2^22.
+// ledger-shaped DNF of more than one clause at core.EliminationBudget and
+// 2^22.
 func TestProbNoClauseMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 4000; trial++ {
@@ -513,7 +626,7 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 	for _, lc := range ledgerClasses(t) {
 		for i, c := range lc.cands {
 			if len(c.clauses) > 1 {
-				checkFullScan(t, fmt.Sprintf("%s candidate %d", lc.name, i), c.eng, c.clauses, 1<<17, 1<<22)
+				checkFullScan(t, fmt.Sprintf("%s candidate %d", lc.name, i), c.eng, c.clauses, core.EliminationBudget, 1<<22)
 				checked++
 			}
 		}
@@ -531,8 +644,8 @@ func containsEdge(edges []graph.EdgeID, ed graph.EdgeID) bool {
 }
 
 // BenchmarkProbNoClause eliminates every ledger-shaped DNF of more than one
-// clause (ledgerClasses) at core's budget of 2^17 units, per workload
-// class; ns/DNF is the mean over the class's DNFs, declined ones included.
+// clause (ledgerClasses) at core.EliminationBudget, per workload class;
+// ns/DNF is the mean over the class's DNFs, declined ones included.
 func BenchmarkProbNoClause(b *testing.B) {
 	for _, lc := range ledgerClasses(b) {
 		var dnfs []ledgerCandidate
@@ -545,7 +658,7 @@ func BenchmarkProbNoClause(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, c := range dnfs {
-					if _, _, err := c.eng.ProbNoClause(c.clauses, 1<<17); err != nil {
+					if _, _, err := c.eng.ProbNoClause(c.clauses, core.EliminationBudget); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -96,6 +96,33 @@ func (e *Engine) EliminationCost(clauses [][]graph.EdgeID) int {
 	return s.cost()
 }
 
+// EliminationSteps returns the plan ProbNoClause compiles for clauses, per
+// step: its width, and the arity of each factor it multiplies in — 0 for a
+// table, a JPT or an earlier step's, and k for a clause over k variables.
+// It returns nil when the call decides without eliminating.
+func (e *Engine) EliminationSteps(clauses [][]graph.EdgeID) (width []int, inputs [][]int) {
+	var s elimScratch
+	if len(clauses) == 0 || s.factors(e, clauses, math.MaxInt) != modelReady {
+		return nil, nil
+	}
+	s.order(math.MaxInt)
+	s.cost()
+	s.layout()
+	k, nj := len(s.vars), len(s.jpts)
+	width, inputs = make([]int, k), make([][]int, k)
+	for st := range k {
+		width[st] = 1 + int(s.off[s.nf+st+1]-s.off[s.nf+st])
+		for _, f := range s.inputs[s.inOff[st]:s.inOff[st+1]] {
+			arity := 0
+			if int(f) >= nj && int(f) < s.nf {
+				arity = int(s.off[f+1] - s.off[f])
+			}
+			inputs[st] = append(inputs[st], arity)
+		}
+	}
+	return width, inputs
+}
+
 // ProbNoClauseWith is ProbNoClause with each clause factor applied by zero
 // instead of the kernel's own.
 func (e *Engine) ProbNoClauseWith(clauses [][]graph.EdgeID, budget int, zero func(w0, w1 []float64, put []int, self int)) (float64, bool, error) {

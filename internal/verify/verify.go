@@ -33,10 +33,11 @@
 // prob.Engine.ProbNoClause, by variable elimination over the JPTs the
 // clauses reach and one 0/1 factor per clause — applied by zeroing the
 // entries where its edges are all present, and only those — declining
-// before any arithmetic when the compiled cost exceeds the caller's
-// budget. The query
-// ladder (core) uses it for every DNF within its budget and samples only
-// the rest, although the problem is #P-complete in general.
+// before any arithmetic when the compiled cost, the table entries the
+// elimination touches (a clause factor only those it zeroes), exceeds the
+// caller's budget. The query ladder (core) uses it for every DNF within
+// core.EliminationBudget, 2^19 units, and samples only the rest, although
+// the problem is #P-complete in general.
 //
 // Exact is the paper's Equation 21 inclusion–exclusion baseline with
 // exponential cost in the clause count; it exists to reproduce the "Exact"
