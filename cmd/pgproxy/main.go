@@ -37,13 +37,17 @@
 //	GET  /readyz        readiness (every shard's /readyz answers 200)
 //
 // The routes only an evaluating node has (/topk/walk, /graphs,
-// /debug/slowlog) answer 404; the proxy keeps no result cache
-// and no inflight bound. A shard that cannot answer — down, timed out
-// after -retries, serving a different database generation, or answering
-// something that cannot be merged — fails the whole request with a
-// structured error naming the shard; the coordinator never returns a
-// silently partial answer. Client disconnects and timeout_ms propagate
-// into every shard sub-request.
+// /debug/slowlog) answer 404, and the proxy has no inflight bound. It
+// keeps each shard's last reply to a request (256 requests' worth) and
+// sends the reply's ETag back as If-None-Match the next time: a shard
+// whose database has not moved answers an empty 304, and the kept reply
+// is merged as if it had just arrived — never without that 304. A
+// no_cache or traced request keeps nothing. A shard that cannot answer —
+// down, timed out after -retries, serving a different database
+// generation, or answering something that cannot be merged — fails the
+// whole request with a structured error naming the shard; the coordinator
+// never returns a silently partial answer. Client disconnects and
+// timeout_ms propagate into every shard sub-request.
 package main
 
 import (

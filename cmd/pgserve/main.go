@@ -53,7 +53,12 @@
 // The database is generation-numbered: every query pins the current view,
 // so mutations never block queries and a query never sees a half-applied
 // mutation; result-cache entries are keyed by generation (no purge on
-// mutation). One structured log line records each mutation's record: its
+// mutation). While the cache is on, every /query, /topk, /topk/walk and
+// /batch reply carries an ETag naming this process and the generation
+// that produced it; a request sent back with that tag as If-None-Match
+// gets an empty 304, without its body being read, while the generation
+// stands — the fleet coordinator's revalidation of the replies it keeps.
+// One structured log line records each mutation's record: its
 // old→new generation, resulting shape and any compaction. -compact-threshold controls auto-compaction: once more than
 // that fraction of slots is tombstoned, the triggering mutation also
 // compacts the database — dropping tombstones and renumbering graph
@@ -101,7 +106,7 @@ func run(args []string, stderr io.Writer) int {
 	snapshot := fs.String("snapshot", "", "snapshot file from pgsearch -savesnap / pggen -savesnap")
 	dbPath := fs.String("db", "", "dataset file from pggen (index built at startup)")
 	addr := fs.String("addr", ":8091", "listen address")
-	cacheSize := fs.Int("cache", 256, "result cache capacity in entries (<0 disables)")
+	cacheSize := fs.Int("cache", server.DefaultCacheSize, "result cache capacity in entries (<0 disables it, and the ETags that let a client revalidate reads)")
 	workers := fs.Int("workers", -1, "default per-query worker pool (<0 = GOMAXPROCS)")
 	inflight := fs.Int("inflight", 0, "max concurrently evaluated queries (0 = 2×GOMAXPROCS, <0 unbounded)")
 	timeout := fs.Duration("timeout", 0, "default per-request evaluation deadline (0 = none; requests override via timeout_ms)")

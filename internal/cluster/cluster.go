@@ -34,6 +34,16 @@
 // decides what to send where and how to merge. Client cancellation
 // propagates: every shard sub-request derives from the incoming request's
 // context.
+//
+// Revalidation: a shard's reply depends only on its database state and
+// the request, and pgserve tags every cacheable read reply with an ETag
+// naming that state. The coordinator keeps each shard's last reply to a
+// sub-request body with its tag, and sends the tag back as If-None-Match
+// the next time; a shard whose state has not moved answers an empty 304
+// without reading the body, and the coordinator merges the kept reply as
+// if it had just arrived. The determinism contract is what makes this
+// sound, and the kept reply is never used without its shard's 304, so the
+// failure semantics above hold unchanged.
 package cluster
 
 import (
@@ -68,13 +78,16 @@ type Options struct {
 
 // Coordinator is the fleet backend: the pgserve query API over a fleet
 // of range-partition shards. It holds no graph data itself: every query
-// fans the accepted request out over each shard's client and merges
-// deterministically.
+// fans the accepted request out over each shard's client — conditional on
+// the reply it kept, where it kept one — and merges deterministically.
 type Coordinator struct {
 	shards       []*member // fleet order
 	shardTimeout time.Duration
 	retries      int
 	reg          *obs.Registry
+	// kept maps path and sub-request body to the fleet's last replies
+	// (a *kept[T]), at pgserve's default result-cache capacity.
+	kept *server.LRU
 }
 
 var _ server.Backend = (*Coordinator)(nil)
@@ -84,7 +97,8 @@ func New(opt Options) (*Coordinator, error) {
 	if len(opt.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
-	c := &Coordinator{shardTimeout: opt.ShardTimeout, retries: opt.Retries, reg: obs.NewRegistry()}
+	c := &Coordinator{shardTimeout: opt.ShardTimeout, retries: opt.Retries, reg: obs.NewRegistry(),
+		kept: server.NewLRU(server.DefaultCacheSize)}
 	for i, sh := range opt.Shards {
 		if sh.Name == "" {
 			sh.Name = fmt.Sprintf("shard%d", i)

@@ -11,12 +11,13 @@ import (
 // Outcomes of one shard sub-request, in pg_shard_requests_total's label
 // order.
 const (
-	outcomeOK        = iota // HTTP 200
-	outcomeHTTPError        // the shard answered non-200
-	outcomeError            // transport failure after retries
+	outcomeOK          = iota // HTTP 200
+	outcomeNotModified        // HTTP 304: the kept reply still holds
+	outcomeHTTPError          // the shard answered another status
+	outcomeError              // transport failure after retries
 )
 
-var outcomeLabels = [...]string{"ok", "http_error", "error"}
+var outcomeLabels = [...]string{"ok", "not_modified", "http_error", "error"}
 
 // member is everything the coordinator keeps about one shard: who it is,
 // how to reach it, its health bit, and its metric series. The health bit
@@ -37,7 +38,7 @@ func newMember(sh Shard, reg *obs.Registry) *member {
 	m.up.Store(true)
 	for oc, label := range outcomeLabels {
 		m.outcomes[oc] = reg.Counter("pg_shard_requests_total",
-			"Shard sub-requests by outcome (ok = HTTP 200; http_error = shard answered non-200; error = transport failure after retries).",
+			"Shard sub-requests by outcome (ok = HTTP 200; not_modified = HTTP 304 to a revalidation, the kept reply served; http_error = shard answered another status; error = transport failure after retries).",
 			"shard", sh.Name, "outcome", label)
 	}
 	m.latency = reg.Histogram("pg_shard_request_duration_seconds",
@@ -57,16 +58,20 @@ func counts(ctx context.Context, err error) bool {
 
 // finish feeds one finished sub-request into the shard's latency
 // histogram, outcome counter, and health bit — unless the caller cut
-// it short (see counts).
-func (m *member) finish(ctx context.Context, start time.Time, err error) {
+// it short (see counts). A 304 (notModified) is a served answer like a
+// 200.
+func (m *member) finish(ctx context.Context, start time.Time, notModified bool, err error) {
 	if !counts(ctx, err) {
 		return
 	}
 	m.latency.Observe(time.Since(start).Seconds())
 	oc := outcomeError
-	if err == nil {
+	switch {
+	case notModified:
+		oc = outcomeNotModified
+	case err == nil:
 		oc = outcomeOK
-	} else if served(err) {
+	case served(err):
 		oc = outcomeHTTPError
 	}
 	m.outcomes[oc].Inc()

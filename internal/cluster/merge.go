@@ -20,18 +20,23 @@ func validQuery(qr *server.QueryResponse) (uint64, bool) {
 // so the merge is a disjoint sorted union — bitwise the single-node
 // answer set, with bitwise the single-node SSP values.
 func (c *Coordinator) Query(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.QueryResponse, error) {
-	resps, e := fanout(ctx, c, "/query", req, validQuery)
+	resps, revalidated, e := fanout(ctx, c, "/query", req, keeps(req.NoCache, req.Trace), validQuery)
 	if e != nil {
 		return nil, e
 	}
-	return c.mergeQuery(resps)
+	return c.mergeQuery(resps, revalidated)
 }
+
+// keeps reports whether a request revalidates and keeps shard replies:
+// not when it asks no_cache (it wants an evaluation), nor when it is
+// traced (each shard's reply carries the span tree of its own evaluation).
+func keeps(noCache, trace bool) bool { return !noCache && !trace }
 
 // Batch is /batch over the fleet: one fan-out carrying the whole batch
 // (each shard derives the same per-member seeds from the base seed),
 // merged member-wise.
 func (c *Coordinator) Batch(ctx context.Context, req *server.BatchRequest, qs []*graph.Graph, _ core.QueryOptions) (*server.BatchResponse, error) {
-	batches, e := fanout(ctx, c, "/batch", req, func(br *server.BatchResponse) (uint64, bool) {
+	batches, revalidated, e := fanout(ctx, c, "/batch", req, keeps(req.NoCache, req.Trace), func(br *server.BatchResponse) (uint64, bool) {
 		if len(br.Results) != len(qs) {
 			return 0, false
 		}
@@ -53,7 +58,7 @@ func (c *Coordinator) Batch(ctx context.Context, req *server.BatchRequest, qs []
 		for si := range batches {
 			member[si] = batches[si].Results[qi]
 		}
-		merged, err := c.mergeQuery(member)
+		merged, err := c.mergeQuery(member, revalidated)
 		if err != nil {
 			return nil, err
 		}
@@ -71,8 +76,9 @@ func (c *Coordinator) Batch(ctx context.Context, req *server.BatchRequest, qs []
 // a duplicated answer. Pipeline counters sum — except RelaxedQueries, which
 // every shard computes identically from the query alone (a sum would
 // multiply it by the fleet size). Cached is the fleet AND: the merged
-// answer came from caches only if every part did.
-func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryResponse, error) {
+// answer came from caches only if every part did — a shard's cache, or a
+// reply the coordinator kept and the shard revalidated.
+func (c *Coordinator) mergeQuery(resps []*server.QueryResponse, revalidated []bool) (*server.QueryResponse, error) {
 	type pair struct {
 		gid   int
 		name  string
@@ -96,7 +102,7 @@ func (c *Coordinator) mergeQuery(resps []*server.QueryResponse) (*server.QueryRe
 			}
 			out.SSP[gid] = p
 		}
-		out.Cached = out.Cached && qr.Cached
+		out.Cached = out.Cached && (qr.Cached || revalidated[si])
 		st, add := &out.Stats, qr.Stats
 		st.StructFilterCandidates += add.StructFilterCandidates
 		st.StructConfirmed += add.StructConfirmed

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,35 +23,39 @@ func served(err error) bool {
 
 // call performs one shard sub-request: POST body to path on shard si
 // under the caller's context (client cancellation propagates into the
-// shard), bounded per attempt by ShardTimeout, decoding a 200 into out.
-// It is retried on transport errors only — an HTTP error status is the
-// shard's answer, not a flaky network, and retrying a non-idempotent
-// evaluation would change nothing anyway (responses are deterministic).
-// Outcomes feed the shard's health bit and metrics.
-func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, out any) error {
+// shard), bounded per attempt by ShardTimeout, decoding a 200 into out and
+// returning its ETag. A non-empty tag — the ETag of the shard's reply the
+// coordinator kept for this body — makes the request conditional, and a
+// 304 reports notModified with out untouched. It is retried on transport
+// errors only — an HTTP error status is the shard's answer, not a flaky
+// network, and retrying a non-idempotent evaluation would change nothing
+// anyway (responses are deterministic). Outcomes feed the shard's health
+// bit and metrics.
+func (c *Coordinator) call(ctx context.Context, si int, path string, body []byte, tag string, out any) (etag string, notModified bool, err error) {
 	m := c.shards[si]
-	return obs.Stage(ctx, "shard:"+m.Name+path, func(ctx context.Context) (int64, error) {
+	err = obs.Stage(ctx, "shard:"+m.Name+path, func(ctx context.Context) (int64, error) {
 		start := time.Now()
 		var err error
 		for attempt := 0; ; attempt++ {
-			err = c.attempt(ctx, m, path, body, out)
+			etag, notModified, err = c.attempt(ctx, m, path, body, tag, out)
 			if served(err) || attempt >= c.retries || ctx.Err() != nil {
 				break
 			}
 		}
-		m.finish(ctx, start, err)
+		m.finish(ctx, start, notModified, err)
 		return 0, err
 	})
+	return etag, notModified, err
 }
 
 // attempt is one exchange with a shard.
-func (c *Coordinator) attempt(ctx context.Context, m *member, path string, body []byte, out any) error {
+func (c *Coordinator) attempt(ctx context.Context, m *member, path string, body []byte, tag string, out any) (string, bool, error) {
 	if c.shardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.shardTimeout)
 		defer cancel()
 	}
-	return m.Client.Post(ctx, path, body, out)
+	return m.Client.PostIfNoneMatch(ctx, path, body, tag, out)
 }
 
 // shardError turns a failed sub-request into the answer the coordinator
@@ -110,6 +115,16 @@ func (c *Coordinator) everyShard(f func(si int, m *member) error) []error {
 	return errs
 }
 
+// kept is what the coordinator keeps of one sub-request body's last
+// successful fan-out: each shard's reply and the ETag it came with, in
+// fleet order ("" for a shard that tags nothing). A kept value is never
+// written again — merges only read replies, and a later fan-out stores a
+// new kept — so concurrent requests share it freely.
+type kept[T any] struct {
+	tags    []string
+	replies []*T
+}
+
 // fanout is the fan-out every merged endpoint shares: POST the same
 // request to every shard concurrently and wait for all of them (each
 // bounded by ShardTimeout and the request context, so the wait is bounded
@@ -120,34 +135,64 @@ func (c *Coordinator) everyShard(f func(si int, m *member) error) []error {
 // reported before malformed or mismatched answers, and within each kind
 // the first in fleet order, which keeps the choice deterministic when
 // several shards fail at once.
-func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, valid func(v *T) (gen uint64, ok bool)) ([]*T, *server.Error) {
+//
+// With keep — the request is neither no_cache nor traced — the fan-out
+// revalidates (RFC 9110 §13): each shard's reply to the same path and body
+// last time is sent back by its ETag as If-None-Match, and a shard that
+// answers 304 contributes that kept reply, undecoded and unevaluated, its
+// revalidated entry set. A kept reply is used only on its shard's 304: a
+// shard that is down, fails, or has moved to another generation answers
+// as it would without one. A successful fan-out keeps its replies for the
+// next request with the same body.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, req any, keep bool, valid func(v *T) (gen uint64, ok bool)) (outs []*T, revalidated []bool, e *server.Error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, server.Errorf(http.StatusInternalServerError, "%v", err)
+		return nil, nil, server.Errorf(http.StatusInternalServerError, "%v", err)
 	}
-	outs := make([]*T, len(c.shards))
-	for si := range outs {
-		outs[si] = new(T)
+	var key string
+	var prev *kept[T]
+	if keep {
+		key = path + "\x00" + string(body)
+		if v, ok := c.kept.Get(key); ok {
+			prev = v.(*kept[T])
+		}
 	}
+	now := &kept[T]{tags: make([]string, len(c.shards)), replies: make([]*T, len(c.shards))}
+	revalidated = make([]bool, len(c.shards))
 	errs := c.everyShard(func(si int, _ *member) error {
-		return c.call(ctx, si, path, body, outs[si])
+		var tag string
+		if prev != nil {
+			tag = prev.tags[si]
+		}
+		out := new(T)
+		etag, notModified, err := c.call(ctx, si, path, body, tag, out)
+		if notModified {
+			out = prev.replies[si]
+		}
+		now.tags[si], now.replies[si], revalidated[si] = etag, out, notModified
+		return err
 	})
 	for si, err := range errs {
 		if err != nil {
-			return nil, shardError(c.shards[si], err)
+			return nil, nil, shardError(c.shards[si], err)
 		}
 	}
 	var first uint64
-	for si, out := range outs {
+	for si, out := range now.replies {
 		gen, ok := valid(out)
 		if !ok {
-			return nil, malformed(c.shards[si])
+			return nil, nil, malformed(c.shards[si])
 		}
 		if si == 0 {
 			first = gen
 		} else if gen != first {
-			return nil, generationMismatch(c.shards[0].Name, first, c.shards[si].Name, gen)
+			return nil, nil, generationMismatch(c.shards[0].Name, first, c.shards[si].Name, gen)
 		}
 	}
-	return outs, nil
+	// Nothing to keep when no shard tags its replies, and nothing new when
+	// every shard revalidated what was kept.
+	if keep && slices.ContainsFunc(now.tags, func(t string) bool { return t != "" }) && slices.Contains(revalidated, false) {
+		c.kept.Put(key, now)
+	}
+	return now.replies, revalidated, nil
 }

@@ -112,11 +112,11 @@ func streamShard(ctx context.Context, m *member, body []byte, fan *streamFan) {
 		case errClientGone:
 			err = nil // the shard did nothing wrong
 		case errOverlap:
-			m.finish(ctx, start, nil) // the exchange worked; its content cannot be merged
+			m.finish(ctx, start, false, nil) // the exchange worked; its content cannot be merged
 			fan.abort(malformed(m))
 			return 0, nil
 		}
-		m.finish(ctx, start, err)
+		m.finish(ctx, start, false, err)
 		// Once the context is done the ending is the coordinator's doing (a
 		// sibling's abort, or the client going away), not this shard's
 		// failure.

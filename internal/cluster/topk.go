@@ -19,9 +19,10 @@ import (
 // rule) — is a 502 naming its shard. In the degenerate δ ≥ |E(q)| case
 // every shard walks its first k live graphs at Upper and SSP 1, and the
 // replay keeps the fleet's first k. Cached is the fleet AND, as in
-// mergeQuery: the ranking came from caches only if every shard's walk did.
+// mergeQuery: the ranking came from caches only if every shard's walk did
+// (from the shard's cache, or kept here and revalidated).
 func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *graph.Graph, _ core.QueryOptions) (*server.TopKResponse, error) {
-	walks, e := fanout(ctx, c, "/topk/walk", req, validWalk)
+	walks, revalidated, e := fanout(ctx, c, "/topk/walk", req, keeps(req.NoCache, req.Trace), validWalk)
 	if e != nil {
 		return nil, e
 	}
@@ -29,7 +30,7 @@ func (c *Coordinator) TopK(ctx context.Context, req *server.QueryRequest, _ *gra
 	decoded := make([]*core.TopKWalk, len(walks))
 	names := make(map[int]string)
 	for i, wr := range walks {
-		resp.Cached = resp.Cached && wr.Cached
+		resp.Cached = resp.Cached && (wr.Cached || revalidated[i])
 		w := &core.TopKWalk{Steps: make([]core.TopKStep, 0, len(wr.Walk))}
 		for _, s := range wr.Walk {
 			names[s.Graph] = s.Name

@@ -438,17 +438,20 @@ func (s *elimScratch) eliminate(e *Engine, zero clauseFactor) float64 {
 // w1 per assignment m of the step's outputs, with the summed variable
 // absent and present. Output bit b of m is the clause's variable put[b]
 // (a one-bit mask of the clause's scope; 0 for an output the clause does
-// not read), self is the summed variable's bit in the scope (0 when the
-// clause does not read it), and the clause holds where every variable of
-// its scope is present.
+// not read), self is the summed variable's bit in the scope (never 0:
+// eliminate applies a clause at the step that sums out one of its
+// variables), and the clause holds where every variable of its scope is
+// present.
 type clauseFactor func(w0, w1 []float64, put []int, self int)
 
 // zeroWhereHolds is the clause factor eliminate runs. It writes 0 to the
-// 2^(w−k) entries where the clause holds and reads no other, k of the w
-// output bits being the clause's: those bits are set and the others run
-// over every subset. It zeroes w1 there, and w0 too when the clause does
-// not read the summed variable — the entries a scan of all 2^w would find,
-// so the weights come out the same bit for bit.
+// 2^(w−k) entries of w1 where the clause holds and reads no other, k of the
+// w output bits being the clause's: those bits are set and the others run
+// over every subset — the entries a scan of all 2^w would find, so the
+// weights come out the same bit for bit. w0 is never written: cost assigns
+// a clause to the step that sums out its first-eliminated variable, so the
+// clause always reads the summed variable (self != 0) and fails wherever
+// that variable is absent.
 //
 //pgvet:noalloc
 func zeroWhereHolds(w0, w1 []float64, put []int, self int) {
@@ -458,11 +461,8 @@ func zeroWhereHolds(w0, w1 []float64, put []int, self int) {
 			fixed |= 1 << b
 		}
 	}
-	free := (len(w0) - 1) &^ fixed
+	free := (len(w1) - 1) &^ fixed
 	for sub := free; ; sub = (sub - 1) & free {
-		if self == 0 {
-			w0[fixed|sub] = 0
-		}
 		w1[fixed|sub] = 0
 		if sub == 0 {
 			return

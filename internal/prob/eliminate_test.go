@@ -540,7 +540,8 @@ func checkFullScan(t *testing.T, tag string, e *prob.Engine, clauses [][]graph.E
 // TestProbNoClauseMatchesFullScan holds the clause factor that zeroes only
 // the entries where its clause holds to the full scan it replaced, bit for
 // bit: first the factor alone, on every output width up to 10 — one-entry
-// tables among them — with clauses reading the summed variable or not;
+// tables among them — with clauses that read the summed variable, as every
+// clause cost assigns to a step does;
 // then whole eliminations on every model of eliminationModels, with random
 // clause lists (repeated and certain edges among them) on the
 // unconditioned engine and on engines conditioned on evidence, on
@@ -560,11 +561,10 @@ func TestProbNoClauseMatchesFullScan(t *testing.T) {
 			}
 		}
 		rng.Shuffle(nout, func(i, j int) { put[i], put[j] = put[j], put[i] })
-		self := 0
-		if rng.Intn(4) != 0 {
-			self = 1 << scope
-			scope++
-		}
+		// cost assigns a clause to the step that sums out its
+		// first-eliminated variable, so the clause always reads it.
+		self := 1 << scope
+		scope++
 		w := [4][]float64{}
 		for i := range w {
 			w[i] = make([]float64, 1<<nout)

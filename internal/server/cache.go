@@ -7,11 +7,13 @@ import (
 	"sync"
 )
 
-// lruCache is a thread-safe fixed-capacity LRU map from result-cache keys
-// to cached query outcomes. The query pipeline is deterministic for a fixed
-// (query, options) pair, so a hit can be served verbatim: the cached value
-// is exactly what re-running the query would produce.
-type lruCache struct {
+// LRU is a thread-safe fixed-capacity LRU map from string keys to shared,
+// read-only values: an evaluating node's result cache, from cache keys to
+// query outcomes, and the fleet coordinator's kept shard replies. The query
+// pipeline is deterministic for a fixed (query, options) pair, so a hit can
+// be served verbatim: the cached value is exactly what re-running the query
+// would produce.
+type LRU struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
@@ -26,14 +28,14 @@ type lruEntry struct {
 	value any
 }
 
-// newLRUCache returns a cache holding up to capacity entries; capacity <= 0
+// NewLRU returns a cache holding up to capacity entries; capacity <= 0
 // disables caching (every lookup misses, every store is dropped).
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+func NewLRU(capacity int) *LRU {
+	return &LRU{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Get returns the cached value for key, marking it most recently used.
-func (c *lruCache) Get(key string) (any, bool) {
+func (c *LRU) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -47,7 +49,7 @@ func (c *lruCache) Get(key string) (any, bool) {
 
 // Put stores value under key, evicting the least recently used entry when
 // the cache is full.
-func (c *lruCache) Put(key string, value any) {
+func (c *LRU) Put(key string, value any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
@@ -68,14 +70,14 @@ func (c *lruCache) Put(key string, value any) {
 }
 
 // Len returns the current entry count.
-func (c *lruCache) Len() int {
+func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
 // Counters returns (hits, misses).
-func (c *lruCache) Counters() (int64, int64) {
+func (c *LRU) Counters() (int64, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses

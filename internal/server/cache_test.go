@@ -7,7 +7,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := newLRUCache(2)
+	c := NewLRU(2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -37,7 +37,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
-	c := newLRUCache(2)
+	c := NewLRU(2)
 	c.Put("a", 1)
 	c.Put("a", 2)
 	if c.Len() != 1 {
@@ -49,7 +49,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRUCache(-1)
+	c := NewLRU(-1)
 	c.Put("a", 1)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
@@ -60,7 +60,7 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := newLRUCache(32)
+	c := NewLRU(32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -16,11 +16,11 @@ import (
 // HTTP (NewClient), or a handler in this process (NewHandlerClient). The
 // coordinator holds one per shard; pgsearch holds one for its -server
 // target, or for the in-process server its local mode runs. Every call
-// runs under the caller's context. A call fails with an *Error
-// when the server answered and the answer is not a usable 200 (its own
-// structured failure, status and flags intact, or a 502 for a body that
-// does not decode); any other error means the exchange itself failed —
-// the only kind worth retrying.
+// runs under the caller's context. A call fails with an *Error when the
+// server answered and the answer is neither a usable 200 nor, to a
+// conditional request, a 304 (its own structured failure, status and flags
+// intact, or a 502 for a body that does not decode); any other error means
+// the exchange itself failed — the only kind worth retrying.
 type Client struct {
 	base string
 	// The zero-timeout client: per-request contexts carry the deadlines,
@@ -123,9 +123,10 @@ func undecodable(what string) *Error {
 	return &Error{Status: http.StatusBadGateway, Message: "undecodable " + what}
 }
 
-// do performs one exchange and returns the response only if it is a 200;
-// any other status comes back as the *Error its body describes.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+// do performs one exchange and returns the response only if it is a 200,
+// or a 304 answering the If-None-Match tag it sent (inm, "" for none); any
+// other status comes back as the *Error its body describes.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, inm string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -133,11 +134,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && (resp.StatusCode != http.StatusNotModified || inm == "") {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		return nil, parseError(resp.StatusCode, data)
@@ -147,24 +151,39 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 
 // Post sends a JSON body to path and decodes the 200 answer into out.
 func (c *Client) Post(ctx context.Context, path string, body []byte, out any) error {
-	resp, err := c.do(ctx, http.MethodPost, path, body)
+	_, _, err := c.PostIfNoneMatch(ctx, path, body, "", out)
+	return err
+}
+
+// PostIfNoneMatch is Post made conditional (RFC 9110 §13.1.2). A non-empty
+// tag — the ETag of the answer the caller kept for this very path and
+// body, since a tag names the server's state and not the request — is sent
+// as If-None-Match,
+// and a 304 comes back as notModified with out untouched: the kept answer
+// is what the server would send now. A 200 is decoded into out and its
+// ETag returned ("" when the server tags nothing).
+func (c *Client) PostIfNoneMatch(ctx context.Context, path string, body []byte, tag string, out any) (etag string, notModified bool, err error) {
+	resp, err := c.do(ctx, http.MethodPost, path, body, tag)
 	if err != nil {
-		return err
+		return "", false, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return tag, true, nil
+	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		return err
+		return "", false, err
 	}
 	if json.Unmarshal(data, out) != nil {
-		return undecodable("response")
+		return "", false, undecodable("response")
 	}
-	return nil
+	return resp.Header.Get("ETag"), false, nil
 }
 
 // Get asks path for a 200, discarding the body (the health probes).
 func (c *Client) Get(ctx context.Context, path string) error {
-	resp, err := c.do(ctx, http.MethodGet, path, nil)
+	resp, err := c.do(ctx, http.MethodGet, path, nil, "")
 	if err != nil {
 		return err
 	}
@@ -175,7 +194,7 @@ func (c *Client) Get(ctx context.Context, path string) error {
 // with ReadStream. Streams are never retried: delivered lines cannot be
 // unsent.
 func (c *Client) Stream(ctx context.Context, path string, body []byte, onMatch func(m StreamMatchJSON, raw []byte) error) (*StreamSummaryJSON, error) {
-	resp, err := c.do(ctx, http.MethodPost, path, body)
+	resp, err := c.do(ctx, http.MethodPost, path, body, "")
 	if err != nil {
 		return nil, err
 	}

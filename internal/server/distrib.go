@@ -40,8 +40,8 @@ type TopKWalkResponse struct {
 // server's own schedule, returned as the walk it took. A distributed
 // coordinator merges the walks of every shard by (upper, global id) and
 // replays the rule over the union; see internal/cluster. The walk is the
-// result-cache entry /topk ranks from (local.topkWalk), so a repeated
-// fleet /topk is served from every shard's cache.
+// result-cache entry /topk ranks from (local.topkWalk), and its reply is
+// tagged like /topk's, so a repeated fleet /topk costs each shard a 304.
 func (l *local) handleTopKWalk(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	q, opt, ok := Accept(w, r, &req, req.CheckTopK)
@@ -63,5 +63,5 @@ func (l *local) handleTopKWalk(w http.ResponseWriter, r *http.Request) {
 			resp.Walk = append(resp.Walk, TopKStepJSON{Graph: v.GID(s.Graph), Name: v.Graphs[s.Graph].G.Name(), Upper: s.Upper})
 		}
 	}
-	reply(w, r, "topk walk failed", req.Trace, start, resp, err)
+	reply(w, r, l.tags, "topk walk failed", req.Trace, start, resp, err)
 }

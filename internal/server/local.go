@@ -30,7 +30,8 @@ import (
 type local struct {
 	db    *core.Database
 	opt   Options
-	cache *lruCache
+	cache *LRU
+	tags  *tagger // nil when the cache is off
 	sem   chan struct{}
 
 	start    time.Time
@@ -54,16 +55,19 @@ var mutationOps = []string{"add", "remove", "replace"}
 // /graphs mutations and /debug/slowlog.
 func New(db *core.Database, opt Options) *Server {
 	opt = opt.withDefaults()
-	l := &local{db: db, opt: opt, cache: newLRUCache(opt.CacheSize), start: time.Now(),
+	l := &local{db: db, opt: opt, cache: NewLRU(opt.CacheSize), start: time.Now(),
 		slowlog: obs.NewSlowlog(opt.SlowlogSize)}
 	if opt.MaxInflight > 0 {
 		l.sem = make(chan struct{}, opt.MaxInflight)
 	}
-	s := newServer(l, opt.Metrics, obs.NewPipeline(opt.Metrics), l.slowlog, localEndpoints...)
+	if l.cache.cap > 0 {
+		l.tags = newTagger(db, opt.Metrics)
+	}
+	s := newServer(l, opt.Metrics, obs.NewPipeline(opt.Metrics), l.slowlog, l.tags, localEndpoints...)
 	l.queries = s.queries
 	l.registerMetrics(opt.Metrics)
 	opt.Metrics.RegisterGoRuntime()
-	s.mux.HandleFunc("/topk/walk", s.instrument("topk_walk", l.handleTopKWalk))
+	s.mux.HandleFunc("/topk/walk", s.instrument("topk_walk", l.tags.revalidate("topk_walk", l.handleTopKWalk)))
 	s.mux.HandleFunc("POST /graphs", l.handleAddGraph)
 	s.mux.HandleFunc("DELETE /graphs/{id}", l.handleRemoveGraph)
 	s.mux.HandleFunc("PUT /graphs/{id}", l.handleReplaceGraph)

@@ -14,7 +14,8 @@ import (
 // Options configures a Server.
 type Options struct {
 	// CacheSize caps the LRU result cache (entries). 0 selects the default
-	// (256); negative disables caching.
+	// (DefaultCacheSize); negative disables caching, and with it the ETag
+	// on read replies and the 304 revalidation of them.
 	CacheSize int
 	// Workers is the default QueryOptions.Concurrency for requests that do
 	// not set workers themselves. 0 selects GOMAXPROCS (-1).
@@ -41,9 +42,14 @@ type Options struct {
 	SlowlogSize int
 }
 
+// DefaultCacheSize is the result cache's capacity when Options.CacheSize
+// is 0, and the capacity of the fleet coordinator's store of kept shard
+// replies.
+const DefaultCacheSize = 256
+
 func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
-		o.CacheSize = 256
+		o.CacheSize = DefaultCacheSize
 	}
 	if o.Workers == 0 {
 		o.Workers = -1
@@ -101,10 +107,12 @@ type Backend interface {
 type Server struct {
 	b   Backend
 	mux *http.ServeMux
-	// pipeline and slowlog are an evaluating node's; over a fleet, which
-	// evaluates nothing, both are nil and instrument skips them.
+	// pipeline, slowlog and tags are an evaluating node's; over a fleet,
+	// which evaluates nothing, all three are nil and instrument, reply and
+	// revalidate skip them.
 	pipeline *obs.Pipeline
 	slowlog  *obs.Slowlog
+	tags     *tagger
 	queries  map[string]*obs.Counter   // endpoint -> accepted requests
 	latency  map[string]*obs.Histogram // endpoint -> wall-clock seconds
 }
@@ -118,7 +126,7 @@ var queryEndpoints = []string{"query", "topk", "batch", "stream"}
 // and the Go runtime families on reg. pgproxy runs it over a fleet;
 // New runs it over a local database.
 func NewOver(b Backend, reg *obs.Registry) *Server {
-	s := newServer(b, reg, nil, nil)
+	s := newServer(b, reg, nil, nil, nil)
 	reg.RegisterGoRuntime()
 	return s
 }
@@ -126,24 +134,24 @@ func NewOver(b Backend, reg *obs.Registry) *Server {
 // newServer builds the shared handler set and registers the request
 // metrics of queryEndpoints plus extra; the caller registers the Go
 // runtime families once its own families are in.
-func newServer(b Backend, reg *obs.Registry, pipeline *obs.Pipeline, slowlog *obs.Slowlog, extra ...string) *Server {
+func newServer(b Backend, reg *obs.Registry, pipeline *obs.Pipeline, slowlog *obs.Slowlog, tags *tagger, extra ...string) *Server {
 	s := &Server{
-		b: b, mux: http.NewServeMux(), pipeline: pipeline, slowlog: slowlog,
+		b: b, mux: http.NewServeMux(), pipeline: pipeline, slowlog: slowlog, tags: tags,
 		queries: make(map[string]*obs.Counter),
 		latency: make(map[string]*obs.Histogram),
 	}
 	for _, ep := range append(queryEndpoints, extra...) {
 		s.queries[ep] = reg.Counter("pg_queries_total",
-			"Queries accepted per endpoint (batch counts members; rejected requests are not counted, cache hits are).",
+			"Queries accepted per endpoint (batch counts members; rejected requests and 304 revalidations are not counted, cache hits are).",
 			"endpoint", ep)
 		s.latency[ep] = reg.Histogram("pg_request_duration_seconds",
-			"End-to-end request latency per endpoint, cache hits and rejected requests included.",
+			"End-to-end request latency per endpoint, cache hits, 304 revalidations and rejected requests included.",
 			nil, "endpoint", ep)
 	}
-	s.mux.HandleFunc("/query", s.instrument("query", s.handleQuery))
+	s.mux.HandleFunc("/query", s.instrument("query", tags.revalidate("query", s.handleQuery)))
 	s.mux.HandleFunc("/query/stream", s.instrument("stream", s.handleQueryStream))
-	s.mux.HandleFunc("/topk", s.instrument("topk", s.handleTopK))
-	s.mux.HandleFunc("/batch", s.instrument("batch", s.handleBatch))
+	s.mux.HandleFunc("/topk", s.instrument("topk", tags.revalidate("topk", s.handleTopK)))
+	s.mux.HandleFunc("/batch", s.instrument("batch", tags.revalidate("batch", s.handleBatch)))
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
@@ -305,15 +313,18 @@ type MutationResponse struct {
 
 // reply is a query handler's epilogue: the failure, or the body stamped
 // with its time_ms (from start, just after Accept) and — when the
-// request asked for it — the span tree.
+// request asked for it — the span tree, tagged with the generation it was
+// computed at when the server tags its replies.
 func reply[R interface {
 	stamp(ms float64, tr *obs.SpanNode)
-}](w http.ResponseWriter, r *http.Request, what string, trace bool, start time.Time, resp R, err error) {
+	generation() uint64
+}](w http.ResponseWriter, r *http.Request, tags *tagger, what string, trace bool, start time.Time, resp R, err error) {
 	if err != nil {
 		ErrorFrom(what, err).Write(w)
 		return
 	}
 	resp.stamp(float64(time.Since(start).Microseconds())/1000, inlineTrace(r, trace))
+	tags.set(w, resp.generation())
 	WriteJSON(w, resp)
 }
 
@@ -321,6 +332,14 @@ func (q *QueryResponse) stamp(ms float64, tr *obs.SpanNode)    { q.TimeMS, q.Tra
 func (t *TopKResponse) stamp(ms float64, tr *obs.SpanNode)     { t.TimeMS, t.Trace = ms, tr }
 func (b *BatchResponse) stamp(ms float64, tr *obs.SpanNode)    { b.TimeMS, b.Trace = ms, tr }
 func (t *TopKWalkResponse) stamp(ms float64, tr *obs.SpanNode) { t.TimeMS, t.Trace = ms, tr }
+
+func (q *QueryResponse) generation() uint64    { return q.Generation }
+func (t *TopKResponse) generation() uint64     { return t.Generation }
+func (t *TopKWalkResponse) generation() uint64 { return t.Generation }
+
+// generation is the batch's: one pinned view serves every member, and
+// Check admits no empty batch.
+func (b *BatchResponse) generation() uint64 { return b.Results[0].Generation }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
@@ -331,7 +350,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.queries["query"].Inc()
 	start := time.Now()
 	resp, err := s.b.Query(r.Context(), &req, q, opt)
-	reply(w, r, "query failed", req.Trace, start, resp, err)
+	reply(w, r, s.tags, "query failed", req.Trace, start, resp, err)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -343,7 +362,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.queries["topk"].Inc()
 	start := time.Now()
 	resp, err := s.b.TopK(r.Context(), &req, q, opt)
-	reply(w, r, "topk failed", req.Trace, start, resp, err)
+	reply(w, r, s.tags, "topk failed", req.Trace, start, resp, err)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -355,7 +374,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.queries["batch"].Add(int64(len(qs)))
 	start := time.Now()
 	resp, err := s.b.Batch(r.Context(), &req, qs, opt)
-	reply(w, r, "batch failed", req.Trace, start, resp, err)
+	reply(w, r, s.tags, "batch failed", req.Trace, start, resp, err)
 }
 
 // handleQueryStream is POST /query/stream: the /query pipeline with
